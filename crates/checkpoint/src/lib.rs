@@ -22,7 +22,8 @@
 //! (the end marker is mandatory, so truncation at a section boundary is
 //! still detected), a foreign file is [`CheckpointError::BadMagic`], a
 //! snapshot from a newer build is [`CheckpointError::FutureVersion`],
-//! and a flipped payload bit is [`CheckpointError::Checksum`] naming the
+//! one from a format this build no longer reads is
+//! [`CheckpointError::RetiredVersion`], and a flipped payload bit is [`CheckpointError::Checksum`] naming the
 //! section it hit.
 //!
 //! Section payloads are built with [`Enc`] and parsed with [`Dec`] — a
@@ -41,8 +42,11 @@ use std::sync::OnceLock;
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
-/// The snapshot format version this build writes and the newest it reads.
-pub const FORMAT_VERSION: u32 = 1;
+/// The snapshot format version this build writes — and the only one it
+/// reads. Version 2 gave the `reorder` section one shape at every worker
+/// count and made the `config` section's `key_limit` and sharing-map
+/// fields unconditional; version 1 is retired, not migrated.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Typed failure of writing or reading a snapshot. Every corruption class
 /// maps to its own variant — restore never panics on bad bytes.
@@ -60,6 +64,14 @@ pub enum CheckpointError {
         /// Version found in the snapshot header.
         found: u32,
         /// Newest version this build supports ([`FORMAT_VERSION`]).
+        supported: u32,
+    },
+    /// The snapshot was written by an older format this build no longer
+    /// reads.
+    RetiredVersion {
+        /// Version found in the snapshot header.
+        found: u32,
+        /// The version this build reads ([`FORMAT_VERSION`]).
         supported: u32,
     },
     /// A section's payload does not match its stored checksum.
@@ -84,6 +96,10 @@ impl fmt::Display for CheckpointError {
             CheckpointError::FutureVersion { found, supported } => write!(
                 f,
                 "snapshot format version {found} is newer than supported version {supported}"
+            ),
+            CheckpointError::RetiredVersion { found, supported } => write!(
+                f,
+                "snapshot format version {found} is older than supported version {supported}"
             ),
             CheckpointError::Checksum { section } => {
                 write!(f, "checksum mismatch in section `{section}`")
@@ -432,6 +448,12 @@ impl SnapshotReader {
                 supported: FORMAT_VERSION,
             });
         }
+        if version < FORMAT_VERSION {
+            return Err(CheckpointError::RetiredVersion {
+                found: version,
+                supported: FORMAT_VERSION,
+            });
+        }
         Ok(SnapshotReader {
             data,
             pos: MAGIC.len() + 4,
@@ -497,8 +519,8 @@ impl SnapshotReader {
         }
     }
 
-    /// Assert the end marker comes next — unknown trailing sections in a
-    /// version-1 snapshot are structural corruption.
+    /// Assert the end marker comes next — unknown trailing sections are
+    /// structural corruption.
     pub fn finish(&mut self) -> Result<(), CheckpointError> {
         match self.next_section()? {
             None => Ok(()),
@@ -628,6 +650,19 @@ mod tests {
     }
 
     #[test]
+    fn retired_version_is_typed() {
+        let mut bytes = snapshot(&[]);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match SnapshotReader::new(&bytes[..]) {
+            Err(CheckpointError::RetiredVersion { found, supported }) => {
+                assert_eq!(found, 1);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("expected RetiredVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn payload_damage_names_the_section() {
         let bytes = snapshot(&[("config", b"abcdef"), ("q0", b"xyz")]);
         // Flip one byte inside the second section's payload (the last 3
@@ -660,6 +695,14 @@ mod tests {
             }
             .to_string(),
             "snapshot format version 9 is newer than supported version 1"
+        );
+        assert_eq!(
+            CheckpointError::RetiredVersion {
+                found: 1,
+                supported: 2
+            }
+            .to_string(),
+            "snapshot format version 1 is older than supported version 2"
         );
         assert_eq!(
             CheckpointError::Checksum {

@@ -189,24 +189,6 @@ impl CograEngine {
         self.0.runtime()
     }
 
-    /// Ingest one event whose full-key hash the caller already computed
-    /// ([`QueryRuntime::key_hash`]) — the §8 shard workers hash at ingest
-    /// time for placement and hand the hash down, so the key is extracted
-    /// exactly once per event. See [`Router::process_prehashed`].
-    ///
-    /// [`Router::process_prehashed`]: crate::router::Router::process_prehashed
-    pub fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
-        self.0.process_prehashed(event, key_hash)
-    }
-
-    /// Snapshot the engine's mutable state (see
-    /// [`Router::snapshot_state`]).
-    ///
-    /// [`Router::snapshot_state`]: crate::router::Router::snapshot_state
-    pub fn snapshot_state(&self) -> cogra_engine::RouterState {
-        self.0.snapshot_state()
-    }
-
     /// Rebuild an engine from a saved state against the same compiled
     /// runtime (see [`Router::from_state`]).
     ///
@@ -222,6 +204,10 @@ impl CograEngine {
 impl TrendEngine for CograEngine {
     fn process(&mut self, event: &Event) {
         self.0.process(event)
+    }
+
+    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
+        self.0.process_prehashed(event, key_hash)
     }
 
     fn drain_into(&mut self, out: &mut dyn FnMut(WindowResult)) {
@@ -260,10 +246,7 @@ impl TrendEngine for CograEngine {
         self.0.key_overflow()
     }
 
-    fn save_state(
-        &self,
-        enc: &mut cogra_checkpoint::Enc,
-    ) -> Result<(), cogra_checkpoint::CheckpointError> {
-        self.0.save_state(enc)
+    fn save_state(&self) -> Result<cogra_engine::RouterState, cogra_checkpoint::CheckpointError> {
+        self.0.save_state()
     }
 }

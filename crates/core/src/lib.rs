@@ -2,7 +2,9 @@
 //!
 //! The COGRA runtime executor (§3–§8 of the paper): coarse-grained online
 //! event trend aggregation, plus the unified [`Session`] facade over every
-//! engine in the workspace.
+//! engine in the workspace. There is one execution path: a session's
+//! engines live in the shards of one [`StreamingPool`], driven inline at
+//! one worker and on worker threads at `n`.
 //!
 //! * [`type_grained`] — Algorithm 1 (ANY, no adjacent predicates): one
 //!   aggregate per event type, O(n·l) time, Θ(l) space;
@@ -12,12 +14,14 @@
 //!   event and the final aggregate, O(n) time, O(1) space;
 //! * [`cogra`] — the [`CograEngine`] router: partitioning (§7), sliding
 //!   windows, per-disjunct dispatch, result finalization;
-//! * [`parallel`] — per-partition parallel execution (§8): the batch
-//!   reference [`run_parallel`] and the live [`StreamingPool`] shard
-//!   router (worker threads + bounded channels + watermark broadcasts);
-//! * [`session`] — the [`Session`] pipeline: typed [`EngineKind`] roster
-//!   over COGRA and all baselines, builder-style configuration (slack,
-//!   workers, multi-query), push-based [`ResultSink`] emission.
+//! * [`parallel`] — per-partition execution (§8): the [`StreamingPool`]
+//!   whose shards host every engine (one inline shard, or worker threads
+//!   behind bounded channels and watermark broadcasts) and the batch
+//!   reference [`run_parallel`] the batteries diff it against;
+//! * [`session`] — the [`Session`] pipeline in front of that pool: typed
+//!   [`EngineKind`] roster over COGRA and all baselines, builder-style
+//!   configuration (slack, workers, multi-query), checkpoint/restore,
+//!   push-based [`ResultSink`] emission.
 //!
 //! The engine substrate ([`agg`], [`engine`], [`output`], [`router`],
 //! [`runtime`]) lives in the `cogra-engine` crate and is re-exported here
@@ -44,7 +48,7 @@ pub use cogra_engine::{
     TrendEngine, Val, WindowAlgo, WindowResult,
 };
 pub use parallel::{
-    run_parallel, FailurePolicy, ParallelRun, PoolConfig, StreamingPool, WorkerFailure,
+    run_parallel, FailurePolicy, Metrics, ParallelRun, PoolConfig, StreamingPool, WorkerFailure,
     DEFAULT_BATCH_SIZE,
 };
 pub use session::{

@@ -1,46 +1,58 @@
-//! Parallel per-partition execution (§7/§8).
+//! One pool of shards hosts every engine of a session (§7/§8).
 //!
 //! "Equivalence predicates and the GROUP-BY clause partition the stream
 //! into sub-streams that are processed in parallel independently from
 //! each other. Such stream partitioning enables a highly scalable
 //! execution." Events within one sub-stream are processed in time order
-//! by a single worker, which is exactly the stream-transaction ordering
-//! guarantee §8 requires.
+//! by a single shard, which is exactly the stream-transaction ordering
+//! guarantee §8 requires — so one worker and n workers are the same
+//! computation over a different number of shards, not two architectures.
 //!
 //! Sharding is by the *output group* (the `GROUP-BY` prefix of the
 //! partition key), so every partition contributing to one result group
-//! lands on the same worker and no cross-worker aggregate merging is
+//! lands on the same shard and no cross-shard aggregate merging is
 //! needed. A query without `GROUP-BY` cannot shard (there is nothing to
-//! partition results by) and is pinned to one worker instead.
+//! partition results by) and is pinned to one shard instead.
 //!
-//! Two implementations share the same shard hash:
-//! * [`run_parallel`] — the batch reference: shard a finite recorded
-//!   stream, run every shard to completion under `std::thread::scope`,
-//!   merge. Kept as the executable specification the streaming tests
-//!   diff against.
-//! * [`StreamingPool`] — live execution: ONE pool of long-lived worker
-//!   threads per *session* (not per query — each worker hosts one engine
-//!   per (query, shard)), fed by bounded channels carrying **batches** of
-//!   pre-hashed events, with watermark broadcasts so a drain emits every
-//!   result that is globally final — even on shards whose sub-stream went
-//!   quiet. Under `.slack(n)` each worker repairs its own sub-stream with
-//!   a private [`ReorderBuffer`] while a coordinator-side [`LateGate`]
-//!   keeps the drop decisions identical to a single front reorderer.
+//! A `Shard` — one engine per hosted query, plus a private
+//! [`ReorderBuffer`] under `.slack(n)` — is the only thing that ever
+//! hosts engines, and the [`StreamingPool`] is the only thing that drives
+//! shards. Its effective width picks the transport, nothing else:
+//! * **width 1** — the one shard is held by value and driven on the
+//!   caller's thread, by reference: no thread, no channel, no staging, no
+//!   event clone and no placement hash;
+//! * **width n ≥ 2** — one long-lived worker thread per shard, fed by
+//!   bounded channels carrying **batches** of pre-hashed events, with
+//!   watermark broadcasts so a drain emits every result that is globally
+//!   final — even on shards whose sub-stream went quiet — and supervised
+//!   per [`FailurePolicy`].
+//!
+//! Disorder repair has one design at every width: a pool-side [`LateGate`]
+//! decides admission from time stamps alone (exactly the drops a single
+//! front `Reorderer` would make) and each shard sorts what was admitted
+//! for it.
+//!
+//! [`run_parallel`] is the batch reference — shard a finite recorded
+//! stream, run every shard to completion under `std::thread::scope`,
+//! merge — kept as the executable specification the batteries diff the
+//! pool against.
 
 use crate::cogra::CograEngine;
 use crate::engine::{run_to_completion, TrendEngine};
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
+use crate::session::EngineKind;
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
 use cogra_events::{Event, LateGate, ReorderBuffer, Timestamp};
+use std::borrow::Cow;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Shard index of a group-prefix hash — THE placement rule shared by the
 /// batch reference ([`run_parallel`]) and the [`StreamingPool`], kept in
-/// one place so the two execution modes cannot disagree.
+/// one place so the two cannot disagree.
 fn shard_index(group_hash: u64, shards: usize) -> usize {
     (group_hash % shards as u64) as usize
 }
@@ -53,6 +65,14 @@ fn effective_workers(rt: &QueryRuntime, requested: usize) -> usize {
     } else {
         requested.max(1)
     }
+}
+
+/// Whether shard `index` of `threads` hosts query `q`: every shard hosts
+/// a shardable query; one without a `GROUP-BY` prefix is pinned to shard
+/// `q % threads`, so even a session of unshardable queries spreads across
+/// the pool.
+fn hosts(rt: &QueryRuntime, q: usize, threads: usize, index: usize) -> bool {
+    rt.query.group_prefix > 0 || q % threads == index
 }
 
 /// Outcome of a parallel run.
@@ -174,20 +194,17 @@ pub struct PoolConfig {
     /// events also flush on every drain/finish (and thus on every
     /// watermark broadcast), so the batch size bounds transport latency,
     /// never result completeness. 1 degenerates to per-event sends.
+    /// Unused at width 1 — there is no transport.
     pub batch_size: usize,
-    /// Repair up to this many ticks of disorder *per shard*: each worker
-    /// owns a [`ReorderBuffer`] over its own sub-stream while the
-    /// coordinator's [`LateGate`] keeps late-drop decisions identical to
-    /// one stream-wide front reorderer.
+    /// Repair up to this many ticks of disorder *per shard*: each shard
+    /// owns a [`ReorderBuffer`] over its own sub-stream while the pool's
+    /// [`LateGate`] keeps late-drop decisions identical to one
+    /// stream-wide front reorderer.
     pub slack: Option<u64>,
-    /// Recovery behavior when a shard worker dies.
+    /// Recovery behavior when a shard worker dies (width ≥ 2 only — the
+    /// inline shard has no worker to supervise).
     pub policy: FailurePolicy,
 }
-
-/// What [`StreamingPool::snapshot`] captures: per-query router states
-/// (merged across shards) plus the in-flight reorder-buffer items, each
-/// tagged with the query it was routed for.
-pub type PoolSnapshot = (Vec<RouterState>, Vec<(u32, Event)>);
 
 /// The default shard-transport batch size: big enough to amortize a
 /// bounded-channel hand-off over hundreds of events, small enough that a
@@ -204,11 +221,71 @@ impl Default for PoolConfig {
     }
 }
 
-/// One routed event in flight to a shard worker: the event, the index of
-/// the query it is for, and its precomputed full partition-key hash
-/// (`None`: the event's type has no partition key; the engine drops it
-/// itself, exactly like a sequential run). `Clone` so the coordinator can
-/// journal delivered items under [`FailurePolicy::Restart`].
+/// One physical run a pool hosts: its engine kind and the compiled
+/// runtime every shard's engine for it shares.
+pub(crate) type Hosted = (EngineKind, Arc<QueryRuntime>);
+
+/// A hosted engine of any [`EngineKind`]; `Send` so its shard can move
+/// onto a worker thread.
+pub(crate) type Engine = Box<dyn TrendEngine + Send>;
+
+/// A pool's live state, layout-independent: what
+/// [`StreamingPool::snapshot`] captures and [`StreamingPool::open`]
+/// resumes from — at any width.
+pub struct PoolState {
+    /// Per-query engine states, merged across shards.
+    pub states: Vec<RouterState>,
+    /// In-flight `(query, event)` items the shard reorder buffers hold.
+    pub buffered: Vec<(u32, Event)>,
+    /// The admission gate, verbatim (`None`: no slack).
+    pub gate: Option<LateGate>,
+    /// The raw stream clock (largest routed event time) — the admission
+    /// floor when there is no gate.
+    pub clock: Timestamp,
+}
+
+/// One shard's counters, defined once: the `Shard` fills it, a worker's
+/// `Reply` carries it whole, the coordinator mirrors it whole, and
+/// [`StreamingPool::metrics`] sums it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Metrics {
+    /// Summed logical memory of the shard's engines.
+    pub memory: usize,
+    /// Largest memory sampled so far by whoever drives the shard (a
+    /// worker thread: every 64 events and at every batch, drain and
+    /// finish; the inline shard: its caller), plus the engines'
+    /// finalization spikes once finished.
+    pub peak: usize,
+    /// Routing hot-path counters over the shard's engines.
+    pub stats: RunStats,
+    /// Sticky key-limit overflow across the shard's engines
+    /// ([`TrendEngine::key_overflow`]).
+    pub key_overflow: Option<u32>,
+    /// Events ingested into the shard's engines.
+    pub events: u64,
+}
+
+impl Metrics {
+    /// The sum over a pool's shards. Shards run concurrently, so memory
+    /// and peaks add; the overflow flag is any shard's.
+    pub fn total(shards: &[Metrics]) -> Metrics {
+        let mut total = Metrics::default();
+        for m in shards {
+            total.memory += m.memory;
+            total.peak += m.peak;
+            total.stats.merge(m.stats);
+            total.key_overflow = total.key_overflow.or(m.key_overflow);
+            total.events += m.events;
+        }
+        total
+    }
+}
+
+/// One routed event in flight to a shard: the event, the index of the
+/// query it is for, and its precomputed full partition-key hash (`None`:
+/// the event's type has no partition key; the engine drops it itself,
+/// exactly like a sequential run). `Clone` so the coordinator can journal
+/// delivered items under [`FailurePolicy::Restart`].
 #[derive(Clone)]
 struct Item {
     event: Event,
@@ -232,6 +309,7 @@ enum Cmd {
 
 /// One shard's contribution to a pool snapshot — also the per-shard
 /// recovery baseline under [`FailurePolicy::Restart`].
+#[derive(Clone)]
 struct ShardSnapshot {
     /// Per query: the hosted engine's state (`None` where not hosted).
     states: Vec<Option<RouterState>>,
@@ -243,23 +321,14 @@ struct ShardSnapshot {
     events: u64,
 }
 
-/// A worker's answer to [`Cmd::Drain`] / [`Cmd::Finish`].
+/// A worker's answer to [`Cmd::Drain`] / [`Cmd::Snapshot`] / [`Cmd::Finish`].
+#[derive(Default)]
 struct Reply {
     /// Results finalized since the previous drain, tagged with their
     /// query index.
     results: Vec<(u32, WindowResult)>,
-    /// The worker's engines' current summed logical memory.
-    memory: usize,
-    /// The worker's peak summed logical memory so far (sampled every 64
-    /// events plus at every drain, like the measurement harness).
-    peak: usize,
-    /// The worker's routing hot-path counters so far, over all engines.
-    stats: RunStats,
-    /// Sticky key-limit overflow across the worker's engines
-    /// ([`TrendEngine::key_overflow`]).
-    key_overflow: Option<u32>,
-    /// Events this shard has ingested into its engines so far.
-    shard_events: u64,
+    /// The shard's counters as of this reply.
+    metrics: Metrics,
     /// Engine + reorder-buffer state: in reply to [`Cmd::Snapshot`], and
     /// attached to every [`Cmd::Drain`] reply when the pool journals for
     /// [`FailurePolicy::Restart`] (the recovery baseline refresh).
@@ -267,22 +336,6 @@ struct Reply {
     /// Set when the worker body panicked: the supervisor wrapper caught
     /// the unwind and reports the payload in-band instead of re-raising.
     failure: Option<String>,
-}
-
-impl Reply {
-    /// The supervisor's in-band report of a dead worker body.
-    fn failed(message: String) -> Reply {
-        Reply {
-            results: Vec::new(),
-            memory: 0,
-            peak: 0,
-            stats: RunStats::default(),
-            key_overflow: None,
-            shard_events: 0,
-            snapshot: None,
-            failure: Some(message),
-        }
-    }
 }
 
 struct Worker {
@@ -293,13 +346,9 @@ struct Worker {
     /// Quarantined by [`FailurePolicy::Degrade`]: the shard is dead and
     /// stays dead; its groups reroute to the next live shard.
     quarantined: bool,
-    /// Mirrors of the worker's last report, so [`StreamingPool::memory_bytes`]
+    /// The worker's last reported counters, so [`StreamingPool::metrics`]
     /// needs no synchronous round trip.
-    memory: usize,
-    peak: usize,
-    stats: RunStats,
-    key_overflow: Option<u32>,
-    shard_events: u64,
+    mirror: Metrics,
 }
 
 /// A respawned shard that dies this many times is escalated to
@@ -314,21 +363,8 @@ const MAX_RESTARTS: u32 = 8;
 /// emitted since the baseline (results only leave a shard at drains), so
 /// recovery neither loses nor duplicates output.
 struct ShardBaseline {
-    states: Vec<Option<RouterState>>,
-    buffered: Vec<(u32, Event)>,
-    events: u64,
+    snap: ShardSnapshot,
     journal: Vec<Item>,
-}
-
-impl ShardBaseline {
-    fn empty(queries: usize) -> ShardBaseline {
-        ShardBaseline {
-            states: (0..queries).map(|_| None).collect(),
-            buffered: Vec::new(),
-            events: 0,
-            journal: Vec::new(),
-        }
-    }
 }
 
 /// Backpressure bound, in batches: a worker that falls this many batches
@@ -336,49 +372,44 @@ impl ShardBaseline {
 const CHANNEL_CAPACITY: usize = 16;
 
 /// Live §8 sharded execution, shared across a whole session's queries:
-/// `workers` long-lived threads, each hosting one [`CograEngine`] per
-/// (query, shard), fed through bounded channels carrying event batches.
+/// every `Shard` hosts one engine per query it serves, and the pool
+/// drives either the one inline shard or `n ≥ 2` worker threads (see the
+/// module docs).
 ///
-/// * **Batched transport** — events are staged per shard and shipped as
-///   [`Cmd::Batch`] chunks ([`PoolConfig::batch_size`], default
-///   [`DEFAULT_BATCH_SIZE`]); stages flush on every drain/finish, so
-///   batching changes hand-off cost, never the result set.
 /// * **Shared pool** — one pool serves every query of a session: an
 ///   event is hashed per query (same group-prefix hash as
-///   [`run_parallel`], so the modes are byte-identical) and staged once
-///   per target shard. A query without a `GROUP-BY` prefix cannot shard;
-///   it is pinned to the worker `query % workers`, so even a session of
-///   unshardable queries spreads across the pool instead of spawning
-///   `queries × workers` threads.
-/// * **Per-shard reorderers** — with [`PoolConfig::slack`], each worker
-///   repairs its own sub-stream through a private [`ReorderBuffer`],
-///   concurrently with every other shard. A coordinator-side
-///   [`LateGate`] makes the admission decision from time stamps alone,
-///   so late-drop counts equal a single front [`Reorderer`]'s exactly.
-/// * **Watermark broadcasts** — [`StreamingPool::drain_into`] broadcasts
-///   the safe watermark before collecting: every window that closed
+///   [`run_parallel`]) and staged once per target shard. A query without
+///   a `GROUP-BY` prefix cannot shard; it is pinned to the shard
+///   `query % width`.
+/// * **Batched transport** (width ≥ 2) — events are staged per shard and
+///   shipped as [`Cmd::Batch`] chunks ([`PoolConfig::batch_size`]);
+///   stages flush on every drain/finish, so batching changes hand-off
+///   cost, never the result set.
+/// * **Per-shard reorderers** — with [`PoolConfig::slack`], each shard
+///   repairs its own sub-stream through a private [`ReorderBuffer`]. The
+///   pool's [`LateGate`] makes the admission decision from time stamps
+///   alone, so late-drop counts equal a single front [`Reorderer`]'s
+///   exactly, at every width.
+/// * **Watermark broadcasts** — [`StreamingPool::drain_into`] hands every
+///   shard the safe watermark before collecting: every window that closed
 ///   globally is emitted, even on a shard whose sub-stream went quiet.
 ///
 /// The merged output equals the batch reference per query — asserted by
-/// `tests/streaming_parallel_props.rs` across workers × chunkings ×
-/// batch sizes.
+/// `tests/streaming_parallel_props.rs` across widths × chunkings × batch
+/// sizes.
 ///
 /// [`Reorderer`]: cogra_events::Reorderer
 pub struct StreamingPool {
-    runtimes: Vec<Arc<QueryRuntime>>,
+    hosted: Vec<Hosted>,
+    /// Width 1: THE shard, driven on the caller's thread. Exactly one of
+    /// `inline` and `workers` is populated.
+    inline: Option<Box<Shard>>,
+    /// Width n ≥ 2: one worker thread per shard. Everything below down to
+    /// `dropped` is their coordinator's bookkeeping, idle at width 1.
     workers: Vec<Worker>,
     /// Per-shard staging buffers awaiting a batch send.
     stages: Vec<Vec<Item>>,
     batch_size: usize,
-    /// The configured per-shard slack, kept for respawning shards.
-    slack_cfg: Option<u64>,
-    /// Admission gate under slack (None: the stream is trusted ordered).
-    gate: Option<LateGate>,
-    /// Raw stream progress: the largest event time routed so far.
-    raw_watermark: Timestamp,
-    /// Reusable `(shard, query, key_hash)` placement scratch.
-    targets: Vec<(usize, u32, Option<u64>)>,
-    finished: bool,
     /// Recovery behavior when a shard worker dies.
     policy: FailurePolicy,
     /// Per-shard baselines + journals ([`FailurePolicy::Restart`] only).
@@ -394,155 +425,94 @@ pub struct StreamingPool {
     routed_items: u64,
     /// Items lost to quarantined shards ([`FailurePolicy::Degrade`]).
     dropped: u64,
+    /// Admission gate under slack (None: the stream is trusted ordered).
+    gate: Option<LateGate>,
+    /// Raw stream progress: the largest event time routed so far.
+    raw_watermark: Timestamp,
+    /// Reusable `(shard, query, key_hash)` placement scratch.
+    targets: Vec<(usize, u32, Option<u64>)>,
+    finished: bool,
 }
 
 impl StreamingPool {
-    /// Spawn a worker pool for a session's compiled queries.
-    ///
-    /// The pool has `workers` threads when any query can shard; a session
-    /// of only unshardable (no `GROUP-BY`) queries clamps to one thread
-    /// per query at most, since each such query is pinned anyway.
+    /// A fresh COGRA pool for a session's compiled queries. The width is
+    /// `workers` when any query can shard, at most one shard per query
+    /// otherwise; width 1 is driven inline on the caller's thread.
     pub fn new(runtimes: Vec<Arc<QueryRuntime>>, workers: usize, config: PoolConfig) -> Self {
-        assert!(!runtimes.is_empty(), "a pool needs at least one query");
-        let threads = Self::threads_for(&runtimes, workers);
-        let batch_size = config.batch_size.max(1);
-        let seeds = (0..threads).map(|_| None).collect();
-        let journal = config.policy == FailurePolicy::Restart;
-        let workers = Self::spawn_shards(&runtimes, threads, config.slack, seeds, journal);
-        let queries = runtimes.len();
-        StreamingPool {
-            runtimes,
-            workers,
-            stages: (0..threads).map(|_| Vec::new()).collect(),
-            batch_size,
-            slack_cfg: config.slack,
-            gate: config.slack.map(LateGate::new),
-            raw_watermark: Timestamp::ZERO,
-            targets: Vec::new(),
-            finished: false,
-            policy: config.policy,
-            recovery: journal.then(|| {
-                (0..threads)
-                    .map(|_| ShardBaseline::empty(queries))
-                    .collect()
-            }),
-            restarts: vec![0; threads],
-            failed: None,
-            delivered: vec![0; threads],
-            routed_items: 0,
-            dropped: 0,
-        }
+        let hosted = runtimes
+            .into_iter()
+            .map(|rt| (EngineKind::Cogra, rt))
+            .collect();
+        Self::open(hosted, workers, config, None).expect("fresh engines have no state to reject")
     }
 
-    /// Rebuild a pool from checkpointed per-query engine states — possibly
-    /// with a *different* worker count than the snapshotting pool: each
-    /// query's partition entries are re-sharded by replaying the same
-    /// `GROUP-BY`-prefix hash live routing uses, so the new layout is
-    /// exactly what `workers` fresh shards fed the same stream would hold.
+    /// Open a pool over `hosted`, fresh or — with `resume` — from
+    /// checkpointed state.
     ///
-    /// `gate` and `raw_watermark` restore the admission clock; in-flight
-    /// reorder-buffer items are re-staged afterwards via
-    /// [`StreamingPool::restage`] / [`StreamingPool::restage_all`].
-    pub fn restore(
-        runtimes: Vec<Arc<QueryRuntime>>,
+    /// The width is `workers` when any query can shard; a session of only
+    /// unshardable (no `GROUP-BY`) queries clamps to one shard per query
+    /// at most, since each such query is pinned anyway. Width 1 is driven
+    /// inline and hosts any [`EngineKind`]; wider pools spawn one thread
+    /// per shard (the session admits only COGRA there).
+    ///
+    /// A resumed pool may have a *different* width than the snapshotting
+    /// one: each query's partition entries are re-sharded by replaying the
+    /// same `GROUP-BY`-prefix hash live routing uses, so the new layout is
+    /// exactly what fresh shards fed the same stream would hold, and the
+    /// in-flight reorder-buffer items are re-delivered past the (verbatim
+    /// restored) admission gate.
+    pub(crate) fn open(
+        hosted: Vec<Hosted>,
         workers: usize,
         config: PoolConfig,
-        states: Vec<RouterState>,
-        gate: Option<LateGate>,
-        raw_watermark: Timestamp,
+        resume: Option<PoolState>,
     ) -> Result<StreamingPool, CheckpointError> {
-        assert!(!runtimes.is_empty(), "a pool needs at least one query");
-        assert_eq!(states.len(), runtimes.len(), "one engine state per query");
-        let threads = Self::threads_for(&runtimes, workers);
-        let batch_size = config.batch_size.max(1);
-        // Re-shard each query's partition entries into the new layout.
-        let mut shard_states: Vec<Vec<Option<RouterState>>> = (0..threads)
-            .map(|_| (0..runtimes.len()).map(|_| None).collect())
-            .collect();
-        for (q, (rt, state)) in runtimes.iter().zip(states).enumerate() {
-            let RouterState {
-                watermark,
-                stats,
-                drained_to,
-                finalize_spike,
-                entries,
-            } = state;
-            let home = if rt.query.group_prefix > 0 {
-                0
-            } else {
-                q % threads
-            };
-            let mut split: Vec<Vec<Vec<u8>>> = (0..threads).map(|_| Vec::new()).collect();
-            if rt.query.group_prefix == 0 {
-                split[home] = entries;
-            } else {
-                for entry in entries {
-                    let h = entry_group_hash(&entry, rt.query.group_prefix)?;
-                    split[shard_index(h, threads)].push(entry);
-                }
-            }
-            for (s, entries) in split.into_iter().enumerate() {
-                let hosted = rt.query.group_prefix > 0 || s == home;
-                if !hosted {
-                    debug_assert!(entries.is_empty());
-                    continue;
-                }
-                // Counters and the finalize spike live once, on the
-                // query's first hosting shard; the watermark and drain
-                // floor are global and go to every hosted shard.
-                shard_states[s][q] = Some(RouterState {
-                    watermark,
-                    stats: if s == home {
-                        stats
-                    } else {
-                        RunStats::default()
-                    },
-                    drained_to,
-                    finalize_spike: if s == home { finalize_spike } else { 0 },
-                    entries,
-                });
-            }
-        }
-        // Under Restart, the restored layout is also the initial recovery
+        assert!(!hosted.is_empty(), "a pool needs at least one query");
+        let threads = Self::threads_for(&hosted, workers);
+        let (states, buffered, gate, raw_watermark) = match resume {
+            Some(r) => (Some(r.states), r.buffered, r.gate, r.clock),
+            None => (
+                None,
+                Vec::new(),
+                config.slack.map(LateGate::new),
+                Timestamp::ZERO,
+            ),
+        };
+        let shard_states = reshard(&hosted, threads, states)?;
+        // Under Restart, the opening layout is also the initial recovery
         // baseline of every shard (cloned before the engines consume it).
-        let journal = config.policy == FailurePolicy::Restart;
+        let journal = threads > 1 && config.policy == FailurePolicy::Restart;
         let recovery = journal.then(|| {
             shard_states
                 .iter()
                 .map(|states| ShardBaseline {
-                    states: states.clone(),
-                    buffered: Vec::new(),
-                    events: 0,
+                    snap: ShardSnapshot {
+                        states: states.clone(),
+                        buffered: Vec::new(),
+                        events: 0,
+                    },
                     journal: Vec::new(),
                 })
-                .collect::<Vec<_>>()
+                .collect()
         });
-        // Build the engines here, not in the worker threads, so a corrupt
+        // Build the engines here, not on the worker threads, so a corrupt
         // entry surfaces as a typed error instead of a worker panic.
-        let mut seeds = Vec::with_capacity(threads);
-        for (index, sts) in shard_states.into_iter().enumerate() {
-            let mut engines = Vec::with_capacity(runtimes.len());
-            for (q, (rt, st)) in runtimes.iter().zip(sts).enumerate() {
-                let hosted = rt.query.group_prefix > 0 || q % threads == index;
-                engines.push(match st {
-                    Some(st) => Some(CograEngine::from_state(Arc::clone(rt), st)?),
-                    None if hosted => Some(CograEngine::from_runtime(Arc::clone(rt))),
-                    None => None,
-                });
-            }
-            seeds.push(Some(engines));
+        let mut shards = Vec::with_capacity(threads);
+        for (index, states) in shard_states.into_iter().enumerate() {
+            let engines = shard_engines(&hosted, threads, index, states)?;
+            shards.push(Shard::new(engines, config.slack, 0));
         }
-        let workers = Self::spawn_shards(&runtimes, threads, config.slack, seeds, journal);
-        Ok(StreamingPool {
-            runtimes,
+        let (inline, workers) = if threads == 1 {
+            (shards.pop().map(Box::new), Vec::new())
+        } else {
+            let spawn = |(index, shard)| Self::spawn_one(shard, index, journal);
+            (None, shards.into_iter().enumerate().map(spawn).collect())
+        };
+        let mut pool = StreamingPool {
+            inline,
             workers,
             stages: (0..threads).map(|_| Vec::new()).collect(),
-            batch_size,
-            slack_cfg: config.slack,
-            gate,
-            raw_watermark,
-            targets: Vec::new(),
-            finished: false,
+            batch_size: config.batch_size.max(1),
             policy: config.policy,
             recovery,
             restarts: vec![0; threads],
@@ -550,108 +520,81 @@ impl StreamingPool {
             delivered: vec![0; threads],
             routed_items: 0,
             dropped: 0,
-        })
-    }
-
-    /// Spawn the shard worker threads, each seeded with pre-built engines
-    /// (checkpoint restore) or `None` to build fresh ones.
-    fn spawn_shards(
-        runtimes: &[Arc<QueryRuntime>],
-        threads: usize,
-        slack: Option<u64>,
-        mut seeds: Vec<Option<Vec<Option<CograEngine>>>>,
-        attach_snapshots: bool,
-    ) -> Vec<Worker> {
-        debug_assert_eq!(seeds.len(), threads);
-        (0..threads)
-            .map(|index| {
-                Self::spawn_one(
-                    runtimes,
-                    threads,
-                    index,
-                    slack,
-                    seeds[index].take(),
-                    0,
-                    attach_snapshots,
-                )
-            })
-            .collect()
+            gate,
+            raw_watermark,
+            targets: Vec::new(),
+            finished: false,
+            hosted,
+        };
+        for (query, event) in buffered {
+            if query as usize >= pool.hosted.len() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "buffered item references physical run {query} of {}",
+                    pool.hosted.len()
+                )));
+            }
+            pool.restage(query, event);
+        }
+        Ok(pool)
     }
 
     /// Spawn a single shard worker — the unit both pool construction and
-    /// [`FailurePolicy::Restart`] respawns go through.
-    fn spawn_one(
-        runtimes: &[Arc<QueryRuntime>],
-        threads: usize,
-        index: usize,
-        slack: Option<u64>,
-        seeded: Option<Vec<Option<CograEngine>>>,
-        events: u64,
-        attach_snapshots: bool,
-    ) -> Worker {
+    /// [`FailurePolicy::Restart`] respawns go through. `attach_snapshots`
+    /// makes every drain reply carry a [`ShardSnapshot`]: the coordinator
+    /// journals for Restart and refreshes its recovery baseline from them.
+    fn spawn_one(shard: Shard, index: usize, attach_snapshots: bool) -> Worker {
         let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        // Mirror restored engine memory and counters immediately
-        // so a freshly restored pool reports its footprint before
-        // any drain.
-        let (memory, stats) = seeded.as_ref().map_or_else(
-            || (0, RunStats::default()),
-            |engines| {
-                let mut stats = RunStats::default();
-                let mut memory = 0;
-                for e in engines.iter().flatten() {
-                    memory += e.memory_bytes();
-                    stats.merge(e.run_stats());
-                }
-                (memory, stats)
-            },
-        );
-        let shard = ShardConfig {
-            runtimes: runtimes.to_vec(),
-            threads,
-            index,
-            slack,
-            seeded,
-            events,
-            attach_snapshots,
-        };
-        let thread = std::thread::spawn(move || shard_worker(shard, cmd_rx, reply_tx));
+        // Mirror the shard's counters immediately so a freshly restored
+        // pool reports its footprint before any drain.
+        let mirror = shard.metrics();
+        let thread = std::thread::spawn(move || {
+            shard_worker(shard, index, attach_snapshots, cmd_rx, reply_tx)
+        });
         Worker {
             tx: Some(cmd_tx),
             rx: reply_rx,
             thread: Some(thread),
             quarantined: false,
-            memory,
-            peak: memory,
-            stats,
-            key_overflow: None,
-            shard_events: events,
+            mirror,
         }
     }
 
-    /// Thread count: the requested workers when any query has a `GROUP-BY`
-    /// prefix to shard on; otherwise one thread per pinned query suffices.
-    fn threads_for(runtimes: &[Arc<QueryRuntime>], requested: usize) -> usize {
+    /// Pool width: the requested workers when any query has a `GROUP-BY`
+    /// prefix to shard on; otherwise one shard per pinned query suffices.
+    fn threads_for(hosted: &[Hosted], requested: usize) -> usize {
         let requested = requested.max(1);
-        if runtimes.iter().any(|rt| rt.query.group_prefix > 0) {
+        if hosted.iter().any(|(_, rt)| rt.query.group_prefix > 0) {
             requested
         } else {
-            requested.min(runtimes.len())
+            requested.min(hosted.len())
         }
+    }
+
+    /// Number of shards (1: the inline shard).
+    fn width(&self) -> usize {
+        self.workers.len().max(1)
+    }
+
+    /// Whether the pool drives its one shard on the caller's thread (no
+    /// worker thread, no channel) — what `Session::run` picks its drain
+    /// cadence from.
+    pub fn is_inline(&self) -> bool {
+        self.inline.is_some()
     }
 
     /// Number of queries the pool serves.
     pub fn queries(&self) -> usize {
-        self.runtimes.len()
+        self.hosted.len()
     }
 
     /// Widest effective shard count across the pool's queries (a query
-    /// without `GROUP-BY` is pinned to one worker and counts as 1).
+    /// without `GROUP-BY` is pinned to one shard and counts as 1).
     pub fn workers(&self) -> usize {
-        let threads = self.workers.len();
-        self.runtimes
+        let width = self.width();
+        self.hosted
             .iter()
-            .map(|rt| effective_workers(rt, threads))
+            .map(|(_, rt)| effective_workers(rt, width))
             .max()
             .unwrap_or(1)
     }
@@ -674,44 +617,43 @@ impl StreamingPool {
         self.gate.as_ref().map_or(0, LateGate::late_events)
     }
 
-    /// Whether per-shard disorder repair ([`PoolConfig::slack`]) is active.
-    pub fn has_slack(&self) -> bool {
-        self.gate.is_some()
+    /// The pool-side admission gate, when slack is active.
+    pub fn gate(&self) -> Option<&LateGate> {
+        self.gate.as_ref()
     }
 
-    /// Summed shard-engine memory, as of each worker's last drain (the
-    /// engines run concurrently; there is no synchronous round trip here).
-    pub fn memory_bytes(&self) -> usize {
-        self.workers.iter().map(|w| w.memory).sum()
-    }
-
-    /// Summed shard-engine peaks (the workers run concurrently), as of
-    /// each worker's last drain; final once the pool has finished.
-    pub fn peak_bytes(&self) -> usize {
-        self.workers.iter().map(|w| w.peak).sum()
-    }
-
-    /// Summed shard-engine routing counters ([`RunStats`]), as of each
-    /// worker's last drain; final once the pool has finished.
-    pub fn run_stats(&self) -> RunStats {
-        let mut total = RunStats::default();
-        for w in &self.workers {
-            total.merge(w.stats);
+    /// Every shard's counters, in shard order: read live off the inline
+    /// shard, or as of each worker's last drain (the workers run
+    /// concurrently; there is no synchronous round trip here) and final
+    /// once the pool has finished. The spread between the `events`
+    /// entries is the hot-key imbalance a skewed group distribution
+    /// produces.
+    pub fn shard_metrics(&self) -> Vec<Metrics> {
+        match &self.inline {
+            Some(shard) => vec![shard.metrics()],
+            None => self.workers.iter().map(|w| w.mirror).collect(),
         }
-        total
     }
 
-    /// Sticky partition-key overflow across every shard engine, as of
-    /// each worker's last drain; final once the pool has finished.
+    /// The pool's counters: [`StreamingPool::shard_metrics`], summed.
+    pub fn metrics(&self) -> Metrics {
+        Metrics::total(&self.shard_metrics())
+    }
+
+    /// [`Metrics::key_overflow`] without the memory walk — cheap enough
+    /// for the per-event check of CSV ingestion.
     pub fn key_overflow(&self) -> Option<u32> {
-        self.workers.iter().find_map(|w| w.key_overflow)
+        match &self.inline {
+            Some(shard) => shard.key_overflow(),
+            None => self.workers.iter().find_map(|w| w.mirror.key_overflow),
+        }
     }
 
-    /// Events ingested per shard worker, as of each worker's last drain;
-    /// final once the pool has finished. The spread between entries is
-    /// the hot-key imbalance a skewed group distribution produces.
-    pub fn shard_events(&self) -> Vec<u64> {
-        self.workers.iter().map(|w| w.shard_events).collect()
+    /// Query `query`'s engine, while the pool is inline (worker threads
+    /// own theirs).
+    pub fn engine(&self, query: usize) -> Option<&dyn TrendEngine> {
+        let engine = self.inline.as_ref()?.engines.get(query)?.as_deref()?;
+        Some(engine)
     }
 
     /// The sticky terminal failure, if a shard worker died under
@@ -735,9 +677,9 @@ impl StreamingPool {
     /// Items lost to quarantined shards: everything delivered to a shard
     /// before it died plus everything rerouted-to-nowhere after (pinned
     /// queries whose home shard is gone). 0 on a healthy pool. Together
-    /// with [`StreamingPool::shard_events`] this conserves the routed
-    /// total: `routed_items == sum(shard_events) + dropped_events` once
-    /// the pool finishes.
+    /// with the shards' `events` this conserves the routed total:
+    /// `routed_items == sum(events) + dropped_events` once the pool
+    /// finishes.
     pub fn dropped_events(&self) -> u64 {
         self.dropped
     }
@@ -749,31 +691,11 @@ impl StreamingPool {
         self.routed_items
     }
 
-    /// The configured failure policy.
-    pub fn policy(&self) -> FailurePolicy {
-        self.policy
-    }
-
-    /// Whether the pool has finished (checkpointing a finished pool is
-    /// unsupported — its engines have emitted and discarded their state).
+    /// Whether the pool has finished (it ignores further input, and
+    /// cannot checkpoint — its engines have emitted and discarded their
+    /// state).
     pub fn finished(&self) -> bool {
         self.finished
-    }
-
-    /// The coordinator-side admission gate, when slack is active.
-    pub fn gate(&self) -> Option<&LateGate> {
-        self.gate.as_ref()
-    }
-
-    /// The largest event time routed so far (trusted-ordered path only;
-    /// with slack the gate tracks the raw clock itself).
-    pub fn raw_watermark(&self) -> Timestamp {
-        self.raw_watermark
-    }
-
-    /// The configured per-shard disorder slack, if any.
-    pub fn slack(&self) -> Option<u64> {
-        self.gate.as_ref().map(LateGate::slack)
     }
 
     /// Snapshot the pool's live state without advancing it: flushes staged
@@ -781,13 +703,23 @@ impl StreamingPool {
     /// query in shard-index order) and in-flight reorder-buffer items.
     /// The pool remains fully usable afterwards.
     ///
-    /// A failed pool ([`FailurePolicy::Fail`]) or a degraded one
-    /// ([`FailurePolicy::Degrade`] after a quarantine) cannot checkpoint —
-    /// part of its state is gone; the error is typed, never a partial
-    /// snapshot. A worker dying *during* the snapshot under
+    /// A finished pool, a failed one ([`FailurePolicy::Fail`]) or a
+    /// degraded one ([`FailurePolicy::Degrade`] after a quarantine) cannot
+    /// checkpoint — part of its state is gone; the error is typed, never a
+    /// partial snapshot. A worker dying *during* the snapshot under
     /// [`FailurePolicy::Restart`] is recovered and the shard re-asked.
-    pub fn snapshot(&mut self) -> Result<PoolSnapshot, CheckpointError> {
-        assert!(!self.finished, "streaming pool already finished");
+    pub fn snapshot(&mut self) -> Result<PoolState, CheckpointError> {
+        if self.finished {
+            return Err(CheckpointError::Unsupported(
+                "cannot checkpoint a finished session".to_string(),
+            ));
+        }
+        if let Some(shard) = &self.inline {
+            let snap = shard.snapshot()?;
+            // The one shard hosts every query: no `None` slots to merge.
+            let states = snap.states.into_iter().flatten().collect();
+            return Ok(self.state_of(states, snap.buffered));
+        }
         self.snapshot_guard()?;
         self.flush_stages();
         self.snapshot_guard()?;
@@ -797,7 +729,7 @@ impl StreamingPool {
         for (s, flag) in sent.iter_mut().enumerate() {
             *flag = self.send_control(s, &cmd);
         }
-        let mut merged: Vec<Option<RouterState>> = (0..self.runtimes.len()).map(|_| None).collect();
+        let mut merged: Vec<Option<RouterState>> = (0..self.hosted.len()).map(|_| None).collect();
         let mut buffered = Vec::new();
         for (s, &ok) in sent.iter().enumerate() {
             if !ok {
@@ -810,16 +742,11 @@ impl StreamingPool {
                 .snapshot
                 .take()
                 .expect("snapshot round trip returns shard state");
-            self.absorb_mirrors(s, &reply);
+            self.absorb_mirror(s, &reply);
             // This full-state reply doubles as a fresh recovery baseline.
-            self.store_baseline(
-                s,
-                ShardSnapshot {
-                    states: snap.states.clone(),
-                    buffered: snap.buffered.clone(),
-                    events: snap.events,
-                },
-            );
+            if self.recovery.is_some() {
+                self.store_baseline(s, snap.clone());
+            }
             for (q, st) in snap.states.into_iter().enumerate() {
                 if let Some(st) = st {
                     match &mut merged[q] {
@@ -835,7 +762,17 @@ impl StreamingPool {
             .into_iter()
             .map(|m| m.expect("every query is hosted by at least one shard"))
             .collect();
-        Ok((states, buffered))
+        Ok(self.state_of(states, buffered))
+    }
+
+    /// The shards' collected state plus the pool's own admission clock.
+    fn state_of(&self, states: Vec<RouterState>, buffered: Vec<(u32, Event)>) -> PoolState {
+        PoolState {
+            states,
+            buffered,
+            gate: self.gate.clone(),
+            clock: self.raw_watermark,
+        }
     }
 
     /// The typed reasons a pool cannot produce a complete snapshot.
@@ -859,22 +796,20 @@ impl StreamingPool {
     fn store_baseline(&mut self, shard: usize, snap: ShardSnapshot) {
         if let Some(recovery) = &mut self.recovery {
             recovery[shard] = ShardBaseline {
-                states: snap.states,
-                buffered: snap.buffered,
-                events: snap.events,
+                snap,
                 journal: Vec::new(),
             };
         }
     }
 
-    /// Copy a live reply's counters into the coordinator-side mirrors.
-    fn absorb_mirrors(&mut self, shard: usize, reply: &Reply) {
-        let w = &mut self.workers[shard];
-        w.memory = reply.memory;
-        w.peak = w.peak.max(reply.peak);
-        w.stats = reply.stats;
-        w.key_overflow = reply.key_overflow;
-        w.shard_events = reply.shard_events;
+    /// Mirror a live reply's counters (a respawned shard restarts its
+    /// peak; the mirror keeps the larger).
+    fn absorb_mirror(&mut self, shard: usize, reply: &Reply) {
+        let mirror = &mut self.workers[shard].mirror;
+        *mirror = Metrics {
+            peak: mirror.peak.max(reply.metrics.peak),
+            ..reply.metrics
+        };
     }
 
     /// Send one control command (`Drain`/`Snapshot`/`Finish`) to a shard,
@@ -970,18 +905,24 @@ impl StreamingPool {
     /// Terminal failure: record it, stop every worker, drop staged items.
     fn fail_all(&mut self, failure: WorkerFailure) {
         self.failed = Some(failure);
-        for w in &mut self.workers {
-            w.tx = None;
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.join_workers();
         for stage in &mut self.stages {
             stage.clear();
         }
         if let Some(recovery) = &mut self.recovery {
             for b in recovery.iter_mut() {
                 b.journal.clear();
+            }
+        }
+    }
+
+    /// Close every worker's channel (its loop exits) and reap the thread;
+    /// panics arrived in-band, so the join result carries nothing.
+    fn join_workers(&mut self) {
+        for w in &mut self.workers {
+            w.tx = None;
+            if let Some(t) = w.thread.take() {
+                let _ = t.join();
             }
         }
     }
@@ -993,8 +934,8 @@ impl StreamingPool {
     fn quarantine(&mut self, shard: usize) {
         let w = &mut self.workers[shard];
         w.quarantined = true;
-        w.memory = 0;
-        w.shard_events = 0;
+        w.mirror.memory = 0;
+        w.mirror.events = 0;
         self.dropped += self.delivered[shard];
         self.delivered[shard] = 0;
         self.stages[shard].clear();
@@ -1009,57 +950,40 @@ impl StreamingPool {
         self.restarts[shard] += 1;
         let threads = self.workers.len();
         let baseline = &self.recovery.as_ref().expect("Restart keeps baselines")[shard];
-        let mut engines = Vec::with_capacity(self.runtimes.len());
-        for (q, (rt, st)) in self.runtimes.iter().zip(&baseline.states).enumerate() {
-            let hosted = rt.query.group_prefix > 0 || q % threads == shard;
-            engines.push(match st {
-                Some(st) => match CograEngine::from_state(Arc::clone(rt), st.clone()) {
-                    Ok(engine) => Some(engine),
-                    Err(e) => {
-                        // The baseline itself cannot be revived — escalate.
-                        let failure = WorkerFailure {
-                            shard,
-                            message: format!("recovery baseline is unusable: {e}"),
-                        };
-                        self.fail_all(failure);
-                        return;
-                    }
-                },
-                None if hosted => Some(CograEngine::from_runtime(Arc::clone(rt))),
-                None => None,
-            });
-        }
+        let states = baseline.snap.states.clone();
+        let engines = match shard_engines(&self.hosted, threads, shard, states) {
+            Ok(engines) => engines,
+            Err(e) => {
+                // The baseline itself cannot be revived — escalate.
+                let failure = WorkerFailure {
+                    shard,
+                    message: format!("recovery baseline is unusable: {e}"),
+                };
+                self.fail_all(failure);
+                return;
+            }
+        };
+        let slack = self.gate.as_ref().map(LateGate::slack);
         self.workers[shard] = Self::spawn_one(
-            &self.runtimes,
-            threads,
+            Shard::new(engines, slack, baseline.snap.events),
             shard,
-            self.slack_cfg,
-            Some(engines),
-            baseline.events,
             true,
         );
         // Redeliver: first the baseline's reorder-buffered items (their
         // release order is the order the checkpoint restage path uses),
         // then the journal, both through the normal batch transport.
         let mut replay: Vec<Item> = Vec::with_capacity(baseline.journal.len());
-        for (query, event) in baseline.buffered.clone() {
-            let rt = &self.runtimes[query as usize];
-            let key_hash = if rt.query.group_prefix > 0 {
-                match rt.route_hashes(&event) {
-                    Some((_, key_hash)) => Some(key_hash),
-                    None => continue,
-                }
-            } else {
-                rt.key_hash(&event)
-            };
-            replay.push(Item {
-                event,
-                query,
-                key_hash,
-            });
+        for (query, event) in baseline.snap.buffered.clone() {
+            if let Some((_, key_hash)) = self.place(query as usize, &event) {
+                replay.push(Item {
+                    event,
+                    query,
+                    key_hash,
+                });
+            }
         }
         replay.extend(baseline.journal.iter().cloned());
-        for chunk in replay.chunks(self.batch_size.max(1)) {
+        for chunk in replay.chunks(self.batch_size) {
             let Some(tx) = self.workers[shard].tx.as_ref() else {
                 return;
             };
@@ -1080,7 +1004,7 @@ impl StreamingPool {
         if !self.workers[shard].quarantined {
             return Some(shard);
         }
-        if self.runtimes[query as usize].query.group_prefix == 0 {
+        if self.hosted[query as usize].1.query.group_prefix == 0 {
             return None;
         }
         let n = self.workers.len();
@@ -1089,94 +1013,81 @@ impl StreamingPool {
             .find(|&s| !self.workers[s].quarantined)
     }
 
-    /// Re-stage one checkpointed in-flight event for one query, bypassing
-    /// the admission gate (the gate was restored verbatim; these events
-    /// were already admitted before the snapshot). Safe to release early
-    /// on the new shard: an admitted buffered event's release threshold
-    /// never overtakes the gate's `released_to` floor.
-    pub fn restage(&mut self, query: u32, event: Event) {
-        let threads = self.workers.len();
-        let rt = &self.runtimes[query as usize];
-        let (shard, key_hash) = if rt.query.group_prefix > 0 {
-            match rt.route_hashes(&event) {
-                Some((group_hash, key_hash)) => (shard_index(group_hash, threads), Some(key_hash)),
-                None => return, // unroutable events are never staged
-            }
+    /// Where query `query` wants `event`: `(shard, full-key hash)`.
+    /// Shardable: the group hash places the event and the full-key hash
+    /// rides along so the shard's router probes without re-extracting the
+    /// key; `None` drops the event for this query (no partition key),
+    /// consistently with every engine. Unshardable: pinned to one shard,
+    /// which sees the whole stream — including events without a partition
+    /// key (the engine drops them itself, exactly like a sequential run).
+    fn place(&self, query: usize, event: &Event) -> Option<(usize, Option<u64>)> {
+        let width = self.width();
+        let rt = &self.hosted[query].1;
+        if rt.query.group_prefix > 0 {
+            let (group_hash, key_hash) = rt.route_hashes(event)?;
+            Some((shard_index(group_hash, width), Some(key_hash)))
         } else {
-            (query as usize % threads, rt.key_hash(&event))
-        };
-        self.stage(
-            shard,
-            Item {
-                event,
-                query,
-                key_hash,
-            },
-        );
+            Some((query % width, rt.key_hash(event)))
+        }
     }
 
-    /// Re-stage one checkpointed in-flight event for *every* query — the
-    /// restore path for snapshots taken behind a single front reorderer,
-    /// whose buffered events had not been routed per query yet.
-    pub fn restage_all(&mut self, event: Event) {
-        self.compute_targets(&event);
-        let targets = std::mem::take(&mut self.targets);
-        for &(shard, query, key_hash) in &targets {
-            self.stage(
+    /// Re-deliver one checkpointed in-flight event for one query,
+    /// bypassing the admission gate (the gate was restored verbatim; these
+    /// events were already admitted before the snapshot). Safe to release
+    /// early on the new shard: an admitted buffered event's release
+    /// threshold never overtakes the gate's `released_to` floor.
+    fn restage(&mut self, query: u32, event: Event) {
+        // `None`: unroutable events are never staged.
+        if let Some((shard, key_hash)) = self.place(query as usize, &event) {
+            self.deliver(
                 shard,
                 Item {
-                    event: event.clone(),
+                    event,
                     query,
                     key_hash,
                 },
             );
         }
-        self.targets = targets;
     }
 
-    /// Route one event to its target shards (one per query, deduplicated
-    /// by staging the clone per *shard*, not per query). Blocks when a
-    /// shard is [`CHANNEL_CAPACITY`] batches behind (backpressure, not
-    /// unbounded buffering). Without slack, events must arrive in
-    /// non-decreasing time order; with slack, disorder up to the slack is
-    /// repaired on the shards and anything later is dropped and counted.
+    /// Ingest one event, by reference. At width 1 without slack the shard
+    /// reads it in place: nothing is cloned, staged or hashed for
+    /// placement. Otherwise it is hashed per query and delivered to its
+    /// target shards (one clone per target); a worker that is
+    /// [`CHANNEL_CAPACITY`] batches behind blocks the caller
+    /// (backpressure, not unbounded buffering). Without slack, events must
+    /// arrive in non-decreasing time order; with slack, disorder up to the
+    /// slack is repaired on the shards and anything later is dropped and
+    /// counted. A finished or failed pool ignores the event.
     pub fn route(&mut self, event: &Event) {
-        if self.admit(event) {
-            self.compute_targets(event);
-            let targets = std::mem::take(&mut self.targets);
-            for &(shard, query, key_hash) in &targets {
-                self.stage(
-                    shard,
-                    Item {
-                        event: event.clone(),
-                        query,
-                        key_hash,
-                    },
-                );
-            }
-            self.targets = targets;
-        }
+        self.route_cow(Cow::Borrowed(event));
     }
 
     /// Like [`StreamingPool::route`], consuming the event — the last
     /// target shard receives it without a clone (the zero-clone path for
     /// single-query sessions fed from owned sources).
     pub fn route_owned(&mut self, event: Event) {
-        if self.admit(&event) {
-            self.compute_targets(&event);
-            let targets = std::mem::take(&mut self.targets);
-            if let Some((&(shard, query, key_hash), rest)) = targets.split_last() {
-                for &(shard, query, key_hash) in rest {
-                    self.stage(
-                        shard,
-                        Item {
-                            event: event.clone(),
-                            query,
-                            key_hash,
-                        },
-                    );
-                }
-                self.stage(
+        self.route_cow(Cow::Owned(event));
+    }
+
+    fn route_cow(&mut self, event: Cow<'_, Event>) {
+        if !self.admit(&event) {
+            return;
+        }
+        if let (Some(shard), None) = (&mut self.inline, &self.gate) {
+            return shard.process(&event);
+        }
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        for query in 0..self.hosted.len() {
+            if let Some((shard, key_hash)) = self.place(query, &event) {
+                targets.push((shard, query as u32, key_hash));
+            }
+        }
+        if let Some((&(shard, query, key_hash), rest)) = targets.split_last() {
+            for &(shard, query, key_hash) in rest {
+                let event = Event::clone(&event);
+                self.deliver(
                     shard,
                     Item {
                         event,
@@ -1185,8 +1096,17 @@ impl StreamingPool {
                     },
                 );
             }
-            self.targets = targets;
+            let event = event.into_owned();
+            self.deliver(
+                shard,
+                Item {
+                    event,
+                    query,
+                    key_hash,
+                },
+            );
         }
+        self.targets = targets;
     }
 
     /// Watermark bookkeeping + the late-drop decision. `true` admits.
@@ -1194,10 +1114,10 @@ impl StreamingPool {
     /// observable watermark is its safe one — `raw_watermark` is only
     /// maintained on the trusted-ordered path.
     fn admit(&mut self, event: &Event) -> bool {
-        assert!(!self.finished, "streaming pool already finished");
-        if self.failed.is_some() {
-            // Terminally failed: ignore further input; the caller sees the
-            // sticky `failure()` instead of a panic.
+        if self.finished || self.failed.is_some() {
+            // Finished or terminally failed: ignore further input; the
+            // caller sees `finished()` / the sticky `failure()`, never a
+            // panic.
             return false;
         }
         match &mut self.gate {
@@ -1209,29 +1129,15 @@ impl StreamingPool {
         }
     }
 
-    /// Resolve the event's `(shard, query, key_hash)` placements into the
-    /// reusable `targets` scratch — one entry per query that keeps the
-    /// event.
-    fn compute_targets(&mut self, event: &Event) {
-        let threads = self.workers.len();
-        self.targets.clear();
-        for (q, rt) in self.runtimes.iter().enumerate() {
-            if rt.query.group_prefix > 0 {
-                // Shardable: the group hash places the event, the full-key
-                // hash rides along so the worker's router probes without
-                // re-extracting the key. `None` drops the event for this
-                // query (no partition key), consistently with every engine.
-                if let Some((group_hash, key_hash)) = rt.route_hashes(event) {
-                    self.targets
-                        .push((shard_index(group_hash, threads), q as u32, Some(key_hash)));
-                }
-            } else {
-                // Unshardable: pinned to one worker, which sees the whole
-                // stream — including events without a partition key (the
-                // engine drops them itself, exactly like a sequential run).
-                self.targets
-                    .push((q % threads, q as u32, rt.key_hash(event)));
+    /// Hand one admitted item to its shard: straight into the inline
+    /// shard, or onto the worker's staging buffer.
+    fn deliver(&mut self, shard: usize, item: Item) {
+        match &mut self.inline {
+            Some(inline) => {
+                inline.push(item);
+                inline.release();
             }
+            None => self.stage(shard, item),
         }
     }
 
@@ -1286,41 +1192,54 @@ impl StreamingPool {
     /// Flush every shard's staging buffer — always precedes a broadcast,
     /// so a drain or finish never outruns staged events.
     fn flush_stages(&mut self) {
-        for shard in 0..self.stages.len() {
+        for shard in 0..self.workers.len() {
             self.ship(shard);
         }
     }
 
-    /// Emit every result final at the safe watermark, merged per query in
-    /// deterministic (window, group) order. Flushes staged batches and
-    /// broadcasts the watermark first, so shards whose sub-stream went
-    /// quiet still close the windows that closed globally.
+    /// Emit every result final at the safe watermark, per query in
+    /// deterministic (window, group) order. Every shard first catches up
+    /// to the watermark (workers: staged batches flush, then a broadcast),
+    /// so shards whose sub-stream went quiet still close the windows that
+    /// closed globally.
     pub fn drain_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
         if self.finished || self.failed.is_some() {
             return;
         }
-        self.flush_stages();
-        self.round_trip(Cmd::Drain(self.watermark()), out);
+        let watermark = self.watermark();
+        match &mut self.inline {
+            Some(shard) => {
+                shard.advance_to(watermark);
+                shard.drain_into(&mut |q, r| out(q as usize, r));
+            }
+            None => {
+                self.flush_stages();
+                self.round_trip(Cmd::Drain(watermark), out);
+            }
+        }
     }
 
     /// End of stream: flush staged batches and shard reorder buffers,
     /// close every open window on every shard, emit the merged remainder,
-    /// and join the worker threads. Further drains are no-ops; further
-    /// routing is a bug (and panics). On a terminally failed pool this
-    /// emits nothing — the caller sees [`StreamingPool::failure`].
+    /// and join the worker threads. Further drains are no-ops and further
+    /// routing is ignored. On a terminally failed pool this emits nothing
+    /// — the caller sees [`StreamingPool::failure`].
     pub fn finish_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
         if self.finished {
             return;
         }
-        if self.failed.is_none() {
-            self.flush_stages();
-            self.round_trip(Cmd::Finish, out);
-        }
         self.finished = true;
-        for w in &mut self.workers {
-            w.tx = None; // close the channel …
-            if let Some(t) = w.thread.take() {
-                let _ = t.join(); // … and reap (panics arrived in-band)
+        match &mut self.inline {
+            Some(shard) => {
+                shard.flush();
+                shard.finish_into(&mut |q, r| out(q as usize, r));
+            }
+            None => {
+                if self.failed.is_none() {
+                    self.flush_stages();
+                    self.round_trip(Cmd::Finish, out);
+                }
+                self.join_workers();
             }
         }
     }
@@ -1336,7 +1255,7 @@ impl StreamingPool {
         for (s, flag) in sent.iter_mut().enumerate() {
             *flag = self.send_control(s, &cmd);
         }
-        let mut merged: Vec<Vec<WindowResult>> = vec![Vec::new(); self.runtimes.len()];
+        let mut merged: Vec<Vec<WindowResult>> = vec![Vec::new(); self.hosted.len()];
         for (s, &ok) in sent.iter().enumerate() {
             if !ok {
                 continue;
@@ -1344,7 +1263,7 @@ impl StreamingPool {
             let Some(mut reply) = self.recv_reply(s, &cmd) else {
                 continue;
             };
-            self.absorb_mirrors(s, &reply);
+            self.absorb_mirror(s, &reply);
             if let Some(snap) = reply.snapshot.take() {
                 // Journaling drain: the attached state is the shard's new
                 // recovery baseline and retires its journal.
@@ -1382,75 +1301,122 @@ fn control_clone(cmd: &Cmd) -> Cmd {
 
 impl Drop for StreamingPool {
     fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.tx = None; // close the channel so the worker loop exits
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.join_workers();
     }
 }
 
-/// Everything a shard worker needs to build its engine slice.
-struct ShardConfig {
-    runtimes: Vec<Arc<QueryRuntime>>,
+/// Split checkpointed per-query states into a `threads`-shard layout
+/// (`None` states: a fresh pool — every slot starts empty). Partition
+/// entries follow their `GROUP-BY` hash; counters and the finalize spike
+/// live once, on the query's first hosting shard; the watermark and drain
+/// floor are global and go to every hosting shard.
+fn reshard(
+    hosted: &[Hosted],
     threads: usize,
-    index: usize,
-    slack: Option<u64>,
-    /// Engines restored from a checkpoint or a recovery baseline
-    /// (`None`: build fresh ones).
-    seeded: Option<Vec<Option<CograEngine>>>,
-    /// Ingest-counter seed, so a respawned shard resumes its accounting.
-    events: u64,
-    /// Attach a [`ShardSnapshot`] to every drain reply — the coordinator
-    /// journals for [`FailurePolicy::Restart`] and refreshes its recovery
-    /// baseline from them.
-    attach_snapshots: bool,
+    states: Option<Vec<RouterState>>,
+) -> Result<Vec<Vec<Option<RouterState>>>, CheckpointError> {
+    let mut shard_states: Vec<Vec<Option<RouterState>>> = (0..threads)
+        .map(|_| (0..hosted.len()).map(|_| None).collect())
+        .collect();
+    let Some(states) = states else {
+        return Ok(shard_states);
+    };
+    assert_eq!(states.len(), hosted.len(), "one engine state per query");
+    for (q, ((_, rt), state)) in hosted.iter().zip(states).enumerate() {
+        let RouterState {
+            watermark,
+            stats,
+            drained_to,
+            finalize_spike,
+            entries,
+        } = state;
+        let shardable = rt.query.group_prefix > 0;
+        let home = if shardable { 0 } else { q % threads };
+        let mut split: Vec<Vec<Vec<u8>>> = (0..threads).map(|_| Vec::new()).collect();
+        if !shardable || threads == 1 {
+            split[home] = entries;
+        } else {
+            for entry in entries {
+                let h = entry_group_hash(&entry, rt.query.group_prefix)?;
+                split[shard_index(h, threads)].push(entry);
+            }
+        }
+        for (s, entries) in split.into_iter().enumerate() {
+            if !hosts(rt, q, threads, s) {
+                debug_assert!(entries.is_empty());
+                continue;
+            }
+            shard_states[s][q] = Some(RouterState {
+                watermark,
+                stats: if s == home {
+                    stats
+                } else {
+                    RunStats::default()
+                },
+                drained_to,
+                finalize_spike: if s == home { finalize_spike } else { 0 },
+                entries,
+            });
+        }
+    }
+    Ok(shard_states)
 }
 
-/// One worker's engines: a [`CograEngine`] per query this shard hosts
-/// (every query with a `GROUP-BY` prefix; pinned queries only on their
-/// home worker), plus the shard's private reorder buffer under slack.
+/// Build shard `index`'s engine slice: one engine per query the shard
+/// hosts ([`hosts`]), revived from `states` where the layout carries one.
+fn shard_engines(
+    hosted: &[Hosted],
+    threads: usize,
+    index: usize,
+    states: Vec<Option<RouterState>>,
+) -> Result<Vec<Option<Engine>>, CheckpointError> {
+    hosted
+        .iter()
+        .zip(states)
+        .enumerate()
+        .map(|(q, ((kind, rt), state))| {
+            if state.is_some() || hosts(rt, q, threads, index) {
+                kind.engine(Arc::clone(rt), state).map(Some)
+            } else {
+                Ok(None)
+            }
+        })
+        .collect()
+}
+
+/// One shard: an engine per query it hosts ([`hosts`]), plus the shard's
+/// private reorder buffer under slack. Driven by exactly one caller — a
+/// worker thread's [`shard_loop`], or the pool itself at width 1 — and
+/// that driver, not the shard, decides when to sample the memory peak
+/// (the walk is too expensive for a per-event path).
 struct Shard {
-    engines: Vec<Option<CograEngine>>,
+    engines: Vec<Option<Engine>>,
     /// Per-shard disorder repair ([`PoolConfig::slack`]); the admission
-    /// decision already happened at the coordinator's [`LateGate`].
+    /// decision already happened at the pool's [`LateGate`].
     reorder: Option<ReorderBuffer<Item>>,
     slack: u64,
     /// The largest raw event time this shard has seen in its sub-stream.
     local_watermark: Timestamp,
     /// Scratch for released items (reused across batches).
     released: Vec<Item>,
+    /// [`Metrics::peak`].
     peak: usize,
-    since_sample: usize,
-    /// Events ingested into this shard's engines (the per-shard counter
-    /// behind [`StreamingPool::shard_events`]).
+    /// [`Metrics::events`].
     events: u64,
 }
 
 impl Shard {
-    fn new(mut cfg: ShardConfig) -> Shard {
-        let engines = match cfg.seeded.take() {
-            Some(engines) => engines,
-            None => cfg
-                .runtimes
-                .iter()
-                .enumerate()
-                .map(|(q, rt)| {
-                    let hosted = rt.query.group_prefix > 0 || q % cfg.threads == cfg.index;
-                    hosted.then(|| CograEngine::from_runtime(Arc::clone(rt)))
-                })
-                .collect(),
-        };
+    /// A shard over pre-built engines; `events` seeds the ingest counter
+    /// so a respawned shard resumes its accounting.
+    fn new(engines: Vec<Option<Engine>>, slack: Option<u64>, events: u64) -> Shard {
         let mut shard = Shard {
             engines,
-            reorder: cfg.slack.map(|_| ReorderBuffer::new()),
-            slack: cfg.slack.unwrap_or(0),
+            reorder: slack.map(|_| ReorderBuffer::new()),
+            slack: slack.unwrap_or(0),
             local_watermark: Timestamp::ZERO,
             released: Vec::new(),
             peak: 0,
-            since_sample: 0,
-            events: cfg.events,
+            events,
         };
         shard.peak = shard.memory();
         shard
@@ -1459,12 +1425,12 @@ impl Shard {
     /// Serialize the shard for a pool snapshot or recovery baseline:
     /// every hosted engine's state, the reorder buffer's in-flight items
     /// in release order, and the ingest counter.
-    fn snapshot(&self) -> ShardSnapshot {
+    fn snapshot(&self) -> Result<ShardSnapshot, CheckpointError> {
         let states = self
             .engines
             .iter()
-            .map(|e| e.as_ref().map(CograEngine::snapshot_state))
-            .collect();
+            .map(|e| e.as_ref().map(|e| e.save_state()).transpose())
+            .collect::<Result<_, _>>()?;
         let buffered = match &self.reorder {
             Some(buffer) => buffer
                 .ordered()
@@ -1473,11 +1439,11 @@ impl Shard {
                 .collect(),
             None => Vec::new(),
         };
-        ShardSnapshot {
+        Ok(ShardSnapshot {
             states,
             buffered,
             events: self.events,
-        }
+        })
     }
 
     fn memory(&self) -> usize {
@@ -1488,78 +1454,64 @@ impl Shard {
             .sum()
     }
 
-    fn stats(&self) -> RunStats {
-        let mut total = RunStats::default();
-        for e in self.engines.iter().flatten() {
-            total.merge(e.run_stats());
-        }
-        total
-    }
-
     fn key_overflow(&self) -> Option<u32> {
         self.engines.iter().flatten().find_map(|e| e.key_overflow())
     }
 
-    fn sample_peak(&mut self) {
-        self.peak = self.peak.max(self.memory());
-        self.since_sample = 0;
+    /// The shard's counters right now (walks the engines' memory).
+    fn metrics(&self) -> Metrics {
+        let mut stats = RunStats::default();
+        for e in self.engines.iter().flatten() {
+            stats.merge(e.run_stats());
+        }
+        Metrics {
+            memory: self.memory(),
+            peak: self.peak,
+            stats,
+            key_overflow: self.key_overflow(),
+            events: self.events,
+        }
     }
 
-    /// Feed one released item to its query's engine. The coordinator
-    /// hashed the key at ingest to place the event; reuse it so the key
-    /// is extracted once per event.
+    fn sample_peak(&mut self) {
+        self.peak = self.peak.max(self.memory());
+    }
+
+    /// Ingest one trusted-ordered event, in place, into every engine — the
+    /// inline shard hosts them all and no placement hash was computed.
+    fn process(&mut self, event: &Event) {
+        for engine in self.engines.iter_mut().flatten() {
+            engine.process(event);
+            self.events += 1;
+        }
+    }
+
+    /// Feed one placed item to its query's engine. The pool hashed the
+    /// key to place the event; reuse it so the key is extracted once per
+    /// event.
     fn ingest(&mut self, item: Item) {
         let engine = self.engines[item.query as usize]
             .as_mut()
-            .expect("coordinator only targets hosted queries");
+            .expect("the pool only targets hosted queries");
         engine.process_prehashed(&item.event, item.key_hash);
         self.events += 1;
-        self.since_sample += 1;
-        if self.since_sample >= 64 {
-            self.sample_peak();
-        }
     }
 
-    /// Ingest one transported batch: straight into the engines when the
-    /// stream is trusted ordered, through the shard's reorder buffer
-    /// (releasing everything slack ticks behind this shard's own
-    /// watermark) otherwise.
-    fn on_batch(&mut self, items: Vec<Item>) {
+    /// Take one delivered item: straight into its engine when the stream
+    /// is trusted ordered, into the shard's reorder buffer otherwise
+    /// (until the next [`Shard::release`]).
+    fn push(&mut self, item: Item) {
         match &mut self.reorder {
-            None => {
-                for item in items {
-                    self.ingest(item);
-                }
-            }
+            None => self.ingest(item),
             Some(buffer) => {
-                let mut wm = self.local_watermark;
-                for item in items {
-                    wm = wm.max(item.event.time);
-                    buffer.push(item.event.time, item);
-                }
-                self.local_watermark = wm;
-                let mut released = std::mem::take(&mut self.released);
-                buffer.release_up_to(wm.saturating_sub(self.slack), &mut released);
-                for item in released.drain(..) {
-                    self.ingest(item);
-                }
-                self.released = released;
+                self.local_watermark = self.local_watermark.max(item.event.time);
+                buffer.push(item.event.time, item);
             }
-        }
-        // Sample at the batch-flush boundary besides the every-64-events
-        // stride: a burst shorter than the stride would otherwise leave
-        // its peak invisible until the next drain.
-        if self.since_sample > 0 {
-            self.sample_peak();
         }
     }
 
-    /// Catch the shard up to the broadcast safe watermark: release every
-    /// buffered item at or before it (the gate guarantees anything still
-    /// buffered beyond it is not yet globally final), then advance every
-    /// hosted engine so globally-closed windows finalize even if this
-    /// shard's own sub-stream went quiet.
-    fn advance_to(&mut self, safe: Timestamp) {
+    /// Ingest every buffered item at or before `safe`, in order.
+    fn release_up_to(&mut self, safe: Timestamp) {
         if let Some(buffer) = &mut self.reorder {
             let mut released = std::mem::take(&mut self.released);
             buffer.release_up_to(safe, &mut released);
@@ -1568,6 +1520,20 @@ impl Shard {
             }
             self.released = released;
         }
+    }
+
+    /// Release everything slack ticks behind this shard's own watermark.
+    fn release(&mut self) {
+        self.release_up_to(self.local_watermark.saturating_sub(self.slack));
+    }
+
+    /// Catch the shard up to the pool's safe watermark: release every
+    /// buffered item at or before it (the gate guarantees anything still
+    /// buffered beyond it is not yet globally final), then advance every
+    /// hosted engine so globally-closed windows finalize even if this
+    /// shard's own sub-stream went quiet.
+    fn advance_to(&mut self, safe: Timestamp) {
+        self.release_up_to(safe);
         for e in self.engines.iter_mut().flatten() {
             e.advance_watermark(safe);
         }
@@ -1575,30 +1541,54 @@ impl Shard {
 
     /// End of stream: flush the reorder buffer into the engines.
     fn flush(&mut self) {
-        if let Some(buffer) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buffer.flush(&mut released);
-            for item in released.drain(..) {
-                self.ingest(item);
+        self.release_up_to(Timestamp(u64::MAX));
+    }
+
+    /// Emit what is final at the engines' watermarks, tagged per query.
+    fn drain_into(&mut self, out: &mut dyn FnMut(u32, WindowResult)) {
+        for (q, e) in self.engines.iter_mut().enumerate() {
+            if let Some(e) = e {
+                e.drain_into(&mut |r| out(q as u32, r));
             }
-            self.released = released;
         }
+    }
+
+    /// Close every open window, tagged per query, and fold the engines'
+    /// finalization spikes (invisible to sampling) into the peak.
+    fn finish_into(&mut self, out: &mut dyn FnMut(u32, WindowResult)) {
+        let mut hint = 0usize;
+        for (q, e) in self.engines.iter_mut().enumerate() {
+            if let Some(e) = e {
+                e.finish_into(&mut |r| out(q as u32, r));
+                hint += e.peak_hint();
+            }
+        }
+        self.peak = self.peak.max(hint);
     }
 }
 
 /// The supervisor wrapper around a shard's worker loop: a panic anywhere
-/// in the body is caught and reported in-band as a [`Reply::failed`]
+/// in the body is caught and reported in-band as a failure [`Reply`]
 /// instead of being re-raised into the coordinator — the coordinator
 /// recovers per its [`FailurePolicy`]. The shard's state is discarded on
 /// unwind (a replacement is rebuilt from the recovery baseline), so
 /// `AssertUnwindSafe` is sound here.
-fn shard_worker(cfg: ShardConfig, rx: Receiver<Cmd>, tx: Sender<Reply>) {
+fn shard_worker(
+    shard: Shard,
+    index: usize,
+    attach_snapshots: bool,
+    rx: Receiver<Cmd>,
+    tx: Sender<Reply>,
+) {
     let failure_tx = tx.clone();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        shard_loop(cfg, rx, tx)
+        shard_loop(shard, index, attach_snapshots, rx, tx)
     }));
     if let Err(payload) = result {
-        let _ = failure_tx.send(Reply::failed(panic_message(payload.as_ref())));
+        let _ = failure_tx.send(Reply {
+            failure: Some(panic_message(payload.as_ref())),
+            ..Reply::default()
+        });
     }
 }
 
@@ -1614,99 +1604,81 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One shard's worker loop: private per-query [`CograEngine`]s over the
-/// shard's sub-stream, replying to drain/finish round trips. With the
-/// `faults` feature, per-shard failpoints (`worker/batch/{i}`,
-/// `worker/drain/{i}`, `worker/snapshot/{i}`, `worker/finish/{i}`) panic
-/// the loop on schedule — each shard's command stream is deterministic
-/// given the routing, so the hit counters are too.
-fn shard_loop(cfg: ShardConfig, rx: Receiver<Cmd>, tx: Sender<Reply>) {
-    #[cfg(feature = "faults")]
-    let index = cfg.index;
-    let attach_snapshots = cfg.attach_snapshots;
-    let mut shard = Shard::new(cfg);
+/// Ingest one transported batch, sampling the memory peak every 64 items
+/// and at the batch-flush boundary — a burst shorter than the stride
+/// would otherwise leave its peak invisible until the next drain.
+fn ingest_batch(shard: &mut Shard, items: Vec<Item>) {
+    let mut items = items.into_iter().peekable();
+    while items.peek().is_some() {
+        for item in items.by_ref().take(64) {
+            shard.push(item);
+        }
+        shard.release();
+        shard.sample_peak();
+    }
+}
+
+/// One shard's worker loop: drive the shard over its sub-stream, replying
+/// to drain/snapshot/finish round trips. With the `faults` feature,
+/// per-shard failpoints (`worker/batch/{i}`, `worker/drain/{i}`,
+/// `worker/snapshot/{i}`, `worker/finish/{i}`) panic the loop on schedule
+/// — each shard's command stream is deterministic given the routing, so
+/// the hit counters are too.
+fn shard_loop(
+    mut shard: Shard,
+    index: usize,
+    attach_snapshots: bool,
+    rx: Receiver<Cmd>,
+    tx: Sender<Reply>,
+) {
+    #[cfg(not(feature = "faults"))]
+    let _ = index;
+    // Worker threads only host COGRA engines, which always snapshot.
+    let snapshot = |shard: &Shard| shard.snapshot().expect("router-backed engines snapshot");
     for cmd in rx {
-        match cmd {
+        let mut results = Vec::new();
+        let finish = matches!(cmd, Cmd::Finish);
+        let snapshot = match cmd {
             Cmd::Batch(items) => {
-                shard.on_batch(items);
+                ingest_batch(&mut shard, items);
                 // Fire *after* the batch mutated the engines: recovery
                 // must discard the partial work, not resume over it.
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/batch/{index}"));
+                continue;
             }
             Cmd::Drain(wm) => {
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/drain/{index}"));
                 shard.advance_to(wm);
                 shard.sample_peak();
-                let mut results = Vec::new();
-                for (q, e) in shard.engines.iter_mut().enumerate() {
-                    if let Some(e) = e {
-                        e.drain_into(&mut |r| results.push((q as u32, r)));
-                    }
-                }
-                if tx
-                    .send(Reply {
-                        results,
-                        memory: shard.memory(),
-                        peak: shard.peak,
-                        stats: shard.stats(),
-                        key_overflow: shard.key_overflow(),
-                        shard_events: shard.events,
-                        snapshot: attach_snapshots.then(|| shard.snapshot()),
-                        failure: None,
-                    })
-                    .is_err()
-                {
-                    return; // coordinator dropped mid-drain
-                }
+                shard.drain_into(&mut |q, r| results.push((q, r)));
+                attach_snapshots.then(|| snapshot(&shard))
             }
             Cmd::Snapshot => {
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/snapshot/{index}"));
                 shard.sample_peak();
-                if tx
-                    .send(Reply {
-                        results: Vec::new(),
-                        memory: shard.memory(),
-                        peak: shard.peak,
-                        stats: shard.stats(),
-                        key_overflow: shard.key_overflow(),
-                        shard_events: shard.events,
-                        snapshot: Some(shard.snapshot()),
-                        failure: None,
-                    })
-                    .is_err()
-                {
-                    return; // coordinator dropped mid-snapshot
-                }
+                Some(snapshot(&shard))
             }
             Cmd::Finish => {
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/finish/{index}"));
                 shard.flush();
                 shard.sample_peak();
-                let mut results = Vec::new();
-                let mut hint = 0usize;
-                for (q, e) in shard.engines.iter_mut().enumerate() {
-                    if let Some(e) = e {
-                        e.finish_into(&mut |r| results.push((q as u32, r)));
-                        hint += e.peak_hint();
-                    }
-                }
-                shard.peak = shard.peak.max(hint);
-                let _ = tx.send(Reply {
-                    results,
-                    memory: shard.memory(),
-                    peak: shard.peak,
-                    stats: shard.stats(),
-                    key_overflow: shard.key_overflow(),
-                    shard_events: shard.events,
-                    snapshot: None,
-                    failure: None,
-                });
-                return;
+                shard.finish_into(&mut |q, r| results.push((q, r)));
+                None
             }
+        };
+        let reply = Reply {
+            results,
+            metrics: shard.metrics(),
+            snapshot,
+            failure: None,
+        };
+        // A failed send means the coordinator dropped mid-round-trip.
+        if tx.send(reply).is_err() || finish {
+            return;
         }
     }
 }
@@ -1813,7 +1785,7 @@ mod tests {
                     "workers={workers} batch={batch_size}"
                 );
                 assert_eq!(pool.workers(), workers);
-                assert!(pool.peak_bytes() > 0, "workers={workers}");
+                assert!(pool.metrics().peak > 0, "workers={workers}");
             }
         }
     }
@@ -1944,15 +1916,9 @@ mod tests {
         // register its peak at the batch-flush boundary — sampling only
         // every 64 events under-reported sub-interval bursts.
         let (rt, events) = setup(10);
-        let mut shard = Shard::new(ShardConfig {
-            runtimes: vec![Arc::clone(&rt)],
-            threads: 1,
-            index: 0,
-            slack: None,
-            seeded: None,
-            events: 0,
-            attach_snapshots: false,
-        });
+        let hosted = [(EngineKind::Cogra, Arc::clone(&rt))];
+        let engines = shard_engines(&hosted, 1, 0, vec![None]).unwrap();
+        let mut shard = Shard::new(engines, None, 0);
         let items: Vec<Item> = events
             .iter()
             .map(|e| Item {
@@ -1961,7 +1927,7 @@ mod tests {
                 key_hash: rt.key_hash(e),
             })
             .collect();
-        shard.on_batch(items);
+        ingest_batch(&mut shard, items);
         assert!(shard.memory() > 0);
         assert_eq!(
             shard.peak,
@@ -1980,7 +1946,7 @@ mod tests {
         }
         let mut out = Vec::new();
         pool.finish_into(&mut |_q, r| out.push(r));
-        let per_shard = pool.shard_events();
+        let per_shard: Vec<u64> = pool.shard_metrics().iter().map(|m| m.events).collect();
         assert_eq!(per_shard.len(), 4);
         let total: u64 = per_shard.iter().sum();
         assert_eq!(total, events.len() as u64, "every routed event counted");

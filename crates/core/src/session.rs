@@ -1,10 +1,12 @@
-//! The unified `Session` pipeline: one ingestion API for every consumer.
+//! The unified `Session` pipeline: one ingestion API for every consumer,
+//! over one execution path.
 //!
-//! Historically each consumer wired the engines differently — a
-//! string-keyed factory in the bench crate, free `run_to_completion` /
-//! `run_parallel` calls, a separate `MultiEngine` fan-out, and hand-rolled
-//! `Reorderer` plumbing in the CLI. [`Session`] replaces all of that with
-//! one builder-style facade:
+//! A [`Session`] is a roster of queries in front of ONE
+//! [`StreamingPool`]: the pool's shards host every engine, and
+//! `process` / `drain` / `finish` / `checkpoint` / `restore` each have a
+//! single implementation whatever the worker count — `.workers(1)` is the
+//! pool's one shard driven inline on the caller's thread, `.workers(n)` is
+//! the same shards behind worker threads (see [`crate::parallel`]).
 //!
 //! ```
 //! use cogra_core::session::{EngineKind, Session};
@@ -31,38 +33,36 @@
 //!   constructor's `QueryError`, exactly as §9.2 charts omit unsupported
 //!   approaches. Multi-query sessions may mix kinds per query via
 //!   [`SessionBuilder::query_with_engine`].
-//! * `.slack(n)` fuses disorder repair into ingestion: bounded disorder is
-//!   repaired before the engines see the events, and late drops are
-//!   surfaced via [`Session::late_events`]. Under `.workers(n)` the
-//!   repair itself runs per shard (each worker reorders its own
-//!   sub-stream) while a coordinator-side gate keeps the drop decisions
-//!   identical to a single front [`Reorderer`].
-//! * `.workers(n)` shards execution across a live [`StreamingPool`] (§8)
-//!   — COGRA only. One pool serves every query of the session (each
-//!   worker hosts one engine per query/shard), events are hashed to
-//!   per-worker threads at ingest time and shipped in batches
-//!   ([`SessionBuilder::batch_size`]), and [`Session::drain_into`] emits
-//!   results for closed windows while the stream is still running,
-//!   exactly as in sequential mode.
+//! * `.slack(n)` fuses disorder repair into ingestion: a pool-side gate
+//!   drops (and counts, [`Session::late_events`]) exactly the events a
+//!   single front [`Reorderer`] would, and each shard sorts what was
+//!   admitted for it before its engines see it.
+//! * `.workers(n)` widens the pool to `n` shards on worker threads (§8)
+//!   — COGRA only. Events are hashed to their shard at ingest time and
+//!   shipped in batches ([`SessionBuilder::batch_size`]);
+//!   [`Session::drain_into`] emits results for closed windows while the
+//!   stream is still running, at every width.
 //! * Every query's compiled plan stays inspectable through
 //!   [`Session::plan`] / [`SessionRun::plans`] — consumers print
 //!   granularity or automata without re-compiling.
 //! * Output is push-based: engines hand each [`WindowResult`] to a
 //!   [`ResultSink`] without materializing intermediate vectors.
+//!
+//! [`Reorderer`]: cogra_events::Reorderer
 
-use crate::cogra::CograEngine;
-use crate::parallel::{FailurePolicy, PoolConfig, StreamingPool, WorkerFailure};
+use crate::cogra::CograWindow;
+use crate::parallel::{
+    Engine, FailurePolicy, Hosted, Metrics, PoolConfig, PoolState, StreamingPool, WorkerFailure,
+};
 use cogra_baselines::{
-    aseq_engine_from_plan, aseq_runtime, flink_engine_from_plan, flink_runtime,
-    greta_engine_from_plan, greta_runtime, oracle_engine_from_plan, oracle_runtime,
-    sase_engine_from_plan, sase_runtime, ASeqWindow, FlinkWindow, GretaWindow, OracleWindow,
-    SaseWindow,
+    aseq_runtime, flink_runtime, greta_runtime, oracle_runtime, sase_runtime, ASeqWindow,
+    FlinkWindow, GretaWindow, OracleWindow, SaseWindow,
 };
 use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter};
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
-use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowResult};
+use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
 use cogra_events::csv::{CsvError, EventReader};
-use cogra_events::{Event, LateGate, Reorderer, Timestamp, TypeRegistry};
+use cogra_events::{Event, LateGate, Timestamp, TypeRegistry};
 use cogra_query::{canonical_signature, compile, parse, CompiledQuery, Query, QueryError};
 use std::fmt;
 use std::io;
@@ -131,9 +131,7 @@ impl EngineKind {
         self.build_plan(&compile(query, registry)?, registry, config)
     }
 
-    /// Build this engine from an already-compiled plan — THE construction
-    /// path every kind shares (the builder compiles each query exactly
-    /// once and all six constructors reuse that plan). Fails with the
+    /// Build this engine from an already-compiled plan. Fails with the
     /// constructor's [`QueryError`] when the engine does not support the
     /// plan's features (Table 9).
     pub fn build_plan(
@@ -142,70 +140,61 @@ impl EngineKind {
         registry: &TypeRegistry,
         config: &EngineConfig,
     ) -> Result<Box<dyn TrendEngine>, QueryError> {
-        Ok(match self {
-            EngineKind::Cogra => Box::new(CograEngine::from_runtime(cogra_runtime(
-                compiled, registry, config,
-            ))),
-            EngineKind::Sase => Box::new(sase_engine_from_plan(compiled, registry)?),
-            EngineKind::Greta => Box::new(greta_engine_from_plan(compiled, registry)?),
-            EngineKind::Aseq => {
-                Box::new(aseq_engine_from_plan(compiled, registry, config.clone())?)
-            }
-            EngineKind::Flink => {
-                Box::new(flink_engine_from_plan(compiled, registry, config.clone())?)
-            }
-            EngineKind::Oracle => Box::new(oracle_engine_from_plan(compiled, registry)?),
-        })
+        let rt = self.runtime(compiled, registry, config)?;
+        Ok(self
+            .engine(rt, None)
+            .expect("a fresh engine has no state to reject"))
     }
 
-    /// Rebuild this engine from a checkpointed [`RouterState`] against a
-    /// compiled plan — the streaming restore path of the durability
-    /// subsystem. A Table 9 rejection here means the snapshot pairs a
-    /// query with an engine that cannot run it, which is corruption.
-    fn restore_plan(
+    /// This kind's runtime for a compiled plan, or the [`QueryError`]
+    /// naming the plan feature the kind does not support (Table 9) — the
+    /// one admission check every construction path goes through.
+    fn runtime(
         self,
         compiled: &CompiledQuery,
         registry: &TypeRegistry,
         config: &EngineConfig,
-        state: RouterState,
-    ) -> Result<Box<dyn TrendEngine>, CheckpointError> {
-        let reject = |e: QueryError| {
-            CheckpointError::Corrupt(format!(
-                "snapshot pairs a query with engine `{}`, which rejects it: {e}",
-                self.name()
-            ))
-        };
-        Ok(match self {
-            EngineKind::Cogra => Box::new(CograEngine::from_state(
-                cogra_runtime(compiled, registry, config),
-                state,
-            )?),
-            EngineKind::Sase => Box::new(Router::<SaseWindow>::from_state(
-                sase_runtime(compiled, registry).map_err(reject)?,
-                "sase",
-                state,
-            )?),
-            EngineKind::Greta => Box::new(Router::<GretaWindow>::from_state(
-                greta_runtime(compiled, registry).map_err(reject)?,
-                "greta",
-                state,
-            )?),
-            EngineKind::Aseq => Box::new(Router::<ASeqWindow>::from_state(
-                aseq_runtime(compiled, registry, config.clone()).map_err(reject)?,
-                "aseq",
-                state,
-            )?),
-            EngineKind::Flink => Box::new(Router::<FlinkWindow>::from_state(
-                flink_runtime(compiled, registry, config.clone()).map_err(reject)?,
-                "flink",
-                state,
-            )?),
-            EngineKind::Oracle => Box::new(Router::<OracleWindow>::from_state(
-                oracle_runtime(compiled, registry).map_err(reject)?,
-                "oracle",
-                state,
-            )?),
-        })
+    ) -> Result<Arc<QueryRuntime>, QueryError> {
+        match self {
+            EngineKind::Cogra => Ok(Arc::new(
+                QueryRuntime::new(compiled.clone(), registry).with_config(config.clone()),
+            )),
+            EngineKind::Sase => sase_runtime(compiled, registry),
+            EngineKind::Greta => greta_runtime(compiled, registry),
+            EngineKind::Aseq => aseq_runtime(compiled, registry, config.clone()),
+            EngineKind::Flink => flink_runtime(compiled, registry, config.clone()),
+            EngineKind::Oracle => oracle_runtime(compiled, registry),
+        }
+    }
+
+    /// THE engine constructor every kind and every path shares: a router
+    /// over `rt` (from [`EngineKind::runtime`]) running this kind's
+    /// per-window algorithm — fresh, or revived from a checkpointed
+    /// `state` (which is what can fail).
+    pub(crate) fn engine(
+        self,
+        rt: Arc<QueryRuntime>,
+        state: Option<RouterState>,
+    ) -> Result<Engine, CheckpointError> {
+        fn router<W: WindowAlgo + Send + 'static>(
+            rt: Arc<QueryRuntime>,
+            name: &'static str,
+            state: Option<RouterState>,
+        ) -> Result<Engine, CheckpointError> {
+            Ok(Box::new(match state {
+                Some(state) => Router::<W>::from_state(rt, name, state)?,
+                None => Router::<W>::new(rt, name),
+            }))
+        }
+        let name = self.name();
+        match self {
+            EngineKind::Cogra => router::<CograWindow>(rt, name, state),
+            EngineKind::Sase => router::<SaseWindow>(rt, name, state),
+            EngineKind::Greta => router::<GretaWindow>(rt, name, state),
+            EngineKind::Aseq => router::<ASeqWindow>(rt, name, state),
+            EngineKind::Flink => router::<FlinkWindow>(rt, name, state),
+            EngineKind::Oracle => router::<OracleWindow>(rt, name, state),
+        }
     }
 
     /// Whether this engine supports `query` (Table 9), without keeping the
@@ -329,117 +318,82 @@ impl From<CsvError> for IngestError {
     }
 }
 
-/// Shared COGRA runtime construction for the streaming and `.workers(n)`
-/// paths — one site, so `config` handling cannot silently diverge. The
-/// query is compiled exactly once by the builder; runtimes share that
-/// plan.
-fn cogra_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-    config: &EngineConfig,
-) -> Arc<QueryRuntime> {
-    Arc::new(QueryRuntime::new(compiled.clone(), registry).with_config(config.clone()))
-}
-
-/// Snapshot reorder-state style: a front [`Reorderer`] (streaming mode).
-const REORDER_FRONT: u8 = 0;
-/// Snapshot reorder-state style: the pool's coordinator-side [`LateGate`]
-/// plus per-shard buffered `(query, event)` items (`.workers(n)` mode).
-const REORDER_GATE: u8 = 1;
-
-/// The reorder state a snapshot carries, decoded — see
-/// [`Session::checkpoint`] for what each variant stores.
-enum ReorderSnap {
-    /// No `.slack(n)`: only the raw stream clock (the largest routed event
-    /// time), so a restored pool's admission floor matches the original's.
-    Absent {
-        /// The raw stream clock at checkpoint time.
-        clock: Timestamp,
-    },
-    /// A streaming-mode front [`Reorderer`].
-    Front {
-        /// Configured disorder tolerance.
-        slack: u64,
-        /// Largest event time pushed so far.
-        watermark: Timestamp,
-        /// Largest event time released to the engines.
-        released_to: Timestamp,
-        /// Late-drop count.
-        late: u64,
-        /// In-flight buffered events, in release order.
-        buffered: Vec<Event>,
-    },
-    /// The `.workers(n)` pool's [`LateGate`] + per-shard buffer contents.
-    Gate {
-        /// Configured disorder tolerance.
-        slack: u64,
-        /// Largest event time admitted so far.
-        watermark: Timestamp,
-        /// Stream-wide safe release point.
-        released_to: Timestamp,
-        /// Late-drop count.
-        late: u64,
-        /// Admitted-but-unreleased event times (the gate's pending set).
-        pending: Vec<Timestamp>,
-        /// In-flight `(query, event)` items from the shard reorderers.
-        buffered: Vec<(u32, Event)>,
-    },
-}
-
-impl ReorderSnap {
-    /// Decode one snapshot `reorder` section.
-    fn load(dec: &mut Dec) -> Result<ReorderSnap, CheckpointError> {
-        if !dec.bool()? {
-            return Ok(ReorderSnap::Absent {
-                clock: Timestamp(dec.u64()?),
-            });
+/// Encode a snapshot's `reorder` section — one shape at every worker
+/// count. Without slack: only the raw stream clock, so a restored pool's
+/// admission floor matches the original's. With slack: the gate verbatim
+/// (slack, raw and safe watermarks, late-drop count, pending times) and
+/// the shards' in-flight `(query, event)` items, sorted so the bytes do
+/// not depend on the shard layout they were collected from.
+fn save_reorder(state: &mut PoolState) -> Vec<u8> {
+    let mut enc = Enc::new();
+    match &state.gate {
+        None => {
+            enc.bool(false);
+            enc.u64(state.clock.ticks());
+            debug_assert!(
+                state.buffered.is_empty(),
+                "no reorder buffers without slack"
+            );
         }
-        let style = dec.u8()?;
-        let slack = dec.u64()?;
-        let watermark = Timestamp(dec.u64()?);
-        let released_to = Timestamp(dec.u64()?);
-        let late = dec.u64()?;
-        match style {
-            REORDER_FRONT => {
-                let n = dec.usize()?;
-                let mut buffered = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    buffered.push(Event::load(dec)?);
-                }
-                Ok(ReorderSnap::Front {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    buffered,
-                })
+        Some(gate) => {
+            enc.bool(true);
+            enc.u64(gate.slack());
+            enc.u64(gate.watermark().ticks());
+            enc.u64(gate.safe_watermark().ticks());
+            enc.u64(gate.late_events());
+            let pending = gate.pending_times();
+            enc.usize(pending.len());
+            for t in &pending {
+                enc.u64(t.ticks());
             }
-            REORDER_GATE => {
-                let n = dec.usize()?;
-                let mut pending = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    pending.push(Timestamp(dec.u64()?));
-                }
-                let n = dec.usize()?;
-                let mut buffered = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let query = dec.u32()?;
-                    buffered.push((query, Event::load(dec)?));
-                }
-                Ok(ReorderSnap::Gate {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    pending,
-                    buffered,
-                })
+            state.buffered.sort_by_key(|(q, e)| (e.time, e.id, *q));
+            enc.usize(state.buffered.len());
+            for (q, e) in &state.buffered {
+                enc.u32(*q);
+                e.save(&mut enc);
             }
-            other => Err(CheckpointError::Corrupt(format!(
-                "unknown reorder style {other}"
-            ))),
         }
     }
+    enc.into_bytes()
+}
+
+/// Inverse of [`save_reorder`]: everything of a [`PoolState`] but the
+/// engine states, which have sections of their own.
+fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
+    let mut state = PoolState {
+        states: Vec::new(),
+        buffered: Vec::new(),
+        gate: None,
+        clock: Timestamp::ZERO,
+    };
+    if !dec.bool()? {
+        state.clock = Timestamp(dec.u64()?);
+        return Ok(state);
+    }
+    let slack = dec.u64()?;
+    let watermark = Timestamp(dec.u64()?);
+    let released_to = Timestamp(dec.u64()?);
+    let late = dec.u64()?;
+    let n = dec.usize()?;
+    let mut pending = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        pending.push(Timestamp(dec.u64()?));
+    }
+    let n = dec.usize()?;
+    state.buffered.reserve(n.min(1 << 16));
+    for _ in 0..n {
+        let query = dec.u32()?;
+        state.buffered.push((query, Event::load(dec)?));
+    }
+    state.gate = Some(LateGate::from_parts(
+        slack,
+        watermark,
+        released_to,
+        late,
+        pending,
+    ));
+    state.clock = watermark;
+    Ok(state)
 }
 
 /// A query handed to the builder: raw text (parsed at
@@ -638,24 +592,23 @@ impl SessionBuilder {
 
     /// Repair up to `slack` ticks of disorder before the engines see the
     /// events. Dropped late events are counted
-    /// ([`Session::late_events`]). In streaming mode this fuses a
-    /// [`Reorderer`] into ingestion; under `.workers(n)` each shard
-    /// repairs its own sub-stream concurrently while a coordinator-side
-    /// gate keeps the late-drop decisions identical to the front
-    /// reorderer's.
+    /// ([`Session::late_events`]). One stream-wide gate decides the drops
+    /// — exactly those of a single front reorderer — and every shard
+    /// repairs its own sub-stream, so results and drop counts do not
+    /// depend on `.workers(n)`.
     pub fn slack(mut self, slack: u64) -> SessionBuilder {
         self.slack = Some(slack);
         self
     }
 
     /// Execute with `workers` parallel per-partition shards (§8) — COGRA
-    /// only. Sharded execution is live and shared: ONE [`StreamingPool`]
-    /// of long-lived worker threads serves every query of the session
-    /// (each worker hosts one engine per query/shard), events are hashed
-    /// to their shard at ingest time and shipped in batches, and
-    /// [`Session::drain_into`] emits results for closed windows while the
-    /// stream is still flowing. Queries without a `GROUP-BY` prefix are
-    /// pinned to a single worker each.
+    /// only beyond 1. ONE [`StreamingPool`] serves every query of the
+    /// session (each shard hosts one engine per query it serves); from
+    /// width 2 up each shard runs on a long-lived worker thread, events
+    /// are hashed to their shard at ingest time and shipped in batches.
+    /// Queries without a `GROUP-BY` prefix are pinned to a single shard
+    /// each; a session that cannot use more than one shard runs inline on
+    /// the caller's thread, exactly like `.workers(1)`.
     pub fn workers(mut self, workers: usize) -> SessionBuilder {
         self.workers = workers.max(1);
         self
@@ -678,9 +631,8 @@ impl SessionBuilder {
     /// the events staged since, so output stays byte-identical to an
     /// undisturbed run; [`FailurePolicy::Degrade`] quarantines the shard
     /// and keeps serving the remaining keys, counting what the dead
-    /// shard had absorbed as [`Session::dropped_events`]. Streaming
-    /// (single-worker) sessions ignore the policy — there is no worker
-    /// to supervise.
+    /// shard had absorbed as [`Session::dropped_events`]. A session of
+    /// width 1 ignores the policy — there is no worker to supervise.
     pub fn on_worker_failure(mut self, policy: FailurePolicy) -> SessionBuilder {
         self.policy = policy;
         self
@@ -706,41 +658,17 @@ impl SessionBuilder {
             return Err(SessionError::NoQueries);
         }
         let default_kind = self.engine.unwrap_or(EngineKind::Cogra);
-        let kinds: Vec<EngineKind> = self
-            .queries
-            .iter()
-            .map(|(_, kind)| kind.unwrap_or(default_kind))
-            .collect();
-        if self.workers > 1 {
-            if let Some(kind) = kinds.iter().find(|k| **k != EngineKind::Cogra) {
-                return Err(SessionError::ParallelUnsupported(*kind));
-            }
+        let mut kinds = Vec::with_capacity(self.queries.len());
+        let mut queries = Vec::with_capacity(self.queries.len());
+        for (query, (spec, kind)) in self.queries.into_iter().enumerate() {
+            kinds.push(kind.unwrap_or(default_kind));
+            queries.push(match spec {
+                QuerySpec::Text(text) => {
+                    parse(&text).map_err(|error| SessionError::Query { query, error })?
+                }
+                QuerySpec::Parsed(q) => q,
+            });
         }
-        let attribute =
-            |query: usize| move |error: QueryError| SessionError::Query { query, error };
-        let queries: Vec<Query> = self
-            .queries
-            .into_iter()
-            .enumerate()
-            .map(|(i, (spec, _))| match spec {
-                QuerySpec::Text(text) => parse(&text).map_err(attribute(i)),
-                QuerySpec::Parsed(q) => Ok(q),
-            })
-            .collect::<Result<_, _>>()?;
-        // Compile every query exactly once: the plans drive the COGRA
-        // runtimes below and stay inspectable via `Session::plan`.
-        let plans: Vec<Arc<CompiledQuery>> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| compile(q, registry).map(Arc::new).map_err(attribute(i)))
-            .collect::<Result<_, _>>()?;
-        // Canonical re-parseable text per query — what a checkpoint
-        // stores, so a restore can re-compile the identical plans.
-        let texts: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
-        let batch_size = self
-            .batch_size
-            .unwrap_or(crate::parallel::DEFAULT_BATCH_SIZE);
-
         // Multi-query sharing (default on): queries with the same
         // canonical signature AND engine kind are one physical run; the
         // engine kind joins the key because a shared slot hosts exactly
@@ -755,58 +683,26 @@ impl SessionBuilder {
         } else {
             SharedPlan::identity(queries.len())
         };
-
-        let mode = if self.workers > 1 {
-            let runtimes = (0..shared.physical())
-                .map(|j| cogra_runtime(&plans[shared.representative(j)], registry, &self.config))
-                .collect();
-            let pool = StreamingPool::new(
-                runtimes,
-                self.workers,
-                PoolConfig {
-                    batch_size,
-                    slack: self.slack,
-                    policy: self.policy,
-                },
-            );
-            Mode::Parallel {
-                pool: Box::new(pool),
-            }
-        } else {
-            // Every kind builds from the plan compiled above — one
-            // construction path, no second compile. One engine per
-            // physical slot, built from the representative's plan.
-            let engines = (0..shared.physical())
-                .map(|j| {
-                    let i = shared.representative(j);
-                    kinds[i]
-                        .build_plan(&plans[i], registry, &self.config)
-                        .map_err(attribute(i))
-                })
-                .collect::<Result<Vec<_>, SessionError>>()?;
-            Mode::Streaming { engines }
+        let pool_config = PoolConfig {
+            batch_size: self
+                .batch_size
+                .unwrap_or(crate::parallel::DEFAULT_BATCH_SIZE),
+            slack: self.slack,
+            policy: self.policy,
         };
-
-        // The front reorderer only exists in streaming mode — under
-        // `.workers(n)` the pool repairs per shard behind its late gate.
-        let reorderer = match &mode {
-            Mode::Streaming { .. } => self.slack.map(Reorderer::new),
-            Mode::Parallel { .. } => None,
-        };
-        Ok(Session {
+        let roster = Roster {
             kind: default_kind,
             kinds,
-            plans,
-            texts,
-            config: self.config,
-            batch_size,
+            queries,
             shared,
-            mode,
-            reorderer,
-            scratch: Vec::new(),
-            ingested: 0,
-            finished: false,
-        })
+            config: self.config,
+        };
+        roster
+            .open(registry, self.workers, pool_config, None)
+            .map_err(|e| match e {
+                OpenError::Roster(e) => e,
+                OpenError::State(e) => unreachable!("fresh engines have no state to reject: {e}"),
+            })
     }
 
     /// Rebuild a live session from a [`Session::checkpoint`] snapshot.
@@ -818,9 +714,10 @@ impl SessionBuilder {
     /// overridden, because they do not change what the session computes:
     ///
     /// * `.workers(n)` — **elastic rescale**: the snapshot's merged
-    ///   per-query states are re-sharded onto `n` workers by replaying the
+    ///   per-query states are re-sharded onto `n` shards by replaying the
     ///   group-prefix hash, so a session checkpointed at one width resumes
-    ///   at another, byte-identically (`tests/checkpoint_props.rs`);
+    ///   at another, byte-identically (`tests/checkpoint_props.rs`) —
+    ///   `.workers(1)` resumes inline, whatever width took the snapshot;
     /// * `.batch_size(n)` — shard-transport batching;
     /// * `.on_worker_failure(policy)` — supervision policy (it is not
     ///   serialized: how to react to a crash is an operational choice of
@@ -853,11 +750,13 @@ impl SessionBuilder {
         let bytes = r.expect("config")?;
         let mut dec = Dec::new(&bytes);
         let n_queries = dec.usize()?;
-        let mut texts = Vec::with_capacity(n_queries.min(1 << 16));
+        let mut queries = Vec::with_capacity(n_queries.min(1 << 16));
         let mut kinds = Vec::with_capacity(n_queries.min(1 << 16));
         let parse_kind = |name: &str| name.parse::<EngineKind>().map_err(CheckpointError::Corrupt);
-        for _ in 0..n_queries {
-            texts.push(dec.str()?);
+        for i in 0..n_queries {
+            queries.push(parse(&dec.str()?).map_err(|e| {
+                CheckpointError::Corrupt(format!("query {i} failed to parse/compile: {e}"))
+            })?);
             kinds.push(parse_kind(&dec.str()?)?);
         }
         let default_kind = parse_kind(&dec.str()?)?;
@@ -865,222 +764,73 @@ impl SessionBuilder {
         let slack = dec.opt_u64()?;
         let snap_workers = dec.u64()? as usize;
         let snap_batch = dec.u64()? as usize;
-        // `key_limit` was appended to the config section after the fields
-        // above; snapshots written before it exists decode as `None`, so
-        // the format version honestly stays at 1.
-        let key_limit = if dec.remaining() > 0 {
-            dec.opt_u64()?.map(|v| v as u32)
-        } else {
-            None
-        };
-        // The multi-query sharing map was appended after `key_limit` (same
-        // guarded-tail discipline): physical slot per query. Snapshots
-        // written before sharing existed decode as the identity mapping —
-        // one physical run per query, exactly what they stored.
-        let shared = if dec.remaining() > 0 {
-            let n = dec.usize()?;
-            if n != n_queries {
-                return Err(CheckpointError::Corrupt(format!(
-                    "sharing map covers {n} queries, snapshot has {n_queries}"
-                )));
-            }
-            let mut physical_of = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                physical_of.push(dec.usize()?);
-            }
-            SharedPlan::from_physical_of(physical_of).map_err(CheckpointError::Corrupt)?
-        } else {
-            SharedPlan::identity(n_queries)
-        };
-        let config = EngineConfig {
-            flatten_cap,
-            key_limit,
-        };
+        let key_limit = dec.opt_u64()?.map(|v| v as u32);
+        // The multi-query sharing map: physical slot per query.
+        let n = dec.usize()?;
+        if n != n_queries {
+            return Err(CheckpointError::Corrupt(format!(
+                "sharing map covers {n} queries, snapshot has {n_queries}"
+            )));
+        }
+        let mut physical_of = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            physical_of.push(dec.usize()?);
+        }
+        let shared = SharedPlan::from_physical_of(physical_of).map_err(CheckpointError::Corrupt)?;
         dec.finish("config section")?;
 
         let bytes = r.expect("reorder")?;
         let mut dec = Dec::new(&bytes);
-        let reorder = ReorderSnap::load(&mut dec)?;
+        let mut state = load_reorder(&mut dec)?;
         dec.finish("reorder section")?;
-        match (&reorder, slack) {
-            (ReorderSnap::Absent { .. }, Some(_)) => {
-                return Err(CheckpointError::Corrupt(
-                    "slack configured but no reorder state in snapshot".to_string(),
-                ));
-            }
-            (ReorderSnap::Front { .. } | ReorderSnap::Gate { .. }, None) => {
-                return Err(CheckpointError::Corrupt(
-                    "reorder state present without slack".to_string(),
-                ));
-            }
-            _ => {}
+        if state.gate.as_ref().map(LateGate::slack) != slack {
+            return Err(CheckpointError::Corrupt(
+                "reorder state does not match the configured slack".to_string(),
+            ));
         }
 
         // One engine-state section per PHYSICAL run: a shared slot's state
         // is snapshotted once, however many queries it serves.
-        let n_physical = shared.physical();
-        let mut states = Vec::with_capacity(n_physical);
-        for i in 0..n_physical {
+        for i in 0..shared.physical() {
             let bytes = r.expect(&format!("q{i}"))?;
             let mut dec = Dec::new(&bytes);
-            states.push(RouterState::load(&mut dec)?);
+            state.states.push(RouterState::load(&mut dec)?);
             dec.finish("engine section")?;
         }
         r.finish()?;
 
-        // --- Re-compile the queries ------------------------------------
-        let plans: Vec<Arc<CompiledQuery>> = texts
-            .iter()
-            .enumerate()
-            .map(|(i, text)| {
-                parse(text)
-                    .and_then(|q| compile(&q, registry))
-                    .map(Arc::new)
-                    .map_err(|e| {
-                        CheckpointError::Corrupt(format!("query {i} failed to parse/compile: {e}"))
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-
-        // --- Resolve the execution shape -------------------------------
+        // --- Resolve the execution shape and reopen the pool -----------
         let workers = if self.workers > 0 {
             self.workers
         } else {
             snap_workers.max(1)
         };
-        let batch_size = self.batch_size.unwrap_or(snap_batch).max(1);
-        // Gate-style reorder state always restores into a pool, whatever
-        // the worker count: the buffered items already passed per-query
-        // admission, which a front reorderer cannot replay.
-        let use_pool = workers > 1 || matches!(reorder, ReorderSnap::Gate { .. });
-        if use_pool {
-            if let Some(kind) = kinds.iter().find(|k| **k != EngineKind::Cogra) {
-                return Err(CheckpointError::Unsupported(format!(
-                    "workers > 1 requires the cogra engine, not `{kind}`"
-                )));
-            }
-        }
-
-        let (mode, reorderer) = if use_pool {
-            let runtimes: Vec<Arc<QueryRuntime>> = (0..shared.physical())
-                .map(|j| cogra_runtime(&plans[shared.representative(j)], registry, &config))
-                .collect();
-            let (gate, clock, front_buffered, gate_buffered) = match reorder {
-                ReorderSnap::Absent { clock } => (None, clock, Vec::new(), Vec::new()),
-                ReorderSnap::Front {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    buffered,
-                } => {
-                    // A streaming snapshot rescaled onto workers: the
-                    // front buffer's event times become the gate's
-                    // pending set, and the events re-stage per shard.
-                    let pending = buffered.iter().map(|e| e.time).collect();
-                    (
-                        Some(LateGate::from_parts(
-                            slack,
-                            watermark,
-                            released_to,
-                            late,
-                            pending,
-                        )),
-                        watermark,
-                        buffered,
-                        Vec::new(),
-                    )
-                }
-                ReorderSnap::Gate {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    pending,
-                    buffered,
-                } => (
-                    Some(LateGate::from_parts(
-                        slack,
-                        watermark,
-                        released_to,
-                        late,
-                        pending,
-                    )),
-                    watermark,
-                    Vec::new(),
-                    buffered,
-                ),
-            };
-            let mut pool = StreamingPool::restore(
-                runtimes,
-                workers,
-                PoolConfig {
-                    batch_size,
-                    slack,
-                    policy: self.policy,
-                },
-                states,
-                gate,
-                clock,
-            )?;
-            for event in front_buffered {
-                pool.restage_all(event);
-            }
-            for (query, event) in gate_buffered {
-                if query as usize >= n_physical {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "buffered item references physical run {query} of {n_physical}"
-                    )));
-                }
-                pool.restage(query, event);
-            }
-            (
-                Mode::Parallel {
-                    pool: Box::new(pool),
-                },
-                None,
-            )
-        } else {
-            let engines = states
-                .into_iter()
-                .enumerate()
-                .map(|(j, state)| {
-                    let i = shared.representative(j);
-                    kinds[i].restore_plan(&plans[i], registry, &config, state)
-                })
-                .collect::<Result<Vec<_>, CheckpointError>>()?;
-            let reorderer = match reorder {
-                ReorderSnap::Absent { .. } => None,
-                ReorderSnap::Front {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    buffered,
-                } => {
-                    let mut r = Reorderer::from_parts(slack, watermark, released_to, late);
-                    r.restore_buffered(buffered);
-                    Some(r)
-                }
-                ReorderSnap::Gate { .. } => unreachable!("gate snapshots restore into a pool"),
-            };
-            (Mode::Streaming { engines }, reorderer)
+        let pool_config = PoolConfig {
+            batch_size: self.batch_size.unwrap_or(snap_batch).max(1),
+            slack,
+            policy: self.policy,
         };
-
-        Ok(Session {
+        let roster = Roster {
             kind: default_kind,
             kinds,
-            plans,
-            texts,
-            config,
-            batch_size,
+            queries,
             shared,
-            mode,
-            reorderer,
-            scratch: Vec::new(),
-            ingested: 0,
-            finished: false,
-        })
+            config: EngineConfig {
+                flatten_cap,
+                key_limit,
+            },
+        };
+        roster
+            .open(registry, workers, pool_config, Some(state))
+            .map_err(|e| match e {
+                OpenError::Roster(SessionError::Query { query, error }) => {
+                    CheckpointError::Corrupt(format!(
+                        "query {query} failed to parse/compile: {error}"
+                    ))
+                }
+                OpenError::Roster(other) => CheckpointError::Unsupported(other.to_string()),
+                OpenError::State(e) => e,
+            })
     }
 
     /// Convenience: [`SessionBuilder::build`] + [`Session::run`].
@@ -1093,15 +843,74 @@ impl SessionBuilder {
     }
 }
 
-enum Mode {
-    /// Push-through: every released event goes straight into the engines.
-    Streaming { engines: Vec<Box<dyn TrendEngine>> },
-    /// §8 sharded execution, live: every event is hashed to its shard's
-    /// worker thread at ingest time and shipped in batches through ONE
-    /// session-wide [`StreamingPool`]; drains emit watermark-final
-    /// results mid-stream. Boxed: the pool (staging buffers, recovery
-    /// journals, per-shard counters) dwarfs the streaming variant.
-    Parallel { pool: Box<StreamingPool> },
+/// A resolved roster — what [`SessionBuilder::build`] derives from the
+/// builder and [`SessionBuilder::restore`] reads from a snapshot.
+struct Roster {
+    kind: EngineKind,
+    kinds: Vec<EngineKind>,
+    queries: Vec<Query>,
+    shared: SharedPlan,
+    config: EngineConfig,
+}
+
+/// Why [`Roster::open`] failed: the roster itself, or the state to resume.
+enum OpenError {
+    Roster(SessionError),
+    State(CheckpointError),
+}
+
+impl Roster {
+    /// THE step from a roster to a session, fresh or resumed: compile
+    /// every query exactly once, admit each physical run's plan to its
+    /// engine kind, and open the pool over the resulting runtimes.
+    fn open(
+        self,
+        registry: &TypeRegistry,
+        workers: usize,
+        pool_config: PoolConfig,
+        resume: Option<PoolState>,
+    ) -> Result<Session, OpenError> {
+        if workers > 1 {
+            if let Some(kind) = self.kinds.iter().find(|k| **k != EngineKind::Cogra) {
+                return Err(OpenError::Roster(SessionError::ParallelUnsupported(*kind)));
+            }
+        }
+        let attribute = |query: usize| {
+            move |error: QueryError| OpenError::Roster(SessionError::Query { query, error })
+        };
+        // The plans drive the runtimes below and stay inspectable via
+        // `Session::plan`.
+        let plans: Vec<Arc<CompiledQuery>> = self
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| compile(q, registry).map(Arc::new).map_err(attribute(i)))
+            .collect::<Result<_, _>>()?;
+        // One runtime per physical slot, from its representative's plan.
+        let hosted = (0..self.shared.physical())
+            .map(|j| {
+                let i = self.shared.representative(j);
+                let kind = self.kinds[i];
+                let rt = kind.runtime(&plans[i], registry, &self.config);
+                Ok((kind, rt.map_err(attribute(i))?))
+            })
+            .collect::<Result<Vec<Hosted>, OpenError>>()?;
+        let batch_size = pool_config.batch_size;
+        let pool =
+            StreamingPool::open(hosted, workers, pool_config, resume).map_err(OpenError::State)?;
+        Ok(Session {
+            kind: self.kind,
+            kinds: self.kinds,
+            plans,
+            // Canonical re-parseable text per query — what a checkpoint
+            // stores, so a restore can re-compile the identical plans.
+            texts: self.queries.iter().map(|q| q.to_string()).collect(),
+            config: self.config,
+            batch_size,
+            shared: self.shared,
+            pool,
+        })
+    }
 }
 
 /// Push-based consumer of session results.
@@ -1166,10 +975,10 @@ pub struct SessionRun {
     /// [`run_to_completion`]: cogra_engine::run_to_completion
     /// [`run_parallel`]: crate::parallel::run_parallel
     pub per_query: Vec<Vec<WindowResult>>,
-    /// Peak logical memory across the run. Streaming mode sums the
-    /// engines (every query is live at once); `.workers(n)` mode sums the
-    /// shard workers' own peaks (each worker samples the summed memory of
-    /// the engines it hosts; all workers run concurrently).
+    /// Peak logical memory across the run, summed over the shards (they
+    /// are live at once): whoever drives a shard samples the summed
+    /// memory of the engines it hosts — the run loop at width 1, each
+    /// worker thread under `.workers(n)`.
     pub peak_bytes: usize,
     /// Workers actually used: the widest effective shard count across
     /// queries (1 unless `.workers(n)` applied; also 1 when no query has
@@ -1179,17 +988,17 @@ pub struct SessionRun {
     /// repair later dropped as hopelessly late).
     pub events: u64,
     /// Late events dropped by the `.slack(n)` repair (0 without slack).
-    /// Under `.workers(n)` the per-shard reorderers' drops are decided by
-    /// one stream-wide gate, so this count is independent of the worker
-    /// count — pinned by `tests/streaming_parallel_props.rs`.
+    /// One stream-wide gate decides the drops, so this count is
+    /// independent of the worker count — pinned by
+    /// `tests/streaming_parallel_props.rs`.
     pub late_events: u64,
-    /// Routing hot-path counters summed over every engine (and, under
-    /// `.workers(n)`, every shard): `key_probes - key_allocs` events were
-    /// routed without any heap allocation.
+    /// Routing hot-path counters summed over every engine of every
+    /// shard: `key_probes - key_allocs` events were routed without any
+    /// heap allocation.
     pub stats: RunStats,
-    /// Events ingested per shard worker slot ([`Session::shard_events`]) —
-    /// a single entry in streaming mode. Under a skewed key distribution
-    /// the spread between entries is the hot-key imbalance.
+    /// Events ingested per shard ([`Session::shard_events`]) — a single
+    /// entry at width 1. Under a skewed key distribution the spread
+    /// between entries is the hot-key imbalance.
     pub shard_events: Vec<u64>,
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order
     /// ([`Session::degraded_shards`]) — empty on a healthy run.
@@ -1248,15 +1057,8 @@ pub struct Session {
     /// The multi-query sharing factoring: which physical run serves each
     /// query, and which queries each physical run fans out to.
     shared: SharedPlan,
-    mode: Mode,
-    reorderer: Option<Reorderer>,
-    scratch: Vec<Event>,
-    /// Events fed into the session so far (before any `.slack(n)`
-    /// late-drop) — the streaming-mode source for [`Session::shard_events`].
-    ingested: u64,
-    /// Whether [`Session::finish_into`] ran — a finished session has
-    /// emitted and discarded its state and cannot checkpoint.
-    finished: bool,
+    /// The shards hosting every engine — one inline, or `n` on threads.
+    pool: StreamingPool,
 }
 
 impl Session {
@@ -1294,31 +1096,22 @@ impl Session {
     }
 
     /// Ingest one event. With `.slack(n)` the event may be buffered (or
-    /// dropped as late); in `.workers(n)` mode released events are hashed
-    /// to their shard and staged for the next batch send immediately.
+    /// dropped as late). At width 1 without slack the engines read it in
+    /// place; under `.workers(n)` it is hashed to its shard and staged for
+    /// the next batch send. A finished session ignores the event.
     pub fn process(&mut self, event: &Event) {
-        self.ingested += 1;
-        if self.reorderer.is_some() {
-            self.pump(|reorderer, out| reorderer.push(event.clone(), out));
-        } else {
-            self.mode.route(event);
-        }
+        self.pool.route(event);
     }
 
     /// Like [`Session::process`], consuming the event — spares a clone on
     /// the `.slack(n)` and single-query `.workers(n)` paths.
     pub fn process_owned(&mut self, event: Event) {
-        self.ingested += 1;
-        if self.reorderer.is_some() {
-            self.pump(|reorderer, out| reorderer.push(event, out));
-        } else {
-            self.mode.route_owned(event);
-        }
+        self.pool.route_owned(event);
     }
 
     /// Ingest events straight off a `cogra_events::csv` stream — one
     /// decode pass, no intermediate `Vec<Event>`; THE decode path shared
-    /// by the `cogra-run` CLI and the throughput harness. Returns the
+    /// by the `cogra-run` CLI, the server and the benchmark. Returns the
     /// number of events ingested. Without `.slack(n)` a time-regressing
     /// row fails with [`IngestError::OutOfOrder`] instead of corrupting
     /// engine state. Results are *not* collected here: drain via
@@ -1329,14 +1122,21 @@ impl Session {
         for item in self.checked_csv(text, registry)? {
             self.process_owned(item?);
             count += 1;
-            if let Some(limit) = self.key_overflow() {
-                return Err(IngestError::KeyOverflow { limit });
-            }
-            if let Some(failure) = self.worker_failure() {
-                return Err(IngestError::WorkerFailed(failure.clone()));
-            }
+            self.check_ingest()?;
         }
         Ok(count)
+    }
+
+    /// The typed per-event failures of the CSV surfaces: a `key_limit`
+    /// overflow, or a sticky worker failure.
+    fn check_ingest(&self) -> Result<(), IngestError> {
+        if let Some(limit) = self.key_overflow() {
+            return Err(IngestError::KeyOverflow { limit });
+        }
+        match self.worker_failure() {
+            Some(failure) => Err(IngestError::WorkerFailed(failure.clone())),
+            None => Ok(()),
+        }
     }
 
     /// The decode + order-check adapter shared by [`Session::ingest_csv`]
@@ -1347,7 +1147,7 @@ impl Session {
         text: &'a str,
         registry: &'a TypeRegistry,
     ) -> Result<impl Iterator<Item = Result<Event, IngestError>> + 'a, IngestError> {
-        let has_slack = self.has_slack();
+        let has_slack = self.pool.gate().is_some();
         let mut watermark = self.watermark();
         let reader = EventReader::new(text, registry)?;
         Ok(reader.map(move |item| {
@@ -1364,66 +1164,26 @@ impl Session {
         }))
     }
 
-    /// Whether slack-based disorder repair is active (front reorderer or
-    /// the pool's per-shard reorderers).
-    fn has_slack(&self) -> bool {
-        self.reorderer.is_some()
-            || matches!(&self.mode, Mode::Parallel { pool } if pool.has_slack())
-    }
-
-    /// Let `fill` release events out of the reorderer into the scratch
-    /// buffer, then route them. No-op without a reorderer.
-    fn pump(&mut self, fill: impl FnOnce(&mut Reorderer, &mut Vec<Event>)) {
-        let Some(reorderer) = &mut self.reorderer else {
-            return;
-        };
-        self.scratch.clear();
-        fill(reorderer, &mut self.scratch);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for e in scratch.drain(..) {
-            self.mode.route_owned(e);
-        }
-        self.scratch = scratch;
-    }
-
-    /// Emit every result final at the current watermark. In `.workers(n)`
-    /// mode this flushes the staged batches and broadcasts the global
-    /// watermark to the shards first, so results flow live even when some
-    /// shard's sub-stream went quiet.
+    /// Emit every result final at the current watermark. Under
+    /// `.workers(n)` this flushes the staged batches and broadcasts the
+    /// global watermark to the shards first, so results flow live even
+    /// when some shard's sub-stream went quiet.
     pub fn drain_into(&mut self, sink: &mut dyn ResultSink) {
         let shared = &self.shared;
-        match &mut self.mode {
-            Mode::Streaming { engines } => {
-                for (j, engine) in engines.iter_mut().enumerate() {
-                    engine.drain_into(&mut |r| fan_out(&shared.members[j], r, sink));
-                }
-            }
-            Mode::Parallel { pool } => {
-                pool.drain_into(&mut |j, r| fan_out(&shared.members[j], r, sink))
-            }
-        }
+        self.pool
+            .drain_into(&mut |j, r| fan_out(&shared.members[j], r, sink));
     }
 
     /// End of stream: flush the reorder buffers, close every open window,
-    /// and — in `.workers(n)` mode — join the shard workers.
+    /// and — under `.workers(n)` — join the shard workers.
     ///
     /// The session is exhausted afterwards: further
-    /// [`Session::process`] calls are unsupported (in `.workers(n)` mode
-    /// they panic — the shard workers are gone).
+    /// [`Session::process`] calls are ignored, further drains emit
+    /// nothing, and it can no longer checkpoint.
     pub fn finish_into(&mut self, sink: &mut dyn ResultSink) {
-        self.finished = true;
-        self.pump(|reorderer, out| reorderer.flush(out));
         let shared = &self.shared;
-        match &mut self.mode {
-            Mode::Streaming { engines } => {
-                for (j, engine) in engines.iter_mut().enumerate() {
-                    engine.finish_into(&mut |r| fan_out(&shared.members[j], r, sink));
-                }
-            }
-            Mode::Parallel { pool } => {
-                pool.finish_into(&mut |j, r| fan_out(&shared.members[j], r, sink))
-            }
-        }
+        self.pool
+            .finish_into(&mut |j, r| fan_out(&shared.members[j], r, sink));
     }
 
     /// Collecting wrapper over [`Session::drain_into`].
@@ -1440,63 +1200,41 @@ impl Session {
         out
     }
 
-    /// Events dropped as too late by the `.slack(n)` repair (front
-    /// reorderer in streaming mode, the pool's gate under `.workers(n)`).
+    /// Events dropped as too late by the `.slack(n)` repair.
     pub fn late_events(&self) -> u64 {
-        match &self.mode {
-            Mode::Parallel { pool } => pool.late_events(),
-            Mode::Streaming { .. } => self.reorderer.as_ref().map_or(0, Reorderer::late_events),
-        }
+        self.pool.late_events()
     }
 
-    /// Logical memory footprint: the engines' exact accounting in
-    /// streaming mode; in `.workers(n)` mode the summed shard engines,
-    /// as of each worker's last drain (the shards run concurrently, so
-    /// there is no synchronous round trip here). The `.slack(n)` reorder
-    /// buffers are excluded — they are bounded by slack × rate and not an
-    /// engine metric of §9.1.
+    /// Logical memory footprint of the engines: exact and current at
+    /// width 1; under `.workers(n)` the summed shard engines as of each
+    /// worker's last drain (the shards run concurrently, so there is no
+    /// synchronous round trip here). The `.slack(n)` reorder buffers are
+    /// excluded — they are bounded by slack × rate and not an engine
+    /// metric of §9.1.
     pub fn memory_bytes(&self) -> usize {
-        match &self.mode {
-            Mode::Streaming { engines } => engines.iter().map(|e| e.memory_bytes()).sum(),
-            Mode::Parallel { pool } => pool.memory_bytes(),
-        }
+        self.pool.metrics().memory
     }
 
-    /// The minimum engine watermark across queries — results at or before
-    /// it are final everywhere. (In `.workers(n)` mode: the pool's
-    /// observable watermark — the latest routed event time, or the safe
-    /// watermark of the slack gate when disorder repair is active.)
+    /// Observable stream progress — results at or before it are final
+    /// after the next drain: the latest ingested event time, or the safe
+    /// watermark of the slack gate when disorder repair is active.
     pub fn watermark(&self) -> Timestamp {
-        match &self.mode {
-            Mode::Streaming { engines } => engines
-                .iter()
-                .map(|e| e.watermark())
-                .min()
-                .unwrap_or(Timestamp::ZERO),
-            Mode::Parallel { pool } => pool.watermark(),
-        }
+        self.pool.watermark()
     }
 
-    /// Effective shard count: 1 in streaming mode; under `.workers(n)`
-    /// the pool's widest effective count across queries (also 1 when no
-    /// query has a `GROUP-BY` prefix to shard on) — the live counterpart
-    /// of [`SessionRun::workers`].
+    /// Effective shard count: the pool's widest effective count across
+    /// queries (1 unless `.workers(n)` applied; also 1 when no query has a
+    /// `GROUP-BY` prefix to shard on) — the live counterpart of
+    /// [`SessionRun::workers`].
     pub fn workers(&self) -> usize {
-        match &self.mode {
-            Mode::Streaming { .. } => 1,
-            Mode::Parallel { pool } => pool.workers(),
-        }
+        self.pool.workers()
     }
 
-    /// Access one query's engine (streaming mode only). With sharing
-    /// active the returned engine may serve other queries too — it is the
-    /// query's physical run.
+    /// Access one query's engine (width 1 only — worker threads own
+    /// theirs). With sharing active the returned engine may serve other
+    /// queries too — it is the query's physical run.
     pub fn engine(&self, query: usize) -> Option<&dyn TrendEngine> {
-        let j = *self.shared.physical_of.get(query)?;
-        match &self.mode {
-            Mode::Streaming { engines } => engines.get(j).map(|e| e.as_ref()),
-            Mode::Parallel { .. } => None,
-        }
+        self.pool.engine(*self.shared.physical_of.get(query)?)
     }
 
     /// The multi-query sharing factoring in effect: which physical run
@@ -1514,16 +1252,7 @@ impl Session {
     /// session's engines — under `.workers(n)`, across every shard, as of
     /// each worker's last drain (final once the session finished).
     pub fn run_stats(&self) -> RunStats {
-        let mut total = RunStats::default();
-        match &self.mode {
-            Mode::Streaming { engines } => {
-                for e in engines {
-                    total.merge(e.run_stats());
-                }
-            }
-            Mode::Parallel { pool } => total.merge(pool.run_stats()),
-        }
-        total
+        self.pool.metrics().stats
     }
 
     /// Sticky partition-key overflow: `Some(limit)` once any event was
@@ -1532,62 +1261,48 @@ impl Session {
     /// a limit. Under `.workers(n)` the flag is refreshed from the shard
     /// workers at drain/finish boundaries (the shards run concurrently).
     pub fn key_overflow(&self) -> Option<u32> {
-        match &self.mode {
-            Mode::Streaming { engines } => engines.iter().find_map(|e| e.key_overflow()),
-            Mode::Parallel { pool } => pool.key_overflow(),
-        }
+        self.pool.key_overflow()
     }
 
     /// Sticky worker failure: `Some` once a shard worker died under
     /// [`FailurePolicy::Fail`] (or exhausted its restart budget under
     /// [`FailurePolicy::Restart`]). A failed session accepts no further
-    /// events and emits nothing. Always `None` in streaming mode and
-    /// under successful Degrade/Restart recovery.
+    /// events and emits nothing. Always `None` at width 1 and under
+    /// successful Degrade/Restart recovery.
     pub fn worker_failure(&self) -> Option<&WorkerFailure> {
-        match &self.mode {
-            Mode::Streaming { .. } => None,
-            Mode::Parallel { pool } => pool.failure(),
-        }
+        self.pool.failure()
     }
 
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order —
-    /// empty on a healthy session (and always in streaming mode).
+    /// empty on a healthy session (and always at width 1).
     pub fn degraded_shards(&self) -> Vec<usize> {
-        match &self.mode {
-            Mode::Streaming { .. } => Vec::new(),
-            Mode::Parallel { pool } => pool.degraded_shards(),
-        }
+        self.pool.degraded_shards()
     }
 
     /// Events lost to [`FailurePolicy::Degrade`] quarantines: what the
     /// dead shard had absorbed plus later events whose pinned query
     /// had no live fallback. 0 on a healthy session.
     pub fn dropped_events(&self) -> u64 {
-        match &self.mode {
-            Mode::Streaming { .. } => 0,
-            Mode::Parallel { pool } => pool.dropped_events(),
-        }
+        self.pool.dropped_events()
     }
 
-    /// Events ingested per shard worker, as of each worker's last drain
-    /// (final once the session finished) — the observable for hot-key
-    /// imbalance under skewed streams. Streaming mode reports one entry.
-    /// Indexed by worker slot; a session whose queries shard narrower
-    /// than `.workers(n)` leaves the unused slots at zero.
+    /// Events ingested into the engines per shard, as of each worker's
+    /// last drain (final once the session finished; current at width 1)
+    /// — the observable for hot-key imbalance under skewed streams.
+    /// Indexed by shard; a session whose queries shard narrower than
+    /// `.workers(n)` leaves the unused slots at zero.
     pub fn shard_events(&self) -> Vec<u64> {
-        match &self.mode {
-            Mode::Streaming { .. } => vec![self.ingested],
-            Mode::Parallel { pool } => pool.shard_events(),
-        }
+        self.shard_metrics().iter().map(|m| m.events).collect()
     }
 
-    /// The active disorder tolerance, wherever it lives (front reorderer
-    /// in streaming mode, the pool's gate under `.workers(n)`).
-    fn slack_value(&self) -> Option<u64> {
-        match &self.mode {
-            Mode::Streaming { .. } => self.reorderer.as_ref().map(Reorderer::slack),
-            Mode::Parallel { pool } => pool.slack(),
-        }
+    /// Every shard's counters in one read — what [`Session::memory_bytes`],
+    /// [`Session::run_stats`], [`Session::key_overflow`] and
+    /// [`Session::shard_events`] each project one field of
+    /// ([`Metrics::total`] sums them). At width 1 a read walks the
+    /// engines' memory, so a caller reporting several of them should take
+    /// one read, not several.
+    pub fn shard_metrics(&self) -> Vec<Metrics> {
+        self.pool.shard_metrics()
     }
 
     /// Serialize the session's complete live state into a versioned
@@ -1596,10 +1311,9 @@ impl Session {
     /// configuration, slack/workers/batch-size, every engine's partition
     /// and window state with watermarks and drain floors, and the
     /// `.slack(n)` reorder state — in-flight events, release points and
-    /// the late-drop count. Under `.workers(n)` the shards' states are
-    /// merged per query, so the snapshot is layout-independent:
-    /// [`SessionBuilder::restore`] may re-shard it onto a different
-    /// `.workers(n)` (elastic rescale).
+    /// the late-drop count. The shards' states are merged per query, so
+    /// the snapshot is layout-independent: [`SessionBuilder::restore`]
+    /// may re-shard it onto a different `.workers(n)` (elastic rescale).
     ///
     /// Partitions whose window ring is drained empty are *not* written —
     /// a restored session re-interns only the live key set, which is the
@@ -1610,97 +1324,11 @@ impl Session {
     /// emitted, and the session continues unchanged. A finished session
     /// cannot checkpoint ([`CheckpointError::Unsupported`]).
     pub fn checkpoint(&mut self, writer: impl io::Write) -> Result<(), CheckpointError> {
-        if self.finished {
-            return Err(CheckpointError::Unsupported(
-                "cannot checkpoint a finished session".to_string(),
-            ));
-        }
-
-        // Engine states + reorder payload first (the pool does both in
-        // one snapshot round trip), then the container is written in one
-        // pass: config, reorder, one `q<i>` section per query.
-        let (states, reorder) = match &mut self.mode {
-            Mode::Streaming { engines } => {
-                let mut states = Vec::with_capacity(engines.len());
-                for e in engines.iter() {
-                    let mut enc = Enc::new();
-                    e.save_state(&mut enc)?;
-                    states.push(enc.into_bytes());
-                }
-                // Raw stream clock, for a restore onto `.workers(n)`: in
-                // streaming mode every engine saw every event, so the
-                // largest engine watermark is the largest routed time.
-                let clock = engines
-                    .iter()
-                    .map(|e| e.watermark())
-                    .max()
-                    .unwrap_or(Timestamp::ZERO);
-                let mut enc = Enc::new();
-                match &self.reorderer {
-                    None => {
-                        enc.bool(false);
-                        enc.u64(clock.ticks());
-                    }
-                    Some(r) => {
-                        enc.bool(true);
-                        enc.u8(REORDER_FRONT);
-                        enc.u64(r.slack());
-                        enc.u64(r.watermark().ticks());
-                        enc.u64(r.released_to().ticks());
-                        enc.u64(r.late_events());
-                        let buffered = r.buffered_events();
-                        enc.usize(buffered.len());
-                        for e in buffered {
-                            e.save(&mut enc);
-                        }
-                    }
-                }
-                (states, enc.into_bytes())
-            }
-            Mode::Parallel { pool } => {
-                let (router_states, buffered) = pool.snapshot()?;
-                let states = router_states
-                    .iter()
-                    .map(|st| {
-                        let mut enc = Enc::new();
-                        st.save(&mut enc);
-                        enc.into_bytes()
-                    })
-                    .collect();
-                let mut enc = Enc::new();
-                match pool.gate() {
-                    None => {
-                        enc.bool(false);
-                        enc.u64(pool.raw_watermark().ticks());
-                        debug_assert!(buffered.is_empty(), "no reorder buffers without slack");
-                    }
-                    Some(gate) => {
-                        enc.bool(true);
-                        enc.u8(REORDER_GATE);
-                        enc.u64(gate.slack());
-                        enc.u64(gate.watermark().ticks());
-                        enc.u64(gate.safe_watermark().ticks());
-                        enc.u64(gate.late_events());
-                        let pending = gate.pending_times();
-                        enc.usize(pending.len());
-                        for t in &pending {
-                            enc.u64(t.ticks());
-                        }
-                        // In-flight items, sorted for a layout-independent
-                        // byte stream (shard buffers come back in shard
-                        // order, not time order).
-                        let mut pairs = buffered;
-                        pairs.sort_by_key(|(q, e)| (e.time, e.id, *q));
-                        enc.usize(pairs.len());
-                        for (q, e) in &pairs {
-                            enc.u32(*q);
-                            e.save(&mut enc);
-                        }
-                    }
-                }
-                (states, enc.into_bytes())
-            }
-        };
+        // Engine states + reorder payload first (one snapshot of the
+        // pool), then the container is written in one pass: config,
+        // reorder, one `q<i>` section per physical run.
+        let mut state = self.pool.snapshot()?;
+        let reorder = save_reorder(&mut state);
 
         let mut w = SnapshotWriter::new(writer)?;
         let mut enc = Enc::new();
@@ -1711,21 +1339,22 @@ impl Session {
         }
         enc.str(self.kind.name());
         enc.opt_u64(self.config.flatten_cap.map(|c| c as u64));
-        enc.opt_u64(self.slack_value());
+        enc.opt_u64(self.pool.gate().map(LateGate::slack));
         enc.u64(self.workers() as u64);
         enc.u64(self.batch_size as u64);
         enc.opt_u64(self.config.key_limit.map(u64::from));
-        // Sharing map, appended behind the tail guard (like `key_limit`
-        // before it) so pre-sharing snapshots keep decoding: physical slot
-        // per query. The `q<i>` sections below are per PHYSICAL run.
+        // Sharing map: physical slot per query. The `q<i>` sections below
+        // are per PHYSICAL run.
         enc.usize(self.shared.queries());
         for &j in &self.shared.physical_of {
             enc.usize(j);
         }
         w.section("config", enc.as_slice())?;
         w.section("reorder", &reorder)?;
-        for (i, state) in states.iter().enumerate() {
-            w.section(&format!("q{i}"), state)?;
+        for (i, engine) in state.states.iter().enumerate() {
+            let mut enc = Enc::new();
+            engine.save(&mut enc);
+            w.section(&format!("q{i}"), enc.as_slice())?;
         }
         w.finish()
     }
@@ -1775,7 +1404,7 @@ impl Session {
         strict: bool,
     ) -> Result<SessionRun, IngestError> {
         let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); self.queries()];
-        let sharded = matches!(self.mode, Mode::Parallel { .. });
+        let inline = self.pool.is_inline();
         let mut peak = self.memory_bytes();
         let mut count = 0u64;
         {
@@ -1786,32 +1415,27 @@ impl Session {
                     Fed::Owned(event) => self.process_owned(event),
                 }
                 if strict {
-                    if let Some(limit) = self.key_overflow() {
-                        return Err(IngestError::KeyOverflow { limit });
-                    }
-                    if let Some(failure) = self.worker_failure() {
-                        return Err(IngestError::WorkerFailed(failure.clone()));
-                    }
+                    self.check_ingest()?;
                 }
                 let i = count as usize;
                 count += 1;
-                if sharded {
-                    // A shard drain is a cross-thread round trip that also
-                    // flushes partial transport batches; amortize it over
-                    // a coarse stride instead of paying it per event.
-                    // (Drains also refresh the memory mirrors; the workers
-                    // sample their own peaks besides.) Emission timing is
-                    // coarser, but the collected result set is identical —
-                    // asserted by the drain-cadence invariance battery.
-                    if i % 2048 == 2047 {
-                        self.drain_into(&mut sink);
-                        peak = peak.max(self.memory_bytes());
-                    }
-                } else {
+                if inline {
+                    // This loop drives the inline shard, so it is the
+                    // shard's one peak sampler: the memory walk is far too
+                    // expensive for every event.
                     self.drain_into(&mut sink);
                     if i.is_multiple_of(64) {
                         peak = peak.max(self.memory_bytes());
                     }
+                } else if i % 2048 == 2047 {
+                    // A drain of worker threads is a cross-thread round
+                    // trip that also flushes partial transport batches;
+                    // amortize it over a coarse stride instead of paying
+                    // it per event. (The workers sample their own peaks.)
+                    // Emission timing is coarser, but the collected result
+                    // set is identical — asserted by the drain-cadence
+                    // invariance battery.
+                    self.drain_into(&mut sink);
                 }
             }
             peak = peak.max(self.memory_bytes());
@@ -1829,24 +1453,20 @@ impl Session {
         for results in &mut per_query {
             WindowResult::sort(results);
         }
-        let (peak, workers) = match &self.mode {
-            Mode::Streaming { engines } => (
-                peak.max(engines.iter().map(|e| e.peak_hint()).sum::<usize>()),
-                1,
-            ),
-            // The workers' own peak accounting (sampled inside the shard
-            // threads over each worker's hosted engines) — the
-            // coordinator-side samples above only mirror it with a lag.
-            Mode::Parallel { pool } => (pool.peak_bytes(), pool.workers()),
-        };
+        let shards = self.shard_metrics();
+        let total = Metrics::total(&shards);
         Ok(SessionRun {
             per_query,
-            peak_bytes: peak,
-            workers,
+            // The shards' own peaks: the samples above plus the engines'
+            // finalization spikes inline; under `.workers(n)` what each
+            // worker sampled over its hosted engines (the coordinator-side
+            // samples above only mirror those with a lag).
+            peak_bytes: peak.max(total.peak),
+            workers: self.workers(),
             events: count,
             late_events: self.late_events(),
-            stats: self.run_stats(),
-            shard_events: self.shard_events(),
+            stats: total.stats,
+            shard_events: shards.iter().map(|m| m.events).collect(),
             degraded: self.degraded_shards(),
             dropped_events: self.dropped_events(),
             plans: self.plans.clone(),
@@ -1867,36 +1487,15 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("kind", &self.kind)
             .field("queries", &self.queries())
-            .field("slack", &self.has_slack().then_some(()))
+            .field("slack", &self.pool.gate().map(LateGate::slack))
             .finish_non_exhaustive()
-    }
-}
-
-impl Mode {
-    fn route(&mut self, event: &Event) {
-        match self {
-            Mode::Streaming { engines } => {
-                for engine in engines {
-                    engine.process(event);
-                }
-            }
-            Mode::Parallel { pool } => pool.route(event),
-        }
-    }
-
-    /// Like [`Mode::route`], but consumes the event — spares one clone on
-    /// the sharded path's last target.
-    fn route_owned(&mut self, event: Event) {
-        match self {
-            Mode::Parallel { pool } => pool.route_owned(event),
-            Mode::Streaming { .. } => self.route(&event),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cogra::CograEngine;
     use crate::engine::run_to_completion;
     use cogra_events::{EventBuilder, Value, ValueKind};
     use cogra_query::Granularity;
@@ -2147,7 +1746,7 @@ mod tests {
         let events = stream(&reg, 60);
         let (head, tail) = events.split_at(20);
 
-        // Streaming reference over the whole stream.
+        // One-worker reference over the whole stream.
         let expected = Session::builder()
             .query(Q_ANY)
             .build(&reg)
@@ -2305,7 +1904,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_streaming_round_trip() {
+    fn checkpoint_restore_one_worker_round_trip() {
         let reg = registry();
         let events = stream(&reg, 40);
         round_trip(Session::builder().query(Q_ANY), 1, &events, 17, &reg);
@@ -2476,6 +2075,64 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn one_worker_sessions_run_inline_built_or_restored() {
+        // Width 1 never spawns a thread or opens a channel: the pool holds
+        // its one shard by value — whatever the engine kind, with or
+        // without slack, and however wide the snapshot it resumes from.
+        let reg = registry();
+        let events = stream(&reg, 40);
+        for kind in EngineKind::ALL {
+            for slack in [None, Some(3)] {
+                let mut builder = Session::builder().query(Q_ANY).engine(kind);
+                if let Some(slack) = slack {
+                    builder = builder.slack(slack);
+                }
+                let session = builder.build(&reg).unwrap();
+                assert!(session.pool.is_inline(), "{kind} slack={slack:?}");
+                assert_eq!(session.workers(), 1);
+                let reference = Session::builder().query(Q_ANY).build(&reg).unwrap();
+                assert_eq!(
+                    session.run(&events).per_query,
+                    reference.run(&events).per_query,
+                    "{kind} slack={slack:?}"
+                );
+            }
+        }
+
+        let mut wide = Session::builder()
+            .query(Q_ANY)
+            .workers(4)
+            .slack(8)
+            .build(&reg)
+            .unwrap();
+        assert!(!wide.pool.is_inline());
+        for e in &events[..25] {
+            wide.process(e);
+        }
+        let mut snap = Vec::new();
+        wide.checkpoint(&mut snap).unwrap();
+        let mut restored = Session::builder()
+            .workers(1)
+            .restore(&reg, snap.as_slice())
+            .unwrap();
+        assert!(restored.pool.is_inline(), "a .workers(1) restore is inline");
+        assert_eq!(restored.workers(), 1);
+        let mut resumed = wide.drain();
+        let mut tail = restored.drain();
+        for e in &events[25..] {
+            wide.process(e);
+            restored.process(e);
+        }
+        resumed.extend(wide.finish());
+        tail.extend(restored.finish());
+        let key = |t: &TaggedResult| (t.result.window, t.result.group.clone());
+        resumed.sort_by_key(key);
+        tail.sort_by_key(key);
+        assert_eq!(tail, resumed, "inline resume ≡ the 4-worker original");
+        assert!(!tail.is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::intern::RunStats;
 use crate::output::WindowResult;
+use crate::router::RouterState;
 use cogra_checkpoint::CheckpointError;
 use cogra_events::{Event, Timestamp};
 
@@ -24,6 +25,17 @@ use cogra_events::{Event, Timestamp};
 pub trait TrendEngine {
     /// Ingest one event.
     fn process(&mut self, event: &Event);
+
+    /// Ingest one event whose full partition-key hash the caller already
+    /// computed (`QueryRuntime::key_hash` / `QueryRuntime::route_hashes` —
+    /// `None` when the event's type lacks the partition attributes). The
+    /// §8 shard router hashes at ingest time to place the event and hands
+    /// the hash down, so the key is extracted once per event. The default
+    /// ignores the hash, for engines without an interned routing path.
+    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
+        let _ = key_hash;
+        self.process(event);
+    }
 
     /// Emit results for all windows closed at the current watermark,
     /// pushing each into `out`.
@@ -92,12 +104,11 @@ pub trait TrendEngine {
         None
     }
 
-    /// Serialize the engine's full mutable state into a checkpoint
-    /// section payload. Engines built on the router override this; the
-    /// default refuses, so an engine without a restore path can never
+    /// Snapshot the engine's full mutable state — what one checkpoint
+    /// engine section carries. Engines built on the router override this;
+    /// the default refuses, so an engine without a restore path can never
     /// produce a snapshot it cannot honor.
-    fn save_state(&self, enc: &mut cogra_checkpoint::Enc) -> Result<(), CheckpointError> {
-        let _ = enc;
+    fn save_state(&self) -> Result<RouterState, CheckpointError> {
         Err(CheckpointError::Unsupported(format!(
             "engine `{}` does not support checkpointing",
             self.name()

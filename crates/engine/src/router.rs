@@ -594,6 +594,10 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
         self.process_prehashed(event, key_hash);
     }
 
+    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
+        Router::process_prehashed(self, event, key_hash)
+    }
+
     fn drain_into(&mut self, out: &mut dyn FnMut(WindowResult)) {
         if let Some(wid) = self.rt.query.window.last_closed(self.watermark) {
             self.emit_up_to(wid, out);
@@ -648,8 +652,7 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
         self.key_overflow
     }
 
-    fn save_state(&self, enc: &mut Enc) -> Result<(), CheckpointError> {
-        self.snapshot_state().save(enc);
-        Ok(())
+    fn save_state(&self) -> Result<RouterState, CheckpointError> {
+        Ok(self.snapshot_state())
     }
 }

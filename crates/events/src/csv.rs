@@ -84,7 +84,7 @@ fn quote(s: &str) -> String {
 /// over the text, decoding one row at a time — no intermediate
 /// `Vec<Event>`. This is THE decode path: [`read_events`] collects it,
 /// the `cogra-run` CLI and `Session::run_csv` feed engines straight from
-/// it, and the throughput harness measures it.
+/// it, and the benchmark (`perfbench`) measures it.
 ///
 /// The header must contain `type` and `time`; every other column is an
 /// attribute name. Each row is parsed against its type's schema;

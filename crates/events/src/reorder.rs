@@ -145,7 +145,7 @@ impl<T> ReorderBuffer<T> {
 /// (`max{t pushed : t <= watermark − slack}`), and an arriving event is
 /// late exactly when its time is behind that — byte-for-byte the rule
 /// [`Reorderer::push`] applies, at a heap-of-`u64`s price.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LateGate {
     slack: u64,
     watermark: Timestamp,

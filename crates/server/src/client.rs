@@ -1,6 +1,6 @@
 //! Blocking protocol client: the replay half of the CLI's `connect`
 //! mode, the driver of the end-to-end differential battery, and the
-//! `--remote` throughput mode of the bench harness.
+//! load generator of the benchmark's remote workloads.
 //!
 //! A [`Client`] issues one command at a time and waits for its reply
 //! (`OK <stats>` / `ERR <message>`). Command-level failures (the server's

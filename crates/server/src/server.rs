@@ -29,6 +29,7 @@
 use crate::wire::{self, StatsReport, EOS};
 use cogra_core::session::{Session, SessionBuilder, SessionError};
 use cogra_core::CheckpointError;
+use cogra_core::Metrics;
 use cogra_events::TypeRegistry;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
@@ -431,7 +432,10 @@ fn session_actor(
         subscribers.retain(|s| !s.dead);
     };
     let stats = |session: &Session, events: u64, results: u64, finished: bool| {
-        let run_stats = session.run_stats();
+        // One read of the shard counters: at one worker each read walks
+        // the engines' memory.
+        let shards = session.shard_metrics();
+        let total = Metrics::total(&shards);
         StatsReport {
             ingested: 0,
             events,
@@ -440,10 +444,10 @@ fn session_actor(
             watermark: session.watermark().ticks(),
             queries: session.queries(),
             workers: session.workers(),
-            memory: session.memory_bytes(),
-            key_probes: run_stats.key_probes,
-            key_allocs: run_stats.key_allocs,
-            shard_events: session.shard_events(),
+            memory: total.memory,
+            key_probes: total.stats.key_probes,
+            key_allocs: total.stats.key_allocs,
+            shard_events: shards.iter().map(|m| m.events).collect(),
             degraded: session.degraded_shards(),
             dropped: session.dropped_events(),
             physical: session.physical_runs(),

@@ -63,65 +63,138 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
-struct Args {
-    schema: String,
-    events: String,
+/// The flags `run` and `serve` share: which session to build or restore.
+#[derive(Default)]
+struct SessionFlags {
+    schema: Option<String>,
     queries: Vec<String>,
     engine: Option<EngineKind>,
     workers: Option<usize>,
     slack: Option<u64>,
     key_limit: Option<u32>,
-    checkpoint: Option<String>,
     restore: Option<String>,
+}
+
+/// Split `argv` into the session flags and everything else, in order, for
+/// the subcommand's own parser.
+fn parse_session_flags(argv: &[String]) -> Result<(SessionFlags, Vec<String>), String> {
+    fn integer<T: std::str::FromStr>(name: &str, value: String) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{name} needs an integer"))
+    }
+    let mut flags = SessionFlags::default();
+    let mut rest = Vec::new();
+    let mut it = argv.iter().cloned();
+    while let Some(arg) = it.next() {
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        match arg.as_str() {
+            "--schema" => flags.schema = Some(value("--schema")?),
+            "--query" => flags.queries.push(value("--query")?),
+            "--engine" => flags.engine = Some(value("--engine")?.parse::<EngineKind>()?),
+            "--workers" => flags.workers = Some(integer("--workers", value("--workers")?)?),
+            "--slack" => flags.slack = Some(integer("--slack", value("--slack")?)?),
+            "--key-limit" => flags.key_limit = Some(integer("--key-limit", value("--key-limit")?)?),
+            "--restore" => flags.restore = Some(value("--restore")?),
+            _ => rest.push(arg),
+        }
+    }
+    Ok((flags, rest))
+}
+
+impl SessionFlags {
+    /// Reject flag combinations no session can honor; hands back the
+    /// schema path. With `--restore` the snapshot fixes queries, engines
+    /// and slack; only the execution-shape knobs may be overridden
+    /// (Session enforces the same contract — this just gives flag-level
+    /// messages).
+    fn check(&self) -> Result<&str, String> {
+        if self.restore.is_some() {
+            if !self.queries.is_empty() {
+                return Err("--query cannot be combined with --restore \
+                            (the snapshot defines the queries)"
+                    .into());
+            }
+            if self.engine.is_some() {
+                return Err("--engine cannot be combined with --restore".into());
+            }
+            if self.slack.is_some() {
+                return Err("--slack cannot be combined with --restore".into());
+            }
+            if self.key_limit.is_some() {
+                return Err("--key-limit cannot be combined with --restore".into());
+            }
+        } else if self.queries.is_empty() {
+            return Err("--query is required".into());
+        }
+        Ok(self.schema.as_deref().ok_or("--schema is required")?)
+    }
+
+    /// The registry the `--schema` file declares.
+    fn registry(&self) -> Result<TypeRegistry, String> {
+        load_registry(&read(self.check()?)?)
+    }
+
+    /// The `--query` files, parsed; errors name the file.
+    fn parsed_queries(&self) -> Result<Vec<Query>, String> {
+        self.queries
+            .iter()
+            .map(|path| parse(&read(path)?).map_err(|e| format!("{path}: {e}")))
+            .collect()
+    }
+
+    /// The builder these flags describe: everything for a fresh session;
+    /// for `--restore`, only the elastic-rescale knob (the snapshot is
+    /// authoritative for the rest).
+    fn builder(&self, queries: &[Query]) -> SessionBuilder {
+        let mut builder = Session::builder();
+        if self.restore.is_some() {
+            if let Some(workers) = self.workers {
+                builder = builder.workers(workers);
+            }
+            return builder;
+        }
+        builder = builder
+            .engine(self.engine.unwrap_or(EngineKind::Cogra))
+            .workers(self.workers.unwrap_or(1));
+        if let Some(slack) = self.slack {
+            builder = builder.slack(slack);
+        }
+        if let Some(limit) = self.key_limit {
+            builder = builder.config(EngineConfig {
+                key_limit: Some(limit),
+                ..EngineConfig::default()
+            });
+        }
+        for query in queries {
+            builder = builder.query(query);
+        }
+        builder
+    }
+}
+
+struct Args {
+    session: SessionFlags,
+    events: String,
+    checkpoint: Option<String>,
     explain: bool,
     dot: bool,
     memory: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut schema = None;
+    let (session, rest) = parse_session_flags(argv)?;
     let mut events = None;
-    let mut queries = Vec::new();
-    let mut engine = None;
-    let mut workers = None;
-    let mut slack = None;
-    let mut key_limit = None;
     let mut checkpoint = None;
-    let mut restore = None;
     let mut explain = false;
     let mut dot = false;
     let mut memory = false;
-    let mut it = argv.iter().cloned();
+    let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--schema" => schema = Some(value("--schema")?),
             "--events" => events = Some(value("--events")?),
-            "--query" => queries.push(value("--query")?),
-            "--engine" => engine = Some(value("--engine")?.parse::<EngineKind>()?),
-            "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs an integer".to_string())?,
-                )
-            }
-            "--slack" => {
-                slack = Some(
-                    value("--slack")?
-                        .parse()
-                        .map_err(|_| "--slack needs an integer".to_string())?,
-                )
-            }
-            "--key-limit" => {
-                key_limit = Some(
-                    value("--key-limit")?
-                        .parse()
-                        .map_err(|_| "--key-limit needs an integer".to_string())?,
-                )
-            }
             "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-            "--restore" => restore = Some(value("--restore")?),
             "--explain" => explain = true,
             "--dot" => dot = true,
             "--memory" => memory = true,
@@ -129,37 +202,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if restore.is_some() {
-        // The snapshot fixes queries, engines and slack; only the
-        // execution-shape knobs may be overridden (Session enforces the
-        // same contract — this just gives flag-level messages).
-        if !queries.is_empty() {
-            return Err("--query cannot be combined with --restore \
-                        (the snapshot defines the queries)"
-                .into());
-        }
-        if engine.is_some() {
-            return Err("--engine cannot be combined with --restore".into());
-        }
-        if slack.is_some() {
-            return Err("--slack cannot be combined with --restore".into());
-        }
-        if key_limit.is_some() {
-            return Err("--key-limit cannot be combined with --restore".into());
-        }
-    } else if queries.is_empty() {
-        return Err("--query is required".into());
-    }
+    session.check()?;
     Ok(Args {
-        schema: schema.ok_or("--schema is required")?,
+        session,
         events: events.ok_or("--events is required")?,
-        queries,
-        engine,
-        workers,
-        slack,
-        key_limit,
         checkpoint,
-        restore,
         explain,
         dot,
         memory,
@@ -207,12 +254,9 @@ fn read(p: &str) -> Result<String, String> {
 
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
-    let registry = load_registry(&read(&args.schema)?)?;
-    let queries: Vec<Query> = args
-        .queries
-        .iter()
-        .map(|path| parse(&read(path)?).map_err(|e| format!("{path}: {e}")))
-        .collect::<Result<_, String>>()?;
+    let registry = args.session.registry()?;
+    let events = args.events.as_str();
+    let queries = args.session.parsed_queries()?;
     if args.explain || args.dot {
         for query in &queries {
             let compiled = compile(query, &registry).map_err(|e| e.to_string())?;
@@ -228,38 +272,20 @@ fn run(argv: &[String]) -> Result<(), String> {
         }
     }
 
-    let stream = read(&args.events)?;
+    let stream = read(events)?;
 
-    let session = if let Some(snap) = &args.restore {
-        // The snapshot is authoritative for queries/engines/slack;
-        // --workers opts into an elastic rescale.
-        let mut builder = Session::builder();
-        if let Some(workers) = args.workers {
-            builder = builder.workers(workers);
-        }
+    let builder = args.session.builder(&queries);
+    let session = if let Some(snap) = &args.session.restore {
         let file = std::fs::File::open(snap).map_err(|e| format!("{snap}: {e}"))?;
         builder
             .restore(&registry, std::io::BufReader::new(file))
             .map_err(|e| format!("{snap}: {e}"))?
     } else {
-        let mut builder = Session::builder()
-            .engine(args.engine.unwrap_or(EngineKind::Cogra))
-            .workers(args.workers.unwrap_or(1));
-        if let Some(slack) = args.slack {
-            builder = builder.slack(slack);
-        }
-        if let Some(limit) = args.key_limit {
-            builder = builder.config(EngineConfig {
-                key_limit: Some(limit),
-                ..EngineConfig::default()
-            });
-        }
-        for query in &queries {
-            builder = builder.query(query);
-        }
         builder.build(&registry).map_err(|e| match e {
             // Attribute per-query failures to their query file.
-            SessionError::Query { query, error } => format!("{}: {error}", args.queries[query]),
+            SessionError::Query { query, error } => {
+                format!("{}: {error}", args.session.queries[query])
+            }
             other => other.to_string(),
         })?
     };
@@ -267,7 +293,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     let engine = session.kind();
 
     if let Some(path) = &args.checkpoint {
-        return checkpoint_run(session, &args, engine, multi, &stream, &registry, path);
+        return checkpoint_run(session, &args, events, &stream, &registry, path);
     }
 
     // One pass: CSV rows are decoded and ingested through the Session's
@@ -275,7 +301,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     // vector. Out-of-order rows fail here unless --slack repairs them.
     let run = session
         .run_csv(&stream, &registry)
-        .map_err(|e| format!("{}: {e}", args.events))?;
+        .map_err(|e| format!("{events}: {e}"))?;
 
     for (i, results) in run.per_query.iter().enumerate() {
         for r in results {
@@ -292,9 +318,9 @@ fn run(argv: &[String]) -> Result<(), String> {
     let ingested = run.events - run.late_events;
     // Report the shard count actually used, not the one requested: a
     // query without a GROUP-BY prefix clamps to one worker.
-    let workers = format_workers(args.workers, run.workers);
+    let workers = format_workers(args.session.workers, run.workers);
     eprintln!("{ingested} events → {total} results ({engine}{workers})");
-    if args.slack.is_some() || run.late_events > 0 {
+    if args.session.slack.is_some() || run.late_events > 0 {
         eprintln!("reorder: {} late event(s) dropped", run.late_events);
     }
     if args.memory {
@@ -325,15 +351,16 @@ fn format_workers(requested: Option<usize>, effective: usize) -> String {
 fn checkpoint_run(
     mut session: Session,
     args: &Args,
-    engine: EngineKind,
-    multi: bool,
+    events: &str,
     stream: &str,
     registry: &TypeRegistry,
     path: &str,
 ) -> Result<(), String> {
+    let multi = session.queries() > 1;
+    let engine = session.kind();
     let count = session
         .ingest_csv(stream, registry)
-        .map_err(|e| format!("{}: {e}", args.events))?;
+        .map_err(|e| format!("{events}: {e}"))?;
     let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); session.queries()];
     session.drain_into(&mut |query: usize, result: WindowResult| per_query[query].push(result));
     for results in &mut per_query {
@@ -358,9 +385,9 @@ fn checkpoint_run(
     let total: usize = per_query.iter().map(Vec::len).sum();
     let late = session.late_events();
     let ingested = count - late;
-    let workers = format_workers(args.workers, session.workers());
+    let workers = format_workers(args.session.workers, session.workers());
     eprintln!("{ingested} events → {total} results ({engine}{workers}); snapshot → {path}");
-    if args.slack.is_some() || late > 0 {
+    if args.session.slack.is_some() || late > 0 {
         eprintln!("reorder: {late} late event(s) dropped");
     }
     if args.memory {
@@ -372,45 +399,14 @@ fn checkpoint_run(
 /// `serve`: wrap the session in the TCP front-end and serve until a
 /// client sends `FINISH`.
 fn serve(argv: &[String]) -> Result<(), String> {
-    let mut schema = None;
-    let mut queries: Vec<String> = Vec::new();
-    let mut engine: Option<EngineKind> = None;
-    let mut workers: Option<usize> = None;
-    let mut slack = None;
-    let mut key_limit: Option<u32> = None;
-    let mut restore: Option<String> = None;
+    let (session, rest) = parse_session_flags(argv)?;
     let mut listen = "127.0.0.1:7878".to_string();
     let mut read_timeout: Option<Duration> = None;
     let mut snapshot_on_term: Option<String> = None;
-    let mut it = argv.iter().cloned();
+    let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--schema" => schema = Some(value("--schema")?),
-            "--query" => queries.push(value("--query")?),
-            "--engine" => engine = Some(value("--engine")?.parse::<EngineKind>()?),
-            "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs an integer".to_string())?,
-                )
-            }
-            "--slack" => {
-                slack = Some(
-                    value("--slack")?
-                        .parse()
-                        .map_err(|_| "--slack needs an integer".to_string())?,
-                )
-            }
-            "--key-limit" => {
-                key_limit = Some(
-                    value("--key-limit")?
-                        .parse()
-                        .map_err(|_| "--key-limit needs an integer".to_string())?,
-                )
-            }
-            "--restore" => restore = Some(value("--restore")?),
             "--listen" => listen = value("--listen")?,
             "--read-timeout" => {
                 let secs = value("--read-timeout")?
@@ -430,50 +426,13 @@ fn serve(argv: &[String]) -> Result<(), String> {
         read_timeout,
         ..ServerConfig::default()
     };
-    if let Some(snap) = &restore {
-        if !queries.is_empty() {
-            return Err("--query cannot be combined with --restore \
-                        (the snapshot defines the queries)"
-                .into());
-        }
-        if engine.is_some() {
-            return Err("--engine cannot be combined with --restore".into());
-        }
-        if slack.is_some() {
-            return Err("--slack cannot be combined with --restore".into());
-        }
-        if key_limit.is_some() {
-            return Err("--key-limit cannot be combined with --restore".into());
-        }
-        let registry = load_registry(&read(&schema.ok_or("--schema is required")?)?)?;
-        let mut builder = Session::builder();
-        if let Some(workers) = workers {
-            builder = builder.workers(workers);
-        }
-        let server = Server::spawn_restored(builder, registry, snap, &*listen, config)
-            .map_err(|e| e.to_string())?;
-        return serve_loop(server, snapshot_on_term);
+    let registry = session.registry()?;
+    let builder = session.builder(&session.parsed_queries()?);
+    let server = match &session.restore {
+        Some(snap) => Server::spawn_restored(builder, registry, snap, &*listen, config),
+        None => Server::spawn(builder, registry, &*listen, config),
     }
-    if queries.is_empty() {
-        return Err("--query is required".into());
-    }
-    let registry = load_registry(&read(&schema.ok_or("--schema is required")?)?)?;
-    let mut builder = Session::builder()
-        .engine(engine.unwrap_or(EngineKind::Cogra))
-        .workers(workers.unwrap_or(1));
-    if let Some(slack) = slack {
-        builder = builder.slack(slack);
-    }
-    if let Some(limit) = key_limit {
-        builder = builder.config(EngineConfig {
-            key_limit: Some(limit),
-            ..EngineConfig::default()
-        });
-    }
-    for path in &queries {
-        builder = builder.query(parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?);
-    }
-    let server = Server::spawn(builder, registry, &*listen, config).map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?;
     serve_loop(server, snapshot_on_term)
 }
 

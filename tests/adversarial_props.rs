@@ -1,7 +1,7 @@
 //! Differential battery over the **adversarial** workload generators
 //! (`cogra::workloads::{skew, churn, burst, fraud}`, ROADMAP direction
-//! 5): for every hostile stream shape the `.workers(n)` streaming path
-//! must stay byte-identical to a single sequential engine, the per-shard
+//! 5): for every hostile stream shape a `.workers(n)` session must
+//! stay byte-identical to a one-worker one, the per-shard
 //! ingest counters must account for every event, and the guard rails the
 //! hostile shapes exist to trip — key-limit overflow, late-drop policy —
 //! must fire *identically* on every worker count.

@@ -369,7 +369,7 @@ fn degrade_conserves_event_accounting_at_the_pool() {
         pool.dropped_events() > 0,
         "a quarantine with no losses proves nothing"
     );
-    let live: u64 = pool.shard_events().iter().sum();
+    let live: u64 = pool.shard_metrics().iter().map(|m| m.events).sum();
     assert_eq!(
         pool.routed_items(),
         live + pool.dropped_events(),

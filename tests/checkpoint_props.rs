@@ -230,7 +230,7 @@ fn split_case(
 fn grid_rescale_round_trips() {
     // Workload 0 runs the full {1,2,4,8}² rescale grid; the others cover
     // the interesting corners (scale-up, scale-down, identity, and the
-    // streaming↔pool transitions through width 1).
+    // inline↔threaded transitions through width 1).
     const FULL: [usize; 4] = [1, 2, 4, 8];
     let corners: [(usize, usize); 6] = [(1, 4), (4, 1), (2, 8), (8, 2), (1, 1), (8, 8)];
     let mut late_total = 0u64;
@@ -559,6 +559,15 @@ fn corrupt_snapshot_errors_pin_cli_and_server() {
             "not a cogra snapshot",
         );
         pin_corruption_case(
+            "retired-version",
+            &valid,
+            &registry,
+            &schema_path,
+            &events_path,
+            |b| b[8..12].copy_from_slice(&1u32.to_le_bytes()),
+            "older than supported",
+        );
+        pin_corruption_case(
             "future-version",
             &valid,
             &registry,
@@ -591,6 +600,75 @@ fn corrupt_snapshot_errors_pin_cli_and_server() {
         std::fs::remove_file(&schema_path).ok();
         std::fs::remove_file(&events_path).ok();
     });
+}
+
+/// The payload of section `name` of a snapshot.
+fn section(snapshot: &[u8], name: &str) -> Vec<u8> {
+    let mut reader = cogra_checkpoint::SnapshotReader::new(snapshot).expect("snapshot header");
+    while let Some((found, payload)) = reader.next_section().expect("intact section") {
+        if found == name {
+            return payload;
+        }
+    }
+    panic!("snapshot has no `{name}` section");
+}
+
+#[test]
+fn reorder_section_has_one_shape_at_every_width() {
+    watchdog("reorder-shape", || {
+        // The same jittered prefix under `.slack(8)`: whatever the worker
+        // count, the admission gate and the in-flight events are the same
+        // stream state, so the snapshot's `reorder` section must be the
+        // same bytes — there is no per-width style to migrate between.
+        let (registry, query, events) = workload(0, 17, 200);
+        let events = jitter(events, 12, 0xa11);
+        let mut sections: Vec<Vec<u8>> = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let mut session = builder_for(&query, workers, 8)
+                .build(&registry)
+                .expect("session builds");
+            let mut sink: Vec<TaggedResult> = Vec::new();
+            for e in &events[..150] {
+                session.process(e);
+            }
+            // Catch every shard up to the gate's safe watermark; a lagging
+            // worker's buffer would otherwise still hold released events.
+            session.drain_into(&mut sink);
+            let mut snap = Vec::new();
+            session.checkpoint(&mut snap).expect("checkpoint");
+            sections.push(section(&snap, "reorder"));
+        }
+        assert!(
+            sections[0].len() > 64,
+            "battery bug: the prefix left nothing in flight ({} bytes)",
+            sections[0].len()
+        );
+        assert_eq!(sections[0], sections[1], "width 1 vs 2");
+        assert_eq!(sections[0], sections[2], "width 1 vs 4");
+    });
+}
+
+#[test]
+fn version_1_snapshots_are_rejected_typed() {
+    // Format 2 retired the style-tagged reorder section and the guarded
+    // config tail: a v1 file must fail on its header with the version
+    // error, not somewhere inside a section as `Corrupt`.
+    let (registry, query, _) = workload(0, 3, 1);
+    let mut snap = Vec::new();
+    builder_for(&query, 1, 8)
+        .build(&registry)
+        .expect("session builds")
+        .checkpoint(&mut snap)
+        .expect("checkpoint");
+    assert_eq!(snap[8..12], cogra_checkpoint::FORMAT_VERSION.to_le_bytes());
+    assert_eq!(cogra_checkpoint::FORMAT_VERSION, 2);
+    snap[8..12].copy_from_slice(&1u32.to_le_bytes());
+    match Session::builder().restore(&registry, snap.as_slice()) {
+        Err(CheckpointError::RetiredVersion { found, supported }) => {
+            assert_eq!((found, supported), (1, 2));
+        }
+        other => panic!("expected RetiredVersion, got {other:?}"),
+    }
 }
 
 #[test]

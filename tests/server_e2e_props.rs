@@ -368,7 +368,7 @@ fn reconnect_after_finish_is_an_error() {
         let stats = late_client.stats().expect("io").expect("stats still ok");
         assert!(stats.finished);
         assert_eq!(stats.events, 60);
-        // Per-shard ingest counters ride STATS: one streaming engine,
+        // Per-shard ingest counters ride STATS: one worker, one shard,
         // so the whole stream sits in one slot.
         assert_eq!(stats.shard_events, vec![60]);
 

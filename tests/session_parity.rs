@@ -225,9 +225,9 @@ fn workers_drains_are_prefix_consistent_and_complete() {
     }
 }
 
-/// `.slack(n)` × `.workers(n)`: the reorderer sits in front of the shard
-/// router, so late-event drop counts must not depend on the worker count,
-/// and every event the reorderer releases must land on the shard its
+/// `.slack(n)` × `.workers(n)`: one stream-wide gate decides the drops in
+/// front of the shards, so late-event drop counts must not depend on the
+/// worker count, and every admitted event must land on the shard its
 /// group hashes to — proven by byte-identical results across counts.
 #[test]
 fn slack_late_drops_are_identical_across_worker_counts() {
@@ -272,7 +272,7 @@ fn slack_late_drops_are_identical_across_worker_counts() {
 fn slack_composes_with_workers() {
     let (registry, events, query) = transport_setup();
     let shuffled = disorder(&events, 4);
-    let streaming = Session::builder()
+    let one_worker = Session::builder()
         .query(query.as_str())
         .slack(10)
         .build(&registry)
@@ -285,6 +285,49 @@ fn slack_composes_with_workers() {
         .build(&registry)
         .expect("session builds")
         .run(&shuffled);
-    assert_eq!(sharded.per_query, streaming.per_query);
-    assert_eq!(sharded.late_events, streaming.late_events);
+    assert_eq!(sharded.per_query, one_worker.per_query);
+    assert_eq!(sharded.late_events, one_worker.late_events);
+}
+
+/// A finished session is exhausted, identically at every width: further
+/// `process` calls are ignored (no panic, no state change), further
+/// drains and finishes emit nothing, and it refuses to checkpoint.
+#[test]
+fn ingest_after_finish_is_ignored_at_every_width() {
+    let (registry, events, query) = transport_setup();
+    for workers in [1, 4] {
+        let mut session = Session::builder()
+            .query(query.as_str())
+            .workers(workers)
+            .build(&registry)
+            .expect("session builds");
+        let mut emitted: Vec<WindowResult> = Vec::new();
+        for e in &events {
+            session.process(e);
+        }
+        session.finish_into(&mut emitted);
+        assert!(!emitted.is_empty(), "workers={workers}");
+        let (count, watermark) = (emitted.len(), session.watermark());
+        let (stats, shard_events) = (session.run_stats(), session.shard_events());
+
+        for e in &events[..50] {
+            session.process(e);
+        }
+        session.process_owned(events[0].clone());
+        session.drain_into(&mut emitted);
+        session.finish_into(&mut emitted);
+        assert_eq!(
+            emitted.len(),
+            count,
+            "workers={workers}: post-finish output"
+        );
+        assert_eq!(session.watermark(), watermark, "workers={workers}");
+        assert_eq!(session.run_stats(), stats, "workers={workers}");
+        assert_eq!(session.shard_events(), shard_events, "workers={workers}");
+        assert!(session.worker_failure().is_none(), "workers={workers}");
+        assert!(
+            session.checkpoint(Vec::new()).is_err(),
+            "workers={workers}: a finished session cannot checkpoint"
+        );
+    }
 }

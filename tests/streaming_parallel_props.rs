@@ -1,15 +1,15 @@
-//! Differential battery for the streaming shard router: over random
-//! workloads, worker counts {1,2,4,8}, ingest chunkings and transport
-//! batch sizes, the live [`StreamingPool`] path behind `.workers(n)` must
-//! be **byte-identical** to the batch reference (`run_parallel`) and to a
-//! single sequential engine — results, plus workers/peak-memory metadata
-//! sanity. A slack × workers battery additionally pins that the pool's
-//! per-shard reorderers drop exactly the events a single front
-//! `Reorderer` would, no matter how the stream shards.
-//!
-//! [`StreamingPool`]: cogra::core::StreamingPool
+//! Width-invariance battery for the one execution path: over random
+//! workloads, worker counts {1,2,4,8} (one inline shard, or shards on
+//! worker threads), ingest chunkings and transport batch sizes, a
+//! `.workers(n)` session must be **byte-identical** to the batch reference
+//! (`run_parallel`) and to a single sequential engine — results, plus
+//! workers/peak-memory metadata sanity. A slack × workers battery
+//! additionally pins that the pool's gate + per-shard reorder buffers
+//! drop exactly the events a single front `Reorderer` would, no matter
+//! how the stream shards.
 
 use cogra::core::QueryRuntime;
+use cogra::events::Reorderer;
 use cogra::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -65,10 +65,10 @@ fn build_disordered(reg: &TypeRegistry, rows: &[(u64, usize, i64, i64)]) -> Vec<
         .collect()
 }
 
-/// The streaming path: a `.workers(n)` session fed chunk by chunk, with a
-/// live drain between chunks, finished at the end. Returns the sorted
-/// union of everything emitted.
-fn streaming(
+/// The live path: a `.workers(n)` session fed chunk by chunk, with a
+/// drain between chunks, finished at the end. Returns the sorted union of
+/// everything emitted.
+fn live(
     query: &str,
     reg: &TypeRegistry,
     events: &[Event],
@@ -126,8 +126,8 @@ proptest! {
 
         // Live path: chunked ingestion with mid-stream drains, over the
         // sampled transport batch size.
-        let live = streaming(query, &reg, &events, workers, chunk, batch);
-        prop_assert_eq!(&live, &sequential, "streaming vs sequential");
+        let live = live(query, &reg, &events, workers, chunk, batch);
+        prop_assert_eq!(&live, &sequential, "live vs sequential");
 
         // Metadata sanity via the collecting runner.
         let run = Session::builder()
@@ -159,8 +159,8 @@ proptest! {
         // invisible in the collected set (flush-boundary invariance).
         let reg = registry();
         let events = build_events(&reg, &rows);
-        let a = streaming(QUERIES[0], &reg, &events, 4, chunk_a, BATCH_SIZES[batch_a]);
-        let b = streaming(QUERIES[0], &reg, &events, 4, chunk_b, BATCH_SIZES[batch_b]);
+        let a = live(QUERIES[0], &reg, &events, 4, chunk_a, BATCH_SIZES[batch_a]);
+        let b = live(QUERIES[0], &reg, &events, 4, chunk_b, BATCH_SIZES[batch_b]);
         prop_assert_eq!(a, b);
     }
 
@@ -172,15 +172,24 @@ proptest! {
         batch_idx in 0usize..4,
         chunk in 1usize..40,
     ) {
-        // Slack × workers: the `.workers(n)` path repairs disorder with
-        // one ReorderBuffer per shard behind a coordinator-side LateGate.
-        // Against arbitrarily disordered streams it must produce (a) the
-        // same results and (b) the same late-drop count as the replaced
-        // architecture — a single front Reorderer in front of the router
-        // (which is exactly what a 1-worker `.slack(n)` session still is).
+        // Slack × workers: every width repairs disorder with one
+        // ReorderBuffer per shard behind a pool-side LateGate. Against
+        // arbitrarily disordered streams it must produce (a) the same
+        // results and (b) the same late-drop count as the reference
+        // architecture — a single front Reorderer, then one sequential
+        // engine — and as a 1-worker `.slack(n)` session.
         let reg = registry();
         let events = build_disordered(&reg, &rows);
         let workers = WORKER_COUNTS[worker_idx];
+
+        let mut front = Reorderer::new(slack);
+        let mut repaired = Vec::with_capacity(events.len());
+        for e in &events {
+            front.push(e.clone(), &mut repaired);
+        }
+        front.flush(&mut repaired);
+        let mut engine = CograEngine::from_text(QUERIES[0], &reg).expect("query compiles");
+        let (front_results, _) = run_to_completion(&mut engine, &repaired, 64);
 
         let reference = Session::builder()
             .query(QUERIES[0])
@@ -188,6 +197,8 @@ proptest! {
             .build(&reg)
             .expect("session builds")
             .run(&events);
+        prop_assert_eq!(reference.late_events, front.late_events(), "1 worker vs front reorderer");
+        prop_assert_eq!(&reference.per_query, &vec![front_results]);
 
         let mut session = Session::builder()
             .query(QUERIES[0])

@@ -27,13 +27,16 @@ use cogra_query::{compile, CompiledQuery, Query, QueryError, QueryResult, Semant
 use std::sync::Arc;
 
 /// Per-disjunct prefix counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PrefixCounters {
     /// `counts[k][s]`: aggregate over matches of length `k + 1` ending at
     /// state `s`. Grows as longer matches become possible.
     counts: Vec<Vec<Cell>>,
     pending: Vec<(usize, StateId, Cell)>,
     pending_time: Timestamp,
+    /// Footprint of `counts` and `pending`, kept current where rows are
+    /// added and updates staged and committed.
+    bytes: usize,
 }
 
 /// Per-window A-Seq state.
@@ -48,17 +51,14 @@ impl WindowAlgo for ASeqWindow {
             disjuncts: rt
                 .disjuncts
                 .iter()
-                .map(|_| PrefixCounters {
-                    counts: Vec::new(),
-                    pending: Vec::new(),
-                    pending_time: Timestamp::ZERO,
-                })
+                .map(|_| PrefixCounters::default())
                 .collect(),
         }
     }
 
-    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) {
+    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
         let cap = rt.config.flatten_cap.unwrap_or(usize::MAX);
+        let mut delta = 0;
         for ((pc, drt), (states, _)) in self
             .disjuncts
             .iter_mut()
@@ -68,11 +68,12 @@ impl WindowAlgo for ASeqWindow {
             if states.is_empty() {
                 continue;
             }
+            let before = pc.bytes;
             pc.commit_if_past(event.time);
             let n_states = drt.disjunct.automaton.num_states();
             // A longer match than any seen so far may now exist.
             if pc.counts.len() < cap {
-                pc.counts.push(vec![drt.zero_cell(); n_states]);
+                pc.push_row(vec![drt.zero_cell(); n_states]);
             }
             for &s in states {
                 // Length 1: this event alone, if it is the start type.
@@ -80,7 +81,7 @@ impl WindowAlgo for ASeqWindow {
                     let mut cell = drt.zero_cell();
                     cell.start_trend();
                     cell.contribute(drt.feeds.of(s), event);
-                    pc.pending.push((0, s, cell));
+                    pc.stage(0, s, cell);
                 }
                 // Length k+1: extend every (k)-prefix of a predecessor.
                 for k in 1..pc.counts.len() {
@@ -92,10 +93,12 @@ impl WindowAlgo for ASeqWindow {
                         continue;
                     }
                     cell.contribute(drt.feeds.of(s), event);
-                    pc.pending.push((k, s, cell));
+                    pc.stage(k, s, cell);
                 }
             }
+            delta += pc.bytes as isize - before as isize;
         }
+        delta
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
@@ -117,6 +120,11 @@ impl WindowAlgo for ASeqWindow {
     }
 
     fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.disjuncts.iter().map(|pc| pc.bytes).sum::<usize>()
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .disjuncts
@@ -166,8 +174,9 @@ impl WindowAlgo for ASeqWindow {
         let mut disjuncts = Vec::with_capacity(n);
         for drt in &rt.disjuncts {
             let n_states = drt.disjunct.automaton.num_states();
+            let mut pc = PrefixCounters::default();
             let n_rows = dec.usize()?;
-            let mut counts = Vec::with_capacity(n_rows.min(1024));
+            pc.counts.reserve(n_rows.min(1024));
             for _ in 0..n_rows {
                 let row = Cell::load_vec(dec)?;
                 if row.len() != n_states {
@@ -176,34 +185,41 @@ impl WindowAlgo for ASeqWindow {
                         row.len()
                     )));
                 }
-                counts.push(row);
+                pc.push_row(row);
             }
             let n_pending = dec.usize()?;
-            let mut pending = Vec::with_capacity(n_pending.min(1024));
+            pc.pending.reserve(n_pending.min(1024));
             for _ in 0..n_pending {
                 let k = dec.usize()?;
-                if k >= counts.len() {
+                if k >= pc.counts.len() {
                     return Err(CheckpointError::Corrupt(format!(
                         "A-Seq pending update targets missing counter row {k}"
                     )));
                 }
                 let s = StateId(dec.u32()?);
-                pending.push((k, s, Cell::load(dec)?));
+                pc.stage(k, s, Cell::load(dec)?);
             }
-            let pending_time = Timestamp(dec.u64()?);
-            disjuncts.push(PrefixCounters {
-                counts,
-                pending,
-                pending_time,
-            });
+            pc.pending_time = Timestamp(dec.u64()?);
+            disjuncts.push(pc);
         }
         Ok(ASeqWindow { disjuncts })
     }
 }
 
 impl PrefixCounters {
+    fn push_row(&mut self, row: Vec<Cell>) {
+        self.bytes += row.iter().map(Cell::memory_bytes).sum::<usize>();
+        self.counts.push(row);
+    }
+
+    fn stage(&mut self, k: usize, s: StateId, cell: Cell) {
+        self.bytes += cell.memory_bytes();
+        self.pending.push((k, s, cell));
+    }
+
     fn commit(&mut self) {
         for (k, s, cell) in self.pending.drain(..) {
+            self.bytes -= cell.memory_bytes();
             self.counts[k][s.index()].merge(&cell);
         }
     }

@@ -31,18 +31,42 @@ pub struct FlinkWindow {
     /// Sequences materialized during finalization (kept so the router's
     /// spike measurement sees them).
     constructed: Vec<Vec<(u32, StateId)>>,
+    /// [`WindowAlgo::memory_bytes`], kept current as events are buffered
+    /// and sequences constructed.
+    bytes: usize,
 }
 
-impl WindowAlgo for FlinkWindow {
-    fn new(_rt: &QueryRuntime) -> FlinkWindow {
+impl FlinkWindow {
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - Self::INSTRUMENT_BYTES;
+
+    /// Footprint of one constructed sequence (elements + `Vec` header).
+    fn sequence_bytes(len: usize) -> usize {
+        len * std::mem::size_of::<(u32, StateId)>() + 24
+    }
+
+    fn over(events: Vec<Event>) -> FlinkWindow {
         FlinkWindow {
-            events: Vec::new(),
+            bytes: Self::INLINE_BYTES + events.iter().map(Event::memory_bytes).sum::<usize>(),
+            events,
             constructed: Vec::new(),
         }
     }
+}
 
-    fn on_event(&mut self, _rt: &QueryRuntime, event: &Event, _binds: &EventBinds) {
+impl WindowAlgo for FlinkWindow {
+    const INSTRUMENT_BYTES: usize = std::mem::size_of::<usize>();
+
+    fn new(_rt: &QueryRuntime) -> FlinkWindow {
+        FlinkWindow::over(Vec::new())
+    }
+
+    fn on_event(&mut self, _rt: &QueryRuntime, event: &Event, _binds: &EventBinds) -> isize {
+        let bytes = event.memory_bytes();
+        self.bytes += bytes;
         self.events.push(event.clone());
+        bytes as isize
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
@@ -52,7 +76,9 @@ impl WindowAlgo for FlinkWindow {
             // Step 1: construct all sequences of the flattened workload.
             let first = self.constructed.len();
             let constructed = &mut self.constructed;
+            let bytes = &mut self.bytes;
             let record = |tr: &[(usize, StateId)]| {
+                *bytes += Self::sequence_bytes(tr.len());
                 constructed.push(tr.iter().map(|&(i, s)| (i as u32, s)).collect());
             };
             match rt.query.semantics {
@@ -76,12 +102,17 @@ impl WindowAlgo for FlinkWindow {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        self.bytes
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        Self::INLINE_BYTES
             + self.events.iter().map(Event::memory_bytes).sum::<usize>()
             + self
                 .constructed
                 .iter()
-                .map(|t| t.len() * std::mem::size_of::<(u32, StateId)>() + 24)
+                .map(|t| Self::sequence_bytes(t.len()))
                 .sum::<usize>()
     }
 
@@ -96,10 +127,7 @@ impl WindowAlgo for FlinkWindow {
         _rt: &QueryRuntime,
         dec: &mut cogra_checkpoint::Dec,
     ) -> Result<FlinkWindow, cogra_checkpoint::CheckpointError> {
-        Ok(FlinkWindow {
-            events: Event::load_vec(dec)?,
-            constructed: Vec::new(),
-        })
+        Ok(FlinkWindow::over(Event::load_vec(dec)?))
     }
 }
 

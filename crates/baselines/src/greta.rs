@@ -31,6 +31,25 @@ struct Graph {
     nodes: Vec<Node>,
     final_acc: Cell,
     neg_clocks: Vec<cogra_engine::runtime::NegClock>,
+    /// Footprint of `final_acc` and `nodes`, kept current as nodes are
+    /// added.
+    bytes: usize,
+}
+
+impl Graph {
+    fn new(final_acc: Cell, neg_clocks: Vec<cogra_engine::runtime::NegClock>) -> Graph {
+        Graph {
+            nodes: Vec::new(),
+            bytes: final_acc.memory_bytes(),
+            final_acc,
+            neg_clocks,
+        }
+    }
+
+    fn push(&mut self, node: Node) {
+        self.bytes += node.event.memory_bytes() + node.cell.memory_bytes();
+        self.nodes.push(node);
+    }
 }
 
 /// Per-window GRETA state.
@@ -45,22 +64,25 @@ impl WindowAlgo for GretaWindow {
             graphs: rt
                 .disjuncts
                 .iter()
-                .map(|d| Graph {
-                    nodes: Vec::new(),
-                    final_acc: d.zero_cell(),
-                    neg_clocks: vec![Default::default(); d.disjunct.automaton.num_negated()],
+                .map(|d| {
+                    Graph::new(
+                        d.zero_cell(),
+                        vec![Default::default(); d.disjunct.automaton.num_negated()],
+                    )
                 })
                 .collect(),
         }
     }
 
-    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) {
+    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
+        let mut delta = 0;
         for ((graph, drt), (states, negs)) in self
             .graphs
             .iter_mut()
             .zip(&rt.disjuncts)
             .zip(&binds.per_disjunct)
         {
+            let before = graph.bytes;
             for &n in negs {
                 graph.neg_clocks[n.index()].record(event.time);
             }
@@ -70,13 +92,15 @@ impl WindowAlgo for GretaWindow {
                 if s == drt.end() {
                     graph.final_acc.merge(&cell);
                 }
-                graph.nodes.push(Node {
+                graph.push(Node {
                     event: event.clone(),
                     state: s,
                     cell,
                 });
             }
+            delta += graph.bytes as isize - before as isize;
         }
+        delta
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
@@ -92,6 +116,11 @@ impl WindowAlgo for GretaWindow {
     }
 
     fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.graphs.iter().map(|g| g.bytes).sum::<usize>()
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .graphs
@@ -160,11 +189,11 @@ impl WindowAlgo for GretaWindow {
             for _ in 0..n_clocks {
                 neg_clocks.push(cogra_engine::runtime::NegClock::load(dec)?);
             }
-            graphs.push(Graph {
-                nodes,
-                final_acc,
-                neg_clocks,
-            });
+            let mut graph = Graph::new(final_acc, neg_clocks);
+            for node in nodes {
+                graph.push(node);
+            }
+            graphs.push(graph);
         }
         Ok(GretaWindow { graphs })
     }

@@ -289,15 +289,35 @@ pub fn count_trends(rt: &DisjunctRuntime, events: &[Event], semantics: Semantics
 #[derive(Debug)]
 pub struct OracleWindow {
     events: Vec<Event>,
+    /// [`WindowAlgo::memory_bytes`], kept current as events are buffered.
+    bytes: usize,
+}
+
+impl OracleWindow {
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - Self::INSTRUMENT_BYTES;
+
+    fn over(events: Vec<Event>) -> OracleWindow {
+        OracleWindow {
+            bytes: Self::INLINE_BYTES + events.iter().map(Event::memory_bytes).sum::<usize>(),
+            events,
+        }
+    }
 }
 
 impl WindowAlgo for OracleWindow {
+    const INSTRUMENT_BYTES: usize = std::mem::size_of::<usize>();
+
     fn new(_rt: &QueryRuntime) -> OracleWindow {
-        OracleWindow { events: Vec::new() }
+        OracleWindow::over(Vec::new())
     }
 
-    fn on_event(&mut self, _rt: &QueryRuntime, event: &Event, _binds: &EventBinds) {
+    fn on_event(&mut self, _rt: &QueryRuntime, event: &Event, _binds: &EventBinds) -> isize {
+        let bytes = event.memory_bytes();
+        self.bytes += bytes;
         self.events.push(event.clone());
+        bytes as isize
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
@@ -320,7 +340,12 @@ impl WindowAlgo for OracleWindow {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.events.iter().map(Event::memory_bytes).sum::<usize>()
+        self.bytes
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        Self::INLINE_BYTES + self.events.iter().map(Event::memory_bytes).sum::<usize>()
     }
 
     fn save(&self, _rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
@@ -331,9 +356,7 @@ impl WindowAlgo for OracleWindow {
         _rt: &QueryRuntime,
         dec: &mut cogra_checkpoint::Dec,
     ) -> Result<OracleWindow, cogra_checkpoint::CheckpointError> {
-        Ok(OracleWindow {
-            events: Event::load_vec(dec)?,
-        })
+        Ok(OracleWindow::over(Event::load_vec(dec)?))
     }
 }
 

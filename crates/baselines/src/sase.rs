@@ -41,6 +41,8 @@ struct Stacks {
     /// Entry indices of the last matched event (NEXT/CONT chain mode).
     el: Vec<u32>,
     neg_clocks: Vec<NegClock>,
+    /// Footprint of `entries` and `el`, kept current where either changes.
+    bytes: usize,
 }
 
 /// Per-window SASE state.
@@ -55,23 +57,26 @@ impl WindowAlgo for SaseWindow {
             disjuncts: rt
                 .disjuncts
                 .iter()
-                .map(|d| Stacks {
-                    entries: Vec::new(),
-                    el: Vec::new(),
-                    neg_clocks: vec![NegClock::default(); d.disjunct.automaton.num_negated()],
+                .map(|d| {
+                    Stacks::new(vec![
+                        NegClock::default();
+                        d.disjunct.automaton.num_negated()
+                    ])
                 })
                 .collect(),
         }
     }
 
-    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) {
+    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
         let semantics = rt.query.semantics;
+        let mut delta = 0;
         for ((stacks, drt), (states, negs)) in self
             .disjuncts
             .iter_mut()
             .zip(&rt.disjuncts)
             .zip(&binds.per_disjunct)
         {
+            let before = stacks.bytes;
             for &n in negs {
                 stacks.neg_clocks[n.index()].record(event.time);
             }
@@ -80,7 +85,9 @@ impl WindowAlgo for SaseWindow {
                 Semantics::Next => stacks.insert_chain(drt, event, states, false),
                 Semantics::Cont => stacks.insert_chain(drt, event, states, true),
             }
+            delta += stacks.bytes as isize - before as isize;
         }
+        delta
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
@@ -96,6 +103,11 @@ impl WindowAlgo for SaseWindow {
     }
 
     fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.disjuncts.iter().map(|s| s.bytes).sum::<usize>()
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .disjuncts
@@ -198,17 +210,40 @@ impl WindowAlgo for SaseWindow {
             for _ in 0..n_clocks {
                 neg_clocks.push(NegClock::load(dec)?);
             }
-            disjuncts.push(Stacks {
-                entries,
-                el,
-                neg_clocks,
-            });
+            let mut stacks = Stacks::new(neg_clocks);
+            for entry in entries {
+                stacks.push(entry);
+            }
+            stacks.set_el(el);
+            disjuncts.push(stacks);
         }
         Ok(SaseWindow { disjuncts })
     }
 }
 
 impl Stacks {
+    fn new(neg_clocks: Vec<NegClock>) -> Stacks {
+        Stacks {
+            entries: Vec::new(),
+            el: Vec::new(),
+            neg_clocks,
+            bytes: 0,
+        }
+    }
+
+    fn push(&mut self, entry: Entry) {
+        self.bytes += entry.event.memory_bytes()
+            + entry.preds.len() * std::mem::size_of::<u32>()
+            + std::mem::size_of::<Entry>();
+        self.entries.push(entry);
+    }
+
+    fn set_el(&mut self, el: Vec<u32>) {
+        self.bytes -= self.el.len() * std::mem::size_of::<u32>();
+        self.bytes += el.len() * std::mem::size_of::<u32>();
+        self.el = el;
+    }
+
     /// Can `prev` (an existing entry) precede the new event at `state`?
     fn compatible(
         &self,
@@ -248,7 +283,7 @@ impl Stacks {
             }
             let starts = drt.is_start(s);
             if starts || !preds.is_empty() {
-                self.entries.push(Entry {
+                self.push(Entry {
                     event: event.clone(),
                     state: s,
                     preds,
@@ -278,7 +313,7 @@ impl Stacks {
             }
             let starts = drt.is_start(s);
             if starts || !preds.is_empty() {
-                self.entries.push(Entry {
+                self.push(Entry {
                     event: event.clone(),
                     state: s,
                     preds,
@@ -287,10 +322,8 @@ impl Stacks {
                 new_el.push((self.entries.len() - 1) as u32);
             }
         }
-        if !new_el.is_empty() {
-            self.el = new_el;
-        } else if contiguous {
-            self.el.clear();
+        if !new_el.is_empty() || contiguous {
+            self.set_el(new_el);
         }
     }
 

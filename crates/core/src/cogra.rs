@@ -24,6 +24,25 @@ enum GranWindow {
     Pattern(PatternWindow),
 }
 
+impl GranWindow {
+    fn memory_bytes(&self) -> usize {
+        match self {
+            GranWindow::Type(w) => w.memory_bytes(),
+            GranWindow::Mixed(w) => w.memory_bytes(),
+            GranWindow::Pattern(w) => w.memory_bytes(),
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        match self {
+            GranWindow::Type(w) => w.audit_bytes(),
+            GranWindow::Mixed(w) => w.audit_bytes(),
+            GranWindow::Pattern(w) => w.audit_bytes(),
+        }
+    }
+}
+
 /// COGRA's per-window state: one granularity-specific aggregator per
 /// disjunct.
 #[derive(Debug)]
@@ -46,14 +65,16 @@ impl WindowAlgo for CograWindow {
         }
     }
 
-    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) {
+    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
         let semantics = rt.query.semantics;
+        let mut delta = 0;
         for ((gran, drt), (states, negs)) in self
             .disjuncts
             .iter_mut()
             .zip(&rt.disjuncts)
             .zip(&binds.per_disjunct)
         {
+            let before = gran.memory_bytes();
             match gran {
                 GranWindow::Type(w) => {
                     if !negs.is_empty() {
@@ -74,7 +95,9 @@ impl WindowAlgo for CograWindow {
                     w.on_event(drt, event, states, semantics);
                 }
             }
+            delta += gran.memory_bytes() as isize - before as isize;
         }
+        delta
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
@@ -94,14 +117,12 @@ impl WindowAlgo for CograWindow {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.disjuncts
-            .iter()
-            .map(|g| match g {
-                GranWindow::Type(w) => w.memory_bytes(),
-                GranWindow::Mixed(w) => w.memory_bytes(),
-                GranWindow::Pattern(w) => w.memory_bytes(),
-            })
-            .sum()
+        self.disjuncts.iter().map(GranWindow::memory_bytes).sum()
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        self.disjuncts.iter().map(GranWindow::audit_bytes).sum()
     }
 
     fn save(&self, _rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
@@ -220,6 +241,11 @@ impl TrendEngine for CograEngine {
 
     fn memory_bytes(&self) -> usize {
         self.0.memory_bytes()
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        self.0.audit_bytes()
     }
 
     fn peak_hint(&self) -> usize {

@@ -55,22 +55,62 @@ pub struct MixedWindow {
     pending: Vec<(StateId, Cell)>,
     pending_negs: Vec<NegId>,
     pending_time: Timestamp,
+    /// [`MixedWindow::memory_bytes`], kept current where `stored` grows
+    /// and `pending` grows and drains.
+    bytes: usize,
 }
 
 impl MixedWindow {
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
+
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> MixedWindow {
         let zero = rt.zero_cell();
+        MixedWindow::over(
+            vec![zero.clone(); rt.disjunct.automaton.num_states()],
+            vec![zero.clone(); rt.neg_edges.len()],
+            zero,
+            vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
+        )
+    }
+
+    /// A window over the given type-grained cells, with nothing stored
+    /// and no open transaction.
+    fn over(
+        cells: Vec<Cell>,
+        shadows: Vec<Cell>,
+        final_acc: Cell,
+        neg_clocks: Vec<NegClock>,
+    ) -> MixedWindow {
+        let bytes = Self::INLINE_BYTES
+            + cells.iter().map(Cell::memory_bytes).sum::<usize>()
+            + shadows.iter().map(Cell::memory_bytes).sum::<usize>()
+            + final_acc.memory_bytes();
         MixedWindow {
-            cells: vec![zero.clone(); rt.disjunct.automaton.num_states()],
-            shadows: vec![zero.clone(); rt.neg_edges.len()],
+            cells,
+            shadows,
             stored: Vec::new(),
-            final_acc: zero,
-            neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
+            final_acc,
+            neg_clocks,
             pending: Vec::new(),
             pending_negs: Vec::new(),
             pending_time: Timestamp::ZERO,
+            bytes,
         }
+    }
+
+    /// Store a `Te` event with its event-grained cell.
+    fn store(&mut self, event: Event, state: StateId, cell: Cell) {
+        self.bytes += event.memory_bytes() + cell.memory_bytes();
+        self.stored.push(StoredEvent { event, state, cell });
+    }
+
+    /// Stage a type-grained update of the open transaction.
+    fn stage(&mut self, state: StateId, cell: Cell) {
+        self.bytes += cell.memory_bytes();
+        self.pending.push((state, cell));
     }
 
     fn commit(&mut self, rt: &DisjunctRuntime) {
@@ -83,6 +123,7 @@ impl MixedWindow {
             self.pending_negs.clear();
         }
         for (state, cell) in self.pending.drain(..) {
+            self.bytes -= cell.memory_bytes();
             self.cells[state.index()].merge(&cell);
             for (shadow, edge) in self.shadows.iter_mut().zip(&rt.neg_edges) {
                 if edge.from == state {
@@ -143,13 +184,9 @@ impl MixedWindow {
                 if s == rt.end() {
                     self.final_acc.merge(&cell);
                 }
-                self.stored.push(StoredEvent {
-                    event: event.clone(),
-                    state: s,
-                    cell,
-                });
+                self.store(event.clone(), s, cell);
             } else {
-                self.pending.push((s, cell));
+                self.stage(s, cell);
             }
         }
     }
@@ -228,11 +265,7 @@ impl MixedWindow {
         for _ in 0..n_stored {
             let event = Event::load(dec)?;
             let state = StateId(dec.u32()?);
-            stored.push(StoredEvent {
-                event,
-                state,
-                cell: Cell::load(dec)?,
-            });
+            stored.push((event, state, Cell::load(dec)?));
         }
         let final_acc = Cell::load(dec)?;
         let n_clocks = dec.usize()?;
@@ -246,33 +279,37 @@ impl MixedWindow {
         for _ in 0..n_clocks {
             neg_clocks.push(NegClock::load(dec)?);
         }
+        let mut window = MixedWindow::over(cells, shadows, final_acc, neg_clocks);
+        for (event, state, cell) in stored {
+            window.store(event, state, cell);
+        }
         let n_pending = dec.usize()?;
-        let mut pending = Vec::with_capacity(n_pending.min(1024));
+        window.pending.reserve(n_pending.min(1024));
         for _ in 0..n_pending {
             let s = StateId(dec.u32()?);
-            pending.push((s, Cell::load(dec)?));
+            window.stage(s, Cell::load(dec)?);
         }
         let n_negs = dec.usize()?;
-        let mut pending_negs = Vec::with_capacity(n_negs.min(1024));
+        window.pending_negs.reserve(n_negs.min(1024));
         for _ in 0..n_negs {
-            pending_negs.push(NegId(dec.u32()?));
+            window.pending_negs.push(NegId(dec.u32()?));
         }
-        let pending_time = Timestamp(dec.u64()?);
-        Ok(MixedWindow {
-            cells,
-            shadows,
-            stored,
-            final_acc,
-            neg_clocks,
-            pending,
-            pending_negs,
-            pending_time,
-        })
+        window.pending_time = Timestamp(dec.u64()?);
+        Ok(window)
     }
 
     /// Logical footprint: Θ(t + nₑ) — type cells plus stored events.
+    /// O(1) — maintained as events are stored and updates staged.
+    #[inline]
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        self.bytes
+    }
+
+    /// [`MixedWindow::memory_bytes`] by definition: a walk over the cells,
+    /// the stored events and the staged updates.
+    #[cfg(debug_assertions)]
+    pub fn audit_bytes(&self) -> usize {
+        Self::INLINE_BYTES
             + self.cells.iter().map(Cell::memory_bytes).sum::<usize>()
             + self.shadows.iter().map(Cell::memory_bytes).sum::<usize>()
             + self.final_acc.memory_bytes()

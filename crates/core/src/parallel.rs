@@ -268,7 +268,7 @@ pub struct Metrics {
 impl Metrics {
     /// The sum over a pool's shards. Shards run concurrently, so memory
     /// and peaks add; the overflow flag is any shard's.
-    pub fn total(shards: &[Metrics]) -> Metrics {
+    pub fn total<'a>(shards: impl IntoIterator<Item = &'a Metrics>) -> Metrics {
         let mut total = Metrics::default();
         for m in shards {
             total.memory += m.memory;
@@ -635,13 +635,17 @@ impl StreamingPool {
         }
     }
 
-    /// The pool's counters: [`StreamingPool::shard_metrics`], summed.
+    /// The pool's counters: [`StreamingPool::shard_metrics`], summed — a
+    /// few integers per hosted engine (inline) or per worker mirror.
     pub fn metrics(&self) -> Metrics {
-        Metrics::total(&self.shard_metrics())
+        match &self.inline {
+            Some(shard) => shard.metrics(),
+            None => Metrics::total(self.workers.iter().map(|w| &w.mirror)),
+        }
     }
 
-    /// [`Metrics::key_overflow`] without the memory walk — cheap enough
-    /// for the per-event check of CSV ingestion.
+    /// [`Metrics::key_overflow`] alone, for the per-row check of CSV
+    /// ingestion: one flag read per engine instead of the whole struct.
     pub fn key_overflow(&self) -> Option<u32> {
         match &self.inline {
             Some(shard) => shard.key_overflow(),
@@ -1387,8 +1391,9 @@ fn shard_engines(
 /// One shard: an engine per query it hosts ([`hosts`]), plus the shard's
 /// private reorder buffer under slack. Driven by exactly one caller — a
 /// worker thread's [`shard_loop`], or the pool itself at width 1 — and
-/// that driver, not the shard, decides when to sample the memory peak
-/// (the walk is too expensive for a per-event path).
+/// that driver, not the shard, decides when to sample the memory peak:
+/// a sample is a few adds per engine, and the sampling sites are part of
+/// what `peak` means, so they stay where the drivers put them.
 struct Shard {
     engines: Vec<Option<Engine>>,
     /// Per-shard disorder repair ([`PoolConfig::slack`]); the admission
@@ -1458,19 +1463,19 @@ impl Shard {
         self.engines.iter().flatten().find_map(|e| e.key_overflow())
     }
 
-    /// The shard's counters right now (walks the engines' memory).
+    /// The shard's counters right now: O(engines), no state is visited.
     fn metrics(&self) -> Metrics {
-        let mut stats = RunStats::default();
-        for e in self.engines.iter().flatten() {
-            stats.merge(e.run_stats());
-        }
-        Metrics {
-            memory: self.memory(),
+        let mut m = Metrics {
             peak: self.peak,
-            stats,
             key_overflow: self.key_overflow(),
             events: self.events,
+            ..Metrics::default()
+        };
+        for e in self.engines.iter().flatten() {
+            m.memory += e.memory_bytes();
+            m.stats.merge(e.run_stats());
         }
+        m
     }
 
     fn sample_peak(&mut self) {

@@ -41,6 +41,21 @@ struct LastEvent {
     cells: Vec<Option<Cell>>,
 }
 
+impl LastEvent {
+    /// Footprint of an unbound slot of the cell table: one word.
+    const UNBOUND_BYTES: usize = 8;
+
+    /// Footprint of the event and its cell table.
+    fn memory_bytes(&self) -> usize {
+        self.event.memory_bytes()
+            + self
+                .cells
+                .iter()
+                .map(|c| c.as_ref().map_or(Self::UNBOUND_BYTES, Cell::memory_bytes))
+                .sum::<usize>()
+    }
+}
+
 /// Per-window pattern-grained aggregation state.
 #[derive(Debug)]
 pub struct PatternWindow {
@@ -51,6 +66,10 @@ pub struct PatternWindow {
     /// path (most events either extend or reset; the table swaps with
     /// `el`'s).
     scratch: Vec<Option<Cell>>,
+    /// [`LastEvent::memory_bytes`] of `el` (0 while there is none), set
+    /// where `el` is — the only part of [`PatternWindow::memory_bytes`]
+    /// that moves.
+    el_bytes: usize,
 }
 
 impl PatternWindow {
@@ -61,7 +80,16 @@ impl PatternWindow {
             final_acc: rt.zero_cell(),
             neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
             scratch: vec![None; rt.disjunct.automaton.num_states()],
+            el_bytes: 0,
         }
+    }
+
+    /// Replace the last matched event (`bytes` is its footprint), handing
+    /// back the previous one.
+    #[inline]
+    fn set_el(&mut self, el: Option<LastEvent>, bytes: usize) -> Option<LastEvent> {
+        self.el_bytes = bytes;
+        std::mem::replace(&mut self.el, el)
     }
 
     /// Process an event bound to `binds`; `semantics` is NEXT or CONT.
@@ -83,6 +111,9 @@ impl PatternWindow {
         }
         let mut new_cells = std::mem::take(&mut self.scratch);
         new_cells.iter_mut().for_each(|c| *c = None);
+        // The table's footprint, kept as slots are bound: measuring it
+        // afterwards would be a second pass over the table per event.
+        let mut table_bytes = LastEvent::UNBOUND_BYTES * new_cells.len();
         let mut matched = false;
         for &s in binds {
             let mut cell = rt.zero_cell();
@@ -115,14 +146,20 @@ impl PatternWindow {
             if s == rt.end() {
                 self.final_acc.merge(&cell);
             }
-            new_cells[s.index()] = Some(cell);
+            let slot = &mut new_cells[s.index()];
+            table_bytes += cell.memory_bytes();
+            table_bytes -= slot
+                .as_ref()
+                .map_or(LastEvent::UNBOUND_BYTES, Cell::memory_bytes);
+            *slot = Some(cell);
             matched = true;
         }
         if matched {
-            match self.el.replace(LastEvent {
+            let el = LastEvent {
                 event: event.clone(),
                 cells: new_cells,
-            }) {
+            };
+            match self.set_el(Some(el), event.memory_bytes() + table_bytes) {
                 // Recycle the previous table; when there was no previous
                 // event the scratch slot must be refilled.
                 Some(old) => self.scratch = old.cells,
@@ -141,7 +178,7 @@ impl PatternWindow {
 
     /// Drop the last matched event, recycling its cell table.
     fn clear_el(&mut self) {
-        if let Some(old) = self.el.take() {
+        if let Some(old) = self.set_el(None, 0) {
             self.scratch = old.cells;
         }
     }
@@ -226,25 +263,36 @@ impl PatternWindow {
         for _ in 0..n_clocks {
             neg_clocks.push(NegClock::load(dec)?);
         }
-        Ok(PatternWindow {
-            el,
+        let mut window = PatternWindow {
+            el: None,
             final_acc,
             neg_clocks,
             scratch: vec![None; rt.disjunct.automaton.num_states()],
-        })
+            el_bytes: 0,
+        };
+        let bytes = el.as_ref().map_or(0, LastEvent::memory_bytes);
+        window.set_el(el, bytes);
+        Ok(window)
     }
 
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
+
     /// Logical footprint: O(1) in the number of events — the final cell,
-    /// the last matched event, and its O(l) cell table.
+    /// the last matched event, and its O(l) cell table. The read itself
+    /// is O(1): `el`'s share is cached where `el` is set.
+    #[inline]
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        Self::INLINE_BYTES + self.final_acc.memory_bytes() + self.el_bytes
+    }
+
+    /// [`PatternWindow::memory_bytes`] by definition: `el` is measured
+    /// afresh instead of read from the cache.
+    #[cfg(debug_assertions)]
+    pub fn audit_bytes(&self) -> usize {
+        Self::INLINE_BYTES
             + self.final_acc.memory_bytes()
-            + self.el.as_ref().map_or(0, |el| {
-                el.event.memory_bytes()
-                    + el.cells
-                        .iter()
-                        .map(|c| c.as_ref().map_or(8, Cell::memory_bytes))
-                        .sum::<usize>()
-            })
+            + self.el.as_ref().map_or(0, LastEvent::memory_bytes)
     }
 }

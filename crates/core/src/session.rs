@@ -1298,9 +1298,9 @@ impl Session {
     /// Every shard's counters in one read — what [`Session::memory_bytes`],
     /// [`Session::run_stats`], [`Session::key_overflow`] and
     /// [`Session::shard_events`] each project one field of
-    /// ([`Metrics::total`] sums them). At width 1 a read walks the
-    /// engines' memory, so a caller reporting several of them should take
-    /// one read, not several.
+    /// ([`Metrics::total`] sums them). A read is O(engines) at width 1
+    /// and a copy of each worker's mirror at width n; no engine state is
+    /// visited.
     pub fn shard_metrics(&self) -> Vec<Metrics> {
         self.pool.shard_metrics()
     }
@@ -1421,8 +1421,9 @@ impl Session {
                 count += 1;
                 if inline {
                     // This loop drives the inline shard, so it is the
-                    // shard's one peak sampler: the memory walk is far too
-                    // expensive for every event.
+                    // shard's one peak sampler. The stride is part of what
+                    // `peak_bytes` means (a sample is cheap; moving the
+                    // sites would move the reported peak).
                     self.drain_into(&mut sink);
                     if i.is_multiple_of(64) {
                         peak = peak.max(self.memory_bytes());

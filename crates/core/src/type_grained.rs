@@ -44,19 +44,49 @@ pub struct TypeGrainedWindow {
     pending_negs: Vec<NegId>,
     /// Time stamp of the open transaction.
     pending_time: Timestamp,
+    /// [`TypeGrainedWindow::memory_bytes`], kept current where `pending`
+    /// grows and drains.
+    bytes: usize,
 }
 
 impl TypeGrainedWindow {
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
+
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> TypeGrainedWindow {
         let zero = rt.zero_cell();
+        TypeGrainedWindow::over(
+            vec![zero.clone(); rt.disjunct.automaton.num_states()],
+            vec![zero; rt.neg_edges.len()],
+        )
+    }
+
+    /// A window over the given committed cells, with no open transaction.
+    fn over(cells: Vec<Cell>, shadows: Vec<Cell>) -> TypeGrainedWindow {
+        let bytes = Self::INLINE_BYTES
+            + cells.iter().map(Cell::memory_bytes).sum::<usize>()
+            + shadows.iter().map(Cell::memory_bytes).sum::<usize>();
         TypeGrainedWindow {
-            cells: vec![zero.clone(); rt.disjunct.automaton.num_states()],
-            shadows: vec![zero; rt.neg_edges.len()],
+            cells,
+            shadows,
             pending: Vec::new(),
             pending_negs: Vec::new(),
             pending_time: Timestamp::ZERO,
+            bytes,
         }
+    }
+
+    /// Footprint of one staged update.
+    fn staged_bytes(cell: &Cell) -> usize {
+        cell.memory_bytes() + std::mem::size_of::<StateId>()
+    }
+
+    /// Stage an update of the open transaction.
+    fn stage(&mut self, state: StateId, cell: Cell) {
+        self.bytes += Self::staged_bytes(&cell);
+        self.pending.push((state, cell));
     }
 
     fn commit(&mut self, rt: &DisjunctRuntime) {
@@ -73,6 +103,7 @@ impl TypeGrainedWindow {
         }
         // 2. Merge the transaction's event cells.
         for (state, cell) in self.pending.drain(..) {
+            self.bytes -= Self::staged_bytes(&cell);
             self.cells[state.index()].merge(&cell);
             for (shadow, edge) in self.shadows.iter_mut().zip(&rt.neg_edges) {
                 if edge.from == state {
@@ -108,7 +139,7 @@ impl TypeGrainedWindow {
                 continue; // no trend ends at this event (see agg.rs docs)
             }
             cell.contribute(rt.feeds.of(s), event);
-            self.pending.push((s, cell));
+            self.stage(s, cell);
         }
     }
 
@@ -163,30 +194,34 @@ impl TypeGrainedWindow {
                 rt.neg_edges.len()
             )));
         }
+        let mut window = TypeGrainedWindow::over(cells, shadows);
         let n_pending = dec.usize()?;
-        let mut pending = Vec::with_capacity(n_pending.min(1024));
+        window.pending.reserve(n_pending.min(1024));
         for _ in 0..n_pending {
             let s = StateId(dec.u32()?);
-            pending.push((s, Cell::load(dec)?));
+            window.stage(s, Cell::load(dec)?);
         }
         let n_negs = dec.usize()?;
-        let mut pending_negs = Vec::with_capacity(n_negs.min(1024));
+        window.pending_negs.reserve(n_negs.min(1024));
         for _ in 0..n_negs {
-            pending_negs.push(NegId(dec.u32()?));
+            window.pending_negs.push(NegId(dec.u32()?));
         }
-        let pending_time = Timestamp(dec.u64()?);
-        Ok(TypeGrainedWindow {
-            cells,
-            shadows,
-            pending,
-            pending_negs,
-            pending_time,
-        })
+        window.pending_time = Timestamp(dec.u64()?);
+        Ok(window)
     }
 
     /// Logical footprint: Θ(l) cells plus shadows and open transaction.
+    /// O(1) — maintained as the transaction is staged and committed.
+    #[inline]
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        self.bytes
+    }
+
+    /// [`TypeGrainedWindow::memory_bytes`] by definition: a walk over the
+    /// cells, shadows and staged updates.
+    #[cfg(debug_assertions)]
+    pub fn audit_bytes(&self) -> usize {
+        Self::INLINE_BYTES
             + self.cells.iter().map(Cell::memory_bytes).sum::<usize>()
             + self.shadows.iter().map(Cell::memory_bytes).sum::<usize>()
             + self

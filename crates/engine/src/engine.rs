@@ -62,8 +62,20 @@ pub trait TrendEngine {
     /// Current logical memory footprint in bytes — aggregates, stored
     /// events, stacks, pointers, graphs, depending on the engine. This is
     /// the "peak memory" metric of §9.1, measured exactly instead of via
-    /// process RSS.
+    /// process RSS. Cheap enough to sample at any cadence: router-backed
+    /// engines maintain the figure incrementally, so a read sums a
+    /// handful of integers and visits no key, partition or window.
     fn memory_bytes(&self) -> usize;
+
+    /// The definition [`TrendEngine::memory_bytes`] must equal, computed
+    /// by walking every interned key, open window and stored event — the
+    /// reference the debug build and the test batteries hold the running
+    /// counters to. The default serves engines that keep no counters:
+    /// their `memory_bytes` already is the definition.
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        self.memory_bytes()
+    }
 
     /// Additional internal memory peak not visible to periodic sampling
     /// (e.g. trends materialized while a window is being finalized).

@@ -105,6 +105,10 @@ pub struct KeyInterner {
     /// collisions are resolved by the caller's equality check).
     buckets: FxHashMap<u64, Vec<u32>>,
     stats: RunStats,
+    /// [`KeyInterner::memory_bytes`], maintained where keys are inserted
+    /// so a read costs nothing ([`KeyInterner::audit_bytes`] is the
+    /// walked definition it must equal).
+    bytes: usize,
     /// Maximum number of distinct keys this interner will hold. The
     /// default is the full `u32` id space; sessions lower it via
     /// `EngineConfig::key_limit` to turn unbounded key churn into a typed
@@ -118,6 +122,7 @@ impl Default for KeyInterner {
             keys: Vec::new(),
             buckets: FxHashMap::default(),
             stats: RunStats::default(),
+            bytes: 0,
             limit: u32::MAX,
         }
     }
@@ -138,6 +143,11 @@ pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
 }
 
 impl KeyInterner {
+    /// Inline bytes of the interner struct that are accounting instrument
+    /// (its running byte counter), not state — for owners that report
+    /// their own `size_of` and want the figure free of instruments.
+    pub const INSTRUMENT_BYTES: usize = std::mem::size_of::<usize>();
+
     /// An empty interner.
     pub fn new() -> KeyInterner {
         KeyInterner::default()
@@ -173,25 +183,41 @@ impl KeyInterner {
         materialize: impl FnOnce() -> GroupKey,
     ) -> Result<PartitionId, KeyOverflow> {
         self.stats.key_probes += 1;
-        let bucket = self.buckets.entry(hash).or_default();
-        for &id in bucket.iter() {
-            if matches(&self.keys[id as usize]) {
-                return Ok(PartitionId(id));
+        if let Some(bucket) = self.buckets.get(&hash) {
+            for &id in bucket {
+                if matches(&self.keys[id as usize]) {
+                    return Ok(PartitionId(id));
+                }
             }
         }
         // First sight: materialize and assign the next dense id — unless
         // the key population hit the ceiling. (`len() < limit <= u32::MAX`
         // also guarantees the id fits in a `u32` without a checked cast.)
+        // A refused key must leave no trace, so the table is only touched
+        // once the key is accepted.
         if self.keys.len() >= self.limit as usize {
             return Err(KeyOverflow { limit: self.limit });
         }
         self.stats.key_allocs += 1;
-        let id = self.keys.len() as u32;
         let key = materialize();
         debug_assert!(matches(&key), "materialized key must match its own probe");
-        self.keys.push(key);
+        Ok(self.insert(hash, key))
+    }
+
+    /// Append `key` under `hash` with the next dense id — the one place
+    /// the table grows, and so the one place `bytes` does.
+    fn insert(&mut self, hash: u64, key: GroupKey) -> PartitionId {
+        let id = self.keys.len() as u32;
+        self.bytes += std::mem::size_of::<GroupKey>()
+            + key.iter().map(Value::memory_bytes).sum::<usize>()
+            + std::mem::size_of::<u32>();
+        let bucket = self.buckets.entry(hash).or_insert_with(|| {
+            self.bytes += std::mem::size_of::<(u64, Vec<u32>)>();
+            Vec::new()
+        });
         bucket.push(id);
-        Ok(PartitionId(id))
+        self.keys.push(key);
+        PartitionId(id)
     }
 
     /// The interned key of `id`.
@@ -235,25 +261,31 @@ impl KeyInterner {
         if u32::try_from(keys.len()).is_err() {
             return Err(KeyOverflow { limit: u32::MAX });
         }
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (id, key) in keys.iter().enumerate() {
-            buckets
-                .entry(hash_values(key.iter()))
-                .or_default()
-                .push(id as u32);
-        }
-        Ok(KeyInterner {
-            keys,
-            buckets,
+        let mut interner = KeyInterner {
             stats,
-            limit: u32::MAX,
-        })
+            ..KeyInterner::default()
+        };
+        interner.keys.reserve(keys.len());
+        for key in keys {
+            interner.insert(hash_values(key.iter()), key);
+        }
+        Ok(interner)
     }
 
     /// Logical memory footprint: interned key values plus table overhead.
     /// Keys are retained for the interner's lifetime (id stability), so
     /// this grows with the number of *distinct* keys, not with the stream.
+    /// O(1): the figure is maintained at insert.
+    #[inline]
     pub fn memory_bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The definition [`KeyInterner::memory_bytes`] must equal, computed
+    /// by walking every key and bucket — the test oracle, not built into
+    /// release code.
+    #[cfg(any(test, debug_assertions))]
+    pub fn audit_bytes(&self) -> usize {
         let keys: usize = self
             .keys
             .iter()
@@ -333,14 +365,62 @@ mod tests {
     #[test]
     fn memory_accounting_grows_with_distinct_keys_only() {
         let mut i = KeyInterner::new();
+        assert_eq!(i.memory_bytes(), 0);
         intern(&mut i, &[1]);
         let one = i.memory_bytes();
+        assert_eq!(one, i.audit_bytes());
         for _ in 0..100 {
             intern(&mut i, &[1]);
         }
         assert_eq!(i.memory_bytes(), one, "re-probes allocate nothing");
         intern(&mut i, &[2]);
         assert!(i.memory_bytes() > one);
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+    }
+
+    #[test]
+    fn counter_equals_the_walk_across_collisions_strings_and_rebuilds() {
+        let mut i = KeyInterner::new();
+        // Two keys forced into one bucket, one alone, one with a heap part.
+        let a = key(&[1, 2]);
+        let b = key(&[2, 1]);
+        let s: GroupKey = vec![Value::str("a-rather-long-session-id"), Value::Int(9)];
+        i.intern_with(42, |c| c == &a[..], || a.clone()).unwrap();
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        i.intern_with(42, |c| c == &b[..], || b.clone()).unwrap();
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        i.intern_with(hash_values(s.iter()), |c| c == &s[..], || s.clone())
+            .unwrap();
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        // A rebuilt interner re-buckets by the real hashes: same keys, its
+        // own table, and a counter seeded to match it.
+        let rebuilt = KeyInterner::from_parts(i.keys().to_vec(), i.stats()).unwrap();
+        assert_eq!(rebuilt.memory_bytes(), rebuilt.audit_bytes());
+        assert_eq!(rebuilt.len(), 3);
+    }
+
+    #[test]
+    fn refused_keys_leave_no_trace_in_the_table() {
+        // Regression: the probe used to create the hash's bucket *before*
+        // the limit check, so every refused first-seen key left an empty
+        // bucket behind and the table grew without bound under the very
+        // guard meant to bound it.
+        let mut i = KeyInterner::new();
+        i.set_limit(2);
+        intern(&mut i, &[1]);
+        intern(&mut i, &[2]);
+        let (bytes, buckets) = (i.memory_bytes(), i.buckets.len());
+        for fresh in 100..10_100 {
+            let k = key(&[fresh]);
+            i.intern_with(hash_values(k.iter()), |c| c == &k[..], || k.clone())
+                .expect_err("past the limit");
+        }
+        assert_eq!(i.memory_bytes(), bytes);
+        assert_eq!(i.audit_bytes(), bytes);
+        assert_eq!(i.len(), 2);
+        assert_eq!(i.buckets.len(), buckets);
+        assert_eq!(intern(&mut i, &[1]), PartitionId(0));
+        assert_eq!(intern(&mut i, &[2]), PartitionId(1));
     }
 
     #[test]

@@ -67,19 +67,39 @@ impl EventBinds {
 
 /// A per-window algorithm plugged into the [`Router`].
 pub trait WindowAlgo {
+    /// Inline bytes of `Self` that are accounting instruments — a running
+    /// byte counter kept in the window struct — rather than state. The
+    /// router leaves them out of a ring slot's size, as the window leaves
+    /// them out of its own, so adding an instrument never moves a
+    /// reported figure.
+    const INSTRUMENT_BYTES: usize = 0;
+
     /// Fresh state for one window instance.
     fn new(rt: &QueryRuntime) -> Self;
 
     /// Process one event of this window's partition. Events arrive in
     /// non-decreasing time order; `binds` was computed by the router.
-    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds);
+    /// Returns the change in [`WindowAlgo::memory_bytes`] the event caused:
+    /// the router folds it into its running total, so the per-event path
+    /// never reads a window's footprint.
+    fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize;
 
     /// Finalize: the combined aggregate cell of this window (across
     /// disjuncts). Called exactly once, when the window closes.
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell;
 
-    /// Logical memory footprint in bytes.
+    /// Logical memory footprint in bytes. Must be O(1): implementations
+    /// maintain the figure where their state changes instead of computing
+    /// it here.
     fn memory_bytes(&self) -> usize;
+
+    /// The definition [`WindowAlgo::memory_bytes`] must equal, computed by
+    /// walking the window's state — the reference the debug build asserts
+    /// the running figure against. (`debug_assertions` alone, not `test`:
+    /// implementations live in other crates, and `cfg(test)` does not
+    /// cross a crate boundary.)
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize;
 
     /// Serialize this window's full mutable state for a checkpoint.
     /// Inverse of [`WindowAlgo::load`].
@@ -165,16 +185,19 @@ impl<W> Partition<W> {
             f(WindowId(id), state);
         }
     }
+}
 
-    fn memory_bytes(&self) -> usize
-    where
-        W: WindowAlgo,
-    {
+impl<W: WindowAlgo> Partition<W> {
+    /// One ring slot of an open window: its id and inline state.
+    const SLOT_BYTES: usize = std::mem::size_of::<(u64, W)>() - W::INSTRUMENT_BYTES;
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
         self.windows
             .iter()
-            .map(|(_, w)| w.memory_bytes())
+            .map(|(_, w)| w.audit_bytes())
             .sum::<usize>()
-            + self.windows.len() * std::mem::size_of::<(u64, W)>()
+            + self.windows.len() * Self::SLOT_BYTES
     }
 }
 
@@ -197,6 +220,10 @@ pub struct Router<W: WindowAlgo> {
     /// what a closing drain scans, so drain cost follows the *active*
     /// partition count, not the number of keys ever interned.
     active: Vec<u32>,
+    /// Footprint of every open window (ring slot + state), kept current
+    /// at window open, by each `on_event`'s delta, and at close — so
+    /// [`TrendEngine::memory_bytes`] never visits a partition.
+    window_bytes: usize,
     watermark: Timestamp,
     drained_to: Option<WindowId>,
     binds: EventBinds,
@@ -212,6 +239,27 @@ pub struct Router<W: WindowAlgo> {
 }
 
 impl<W: WindowAlgo> Router<W> {
+    /// The router struct itself, less its byte counters (`window_bytes`
+    /// and the one inside each of the two interners): they are the
+    /// instrument, not the state, and leaving them out keeps the reported
+    /// figure equal to the walked definition that predates them.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>()
+        - std::mem::size_of::<usize>()
+        - 2 * KeyInterner::INSTRUMENT_BYTES;
+
+    /// Debug builds re-derive the footprint by walking the state wherever
+    /// windows close and at snapshot/restore, and require the running
+    /// counters to agree — every test battery checks them for free.
+    #[inline]
+    fn debug_audit(&self) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            TrendEngine::memory_bytes(self),
+            TrendEngine::audit_bytes(self),
+            "running byte counters diverged from the walked footprint"
+        );
+    }
+
     /// Build a router over a compiled query runtime.
     pub fn new(rt: Arc<QueryRuntime>, name: &'static str) -> Router<W> {
         let binds = EventBinds {
@@ -229,6 +277,7 @@ impl<W: WindowAlgo> Router<W> {
             partition_group: Vec::new(),
             partitions: Vec::new(),
             active: Vec::new(),
+            window_bytes: 0,
             watermark: Timestamp::ZERO,
             drained_to: None,
             binds,
@@ -304,14 +353,20 @@ impl<W: WindowAlgo> Router<W> {
             self.partitions.push(Partition::default());
         }
         let partition = &mut self.partitions[pid.index()];
+        let mut window_bytes = self.window_bytes;
         for wid in rt.query.window.windows_of(event.time) {
             if self.drained_to.is_some_and(|d| wid <= d) {
                 continue;
             }
-            partition
-                .window_mut(wid, || W::new(&rt))
-                .on_event(&rt, event, &self.binds);
+            let window = partition.window_mut(wid, || {
+                let fresh = W::new(&rt);
+                window_bytes += Partition::<W>::SLOT_BYTES + fresh.memory_bytes();
+                fresh
+            });
+            let delta = window.on_event(&rt, event, &self.binds);
+            window_bytes = window_bytes.wrapping_add_signed(delta);
         }
+        self.window_bytes = window_bytes;
         if !partition.queued && !partition.windows.is_empty() {
             partition.queued = true;
             self.active.push(pid.0);
@@ -331,6 +386,7 @@ impl<W: WindowAlgo> Router<W> {
         // emitted result) at the end.
         let mut combined: FxHashMap<(WindowId, u32), Cell> = FxHashMap::default();
         let mut spike = self.finalize_spike;
+        let mut closed_bytes = 0;
         // Scan only partitions with open windows, in id (= first-seen key)
         // order so same-group cells always merge in a deterministic order;
         // partitions drained empty leave the active list until their key
@@ -343,6 +399,9 @@ impl<W: WindowAlgo> Router<W> {
             let partition = &mut partitions[pid as usize];
             let gid = partition_group[pid as usize];
             partition.close_up_to(up_to.0, |wid, mut state| {
+                // What the window contributed while open — read before
+                // finalization changes it.
+                closed_bytes += Partition::<W>::SLOT_BYTES + state.memory_bytes();
                 if drained_to.is_some_and(|d| wid <= d) {
                     return;
                 }
@@ -350,6 +409,8 @@ impl<W: WindowAlgo> Router<W> {
                 // Measure after finalization: two-step algorithms hold
                 // their constructed trends until the window is dropped.
                 spike = spike.max(state.memory_bytes());
+                #[cfg(debug_assertions)]
+                assert_eq!(state.memory_bytes(), state.audit_bytes());
                 if cell.is_zero() {
                     return;
                 }
@@ -363,6 +424,8 @@ impl<W: WindowAlgo> Router<W> {
         });
         self.active = active;
         self.finalize_spike = spike;
+        self.window_bytes -= closed_bytes;
+        self.debug_audit();
         self.drained_to = Some(match self.drained_to {
             Some(d) => WindowId(d.0.max(up_to.0)),
             None => up_to,
@@ -487,6 +550,7 @@ impl<W: WindowAlgo> Router<W> {
     /// event could not recreate, so dropping them here is what shrinks a
     /// churn-heavy interner across a checkpoint/restore cycle.
     pub fn snapshot_state(&self) -> RouterState {
+        self.debug_audit();
         let mut entries = Vec::new();
         for (pid, partition) in self.partitions.iter().enumerate() {
             if partition.windows.is_empty() {
@@ -565,6 +629,7 @@ impl<W: WindowAlgo> Router<W> {
                 let mut wdec = Dec::new(dec.bytes()?);
                 let w = W::load(&rt, &mut wdec)?;
                 wdec.finish("window")?;
+                router.window_bytes += Partition::<W>::SLOT_BYTES + w.memory_bytes();
                 partition.windows.push_back((wid, w));
             }
             dec.finish("partition")?;
@@ -584,6 +649,7 @@ impl<W: WindowAlgo> Router<W> {
         if let Some(limit) = rt.config.key_limit {
             router.interner.set_limit(limit);
         }
+        router.debug_audit();
         Ok(router)
     }
 }
@@ -609,17 +675,26 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        Self::INLINE_BYTES
             + self.interner.memory_bytes()
             + self.groups.memory_bytes()
             + self.partition_group.len() * std::mem::size_of::<u32>()
             + self.partitions.len() * std::mem::size_of::<Partition<W>>()
-            // Window state lives only in active partitions — summing over
-            // the active list keeps sampling cost off the keys-ever count.
+            + self.window_bytes
+    }
+
+    #[cfg(debug_assertions)]
+    fn audit_bytes(&self) -> usize {
+        Self::INLINE_BYTES
+            + self.interner.audit_bytes()
+            + self.groups.audit_bytes()
+            + self.partition_group.len() * std::mem::size_of::<u32>()
+            + self.partitions.len() * std::mem::size_of::<Partition<W>>()
+            // Window state lives only in active partitions.
             + self
                 .active
                 .iter()
-                .map(|&pid| self.partitions[pid as usize].memory_bytes())
+                .map(|&pid| self.partitions[pid as usize].audit_bytes())
                 .sum::<usize>()
     }
 

@@ -432,8 +432,8 @@ fn session_actor(
         subscribers.retain(|s| !s.dead);
     };
     let stats = |session: &Session, events: u64, results: u64, finished: bool| {
-        // One read of the shard counters: at one worker each read walks
-        // the engines' memory.
+        // One read of the shard counters, so the totals and the per-shard
+        // event counts describe the same instant.
         let shards = session.shard_metrics();
         let total = Metrics::total(&shards);
         StatsReport {

@@ -49,7 +49,7 @@ pub use cogra_engine::{
 };
 pub use parallel::{
     run_parallel, FailurePolicy, Metrics, ParallelRun, PoolConfig, StreamingPool, WorkerFailure,
-    DEFAULT_BATCH_SIZE,
+    DEFAULT_BATCH_SIZE, MAX_WORKERS,
 };
 pub use session::{
     EngineKind, IngestError, ResultSink, Session, SessionBuilder, SessionError, SessionRun,

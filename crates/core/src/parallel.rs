@@ -21,11 +21,19 @@
 //! * **width 1** — the one shard is held by value and driven on the
 //!   caller's thread, by reference: no thread, no channel, no staging, no
 //!   event clone and no placement hash;
-//! * **width n ≥ 2** — one long-lived worker thread per shard, fed by
-//!   bounded channels carrying **batches** of pre-hashed events, with
-//!   watermark broadcasts so a drain emits every result that is globally
-//!   final — even on shards whose sub-stream went quiet — and supervised
-//!   per [`FailurePolicy`].
+//! * **width n ≥ 2** — one long-lived worker thread per shard, fed by a
+//!   bounded channel carrying **batch arenas** ([`Batch`]): per shard, the
+//!   coordinator copies each routed event once into the open batch — a
+//!   row header plus its attribute values appended to one contiguous
+//!   buffer — and appends one `(row, query, key hash)` route per query
+//!   that wants it there. The worker replays the routes through one
+//!   scratch `Event`, and the coordinator, which keeps a handle to every
+//!   shipped batch, reopens a batch as soon as the worker has dropped its
+//!   own. Steady state allocates nothing per routed event on either
+//!   thread, and no memory allocated on one thread is freed on another.
+//!   Watermark broadcasts make a drain emit every result that is globally
+//!   final — even on shards whose sub-stream went quiet — and the workers
+//!   are supervised per [`FailurePolicy`].
 //!
 //! Disorder repair has one design at every width: a pool-side [`LateGate`]
 //! decides admission from time stamps alone (exactly the drops a single
@@ -41,11 +49,12 @@ use crate::cogra::CograEngine;
 use crate::engine::{run_to_completion, TrendEngine};
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
-use crate::session::EngineKind;
+use crate::session::{EngineKind, OpenError, SessionError};
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
-use cogra_events::{Event, LateGate, ReorderBuffer, Timestamp};
+use cogra_events::{Event, EventId, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -190,11 +199,12 @@ impl std::fmt::Display for WorkerFailure {
 /// Transport tuning of a [`StreamingPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Events staged per shard before a [`Cmd::Batch`] is shipped. Staged
-    /// events also flush on every drain/finish (and thus on every
-    /// watermark broadcast), so the batch size bounds transport latency,
-    /// never result completeness. 1 degenerates to per-event sends.
-    /// Unused at width 1 — there is no transport.
+    /// Routed items — `(event, query)` pairs — staged per shard before
+    /// its open [`Batch`] is shipped. Staged items also flush on every
+    /// drain/finish (and thus on every watermark broadcast), so the batch
+    /// size bounds transport latency, never result completeness. 1
+    /// degenerates to per-item sends. Unused at width 1 — there is no
+    /// transport.
     pub batch_size: usize,
     /// Repair up to this many ticks of disorder *per shard*: each shard
     /// owns a [`ReorderBuffer`] over its own sub-stream while the pool's
@@ -210,6 +220,13 @@ pub struct PoolConfig {
 /// bounded-channel hand-off over hundreds of events, small enough that a
 /// batch stays well inside a worker's cache while it drains it.
 pub const DEFAULT_BATCH_SIZE: usize = 512;
+
+/// The widest pool that will be opened. Every shard is an OS thread with
+/// its own stack and engines, so a width far beyond any core count is a
+/// typo or an attack, not a configuration: asking for more is refused
+/// with [`SessionError::TooManyWorkers`] before any thread is created.
+/// Fixed, not configurable.
+pub const MAX_WORKERS: usize = 1024;
 
 impl Default for PoolConfig {
     fn default() -> PoolConfig {
@@ -281,22 +298,114 @@ impl Metrics {
     }
 }
 
-/// One routed event in flight to a shard: the event, the index of the
-/// query it is for, and its precomputed full partition-key hash (`None`:
-/// the event's type has no partition key; the engine drops it itself,
-/// exactly like a sequential run). `Clone` so the coordinator can journal
-/// delivered items under [`FailurePolicy::Restart`].
-#[derive(Clone)]
+/// One placed event a shard's [`ReorderBuffer`] holds under `.slack(n)`:
+/// the event, the index of the query it is for, and its precomputed full
+/// partition-key hash (`None`: the event's type has no partition key; the
+/// engine drops it itself, exactly like a sequential run). Only the
+/// reorder buffer owns events; the transport carries [`Batch`]es.
 struct Item {
     event: Event,
     query: u32,
     key_hash: Option<u64>,
 }
 
+/// One event of a [`Batch`]: an [`Event`] minus its attribute values,
+/// which end at `attrs_end` in the batch's shared buffer (and start where
+/// the previous row's end).
+struct Row {
+    id: EventId,
+    time: Timestamp,
+    type_id: TypeId,
+    attrs_end: usize,
+}
+
+/// One routed item of a [`Batch`]: row `row` is for query `query`, whose
+/// full partition-key hash of it is `key_hash` (see [`Item`]).
+struct Route {
+    row: usize,
+    query: u32,
+    key_hash: Option<u64>,
+}
+
+/// The unit of shard transport: a slice of one shard's sub-stream as an
+/// arena. Every event is stored once — a [`Row`] plus its attribute
+/// values appended to the one `attrs` buffer — however many of the
+/// shard's queries want it; `routes` lists the `(row, query)` items in
+/// global routing order, and is what a worker replays. Staging an event
+/// is therefore three `Vec` appends into retained capacity: no `Event`
+/// is cloned and nothing is allocated once a batch has been through one
+/// fill.
+#[derive(Default)]
+struct Batch {
+    rows: Vec<Row>,
+    attrs: Vec<Value>,
+    routes: Vec<Route>,
+}
+
+impl Batch {
+    /// Empty the batch, keeping its capacity.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.attrs.clear();
+        self.routes.clear();
+    }
+
+    /// Append `event` as the batch's last row.
+    fn push_row(&mut self, event: &Event) {
+        self.attrs.extend_from_slice(&event.attrs);
+        self.rows.push(Row {
+            id: event.id,
+            time: event.time,
+            type_id: event.type_id,
+            attrs_end: self.attrs.len(),
+        });
+    }
+
+    /// Route the last row to `query`.
+    fn push_route(&mut self, query: u32, key_hash: Option<u64>) {
+        let row = self.rows.len() - 1;
+        self.routes.push(Route {
+            row,
+            query,
+            key_hash,
+        });
+    }
+
+    fn attrs_of(&self, row: usize) -> &[Value] {
+        let start = row
+            .checked_sub(1)
+            .map_or(0, |prev| self.rows[prev].attrs_end);
+        &self.attrs[start..self.rows[row].attrs_end]
+    }
+
+    /// Overwrite `event` with row `row`, reusing its attribute buffer.
+    fn load(&self, row: usize, event: &mut Event) {
+        let header = &self.rows[row];
+        event.id = header.id;
+        event.time = header.time;
+        event.type_id = header.type_id;
+        event.attrs.clear();
+        event.attrs.extend_from_slice(self.attrs_of(row));
+    }
+
+    /// Row `row` as an owned event, for a shard's reorder buffer.
+    fn event(&self, row: usize) -> Event {
+        let header = &self.rows[row];
+        Event::new(
+            header.id,
+            header.time,
+            header.type_id,
+            self.attrs_of(row).to_vec(),
+        )
+    }
+}
+
 /// Commands the coordinator sends down a worker's bounded channel.
+#[derive(Clone)]
 enum Cmd {
-    /// A batch of this shard's sub-stream, in global routing order.
-    Batch(Vec<Item>),
+    /// The next slice of this shard's sub-stream. The coordinator keeps a
+    /// second handle (see [`Lane::shipped`]); the worker only reads.
+    Batch(Arc<Batch>),
     /// Advance to the given safe watermark and emit everything now final.
     Drain(Timestamp),
     /// Serialize every hosted engine and the reorder buffer's in-flight
@@ -305,6 +414,56 @@ enum Cmd {
     Snapshot,
     /// End of stream: close every open window, report, and exit.
     Finish,
+}
+
+/// The coordinator's side of one shard's transport.
+#[derive(Default)]
+struct Lane {
+    /// The open batch: what was staged for the shard since the last ship.
+    open: Batch,
+    /// [`StreamingPool::seq`] of the event that is `open`'s last row (0:
+    /// none), so an event several queries want on this shard is stored
+    /// once.
+    last_seq: u64,
+    /// A handle to every shipped batch not yet reclaimed, oldest first:
+    /// the ones the worker has not finished, and — under
+    /// [`FailurePolicy::Restart`] — the journal of everything delivered
+    /// since the shard's recovery baseline, whose replay reproduces the
+    /// dead shard exactly (nothing was emitted since the baseline: results
+    /// only leave a shard at drains, and every drain refreshes it).
+    shipped: VecDeque<Arc<Batch>>,
+    /// Reclaimed batches, cleared but capacitated, for `ship` to reopen.
+    spare: Vec<Batch>,
+}
+
+impl Lane {
+    /// Move every shipped batch the worker is done with — it drops its
+    /// handle after the last route, and consumes in order — to `spare`.
+    fn reclaim(&mut self) {
+        while let Some(batch) = self.shipped.pop_front() {
+            match Arc::try_unwrap(batch) {
+                Ok(mut batch) => {
+                    batch.clear();
+                    // More than a full channel of spares is a journal's
+                    // worth retired at once; let the surplus go.
+                    if self.spare.len() <= CHANNEL_CAPACITY {
+                        self.spare.push(batch);
+                    }
+                }
+                Err(busy) => {
+                    self.shipped.push_front(busy);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Forget everything staged and shipped (the shard is gone).
+    fn clear(&mut self) {
+        self.open.clear();
+        self.last_seq = 0;
+        self.shipped.clear();
+    }
 }
 
 /// One shard's contribution to a pool snapshot — also the per-shard
@@ -356,17 +515,6 @@ struct Worker {
 /// restart-loop forever.
 const MAX_RESTARTS: u32 = 8;
 
-/// One shard's recovery baseline under [`FailurePolicy::Restart`]: the
-/// state captured at the last drain/snapshot, plus the journal of every
-/// item delivered to the shard since. Rebuilding the baseline engines and
-/// replaying the journal reproduces the dead shard exactly — nothing was
-/// emitted since the baseline (results only leave a shard at drains), so
-/// recovery neither loses nor duplicates output.
-struct ShardBaseline {
-    snap: ShardSnapshot,
-    journal: Vec<Item>,
-}
-
 /// Backpressure bound, in batches: a worker that falls this many batches
 /// behind blocks ingestion instead of buffering without limit.
 const CHANNEL_CAPACITY: usize = 16;
@@ -381,10 +529,12 @@ const CHANNEL_CAPACITY: usize = 16;
 ///   [`run_parallel`]) and staged once per target shard. A query without
 ///   a `GROUP-BY` prefix cannot shard; it is pinned to the shard
 ///   `query % width`.
-/// * **Batched transport** (width ≥ 2) — events are staged per shard and
-///   shipped as [`Cmd::Batch`] chunks ([`PoolConfig::batch_size`]);
-///   stages flush on every drain/finish, so batching changes hand-off
-///   cost, never the result set.
+/// * **Batch-arena transport** (width ≥ 2) — an event is copied once
+///   into the open [`Batch`] of each shard that wants it, with one route
+///   per wanting query; a batch ships once it holds
+///   [`PoolConfig::batch_size`] routes and on every drain/finish, so
+///   batching changes hand-off cost, never the result set. Consumed
+///   batches are reopened, not reallocated.
 /// * **Per-shard reorderers** — with [`PoolConfig::slack`], each shard
 ///   repairs its own sub-stream through a private [`ReorderBuffer`]. The
 ///   pool's [`LateGate`] makes the admission decision from time stamps
@@ -407,13 +557,15 @@ pub struct StreamingPool {
     /// Width n ≥ 2: one worker thread per shard. Everything below down to
     /// `dropped` is their coordinator's bookkeeping, idle at width 1.
     workers: Vec<Worker>,
-    /// Per-shard staging buffers awaiting a batch send.
-    stages: Vec<Vec<Item>>,
+    /// Per-shard transport state: open batch, shipped handles, spares.
+    lanes: Vec<Lane>,
     batch_size: usize,
     /// Recovery behavior when a shard worker dies.
     policy: FailurePolicy,
-    /// Per-shard baselines + journals ([`FailurePolicy::Restart`] only).
-    recovery: Option<Vec<ShardBaseline>>,
+    /// Per-shard recovery baselines ([`FailurePolicy::Restart`] only): the
+    /// state captured at the last drain/snapshot. The journal since is the
+    /// shard's [`Lane::shipped`].
+    recovery: Option<Vec<ShardSnapshot>>,
     /// Restarts performed per shard, for the [`MAX_RESTARTS`] escalation.
     restarts: Vec<u32>,
     /// The sticky terminal failure ([`FailurePolicy::Fail`] or escalation).
@@ -429,21 +581,34 @@ pub struct StreamingPool {
     gate: Option<LateGate>,
     /// Raw stream progress: the largest event time routed so far.
     raw_watermark: Timestamp,
-    /// Reusable `(shard, query, key_hash)` placement scratch.
-    targets: Vec<(usize, u32, Option<u64>)>,
+    /// Events staged so far; stamps [`Lane::last_seq`].
+    seq: u64,
+    /// Reusable round-trip scratch: which shards took the broadcast, and
+    /// the replies' results per query.
+    sent: Vec<bool>,
+    merged: Vec<Vec<WindowResult>>,
     finished: bool,
 }
 
 impl StreamingPool {
     /// A fresh COGRA pool for a session's compiled queries. The width is
     /// `workers` when any query can shard, at most one shard per query
-    /// otherwise; width 1 is driven inline on the caller's thread.
-    pub fn new(runtimes: Vec<Arc<QueryRuntime>>, workers: usize, config: PoolConfig) -> Self {
+    /// otherwise; width 1 is driven inline on the caller's thread. Fails
+    /// like [`crate::session::SessionBuilder::build`] does on a width the
+    /// pool refuses or the OS cannot staff.
+    pub fn new(
+        runtimes: Vec<Arc<QueryRuntime>>,
+        workers: usize,
+        config: PoolConfig,
+    ) -> Result<Self, SessionError> {
         let hosted = runtimes
             .into_iter()
             .map(|rt| (EngineKind::Cogra, rt))
             .collect();
-        Self::open(hosted, workers, config, None).expect("fresh engines have no state to reject")
+        Self::open(hosted, workers, config, None).map_err(|e| match e {
+            OpenError::Session(e) => e,
+            OpenError::State(e) => unreachable!("fresh engines have no state to reject: {e}"),
+        })
     }
 
     /// Open a pool over `hosted`, fresh or — with `resume` — from
@@ -461,13 +626,22 @@ impl StreamingPool {
     /// exactly what fresh shards fed the same stream would hold, and the
     /// in-flight reorder-buffer items are re-delivered past the (verbatim
     /// restored) admission gate.
+    ///
+    /// More than [`MAX_WORKERS`] requested workers are refused before
+    /// anything is built; a thread the OS refuses to start fails the open
+    /// after joining the shards already started.
     pub(crate) fn open(
         hosted: Vec<Hosted>,
         workers: usize,
         config: PoolConfig,
         resume: Option<PoolState>,
-    ) -> Result<StreamingPool, CheckpointError> {
+    ) -> Result<StreamingPool, OpenError> {
         assert!(!hosted.is_empty(), "a pool needs at least one query");
+        if workers > MAX_WORKERS {
+            return Err(OpenError::Session(SessionError::TooManyWorkers {
+                requested: workers,
+            }));
+        }
         let threads = Self::threads_for(&hosted, workers);
         let (states, buffered, gate, raw_watermark) = match resume {
             Some(r) => (Some(r.states), r.buffered, r.gate, r.clock),
@@ -485,13 +659,10 @@ impl StreamingPool {
         let recovery = journal.then(|| {
             shard_states
                 .iter()
-                .map(|states| ShardBaseline {
-                    snap: ShardSnapshot {
-                        states: states.clone(),
-                        buffered: Vec::new(),
-                        events: 0,
-                    },
-                    journal: Vec::new(),
+                .map(|states| ShardSnapshot {
+                    states: states.clone(),
+                    buffered: Vec::new(),
+                    events: 0,
                 })
                 .collect()
         });
@@ -502,16 +673,28 @@ impl StreamingPool {
             let engines = shard_engines(&hosted, threads, index, states)?;
             shards.push(Shard::new(engines, config.slack, 0));
         }
-        let (inline, workers) = if threads == 1 {
-            (shards.pop().map(Box::new), Vec::new())
+        let mut workers = Vec::new();
+        let inline = if threads == 1 {
+            shards.pop().map(Box::new)
         } else {
-            let spawn = |(index, shard)| Self::spawn_one(shard, index, journal);
-            (None, shards.into_iter().enumerate().map(spawn).collect())
+            for (index, shard) in shards.into_iter().enumerate() {
+                match Self::spawn_one(shard, index, journal) {
+                    Ok(worker) => workers.push(worker),
+                    Err(e) => {
+                        join_workers(&mut workers);
+                        return Err(OpenError::Session(SessionError::WorkerSpawn {
+                            shard: index,
+                            error: e.to_string(),
+                        }));
+                    }
+                }
+            }
+            None
         };
         let mut pool = StreamingPool {
             inline,
             workers,
-            stages: (0..threads).map(|_| Vec::new()).collect(),
+            lanes: (0..threads).map(|_| Lane::default()).collect(),
             batch_size: config.batch_size.max(1),
             policy: config.policy,
             recovery,
@@ -522,16 +705,18 @@ impl StreamingPool {
             dropped: 0,
             gate,
             raw_watermark,
-            targets: Vec::new(),
+            seq: 0,
+            sent: Vec::new(),
+            merged: Vec::new(),
             finished: false,
             hosted,
         };
         for (query, event) in buffered {
             if query as usize >= pool.hosted.len() {
-                return Err(CheckpointError::Corrupt(format!(
+                return Err(OpenError::State(CheckpointError::Corrupt(format!(
                     "buffered item references physical run {query} of {}",
                     pool.hosted.len()
-                )));
+                ))));
             }
             pool.restage(query, event);
         }
@@ -542,22 +727,23 @@ impl StreamingPool {
     /// [`FailurePolicy::Restart`] respawns go through. `attach_snapshots`
     /// makes every drain reply carry a [`ShardSnapshot`]: the coordinator
     /// journals for Restart and refreshes its recovery baseline from them.
-    fn spawn_one(shard: Shard, index: usize, attach_snapshots: bool) -> Worker {
+    /// `Err`: the OS refused the thread.
+    fn spawn_one(shard: Shard, index: usize, attach_snapshots: bool) -> std::io::Result<Worker> {
         let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         // Mirror the shard's counters immediately so a freshly restored
         // pool reports its footprint before any drain.
         let mirror = shard.metrics();
-        let thread = std::thread::spawn(move || {
-            shard_worker(shard, index, attach_snapshots, cmd_rx, reply_tx)
-        });
-        Worker {
+        let thread = std::thread::Builder::new()
+            .name(format!("cogra-shard-{index}"))
+            .spawn(move || shard_worker(shard, index, attach_snapshots, cmd_rx, reply_tx))?;
+        Ok(Worker {
             tx: Some(cmd_tx),
             rx: reply_rx,
             thread: Some(thread),
             quarantined: false,
             mirror,
-        }
+        })
     }
 
     /// Pool width: the requested workers when any query has a `GROUP-BY`
@@ -725,18 +911,14 @@ impl StreamingPool {
             return Ok(self.state_of(states, snap.buffered));
         }
         self.snapshot_guard()?;
-        self.flush_stages();
+        self.ship_all();
         self.snapshot_guard()?;
         let cmd = Cmd::Snapshot;
-        let n = self.workers.len();
-        let mut sent = vec![false; n];
-        for (s, flag) in sent.iter_mut().enumerate() {
-            *flag = self.send_control(s, &cmd);
-        }
+        self.broadcast(&cmd);
         let mut merged: Vec<Option<RouterState>> = (0..self.hosted.len()).map(|_| None).collect();
         let mut buffered = Vec::new();
-        for (s, &ok) in sent.iter().enumerate() {
-            if !ok {
+        for s in 0..self.workers.len() {
+            if !self.sent[s] {
                 continue;
             }
             let Some(mut reply) = self.recv_reply(s, &cmd) else {
@@ -795,14 +977,15 @@ impl StreamingPool {
     }
 
     /// Refresh a shard's recovery baseline from a full-state reply and
-    /// forget the journal it supersedes. No-op unless journaling
-    /// ([`FailurePolicy::Restart`]).
+    /// retire the journal it supersedes (the worker consumed all of it
+    /// before replying, so every batch is reclaimed). No-op unless
+    /// journaling ([`FailurePolicy::Restart`]).
     fn store_baseline(&mut self, shard: usize, snap: ShardSnapshot) {
         if let Some(recovery) = &mut self.recovery {
-            recovery[shard] = ShardBaseline {
-                snap,
-                journal: Vec::new(),
-            };
+            recovery[shard] = snap;
+            let lane = &mut self.lanes[shard];
+            lane.reclaim();
+            lane.shipped.clear();
         }
     }
 
@@ -816,6 +999,16 @@ impl StreamingPool {
         };
     }
 
+    /// Send `cmd` to every shard before any reply is collected, so the
+    /// shards work on it concurrently; `self.sent` records who took it.
+    fn broadcast(&mut self, cmd: &Cmd) {
+        self.sent.clear();
+        for shard in 0..self.workers.len() {
+            let sent = self.send_control(shard, cmd);
+            self.sent.push(sent);
+        }
+    }
+
     /// Send one control command (`Drain`/`Snapshot`/`Finish`) to a shard,
     /// recovering per policy if its channel is dead. `false`: the shard is
     /// not participating (quarantined, or the pool failed).
@@ -827,7 +1020,7 @@ impl StreamingPool {
             let Some(tx) = self.workers[shard].tx.as_ref() else {
                 return false;
             };
-            if tx.send(control_clone(cmd)).is_ok() {
+            if tx.send(cmd.clone()).is_ok() {
                 return true;
             }
             self.recover(shard, None);
@@ -909,26 +1102,8 @@ impl StreamingPool {
     /// Terminal failure: record it, stop every worker, drop staged items.
     fn fail_all(&mut self, failure: WorkerFailure) {
         self.failed = Some(failure);
-        self.join_workers();
-        for stage in &mut self.stages {
-            stage.clear();
-        }
-        if let Some(recovery) = &mut self.recovery {
-            for b in recovery.iter_mut() {
-                b.journal.clear();
-            }
-        }
-    }
-
-    /// Close every worker's channel (its loop exits) and reap the thread;
-    /// panics arrived in-band, so the join result carries nothing.
-    fn join_workers(&mut self) {
-        for w in &mut self.workers {
-            w.tx = None;
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+        join_workers(&mut self.workers);
+        self.lanes.iter_mut().for_each(Lane::clear);
     }
 
     /// [`FailurePolicy::Degrade`]: the shard stays dead. Everything ever
@@ -942,7 +1117,7 @@ impl StreamingPool {
         w.mirror.events = 0;
         self.dropped += self.delivered[shard];
         self.delivered[shard] = 0;
-        self.stages[shard].clear();
+        self.lanes[shard].clear();
     }
 
     /// [`FailurePolicy::Restart`]: rebuild the shard's engines from its
@@ -954,44 +1129,42 @@ impl StreamingPool {
         self.restarts[shard] += 1;
         let threads = self.workers.len();
         let baseline = &self.recovery.as_ref().expect("Restart keeps baselines")[shard];
-        let states = baseline.snap.states.clone();
-        let engines = match shard_engines(&self.hosted, threads, shard, states) {
-            Ok(engines) => engines,
-            Err(e) => {
-                // The baseline itself cannot be revived — escalate.
-                let failure = WorkerFailure {
-                    shard,
-                    message: format!("recovery baseline is unusable: {e}"),
-                };
-                self.fail_all(failure);
+        let slack = self.gate.as_ref().map(LateGate::slack);
+        let respawned = shard_engines(&self.hosted, threads, shard, baseline.states.clone())
+            .map_err(|e| format!("recovery baseline is unusable: {e}"))
+            .and_then(|engines| {
+                Self::spawn_one(Shard::new(engines, slack, baseline.events), shard, true)
+                    .map_err(|e| format!("respawn failed: {e}"))
+            });
+        match respawned {
+            Ok(worker) => self.workers[shard] = worker,
+            Err(message) => {
+                // The shard cannot be revived — escalate.
+                self.fail_all(WorkerFailure { shard, message });
                 return;
             }
-        };
-        let slack = self.gate.as_ref().map(LateGate::slack);
-        self.workers[shard] = Self::spawn_one(
-            Shard::new(engines, slack, baseline.snap.events),
-            shard,
-            true,
-        );
+        }
         // Redeliver: first the baseline's reorder-buffered items (their
-        // release order is the order the checkpoint restage path uses),
-        // then the journal, both through the normal batch transport.
-        let mut replay: Vec<Item> = Vec::with_capacity(baseline.journal.len());
-        for (query, event) in baseline.snap.buffered.clone() {
-            if let Some((_, key_hash)) = self.place(query as usize, &event) {
-                replay.push(Item {
-                    event,
-                    query,
-                    key_hash,
-                });
+        // release order is the order the checkpoint restage path uses) as
+        // one batch of their own, then the journal's batches as they were
+        // shipped.
+        let mut buffered = Batch::default();
+        for (query, event) in &baseline.buffered {
+            if let Some((_, key_hash)) = self.place(*query as usize, event) {
+                buffered.push_row(event);
+                buffered.push_route(*query, key_hash);
             }
         }
-        replay.extend(baseline.journal.iter().cloned());
-        for chunk in replay.chunks(self.batch_size) {
+        let mut replay = Vec::with_capacity(self.lanes[shard].shipped.len() + 1);
+        if !buffered.routes.is_empty() {
+            replay.push(Arc::new(buffered));
+        }
+        replay.extend(self.lanes[shard].shipped.iter().cloned());
+        for batch in replay {
             let Some(tx) = self.workers[shard].tx.as_ref() else {
                 return;
             };
-            if tx.send(Cmd::Batch(chunk.to_vec())).is_err() {
+            if tx.send(Cmd::Batch(batch)).is_err() {
                 // Died again during replay — recurse; MAX_RESTARTS bounds
                 // the depth.
                 self.recover(shard, None);
@@ -1043,33 +1216,35 @@ impl StreamingPool {
     fn restage(&mut self, query: u32, event: Event) {
         // `None`: unroutable events are never staged.
         if let Some((shard, key_hash)) = self.place(query as usize, &event) {
-            self.deliver(
-                shard,
-                Item {
+            if self.inline.is_some() {
+                self.push_inline(Item {
                     event,
                     query,
                     key_hash,
-                },
-            );
+                });
+            } else {
+                self.seq += 1;
+                self.stage(shard, &event, query, key_hash);
+            }
         }
     }
 
     /// Ingest one event, by reference. At width 1 without slack the shard
     /// reads it in place: nothing is cloned, staged or hashed for
-    /// placement. Otherwise it is hashed per query and delivered to its
-    /// target shards (one clone per target); a worker that is
-    /// [`CHANNEL_CAPACITY`] batches behind blocks the caller
-    /// (backpressure, not unbounded buffering). Without slack, events must
-    /// arrive in non-decreasing time order; with slack, disorder up to the
-    /// slack is repaired on the shards and anything later is dropped and
-    /// counted. A finished or failed pool ignores the event.
+    /// placement. At width n ≥ 2 it is hashed per query and copied once
+    /// into the open [`Batch`] of every shard that wants it, with one
+    /// route per wanting query; a worker that is [`CHANNEL_CAPACITY`]
+    /// batches behind blocks the caller (backpressure, not unbounded
+    /// buffering). Without slack, events must arrive in non-decreasing
+    /// time order; with slack, disorder up to the slack is repaired on the
+    /// shards and anything later is dropped and counted. A finished or
+    /// failed pool ignores the event.
     pub fn route(&mut self, event: &Event) {
         self.route_cow(Cow::Borrowed(event));
     }
 
-    /// Like [`StreamingPool::route`], consuming the event — the last
-    /// target shard receives it without a clone (the zero-clone path for
-    /// single-query sessions fed from owned sources).
+    /// Like [`StreamingPool::route`], consuming the event: under slack at
+    /// width 1 the inline shard's reorder buffer takes it without a clone.
     pub fn route_owned(&mut self, event: Event) {
         self.route_cow(Cow::Owned(event));
     }
@@ -1081,36 +1256,50 @@ impl StreamingPool {
         if let (Some(shard), None) = (&mut self.inline, &self.gate) {
             return shard.process(&event);
         }
-        let mut targets = std::mem::take(&mut self.targets);
-        targets.clear();
+        if self.inline.is_some() {
+            return self.buffer_inline(event);
+        }
+        self.seq += 1;
         for query in 0..self.hosted.len() {
             if let Some((shard, key_hash)) = self.place(query, &event) {
-                targets.push((shard, query as u32, key_hash));
+                self.stage(shard, &event, query as u32, key_hash);
             }
         }
-        if let Some((&(shard, query, key_hash), rest)) = targets.split_last() {
-            for &(shard, query, key_hash) in rest {
+    }
+
+    /// Width 1 under slack: the inline shard's reorder buffer owns one
+    /// [`Item`] per query that wants the event — a clone each, but for the
+    /// last, which takes the event itself.
+    fn buffer_inline(&mut self, event: Cow<'_, Event>) {
+        let mut last = None;
+        for query in 0..self.hosted.len() {
+            let Some((_, key_hash)) = self.place(query, &event) else {
+                continue;
+            };
+            if let Some((query, key_hash)) = last.replace((query as u32, key_hash)) {
                 let event = Event::clone(&event);
-                self.deliver(
-                    shard,
-                    Item {
-                        event,
-                        query,
-                        key_hash,
-                    },
-                );
-            }
-            let event = event.into_owned();
-            self.deliver(
-                shard,
-                Item {
+                self.push_inline(Item {
                     event,
                     query,
                     key_hash,
-                },
-            );
+                });
+            }
         }
-        self.targets = targets;
+        if let Some((query, key_hash)) = last {
+            let event = event.into_owned();
+            self.push_inline(Item {
+                event,
+                query,
+                key_hash,
+            });
+        }
+    }
+
+    /// Hand the inline shard one item and let it release what is due.
+    fn push_inline(&mut self, item: Item) {
+        let shard = self.inline.as_mut().expect("width 1 is inline");
+        shard.push(item);
+        shard.release();
     }
 
     /// Watermark bookkeeping + the late-drop decision. `true` admits.
@@ -1133,50 +1322,49 @@ impl StreamingPool {
         }
     }
 
-    /// Hand one admitted item to its shard: straight into the inline
-    /// shard, or onto the worker's staging buffer.
-    fn deliver(&mut self, shard: usize, item: Item) {
-        match &mut self.inline {
-            Some(inline) => {
-                inline.push(item);
-                inline.release();
-            }
-            None => self.stage(shard, item),
-        }
-    }
-
-    /// Append one item to a shard's staging buffer (rerouted past
-    /// quarantined shards, journaled under [`FailurePolicy::Restart`]),
-    /// shipping the buffer as a batch once it reaches the configured size.
-    fn stage(&mut self, shard: usize, item: Item) {
+    /// Stage event number `self.seq` for `query` on a shard's open batch
+    /// (rerouted past quarantined shards): its row, unless an earlier
+    /// query already put it there, and a route. Ships the batch once it
+    /// holds the configured number of routes.
+    fn stage(&mut self, shard: usize, event: &Event, query: u32, key_hash: Option<u64>) {
         self.routed_items += 1;
-        let Some(shard) = self.live_target(shard, item.query) else {
+        let Some(shard) = self.live_target(shard, query) else {
             // A pinned query's home worker is quarantined — the item has
             // nowhere correct to go; count it instead of losing it silently.
             self.dropped += 1;
             return;
         };
         self.delivered[shard] += 1;
-        if let Some(recovery) = &mut self.recovery {
-            recovery[shard].journal.push(item.clone());
+        let lane = &mut self.lanes[shard];
+        if lane.last_seq != self.seq {
+            lane.open.push_row(event);
+            lane.last_seq = self.seq;
         }
-        let stage = &mut self.stages[shard];
-        stage.push(item);
-        if stage.len() >= self.batch_size {
+        lane.open.push_route(query, key_hash);
+        if lane.open.routes.len() >= self.batch_size {
             self.ship(shard);
         }
     }
 
-    /// Send a shard's staged events as one [`Cmd::Batch`]. A dead channel
-    /// triggers policy recovery; the batch itself is never re-sent here —
-    /// under Restart the journal replay already covers it, under Degrade
-    /// it is part of the quarantined shard's counted losses.
+    /// Send a shard's open batch as one [`Cmd::Batch`], keeping a handle,
+    /// and reopen a spare in its place. A dead channel triggers policy
+    /// recovery; the batch itself is never re-sent here — under Restart
+    /// the journal replay already covers it, under Degrade it is part of
+    /// the quarantined shard's counted losses.
     fn ship(&mut self, shard: usize) {
-        if self.stages[shard].is_empty() {
+        let lane = &mut self.lanes[shard];
+        if lane.open.routes.is_empty() {
             return;
         }
-        let cap = self.batch_size.min(4096);
-        let batch = std::mem::replace(&mut self.stages[shard], Vec::with_capacity(cap));
+        if self.recovery.is_none() {
+            // Not a journal: a shipped batch is free once the worker is
+            // done with it. (A journal is retired whole, at the baseline.)
+            lane.reclaim();
+        }
+        let reopened = lane.spare.pop().unwrap_or_default();
+        let batch = Arc::new(std::mem::replace(&mut lane.open, reopened));
+        lane.last_seq = 0;
+        lane.shipped.push_back(Arc::clone(&batch));
         #[cfg(feature = "faults")]
         if cogra_faults::fired(&format!("pool/ship/{shard}")) {
             // Simulated transport failure: drop our end of the channel (the
@@ -1193,9 +1381,9 @@ impl StreamingPool {
         }
     }
 
-    /// Flush every shard's staging buffer — always precedes a broadcast,
-    /// so a drain or finish never outruns staged events.
-    fn flush_stages(&mut self) {
+    /// Ship every shard's open batch — always precedes a broadcast, so a
+    /// drain or finish never outruns staged events.
+    fn ship_all(&mut self) {
         for shard in 0..self.workers.len() {
             self.ship(shard);
         }
@@ -1217,7 +1405,7 @@ impl StreamingPool {
                 shard.drain_into(&mut |q, r| out(q as usize, r));
             }
             None => {
-                self.flush_stages();
+                self.ship_all();
                 self.round_trip(Cmd::Drain(watermark), out);
             }
         }
@@ -1240,10 +1428,10 @@ impl StreamingPool {
             }
             None => {
                 if self.failed.is_none() {
-                    self.flush_stages();
+                    self.ship_all();
                     self.round_trip(Cmd::Finish, out);
                 }
-                self.join_workers();
+                join_workers(&mut self.workers);
             }
         }
     }
@@ -1254,14 +1442,11 @@ impl StreamingPool {
     /// recovered per policy; a pool that fails terminally mid-trip emits
     /// nothing (no partial result set masquerading as a complete one).
     fn round_trip(&mut self, cmd: Cmd, out: &mut dyn FnMut(usize, WindowResult)) {
-        let n = self.workers.len();
-        let mut sent = vec![false; n];
-        for (s, flag) in sent.iter_mut().enumerate() {
-            *flag = self.send_control(s, &cmd);
-        }
-        let mut merged: Vec<Vec<WindowResult>> = vec![Vec::new(); self.hosted.len()];
-        for (s, &ok) in sent.iter().enumerate() {
-            if !ok {
+        self.broadcast(&cmd);
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.resize_with(self.hosted.len(), Vec::new);
+        for s in 0..self.workers.len() {
+            if !self.sent[s] {
                 continue;
             }
             let Some(mut reply) = self.recv_reply(s, &cmd) else {
@@ -1277,35 +1462,34 @@ impl StreamingPool {
                 merged[q as usize].push(r);
             }
         }
-        if self.failed.is_some() {
-            return;
-        }
         for (q, results) in merged.iter_mut().enumerate() {
-            // Shards own disjoint (window, group) result spaces per query,
-            // so this sort is a deterministic merge — independent of the
-            // shard count.
-            WindowResult::sort(results);
-            for r in results.drain(..) {
-                out(q, r);
+            if self.failed.is_none() {
+                // Shards own disjoint (window, group) result spaces per
+                // query, so this sort is a deterministic merge —
+                // independent of the shard count.
+                WindowResult::sort(results);
+                results.drain(..).for_each(|r| out(q, r));
             }
+            results.clear();
         }
+        self.merged = merged;
     }
 }
 
-/// Clone a broadcastable control command ([`Cmd::Batch`] is routed, not
-/// broadcast, and never comes through here).
-fn control_clone(cmd: &Cmd) -> Cmd {
-    match cmd {
-        Cmd::Drain(wm) => Cmd::Drain(*wm),
-        Cmd::Snapshot => Cmd::Snapshot,
-        Cmd::Finish => Cmd::Finish,
-        Cmd::Batch(..) => unreachable!("batches are routed, not broadcast"),
+/// Close every worker's channel (its loop exits) and reap the thread;
+/// panics arrived in-band, so the join result carries nothing.
+fn join_workers(workers: &mut [Worker]) {
+    for w in workers {
+        w.tx = None;
+        if let Some(t) = w.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
 impl Drop for StreamingPool {
     fn drop(&mut self) {
-        self.join_workers();
+        join_workers(&mut self.workers);
     }
 }
 
@@ -1491,14 +1675,14 @@ impl Shard {
         }
     }
 
-    /// Feed one placed item to its query's engine. The pool hashed the
+    /// Feed one placed event to its query's engine. The pool hashed the
     /// key to place the event; reuse it so the key is extracted once per
     /// event.
-    fn ingest(&mut self, item: Item) {
-        let engine = self.engines[item.query as usize]
+    fn ingest(&mut self, event: &Event, query: u32, key_hash: Option<u64>) {
+        let engine = self.engines[query as usize]
             .as_mut()
             .expect("the pool only targets hosted queries");
-        engine.process_prehashed(&item.event, item.key_hash);
+        engine.process_prehashed(event, key_hash);
         self.events += 1;
     }
 
@@ -1507,7 +1691,7 @@ impl Shard {
     /// (until the next [`Shard::release`]).
     fn push(&mut self, item: Item) {
         match &mut self.reorder {
-            None => self.ingest(item),
+            None => self.ingest(&item.event, item.query, item.key_hash),
             Some(buffer) => {
                 self.local_watermark = self.local_watermark.max(item.event.time);
                 buffer.push(item.event.time, item);
@@ -1521,7 +1705,7 @@ impl Shard {
             let mut released = std::mem::take(&mut self.released);
             buffer.release_up_to(safe, &mut released);
             for item in released.drain(..) {
-                self.ingest(item);
+                self.ingest(&item.event, item.query, item.key_hash);
             }
             self.released = released;
         }
@@ -1611,12 +1795,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Ingest one transported batch, sampling the memory peak every 64 items
 /// and at the batch-flush boundary — a burst shorter than the stride
-/// would otherwise leave its peak invisible until the next drain.
-fn ingest_batch(shard: &mut Shard, items: Vec<Item>) {
-    let mut items = items.into_iter().peekable();
-    while items.peek().is_some() {
-        for item in items.by_ref().take(64) {
-            shard.push(item);
+/// would otherwise leave its peak invisible until the next drain. A
+/// trusted-ordered shard replays the routes through `scratch`, loading a
+/// row once for all its (adjacent) routes; under slack each route becomes
+/// an owned [`Item`] for the reorder buffer.
+fn ingest_batch(shard: &mut Shard, batch: &Batch, scratch: &mut Event) {
+    // `scratch` holds some other batch's row on entry.
+    let mut loaded = usize::MAX;
+    for stride in batch.routes.chunks(64) {
+        for route in stride {
+            if shard.reorder.is_some() {
+                shard.push(Item {
+                    event: batch.event(route.row),
+                    query: route.query,
+                    key_hash: route.key_hash,
+                });
+            } else {
+                if loaded != route.row {
+                    batch.load(route.row, scratch);
+                    loaded = route.row;
+                }
+                shard.ingest(scratch, route.query, route.key_hash);
+            }
         }
         shard.release();
         shard.sample_peak();
@@ -1640,12 +1840,14 @@ fn shard_loop(
     let _ = index;
     // Worker threads only host COGRA engines, which always snapshot.
     let snapshot = |shard: &Shard| shard.snapshot().expect("router-backed engines snapshot");
+    // The one event the engines ever see: each row is loaded into it.
+    let mut scratch = Event::new(0, 0, TypeId(0), Vec::new());
     for cmd in rx {
         let mut results = Vec::new();
         let finish = matches!(cmd, Cmd::Finish);
         let snapshot = match cmd {
-            Cmd::Batch(items) => {
-                ingest_batch(&mut shard, items);
+            Cmd::Batch(batch) => {
+                ingest_batch(&mut shard, &batch, &mut scratch);
                 // Fire *after* the batch mutated the engines: recovery
                 // must discard the partial work, not resume over it.
                 #[cfg(feature = "faults")]
@@ -1730,6 +1932,7 @@ mod tests {
                 policy: FailurePolicy::Fail,
             },
         )
+        .unwrap()
     }
 
     #[test]
@@ -1901,18 +2104,140 @@ mod tests {
             vec![Arc::clone(&rt), Arc::clone(&rt2)],
             4,
             PoolConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(pool.queries(), 2);
         let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(), Vec::new()];
         for e in &events {
             pool.route(e);
         }
+        // Both queries group by `g`, so they want every event on the same
+        // shard: it is stored there once and routed twice. (Nothing has
+        // shipped yet — each shard holds fewer routes than a batch.)
+        let rows: usize = pool.lanes.iter().map(|l| l.open.rows.len()).sum();
+        let routes: usize = pool.lanes.iter().map(|l| l.open.routes.len()).sum();
+        assert_eq!(rows, events.len(), "one row per event");
+        assert_eq!(routes, 2 * events.len(), "one route per (event, query)");
+        assert_eq!(pool.routed_items(), routes as u64);
         pool.finish_into(&mut |q, r| per_query[q].push(r));
         for (q, rt) in [(0usize, &rt), (1usize, &rt2)] {
             let mut got = per_query[q].clone();
             WindowResult::sort(&mut got);
             assert_eq!(got, run_parallel(rt, &events, 4).results, "query {q}");
         }
+    }
+
+    /// Drive `pool` over `events`, draining after every `chunk` events.
+    fn drive(pool: &mut StreamingPool, events: &[Event], chunk: usize) -> Vec<Vec<WindowResult>> {
+        let mut per_query = vec![Vec::new(); pool.queries()];
+        for part in events.chunks(chunk) {
+            for e in part {
+                pool.route(e);
+            }
+            pool.drain_into(&mut |q, r| per_query[q].push(r));
+        }
+        pool.finish_into(&mut |q, r| per_query[q].push(r));
+        per_query
+    }
+
+    #[test]
+    fn a_recycled_batch_carries_nothing_of_its_previous_life() {
+        // Two arities and a string attribute: stale rows, offsets or
+        // values surviving a recycle would misalign every later row.
+        let mut reg = TypeRegistry::new();
+        let a = reg.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+        let b = reg.register_type(
+            "B",
+            vec![
+                ("g", ValueKind::Int),
+                ("tag", ValueKind::Str),
+                ("w", ValueKind::Float),
+                ("v", ValueKind::Int),
+            ],
+        );
+        let q = cogra_query::parse(
+            "RETURN g, COUNT(*), SUM(A.v), MAX(B.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+             WHERE B.tag = hot GROUP-BY g WITHIN 16 SLIDE 8",
+        )
+        .unwrap();
+        let rt = Arc::new(QueryRuntime::new(
+            cogra_query::compile(&q, &reg).unwrap(),
+            &reg,
+        ));
+        let mut builder = EventBuilder::new();
+        // Three chunks: A only, B only, then mixed.
+        let events: Vec<Event> = (0..90i64)
+            .map(|i| {
+                let g = Value::Int(i % 4);
+                let is_b = (30..60).contains(&i) || (i >= 60 && i % 3 == 2);
+                if is_b {
+                    let tag = Value::str(if i % 2 == 0 { "hot" } else { "cold" });
+                    let attrs = vec![g, tag, Value::Float(i as f64), Value::Int(i)];
+                    builder.event((i + 1) as u64, b, attrs)
+                } else {
+                    builder.event((i + 1) as u64, a, vec![g, Value::Int(i % 5)])
+                }
+            })
+            .collect();
+        let mut recycling = pool(&rt, 2, 8);
+        let got = drive(&mut recycling, &events, 30);
+        assert!(!got[0].is_empty());
+        assert_eq!(got, drive(&mut pool(&rt, 1, 8), &events, 30), "vs inline");
+        for lane in &recycling.lanes {
+            let reopened = &lane.open;
+            assert!(
+                reopened.rows.capacity() > 0,
+                "the open batch is a recycled one"
+            );
+            assert!(reopened.rows.is_empty() && reopened.routes.is_empty());
+            assert!(reopened.attrs.is_empty(), "no value outlives its batch");
+        }
+    }
+
+    #[test]
+    fn restart_journals_batch_handles_not_items() {
+        let (rt, events) = setup(300);
+        let batch_size = 7;
+        let mut pool = StreamingPool::new(
+            vec![Arc::clone(&rt)],
+            2,
+            PoolConfig {
+                batch_size,
+                slack: None,
+                policy: FailurePolicy::Restart,
+            },
+        )
+        .unwrap();
+        for e in &events {
+            pool.route(e);
+        }
+        for (lane, &delivered) in pool.lanes.iter().zip(&pool.delivered) {
+            let delivered = delivered as usize;
+            assert!(delivered > batch_size, "both shards see traffic");
+            assert_eq!(
+                lane.shipped.len(),
+                delivered / batch_size,
+                "one handle per batch"
+            );
+            assert_eq!(lane.open.routes.len(), delivered % batch_size);
+            let journaled: usize = lane.shipped.iter().map(|b| b.routes.len()).sum();
+            assert_eq!(journaled + lane.open.routes.len(), delivered);
+        }
+        // A drain refreshes every baseline: the journal is retired into
+        // spares, not dropped.
+        let mut out = Vec::new();
+        pool.drain_into(&mut |_q, r| out.push(r));
+        for lane in &pool.lanes {
+            assert!(
+                lane.shipped.is_empty(),
+                "the baseline supersedes the journal"
+            );
+            assert!(!lane.spare.is_empty());
+            assert!(lane.spare.iter().all(|b| b.routes.is_empty()));
+        }
+        pool.finish_into(&mut |_q, r| out.push(r));
+        WindowResult::sort(&mut out);
+        assert_eq!(out, run_parallel(&rt, &events, 2).results);
     }
 
     #[test]
@@ -1924,15 +2249,13 @@ mod tests {
         let hosted = [(EngineKind::Cogra, Arc::clone(&rt))];
         let engines = shard_engines(&hosted, 1, 0, vec![None]).unwrap();
         let mut shard = Shard::new(engines, None, 0);
-        let items: Vec<Item> = events
-            .iter()
-            .map(|e| Item {
-                event: e.clone(),
-                query: 0,
-                key_hash: rt.key_hash(e),
-            })
-            .collect();
-        ingest_batch(&mut shard, items);
+        let mut batch = Batch::default();
+        for e in &events {
+            batch.push_row(e);
+            batch.push_route(0, rt.key_hash(e));
+        }
+        let mut scratch = events[0].clone();
+        ingest_batch(&mut shard, &batch, &mut scratch);
         assert!(shard.memory() > 0);
         assert_eq!(
             shard.peak,
@@ -1980,7 +2303,8 @@ mod tests {
                     slack: Some(5),
                     policy: FailurePolicy::Fail,
                 },
-            );
+            )
+            .unwrap();
             let mut out = Vec::new();
             for (i, e) in disordered.iter().enumerate() {
                 pool.route(e);

@@ -53,6 +53,7 @@
 use crate::cogra::CograWindow;
 use crate::parallel::{
     Engine, FailurePolicy, Hosted, Metrics, PoolConfig, PoolState, StreamingPool, WorkerFailure,
+    MAX_WORKERS,
 };
 use cogra_baselines::{
     aseq_runtime, flink_runtime, greta_runtime, oracle_runtime, sase_runtime, ASeqWindow,
@@ -241,6 +242,19 @@ pub enum SessionError {
     /// `.workers(n > 1)` with an engine other than COGRA — per-partition
     /// sharding (§8) is COGRA's execution strategy.
     ParallelUnsupported(EngineKind),
+    /// `.workers(n)` beyond [`MAX_WORKERS`]; no thread was started.
+    TooManyWorkers {
+        /// The width asked for.
+        requested: usize,
+    },
+    /// The operating system refused to start a shard's worker thread; the
+    /// shards already started were joined.
+    WorkerSpawn {
+        /// Which shard's thread could not be started.
+        shard: usize,
+        /// The OS error, rendered.
+        error: String,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -250,6 +264,16 @@ impl fmt::Display for SessionError {
             SessionError::NoQueries => write!(f, "session has no queries"),
             SessionError::ParallelUnsupported(kind) => {
                 write!(f, "workers > 1 requires the cogra engine, not `{kind}`")
+            }
+            SessionError::TooManyWorkers { requested } => write!(
+                f,
+                "{requested} workers requested; at most {MAX_WORKERS} are supported"
+            ),
+            SessionError::WorkerSpawn { shard, error } => {
+                write!(
+                    f,
+                    "could not start the worker thread of shard {shard}: {error}"
+                )
             }
         }
     }
@@ -608,18 +632,21 @@ impl SessionBuilder {
     /// are hashed to their shard at ingest time and shipped in batches.
     /// Queries without a `GROUP-BY` prefix are pinned to a single shard
     /// each; a session that cannot use more than one shard runs inline on
-    /// the caller's thread, exactly like `.workers(1)`.
+    /// the caller's thread, exactly like `.workers(1)`. More than
+    /// [`MAX_WORKERS`] fails the build with
+    /// [`SessionError::TooManyWorkers`]; a thread the OS refuses, with
+    /// [`SessionError::WorkerSpawn`].
     pub fn workers(mut self, workers: usize) -> SessionBuilder {
         self.workers = workers.max(1);
         self
     }
 
     /// Shard-transport batch size under `.workers(n)` (default
-    /// [`crate::parallel::DEFAULT_BATCH_SIZE`]): events staged per shard
-    /// before a batch is shipped to the worker. Staged events flush on
-    /// every drain/finish, so this tunes hand-off cost and latency, never
-    /// the result set — asserted by the batch-size sweeps in
-    /// `tests/streaming_parallel_props.rs`.
+    /// [`crate::parallel::DEFAULT_BATCH_SIZE`]): routed items — `(event,
+    /// query)` pairs — staged per shard before its batch is shipped to the
+    /// worker. Staged items flush on every drain/finish, so this tunes
+    /// hand-off cost and latency, never the result set — asserted by the
+    /// batch-size sweeps in `tests/streaming_parallel_props.rs`.
     pub fn batch_size(mut self, batch_size: usize) -> SessionBuilder {
         self.batch_size = Some(batch_size.max(1));
         self
@@ -700,7 +727,7 @@ impl SessionBuilder {
         roster
             .open(registry, self.workers, pool_config, None)
             .map_err(|e| match e {
-                OpenError::Roster(e) => e,
+                OpenError::Session(e) => e,
                 OpenError::State(e) => unreachable!("fresh engines have no state to reject: {e}"),
             })
     }
@@ -823,12 +850,12 @@ impl SessionBuilder {
         roster
             .open(registry, workers, pool_config, Some(state))
             .map_err(|e| match e {
-                OpenError::Roster(SessionError::Query { query, error }) => {
+                OpenError::Session(SessionError::Query { query, error }) => {
                     CheckpointError::Corrupt(format!(
                         "query {query} failed to parse/compile: {error}"
                     ))
                 }
-                OpenError::Roster(other) => CheckpointError::Unsupported(other.to_string()),
+                OpenError::Session(other) => CheckpointError::Unsupported(other.to_string()),
                 OpenError::State(e) => e,
             })
     }
@@ -853,10 +880,17 @@ struct Roster {
     config: EngineConfig,
 }
 
-/// Why [`Roster::open`] failed: the roster itself, or the state to resume.
-enum OpenError {
-    Roster(SessionError),
+/// Why [`Roster::open`] (or the [`StreamingPool::open`] under it) failed:
+/// what was asked for, or the state to resume.
+pub(crate) enum OpenError {
+    Session(SessionError),
     State(CheckpointError),
+}
+
+impl From<CheckpointError> for OpenError {
+    fn from(e: CheckpointError) -> OpenError {
+        OpenError::State(e)
+    }
 }
 
 impl Roster {
@@ -872,11 +906,11 @@ impl Roster {
     ) -> Result<Session, OpenError> {
         if workers > 1 {
             if let Some(kind) = self.kinds.iter().find(|k| **k != EngineKind::Cogra) {
-                return Err(OpenError::Roster(SessionError::ParallelUnsupported(*kind)));
+                return Err(OpenError::Session(SessionError::ParallelUnsupported(*kind)));
             }
         }
         let attribute = |query: usize| {
-            move |error: QueryError| OpenError::Roster(SessionError::Query { query, error })
+            move |error: QueryError| OpenError::Session(SessionError::Query { query, error })
         };
         // The plans drive the runtimes below and stay inspectable via
         // `Session::plan`.
@@ -896,8 +930,7 @@ impl Roster {
             })
             .collect::<Result<Vec<Hosted>, OpenError>>()?;
         let batch_size = pool_config.batch_size;
-        let pool =
-            StreamingPool::open(hosted, workers, pool_config, resume).map_err(OpenError::State)?;
+        let pool = StreamingPool::open(hosted, workers, pool_config, resume)?;
         Ok(Session {
             kind: self.kind,
             kinds: self.kinds,
@@ -1103,8 +1136,8 @@ impl Session {
         self.pool.route(event);
     }
 
-    /// Like [`Session::process`], consuming the event — spares a clone on
-    /// the `.slack(n)` and single-query `.workers(n)` paths.
+    /// Like [`Session::process`], consuming the event — spares a clone
+    /// under `.slack(n)` at width 1 (elsewhere nothing is cloned anyway).
     pub fn process_owned(&mut self, event: Event) {
         self.pool.route_owned(event);
     }
@@ -1837,6 +1870,19 @@ mod tests {
             Session::builder().query("NOT A QUERY").build(&reg),
             Err(SessionError::Query { .. })
         ));
+        // One past the widest pool: refused typed, before any thread.
+        let too_wide = Session::builder()
+            .query(Q_ANY)
+            .workers(MAX_WORKERS + 1)
+            .build(&reg)
+            .unwrap_err();
+        assert_eq!(
+            too_wide,
+            SessionError::TooManyWorkers {
+                requested: MAX_WORKERS + 1
+            }
+        );
+        assert!(too_wide.to_string().contains("at most 1024"), "{too_wide}");
     }
 
     #[test]

@@ -120,11 +120,26 @@ fn run_chunked(
     policy: FailurePolicy,
     chunk: usize,
 ) -> (Session, Vec<TaggedResult>) {
+    run_queries_chunked(&[QUERY], events, slack, workers, batch, policy, chunk)
+}
+
+/// [`run_chunked`] over a roster of queries.
+fn run_queries_chunked(
+    queries: &[&str],
+    events: &[Event],
+    slack: Option<u64>,
+    workers: usize,
+    batch: usize,
+    policy: FailurePolicy,
+    chunk: usize,
+) -> (Session, Vec<TaggedResult>) {
     let mut builder = Session::builder()
-        .query(QUERY)
         .workers(workers)
         .batch_size(batch)
         .on_worker_failure(policy);
+    for query in queries {
+        builder = builder.query(*query);
+    }
     if let Some(s) = slack {
         builder = builder.slack(s);
     }
@@ -208,6 +223,25 @@ fn restart_recovers_byte_identically_across_sites() {
             assert_eq!(out, baseline, "divergence after a kill at {site} hit {hit}");
             assert_eq!(session.late_events(), baseline_session.late_events());
         }
+    }
+
+    // Two queries with one GROUP-BY place every event on the same shard,
+    // so the journaled batches hold one row with two routes each: the
+    // replay must feed both engines from the shared rows.
+    let roster = [
+        QUERY,
+        "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT GROUP-BY g WITHIN 10 SLIDE 5",
+    ];
+    let (_, baseline) = run_queries_chunked(&roster, &events, None, 4, 7, FailurePolicy::Fail, 31);
+    assert!(baseline.iter().any(|r| r.query == 1));
+    for hit in [1, 3] {
+        cogra_faults::reset();
+        cogra_faults::configure("worker/batch/1", Trigger::OnHit(hit));
+        let (session, out) =
+            run_queries_chunked(&roster, &events, None, 4, 7, FailurePolicy::Restart, 31);
+        assert!(cogra_faults::hits("worker/batch/1") >= hit);
+        assert!(session.worker_failure().is_none());
+        assert_eq!(out, baseline, "two-query divergence at hit {hit}");
     }
 }
 
@@ -353,7 +387,8 @@ fn degrade_conserves_event_accounting_at_the_pool() {
             slack: None,
             policy: FailurePolicy::Degrade,
         },
-    );
+    )
+    .unwrap();
     let mut results = Vec::new();
     let mut push = |_q: usize, r: WindowResult| results.push(r);
     for (i, e) in events.iter().enumerate() {

@@ -42,17 +42,21 @@ impl Fixture {
         Fixture { dir }
     }
 
-    fn run(&self, extra: &[&str]) -> (bool, String, String) {
-        let out = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
+    /// `cogra-run` over the fixture's schema, stream and query.
+    fn command(&self) -> Command {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_cogra-run"));
+        command
             .arg("--schema")
             .arg(self.dir.join("schema.csv"))
             .arg("--events")
             .arg(self.dir.join("stream.csv"))
             .arg("--query")
-            .arg(self.dir.join("query.cep"))
-            .args(extra)
-            .output()
-            .expect("binary runs");
+            .arg(self.dir.join("query.cep"));
+        command
+    }
+
+    fn run(&self, extra: &[&str]) -> (bool, String, String) {
+        let out = self.command().args(extra).output().expect("binary runs");
         (
             out.status.success(),
             String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -141,6 +145,25 @@ fn workers_report_effective_shard_count() {
     let (ok, _, stderr) = f.run(&["--slack", "3", "--workers", "4"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stderr.contains("1 of 4 workers effective"), "{stderr}");
+}
+
+#[test]
+fn absurd_worker_count_is_a_typed_error_not_an_abort() {
+    // 20000 threads is more than the OS grants: spawning them used to
+    // panic inside a panic and abort the process (SIGABRT, no exit code).
+    let f = Fixture::new("too-wide");
+    let out = f
+        .command()
+        .args(["--slack", "3", "--workers", "20000"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "not a normal failure exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: 20000 workers requested; at most 1024"),
+        "{stderr}"
+    );
 }
 
 #[test]

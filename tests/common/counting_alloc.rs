@@ -1,0 +1,58 @@
+//! A process-wide counting allocator for the allocation pins
+//! (`inline_path_allocs.rs`, `width2_path_allocs.rs`). Each is a test
+//! binary of its own and installs it with
+//! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`,
+//! so allocations on every thread of the binary are seen.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+// Relaxed throughout: statistics that publish no other data.
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+pub struct CountingAlloc;
+
+/// Count allocation calls from now on (`true`) or stop counting.
+pub fn counting(on: bool) {
+    COUNTING.store(on, Ordering::Relaxed);
+}
+
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) counted so far.
+pub fn calls() -> u64 {
+    CALLS.load(Ordering::Relaxed)
+}
+
+fn count() {
+    if COUNTING.load(Ordering::Relaxed) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only
+// atomics and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}

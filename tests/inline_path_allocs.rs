@@ -11,48 +11,10 @@
 
 use cogra::prelude::*;
 use cogra::workloads::{stock, StockConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-// Relaxed throughout: statistics that publish no other data.
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-fn count() {
-    if COUNTING.load(Ordering::Relaxed) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only
-// atomics and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{calls, counting, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -87,13 +49,13 @@ fn one_worker_ingest_neither_clones_events_nor_spawns_threads() {
             .expect("session builds");
         assert_eq!(session.workers(), 1, "workers={workers}");
         let mut results: Vec<WindowResult> = Vec::new();
-        let calls_before = CALLS.load(Ordering::Relaxed);
+        let calls_before = calls();
         for chunk in events.chunks(CHUNK) {
-            COUNTING.store(true, Ordering::Relaxed);
+            counting(true);
             for e in chunk {
                 session.process(e);
             }
-            COUNTING.store(false, Ordering::Relaxed);
+            counting(false);
             session.drain_into(&mut results);
         }
         assert_eq!(
@@ -103,7 +65,7 @@ fn one_worker_ingest_neither_clones_events_nor_spawns_threads() {
         );
         session.finish_into(&mut results);
         assert!(!results.is_empty(), "the workload emits results");
-        let calls = CALLS.load(Ordering::Relaxed) - calls_before;
+        let calls = calls() - calls_before;
         let per_event = calls as f64 / EVENTS as f64;
         assert!(
             per_event < 0.25,

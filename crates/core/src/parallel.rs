@@ -53,7 +53,6 @@ use crate::session::{EngineKind, OpenError, SessionError};
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
 use cogra_events::{Event, EventId, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -1240,58 +1239,34 @@ impl StreamingPool {
     /// shards and anything later is dropped and counted. A finished or
     /// failed pool ignores the event.
     pub fn route(&mut self, event: &Event) {
-        self.route_cow(Cow::Borrowed(event));
-    }
-
-    /// Like [`StreamingPool::route`], consuming the event: under slack at
-    /// width 1 the inline shard's reorder buffer takes it without a clone.
-    pub fn route_owned(&mut self, event: Event) {
-        self.route_cow(Cow::Owned(event));
-    }
-
-    fn route_cow(&mut self, event: Cow<'_, Event>) {
-        if !self.admit(&event) {
+        if !self.admit(event) {
             return;
         }
         if let (Some(shard), None) = (&mut self.inline, &self.gate) {
-            return shard.process(&event);
+            return shard.process(event);
         }
         if self.inline.is_some() {
             return self.buffer_inline(event);
         }
         self.seq += 1;
         for query in 0..self.hosted.len() {
-            if let Some((shard, key_hash)) = self.place(query, &event) {
-                self.stage(shard, &event, query as u32, key_hash);
+            if let Some((shard, key_hash)) = self.place(query, event) {
+                self.stage(shard, event, query as u32, key_hash);
             }
         }
     }
 
     /// Width 1 under slack: the inline shard's reorder buffer owns one
-    /// [`Item`] per query that wants the event — a clone each, but for the
-    /// last, which takes the event itself.
-    fn buffer_inline(&mut self, event: Cow<'_, Event>) {
-        let mut last = None;
+    /// [`Item`] — a clone of the event — per query that wants it.
+    fn buffer_inline(&mut self, event: &Event) {
         for query in 0..self.hosted.len() {
-            let Some((_, key_hash)) = self.place(query, &event) else {
-                continue;
-            };
-            if let Some((query, key_hash)) = last.replace((query as u32, key_hash)) {
-                let event = Event::clone(&event);
+            if let Some((_, key_hash)) = self.place(query, event) {
                 self.push_inline(Item {
-                    event,
-                    query,
+                    event: event.clone(),
+                    query: query as u32,
                     key_hash,
                 });
             }
-        }
-        if let Some((query, key_hash)) = last {
-            let event = event.into_owned();
-            self.push_inline(Item {
-                event,
-                query,
-                key_hash,
-            });
         }
     }
 
@@ -2072,7 +2047,7 @@ mod tests {
         assert_eq!(pool.workers(), 1, "no GROUP-BY ⇒ one shard");
         let mut b = EventBuilder::new();
         for i in 0..20u64 {
-            pool.route_owned(b.event(i + 1, a, vec![Value::Int(i as i64)]));
+            pool.route(&b.event(i + 1, a, vec![Value::Int(i as i64)]));
         }
         let mut out = Vec::new();
         pool.finish_into(&mut |_q, r| out.push(r));

@@ -63,8 +63,9 @@ use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
 use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
 use cogra_events::csv::{CsvError, EventReader};
-use cogra_events::{Event, LateGate, Timestamp, TypeRegistry};
+use cogra_events::{Event, LateGate, Timestamp, TypeId, TypeRegistry};
 use cogra_query::{canonical_signature, compile, parse, CompiledQuery, Query, QueryError};
+use std::borrow::Borrow;
 use std::fmt;
 use std::io;
 use std::str::FromStr;
@@ -1136,27 +1137,24 @@ impl Session {
         self.pool.route(event);
     }
 
-    /// Like [`Session::process`], consuming the event — spares a clone
-    /// under `.slack(n)` at width 1 (elsewhere nothing is cloned anyway).
-    pub fn process_owned(&mut self, event: Event) {
-        self.pool.route_owned(event);
-    }
-
     /// Ingest events straight off a `cogra_events::csv` stream — one
     /// decode pass, no intermediate `Vec<Event>`; THE decode path shared
-    /// by the `cogra-run` CLI, the server and the benchmark. Returns the
-    /// number of events ingested. Without `.slack(n)` a time-regressing
-    /// row fails with [`IngestError::OutOfOrder`] instead of corrupting
-    /// engine state. Results are *not* collected here: drain via
+    /// by the `cogra-run` CLI, the server and the benchmark. Every row is
+    /// decoded into one reused event and handed to [`Session::process`] by
+    /// reference, so a row of numbers allocates nothing between the text
+    /// and the engines. Returns the number of events ingested. Without
+    /// `.slack(n)` a time-regressing row fails with
+    /// [`IngestError::OutOfOrder`] instead of corrupting engine state.
+    /// Results are *not* collected here: drain via
     /// [`Session::drain_into`] / [`Session::finish_into`] as usual, or
     /// use [`Session::run_csv`] for the collect-everything convenience.
     pub fn ingest_csv(&mut self, text: &str, registry: &TypeRegistry) -> Result<u64, IngestError> {
         let mut count = 0u64;
-        for item in self.checked_csv(text, registry)? {
-            self.process_owned(item?);
+        self.each_csv_event(text, registry, |session, event| {
+            session.process(event);
             count += 1;
-            self.check_ingest()?;
-        }
+            session.check_ingest()
+        })?;
         Ok(count)
     }
 
@@ -1172,19 +1170,22 @@ impl Session {
         }
     }
 
-    /// The decode + order-check adapter shared by [`Session::ingest_csv`]
-    /// and [`Session::run_csv`] — one enforcement site for the
-    /// no-slack [`IngestError::OutOfOrder`] contract.
-    fn checked_csv<'a>(
-        &self,
-        text: &'a str,
-        registry: &'a TypeRegistry,
-    ) -> Result<impl Iterator<Item = Result<Event, IngestError>> + 'a, IngestError> {
+    /// The decode + order-check loop shared by [`Session::ingest_csv`]
+    /// and [`Session::run_csv`] — one enforcement site for the no-slack
+    /// [`IngestError::OutOfOrder`] contract. `each` sees every row through
+    /// the one event the reader decodes into.
+    fn each_csv_event(
+        &mut self,
+        text: &str,
+        registry: &TypeRegistry,
+        mut each: impl FnMut(&mut Session, &Event) -> Result<(), IngestError>,
+    ) -> Result<(), IngestError> {
         let has_slack = self.pool.gate().is_some();
         let mut watermark = self.watermark();
-        let reader = EventReader::new(text, registry)?;
-        Ok(reader.map(move |item| {
-            let event = item?;
+        let mut reader = EventReader::new(text, registry)?;
+        let mut event = Event::new(0, 0, TypeId(0), Vec::new());
+        while let Some(row) = reader.read_into(&mut event) {
+            row?;
             if !has_slack && event.time < watermark {
                 return Err(IngestError::OutOfOrder {
                     event: event.id,
@@ -1193,8 +1194,9 @@ impl Session {
                 });
             }
             watermark = watermark.max(event.time);
-            Ok(event)
-        }))
+            each(self, &event)?;
+        }
+        Ok(())
     }
 
     /// Emit every result final at the current watermark. Under
@@ -1401,14 +1403,21 @@ impl Session {
     /// [`Session::key_overflow`] — it is [`Session::run_csv`] and
     /// [`Session::ingest_csv`] that fail typed).
     pub fn run(self, events: &[Event]) -> SessionRun {
-        self.run_inner(events.iter().map(|e| Ok(Fed::Ref(e))), false)
-            .unwrap_or_else(|_| unreachable!("in-memory streams cannot fail ingestion"))
+        self.run_events(events)
     }
 
     /// Like [`Session::run`], consuming an event stream — pairs with lazy
     /// sources (generators, decoders) without materializing a `Vec`.
     pub fn run_stream(self, events: impl IntoIterator<Item = Event>) -> SessionRun {
-        self.run_inner(events.into_iter().map(|e| Ok(Fed::Owned(e))), false)
+        self.run_events(events)
+    }
+
+    fn run_events<E: Borrow<Event>>(mut self, events: impl IntoIterator<Item = E>) -> SessionRun {
+        let mut run = Collect::new(&self, false);
+        events
+            .into_iter()
+            .try_for_each(|event| run.step(&mut self, event.borrow()))
+            .and_then(|()| run.finish(self))
             .unwrap_or_else(|_| unreachable!("in-memory streams cannot fail ingestion"))
     }
 
@@ -1417,66 +1426,82 @@ impl Session {
     /// [`Session::ingest_csv`] and the CLI), never materializing the
     /// event vector. Without `.slack(n)`, a time-regressing row fails
     /// with [`IngestError::OutOfOrder`].
-    pub fn run_csv(self, text: &str, registry: &TypeRegistry) -> Result<SessionRun, IngestError> {
-        let events = self.checked_csv(text, registry)?;
-        self.run_inner(events.map(|item| item.map(Fed::Owned)), true)
+    pub fn run_csv(
+        mut self,
+        text: &str,
+        registry: &TypeRegistry,
+    ) -> Result<SessionRun, IngestError> {
+        let mut run = Collect::new(&self, true);
+        self.each_csv_event(text, registry, |session, event| run.step(session, event))?;
+        run.finish(self)
+    }
+}
+
+/// The collect-everything loop shared by [`Session::run`],
+/// [`Session::run_stream`] and [`Session::run_csv`]: [`Collect::step`] per
+/// event, then [`Collect::finish`]. `strict` makes a `key_limit` overflow
+/// or a sticky worker failure fail typed (the CSV surface); the in-memory
+/// surfaces pass `false` and stay infallible — the overflow remains
+/// observable via [`Session::key_overflow`], while a worker failure panics
+/// at the end of the run (a controlled diagnostic: the alternative is
+/// silently returning empty results for a stream that was never
+/// processed).
+struct Collect {
+    per_query: Vec<Vec<WindowResult>>,
+    inline: bool,
+    strict: bool,
+    peak: usize,
+    count: u64,
+}
+
+impl Collect {
+    fn new(session: &Session, strict: bool) -> Collect {
+        Collect {
+            per_query: vec![Vec::new(); session.queries()],
+            inline: session.pool.is_inline(),
+            strict,
+            peak: session.memory_bytes(),
+            count: 0,
+        }
     }
 
-    /// The collect-everything loop shared by [`Session::run`],
-    /// [`Session::run_stream`] and [`Session::run_csv`].
-    /// `strict` makes a `key_limit` overflow or a sticky worker failure
-    /// fail typed (the CSV surfaces); the in-memory surfaces pass
-    /// `false` and stay infallible — the overflow remains observable via
-    /// [`Session::key_overflow`], while a worker failure panics at the
-    /// end of the run (a controlled diagnostic: the alternative is
-    /// silently returning empty results for a stream that was never
-    /// processed).
-    fn run_inner<'a>(
-        mut self,
-        events: impl Iterator<Item = Result<Fed<'a>, IngestError>>,
-        strict: bool,
-    ) -> Result<SessionRun, IngestError> {
-        let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); self.queries()];
-        let inline = self.pool.is_inline();
-        let mut peak = self.memory_bytes();
-        let mut count = 0u64;
-        {
-            let mut sink = |query: usize, result: WindowResult| per_query[query].push(result);
-            for item in events {
-                match item? {
-                    Fed::Ref(event) => self.process(event),
-                    Fed::Owned(event) => self.process_owned(event),
-                }
-                if strict {
-                    self.check_ingest()?;
-                }
-                let i = count as usize;
-                count += 1;
-                if inline {
-                    // This loop drives the inline shard, so it is the
-                    // shard's one peak sampler. The stride is part of what
-                    // `peak_bytes` means (a sample is cheap; moving the
-                    // sites would move the reported peak).
-                    self.drain_into(&mut sink);
-                    if i.is_multiple_of(64) {
-                        peak = peak.max(self.memory_bytes());
-                    }
-                } else if i % 2048 == 2047 {
-                    // A drain of worker threads is a cross-thread round
-                    // trip that also flushes partial transport batches;
-                    // amortize it over a coarse stride instead of paying
-                    // it per event. (The workers sample their own peaks.)
-                    // Emission timing is coarser, but the collected result
-                    // set is identical — asserted by the drain-cadence
-                    // invariance battery.
-                    self.drain_into(&mut sink);
-                }
-            }
-            peak = peak.max(self.memory_bytes());
-            self.finish_into(&mut sink);
+    fn step(&mut self, session: &mut Session, event: &Event) -> Result<(), IngestError> {
+        session.process(event);
+        if self.strict {
+            session.check_ingest()?;
         }
-        if let Some(failure) = self.worker_failure() {
-            if strict {
+        let i = self.count as usize;
+        self.count += 1;
+        let per_query = &mut self.per_query;
+        let mut sink = |query: usize, result: WindowResult| per_query[query].push(result);
+        if self.inline {
+            // This loop drives the inline shard, so it is the shard's one
+            // peak sampler. The stride is part of what `peak_bytes` means
+            // (a sample is cheap; moving the sites would move the reported
+            // peak).
+            session.drain_into(&mut sink);
+            if i.is_multiple_of(64) {
+                self.peak = self.peak.max(session.memory_bytes());
+            }
+        } else if i % 2048 == 2047 {
+            // A drain of worker threads is a cross-thread round trip that
+            // also flushes partial transport batches; amortize it over a
+            // coarse stride instead of paying it per event. (The workers
+            // sample their own peaks.) Emission timing is coarser, but the
+            // collected result set is identical — asserted by the
+            // drain-cadence invariance battery.
+            session.drain_into(&mut sink);
+        }
+        Ok(())
+    }
+
+    fn finish(mut self, mut session: Session) -> Result<SessionRun, IngestError> {
+        self.peak = self.peak.max(session.memory_bytes());
+        let per_query = &mut self.per_query;
+        session
+            .finish_into(&mut |query: usize, result: WindowResult| per_query[query].push(result));
+        if let Some(failure) = session.worker_failure() {
+            if self.strict {
                 return Err(IngestError::WorkerFailed(failure.clone()));
             }
             // The infallible surfaces (`run`/`run_stream`) have no error
@@ -1484,36 +1509,29 @@ impl Session {
             // silently handing back empty results.
             panic!("{failure}");
         }
-        for results in &mut per_query {
+        for results in &mut self.per_query {
             WindowResult::sort(results);
         }
-        let shards = self.shard_metrics();
+        let shards = session.shard_metrics();
         let total = Metrics::total(&shards);
         Ok(SessionRun {
-            per_query,
+            per_query: self.per_query,
             // The shards' own peaks: the samples above plus the engines'
             // finalization spikes inline; under `.workers(n)` what each
             // worker sampled over its hosted engines (the coordinator-side
             // samples above only mirror those with a lag).
-            peak_bytes: peak.max(total.peak),
-            workers: self.workers(),
-            events: count,
-            late_events: self.late_events(),
+            peak_bytes: self.peak.max(total.peak),
+            workers: session.workers(),
+            events: self.count,
+            late_events: session.late_events(),
             stats: total.stats,
             shard_events: shards.iter().map(|m| m.events).collect(),
-            degraded: self.degraded_shards(),
-            dropped_events: self.dropped_events(),
-            plans: self.plans.clone(),
-            physical: self.shared.physical(),
+            degraded: session.degraded_shards(),
+            dropped_events: session.dropped_events(),
+            plans: session.plans.clone(),
+            physical: session.shared.physical(),
         })
     }
-}
-
-/// One ingested event: borrowed from a slice ([`Session::run`]) or owned
-/// by a streaming source ([`Session::run_stream`] / [`Session::run_csv`]).
-enum Fed<'a> {
-    Ref(&'a Event),
-    Owned(Event),
 }
 
 impl fmt::Debug for Session {

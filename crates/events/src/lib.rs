@@ -22,7 +22,7 @@ pub mod stream;
 pub mod value;
 pub mod window;
 
-pub use csv::{read_events, write_events, CsvError, EventReader};
+pub use csv::{read_events, record_ends, write_events, CsvError, EventReader};
 pub use event::{Event, EventId, Timestamp};
 pub use reorder::{LateGate, ReorderBuffer, Reorderer};
 pub use schema::{AttrId, Schema, TypeId, TypeRegistry};

@@ -12,6 +12,7 @@
 //! decoded `RESULT` lines until the server's `EOS`.
 
 use crate::wire::{self, StatsReport};
+use cogra_events::record_ends;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -71,12 +72,15 @@ impl Client {
     }
 
     /// Send one `INGEST` block: a self-contained CSV document (header
-    /// first — the `cogra_events::csv` format).
+    /// first — the `cogra_events::csv` format). The text goes out as it
+    /// is, behind its physical line count, in one write.
     pub fn ingest(&mut self, csv: &str) -> Reply<StatsReport> {
-        let lines: Vec<&str> = csv.lines().collect();
-        let mut block = format!("INGEST {}\n", lines.len());
-        for line in &lines {
-            block.push_str(line);
+        let unterminated = !csv.is_empty() && !csv.ends_with('\n');
+        let lines = csv.bytes().filter(|&b| b == b'\n').count() + usize::from(unterminated);
+        let mut block = format!("INGEST {lines}\n");
+        block.reserve(csv.len() + 1);
+        block.push_str(csv);
+        if unterminated {
             block.push('\n');
         }
         self.writer.write_all(block.as_bytes())?;
@@ -85,26 +89,24 @@ impl Client {
 
     /// Replay a whole CSV document in blocks of `rows_per_block` data
     /// rows (the header is re-sent with each block, keeping every block a
-    /// self-contained document for the shared decode path). Returns the
-    /// last block's reply.
+    /// self-contained document for the shared decode path; blocks are cut
+    /// at record ends, so a quoted cell spanning lines stays whole).
+    /// Returns the last block's reply.
     pub fn replay_csv(&mut self, csv: &str, rows_per_block: usize) -> Reply<StatsReport> {
-        let mut lines = csv.lines();
-        let Some(header) = lines.next() else {
+        let ends = record_ends(csv);
+        let Some((&header_end, rows)) = ends.split_first() else {
             return self.stats(); // empty document: nothing to send
         };
-        let rows: Vec<&str> = lines.collect();
+        let header = &csv[..header_end];
         if rows.is_empty() {
-            return self.stats(); // header-only document: ditto
+            return self.ingest(header); // no rows, but the header is checked
         }
+        let mut start = header_end;
         let mut last = None;
         for block in rows.chunks(rows_per_block.max(1)) {
-            let mut doc = String::with_capacity(header.len() + block.len() * 16);
-            doc.push_str(header);
-            doc.push('\n');
-            for row in block {
-                doc.push_str(row);
-                doc.push('\n');
-            }
+            let end = *block.last().expect("chunks are never empty");
+            let doc = [header, &csv[start..end]].concat();
+            start = end;
             match self.ingest(&doc)? {
                 Ok(report) => last = Some(report),
                 Err(e) => return Ok(Err(e)),
@@ -165,6 +167,7 @@ impl Client {
             Err(msg) => Ok(Err(msg)),
             Ok(_) => Ok(Ok(Subscription {
                 reader: self.reader,
+                line: String::new(),
             })),
         }
     }
@@ -176,18 +179,20 @@ impl Client {
 #[derive(Debug)]
 pub struct Subscription {
     reader: BufReader<TcpStream>,
+    /// The line being decoded; reused.
+    line: String,
 }
 
 impl Iterator for Subscription {
     type Item = io::Result<(usize, String)>;
 
     fn next(&mut self) -> Option<io::Result<(usize, String)>> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        self.line.clear();
+        match self.reader.read_line(&mut self.line) {
             Err(e) => Some(Err(e)),
             Ok(0) => None, // connection dropped without EOS
             Ok(_) => {
-                let line = line.trim_end();
+                let line = self.line.trim_end();
                 if line == wire::EOS {
                     return None;
                 }

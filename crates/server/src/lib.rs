@@ -11,7 +11,7 @@
 //! * `SUBSCRIBE` turns a connection into a push stream: one `RESULT`
 //!   line per finalized window result, emitted as shard windows close
 //!   (COGRA's incremental maintenance pays off online, not
-//!   buffer-and-reply);
+//!   buffer-and-reply), the lines of one drain in one write;
 //! * `DRAIN` / `STATS` / `FINISH` surface watermarks, late-drop counts
 //!   and the routing [`RunStats`](cogra_engine::RunStats).
 //!

@@ -15,9 +15,15 @@
 //! most one request in flight — commands are answered before the next is
 //! read), so a fast client cannot buffer unbounded event batches inside
 //! the server. Result emission is push-based end to end: the actor's
-//! drains hand each finalized [`WindowResult`] to a sink that writes
-//! `RESULT` lines straight to subscriber sockets — results stream out
-//! incrementally as shard windows close, never buffer-and-reply.
+//! drains hand each finalized [`WindowResult`] to a sink that appends its
+//! `RESULT` line to every matching subscriber's buffer, and each buffer
+//! is written to its socket once when the drain (or `FINISH`) ends —
+//! results stream out incrementally as shard windows close, one `write`
+//! per subscriber per drain, never buffer-and-reply.
+//!
+//! An `INGEST` payload is taken off the socket in bulk: the connection
+//! thread scans the read buffer for the announced number of newlines and
+//! moves whole chunks, under a per-line and a per-block byte cap.
 //!
 //! Safety guard: the server refuses to bind a non-loopback address
 //! unless [`ServerConfig::allow_nonlocal`] is set — there is no TLS and
@@ -46,7 +52,15 @@ const MAX_INGEST_LINES: usize = 1_000_000;
 
 /// Hard cap on the byte length of any single protocol line (command or
 /// CSV row) — a newline-free flood must not buffer unbounded either.
-const MAX_LINE_BYTES: u64 = 1 << 20;
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Hard cap on the byte length of one `INGEST` block — the line-count and
+/// line-length caps alone would let a single block buffer a terabyte.
+const MAX_INGEST_BYTES: usize = 64 << 20;
+
+/// Read-buffer size of a command connection: a typical `INGEST` block
+/// (a few thousand rows) arrives in one or two reads.
+const READ_BUFFER_BYTES: usize = 64 << 10;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -368,42 +382,70 @@ impl Drop for Server {
     }
 }
 
-/// One registered subscriber: the write half of a connection plus its
-/// query filter (`None` = all queries).
+/// One registered subscriber: the write half of a connection, its query
+/// filter (`None` = all queries) and the lines not yet written to it.
 struct Subscriber {
     query: Option<usize>,
     stream: TcpStream,
+    /// Lines pushed since the last [`Subscriber::flush`].
+    pending: Vec<u8>,
     dead: bool,
 }
 
 impl Subscriber {
     fn push(&mut self, line: &str) {
-        if self.dead {
-            return;
-        }
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        if self.stream.write_all(&buf).is_err() {
+        self.pending.extend_from_slice(line.as_bytes());
+        self.pending.push(b'\n');
+    }
+
+    /// Write the pending lines in one go. A failed or timed-out write
+    /// marks the subscriber dead.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() && self.stream.write_all(&self.pending).is_err() {
             self.dead = true;
         }
+        self.pending.clear();
     }
 }
 
-/// Push one finalized result to every matching subscriber — the one
-/// sink body behind both `drain_into` and `finish_into`.
-fn push_result(
-    subscribers: &mut [Subscriber],
-    results: &mut u64,
-    query: usize,
-    result: &cogra_engine::WindowResult,
-) {
-    *results += 1;
-    let line = wire::encode_result(query, result);
-    for sub in subscribers.iter_mut() {
-        if sub.query.is_none_or(|q| q == query) {
-            sub.push(&line);
+/// Every registered subscriber — the result sink wired to sockets.
+#[derive(Default)]
+struct Subscribers {
+    list: Vec<Subscriber>,
+    /// Results pushed so far (`results=` in `STATS`).
+    results: u64,
+    /// The result being encoded; reused.
+    line: Vec<u8>,
+}
+
+impl Subscribers {
+    /// Queue one finalized result for every matching subscriber — the one
+    /// sink body behind both `drain_into` and `finish_into`.
+    fn push_result(&mut self, query: usize, result: &cogra_engine::WindowResult) {
+        self.results += 1;
+        self.line.clear();
+        wire::push_result_line(&mut self.line, query, result);
+        for sub in &mut self.list {
+            if sub.query.is_none_or(|q| q == query) {
+                sub.pending.extend_from_slice(&self.line);
+            }
         }
+    }
+
+    /// Emit every result final at the current watermark to the matching
+    /// subscribers.
+    fn drain(&mut self, session: &mut Session) {
+        session.drain_into(&mut |query: usize, result: cogra_engine::WindowResult| {
+            self.push_result(query, &result)
+        });
+        self.flush();
+    }
+
+    /// Write out what was queued, one write per subscriber, and forget
+    /// the subscribers whose write failed.
+    fn flush(&mut self) {
+        self.list.iter_mut().for_each(Subscriber::flush);
+        self.list.retain(|s| !s.dead);
     }
 }
 
@@ -417,20 +459,10 @@ fn session_actor(
     requests: Receiver<Req>,
     config: ServerConfig,
 ) {
-    let mut subscribers: Vec<Subscriber> = Vec::new();
+    let mut subscribers = Subscribers::default();
     let mut events: u64 = 0;
-    let mut results: u64 = 0;
     let mut finished = false;
 
-    // Emit every result final at the current watermark to the matching
-    // subscribers — the ResultSink wired to sockets.
-    let drain = |session: &mut Session, subscribers: &mut Vec<Subscriber>, results: &mut u64| {
-        let mut sink = |query: usize, result: cogra_engine::WindowResult| {
-            push_result(subscribers, results, query, &result);
-        };
-        session.drain_into(&mut sink);
-        subscribers.retain(|s| !s.dead);
-    };
     let stats = |session: &Session, events: u64, results: u64, finished: bool| {
         // One read of the shard counters, so the totals and the per-shard
         // event counts describe the same instant.
@@ -470,9 +502,9 @@ fn session_actor(
                         Ok(count) => {
                             events += count;
                             if config.drain_on_ingest {
-                                drain(&mut session, &mut subscribers, &mut results);
+                                subscribers.drain(&mut session);
                             }
-                            let mut report = stats(&session, events, results, finished);
+                            let mut report = stats(&session, events, subscribers.results, finished);
                             report.ingested = count;
                             Ok(report)
                         }
@@ -483,32 +515,32 @@ fn session_actor(
             }
             Req::Drain { reply } => {
                 if !finished {
-                    drain(&mut session, &mut subscribers, &mut results);
+                    subscribers.drain(&mut session);
                 }
-                let _ = reply.send(stats(&session, events, results, finished));
+                let _ = reply.send(stats(&session, events, subscribers.results, finished));
             }
             Req::Stats { reply } => {
-                let _ = reply.send(stats(&session, events, results, finished));
+                let _ = reply.send(stats(&session, events, subscribers.results, finished));
             }
             Req::Finish { reply } => {
                 let outcome = if finished {
                     Err("session finished".to_string())
                 } else {
-                    let mut sink = |query: usize, result: cogra_engine::WindowResult| {
-                        push_result(&mut subscribers, &mut results, query, &result);
-                    };
-                    session.finish_into(&mut sink);
+                    session.finish_into(&mut |query: usize, result: cogra_engine::WindowResult| {
+                        subscribers.push_result(query, &result)
+                    });
                     finished = true;
-                    for sub in &mut subscribers {
+                    for sub in &mut subscribers.list {
                         sub.push(EOS);
                     }
-                    subscribers.clear();
+                    subscribers.flush();
+                    subscribers.list.clear();
                     // The finished condvar is NOT signalled here: the
                     // connection thread signals it only after the OK
                     // reply reached the socket, so a `wait_finished` →
                     // shutdown caller (the CLI's serve mode, which
                     // exits) cannot kill the reply mid-write.
-                    Ok(stats(&session, events, results, finished))
+                    Ok(stats(&session, events, subscribers.results, finished))
                 };
                 let _ = reply.send(outcome);
             }
@@ -544,6 +576,7 @@ fn session_actor(
                     let mut sub = Subscriber {
                         query,
                         stream,
+                        pending: Vec::new(),
                         dead: false,
                     };
                     let tag = match query {
@@ -556,8 +589,10 @@ fn session_actor(
                         // (results are push-only, not replayed) — say so
                         // immediately.
                         sub.push(EOS);
-                    } else {
-                        subscribers.push(sub);
+                    }
+                    sub.flush();
+                    if !finished {
+                        subscribers.list.push(sub);
                     }
                 }
                 let _ = reply.send(outcome);
@@ -567,19 +602,65 @@ fn session_actor(
     }
 }
 
-/// Read one `\n`-terminated line, appending at most [`MAX_LINE_BYTES`]
-/// bytes to `buf`. Returns the bytes read (0 = EOF); `InvalidData` if
-/// the cap is hit before a newline — a newline-free flood must not
-/// buffer unbounded.
-fn read_line_bounded(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> io::Result<usize> {
-    let n = io::Read::take(&mut *reader, MAX_LINE_BYTES).read_until(b'\n', buf)?;
-    if n as u64 == MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "protocol line exceeds the line-length limit",
-        ));
+/// Why [`read_lines`] stopped short of the lines asked for.
+enum ReadStop {
+    /// The peer closed the connection first.
+    Eof,
+    /// A line reached [`MAX_LINE_BYTES`] without a newline.
+    LineTooLong,
+    /// The lines together reached [`MAX_INGEST_BYTES`].
+    BlockTooLarge,
+    Io(io::Error),
+}
+
+/// Append the next `lines` `\n`-terminated lines to `out` — one command,
+/// or a whole `INGEST` payload — by scanning the reader's buffer in place
+/// and moving each chunk across whole. A final line cut short by EOF
+/// counts as a line. Neither a newline-free flood nor a long block is
+/// buffered past its cap.
+fn read_lines(
+    reader: &mut BufReader<TcpStream>,
+    lines: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), ReadStop> {
+    let mut remaining = lines;
+    let mut line_len = 0; // of the line in progress, across chunks
+    let mut budget = MAX_INGEST_BYTES;
+    while remaining > 0 {
+        if budget == 0 {
+            return Err(ReadStop::BlockTooLarge);
+        }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => &chunk[..chunk.len().min(budget)],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ReadStop::Io(e)),
+        };
+        if chunk.is_empty() {
+            return if remaining == 1 && line_len > 0 {
+                Ok(())
+            } else {
+                Err(ReadStop::Eof)
+            };
+        }
+        let mut taken = 0;
+        while remaining > 0 && taken < chunk.len() {
+            let newline = chunk[taken..].iter().position(|&b| b == b'\n');
+            let step = newline.map_or(chunk.len() - taken, |at| at + 1);
+            taken += step;
+            line_len += step;
+            if line_len > MAX_LINE_BYTES || (line_len == MAX_LINE_BYTES && newline.is_none()) {
+                return Err(ReadStop::LineTooLong);
+            }
+            if newline.is_some() {
+                remaining -= 1;
+                line_len = 0;
+            }
+        }
+        out.extend_from_slice(&chunk[..taken]);
+        reader.consume(taken);
+        budget -= taken;
     }
-    Ok(n)
+    Ok(())
 }
 
 /// Read commands off one connection and forward them to the actor. Every
@@ -600,23 +681,15 @@ fn serve_connection(
     // ERR line and the connection closes. Subscriber streams are exempt —
     // the actor owns their write half and this thread exits on SUBSCRIBE.
     stream.set_read_timeout(read_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream.try_clone()?);
     let mut writer = stream;
     let mut line_buf: Vec<u8> = Vec::new();
     loop {
         line_buf.clear();
-        match read_line_bounded(&mut reader, &mut line_buf) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                reply_err(&mut writer, "protocol line exceeds the line-length limit")?;
-                return Ok(());
-            }
-            Err(e) if idle_timeout(&e) => {
-                reply_err(&mut writer, "idle connection timed out")?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
+        match read_lines(&mut reader, 1, &mut line_buf) {
+            Ok(()) => {}
+            Err(ReadStop::Eof) => return Ok(()), // client hung up
+            Err(stop) => return refuse(&mut writer, stop),
         }
         let line = match std::str::from_utf8(&line_buf) {
             Ok(s) => s.trim(),
@@ -646,28 +719,8 @@ fn serve_connection(
                     continue;
                 }
                 let mut payload: Vec<u8> = Vec::new();
-                let mut failed: Option<&str> = None;
-                for _ in 0..n {
-                    match read_line_bounded(&mut reader, &mut payload) {
-                        Ok(0) => {
-                            failed = Some("unexpected EOF inside INGEST payload");
-                            break;
-                        }
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                            failed = Some("protocol line exceeds the line-length limit");
-                            break;
-                        }
-                        Err(e) if idle_timeout(&e) => {
-                            failed = Some("idle connection timed out");
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                if let Some(message) = failed {
-                    reply_err(&mut writer, message)?;
-                    return Ok(());
+                if let Err(stop) = read_lines(&mut reader, n, &mut payload) {
+                    return refuse(&mut writer, stop);
                 }
                 match String::from_utf8(payload) {
                     Err(_) => reply_err(&mut writer, "ingest payload is not valid UTF-8")?,
@@ -791,6 +844,23 @@ fn serve_connection(
             }
             _ => reply_err(&mut writer, &format!("unknown command `{verb}`"))?,
         }
+    }
+}
+
+/// Answer a read that stopped short with its one `ERR` line; the caller
+/// closes the connection. Transport errors other than the idle timeout
+/// just end it. (EOF *between* commands is a hang-up, not an error: the
+/// caller never passes it here.)
+fn refuse(writer: &mut TcpStream, stop: ReadStop) -> io::Result<()> {
+    match stop {
+        ReadStop::Eof => reply_err(writer, "unexpected EOF inside INGEST payload"),
+        ReadStop::LineTooLong => reply_err(writer, "protocol line exceeds the line-length limit"),
+        ReadStop::BlockTooLarge => reply_err(
+            writer,
+            &format!("INGEST block too large (max {MAX_INGEST_BYTES} bytes)"),
+        ),
+        ReadStop::Io(e) if idle_timeout(&e) => reply_err(writer, "idle connection timed out"),
+        ReadStop::Io(e) => Err(e),
     }
 }
 

@@ -11,7 +11,10 @@
 //! ```text
 //! client → server
 //!   INGEST <n>          the next n lines are one CSV document
-//!                       (header first — the cogra_events::csv format)
+//!                       (header first — the cogra_events::csv format).
+//!                       n counts physical lines: a quoted cell may hold
+//!                       newlines, each of which counts. Capped at
+//!                       1000000 lines, 1 MiB a line, 64 MiB a block.
 //!   SUBSCRIBE <q>       q = "q<i>" (one query) or "*" (all queries)
 //!   DRAIN               flush + emit everything final at the watermark
 //!   STATS               report counters (see StatsReport)
@@ -31,7 +34,10 @@
 //! Results are serialized with [`encode_result`] — the same
 //! `WindowResult` `Display` the CLI prints — so a socket-served run is
 //! byte-comparable against an in-process [`Session`] run
-//! (`tests/server_e2e_props.rs` pins this).
+//! (`tests/server_e2e_props.rs` pins this). The server encodes with
+//! [`push_result_line`] into a buffer per subscriber and writes each
+//! buffer once per drain: the lines of one drain arrive together, in
+//! emission order.
 //!
 //! [`Session`]: cogra_core::session::Session
 
@@ -49,7 +55,18 @@ pub const ERR: &str = "ERR";
 /// Serialize one finalized result of query `query` as a `RESULT` line
 /// (without the trailing newline).
 pub fn encode_result(query: usize, result: &WindowResult) -> String {
-    format!("{RESULT} q{query} {result}")
+    let mut line = Vec::new();
+    push_result_line(&mut line, query, result);
+    line.pop();
+    String::from_utf8(line).expect("`Display` writes UTF-8")
+}
+
+/// Append the `RESULT` line of [`encode_result`], newline included, to
+/// `out` — how the server fills a subscriber's write buffer without a
+/// `String` per result.
+pub fn push_result_line(out: &mut Vec<u8>, query: usize, result: &WindowResult) {
+    use std::io::Write;
+    writeln!(out, "{RESULT} q{query} {result}").expect("writing to a `Vec` cannot fail");
 }
 
 /// Parse the payload of a `RESULT` line (everything after the `RESULT `

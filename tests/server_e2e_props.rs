@@ -337,6 +337,75 @@ fn duplicate_query_roster_shares_one_run_and_fans_out_identically() {
 }
 
 #[test]
+fn records_spanning_lines_survive_the_socket_in_any_chunking() {
+    watchdog("multi-line-records", || {
+        // Cells holding newlines, `\r`, quotes and nothing: `INGEST` counts
+        // physical lines and `replay_csv` cuts blocks at record ends, so a
+        // record spanning lines is never split, whatever the block size.
+        let mut registry = TypeRegistry::new();
+        registry.register_type(
+            "Note",
+            vec![("g", ValueKind::Int), ("text", ValueKind::Str)],
+        );
+        let note = registry.id_of("Note").unwrap();
+        let texts = ["a\nb", "", "c\r", "say \"hi\"", "\r\n,", "plain"];
+        let mut builder = EventBuilder::new();
+        let events: Vec<Event> = (0..60)
+            .map(|i| {
+                let attrs = vec![
+                    Value::Int(i % 3),
+                    Value::str(texts[i as usize % texts.len()]),
+                ];
+                builder.event(i as u64 + 1, note, attrs)
+            })
+            .collect();
+        let csv = write_events(&events, &registry);
+        assert!(csv.lines().count() > events.len() + 1, "records span lines");
+        let query = "RETURN g, COUNT(*) PATTERN Note N+ SEMANTICS skip-till-any-match \
+                     WHERE [g] GROUP-BY g WITHIN 20 SLIDE 10";
+        let reference = Session::builder()
+            .query(query)
+            .build(&registry)
+            .expect("reference session builds")
+            .run_csv(&csv, &registry)
+            .expect("reference ingests");
+        let mut expected: Vec<String> = reference.per_query[0]
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
+        expected.sort();
+        assert!(!expected.is_empty());
+
+        for rows_per_block in [1, 7, 1000] {
+            let server = Server::spawn(
+                Session::builder().query(query),
+                registry.clone(),
+                "127.0.0.1:0",
+                ServerConfig::default(),
+            )
+            .expect("server starts");
+            let subscription = Client::connect(server.local_addr())
+                .expect("subscriber connects")
+                .subscribe(Some(0))
+                .expect("subscribe io")
+                .expect("subscribe accepted");
+            let mut feed = Client::connect(server.local_addr()).expect("feed connects");
+            feed.replay_csv(&csv, rows_per_block)
+                .expect("replay io")
+                .expect("replay ok");
+            let finish = feed.finish().expect("finish io").expect("finish ok");
+            assert_eq!(finish.events, 60, "rows per block {rows_per_block}");
+            let mut pushed: Vec<String> = subscription
+                .map(|item| item.expect("well-formed result line").1)
+                .collect();
+            pushed.sort();
+            assert_eq!(pushed, expected, "rows per block {rows_per_block}");
+            server.shutdown();
+        }
+    });
+}
+
+#[test]
 fn reconnect_after_finish_is_an_error() {
     watchdog("reconnect-after-finish", || {
         let (registry, query, events) = workload(0, 3, 60);
@@ -447,6 +516,168 @@ fn protocol_error_replies() {
             Ok(n) => panic!("connection still open after the cap: read {n} bytes `{line}`"),
         }
 
+        // An INGEST block is capped in bytes too (1M lines of up to 1 MiB
+        // each would otherwise be a terabyte): 64 lines of exactly 1 MiB
+        // — the line cap, so the byte cap is what trips — out of the
+        // 100000 announced. As above the server consumes every byte
+        // before it answers and closes.
+        let mut big = std::net::TcpStream::connect(addr).expect("connects");
+        let mut big_replies = BufReader::new(big.try_clone().expect("clone"));
+        let mut mebibyte = vec![b'x'; 1024 * 1024];
+        *mebibyte.last_mut().unwrap() = b'\n';
+        big.write_all(b"INGEST 100000\n").expect("write");
+        for _ in 0..64 {
+            big.write_all(&mebibyte).expect("write");
+        }
+        line.clear();
+        big_replies.read_line(&mut line).expect("read");
+        assert_eq!(
+            line, "ERR INGEST block too large (max 67108864 bytes)\n",
+            "the sibling of the line-count reply"
+        );
+        line.clear();
+        match big_replies.read_line(&mut line) {
+            Ok(0) | Err(_) => {}
+            Ok(n) => panic!("connection still open after the cap: read {n} bytes `{line}`"),
+        }
+        // The line-count cap still answers on a connection that lives on.
+        let mut raw = std::net::TcpStream::connect(addr).expect("connects");
+        let mut replies = BufReader::new(raw.try_clone().expect("clone"));
+        raw.write_all(b"INGEST 1000001\n").expect("write");
+        line.clear();
+        replies.read_line(&mut line).expect("read");
+        assert_eq!(line, "ERR INGEST block too large (max 1000000 lines)\n");
+
+        server.shutdown();
+    });
+}
+
+#[test]
+fn subscribers_get_their_streams_whole_and_a_stalled_one_is_dropped() {
+    watchdog("multi-subscriber", || {
+        use std::io::{BufRead, BufReader, Read, Write};
+
+        // q0 once, q1 in many copies: sharing runs the copies as one
+        // physical run and fans every result out to each, so a `*`
+        // subscriber is owed far more bytes than loopback buffers hold.
+        const COPIES: usize = 150;
+        let registry = stock::registry();
+        let events = stock::generate(&StockConfig {
+            events: 6_000,
+            seed: 3,
+            ..StockConfig::default()
+        });
+        let csv = write_events(&events, &registry);
+        let (sparse, dense) = (stock::q3_query(50, 25), stock::q3_query(10, 5));
+        let mut lines = csv.lines();
+        let header = lines.next().expect("csv has a header");
+        let rows: Vec<&str> = lines.collect();
+        let blocks: Vec<String> = rows
+            .chunks(500)
+            .map(|block| format!("{header}\n{}\n", block.join("\n")))
+            .collect();
+
+        // Unbatched, in process: each block ingested and drained, every
+        // row formatted as it is emitted.
+        let mut reference = Session::builder()
+            .query(sparse.as_str())
+            .query(dense.as_str())
+            .build(&registry)
+            .expect("reference session builds");
+        let mut expected: [Vec<String>; 2] = [Vec::new(), Vec::new()];
+        let mut sink =
+            |query: usize, result: WindowResult| expected[query].push(result.to_string());
+        for block in &blocks {
+            reference.ingest_csv(block, &registry).expect("ingests");
+            reference.drain_into(&mut sink);
+        }
+        reference.finish_into(&mut sink);
+        let owed_to_all: usize = expected[0].iter().map(|row| row.len() + 11).sum::<usize>()
+            + COPIES * expected[1].iter().map(|row| row.len() + 11).sum::<usize>();
+        assert!(
+            owed_to_all > 8 << 20,
+            "the `*` stream ({owed_to_all} bytes) must not fit in the socket buffers of a \
+             peer that never reads (Linux: 4 MiB of send buffer + 128 KiB of window)"
+        );
+
+        let mut builder = Session::builder().query(sparse.as_str());
+        for _ in 0..COPIES {
+            builder = builder.query(dense.as_str());
+        }
+        let timeout = Duration::from_secs(1);
+        let server = Server::spawn(
+            builder,
+            registry,
+            "127.0.0.1:0",
+            ServerConfig {
+                subscriber_write_timeout: timeout,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts");
+        let addr = server.local_addr();
+
+        // Two reading subscribers with different filters...
+        let collectors: Vec<_> = (0..2)
+            .map(|q| {
+                let subscription = Client::connect(addr)
+                    .expect("subscriber connects")
+                    .subscribe(Some(q))
+                    .expect("subscribe io")
+                    .expect("subscribe accepted");
+                std::thread::spawn(move || {
+                    subscription
+                        .map(|item| item.expect("well-formed result line"))
+                        .collect::<Vec<(usize, String)>>()
+                })
+            })
+            .collect();
+        // ...and one that subscribes to everything and stops reading.
+        let mut stalled = std::net::TcpStream::connect(addr).expect("connects");
+        stalled.write_all(b"SUBSCRIBE *\n").expect("write");
+        let mut stalled_stream = BufReader::new(stalled.try_clone().expect("clone"));
+        let mut line = String::new();
+        stalled_stream.read_line(&mut line).expect("read");
+        assert_eq!(line, "OK subscribed *\n");
+
+        let started = std::time::Instant::now();
+        let mut feed = Client::connect(addr).expect("feed connects");
+        for block in &blocks {
+            feed.ingest(block).expect("ingest io").expect("ingest ok");
+        }
+        let finish = feed.finish().expect("finish io").expect("finish ok");
+        let elapsed = started.elapsed();
+
+        // The readers got exactly their query's rows, in emission order,
+        // and the EOS that ends the iteration.
+        for (q, collector) in collectors.into_iter().enumerate() {
+            let got = collector.join().expect("subscriber joins");
+            assert!(got.iter().all(|(query, _)| *query == q), "q{q} filter");
+            let rows: Vec<String> = got.into_iter().map(|(_, row)| row).collect();
+            assert_eq!(rows, expected[q], "q{q} stream");
+        }
+        assert_eq!(
+            finish.results as usize,
+            expected[0].len() + COPIES * expected[1].len()
+        );
+        // The stalled one was cut off once a write to it timed out — it
+        // holds only what the socket buffers took, and no EOS — and cost
+        // the others a few timeouts (the kernel hands a blocked write back
+        // partly done while its buffers still grow), not one per drain:
+        // the buffers are full with seven of the twelve blocks to come.
+        let mut received = Vec::new();
+        stalled_stream
+            .read_to_end(&mut received)
+            .expect("the dropped subscriber's socket was closed");
+        assert!(
+            received.len() < owed_to_all && !received.ends_with(b"EOS\n"),
+            "the stalled subscriber was served to the end ({} bytes)",
+            received.len()
+        );
+        assert!(
+            elapsed >= timeout && elapsed < timeout * 8,
+            "feeding took {elapsed:?} around a {timeout:?} write timeout"
+        );
         server.shutdown();
     });
 }

@@ -313,7 +313,6 @@ fn ingest_after_finish_is_ignored_at_every_width() {
         for e in &events[..50] {
             session.process(e);
         }
-        session.process_owned(events[0].clone());
         session.drain_into(&mut emitted);
         session.finish_into(&mut emitted);
         assert_eq!(

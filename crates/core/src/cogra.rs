@@ -65,6 +65,16 @@ impl WindowAlgo for CograWindow {
         }
     }
 
+    fn reset(&mut self, _rt: &QueryRuntime) {
+        for gran in &mut self.disjuncts {
+            match gran {
+                GranWindow::Type(w) => w.reset(),
+                GranWindow::Mixed(w) => w.reset(),
+                GranWindow::Pattern(w) => w.reset(),
+            }
+        }
+    }
+
     fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
         let semantics = rt.query.semantics;
         let mut delta = 0;

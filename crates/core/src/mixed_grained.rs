@@ -101,6 +101,23 @@ impl MixedWindow {
         }
     }
 
+    /// Back to the state [`MixedWindow::new`] builds, in place: the cell
+    /// tables, the event store and the staging vectors keep their buffers.
+    pub fn reset(&mut self) {
+        self.cells.iter_mut().for_each(Cell::reset);
+        self.shadows.iter_mut().for_each(Cell::reset);
+        for se in self.stored.drain(..) {
+            self.bytes -= se.event.memory_bytes() + se.cell.memory_bytes();
+        }
+        self.final_acc.reset();
+        self.neg_clocks.fill(NegClock::default());
+        for (_, cell) in self.pending.drain(..) {
+            self.bytes -= cell.memory_bytes();
+        }
+        self.pending_negs.clear();
+        self.pending_time = Timestamp::ZERO;
+    }
+
     /// Store a `Te` event with its event-grained cell.
     fn store(&mut self, event: Event, state: StateId, cell: Cell) {
         self.bytes += event.memory_bytes() + cell.memory_bytes();

@@ -29,10 +29,10 @@
 
 use crate::agg::Cell;
 use crate::runtime::{DisjunctRuntime, NegClock};
-use cogra_events::Event;
+use cogra_events::{Event, TypeId};
 use cogra_query::{NegId, Semantics, StateId};
 
-/// The last matched event with its per-state partial-trend cells.
+/// A matched event with its per-state partial-trend cells.
 #[derive(Debug)]
 struct LastEvent {
     event: Event,
@@ -44,6 +44,14 @@ struct LastEvent {
 impl LastEvent {
     /// Footprint of an unbound slot of the cell table: one word.
     const UNBOUND_BYTES: usize = 8;
+
+    /// A buffer for a matched event of an `n_states`-state automaton.
+    fn blank(n_states: usize) -> LastEvent {
+        LastEvent {
+            event: Event::new(0, 0, TypeId(0), Vec::new()),
+            cells: vec![None; n_states],
+        }
+    }
 
     /// Footprint of the event and its cell table.
     fn memory_bytes(&self) -> usize {
@@ -59,13 +67,16 @@ impl LastEvent {
 /// Per-window pattern-grained aggregation state.
 #[derive(Debug)]
 pub struct PatternWindow {
-    el: Option<LastEvent>,
+    /// The last matched event `el` — while `el_live`; otherwise a buffer
+    /// whose content means nothing.
+    el: LastEvent,
+    el_live: bool,
     final_acc: Cell,
     neg_clocks: Vec<NegClock>,
-    /// Recycled cell table, avoiding a per-event allocation on the hot
-    /// path (most events either extend or reset; the table swaps with
-    /// `el`'s).
-    scratch: Vec<Option<Cell>>,
+    /// The buffer the next matched event is written into, then swapped
+    /// with `el`: in steady state a matched event is copied, attribute
+    /// vector and cell table included, without allocating.
+    spare: LastEvent,
     /// [`LastEvent::memory_bytes`] of `el` (0 while there is none), set
     /// where `el` is — the only part of [`PatternWindow::memory_bytes`]
     /// that moves.
@@ -75,21 +86,33 @@ pub struct PatternWindow {
 impl PatternWindow {
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> PatternWindow {
+        PatternWindow::over(
+            rt,
+            rt.zero_cell(),
+            vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
+        )
+    }
+
+    /// A window over the given final aggregate and clocks, with no last
+    /// matched event.
+    fn over(rt: &DisjunctRuntime, final_acc: Cell, neg_clocks: Vec<NegClock>) -> PatternWindow {
+        let n_states = rt.disjunct.automaton.num_states();
         PatternWindow {
-            el: None,
-            final_acc: rt.zero_cell(),
-            neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
-            scratch: vec![None; rt.disjunct.automaton.num_states()],
+            el: LastEvent::blank(n_states),
+            el_live: false,
+            final_acc,
+            neg_clocks,
+            spare: LastEvent::blank(n_states),
             el_bytes: 0,
         }
     }
 
-    /// Replace the last matched event (`bytes` is its footprint), handing
-    /// back the previous one.
-    #[inline]
-    fn set_el(&mut self, el: Option<LastEvent>, bytes: usize) -> Option<LastEvent> {
-        self.el_bytes = bytes;
-        std::mem::replace(&mut self.el, el)
+    /// Back to the state [`PatternWindow::new`] builds, in place: both
+    /// event buffers are kept.
+    pub fn reset(&mut self) {
+        self.clear_el();
+        self.final_acc.reset();
+        self.neg_clocks.fill(NegClock::default());
     }
 
     /// Process an event bound to `binds`; `semantics` is NEXT or CONT.
@@ -109,7 +132,7 @@ impl PatternWindow {
             }
             return;
         }
-        let mut new_cells = std::mem::take(&mut self.scratch);
+        let new_cells = &mut self.spare.cells;
         new_cells.iter_mut().for_each(|c| *c = None);
         // The table's footprint, kept as slots are bound: measuring it
         // afterwards would be a second pass over the table per event.
@@ -120,22 +143,21 @@ impl PatternWindow {
             if rt.is_start(s) {
                 cell.start_trend();
             }
-            if let Some(el) = &self.el {
-                if el.event.time < event.time {
-                    for src in &rt.pred_sources[s.index()] {
-                        let Some(el_cell) = &el.cells[src.from.index()] else {
-                            continue;
-                        };
-                        if !d.adjacency_predicates_pass(src.from, s, &el.event, event) {
-                            continue;
-                        }
-                        let blocked = src
-                            .negations
-                            .iter()
-                            .any(|n| self.neg_clocks[n.index()].blocked(el.event.time, event.time));
-                        if !blocked {
-                            cell.merge(el_cell);
-                        }
+            let el = &self.el;
+            if self.el_live && el.event.time < event.time {
+                for src in &rt.pred_sources[s.index()] {
+                    let Some(el_cell) = &el.cells[src.from.index()] else {
+                        continue;
+                    };
+                    if !d.adjacency_predicates_pass(src.from, s, &el.event, event) {
+                        continue;
+                    }
+                    let blocked = src
+                        .negations
+                        .iter()
+                        .any(|n| self.neg_clocks[n.index()].blocked(el.event.time, event.time));
+                    if !blocked {
+                        cell.merge(el_cell);
                     }
                 }
             }
@@ -155,32 +177,29 @@ impl PatternWindow {
             matched = true;
         }
         if matched {
-            let el = LastEvent {
-                event: event.clone(),
-                cells: new_cells,
-            };
-            match self.set_el(Some(el), event.memory_bytes() + table_bytes) {
-                // Recycle the previous table; when there was no previous
-                // event the scratch slot must be refilled.
-                Some(old) => self.scratch = old.cells,
-                None => self.scratch = vec![None; d.automaton.num_states()],
-            }
-        } else {
-            self.scratch = new_cells;
-            if semantics == Semantics::Cont {
-                // An unmatched event invalidates the partial trends that
-                // end at the last matched event; the final count is
-                // preserved (Algorithm 3 lines 8-9).
-                self.clear_el();
-            }
+            // Copy the event into the spare buffer (no allocation once the
+            // buffer has held an event of this width), then trade places
+            // with the previous `el`, which becomes the next spare.
+            let copy = &mut self.spare.event;
+            copy.id = event.id;
+            copy.time = event.time;
+            copy.type_id = event.type_id;
+            copy.attrs.clone_from(&event.attrs);
+            std::mem::swap(&mut self.el, &mut self.spare);
+            self.el_live = true;
+            self.el_bytes = event.memory_bytes() + table_bytes;
+        } else if semantics == Semantics::Cont {
+            // An unmatched event invalidates the partial trends that end
+            // at the last matched event; the final count is preserved
+            // (Algorithm 3 lines 8-9).
+            self.clear_el();
         }
     }
 
-    /// Drop the last matched event, recycling its cell table.
+    /// Forget the last matched event (its buffer stays).
     fn clear_el(&mut self) {
-        if let Some(old) = self.set_el(None, 0) {
-            self.scratch = old.cells;
-        }
+        self.el_live = false;
+        self.el_bytes = 0;
     }
 
     /// Record negation matches. Under CONT the router also routes the
@@ -198,24 +217,21 @@ impl PatternWindow {
     }
 
     /// Serialize the full window state (inverse of [`PatternWindow::load`]).
-    /// The recycled `scratch` table is transient and not serialized.
+    /// The `spare` buffer is transient and not serialized.
     pub fn save(&self, enc: &mut cogra_checkpoint::Enc) {
-        match &self.el {
-            Some(el) => {
-                enc.bool(true);
-                el.event.save(enc);
-                enc.usize(el.cells.len());
-                for c in &el.cells {
-                    match c {
-                        Some(cell) => {
-                            enc.bool(true);
-                            cell.save(enc);
-                        }
-                        None => enc.bool(false),
+        enc.bool(self.el_live);
+        if self.el_live {
+            self.el.event.save(enc);
+            enc.usize(self.el.cells.len());
+            for c in &self.el.cells {
+                match c {
+                    Some(cell) => {
+                        enc.bool(true);
+                        cell.save(enc);
                     }
+                    None => enc.bool(false),
                 }
             }
-            None => enc.bool(false),
         }
         self.final_acc.save(enc);
         enc.usize(self.neg_clocks.len());
@@ -263,21 +279,21 @@ impl PatternWindow {
         for _ in 0..n_clocks {
             neg_clocks.push(NegClock::load(dec)?);
         }
-        let mut window = PatternWindow {
-            el: None,
-            final_acc,
-            neg_clocks,
-            scratch: vec![None; rt.disjunct.automaton.num_states()],
-            el_bytes: 0,
-        };
-        let bytes = el.as_ref().map_or(0, LastEvent::memory_bytes);
-        window.set_el(el, bytes);
+        let mut window = PatternWindow::over(rt, final_acc, neg_clocks);
+        if let Some(el) = el {
+            window.el_bytes = el.memory_bytes();
+            window.el = el;
+            window.el_live = true;
+        }
         Ok(window)
     }
 
-    /// The window struct less its byte counter — the instrument is not
-    /// part of the state it measures.
-    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
+    /// The window struct less its byte counter and the spare buffer's
+    /// handle — an instrument and a scratch buffer, not the state being
+    /// measured.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>()
+        - std::mem::size_of::<usize>()
+        - std::mem::size_of::<LastEvent>();
 
     /// Logical footprint: O(1) in the number of events — the final cell,
     /// the last matched event, and its O(l) cell table. The read itself
@@ -293,6 +309,10 @@ impl PatternWindow {
     pub fn audit_bytes(&self) -> usize {
         Self::INLINE_BYTES
             + self.final_acc.memory_bytes()
-            + self.el.as_ref().map_or(0, LastEvent::memory_bytes)
+            + if self.el_live {
+                self.el.memory_bytes()
+            } else {
+                0
+            }
     }
 }

@@ -1027,8 +1027,8 @@ pub struct SessionRun {
     /// `tests/streaming_parallel_props.rs`.
     pub late_events: u64,
     /// Routing hot-path counters summed over every engine of every
-    /// shard: `key_probes - key_allocs` events were routed without any
-    /// heap allocation.
+    /// shard: `key_allocs` of the `key_probes` routed events carried a
+    /// first-seen key.
     pub stats: RunStats,
     /// Events ingested per shard ([`Session::shard_events`]) — a single
     /// entry at width 1. Under a skewed key distribution the spread

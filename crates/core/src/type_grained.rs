@@ -78,6 +78,18 @@ impl TypeGrainedWindow {
         }
     }
 
+    /// Back to the state [`TypeGrainedWindow::new`] builds, in place: the
+    /// cell tables and the staging vectors keep their buffers.
+    pub fn reset(&mut self) {
+        self.cells.iter_mut().for_each(Cell::reset);
+        self.shadows.iter_mut().for_each(Cell::reset);
+        for (_, cell) in self.pending.drain(..) {
+            self.bytes -= Self::staged_bytes(&cell);
+        }
+        self.pending_negs.clear();
+        self.pending_time = Timestamp::ZERO;
+    }
+
     /// Footprint of one staged update.
     fn staged_bytes(cell: &Cell) -> usize {
         cell.memory_bytes() + std::mem::size_of::<StateId>()

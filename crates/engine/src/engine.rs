@@ -99,8 +99,8 @@ pub trait TrendEngine {
         let _ = to;
     }
 
-    /// Routing hot-path statistics: interner probes vs. first-seen key
-    /// materializations ([`RunStats`]). Engines built on the router
+    /// Routing hot-path statistics: interner probes vs. first-seen keys
+    /// ([`RunStats`]). Engines built on the router
     /// report real counters; the default is all-zero for engines without
     /// an interned routing path.
     fn run_stats(&self) -> RunStats {

@@ -4,17 +4,24 @@
 //! The paper's constant-time-per-event claim (§3, §7) only holds if the
 //! per-event bookkeeping is constant too. The seed router paid for a
 //! fresh `Vec<Value>` *per event* just to probe `HashMap<GroupKey, _>`,
-//! plus a SipHash over that vector. [`KeyInterner`] removes both costs:
+//! plus a SipHash over that vector. [`KeyInterner`] removes both costs,
+//! and a key costs no heap block of its own either:
 //!
 //! * the event's partition attributes are hashed **in place** (the caller
 //!   folds each [`Value`] into an [`fxhash::FxHasher`] straight off the
 //!   event, no scratch vector);
-//! * the hash probes a bucket of candidate [`PartitionId`]s; candidates
-//!   are confirmed by comparing the event's attributes against the
-//!   interned key **element-wise**, again without materializing;
-//! * only a **first-seen** key allocates: the caller's `materialize`
-//!   closure builds the one `Vec<Value>` that lives for the interner's
-//!   lifetime, and the key gets the next dense id.
+//! * the hash probes a `hash → head id` table; the ids sharing that hash
+//!   (almost always exactly one) are chained through a `next` array, and
+//!   each candidate is confirmed by comparing the event's attributes
+//!   against the interned key **element-wise**, again without
+//!   materializing;
+//! * keys are stored **flat**: every key of one interner has the same
+//!   arity (the query's partition arity, fixed at compile time), so key
+//!   `id` is the slice `values[id * arity..][..arity]` of one shared
+//!   buffer. A **first-seen** key is written straight off the event into
+//!   that buffer and gets the next dense id — the only heap traffic is
+//!   the amortised doubling of three containers, and dropping an interner
+//!   frees three blocks however many keys it holds.
 //!
 //! Dense ids are the second half of the bargain: `PartitionId(u32)`
 //! indexes a plain `Vec` of partition states, so the router's per-event
@@ -22,14 +29,15 @@
 //! lifetime — a partition that goes quiet and returns maps back to the
 //! same id, which also keeps results reproducible across drain cadences.
 //!
-//! [`RunStats`] counts probes and first-seen materializations; the
-//! difference is the number of events routed with **zero** heap
-//! allocations, surfaced all the way up through `SessionRun` so tests
-//! (and users) can assert the hot path stays allocation-free.
+//! [`RunStats`] counts probes and first-seen keys; the difference is the
+//! number of events whose key was already known, surfaced all the way up
+//! through `SessionRun` so tests (and users) can watch key churn.
 
 use crate::output::GroupKey;
+use cogra_checkpoint::CheckpointError;
 use cogra_events::Value;
 use fxhash::{FxHashMap, FxHasher};
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 /// Dense identifier of an interned partition key. Ids are handed out in
@@ -50,9 +58,8 @@ impl PartitionId {
 pub struct RunStats {
     /// Interner probes — one per event that reached partition routing.
     pub key_probes: u64,
-    /// First-seen partition keys materialized. The *only* probes that
-    /// heap-allocate; `key_probes - key_allocs` events were routed with
-    /// zero allocations.
+    /// First-seen keys: probes that found no interned key and appended
+    /// one. `key_probes - key_allocs` events carried a key already known.
     pub key_allocs: u64,
 }
 
@@ -70,9 +77,7 @@ impl RunStats {
     }
 
     /// Inverse of [`RunStats::save`].
-    pub fn load(
-        dec: &mut cogra_checkpoint::Dec,
-    ) -> Result<RunStats, cogra_checkpoint::CheckpointError> {
+    pub fn load(dec: &mut cogra_checkpoint::Dec) -> Result<RunStats, CheckpointError> {
         Ok(RunStats {
             key_probes: dec.u64()?,
             key_allocs: dec.u64()?,
@@ -80,30 +85,40 @@ impl RunStats {
     }
 }
 
-/// The interner refused to materialize another key: the number of
-/// distinct partition keys reached the configured ceiling (by default
-/// `u32::MAX`, the dense-id address space itself). Surfaced as a typed
-/// ingest error instead of a worker-thread panic — unbounded key churn is
-/// a data problem, not a crash.
+/// The interner refused another key: the number of distinct partition
+/// keys reached the configured ceiling (by default `u32::MAX`, the
+/// dense-id address space itself). Surfaced as a typed ingest error
+/// instead of a worker-thread panic — unbounded key churn is a data
+/// problem, not a crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyOverflow {
     /// The limit that was hit.
     pub limit: u32,
 }
 
+/// End of a same-hash chain in [`KeyInterner::next`]. Never a key id:
+/// ids stay below the limit, which is at most `u32::MAX`.
+const NIL: u32 = u32::MAX;
+
 /// Interner from partition keys to dense [`PartitionId`]s.
 ///
-/// Generic over nothing but driven by closures, so the caller decides how
-/// to compare a candidate against the (never materialized) probe key and
-/// how to build the key on first sight — see [`KeyInterner::intern_with`].
+/// Generic over nothing but driven by a closure, so the caller decides
+/// how to compare a candidate against the (never materialized) probe key
+/// — see [`KeyInterner::intern_with`].
 #[derive(Debug)]
 pub struct KeyInterner {
-    /// `keys[id]` — the interned key. Never shrinks: id stability is part
-    /// of the contract.
-    keys: Vec<GroupKey>,
-    /// hash → ids of the keys with that hash (almost always exactly one;
-    /// collisions are resolved by the caller's equality check).
-    buckets: FxHashMap<u64, Vec<u32>>,
+    /// Values per key — the stride of `values`.
+    arity: usize,
+    /// Every key back to back, dense-id order: key `id` is
+    /// `values[id * arity..][..arity]`. Never shrinks: id stability is
+    /// part of the contract.
+    values: Vec<Value>,
+    /// `next[id]` — the next id with the same hash, or [`NIL`]. One entry
+    /// per key, so its length is the key count (also when `arity` is 0).
+    next: Vec<u32>,
+    /// hash → the first-interned id with that hash; later ones hang off
+    /// it through `next`, in first-seen order.
+    heads: FxHashMap<u64, u32>,
     stats: RunStats,
     /// [`KeyInterner::memory_bytes`], maintained where keys are inserted
     /// so a read costs nothing ([`KeyInterner::audit_bytes`] is the
@@ -114,18 +129,6 @@ pub struct KeyInterner {
     /// `EngineConfig::key_limit` to turn unbounded key churn into a typed
     /// error instead of unbounded memory growth.
     limit: u32,
-}
-
-impl Default for KeyInterner {
-    fn default() -> KeyInterner {
-        KeyInterner {
-            keys: Vec::new(),
-            buckets: FxHashMap::default(),
-            stats: RunStats::default(),
-            bytes: 0,
-            limit: u32::MAX,
-        }
-    }
 }
 
 /// Fold a sequence of values into an [`FxHasher`], exactly as
@@ -148,9 +151,28 @@ impl KeyInterner {
     /// their own `size_of` and want the figure free of instruments.
     pub const INSTRUMENT_BYTES: usize = std::mem::size_of::<usize>();
 
-    /// An empty interner.
-    pub fn new() -> KeyInterner {
-        KeyInterner::default()
+    /// Table overhead of one key: its link in `next`.
+    const LINK_BYTES: usize = std::mem::size_of::<u32>();
+    /// Table overhead of one distinct hash: its `heads` entry.
+    const HEAD_BYTES: usize = std::mem::size_of::<(u64, u32)>();
+
+    /// An empty interner of keys with `arity` values each.
+    pub fn new(arity: usize) -> KeyInterner {
+        KeyInterner {
+            arity,
+            values: Vec::new(),
+            next: Vec::new(),
+            heads: FxHashMap::default(),
+            stats: RunStats::default(),
+            bytes: 0,
+            limit: u32::MAX,
+        }
+    }
+
+    /// Values per key.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     /// Cap the number of distinct keys at `limit`. Existing keys are
@@ -167,114 +189,160 @@ impl KeyInterner {
     }
 
     /// Intern the key with the given `hash`. `matches` decides whether a
-    /// stored candidate equals the probe key (called for each candidate in
-    /// the hash's bucket — usually at most one); `materialize` builds the
-    /// owned key if, and only if, it was never seen before.
+    /// stored candidate equals the probe key (called for each key with
+    /// that hash — usually at most one); `key` yields the key's values
+    /// and is consumed if, and only if, the key was never seen before:
+    /// they are written straight into the flat buffer, no temporary.
     ///
     /// `hash` must be [`hash_values`] over the same value sequence that
-    /// `matches` compares and `materialize` produces.
+    /// `matches` compares and `key` yields, and `key` must yield exactly
+    /// [`KeyInterner::arity`] values (anything else is a bug in the
+    /// caller and panics rather than mis-stride every later key).
     ///
     /// A first-seen key past the configured limit is refused with
-    /// [`KeyOverflow`]; re-probes of already-interned keys always succeed.
+    /// [`KeyOverflow`] and leaves no trace; re-probes of already-interned
+    /// keys always succeed.
     pub fn intern_with(
         &mut self,
         hash: u64,
         mut matches: impl FnMut(&[Value]) -> bool,
-        materialize: impl FnOnce() -> GroupKey,
+        key: impl IntoIterator<Item = Value>,
     ) -> Result<PartitionId, KeyOverflow> {
         self.stats.key_probes += 1;
-        if let Some(bucket) = self.buckets.get(&hash) {
-            for &id in bucket {
-                if matches(&self.keys[id as usize]) {
-                    return Ok(PartitionId(id));
-                }
-            }
+        let known = self.next.len();
+        let id = self.find_or_append(hash, &mut matches, key)?;
+        if id.index() == known {
+            self.stats.key_allocs += 1;
+            debug_assert!(
+                matches(self.resolve(id)),
+                "an interned key must match its own probe"
+            );
         }
-        // First sight: materialize and assign the next dense id — unless
-        // the key population hit the ceiling. (`len() < limit <= u32::MAX`
-        // also guarantees the id fits in a `u32` without a checked cast.)
-        // A refused key must leave no trace, so the table is only touched
-        // once the key is accepted.
-        if self.keys.len() >= self.limit as usize {
-            return Err(KeyOverflow { limit: self.limit });
-        }
-        self.stats.key_allocs += 1;
-        let key = materialize();
-        debug_assert!(matches(&key), "materialized key must match its own probe");
-        Ok(self.insert(hash, key))
+        Ok(id)
     }
 
-    /// Append `key` under `hash` with the next dense id — the one place
-    /// the table grows, and so the one place `bytes` does.
-    fn insert(&mut self, hash: u64, key: GroupKey) -> PartitionId {
-        let id = self.keys.len() as u32;
-        self.bytes += std::mem::size_of::<GroupKey>()
-            + key.iter().map(Value::memory_bytes).sum::<usize>()
-            + std::mem::size_of::<u32>();
-        let bucket = self.buckets.entry(hash).or_insert_with(|| {
-            self.bytes += std::mem::size_of::<(u64, Vec<u32>)>();
-            Vec::new()
-        });
-        bucket.push(id);
-        self.keys.push(key);
-        PartitionId(id)
+    /// The id of the key under `hash` that `matches` accepts, or else the
+    /// next dense id with `key` appended under it — the one place the
+    /// table grows, and so the one place `bytes` does.
+    fn find_or_append(
+        &mut self,
+        hash: u64,
+        matches: &mut impl FnMut(&[Value]) -> bool,
+        key: impl IntoIterator<Item = Value>,
+    ) -> Result<PartitionId, KeyOverflow> {
+        // `len() < limit <= u32::MAX` below guarantees the next id fits in
+        // a `u32` (and is not `NIL`) without a checked cast. A refused key
+        // must leave no trace, so nothing is touched before the check.
+        let id = self.next.len();
+        let full = id >= self.limit as usize;
+        match self.heads.entry(hash) {
+            Entry::Occupied(head) => {
+                let mut at = *head.get();
+                loop {
+                    let start = at as usize * self.arity;
+                    if matches(&self.values[start..start + self.arity]) {
+                        return Ok(PartitionId(at));
+                    }
+                    match self.next[at as usize] {
+                        NIL => break,
+                        later => at = later,
+                    }
+                }
+                if full {
+                    return Err(KeyOverflow { limit: self.limit });
+                }
+                self.next[at as usize] = id as u32;
+            }
+            Entry::Vacant(slot) => {
+                if full {
+                    return Err(KeyOverflow { limit: self.limit });
+                }
+                slot.insert(id as u32);
+                self.bytes += Self::HEAD_BYTES;
+            }
+        }
+        self.next.push(NIL);
+        self.values.extend(key);
+        let start = id * self.arity;
+        assert_eq!(
+            self.values.len(),
+            start + self.arity,
+            "a key must have the interner's arity"
+        );
+        self.bytes += Self::LINK_BYTES
+            + self.values[start..]
+                .iter()
+                .map(Value::memory_bytes)
+                .sum::<usize>();
+        Ok(PartitionId(id as u32))
     }
 
     /// The interned key of `id`.
     #[inline]
     pub fn resolve(&self, id: PartitionId) -> &[Value] {
-        &self.keys[id.index()]
+        let start = id.index() * self.arity;
+        &self.values[start..start + self.arity]
     }
 
     /// Number of distinct keys interned so far (also the next id).
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.next.len()
     }
 
     /// Whether no key has been interned yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.next.is_empty()
     }
 
-    /// Probe/allocation counters since construction.
+    /// Probe/first-seen counters since construction.
     #[inline]
     pub fn stats(&self) -> RunStats {
         self.stats
     }
 
-    /// All interned keys in dense-id order.
-    #[inline]
-    pub fn keys(&self) -> &[GroupKey] {
-        &self.keys
-    }
-
     /// Rebuild an interner from saved keys (dense-id order) and counters.
-    /// Buckets are recomputed with [`hash_values`], so ids and probe
+    /// The table is recomputed with [`hash_values`], so ids and probe
     /// behavior match an interner that saw the same keys first-hand —
     /// this is how a restored router re-interns a (possibly compacted)
-    /// key set. A key set too large for the dense `u32` id space is
-    /// refused instead of panicking (it cannot come from a well-formed
-    /// snapshot, so it is corruption, not load).
-    pub fn from_parts(keys: Vec<GroupKey>, stats: RunStats) -> Result<KeyInterner, KeyOverflow> {
+    /// key set. A key of another arity, or a key set too large for the
+    /// dense `u32` id space, cannot come from a well-formed snapshot: it
+    /// is refused as corruption instead of mis-striding or panicking.
+    pub fn from_parts(
+        arity: usize,
+        keys: Vec<GroupKey>,
+        stats: RunStats,
+    ) -> Result<KeyInterner, CheckpointError> {
         if u32::try_from(keys.len()).is_err() {
-            return Err(KeyOverflow { limit: u32::MAX });
+            return Err(CheckpointError::Corrupt(format!(
+                "snapshot holds more than {} distinct partition keys",
+                u32::MAX
+            )));
         }
-        let mut interner = KeyInterner {
-            stats,
-            ..KeyInterner::default()
-        };
-        interner.keys.reserve(keys.len());
+        let mut interner = KeyInterner::new(arity);
+        interner.stats = stats;
+        interner.values.reserve(keys.len() * arity);
+        interner.next.reserve(keys.len());
         for key in keys {
-            interner.insert(hash_values(key.iter()), key);
+            if key.len() != arity {
+                return Err(CheckpointError::Corrupt(format!(
+                    "partition key with {} values where the query partitions by {arity}",
+                    key.len()
+                )));
+            }
+            // Saved keys are distinct ids by position, whatever they hold.
+            interner
+                .find_or_append(hash_values(key.iter()), &mut |_| false, key)
+                .expect("the key count was checked against the id space");
         }
         Ok(interner)
     }
 
-    /// Logical memory footprint: interned key values plus table overhead.
-    /// Keys are retained for the interner's lifetime (id stability), so
-    /// this grows with the number of *distinct* keys, not with the stream.
+    /// Logical memory footprint: interned key values plus table overhead
+    /// (a 4-byte link per key, a 16-byte entry per distinct hash). Keys
+    /// are retained for the interner's lifetime (id stability), so this
+    /// grows with the number of *distinct* keys, not with the stream.
     /// O(1): the figure is maintained at insert.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
@@ -282,23 +350,13 @@ impl KeyInterner {
     }
 
     /// The definition [`KeyInterner::memory_bytes`] must equal, computed
-    /// by walking every key and bucket — the test oracle, not built into
-    /// release code.
+    /// by walking the flat buffer and the table — the test oracle, not
+    /// built into release code.
     #[cfg(any(test, debug_assertions))]
     pub fn audit_bytes(&self) -> usize {
-        let keys: usize = self
-            .keys
-            .iter()
-            .map(|k| {
-                std::mem::size_of::<GroupKey>() + k.iter().map(Value::memory_bytes).sum::<usize>()
-            })
-            .sum();
-        let table: usize = self
-            .buckets
-            .values()
-            .map(|ids| std::mem::size_of::<(u64, Vec<u32>)>() + std::mem::size_of_val(&ids[..]))
-            .sum();
-        keys + table
+        self.values.iter().map(Value::memory_bytes).sum::<usize>()
+            + self.next.len() * Self::LINK_BYTES
+            + self.heads.len() * Self::HEAD_BYTES
     }
 }
 
@@ -310,17 +368,23 @@ mod tests {
         vals.iter().copied().map(Value::Int).collect()
     }
 
+    /// Probe `k` under a caller-chosen hash (a fake one forces a chain).
+    fn probe(
+        interner: &mut KeyInterner,
+        hash: u64,
+        k: &GroupKey,
+    ) -> Result<PartitionId, KeyOverflow> {
+        interner.intern_with(hash, |cand| cand == &k[..], k.iter().cloned())
+    }
+
     fn intern(interner: &mut KeyInterner, vals: &[i64]) -> PartitionId {
         let k = key(vals);
-        let hash = hash_values(k.iter());
-        interner
-            .intern_with(hash, |cand| cand == &k[..], || k.clone())
-            .expect("under the key limit")
+        probe(interner, hash_values(k.iter()), &k).expect("under the key limit")
     }
 
     #[test]
     fn dense_ids_in_first_seen_order() {
-        let mut i = KeyInterner::new();
+        let mut i = KeyInterner::new(1);
         assert_eq!(intern(&mut i, &[7]), PartitionId(0));
         assert_eq!(intern(&mut i, &[9]), PartitionId(1));
         assert_eq!(intern(&mut i, &[7]), PartitionId(0), "id is stable");
@@ -330,25 +394,27 @@ mod tests {
 
     #[test]
     fn collision_probe_separates_distinct_keys() {
-        // Force both keys into one bucket with an identical (fake) hash:
-        // the element-wise equality check must keep them apart.
-        let mut i = KeyInterner::new();
-        let a = key(&[1, 2]);
-        let b = key(&[2, 1]);
-        let ia = i.intern_with(42, |c| c == &a[..], || a.clone());
-        let ib = i.intern_with(42, |c| c == &b[..], || b.clone());
-        assert_ne!(ia, ib);
-        assert_eq!(i.intern_with(42, |c| c == &a[..], || a.clone()), ia);
-        assert_eq!(i.intern_with(42, |c| c == &b[..], || b.clone()), ib);
-        assert_eq!(i.len(), 2);
+        // Force three keys onto one chain with an identical (fake) hash:
+        // the element-wise equality check must keep them apart, wherever
+        // in the chain they sit.
+        let mut i = KeyInterner::new(2);
+        let keys = [key(&[1, 2]), key(&[2, 1]), key(&[3, 3])];
+        let ids: Vec<_> = keys.iter().map(|k| probe(&mut i, 42, k).unwrap()).collect();
+        assert_eq!(ids, [PartitionId(0), PartitionId(1), PartitionId(2)]);
+        for (k, id) in keys.iter().zip(&ids) {
+            assert_eq!(probe(&mut i, 42, k), Ok(*id));
+            assert_eq!(i.resolve(*id), &k[..]);
+        }
+        assert_eq!(i.len(), 3);
+        assert_eq!(i.heads.len(), 1, "one hash, one head");
         let s = i.stats();
-        assert_eq!(s.key_probes, 4);
-        assert_eq!(s.key_allocs, 2, "re-probes allocate nothing");
+        assert_eq!(s.key_probes, 6);
+        assert_eq!(s.key_allocs, 3, "re-probes intern nothing");
     }
 
     #[test]
-    fn stats_count_probes_and_allocs() {
-        let mut i = KeyInterner::new();
+    fn stats_count_probes_and_first_seen_keys() {
+        let mut i = KeyInterner::new(1);
         for _ in 0..5 {
             intern(&mut i, &[3]);
         }
@@ -364,63 +430,99 @@ mod tests {
 
     #[test]
     fn memory_accounting_grows_with_distinct_keys_only() {
-        let mut i = KeyInterner::new();
+        let mut i = KeyInterner::new(1);
         assert_eq!(i.memory_bytes(), 0);
         intern(&mut i, &[1]);
         let one = i.memory_bytes();
         assert_eq!(one, i.audit_bytes());
+        // The per-key formula: the value, a link, a head.
+        assert_eq!(one, Value::Int(1).memory_bytes() + 4 + 16);
         for _ in 0..100 {
             intern(&mut i, &[1]);
         }
-        assert_eq!(i.memory_bytes(), one, "re-probes allocate nothing");
+        assert_eq!(i.memory_bytes(), one, "re-probes intern nothing");
         intern(&mut i, &[2]);
-        assert!(i.memory_bytes() > one);
+        assert_eq!(i.memory_bytes(), 2 * one);
         assert_eq!(i.memory_bytes(), i.audit_bytes());
     }
 
     #[test]
     fn counter_equals_the_walk_across_collisions_strings_and_rebuilds() {
-        let mut i = KeyInterner::new();
-        // Two keys forced into one bucket, one alone, one with a heap part.
+        let mut i = KeyInterner::new(2);
+        // Two keys forced onto one chain, one alone, one with a heap part.
         let a = key(&[1, 2]);
         let b = key(&[2, 1]);
         let s: GroupKey = vec![Value::str("a-rather-long-session-id"), Value::Int(9)];
-        i.intern_with(42, |c| c == &a[..], || a.clone()).unwrap();
+        probe(&mut i, 42, &a).unwrap();
         assert_eq!(i.memory_bytes(), i.audit_bytes());
-        i.intern_with(42, |c| c == &b[..], || b.clone()).unwrap();
+        probe(&mut i, 42, &b).unwrap();
         assert_eq!(i.memory_bytes(), i.audit_bytes());
-        i.intern_with(hash_values(s.iter()), |c| c == &s[..], || s.clone())
-            .unwrap();
+        probe(&mut i, hash_values(s.iter()), &s).unwrap();
         assert_eq!(i.memory_bytes(), i.audit_bytes());
-        // A rebuilt interner re-buckets by the real hashes: same keys, its
-        // own table, and a counter seeded to match it.
-        let rebuilt = KeyInterner::from_parts(i.keys().to_vec(), i.stats()).unwrap();
+        // A rebuilt interner re-chains by the real hashes: same keys and
+        // ids, its own table, and a counter seeded to match it.
+        let keys = vec![a.clone(), b.clone(), s.clone()];
+        let mut rebuilt = KeyInterner::from_parts(2, keys.clone(), i.stats()).unwrap();
         assert_eq!(rebuilt.memory_bytes(), rebuilt.audit_bytes());
         assert_eq!(rebuilt.len(), 3);
+        assert_eq!(rebuilt.stats(), i.stats());
+        for (id, k) in keys.iter().enumerate() {
+            assert_eq!(rebuilt.resolve(PartitionId(id as u32)), &k[..]);
+            assert_eq!(
+                probe(&mut rebuilt, hash_values(k.iter()), k),
+                Ok(PartitionId(id as u32))
+            );
+        }
+    }
+
+    #[test]
+    fn from_parts_refuses_a_key_of_another_arity() {
+        let err = KeyInterner::from_parts(2, vec![key(&[1, 2]), key(&[3])], RunStats::default())
+            .expect_err("a one-value key among two-value keys");
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn arity_zero_holds_the_one_empty_key() {
+        // A query with neither GROUP-BY nor equivalence attributes has
+        // one partition whose key is empty.
+        let mut i = KeyInterner::new(0);
+        assert_eq!(intern(&mut i, &[]), PartitionId(0));
+        assert_eq!(intern(&mut i, &[]), PartitionId(0));
+        assert_eq!(i.len(), 1);
+        assert!(i.resolve(PartitionId(0)).is_empty());
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
     }
 
     #[test]
     fn refused_keys_leave_no_trace_in_the_table() {
-        // Regression: the probe used to create the hash's bucket *before*
-        // the limit check, so every refused first-seen key left an empty
-        // bucket behind and the table grew without bound under the very
-        // guard meant to bound it.
-        let mut i = KeyInterner::new();
+        // Regression: the probe used to touch the table *before* the limit
+        // check, so every refused first-seen key left an entry behind and
+        // the table grew without bound under the very guard meant to
+        // bound it. Refusals both off a fresh hash and off the end of an
+        // existing chain must leave keys, links and heads as they were.
+        let mut i = KeyInterner::new(1);
         i.set_limit(2);
         intern(&mut i, &[1]);
-        intern(&mut i, &[2]);
-        let (bytes, buckets) = (i.memory_bytes(), i.buckets.len());
+        let chained = key(&[2]);
+        probe(&mut i, hash_values(key(&[1]).iter()), &chained).unwrap();
+        let (bytes, heads, next) = (i.memory_bytes(), i.heads.len(), i.next.clone());
         for fresh in 100..10_100 {
             let k = key(&[fresh]);
-            i.intern_with(hash_values(k.iter()), |c| c == &k[..], || k.clone())
-                .expect_err("past the limit");
+            probe(&mut i, hash_values(k.iter()), &k).expect_err("past the limit");
+            probe(&mut i, hash_values(key(&[1]).iter()), &k).expect_err("past the limit");
         }
         assert_eq!(i.memory_bytes(), bytes);
         assert_eq!(i.audit_bytes(), bytes);
         assert_eq!(i.len(), 2);
-        assert_eq!(i.buckets.len(), buckets);
+        assert_eq!(i.heads.len(), heads);
+        assert_eq!(i.next, next);
+        assert_eq!(i.values.len(), 2);
         assert_eq!(intern(&mut i, &[1]), PartitionId(0));
-        assert_eq!(intern(&mut i, &[2]), PartitionId(1));
+        assert_eq!(
+            probe(&mut i, hash_values(key(&[1]).iter()), &chained),
+            Ok(PartitionId(1))
+        );
     }
 
     #[test]
@@ -429,20 +531,19 @@ mod tests {
         // partitions")` panic: past the ceiling the interner returns a
         // typed error instead, and everything already interned still
         // routes.
-        let mut i = KeyInterner::new();
+        let mut i = KeyInterner::new(1);
         i.set_limit(2);
         assert_eq!(intern(&mut i, &[1]), PartitionId(0));
         assert_eq!(intern(&mut i, &[2]), PartitionId(1));
         let k = key(&[3]);
-        let overflow = i
-            .intern_with(hash_values(k.iter()), |c| c == &k[..], || k.clone())
-            .expect_err("third distinct key is over the limit");
+        let overflow =
+            probe(&mut i, hash_values(k.iter()), &k).expect_err("third distinct key is over");
         assert_eq!(overflow, KeyOverflow { limit: 2 });
         // Old keys keep resolving to their stable ids…
         assert_eq!(intern(&mut i, &[1]), PartitionId(0));
         assert_eq!(intern(&mut i, &[2]), PartitionId(1));
         assert_eq!(i.len(), 2);
-        // …and the refused probe counted as a probe, not an allocation.
+        // …and the refused probe counted as a probe, not a first-seen key.
         let s = i.stats();
         assert_eq!(s.key_probes, 5);
         assert_eq!(s.key_allocs, 2);

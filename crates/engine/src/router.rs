@@ -12,26 +12,36 @@
 //!
 //! ## The hot path is allocation-free
 //!
-//! Routing an event whose partition key has been seen before performs no
-//! heap allocation and no tree probe:
+//! Routing an event performs no heap allocation and no tree probe,
+//! whether or not its key, its partition or its windows are new:
 //!
 //! * the partition key is hashed **in place** off the event's attributes
 //!   ([`QueryRuntime::route_hashes`]) and resolved to a dense
-//!   [`PartitionId`] by the [`KeyInterner`] — only a first-seen key
-//!   materializes a `Vec<Value>`;
+//!   [`PartitionId`] by the [`KeyInterner`] — a first-seen key is copied
+//!   straight into the interner's flat buffer;
 //! * partitions live in a `Vec` indexed by [`PartitionId`], not a
 //!   `HashMap<GroupKey, _>`;
 //! * a partition's open windows form a contiguous [`WindowId`] range, so
 //!   they live in a ring buffer (a `VecDeque` whose tail is
 //!   id-consecutive) and the per-event per-window "probe" is an index
-//!   computation off the back entry's id, not a `BTreeMap` walk.
+//!   computation off the back entry's id, not a `BTreeMap` walk;
+//! * what a drain closes is what the next events open: a closed window
+//!   is [`WindowAlgo::reset`] in place and reopened with its buffers, a
+//!   partition whose ring drained empty lends the ring to the next
+//!   partition that opens its first window, and the drain's own merge
+//!   table is reused from slide to slide (see `Recycled`). The pools
+//!   are bounded by the peak number of simultaneously open windows, and
+//!   pooled capacity is not state: [`TrendEngine::memory_bytes`] does
+//!   not count it.
+//!
+//! What is left is amortised growth (the interner's and the partition
+//! table's doubling) and the two vectors of each emitted result.
 //!
 //! Callers that already computed the key hash (the §8 shard router hashes
 //! at ingest time to place the event) hand it in via
 //! [`Router::process_prehashed`], so the key is extracted exactly once
 //! per event end to end. [`Router::run_stats`] counts probes vs.
-//! first-seen materializations — the gap is the number of events routed
-//! with zero allocations.
+//! first-seen keys.
 
 use crate::agg::Cell;
 use crate::engine::TrendEngine;
@@ -77,6 +87,17 @@ pub trait WindowAlgo {
     /// Fresh state for one window instance.
     fn new(rt: &QueryRuntime) -> Self;
 
+    /// Return a closed window to the state [`WindowAlgo::new`] builds, so
+    /// the router can reopen it under another id. Implementations that
+    /// can clear in place override this to keep their buffers' capacity;
+    /// either way `memory_bytes()` afterwards is a fresh window's.
+    fn reset(&mut self, rt: &QueryRuntime)
+    where
+        Self: Sized,
+    {
+        *self = Self::new(rt);
+    }
+
     /// Process one event of this window's partition. Events arrive in
     /// non-decreasing time order; `binds` was computed by the router.
     /// Returns the change in [`WindowAlgo::memory_bytes`] the event caused:
@@ -112,6 +133,25 @@ pub trait WindowAlgo {
         Self: Sized;
 }
 
+/// A partition's window store: `(window id, state)` in id order.
+type Ring<W> = VecDeque<(u64, W)>;
+
+/// What closing leaves behind for the next opening, and the drain's own
+/// scratch. All of it is capacity, none of it state: pooled windows are
+/// reset, pooled rings and the scratch are empty between drains, and no
+/// byte of it is reported by [`TrendEngine::memory_bytes`]. Bounded by
+/// construction — a window or ring gets here only by having been open.
+struct Recycled<W> {
+    /// Closed windows, reset — reopened before a fresh one is built.
+    windows: Vec<W>,
+    /// Rings of partitions that drained empty.
+    rings: Vec<Ring<W>>,
+    /// Closing cells merged per `(window, group id)`.
+    combined: FxHashMap<(WindowId, u32), Cell>,
+    /// `combined`, moved out for sorting into emission order.
+    entries: Vec<((WindowId, u32), Cell)>,
+}
+
 /// One partition's open windows: a ring buffer over the contiguous
 /// [`WindowId`]s, so opening appends at the back and closing pops from
 /// the front, and the per-event probe is pure index arithmetic off the
@@ -129,7 +169,7 @@ pub trait WindowAlgo {
 #[derive(Debug)]
 struct Partition<W> {
     /// Open windows `(id, state)`, id-sorted, tail id-consecutive.
-    windows: VecDeque<(u64, W)>,
+    windows: Ring<W>,
     /// Whether this partition sits in the router's active list (has, or
     /// recently had, open windows) — keeps drains from scanning every
     /// partition ever interned.
@@ -146,12 +186,18 @@ impl<W> Default for Partition<W> {
 }
 
 impl<W> Partition<W> {
-    /// The state of window `wid`, created via `new` if absent. `wid` must
+    /// The state of window `wid`, created via `new` if absent — in a ring
+    /// borrowed from `rings` when this partition holds none. `wid` must
     /// be at or past the front id — guaranteed because event times are
     /// non-decreasing and closed windows are never re-created (and
     /// enforced: a contract-violating probe panics instead of corrupting
     /// the ring).
-    fn window_mut(&mut self, wid: WindowId, new: impl FnOnce() -> W) -> &mut W {
+    fn window_mut(
+        &mut self,
+        wid: WindowId,
+        rings: &mut Vec<Ring<W>>,
+        new: impl FnOnce() -> W,
+    ) -> &mut W {
         let w = wid.0;
         match self.windows.back() {
             Some(&(back, _)) if w <= back => {
@@ -171,6 +217,9 @@ impl<W> Partition<W> {
                 &mut self.windows[idx].1
             }
             _ => {
+                if self.windows.capacity() == 0 {
+                    self.windows = rings.pop().unwrap_or_default();
+                }
                 self.windows.push_back((w, new()));
                 &mut self.windows.back_mut().expect("just pushed").1
             }
@@ -236,16 +285,18 @@ pub struct Router<W: WindowAlgo> {
     /// `EngineConfig::key_limit`. Overflow drops the event, never the
     /// engine — no worker-thread panic.
     key_overflow: Option<u32>,
+    recycled: Recycled<W>,
 }
 
 impl<W: WindowAlgo> Router<W> {
     /// The router struct itself, less its byte counters (`window_bytes`
-    /// and the one inside each of the two interners): they are the
-    /// instrument, not the state, and leaving them out keeps the reported
-    /// figure equal to the walked definition that predates them.
+    /// and the one inside each of the two interners) and less the
+    /// handles of its pools and scratch: the first are the instrument,
+    /// the second capacity, and neither is the state being measured.
     const INLINE_BYTES: usize = std::mem::size_of::<Self>()
         - std::mem::size_of::<usize>()
-        - 2 * KeyInterner::INSTRUMENT_BYTES;
+        - 2 * KeyInterner::INSTRUMENT_BYTES
+        - std::mem::size_of::<Recycled<W>>();
 
     /// Debug builds re-derive the footprint by walking the state wherever
     /// windows close and at snapshot/restore, and require the running
@@ -265,15 +316,16 @@ impl<W: WindowAlgo> Router<W> {
         let binds = EventBinds {
             per_disjunct: rt.disjuncts.iter().map(|_| Default::default()).collect(),
         };
-        let mut interner = KeyInterner::new();
+        let mut interner = KeyInterner::new(rt.query.partition_attrs.len());
         if let Some(limit) = rt.config.key_limit {
             interner.set_limit(limit);
         }
+        let groups = KeyInterner::new(rt.query.group_prefix);
         Router {
             rt,
             name,
             interner,
-            groups: KeyInterner::new(),
+            groups,
             partition_group: Vec::new(),
             partitions: Vec::new(),
             active: Vec::new(),
@@ -283,6 +335,12 @@ impl<W: WindowAlgo> Router<W> {
             binds,
             finalize_spike: 0,
             key_overflow: None,
+            recycled: Recycled {
+                windows: Vec::new(),
+                rings: Vec::new(),
+                combined: FxHashMap::default(),
+                entries: Vec::new(),
+            },
         }
     }
 
@@ -322,10 +380,11 @@ impl<W: WindowAlgo> Router<W> {
         if self.binds.is_irrelevant() && rt.query.semantics != cogra_query::Semantics::Cont {
             return;
         }
+        let attrs = rt.partition_attrs(event).expect("key hash implies a key");
         let pid = match self.interner.intern_with(
             hash,
             |candidate| rt.key_matches(event, candidate),
-            || rt.partition_key(event).expect("key hash implies a key"),
+            attrs.iter().map(|a| event.attr(*a).clone()),
         ) {
             Ok(pid) => pid,
             Err(overflow) => {
@@ -346,20 +405,21 @@ impl<W: WindowAlgo> Router<W> {
                 .intern_with(
                     hash_values(prefix.iter()),
                     |candidate| candidate == prefix,
-                    || prefix.to_vec(),
+                    prefix.iter().cloned(),
                 )
                 .expect("groups cannot outnumber partitions");
             self.partition_group.push(gid.0);
             self.partitions.push(Partition::default());
         }
         let partition = &mut self.partitions[pid.index()];
+        let Recycled { windows, rings, .. } = &mut self.recycled;
         let mut window_bytes = self.window_bytes;
         for wid in rt.query.window.windows_of(event.time) {
             if self.drained_to.is_some_and(|d| wid <= d) {
                 continue;
             }
-            let window = partition.window_mut(wid, || {
-                let fresh = W::new(&rt);
+            let window = partition.window_mut(wid, rings, || {
+                let fresh = windows.pop().unwrap_or_else(|| W::new(&rt));
                 window_bytes += Partition::<W>::SLOT_BYTES + fresh.memory_bytes();
                 fresh
             });
@@ -384,7 +444,12 @@ impl<W: WindowAlgo> Router<W> {
         // Accumulate per (window, group id) — no key clones while merging;
         // the group values are resolved (and cloned exactly once per
         // emitted result) at the end.
-        let mut combined: FxHashMap<(WindowId, u32), Cell> = FxHashMap::default();
+        let Recycled {
+            windows: spare,
+            rings,
+            combined,
+            ..
+        } = &mut self.recycled;
         let mut spike = self.finalize_spike;
         let mut closed_bytes = 0;
         // Scan only partitions with open windows, in id (= first-seen key)
@@ -402,24 +467,29 @@ impl<W: WindowAlgo> Router<W> {
                 // What the window contributed while open — read before
                 // finalization changes it.
                 closed_bytes += Partition::<W>::SLOT_BYTES + state.memory_bytes();
-                if drained_to.is_some_and(|d| wid <= d) {
-                    return;
+                if drained_to.is_none_or(|d| wid > d) {
+                    let cell = state.final_cell(&rt);
+                    // Measure after finalization: two-step algorithms hold
+                    // their constructed trends until the window is reset.
+                    spike = spike.max(state.memory_bytes());
+                    #[cfg(debug_assertions)]
+                    assert_eq!(state.memory_bytes(), state.audit_bytes());
+                    if !cell.is_zero() {
+                        combined
+                            .entry((wid, gid))
+                            .and_modify(|acc| acc.merge(&cell))
+                            .or_insert(cell);
+                    }
                 }
-                let cell = state.final_cell(&rt);
-                // Measure after finalization: two-step algorithms hold
-                // their constructed trends until the window is dropped.
-                spike = spike.max(state.memory_bytes());
+                state.reset(&rt);
                 #[cfg(debug_assertions)]
                 assert_eq!(state.memory_bytes(), state.audit_bytes());
-                if cell.is_zero() {
-                    return;
-                }
-                combined
-                    .entry((wid, gid))
-                    .and_modify(|acc| acc.merge(&cell))
-                    .or_insert(cell);
+                spare.push(state);
             });
             partition.queued = !partition.windows.is_empty();
+            if !partition.queued {
+                rings.push(std::mem::take(&mut partition.windows));
+            }
             partition.queued
         });
         self.active = active;
@@ -432,19 +502,25 @@ impl<W: WindowAlgo> Router<W> {
         });
         // Group ids are first-seen-ordered, not value-ordered: sort the
         // resolved entries so emission order matches the seed router's
-        // deterministic (window, group) order byte for byte.
-        let mut entries: Vec<((WindowId, u32), Cell)> = combined.into_iter().collect();
-        entries.sort_by(|((wa, ga), _), ((wb, gb), _)| {
+        // deterministic (window, group) order byte for byte. (No two
+        // entries compare equal — they were keys of one map — so the
+        // in-place unstable sort yields that one order.)
+        let Recycled {
+            combined, entries, ..
+        } = &mut self.recycled;
+        let groups = &self.groups;
+        entries.extend(combined.drain());
+        entries.sort_unstable_by(|((wa, ga), _), ((wb, gb), _)| {
             wa.cmp(wb).then_with(|| {
-                self.groups
+                groups
                     .resolve(PartitionId(*ga))
-                    .cmp(self.groups.resolve(PartitionId(*gb)))
+                    .cmp(groups.resolve(PartitionId(*gb)))
             })
         });
-        for ((window, gid), cell) in entries {
+        for ((window, gid), cell) in entries.drain(..) {
             out(WindowResult {
                 window,
-                group: self.groups.resolve(PartitionId(gid)).to_vec(),
+                group: groups.resolve(PartitionId(gid)).to_vec(),
                 values: cell.outputs(&rt.layout),
             });
         }
@@ -593,11 +669,13 @@ impl<W: WindowAlgo> Router<W> {
         for (pid, blob) in state.entries.iter().enumerate() {
             let mut dec = Dec::new(blob);
             let key = Value::load_vec(&mut dec)?;
-            if key.len() < rt.query.group_prefix {
+            // A key of another arity is a partition no event could ever
+            // reach again (and would mis-stride the flat interner).
+            if key.len() != router.interner.arity() {
                 return Err(CheckpointError::Corrupt(format!(
-                    "partition key with {} values is shorter than the GROUP-BY prefix ({})",
+                    "partition key with {} values where the query partitions by {}",
                     key.len(),
-                    rt.query.group_prefix
+                    router.interner.arity()
                 )));
             }
             let prefix = &key[..rt.query.group_prefix];
@@ -606,7 +684,7 @@ impl<W: WindowAlgo> Router<W> {
                 .intern_with(
                     hash_values(prefix.iter()),
                     |candidate| candidate == prefix,
-                    || prefix.to_vec(),
+                    prefix.iter().cloned(),
                 )
                 .map_err(|o| {
                     CheckpointError::Corrupt(format!(
@@ -638,12 +716,7 @@ impl<W: WindowAlgo> Router<W> {
             keys.push(key);
             router.partitions.push(partition);
         }
-        router.interner = KeyInterner::from_parts(keys, state.stats).map_err(|o| {
-            CheckpointError::Corrupt(format!(
-                "snapshot holds more than {} distinct partition keys",
-                o.limit
-            ))
-        })?;
+        router.interner = KeyInterner::from_parts(router.interner.arity(), keys, state.stats)?;
         // `from_parts` resets the ceiling; re-apply the config's limit so
         // a restored session keeps the same churn guard as a fresh one.
         if let Some(limit) = rt.config.key_limit {

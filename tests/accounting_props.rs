@@ -14,10 +14,17 @@
 //!   are covered too: a divergence there surfaces as a worker failure.)
 //! * **the figures did not move**: peak and finalization-spike bytes on a
 //!   fixed seed equal the values the walking formulas produced before the
-//!   counters existed — two-step engines' constructed-trend spike
-//!   included.
+//!   counters existed (less what the flat interner later saved per key)
+//!   — two-step engines' constructed-trend spike included.
 //! * **refused keys leave no trace**: once `key_limit` is hit, a stream's
 //!   further distinct keys do not grow the session.
+//! * **recycled ≡ fresh**: pooled windows and rings are capacity, never
+//!   state. A router that opens every window of a stream out of its pool
+//!   — it closed the same stream's windows just before — emits the
+//!   results and reports the bytes of a router that has seen nothing,
+//!   for all six [`EngineKind`]s and all three COGRA granularities
+//!   (negation shadows and clocks, stored events, contiguous
+//!   invalidation of the last matched event included).
 
 use cogra::engine::EngineConfig;
 use cogra::prelude::*;
@@ -121,28 +128,34 @@ fn refused_keys_do_not_grow_a_session() {
 /// Peak bytes of `Session::run` and the engine's finalization spike, per
 /// workload (churn, stock type-grained, fraud) × engine kind, seed 7 —
 /// recorded with the walking formulas at the commit before the counters
-/// replaced them. The Flink rows are dominated by the sequences it
-/// materializes inside `final_cell`.
+/// replaced them, then re-derived once when the interner went flat: a
+/// key no longer pays a 24 B `Vec` header and its hash a 16 B table entry
+/// instead of 32 B, in each of the router's two interners, whose structs
+/// grew by 32 B each — so a peak fell by `80 × keys at the peak − 64`
+/// (19 keys on stock, 50 on fraud, about 80 on churn, where the saving
+/// grows along the stream and so may move the peak to an earlier sample)
+/// and no spike moved. The Flink rows are dominated by the sequences it
+/// materializes inside `final_cell`: its stock peak *is* the spike.
 #[cfg(target_pointer_width = "64")]
 const PINNED: [(usize, EngineKind, usize, usize); 18] = [
-    (0, EngineKind::Cogra, 19260, 144),
-    (0, EngineKind::Sase, 19548, 752),
-    (0, EngineKind::Greta, 19504, 608),
-    (0, EngineKind::Aseq, 18680, 184),
-    (0, EngineKind::Flink, 19176, 1048),
-    (0, EngineKind::Oracle, 18808, 408),
-    (1, EngineKind::Cogra, 13284, 184),
-    (1, EngineKind::Sase, 29216, 3788),
-    (1, EngineKind::Greta, 26524, 3080),
-    (1, EngineKind::Aseq, 13820, 504),
+    (0, EngineKind::Cogra, 12924, 144),
+    (0, EngineKind::Sase, 13212, 752),
+    (0, EngineKind::Greta, 13168, 608),
+    (0, EngineKind::Aseq, 12248, 184),
+    (0, EngineKind::Flink, 12840, 1048),
+    (0, EngineKind::Oracle, 12408, 408),
+    (1, EngineKind::Cogra, 11828, 184),
+    (1, EngineKind::Sase, 27760, 3788),
+    (1, EngineKind::Greta, 25068, 3080),
+    (1, EngineKind::Aseq, 12364, 504),
     (1, EngineKind::Flink, 19368, 19368),
-    (1, EngineKind::Oracle, 16892, 1368),
-    (4, EngineKind::Cogra, 20020, 184),
-    (4, EngineKind::Sase, 20848, 2160),
-    (4, EngineKind::Greta, 20400, 1560),
-    (4, EngineKind::Aseq, 18280, 504),
-    (4, EngineKind::Flink, 18880, 4192),
-    (4, EngineKind::Oracle, 17200, 1080),
+    (1, EngineKind::Oracle, 15436, 1368),
+    (4, EngineKind::Cogra, 16084, 184),
+    (4, EngineKind::Sase, 16912, 2160),
+    (4, EngineKind::Greta, 16464, 1560),
+    (4, EngineKind::Aseq, 14344, 504),
+    (4, EngineKind::Flink, 14944, 4192),
+    (4, EngineKind::Oracle, 13264, 1080),
 ];
 
 /// `(SessionRun::peak_bytes, TrendEngine::peak_hint)` of one pinned case.
@@ -187,6 +200,156 @@ fn print_pins() {
     for (wl, kind, _, _) in PINNED {
         let (peak, spike) = measure(wl, kind);
         println!("    ({wl}, EngineKind::{kind:?}, {peak}, {spike}),");
+    }
+}
+
+/// The granularity × negation matrix of the recycling battery, over
+/// types `A`, `B`, `C` with attributes `(g, v)`. `C` is the negated type
+/// where the pattern has one and an irrelevant one elsewhere — which
+/// under the contiguous semantics still reaches the windows and
+/// invalidates the last matched event.
+const RECYCLE_QUERIES: [(&str, Granularity); 8] = [
+    (
+        "RETURN g, COUNT(*), SUM(A.v), MIN(B.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+         GROUP-BY g WITHIN 10 SLIDE 5",
+        Granularity::Type,
+    ),
+    (
+        "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY \
+         GROUP-BY g WITHIN 10 SLIDE 5",
+        Granularity::Type,
+    ),
+    (
+        "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+         WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 10 SLIDE 5",
+        Granularity::Mixed,
+    ),
+    (
+        "RETURN g, COUNT(*), COUNT(A) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY \
+         WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 10 SLIDE 5",
+        Granularity::Mixed,
+    ),
+    // The end state stores events: results come from the accumulator.
+    (
+        "RETURN g, COUNT(*), SUM(A.v) PATTERN A+ SEMANTICS ANY \
+         WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 10 SLIDE 5",
+        Granularity::Mixed,
+    ),
+    (
+        "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS NEXT \
+         GROUP-BY g WITHIN 12 SLIDE 4",
+        Granularity::Pattern,
+    ),
+    (
+        "RETURN g, COUNT(*), AVG(A.v) PATTERN SEQ(A+, B) SEMANTICS CONT \
+         GROUP-BY g WITHIN 8 SLIDE 4",
+        Granularity::Pattern,
+    ),
+    (
+        "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS NEXT \
+         GROUP-BY g WITHIN 12 SLIDE 4",
+        Granularity::Pattern,
+    ),
+];
+
+mod recycling {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// `A`, `B`, `C` as above, and `Tick`: without the partition
+    /// attribute `g` the router drops it — after moving its watermark.
+    fn registry() -> TypeRegistry {
+        let mut r = TypeRegistry::new();
+        for t in ["A", "B", "C"] {
+            r.register_type(t, vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+        }
+        r.register_type("Tick", vec![]);
+        r
+    }
+
+    /// `rows` as events after `start`: `(time step, type, g, v)`.
+    fn events(reg: &TypeRegistry, rows: &[(u64, usize, i64, i64)], start: u64) -> Vec<Event> {
+        let ids = ["A", "B", "C"].map(|t| reg.id_of(t).expect("registered"));
+        let mut builder = EventBuilder::new();
+        let mut t = start;
+        rows.iter()
+            .map(|&(dt, ty, g, v)| {
+                t += dt;
+                builder.event(t, ids[ty], vec![Value::Int(g), Value::Int(v)])
+            })
+            .collect()
+    }
+
+    /// The session's bytes — counter against walk, where the walk exists.
+    fn audited(session: &Session) -> usize {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            session.memory_bytes(),
+            session.engine(0).expect("inline engine").audit_bytes()
+        );
+        session.memory_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn a_router_that_recycled_every_window_equals_a_fresh_one(
+            rows in vec((0u64..3, 0usize..3, 0i64..4, -4i64..5), 1..80),
+            case in 0usize..RECYCLE_QUERIES.len() * EngineKind::ALL.len(),
+            chunk in 1usize..12,
+        ) {
+            let kind = EngineKind::ALL[case % EngineKind::ALL.len()];
+            let (query, granularity) = RECYCLE_QUERIES[case / EngineKind::ALL.len()];
+            let reg = registry();
+            let build = || builder(query, kind, None).build(&reg);
+            let Ok(mut fresh) = build() else {
+                // Outside the kind's Table 9 row.
+                return Ok(());
+            };
+            prop_assert_eq!(fresh.plan(0).expect("one query").granularity(), granularity);
+            let mut recycled = build().expect("built once already");
+
+            // First pass, `recycled` only: the stream with drains (so the
+            // pools are in use already), then a tick past every window's
+            // end — everything closes into the pools.
+            let mut first_pass: Vec<TaggedResult> = Vec::new();
+            for c in events(&reg, &rows, 0).chunks(chunk) {
+                for e in c {
+                    recycled.process(e);
+                }
+                recycled.drain_into(&mut first_pass);
+                audited(&recycled);
+            }
+            let span: u64 = rows.iter().map(|r| r.0).sum();
+            let tick = Event::new(0, span + 20, reg.id_of("Tick").expect("registered"), vec![]);
+            recycled.process(&tick);
+            recycled.drain_into(&mut first_pass);
+            fresh.process(&tick);
+
+            // Second pass, both: the same rows again — the same keys in the
+            // same first-seen order, and as many windows open at once as
+            // the pools now hold, so `recycled` builds none.
+            let (mut from_pool, mut from_scratch): (Vec<TaggedResult>, Vec<TaggedResult>) =
+                Default::default();
+            for c in events(&reg, &rows, span + 20).chunks(chunk) {
+                for e in c {
+                    recycled.process(e);
+                    fresh.process(e);
+                }
+                recycled.drain_into(&mut from_pool);
+                fresh.drain_into(&mut from_scratch);
+                audited(&recycled);
+                audited(&fresh);
+            }
+            // Every key seen, the same windows open: the same bytes.
+            prop_assert_eq!(audited(&recycled), audited(&fresh), "{} {}", kind, query);
+            recycled.finish_into(&mut from_pool);
+            fresh.finish_into(&mut from_scratch);
+            prop_assert_eq!(audited(&recycled), audited(&fresh), "{} {}", kind, query);
+            prop_assert_eq!(from_pool, from_scratch, "{} {}", kind, query);
+        }
     }
 }
 

@@ -613,6 +613,86 @@ fn section(snapshot: &[u8], name: &str) -> Vec<u8> {
     panic!("snapshot has no `{name}` section");
 }
 
+/// `snapshot` with section `name`'s payload replaced by `edit`'s, every
+/// checksum recomputed — damage that only the section's own decoder can
+/// notice.
+fn rewrite_section(snapshot: &[u8], name: &str, edit: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    let mut reader = cogra_checkpoint::SnapshotReader::new(snapshot).expect("snapshot header");
+    let mut out = Vec::new();
+    let mut writer = cogra_checkpoint::SnapshotWriter::new(&mut out).expect("header");
+    while let Some((found, payload)) = reader.next_section().expect("intact section") {
+        let payload = if found == name {
+            edit(&payload)
+        } else {
+            payload
+        };
+        writer.section(&found, &payload).expect("section");
+    }
+    writer.finish().expect("trailer");
+    out
+}
+
+#[test]
+fn partition_key_of_another_arity_is_rejected_typed() {
+    watchdog("key-arity", || {
+        // Regression: a saved partition key only had to be at least as
+        // long as the GROUP-BY prefix, so a key with a value too many
+        // restored as a partition no event could ever reach again (and
+        // would shift every later key of a flat interner). Churn
+        // partitions by `[session]` alone; widen the first live key to
+        // two values and every width must refuse the snapshot as corrupt
+        // — never panic, never restore.
+        use cogra::engine::RouterState;
+        use cogra_checkpoint::{Dec, Enc};
+        let (registry, query, events) = workload(4, 5, 120);
+        let mut session = builder_for(&query, 1, 0)
+            .build(&registry)
+            .expect("session builds");
+        for e in &events {
+            session.process(e);
+        }
+        let mut valid = Vec::new();
+        session.checkpoint(&mut valid).expect("checkpoint");
+        let damaged = rewrite_section(&valid, "q0", |payload| {
+            let mut dec = Dec::new(payload);
+            let mut state = RouterState::load(&mut dec).expect("engine section");
+            let blob = &state.entries[0];
+            let mut entry = Dec::new(blob);
+            let mut key = Value::load_vec(&mut entry).expect("leading key");
+            assert_eq!(key.len(), 1, "battery bug: churn partitions by session");
+            key.push(Value::Int(0));
+            let mut enc = Enc::new();
+            Value::save_slice(&key, &mut enc);
+            let mut rewritten = enc.into_bytes();
+            rewritten.extend_from_slice(&blob[blob.len() - entry.remaining()..]);
+            state.entries[0] = rewritten;
+            let mut enc = Enc::new();
+            state.save(&mut enc);
+            enc.into_bytes()
+        });
+        for workers in [1usize, 2, 4] {
+            assert!(
+                Session::builder()
+                    .workers(workers)
+                    .restore(&registry, valid.as_slice())
+                    .is_ok(),
+                "battery bug: the undamaged snapshot must restore at {workers}"
+            );
+            match Session::builder()
+                .workers(workers)
+                .restore(&registry, damaged.as_slice())
+            {
+                Err(CheckpointError::Corrupt(why)) => assert!(
+                    why.contains("where the query partitions by 1"),
+                    "workers={workers}: {why}"
+                ),
+                Err(other) => panic!("workers={workers}: expected Corrupt, got {other:?}"),
+                Ok(_) => panic!("workers={workers}: restored a two-value key for [session]"),
+            }
+        }
+    });
+}
+
 #[test]
 fn reorder_section_has_one_shape_at_every_width() {
     watchdog("reorder-shape", || {

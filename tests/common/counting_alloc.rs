@@ -1,5 +1,6 @@
 //! A process-wide counting allocator for the allocation pins
-//! (`inline_path_allocs.rs`, `width2_path_allocs.rs`). Each is a test
+//! (`inline_path_allocs.rs`, `width2_path_allocs.rs`, `csv_path_allocs.rs`,
+//! `churn_path_allocs.rs`). Each is a test
 //! binary of its own and installs it with
 //! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`,
 //! so allocations on every thread of the binary are seen.
@@ -10,6 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // Relaxed throughout: statistics that publish no other data.
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static CALLS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 
 pub struct CountingAlloc;
 
@@ -21,6 +23,12 @@ pub fn counting(on: bool) {
 /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) counted so far.
 pub fn calls() -> u64 {
     CALLS.load(Ordering::Relaxed)
+}
+
+/// Blocks freed (`dealloc`) while counting was on.
+#[allow(dead_code)] // only the churn pin watches a teardown
+pub fn frees() -> u64 {
+    FREES.load(Ordering::Relaxed)
 }
 
 fn count() {
@@ -40,6 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.load(Ordering::Relaxed) {
+            FREES.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }

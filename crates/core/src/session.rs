@@ -299,9 +299,9 @@ pub enum IngestError {
         /// The stream's watermark when it arrived.
         watermark: Timestamp,
     },
-    /// The stream materialized more distinct partition keys than the
+    /// The stream held more partition keys resident at once than the
     /// configured [`EngineConfig::key_limit`] admits — the session
-    /// dropped an event instead of growing the interner without bound.
+    /// dropped an event instead of growing its state without bound.
     KeyOverflow {
         /// The configured limit that was hit.
         limit: u32,
@@ -327,7 +327,7 @@ impl fmt::Display for IngestError {
             ),
             IngestError::KeyOverflow { limit } => write!(
                 f,
-                "stream exceeded the configured limit of {limit} distinct partition keys; \
+                "stream exceeded the configured limit of {limit} resident partition keys; \
                  raise --key-limit N / EngineConfig::key_limit to admit more"
             ),
             IngestError::WorkerFailed(failure) => failure.fmt(f),
@@ -1027,8 +1027,8 @@ pub struct SessionRun {
     /// `tests/streaming_parallel_props.rs`.
     pub late_events: u64,
     /// Routing hot-path counters summed over every engine of every
-    /// shard: `key_allocs` of the `key_probes` routed events carried a
-    /// first-seen key.
+    /// shard: `key_allocs` of the `key_probes` routed events began a
+    /// new life of their key.
     pub stats: RunStats,
     /// Events ingested per shard ([`Session::shard_events`]) — a single
     /// entry at width 1. Under a skewed key distribution the spread
@@ -1291,8 +1291,9 @@ impl Session {
     }
 
     /// Sticky partition-key overflow: `Some(limit)` once any event was
-    /// dropped because materializing its first-seen partition key would
-    /// exceed the configured [`EngineConfig::key_limit`]. `None` without
+    /// dropped because its first-seen partition key would have been one
+    /// resident key more than the configured
+    /// [`EngineConfig::key_limit`] admits. `None` without
     /// a limit. Under `.workers(n)` the flag is refreshed from the shard
     /// workers at drain/finish boundaries (the shards run concurrently).
     pub fn key_overflow(&self) -> Option<u32> {
@@ -1350,10 +1351,9 @@ impl Session {
     /// the snapshot is layout-independent: [`SessionBuilder::restore`]
     /// may re-shard it onto a different `.workers(n)` (elastic rescale).
     ///
-    /// Partitions whose window ring is drained empty are *not* written —
-    /// a restored session re-interns only the live key set, which is the
-    /// interner compaction that shrinks [`Session::memory_bytes`] across
-    /// a checkpoint/restore cycle of a churn-heavy workload.
+    /// What is written is what the session holds: the partitions with a
+    /// window still open (the others retired when their last window
+    /// closed), so a restore reports the same [`Session::memory_bytes`].
     ///
     /// Checkpointing is non-destructive: no windows close, nothing is
     /// emitted, and the session continues unchanged. A finished session

@@ -99,7 +99,7 @@ pub trait TrendEngine {
         let _ = to;
     }
 
-    /// Routing hot-path statistics: interner probes vs. first-seen keys
+    /// Routing hot-path statistics: interner probes vs. key lives begun
     /// ([`RunStats`]). Engines built on the router
     /// report real counters; the default is all-zero for engines without
     /// an interned routing path.

@@ -19,29 +19,32 @@
 //!   arity (the query's partition arity, fixed at compile time), so key
 //!   `id` is the slice `values[id * arity..][..arity]` of one shared
 //!   buffer. A **first-seen** key is written straight off the event into
-//!   that buffer and gets the next dense id — the only heap traffic is
-//!   the amortised doubling of three containers, and dropping an interner
-//!   frees three blocks however many keys it holds.
+//!   that buffer — the only heap traffic is the amortised doubling of
+//!   four containers, and dropping an interner frees four blocks however
+//!   many keys it has held.
 //!
 //! Dense ids are the second half of the bargain: `PartitionId(u32)`
 //! indexes a plain `Vec` of partition states, so the router's per-event
-//! map lookup becomes an array index. Ids are stable for the interner's
-//! lifetime — a partition that goes quiet and returns maps back to the
-//! same id, which also keeps results reproducible across drain cadences.
+//! map lookup becomes an array index.
 //!
-//! [`RunStats`] counts probes and first-seen keys; the difference is the
-//! number of events whose key was already known, surfaced all the way up
-//! through `SessionRun` so tests (and users) can watch key churn.
+//! The table follows the *resident* key set, not the stream's history:
+//! the owner [retires](KeyInterner::retire) a key once nothing hangs off
+//! its id any more, which unlinks it, drops its values and puts the id on
+//! a free list; the next first-seen key takes that id and overwrites that
+//! slot of the flat buffer (same arity, same stride). An id is therefore
+//! stable exactly as long as its key is resident, and *which* id a key
+//! gets depends on what was retired before it arrived — so nothing an
+//! owner reports may depend on id values or their order.
 
-use crate::output::GroupKey;
 use cogra_checkpoint::CheckpointError;
 use cogra_events::Value;
 use fxhash::{FxHashMap, FxHasher};
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
-/// Dense identifier of an interned partition key. Ids are handed out in
-/// first-seen order, so they index contiguous `Vec` storage directly.
+/// Dense identifier of a resident partition key: an index into
+/// contiguous `Vec` storage. Fresh ids are handed out in first-seen
+/// order; a retired id is handed out again before a fresh one is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionId(pub u32);
 
@@ -54,12 +57,17 @@ impl PartitionId {
 }
 
 /// Routing hot-path statistics, aggregated across engines and shards.
+/// Both are functions of the stream alone — not of when drains ran, how
+/// many shards there are, or whether a checkpoint/restore intervened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Interner probes — one per event that reached partition routing.
     pub key_probes: u64,
-    /// First-seen keys: probes that found no interned key and appended
-    /// one. `key_probes - key_allocs` events carried a key already known.
+    /// Key lives begun: probes of a key none of whose windows could still
+    /// hold the event — a key never seen before, or one whose last window
+    /// ended at or before the event's time (whether or not a drain had
+    /// already retired it). `key_probes - key_allocs` events joined a
+    /// life in progress.
     pub key_allocs: u64,
 }
 
@@ -85,10 +93,10 @@ impl RunStats {
     }
 }
 
-/// The interner refused another key: the number of distinct partition
+/// The interner refused another key: the number of resident partition
 /// keys reached the configured ceiling (by default `u32::MAX`, the
 /// dense-id address space itself). Surfaced as a typed ingest error
-/// instead of a worker-thread panic — unbounded key churn is a data
+/// instead of a worker-thread panic — unbounded key cardinality is a data
 /// problem, not a crash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyOverflow {
@@ -100,7 +108,11 @@ pub struct KeyOverflow {
 /// ids stay below the limit, which is at most `u32::MAX`.
 const NIL: u32 = u32::MAX;
 
-/// Interner from partition keys to dense [`PartitionId`]s.
+/// What a slot of the flat buffer holds between a key's retirement and
+/// the slot's reuse: no heap part, so a retired key's strings are gone.
+const VACANT: Value = Value::Int(0);
+
+/// Interner from resident partition keys to dense [`PartitionId`]s.
 ///
 /// Generic over nothing but driven by a closure, so the caller decides
 /// how to compare a candidate against the (never materialized) probe key
@@ -109,25 +121,27 @@ const NIL: u32 = u32::MAX;
 pub struct KeyInterner {
     /// Values per key — the stride of `values`.
     arity: usize,
-    /// Every key back to back, dense-id order: key `id` is
-    /// `values[id * arity..][..arity]`. Never shrinks: id stability is
-    /// part of the contract.
+    /// One slot per id ever handed out, back to back: key `id` is
+    /// `values[id * arity..][..arity]`; the slot of an id on the free
+    /// list holds [`VACANT`]s. Grows to the peak resident count only.
     values: Vec<Value>,
     /// `next[id]` — the next id with the same hash, or [`NIL`]. One entry
-    /// per key, so its length is the key count (also when `arity` is 0).
+    /// per slot (also when `arity` is 0).
     next: Vec<u32>,
-    /// hash → the first-interned id with that hash; later ones hang off
-    /// it through `next`, in first-seen order.
+    /// hash → the first id on that hash's chain; same-hash keys interned
+    /// later hang off it through `next`.
     heads: FxHashMap<u64, u32>,
-    stats: RunStats,
+    /// Retired ids, reused (last retired first) before a fresh one is
+    /// minted. Keeps its capacity, so steady churn allocates nothing.
+    free: Vec<u32>,
     /// [`KeyInterner::memory_bytes`], maintained where keys are inserted
-    /// so a read costs nothing ([`KeyInterner::audit_bytes`] is the
-    /// walked definition it must equal).
+    /// and retired so a read costs nothing ([`KeyInterner::audit_bytes`]
+    /// is the walked definition it must equal).
     bytes: usize,
-    /// Maximum number of distinct keys this interner will hold. The
+    /// Maximum number of resident keys this interner will hold. The
     /// default is the full `u32` id space; sessions lower it via
-    /// `EngineConfig::key_limit` to turn unbounded key churn into a typed
-    /// error instead of unbounded memory growth.
+    /// `EngineConfig::key_limit` to turn unbounded key cardinality into a
+    /// typed error instead of unbounded memory growth.
     limit: u32,
 }
 
@@ -163,7 +177,7 @@ impl KeyInterner {
             values: Vec::new(),
             next: Vec::new(),
             heads: FxHashMap::default(),
-            stats: RunStats::default(),
+            free: Vec::new(),
             bytes: 0,
             limit: u32::MAX,
         }
@@ -175,24 +189,24 @@ impl KeyInterner {
         self.arity
     }
 
-    /// Cap the number of distinct keys at `limit`. Existing keys are
-    /// unaffected (ids are stable); once `len()` reaches the limit, every
+    /// Cap the number of resident keys at `limit`. Resident keys are
+    /// unaffected; while `len()` is at or above the limit, every
     /// first-seen probe returns [`KeyOverflow`].
     pub fn set_limit(&mut self, limit: u32) {
         self.limit = limit;
     }
 
-    /// The configured distinct-key ceiling.
+    /// The configured resident-key ceiling.
     #[inline]
     pub fn limit(&self) -> u32 {
         self.limit
     }
 
     /// Intern the key with the given `hash`. `matches` decides whether a
-    /// stored candidate equals the probe key (called for each key with
+    /// resident candidate equals the probe key (called for each key with
     /// that hash — usually at most one); `key` yields the key's values
-    /// and is consumed if, and only if, the key was never seen before:
-    /// they are written straight into the flat buffer, no temporary.
+    /// and is consumed if, and only if, the key is not resident: they are
+    /// written straight into the flat buffer, no temporary.
     ///
     /// `hash` must be [`hash_values`] over the same value sequence that
     /// `matches` compares and `key` yields, and `key` must yield exactly
@@ -200,41 +214,22 @@ impl KeyInterner {
     /// caller and panics rather than mis-stride every later key).
     ///
     /// A first-seen key past the configured limit is refused with
-    /// [`KeyOverflow`] and leaves no trace; re-probes of already-interned
-    /// keys always succeed.
+    /// [`KeyOverflow`] and leaves no trace; re-probes of resident keys
+    /// always succeed.
     pub fn intern_with(
         &mut self,
         hash: u64,
         mut matches: impl FnMut(&[Value]) -> bool,
         key: impl IntoIterator<Item = Value>,
     ) -> Result<PartitionId, KeyOverflow> {
-        self.stats.key_probes += 1;
-        let known = self.next.len();
-        let id = self.find_or_append(hash, &mut matches, key)?;
-        if id.index() == known {
-            self.stats.key_allocs += 1;
-            debug_assert!(
-                matches(self.resolve(id)),
-                "an interned key must match its own probe"
-            );
-        }
-        Ok(id)
-    }
-
-    /// The id of the key under `hash` that `matches` accepts, or else the
-    /// next dense id with `key` appended under it — the one place the
-    /// table grows, and so the one place `bytes` does.
-    fn find_or_append(
-        &mut self,
-        hash: u64,
-        matches: &mut impl FnMut(&[Value]) -> bool,
-        key: impl IntoIterator<Item = Value>,
-    ) -> Result<PartitionId, KeyOverflow> {
-        // `len() < limit <= u32::MAX` below guarantees the next id fits in
-        // a `u32` (and is not `NIL`) without a checked cast. A refused key
-        // must leave no trace, so nothing is touched before the check.
-        let id = self.next.len();
-        let full = id >= self.limit as usize;
+        // A refused key must leave no trace, so nothing is touched before
+        // the check. `len() < limit <= u32::MAX` guarantees a fresh id
+        // fits in a `u32` (and is not `NIL`) without a checked cast.
+        let full = self.len() >= self.limit as usize;
+        let overflow = KeyOverflow { limit: self.limit };
+        // The id a first-seen key would get: the last retired one, or
+        // else a fresh one.
+        let id = self.free.last().copied().unwrap_or(self.next.len() as u32);
         match self.heads.entry(hash) {
             Entry::Occupied(head) => {
                 let mut at = *head.get();
@@ -249,101 +244,105 @@ impl KeyInterner {
                     }
                 }
                 if full {
-                    return Err(KeyOverflow { limit: self.limit });
+                    return Err(overflow);
                 }
-                self.next[at as usize] = id as u32;
+                self.next[at as usize] = id;
             }
             Entry::Vacant(slot) => {
                 if full {
-                    return Err(KeyOverflow { limit: self.limit });
+                    return Err(overflow);
                 }
-                slot.insert(id as u32);
+                slot.insert(id);
                 self.bytes += Self::HEAD_BYTES;
             }
         }
-        self.next.push(NIL);
-        self.values.extend(key);
-        let start = id * self.arity;
-        assert_eq!(
-            self.values.len(),
-            start + self.arity,
-            "a key must have the interner's arity"
+        let start = id as usize * self.arity;
+        if self.free.pop().is_some() {
+            self.next[id as usize] = NIL;
+        } else {
+            self.next.push(NIL);
+            self.values.resize(start + self.arity, VACANT);
+        }
+        let mut key = key.into_iter();
+        for slot in &mut self.values[start..start + self.arity] {
+            *slot = key.next().expect("a key must have the interner's arity");
+        }
+        assert!(key.next().is_none(), "a key must have the interner's arity");
+        self.bytes += self.key_bytes(start);
+        debug_assert!(
+            matches(&self.values[start..start + self.arity]),
+            "an interned key must match its own probe"
         );
-        self.bytes += Self::LINK_BYTES
-            + self.values[start..]
-                .iter()
-                .map(Value::memory_bytes)
-                .sum::<usize>();
-        Ok(PartitionId(id as u32))
+        Ok(PartitionId(id))
     }
 
-    /// The interned key of `id`.
+    /// What the key in the slot at `start` adds to `bytes`: its values
+    /// and its link.
+    fn key_bytes(&self, start: usize) -> usize {
+        Self::LINK_BYTES
+            + self.values[start..start + self.arity]
+                .iter()
+                .map(Value::memory_bytes)
+                .sum::<usize>()
+    }
+
+    /// Forget the resident key `id`: unlink it from its hash chain, drop
+    /// its values and free the id for the next first-seen key. The caller
+    /// guarantees `id` is resident and that nothing refers to it any
+    /// more; a later probe of the same key is a first-seen one.
+    pub fn retire(&mut self, id: PartitionId) {
+        self.unlink(id, hash_values(self.resolve(id).iter()));
+    }
+
+    /// [`KeyInterner::retire`] for a key interned under `hash`.
+    fn unlink(&mut self, id: PartitionId, hash: u64) {
+        let start = id.index() * self.arity;
+        self.bytes -= self.key_bytes(start);
+        self.values[start..start + self.arity].fill(VACANT);
+        let after = self.next[id.index()];
+        let Entry::Occupied(mut head) = self.heads.entry(hash) else {
+            unreachable!("a resident key has a chain under its hash");
+        };
+        if *head.get() != id.0 {
+            // Walking off the chain's end indexes `next[NIL]`: a key that
+            // is not on its hash's chain is a bug, not a case.
+            let mut before = *head.get() as usize;
+            while self.next[before] != id.0 {
+                before = self.next[before] as usize;
+            }
+            self.next[before] = after;
+        } else if after != NIL {
+            head.insert(after);
+        } else {
+            head.remove();
+            self.bytes -= Self::HEAD_BYTES;
+        }
+        self.free.push(id.0);
+    }
+
+    /// The resident key of `id`.
     #[inline]
     pub fn resolve(&self, id: PartitionId) -> &[Value] {
         let start = id.index() * self.arity;
         &self.values[start..start + self.arity]
     }
 
-    /// Number of distinct keys interned so far (also the next id).
+    /// Number of resident keys.
     #[inline]
     pub fn len(&self) -> usize {
-        self.next.len()
+        self.next.len() - self.free.len()
     }
 
-    /// Whether no key has been interned yet.
+    /// Whether no key is resident.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.next.is_empty()
+        self.len() == 0
     }
 
-    /// Probe/first-seen counters since construction.
-    #[inline]
-    pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-
-    /// Rebuild an interner from saved keys (dense-id order) and counters.
-    /// The table is recomputed with [`hash_values`], so ids and probe
-    /// behavior match an interner that saw the same keys first-hand —
-    /// this is how a restored router re-interns a (possibly compacted)
-    /// key set. A key of another arity, or a key set too large for the
-    /// dense `u32` id space, cannot come from a well-formed snapshot: it
-    /// is refused as corruption instead of mis-striding or panicking.
-    pub fn from_parts(
-        arity: usize,
-        keys: Vec<GroupKey>,
-        stats: RunStats,
-    ) -> Result<KeyInterner, CheckpointError> {
-        if u32::try_from(keys.len()).is_err() {
-            return Err(CheckpointError::Corrupt(format!(
-                "snapshot holds more than {} distinct partition keys",
-                u32::MAX
-            )));
-        }
-        let mut interner = KeyInterner::new(arity);
-        interner.stats = stats;
-        interner.values.reserve(keys.len() * arity);
-        interner.next.reserve(keys.len());
-        for key in keys {
-            if key.len() != arity {
-                return Err(CheckpointError::Corrupt(format!(
-                    "partition key with {} values where the query partitions by {arity}",
-                    key.len()
-                )));
-            }
-            // Saved keys are distinct ids by position, whatever they hold.
-            interner
-                .find_or_append(hash_values(key.iter()), &mut |_| false, key)
-                .expect("the key count was checked against the id space");
-        }
-        Ok(interner)
-    }
-
-    /// Logical memory footprint: interned key values plus table overhead
-    /// (a 4-byte link per key, a 16-byte entry per distinct hash). Keys
-    /// are retained for the interner's lifetime (id stability), so this
-    /// grows with the number of *distinct* keys, not with the stream.
-    /// O(1): the figure is maintained at insert.
+    /// Logical memory footprint: resident key values plus table overhead
+    /// (a 4-byte link per key, a 16-byte entry per distinct hash). Slots
+    /// of retired keys are capacity, like a `Vec`'s spare room, and are
+    /// not counted. O(1): the figure is maintained at insert and retire.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.bytes
@@ -351,11 +350,13 @@ impl KeyInterner {
 
     /// The definition [`KeyInterner::memory_bytes`] must equal, computed
     /// by walking the flat buffer and the table — the test oracle, not
-    /// built into release code.
+    /// built into release code. Free slots are told apart by count, not
+    /// by content: a retired key that kept a heap part fails the audit.
     #[cfg(any(test, debug_assertions))]
     pub fn audit_bytes(&self) -> usize {
         self.values.iter().map(Value::memory_bytes).sum::<usize>()
-            + self.next.len() * Self::LINK_BYTES
+            - self.free.len() * self.arity * std::mem::size_of::<Value>()
+            + self.len() * Self::LINK_BYTES
             + self.heads.len() * Self::HEAD_BYTES
     }
 }
@@ -363,6 +364,7 @@ impl KeyInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::GroupKey;
 
     fn key(vals: &[i64]) -> GroupKey {
         vals.iter().copied().map(Value::Int).collect()
@@ -387,9 +389,59 @@ mod tests {
         let mut i = KeyInterner::new(1);
         assert_eq!(intern(&mut i, &[7]), PartitionId(0));
         assert_eq!(intern(&mut i, &[9]), PartitionId(1));
-        assert_eq!(intern(&mut i, &[7]), PartitionId(0), "id is stable");
+        assert_eq!(
+            intern(&mut i, &[7]),
+            PartitionId(0),
+            "stable while resident"
+        );
         assert_eq!(i.len(), 2);
         assert_eq!(i.resolve(PartitionId(1)), &key(&[9])[..]);
+    }
+
+    #[test]
+    fn a_retired_id_and_slot_serve_the_next_first_seen_key() {
+        let mut i = KeyInterner::new(2);
+        let (a, b) = (intern(&mut i, &[1, 10]), intern(&mut i, &[2, 20]));
+        let two = i.memory_bytes();
+        i.retire(a);
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.memory_bytes(), two / 2);
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        assert_eq!(intern(&mut i, &[2, 20]), b, "the survivor is untouched");
+        // The next first-seen key lands on the freed id, in the freed
+        // slot: the buffer does not grow.
+        assert_eq!(intern(&mut i, &[3, 30]), a);
+        assert_eq!(i.resolve(a), &key(&[3, 30])[..]);
+        assert_eq!(i.values.len(), 4);
+        assert_eq!(i.memory_bytes(), two);
+        // The retired key is first-seen again when it returns.
+        assert_eq!(intern(&mut i, &[1, 10]), PartitionId(2));
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        // Retired down to nothing, the footprint is an empty interner's.
+        for id in 0..3 {
+            i.retire(PartitionId(id));
+        }
+        assert!(i.is_empty());
+        assert_eq!(i.memory_bytes(), 0);
+        assert_eq!(i.audit_bytes(), 0);
+        assert!(i.heads.is_empty());
+    }
+
+    #[test]
+    fn retiring_releases_a_keys_strings() {
+        let mut i = KeyInterner::new(1);
+        let s: GroupKey = vec![Value::str("a-rather-long-session-id")];
+        let held = match &s[0] {
+            Value::Str(text) => std::sync::Arc::clone(text),
+            _ => unreachable!(),
+        };
+        let id = probe(&mut i, hash_values(s.iter()), &s).unwrap();
+        drop(s);
+        assert_eq!(std::sync::Arc::strong_count(&held), 2);
+        i.retire(id);
+        assert_eq!(std::sync::Arc::strong_count(&held), 1, "the slot let go");
+        assert_eq!(i.memory_bytes(), 0);
+        assert_eq!(i.audit_bytes(), 0);
     }
 
     #[test]
@@ -407,29 +459,39 @@ mod tests {
         }
         assert_eq!(i.len(), 3);
         assert_eq!(i.heads.len(), 1, "one hash, one head");
-        let s = i.stats();
-        assert_eq!(s.key_probes, 6);
-        assert_eq!(s.key_allocs, 3, "re-probes intern nothing");
     }
 
     #[test]
-    fn stats_count_probes_and_first_seen_keys() {
-        let mut i = KeyInterner::new(1);
-        for _ in 0..5 {
-            intern(&mut i, &[3]);
+    fn unlinking_keeps_the_rest_of_a_chain_reachable() {
+        // Head, middle and tail of a three-key chain, each retired in
+        // turn from a fresh chain: the other two still resolve, the
+        // counter follows the walk, and the freed id rejoins at the tail.
+        let keys = [key(&[1, 2]), key(&[2, 1]), key(&[3, 3])];
+        for gone in 0..3 {
+            let mut i = KeyInterner::new(2);
+            for k in &keys {
+                probe(&mut i, 42, k).unwrap();
+            }
+            i.unlink(PartitionId(gone as u32), 42);
+            assert_eq!(i.memory_bytes(), i.audit_bytes());
+            assert_eq!(i.heads.len(), 1);
+            for (id, k) in keys.iter().enumerate().filter(|(id, _)| *id != gone) {
+                assert_eq!(probe(&mut i, 42, k), Ok(PartitionId(id as u32)));
+            }
+            assert_eq!(probe(&mut i, 42, &keys[gone]), Ok(PartitionId(gone as u32)));
+            assert_eq!(i.len(), 3);
+            assert_eq!(i.memory_bytes(), i.audit_bytes());
         }
-        intern(&mut i, &[4]);
-        let s = i.stats();
-        assert_eq!(s.key_probes, 6);
-        assert_eq!(s.key_allocs, 2);
-        let mut total = RunStats::default();
-        total.merge(s);
-        total.merge(s);
-        assert_eq!(total.key_probes, 12);
+        // The last key of a chain takes the head entry with it.
+        let mut i = KeyInterner::new(2);
+        probe(&mut i, 42, &keys[0]).unwrap();
+        i.unlink(PartitionId(0), 42);
+        assert!(i.heads.is_empty());
+        assert_eq!(i.memory_bytes(), 0);
     }
 
     #[test]
-    fn memory_accounting_grows_with_distinct_keys_only() {
+    fn memory_accounting_follows_resident_keys_only() {
         let mut i = KeyInterner::new(1);
         assert_eq!(i.memory_bytes(), 0);
         intern(&mut i, &[1]);
@@ -444,10 +506,19 @@ mod tests {
         intern(&mut i, &[2]);
         assert_eq!(i.memory_bytes(), 2 * one);
         assert_eq!(i.memory_bytes(), i.audit_bytes());
+        // A thousand keys through one slot: never more than two resident.
+        for fresh in 3..1_003 {
+            let id = intern(&mut i, &[fresh]);
+            assert_eq!(i.memory_bytes(), 3 * one);
+            i.retire(id);
+        }
+        assert_eq!(i.memory_bytes(), 2 * one);
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        assert_eq!(i.next.len(), 3, "one slot served them all");
     }
 
     #[test]
-    fn counter_equals_the_walk_across_collisions_strings_and_rebuilds() {
+    fn counter_equals_the_walk_across_collisions_and_strings() {
         let mut i = KeyInterner::new(2);
         // Two keys forced onto one chain, one alone, one with a heap part.
         let a = key(&[1, 2]);
@@ -457,29 +528,13 @@ mod tests {
         assert_eq!(i.memory_bytes(), i.audit_bytes());
         probe(&mut i, 42, &b).unwrap();
         assert_eq!(i.memory_bytes(), i.audit_bytes());
-        probe(&mut i, hash_values(s.iter()), &s).unwrap();
+        let sid = probe(&mut i, hash_values(s.iter()), &s).unwrap();
         assert_eq!(i.memory_bytes(), i.audit_bytes());
-        // A rebuilt interner re-chains by the real hashes: same keys and
-        // ids, its own table, and a counter seeded to match it.
-        let keys = vec![a.clone(), b.clone(), s.clone()];
-        let mut rebuilt = KeyInterner::from_parts(2, keys.clone(), i.stats()).unwrap();
-        assert_eq!(rebuilt.memory_bytes(), rebuilt.audit_bytes());
-        assert_eq!(rebuilt.len(), 3);
-        assert_eq!(rebuilt.stats(), i.stats());
-        for (id, k) in keys.iter().enumerate() {
-            assert_eq!(rebuilt.resolve(PartitionId(id as u32)), &k[..]);
-            assert_eq!(
-                probe(&mut rebuilt, hash_values(k.iter()), k),
-                Ok(PartitionId(id as u32))
-            );
-        }
-    }
-
-    #[test]
-    fn from_parts_refuses_a_key_of_another_arity() {
-        let err = KeyInterner::from_parts(2, vec![key(&[1, 2]), key(&[3])], RunStats::default())
-            .expect_err("a one-value key among two-value keys");
-        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err:?}");
+        // The string key's slot, reused by a key without a heap part.
+        i.retire(sid);
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
+        assert_eq!(intern(&mut i, &[5, 6]), sid);
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
     }
 
     #[test]
@@ -492,6 +547,11 @@ mod tests {
         assert_eq!(i.len(), 1);
         assert!(i.resolve(PartitionId(0)).is_empty());
         assert_eq!(i.memory_bytes(), i.audit_bytes());
+        i.retire(PartitionId(0));
+        assert!(i.is_empty());
+        assert_eq!(i.memory_bytes(), 0);
+        assert_eq!(intern(&mut i, &[]), PartitionId(0));
+        assert_eq!(i.memory_bytes(), i.audit_bytes());
     }
 
     #[test]
@@ -500,7 +560,8 @@ mod tests {
         // check, so every refused first-seen key left an entry behind and
         // the table grew without bound under the very guard meant to
         // bound it. Refusals both off a fresh hash and off the end of an
-        // existing chain must leave keys, links and heads as they were.
+        // existing chain must leave keys, links, heads and the free list
+        // as they were.
         let mut i = KeyInterner::new(1);
         i.set_limit(2);
         intern(&mut i, &[1]);
@@ -518,6 +579,7 @@ mod tests {
         assert_eq!(i.heads.len(), heads);
         assert_eq!(i.next, next);
         assert_eq!(i.values.len(), 2);
+        assert!(i.free.is_empty());
         assert_eq!(intern(&mut i, &[1]), PartitionId(0));
         assert_eq!(
             probe(&mut i, hash_values(key(&[1]).iter()), &chained),
@@ -526,27 +588,31 @@ mod tests {
     }
 
     #[test]
-    fn key_limit_refuses_fresh_keys_but_keeps_serving_old_ones() {
+    fn key_limit_bounds_resident_keys_not_keys_ever_seen() {
         // Regression for the former `expect("more than u32::MAX
-        // partitions")` panic: past the ceiling the interner returns a
-        // typed error instead, and everything already interned still
-        // routes.
+        // partitions")` panic: at the ceiling the interner returns a
+        // typed error instead, and everything resident still routes.
         let mut i = KeyInterner::new(1);
         i.set_limit(2);
         assert_eq!(intern(&mut i, &[1]), PartitionId(0));
         assert_eq!(intern(&mut i, &[2]), PartitionId(1));
         let k = key(&[3]);
         let overflow =
-            probe(&mut i, hash_values(k.iter()), &k).expect_err("third distinct key is over");
+            probe(&mut i, hash_values(k.iter()), &k).expect_err("third resident key is over");
         assert_eq!(overflow, KeyOverflow { limit: 2 });
-        // Old keys keep resolving to their stable ids…
         assert_eq!(intern(&mut i, &[1]), PartitionId(0));
         assert_eq!(intern(&mut i, &[2]), PartitionId(1));
         assert_eq!(i.len(), 2);
-        // …and the refused probe counted as a probe, not a first-seen key.
-        let s = i.stats();
-        assert_eq!(s.key_probes, 5);
-        assert_eq!(s.key_allocs, 2);
+        // Room is what retiring makes: the refused key fits once another
+        // has gone, and a stream that keeps at most two keys resident
+        // never overflows however many it mints.
+        i.retire(PartitionId(0));
+        assert_eq!(probe(&mut i, hash_values(k.iter()), &k), Ok(PartitionId(0)));
+        for fresh in 10..1_000 {
+            i.retire(PartitionId(0));
+            assert_eq!(intern(&mut i, &[fresh]), PartitionId(0));
+        }
+        assert_eq!(i.len(), 2);
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! * [`engine`] — the [`TrendEngine`] trait every aggregation engine
 //!   implements, with push-based ([`TrendEngine::drain_into`]) and
 //!   collecting ([`TrendEngine::drain`]) result emission;
-//! * [`intern`] — the [`KeyInterner`] mapping partition keys to dense
-//!   [`PartitionId`]s with an allocation-free hash-once probe, and the
-//!   [`RunStats`] hot-path counters;
+//! * [`intern`] — the [`KeyInterner`] mapping resident partition keys to
+//!   dense, reusable [`PartitionId`]s with an allocation-free hash-once
+//!   probe, and the [`RunStats`] hot-path counters;
 //! * [`output`] — [`WindowResult`], the unit of engine output;
 //! * [`router`] — the generic partition/window [`Router`] turning any
 //!   per-window algorithm into a full engine (§7 of the paper), with
 //!   interned keys, dense partition storage and ring-buffer window
-//!   stores on the per-event path;
+//!   stores on the per-event path, and state only for the partitions
+//!   that still hold a window;
 //! * [`runtime`] — precomputed per-disjunct routing tables and the
 //!   [`runtime::EngineConfig`] knobs.
 //!

@@ -28,14 +28,37 @@
 //! * what a drain closes is what the next events open: a closed window
 //!   is [`WindowAlgo::reset`] in place and reopened with its buffers, a
 //!   partition whose ring drained empty lends the ring to the next
-//!   partition that opens its first window, and the drain's own merge
-//!   table is reused from slide to slide (see `Recycled`). The pools
-//!   are bounded by the peak number of simultaneously open windows, and
-//!   pooled capacity is not state: [`TrendEngine::memory_bytes`] does
-//!   not count it.
+//!   partition that opens its first window, and the drain's list of
+//!   closing cells is reused from slide to slide (see `Recycled`). The
+//!   pools are bounded by the peak number of simultaneously open
+//!   windows, and pooled capacity is not state:
+//!   [`TrendEngine::memory_bytes`] does not count it.
 //!
 //! What is left is amortised growth (the interner's and the partition
-//! table's doubling) and the two vectors of each emitted result.
+//! table's doubling, up to the peak resident key count) and the two
+//! vectors of each emitted result.
+//!
+//! ## State is O(resident keys)
+//!
+//! A partition is *resident* while it holds an open window. The drain
+//! that closes its last window retires it: every window that could
+//! contain one of its events has closed, so nothing a future event needs
+//! is lost. Its key leaves the interner, its [`PartitionId`] goes on the
+//! interner's free list, and the next first-seen key takes over the id,
+//! the key slot and the (empty) partition slot. An id is therefore
+//! stable only while its partition is resident, and which id a key gets
+//! depends on when drains ran — so nothing observable does:
+//!
+//! * results are emitted in `(window, group)` order and the cells of one
+//!   group merge in **partition-key order**, both read off the keys
+//!   themselves (the `GROUP-BY` values are a prefix of the partition
+//!   key, so one sort by `(window, partition key)` yields both);
+//! * [`RunStats::key_allocs`] counts key *lives* by a rule on the stream
+//!   alone (see `Router::process_prehashed`), not interner insertions;
+//! * a snapshot holds the resident partitions, which is all there is.
+//!
+//! The one exception is a configured `key_limit`: it bounds resident
+//! keys, so which keys are refused follows the drain cadence.
 //!
 //! Callers that already computed the key hash (the §8 shard router hashes
 //! at ingest time to place the event) hand it in via
@@ -51,7 +74,6 @@ use crate::runtime::QueryRuntime;
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{Event, Timestamp, Value, WindowId};
 use cogra_query::{NegId, StateId};
-use fxhash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -146,10 +168,8 @@ struct Recycled<W> {
     windows: Vec<W>,
     /// Rings of partitions that drained empty.
     rings: Vec<Ring<W>>,
-    /// Closing cells merged per `(window, group id)`.
-    combined: FxHashMap<(WindowId, u32), Cell>,
-    /// `combined`, moved out for sorting into emission order.
-    entries: Vec<((WindowId, u32), Cell)>,
+    /// The drain's non-zero closing cells, sorted into emission order.
+    closing: Vec<(WindowId, PartitionId, Cell)>,
 }
 
 /// One partition's open windows: a ring buffer over the contiguous
@@ -168,19 +188,15 @@ struct Recycled<W> {
 /// the gap is jumped by appending at the new id.
 #[derive(Debug)]
 struct Partition<W> {
-    /// Open windows `(id, state)`, id-sorted, tail id-consecutive.
+    /// Open windows `(id, state)`, id-sorted, tail id-consecutive. Empty
+    /// only in a slot whose id is on the interner's free list.
     windows: Ring<W>,
-    /// Whether this partition sits in the router's active list (has, or
-    /// recently had, open windows) — keeps drains from scanning every
-    /// partition ever interned.
-    queued: bool,
 }
 
 impl<W> Default for Partition<W> {
     fn default() -> Self {
         Partition {
             windows: VecDeque::new(),
-            queued: false,
         }
     }
 }
@@ -255,20 +271,14 @@ impl<W: WindowAlgo> Partition<W> {
 pub struct Router<W: WindowAlgo> {
     rt: Arc<QueryRuntime>,
     name: &'static str,
-    /// Full partition key → dense id. Keys are retained for the router's
-    /// lifetime (id stability); memory grows with *distinct* keys only.
+    /// Full partition key → dense id, for the resident partitions.
     interner: KeyInterner,
-    /// Distinct `GROUP-BY` prefixes, interned once per first-seen
-    /// partition so emission never re-slices keys per window.
-    groups: KeyInterner,
-    /// `partition_group[pid]` — the group id of partition `pid`.
-    partition_group: Vec<u32>,
-    /// Partition states, indexed by [`PartitionId`].
+    /// Partition slots, indexed by [`PartitionId`]: one per id the
+    /// interner ever handed out, so as many as were resident at once.
     partitions: Vec<Partition<W>>,
-    /// Ids of partitions with open windows (`Partition::queued` set) —
-    /// what a closing drain scans, so drain cost follows the *active*
-    /// partition count, not the number of keys ever interned.
-    active: Vec<u32>,
+    /// Ids of the resident partitions — each holds an open window. What
+    /// a closing drain scans and what a snapshot writes.
+    resident: Vec<u32>,
     /// Footprint of every open window (ring slot + state), kept current
     /// at window open, by each `on_event`'s delta, and at close — so
     /// [`TrendEngine::memory_bytes`] never visits a partition.
@@ -285,17 +295,20 @@ pub struct Router<W: WindowAlgo> {
     /// `EngineConfig::key_limit`. Overflow drops the event, never the
     /// engine — no worker-thread panic.
     key_overflow: Option<u32>,
+    /// Probes and key lives begun, counted here — where an event meets
+    /// its partition — because a life is a fact about windows.
+    stats: RunStats,
     recycled: Recycled<W>,
 }
 
 impl<W: WindowAlgo> Router<W> {
     /// The router struct itself, less its byte counters (`window_bytes`
-    /// and the one inside each of the two interners) and less the
-    /// handles of its pools and scratch: the first are the instrument,
-    /// the second capacity, and neither is the state being measured.
+    /// and the one inside the interner) and less the handles of its
+    /// pools and scratch: the first are the instrument, the second
+    /// capacity, and neither is the state being measured.
     const INLINE_BYTES: usize = std::mem::size_of::<Self>()
         - std::mem::size_of::<usize>()
-        - 2 * KeyInterner::INSTRUMENT_BYTES
+        - KeyInterner::INSTRUMENT_BYTES
         - std::mem::size_of::<Recycled<W>>();
 
     /// Debug builds re-derive the footprint by walking the state wherever
@@ -320,26 +333,23 @@ impl<W: WindowAlgo> Router<W> {
         if let Some(limit) = rt.config.key_limit {
             interner.set_limit(limit);
         }
-        let groups = KeyInterner::new(rt.query.group_prefix);
         Router {
             rt,
             name,
             interner,
-            groups,
-            partition_group: Vec::new(),
             partitions: Vec::new(),
-            active: Vec::new(),
+            resident: Vec::new(),
             window_bytes: 0,
             watermark: Timestamp::ZERO,
             drained_to: None,
             binds,
             finalize_spike: 0,
             key_overflow: None,
+            stats: RunStats::default(),
             recycled: Recycled {
                 windows: Vec::new(),
                 rings: Vec::new(),
-                combined: FxHashMap::default(),
-                entries: Vec::new(),
+                closing: Vec::new(),
             },
         }
     }
@@ -368,7 +378,7 @@ impl<W: WindowAlgo> Router<W> {
         let Some(hash) = key_hash else {
             return; // type lacks the partition attributes (see DESIGN.md)
         };
-        let rt = Arc::clone(&self.rt);
+        let rt: &QueryRuntime = &self.rt;
         for ((binds, negs), drt) in self.binds.per_disjunct.iter_mut().zip(&rt.disjuncts) {
             drt.binds(event, binds);
             drt.negation_matches(event, negs);
@@ -380,6 +390,20 @@ impl<W: WindowAlgo> Router<W> {
         if self.binds.is_irrelevant() && rt.query.semantics != cogra_query::Semantics::Cont {
             return;
         }
+        // The event's windows that have not been drained. None (the
+        // router was finished) means nothing to update — and nothing to
+        // make resident.
+        let drained_to = self.drained_to;
+        let mut open = rt
+            .query
+            .window
+            .windows_of(event.time)
+            .skip_while(|&wid| drained_to.is_some_and(|d| wid <= d))
+            .peekable();
+        let Some(&first) = open.peek() else {
+            return;
+        };
+        self.stats.key_probes += 1;
         let attrs = rt.partition_attrs(event).expect("key hash implies a key");
         let pid = match self.interner.intern_with(
             hash,
@@ -389,151 +413,142 @@ impl<W: WindowAlgo> Router<W> {
             Ok(pid) => pid,
             Err(overflow) => {
                 // A first-seen key past the configured limit: drop the
-                // event and record the overflow stickily; already-interned
-                // keys keep flowing.
+                // event and record the overflow stickily; resident keys
+                // keep flowing.
                 self.key_overflow = Some(overflow.limit);
                 return;
             }
         };
         if pid.index() == self.partitions.len() {
-            // First sight of this key: register its output group and a
-            // fresh partition slot (dense ids arrive in order).
-            let key = self.interner.resolve(pid);
-            let prefix = &key[..rt.query.group_prefix];
-            let gid = self
-                .groups
-                .intern_with(
-                    hash_values(prefix.iter()),
-                    |candidate| candidate == prefix,
-                    prefix.iter().cloned(),
-                )
-                .expect("groups cannot outnumber partitions");
-            self.partition_group.push(gid.0);
             self.partitions.push(Partition::default());
         }
         let partition = &mut self.partitions[pid.index()];
+        // A key's life begins with an event that none of the key's windows
+        // so far could hold: a key never seen, or one whose last window
+        // ended at or before this event. Whether a drain had retired it
+        // by now (empty ring, fresh from the interner) or not (its ring
+        // still ends below `first`) is the cadence's business, not the
+        // count's.
+        match partition.windows.back() {
+            None => {
+                self.stats.key_allocs += 1;
+                self.resident.push(pid.0);
+            }
+            Some(&(back, _)) if back < first.0 => self.stats.key_allocs += 1,
+            Some(_) => {}
+        }
         let Recycled { windows, rings, .. } = &mut self.recycled;
         let mut window_bytes = self.window_bytes;
-        for wid in rt.query.window.windows_of(event.time) {
-            if self.drained_to.is_some_and(|d| wid <= d) {
-                continue;
-            }
+        for wid in open {
             let window = partition.window_mut(wid, rings, || {
-                let fresh = windows.pop().unwrap_or_else(|| W::new(&rt));
+                let fresh = windows.pop().unwrap_or_else(|| W::new(rt));
                 window_bytes += Partition::<W>::SLOT_BYTES + fresh.memory_bytes();
                 fresh
             });
-            let delta = window.on_event(&rt, event, &self.binds);
+            let delta = window.on_event(rt, event, &self.binds);
             window_bytes = window_bytes.wrapping_add_signed(delta);
         }
         self.window_bytes = window_bytes;
-        if !partition.queued && !partition.windows.is_empty() {
-            partition.queued = true;
-            self.active.push(pid.0);
-        }
     }
 
-    /// Finalize every window at or before `up_to` and push the merged
-    /// results into `out` in deterministic (window, group) order.
+    /// Finalize every window at or before `up_to`, push the merged
+    /// results into `out` in deterministic (window, group) order, then
+    /// retire the partitions left without a window.
     fn emit_up_to(&mut self, up_to: WindowId, out: &mut dyn FnMut(WindowResult)) {
         if self.drained_to.is_some_and(|d| d >= up_to) {
             return; // nothing new closed — skip the partition scan
         }
-        let rt = Arc::clone(&self.rt);
+        let rt: &QueryRuntime = &self.rt;
         let drained_to = self.drained_to;
-        // Accumulate per (window, group id) — no key clones while merging;
-        // the group values are resolved (and cloned exactly once per
-        // emitted result) at the end.
         let Recycled {
             windows: spare,
             rings,
-            combined,
-            ..
+            closing,
         } = &mut self.recycled;
         let mut spike = self.finalize_spike;
         let mut closed_bytes = 0;
-        // Scan only partitions with open windows, in id (= first-seen key)
-        // order so same-group cells always merge in a deterministic order;
-        // partitions drained empty leave the active list until their key
-        // re-appears.
-        let mut active = std::mem::take(&mut self.active);
-        active.sort_unstable();
-        let partitions = &mut self.partitions;
-        let partition_group = &self.partition_group;
-        active.retain(|&pid| {
-            let partition = &mut partitions[pid as usize];
-            let gid = partition_group[pid as usize];
-            partition.close_up_to(up_to.0, |wid, mut state| {
+        // Scan only the resident partitions, in whatever order they sit:
+        // the sort below puts their cells into emission order.
+        for &pid in &self.resident {
+            self.partitions[pid as usize].close_up_to(up_to.0, |wid, mut state| {
                 // What the window contributed while open — read before
                 // finalization changes it.
                 closed_bytes += Partition::<W>::SLOT_BYTES + state.memory_bytes();
                 if drained_to.is_none_or(|d| wid > d) {
-                    let cell = state.final_cell(&rt);
+                    let cell = state.final_cell(rt);
                     // Measure after finalization: two-step algorithms hold
                     // their constructed trends until the window is reset.
                     spike = spike.max(state.memory_bytes());
                     #[cfg(debug_assertions)]
                     assert_eq!(state.memory_bytes(), state.audit_bytes());
                     if !cell.is_zero() {
-                        combined
-                            .entry((wid, gid))
-                            .and_modify(|acc| acc.merge(&cell))
-                            .or_insert(cell);
+                        closing.push((wid, PartitionId(pid), cell));
                     }
                 }
-                state.reset(&rt);
+                state.reset(rt);
                 #[cfg(debug_assertions)]
                 assert_eq!(state.memory_bytes(), state.audit_bytes());
                 spare.push(state);
             });
-            partition.queued = !partition.windows.is_empty();
-            if !partition.queued {
-                rings.push(std::mem::take(&mut partition.windows));
-            }
-            partition.queued
-        });
-        self.active = active;
+        }
         self.finalize_spike = spike;
         self.window_bytes -= closed_bytes;
-        self.debug_audit();
         self.drained_to = Some(match self.drained_to {
             Some(d) => WindowId(d.0.max(up_to.0)),
             None => up_to,
         });
-        // Group ids are first-seen-ordered, not value-ordered: sort the
-        // resolved entries so emission order matches the seed router's
-        // deterministic (window, group) order byte for byte. (No two
-        // entries compare equal — they were keys of one map — so the
-        // in-place unstable sort yields that one order.)
-        let Recycled {
-            combined, entries, ..
-        } = &mut self.recycled;
-        let groups = &self.groups;
-        entries.extend(combined.drain());
-        entries.sort_unstable_by(|((wa, ga), _), ((wb, gb), _)| {
-            wa.cmp(wb).then_with(|| {
-                groups
-                    .resolve(PartitionId(*ga))
-                    .cmp(groups.resolve(PartitionId(*gb)))
-            })
+        // Ids say nothing about keys, so order by the keys themselves. The
+        // `GROUP-BY` values are a prefix of the partition key: sorted by
+        // (window, partition key), the cells of one result are adjacent,
+        // results come in (window, group) order and same-group cells merge
+        // in partition-key order — float sums included, whatever ids the
+        // keys landed on. (No two entries compare equal — a partition has
+        // one window per id — so the in-place unstable sort yields that
+        // one order.)
+        let keys = &self.interner;
+        closing.sort_unstable_by(|(wa, pa, _), (wb, pb, _)| {
+            wa.cmp(wb)
+                .then_with(|| keys.resolve(*pa).cmp(keys.resolve(*pb)))
         });
-        for ((window, gid), cell) in entries.drain(..) {
+        let group_of = |pid: PartitionId| &keys.resolve(pid)[..rt.query.group_prefix];
+        let mut cells = closing.drain(..).peekable();
+        while let Some((window, pid, mut cell)) = cells.next() {
+            let group = group_of(pid);
+            while let Some((_, _, more)) =
+                cells.next_if(|(w, p, _)| *w == window && group_of(*p) == group)
+            {
+                cell.merge(&more);
+            }
             out(WindowResult {
                 window,
-                group: groups.resolve(PartitionId(gid)).to_vec(),
+                group: group.to_vec(),
                 values: cell.outputs(&rt.layout),
             });
         }
+        drop(cells);
+        // Results are resolved; a partition without a window holds nothing
+        // a future event needs. Its ring goes to the pool, its key and id
+        // back to the interner.
+        let (partitions, interner) = (&mut self.partitions, &mut self.interner);
+        self.resident.retain(|&pid| {
+            let partition = &mut partitions[pid as usize];
+            let stays = !partition.windows.is_empty();
+            if !stays {
+                rings.push(std::mem::take(&mut partition.windows));
+                interner.retire(PartitionId(pid));
+            }
+            stays
+        });
+        self.debug_audit();
     }
 }
 
 /// A router's serialized mutable state: the piece of a snapshot that one
-/// engine section carries. `entries` holds one opaque blob per partition
-/// **with open windows** — snapshotting skips drained-empty partitions,
-/// so a restore re-interns only the *live* key set (the interner
-/// compaction of the durability subsystem). Each blob starts with the
-/// partition's full key, so a restore coordinator can re-shard entries by
-/// `GROUP-BY` hash without parsing the window payloads behind it.
+/// engine section carries. `entries` holds one opaque blob per resident
+/// partition — a partition without a window is not resident, in a
+/// snapshot or anywhere else. Each blob starts with the partition's full
+/// key, so a restore coordinator can re-shard entries by `GROUP-BY` hash
+/// without parsing the window payloads behind it.
 #[derive(Debug, Clone)]
 pub struct RouterState {
     /// The watermark to restore with. Across shards of one query this
@@ -541,13 +556,14 @@ pub struct RouterState {
     /// events older than a faster shard's watermark, and a restored
     /// engine must never sit ahead of an event it has yet to ingest.
     pub watermark: Timestamp,
-    /// Interner probe/alloc counters at snapshot time.
+    /// Probe/key-life counters at snapshot time.
     pub stats: RunStats,
     /// Last drained window (`None` = never drained).
     pub drained_to: Option<WindowId>,
     /// Largest finalization footprint observed so far.
     pub finalize_spike: usize,
-    /// One blob per live partition, dense-id order:
+    /// One blob per resident partition, in no particular order (nothing
+    /// depends on which id a key restores to):
     /// `[key][n_windows][(wid, window bytes)...]`.
     pub entries: Vec<Vec<u8>>,
 }
@@ -621,41 +637,42 @@ pub fn entry_group_hash(entry: &[u8], group_prefix: usize) -> Result<u64, Checkp
 }
 
 impl<W: WindowAlgo> Router<W> {
-    /// Snapshot the router's mutable state. Partitions whose window ring
-    /// is empty are skipped: their interned key carries no state a future
-    /// event could not recreate, so dropping them here is what shrinks a
-    /// churn-heavy interner across a checkpoint/restore cycle.
+    /// Snapshot the router's mutable state: the resident partitions —
+    /// the same set a drain keeps, so there is no dead key to skip.
     pub fn snapshot_state(&self) -> RouterState {
         self.debug_audit();
-        let mut entries = Vec::new();
-        for (pid, partition) in self.partitions.iter().enumerate() {
-            if partition.windows.is_empty() {
-                continue;
-            }
-            let mut e = Enc::new();
-            Value::save_slice(self.interner.resolve(PartitionId(pid as u32)), &mut e);
-            e.usize(partition.windows.len());
-            for (wid, w) in &partition.windows {
-                e.u64(*wid);
-                let mut we = Enc::new();
-                w.save(&self.rt, &mut we);
-                e.bytes(we.as_slice());
-            }
-            entries.push(e.into_bytes());
-        }
+        let entries = self
+            .resident
+            .iter()
+            .map(|&pid| {
+                let partition = &self.partitions[pid as usize];
+                let mut e = Enc::new();
+                Value::save_slice(self.interner.resolve(PartitionId(pid)), &mut e);
+                e.usize(partition.windows.len());
+                for (wid, w) in &partition.windows {
+                    e.u64(*wid);
+                    let mut we = Enc::new();
+                    w.save(&self.rt, &mut we);
+                    e.bytes(we.as_slice());
+                }
+                e.into_bytes()
+            })
+            .collect();
         RouterState {
             watermark: self.watermark,
-            stats: self.interner.stats(),
+            stats: self.stats,
             drained_to: self.drained_to,
             finalize_spike: self.finalize_spike,
             entries,
         }
     }
 
-    /// Rebuild a router from a saved state. Keys are re-interned densely
-    /// in entry order (compacting ids if the snapshot skipped dead
-    /// partitions), groups are re-derived from the key prefixes, and every
-    /// restored partition re-enters the active list.
+    /// Rebuild a router from a saved state: every entry's key is interned
+    /// as a first-seen key would be and its windows reopened. Keys a
+    /// snapshot taken under the same `key_limit` held are all admitted —
+    /// a restore at a narrower width may put more of them on one shard
+    /// than the limit would have let in — and the limit then counts them
+    /// as a fresh router counts its resident keys.
     pub fn from_state(
         rt: Arc<QueryRuntime>,
         name: &'static str,
@@ -665,8 +682,9 @@ impl<W: WindowAlgo> Router<W> {
         router.watermark = state.watermark;
         router.drained_to = state.drained_to;
         router.finalize_spike = state.finalize_spike;
-        let mut keys = Vec::with_capacity(state.entries.len());
-        for (pid, blob) in state.entries.iter().enumerate() {
+        router.stats = state.stats;
+        router.interner.set_limit(u32::MAX);
+        for blob in &state.entries {
             let mut dec = Dec::new(blob);
             let key = Value::load_vec(&mut dec)?;
             // A key of another arity is a partition no event could ever
@@ -678,29 +696,39 @@ impl<W: WindowAlgo> Router<W> {
                     router.interner.arity()
                 )));
             }
-            let prefix = &key[..rt.query.group_prefix];
-            let gid = router
-                .groups
+            let n_windows = dec.usize()?;
+            let pid = router
+                .interner
                 .intern_with(
-                    hash_values(prefix.iter()),
-                    |candidate| candidate == prefix,
-                    prefix.iter().cloned(),
+                    hash_values(key.iter()),
+                    |candidate| candidate == key,
+                    key.iter().cloned(),
                 )
                 .map_err(|o| {
                     CheckpointError::Corrupt(format!(
-                        "snapshot holds more than {} distinct groups",
+                        "snapshot holds more than {} partitions",
                         o.limit
                     ))
                 })?;
-            router.partition_group.push(gid.0);
+            // Resident means holding a window, and one key is one
+            // partition: anything else was not written by a router.
+            if n_windows == 0 {
+                return Err(CheckpointError::Corrupt(format!(
+                    "partition {key:?} holds no window"
+                )));
+            }
+            if pid.index() != router.partitions.len() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "partition {key:?} is saved twice"
+                )));
+            }
             let mut partition = Partition::default();
-            let n_windows = dec.usize()?;
             let mut last = None;
             for _ in 0..n_windows {
                 let wid = dec.u64()?;
                 if last.is_some_and(|l| wid <= l) {
                     return Err(CheckpointError::Corrupt(format!(
-                        "window ids out of order in partition {pid}"
+                        "window ids out of order in partition {key:?}"
                     )));
                 }
                 last = Some(wid);
@@ -711,14 +739,9 @@ impl<W: WindowAlgo> Router<W> {
                 partition.windows.push_back((wid, w));
             }
             dec.finish("partition")?;
-            partition.queued = true;
-            router.active.push(pid as u32);
-            keys.push(key);
+            router.resident.push(pid.0);
             router.partitions.push(partition);
         }
-        router.interner = KeyInterner::from_parts(router.interner.arity(), keys, state.stats)?;
-        // `from_parts` resets the ceiling; re-apply the config's limit so
-        // a restored session keeps the same churn guard as a fresh one.
         if let Some(limit) = rt.config.key_limit {
             router.interner.set_limit(limit);
         }
@@ -750,22 +773,21 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
     fn memory_bytes(&self) -> usize {
         Self::INLINE_BYTES
             + self.interner.memory_bytes()
-            + self.groups.memory_bytes()
-            + self.partition_group.len() * std::mem::size_of::<u32>()
-            + self.partitions.len() * std::mem::size_of::<Partition<W>>()
+            + self.interner.len() * std::mem::size_of::<Partition<W>>()
             + self.window_bytes
     }
 
     #[cfg(debug_assertions)]
     fn audit_bytes(&self) -> usize {
+        // Every slot outside the resident list must be an empty one.
+        let vacant = self.partitions.iter().filter(|p| p.windows.is_empty());
+        assert_eq!(vacant.count(), self.partitions.len() - self.resident.len());
+        assert_eq!(self.resident.len(), self.interner.len());
         Self::INLINE_BYTES
             + self.interner.audit_bytes()
-            + self.groups.audit_bytes()
-            + self.partition_group.len() * std::mem::size_of::<u32>()
-            + self.partitions.len() * std::mem::size_of::<Partition<W>>()
-            // Window state lives only in active partitions.
+            + self.resident.len() * std::mem::size_of::<Partition<W>>()
             + self
-                .active
+                .resident
                 .iter()
                 .map(|&pid| self.partitions[pid as usize].audit_bytes())
                 .sum::<usize>()
@@ -793,7 +815,7 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
     }
 
     fn run_stats(&self) -> RunStats {
-        self.interner.stats()
+        self.stats
     }
 
     fn key_overflow(&self) -> Option<u32> {

@@ -135,13 +135,20 @@ pub struct EngineConfig {
     /// cover all possible lengths up to l"). `None` = unbounded (exact,
     /// but the covered length grows with the window content).
     pub flatten_cap: Option<usize>,
-    /// Maximum number of distinct partition keys the router's
-    /// [`KeyInterner`] will materialize. `None` = the full dense-id space
-    /// (`u32::MAX`). Events whose first-seen key would exceed the limit
-    /// are dropped with a sticky, typed overflow instead of panicking —
-    /// the guard rail for unbounded key-churn streams. Under
-    /// `.workers(n)` each shard owns its own interner, so the limit is
-    /// per shard, not global.
+    /// Maximum number of partition keys the router's [`KeyInterner`]
+    /// holds *resident* — keys with a window still open, which is what
+    /// costs memory. `None` = the full dense-id space (`u32::MAX`).
+    /// Events whose first-seen key would exceed the limit are dropped
+    /// with a sticky, typed overflow instead of panicking — the guard
+    /// rail for streams of unbounded key cardinality. A key stops
+    /// counting when the drain that closes its last window retires it, so
+    /// a stream that keeps fewer than `limit` keys alive between drains
+    /// never overflows, however many it mints — and which keys a too-low
+    /// limit refuses follows the drain cadence (deterministic for one
+    /// cadence; everything else a session reports is cadence-free).
+    /// Under `.workers(n)` each shard owns its own interner, so the
+    /// limit is per shard, not global; a restore counts the restored
+    /// partitions the same way.
     ///
     /// [`KeyInterner`]: crate::intern::KeyInterner
     pub key_limit: Option<u32>,

@@ -79,8 +79,26 @@ pub struct Automaton {
     preds: Vec<Vec<PredEdge>>,
     start: StateId,
     end: StateId,
-    by_type: HashMap<TypeId, Vec<StateId>>,
-    neg_by_type: HashMap<TypeId, Vec<NegId>>,
+    /// `by_type[t]` = states an event of type `t` can bind to. Type ids
+    /// are dense, so the per-event lookup is an index, not a hash probe;
+    /// types past the pattern's largest have no entry.
+    by_type: Vec<Vec<StateId>>,
+    /// `neg_by_type[t]` = negated variables an event of type `t` matches.
+    neg_by_type: Vec<Vec<NegId>>,
+}
+
+/// The ids of `vars` (`id(position)`), grouped by variable type and
+/// indexed by [`TypeId`].
+fn index_by_type<I: Copy>(vars: &[VarInfo], id: impl Fn(u32) -> I) -> Vec<Vec<I>> {
+    let mut by_type: Vec<Vec<I>> = Vec::new();
+    for (i, v) in vars.iter().enumerate() {
+        let t = v.type_id.index();
+        if by_type.len() <= t {
+            by_type.resize_with(t + 1, Vec::new);
+        }
+        by_type[t].push(id(i as u32));
+    }
+    by_type
 }
 
 impl Automaton {
@@ -122,20 +140,8 @@ impl Automaton {
                 None => bucket.push(PredEdge { from, negations }),
             }
         }
-        let mut by_type: HashMap<TypeId, Vec<StateId>> = HashMap::new();
-        for (i, v) in b.states.iter().enumerate() {
-            by_type
-                .entry(v.type_id)
-                .or_default()
-                .push(StateId(i as u32));
-        }
-        let mut neg_by_type: HashMap<TypeId, Vec<NegId>> = HashMap::new();
-        for (i, v) in b.negated.iter().enumerate() {
-            neg_by_type
-                .entry(v.type_id)
-                .or_default()
-                .push(NegId(i as u32));
-        }
+        let by_type = index_by_type(&b.states, StateId);
+        let neg_by_type = index_by_type(&b.negated, NegId);
         Ok(Automaton {
             states: b.states,
             negated: b.negated,
@@ -196,12 +202,14 @@ impl Automaton {
 
     /// States an event of `type_id` can bind to.
     pub fn states_of_type(&self, type_id: TypeId) -> &[StateId] {
-        self.by_type.get(&type_id).map_or(&[], Vec::as_slice)
+        self.by_type.get(type_id.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Negated variables an event of `type_id` can match.
     pub fn negations_of_type(&self, type_id: TypeId) -> &[NegId] {
-        self.neg_by_type.get(&type_id).map_or(&[], Vec::as_slice)
+        self.neg_by_type
+            .get(type_id.index())
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Resolve a variable name to its state.
@@ -238,8 +246,12 @@ impl Automaton {
 
     /// All event types that occur (positively or negated) in the pattern.
     pub fn relevant_types(&self) -> Vec<TypeId> {
-        let mut out: Vec<TypeId> = self.by_type.keys().copied().collect();
-        out.extend(self.neg_by_type.keys().copied());
+        let mut out: Vec<TypeId> = self
+            .states
+            .iter()
+            .chain(&self.negated)
+            .map(|v| v.type_id)
+            .collect();
         out.sort_unstable();
         out.dedup();
         out

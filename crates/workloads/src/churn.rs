@@ -3,10 +3,10 @@
 //! Session-id-like group keys: a bounded set of sessions is live at any
 //! moment, but each session dies after a fixed lifetime and is replaced by
 //! a *fresh* id that has never been seen before. The distinct-key count
-//! grows linearly with stream length, so the [`KeyInterner`] grows without
-//! bound unless something sheds dead keys — exactly the stress the
-//! snapshot-time compaction (PR 6) and the interner key-limit guard
-//! (this PR) exist for.
+//! grows linearly with stream length, so a [`KeyInterner`] that kept
+//! every key would grow without bound — exactly the stress partition
+//! retirement (a key leaves with its last window, its id and slot are
+//! reused) and the resident-key limit exist for.
 //!
 //! [`KeyInterner`]: cogra_engine::intern::KeyInterner
 

@@ -28,9 +28,10 @@
 //!   `GROUP-BY` prefix to shard on);
 //! * `--slack`  — repair up to N ticks of disorder before ingestion and
 //!   report how many late events had to be dropped;
-//! * `--key-limit` — admit at most N distinct partition keys; a stream
-//!   that materializes more (e.g. unbounded session ids) fails ingestion
-//!   with a typed error instead of growing the interner without bound;
+//! * `--key-limit` — hold at most N partition keys resident (keys with
+//!   a window still open; the run drains after every event); a stream
+//!   that needs more at once fails ingestion with a typed error instead
+//!   of growing without bound;
 //! * `--explain` / `--dot` — print the compiled plan / Graphviz automaton;
 //! * `--memory` — report peak memory after the run;
 //! * `--checkpoint SNAP` — ingest the stream, print what is final at the

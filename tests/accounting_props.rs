@@ -14,10 +14,22 @@
 //!   are covered too: a divergence there surfaces as a worker failure.)
 //! * **the figures did not move**: peak and finalization-spike bytes on a
 //!   fixed seed equal the values the walking formulas produced before the
-//!   counters existed (less what the flat interner later saved per key)
-//!   — two-step engines' constructed-trend spike included.
+//!   counters existed (less what later layouts saved per key, and what
+//!   keys without a window used to hold) — two-step engines'
+//!   constructed-trend spike included.
 //! * **refused keys leave no trace**: once `key_limit` is hit, a stream's
-//!   further distinct keys do not grow the session.
+//!   further distinct keys do not grow the session — and the limit counts
+//!   *resident* keys: a stream that keeps fewer than that many alive
+//!   between drains never hits it, however many it mints.
+//! * **state follows the resident keys, unobservably**: a partition
+//!   leaves with its last window and its id and key slot serve the next
+//!   first-seen key, so which slot a key sits in depends on when drains
+//!   ran. Results (float sums to the bit) and [`RunStats`] do not:
+//!   drain-per-event, an arbitrary sequence of chunks, drains and
+//!   checkpoint → restore at widths 1/2/4, and finish-only agree, on
+//!   churn and on a stream whose keys go quiet for longer than `WITHIN`
+//!   and come back, under a query that feeds each group from several
+//!   partitions.
 //! * **recycled ≡ fresh**: pooled windows and rings are capacity, never
 //!   state. A router that opens every window of a stream out of its pool
 //!   — it closed the same stream's windows just before — emits the
@@ -30,6 +42,51 @@ use cogra::engine::EngineConfig;
 use cogra::prelude::*;
 use cogra::workloads::{churn, fraud, stock};
 use cogra::workloads::{ChurnConfig, FraudConfig, StockConfig};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+/// Arms of [`workload`].
+const WORKLOADS: usize = 6;
+
+/// The stream of arm 5: `Reading(g, k, v)` over 2 × 6 partition keys
+/// `(g, k)`, of which a different third — two per group — is awake in
+/// each stretch of 40 ticks. So every key falls silent for several
+/// `WITHIN 10`s on end, its partition retires, and it comes back to
+/// whatever slot is free then. `v` is a float with no short binary
+/// expansion: the per-group `SUM` depends on the order its partitions
+/// merge in, to the last bit.
+fn comeback(seed: u64, n: usize) -> (TypeRegistry, String, Vec<Event>) {
+    let mut registry = TypeRegistry::new();
+    let reading = registry.register_type(
+        "Reading",
+        vec![
+            ("g", ValueKind::Int),
+            ("k", ValueKind::Int),
+            ("v", ValueKind::Float),
+        ],
+    );
+    // Equivalence on `k` under GROUP-BY `g`: partition key (g, k), result
+    // group (g) — each result merges two to four partitions.
+    let query = "RETURN g, COUNT(*), SUM(R.v), AVG(R.v) PATTERN Reading R+ SEMANTICS NEXT \
+                 WHERE [k] GROUP-BY g WITHIN 10 SLIDE 5"
+        .to_string();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next = move |bound: u64| rng.random_range(0..bound);
+    let mut builder = EventBuilder::new();
+    let mut t = 0;
+    let events = (0..n)
+        .map(|_| {
+            t += next(3);
+            let stretch = t / 40;
+            // Four of the twelve keys are awake in a stretch.
+            let key = (next(4) * 3 + stretch % 3) as i64;
+            let v = 0.1 + next(1000) as f64 / 7.0;
+            let attrs = vec![Value::Int(key / 6), Value::Int(key % 6), Value::Float(v)];
+            builder.event(t, reading, attrs)
+        })
+        .collect();
+    (registry, query, events)
+}
 
 /// One workload: registry, query, stream. Windows are short and fraud
 /// chains shallow so the two-step engines (exponential per window) stay
@@ -75,6 +132,7 @@ fn workload(idx: usize, seed: u64, n: usize) -> (TypeRegistry, String, Vec<Event
                 ..StockConfig::default()
             }),
         ),
+        5 => comeback(seed, n),
         _ => (
             fraud::registry(),
             fraud::detect_query(30, 15),
@@ -103,11 +161,11 @@ fn builder(query: &str, kind: EngineKind, key_limit: Option<u32>) -> SessionBuil
 #[test]
 fn refused_keys_do_not_grow_a_session() {
     // Regression (session level) for the interner's bucket leak: churn
-    // mints a fresh session id every few events, `key_limit` refuses all
-    // but the first 16, and `Session::run`-style ingestion keeps the
-    // stream flowing. Once every window has closed, what is left is the
-    // interner and the partition table — which must be the same size
-    // whether 2K or 20K events (≈2.5K refused keys) went by.
+    // mints a fresh session id every few events, nothing is drained so
+    // every admitted key stays resident, `key_limit` refuses all but the
+    // first 16. What the session holds — with every window still open,
+    // and again once they have all closed — must be the same whether 2K
+    // or 20K events (≈2.5K refused keys) went by.
     let footprint = |n: usize| {
         let (registry, query, events) = workload(0, 7, n);
         let mut session = builder(&query, EngineKind::Cogra, Some(16))
@@ -117,45 +175,84 @@ fn refused_keys_do_not_grow_a_session() {
         for e in &events {
             session.process(e);
         }
-        session.finish_into(&mut sink);
         assert_eq!(session.key_overflow(), Some(16));
-        assert_eq!(session.run_stats().key_allocs, 16);
-        session.memory_bytes()
+        let open = session.memory_bytes();
+        session.finish_into(&mut sink);
+        (open, session.memory_bytes())
     };
     assert_eq!(footprint(2_000), footprint(20_000));
+}
+
+#[test]
+fn the_key_limit_counts_resident_keys() {
+    // Churn keeps 16 sessions going at a time and a key stays resident
+    // for at most WITHIN + SLIDE = 18 ticks (= events) after its last
+    // event: drained as it goes, the stream holds fewer than 24 keys at
+    // any moment while minting thousands, and a limit of 24 never fires
+    // — the results are the unlimited run's. Fed without a drain, every
+    // key it mints stays resident and the same limit does fire: which
+    // keys a limit refuses follows the drain cadence, by design.
+    let (registry, query, events) = workload(0, 7, 20_000);
+    let drained = |key_limit: Option<u32>| {
+        let mut session = builder(&query, EngineKind::Cogra, key_limit)
+            .build(&registry)
+            .expect("session builds");
+        let mut sink: Vec<TaggedResult> = Vec::new();
+        for e in &events {
+            session.process(e);
+            session.drain_into(&mut sink);
+        }
+        session.finish_into(&mut sink);
+        (sink, session.run_stats(), session.key_overflow())
+    };
+    let (results, stats, overflow) = drained(Some(24));
+    assert_eq!(overflow, None);
+    assert!(stats.key_allocs > 2_000, "the stream churns: {stats:?}");
+    assert_eq!((results, stats, None), drained(None));
+
+    let mut undrained = builder(&query, EngineKind::Cogra, Some(24))
+        .build(&registry)
+        .expect("session builds");
+    for e in &events {
+        undrained.process(e);
+    }
+    assert_eq!(undrained.key_overflow(), Some(24));
 }
 
 /// Peak bytes of `Session::run` and the engine's finalization spike, per
 /// workload (churn, stock type-grained, fraud) × engine kind, seed 7 —
 /// recorded with the walking formulas at the commit before the counters
-/// replaced them, then re-derived once when the interner went flat: a
-/// key no longer pays a 24 B `Vec` header and its hash a 16 B table entry
-/// instead of 32 B, in each of the router's two interners, whose structs
-/// grew by 32 B each — so a peak fell by `80 × keys at the peak − 64`
-/// (19 keys on stock, 50 on fraud, about 80 on churn, where the saving
-/// grows along the stream and so may move the peak to an earlier sample)
-/// and no spike moved. The Flink rows are dominated by the sequences it
-/// materializes inside `final_cell`: its stock peak *is* the spike.
+/// replaced them, and re-derived twice since. When the interner went
+/// flat a key stopped paying a 24 B `Vec` header and its hash a 32 B
+/// table entry instead of 16 B. When state began to follow the resident
+/// keys, the router lost its group interner, `partition_group` and the
+/// partitions' `queued` flag — 112 B inline, and per resident key its
+/// `GROUP-BY` values + 20 B of table, 4 B and 8 B — and everything it
+/// held for keys whose windows had all closed: most of a churn row, a
+/// third of a fraud row, and a tenth of a stock row (19 companies, of
+/// which a few are between windows at any time). No spike moved. The
+/// Flink rows are dominated by the sequences it materializes inside
+/// `final_cell`: its stock peak *is* the spike.
 #[cfg(target_pointer_width = "64")]
 const PINNED: [(usize, EngineKind, usize, usize); 18] = [
-    (0, EngineKind::Cogra, 12924, 144),
-    (0, EngineKind::Sase, 13212, 752),
-    (0, EngineKind::Greta, 13168, 608),
-    (0, EngineKind::Aseq, 12248, 184),
-    (0, EngineKind::Flink, 12840, 1048),
-    (0, EngineKind::Oracle, 12408, 408),
-    (1, EngineKind::Cogra, 11828, 184),
-    (1, EngineKind::Sase, 27760, 3788),
-    (1, EngineKind::Greta, 25068, 3080),
-    (1, EngineKind::Aseq, 12364, 504),
+    (0, EngineKind::Cogra, 4256, 144),
+    (0, EngineKind::Sase, 4988, 752),
+    (0, EngineKind::Greta, 4844, 608),
+    (0, EngineKind::Aseq, 3236, 184),
+    (0, EngineKind::Flink, 4244, 1048),
+    (0, EngineKind::Oracle, 3524, 408),
+    (1, EngineKind::Cogra, 10500, 184),
+    (1, EngineKind::Sase, 26356, 3788),
+    (1, EngineKind::Greta, 23664, 3080),
+    (1, EngineKind::Aseq, 11036, 504),
     (1, EngineKind::Flink, 19368, 19368),
-    (1, EngineKind::Oracle, 15436, 1368),
-    (4, EngineKind::Cogra, 16084, 184),
-    (4, EngineKind::Sase, 16912, 2160),
-    (4, EngineKind::Greta, 16464, 1560),
-    (4, EngineKind::Aseq, 14344, 504),
-    (4, EngineKind::Flink, 14944, 4192),
-    (4, EngineKind::Oracle, 13264, 1080),
+    (1, EngineKind::Oracle, 14108, 1368),
+    (4, EngineKind::Cogra, 11716, 184),
+    (4, EngineKind::Sase, 11872, 2160),
+    (4, EngineKind::Greta, 11496, 1560),
+    (4, EngineKind::Aseq, 9328, 504),
+    (4, EngineKind::Flink, 10072, 4192),
+    (4, EngineKind::Oracle, 8296, 1080),
 ];
 
 /// `(SessionRun::peak_bytes, TrendEngine::peak_hint)` of one pinned case.
@@ -353,15 +450,113 @@ mod recycling {
     }
 }
 
+/// Checkpoint `session` and bring it back on `workers` shards.
+fn restore(
+    session: &mut Session,
+    registry: &TypeRegistry,
+    workers: usize,
+) -> Result<Session, proptest::prelude::TestCaseError> {
+    use proptest::prelude::TestCaseError;
+    let mut snap = Vec::new();
+    session
+        .checkpoint(&mut snap)
+        .map_err(|e| TestCaseError::fail(format!("checkpoint: {e}")))?;
+    Session::builder()
+        .workers(workers)
+        .restore(registry, snap.as_slice())
+        .map_err(|e| TestCaseError::fail(format!("restore at {workers}: {e}")))
+}
+
+mod cadence {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// What a run is observed by: its results in (window, group) order —
+    /// rendered, so that floats compare by their bits — and its counters.
+    fn observed(mut session: Session, mut sink: Vec<TaggedResult>) -> (String, RunStats) {
+        session.finish_into(&mut sink);
+        let mut results: Vec<WindowResult> = sink.into_iter().map(|t| t.result).collect();
+        WindowResult::sort(&mut results);
+        (format!("{results:?}"), session.run_stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn results_and_stats_ignore_cadence_width_and_restore(
+            // Churn, or the stream whose keys go quiet and come back.
+            comes_back in any::<bool>(),
+            kind_idx in 0usize..6,
+            seed in 0u64..1000,
+            chunk in 2usize..40,
+            // As in `counters_equal_the_walk_after_every_op`: 0–2 ingest a
+            // chunk, 3 drain, 4 checkpoint → restore at another width.
+            ops in vec((0usize..5, 0usize..48), 1..40),
+        ) {
+            let kind = EngineKind::ALL[kind_idx];
+            let (registry, query, events) = workload(if comes_back { 5 } else { 0 }, seed, 400);
+            let build = || builder(&query, kind, None).build(&registry);
+            let Ok(mut finish_only) = build() else {
+                // Outside the kind's Table 9 row.
+                return Ok(());
+            };
+            for e in &events {
+                finish_only.process(e);
+            }
+            let expected = observed(finish_only, Vec::new());
+            prop_assert!(expected.1.key_allocs > 12, "keys come and go: {:?}", expected.1);
+
+            for every in [1, chunk] {
+                let mut session = build().expect("built once already");
+                let mut sink: Vec<TaggedResult> = Vec::new();
+                for c in events.chunks(every) {
+                    for e in c {
+                        session.process(e);
+                    }
+                    session.drain_into(&mut sink);
+                }
+                prop_assert_eq!(&observed(session, sink), &expected, "drain every {}", every);
+            }
+
+            let mut session = build().expect("built once already");
+            let mut sink: Vec<TaggedResult> = Vec::new();
+            let mut fed = 0;
+            for &(op, arg) in &ops {
+                match op {
+                    0..=2 => {
+                        let end = (fed + 3 * arg + 1).min(events.len());
+                        for e in &events[fed..end] {
+                            session.process(e);
+                        }
+                        fed = end;
+                    }
+                    3 => session.drain_into(&mut sink),
+                    _ => {
+                        // Only COGRA shards; the others restore in place.
+                        let workers = match kind {
+                            EngineKind::Cogra => [2, 4, 1][arg % 3],
+                            _ => 1,
+                        };
+                        session = restore(&mut session, &registry, workers)?;
+                    }
+                }
+            }
+            for e in &events[fed..] {
+                session.process(e);
+            }
+            prop_assert_eq!(&observed(session, sink), &expected, "ops {:?}", ops);
+        }
+    }
+}
+
 /// `audit_bytes()` exists only where `debug_assertions` are on.
 #[cfg(debug_assertions)]
 mod audit {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-
-    /// Arms of [`workload`].
-    const WORKLOADS: usize = 5;
 
     /// Counter vs. walk over every engine the session can reach. At width
     /// 1 the engines are inline and audited directly; worker threads own
@@ -381,21 +576,6 @@ mod audit {
         prop_assert_eq!(engine.memory_bytes(), engine.audit_bytes(), "{}", label);
         prop_assert_eq!(session.memory_bytes(), engine.audit_bytes(), "{}", label);
         Ok(())
-    }
-
-    fn restore(
-        session: &mut Session,
-        registry: &TypeRegistry,
-        workers: usize,
-    ) -> Result<Session, TestCaseError> {
-        let mut snap = Vec::new();
-        session
-            .checkpoint(&mut snap)
-            .map_err(|e| TestCaseError::fail(format!("checkpoint: {e}")))?;
-        Session::builder()
-            .workers(workers)
-            .restore(registry, snap.as_slice())
-            .map_err(|e| TestCaseError::fail(format!("restore at {workers}: {e}")))
     }
 
     proptest! {

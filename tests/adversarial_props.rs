@@ -193,11 +193,13 @@ fn skewed_keys_surface_as_shard_imbalance() {
 
 #[test]
 fn churn_overflow_fires_identically_on_every_worker_count() {
-    // The churn generator grows the interner without bound; with a
-    // `key_limit` in the way, every worker count must (a) report the
-    // same sticky overflow and (b) stay byte-identical on the *prefix*
-    // semantics: events whose first-seen key exceeds a shard's limit are
-    // dropped, everything already admitted keeps aggregating.
+    // The churn generator never stops minting keys, and a session that
+    // is fed without a drain retires none of them: every key it admits
+    // stays resident. With a `key_limit` in the way, every worker count
+    // must (a) report the same sticky overflow and (b) stay
+    // byte-identical on the *prefix* semantics: events whose first-seen
+    // key exceeds a shard's limit are dropped, everything already
+    // admitted keeps aggregating.
     watchdog("churn-overflow", || {
         let registry = churn::registry();
         let query = churn::count_query(40, 20);
@@ -239,16 +241,38 @@ fn churn_overflow_fires_identically_on_every_worker_count() {
                 "workers={workers}: admitted keys vanished"
             );
         }
-        // Uncapped, the same stream sails through on every width —
-        // covered by `adversarial_streams_are_worker_count_invariant`;
-        // here pin that *no* overflow is reported without a limit.
-        let run = Session::builder()
+        // The limit counts resident keys, not keys ever seen: 16 live
+        // sessions, each resident for at most WITHIN + SLIDE = 60 ticks
+        // past its last event, are never 80 at once — so drained as it
+        // goes, the stream stays under a limit of 80 on every width while
+        // minting more keys than that, and loses nothing.
+        assert!(distinct.len() > 80);
+        let uncapped = Session::builder()
             .query(query.as_str())
-            .workers(4)
             .build(&registry)
             .expect("session builds")
             .run(&events);
-        assert_eq!(run.per_query.len(), 1);
+        for workers in [1usize, 2, 4, 8] {
+            let mut session = Session::builder()
+                .query(query.as_str())
+                .workers(workers)
+                .config(EngineConfig {
+                    key_limit: Some(80),
+                    ..EngineConfig::default()
+                })
+                .build(&registry)
+                .expect("session builds");
+            let mut sink: Vec<TaggedResult> = Vec::new();
+            for e in &events {
+                session.process(e);
+                session.drain_into(&mut sink);
+            }
+            session.finish_into(&mut sink);
+            assert_eq!(session.key_overflow(), None, "workers={workers}");
+            let mut results: Vec<WindowResult> = sink.into_iter().map(|t| t.result).collect();
+            WindowResult::sort(&mut results);
+            assert_eq!(vec![results], uncapped.per_query, "workers={workers}");
+        }
     });
 }
 

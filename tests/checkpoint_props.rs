@@ -16,9 +16,10 @@
 //! * error-text pinning: a damaged snapshot produces the *same*
 //!   `{path}: {CheckpointError}` text from the CLI (`--restore`) and the
 //!   server (`spawn_restored`), for every corruption class;
-//! * the interner-compaction regression: a partition-churning stream
-//!   checkpoints only live partitions, so the restored session's
-//!   `memory_bytes` drops and a revived dead key re-allocates.
+//! * the residency pin: on a partition-churning stream the live session
+//!   holds exactly what a restore of its snapshot holds — partitions with
+//!   an open window, nothing for keys gone quiet — and a revived key
+//!   begins a new life on both.
 //!
 //! Every test body runs under a watchdog so a wedged shard pool or a
 //! hung server fails fast instead of stalling CI.
@@ -92,7 +93,7 @@ fn workload(idx: usize, seed: u64, n: usize) -> (TypeRegistry, String, Vec<Event
             }),
         ),
         // Churn floods the interner with short-lived session ids, so a
-        // rescale restore replays snapshot-time compaction under fire.
+        // rescale restore lands amid partitions retiring and ids reused.
         _ => (
             churn::registry(),
             churn::count_query(40, 20),
@@ -210,19 +211,10 @@ fn split_case(
 
     assert_eq!(per_query, reference.per_query, "results differ ({label})");
     assert_eq!(late, reference.late_events, "late drops differ ({label})");
-    // Routed (event, engine) pairs are identical on both paths; key
-    // materializations can only *grow* across a restore, when interner
-    // compaction dropped a dead key that the suffix then revives.
-    assert_eq!(
-        stats.key_probes, reference.stats.key_probes,
-        "probe counts differ ({label})"
-    );
-    assert!(
-        stats.key_allocs >= reference.stats.key_allocs,
-        "restored run allocated fewer keys than uninterrupted ({label}): {} < {}",
-        stats.key_allocs,
-        reference.stats.key_allocs
-    );
+    // Routed (event, engine) pairs are identical on both paths, and a
+    // key's lives are a fact about the stream: a restore holds exactly
+    // the partitions the checkpointed session did, so neither moves.
+    assert_eq!(stats, reference.stats, "run stats differ ({label})");
     (snap.len(), late)
 }
 
@@ -632,6 +624,56 @@ fn rewrite_section(snapshot: &[u8], name: &str, edit: impl Fn(&[u8]) -> Vec<u8>)
     out
 }
 
+/// A churn session's snapshot mid-stream (every partition resident), and
+/// the same with `damage` done to the partition entries of its engine
+/// section.
+fn damaged_entries(damage: impl Fn(&mut Vec<Vec<u8>>)) -> (TypeRegistry, Vec<u8>, Vec<u8>) {
+    use cogra::engine::RouterState;
+    use cogra_checkpoint::{Dec, Enc};
+    let (registry, query, events) = workload(4, 5, 120);
+    let mut session = builder_for(&query, 1, 0)
+        .build(&registry)
+        .expect("session builds");
+    for e in &events {
+        session.process(e);
+    }
+    let mut valid = Vec::new();
+    session.checkpoint(&mut valid).expect("checkpoint");
+    let damaged = rewrite_section(&valid, "q0", |payload| {
+        let mut dec = Dec::new(payload);
+        let mut state = RouterState::load(&mut dec).expect("engine section");
+        damage(&mut state.entries);
+        let mut enc = Enc::new();
+        state.save(&mut enc);
+        enc.into_bytes()
+    });
+    (registry, valid, damaged)
+}
+
+/// Every width restores `valid` and refuses `damaged` as corrupt, saying
+/// `why` — never a panic, never a restore.
+fn assert_refused_as_corrupt(registry: &TypeRegistry, valid: &[u8], damaged: &[u8], why: &str) {
+    for workers in [1usize, 2, 4] {
+        assert!(
+            Session::builder()
+                .workers(workers)
+                .restore(registry, valid)
+                .is_ok(),
+            "battery bug: the undamaged snapshot must restore at {workers}"
+        );
+        match Session::builder()
+            .workers(workers)
+            .restore(registry, damaged)
+        {
+            Err(CheckpointError::Corrupt(said)) => {
+                assert!(said.contains(why), "workers={workers}: {said}")
+            }
+            Err(other) => panic!("workers={workers}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("workers={workers}: restored a snapshot with {why}"),
+        }
+    }
+}
+
 #[test]
 fn partition_key_of_another_arity_is_rejected_typed() {
     watchdog("key-arity", || {
@@ -640,23 +682,10 @@ fn partition_key_of_another_arity_is_rejected_typed() {
         // restored as a partition no event could ever reach again (and
         // would shift every later key of a flat interner). Churn
         // partitions by `[session]` alone; widen the first live key to
-        // two values and every width must refuse the snapshot as corrupt
-        // — never panic, never restore.
-        use cogra::engine::RouterState;
+        // two values and every width must refuse the snapshot.
         use cogra_checkpoint::{Dec, Enc};
-        let (registry, query, events) = workload(4, 5, 120);
-        let mut session = builder_for(&query, 1, 0)
-            .build(&registry)
-            .expect("session builds");
-        for e in &events {
-            session.process(e);
-        }
-        let mut valid = Vec::new();
-        session.checkpoint(&mut valid).expect("checkpoint");
-        let damaged = rewrite_section(&valid, "q0", |payload| {
-            let mut dec = Dec::new(payload);
-            let mut state = RouterState::load(&mut dec).expect("engine section");
-            let blob = &state.entries[0];
+        let (registry, valid, damaged) = damaged_entries(|entries| {
+            let blob = &entries[0];
             let mut entry = Dec::new(blob);
             let mut key = Value::load_vec(&mut entry).expect("leading key");
             assert_eq!(key.len(), 1, "battery bug: churn partitions by session");
@@ -665,31 +694,39 @@ fn partition_key_of_another_arity_is_rejected_typed() {
             Value::save_slice(&key, &mut enc);
             let mut rewritten = enc.into_bytes();
             rewritten.extend_from_slice(&blob[blob.len() - entry.remaining()..]);
-            state.entries[0] = rewritten;
-            let mut enc = Enc::new();
-            state.save(&mut enc);
-            enc.into_bytes()
+            entries[0] = rewritten;
         });
-        for workers in [1usize, 2, 4] {
-            assert!(
-                Session::builder()
-                    .workers(workers)
-                    .restore(&registry, valid.as_slice())
-                    .is_ok(),
-                "battery bug: the undamaged snapshot must restore at {workers}"
-            );
-            match Session::builder()
-                .workers(workers)
-                .restore(&registry, damaged.as_slice())
-            {
-                Err(CheckpointError::Corrupt(why)) => assert!(
-                    why.contains("where the query partitions by 1"),
-                    "workers={workers}: {why}"
-                ),
-                Err(other) => panic!("workers={workers}: expected Corrupt, got {other:?}"),
-                Ok(_) => panic!("workers={workers}: restored a two-value key for [session]"),
-            }
-        }
+        assert_refused_as_corrupt(
+            &registry,
+            &valid,
+            &damaged,
+            "where the query partitions by 1",
+        );
+    });
+}
+
+#[test]
+fn a_partition_saved_twice_or_without_a_window_is_rejected_typed() {
+    watchdog("key-residency", || {
+        // One key is one partition, and a partition is resident because
+        // it holds a window. A second entry under a key would shadow the
+        // first; an entry without windows would sit in the interner with
+        // nothing to ever retire it.
+        use cogra_checkpoint::{Dec, Enc};
+        let (registry, valid, twice) = damaged_entries(|entries| {
+            let first = entries[0].clone();
+            entries.push(first);
+        });
+        assert_refused_as_corrupt(&registry, &valid, &twice, "is saved twice");
+        let (registry, valid, hollow) = damaged_entries(|entries| {
+            let mut entry = Dec::new(&entries[0]);
+            let key = Value::load_vec(&mut entry).expect("leading key");
+            let mut enc = Enc::new();
+            Value::save_slice(&key, &mut enc);
+            enc.usize(0);
+            entries[0] = enc.into_bytes();
+        });
+        assert_refused_as_corrupt(&registry, &valid, &hollow, "holds no window");
     });
 }
 
@@ -752,12 +789,13 @@ fn version_1_snapshots_are_rejected_typed() {
 }
 
 #[test]
-fn churn_snapshot_compacts_interner() {
-    watchdog("churn-compaction", || {
+fn a_churned_session_holds_what_its_snapshot_restores() {
+    watchdog("churn-residency", || {
         // 100 group keys, each alive for 4 ticks under WITHIN 8 SLIDE 8:
         // by the end of the stream almost every partition's windows have
-        // closed and drained — the keys are dead weight the snapshot
-        // rewrite is allowed to shed.
+        // closed and drained. Once only a snapshot rewrite shed those
+        // keys; now the drain that closes a partition's last window does,
+        // so a restore has nothing left to compact.
         let mut registry = TypeRegistry::new();
         let t = registry.register_type("T", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
         let query = "RETURN g, COUNT(*) PATTERN T t+ SEMANTICS skip-till-any-match \
@@ -771,29 +809,44 @@ fn churn_snapshot_compacts_interner() {
             .query(query)
             .build(&registry)
             .expect("session builds");
+        let empty = session.memory_bytes();
         let mut drained: Vec<TaggedResult> = Vec::new();
+        let mut peak = 0;
         for e in &events {
             session.process(e);
             session.drain_into(&mut drained);
+            peak = peak.max(session.memory_bytes());
         }
         let before = session.memory_bytes();
+        assert!(before > empty, "a window is open at the end of the stream");
+        // At most three keys hold a window at once (two in the window
+        // that just filled, one in the next): the hundredth key costs
+        // what the third did.
+        let per_key = before - empty;
+        assert!(
+            peak <= empty + 3 * per_key,
+            "state grew with the stream: peak {peak} over an empty {empty}, {per_key} a key"
+        );
 
         let mut snap = Vec::new();
         session.checkpoint(&mut snap).expect("checkpoint");
         let mut restored = Session::builder()
             .restore(&registry, snap.as_slice())
             .expect("restore");
-        let after = restored.memory_bytes();
-        assert!(
-            after * 2 < before,
-            "snapshot rewrite did not compact: {after} bytes restored vs {before} live"
+        assert_eq!(
+            restored.memory_bytes(),
+            before,
+            "a restore holds something other than the resident partitions"
         );
 
-        // The compaction is exactly "retained keys == live partitions":
-        // reviving the long-dead key g=0 re-allocates on the restored
-        // session but probes straight through on the original.
+        // "Resident == holds a window" on both: reviving the long-gone
+        // key g=0 begins a new life on the original and on the restored
+        // session alike.
         let allocs_orig = session.run_stats().key_allocs;
         let allocs_restored = restored.run_stats().key_allocs;
+        // An odd key's fourth event opens the next window, its first
+        // having just ended: a second life.
+        assert_eq!(allocs_orig, 150, "one life per key and window it touched");
         assert_eq!(
             allocs_orig, allocs_restored,
             "restore changed the checkpointed alloc counter"
@@ -801,19 +854,11 @@ fn churn_snapshot_compacts_interner() {
         let revival = builder.event(401, t, vec![Value::Int(0), Value::Int(1)]);
         session.process(&revival);
         restored.process(&revival);
-        assert_eq!(
-            session.run_stats().key_allocs,
-            allocs_orig,
-            "original session re-allocated a key it still holds"
-        );
-        assert_eq!(
-            restored.run_stats().key_allocs,
-            allocs_restored + 1,
-            "restored session kept a dead key the snapshot should have shed"
-        );
+        assert_eq!(session.run_stats().key_allocs, allocs_orig + 1);
+        assert_eq!(restored.run_stats().key_allocs, allocs_restored + 1);
+        assert_eq!(session.memory_bytes(), restored.memory_bytes());
 
-        // Compaction must not change behavior: both sessions finish with
-        // identical remaining results.
+        // And both sessions finish with identical remaining results.
         let mut tail_orig: Vec<TaggedResult> = session.finish();
         let mut tail_restored: Vec<TaggedResult> = restored.finish();
         let key = |t: &TaggedResult| (t.query, t.result.to_string());

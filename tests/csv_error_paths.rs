@@ -43,6 +43,16 @@ const THREE_PATIENTS: &str = "type,time,patient,rate\n\
                               Measurement,2,2,61\n\
                               Measurement,3,3,62\n";
 
+/// Three patients again, but never more than two with a window open
+/// when a row arrives (`WITHIN 100 SLIDE 100`): patient 1's return at
+/// t=150 closes window 0 and with it patient 2's partition, so patient 3
+/// finds room under `--key-limit 2`.
+const PATIENTS_IN_TURN: &str = "type,time,patient,rate\n\
+                                Measurement,1,1,60\n\
+                                Measurement,2,2,61\n\
+                                Measurement,150,1,62\n\
+                                Measurement,151,3,63\n";
+
 fn registry() -> TypeRegistry {
     let mut r = TypeRegistry::new();
     r.register_type(
@@ -175,9 +185,10 @@ fn out_of_order_without_slack_reports_the_same_error_on_cli_and_server() {
 
 #[test]
 fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
-    // The shared site: a session capped at 2 distinct partition keys
-    // fails the third patient's first event with a typed error instead
-    // of panicking inside the interner.
+    // The shared site: a session capped at 2 resident partition keys
+    // fails the third patient's first event — the first two still hold
+    // their window — with a typed error instead of panicking inside the
+    // interner.
     let capped = || {
         Session::builder().query(QUERY).config(EngineConfig {
             key_limit: Some(2),
@@ -191,7 +202,7 @@ fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
         .expect_err("third distinct key overflows")
         .to_string();
     assert!(
-        expected.contains("limit of 2 distinct partition keys") && expected.contains("--key-limit"),
+        expected.contains("limit of 2 resident partition keys") && expected.contains("--key-limit"),
         "{expected}"
     );
 
@@ -205,6 +216,12 @@ fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
 
     // A limit the stream fits under runs clean on the same fixture.
     let (ok, stderr) = fixture.run_cli_with(&["--key-limit", "3"]);
+    assert!(ok, "cli: {stderr}");
+
+    // So does a stream of three patients that holds two at a time: the
+    // limit counts keys with a window open, not keys ever seen.
+    let in_turn = Fixture::new("keylimit-in-turn", PATIENTS_IN_TURN.as_bytes());
+    let (ok, stderr) = in_turn.run_cli_with(&["--key-limit", "2"]);
     assert!(ok, "cli: {stderr}");
 
     // Server: the same capped builder behind INGEST answers with the

@@ -193,8 +193,9 @@ pub fn visit_cont_positional<F: FnMut(&[(usize, StateId)])>(
 
 /// Visit every finished trend of one disjunct under skip-till-next-match
 /// or contiguous semantics, following the operational single-predecessor
-/// chain the paper's Algorithm 3 and Theorem 6.1 define (see DESIGN.md,
-/// "Semantics notes"): each matched event's predecessor is the previous
+/// chain the paper's Algorithm 3 and Theorem 6.1 define — the reading of
+/// Definitions 3–4 under which the aggregate is computable in O(1) space:
+/// each matched event's predecessor is the previous
 /// matched event; under CONT an unmatched event invalidates the open
 /// partial trends.
 pub fn visit_chain<F: FnMut(&[(usize, StateId)])>(

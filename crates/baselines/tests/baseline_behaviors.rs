@@ -225,7 +225,7 @@ fn oracle_engine_runs_end_to_end() {
 
 #[test]
 fn engine_names_are_stable() {
-    // The experiment harness and EXPERIMENTS.md key on these.
+    // The experiment harness's report tables key on these.
     let reg = registry();
     let q = parse("RETURN COUNT(*) PATTERN A+ SEMANTICS ANY WITHIN 10 SLIDE 10").unwrap();
     assert_eq!(sase_engine(&q, &reg).unwrap().name(), "sase");

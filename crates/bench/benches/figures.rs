@@ -1,8 +1,8 @@
 //! Criterion micro-benches: one group per paper figure/table, exercising
 //! the same workload × query × engine combinations as the `experiments`
 //! binary at bench-friendly sizes. Absolute numbers are laptop-scale; the
-//! *relative* ordering of the engines is what reproduces the paper (see
-//! EXPERIMENTS.md).
+//! *relative* ordering of the engines is what reproduces the paper
+//! (README, "Reproduce the evaluation").
 
 use cogra_core::run_to_completion;
 use cogra_core::runtime::EngineConfig;

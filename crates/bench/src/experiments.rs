@@ -1,9 +1,9 @@
 //! The §9 experiments: one runner per figure and table of the paper's
 //! evaluation. Each runner prints the same series the paper plots
 //! (latency / peak memory / throughput per approach, over the swept
-//! parameter) as report tables. EXPERIMENTS.md records paper-vs-measured.
+//! parameter) as report tables, to be read against the paper's plots.
 //!
-//! Scaling note (DESIGN.md, substitutions): the paper ran a 16-core /
+//! Scaling note: the paper ran a 16-core /
 //! 128 GB server for hours; these sweeps use laptop-scale sizes with the
 //! same *shapes*. Two mechanisms stand in for the paper's "does not
 //! terminate": a per-point time budget (once an engine exceeds it, larger

@@ -3,8 +3,9 @@
 //! Metrics (§9.1):
 //! * **latency** — wall-clock milliseconds to process the stream and emit
 //!   every window result (the paper reports the average delay between a
-//!   result and its latest contributing event; in a saturated replay the
-//!   two are proportional, see EXPERIMENTS.md);
+//!   result and its latest contributing event; in a saturated replay —
+//!   events offered as fast as the engine takes them — the two are
+//!   proportional);
 //! * **throughput** — events per second over the same run;
 //! * **peak memory** — the maximum of the engine's exact logical
 //!   accounting ([`TrendEngine::memory_bytes`]) over the run, including

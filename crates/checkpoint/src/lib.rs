@@ -39,6 +39,23 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::OnceLock;
 
+/// A fault-injection site. With the `faults` feature it records a hit at
+/// `$site` and, when the schedule fires it, yields the pinned
+/// `injected fault at <site>` I/O error; without the feature it is `None`
+/// and costs nothing.
+#[cfg(feature = "faults")]
+macro_rules! probe {
+    ($site:literal) => {
+        cogra_faults::io_error($site)
+    };
+}
+#[cfg(not(feature = "faults"))]
+macro_rules! probe {
+    ($site:literal) => {
+        None::<io::Error>
+    };
+}
+
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
@@ -361,19 +378,17 @@ pub fn write_atomic(
     emit(&mut bytes)?;
     let tmp = format!("{path}.tmp");
     let mut file = std::fs::File::create(&tmp)?;
-    #[cfg(feature = "faults")]
-    if let Some(e) = cogra_faults::io_error("checkpoint/write") {
+    if let Some(crash) = probe!("checkpoint/write") {
         // A crash mid-write: a prefix of the bytes lands in the tmp file
         // and nobody cleans up — the final path must survive this.
         let _ = file.write_all(&bytes[..bytes.len() / 2]);
-        return Err(CheckpointError::Io(e));
+        return Err(CheckpointError::Io(crash));
     }
     file.write_all(&bytes)?;
     file.sync_all()?;
     drop(file);
-    #[cfg(feature = "faults")]
-    if let Some(e) = cogra_faults::io_error("checkpoint/rename") {
-        return Err(CheckpointError::Io(e));
+    if let Some(crash) = probe!("checkpoint/rename") {
+        return Err(CheckpointError::Io(crash));
     }
     std::fs::rename(&tmp, path)?;
     Ok(())

@@ -16,8 +16,7 @@
 //!   windows, per-disjunct dispatch, result finalization;
 //! * [`parallel`] — per-partition execution (§8): the [`StreamingPool`]
 //!   whose shards host every engine (one inline shard, or worker threads
-//!   behind bounded channels and watermark broadcasts) and the batch
-//!   reference [`run_parallel`] the batteries diff it against;
+//!   behind bounded channels and watermark broadcasts);
 //! * [`session`] — the [`Session`] pipeline in front of that pool: typed
 //!   [`EngineKind`] roster over COGRA and all baselines, builder-style
 //!   configuration (slack, workers, multi-query), checkpoint/restore,
@@ -48,8 +47,8 @@ pub use cogra_engine::{
     TrendEngine, Val, WindowAlgo, WindowResult,
 };
 pub use parallel::{
-    run_parallel, FailurePolicy, Metrics, ParallelRun, PoolConfig, StreamingPool, WorkerFailure,
-    DEFAULT_BATCH_SIZE, MAX_WORKERS,
+    FailurePolicy, Metrics, PoolConfig, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE,
+    MAX_WORKERS,
 };
 pub use session::{
     EngineKind, IngestError, ResultSink, Session, SessionBuilder, SessionError, SessionRun,

@@ -39,14 +39,8 @@
 //! decides admission from time stamps alone (exactly the drops a single
 //! front `Reorderer` would make) and each shard sorts what was admitted
 //! for it.
-//!
-//! [`run_parallel`] is the batch reference — shard a finite recorded
-//! stream, run every shard to completion under `std::thread::scope`,
-//! merge — kept as the executable specification the batteries diff the
-//! pool against.
 
-use crate::cogra::CograEngine;
-use crate::engine::{run_to_completion, TrendEngine};
+use crate::engine::TrendEngine;
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
 use crate::session::{EngineKind, OpenError, SessionError};
@@ -58,9 +52,29 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Shard index of a group-prefix hash — THE placement rule shared by the
-/// batch reference ([`run_parallel`]) and the [`StreamingPool`], kept in
-/// one place so the two cannot disagree.
+/// A fault-injection site, named by a format string. With the `faults`
+/// feature it records a hit at the site and, when the schedule fires it,
+/// yields the pinned message `injected fault at <site>`; without the
+/// feature it is `None` and costs nothing (the arguments only count as
+/// used).
+#[cfg(feature = "faults")]
+macro_rules! probe {
+    ($($site:tt)+) => {{
+        let site = format!($($site)+);
+        cogra_faults::fired(&site).then(|| format!("injected fault at {site}"))
+    }};
+}
+#[cfg(not(feature = "faults"))]
+macro_rules! probe {
+    ($($site:tt)+) => {{
+        let _ = format_args!($($site)+);
+        None::<String>
+    }};
+}
+
+/// Shard index of a group-prefix hash — THE placement rule, shared by live
+/// routing ([`StreamingPool::place`]) and the re-sharding of a restored
+/// snapshot ([`reshard`]), kept in one place so the two cannot disagree.
 fn shard_index(group_hash: u64, shards: usize) -> usize {
     (group_hash % shards as u64) as usize
 }
@@ -81,75 +95,6 @@ fn effective_workers(rt: &QueryRuntime, requested: usize) -> usize {
 /// the pool.
 fn hosts(rt: &QueryRuntime, q: usize, threads: usize, index: usize) -> bool {
     rt.query.group_prefix > 0 || q % threads == index
-}
-
-/// Outcome of a parallel run.
-#[derive(Debug)]
-pub struct ParallelRun {
-    /// All window results, merged and deterministically sorted.
-    pub results: Vec<WindowResult>,
-    /// Sum of the workers' peak logical memory (they run concurrently).
-    pub peak_bytes: usize,
-    /// Number of workers actually used.
-    pub workers: usize,
-}
-
-/// Execute a compiled query over a finite stream with `workers` parallel
-/// shards. Returns the same results as a single [`CograEngine`] fed the
-/// whole stream (asserted by the `parallel_equals_sequential` tests).
-pub fn run_parallel(rt: &Arc<QueryRuntime>, events: &[Event], workers: usize) -> ParallelRun {
-    let effective = effective_workers(rt, workers);
-    if effective == 1 {
-        let mut engine = CograEngine::from_runtime(Arc::clone(rt));
-        let (results, peak) = run_to_completion(&mut engine, events, 64);
-        return ParallelRun {
-            results,
-            peak_bytes: peak,
-            workers: 1,
-        };
-    }
-
-    // Shard by the output-group prefix of the partition key — hashed in
-    // place, no key materialized. Only the group hash is needed here:
-    // the shard engines replay through `process`, which computes the
-    // full-key hash itself exactly once.
-    let mut shards: Vec<Vec<Event>> = vec![Vec::new(); effective];
-    for e in events {
-        let Some(group_hash) = rt.group_hash(e) else {
-            continue; // dropped consistently with every engine
-        };
-        shards[shard_index(group_hash, effective)].push(e.clone());
-    }
-
-    let mut outputs: Vec<(Vec<WindowResult>, usize)> = Vec::with_capacity(effective);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let rt = Arc::clone(rt);
-                scope.spawn(move || {
-                    let mut engine = CograEngine::from_runtime(rt);
-                    run_to_completion(&mut engine, shard, 64)
-                })
-            })
-            .collect();
-        for h in handles {
-            outputs.push(h.join().expect("worker panicked"));
-        }
-    });
-
-    let mut results = Vec::new();
-    let mut peak = 0;
-    for (r, p) in outputs {
-        results.extend(r);
-        peak += p;
-    }
-    WindowResult::sort(&mut results);
-    ParallelRun {
-        results,
-        peak_bytes: peak,
-        workers: effective,
-    }
 }
 
 /// What the coordinator does when a shard worker dies (panics or exits
@@ -524,8 +469,8 @@ const CHANNEL_CAPACITY: usize = 16;
 /// module docs).
 ///
 /// * **Shared pool** — one pool serves every query of a session: an
-///   event is hashed per query (same group-prefix hash as
-///   [`run_parallel`]) and staged once per target shard. A query without
+///   event is hashed per query (the `GROUP-BY`-prefix hash) and staged
+///   once per target shard. A query without
 ///   a `GROUP-BY` prefix cannot shard; it is pinned to the shard
 ///   `query % width`.
 /// * **Batch-arena transport** (width ≥ 2) — an event is copied once
@@ -543,9 +488,9 @@ const CHANNEL_CAPACITY: usize = 16;
 ///   shard the safe watermark before collecting: every window that closed
 ///   globally is emitted, even on a shard whose sub-stream went quiet.
 ///
-/// The merged output equals the batch reference per query — asserted by
-/// `tests/streaming_parallel_props.rs` across widths × chunkings × batch
-/// sizes.
+/// The merged output equals each query run alone on one inline shard —
+/// asserted by the model battery (`tests/common/model.rs`) across widths ×
+/// chunkings × batch sizes.
 ///
 /// [`Reorderer`]: cogra_events::Reorderer
 pub struct StreamingPool {
@@ -1340,12 +1285,11 @@ impl StreamingPool {
         let batch = Arc::new(std::mem::replace(&mut lane.open, reopened));
         lane.last_seq = 0;
         lane.shipped.push_back(Arc::clone(&batch));
-        #[cfg(feature = "faults")]
-        if cogra_faults::fired(&format!("pool/ship/{shard}")) {
+        if let Some(fault) = probe!("pool/ship/{shard}") {
             // Simulated transport failure: drop our end of the channel (the
             // worker exits cleanly when it drains) and run recovery.
             self.workers[shard].tx = None;
-            self.recover(shard, Some(format!("injected fault at pool/ship/{shard}")));
+            self.recover(shard, Some(fault));
             return;
         }
         let Some(tx) = self.workers[shard].tx.as_ref() else {
@@ -1811,8 +1755,13 @@ fn shard_loop(
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
-    #[cfg(not(feature = "faults"))]
-    let _ = index;
+    // A scheduled kill of this worker: the supervisor wrapper reports the
+    // panic in-band.
+    let kill = |fault: Option<String>| {
+        if let Some(fault) = fault {
+            panic!("{fault}");
+        }
+    };
     // Worker threads only host COGRA engines, which always snapshot.
     let snapshot = |shard: &Shard| shard.snapshot().expect("router-backed engines snapshot");
     // The one event the engines ever see: each row is loaded into it.
@@ -1825,27 +1774,23 @@ fn shard_loop(
                 ingest_batch(&mut shard, &batch, &mut scratch);
                 // Fire *after* the batch mutated the engines: recovery
                 // must discard the partial work, not resume over it.
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/batch/{index}"));
+                kill(probe!("worker/batch/{index}"));
                 continue;
             }
             Cmd::Drain(wm) => {
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/drain/{index}"));
+                kill(probe!("worker/drain/{index}"));
                 shard.advance_to(wm);
                 shard.sample_peak();
                 shard.drain_into(&mut |q, r| results.push((q, r)));
                 attach_snapshots.then(|| snapshot(&shard))
             }
             Cmd::Snapshot => {
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/snapshot/{index}"));
+                kill(probe!("worker/snapshot/{index}"));
                 shard.sample_peak();
                 Some(snapshot(&shard))
             }
             Cmd::Finish => {
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/finish/{index}"));
+                kill(probe!("worker/finish/{index}"));
                 shard.flush();
                 shard.sample_peak();
                 shard.finish_into(&mut |q, r| results.push((q, r)));
@@ -1911,156 +1856,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let (rt, events) = setup(300);
-        let sequential = run_parallel(&rt, &events, 1);
-        for workers in [2, 4, 8] {
-            let parallel = run_parallel(&rt, &events, workers);
-            assert_eq!(parallel.results, sequential.results, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn more_workers_than_groups_is_fine() {
-        let (rt, events) = setup(50);
-        let run = run_parallel(&rt, &events, 64);
-        assert!(!run.results.is_empty());
-        assert_eq!(run.workers, 64);
-    }
-
-    #[test]
-    fn no_group_by_falls_back_to_single_worker() {
-        let mut reg = TypeRegistry::new();
-        let a = reg.register_type("A", vec![("v", ValueKind::Int)]);
-        let q = cogra_query::parse("RETURN COUNT(*) PATTERN A+ WITHIN 8 SLIDE 4").unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
-        let mut b = EventBuilder::new();
-        let events: Vec<Event> = (0..20)
-            .map(|i| b.event(i + 1, a, vec![Value::Int(i as i64)]))
-            .collect();
-        let run = run_parallel(&rt, &events, 8);
-        assert_eq!(run.workers, 1);
-        assert!(!run.results.is_empty());
-    }
-
-    #[test]
-    fn streaming_pool_matches_batch_reference() {
-        let (rt, events) = setup(300);
-        let batch = run_parallel(&rt, &events, 1);
-        for workers in [1, 2, 4, 8] {
-            for batch_size in [1, 7, DEFAULT_BATCH_SIZE, 10_000] {
-                let mut pool = pool(&rt, workers, batch_size);
-                let mut results = Vec::new();
-                let mut push = |_q: usize, r: WindowResult| results.push(r);
-                for (i, e) in events.iter().enumerate() {
-                    pool.route(e);
-                    if i % 50 == 49 {
-                        pool.drain_into(&mut push);
-                    }
-                }
-                pool.finish_into(&mut push);
-                WindowResult::sort(&mut results);
-                assert_eq!(
-                    results, batch.results,
-                    "workers={workers} batch={batch_size}"
-                );
-                assert_eq!(pool.workers(), workers);
-                assert!(pool.metrics().peak > 0, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_pool_drains_live_before_finish() {
-        let (rt, events) = setup(300);
-        let mut pool = pool(&rt, 4, DEFAULT_BATCH_SIZE);
-        let mut live = Vec::new();
-        for e in &events {
-            pool.route(e);
-        }
-        pool.drain_into(&mut |_q, r| live.push(r));
-        assert!(
-            !live.is_empty(),
-            "closed windows are emitted before finish()"
-        );
-        // The window containing the watermark is still open.
-        let spec = rt.query.window;
-        let last_closed = spec.last_closed(pool.watermark()).unwrap();
-        assert!(live.iter().all(|r| r.window <= last_closed));
-        let mut rest = Vec::new();
-        pool.finish_into(&mut |_q, r| rest.push(r));
-        live.extend(rest);
-        WindowResult::sort(&mut live);
-        assert_eq!(live, run_parallel(&rt, &events, 4).results);
-    }
-
-    #[test]
-    fn quiet_shard_still_closes_global_windows() {
-        // Every event goes to one group, so with many shards all but one
-        // worker see an empty sub-stream — the watermark broadcast alone
-        // must close their (empty) windows and the drain must still emit
-        // the busy shard's finalized results.
-        let mut reg = TypeRegistry::new();
-        let a = reg.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-        let b = reg.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-        let q = cogra_query::parse(
-            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY \
-             GROUP-BY g WITHIN 8 SLIDE 4",
-        )
-        .unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
-        let mut builder = EventBuilder::new();
-        let events: Vec<Event> = (0..40)
-            .map(|i| {
-                let ty = if i % 3 == 2 { b } else { a };
-                builder.event((i + 1) as u64, ty, vec![Value::Int(1), Value::Int(i)])
-            })
-            .collect();
-        let mut pool = pool(&rt, 8, DEFAULT_BATCH_SIZE);
-        let mut live = Vec::new();
-        for e in &events {
-            pool.route(e);
-        }
-        pool.drain_into(&mut |_q, r| live.push(r));
-        assert!(!live.is_empty());
-        pool.finish_into(&mut |_q, r| live.push(r));
-        WindowResult::sort(&mut live);
-        assert_eq!(live, run_parallel(&rt, &events, 8).results);
-    }
-
-    #[test]
-    fn pool_finish_is_idempotent_and_no_group_clamps_to_one() {
-        let mut reg = TypeRegistry::new();
-        let a = reg.register_type("A", vec![("v", ValueKind::Int)]);
-        let q = cogra_query::parse("RETURN COUNT(*) PATTERN A+ WITHIN 8 SLIDE 4").unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
-        let mut pool = pool(&rt, 8, DEFAULT_BATCH_SIZE);
-        assert_eq!(pool.workers(), 1, "no GROUP-BY ⇒ one shard");
-        let mut b = EventBuilder::new();
-        for i in 0..20u64 {
-            pool.route(&b.event(i + 1, a, vec![Value::Int(i as i64)]));
-        }
-        let mut out = Vec::new();
-        pool.finish_into(&mut |_q, r| out.push(r));
-        assert!(!out.is_empty());
-        let n = out.len();
-        let mut extra = 0usize;
-        pool.finish_into(&mut |_q, _r| extra += 1);
-        pool.drain_into(&mut |_q, _r| extra += 1);
-        assert_eq!(extra, 0, "post-finish drains emit nothing");
-        assert_eq!(out.len(), n);
-    }
-
-    #[test]
     fn shared_pool_serves_multiple_queries_with_tagged_results() {
         let (rt, events) = setup(200);
         let q2 = cogra_query::parse(
@@ -2082,7 +1877,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pool.queries(), 2);
-        let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(), Vec::new()];
         for e in &events {
             pool.route(e);
         }
@@ -2094,12 +1888,6 @@ mod tests {
         assert_eq!(rows, events.len(), "one row per event");
         assert_eq!(routes, 2 * events.len(), "one route per (event, query)");
         assert_eq!(pool.routed_items(), routes as u64);
-        pool.finish_into(&mut |q, r| per_query[q].push(r));
-        for (q, rt) in [(0usize, &rt), (1usize, &rt2)] {
-            let mut got = per_query[q].clone();
-            WindowResult::sort(&mut got);
-            assert_eq!(got, run_parallel(rt, &events, 4).results, "query {q}");
-        }
     }
 
     /// Drive `pool` over `events`, draining after every `chunk` events.
@@ -2200,8 +1988,7 @@ mod tests {
         }
         // A drain refreshes every baseline: the journal is retired into
         // spares, not dropped.
-        let mut out = Vec::new();
-        pool.drain_into(&mut |_q, r| out.push(r));
+        pool.drain_into(&mut |_q, _r| {});
         for lane in &pool.lanes {
             assert!(
                 lane.shipped.is_empty(),
@@ -2210,9 +1997,6 @@ mod tests {
             assert!(!lane.spare.is_empty());
             assert!(lane.spare.iter().all(|b| b.routes.is_empty()));
         }
-        pool.finish_into(&mut |_q, r| out.push(r));
-        WindowResult::sort(&mut out);
-        assert_eq!(out, run_parallel(&rt, &events, 2).results);
     }
 
     #[test]
@@ -2238,59 +2022,5 @@ mod tests {
             "a 10-event batch samples peak at its flush boundary"
         );
         assert_eq!(shard.events, 10, "per-shard ingest counter");
-    }
-
-    #[test]
-    fn pool_surfaces_per_shard_event_counts() {
-        let (rt, events) = setup(300);
-        let mut pool = pool(&rt, 4, DEFAULT_BATCH_SIZE);
-        for e in &events {
-            pool.route(e);
-        }
-        let mut out = Vec::new();
-        pool.finish_into(&mut |_q, r| out.push(r));
-        let per_shard: Vec<u64> = pool.shard_metrics().iter().map(|m| m.events).collect();
-        assert_eq!(per_shard.len(), 4);
-        let total: u64 = per_shard.iter().sum();
-        assert_eq!(total, events.len() as u64, "every routed event counted");
-        assert!(
-            per_shard.iter().filter(|&&n| n > 0).count() > 1,
-            "the 7-group stream spreads across shards: {per_shard:?}"
-        );
-        assert!(pool.key_overflow().is_none(), "no limit configured");
-    }
-
-    #[test]
-    fn per_shard_reorderers_repair_bounded_disorder() {
-        let (rt, ordered) = setup(120);
-        // Reverse blocks of 5: disorder bounded by 5 ticks.
-        let mut disordered = Vec::with_capacity(ordered.len());
-        for chunk in ordered.chunks(5) {
-            disordered.extend(chunk.iter().rev().cloned());
-        }
-        let expected = run_parallel(&rt, &ordered, 4).results;
-        for batch_size in [1, 7, DEFAULT_BATCH_SIZE] {
-            let mut pool = StreamingPool::new(
-                vec![Arc::clone(&rt)],
-                4,
-                PoolConfig {
-                    batch_size,
-                    slack: Some(5),
-                    policy: FailurePolicy::Fail,
-                },
-            )
-            .unwrap();
-            let mut out = Vec::new();
-            for (i, e) in disordered.iter().enumerate() {
-                pool.route(e);
-                if i % 30 == 29 {
-                    pool.drain_into(&mut |_q, r| out.push(r));
-                }
-            }
-            pool.finish_into(&mut |_q, r| out.push(r));
-            WindowResult::sort(&mut out);
-            assert_eq!(out, expected, "batch={batch_size}");
-            assert_eq!(pool.late_events(), 0, "batch={batch_size}");
-        }
     }
 }

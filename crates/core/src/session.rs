@@ -461,8 +461,8 @@ impl From<&Query> for QuerySpec {
 /// physical run — one automaton, one set of partial aggregates — and the
 /// session fans every result of physical slot `j` out to all of
 /// `members[j]` through the [`TaggedResult`] path, so per-query output is
-/// byte-identical to unshared execution (asserted by
-/// `tests/sharing_battery.rs`).
+/// byte-identical to unshared execution (the sharing axis of the model
+/// battery, `tests/common/model.rs`).
 ///
 /// [canonical signature]: cogra_query::canonical_signature
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -646,8 +646,8 @@ impl SessionBuilder {
     /// [`crate::parallel::DEFAULT_BATCH_SIZE`]): routed items — `(event,
     /// query)` pairs — staged per shard before its batch is shipped to the
     /// worker. Staged items flush on every drain/finish, so this tunes
-    /// hand-off cost and latency, never the result set — asserted by the
-    /// batch-size sweeps in `tests/streaming_parallel_props.rs`.
+    /// hand-off cost and latency, never the result set — an axis of the
+    /// model battery (`tests/common/model.rs`).
     pub fn batch_size(mut self, batch_size: usize) -> SessionBuilder {
         self.batch_size = Some(batch_size.max(1));
         self
@@ -670,7 +670,8 @@ impl SessionBuilder {
     /// [canonical signature] and engine kind coincide execute as one
     /// physical run, with results fanned out per query — N identical
     /// subscriptions cost one query, not N. Per-query output is
-    /// byte-identical either way (`tests/sharing_battery.rs`); disable to
+    /// byte-identical either way (the model battery's sharing axis,
+    /// `tests/common/model.rs`); disable to
     /// benchmark the unshared baseline or to keep per-query engine state
     /// separate for inspection via [`Session::engine`].
     ///
@@ -744,7 +745,7 @@ impl SessionBuilder {
     /// * `.workers(n)` — **elastic rescale**: the snapshot's merged
     ///   per-query states are re-sharded onto `n` shards by replaying the
     ///   group-prefix hash, so a session checkpointed at one width resumes
-    ///   at another, byte-identically (`tests/checkpoint_props.rs`) —
+    ///   at another, byte-identically (the model battery's restore op) —
     ///   `.workers(1)` resumes inline, whatever width took the snapshot;
     /// * `.batch_size(n)` — shard-transport batching;
     /// * `.on_worker_failure(policy)` — supervision policy (it is not
@@ -943,6 +944,7 @@ impl Roster {
             batch_size,
             shared: self.shared,
             pool,
+            csv_rows: 0,
         })
     }
 }
@@ -1003,11 +1005,10 @@ pub struct TaggedResult {
 pub struct SessionRun {
     /// Per query (in registration order): its results, deterministically
     /// sorted by (window, group) — byte-identical to what
-    /// [`run_to_completion`] / [`run_parallel`] produce for the same
-    /// query and stream.
+    /// [`run_to_completion`] produces for the same query and stream,
+    /// whatever the worker count.
     ///
     /// [`run_to_completion`]: cogra_engine::run_to_completion
-    /// [`run_parallel`]: crate::parallel::run_parallel
     pub per_query: Vec<Vec<WindowResult>>,
     /// Peak logical memory across the run, summed over the shards (they
     /// are live at once): whoever drives a shard samples the summed
@@ -1023,8 +1024,8 @@ pub struct SessionRun {
     pub events: u64,
     /// Late events dropped by the `.slack(n)` repair (0 without slack).
     /// One stream-wide gate decides the drops, so this count is
-    /// independent of the worker count — pinned by
-    /// `tests/streaming_parallel_props.rs`.
+    /// independent of the worker count — the model battery compares it
+    /// with a front `Reorderer`'s at every width.
     pub late_events: u64,
     /// Routing hot-path counters summed over every engine of every
     /// shard: `key_allocs` of the `key_probes` routed events began a
@@ -1093,6 +1094,8 @@ pub struct Session {
     shared: SharedPlan,
     /// The shards hosting every engine — one inline, or `n` on threads.
     pool: StreamingPool,
+    /// [`Session::csv_rows`].
+    csv_rows: u64,
 }
 
 impl Session {
@@ -1137,6 +1140,15 @@ impl Session {
         self.pool.route(event);
     }
 
+    /// Rows [`Session::ingest_csv`] has fed into this session since it was
+    /// built or restored, including any the `.slack(n)` repair dropped as
+    /// late. CSV ingestion is not transactional, so this counts the rows
+    /// before the bad one of a failed call too: the engines did ingest
+    /// them.
+    pub fn csv_rows(&self) -> u64 {
+        self.csv_rows
+    }
+
     /// Ingest events straight off a `cogra_events::csv` stream — one
     /// decode pass, no intermediate `Vec<Event>`; THE decode path shared
     /// by the `cogra-run` CLI, the server and the benchmark. Every row is
@@ -1150,12 +1162,13 @@ impl Session {
     /// use [`Session::run_csv`] for the collect-everything convenience.
     pub fn ingest_csv(&mut self, text: &str, registry: &TypeRegistry) -> Result<u64, IngestError> {
         let mut count = 0u64;
-        self.each_csv_event(text, registry, |session, event| {
+        let outcome = self.each_csv_event(text, registry, |session, event| {
             session.process(event);
             count += 1;
             session.check_ingest()
-        })?;
-        Ok(count)
+        });
+        self.csv_rows += count;
+        outcome.map(|()| count)
     }
 
     /// The typed per-event failures of the CSV surfaces: a `key_limit`
@@ -1548,7 +1561,6 @@ impl fmt::Debug for Session {
 mod tests {
     use super::*;
     use crate::cogra::CograEngine;
-    use crate::engine::run_to_completion;
     use cogra_events::{EventBuilder, Value, ValueKind};
     use cogra_query::Granularity;
 
@@ -1610,55 +1622,8 @@ mod tests {
     }
 
     #[test]
-    fn single_query_session_matches_run_to_completion() {
-        let reg = registry();
-        let events = stream(&reg, 40);
-        let run = Session::builder()
-            .query(Q_ANY)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        let mut engine = CograEngine::from_text(Q_ANY, &reg).unwrap();
-        let (expected, _) = run_to_completion(&mut engine, &events, 64);
-        assert_eq!(run.per_query, vec![expected]);
-        assert_eq!(run.workers, 1);
-        assert_eq!(run.late_events, 0);
-        assert!(run.peak_bytes > 0);
-    }
-
-    #[test]
-    fn multi_query_fan_out_matches_individual_runs() {
-        let reg = registry();
-        let events = stream(&reg, 30);
-        let mut session = Session::builder()
-            .query(Q_ANY)
-            .query(Q_NEXT)
-            .build(&reg)
-            .unwrap();
-        let mut tagged: Vec<TaggedResult> = Vec::new();
-        for e in &events {
-            session.process(e);
-            session.drain_into(&mut tagged);
-        }
-        session.finish_into(&mut tagged);
-
-        for (i, q) in [Q_ANY, Q_NEXT].iter().enumerate() {
-            let mut single = CograEngine::from_text(q, &reg).unwrap();
-            let (expected, _) = run_to_completion(&mut single, &events, 64);
-            let mut got: Vec<WindowResult> = tagged
-                .iter()
-                .filter(|t| t.query == i)
-                .map(|t| t.result.clone())
-                .collect();
-            WindowResult::sort(&mut got);
-            assert_eq!(got, expected, "query {i}");
-        }
-    }
-
-    #[test]
     fn heterogeneous_kinds_run_each_query_on_its_engine() {
         let reg = registry();
-        let events = stream(&reg, 30);
         let session = Session::builder()
             .query(Q_ANY) // default kind: COGRA
             .query_with_engine(Q_NEXT, EngineKind::Sase)
@@ -1669,12 +1634,7 @@ mod tests {
         assert_eq!(session.query_kind(1), Some(EngineKind::Sase));
         assert_eq!(session.query_kind(2), Some(EngineKind::Greta));
         assert_eq!(session.engine(1).unwrap().name(), "sase");
-        let run = session.run(&events);
-        for (i, q) in [Q_ANY, Q_NEXT, Q_ANY].iter().enumerate() {
-            let mut reference = CograEngine::from_text(q, &reg).unwrap();
-            let (expected, _) = run_to_completion(&mut reference, &events, 64);
-            assert_eq!(run.per_query[i], expected, "query {i}");
-        }
+        assert_eq!(session.engine(2).unwrap().name(), "greta");
     }
 
     #[test]
@@ -1711,88 +1671,6 @@ mod tests {
     }
 
     #[test]
-    fn slack_fuses_reordering_and_counts_late_drops() {
-        let reg = registry();
-        let mut ordered = stream(&reg, 20);
-        // Disorder the stream by swapping adjacent pairs, then append a
-        // hopelessly late straggler.
-        for i in (0..ordered.len() - 1).step_by(2) {
-            ordered.swap(i, i + 1);
-        }
-        let straggler = {
-            let mut b = EventBuilder::new();
-            b.event(
-                1,
-                reg.id_of("A").unwrap(),
-                vec![Value::Int(0), Value::Int(0)],
-            )
-        };
-        let mut disordered = ordered.clone();
-        disordered.push(straggler);
-
-        let run = Session::builder()
-            .query(Q_ANY)
-            .slack(2)
-            .build(&reg)
-            .unwrap()
-            .run(&disordered);
-        assert_eq!(run.late_events, 1, "the straggler is dropped and counted");
-
-        let repaired = stream(&reg, 20);
-        let mut engine = CograEngine::from_text(Q_ANY, &reg).unwrap();
-        let (expected, _) = run_to_completion(&mut engine, &repaired, 64);
-        assert_eq!(run.per_query, vec![expected]);
-    }
-
-    #[test]
-    fn workers_route_through_run_parallel() {
-        let reg = registry();
-        let events = stream(&reg, 60);
-        let sequential = Session::builder()
-            .query(Q_ANY)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        let parallel = Session::builder()
-            .query(Q_ANY)
-            .workers(4)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        assert_eq!(parallel.workers, 4);
-        assert_eq!(parallel.per_query, sequential.per_query);
-
-        // No GROUP-BY ⇒ the query is pinned to one worker.
-        let fallback = Session::builder()
-            .query(Q_NEXT_NO_GROUP)
-            .workers(4)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        assert_eq!(fallback.workers, 1);
-    }
-
-    #[test]
-    fn shared_pool_runs_multiple_queries_in_one_set_of_workers() {
-        let reg = registry();
-        let events = stream(&reg, 60);
-        let run = Session::builder()
-            .query(Q_ANY)
-            .query(Q_NEXT)
-            .query(Q_NEXT_NO_GROUP)
-            .workers(4)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        assert_eq!(run.workers, 4, "widest effective shard count");
-        for (i, q) in [Q_ANY, Q_NEXT, Q_NEXT_NO_GROUP].iter().enumerate() {
-            let mut reference = CograEngine::from_text(q, &reg).unwrap();
-            let (expected, _) = run_to_completion(&mut reference, &events, 64);
-            assert_eq!(run.per_query[i], expected, "query {i}");
-        }
-    }
-
-    #[test]
     fn workers_run_includes_previously_processed_events() {
         let reg = registry();
         let events = stream(&reg, 60);
@@ -1818,36 +1696,6 @@ mod tests {
         assert_eq!(sharded.watermark(), Timestamp(20), "head already routed");
         let run = sharded.run(tail);
         assert_eq!(run.per_query, expected.per_query);
-    }
-
-    #[test]
-    fn workers_drain_is_live_before_finish() {
-        let reg = registry();
-        let events = stream(&reg, 60);
-        let mut session = Session::builder()
-            .query(Q_ANY)
-            .workers(4)
-            .build(&reg)
-            .unwrap();
-        let mut live: Vec<TaggedResult> = Vec::new();
-        for e in &events {
-            session.process(e);
-        }
-        session.drain_into(&mut live);
-        assert!(
-            !live.is_empty(),
-            "closed windows are emitted before finish() under workers"
-        );
-        session.finish_into(&mut live);
-
-        let mut got: Vec<WindowResult> = live.into_iter().map(|t| t.result).collect();
-        WindowResult::sort(&mut got);
-        let expected = Session::builder()
-            .query(Q_ANY)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        assert_eq!(vec![got], expected.per_query);
     }
 
     #[test]
@@ -1904,133 +1752,11 @@ mod tests {
     }
 
     #[test]
-    fn baseline_engine_sessions_agree_with_cogra() {
-        let reg = registry();
-        let events = stream(&reg, 24);
-        let reference = Session::builder()
-            .query(Q_ANY)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        for kind in [EngineKind::Sase, EngineKind::Greta, EngineKind::Oracle] {
-            let run = Session::builder()
-                .query(Q_ANY)
-                .engine(kind)
-                .build(&reg)
-                .unwrap()
-                .run(&events);
-            assert_eq!(run.per_query, reference.per_query, "{kind}");
-        }
-    }
-
-    /// Feed `head`, checkpoint, restore at `restore_workers`, feed `tail`
-    /// — must equal the uninterrupted run (results, late drops).
-    fn round_trip(
-        builder: SessionBuilder,
-        restore_workers: usize,
-        events: &[Event],
-        split: usize,
-        reg: &TypeRegistry,
-    ) {
-        let expected = builder.clone().build(reg).unwrap().run(events);
-
-        let mut session = builder.build(reg).unwrap();
-        let mut collected: Vec<TaggedResult> = Vec::new();
-        for e in &events[..split] {
-            session.process(e);
-            session.drain_into(&mut collected);
-        }
-        let mut snap = Vec::new();
-        session.checkpoint(&mut snap).unwrap();
-        drop(session);
-
-        let mut restored = Session::builder()
-            .workers(restore_workers)
-            .restore(reg, snap.as_slice())
-            .unwrap();
-        for e in &events[split..] {
-            restored.process(e);
-            restored.drain_into(&mut collected);
-        }
-        restored.finish_into(&mut collected);
-
-        let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); expected.per_query.len()];
-        for t in collected {
-            per_query[t.query].push(t.result);
-        }
-        for results in &mut per_query {
-            WindowResult::sort(results);
-        }
-        assert_eq!(
-            per_query, expected.per_query,
-            "restore_workers={restore_workers}"
-        );
-        assert_eq!(restored.late_events(), expected.late_events);
-    }
-
-    #[test]
-    fn checkpoint_restore_one_worker_round_trip() {
-        let reg = registry();
-        let events = stream(&reg, 40);
-        round_trip(Session::builder().query(Q_ANY), 1, &events, 17, &reg);
-    }
-
-    #[test]
-    fn checkpoint_restore_multi_query_with_slack() {
-        let reg = registry();
-        let mut events = stream(&reg, 40);
-        for i in (0..events.len() - 1).step_by(2) {
-            events.swap(i, i + 1);
-        }
-        let builder = Session::builder().query(Q_ANY).query(Q_NEXT).slack(2);
-        round_trip(builder, 1, &events, 21, &reg);
-    }
-
-    #[test]
-    fn checkpoint_restore_rescales_workers() {
-        let reg = registry();
-        let events = stream(&reg, 60);
-        for (snap_w, restore_w) in [(1, 4), (4, 1), (2, 8), (4, 4)] {
-            let builder = Session::builder().query(Q_ANY).workers(snap_w);
-            round_trip(builder, restore_w, &events, 29, &reg);
-        }
-    }
-
-    #[test]
-    fn checkpoint_restore_rescales_with_slack() {
-        let reg = registry();
-        let mut events = stream(&reg, 60);
-        for i in (0..events.len() - 1).step_by(2) {
-            events.swap(i, i + 1);
-        }
-        for (snap_w, restore_w) in [(1, 4), (4, 1), (4, 2)] {
-            let builder = Session::builder().query(Q_ANY).slack(4).workers(snap_w);
-            round_trip(builder, restore_w, &events, 31, &reg);
-        }
-    }
-
-    #[test]
-    fn checkpoint_restore_every_engine_kind() {
-        let reg = registry();
-        let events = stream(&reg, 24);
-        for kind in EngineKind::ALL {
-            let builder = Session::builder().query(Q_ANY).engine(kind);
-            round_trip(builder, 1, &events, 11, &reg);
-        }
-    }
-
-    #[test]
     fn checkpoint_restore_shared_roster_re_derives_fan_out() {
         // A duplicate roster snapshots its shared runtime ONCE; restore
-        // re-derives the per-query fan-out from the stored sharing map —
-        // across worker rescales, since shared slots live in the pool too.
+        // re-derives the per-query fan-out from the stored sharing map.
         let reg = registry();
         let events = stream(&reg, 40);
-        for restore_w in [1, 4] {
-            let builder = Session::builder().query(Q_ANY).query(Q_ANY).query(Q_NEXT);
-            round_trip(builder, restore_w, &events, 17, &reg);
-        }
-
         let mut session = Session::builder()
             .query(Q_ANY)
             .query(Q_ANY)
@@ -2158,12 +1884,6 @@ mod tests {
                 let session = builder.build(&reg).unwrap();
                 assert!(session.pool.is_inline(), "{kind} slack={slack:?}");
                 assert_eq!(session.workers(), 1);
-                let reference = Session::builder().query(Q_ANY).build(&reg).unwrap();
-                assert_eq!(
-                    session.run(&events).per_query,
-                    reference.run(&events).per_query,
-                    "{kind} slack={slack:?}"
-                );
             }
         }
 
@@ -2179,25 +1899,12 @@ mod tests {
         }
         let mut snap = Vec::new();
         wide.checkpoint(&mut snap).unwrap();
-        let mut restored = Session::builder()
+        let restored = Session::builder()
             .workers(1)
             .restore(&reg, snap.as_slice())
             .unwrap();
         assert!(restored.pool.is_inline(), "a .workers(1) restore is inline");
         assert_eq!(restored.workers(), 1);
-        let mut resumed = wide.drain();
-        let mut tail = restored.drain();
-        for e in &events[25..] {
-            wide.process(e);
-            restored.process(e);
-        }
-        resumed.extend(wide.finish());
-        tail.extend(restored.finish());
-        let key = |t: &TaggedResult| (t.result.window, t.result.group.clone());
-        resumed.sort_by_key(key);
-        tail.sort_by_key(key);
-        assert_eq!(tail, resumed, "inline resume ≡ the 4-worker original");
-        assert!(!tail.is_empty());
     }
 
     #[test]
@@ -2257,33 +1964,6 @@ mod tests {
         assert_eq!(plan.physical(), 3);
         assert!(!plan.is_identity());
         assert!(SharedPlan::identity(4).is_identity());
-    }
-
-    #[test]
-    fn renamed_duplicate_queries_share_one_run_with_identical_results() {
-        let reg = registry();
-        let events = stream(&reg, 40);
-        let renamed = Q_ANY.replace("SEQ(A+, B)", "SEQ(A P+, B Q)");
-        assert_ne!(renamed, Q_ANY, "rename must actually change the text");
-        let run = Session::builder()
-            .query(Q_ANY)
-            .query(renamed.as_str())
-            .query(Q_NEXT)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        assert_eq!(run.physical, 2, "two of three queries share");
-        assert_eq!(run.per_query[0], run.per_query[1]);
-        let unshared = Session::builder()
-            .query(Q_ANY)
-            .query(renamed.as_str())
-            .query(Q_NEXT)
-            .sharing(false)
-            .build(&reg)
-            .unwrap()
-            .run(&events);
-        assert_eq!(unshared.physical, 3);
-        assert_eq!(run.per_query, unshared.per_query);
     }
 
     #[test]

@@ -26,11 +26,14 @@
 //!   along a tagged edge read the shadow instead of the type cell.
 
 use crate::agg::Cell;
-use crate::runtime::DisjunctRuntime;
+use crate::runtime::{DisjunctRuntime, PredSource};
+use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{Event, Timestamp};
 use cogra_query::{NegId, StateId};
 
-/// Per-window type-grained aggregation state.
+/// Per-window type-grained aggregation state. Also the `Tt` half of a
+/// [`MixedWindow`](crate::mixed_grained::MixedWindow): Algorithm 2 with
+/// `Te = ∅` is Algorithm 1.
 #[derive(Debug)]
 pub struct TypeGrainedWindow {
     /// Committed per-state cells (`E.count` etc. of Theorem 4.1).
@@ -65,17 +68,23 @@ impl TypeGrainedWindow {
 
     /// A window over the given committed cells, with no open transaction.
     fn over(cells: Vec<Cell>, shadows: Vec<Cell>) -> TypeGrainedWindow {
-        let bytes = Self::INLINE_BYTES
-            + cells.iter().map(Cell::memory_bytes).sum::<usize>()
-            + shadows.iter().map(Cell::memory_bytes).sum::<usize>();
-        TypeGrainedWindow {
+        let mut window = TypeGrainedWindow {
             cells,
             shadows,
             pending: Vec::new(),
             pending_negs: Vec::new(),
             pending_time: Timestamp::ZERO,
-            bytes,
-        }
+            bytes: 0,
+        };
+        window.bytes = window.table_bytes();
+        window
+    }
+
+    /// The struct and its two cell tables — everything but the staged
+    /// updates.
+    fn table_bytes(&self) -> usize {
+        let cells = self.cells.iter().chain(&self.shadows);
+        Self::INLINE_BYTES + cells.map(Cell::memory_bytes).sum::<usize>()
     }
 
     /// Back to the state [`TypeGrainedWindow::new`] builds, in place: the
@@ -96,12 +105,12 @@ impl TypeGrainedWindow {
     }
 
     /// Stage an update of the open transaction.
-    fn stage(&mut self, state: StateId, cell: Cell) {
+    pub(crate) fn stage(&mut self, state: StateId, cell: Cell) {
         self.bytes += Self::staged_bytes(&cell);
         self.pending.push((state, cell));
     }
 
-    fn commit(&mut self, rt: &DisjunctRuntime) {
+    pub(crate) fn commit(&mut self, rt: &DisjunctRuntime) {
         // 1. Shadow resets first: a negation match at time t invalidates
         // contributions committed strictly before t; the transaction's own
         // events (same t) are merged afterwards and stay valid.
@@ -125,10 +134,20 @@ impl TypeGrainedWindow {
         }
     }
 
-    fn commit_if_past(&mut self, rt: &DisjunctRuntime, t: Timestamp) {
+    pub(crate) fn commit_if_past(&mut self, rt: &DisjunctRuntime, t: Timestamp) {
         if t > self.pending_time {
             self.commit(rt);
             self.pending_time = t;
+        }
+    }
+
+    /// What flows along `src` into a later event: the shadow cell of a
+    /// negation-tagged transition, the source state's cell otherwise (what
+    /// [`TypeGrainedWindow::on_event`] reads in place).
+    pub(crate) fn source_cell(&self, src: &PredSource) -> &Cell {
+        match src.neg_edge {
+            Some(i) => &self.shadows[i],
+            None => &self.cells[src.from.index()],
         }
     }
 
@@ -168,10 +187,18 @@ impl TypeGrainedWindow {
     }
 
     /// Serialize the full window state (inverse of
-    /// [`TypeGrainedWindow::load`]).
-    pub fn save(&self, enc: &mut cogra_checkpoint::Enc) {
+    /// [`TypeGrainedWindow::load`]): tables, then the open transaction.
+    pub fn save(&self, enc: &mut Enc) {
+        self.save_tables(enc);
+        self.save_transaction(enc);
+    }
+
+    pub(crate) fn save_tables(&self, enc: &mut Enc) {
         Cell::save_slice(&self.cells, enc);
         Cell::save_slice(&self.shadows, enc);
+    }
+
+    pub(crate) fn save_transaction(&self, enc: &mut Enc) {
         enc.usize(self.pending.len());
         for (s, c) in &self.pending {
             enc.u32(s.0);
@@ -186,40 +213,47 @@ impl TypeGrainedWindow {
 
     /// Rebuild a window from bytes produced by [`TypeGrainedWindow::save`]
     /// against the same disjunct runtime.
-    pub fn load(
+    pub fn load(rt: &DisjunctRuntime, dec: &mut Dec) -> Result<TypeGrainedWindow, CheckpointError> {
+        let mut window = TypeGrainedWindow::load_tables(rt, dec)?;
+        window.load_transaction(dec)?;
+        Ok(window)
+    }
+
+    pub(crate) fn load_tables(
         rt: &DisjunctRuntime,
-        dec: &mut cogra_checkpoint::Dec,
-    ) -> Result<TypeGrainedWindow, cogra_checkpoint::CheckpointError> {
-        let cells = Cell::load_vec(dec)?;
-        if cells.len() != rt.disjunct.automaton.num_states() {
-            return Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
-                "type-grained window has {} cells for a {}-state automaton",
-                cells.len(),
-                rt.disjunct.automaton.num_states()
-            )));
-        }
-        let shadows = Cell::load_vec(dec)?;
-        if shadows.len() != rt.neg_edges.len() {
-            return Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
-                "type-grained window has {} shadows for {} negation edges",
-                shadows.len(),
-                rt.neg_edges.len()
-            )));
-        }
-        let mut window = TypeGrainedWindow::over(cells, shadows);
+        dec: &mut Dec,
+    ) -> Result<TypeGrainedWindow, CheckpointError> {
+        let mut table = |what: &str, expected: usize| {
+            let cells = Cell::load_vec(dec)?;
+            if cells.len() != expected {
+                return Err(CheckpointError::Corrupt(format!(
+                    "window has {} {what} cells where the compiled plan has {expected}",
+                    cells.len()
+                )));
+            }
+            Ok(cells)
+        };
+        let cells = table("state", rt.disjunct.automaton.num_states())?;
+        Ok(TypeGrainedWindow::over(
+            cells,
+            table("shadow", rt.neg_edges.len())?,
+        ))
+    }
+
+    pub(crate) fn load_transaction(&mut self, dec: &mut Dec) -> Result<(), CheckpointError> {
         let n_pending = dec.usize()?;
-        window.pending.reserve(n_pending.min(1024));
+        self.pending.reserve(n_pending.min(1024));
         for _ in 0..n_pending {
             let s = StateId(dec.u32()?);
-            window.stage(s, Cell::load(dec)?);
+            self.stage(s, Cell::load(dec)?);
         }
         let n_negs = dec.usize()?;
-        window.pending_negs.reserve(n_negs.min(1024));
+        self.pending_negs.reserve(n_negs.min(1024));
         for _ in 0..n_negs {
-            window.pending_negs.push(NegId(dec.u32()?));
+            self.pending_negs.push(NegId(dec.u32()?));
         }
-        window.pending_time = Timestamp(dec.u64()?);
-        Ok(window)
+        self.pending_time = Timestamp(dec.u64()?);
+        Ok(())
     }
 
     /// Logical footprint: Θ(l) cells plus shadows and open transaction.
@@ -233,13 +267,7 @@ impl TypeGrainedWindow {
     /// cells, shadows and staged updates.
     #[cfg(debug_assertions)]
     pub fn audit_bytes(&self) -> usize {
-        Self::INLINE_BYTES
-            + self.cells.iter().map(Cell::memory_bytes).sum::<usize>()
-            + self.shadows.iter().map(Cell::memory_bytes).sum::<usize>()
-            + self
-                .pending
-                .iter()
-                .map(|(_, c)| c.memory_bytes() + std::mem::size_of::<StateId>())
-                .sum::<usize>()
+        let staged = self.pending.iter().map(|(_, c)| Self::staged_bytes(c));
+        self.table_bytes() + staged.sum::<usize>()
     }
 }

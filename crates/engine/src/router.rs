@@ -376,7 +376,11 @@ impl<W: WindowAlgo> Router<W> {
         );
         self.watermark = self.watermark.max(event.time);
         let Some(hash) = key_hash else {
-            return; // type lacks the partition attributes (see DESIGN.md)
+            // The type lacks a partition attribute (a `GROUP-BY` or
+            // equivalence attribute its schema does not declare): the event
+            // belongs to no sub-stream, so every engine drops it — after it
+            // moved the watermark.
+            return;
         };
         let rt: &QueryRuntime = &self.rt;
         for ((binds, negs), drt) in self.binds.per_disjunct.iter_mut().zip(&rt.disjuncts) {

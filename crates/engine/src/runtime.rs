@@ -242,18 +242,6 @@ impl QueryRuntime {
         Some((h, ids))
     }
 
-    /// Hash only the event's `GROUP-BY` prefix in place — enough for §8
-    /// shard placement when the full-key hash is not wanted (the batch
-    /// reference re-processes events through [`TrendEngine::process`],
-    /// which computes it itself).
-    ///
-    /// [`TrendEngine::process`]: crate::engine::TrendEngine::process
-    #[inline]
-    pub fn group_hash(&self, event: &Event) -> Option<u64> {
-        use std::hash::Hasher;
-        self.prefix_state(event).map(|(h, _)| h.finish())
-    }
-
     /// `(group hash, full key hash)` of the event, both computed in one
     /// in-place pass: the group hash covers the `GROUP-BY` prefix of the
     /// partition attributes (it decides §8 shard placement), the key hash

@@ -217,8 +217,9 @@ impl CompiledQuery {
 
     /// Resolve the partition attributes for every registered type. Types
     /// missing any partition attribute map to `None`: their events cannot
-    /// be assigned to a partition and are dropped by the engines
-    /// (documented substitution; see DESIGN.md).
+    /// be assigned to a partition and are dropped by the engines — the
+    /// paper leaves the case open; dropping keeps every sub-stream a
+    /// function of its key alone.
     pub fn partition_attr_ids(&self, registry: &TypeRegistry) -> Vec<Option<Vec<AttrId>>> {
         registry
             .iter()

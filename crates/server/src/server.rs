@@ -460,17 +460,18 @@ fn session_actor(
     config: ServerConfig,
 ) {
     let mut subscribers = Subscribers::default();
-    let mut events: u64 = 0;
     let mut finished = false;
 
-    let stats = |session: &Session, events: u64, results: u64, finished: bool| {
+    let stats = |session: &Session, results: u64, finished: bool| {
         // One read of the shard counters, so the totals and the per-shard
         // event counts describe the same instant.
         let shards = session.shard_metrics();
         let total = Metrics::total(&shards);
         StatsReport {
             ingested: 0,
-            events,
+            // The session's own count: rows ingested before a bad row of
+            // a failed `INGEST` are in the stream, and in here.
+            events: session.csv_rows(),
             late: session.late_events(),
             results,
             watermark: session.watermark().ticks(),
@@ -500,11 +501,10 @@ fn session_actor(
                     // part of the stream.
                     match session.ingest_csv(&csv, &registry) {
                         Ok(count) => {
-                            events += count;
                             if config.drain_on_ingest {
                                 subscribers.drain(&mut session);
                             }
-                            let mut report = stats(&session, events, subscribers.results, finished);
+                            let mut report = stats(&session, subscribers.results, finished);
                             report.ingested = count;
                             Ok(report)
                         }
@@ -517,10 +517,10 @@ fn session_actor(
                 if !finished {
                     subscribers.drain(&mut session);
                 }
-                let _ = reply.send(stats(&session, events, subscribers.results, finished));
+                let _ = reply.send(stats(&session, subscribers.results, finished));
             }
             Req::Stats { reply } => {
-                let _ = reply.send(stats(&session, events, subscribers.results, finished));
+                let _ = reply.send(stats(&session, subscribers.results, finished));
             }
             Req::Finish { reply } => {
                 let outcome = if finished {
@@ -540,7 +540,7 @@ fn session_actor(
                     // reply reached the socket, so a `wait_finished` →
                     // shutdown caller (the CLI's serve mode, which
                     // exits) cannot kill the reply mid-write.
-                    Ok(stats(&session, events, subscribers.results, finished))
+                    Ok(stats(&session, subscribers.results, finished))
                 };
                 let _ = reply.send(outcome);
             }

@@ -4,8 +4,8 @@
 //! stamp in seconds, person identifier, activity identifier, and heart
 //! rate").
 //!
-//! Synthetic stand-in for the PAMAP2 recording (DESIGN.md,
-//! substitutions): each person cycles through activity episodes; during
+//! Synthetic stand-in for the PAMAP2 recording (not redistributable):
+//! each person cycles through activity episodes; during
 //! *passive* episodes the heart rate performs a biased random walk whose
 //! up-step probability controls how long the contiguously-increasing runs
 //! are that query q1 detects under the contiguous semantics.

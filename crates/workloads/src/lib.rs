@@ -12,7 +12,9 @@
 //! * [`rideshare`] — Uber-style Accept/(Call Cancel)+/Finish sessions for
 //!   query q2 and the skip-till-next-match experiments.
 //!
-//! See DESIGN.md ("Substitutions") for the real-data-to-synthetic mapping.
+//! The two real data sets are not redistributable, so each generator
+//! reproduces the *characteristics* §9.1 reports for its data set — key
+//! counts, event mix, run lengths — and says so in its module docs.
 //!
 //! On top of the paper's (friendly) workloads, an **adversarial** layer
 //! stresses what production would (ROADMAP direction 5):

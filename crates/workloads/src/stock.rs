@@ -2,7 +2,8 @@
 //! transaction records of 19 companies in 10 sectors").
 //!
 //! This synthetic generator stands in for the EODData historical feed the
-//! paper replays (see DESIGN.md, substitutions). It reproduces the
+//! paper replays (a proprietary download; README, "Reproduce the
+//! evaluation"). It reproduces the
 //! characteristics the evaluation depends on: 19 companies spread over 10
 //! sectors, per-company price random walks with a configurable down-tick
 //! probability (query q3 detects down-trends), and a pair of auxiliary
@@ -114,9 +115,11 @@ fn gate_sample(rng: &mut StdRng, selectivity: f64) -> f64 {
     }
 }
 
-/// Query q3 (§1), adapted to the partitioning note in DESIGN.md: trends
-/// are grouped per company (19 groups, as §9.1 reports), sector is echoed
-/// through the company key.
+/// Query q3 (§1), adapted to how this engine partitions: the paper's q3
+/// groups by sector while its equivalence predicate is on the company,
+/// and results are emitted per `GROUP-BY` prefix of the partition key — so
+/// trends are grouped per company (19 groups, as §9.1 reports) and the
+/// sector is echoed through the company key.
 pub fn q3_query(within: u64, slide: u64) -> String {
     format!(
         "RETURN company, COUNT(*), AVG(B.price) \

@@ -76,27 +76,45 @@ struct SessionFlags {
     restore: Option<String>,
 }
 
-/// Split `argv` into the session flags and everything else, in order, for
-/// the subcommand's own parser.
-fn parse_session_flags(argv: &[String]) -> Result<(SessionFlags, Vec<String>), String> {
-    fn integer<T: std::str::FromStr>(name: &str, value: String) -> Result<T, String> {
-        value
+/// The one cursor every flag loop walks: `flag()` yields the next
+/// argument, `value` / `integer` take the value that must follow it.
+struct Cursor<'a>(std::slice::Iter<'a, String>);
+
+impl Cursor<'_> {
+    fn new(argv: &[String]) -> Cursor<'_> {
+        Cursor(argv.iter())
+    }
+
+    fn flag(&mut self) -> Option<String> {
+        self.0.next().cloned()
+    }
+
+    fn value(&mut self, name: &str) -> Result<String, String> {
+        self.flag().ok_or_else(|| format!("{name} needs a value"))
+    }
+
+    fn integer<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, String> {
+        self.value(name)?
             .parse()
             .map_err(|_| format!("{name} needs an integer"))
     }
+}
+
+/// Split `argv` into the session flags and everything else, in order, for
+/// the subcommand's own parser.
+fn parse_session_flags(argv: &[String]) -> Result<(SessionFlags, Vec<String>), String> {
     let mut flags = SessionFlags::default();
     let mut rest = Vec::new();
-    let mut it = argv.iter().cloned();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+    let mut args = Cursor::new(argv);
+    while let Some(arg) = args.flag() {
         match arg.as_str() {
-            "--schema" => flags.schema = Some(value("--schema")?),
-            "--query" => flags.queries.push(value("--query")?),
-            "--engine" => flags.engine = Some(value("--engine")?.parse::<EngineKind>()?),
-            "--workers" => flags.workers = Some(integer("--workers", value("--workers")?)?),
-            "--slack" => flags.slack = Some(integer("--slack", value("--slack")?)?),
-            "--key-limit" => flags.key_limit = Some(integer("--key-limit", value("--key-limit")?)?),
-            "--restore" => flags.restore = Some(value("--restore")?),
+            "--schema" => flags.schema = Some(args.value(&arg)?),
+            "--query" => flags.queries.push(args.value(&arg)?),
+            "--engine" => flags.engine = Some(args.value(&arg)?.parse::<EngineKind>()?),
+            "--workers" => flags.workers = Some(args.integer(&arg)?),
+            "--slack" => flags.slack = Some(args.integer(&arg)?),
+            "--key-limit" => flags.key_limit = Some(args.integer(&arg)?),
+            "--restore" => flags.restore = Some(args.value(&arg)?),
             _ => rest.push(arg),
         }
     }
@@ -190,12 +208,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut explain = false;
     let mut dot = false;
     let mut memory = false;
-    let mut it = rest.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+    let mut args = Cursor::new(&rest);
+    while let Some(arg) = args.flag() {
         match arg.as_str() {
-            "--events" => events = Some(value("--events")?),
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
+            "--events" => events = Some(args.value(&arg)?),
+            "--checkpoint" => checkpoint = Some(args.value(&arg)?),
             "--explain" => explain = true,
             "--dot" => dot = true,
             "--memory" => memory = true,
@@ -404,13 +421,13 @@ fn serve(argv: &[String]) -> Result<(), String> {
     let mut listen = "127.0.0.1:7878".to_string();
     let mut read_timeout: Option<Duration> = None;
     let mut snapshot_on_term: Option<String> = None;
-    let mut it = rest.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+    let mut args = Cursor::new(&rest);
+    while let Some(arg) = args.flag() {
         match arg.as_str() {
-            "--listen" => listen = value("--listen")?,
+            "--listen" => listen = args.value(&arg)?,
             "--read-timeout" => {
-                let secs = value("--read-timeout")?
+                let secs = args
+                    .value(&arg)?
                     .parse::<f64>()
                     .map_err(|_| "--read-timeout needs a number of seconds".to_string())?;
                 if !secs.is_finite() || secs <= 0.0 {
@@ -418,7 +435,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
                 }
                 read_timeout = Some(Duration::from_secs_f64(secs));
             }
-            "--snapshot-on-term" => snapshot_on_term = Some(value("--snapshot-on-term")?),
+            "--snapshot-on-term" => snapshot_on_term = Some(args.value(&arg)?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -534,30 +551,16 @@ fn connect(argv: &[String]) -> Result<(), String> {
     let mut snapshot: Option<String> = None;
     let mut retry = 0u32;
     let mut backoff_ms = 100u64;
-    let mut it = argv.iter().cloned();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+    let mut args = Cursor::new(argv);
+    while let Some(arg) = args.flag() {
         match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
-            "--events" => events = Some(value("--events")?),
-            "--chunk" => {
-                chunk = value("--chunk")?
-                    .parse::<usize>()
-                    .map_err(|_| "--chunk needs an integer".to_string())?
-                    .max(1)
-            }
+            "--addr" => addr = Some(args.value(&arg)?),
+            "--events" => events = Some(args.value(&arg)?),
+            "--chunk" => chunk = args.integer::<usize>(&arg)?.max(1),
             "--stats" => stats = true,
-            "--snapshot" => snapshot = Some(value("--snapshot")?),
-            "--retry" => {
-                retry = value("--retry")?
-                    .parse()
-                    .map_err(|_| "--retry needs an integer".to_string())?
-            }
-            "--backoff-ms" => {
-                backoff_ms = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|_| "--backoff-ms needs an integer".to_string())?
-            }
+            "--snapshot" => snapshot = Some(args.value(&arg)?),
+            "--retry" => retry = args.integer(&arg)?,
+            "--backoff-ms" => backoff_ms = args.integer(&arg)?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }

@@ -82,8 +82,8 @@ pub mod prelude {
         SharedPlan, TaggedResult,
     };
     pub use cogra_core::{
-        run_parallel, run_to_completion, AggValue, CheckpointError, CograEngine, EngineConfig,
-        FailurePolicy, RunStats, TrendEngine, WindowResult, WorkerFailure,
+        run_to_completion, AggValue, CheckpointError, CograEngine, EngineConfig, FailurePolicy,
+        RunStats, TrendEngine, WindowResult, WorkerFailure,
     };
     pub use cogra_events::{
         read_events, write_events, Event, EventBuilder, EventReader, Timestamp, TypeRegistry,

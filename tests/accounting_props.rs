@@ -21,15 +21,15 @@
 //!   further distinct keys do not grow the session — and the limit counts
 //!   *resident* keys: a stream that keeps fewer than that many alive
 //!   between drains never hits it, however many it mints.
-//! * **state follows the resident keys, unobservably**: a partition
-//!   leaves with its last window and its id and key slot serve the next
-//!   first-seen key, so which slot a key sits in depends on when drains
-//!   ran. Results (float sums to the bit) and [`RunStats`] do not:
-//!   drain-per-event, an arbitrary sequence of chunks, drains and
-//!   checkpoint → restore at widths 1/2/4, and finish-only agree, on
-//!   churn and on a stream whose keys go quiet for longer than `WITHIN`
-//!   and come back, under a query that feeds each group from several
-//!   partitions.
+//! * **state follows the resident keys, unobservably** (an arm of the
+//!   model, `tests/common/mod.rs`): a partition leaves with its last
+//!   window and its id and key slot serve the next first-seen key, so
+//!   which slot a key sits in depends on when drains ran. Results (float
+//!   sums to the bit) and [`RunStats`] do not: drain-per-event, an
+//!   arbitrary sequence of chunks, drains and checkpoint → restore at
+//!   widths 1/2/4/8, and the finish-only reference agree, on churn and on
+//!   a stream whose keys go quiet for longer than `WITHIN` and come back,
+//!   under a query that feeds each group from several partitions.
 //! * **recycled ≡ fresh**: pooled windows and rings are capacity, never
 //!   state. A router that opens every window of a stream out of its pool
 //!   — it closed the same stream's windows just before — emits the
@@ -38,113 +38,20 @@
 //!   (negation shadows and clocks, stored events, contiguous
 //!   invalidation of the last matched event included).
 
+mod common;
+
 use cogra::engine::EngineConfig;
 use cogra::prelude::*;
-use cogra::workloads::{churn, fraud, stock};
-use cogra::workloads::{ChurnConfig, FraudConfig, StockConfig};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use common::workloads::{self, CHURN, COMEBACK, MATRIX};
 
-/// Arms of [`workload`].
+/// The arms of the workload table this battery accounts for: churn, stock
+/// at all three granularities, fraud, comeback.
 const WORKLOADS: usize = 6;
 
-/// The stream of arm 5: `Reading(g, k, v)` over 2 × 6 partition keys
-/// `(g, k)`, of which a different third — two per group — is awake in
-/// each stretch of 40 ticks. So every key falls silent for several
-/// `WITHIN 10`s on end, its partition retires, and it comes back to
-/// whatever slot is free then. `v` is a float with no short binary
-/// expansion: the per-group `SUM` depends on the order its partitions
-/// merge in, to the last bit.
-fn comeback(seed: u64, n: usize) -> (TypeRegistry, String, Vec<Event>) {
-    let mut registry = TypeRegistry::new();
-    let reading = registry.register_type(
-        "Reading",
-        vec![
-            ("g", ValueKind::Int),
-            ("k", ValueKind::Int),
-            ("v", ValueKind::Float),
-        ],
-    );
-    // Equivalence on `k` under GROUP-BY `g`: partition key (g, k), result
-    // group (g) — each result merges two to four partitions.
-    let query = "RETURN g, COUNT(*), SUM(R.v), AVG(R.v) PATTERN Reading R+ SEMANTICS NEXT \
-                 WHERE [k] GROUP-BY g WITHIN 10 SLIDE 5"
-        .to_string();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut next = move |bound: u64| rng.random_range(0..bound);
-    let mut builder = EventBuilder::new();
-    let mut t = 0;
-    let events = (0..n)
-        .map(|_| {
-            t += next(3);
-            let stretch = t / 40;
-            // Four of the twelve keys are awake in a stretch.
-            let key = (next(4) * 3 + stretch % 3) as i64;
-            let v = 0.1 + next(1000) as f64 / 7.0;
-            let attrs = vec![Value::Int(key / 6), Value::Int(key % 6), Value::Float(v)];
-            builder.event(t, reading, attrs)
-        })
-        .collect();
-    (registry, query, events)
-}
-
-/// One workload: registry, query, stream. Windows are short and fraud
-/// chains shallow so the two-step engines (exponential per window) stay
-/// fast.
+/// Workload `idx` of the table under its namesake query.
 fn workload(idx: usize, seed: u64, n: usize) -> (TypeRegistry, String, Vec<Event>) {
-    match idx {
-        0 => (
-            churn::registry(),
-            churn::count_query(12, 6),
-            churn::generate(&ChurnConfig {
-                events: n,
-                seed,
-                ..ChurnConfig::default()
-            }),
-        ),
-        // Type-grained, and inside every baseline's Table 9 row.
-        1 => (
-            stock::registry(),
-            stock::q3_query_no_adjacent(40, 20),
-            stock::generate(&StockConfig {
-                events: n,
-                seed,
-                ..StockConfig::default()
-            }),
-        ),
-        // Mixed-grained (stored events); A-Seq rejects the predicate.
-        2 => (
-            stock::registry(),
-            stock::q3_query(40, 20),
-            stock::generate(&StockConfig {
-                events: n,
-                seed,
-                ..StockConfig::default()
-            }),
-        ),
-        // Pattern-grained (contiguous); GRETA and A-Seq are ANY-only.
-        3 => (
-            stock::registry(),
-            stock::q3_query_no_adjacent(40, 20).replace("skip-till-any-match", "contiguous"),
-            stock::generate(&StockConfig {
-                events: n,
-                seed,
-                ..StockConfig::default()
-            }),
-        ),
-        5 => comeback(seed, n),
-        _ => (
-            fraud::registry(),
-            fraud::detect_query(30, 15),
-            fraud::generate(&FraudConfig {
-                events: n,
-                seed,
-                fraud_rate: 0.03,
-                chain_len: 5,
-                ..FraudConfig::default()
-            }),
-        ),
-    }
+    let case = workloads::workload(idx, seed, n).only(0);
+    (case.registry, case.roster[0].0.clone(), case.events)
 }
 
 fn builder(query: &str, kind: EngineKind, key_limit: Option<u32>) -> SessionBuilder {
@@ -300,67 +207,15 @@ fn print_pins() {
     }
 }
 
-/// The granularity × negation matrix of the recycling battery, over
-/// types `A`, `B`, `C` with attributes `(g, v)`. `C` is the negated type
-/// where the pattern has one and an irrelevant one elsewhere — which
-/// under the contiguous semantics still reaches the windows and
-/// invalidates the last matched event.
-const RECYCLE_QUERIES: [(&str, Granularity); 8] = [
-    (
-        "RETURN g, COUNT(*), SUM(A.v), MIN(B.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
-         GROUP-BY g WITHIN 10 SLIDE 5",
-        Granularity::Type,
-    ),
-    (
-        "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY \
-         GROUP-BY g WITHIN 10 SLIDE 5",
-        Granularity::Type,
-    ),
-    (
-        "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
-         WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 10 SLIDE 5",
-        Granularity::Mixed,
-    ),
-    (
-        "RETURN g, COUNT(*), COUNT(A) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY \
-         WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 10 SLIDE 5",
-        Granularity::Mixed,
-    ),
-    // The end state stores events: results come from the accumulator.
-    (
-        "RETURN g, COUNT(*), SUM(A.v) PATTERN A+ SEMANTICS ANY \
-         WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 10 SLIDE 5",
-        Granularity::Mixed,
-    ),
-    (
-        "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS NEXT \
-         GROUP-BY g WITHIN 12 SLIDE 4",
-        Granularity::Pattern,
-    ),
-    (
-        "RETURN g, COUNT(*), AVG(A.v) PATTERN SEQ(A+, B) SEMANTICS CONT \
-         GROUP-BY g WITHIN 8 SLIDE 4",
-        Granularity::Pattern,
-    ),
-    (
-        "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS NEXT \
-         GROUP-BY g WITHIN 12 SLIDE 4",
-        Granularity::Pattern,
-    ),
-];
-
 mod recycling {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// `A`, `B`, `C` as above, and `Tick`: without the partition
+    /// `A`, `B`, `C` over `(g, v)`, and `Tick`: without the partition
     /// attribute `g` the router drops it — after moving its watermark.
     fn registry() -> TypeRegistry {
-        let mut r = TypeRegistry::new();
-        for t in ["A", "B", "C"] {
-            r.register_type(t, vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-        }
+        let mut r = workloads::abc_registry();
         r.register_type("Tick", vec![]);
         r
     }
@@ -394,11 +249,11 @@ mod recycling {
         #[test]
         fn a_router_that_recycled_every_window_equals_a_fresh_one(
             rows in vec((0u64..3, 0usize..3, 0i64..4, -4i64..5), 1..80),
-            case in 0usize..RECYCLE_QUERIES.len() * EngineKind::ALL.len(),
+            case in 0usize..MATRIX.len() * EngineKind::ALL.len(),
             chunk in 1usize..12,
         ) {
             let kind = EngineKind::ALL[case % EngineKind::ALL.len()];
-            let (query, granularity) = RECYCLE_QUERIES[case / EngineKind::ALL.len()];
+            let (query, granularity) = MATRIX[case / EngineKind::ALL.len()];
             let reg = registry();
             let build = || builder(query, kind, None).build(&reg);
             let Ok(mut fresh) = build() else {
@@ -451,6 +306,7 @@ mod recycling {
 }
 
 /// Checkpoint `session` and bring it back on `workers` shards.
+#[cfg(debug_assertions)]
 fn restore(
     session: &mut Session,
     registry: &TypeRegistry,
@@ -469,20 +325,12 @@ fn restore(
 
 mod cadence {
     use super::*;
+    use common::model::{self, chunked, Reference};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// What a run is observed by: its results in (window, group) order —
-    /// rendered, so that floats compare by their bits — and its counters.
-    fn observed(mut session: Session, mut sink: Vec<TaggedResult>) -> (String, RunStats) {
-        session.finish_into(&mut sink);
-        let mut results: Vec<WindowResult> = sink.into_iter().map(|t| t.result).collect();
-        WindowResult::sort(&mut results);
-        (format!("{results:?}"), session.run_stats())
-    }
-
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn results_and_stats_ignore_cadence_width_and_restore(
@@ -490,63 +338,22 @@ mod cadence {
             comes_back in any::<bool>(),
             kind_idx in 0usize..6,
             seed in 0u64..1000,
-            chunk in 2usize..40,
-            // As in `counters_equal_the_walk_after_every_op`: 0–2 ingest a
-            // chunk, 3 drain, 4 checkpoint → restore at another width.
-            ops in vec((0usize..5, 0usize..48), 1..40),
+            // 0–2 ingest a chunk, 3 drain, 4 checkpoint → restore at
+            // another width (only COGRA shards; the others restore in place).
+            raw in vec((0usize..5, 0usize..48), 1..40),
         ) {
-            let kind = EngineKind::ALL[kind_idx];
-            let (registry, query, events) = workload(if comes_back { 5 } else { 0 }, seed, 400);
-            let build = || builder(&query, kind, None).build(&registry);
-            let Ok(mut finish_only) = build() else {
+            let case = workloads::workload(if comes_back { COMEBACK } else { CHURN }, seed, 300)
+                .on(EngineKind::ALL[kind_idx]);
+            let Some(reference) = Reference::of(&case) else {
                 // Outside the kind's Table 9 row.
                 return Ok(());
             };
-            for e in &events {
-                finish_only.process(e);
+            for ops in [chunked(&case, 1), model::ops(&case, &raw)] {
+                let run = model::check(&case, &reference, &model::Config::default(), &ops)
+                    .map_err(TestCaseError::fail)?;
+                let stats = run.observation.stats;
+                prop_assert!(stats.key_allocs > 12, "keys come and go: {:?}", stats);
             }
-            let expected = observed(finish_only, Vec::new());
-            prop_assert!(expected.1.key_allocs > 12, "keys come and go: {:?}", expected.1);
-
-            for every in [1, chunk] {
-                let mut session = build().expect("built once already");
-                let mut sink: Vec<TaggedResult> = Vec::new();
-                for c in events.chunks(every) {
-                    for e in c {
-                        session.process(e);
-                    }
-                    session.drain_into(&mut sink);
-                }
-                prop_assert_eq!(&observed(session, sink), &expected, "drain every {}", every);
-            }
-
-            let mut session = build().expect("built once already");
-            let mut sink: Vec<TaggedResult> = Vec::new();
-            let mut fed = 0;
-            for &(op, arg) in &ops {
-                match op {
-                    0..=2 => {
-                        let end = (fed + 3 * arg + 1).min(events.len());
-                        for e in &events[fed..end] {
-                            session.process(e);
-                        }
-                        fed = end;
-                    }
-                    3 => session.drain_into(&mut sink),
-                    _ => {
-                        // Only COGRA shards; the others restore in place.
-                        let workers = match kind {
-                            EngineKind::Cogra => [2, 4, 1][arg % 3],
-                            _ => 1,
-                        };
-                        session = restore(&mut session, &registry, workers)?;
-                    }
-                }
-            }
-            for e in &events[fed..] {
-                session.process(e);
-            }
-            prop_assert_eq!(&observed(session, sink), &expected, "ops {:?}", ops);
         }
     }
 }

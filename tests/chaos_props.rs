@@ -8,12 +8,14 @@
 //!
 //! Contracts pinned here:
 //!
-//! * **Restart ≡ no-fault run** — a shard worker killed at any
-//!   failpoint (batch / drain / finish / snapshot, any shard, any hit
+//! * **Restart ≡ no-fault run** (arms of the model, `tests/common/mod.rs`:
+//!   `Op::Fault` arms a failpoint mid-life) — a shard worker killed at
+//!   any failpoint (batch / drain / finish / snapshot, any shard, any hit
 //!   count) under `FailurePolicy::Restart` is respawned from its last
-//!   drain baseline + journal, and the session's emitted results are
-//!   **byte-identical** to an uninterrupted run (stats/peak are
-//!   explicitly NOT part of the contract — replay re-probes).
+//!   drain baseline + journal, and the session observes the reference:
+//!   results and late drops to the byte, no sticky failure, no quarantine
+//!   (stats/peak are explicitly NOT part of the contract — replay
+//!   re-probes).
 //! * **Degrade conserves the event accounting** — after a quarantine,
 //!   `routed_items == Σ live shard_events + dropped_events`, and the
 //!   losses surface through `SessionRun`.
@@ -30,14 +32,17 @@
 
 #![cfg(feature = "faults")]
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
+
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 
 use cogra::core::{PoolConfig, QueryRuntime, StreamingPool};
 use cogra::prelude::*;
 use cogra_checkpoint::write_atomic;
 use cogra_faults::{SeedSequence, Trigger};
+use common::model::{self, chunked, Case, Config, Op, Reference};
+use common::workloads::{abc_registry, rows_case};
+use common::Fixture;
 use proptest::prelude::*;
 
 /// One grouped Kleene query — shardable, so every worker-count knob and
@@ -46,10 +51,7 @@ const QUERY: &str = "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS A
                      GROUP-BY g WITHIN 10 SLIDE 5";
 
 fn registry() -> TypeRegistry {
-    let mut r = TypeRegistry::new();
-    r.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-    r.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-    r
+    abc_registry()
 }
 
 /// Serialize the whole battery on the process-global fault registry,
@@ -79,80 +81,54 @@ fn guard() -> MutexGuard<'static, ()> {
     g
 }
 
-/// A deterministic mixed A/B stream: 7 groups, B every third event.
+/// A deterministic mixed A/B stream over `queries`: 7 groups, B every
+/// third event, one tick apart.
+fn stream(queries: &[&str], n: usize) -> Case {
+    let rows: Vec<_> = (0..n)
+        .map(|i| (1, usize::from(i % 3 == 2), (i % 7) as i64, (i % 5) as i64))
+        .collect();
+    rows_case(queries, &rows, None)
+}
+
 fn build_events(n: usize) -> Vec<Event> {
-    let reg = registry();
-    let a = reg.id_of("A").unwrap();
-    let b = reg.id_of("B").unwrap();
-    let mut builder = EventBuilder::new();
-    (0..n)
-        .map(|i| {
-            let ty = if i % 3 == 2 { b } else { a };
-            builder.event(
-                (i + 1) as u64,
-                ty,
-                vec![Value::Int((i % 7) as i64), Value::Int((i % 5) as i64)],
-            )
-        })
-        .collect()
+    stream(&[QUERY], n).events
 }
 
-/// Like [`build_events`], with bounded disorder (each 4-event cell is
-/// emitted 0,2,1,3) — repaired exactly by `.slack(2)` or wider.
-fn build_disordered_events(n: usize) -> Vec<Event> {
-    let mut events = build_events(n);
-    for cell in events.chunks_mut(4) {
-        if cell.len() == 4 {
-            cell.swap(1, 2);
-        }
-    }
-    events
-}
-
-/// Drive one session over the stream in chunks — process, drain per
-/// chunk, finish — returning the session (for its post-mortem counters)
-/// and everything it emitted, in emission order.
-fn run_chunked(
-    events: &[Event],
-    slack: Option<u64>,
-    workers: usize,
-    batch: usize,
-    policy: FailurePolicy,
-    chunk: usize,
-) -> (Session, Vec<TaggedResult>) {
-    run_queries_chunked(&[QUERY], events, slack, workers, batch, policy, chunk)
-}
-
-/// [`run_chunked`] over a roster of queries.
-fn run_queries_chunked(
-    queries: &[&str],
-    events: &[Event],
-    slack: Option<u64>,
-    workers: usize,
-    batch: usize,
-    policy: FailurePolicy,
-    chunk: usize,
-) -> (Session, Vec<TaggedResult>) {
-    let mut builder = Session::builder()
-        .workers(workers)
+/// A session over [`QUERY`] on 4 shards.
+fn session(batch: usize, policy: FailurePolicy) -> Session {
+    Session::builder()
+        .query(QUERY)
+        .workers(4)
         .batch_size(batch)
-        .on_worker_failure(policy);
-    for query in queries {
-        builder = builder.query(*query);
-    }
-    if let Some(s) = slack {
-        builder = builder.slack(s);
-    }
-    let mut session = builder.build(&registry()).expect("query builds");
-    let mut out = Vec::new();
-    for part in events.chunks(chunk) {
-        for e in part {
-            session.process(e);
-        }
-        out.extend(session.drain());
-    }
-    out.extend(session.finish());
-    (session, out)
+        .on_worker_failure(policy)
+        .build(&registry())
+        .expect("query builds")
+}
+
+/// Hold a life of `case` on 4 shards under `FailurePolicy::Restart` to the
+/// reference: `site` armed to fire on its `hit`-th hit, then chunks of
+/// `chunk` events with a drain after each. The failpoint must actually
+/// fire — a schedule that never reaches its site proves nothing.
+fn killed_and_restarted(case: &Case, site: &str, hit: u64, batch: usize, chunk: usize) {
+    cogra_faults::reset();
+    let reference = Reference::of(case).expect("COGRA takes the query");
+    assert!(reference.results() > 0);
+    let config = Config {
+        batch,
+        policy: FailurePolicy::Restart,
+        ..Config::workers(4)
+    };
+    let mut ops = vec![Op::Fault {
+        site: site.to_string(),
+        hit,
+    }];
+    ops.extend(chunked(case, chunk));
+    model::hold(case, &reference, &config, &ops);
+    assert!(
+        cogra_faults::hits(site) >= hit,
+        "failpoint {site} was never reached (hits={})",
+        cogra_faults::hits(site)
+    );
 }
 
 /// The stream as the CSV document `ingest_csv` reads.
@@ -165,66 +141,22 @@ fn build_csv(n: usize) -> String {
     s
 }
 
-/// Self-cleaning scratch directory for snapshot files.
-struct TempDir {
-    dir: PathBuf,
-}
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("cogra-chaos-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir { dir }
-    }
-
-    fn path(&self, file: &str) -> String {
-        self.dir.join(file).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Restart ≡ no-fault run
 // ---------------------------------------------------------------------
 
 /// Kill one worker at every failpoint kind, on two shards, at different
 /// hit counts: the Restart recovery must reproduce the no-fault run's
-/// emitted rows byte-for-byte, leave no sticky failure and no
-/// quarantine. Each grid point also asserts the failpoint actually
-/// fired — a schedule that never reaches its site proves nothing.
+/// emitted rows byte-for-byte, leave no sticky failure and no quarantine.
 #[test]
 fn restart_recovers_byte_identically_across_sites() {
     let _g = guard();
-    let events = build_events(240);
-    let (baseline_session, baseline) = run_chunked(&events, None, 4, 7, FailurePolicy::Fail, 31);
-    assert!(!baseline.is_empty());
     for shard in [0usize, 1] {
         for (kind, hit) in [("batch", 1), ("batch", 3), ("drain", 2), ("finish", 1)] {
-            cogra_faults::reset();
             let site = format!("worker/{kind}/{shard}");
-            cogra_faults::configure(&site, Trigger::OnHit(hit));
-            let (session, out) = run_chunked(&events, None, 4, 7, FailurePolicy::Restart, 31);
-            assert!(
-                cogra_faults::hits(&site) >= hit,
-                "failpoint {site} was never reached (hits={})",
-                cogra_faults::hits(&site)
-            );
-            assert!(
-                session.worker_failure().is_none(),
-                "restart escalated at {site}: {:?}",
-                session.worker_failure()
-            );
-            assert!(session.degraded_shards().is_empty());
-            assert_eq!(out, baseline, "divergence after a kill at {site} hit {hit}");
-            assert_eq!(session.late_events(), baseline_session.late_events());
+            killed_and_restarted(&stream(&[QUERY], 240), &site, hit, 7, 31);
         }
     }
-
     // Two queries with one GROUP-BY place every event on the same shard,
     // so the journaled batches hold one row with two routes each: the
     // replay must feed both engines from the shared rows.
@@ -232,16 +164,8 @@ fn restart_recovers_byte_identically_across_sites() {
         QUERY,
         "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT GROUP-BY g WITHIN 10 SLIDE 5",
     ];
-    let (_, baseline) = run_queries_chunked(&roster, &events, None, 4, 7, FailurePolicy::Fail, 31);
-    assert!(baseline.iter().any(|r| r.query == 1));
     for hit in [1, 3] {
-        cogra_faults::reset();
-        cogra_faults::configure("worker/batch/1", Trigger::OnHit(hit));
-        let (session, out) =
-            run_queries_chunked(&roster, &events, None, 4, 7, FailurePolicy::Restart, 31);
-        assert!(cogra_faults::hits("worker/batch/1") >= hit);
-        assert!(session.worker_failure().is_none());
-        assert_eq!(out, baseline, "two-query divergence at hit {hit}");
+        killed_and_restarted(&stream(&roster, 240), "worker/batch/1", hit, 7, 31);
     }
 }
 
@@ -250,23 +174,15 @@ fn restart_recovers_byte_identically_across_sites() {
 #[test]
 fn restart_replays_the_reorder_buffer_under_slack() {
     let _g = guard();
-    let events = build_disordered_events(200);
-    let (baseline_session, baseline) = run_chunked(&events, Some(3), 4, 5, FailurePolicy::Fail, 23);
-    assert!(!baseline.is_empty());
+    // Bounded disorder (each 4-event cell arrives 0,2,1,3), repaired
+    // exactly by `.slack(2)` or wider.
+    let mut case = stream(&[QUERY], 200);
+    case.events
+        .chunks_exact_mut(4)
+        .for_each(|cell| cell.swap(1, 2));
+    case.slack = Some(3);
     for site in ["worker/batch/0", "worker/drain/1"] {
-        cogra_faults::reset();
-        cogra_faults::configure(site, Trigger::OnHit(2));
-        let (session, out) = run_chunked(&events, Some(3), 4, 5, FailurePolicy::Restart, 23);
-        assert!(
-            cogra_faults::hits(site) >= 2,
-            "failpoint {site} never reached"
-        );
-        assert!(session.worker_failure().is_none());
-        assert_eq!(
-            out, baseline,
-            "divergence after a kill at {site} under slack"
-        );
-        assert_eq!(session.late_events(), baseline_session.late_events());
+        killed_and_restarted(&case, site, 2, 5, 23);
     }
 }
 
@@ -286,78 +202,52 @@ proptest! {
         let n = 60 + (seq.next_u64() % 160) as usize; // 60..=219
         let kind = ["batch", "drain", "finish"][(seq.next_u64() % 3) as usize];
         let shard = (seq.next_u64() % workers as u64) as usize;
-        let hit = seq.next_hit(6);
         let site = format!("worker/{kind}/{shard}");
+        let hit = seq.next_hit(6);
 
-        let events = build_events(n);
-        let (baseline_session, baseline) =
-            run_chunked(&events, None, workers, batch, FailurePolicy::Fail, chunk);
-        cogra_faults::configure(&site, Trigger::OnHit(hit));
-        let (session, out) =
-            run_chunked(&events, None, workers, batch, FailurePolicy::Restart, chunk);
-        prop_assert!(
-            session.worker_failure().is_none(),
-            "seed {} escalated at {}: {:?}", seed, site, session.worker_failure()
-        );
-        prop_assert_eq!(&out, &baseline, "seed {} diverged at {} hit {}", seed, site, hit);
-        prop_assert_eq!(session.late_events(), baseline_session.late_events());
+        let case = stream(&[QUERY], n);
+        let reference = Reference::of(&case).expect("COGRA takes the query");
+        let config = Config {
+            batch,
+            policy: FailurePolicy::Restart,
+            ..Config::workers(workers)
+        };
+        let mut ops = vec![Op::Fault { site, hit }];
+        ops.extend(chunked(&case, chunk));
+        model::check(&case, &reference, &config, &ops).map_err(TestCaseError::fail)?;
     }
 }
 
 /// A worker killed *during* `SNAPSHOT` under Restart is respawned and
 /// re-asked: the checkpoint still completes, and the snapshot resumes to
-/// the same rows as one taken with no fault at the same point.
+/// the reference's rows.
 #[test]
 fn snapshot_interrupted_by_a_worker_death_is_retried_under_restart() {
     let _g = guard();
-    let events = build_events(160);
-    let (head, tail) = events.split_at(100);
-    let tmp = TempDir::new("snap-retry");
-    let mut paths = Vec::new();
-    for (name, site) in [("clean", None), ("killed", Some("worker/snapshot/0"))] {
-        cogra_faults::reset();
-        let mut session = Session::builder()
-            .query(QUERY)
-            .workers(4)
-            .batch_size(7)
-            .on_worker_failure(FailurePolicy::Restart)
-            .build(&registry())
-            .unwrap();
-        for e in head {
-            session.process(e);
-        }
-        let _ = session.drain();
-        if let Some(site) = site {
-            cogra_faults::configure(site, Trigger::OnHit(1));
-        }
-        let path = tmp.path(&format!("{name}.cogra"));
-        write_atomic(&path, |buf| session.checkpoint(buf)).expect("snapshot completes");
-        if let Some(site) = site {
-            assert!(
-                cogra_faults::hits(site) >= 1,
-                "failpoint {site} never reached"
-            );
-        }
-        paths.push(path);
-    }
-    cogra_faults::reset();
-    let mut resumed = Vec::new();
-    for path in &paths {
-        let bytes = std::fs::read(path).unwrap();
-        let mut session = Session::builder()
-            .restore(&registry(), &bytes[..])
-            .expect("snapshot restores");
-        let mut out = Vec::new();
-        for e in tail {
-            session.process(e);
-        }
-        out.extend(session.finish());
-        resumed.push(out);
-    }
-    assert!(!resumed[0].is_empty());
-    assert_eq!(
-        resumed[1], resumed[0],
-        "mid-snapshot kill changed the resumed rows"
+    let site = "worker/snapshot/0";
+    let case = stream(&[QUERY], 160);
+    let reference = Reference::of(&case).expect("COGRA takes the query");
+    let config = Config {
+        batch: 7,
+        policy: FailurePolicy::Restart,
+        ..Config::workers(4)
+    };
+    let ops = [
+        Op::Ingest(100),
+        Op::Drain,
+        Op::Fault {
+            site: site.to_string(),
+            hit: 1,
+        },
+        Op::Restore {
+            workers: 4,
+            batch: 7,
+        },
+    ];
+    model::hold(&case, &reference, &config, &ops);
+    assert!(
+        cogra_faults::hits(site) >= 1,
+        "failpoint {site} never reached"
     );
 }
 
@@ -424,14 +314,7 @@ fn degrade_quarantines_and_reports_through_session_run() {
     let _g = guard();
     let events = build_events(240);
     cogra_faults::configure("worker/batch/1", Trigger::OnHit(2));
-    let run = Session::builder()
-        .query(QUERY)
-        .workers(4)
-        .batch_size(5)
-        .on_worker_failure(FailurePolicy::Degrade)
-        .build(&registry())
-        .unwrap()
-        .run(&events);
+    let run = session(5, FailurePolicy::Degrade).run(&events);
     assert_eq!(run.degraded, vec![1]);
     assert!(run.dropped_events > 0);
     assert!(!run.results().is_empty());
@@ -449,12 +332,7 @@ fn fail_policy_surfaces_a_typed_csv_error_and_stays_sticky() {
     let _g = guard();
     cogra_faults::configure("worker/batch/0", Trigger::OnHit(1));
     let reg = registry();
-    let mut session = Session::builder()
-        .query(QUERY)
-        .workers(4)
-        .batch_size(2)
-        .build(&reg)
-        .unwrap();
+    let mut session = session(2, FailurePolicy::Fail);
     let err = session
         .ingest_csv(&build_csv(300), &reg)
         .expect_err("the killed worker must surface");
@@ -497,13 +375,7 @@ fn degraded_session_refuses_to_checkpoint() {
     let _g = guard();
     cogra_faults::configure("worker/batch/1", Trigger::OnHit(2));
     let events = build_events(240);
-    let mut session = Session::builder()
-        .query(QUERY)
-        .workers(4)
-        .batch_size(5)
-        .on_worker_failure(FailurePolicy::Degrade)
-        .build(&registry())
-        .unwrap();
+    let mut session = session(5, FailurePolicy::Degrade);
     for e in &events {
         session.process(e);
     }
@@ -527,13 +399,7 @@ fn restart_escalates_after_max_restarts() {
     let _g = guard();
     cogra_faults::configure("worker/batch/0", Trigger::Always);
     let events = build_events(300);
-    let mut session = Session::builder()
-        .query(QUERY)
-        .workers(4)
-        .batch_size(2)
-        .on_worker_failure(FailurePolicy::Restart)
-        .build(&registry())
-        .unwrap();
+    let mut session = session(2, FailurePolicy::Restart);
     for e in &events {
         session.process(e);
     }
@@ -565,16 +431,11 @@ fn restart_escalates_after_max_restarts() {
 #[test]
 fn crash_mid_snapshot_write_preserves_the_previous_checkpoint() {
     let _g = guard();
-    let tmp = TempDir::new("atomic");
+    let tmp = Fixture::dir("atomic");
     let path = tmp.path("snap.cogra");
     let reg = registry();
     let events = build_events(160);
-    let mut session = Session::builder()
-        .query(QUERY)
-        .workers(4)
-        .batch_size(7)
-        .build(&reg)
-        .unwrap();
+    let mut session = session(7, FailurePolicy::Fail);
     for e in &events[..100] {
         session.process(e);
     }
@@ -654,16 +515,12 @@ fn cli_checkpoint_crash_leaves_prior_snapshot_restorable() {
                           Measurement,3,8,70\n\
                           Measurement,4,8,75\n";
     let _g = guard();
-    let tmp = TempDir::new("cli");
-    std::fs::write(tmp.path("schema.csv"), SCHEMA).unwrap();
-    std::fs::write(tmp.path("query.cep"), CLI_QUERY).unwrap();
-    std::fs::write(tmp.path("stream.csv"), STREAM).unwrap();
+    let tmp = Fixture::new("chaos-cli", SCHEMA, CLI_QUERY, STREAM.as_bytes());
     // The restore leg replays no events — the snapshot carries the state.
     std::fs::write(tmp.path("empty.csv"), "type,time,patient,rate\n").unwrap();
     let snap = tmp.path("snap.cogra");
     let run = |extra: &[&str], faults: Option<&str>| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cogra-run"));
-        cmd.arg("--schema").arg(tmp.path("schema.csv"));
+        let mut cmd = tmp.cogra_run(None);
         cmd.args(extra);
         if let Some(schedule) = faults {
             cmd.env("COGRA_FAULTS", schedule);

@@ -1,21 +1,19 @@
-//! Differential battery for the durability subsystem: a run-prefix →
-//! `Session::checkpoint` → `SessionBuilder::restore` → run-suffix
-//! pipeline must be **byte-identical** — results, late-drop counts, run
-//! stats — to the same stream run uninterrupted, across workloads
-//! {stock, rideshare, transport, skew, churn} × snapshot/restore workers {1, 2, 4, 8}
-//! × slack {0, 8}, including elastic rescales (snapshot width ≠ restore
-//! width), edge splits (checkpoint before the first / after the last
-//! event) and chained snapshots (restore of a restore).
+//! The durability subsystem. As arms of the model (`tests/common/mod.rs`):
+//! a run-prefix → `Session::checkpoint` → `SessionBuilder::restore` →
+//! run-suffix life observes the reference — results, late-drop counts,
+//! run stats — across workloads {stock, rideshare, transport, skew, churn}
+//! × snapshot/restore workers {1, 2, 4, 8} × slack {0, 8}, including
+//! elastic rescales (snapshot width ≠ restore width), edge splits
+//! (checkpoint before the first / after the last event), chained snapshots
+//! (restore of a restore), and a server killed without `FINISH` and
+//! resumed from its snapshot file at another width.
 //!
-//! On top of the in-process battery:
-//! * a server kill-and-resume e2e: ingest a prefix through
-//!   `cogra-server`, `SNAPSHOT`, hard-stop the server *without* `FINISH`,
-//!   resume a second server from the file at a different width, replay
-//!   the suffix — the two subscribers' pushed rows concatenate to the
-//!   uninterrupted run;
+//! Beside the arms, what is not an equivalence:
 //! * error-text pinning: a damaged snapshot produces the *same*
 //!   `{path}: {CheckpointError}` text from the CLI (`--restore`) and the
 //!   server (`spawn_restored`), for every corruption class;
+//! * snapshots are layout-free: the `reorder` section is the same bytes at
+//!   every width, and damaged partition entries are refused typed;
 //! * the residency pin: on a partition-churning stream the live session
 //!   holds exactly what a restore of its snapshot holds — partitions with
 //!   an open window, nothing for keys gone quiet — and a revived key
@@ -24,227 +22,77 @@
 //! Every test body runs under a watchdog so a wedged shard pool or a
 //! hung server fails fast instead of stalling CI.
 
+mod common;
+
 use cogra::prelude::*;
-use cogra::workloads::{churn, rideshare, skew, stock, transport};
-use cogra::workloads::{ChurnConfig, RideshareConfig, SkewConfig, StockConfig, TransportConfig};
+use common::model::{
+    self, chunked, sweep, Case, Config, Op, Reference, Transport, BATCHES, WIDTHS,
+};
+use common::workloads::{disordered, workload, CHURN, RIDESHARE, SKEW, STOCK_MIXED, TRANSPORT};
+use common::{jitter, watchdog, Fixture};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::sync::mpsc;
-use std::time::Duration;
 
-/// Per-test timeout: generous for debug builds, far below CI's patience.
-const WATCHDOG_SECS: u64 = 120;
+/// The workloads the round trips sweep: the friendly ones, and the
+/// hostile key shapes (skew; churn, whose restores land amid partitions
+/// retiring and ids being reused).
+const ROUND_TRIPPED: [usize; 5] = [STOCK_MIXED, RIDESHARE, TRANSPORT, SKEW, CHURN];
 
-/// Run `f` on its own thread; panic if it does not finish in time.
-fn watchdog<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(WATCHDOG_SECS)) {
-        Ok(value) => {
-            let _ = worker.join();
-            value
-        }
-        Err(_) => panic!("{name}: hung for {WATCHDOG_SECS}s (shard pool / server deadlock?)"),
-    }
+/// Workload `wl`, jittered beyond `slack` if there is any, and its
+/// reference.
+fn prepared(wl: usize, seed: u64, n: usize, slack: u64) -> (Case, Reference) {
+    let case = disordered(wl, seed, n, slack);
+    let reference = Reference::of(&case).expect("COGRA takes every query");
+    (case, reference)
 }
 
-/// One battery workload: registry, query, and a generated stream.
-fn workload(idx: usize, seed: u64, n: usize) -> (TypeRegistry, String, Vec<Event>) {
-    match idx {
-        0 => (
-            stock::registry(),
-            stock::q3_query(50, 25),
-            stock::generate(&StockConfig {
-                events: n,
-                seed,
-                ..StockConfig::default()
-            }),
-        ),
-        1 => (
-            rideshare::registry(),
-            rideshare::q2_query(80, 40),
-            rideshare::generate(&RideshareConfig {
-                events: n,
-                seed,
-                ..RideshareConfig::default()
-            }),
-        ),
-        2 => (
-            transport::registry(),
-            transport::next_query(40, 20),
-            transport::generate(&TransportConfig {
-                events: n,
-                seed,
-                ..TransportConfig::default()
-            }),
-        ),
-        // Adversarial workloads: the hostile key shapes must round-trip
-        // a checkpoint/rescale as cleanly as the friendly ones.
-        3 => (
-            skew::registry(),
-            skew::count_query(50, 25),
-            skew::generate(&SkewConfig {
-                events: n,
-                seed,
-                ..SkewConfig::default()
-            }),
-        ),
-        // Churn floods the interner with short-lived session ids, so a
-        // rescale restore lands amid partitions retiring and ids reused.
-        _ => (
-            churn::registry(),
-            churn::count_query(40, 20),
-            churn::generate(&ChurnConfig {
-                events: n,
-                seed,
-                ..ChurnConfig::default()
-            }),
-        ),
-    }
-}
-
-/// Disorder the arrival order with bounded displacement (same idiom as
-/// `tests/server_e2e_props.rs`): offsets beyond the session's slack make
-/// some events hopelessly late, so the battery checks late-drop
-/// accounting across the checkpoint too.
-fn jitter(events: Vec<Event>, extent: u64, seed: u64) -> Vec<Event> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut keyed: Vec<(u64, usize, Event)> = events
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| (e.time.ticks() + rng.random_range(0..=extent), i, e))
-        .collect();
-    keyed.sort_by_key(|&(key, position, _)| (key, position));
-    keyed.into_iter().map(|(_, _, e)| e).collect()
-}
-
-fn builder_for(query: &str, workers: usize, slack: u64) -> SessionBuilder {
-    let mut builder = Session::builder().query(query).workers(workers);
-    if slack > 0 {
-        builder = builder.slack(slack);
-    }
-    builder
-}
-
-/// A collision-free scratch path under the OS temp dir.
-fn temp_path(tag: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("cogra-ckpt-{}-{tag}.snap", std::process::id()))
-        .to_string_lossy()
-        .into_owned()
-}
-
-/// The differential core: feed `events[..split]` at `snap_workers`,
-/// checkpoint, restore the snapshot at `restore_workers`, feed the rest,
-/// finish — and compare everything observable against the uninterrupted
-/// run. The batch-size axis is derived from the seed: the prefix session
-/// (and its reference) picks one shard-transport batch size, the
-/// restored session independently overrides another — the snapshot
-/// boundary must be transparent to both. Returns
-/// `(snapshot_bytes, late_drops)` for battery-wide liveness checks.
-fn split_case(
-    wl: usize,
-    seed: u64,
-    n: usize,
-    snap_workers: usize,
-    restore_workers: usize,
-    slack: u64,
-    split: usize,
-) -> (usize, u64) {
-    const BATCHES: [usize; 4] = [1, 7, 256, 512];
-    let snap_batch = BATCHES[(seed % 4) as usize];
-    let restore_batch = BATCHES[(seed / 4 % 4) as usize];
-    let (registry, query, events) = workload(wl, seed, n);
-    let events = if slack > 0 {
-        jitter(events, slack + 4, seed ^ 0x9e37)
-    } else {
-        events
+/// The round trip: `split` events, drained one by one, at `widths.0`
+/// workers; checkpoint; restore at `widths.1` workers; the rest. The
+/// batch-size axis is derived from the seed: the prefix session picks one
+/// shard-transport batch size, the restored one independently overrides
+/// another — the snapshot boundary must be transparent to both.
+fn split_case(case: &Case, reference: &Reference, seed: u64, widths: (usize, usize), split: usize) {
+    let config = Config {
+        batch: BATCHES[(seed % 4) as usize],
+        ..Config::workers(widths.0)
     };
-    let split = split.min(events.len());
-    let label = format!(
-        "wl={wl} seed={seed} split={split}/{n} {snap_workers}→{restore_workers} workers \
-         slack={slack} batch {snap_batch}→{restore_batch}"
-    );
-
-    let reference = builder_for(&query, snap_workers, slack)
-        .batch_size(snap_batch)
-        .build(&registry)
-        .expect("reference session builds")
-        .run(&events);
-
-    let mut session = builder_for(&query, snap_workers, slack)
-        .batch_size(snap_batch)
-        .build(&registry)
-        .expect("prefix session builds");
-    let mut collected: Vec<TaggedResult> = Vec::new();
-    for e in &events[..split] {
-        session.process(e);
-        session.drain_into(&mut collected);
-    }
-    let mut snap = Vec::new();
-    session.checkpoint(&mut snap).expect("checkpoint");
-    drop(session);
-
-    let mut restored = Session::builder()
-        .workers(restore_workers)
-        .batch_size(restore_batch)
-        .restore(&registry, snap.as_slice())
-        .unwrap_or_else(|e| panic!("restore failed ({label}): {e}"));
-    for e in &events[split..] {
-        restored.process(e);
-        restored.drain_into(&mut collected);
-    }
-    restored.finish_into(&mut collected);
-    let stats = restored.run_stats();
-    let late = restored.late_events();
-
-    let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); reference.per_query.len()];
-    for t in collected {
-        per_query[t.query].push(t.result);
-    }
-    for results in &mut per_query {
-        WindowResult::sort(results);
-    }
-
-    assert_eq!(per_query, reference.per_query, "results differ ({label})");
-    assert_eq!(late, reference.late_events, "late drops differ ({label})");
-    // Routed (event, engine) pairs are identical on both paths, and a
-    // key's lives are a fact about the stream: a restore holds exactly
-    // the partitions the checkpointed session did, so neither moves.
-    assert_eq!(stats, reference.stats, "run stats differ ({label})");
-    (snap.len(), late)
+    let mut ops = chunked(case, 1);
+    ops.truncate(2 * split.min(case.events.len()));
+    ops.push(Op::Restore {
+        workers: widths.1,
+        batch: BATCHES[(seed / 4 % 4) as usize],
+    });
+    model::hold(case, reference, &config, &ops);
 }
 
 #[test]
 fn grid_rescale_round_trips() {
-    // Workload 0 runs the full {1,2,4,8}² rescale grid; the others cover
-    // the interesting corners (scale-up, scale-down, identity, and the
-    // inline↔threaded transitions through width 1).
-    const FULL: [usize; 4] = [1, 2, 4, 8];
+    // The first workload runs the full {1,2,4,8}² rescale grid; the others
+    // cover the interesting corners (scale-up, scale-down, identity, and
+    // the inline↔threaded transitions through width 1).
     let corners: [(usize, usize); 6] = [(1, 4), (4, 1), (2, 8), (8, 2), (1, 1), (8, 8)];
     let mut late_total = 0u64;
-    for wl in 0..5 {
-        let pairs: Vec<(usize, usize)> = if wl == 0 {
-            FULL.iter()
-                .flat_map(|&sw| FULL.iter().map(move |&rw| (sw, rw)))
+    for (i, wl) in ROUND_TRIPPED.into_iter().enumerate() {
+        let pairs: Vec<(usize, usize)> = if i == 0 {
+            WIDTHS
+                .iter()
+                .flat_map(|&sw| WIDTHS.iter().map(move |&rw| (sw, rw)))
                 .collect()
         } else {
             corners.to_vec()
         };
         for slack in [0u64, 8] {
-            for &(sw, rw) in &pairs {
-                let label = format!("grid wl={wl} {sw}→{rw} slack={slack}");
-                late_total += watchdog(&label.clone(), move || {
-                    split_case(wl, 11, 320, sw, rw, slack, 140).1
-                });
-            }
+            let pairs = pairs.clone();
+            late_total += watchdog("a grid row", move || {
+                let (case, reference) = prepared(wl, 11, 320, slack);
+                for widths in pairs {
+                    split_case(&case, &reference, 11, widths, 140);
+                }
+                reference.late
+            });
         }
     }
     // The slack axis must have exercised real drops, or the late-drop
-    // parity assertions above were vacuous.
+    // parity was vacuous.
     assert!(late_total > 0, "the jittered grid cases dropped no events");
 }
 
@@ -253,15 +101,15 @@ fn edge_splits_round_trip() {
     // split = 0: the snapshot captures a virgin session (with slack, an
     // empty reorder buffer). split = n: the whole stream is inside the
     // snapshot and the restored session only has to finish.
-    for (sw, rw) in [(1usize, 4usize), (4, 2)] {
-        for slack in [0u64, 8] {
-            for split in [0usize, 200] {
-                let label = format!("edge {sw}→{rw} slack={slack} split={split}");
-                watchdog(&label.clone(), move || {
-                    split_case(1, 5, 200, sw, rw, slack, split);
-                });
+    for slack in [0u64, 8] {
+        watchdog("the edge splits", move || {
+            let (case, reference) = prepared(RIDESHARE, 5, 200, slack);
+            for widths in [(1usize, 4usize), (4, 2)] {
+                for split in [0usize, 200] {
+                    split_case(&case, &reference, 5, widths, split);
+                }
             }
-        }
+        });
     }
 }
 
@@ -270,59 +118,26 @@ fn chained_checkpoints_round_trip() {
     // A restore of a restore: the stream crosses several snapshots, each
     // resuming at a different width. Proves restored sessions checkpoint
     // as well as built ones.
-    fn chain(wl: usize, widths: &[usize], slack: u64) {
-        let n = 360;
-        let (registry, query, events) = workload(wl, 13, n);
-        let events = if slack > 0 {
-            jitter(events, slack + 4, 0x51ac)
-        } else {
-            events
+    fn chain(wl: usize, widths: &'static [usize], slack: u64) {
+        let case = disordered(wl, 13, 360, slack);
+        let legs = |case: &Case| {
+            let leg = case.events.len() / widths.len();
+            let hop = |&workers| {
+                [
+                    Op::Ingest(leg),
+                    Op::Drain,
+                    Op::Restore {
+                        workers,
+                        batch: 512,
+                    },
+                ]
+            };
+            widths[1..].iter().flat_map(hop).collect()
         };
-        let reference = builder_for(&query, widths[0], slack)
-            .build(&registry)
-            .expect("reference builds")
-            .run(&events);
-
-        let mut collected: Vec<TaggedResult> = Vec::new();
-        let mut session = builder_for(&query, widths[0], slack)
-            .build(&registry)
-            .expect("first session builds");
-        let cut = events.len() / widths.len();
-        for (leg, width) in widths.iter().enumerate().skip(1) {
-            for e in &events[(leg - 1) * cut..leg * cut] {
-                session.process(e);
-                session.drain_into(&mut collected);
-            }
-            let mut snap = Vec::new();
-            session.checkpoint(&mut snap).expect("checkpoint");
-            session = Session::builder()
-                .workers(*width)
-                .restore(&registry, snap.as_slice())
-                .unwrap_or_else(|e| panic!("leg {leg} restore: {e}"));
-        }
-        for e in &events[(widths.len() - 1) * cut..] {
-            session.process(e);
-            session.drain_into(&mut collected);
-        }
-        session.finish_into(&mut collected);
-
-        let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); reference.per_query.len()];
-        for t in collected {
-            per_query[t.query].push(t.result);
-        }
-        for results in &mut per_query {
-            WindowResult::sort(results);
-        }
-        let label = format!("chain wl={wl} widths={widths:?} slack={slack}");
-        assert_eq!(per_query, reference.per_query, "results differ ({label})");
-        assert_eq!(
-            session.late_events(),
-            reference.late_events,
-            "late drops differ ({label})"
-        );
+        sweep(&case, [Config::workers(widths[0])], legs);
     }
-    watchdog("chain-wide", || chain(0, &[4, 1, 8, 2], 0));
-    watchdog("chain-slack", || chain(2, &[1, 4, 2], 8));
+    watchdog("chain-wide", || chain(STOCK_MIXED, &[4, 1, 8, 2], 0));
+    watchdog("chain-slack", || chain(TRANSPORT, &[1, 4, 2], 8));
 }
 
 proptest! {
@@ -337,179 +152,42 @@ proptest! {
         n in 120usize..420,
         split_pct in 0usize..101,
     ) {
-        let sw = [1, 2, 4, 8][pair_idx / 4];
-        let rw = [1, 2, 4, 8][pair_idx % 4];
+        let widths = (WIDTHS[pair_idx / 4], WIDTHS[pair_idx % 4]);
         let slack = [0u64, 8][slack_idx];
-        let split = n * split_pct / 100;
-        let label = format!("prop wl={wl} {sw}→{rw} slack={slack} seed={seed} split={split}");
-        watchdog(&label.clone(), move || {
-            split_case(wl, seed, n, sw, rw, slack, split);
+        watchdog("a random split", move || {
+            let (case, reference) = prepared(ROUND_TRIPPED[wl], seed, n, slack);
+            split_case(&case, &reference, seed, widths, n * split_pct / 100);
         });
     }
-}
-
-/// Collect pushed rows until `EOS` *or* the connection drops — the
-/// kill-and-resume test hard-stops the first server mid-stream, so its
-/// subscriber ends on a reset, not an `EOS`.
-fn collect_rows(subscription: Subscription) -> Vec<String> {
-    let mut rows = Vec::new();
-    for item in subscription {
-        match item {
-            Ok((q, row)) => rows.push(format!("q{q} {row}")),
-            Err(_) => break,
-        }
-    }
-    rows
 }
 
 #[test]
 fn server_kill_and_resume_equals_uninterrupted() {
     watchdog("kill-and-resume", || {
-        let slack = 8u64;
-        let (registry, query, events) = workload(0, 21, 320);
-        let events = jitter(events, slack + 4, 0x5eed);
-        let reference = builder_for(&query, 4, slack)
-            .build(&registry)
-            .expect("reference builds")
-            .run(&events);
-        let mut expected: Vec<String> = reference
-            .per_query
-            .iter()
-            .enumerate()
-            .flat_map(|(q, results)| results.iter().map(move |r| format!("q{q} {r}")))
-            .collect();
-        expected.sort();
-
-        let split = events.len() / 2;
-        let head = write_events(&events[..split], &registry);
-        let tail = write_events(&events[split..], &registry);
-        let snap = temp_path("resume");
-
-        // Server 1: ingest the prefix, SNAPSHOT, hard stop — no FINISH,
-        // so open windows are *not* force-closed; they live in the file.
-        let server = Server::spawn(
-            builder_for(&query, 4, slack),
-            registry.clone(),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .expect("server 1 starts");
-        let addr = server.local_addr();
-        let subscription = Client::connect(addr)
-            .expect("subscriber 1 connects")
-            .subscribe(None)
-            .expect("subscribe io")
-            .expect("subscribe accepted");
-        let collector = std::thread::spawn(move || collect_rows(subscription));
-        let mut feed = Client::connect(addr).expect("feed 1 connects");
-        feed.replay_csv(&head, 64).expect("io").expect("ingest ok");
-        feed.drain().expect("io").expect("drain ok");
-        feed.snapshot(&snap).expect("io").expect("snapshot ok");
-        server.shutdown();
-        let mut rows = collector.join().expect("subscriber 1 joins");
-
-        // Server 2: resume from the file at a different width, replay the
-        // suffix, FINISH for real.
-        let server = Server::spawn_restored(
-            Session::builder().workers(2),
-            registry.clone(),
-            &*snap,
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        )
-        .expect("server 2 restores");
-        let addr = server.local_addr();
-        let subscription = Client::connect(addr)
-            .expect("subscriber 2 connects")
-            .subscribe(None)
-            .expect("subscribe io")
-            .expect("subscribe accepted");
-        let collector = std::thread::spawn(move || collect_rows(subscription));
-        let mut feed = Client::connect(addr).expect("feed 2 connects");
-        feed.replay_csv(&tail, 64).expect("io").expect("ingest ok");
-        let finish = feed.finish().expect("io").expect("finish ok");
-        rows.extend(collector.join().expect("subscriber 2 joins"));
-        server.shutdown();
-        std::fs::remove_file(&snap).ok();
-
-        rows.sort();
-        assert_eq!(rows, expected, "prefix + resumed rows ≠ uninterrupted run");
-        // The reorderer's late counter crossed the restart inside the
-        // snapshot: the resumed server reports the *stream-wide* total.
-        assert_eq!(
-            finish.late, reference.late_events,
-            "late drops lost across the restart"
-        );
-        assert_eq!(finish.workers, 2, "resume did not rescale to 2 workers");
-        assert!(finish.finished);
-        assert!(
-            !rows.is_empty(),
-            "battery bug: the split emitted nothing before the kill"
-        );
+        // Server 1 (4 workers, slack 8): ingest the prefix, SNAPSHOT, hard
+        // stop — no FINISH, so open windows are *not* force-closed; they
+        // live in the file. Server 2: resume from the file at 2 workers,
+        // replay the suffix, FINISH for real. The two subscribers' rows
+        // concatenate to the reference, the late counter crossed the
+        // restart inside the snapshot, and FINISH reports 2 workers.
+        let case = workload(STOCK_MIXED, 21, 320).jittered(8, 0x5eed);
+        let config = Config {
+            transport: Transport::Socket(64),
+            ..Config::workers(4)
+        };
+        let ops = [
+            Op::Ingest(case.events.len() / 2),
+            Op::Drain,
+            Op::Restore {
+                workers: 2,
+                batch: 512,
+            },
+        ];
+        let reference = Reference::of(&case).expect("COGRA takes the query");
+        let run = model::hold(&case, &reference, &config, &ops);
+        assert!(run.live > 0, "the split emitted nothing before the kill");
+        assert!(reference.late > 0, "the jitter dropped nothing");
     });
-}
-
-/// One corruption case: damage a valid snapshot with `damage`, then
-/// assert the CLI (`--restore`) and the server (`spawn_restored`) report
-/// the *identical* `{path}: {CheckpointError}` text.
-fn pin_corruption_case(
-    tag: &str,
-    valid: &[u8],
-    registry: &TypeRegistry,
-    schema_path: &str,
-    events_path: &str,
-    damage: impl FnOnce(&mut Vec<u8>),
-    expect_contains: &str,
-) {
-    let mut bytes = valid.to_vec();
-    damage(&mut bytes);
-    let snap = temp_path(tag);
-    std::fs::write(&snap, &bytes).expect("write damaged snapshot");
-
-    // Server side: the typed error, displayed exactly as the ERR payload.
-    let server_err = match Server::spawn_restored(
-        Session::builder(),
-        registry.clone(),
-        &*snap,
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    ) {
-        Err(e) => e.to_string(),
-        Ok(_) => panic!("{tag}: server restored a damaged snapshot"),
-    };
-    assert!(
-        server_err.contains(expect_contains),
-        "{tag}: server error `{server_err}` does not mention `{expect_contains}`"
-    );
-    assert!(
-        server_err.starts_with(&snap),
-        "{tag}: server error `{server_err}` is not `{{path}}: …`"
-    );
-
-    // CLI side: `error: {path}: {display}` on stderr, nonzero exit.
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-        .args([
-            "--schema",
-            schema_path,
-            "--events",
-            events_path,
-            "--restore",
-            &snap,
-        ])
-        .output()
-        .expect("cogra-run executes");
-    assert!(!output.status.success(), "{tag}: CLI exited 0");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    let cli_line = stderr
-        .lines()
-        .find(|l| l.starts_with("error: "))
-        .unwrap_or_else(|| panic!("{tag}: no `error:` line in CLI stderr `{stderr}`"));
-    assert_eq!(
-        cli_line,
-        format!("error: {server_err}"),
-        "{tag}: CLI and server disagree on the error text"
-    );
-    std::fs::remove_file(&snap).ok();
 }
 
 #[test]
@@ -536,61 +214,70 @@ fn corrupt_snapshot_errors_pin_cli_and_server() {
 
         // The CLI needs a schema and an events file; the restore error
         // fires before either stream row is parsed.
-        let schema_path = temp_path("schema");
-        let events_path = temp_path("events");
-        std::fs::write(&schema_path, "T,g,int\nT,v,int\n").expect("write schema");
-        std::fs::write(&events_path, write_events(&events, &registry)).expect("write events");
+        let stream = write_events(&events, &registry);
+        let files = Fixture::new("corrupt", "T,g,int\nT,v,int\n", query, stream.as_bytes());
+        type Damage = Box<dyn Fn(&mut Vec<u8>)>;
+        let version =
+            |v: u32| -> Damage { Box::new(move |b| b[8..12].copy_from_slice(&v.to_le_bytes())) };
+        let classes: [(&str, Damage, &str); 5] = [
+            (
+                "bad-magic",
+                Box::new(|b| b[0] ^= 0xff),
+                "not a cogra snapshot",
+            ),
+            ("retired-version", version(1), "older than supported"),
+            ("future-version", version(99), "newer than supported"),
+            (
+                "truncated",
+                Box::new(|b| b.truncate(b.len() / 2)),
+                "truncated",
+            ),
+            (
+                "checksum",
+                Box::new(|b| *b.last_mut().unwrap() ^= 0xff),
+                "checksum mismatch",
+            ),
+        ];
+        // Every class: the CLI (`--restore`) and the server
+        // (`spawn_restored`) report the *identical* `{path}: {error}` text.
+        for (tag, damage, expected) in classes {
+            let mut bytes = valid.clone();
+            damage(&mut bytes);
+            let snap = files.path(tag);
+            std::fs::write(&snap, &bytes).expect("write damaged snapshot");
 
-        pin_corruption_case(
-            "bad-magic",
-            &valid,
-            &registry,
-            &schema_path,
-            &events_path,
-            |b| b[0] ^= 0xff,
-            "not a cogra snapshot",
-        );
-        pin_corruption_case(
-            "retired-version",
-            &valid,
-            &registry,
-            &schema_path,
-            &events_path,
-            |b| b[8..12].copy_from_slice(&1u32.to_le_bytes()),
-            "older than supported",
-        );
-        pin_corruption_case(
-            "future-version",
-            &valid,
-            &registry,
-            &schema_path,
-            &events_path,
-            |b| b[8..12].copy_from_slice(&99u32.to_le_bytes()),
-            "newer than supported",
-        );
-        let half = valid.len() / 2;
-        pin_corruption_case(
-            "truncated",
-            &valid,
-            &registry,
-            &schema_path,
-            &events_path,
-            move |b| b.truncate(half),
-            "truncated",
-        );
-        let last = valid.len() - 1;
-        pin_corruption_case(
-            "checksum",
-            &valid,
-            &registry,
-            &schema_path,
-            &events_path,
-            move |b| b[last] ^= 0xff,
-            "checksum mismatch",
-        );
+            // Server side: the typed error, displayed exactly as the ERR
+            // payload.
+            let server_err = match Server::spawn_restored(
+                Session::builder(),
+                registry.clone(),
+                &*snap,
+                "127.0.0.1:0",
+                ServerConfig::default(),
+            ) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("{tag}: server restored a damaged snapshot"),
+            };
+            assert!(
+                server_err.contains(expected) && server_err.starts_with(&snap),
+                "{tag}: server error `{server_err}` is not `{snap}: …{expected}…`"
+            );
 
-        std::fs::remove_file(&schema_path).ok();
-        std::fs::remove_file(&events_path).ok();
+            // CLI side: `error: {path}: {display}` on stderr, nonzero exit.
+            let output = files
+                .cogra_run(None)
+                .args(["--events", &files.path("stream.csv"), "--restore", &snap])
+                .output()
+                .expect("cogra-run executes");
+            assert!(!output.status.success(), "{tag}: CLI exited 0");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            let cli_line = stderr.lines().find(|l| l.starts_with("error: "));
+            assert_eq!(
+                cli_line,
+                Some(format!("error: {server_err}").as_str()),
+                "{tag}: CLI and server disagree on the error text ({stderr})"
+            );
+        }
     });
 }
 
@@ -630,8 +317,14 @@ fn rewrite_section(snapshot: &[u8], name: &str, edit: impl Fn(&[u8]) -> Vec<u8>)
 fn damaged_entries(damage: impl Fn(&mut Vec<Vec<u8>>)) -> (TypeRegistry, Vec<u8>, Vec<u8>) {
     use cogra::engine::RouterState;
     use cogra_checkpoint::{Dec, Enc};
-    let (registry, query, events) = workload(4, 5, 120);
-    let mut session = builder_for(&query, 1, 0)
+    let Case {
+        registry,
+        roster,
+        events,
+        ..
+    } = workload(CHURN, 5, 120);
+    let mut session = Session::builder()
+        .query(roster[0].0.as_str())
         .build(&registry)
         .expect("session builds");
     for e in &events {
@@ -737,12 +430,16 @@ fn reorder_section_has_one_shape_at_every_width() {
         // count, the admission gate and the in-flight events are the same
         // stream state, so the snapshot's `reorder` section must be the
         // same bytes — there is no per-width style to migrate between.
-        let (registry, query, events) = workload(0, 17, 200);
-        let events = jitter(events, 12, 0xa11);
+        let case = workload(STOCK_MIXED, 17, 200);
+        let (registry, query) = (&case.registry, case.roster[0].0.as_str());
+        let events = jitter(case.events.clone(), 12, 0xa11);
         let mut sections: Vec<Vec<u8>> = Vec::new();
         for workers in [1usize, 2, 4] {
-            let mut session = builder_for(&query, workers, 8)
-                .build(&registry)
+            let mut session = Session::builder()
+                .query(query)
+                .workers(workers)
+                .slack(8)
+                .build(registry)
                 .expect("session builds");
             let mut sink: Vec<TaggedResult> = Vec::new();
             for e in &events[..150] {
@@ -770,9 +467,12 @@ fn version_1_snapshots_are_rejected_typed() {
     // Format 2 retired the style-tagged reorder section and the guarded
     // config tail: a v1 file must fail on its header with the version
     // error, not somewhere inside a section as `Corrupt`.
-    let (registry, query, _) = workload(0, 3, 1);
+    let case = workload(STOCK_MIXED, 3, 1);
+    let registry = case.registry;
     let mut snap = Vec::new();
-    builder_for(&query, 1, 8)
+    Session::builder()
+        .query(case.roster[0].0.as_str())
+        .slack(8)
         .build(&registry)
         .expect("session builds")
         .checkpoint(&mut snap)

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `cogra-run` CLI: schema + CSV stream + query
 //! file in, window results out.
 
-use std::path::PathBuf;
+mod common;
+
+use common::{Fixture, Raw};
 use std::process::Command;
 
 const SCHEMA: &str = "type,attr,kind\n\
@@ -28,52 +30,21 @@ const STREAM: &str = "type,time,patient,activity,rate\n\
                       Measurement,7,8,passive,70\n\
                       Measurement,8,8,passive,75\n";
 
-struct Fixture {
-    dir: PathBuf,
+/// The fixture every test runs over: the schema, query and stream above.
+fn fixture(name: &str) -> Fixture {
+    Fixture::new(&format!("cli-{name}"), SCHEMA, QUERY, STREAM.as_bytes())
 }
 
-impl Fixture {
-    fn new(name: &str) -> Fixture {
-        let dir = std::env::temp_dir().join(format!("cogra-cli-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("schema.csv"), SCHEMA).unwrap();
-        std::fs::write(dir.join("query.cep"), QUERY).unwrap();
-        std::fs::write(dir.join("stream.csv"), STREAM).unwrap();
-        Fixture { dir }
-    }
-
-    /// `cogra-run` over the fixture's schema, stream and query.
-    fn command(&self) -> Command {
-        let mut command = Command::new(env!("CARGO_BIN_EXE_cogra-run"));
-        command
-            .arg("--schema")
-            .arg(self.dir.join("schema.csv"))
-            .arg("--events")
-            .arg(self.dir.join("stream.csv"))
-            .arg("--query")
-            .arg(self.dir.join("query.cep"));
-        command
-    }
-
-    fn run(&self, extra: &[&str]) -> (bool, String, String) {
-        let out = self.command().args(extra).output().expect("binary runs");
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    }
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
+/// `cogra-run serve` over the fixture's schema and query.
+fn serve(f: &Fixture) -> Command {
+    let mut command = f.cogra_run(Some("serve"));
+    command.args(["--query", &f.path("query.cep")]);
+    command
 }
 
 #[test]
 fn q1_over_csv_with_reordering() {
-    let f = Fixture::new("reorder");
+    let f = fixture("reorder");
     let (ok, stdout, stderr) = f.run(&["--slack", "3"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("w0 [7] → 9 60.0000 66.0000"), "{stdout}");
@@ -82,7 +53,7 @@ fn q1_over_csv_with_reordering() {
 
 #[test]
 fn disordered_input_rejected_without_slack() {
-    let f = Fixture::new("strict");
+    let f = fixture("strict");
     let (ok, _, stderr) = f.run(&[]);
     assert!(!ok);
     assert!(stderr.contains("--slack"), "{stderr}");
@@ -90,7 +61,7 @@ fn disordered_input_rejected_without_slack() {
 
 #[test]
 fn engines_agree_through_the_cli() {
-    let f = Fixture::new("engines");
+    let f = fixture("engines");
     let (ok, cogra_out, _) = f.run(&["--slack", "3", "--engine", "cogra"]);
     assert!(ok);
     for engine in ["sase", "oracle"] {
@@ -102,7 +73,7 @@ fn engines_agree_through_the_cli() {
 
 #[test]
 fn unsupported_engine_fails_cleanly() {
-    let f = Fixture::new("unsupported");
+    let f = fixture("unsupported");
     // GRETA cannot run a contiguous-semantics query (Table 9).
     let (ok, _, stderr) = f.run(&["--slack", "3", "--engine", "greta"]);
     assert!(!ok);
@@ -111,7 +82,7 @@ fn unsupported_engine_fails_cleanly() {
 
 #[test]
 fn explain_and_dot_render() {
-    let f = Fixture::new("explain");
+    let f = fixture("explain");
     let (ok, _, stderr) = f.run(&["--slack", "3", "--explain"]);
     assert!(ok);
     assert!(stderr.contains("granularity: pattern"), "{stderr}");
@@ -124,7 +95,7 @@ fn explain_and_dot_render() {
 fn workers_report_effective_shard_count() {
     // The fixture query groups by patient, so all requested shards are
     // usable — the summary reports the requested count.
-    let f = Fixture::new("workers");
+    let f = fixture("workers");
     let (ok, grouped_out, stderr) = f.run(&["--slack", "3", "--workers", "2"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stderr.contains("2 workers"), "{stderr}");
@@ -135,7 +106,7 @@ fn workers_report_effective_shard_count() {
     );
 
     // A query with no GROUP-BY cannot shard: requested 4, effective 1.
-    let f = Fixture::new("workers-nogroup");
+    let f = fixture("workers-nogroup");
     std::fs::write(
         f.dir.join("query.cep"),
         "RETURN COUNT(*) PATTERN Measurement M+ SEMANTICS skip-till-any-match \
@@ -151,9 +122,11 @@ fn workers_report_effective_shard_count() {
 fn absurd_worker_count_is_a_typed_error_not_an_abort() {
     // 20000 threads is more than the OS grants: spawning them used to
     // panic inside a panic and abort the process (SIGABRT, no exit code).
-    let f = Fixture::new("too-wide");
+    let f = fixture("too-wide");
     let out = f
-        .command()
+        .cogra_run(None)
+        .args(["--events", &f.path("stream.csv")])
+        .args(["--query", &f.path("query.cep")])
         .args(["--slack", "3", "--workers", "20000"])
         .output()
         .expect("binary runs");
@@ -168,35 +141,13 @@ fn absurd_worker_count_is_a_typed_error_not_an_abort() {
 
 #[test]
 fn serve_and_connect_round_trip() {
-    use std::io::BufRead;
-    use std::process::Stdio;
-
-    let f = Fixture::new("serve");
+    let f = fixture("serve");
     // The reference: the plain run mode over the same inputs.
     let (ok, local_out, stderr) = f.run(&["--slack", "3"]);
     assert!(ok, "stderr: {stderr}");
 
     // Serve the same session on an ephemeral loopback port...
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-        .arg("serve")
-        .arg("--schema")
-        .arg(f.dir.join("schema.csv"))
-        .arg("--query")
-        .arg(f.dir.join("query.cep"))
-        .args(["--slack", "3", "--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve starts");
-    let mut port_line = String::new();
-    std::io::BufReader::new(serve.stdout.take().expect("piped stdout"))
-        .read_line(&mut port_line)
-        .expect("serve prints its address");
-    let addr = port_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected serve handshake `{port_line}`"))
-        .to_string();
+    let (mut serve, addr) = spawn_serve(&f, "127.0.0.1:0", &[]);
 
     // ...and replay the recorded stream into it with the connect mode.
     let connect = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
@@ -212,11 +163,6 @@ fn serve_and_connect_round_trip() {
 
     // Results are pushed in emission order; the run mode prints them
     // sorted — the sorted line sets must be identical.
-    let sort = |s: &str| {
-        let mut lines: Vec<String> = s.lines().map(str::to_string).collect();
-        lines.sort();
-        lines
-    };
     let remote_out = String::from_utf8_lossy(&connect.stdout).into_owned();
     assert_eq!(sort(&remote_out), sort(&local_out), "socket vs in-process");
     assert!(
@@ -231,13 +177,8 @@ fn serve_and_connect_round_trip() {
 
 #[test]
 fn serve_refuses_nonlocal_listen() {
-    let f = Fixture::new("serve-guard");
-    let out = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-        .arg("serve")
-        .arg("--schema")
-        .arg(f.dir.join("schema.csv"))
-        .arg("--query")
-        .arg(f.dir.join("query.cep"))
+    let f = fixture("serve-guard");
+    let out = serve(&f)
         .args(["--listen", "0.0.0.0:0"])
         .output()
         .expect("binary runs");
@@ -246,18 +187,20 @@ fn serve_refuses_nonlocal_listen() {
     assert!(stderr.contains("non-loopback"), "{stderr}");
 }
 
+/// The lines of `s`, sorted.
+fn sort(s: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = s.lines().collect();
+    lines.sort();
+    lines
+}
+
 /// Spawn `cogra-run serve` over the fixture's schema/query on `listen`,
 /// returning the child and the address it actually bound (parsed from
 /// the `listening on …` handshake line).
 fn spawn_serve(f: &Fixture, listen: &str, extra: &[&str]) -> (std::process::Child, String) {
     use std::io::BufRead;
     use std::process::Stdio;
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-        .arg("serve")
-        .arg("--schema")
-        .arg(f.dir.join("schema.csv"))
-        .arg("--query")
-        .arg(f.dir.join("query.cep"))
+    let mut serve = serve(f)
         .args(["--slack", "3", "--listen", listen])
         .args(extra)
         .stdout(Stdio::piped())
@@ -283,7 +226,7 @@ fn spawn_serve(f: &Fixture, listen: &str, extra: &[&str]) -> (std::process::Chil
 fn connect_retries_until_the_server_is_up() {
     use std::process::Stdio;
 
-    let f = Fixture::new("retry");
+    let f = fixture("retry");
     let (ok, local_out, stderr) = f.run(&["--slack", "3"]);
     assert!(ok, "stderr: {stderr}");
 
@@ -310,11 +253,6 @@ fn connect_retries_until_the_server_is_up() {
     let out = connect.wait_with_output().expect("connect finishes");
     let connect_err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(out.status.success(), "stderr: {connect_err}");
-    let sort = |s: &str| {
-        let mut lines: Vec<String> = s.lines().map(str::to_string).collect();
-        lines.sort();
-        lines
-    };
     let remote_out = String::from_utf8_lossy(&out.stdout).into_owned();
     assert_eq!(sort(&remote_out), sort(&local_out), "retried run diverged");
     assert!(serve.wait().expect("serve exits after FINISH").success());
@@ -325,16 +263,12 @@ fn connect_retries_until_the_server_is_up() {
 /// pinning a thread on a dead client forever.
 #[test]
 fn serve_read_timeout_disconnects_silent_clients() {
-    use std::io::BufRead;
-
-    let f = Fixture::new("read-timeout");
+    let f = fixture("read-timeout");
     let (mut serve, addr) = spawn_serve(&f, "127.0.0.1:0", &["--read-timeout", "0.3"]);
 
     // A silent client: connect, say nothing, wait for the verdict.
-    let stream = std::net::TcpStream::connect(&addr).expect("server reachable");
-    let mut line = String::new();
-    std::io::BufReader::new(stream)
-        .read_line(&mut line)
+    let line = Raw::connect(&addr)
+        .reply()
         .expect("server replies before closing");
     assert_eq!(line.trim(), "ERR idle connection timed out", "{line}");
 
@@ -348,9 +282,9 @@ fn serve_read_timeout_disconnects_silent_clients() {
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_snapshots_and_exits_cleanly() {
-    use std::io::{BufRead, BufReader, Read as _, Write as _};
+    use std::io::Read as _;
 
-    let f = Fixture::new("sigterm");
+    let f = fixture("sigterm");
     let (ok, local_out, stderr) = f.run(&["--slack", "3"]);
     assert!(ok, "stderr: {stderr}");
 
@@ -360,14 +294,10 @@ fn sigterm_drains_snapshots_and_exits_cleanly() {
 
     // Ingest the whole stream over a raw connection — no FINISH, the
     // session must still be live when the signal lands.
-    let mut stream = std::net::TcpStream::connect(&addr).expect("server reachable");
-    let lines = STREAM.lines().count();
-    write!(stream, "INGEST {lines}\n{STREAM}").unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut reply = String::new();
-    reader.read_line(&mut reply).unwrap();
+    let mut stream = Raw::connect(&addr);
+    let reply = stream.ask(format!("INGEST {}\n{STREAM}", STREAM.lines().count()));
     assert!(reply.starts_with("OK "), "{reply}");
-    writeln!(stream, "QUIT").unwrap();
+    stream.send("QUIT\n");
     drop(stream);
 
     let term = Command::new("kill")
@@ -392,12 +322,9 @@ fn sigterm_drains_snapshots_and_exits_cleanly() {
     // Nothing was final at the watermark, so the restored session holds
     // every window: a restore + empty tail reprints the whole run.
     std::fs::write(f.dir.join("empty.csv"), "type,time,patient,activity,rate\n").unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-        .arg("--schema")
-        .arg(f.dir.join("schema.csv"))
-        .arg("--events")
-        .arg(f.dir.join("empty.csv"))
-        .args(["--restore", &snap])
+    let out = f
+        .cogra_run(None)
+        .args(["--events", &f.path("empty.csv"), "--restore", &snap])
         .output()
         .expect("restore runs");
     let restore_err = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -415,9 +342,7 @@ fn sigterm_drains_snapshots_and_exits_cleanly() {
 /// its `ERR ` prefix) — both route through the same atomic writer.
 #[test]
 fn snapshot_error_text_matches_between_cli_and_server() {
-    use std::io::{BufRead, BufReader, Write as _};
-
-    let f = Fixture::new("snap-parity");
+    let f = fixture("snap-parity");
     let path = f.dir.join("missing").join("snap.cogra");
     let path = path.to_string_lossy().into_owned();
 
@@ -434,12 +359,7 @@ fn snapshot_error_text_matches_between_cli_and_server() {
     );
 
     let (mut serve, addr) = spawn_serve(&f, "127.0.0.1:0", &[]);
-    let mut stream = std::net::TcpStream::connect(&addr).expect("server reachable");
-    writeln!(stream, "SNAPSHOT {path}").unwrap();
-    let mut reply = String::new();
-    BufReader::new(stream.try_clone().unwrap())
-        .read_line(&mut reply)
-        .unwrap();
+    let reply = Raw::connect(&addr).ask(format!("SNAPSHOT {path}\n"));
     let server_text = reply
         .trim()
         .strip_prefix("ERR ")
@@ -453,10 +373,30 @@ fn snapshot_error_text_matches_between_cli_and_server() {
 
 #[test]
 fn bad_arguments_report_errors() {
-    let out = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-        .arg("--nonsense")
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    // Every mode parses its flags through one cursor: the same three
+    // complaints, whichever loop met the flag.
+    for (args, complaint) in [
+        (&["--nonsense"][..], "unknown argument `--nonsense`"),
+        (&["--workers", "many"], "--workers needs an integer"),
+        (&["--events"], "--events needs a value"),
+        (&["serve", "--listen"], "--listen needs a value"),
+        (
+            &["serve", "--read-timeout", "soon"],
+            "--read-timeout needs a number of seconds",
+        ),
+        (&["connect", "--chunk", "big"], "--chunk needs an integer"),
+        (&["connect", "--retry"], "--retry needs a value"),
+        (
+            &["connect", "--backoff-ms", "-1"],
+            "--backoff-ms needs an integer",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.trim_end(), format!("error: {complaint}"), "{args:?}");
+    }
 }

@@ -11,9 +11,9 @@
 //! rejects *before* the decode path — with its own transport's wording,
 //! since `EventReader` itself only ever sees `&str`).
 
+mod common;
+
 use cogra::prelude::*;
-use std::path::PathBuf;
-use std::process::Command;
 
 const SCHEMA: &str = "type,attr,kind\n\
                       Measurement,patient,int\n\
@@ -74,48 +74,11 @@ fn expected_ingest_error(csv: &str) -> String {
         .to_string()
 }
 
-struct Fixture {
-    dir: PathBuf,
-}
-
-impl Fixture {
-    fn new(name: &str, events: &[u8]) -> Fixture {
-        let dir = std::env::temp_dir().join(format!("cogra-err-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("schema.csv"), SCHEMA).unwrap();
-        std::fs::write(dir.join("query.cep"), QUERY).unwrap();
-        std::fs::write(dir.join("stream.csv"), events).unwrap();
-        Fixture { dir }
-    }
-
-    /// Run the CLI over the fixture; return (success, stderr).
-    fn run_cli(&self) -> (bool, String) {
-        self.run_cli_with(&[])
-    }
-
-    /// Like [`Fixture::run_cli`], with extra flags appended.
-    fn run_cli_with(&self, extra: &[&str]) -> (bool, String) {
-        let out = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
-            .arg("--schema")
-            .arg(self.dir.join("schema.csv"))
-            .arg("--events")
-            .arg(self.dir.join("stream.csv"))
-            .arg("--query")
-            .arg(self.dir.join("query.cep"))
-            .args(extra)
-            .output()
-            .expect("binary runs");
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    }
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
+/// Run the CLI over `events` with `extra` flags; return (success, stderr).
+fn run_cli(name: &str, events: &[u8], extra: &[&str]) -> (bool, String) {
+    let fixture = common::Fixture::new(&format!("err-{name}"), SCHEMA, QUERY, events);
+    let (ok, _, stderr) = fixture.run(extra);
+    (ok, stderr)
 }
 
 /// Send `csv` through a fresh server's INGEST; return the ERR payload.
@@ -144,7 +107,7 @@ fn truncated_row_reports_the_same_error_on_cli_and_server() {
         "{expected}"
     );
 
-    let (ok, stderr) = Fixture::new("truncated", TRUNCATED.as_bytes()).run_cli();
+    let (ok, stderr) = run_cli("truncated", TRUNCATED.as_bytes(), &[]);
     assert!(!ok);
     assert!(
         stderr.contains(&expected),
@@ -155,6 +118,54 @@ fn truncated_row_reports_the_same_error_on_cli_and_server() {
     assert_eq!(server_err, expected, "server vs shared decode path");
 }
 
+/// Ingestion is not transactional: the rows before a bad row are in the
+/// engines, and every counter says so — the server's `STATS events` too,
+/// which used to count only blocks that decoded to the end (and so fell
+/// behind `shards=`, and behind `late=` on a slack session, for good).
+#[test]
+fn rows_before_a_bad_row_are_counted_by_every_surface() {
+    // Three rows, the third late under slack 1 (the second has released
+    // the first), then the truncated row.
+    const BLOCK: &str = "type,time,patient,rate\n\
+                         Measurement,5,7,60\n\
+                         Measurement,9,7,61\n\
+                         Measurement,3,7,62\n\
+                         Measurement,10\n";
+    let builder = || Session::builder().query(QUERY).slack(1);
+
+    // The shared site, as the CLI's `run_csv` error path leaves it.
+    let mut session = builder().build(&registry()).expect("query builds");
+    let expected = session
+        .ingest_csv(BLOCK, &registry())
+        .expect_err("the fourth row is truncated")
+        .to_string();
+    assert_eq!((session.csv_rows(), session.late_events()), (3, 1));
+
+    let server = Server::spawn(
+        builder(),
+        registry(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let err = client.ingest(BLOCK).expect("io").expect_err("truncated");
+    assert_eq!(err, expected);
+    let stats = client.stats().expect("io").expect("stats ok");
+    assert_eq!((stats.events, stats.late), (3, 1), "{stats:?}");
+    // What the shards hold was counted (the row at 9 is still in the
+    // reorder buffer): `events - late`, as `cogra-run connect` prints
+    // it, can no longer underflow or fall behind `shards=`.
+    assert!(stats.events - stats.late >= stats.shard_events.iter().sum::<u64>());
+    // A good block afterwards counts on from there.
+    let report = client
+        .ingest("type,time,patient,rate\nMeasurement,11,7,62\n")
+        .expect("io")
+        .expect("ingest ok");
+    assert_eq!((report.ingested, report.events), (1, 4));
+    server.shutdown();
+}
+
 #[test]
 fn out_of_order_without_slack_reports_the_same_error_on_cli_and_server() {
     let expected = expected_ingest_error(OUT_OF_ORDER);
@@ -163,7 +174,7 @@ fn out_of_order_without_slack_reports_the_same_error_on_cli_and_server() {
         "{expected}"
     );
 
-    let (ok, stderr) = Fixture::new("ooo", OUT_OF_ORDER.as_bytes()).run_cli();
+    let (ok, stderr) = run_cli("ooo", OUT_OF_ORDER.as_bytes(), &[]);
     assert!(!ok);
     assert!(
         stderr.contains(&expected),
@@ -206,8 +217,7 @@ fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
         "{expected}"
     );
 
-    let fixture = Fixture::new("keylimit", THREE_PATIENTS.as_bytes());
-    let (ok, stderr) = fixture.run_cli_with(&["--key-limit", "2"]);
+    let (ok, stderr) = run_cli("keylimit", THREE_PATIENTS.as_bytes(), &["--key-limit", "2"]);
     assert!(!ok);
     assert!(
         stderr.contains(&expected),
@@ -215,13 +225,13 @@ fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
     );
 
     // A limit the stream fits under runs clean on the same fixture.
-    let (ok, stderr) = fixture.run_cli_with(&["--key-limit", "3"]);
+    let (ok, stderr) = run_cli("keylimit", THREE_PATIENTS.as_bytes(), &["--key-limit", "3"]);
     assert!(ok, "cli: {stderr}");
 
     // So does a stream of three patients that holds two at a time: the
     // limit counts keys with a window open, not keys ever seen.
-    let in_turn = Fixture::new("keylimit-in-turn", PATIENTS_IN_TURN.as_bytes());
-    let (ok, stderr) = in_turn.run_cli_with(&["--key-limit", "2"]);
+    let in_turn = PATIENTS_IN_TURN.as_bytes();
+    let (ok, stderr) = run_cli("keylimit-in-turn", in_turn, &["--key-limit", "2"]);
     assert!(ok, "cli: {stderr}");
 
     // Server: the same capped builder behind INGEST answers with the
@@ -268,12 +278,11 @@ fn non_utf8_input_is_rejected_before_the_decode_path() {
     let mut bad = Vec::from("type,time,patient,rate\nMeasurement,1,7,");
     bad.extend_from_slice(&[0xff, 0xfe, b'\n']);
 
-    let (ok, stderr) = Fixture::new("utf8", &bad).run_cli();
+    let (ok, stderr) = run_cli("utf8", &bad, &[]);
     assert!(!ok);
     assert!(stderr.contains("UTF-8"), "cli: {stderr}");
 
     // Server: a raw INGEST block carrying the same bytes.
-    use std::io::{BufRead, BufReader, Write};
     let server = Server::spawn(
         Session::builder().query(QUERY),
         registry(),
@@ -281,14 +290,9 @@ fn non_utf8_input_is_rejected_before_the_decode_path() {
         ServerConfig::default(),
     )
     .expect("server starts");
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connects");
     let mut block = Vec::from("INGEST 2\n");
     block.extend_from_slice(&bad);
-    raw.write_all(&block).expect("write");
-    let mut reply = String::new();
-    BufReader::new(raw.try_clone().expect("clone"))
-        .read_line(&mut reply)
-        .expect("read");
+    let reply = common::Raw::connect(server.local_addr()).ask(block);
     assert!(
         reply.starts_with("ERR") && reply.contains("UTF-8"),
         "server: {reply}"

@@ -169,25 +169,6 @@ proptest! {
         prop_assert_eq!(eager, lazy);
     }
 
-    /// Splitting the stream across parallel workers never changes the
-    /// result (§8 stream partitioning).
-    #[test]
-    fn parallel_execution_is_deterministic(raw in proptest::collection::vec(
-        (any::<bool>(), 0i64..4, 0i64..6), 0..24), workers in 1usize..6) {
-        use cogra::core::{run_parallel, QueryRuntime};
-        use std::sync::Arc;
-        let reg = registry();
-        let events = stream(&raw, &reg);
-        let q = parse(
-            "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
-             GROUP-BY g WITHIN 10 SLIDE 5",
-        ).unwrap();
-        let rt = Arc::new(QueryRuntime::new(compile(&q, &reg).unwrap(), &reg));
-        let base = run_parallel(&rt, &events, 1);
-        let par = run_parallel(&rt, &events, workers);
-        prop_assert_eq!(base.results, par.results);
-    }
-
     /// Prefix monotonicity of COUNT(*) per window under ANY without
     /// negation: feeding more events never lowers an already-closed
     /// window's count — and a closed window's result never changes.

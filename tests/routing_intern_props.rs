@@ -12,6 +12,8 @@
 //! the number of key *lives* the stream holds — a rule on event times
 //! alone, whenever the drains that retire partitions happen to run.
 
+mod common;
+
 use cogra::core::{CograWindow, QueryRuntime};
 use cogra::engine::agg::Cell;
 use cogra::engine::router::WindowAlgo;
@@ -37,27 +39,8 @@ const QUERIES: [&str; 4] = [
     "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY WITHIN 10 SLIDE 5",
 ];
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn registry() -> TypeRegistry {
-    let mut r = TypeRegistry::new();
-    for t in ["A", "B"] {
-        r.register_type(t, vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-    }
-    r
-}
-
-fn build_events(reg: &TypeRegistry, rows: &[(u64, usize, i64, i64)]) -> Vec<Event> {
-    let ids = [reg.id_of("A").unwrap(), reg.id_of("B").unwrap()];
-    let mut builder = EventBuilder::new();
-    let mut t = 1u64;
-    rows.iter()
-        .map(|&(dt, ty, g, v)| {
-            t += dt;
-            builder.event(t, ids[ty], vec![Value::Int(g), Value::Int(v)])
-        })
-        .collect()
-}
+use common::model::WIDTHS as WORKER_COUNTS;
+use common::workloads::{abc_registry as registry, rows_case};
 
 /// The seed router, verbatim: partitions in a `HashMap` keyed by a
 /// freshly materialized `Vec<Value>` per event, windows in a `BTreeMap`
@@ -233,7 +216,7 @@ proptest! {
         query_idx in 0usize..4,
     ) {
         let reg = registry();
-        let events = build_events(&reg, &rows);
+        let events = rows_case(&[], &rows, None).events;
         let query = QUERIES[query_idx];
         let workers = WORKER_COUNTS[worker_idx];
         let expected = reference(query, &reg, &events, 1);
@@ -264,7 +247,7 @@ proptest! {
         // The router rewrite is shared substrate: every baseline engine
         // must still agree with the reference on the common ANY query.
         let reg = registry();
-        let events = build_events(&reg, &rows);
+        let events = rows_case(&[], &rows, None).events;
         let query = QUERIES[0];
         let expected = reference(query, &reg, &events, 1);
         for kind in EngineKind::ALL {
@@ -284,7 +267,7 @@ proptest! {
         chunk in 1usize..30,
     ) {
         let reg = registry();
-        let events = build_events(&reg, &rows);
+        let events = rows_case(&[], &rows, None).events;
         let distinct: std::collections::HashSet<i64> =
             rows.iter().map(|&(_, _, g, _)| g).collect();
         let lives = key_lives(&events, WindowSpec::new(10, 5));
@@ -372,7 +355,7 @@ fn run_stats_surface_through_workers() {
     let rows: Vec<(u64, usize, i64, i64)> = (0..200)
         .map(|i| (1u64, i % 2, (i % 3) as i64, i as i64))
         .collect();
-    let events = build_events(&reg, &rows);
+    let events = rows_case(&[], &rows, None).events;
     for workers in WORKER_COUNTS {
         let run = Session::builder()
             .query(QUERIES[0])

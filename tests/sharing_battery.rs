@@ -1,197 +1,79 @@
-//! Differential battery for the multi-query sharing pass: a session built
-//! with sharing (the default) must be observationally identical to the
-//! same roster with `.sharing(false)` — byte-identical per-query results,
-//! identical late-drop counts, and sane routing stats — across workloads,
-//! worker counts and slack settings. Sharing is an *optimization*; this
-//! battery is the proof that it is never a *semantic* one.
+//! Sharing arms of the model (`tests/common/mod.rs`): a session built
+//! with sharing (the default) and the same roster with `.sharing(false)`
+//! both observe the reference — per-query results, late drops, routing
+//! counters summed over the physical runs — across workloads, worker
+//! counts, slack settings and a restore. Sharing is an *optimization*;
+//! this is the proof that it is never a *semantic* one.
 
-use cogra::prelude::*;
-use cogra::workloads::{activity, rideshare, stock, ActivityConfig, RideshareConfig, StockConfig};
+mod common;
 
-/// One battery case: a roster of queries over a workload.
-struct Case {
-    name: &'static str,
-    registry: TypeRegistry,
-    events: Vec<Event>,
-    queries: Vec<String>,
-    /// The physical run count the roster must collapse to under sharing.
-    physical: usize,
-}
+use common::disorder;
+use common::model::{chunked, sweep, Config, Op};
+use common::workloads::{workload, DUPLICATES, RIDESHARE, STOCK_TYPE};
 
-fn cases() -> Vec<Case> {
-    let stock_events = stock::generate(&StockConfig {
-        events: 240,
-        ..Default::default()
-    });
-    let rideshare_events = rideshare::generate(&RideshareConfig {
-        events: 400,
-        ..Default::default()
-    });
-    let activity_events = activity::generate(&ActivityConfig {
-        events: 300,
-        ..Default::default()
-    });
-    // A renamed-variable duplicate of activity q1: textually different,
-    // same canonical signature — the healthcare-style duplicate roster.
-    let q1 = activity::q1_query(60, 30);
-    let q1_renamed = q1
-        .replace("Measurement M+", "Measurement R+")
-        .replace("NEXT(M)", "NEXT(R)")
-        .replace("M.", "R.");
-    assert_ne!(q1, q1_renamed);
-    vec![
-        Case {
-            name: "stock",
-            registry: stock::registry(),
-            events: stock_events,
-            // Two distinct queries plus a duplicate of the first.
-            queries: vec![
-                stock::q3_query_no_adjacent(60, 30),
-                stock::selectivity_query(60, 30),
-                stock::q3_query_no_adjacent(60, 30),
-            ],
-            physical: 2,
-        },
-        Case {
-            name: "rideshare",
-            registry: rideshare::registry(),
-            events: rideshare_events,
-            queries: vec![rideshare::q2_query(120, 60), rideshare::q2_query(120, 60)],
-            physical: 1,
-        },
-        Case {
-            name: "healthcare-duplicates",
-            registry: activity::registry(),
-            events: activity_events,
-            queries: vec![q1.clone(), q1_renamed, q1],
-            physical: 1,
-        },
-    ]
-}
-
-/// Deterministically disorder a stream: reverse blocks of `block` events.
-fn disorder(events: &[Event], block: usize) -> Vec<Event> {
-    let mut out = Vec::with_capacity(events.len());
-    for chunk in events.chunks(block) {
-        out.extend(chunk.iter().rev().cloned());
-    }
-    out
-}
-
-fn build(case: &Case, workers: usize, slack: u64, sharing: bool) -> Session {
-    let mut b = Session::builder();
-    for q in &case.queries {
-        b = b.query(q.as_str());
-    }
-    if workers > 1 {
-        b = b.workers(workers);
-    }
-    if slack > 0 {
-        b = b.slack(slack);
-    }
-    b.sharing(sharing)
-        .build(&case.registry)
-        .expect("session builds")
-}
+/// The rosters with duplicates, and the physical run count each must
+/// collapse to under sharing: two distinct stock queries plus a duplicate
+/// of the first; the same rideshare query twice; the healthcare query, a
+/// renamed-variable copy and a verbatim one.
+const ROSTERS: [(usize, usize, usize); 3] = [
+    (STOCK_TYPE, 240, 2),
+    (RIDESHARE, 400, 1),
+    (DUPLICATES, 300, 1),
+];
 
 #[test]
 fn shared_and_unshared_sessions_are_byte_identical() {
-    for case in cases() {
+    for (wl, n, physical) in ROSTERS {
         for workers in [1, 4] {
-            for slack in [0, 8] {
-                let stream = if slack > 0 {
-                    disorder(&case.events, 5)
-                } else {
-                    case.events.clone()
-                };
-                let shared = build(&case, workers, slack, true).run(&stream);
-                let unshared = build(&case, workers, slack, false).run(&stream);
-                let label = format!("{} workers={workers} slack={slack}", case.name);
-
-                assert_eq!(
-                    shared.physical, case.physical,
-                    "{label}: sharing must collapse the roster"
-                );
-                assert_eq!(unshared.physical, case.queries.len(), "{label}");
-                assert_eq!(shared.per_query, unshared.per_query, "{label}: results");
-                assert!(
-                    shared.per_query.iter().any(|r| !r.is_empty()),
-                    "{label}: the workload must actually produce results"
-                );
-                assert_eq!(
-                    shared.late_events, unshared.late_events,
-                    "{label}: late drops"
-                );
-                assert_eq!(shared.events, unshared.events, "{label}: ingest counts");
-                // RunStats invariants: every alloc comes from a probe, and
-                // the shared session probes strictly less on a collapsed
-                // roster (fewer engines see the stream).
-                assert!(
-                    shared.stats.key_allocs <= shared.stats.key_probes,
-                    "{label}: allocs exceed probes"
-                );
-                if shared.stats.key_probes > 0 {
-                    assert!(
-                        shared.stats.key_probes < unshared.stats.key_probes,
-                        "{label}: a collapsed roster must probe less \
-                         (shared {} vs unshared {})",
-                        shared.stats.key_probes,
-                        unshared.stats.key_probes
-                    );
+            for slack in [None, Some(8)] {
+                let mut case = workload(wl, 7, n);
+                if slack.is_some() {
+                    case.events = disorder(&case.events, 5);
+                    case.slack = slack;
                 }
+                let configs = [true, false].map(|sharing| Config {
+                    sharing,
+                    ..Config::workers(workers)
+                });
+                let (reference, runs) = sweep(&case, configs, |case| chunked(case, 64));
+                let label = format!("{} workers={workers} slack={slack:?}", case.name);
+                assert!(reference.results() > 0, "{label}: no results");
+                let [shared, unshared] = &runs[..] else {
+                    unreachable!("two configurations")
+                };
+                assert_eq!(
+                    shared.factoring.physical(),
+                    physical,
+                    "{label}: the roster collapses"
+                );
+                assert_eq!(unshared.factoring.physical(), case.roster.len(), "{label}");
+                // A collapsed roster probes strictly less: fewer engines
+                // see the stream.
+                let probes = |run: &common::model::Run| run.observation.stats.key_probes;
+                assert!(probes(shared) < probes(unshared), "{label}: probes");
             }
         }
     }
 }
 
 /// Checkpoint a shared session mid-stream, restore, finish — the restored
-/// session re-derives the fan-out from the stored sharing map and stays
-/// byte-identical to the uninterrupted unshared run.
+/// session re-derives the fan-out from the stored sharing map (the driver
+/// checks the factoring survived) and still observes the reference, which
+/// is unshared by definition.
 #[test]
 fn shared_checkpoint_restore_matches_unshared_run() {
-    for case in cases() {
-        for restore_workers in [1, 4] {
-            let expected = build(&case, 1, 0, false).run(&case.events);
-
-            let split = case.events.len() / 2;
-            let mut session = build(&case, 1, 0, true);
-            let mut collected: Vec<TaggedResult> = Vec::new();
-            for e in &case.events[..split] {
-                session.process(e);
-                session.drain_into(&mut collected);
-            }
-            let mut snap = Vec::new();
-            session.checkpoint(&mut snap).expect("checkpoint");
-            drop(session);
-
-            let mut restored = Session::builder()
-                .workers(restore_workers)
-                .restore(&case.registry, snap.as_slice())
-                .expect("restore");
-            assert_eq!(
-                restored.physical_runs(),
-                case.physical,
-                "{}: restore must keep the factoring",
-                case.name
-            );
-            for e in &case.events[split..] {
-                restored.process(e);
-                restored.drain_into(&mut collected);
-            }
-            restored.finish_into(&mut collected);
-
-            let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); case.queries.len()];
-            for t in collected {
-                per_query[t.query].push(t.result);
-            }
-            for results in &mut per_query {
-                WindowResult::sort(results);
-            }
-            assert_eq!(
-                per_query, expected.per_query,
-                "{} restore_workers={restore_workers}",
-                case.name
-            );
+    for (wl, n, _) in ROSTERS {
+        for workers in [1, 4] {
+            let restored = |case: &common::model::Case| {
+                let mut ops = chunked(case, 1);
+                ops.truncate(n);
+                ops.push(Op::Restore {
+                    workers,
+                    batch: 512,
+                });
+                ops
+            };
+            sweep(&workload(wl, 7, n), [Config::default()], restored);
         }
     }
 }

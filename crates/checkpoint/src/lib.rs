@@ -59,11 +59,16 @@ macro_rules! probe {
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
-/// The snapshot format version this build writes — and the only one it
-/// reads. Version 2 gave the `reorder` section one shape at every worker
-/// count and made the `config` section's `key_limit` and sharing-map
-/// fields unconditional; version 1 is retired, not migrated.
-pub const FORMAT_VERSION: u32 = 2;
+/// The snapshot format version this build writes. Version 3 stamps the
+/// `reorder` section's in-flight events with their arrival order; version
+/// 2 (no stamps: its readers fall back to the order of event ids) gave
+/// that section one shape at every worker count and made the `config`
+/// section's `key_limit` and sharing-map fields unconditional.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// The oldest snapshot format version this build still reads; version 1
+/// is retired, not migrated.
+pub const OLDEST_READABLE_VERSION: u32 = 2;
 
 /// Typed failure of writing or reading a snapshot. Every corruption class
 /// maps to its own variant — restore never panics on bad bytes.
@@ -88,7 +93,8 @@ pub enum CheckpointError {
     RetiredVersion {
         /// Version found in the snapshot header.
         found: u32,
-        /// The version this build reads ([`FORMAT_VERSION`]).
+        /// The oldest version this build reads
+        /// ([`OLDEST_READABLE_VERSION`]).
         supported: u32,
     },
     /// A section's payload does not match its stored checksum.
@@ -440,6 +446,7 @@ pub struct SnapshotReader {
     data: Vec<u8>,
     pos: usize,
     done: bool,
+    version: u32,
 }
 
 impl SnapshotReader {
@@ -463,17 +470,24 @@ impl SnapshotReader {
                 supported: FORMAT_VERSION,
             });
         }
-        if version < FORMAT_VERSION {
+        if version < OLDEST_READABLE_VERSION {
             return Err(CheckpointError::RetiredVersion {
                 found: version,
-                supported: FORMAT_VERSION,
+                supported: OLDEST_READABLE_VERSION,
             });
         }
         Ok(SnapshotReader {
             data,
             pos: MAGIC.len() + 4,
             done: false,
+            version,
         })
+    }
+
+    /// The format version the snapshot was written in: between
+    /// [`OLDEST_READABLE_VERSION`] and [`FORMAT_VERSION`].
+    pub fn version(&self) -> u32 {
+        self.version
     }
 
     fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
@@ -671,7 +685,7 @@ mod tests {
         match SnapshotReader::new(&bytes[..]) {
             Err(CheckpointError::RetiredVersion { found, supported }) => {
                 assert_eq!(found, 1);
-                assert_eq!(supported, FORMAT_VERSION);
+                assert_eq!(supported, OLDEST_READABLE_VERSION);
             }
             other => panic!("expected RetiredVersion, got {other:?}"),
         }

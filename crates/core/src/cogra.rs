@@ -65,12 +65,12 @@ impl WindowAlgo for CograWindow {
         }
     }
 
-    fn reset(&mut self, _rt: &QueryRuntime) {
-        for gran in &mut self.disjuncts {
+    fn reset(&mut self, rt: &QueryRuntime) {
+        for (gran, drt) in self.disjuncts.iter_mut().zip(&rt.disjuncts) {
             match gran {
-                GranWindow::Type(w) => w.reset(),
-                GranWindow::Mixed(w) => w.reset(),
-                GranWindow::Pattern(w) => w.reset(),
+                GranWindow::Type(w) => w.reset(drt),
+                GranWindow::Mixed(w) => w.reset(drt),
+                GranWindow::Pattern(w) => w.reset(drt),
             }
         }
     }
@@ -135,24 +135,24 @@ impl WindowAlgo for CograWindow {
         self.disjuncts.iter().map(GranWindow::audit_bytes).sum()
     }
 
-    fn save(&self, _rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
+    fn save(&self, rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
         enc.usize(self.disjuncts.len());
-        for gran in &self.disjuncts {
+        for (gran, drt) in self.disjuncts.iter().zip(&rt.disjuncts) {
             // Tag each disjunct with its granularity: the restored runtime
             // re-selects the same one, but a mismatched snapshot must fail
             // typed instead of misparsing.
             match gran {
                 GranWindow::Type(w) => {
                     enc.u8(0);
-                    w.save(enc);
+                    w.save(drt, enc);
                 }
                 GranWindow::Mixed(w) => {
                     enc.u8(1);
-                    w.save(enc);
+                    w.save(drt, enc);
                 }
                 GranWindow::Pattern(w) => {
                     enc.u8(2);
-                    w.save(enc);
+                    w.save(drt, enc);
                 }
             }
         }
@@ -280,6 +280,10 @@ impl TrendEngine for CograEngine {
 
     fn key_overflow(&self) -> Option<u32> {
         self.0.key_overflow()
+    }
+
+    fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
+        self.0.accepts(event, key_hash)
     }
 
     fn save_state(&self) -> Result<cogra_engine::RouterState, cogra_checkpoint::CheckpointError> {

@@ -7,7 +7,8 @@
 //! one worker and on worker threads at `n`.
 //!
 //! * [`type_grained`] — Algorithm 1 (ANY, no adjacent predicates): one
-//!   aggregate per event type, O(n·l) time, Θ(l) space;
+//!   aggregate per event type, O(n·l) time, Θ(l) space — one flat table
+//!   of Θ(l) rows per window;
 //! * [`mixed_grained`] — Algorithm 2 (ANY with adjacent predicates):
 //!   aggregates per type for `Tt`, per stored event for `Te`;
 //! * [`pattern_grained`] — Algorithm 3 (NEXT/CONT): only the last matched
@@ -42,9 +43,9 @@ pub use cogra_engine::{agg, engine, output, router, runtime};
 pub use cogra::{CograEngine, CograWindow};
 pub use cogra_checkpoint::CheckpointError;
 pub use cogra_engine::{
-    run_to_completion, AggLayout, AggValue, Cell, DisjunctRuntime, EngineConfig, EventBinds, Feed,
-    GroupKey, KeyInterner, Output, PartitionId, QueryRuntime, Router, RunStats, SlotFunc,
-    TrendEngine, Val, WindowAlgo, WindowResult,
+    run_to_completion, AggLayout, AggValue, Cell, CellTable, DisjunctRuntime, EngineConfig,
+    EventBinds, Feed, GroupKey, KeyInterner, Output, PartitionId, QueryRuntime, Router, RunStats,
+    SlotFunc, TrendEngine, Val, WindowAlgo, WindowResult,
 };
 pub use parallel::{
     FailurePolicy, Metrics, PoolConfig, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE,

@@ -196,13 +196,29 @@ pub(crate) type Engine = Box<dyn TrendEngine + Send>;
 pub struct PoolState {
     /// Per-query engine states, merged across shards.
     pub states: Vec<RouterState>,
-    /// In-flight `(query, event)` items the shard reorder buffers hold.
-    pub buffered: Vec<(u32, Event)>,
+    /// The in-flight items the shard reorder buffers hold.
+    pub buffered: Vec<InFlight>,
+    /// Events admitted so far: the arrival stamp of the latest one.
+    pub arrivals: u64,
     /// The admission gate, verbatim (`None`: no slack).
     pub gate: Option<LateGate>,
     /// The raw stream clock (largest routed event time) — the admission
     /// floor when there is no gate.
     pub clock: Timestamp,
+}
+
+/// One event a shard's reorder buffer holds for one query, as a snapshot
+/// carries it.
+#[derive(Debug, Clone)]
+pub struct InFlight {
+    /// Index of the physical run the event is for.
+    pub query: u32,
+    /// The event's arrival stamp: its position among the events the
+    /// session admitted. Events of one time stamp are released in stamp
+    /// order — arrival order, which NEXT/CONT make observable.
+    pub stamp: u64,
+    /// The event.
+    pub event: Event,
 }
 
 /// One shard's counters, defined once: the `Shard` fills it, a worker's
@@ -251,6 +267,8 @@ struct Item {
     event: Event,
     query: u32,
     key_hash: Option<u64>,
+    /// [`InFlight::stamp`].
+    stamp: u64,
 }
 
 /// One event of a [`Batch`]: an [`Event`] minus its attribute values,
@@ -261,6 +279,8 @@ struct Row {
     time: Timestamp,
     type_id: TypeId,
     attrs_end: usize,
+    /// [`InFlight::stamp`].
+    stamp: u64,
 }
 
 /// One routed item of a [`Batch`]: row `row` is for query `query`, whose
@@ -294,14 +314,15 @@ impl Batch {
         self.routes.clear();
     }
 
-    /// Append `event` as the batch's last row.
-    fn push_row(&mut self, event: &Event) {
+    /// Append `event`, admitted as number `stamp`, as the batch's last row.
+    fn push_row(&mut self, event: &Event, stamp: u64) {
         self.attrs.extend_from_slice(&event.attrs);
         self.rows.push(Row {
             id: event.id,
             time: event.time,
             type_id: event.type_id,
             attrs_end: self.attrs.len(),
+            stamp,
         });
     }
 
@@ -418,7 +439,7 @@ struct ShardSnapshot {
     states: Vec<Option<RouterState>>,
     /// In-flight items still in the shard's reorder buffer, in release
     /// order.
-    buffered: Vec<(u32, Event)>,
+    buffered: Vec<InFlight>,
     /// The shard's ingest counter at snapshot time, so a respawned shard
     /// resumes its accounting instead of restarting from zero.
     events: u64,
@@ -525,7 +546,8 @@ pub struct StreamingPool {
     gate: Option<LateGate>,
     /// Raw stream progress: the largest event time routed so far.
     raw_watermark: Timestamp,
-    /// Events staged so far; stamps [`Lane::last_seq`].
+    /// Events admitted so far — the latest one's arrival stamp
+    /// ([`InFlight::stamp`]); also stamps [`Lane::last_seq`].
     seq: u64,
     /// Reusable round-trip scratch: which shards took the broadcast, and
     /// the replies' results per query.
@@ -587,13 +609,14 @@ impl StreamingPool {
             }));
         }
         let threads = Self::threads_for(&hosted, workers);
-        let (states, buffered, gate, raw_watermark) = match resume {
-            Some(r) => (Some(r.states), r.buffered, r.gate, r.clock),
+        let (states, buffered, gate, raw_watermark, arrivals) = match resume {
+            Some(r) => (Some(r.states), r.buffered, r.gate, r.clock, r.arrivals),
             None => (
                 None,
                 Vec::new(),
                 config.slack.map(LateGate::new),
                 Timestamp::ZERO,
+                0,
             ),
         };
         let shard_states = reshard(&hosted, threads, states)?;
@@ -616,6 +639,29 @@ impl StreamingPool {
         for (index, states) in shard_states.into_iter().enumerate() {
             let engines = shard_engines(&hosted, threads, index, states)?;
             shards.push(Shard::new(engines, config.slack, 0));
+        }
+        // Every in-flight event must fit the engine state it is about to
+        // be re-delivered into — while the engines are still here to ask.
+        for item in &buffered {
+            let fits = hosted.get(item.query as usize).is_some_and(|(_, rt)| {
+                place(rt, item.query as usize, threads, &item.event).is_none_or(
+                    |(shard, key_hash)| {
+                        shards[shard].engines[item.query as usize]
+                            .as_ref()
+                            .expect("an event is placed on a shard that hosts its query")
+                            .accepts(&item.event, key_hash)
+                    },
+                )
+            });
+            if !fits {
+                return Err(OpenError::State(CheckpointError::Corrupt(format!(
+                    "in-flight event {} at {} does not fit the state of run {} of {}",
+                    item.event.id,
+                    item.event.time,
+                    item.query,
+                    hosted.len()
+                ))));
+            }
         }
         let mut workers = Vec::new();
         let inline = if threads == 1 {
@@ -655,15 +701,10 @@ impl StreamingPool {
             finished: false,
             hosted,
         };
-        for (query, event) in buffered {
-            if query as usize >= pool.hosted.len() {
-                return Err(OpenError::State(CheckpointError::Corrupt(format!(
-                    "buffered item references physical run {query} of {}",
-                    pool.hosted.len()
-                ))));
-            }
-            pool.restage(query, event);
+        for item in buffered {
+            pool.restage(item);
         }
+        pool.seq = arrivals;
         Ok(pool)
     }
 
@@ -896,10 +937,11 @@ impl StreamingPool {
     }
 
     /// The shards' collected state plus the pool's own admission clock.
-    fn state_of(&self, states: Vec<RouterState>, buffered: Vec<(u32, Event)>) -> PoolState {
+    fn state_of(&self, states: Vec<RouterState>, buffered: Vec<InFlight>) -> PoolState {
         PoolState {
             states,
             buffered,
+            arrivals: self.seq,
             gate: self.gate.clone(),
             clock: self.raw_watermark,
         }
@@ -1093,10 +1135,10 @@ impl StreamingPool {
         // one batch of their own, then the journal's batches as they were
         // shipped.
         let mut buffered = Batch::default();
-        for (query, event) in &baseline.buffered {
-            if let Some((_, key_hash)) = self.place(*query as usize, event) {
-                buffered.push_row(event);
-                buffered.push_route(*query, key_hash);
+        for item in &baseline.buffered {
+            if let Some((_, key_hash)) = self.place(item.query as usize, &item.event) {
+                buffered.push_row(&item.event, item.stamp);
+                buffered.push_route(item.query, key_hash);
             }
         }
         let mut replay = Vec::with_capacity(self.lanes[shard].shipped.len() + 1);
@@ -1142,14 +1184,7 @@ impl StreamingPool {
     /// which sees the whole stream — including events without a partition
     /// key (the engine drops them itself, exactly like a sequential run).
     fn place(&self, query: usize, event: &Event) -> Option<(usize, Option<u64>)> {
-        let width = self.width();
-        let rt = &self.hosted[query].1;
-        if rt.query.group_prefix > 0 {
-            let (group_hash, key_hash) = rt.route_hashes(event)?;
-            Some((shard_index(group_hash, width), Some(key_hash)))
-        } else {
-            Some((query % width, rt.key_hash(event)))
-        }
+        place(&self.hosted[query].1, query, self.width(), event)
     }
 
     /// Re-deliver one checkpointed in-flight event for one query,
@@ -1157,7 +1192,12 @@ impl StreamingPool {
     /// events were already admitted before the snapshot). Safe to release
     /// early on the new shard: an admitted buffered event's release
     /// threshold never overtakes the gate's `released_to` floor.
-    fn restage(&mut self, query: u32, event: Event) {
+    fn restage(&mut self, item: InFlight) {
+        let InFlight {
+            query,
+            stamp,
+            event,
+        } = item;
         // `None`: unroutable events are never staged.
         if let Some((shard, key_hash)) = self.place(query as usize, &event) {
             if self.inline.is_some() {
@@ -1165,9 +1205,11 @@ impl StreamingPool {
                     event,
                     query,
                     key_hash,
+                    stamp,
                 });
             } else {
-                self.seq += 1;
+                // The event keeps the stamp it was admitted under.
+                self.seq = stamp;
                 self.stage(shard, &event, query, key_hash);
             }
         }
@@ -1187,13 +1229,13 @@ impl StreamingPool {
         if !self.admit(event) {
             return;
         }
+        self.seq += 1;
         if let (Some(shard), None) = (&mut self.inline, &self.gate) {
             return shard.process(event);
         }
         if self.inline.is_some() {
             return self.buffer_inline(event);
         }
-        self.seq += 1;
         for query in 0..self.hosted.len() {
             if let Some((shard, key_hash)) = self.place(query, event) {
                 self.stage(shard, event, query as u32, key_hash);
@@ -1210,6 +1252,7 @@ impl StreamingPool {
                     event: event.clone(),
                     query: query as u32,
                     key_hash,
+                    stamp: self.seq,
                 });
             }
         }
@@ -1257,7 +1300,7 @@ impl StreamingPool {
         self.delivered[shard] += 1;
         let lane = &mut self.lanes[shard];
         if lane.last_seq != self.seq {
-            lane.open.push_row(event);
+            lane.open.push_row(event, self.seq);
             lane.last_seq = self.seq;
         }
         lane.open.push_route(query, key_hash);
@@ -1491,6 +1534,22 @@ fn shard_engines(
         .collect()
 }
 
+/// [`StreamingPool::place`] for a pool of `width` shards, where query
+/// number `query` runs on `rt`.
+fn place(
+    rt: &QueryRuntime,
+    query: usize,
+    width: usize,
+    event: &Event,
+) -> Option<(usize, Option<u64>)> {
+    if rt.query.group_prefix > 0 {
+        let (group_hash, key_hash) = rt.route_hashes(event)?;
+        Some((shard_index(group_hash, width), Some(key_hash)))
+    } else {
+        Some((query % width, rt.key_hash(event)))
+    }
+}
+
 /// One shard: an engine per query it hosts ([`hosts`]), plus the shard's
 /// private reorder buffer under slack. Driven by exactly one caller — a
 /// worker thread's [`shard_loop`], or the pool itself at width 1 — and
@@ -1543,7 +1602,11 @@ impl Shard {
             Some(buffer) => buffer
                 .ordered()
                 .into_iter()
-                .map(|(_, item)| (item.query, item.event.clone()))
+                .map(|(_, item)| InFlight {
+                    query: item.query,
+                    stamp: item.stamp,
+                    event: item.event.clone(),
+                })
                 .collect(),
             None => Vec::new(),
         };
@@ -1728,6 +1791,7 @@ fn ingest_batch(shard: &mut Shard, batch: &Batch, scratch: &mut Event) {
                     event: batch.event(route.row),
                     query: route.query,
                     key_hash: route.key_hash,
+                    stamp: batch.rows[route.row].stamp,
                 });
             } else {
                 if loaded != route.row {
@@ -2009,8 +2073,8 @@ mod tests {
         let engines = shard_engines(&hosted, 1, 0, vec![None]).unwrap();
         let mut shard = Shard::new(engines, None, 0);
         let mut batch = Batch::default();
-        for e in &events {
-            batch.push_row(e);
+        for (i, e) in events.iter().enumerate() {
+            batch.push_row(e, i as u64 + 1);
             batch.push_route(0, rt.key_hash(e));
         }
         let mut scratch = events[0].clone();

@@ -14,9 +14,9 @@
 //! Generalisation beyond the paper's pseudo-code: when one event type
 //! occurs at several pattern positions (§8, e.g. `SEQ(Stock A+, Stock
 //! B+)`), the last matched event may be bound to *several* states, each
-//! with its own partial-trend cell. `el` therefore carries a small
-//! per-state cell table — still O(l) per window, independent of the
-//! number of events, which is what "pattern granularity" promises.
+//! with its own partial-trend aggregates. `el` therefore carries a row per
+//! state — still O(l) per window, independent of the number of events,
+//! which is what "pattern granularity" promises.
 //!
 //! Semantics of unmatched events:
 //! * NEXT — skipped (only *relevant* events must extend the trend);
@@ -26,93 +26,90 @@
 //! Events inside one stream transaction are processed in arrival order;
 //! adjacency additionally requires `el.time < e.time`, so simultaneous
 //! events never chain (Definition 7 condition 2).
+//!
+//! ## What a window holds
+//!
+//! One [`CellTable`] of `2l + 1` rows: two halves of `l` rows — one is
+//! `el`'s partial trends by state (a row's live bit says whether `el` is
+//! bound there), the other the scratch the next matched event's are
+//! computed in, after which the halves trade places — and the final
+//! accumulator. Two event buffers that trade places the same way, and one
+//! [`NegClock`] per negated variable. The scratch half and the scratch
+//! buffer are capacity, not state: they are not counted.
 
-use crate::agg::Cell;
+use crate::agg::{Cell, CellTable};
 use crate::runtime::{DisjunctRuntime, NegClock};
 use cogra_events::{Event, TypeId};
 use cogra_query::{NegId, Semantics, StateId};
 
-/// A matched event with its per-state partial-trend cells.
-#[derive(Debug)]
-struct LastEvent {
-    event: Event,
-    /// `cells[s]` — aggregates of the partial trends ending at this event
-    /// bound to state `s`; `None` when the event is not bound there.
-    cells: Vec<Option<Cell>>,
-}
-
-impl LastEvent {
-    /// Footprint of an unbound slot of the cell table: one word.
-    const UNBOUND_BYTES: usize = 8;
-
-    /// A buffer for a matched event of an `n_states`-state automaton.
-    fn blank(n_states: usize) -> LastEvent {
-        LastEvent {
-            event: Event::new(0, 0, TypeId(0), Vec::new()),
-            cells: vec![None; n_states],
-        }
-    }
-
-    /// Footprint of the event and its cell table.
-    fn memory_bytes(&self) -> usize {
-        self.event.memory_bytes()
-            + self
-                .cells
-                .iter()
-                .map(|c| c.as_ref().map_or(Self::UNBOUND_BYTES, Cell::memory_bytes))
-                .sum::<usize>()
-    }
-}
-
 /// Per-window pattern-grained aggregation state.
 #[derive(Debug)]
 pub struct PatternWindow {
+    /// `el`'s rows, the scratch rows and the final accumulator (see the
+    /// module docs).
+    table: CellTable,
     /// The last matched event `el` — while `el_live`; otherwise a buffer
     /// whose content means nothing.
-    el: LastEvent,
+    el: Event,
     el_live: bool,
-    final_acc: Cell,
+    /// Whether `el`'s rows are the table's second half.
+    el_high: bool,
     neg_clocks: Vec<NegClock>,
     /// The buffer the next matched event is written into, then swapped
     /// with `el`: in steady state a matched event is copied, attribute
-    /// vector and cell table included, without allocating.
-    spare: LastEvent,
-    /// [`LastEvent::memory_bytes`] of `el` (0 while there is none), set
-    /// where `el` is — the only part of [`PatternWindow::memory_bytes`]
-    /// that moves.
+    /// vector included, without allocating.
+    spare: Event,
+    /// Footprint of `el` and its rows (0 while there is none), set where
+    /// `el` is — the only part of [`PatternWindow::memory_bytes`] that
+    /// moves.
     el_bytes: usize,
 }
 
 impl PatternWindow {
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> PatternWindow {
-        PatternWindow::over(
-            rt,
-            rt.zero_cell(),
-            vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
-        )
-    }
-
-    /// A window over the given final aggregate and clocks, with no last
-    /// matched event.
-    fn over(rt: &DisjunctRuntime, final_acc: Cell, neg_clocks: Vec<NegClock>) -> PatternWindow {
-        let n_states = rt.disjunct.automaton.num_states();
+        let blank = || Event::new(0, 0, TypeId(0), Vec::new());
         PatternWindow {
-            el: LastEvent::blank(n_states),
+            table: CellTable::new(&rt.layout, 2 * rt.disjunct.automaton.num_states() + 1),
+            el: blank(),
             el_live: false,
-            final_acc,
-            neg_clocks,
-            spare: LastEvent::blank(n_states),
+            el_high: false,
+            neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
+            spare: blank(),
             el_bytes: 0,
         }
     }
 
     /// Back to the state [`PatternWindow::new`] builds, in place: both
     /// event buffers are kept.
-    pub fn reset(&mut self) {
+    pub fn reset(&mut self, rt: &DisjunctRuntime) {
         self.clear_el();
-        self.final_acc.reset();
+        self.table.reset(&rt.layout, self.final_row());
         self.neg_clocks.fill(NegClock::default());
+    }
+
+    /// States of the automaton: rows per half of the table.
+    fn states(&self) -> usize {
+        self.table.rows() / 2
+    }
+
+    /// The accumulator's row.
+    fn final_row(&self) -> usize {
+        self.table.rows() - 1
+    }
+
+    /// First rows of `el`'s half and of the scratch half.
+    fn halves(&self) -> (usize, usize) {
+        if self.el_high {
+            (self.states(), 0)
+        } else {
+            (0, self.states())
+        }
+    }
+
+    /// Footprint of `el`: the event and its half of the table.
+    fn el_bytes(&self) -> usize {
+        self.el.memory_bytes() + self.table.row_bytes(self.states())
     }
 
     /// Process an event bound to `binds`; `semantics` is NEXT or CONT.
@@ -123,7 +120,7 @@ impl PatternWindow {
         binds: &[StateId],
         semantics: Semantics,
     ) {
-        let d = &rt.disjunct;
+        let (d, layout) = (&rt.disjunct, &rt.layout);
         if binds.is_empty() {
             // Fast path: the event is irrelevant to this disjunct. NEXT
             // skips it; CONT invalidates the open partial trends.
@@ -132,62 +129,63 @@ impl PatternWindow {
             }
             return;
         }
-        let new_cells = &mut self.spare.cells;
-        new_cells.iter_mut().for_each(|c| *c = None);
-        // The table's footprint, kept as slots are bound: measuring it
-        // afterwards would be a second pass over the table per event.
-        let mut table_bytes = LastEvent::UNBOUND_BYTES * new_cells.len();
+        let (el_rows, new_rows) = self.halves();
+        let final_row = self.final_row();
+        // The scratch half still holds the rows of the event before `el`:
+        // all of them dead now, and the ones this event may be bound at
+        // back to the identity. A dead row's words are never read.
+        self.table.clear_live(new_rows..new_rows + self.states());
+        let chains = self.el_live && self.el.time < event.time;
         let mut matched = false;
         for &s in binds {
-            let mut cell = rt.zero_cell();
+            let row = new_rows + s.index();
+            self.table.reset(layout, row);
             if rt.is_start(s) {
-                cell.start_trend();
+                self.table.start_trend(row);
             }
-            let el = &self.el;
-            if self.el_live && el.event.time < event.time {
-                for src in &rt.pred_sources[s.index()] {
-                    let Some(el_cell) = &el.cells[src.from.index()] else {
-                        continue;
-                    };
-                    if !d.adjacency_predicates_pass(src.from, s, &el.event, event) {
-                        continue;
-                    }
-                    let blocked = src
-                        .negations
-                        .iter()
-                        .any(|n| self.neg_clocks[n.index()].blocked(el.event.time, event.time));
-                    if !blocked {
-                        cell.merge(el_cell);
-                    }
+            let sources = if chains {
+                rt.pred_sources[s.index()].as_slice()
+            } else {
+                &[]
+            };
+            for src in sources {
+                let el_row = el_rows + src.from.index();
+                if !self.table.is_live(el_row)
+                    || !d.adjacency_predicates_pass(src.from, s, &self.el, event)
+                {
+                    continue;
+                }
+                let blocked = src
+                    .negations
+                    .iter()
+                    .any(|n| self.neg_clocks[n.index()].blocked(self.el.time, event.time));
+                if !blocked {
+                    self.table.merge(layout, row, el_row);
                 }
             }
-            if cell.is_zero() {
+            if !self.table.is_live(row) {
                 continue; // not matched at this state
             }
-            cell.contribute(rt.feeds.of(s), event);
+            self.table.contribute(layout, row, rt.feeds.of(s), event);
             if s == rt.end() {
-                self.final_acc.merge(&cell);
+                self.table.merge(layout, final_row, row);
             }
-            let slot = &mut new_cells[s.index()];
-            table_bytes += cell.memory_bytes();
-            table_bytes -= slot
-                .as_ref()
-                .map_or(LastEvent::UNBOUND_BYTES, Cell::memory_bytes);
-            *slot = Some(cell);
             matched = true;
         }
         if matched {
             // Copy the event into the spare buffer (no allocation once the
             // buffer has held an event of this width), then trade places
-            // with the previous `el`, which becomes the next spare.
-            let copy = &mut self.spare.event;
+            // with the previous `el`, buffer and rows: they are the next
+            // scratch.
+            let copy = &mut self.spare;
             copy.id = event.id;
             copy.time = event.time;
             copy.type_id = event.type_id;
             copy.attrs.clone_from(&event.attrs);
             std::mem::swap(&mut self.el, &mut self.spare);
+            self.el_high = !self.el_high;
             self.el_live = true;
-            self.el_bytes = event.memory_bytes() + table_bytes;
+            self.el_bytes = self.el_bytes();
         } else if semantics == Semantics::Cont {
             // An unmatched event invalidates the partial trends that end
             // at the last matched event; the final count is preserved
@@ -196,7 +194,7 @@ impl PatternWindow {
         }
     }
 
-    /// Forget the last matched event (its buffer stays).
+    /// Forget the last matched event (its buffer and rows stay).
     fn clear_el(&mut self) {
         self.el_live = false;
         self.el_bytes = 0;
@@ -212,28 +210,27 @@ impl PatternWindow {
     }
 
     /// Final aggregate of the window.
-    pub fn final_cell(&mut self, _rt: &DisjunctRuntime) -> Cell {
-        self.final_acc.clone()
+    pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
+        self.table.cell(&rt.layout, self.final_row())
     }
 
-    /// Serialize the full window state (inverse of [`PatternWindow::load`]).
-    /// The `spare` buffer is transient and not serialized.
-    pub fn save(&self, enc: &mut cogra_checkpoint::Enc) {
+    /// Serialize the full window state (inverse of [`PatternWindow::load`]),
+    /// every bound row as the cell it stands for. The scratch half and the
+    /// `spare` buffer are transient and not serialized.
+    pub fn save(&self, rt: &DisjunctRuntime, enc: &mut cogra_checkpoint::Enc) {
         enc.bool(self.el_live);
         if self.el_live {
-            self.el.event.save(enc);
-            enc.usize(self.el.cells.len());
-            for c in &self.el.cells {
-                match c {
-                    Some(cell) => {
-                        enc.bool(true);
-                        cell.save(enc);
-                    }
-                    None => enc.bool(false),
+            self.el.save(enc);
+            enc.usize(self.states());
+            let (el_rows, _) = self.halves();
+            for r in el_rows..el_rows + self.states() {
+                enc.bool(self.table.is_live(r));
+                if self.table.is_live(r) {
+                    self.table.save_row(&rt.layout, r, enc);
                 }
             }
         }
-        self.final_acc.save(enc);
+        self.table.save_row(&rt.layout, self.final_row(), enc);
         enc.usize(self.neg_clocks.len());
         for c in &self.neg_clocks {
             c.save(enc);
@@ -246,44 +243,45 @@ impl PatternWindow {
         rt: &DisjunctRuntime,
         dec: &mut cogra_checkpoint::Dec,
     ) -> Result<PatternWindow, cogra_checkpoint::CheckpointError> {
-        let el = if dec.bool()? {
-            let event = Event::load(dec)?;
+        use cogra_checkpoint::CheckpointError::Corrupt;
+        let mut window = PatternWindow::new(rt);
+        if dec.bool()? {
+            window.el = Event::load(dec)?;
             let n = dec.usize()?;
-            if n != rt.disjunct.automaton.num_states() {
-                return Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
+            if n != window.states() {
+                return Err(Corrupt(format!(
                     "pattern window has {n} last-event cells for a {}-state automaton",
-                    rt.disjunct.automaton.num_states()
+                    window.states()
                 )));
             }
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                cells.push(if dec.bool()? {
-                    Some(Cell::load(dec)?)
-                } else {
-                    None
-                });
+            for r in 0..n {
+                if !dec.bool()? {
+                    continue;
+                }
+                window.table.load_row(&rt.layout, r, dec)?;
+                rt.check_bound(&window.el, StateId(r as u32))?;
+                // A bound row is one some trend ends at — what `on_event`
+                // keeps, and what marks the row as bound.
+                if !window.table.is_live(r) {
+                    return Err(Corrupt(format!(
+                        "last matched event is bound to state {r} with no trend ending there"
+                    )));
+                }
             }
-            Some(LastEvent { event, cells })
-        } else {
-            None
-        };
-        let final_acc = Cell::load(dec)?;
+            window.el_live = true;
+            window.el_bytes = window.el_bytes();
+        }
+        let final_row = window.final_row();
+        window.table.load_row(&rt.layout, final_row, dec)?;
         let n_clocks = dec.usize()?;
-        if n_clocks != rt.disjunct.automaton.num_negated() {
-            return Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
+        if n_clocks != window.neg_clocks.len() {
+            return Err(Corrupt(format!(
                 "pattern window has {n_clocks} negation clocks for {} negated variables",
-                rt.disjunct.automaton.num_negated()
+                window.neg_clocks.len()
             )));
         }
-        let mut neg_clocks = Vec::with_capacity(n_clocks);
-        for _ in 0..n_clocks {
-            neg_clocks.push(NegClock::load(dec)?);
-        }
-        let mut window = PatternWindow::over(rt, final_acc, neg_clocks);
-        if let Some(el) = el {
-            window.el_bytes = el.memory_bytes();
-            window.el = el;
-            window.el_live = true;
+        for clock in &mut window.neg_clocks {
+            *clock = NegClock::load(dec)?;
         }
         Ok(window)
     }
@@ -291,28 +289,27 @@ impl PatternWindow {
     /// The window struct less its byte counter and the spare buffer's
     /// handle — an instrument and a scratch buffer, not the state being
     /// measured.
-    const INLINE_BYTES: usize = std::mem::size_of::<Self>()
-        - std::mem::size_of::<usize>()
-        - std::mem::size_of::<LastEvent>();
+    const INLINE_BYTES: usize =
+        std::mem::size_of::<Self>() - std::mem::size_of::<usize>() - std::mem::size_of::<Event>();
 
-    /// Logical footprint: O(1) in the number of events — the final cell,
-    /// the last matched event, and its O(l) cell table. The read itself
-    /// is O(1): `el`'s share is cached where `el` is set.
+    /// What the window always holds: the struct, the table's live bits
+    /// and the accumulator's row.
+    fn fixed_bytes(&self) -> usize {
+        Self::INLINE_BYTES + self.table.memory_bytes() - self.table.row_bytes(2 * self.states())
+    }
+
+    /// Logical footprint: O(1) in the number of events — the final row,
+    /// the last matched event, and its O(l) rows. The read itself is
+    /// O(1): `el`'s share is cached where `el` is set.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        Self::INLINE_BYTES + self.final_acc.memory_bytes() + self.el_bytes
+        self.fixed_bytes() + self.el_bytes
     }
 
     /// [`PatternWindow::memory_bytes`] by definition: `el` is measured
     /// afresh instead of read from the cache.
     #[cfg(debug_assertions)]
     pub fn audit_bytes(&self) -> usize {
-        Self::INLINE_BYTES
-            + self.final_acc.memory_bytes()
-            + if self.el_live {
-                self.el.memory_bytes()
-            } else {
-                0
-            }
+        self.fixed_bytes() + if self.el_live { self.el_bytes() } else { 0 }
     }
 }

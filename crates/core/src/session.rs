@@ -52,8 +52,8 @@
 
 use crate::cogra::CograWindow;
 use crate::parallel::{
-    Engine, FailurePolicy, Hosted, Metrics, PoolConfig, PoolState, StreamingPool, WorkerFailure,
-    MAX_WORKERS,
+    Engine, FailurePolicy, Hosted, InFlight, Metrics, PoolConfig, PoolState, StreamingPool,
+    WorkerFailure, MAX_WORKERS,
 };
 use cogra_baselines::{
     aseq_runtime, flink_runtime, greta_runtime, oracle_runtime, sase_runtime, ASeqWindow,
@@ -346,9 +346,11 @@ impl From<CsvError> for IngestError {
 /// Encode a snapshot's `reorder` section — one shape at every worker
 /// count. Without slack: only the raw stream clock, so a restored pool's
 /// admission floor matches the original's. With slack: the gate verbatim
-/// (slack, raw and safe watermarks, late-drop count, pending times) and
-/// the shards' in-flight `(query, event)` items, sorted so the bytes do
-/// not depend on the shard layout they were collected from.
+/// (slack, raw and safe watermarks, late-drop count, pending times), the
+/// arrival counter, and the shards' in-flight items, sorted so the bytes
+/// do not depend on the shard layout they were collected from: by time,
+/// and within a time stamp by arrival — the order the shards would have
+/// released them in.
 fn save_reorder(state: &mut PoolState) -> Vec<u8> {
     let mut enc = Enc::new();
     match &state.gate {
@@ -371,11 +373,15 @@ fn save_reorder(state: &mut PoolState) -> Vec<u8> {
             for t in &pending {
                 enc.u64(t.ticks());
             }
-            state.buffered.sort_by_key(|(q, e)| (e.time, e.id, *q));
+            enc.u64(state.arrivals);
+            state
+                .buffered
+                .sort_by_key(|item| (item.event.time, item.stamp, item.query));
             enc.usize(state.buffered.len());
-            for (q, e) in &state.buffered {
-                enc.u32(*q);
-                e.save(&mut enc);
+            for item in &state.buffered {
+                enc.u32(item.query);
+                enc.u64(item.stamp);
+                item.event.save(&mut enc);
             }
         }
     }
@@ -383,11 +389,15 @@ fn save_reorder(state: &mut PoolState) -> Vec<u8> {
 }
 
 /// Inverse of [`save_reorder`]: everything of a [`PoolState`] but the
-/// engine states, which have sections of their own.
-fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
+/// engine states, which have sections of their own. A format-2 section
+/// carries no arrival stamps and lists its items by `(time, id, query)`:
+/// they are stamped in that order, which is arrival order wherever ids
+/// grew with arrival.
+fn load_reorder(dec: &mut Dec, version: u32) -> Result<PoolState, CheckpointError> {
     let mut state = PoolState {
         states: Vec::new(),
         buffered: Vec::new(),
+        arrivals: 0,
         gate: None,
         clock: Timestamp::ZERO,
     };
@@ -404,11 +414,31 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     for _ in 0..n {
         pending.push(Timestamp(dec.u64()?));
     }
+    let stamped = version >= 3;
+    if stamped {
+        state.arrivals = dec.u64()?;
+    }
     let n = dec.usize()?;
     state.buffered.reserve(n.min(1 << 16));
-    for _ in 0..n {
+    for i in 0..n {
         let query = dec.u32()?;
-        state.buffered.push((query, Event::load(dec)?));
+        let stamp = if stamped { dec.u64()? } else { i as u64 + 1 };
+        // Stamps count admitted events from 1; one past the counter would
+        // be handed out again to an event yet to arrive.
+        if stamped && !(1..=state.arrivals).contains(&stamp) {
+            return Err(CheckpointError::Corrupt(format!(
+                "in-flight event stamped {stamp} of {} arrivals",
+                state.arrivals
+            )));
+        }
+        state.buffered.push(InFlight {
+            query,
+            stamp,
+            event: Event::load(dec)?,
+        });
+    }
+    if !stamped {
+        state.arrivals = n as u64;
     }
     state.gate = Some(LateGate::from_parts(
         slack,
@@ -810,7 +840,7 @@ impl SessionBuilder {
 
         let bytes = r.expect("reorder")?;
         let mut dec = Dec::new(&bytes);
-        let mut state = load_reorder(&mut dec)?;
+        let mut state = load_reorder(&mut dec, r.version())?;
         dec.finish("reorder section")?;
         if state.gate.as_ref().map(LateGate::slack) != slack {
             return Err(CheckpointError::Corrupt(
@@ -827,6 +857,21 @@ impl SessionBuilder {
             dec.finish("engine section")?;
         }
         r.finish()?;
+        // An in-flight event is one of a registered type, shaped like it:
+        // what the engines index it by. (Whether it fits the state of the
+        // engine it is for is the pool's to check, once that is built.)
+        for InFlight { event, .. } in &state.buffered {
+            let known = event.type_id.index() < registry.len()
+                && registry.schema(event.type_id).arity() == event.attrs.len();
+            if !known {
+                return Err(CheckpointError::Corrupt(format!(
+                    "in-flight event {} is of no registered type ({}, {} attributes)",
+                    event.id,
+                    event.type_id.0,
+                    event.attrs.len()
+                )));
+            }
+        }
 
         // --- Resolve the execution shape and reopen the pool -----------
         let workers = if self.workers > 0 {

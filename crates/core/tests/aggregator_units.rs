@@ -220,3 +220,51 @@ fn type_grained_window_memory_is_constant() {
     }
     assert_eq!(sizes[0], sizes[1], "Θ(l) space regardless of events");
 }
+
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn window_bytes_follow_the_documented_formulas() {
+    // README "Bytes per window": l states, s negation-tagged transitions,
+    // k slots (AVG is two). SEQ(A+, NOT C, B+) has l = 2 and s = 1.
+    let (l, s, k) = (2, 1, 3);
+    let words = |rows: usize| 8 * (rows * (1 + k) + rows.div_ceil(64));
+    let query = |semantics: &str, adjacent: &str| {
+        runtime(&format!(
+            "RETURN COUNT(*), AVG(A.v), MIN(B.v) PATTERN SEQ(A+, NOT C, B+) \
+             SEMANTICS {semantics} {adjacent} WITHIN 100 SLIDE 100"
+        ))
+    };
+    let reg = registry();
+    let mut b = EventBuilder::new();
+
+    let rt = query("ANY", "");
+    let drt = &rt.disjuncts[0];
+    let mut w = TypeGrainedWindow::new(drt);
+    assert_eq!(w.memory_bytes(), 80 + words(l + s));
+    let e = ev(&mut b, &reg, 1, "A", 1);
+    w.on_event(drt, &e, &binds(&rt, &e));
+    assert_eq!(
+        w.memory_bytes(),
+        80 + words(l + s) + 8 * (2 + k),
+        "one staged update"
+    );
+
+    let rt = query("ANY", "WHERE A.v < NEXT(A).v");
+    let drt = &rt.disjuncts[0];
+    let mut w = MixedWindow::new(drt);
+    assert_eq!(w.memory_bytes(), 80 + 72 + words(l + s + 1));
+    let e = ev(&mut b, &reg, 2, "A", 1);
+    w.on_event(drt, &e, &binds(&rt, &e));
+    let stored = 56 + 8 * (1 + k) + Value::Int(1).memory_bytes();
+    assert_eq!(w.memory_bytes(), 80 + 72 + words(l + s + 1) + stored);
+
+    let rt = query("NEXT", "");
+    let drt = &rt.disjuncts[0];
+    let mut w = PatternWindow::new(drt);
+    let fixed = 104 + 8 * ((1 + k) + (2 * l + 1usize).div_ceil(64));
+    assert_eq!(w.memory_bytes(), fixed);
+    let e = ev(&mut b, &reg, 3, "A", 1);
+    w.on_event(drt, &e, &binds(&rt, &e), Semantics::Next);
+    let held = 48 + 8 * l * (1 + k) + Value::Int(1).memory_bytes();
+    assert_eq!(w.memory_bytes(), fixed + held);
+}

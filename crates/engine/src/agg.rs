@@ -1,26 +1,58 @@
-//! Incremental aggregate cells (Table 8).
+//! Incremental aggregates (Table 8), as words.
 //!
 //! Every aggregator — type-, mixed- and pattern-grained, and the baseline
 //! engines — maintains the same propagated state per "slot of aggregation"
 //! (an event type, a stored event, or the last matched event): the trend
-//! count plus one [`Val`] per aggregation slot. Table 8's recurrences all
+//! count plus one value per aggregation slot. Table 8's recurrences all
 //! decompose into two primitives:
 //!
-//! * [`Cell::merge`] — fold a predecessor's cell into a new event's cell
-//!   (the `Σ E'.count`-style terms);
-//! * [`Cell::contribute`] — add the new event's own contribution
-//!   (`+1` for a start event, `e.attr · e.count` for SUM, `e.attr` for
-//!   MIN/MAX, `e.count` for COUNT(E)).
+//! * **merge** — fold a predecessor's aggregates into a new event's (the
+//!   `Σ E'.count`-style terms);
+//! * **contribute** — add the new event's own contribution (`+1` for a
+//!   start event, `e.attr · e.count` for SUM, `e.attr` for MIN/MAX,
+//!   `e.count` for COUNT(E)).
 //!
 //! `AVG(E.attr)` is algebraic: the [`AggLayout`] expands it into a SUM slot
 //! and a COUNT slot and divides at output time (§2.3).
+//!
+//! ## Rows, tables, cells
+//!
+//! The COGRA aggregators keep their aggregates as **rows**: `1 + k` words
+//! (`u64`) for a layout of `k` slots — the trend count, then one word per
+//! slot (a wrapping count, or the bits of an `f64`). Which kind of value a
+//! word holds is a fact about the compiled query, so it lives once, in
+//! [`AggLayout::slots`], not in a tag per value; a MIN/MAX slot no event
+//! has fed yet holds [`NO_VALUE`], one reserved signalling-NaN bit pattern
+//! that neither arithmetic nor a parser produces (an attribute or a saved
+//! cell carrying exactly those bits is a NaN all the same, and enters a
+//! row as the quiet NaN next to it). Whether a row accounts for any
+//! trend at all — its *live* bit, see [`Cell`] — is kept by whoever owns
+//! the row:
+//!
+//! * a [`CellTable`] is a window's fixed set of rows in one slab, `rows ×
+//!   (1 + k)` words followed by one live bit per row, with the row
+//!   operations done in place by row index — Θ(l) words for a Θ(l)
+//!   algorithm, literally;
+//! * a *row list* is a plain `Vec<u64>` of rows that exist only while live
+//!   (a window's staged updates, its stored events' aggregates), driven by
+//!   the same kernels ([`AggLayout::merge_row`] and friends).
+//!
+//! A [`Cell`] is the same state as an owned value — count, live bit and a
+//! tagged [`Val`] per slot. It is what crosses [`WindowAlgo::final_cell`]
+//! into the router's cross-partition merge, what a snapshot spells a row as
+//! ([`AggLayout::save_row`] writes the bytes [`Cell::save`] would, and a
+//! row can only be loaded *through* the layout, so a saved cell of another
+//! shape is a typed error), and what the baseline engines compute with.
 //!
 //! Trend counts use wrapping `u64` arithmetic: under skip-till-any-match
 //! the count is exponential in the number of events, so any fixed-width
 //! representation overflows on large windows; all engines in this workspace
 //! wrap identically, keeping them mutually comparable (and exact whenever
 //! the true count fits in 64 bits).
+//!
+//! [`WindowAlgo::final_cell`]: crate::router::WindowAlgo::final_cell
 
+use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{AttrId, Event};
 use cogra_query::{AggFunc, CompiledDisjunct, StateId};
 
@@ -35,6 +67,78 @@ pub enum SlotFunc {
     Min,
     /// MAX(E.attr).
     Max,
+}
+
+/// The word a MIN/MAX slot of a row holds until an event feeds it: a
+/// signalling NaN, which no arithmetic result and no parsed number is. A
+/// value that arrives with exactly these bits all the same — the binary
+/// decoders take any eight bytes for a float — is carried as the quiet NaN
+/// of the same payload (`word_of`), so no word but an unfed one holds it.
+pub const NO_VALUE: u64 = 0x7FF0_0000_0000_0001;
+
+/// The bit that makes a NaN a quiet one.
+const QUIET: u64 = 0x0008_0000_0000_0000;
+
+/// `Option<f64>` of a MIN/MAX word.
+#[inline]
+fn opt_of(word: u64) -> Option<f64> {
+    (word != NO_VALUE).then(|| f64::from_bits(word))
+}
+
+/// MIN/MAX word of an `Option<f64>`: every value keeps its bits but the
+/// one NaN that would read back as no value.
+#[inline]
+fn word_of(value: Option<f64>) -> u64 {
+    match value.map(f64::to_bits) {
+        None => NO_VALUE,
+        Some(NO_VALUE) => NO_VALUE | QUIET,
+        Some(bits) => bits,
+    }
+}
+
+impl SlotFunc {
+    /// The aggregation identity of this kind of slot, as a row word.
+    #[inline]
+    fn zero_word(self) -> u64 {
+        match self {
+            SlotFunc::CountVar => 0,
+            SlotFunc::Sum => 0f64.to_bits(),
+            SlotFunc::Min | SlotFunc::Max => NO_VALUE,
+        }
+    }
+
+    /// [`Val::merge`] on row words of this kind.
+    #[inline]
+    fn merge_word(self, a: u64, b: u64) -> u64 {
+        match self {
+            SlotFunc::CountVar => a.wrapping_add(b),
+            SlotFunc::Sum => (f64::from_bits(a) + f64::from_bits(b)).to_bits(),
+            SlotFunc::Min => word_of(opt_min(opt_of(a), opt_of(b))),
+            SlotFunc::Max => word_of(opt_max(opt_of(a), opt_of(b))),
+        }
+    }
+
+    /// The tagged value a row word of this kind stands for.
+    #[inline]
+    fn val(self, word: u64) -> Val {
+        match self {
+            SlotFunc::CountVar => Val::Cnt(word),
+            SlotFunc::Sum => Val::Sum(f64::from_bits(word)),
+            SlotFunc::Min => Val::Min(opt_of(word)),
+            SlotFunc::Max => Val::Max(opt_of(word)),
+        }
+    }
+
+    /// The row word of a tagged value — `None` when it is of another kind.
+    #[inline]
+    fn word(self, val: &Val) -> Option<u64> {
+        match (self, val) {
+            (SlotFunc::CountVar, Val::Cnt(c)) => Some(*c),
+            (SlotFunc::Sum, Val::Sum(s)) => Some(s.to_bits()),
+            (SlotFunc::Min, Val::Min(m)) | (SlotFunc::Max, Val::Max(m)) => Some(word_of(*m)),
+            _ => None,
+        }
+    }
 }
 
 /// A slot value in a [`Cell`].
@@ -223,6 +327,308 @@ impl AggLayout {
             live: false,
             vals: self.slots.iter().map(|f| Val::zero(*f)).collect(),
         }
+    }
+}
+
+/// The row kernels: Table 8 on `1 + k` words (see the module docs). A row
+/// is a slice of exactly [`AggLayout::stride`] words; its live bit is the
+/// owner's to keep.
+impl AggLayout {
+    /// Words per row: the trend count and one per slot.
+    #[inline]
+    pub fn stride(&self) -> usize {
+        1 + self.slots.len()
+    }
+
+    /// Set `row` to the aggregation identity.
+    #[inline]
+    pub fn reset_row(&self, row: &mut [u64]) {
+        row[0] = 0;
+        for (word, func) in row[1..].iter_mut().zip(&self.slots) {
+            *word = func.zero_word();
+        }
+    }
+
+    /// Append an identity row to a row list.
+    #[inline]
+    pub fn push_row(&self, rows: &mut Vec<u64>) {
+        rows.push(0);
+        rows.extend(self.slots.iter().map(|func| func.zero_word()));
+    }
+
+    /// Fold row `src` into row `dst` ([`Cell::merge`] less the live bit).
+    #[inline]
+    pub fn merge_row(&self, dst: &mut [u64], src: &[u64]) {
+        dst[0] = dst[0].wrapping_add(src[0]);
+        for ((a, b), func) in dst[1..].iter_mut().zip(&src[1..]).zip(&self.slots) {
+            *a = func.merge_word(*a, *b);
+        }
+    }
+
+    /// Add the event's own contribution to a **live** row, after its
+    /// predecessors were merged and the start-of-trend `+1` applied
+    /// ([`Cell::contribute`]; a dead row takes no contribution, which is
+    /// the caller's check to make).
+    #[inline]
+    pub fn contribute_row(&self, row: &mut [u64], feeds: &[Feed], event: &Event) {
+        let count = row[0];
+        for ((word, func), feed) in row[1..].iter_mut().zip(&self.slots).zip(feeds) {
+            match (func, feed) {
+                (_, Feed::No) => {}
+                (SlotFunc::CountVar, Feed::Unit) => *word = word.wrapping_add(count),
+                (SlotFunc::Sum, Feed::Attr(a)) => {
+                    let x = event.attr(*a).as_f64().unwrap_or(0.0);
+                    *word = (f64::from_bits(*word) + x * count as f64).to_bits();
+                }
+                (SlotFunc::Min | SlotFunc::Max, Feed::Attr(a)) => {
+                    *word = func.merge_word(*word, word_of(event.attr(*a).as_f64()));
+                }
+                (func, feed) => unreachable!("feed {feed:?} incompatible with slot {func:?}"),
+            }
+        }
+    }
+
+    /// The [`Cell`] a row and its live bit stand for.
+    pub fn row_cell(&self, row: &[u64], live: bool) -> Cell {
+        Cell {
+            count: row[0],
+            live,
+            vals: self
+                .slots
+                .iter()
+                .zip(&row[1..])
+                .map(|(func, word)| func.val(*word))
+                .collect(),
+        }
+    }
+
+    /// Write `cell` into `row`; its live bit is the caller's to keep.
+    /// `Err` names the first slot at which the cell is not of this layout.
+    pub fn cell_row(&self, cell: &Cell, row: &mut [u64]) -> Result<(), String> {
+        if cell.vals.len() != self.slots.len() {
+            return Err(format!(
+                "cell has {} slots where the layout has {}",
+                cell.vals.len(),
+                self.slots.len()
+            ));
+        }
+        row[0] = cell.count;
+        for (i, ((word, func), val)) in row[1..]
+            .iter_mut()
+            .zip(&self.slots)
+            .zip(&cell.vals)
+            .enumerate()
+        {
+            *word = func
+                .word(val)
+                .ok_or_else(|| format!("slot {i} holds {val:?} where the layout has {func:?}"))?;
+        }
+        Ok(())
+    }
+
+    /// Serialize a row as the [`Cell`] it stands for — byte for byte what
+    /// [`Cell::save`] writes.
+    pub fn save_row(&self, row: &[u64], live: bool, enc: &mut Enc) {
+        enc.u64(row[0]);
+        enc.bool(live);
+        enc.usize(self.slots.len());
+        for (func, word) in self.slots.iter().zip(&row[1..]) {
+            func.val(*word).save(enc);
+        }
+    }
+
+    /// Inverse of [`AggLayout::save_row`]: read a saved cell into `row` and
+    /// return its live bit. A cell that does not have this layout's slots,
+    /// in number or in kind, is [`CheckpointError::Corrupt`] — never a row.
+    pub fn load_row(&self, dec: &mut Dec, row: &mut [u64]) -> Result<bool, CheckpointError> {
+        let cell = Cell::load(dec)?;
+        self.cell_row(&cell, row)
+            .map_err(CheckpointError::Corrupt)?;
+        Ok(cell.live)
+    }
+}
+
+/// A window's fixed set of rows in one slab: `rows × stride` words, then
+/// one live bit per row (a word per 64 rows). Rows are addressed by index
+/// and updated in place; which row means what — a state's aggregates, a
+/// negation shadow, the final accumulator — is the owning aggregator's
+/// business. Every operation that reads slot kinds takes the layout the
+/// table was built over.
+#[derive(Debug)]
+pub struct CellTable {
+    words: Box<[u64]>,
+    rows: u32,
+    stride: u32,
+}
+
+impl CellTable {
+    /// A table of `rows` identity rows, none live.
+    pub fn new(layout: &AggLayout, rows: usize) -> CellTable {
+        let stride = layout.stride();
+        let mut table = CellTable {
+            words: vec![0; rows * stride + rows.div_ceil(64)].into_boxed_slice(),
+            rows: u32::try_from(rows).expect("a cell table counts its rows with 32 bits"),
+            stride: u32::try_from(stride).expect("a row counts its words with 32 bits"),
+        };
+        table.reset_all(layout);
+        table
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows as usize
+    }
+
+    /// Where the live bits start.
+    #[inline]
+    fn live_at(&self) -> usize {
+        self.rows as usize * self.stride as usize
+    }
+
+    /// Bytes of the slab.
+    #[inline]
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words)
+    }
+
+    /// Bytes of `rows` rows of this table.
+    #[inline]
+    pub fn row_bytes(&self, rows: usize) -> usize {
+        rows * self.stride as usize * std::mem::size_of::<u64>()
+    }
+
+    #[inline]
+    fn span(&self, r: usize) -> std::ops::Range<usize> {
+        let stride = self.stride as usize;
+        debug_assert!(r < self.rows(), "row {r} out of range");
+        r * stride..(r + 1) * stride
+    }
+
+    /// The words of row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[u64] {
+        &self.words[self.span(r)]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        let span = self.span(r);
+        &mut self.words[span]
+    }
+
+    /// Whether row `r` accounts for any trend ([`Cell::live`]).
+    #[inline]
+    pub fn is_live(&self, r: usize) -> bool {
+        self.words[self.live_at() + r / 64] >> (r % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn set_live(&mut self, r: usize, live: bool) {
+        let word = &mut self.words[self.live_at() + r / 64];
+        *word = *word & !(1 << (r % 64)) | u64::from(live) << (r % 64);
+    }
+
+    /// Begin one new trend at row `r` ([`Cell::start_trend`]).
+    #[inline]
+    pub fn start_trend(&mut self, r: usize) {
+        let row = self.row_mut(r);
+        row[0] = row[0].wrapping_add(1);
+        self.set_live(r, true);
+    }
+
+    /// Row `r` back to the identity, dead ([`Cell::reset`]).
+    #[inline]
+    pub fn reset(&mut self, layout: &AggLayout, r: usize) {
+        layout.reset_row(self.row_mut(r));
+        self.set_live(r, false);
+    }
+
+    /// Rows `rows` dead, their words left as they are — for rows that are
+    /// [`reset`](CellTable::reset) before they are read again.
+    #[inline]
+    pub fn clear_live(&mut self, rows: std::ops::Range<usize>) {
+        let live_at = self.live_at();
+        let mut r = rows.start;
+        while r < rows.end {
+            let upto = rows.end.min((r / 64 + 1) * 64);
+            let bits = !0u64 >> (64 - (upto - r)) << (r % 64);
+            self.words[live_at + r / 64] &= !bits;
+            r = upto;
+        }
+    }
+
+    /// Every row back to the identity, dead.
+    pub fn reset_all(&mut self, layout: &AggLayout) {
+        for r in 0..self.rows() {
+            layout.reset_row(self.row_mut(r));
+        }
+        let live_at = self.live_at();
+        self.words[live_at..].fill(0);
+    }
+
+    /// Fold row `src` into row `dst` of the same table ([`Cell::merge`]).
+    #[inline]
+    pub fn merge(&mut self, layout: &AggLayout, dst: usize, src: usize) {
+        debug_assert_ne!(dst, src, "a row does not merge into itself");
+        let (d, s) = (self.span(dst), self.span(src));
+        let (dst_row, src_row) = if d.start < s.start {
+            let (low, high) = self.words.split_at_mut(s.start);
+            (&mut low[d], &high[..s.len()])
+        } else {
+            let (low, high) = self.words.split_at_mut(d.start);
+            (&mut high[..d.len()], &low[s])
+        };
+        layout.merge_row(dst_row, src_row);
+        let live = self.is_live(dst) | self.is_live(src);
+        self.set_live(dst, live);
+    }
+
+    /// Fold a live row from outside the table — a row list's, another
+    /// table's — into row `dst`.
+    #[inline]
+    pub fn merge_from(&mut self, layout: &AggLayout, dst: usize, src: &[u64]) {
+        layout.merge_row(self.row_mut(dst), src);
+        self.set_live(dst, true);
+    }
+
+    /// Fold row `src` into a row outside the table; returns `src`'s live
+    /// bit for the caller to fold into the one it keeps for `dst`.
+    #[inline]
+    pub fn merge_into(&self, layout: &AggLayout, src: usize, dst: &mut [u64]) -> bool {
+        layout.merge_row(dst, self.row(src));
+        self.is_live(src)
+    }
+
+    /// Add `event`'s own contribution to row `r` ([`Cell::contribute`]:
+    /// nothing, while the row is dead).
+    #[inline]
+    pub fn contribute(&mut self, layout: &AggLayout, r: usize, feeds: &[Feed], event: &Event) {
+        if self.is_live(r) {
+            layout.contribute_row(self.row_mut(r), feeds, event);
+        }
+    }
+
+    /// Row `r` as an owned [`Cell`].
+    pub fn cell(&self, layout: &AggLayout, r: usize) -> Cell {
+        layout.row_cell(self.row(r), self.is_live(r))
+    }
+
+    /// Serialize row `r` as the [`Cell`] it stands for.
+    pub fn save_row(&self, layout: &AggLayout, r: usize, enc: &mut Enc) {
+        layout.save_row(self.row(r), self.is_live(r), enc);
+    }
+
+    /// Inverse of [`CellTable::save_row`], through the layout.
+    pub fn load_row(
+        &mut self,
+        layout: &AggLayout,
+        r: usize,
+        dec: &mut Dec,
+    ) -> Result<(), CheckpointError> {
+        let live = layout.load_row(dec, self.row_mut(r))?;
+        self.set_live(r, live);
+        Ok(())
     }
 }
 
@@ -491,6 +897,8 @@ impl std::fmt::Display for AggValue {
 mod tests {
     use super::*;
     use cogra_events::{TypeId, Value};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn event(v: i64) -> Event {
         Event::new(0, 1, TypeId(0), vec![Value::Int(v)])
@@ -603,5 +1011,236 @@ mod tests {
         assert_eq!(a.count, 3);
         assert_eq!(a.vals[0], Val::Min(Some(4.0)));
         assert_eq!(a.vals[1], Val::Sum(7.0));
+    }
+    /// Counts that wrap: mostly small, sometimes within reach of 2^64.
+    fn count(rng: &mut StdRng) -> u64 {
+        match rng.random_range(0..4) {
+            0 => u64::MAX - rng.random_range(0..4u64),
+            _ => rng.random_range(0..5u64),
+        }
+    }
+
+    fn float(rng: &mut StdRng) -> f64 {
+        rng.random_range(0..2001) as f64 / 7.0 - 100.0
+    }
+
+    /// A random layout of `k` slots over all four kinds, with the feeds of
+    /// one state: each slot fed as its kind allows, or not at all.
+    fn random_layout(rng: &mut StdRng, k: usize) -> (AggLayout, Vec<Feed>) {
+        const KINDS: [SlotFunc; 4] = [
+            SlotFunc::CountVar,
+            SlotFunc::Sum,
+            SlotFunc::Min,
+            SlotFunc::Max,
+        ];
+        let slots: Vec<SlotFunc> = (0..k).map(|_| KINDS[rng.random_range(0..4)]).collect();
+        let feeds = slots
+            .iter()
+            .map(|func| match (rng.random_range(0..3), func) {
+                (0, _) => Feed::No,
+                (_, SlotFunc::CountVar) => Feed::Unit,
+                _ => Feed::Attr(AttrId(rng.random_range(0..2))),
+            })
+            .collect();
+        let layout = AggLayout {
+            slots,
+            outputs: vec![Output::CountStar],
+        };
+        (layout, feeds)
+    }
+
+    /// A random cell of `layout`: any count, MIN/MAX with and without a
+    /// value, and — one time in four — live with a count that wrapped to 0.
+    fn random_cell(rng: &mut StdRng, layout: &AggLayout) -> Cell {
+        let mut cell = layout.zero_cell();
+        cell.count = count(rng);
+        cell.live = cell.count != 0 || rng.random_range(0..4) == 0;
+        for val in &mut cell.vals {
+            *val = match val {
+                Val::Cnt(_) => Val::Cnt(count(rng)),
+                Val::Sum(_) => Val::Sum(float(rng)),
+                Val::Min(_) => Val::Min((rng.random_range(0..3) > 0).then(|| float(rng))),
+                Val::Max(_) => Val::Max((rng.random_range(0..3) > 0).then(|| float(rng))),
+            };
+        }
+        cell
+    }
+
+    /// A cell as its snapshot bytes: equality to the bit, NaNs included.
+    fn bytes(cell: &Cell) -> Vec<u8> {
+        let mut enc = Enc::new();
+        cell.save(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn every_row_operation_equals_the_cell_operation_it_replaces() {
+        let mut rng = StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15);
+        for round in 0..400 {
+            let (layout, feeds) = random_layout(&mut rng, round % 5);
+            let rows = rng.random_range(1..71); // past one word of live bits, too
+            let mut table = CellTable::new(&layout, rows);
+            let mut cells = vec![layout.zero_cell(); rows];
+            let mut list: Vec<u64> = Vec::new();
+            for _ in 0..60 {
+                let (r, other) = (rng.random_range(0..rows), rng.random_range(0..rows));
+                let event = Event::new(
+                    0,
+                    1,
+                    TypeId(0),
+                    vec![Value::Float(float(&mut rng)), Value::str("not a number")],
+                );
+                match rng.random_range(0..9) {
+                    0 => {
+                        table.start_trend(r);
+                        cells[r].start_trend();
+                    }
+                    1 if r != other => {
+                        table.merge(&layout, r, other);
+                        let src = cells[other].clone();
+                        cells[r].merge(&src);
+                    }
+                    2 => {
+                        table.contribute(&layout, r, &feeds, &event);
+                        cells[r].contribute(&feeds, &event);
+                    }
+                    3 => {
+                        table.reset(&layout, r);
+                        cells[r].reset();
+                    }
+                    4 => {
+                        let cell = random_cell(&mut rng, &layout);
+                        let saved = bytes(&cell);
+                        table
+                            .load_row(&layout, r, &mut Dec::new(&saved))
+                            .expect("same layout");
+                        cells[r] = cell;
+                    }
+                    5 => {
+                        // Across tables, through a row list: a fresh row
+                        // takes `other`, contributes, and lands in `r` —
+                        // what staging an update and committing it does.
+                        list.clear();
+                        layout.push_row(&mut list);
+                        let mut staged = layout.zero_cell();
+                        let live = table.merge_into(&layout, other, &mut list);
+                        staged.merge(&cells[other]);
+                        assert_eq!(live, staged.live);
+                        if live {
+                            layout.contribute_row(&mut list, &feeds, &event);
+                            staged.contribute(&feeds, &event);
+                            assert_eq!(bytes(&layout.row_cell(&list, true)), bytes(&staged));
+                            table.merge_from(&layout, r, &list);
+                            cells[r].merge(&staged);
+                        }
+                    }
+                    6 => {
+                        let mut enc = Enc::new();
+                        table.save_row(&layout, r, &mut enc);
+                        assert_eq!(enc.as_slice(), bytes(&cells[r]), "a row saves as its cell");
+                        let mut dec = Dec::new(enc.as_slice());
+                        table
+                            .load_row(&layout, other, &mut dec)
+                            .expect("same layout");
+                        cells[other] = cells[r].clone();
+                    }
+                    7 => {
+                        // Dead now, reset before it is read again.
+                        let (from, to) = (r.min(other), r.max(other) + 1);
+                        table.clear_live(from..to);
+                        for (r, cell) in cells.iter_mut().enumerate().take(to).skip(from) {
+                            assert!(!table.is_live(r));
+                            table.reset(&layout, r);
+                            cell.reset();
+                        }
+                    }
+                    _ => {
+                        table.reset_all(&layout);
+                        cells.iter_mut().for_each(Cell::reset);
+                    }
+                }
+                for (r, cell) in cells.iter().enumerate() {
+                    assert_eq!(table.is_live(r), cell.live, "round {round} row {r}");
+                    assert_eq!(
+                        bytes(&table.cell(&layout, r)),
+                        bytes(cell),
+                        "round {round} row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_to_cell_to_row_is_the_identity() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for round in 0..400 {
+            let (layout, _) = random_layout(&mut rng, round % 5);
+            let cell = random_cell(&mut rng, &layout);
+            let mut row = vec![0; layout.stride()];
+            layout.cell_row(&cell, &mut row).expect("same layout");
+            assert_eq!(bytes(&layout.row_cell(&row, cell.live)), bytes(&cell));
+            let mut again = vec![0; layout.stride()];
+            layout
+                .cell_row(&layout.row_cell(&row, cell.live), &mut again)
+                .expect("same layout");
+            assert_eq!(row, again);
+        }
+    }
+
+    #[test]
+    fn a_value_with_the_reserved_bits_is_still_a_value() {
+        // The wire and snapshot decoders take any eight bytes for a float.
+        let reserved = f64::from_bits(NO_VALUE);
+        for func in [SlotFunc::Min, SlotFunc::Max] {
+            let layout = AggLayout {
+                slots: vec![func],
+                outputs: vec![Output::Slot(0)],
+            };
+            let event = Event::new(0, 1, TypeId(0), vec![Value::Float(reserved)]);
+            let mut table = CellTable::new(&layout, 1);
+            table.start_trend(0);
+            table.contribute(&layout, 0, &[Feed::Attr(AttrId(0))], &event);
+            let mut saved = layout.zero_cell();
+            saved.live = true;
+            saved.vals[0] = match func {
+                SlotFunc::Min => Val::Min(Some(reserved)),
+                _ => Val::Max(Some(reserved)),
+            };
+            let mut row = vec![0; layout.stride()];
+            layout.cell_row(&saved, &mut row).expect("same layout");
+            for cell in [table.cell(&layout, 0), layout.row_cell(&row, true)] {
+                match cell.vals[0] {
+                    Val::Min(Some(x)) | Val::Max(Some(x)) => assert!(x.is_nan()),
+                    ref other => panic!("the value was lost: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_of_another_layout_is_no_row() {
+        let narrow = AggLayout {
+            slots: vec![],
+            outputs: vec![Output::CountStar],
+        };
+        let sum = AggLayout {
+            slots: vec![SlotFunc::Sum],
+            outputs: vec![Output::Slot(0)],
+        };
+        let min = AggLayout {
+            slots: vec![SlotFunc::Min],
+            outputs: vec![Output::Slot(0)],
+        };
+        let mut enc = Enc::new();
+        sum.zero_cell().save(&mut enc);
+        for (layout, expected) in [(&narrow, "1 slots"), (&min, "slot 0")] {
+            let mut row = vec![0; layout.stride()];
+            match layout.load_row(&mut Dec::new(enc.as_slice()), &mut row) {
+                Err(CheckpointError::Corrupt(m)) => assert!(m.contains(expected), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+            assert!(layout.cell_row(&sum.zero_cell(), &mut row).is_err());
+        }
     }
 }

@@ -116,6 +116,18 @@ pub trait TrendEngine {
         None
     }
 
+    /// Whether an event a snapshot holds in flight for this engine can
+    /// still be ingested into the state restored beside it: it is not
+    /// behind the engine's clock, and its partition's open windows are
+    /// where the event will look for them. A restore asks before it
+    /// re-delivers; `false` means the snapshot's sections contradict each
+    /// other. The default accepts, for engines that check nothing on
+    /// ingest.
+    fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
+        let _ = (event, key_hash);
+        true
+    }
+
     /// Snapshot the engine's full mutable state — what one checkpoint
     /// engine section carries. Engines built on the router override this;
     /// the default refuses, so an engine without a restore path can never

@@ -276,6 +276,22 @@ impl KeyInterner {
         Ok(PartitionId(id))
     }
 
+    /// The id of the resident key with the given `hash` that `matches`
+    /// (as in [`KeyInterner::intern_with`]), if there is one.
+    pub fn find(&self, hash: u64, matches: impl Fn(&[Value]) -> bool) -> Option<PartitionId> {
+        let mut at = *self.heads.get(&hash)?;
+        loop {
+            let start = at as usize * self.arity;
+            if matches(&self.values[start..start + self.arity]) {
+                return Some(PartitionId(at));
+            }
+            match self.next[at as usize] {
+                NIL => return None,
+                later => at = later,
+            }
+        }
+    }
+
     /// What the key in the slot at `start` adds to `bytes`: its values
     /// and its link.
     fn key_bytes(&self, start: usize) -> usize {

@@ -3,8 +3,10 @@
 //! The engine substrate shared by the COGRA executor (`cogra-core`) and
 //! the baseline engines (`cogra-baselines`):
 //!
-//! * [`agg`] — incremental aggregate cells implementing the Table 8
-//!   recurrences for COUNT(*)/COUNT(E)/MIN/MAX/SUM/AVG;
+//! * [`agg`] — the Table 8 recurrences for
+//!   COUNT(*)/COUNT(E)/MIN/MAX/SUM/AVG, on rows of words in a per-window
+//!   [`CellTable`] (the COGRA aggregators) and on owned [`Cell`]s (the
+//!   baselines, and results crossing partitions);
 //! * [`engine`] — the [`TrendEngine`] trait every aggregation engine
 //!   implements, with push-based ([`TrendEngine::drain_into`]) and
 //!   collecting ([`TrendEngine::drain`]) result emission;
@@ -36,7 +38,7 @@ pub mod output;
 pub mod router;
 pub mod runtime;
 
-pub use agg::{AggLayout, AggValue, Cell, Feed, Output, SlotFunc, Val};
+pub use agg::{AggLayout, AggValue, Cell, CellTable, Feed, Output, SlotFunc, Val};
 pub use engine::{run_to_completion, TrendEngine};
 pub use intern::{KeyInterner, KeyOverflow, PartitionId, RunStats};
 pub use output::{GroupKey, WindowResult};

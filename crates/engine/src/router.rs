@@ -743,6 +743,32 @@ impl<W: WindowAlgo> Router<W> {
                 partition.windows.push_back((wid, w));
             }
             dec.finish("partition")?;
+            // The ring's load-bearing invariant (see `Partition`), as far
+            // as the ring itself shows it. The event that opened the back
+            // window fell in no later window, so at the latest one tick
+            // before the next window starts; it opened all of its windows
+            // past the drain floor, and the first of them is
+            // non-decreasing in time. So whatever that latest tick would
+            // probe is in the ring, up to the back — whenever in its slide
+            // the event really came. `window_mut` panics on a ring
+            // without it.
+            let window = &rt.query.window;
+            let back = last.expect("a partition holds a window");
+            let start = back.checked_mul(window.slide).ok_or_else(|| {
+                CheckpointError::Corrupt(format!("window {back} starts past the end of time"))
+            })?;
+            let latest = start.saturating_add(window.slide - 1);
+            let floor = state.drained_to.map_or(0, |d| d.0.saturating_add(1));
+            let probed = window
+                .windows_of(Timestamp(latest))
+                .next()
+                .map_or(floor, |w| w.0.max(floor));
+            let reachable = partition.windows.iter().filter(|(id, _)| *id >= probed);
+            if back >= probed && reachable.count() as u64 != back - probed + 1 {
+                return Err(CheckpointError::Corrupt(format!(
+                    "partition {key:?} is missing a window between {probed} and {back}"
+                )));
+            }
             router.resident.push(pid.0);
             router.partitions.push(partition);
         }
@@ -824,6 +850,32 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
 
     fn key_overflow(&self) -> Option<u32> {
         self.key_overflow
+    }
+
+    fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
+        if event.time < self.watermark {
+            return false;
+        }
+        let rt: &QueryRuntime = &self.rt;
+        let partition = key_hash
+            .and_then(|hash| {
+                self.interner
+                    .find(hash, |candidate| rt.key_matches(event, candidate))
+            })
+            .map(|pid| &self.partitions[pid.index()].windows);
+        // What `Partition::window_mut` requires of every window the event
+        // updates: past the back of the ring, or at its place in it.
+        let Some((ring, back)) = partition.and_then(|ring| Some((ring, ring.back()?.0))) else {
+            return true;
+        };
+        rt.query
+            .window
+            .windows_of(event.time)
+            .filter(|wid| self.drained_to.is_none_or(|d| *wid > d) && wid.0 <= back)
+            .all(|wid| {
+                let offset = (back - wid.0) as usize;
+                offset < ring.len() && ring[ring.len() - 1 - offset].0 == wid.0
+            })
     }
 
     fn save_state(&self) -> Result<RouterState, CheckpointError> {

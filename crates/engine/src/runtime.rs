@@ -10,10 +10,11 @@ use cogra_query::{CompiledDisjunct, CompiledQuery, NegId, StateId};
 pub struct PredSource {
     /// Predecessor state.
     pub from: StateId,
-    /// Index into [`DisjunctRuntime::neg_edges`] when the transition is
-    /// negation-tagged (type-grained aggregation then reads the shadow
-    /// cell instead of the plain type cell).
-    pub neg_edge: Option<usize>,
+    /// The row of a type-grained window's table that flows along this
+    /// transition: `from`'s own, or — when the transition is
+    /// negation-tagged — its shadow row
+    /// ([`DisjunctRuntime::shadow_row`]).
+    pub row: usize,
     /// The negated variables on this transition.
     pub negations: Vec<NegId>,
 }
@@ -36,10 +37,19 @@ pub struct DisjunctRuntime {
     pub feeds: DisjunctFeeds,
     /// `pred_sources[s]` — contribution sources of state `s`.
     pub pred_sources: Vec<Vec<PredSource>>,
-    /// All negation-tagged transitions, indexed by `PredSource::neg_edge`.
+    /// All negation-tagged transitions; number `i` has shadow row
+    /// [`DisjunctRuntime::shadow_row`]`(i)`.
     pub neg_edges: Vec<NegEdge>,
-    /// Identity cell template for the query's aggregation layout.
+    /// The query's aggregation layout (every disjunct holds the same one):
+    /// what the rows of this disjunct's windows are read through.
+    pub layout: AggLayout,
+    /// Identity cell template for the layout.
     zero: crate::agg::Cell,
+    /// Attribute count of every registered type, by [`TypeId`] — what an
+    /// event read back from a snapshot is checked against.
+    ///
+    /// [`TypeId`]: cogra_events::TypeId
+    arities: Vec<usize>,
 }
 
 impl DisjunctRuntime {
@@ -47,6 +57,7 @@ impl DisjunctRuntime {
         disjunct: CompiledDisjunct,
         feeds: DisjunctFeeds,
         layout: &AggLayout,
+        registry: &TypeRegistry,
     ) -> DisjunctRuntime {
         let n = disjunct.automaton.num_states();
         let mut pred_sources: Vec<Vec<PredSource>> = Vec::with_capacity(n);
@@ -55,18 +66,18 @@ impl DisjunctRuntime {
             let sid = StateId(s as u32);
             let mut sources = Vec::new();
             for edge in disjunct.automaton.preds(sid) {
-                let neg_edge = if edge.negations.is_empty() {
-                    None
+                let row = if edge.negations.is_empty() {
+                    edge.from.index()
                 } else {
                     neg_edges.push(NegEdge {
                         from: edge.from,
                         negations: edge.negations.clone(),
                     });
-                    Some(neg_edges.len() - 1)
+                    n + neg_edges.len() - 1
                 };
                 sources.push(PredSource {
                     from: edge.from,
-                    neg_edge,
+                    row,
                     negations: edge.negations.clone(),
                 });
             }
@@ -77,14 +88,79 @@ impl DisjunctRuntime {
             feeds,
             pred_sources,
             neg_edges,
+            layout: layout.clone(),
             zero: layout.zero_cell(),
+            arities: registry.iter().map(|(_, schema)| schema.arity()).collect(),
         }
     }
 
-    /// A fresh identity cell for the query's aggregation layout.
+    /// A fresh identity [`Cell`] for the query's aggregation layout — an
+    /// owned value, for the engines that compute with cells. The COGRA
+    /// aggregators do not: their aggregates are rows of a
+    /// [`CellTable`](crate::agg::CellTable), opened in place.
+    ///
+    /// [`Cell`]: crate::agg::Cell
     #[inline]
     pub fn zero_cell(&self) -> crate::agg::Cell {
         self.zero.clone()
+    }
+
+    /// Rows of a type-grained window's table: one per state, then one
+    /// shadow per negation-tagged transition.
+    #[inline]
+    pub fn type_rows(&self) -> usize {
+        self.disjunct.automaton.num_states() + self.neg_edges.len()
+    }
+
+    /// The shadow row of negation-tagged transition `neg_edge`.
+    #[inline]
+    pub fn shadow_row(&self, neg_edge: usize) -> usize {
+        self.disjunct.automaton.num_states() + neg_edge
+    }
+
+    /// Whether `event`, read back from a snapshot as bound to `state`, is
+    /// an event this disjunct could have bound there: of a registered type
+    /// that `state` matches, with that type's attribute count — what the
+    /// predicates and feeds evaluated on it index by.
+    pub fn check_bound(
+        &self,
+        event: &Event,
+        state: StateId,
+    ) -> Result<(), cogra_checkpoint::CheckpointError> {
+        let states = self.disjunct.automaton.states_of_type(event.type_id);
+        if states.contains(&state) && self.arities[event.type_id.index()] == event.attrs.len() {
+            return Ok(());
+        }
+        Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
+            "event {} of type {} with {} attributes cannot be bound to state {}",
+            event.id,
+            event.type_id.0,
+            event.attrs.len(),
+            state.0
+        )))
+    }
+
+    /// Algorithms 1–3's step at one state `event` binds to, on the
+    /// identity row its new aggregates are computed in: the start-of-trend
+    /// `+1`, then `fill`, which folds the predecessors in and says whether
+    /// any of them was live, then — if any trend ends at the event — its
+    /// own contribution. Returns whether one does; a row none does is the
+    /// caller's to drop (see the `agg` module docs on liveness).
+    #[inline]
+    pub fn bind_row(
+        &self,
+        state: StateId,
+        event: &Event,
+        row: &mut [u64],
+        fill: impl FnOnce(&mut [u64]) -> bool,
+    ) -> bool {
+        let start = self.is_start(state);
+        row[0] = u64::from(start);
+        let live = fill(row) | start;
+        if live {
+            self.layout.contribute_row(row, self.feeds.of(state), event);
+        }
+        live
     }
 
     /// Whether `s` is the pattern's start state.
@@ -186,7 +262,7 @@ impl QueryRuntime {
             } else {
                 layout.feeds_for(d)
             };
-            disjuncts.push(DisjunctRuntime::build(d.clone(), feeds, &layout));
+            disjuncts.push(DisjunctRuntime::build(d.clone(), feeds, &layout, registry));
         }
         QueryRuntime {
             query,

@@ -28,8 +28,11 @@ use cogra::prelude::*;
 use common::model::{
     self, chunked, sweep, Case, Config, Op, Reference, Transport, BATCHES, WIDTHS,
 };
-use common::workloads::{disordered, workload, CHURN, RIDESHARE, SKEW, STOCK_MIXED, TRANSPORT};
+use common::workloads::{
+    disordered, rows_case, workload, CHURN, COMEBACK, RIDESHARE, SKEW, STOCK_MIXED, TRANSPORT,
+};
 use common::{jitter, watchdog, Fixture};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// The workloads the round trips sweep: the friendly ones, and the
@@ -159,6 +162,63 @@ proptest! {
             split_case(&case, &reference, seed, widths, n * split_pct / 100);
         });
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_slide_that_does_not_divide_within_round_trips(
+        rows in vec((0u64..4, 0usize..2, 0i64..3, -4i64..5), 1..80),
+        split_pct in 0usize..101,
+        pair_idx in 0usize..16,
+        drained in any::<bool>(),
+    ) {
+        // Regression: `WITHIN 8 SLIDE 3` — an event late in its slide opens
+        // fewer windows than the slide's first tick would (t = 11 is in
+        // windows 2 and 3, t = 9 in 1 to 3), and a restore that expected
+        // the latter refused the snapshot. Snapshots taken with no drain
+        // ever run are the ones that keep such a ring whole.
+        let widths = (WIDTHS[pair_idx / 4], WIDTHS[pair_idx % 4]);
+        let case = rows_case(&UNEVEN, &rows, None);
+        let reference = Reference::of(&case).expect("COGRA takes every query");
+        let split = rows.len() * split_pct / 100;
+        let mut ops = vec![Op::Ingest(split)];
+        ops.extend(drained.then_some(Op::Drain));
+        ops.push(Op::Restore { workers: widths.1, batch: 512 });
+        model::check(&case, &reference, &Config::workers(widths.0), &ops)
+            .map_err(TestCaseError::fail)?;
+    }
+}
+
+/// One query per granularity — type, mixed, pattern — whose slide does not
+/// divide its window.
+const UNEVEN: [&str; 3] = [
+    "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+     GROUP-BY g WITHIN 8 SLIDE 3",
+    "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+     WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 8 SLIDE 3",
+    "RETURN g, COUNT(*), AVG(A.v) PATTERN SEQ(A+, B) SEMANTICS NEXT \
+     GROUP-BY g WITHIN 8 SLIDE 3",
+];
+
+#[test]
+fn the_first_event_of_a_key_late_in_its_slide_restores() {
+    // The smallest such life: one key whose first event comes at t = 11,
+    // snapshotted with windows 2 and 3 open and nothing drained.
+    let case = rows_case(&UNEVEN, &[(10, 0, 1, 1), (1, 1, 1, 2)], None);
+    assert_eq!(case.events[0].time, Timestamp(11));
+    let reference = Reference::of(&case).expect("COGRA takes every query");
+    let restore = Op::Restore {
+        workers: 1,
+        batch: 512,
+    };
+    model::hold(
+        &case,
+        &reference,
+        &Config::workers(1),
+        &[Op::Ingest(1), restore],
+    );
 }
 
 #[test]
@@ -423,6 +483,174 @@ fn a_partition_saved_twice_or_without_a_window_is_rejected_typed() {
     });
 }
 
+/// `SEQ(Stock A+, Stock B+)` per company over the stock stream, at the
+/// granularity `shape` selects — 0: type (ANY), 1: mixed (ANY with a
+/// predicate on adjacent events), 2: pattern (NEXT) — returning `returns`.
+fn stock_query(returns: &str, shape: usize) -> String {
+    let (semantics, adjacent) = [
+        ("skip-till-any-match", ""),
+        ("skip-till-any-match", " AND A.price > NEXT(A).price"),
+        ("skip-till-next-match", ""),
+    ][shape];
+    format!(
+        "RETURN company, {returns} PATTERN SEQ(Stock A+, Stock B+) SEMANTICS {semantics} \
+         WHERE [company]{adjacent} GROUP-BY company WITHIN 1000 SLIDE 500"
+    )
+}
+
+/// The `RETURN` lists the layout batteries cross: no slot, `AVG`'s two
+/// (a sum and a count), and one slot each of two further kinds.
+const RETURNS: [&str; 4] = [
+    "COUNT(*)",
+    "COUNT(*), AVG(B.price)",
+    "COUNT(*), MIN(B.price)",
+    "COUNT(*), SUM(B.price)",
+];
+
+/// The first 200 stock events of seed 3, and what is left of 260.
+fn stock_stream() -> (TypeRegistry, Vec<Event>) {
+    let case = workload(STOCK_MIXED, 3, 260);
+    (case.registry, case.events)
+}
+
+/// A snapshot of `query` over the first 200 stock events, every window
+/// still open.
+fn stock_snapshot(query: &str, slack: Option<u64>) -> Vec<u8> {
+    let (registry, events) = stock_stream();
+    let mut builder = Session::builder().query(query);
+    if let Some(slack) = slack {
+        builder = builder.slack(slack);
+    }
+    let mut session = builder.build(&registry).expect("session builds");
+    for e in &events[..200] {
+        session.process(e);
+    }
+    let mut snap = Vec::new();
+    session.checkpoint(&mut snap).expect("checkpoint");
+    snap
+}
+
+#[test]
+fn a_window_cell_of_another_layout_is_rejected_typed() {
+    watchdog("cell-layout", || {
+        // Regression: a window's cells only had to be as many as the plan
+        // has states. A snapshot with every checksum intact whose `q0`
+        // came from the same query less its `AVG` restored, and `finish`
+        // indexed a slot the cell did not have; with `MIN` for `SUM` a
+        // merge met a slot of another kind. A row is loaded through the
+        // layout now, at all three granularities.
+        let (registry, _) = stock_stream();
+        for shape in 0..3 {
+            let snaps = RETURNS.map(|returns| stock_snapshot(&stock_query(returns, shape), None));
+            for (config, cells, why) in [
+                (1, 0, "cell has 0 slots where the layout has 2"),
+                (0, 1, "cell has 2 slots where the layout has 0"),
+                (3, 2, "slot 0 holds Min"),
+                (2, 3, "slot 0 holds Sum"),
+            ] {
+                let q0 = section(&snaps[cells], "q0");
+                let crossed = rewrite_section(&snaps[config], "q0", |_| q0.clone());
+                assert_refused_as_corrupt(&registry, &snaps[config], &crossed, why);
+            }
+        }
+    });
+}
+
+#[test]
+fn window_bytes_are_the_ones_cells_wrote() {
+    // A window's rows are saved as the cells they stand for, so the
+    // partition entries of an engine section are, byte for byte, what the
+    // build before the flat tables wrote (and reads): the checksums below
+    // were taken there, over a layout with all of a count, a float sum
+    // and a MIN without a value yet.
+    use cogra::engine::RouterState;
+    let pinned = [0x237a_721a_u32, 0x83be_51d7, 0xc195_955a];
+    for (shape, crc) in pinned.into_iter().enumerate() {
+        let query = stock_query("COUNT(*), AVG(B.price), MIN(A.price)", shape);
+        let q0 = section(&stock_snapshot(&query, None), "q0");
+        let state =
+            RouterState::load(&mut cogra_checkpoint::Dec::new(&q0)).expect("engine section");
+        assert_eq!(
+            cogra_checkpoint::crc32(&state.entries.concat()),
+            crc,
+            "the saved windows of granularity {shape} moved"
+        );
+    }
+}
+
+/// Every valid snapshot the never-panic arm damages: three granularities ×
+/// four `RETURN` lists × without and with slack, all of one stream prefix.
+fn snapshot_pool() -> &'static Vec<Vec<u8>> {
+    static POOL: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    POOL.get_or_init(|| {
+        let mut pool = Vec::new();
+        for shape in 0..3 {
+            for returns in RETURNS {
+                for slack in [None, Some(4)] {
+                    pool.push(stock_snapshot(&stock_query(returns, shape), slack));
+                }
+            }
+        }
+        pool
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn a_damaged_snapshot_is_a_typed_error_or_a_session_that_finishes(
+        (victim, donor) in (0usize..24, 0usize..24),
+        damage in 0usize..3,
+        part in 0usize..3,
+        at in any::<u64>(),
+        bits in 1usize..256,
+        workers in 1usize..3,
+    ) {
+        // Never-panic for the snapshot decoder, as
+        // `crates/query/tests/never_panic_props.rs` is for the query front
+        // end: truncation, a byte changed inside a section with the
+        // checksum recomputed, a section taken from another valid
+        // snapshot. Whatever comes back is a typed error or a session
+        // that takes the rest of the stream and finishes.
+        let pool = snapshot_pool();
+        let name = ["config", "reorder", "q0"][part];
+        let valid = &pool[victim];
+        let damaged = match damage {
+            0 => valid[..at as usize % valid.len()].to_vec(),
+            // The `config` section holds the query text: a changed byte
+            // there is another query, not a damaged snapshot.
+            1 => rewrite_section(valid, ["reorder", "q0"][part % 2], |payload| {
+                let mut payload = payload.to_vec();
+                let at = at as usize % payload.len();
+                payload[at] ^= bits as u8;
+                payload
+            }),
+            _ => {
+                let other = section(&pool[donor], name);
+                rewrite_section(valid, name, |_| other.clone())
+            }
+        };
+        watchdog("a damaged snapshot", move || {
+            let (registry, events) = stock_stream();
+            let restored = Session::builder().workers(workers).restore(&registry, damaged.as_slice());
+            let Ok(mut session) = restored else {
+                return;
+            };
+            let mut sink: Vec<TaggedResult> = Vec::new();
+            // Sections of one stream prefix agree on the time; a changed
+            // byte may have moved a clock past the events still to come.
+            if damage == 2 {
+                for e in &events[200..] {
+                    session.process(e);
+                }
+            }
+            session.finish_into(&mut sink);
+            assert!(session.worker_failure().is_none(), "{:?}", session.worker_failure());
+        });
+    }
+}
+
 #[test]
 fn reorder_section_has_one_shape_at_every_width() {
     watchdog("reorder-shape", || {
@@ -463,6 +691,121 @@ fn reorder_section_has_one_shape_at_every_width() {
 }
 
 #[test]
+fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
+    // Regression: the `reorder` section listed in-flight events by
+    // `(time, id, query)`. Comeback runs under NEXT, where the order of
+    // two events of one partition inside a time stamp decides the result,
+    // and jittered its ids no longer grow with arrival — so a restore
+    // taken while two such events were buffered resumed to other rows.
+    // Format 3 stamps every buffered event with its arrival.
+    for seed in 0..4u64 {
+        watchdog("arrival order", move || {
+            let (case, reference) = prepared(COMEBACK, seed, 240, 8);
+            for split in (5..240).step_by(7) {
+                split_case(&case, &reference, seed, (1, 2), split);
+                split_case(&case, &reference, seed, (2, 1), split);
+            }
+        });
+    }
+}
+
+#[test]
+fn format_2_snapshots_still_restore() {
+    watchdog("format 2", || {
+        // A format-2 file has no arrival stamps: its in-flight events are
+        // listed by `(time, id, query)` and come back in that order. Take a
+        // format-3 snapshot of a slack session whose ids do grow with
+        // arrival inside a time stamp (stock, jittered: one event per
+        // company and tick), rewrite it the way the previous build wrote
+        // it, and the resumed run must still print the uninterrupted rows.
+        use cogra_checkpoint::{Dec, Enc};
+        let case = disordered(STOCK_MIXED, 23, 260, 8);
+        let (registry, query) = (&case.registry, case.roster[0].0.as_str());
+        let build = || {
+            Session::builder()
+                .query(query)
+                .slack(8)
+                .build(registry)
+                .expect("session builds")
+        };
+        let rendered = |mut rows: Vec<TaggedResult>| {
+            rows.sort_by_key(|r| (r.result.window, format!("{:?}", r.result.group)));
+            format!("{rows:?}")
+        };
+        let mut uninterrupted = build();
+        let mut expected: Vec<TaggedResult> = Vec::new();
+        for e in &case.events {
+            uninterrupted.process(e);
+        }
+        uninterrupted.finish_into(&mut expected);
+        assert!(expected.len() > 8, "battery bug: nothing to compare");
+
+        let mut session = build();
+        let mut results: Vec<TaggedResult> = Vec::new();
+        for e in &case.events[..150] {
+            session.process(e);
+        }
+        session.drain_into(&mut results);
+        let mut snap = Vec::new();
+        session.checkpoint(&mut snap).expect("checkpoint");
+
+        let in_flight = std::cell::Cell::new(0);
+        let mut old = rewrite_section(&snap, "reorder", |payload| {
+            let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
+            enc.bool(dec.bool().expect("slack flag"));
+            for _ in 0..4 {
+                enc.u64(dec.u64().expect("gate field"));
+            }
+            let pending = dec.usize().expect("pending count");
+            enc.usize(pending);
+            for _ in 0..pending {
+                enc.u64(dec.u64().expect("pending time"));
+            }
+            dec.u64().expect("arrival counter");
+            let mut items: Vec<(u32, Event)> = (0..dec.usize().expect("item count"))
+                .map(|_| {
+                    let query = dec.u32().expect("query");
+                    dec.u64().expect("stamp");
+                    (query, Event::load(&mut dec).expect("event"))
+                })
+                .collect();
+            dec.finish("reorder").expect("nothing else");
+            items.sort_by_key(|(q, e)| (e.time, e.id, *q));
+            in_flight.set(items.len());
+            enc.usize(items.len());
+            for (q, e) in &items {
+                enc.u32(*q);
+                e.save(&mut enc);
+            }
+            enc.into_bytes()
+        });
+        assert!(
+            in_flight.get() > 2,
+            "battery bug: {} in flight",
+            in_flight.get()
+        );
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+
+        for workers in [1usize, 2] {
+            let mut resumed = Session::builder()
+                .workers(workers)
+                .restore(registry, old.as_slice())
+                .expect("a format-2 snapshot restores");
+            let mut rows = results.clone();
+            for e in &case.events[150..] {
+                resumed.process(e);
+            }
+            resumed.finish_into(&mut rows);
+            assert_eq!(
+                rendered(rows),
+                rendered(expected.clone()),
+                "workers={workers}"
+            );
+        }
+    });
+}
+
+#[test]
 fn version_1_snapshots_are_rejected_typed() {
     // Format 2 retired the style-tagged reorder section and the guarded
     // config tail: a v1 file must fail on its header with the version
@@ -478,7 +821,7 @@ fn version_1_snapshots_are_rejected_typed() {
         .checkpoint(&mut snap)
         .expect("checkpoint");
     assert_eq!(snap[8..12], cogra_checkpoint::FORMAT_VERSION.to_le_bytes());
-    assert_eq!(cogra_checkpoint::FORMAT_VERSION, 2);
+    assert_eq!(cogra_checkpoint::FORMAT_VERSION, 3);
     snap[8..12].copy_from_slice(&1u32.to_le_bytes());
     match Session::builder().restore(&registry, snap.as_slice()) {
         Err(CheckpointError::RetiredVersion { found, supported }) => {

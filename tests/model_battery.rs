@@ -17,7 +17,7 @@ mod common;
 
 use cogra::prelude::*;
 use common::model::{self, Case, Config, Reference, Transport, BATCHES, WIDTHS};
-use common::workloads::{disordered, rows_case, workload, BURST, COMEBACK, MATRIX, WORKLOADS};
+use common::workloads::{disordered, rows_case, workload, BURST, MATRIX, WORKLOADS};
 use common::{edges, watchdog};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,13 +30,12 @@ fn a_life(
     transport: Transport,
     raw: Vec<(usize, usize)>,
 ) -> Result<(), TestCaseError> {
-    // Not `COMEBACK`: a third of its events share a time stamp with
+    // `COMEBACK` too: a third of its events share a time stamp with
     // their predecessor and NEXT makes the order inside a time stamp
-    // observable — and in-flight events of one time stamp come back
-    // from a snapshot in id order, which is arrival order only while
-    // ids grow with arrival (ROADMAP, open items).
+    // observable, so a restore must bring in-flight events back in
+    // arrival order — jittered, their ids no longer are.
     // (`BURST` is born disordered, under the slack that repairs it.)
-    let jitter = jitter && wl != COMEBACK && wl != BURST;
+    let jitter = jitter && wl != BURST;
     let case = disordered(wl, seed, n, if jitter { 8 } else { 0 });
     let config = Config {
         workers: WIDTHS[width],

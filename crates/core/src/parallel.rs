@@ -23,14 +23,17 @@
 //!   event clone and no placement hash;
 //! * **width n ≥ 2** — one long-lived worker thread per shard, fed by a
 //!   bounded channel carrying **batch arenas** ([`Batch`]): per shard, the
-//!   coordinator copies each routed event once into the open batch — a
-//!   row header plus its attribute values appended to one contiguous
+//!   coordinator copies of each routed event what the hosted plans read
+//!   ([`Projection`]: the union of their read-sets) once into the open
+//!   batch — a row header plus those values appended to one contiguous
 //!   buffer — and appends one `(row, query, key hash)` route per query
 //!   that wants it there. The worker replays the routes through one
-//!   scratch `Event`, and the coordinator, which keeps a handle to every
-//!   shipped batch, reopens a batch as soon as the worker has dropped its
-//!   own. Steady state allocates nothing per routed event on either
-//!   thread, and no memory allocated on one thread is freed on another.
+//!   scratch `Event` per type, blank outside the read-set, and the
+//!   coordinator, which keeps a handle to every shipped batch, reopens a
+//!   batch as soon as the worker has dropped its own. Steady state
+//!   allocates nothing per routed event on either thread, no memory
+//!   allocated on one thread is freed on another, and both ends of a
+//!   hand-off poll before they park ([`recv_polling`]).
 //!   Watermark broadcasts make a drain emit every result that is globally
 //!   final — even on shards whose sub-stream went quiet — and the workers
 //!   are supervised per [`FailurePolicy`].
@@ -46,11 +49,12 @@ use crate::runtime::QueryRuntime;
 use crate::session::{EngineKind, OpenError, SessionError};
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
-use cogra_events::{Event, EventId, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
+use cogra_events::{AttrId, Event, EventId, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, RecvError, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A fault-injection site, named by a format string. With the `faults`
 /// feature it records a hit at the site and, when the schedule fires it,
@@ -162,8 +166,11 @@ pub struct PoolConfig {
 
 /// The default shard-transport batch size: big enough to amortize a
 /// bounded-channel hand-off over hundreds of events, small enough that a
-/// batch stays well inside a worker's cache while it drains it.
-pub const DEFAULT_BATCH_SIZE: usize = 512;
+/// batch stays well inside a worker's cache while it drains it — and that
+/// a caller draining every couple of thousand events has handed most of
+/// them over before it asks (on `stock-2w`, 2048 events a drain, 256 ran
+/// ahead of 512 in 6 of 6 alternating pairs and of 128 in 5 of 6).
+pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// The widest pool that will be opened. Every shard is an OS thread with
 /// its own stack and engines, so a width far beyond any core count is a
@@ -271,9 +278,87 @@ struct Item {
     stamp: u64,
 }
 
-/// One event of a [`Batch`]: an [`Event`] minus its attribute values,
-/// which end at `attrs_end` in the batch's shared buffer (and start where
-/// the previous row's end).
+/// What a pool's engines read of an event, and what stands in for the
+/// rest: per type, the union of the hosted plans' read-sets
+/// ([`QueryRuntime::read_set`]) and the type's blank row. Only the
+/// read-set travels to a worker, and every event a shard *owns* — a
+/// reorder buffer's, at any width — is the blank row with the read-set
+/// written over it, so a snapshot's in-flight events are the same bytes
+/// whichever width took it.
+struct Projection {
+    /// Per type: the attributes any hosted plan reads, ascending.
+    reads: Vec<Vec<AttrId>>,
+    /// Per type: [`QueryRuntime::blank_rows`].
+    blank: Vec<Vec<Value>>,
+}
+
+impl Projection {
+    fn of(hosted: &[Hosted]) -> Projection {
+        // One registry compiled every hosted plan: any runtime's blanks do.
+        let blank = hosted[0].1.blank_rows.clone();
+        let reads = (0..blank.len())
+            .map(|t| {
+                let mut union: Vec<AttrId> = hosted
+                    .iter()
+                    .flat_map(|(_, rt)| rt.read_set[t].iter().copied())
+                    .collect();
+                union.sort_unstable_by_key(|a| a.0);
+                union.dedup();
+                union
+            })
+            .collect();
+        Projection { reads, blank }
+    }
+
+    /// What is read of `event`, in read-set order.
+    fn read<'a>(&'a self, event: &'a Event) -> impl Iterator<Item = &'a Value> {
+        let reads = &self.reads[event.type_id.index()];
+        reads.iter().map(|a| event.attr(*a))
+    }
+
+    /// THE projection: write `read` — values in `type_id`'s read-set
+    /// order — over the read slots of `attrs`, a row of the type.
+    fn scatter<'a>(
+        &self,
+        type_id: TypeId,
+        read: impl Iterator<Item = &'a Value>,
+        attrs: &mut [Value],
+    ) {
+        for (a, v) in self.reads[type_id.index()].iter().zip(read) {
+            attrs[a.index()].clone_from(v);
+        }
+    }
+
+    /// An owned event of `read`: the type's blank row, projected onto.
+    fn event<'a>(
+        &self,
+        id: EventId,
+        time: Timestamp,
+        type_id: TypeId,
+        read: impl Iterator<Item = &'a Value>,
+    ) -> Event {
+        let mut attrs = self.blank[type_id.index()].clone();
+        self.scatter(type_id, read, &mut attrs);
+        Event::new(id, time, type_id, attrs)
+    }
+
+    /// `event` as a shard may own it.
+    fn owned(&self, event: &Event) -> Event {
+        self.event(event.id, event.time, event.type_id, self.read(event))
+    }
+
+    /// A worker's scratch events: per type, one blank event for
+    /// [`Batch::load`] to write rows of that type into.
+    fn scratch(&self) -> Vec<Event> {
+        let blank =
+            |(t, row): (usize, &Vec<Value>)| Event::new(0, 0, TypeId(t as u32), row.clone());
+        self.blank.iter().enumerate().map(blank).collect()
+    }
+}
+
+/// One event of a [`Batch`]: an [`Event`] minus its attribute values; the
+/// ones that are read ([`Projection::read`]) end at `attrs_end` in the
+/// batch's shared buffer (and start where the previous row's end).
 struct Row {
     id: EventId,
     time: Timestamp,
@@ -292,13 +377,13 @@ struct Route {
 }
 
 /// The unit of shard transport: a slice of one shard's sub-stream as an
-/// arena. Every event is stored once — a [`Row`] plus its attribute
-/// values appended to the one `attrs` buffer — however many of the
-/// shard's queries want it; `routes` lists the `(row, query)` items in
-/// global routing order, and is what a worker replays. Staging an event
-/// is therefore three `Vec` appends into retained capacity: no `Event`
-/// is cloned and nothing is allocated once a batch has been through one
-/// fill.
+/// arena. Every event is stored once — a [`Row`] plus the attribute
+/// values the pool reads appended to the one `attrs` buffer — however
+/// many of the shard's queries want it; `routes` lists the `(row, query)`
+/// items in global routing order, and is what a worker replays. Staging
+/// an event is therefore three `Vec` appends into retained capacity: no
+/// `Event` is cloned and nothing is allocated once a batch has been
+/// through one fill.
 #[derive(Default)]
 struct Batch {
     rows: Vec<Row>,
@@ -315,8 +400,8 @@ impl Batch {
     }
 
     /// Append `event`, admitted as number `stamp`, as the batch's last row.
-    fn push_row(&mut self, event: &Event, stamp: u64) {
-        self.attrs.extend_from_slice(&event.attrs);
+    fn push_row(&mut self, event: &Event, stamp: u64, projection: &Projection) {
+        self.attrs.extend(projection.read(event).cloned());
         self.rows.push(Row {
             id: event.id,
             time: event.time,
@@ -343,24 +428,26 @@ impl Batch {
         &self.attrs[start..self.rows[row].attrs_end]
     }
 
-    /// Overwrite `event` with row `row`, reusing its attribute buffer.
-    fn load(&self, row: usize, event: &mut Event) {
+    /// Load row `row` into its type's scratch event ([`Projection::scratch`]),
+    /// which is returned: only the read slots are written, the others
+    /// stay blank.
+    fn load<'s>(&self, row: usize, projection: &Projection, scratch: &'s mut [Event]) -> &'s Event {
         let header = &self.rows[row];
+        let event = &mut scratch[header.type_id.index()];
         event.id = header.id;
         event.time = header.time;
-        event.type_id = header.type_id;
-        event.attrs.clear();
-        event.attrs.extend_from_slice(self.attrs_of(row));
+        projection.scatter(header.type_id, self.attrs_of(row).iter(), &mut event.attrs);
+        event
     }
 
     /// Row `row` as an owned event, for a shard's reorder buffer.
-    fn event(&self, row: usize) -> Event {
+    fn event(&self, row: usize, projection: &Projection) -> Event {
         let header = &self.rows[row];
-        Event::new(
+        projection.event(
             header.id,
             header.time,
             header.type_id,
-            self.attrs_of(row).to_vec(),
+            self.attrs_of(row).iter(),
         )
     }
 }
@@ -484,6 +571,40 @@ const MAX_RESTARTS: u32 = 8;
 /// behind blocks ingestion instead of buffering without limit.
 const CHANNEL_CAPACITY: usize = 16;
 
+/// How long a receive polls its channel before it parks the thread. A
+/// saturated pool hands a batch over every few tens of microseconds, and
+/// parking for that long costs more than the wait: a futex sleep, the
+/// sender's wake-up call, and a halted vCPU coming back. Long enough to
+/// bridge the gap between two batches or a drain's round trip, short
+/// enough that an idle pool burns nothing a scheduler tick would notice.
+/// A constant, not a knob: the right value follows the cost of a
+/// sleep/wake pair on the host, which no caller knows better.
+const POLL_BUDGET: Duration = Duration::from_micros(50);
+
+/// Polls between two `yield_now`s while [`POLL_BUDGET`] lasts — on a host
+/// with fewer cores than threads the sender may be the thread waiting for
+/// this core.
+const POLLS_PER_YIELD: u32 = 16;
+
+/// `rx.recv()` that polls before it parks — every blocking receive of the
+/// transport (a worker's next command, the coordinator's next reply).
+fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let mut polling_since = None;
+    loop {
+        for _ in 0..POLLS_PER_YIELD {
+            match rx.try_recv() {
+                Ok(message) => return Ok(message),
+                Err(TryRecvError::Disconnected) => return Err(RecvError),
+                Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            }
+        }
+        if polling_since.get_or_insert_with(Instant::now).elapsed() >= POLL_BUDGET {
+            return rx.recv();
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Live §8 sharded execution, shared across a whole session's queries:
 /// every `Shard` hosts one engine per query it serves, and the pool
 /// drives either the one inline shard or `n ≥ 2` worker threads (see the
@@ -516,6 +637,9 @@ const CHANNEL_CAPACITY: usize = 16;
 /// [`Reorderer`]: cogra_events::Reorderer
 pub struct StreamingPool {
     hosted: Vec<Hosted>,
+    /// What of an event the hosted plans read: all a worker is sent, and
+    /// all a reorder buffer keeps.
+    projection: Arc<Projection>,
     /// Width 1: THE shard, driven on the caller's thread. Exactly one of
     /// `inline` and `workers` is populated.
     inline: Option<Box<Shard>>,
@@ -663,12 +787,13 @@ impl StreamingPool {
                 ))));
             }
         }
+        let projection = Arc::new(Projection::of(&hosted));
         let mut workers = Vec::new();
         let inline = if threads == 1 {
             shards.pop().map(Box::new)
         } else {
             for (index, shard) in shards.into_iter().enumerate() {
-                match Self::spawn_one(shard, index, journal) {
+                match Self::spawn_one(shard, index, journal, Arc::clone(&projection)) {
                     Ok(worker) => workers.push(worker),
                     Err(e) => {
                         join_workers(&mut workers);
@@ -700,6 +825,7 @@ impl StreamingPool {
             merged: Vec::new(),
             finished: false,
             hosted,
+            projection,
         };
         for item in buffered {
             pool.restage(item);
@@ -713,7 +839,12 @@ impl StreamingPool {
     /// makes every drain reply carry a [`ShardSnapshot`]: the coordinator
     /// journals for Restart and refreshes its recovery baseline from them.
     /// `Err`: the OS refused the thread.
-    fn spawn_one(shard: Shard, index: usize, attach_snapshots: bool) -> std::io::Result<Worker> {
+    fn spawn_one(
+        shard: Shard,
+        index: usize,
+        attach_snapshots: bool,
+        projection: Arc<Projection>,
+    ) -> std::io::Result<Worker> {
         let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         // Mirror the shard's counters immediately so a freshly restored
@@ -721,7 +852,16 @@ impl StreamingPool {
         let mirror = shard.metrics();
         let thread = std::thread::Builder::new()
             .name(format!("cogra-shard-{index}"))
-            .spawn(move || shard_worker(shard, index, attach_snapshots, cmd_rx, reply_tx))?;
+            .spawn(move || {
+                shard_worker(
+                    shard,
+                    index,
+                    attach_snapshots,
+                    &projection,
+                    cmd_rx,
+                    reply_tx,
+                )
+            })?;
         Ok(Worker {
             tx: Some(cmd_tx),
             rx: reply_rx,
@@ -1022,7 +1162,7 @@ impl StreamingPool {
             if self.failed.is_some() || self.workers[shard].tx.is_none() {
                 return None;
             }
-            match self.workers[shard].rx.recv() {
+            match recv_polling(&self.workers[shard].rx) {
                 Ok(reply) => match reply.failure {
                     None => return Some(reply),
                     Some(message) => self.recover(shard, Some(message)),
@@ -1119,7 +1259,8 @@ impl StreamingPool {
         let respawned = shard_engines(&self.hosted, threads, shard, baseline.states.clone())
             .map_err(|e| format!("recovery baseline is unusable: {e}"))
             .and_then(|engines| {
-                Self::spawn_one(Shard::new(engines, slack, baseline.events), shard, true)
+                let shard_state = Shard::new(engines, slack, baseline.events);
+                Self::spawn_one(shard_state, shard, true, Arc::clone(&self.projection))
                     .map_err(|e| format!("respawn failed: {e}"))
             });
         match respawned {
@@ -1137,7 +1278,7 @@ impl StreamingPool {
         let mut buffered = Batch::default();
         for item in &baseline.buffered {
             if let Some((_, key_hash)) = self.place(item.query as usize, &item.event) {
-                buffered.push_row(&item.event, item.stamp);
+                buffered.push_row(&item.event, item.stamp, &self.projection);
                 buffered.push_route(item.query, key_hash);
             }
         }
@@ -1202,7 +1343,7 @@ impl StreamingPool {
         if let Some((shard, key_hash)) = self.place(query as usize, &event) {
             if self.inline.is_some() {
                 self.push_inline(Item {
-                    event,
+                    event: self.projection.owned(&event),
                     query,
                     key_hash,
                     stamp,
@@ -1217,11 +1358,12 @@ impl StreamingPool {
 
     /// Ingest one event, by reference. At width 1 without slack the shard
     /// reads it in place: nothing is cloned, staged or hashed for
-    /// placement. At width n ≥ 2 it is hashed per query and copied once
-    /// into the open [`Batch`] of every shard that wants it, with one
-    /// route per wanting query; a worker that is [`CHANNEL_CAPACITY`]
-    /// batches behind blocks the caller (backpressure, not unbounded
-    /// buffering). Without slack, events must arrive in non-decreasing
+    /// placement. At width n ≥ 2 it is hashed per query and what the
+    /// hosted plans read of it is copied once into the open [`Batch`] of
+    /// every shard that wants it, with one route per wanting query; a
+    /// worker that is [`CHANNEL_CAPACITY`] batches behind blocks the
+    /// caller (backpressure, not unbounded buffering). Without slack,
+    /// events must arrive in non-decreasing
     /// time order; with slack, disorder up to the slack is repaired on the
     /// shards and anything later is dropped and counted. A finished or
     /// failed pool ignores the event.
@@ -1244,12 +1386,13 @@ impl StreamingPool {
     }
 
     /// Width 1 under slack: the inline shard's reorder buffer owns one
-    /// [`Item`] — a clone of the event — per query that wants it.
+    /// [`Item`] — the event as [`Projection::owned`] makes it, like a
+    /// worker's — per query that wants it.
     fn buffer_inline(&mut self, event: &Event) {
         for query in 0..self.hosted.len() {
             if let Some((_, key_hash)) = self.place(query, event) {
                 self.push_inline(Item {
-                    event: event.clone(),
+                    event: self.projection.owned(event),
                     query: query as u32,
                     key_hash,
                     stamp: self.seq,
@@ -1300,7 +1443,7 @@ impl StreamingPool {
         self.delivered[shard] += 1;
         let lane = &mut self.lanes[shard];
         if lane.last_seq != self.seq {
-            lane.open.push_row(event, self.seq);
+            lane.open.push_row(event, self.seq, &self.projection);
             lane.last_seq = self.seq;
         }
         lane.open.push_route(query, key_hash);
@@ -1748,12 +1891,13 @@ fn shard_worker(
     shard: Shard,
     index: usize,
     attach_snapshots: bool,
+    projection: &Projection,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
     let failure_tx = tx.clone();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        shard_loop(shard, index, attach_snapshots, rx, tx)
+        shard_loop(shard, index, attach_snapshots, projection, rx, tx)
     }));
     if let Err(payload) = result {
         let _ = failure_tx.send(Reply {
@@ -1778,27 +1922,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Ingest one transported batch, sampling the memory peak every 64 items
 /// and at the batch-flush boundary — a burst shorter than the stride
 /// would otherwise leave its peak invisible until the next drain. A
-/// trusted-ordered shard replays the routes through `scratch`, loading a
-/// row once for all its (adjacent) routes; under slack each route becomes
-/// an owned [`Item`] for the reorder buffer.
-fn ingest_batch(shard: &mut Shard, batch: &Batch, scratch: &mut Event) {
-    // `scratch` holds some other batch's row on entry.
+/// trusted-ordered shard replays the routes through `scratch`
+/// ([`Projection::scratch`]), loading a row once for all its (adjacent)
+/// routes; under slack each route becomes an owned [`Item`] for the
+/// reorder buffer.
+fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scratch: &mut [Event]) {
+    // `scratch` holds some other batch's rows on entry.
     let mut loaded = usize::MAX;
     for stride in batch.routes.chunks(64) {
         for route in stride {
             if shard.reorder.is_some() {
                 shard.push(Item {
-                    event: batch.event(route.row),
+                    event: batch.event(route.row, projection),
                     query: route.query,
                     key_hash: route.key_hash,
                     stamp: batch.rows[route.row].stamp,
                 });
             } else {
-                if loaded != route.row {
-                    batch.load(route.row, scratch);
+                let event = if loaded == route.row {
+                    &scratch[batch.rows[route.row].type_id.index()]
+                } else {
                     loaded = route.row;
-                }
-                shard.ingest(scratch, route.query, route.key_hash);
+                    batch.load(route.row, projection, scratch)
+                };
+                shard.ingest(event, route.query, route.key_hash);
             }
         }
         shard.release();
@@ -1816,6 +1963,7 @@ fn shard_loop(
     mut shard: Shard,
     index: usize,
     attach_snapshots: bool,
+    projection: &Projection,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
@@ -1828,14 +1976,15 @@ fn shard_loop(
     };
     // Worker threads only host COGRA engines, which always snapshot.
     let snapshot = |shard: &Shard| shard.snapshot().expect("router-backed engines snapshot");
-    // The one event the engines ever see: each row is loaded into it.
-    let mut scratch = Event::new(0, 0, TypeId(0), Vec::new());
-    for cmd in rx {
+    // The only events the engines ever see: each row is loaded into its
+    // type's.
+    let mut scratch = projection.scratch();
+    while let Ok(cmd) = recv_polling(&rx) {
         let mut results = Vec::new();
         let finish = matches!(cmd, Cmd::Finish);
         let snapshot = match cmd {
             Cmd::Batch(batch) => {
-                ingest_batch(&mut shard, &batch, &mut scratch);
+                ingest_batch(&mut shard, &batch, projection, &mut scratch);
                 // Fire *after* the batch mutated the engines: recovery
                 // must discard the partial work, not resume over it.
                 kill(probe!("worker/batch/{index}"));
@@ -1952,6 +2101,65 @@ mod tests {
         assert_eq!(rows, events.len(), "one row per event");
         assert_eq!(routes, 2 * events.len(), "one route per (event, query)");
         assert_eq!(pool.routed_items(), routes as u64);
+    }
+
+    #[test]
+    fn a_row_carries_the_union_read_set_of_the_hosted_queries() {
+        let mut reg = TypeRegistry::new();
+        let attrs = vec![
+            ("g", ValueKind::Int),
+            ("tag", ValueKind::Str),
+            ("v", ValueKind::Int),
+            ("ok", ValueKind::Bool),
+            ("w", ValueKind::Float),
+        ];
+        let a = reg.register_type("A", attrs.clone());
+        let b = reg.register_type("B", attrs);
+        let runtime = |query: &str| {
+            let plan = cogra_query::compile(&cogra_query::parse(query).unwrap(), &reg).unwrap();
+            Arc::new(QueryRuntime::new(plan, &reg))
+        };
+        // A: g, v (the first query) — B: g (both) and w (the second).
+        let sums = runtime(
+            "RETURN g, SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY GROUP-BY g WITHIN 16 SLIDE 8",
+        );
+        let peaks = runtime(
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT WHERE B.w > 1.5 \
+             GROUP-BY g WITHIN 16 SLIDE 8",
+        );
+        let mut pool = StreamingPool::new(vec![sums, peaks], 2, PoolConfig::default()).unwrap();
+        let mut builder = EventBuilder::new();
+        let events: Vec<Event> = (0..40i64)
+            .map(|i| {
+                let attrs = vec![
+                    Value::Int(i % 5),
+                    Value::str("unread"),
+                    Value::Int(i),
+                    Value::Bool(true),
+                    Value::Float(i as f64),
+                ];
+                builder.event((i + 1) as u64, if i % 3 == 2 { b } else { a }, attrs)
+            })
+            .collect();
+        events.iter().for_each(|e| pool.route(e));
+        let mut rows = 0;
+        let mut scratch = pool.projection.scratch();
+        for batch in pool.lanes.iter().map(|lane| &lane.open) {
+            assert_eq!(batch.routes.len(), 2 * batch.rows.len(), "stored once");
+            for (r, row) in batch.rows.iter().enumerate() {
+                let event = &events[row.id.0 as usize];
+                let read: &[usize] = if row.type_id == a { &[0, 2] } else { &[0, 4] };
+                let expected: Vec<Value> = read.iter().map(|&i| event.attrs[i].clone()).collect();
+                assert_eq!(batch.attrs_of(r), expected, "row of {event:?}");
+                // What a worker hands its engines: blanks around the row.
+                let loaded = batch.load(r, &pool.projection, &mut scratch);
+                assert_eq!(*loaded, pool.projection.owned(event));
+                assert_eq!(loaded.attrs[1], Value::str(""), "unread: {loaded:?}");
+                assert_eq!(loaded.attrs[3], Value::Bool(false), "unread: {loaded:?}");
+                rows += 1;
+            }
+        }
+        assert_eq!(rows, events.len(), "one row per event");
     }
 
     /// Drive `pool` over `events`, draining after every `chunk` events.
@@ -2072,13 +2280,13 @@ mod tests {
         let hosted = [(EngineKind::Cogra, Arc::clone(&rt))];
         let engines = shard_engines(&hosted, 1, 0, vec![None]).unwrap();
         let mut shard = Shard::new(engines, None, 0);
+        let projection = Projection::of(&hosted);
         let mut batch = Batch::default();
         for (i, e) in events.iter().enumerate() {
-            batch.push_row(e, i as u64 + 1);
+            batch.push_row(e, i as u64 + 1, &projection);
             batch.push_route(0, rt.key_hash(e));
         }
-        let mut scratch = events[0].clone();
-        ingest_batch(&mut shard, &batch, &mut scratch);
+        ingest_batch(&mut shard, &batch, &projection, &mut projection.scratch());
         assert!(shard.memory() > 0);
         assert_eq!(
             shard.peak,

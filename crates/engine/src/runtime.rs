@@ -244,6 +244,15 @@ pub struct QueryRuntime {
     /// Per registered type: positional ids of the partition attributes
     /// (`None` = type cannot be partitioned, events dropped).
     pub partition_attr_ids: Vec<Option<Vec<cogra_events::AttrId>>>,
+    /// Per registered type: the attributes the plan reads, ascending
+    /// ([`CompiledQuery::read_set`]) — all of an event its engines need.
+    pub read_set: Vec<Vec<cogra_events::AttrId>>,
+    /// Per registered type: a row of the type's arity and kinds holding
+    /// blanks ([`ValueKind::blank`]) — what a transport that carries only
+    /// the read-set fills the other attributes with.
+    ///
+    /// [`ValueKind::blank`]: cogra_events::ValueKind::blank
+    pub blank_rows: Vec<Vec<cogra_events::Value>>,
 }
 
 impl QueryRuntime {
@@ -254,6 +263,11 @@ impl QueryRuntime {
             "compiled query has no disjuncts"
         );
         let partition_attr_ids = query.partition_attr_ids(registry);
+        let read_set = query.read_set(registry);
+        let blank_rows = registry
+            .iter()
+            .map(|(_, schema)| schema.iter().map(|(_, kind)| kind.blank()).collect())
+            .collect();
         let (layout, first_feeds) = AggLayout::build(&query.disjuncts[0]);
         let mut disjuncts = Vec::with_capacity(query.disjuncts.len());
         for (i, d) in query.disjuncts.iter().enumerate() {
@@ -270,6 +284,8 @@ impl QueryRuntime {
             layout,
             disjuncts,
             partition_attr_ids,
+            read_set,
+            blank_rows,
         }
     }
 

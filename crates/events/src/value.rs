@@ -126,6 +126,19 @@ pub enum ValueKind {
     Bool,
 }
 
+impl ValueKind {
+    /// The kind's blank value — `0`, `0.0`, the empty string, `false`:
+    /// what stands in for an attribute no query reads.
+    pub fn blank(self) -> Value {
+        match self {
+            ValueKind::Int => Value::Int(0),
+            ValueKind::Float => Value::Float(0.0),
+            ValueKind::Str => Value::str(""),
+            ValueKind::Bool => Value::Bool(false),
+        }
+    }
+}
+
 impl fmt::Display for ValueKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

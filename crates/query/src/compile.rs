@@ -231,6 +231,48 @@ impl CompiledQuery {
             })
             .collect()
     }
+
+    /// The **read-set** of the plan: per registered type (indexed by
+    /// `TypeId`), the ascending ids of the attributes anything in it reads
+    /// off an event of that type — the partition key, the local filters of
+    /// its states and negated variables, both sides of every predicate on
+    /// adjacent events, and the aggregate targets. Every other attribute
+    /// of an event is dead weight to this query: an engine may be handed
+    /// any value in its place. A type without the partition attributes
+    /// reads nothing — its events are dropped before anything looks at
+    /// them ([`CompiledQuery::partition_attr_ids`]).
+    pub fn read_set(&self, registry: &TypeRegistry) -> Vec<Vec<AttrId>> {
+        let keys = self.partition_attr_ids(registry);
+        let mut reads: Vec<Vec<AttrId>> =
+            keys.iter().map(|k| k.clone().unwrap_or_default()).collect();
+        for d in &self.disjuncts {
+            let a = &d.automaton;
+            let state_type = |s: StateId| a.state(s).type_id.index();
+            for (s, _) in a.states() {
+                let filters = d.locals[s.index()].iter().map(|f| f.attr);
+                reads[state_type(s)].extend(filters);
+            }
+            for (n, v) in a.negated_vars() {
+                let filters = d.neg_locals[n.index()].iter().map(|f| f.attr);
+                reads[v.type_id.index()].extend(filters);
+            }
+            for adj in &d.adjacents {
+                reads[state_type(adj.pred)].push(adj.pred_attr);
+                reads[state_type(adj.succ)].push(adj.succ_attr);
+            }
+            for (s, attr) in d.aggs.iter().flat_map(|agg| &agg.targets) {
+                reads[state_type(*s)].extend(attr);
+            }
+        }
+        for (attrs, key) in reads.iter_mut().zip(&keys) {
+            if key.is_none() {
+                attrs.clear();
+            }
+            attrs.sort_unstable_by_key(|a| a.0);
+            attrs.dedup();
+        }
+        reads
+    }
 }
 
 /// Compile a surface query against a type registry.

@@ -25,12 +25,29 @@ pub fn explain(query: &CompiledQuery, registry: &TypeRegistry) -> String {
         query.partition_attrs.join(", "),
         query.group_prefix
     );
+    let _ = writeln!(out, "reads: {}", reads(query, registry));
     let _ = writeln!(out, "granularity: {}", query.granularity());
     for (i, d) in query.disjuncts.iter().enumerate() {
         let _ = writeln!(out, "disjunct {i}:");
         explain_disjunct(&mut out, d, registry);
     }
     out
+}
+
+/// The plan's read-set ([`CompiledQuery::read_set`]) — its projection
+/// list: what of an event it reads at all — as `Type{attr, …}` per type
+/// that is read, in registry order.
+pub fn reads(query: &CompiledQuery, registry: &TypeRegistry) -> String {
+    let per_type: Vec<String> = registry
+        .iter()
+        .zip(query.read_set(registry))
+        .filter(|(_, attrs)| !attrs.is_empty())
+        .map(|((_, schema), attrs)| {
+            let names: Vec<&str> = attrs.iter().map(|a| schema.attr_name(*a)).collect();
+            format!("{}{{{}}}", schema.name(), names.join(", "))
+        })
+        .collect();
+    per_type.join(", ")
 }
 
 fn explain_disjunct(out: &mut String, d: &CompiledDisjunct, registry: &TypeRegistry) {
@@ -197,6 +214,32 @@ mod tests {
         assert!(report.contains("per type (Tt)"), "{report}");
         assert!(report.contains("A.price > NEXT(A).price"), "{report}");
         assert!(report.contains("partitioning: [company]"), "{report}");
+    }
+
+    #[test]
+    fn explain_lists_what_each_type_is_read_for() {
+        let q3 = |adjacent: &str| {
+            let text = format!(
+                "RETURN company, COUNT(*) PATTERN SEQ(Stock A+, Stock B+) SEMANTICS ANY \
+                 WHERE [company]{adjacent} GROUP-BY company WITHIN 600 SLIDE 10"
+            );
+            explain(&compiled(&text), &registry())
+        };
+        let report = q3("");
+        assert!(report.contains("reads: Stock{company}\n"), "{report}");
+        let report = q3(" AND A.price > NEXT(A).price");
+        assert!(
+            report.contains("reads: Stock{company, price}\n"),
+            "{report}"
+        );
+        // Several types, in registry order; one nothing reads is left out.
+        let report = explain(
+            &compiled(
+                "RETURN COUNT(*), SUM(B.v) PATTERN SEQ(A, B) SEMANTICS ANY WITHIN 10 SLIDE 5",
+            ),
+            &registry(),
+        );
+        assert!(report.contains("reads: B{v}\n"), "{report}");
     }
 
     #[test]

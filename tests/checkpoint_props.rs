@@ -691,6 +691,87 @@ fn reorder_section_has_one_shape_at_every_width() {
 }
 
 #[test]
+fn a_mostly_unread_schema_round_trips_from_two_workers() {
+    watchdog("unread kinds", || {
+        // One attribute of every kind, and the queries read two of them
+        // (`g`, `v`): between two workers only those travel, so the events
+        // a `.workers(2).slack(8)` snapshot holds in flight — and the ones
+        // the mixed-grained windows stored — are blank elsewhere. Blank,
+        // not missing: every width takes them back as events of the
+        // registered type, and finishes with the reference's rows.
+        let mut registry = TypeRegistry::new();
+        let tick = registry.register_type(
+            "Tick",
+            vec![
+                ("note", ValueKind::Str),
+                ("g", ValueKind::Int),
+                ("ok", ValueKind::Bool),
+                ("v", ValueKind::Float),
+                ("w", ValueKind::Int),
+                ("tag", ValueKind::Str),
+            ],
+        );
+        let mut builder = EventBuilder::new();
+        let events: Vec<Event> = (0..240u64)
+            .map(|i| {
+                let v = ((i * 37) % 23) as f64 / 4.0;
+                let attrs = vec![
+                    Value::str(format!("note {i}")),
+                    Value::Int((i % 5) as i64),
+                    Value::Bool(i % 2 == 0),
+                    Value::Float(v),
+                    Value::Int(i as i64),
+                    Value::str("tag"),
+                ];
+                builder.event(i / 2 + 1, tick, attrs)
+            })
+            .collect();
+        let queries = [
+            "RETURN g, COUNT(*), SUM(T.v) PATTERN Tick T+ SEMANTICS ANY \
+             WHERE T.v < NEXT(T).v GROUP-BY g WITHIN 12 SLIDE 6",
+            "RETURN g, COUNT(*), MAX(T.v) PATTERN Tick T+ SEMANTICS NEXT \
+             GROUP-BY g WITHIN 12 SLIDE 6",
+        ];
+        let case = Case {
+            name: "mostly unread".to_string(),
+            registry,
+            roster: queries.map(|q| (q.to_string(), EngineKind::Cogra)).to_vec(),
+            events,
+            slack: None,
+            same: Vec::new(),
+        }
+        .jittered(8, 0xb1a);
+        let reference = Reference::of(&case).expect("COGRA takes both queries");
+        assert!(reference.results() > 20, "the battery emits");
+
+        // The snapshot under test holds events in flight, blank where
+        // nothing reads them.
+        let split = 150;
+        let mut session = Session::builder().workers(2).slack(8);
+        for query in queries {
+            session = session.query(query);
+        }
+        let mut session = session.build(&case.registry).expect("session builds");
+        case.events[..split].iter().for_each(|e| session.process(e));
+        let mut snapshot = Vec::new();
+        session.checkpoint(&mut snapshot).expect("checkpoint");
+        let in_flight = section(&snapshot, "reorder");
+        assert!(in_flight.len() > 256, "nothing in flight");
+        let holds = |text: &str| in_flight.windows(text.len()).any(|w| w == text.as_bytes());
+        assert!(!holds("note") && !holds("tag"), "unread strings travelled");
+
+        for workers in [1, 2, 4] {
+            let restore = Op::Restore {
+                workers,
+                batch: BATCHES[workers % 4],
+            };
+            let ops = [Op::Ingest(split), restore];
+            model::hold(&case, &reference, &Config::workers(2), &ops);
+        }
+    });
+}
+
+#[test]
 fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
     // Regression: the `reorder` section listed in-flight events by
     // `(time, id, query)`. Comeback runs under NEXT, where the order of

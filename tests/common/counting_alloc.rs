@@ -1,6 +1,7 @@
 //! A process-wide counting allocator for the allocation pins
 //! (`inline_path_allocs.rs`, `width2_path_allocs.rs`, `csv_path_allocs.rs`,
-//! `churn_path_allocs.rs`). Each is a test
+//! `churn_path_allocs.rs`) and the decoders' size bound
+//! (`decoder_never_panic.rs`). Each is a test
 //! binary of its own and installs it with
 //! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`,
 //! so allocations on every thread of the binary are seen.
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 pub struct CountingAlloc;
 
@@ -21,6 +23,7 @@ pub fn counting(on: bool) {
 }
 
 /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) counted so far.
+#[allow(dead_code)] // the decoder arms bound sizes, not calls
 pub fn calls() -> u64 {
     CALLS.load(Ordering::Relaxed)
 }
@@ -31,9 +34,16 @@ pub fn frees() -> u64 {
     FREES.load(Ordering::Relaxed)
 }
 
-fn count() {
+/// The largest single request (in bytes) counted since the last call.
+#[allow(dead_code)] // only the decoder arms bound sizes
+pub fn take_largest() -> u64 {
+    LARGEST.swap(0, Ordering::Relaxed)
+}
+
+fn count(size: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -42,7 +52,7 @@ fn count() {
 // atomics and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -56,13 +66,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }

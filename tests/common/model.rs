@@ -47,6 +47,36 @@ impl Case {
         self
     }
 
+    /// The case with every attribute no roster query reads
+    /// (`CompiledQuery::read_set`) overwritten with noise of its kind: to
+    /// engines that read no more than their plans say, the same case.
+    pub fn noised(mut self) -> Case {
+        let mut read: Vec<Vec<bool>> = (self.registry.iter())
+            .map(|(_, schema)| vec![false; schema.arity()])
+            .collect();
+        for (query, _) in &self.roster {
+            let plan = compile(&parse(query).expect("query parses"), &self.registry);
+            let reads = plan.expect("query compiles").read_set(&self.registry);
+            for (read, attrs) in read.iter_mut().zip(reads) {
+                attrs.iter().for_each(|a| read[a.index()] = true);
+            }
+        }
+        for (i, event) in self.events.iter_mut().enumerate() {
+            let read = &read[event.type_id.index()];
+            let kinds = self.registry.schema(event.type_id).iter();
+            for (a, (_, kind)) in kinds.enumerate().filter(|(a, _)| !read[*a]) {
+                event.attrs[a] = match kind {
+                    ValueKind::Int => Value::Int(i64::MIN / 2 + i as i64),
+                    ValueKind::Float if i % 2 == 0 => Value::Float(f64::NAN),
+                    ValueKind::Float => Value::Float(-1e300),
+                    ValueKind::Str => Value::str(format!("noise{i}")),
+                    ValueKind::Bool => Value::Bool(i % 2 == 0),
+                };
+            }
+        }
+        self
+    }
+
     /// Whether every query runs on COGRA — only then may a session shard.
     pub fn shards(&self) -> bool {
         self.roster

@@ -90,15 +90,135 @@ const REPEATS: [(&str, &str); 3] = [
     ("SEQ(A*, A*)", "OR(SEQ(A+, A+), A+)"),
 ];
 
+/// Every query of the matrix and of the workload table alone, as cases
+/// of `n` events (the table's; the matrix's have no stream).
+fn each_query_alone(n: usize) -> Vec<Case> {
+    let alone = |case: Case| (0..case.roster.len()).map(move |q| case.clone().only(q));
+    let matrix: Vec<&str> = MATRIX.iter().map(|(q, _)| *q).collect();
+    let mut rosters: Vec<Case> = alone(rows_case(&matrix, &[], None)).collect();
+    rosters.extend((0..WORKLOADS).flat_map(|wl| alone(workload(wl, 1, n))));
+    rosters
+}
+
+/// The edge populations of `roster`'s queries: `(what it probes, the
+/// stream)`.
+fn edge_streams(roster: &Case) -> Vec<(String, Vec<Event>)> {
+    let queries = roster.roster.iter();
+    queries
+        .flat_map(|(q, _)| edges::populations(q, &roster.registry))
+        .collect()
+}
+
+#[test]
+fn read_sets_name_what_the_plans_read() {
+    use cogra::query::explain;
+    use cogra::workloads::{rideshare, stock};
+    let abc = common::workloads::abc_registry();
+    // `D` carries no `g`: under GROUP-BY `g` its events belong to no
+    // partition and are dropped unread, whatever the query says of them.
+    let mut keyless = TypeRegistry::new();
+    keyless.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+    keyless.register_type("D", vec![("v", ValueKind::Int)]);
+    let driver = rideshare::TYPES
+        .map(|t| format!("{t}{{driver}}"))
+        .join(", ");
+    let table: [(TypeRegistry, String, &str); 8] = [
+        (
+            stock::registry(),
+            stock::q3_query_no_adjacent(40, 20),
+            "Stock{company}",
+        ),
+        (
+            stock::registry(),
+            stock::q3_query(40, 20),
+            "Stock{company, price}",
+        ),
+        // Both sides of the predicate on adjacent events.
+        (
+            stock::registry(),
+            stock::selectivity_query(40, 20),
+            "Stock{company, sel, gate}",
+        ),
+        // Every type carries the key, noise types included.
+        (rideshare::registry(), rideshare::q2_query(80, 40), &driver),
+        // Aggregate targets: SUM(A.v), MIN(B.v).
+        (
+            abc.clone(),
+            MATRIX[0].0.to_string(),
+            "A{g, v}, B{g, v}, C{g}",
+        ),
+        // MAX(A.v), AVG, and a local filter on the negated variable.
+        (
+            abc.clone(),
+            "RETURN g, MAX(A.v), AVG(A.v) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY \
+             WHERE C.v > 3 GROUP-BY g WITHIN 10 SLIDE 5"
+                .to_string(),
+            "A{g, v}, B{g}, C{g, v}",
+        ),
+        // A local filter on a state, under an equivalence predicate.
+        (
+            abc,
+            "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT WHERE [g] AND B.v = 2 \
+             WITHIN 10 SLIDE 5"
+                .to_string(),
+            "A{g}, B{g, v}, C{g}",
+        ),
+        (
+            keyless,
+            "RETURN g, COUNT(*), SUM(D.v) PATTERN SEQ(A+, D) SEMANTICS ANY \
+             GROUP-BY g WITHIN 10 SLIDE 5"
+                .to_string(),
+            "A{g}",
+        ),
+    ];
+    for (registry, query, reads) in table {
+        let plan = compile(&parse(&query).expect("parses"), &registry).expect("compiles");
+        assert_eq!(explain::reads(&plan, &registry), reads, "{query}");
+    }
+}
+
+#[test]
+fn attributes_outside_the_read_set_are_never_read() {
+    // Read-set soundness (`CompiledQuery::read_set` is all a shard worker
+    // is sent of an event): every attribute outside it overwritten with
+    // noise, every engine kind must still observe the reference of the
+    // clean stream. Judged where events are read in place — one inline
+    // shard, no slack; any other transport would project the noise away.
+    let mut held = 0;
+    for roster in each_query_alone(160) {
+        let mut streams = edge_streams(&roster);
+        // The table's own stream too, its disorder (burst) repaired up
+        // front: the sort is stable, as the reorderer's release is.
+        let mut events = roster.events.clone();
+        events.sort_by_key(|e| e.time);
+        streams.push(("the table's stream".to_string(), events));
+        for (probe, events) in streams {
+            for kind in EngineKind::ALL {
+                let case = Case {
+                    name: format!("{probe} of {} on {kind}", roster.name),
+                    events: events.clone(),
+                    slack: None,
+                    ..roster.clone().on(kind)
+                };
+                // `None`: outside the kind's Table 9 row.
+                let Some(reference) = Reference::of(&case) else {
+                    continue;
+                };
+                let ops = model::chunked(&case, 16);
+                model::hold(&case.noised(), &reference, &Config::default(), &ops);
+                held += 1;
+            }
+        }
+    }
+    assert!(held > 600, "only {held} noised lives");
+}
+
 #[test]
 fn edge_populations_match_the_oracle() {
     // The rosters, as cases without a stream yet: every query of the
     // matrix and of the workload table alone, every repeat beside its
     // expansion.
-    let alone = |case: Case| (0..case.roster.len()).map(move |q| case.clone().only(q));
-    let matrix: Vec<&str> = MATRIX.iter().map(|(q, _)| *q).collect();
-    let mut rosters: Vec<Case> = alone(rows_case(&matrix, &[], None)).collect();
-    rosters.extend((0..WORKLOADS).flat_map(|wl| alone(workload(wl, 1, 0))));
+    let mut rosters = each_query_alone(0);
     for (surface, expanded) in REPEATS {
         let query = |pattern: &str| {
             format!("RETURN COUNT(*), SUM(A.v) PATTERN {pattern} SEMANTICS ANY WITHIN 10 SLIDE 10")
@@ -110,11 +230,7 @@ fn edge_populations_match_the_oracle() {
 
     let mut populations = 0;
     for roster in rosters {
-        let streams: Vec<(String, Vec<Event>)> = roster
-            .roster
-            .iter()
-            .flat_map(|(q, _)| edges::populations(q, &roster.registry))
-            .collect();
+        let streams = edge_streams(&roster);
         let edges = streams.iter().any(|(probe, _)| probe.contains('→'));
         let mut outcomes = std::collections::HashSet::new();
         for (probe, events) in streams {

@@ -7,12 +7,17 @@
 //! `inline_path_allocs.rs`): the engines' own first-seen-key and window
 //! bookkeeping. An event two queries want on the same shard is stored
 //! once and routed twice, so a second query adds only its engine's share.
+//! And only what the plans read travels (the read-set pin): a `Str`
+//! attribute no query reads is never cloned, so its `Arc`'s count — a
+//! cache line the coordinator and a worker would otherwise trade on every
+//! event — never moves.
 //!
 //! One test, in a binary of its own: the counting allocator is
 //! process-wide, which is how the worker threads' allocations are seen.
 
 use cogra::prelude::*;
 use cogra::workloads::{stock, StockConfig};
+use std::sync::Arc;
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -26,11 +31,22 @@ fn two_worker_ingest_allocates_nothing_per_routed_event() {
     const EVENTS: usize = 50_000;
     const CHUNK: usize = 2_048;
     const WARM_UP_CHUNKS: usize = 4;
-    let registry = stock::registry();
-    let events = stock::generate(&StockConfig {
+    // The stock schema plus `venue`, a string nothing reads.
+    let stock_registry = stock::registry();
+    let stock_schema = stock_registry.schema(stock_registry.id_of("Stock").expect("registered"));
+    let mut attrs: Vec<(&str, ValueKind)> = stock_schema.iter().collect();
+    attrs.push(("venue", ValueKind::Str));
+    let mut registry = TypeRegistry::new();
+    registry.register_type("Stock", attrs);
+    let venue: Arc<str> = Arc::from("XNYS");
+    let mut events = stock::generate(&StockConfig {
         events: EVENTS,
         ..Default::default()
     });
+    for e in &mut events {
+        e.attrs.push(Value::Str(Arc::clone(&venue)));
+    }
+    let venues = Arc::strong_count(&venue);
     // Both queries group by company, so they place every event on the
     // same shard; both are type-grained, so neither engine stores events.
     let plain = stock::q3_query_no_adjacent(1000, 500);
@@ -58,6 +74,13 @@ fn two_worker_ingest_allocates_nothing_per_routed_event() {
                 counted += chunk.len();
             }
             session.drain_into(&mut results);
+            // Batches shipped in this chunk are still held (reclaimed at
+            // the next ship), and so are the workers' scratch events.
+            assert_eq!(
+                Arc::strong_count(&venue),
+                venues,
+                "chunk {i}: an attribute no query reads was cloned into the transport"
+            );
         }
         session.finish_into(&mut results);
         assert!(!results.is_empty(), "the workload emits results");

@@ -59,12 +59,16 @@ macro_rules! probe {
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
-/// The snapshot format version this build writes. Version 3 stamps the
-/// `reorder` section's in-flight events with their arrival order; version
-/// 2 (no stamps: its readers fall back to the order of event ids) gave
-/// that section one shape at every worker count and made the `config`
-/// section's `key_limit` and sharing-map fields unconditional.
-pub const FORMAT_VERSION: u32 = 3;
+/// The snapshot format version this build writes. Version 4 keeps of a
+/// matched event, in the pattern- and mixed-grained windows, its time
+/// stamp and the plan's stored projection instead of the event, and
+/// records in every engine section the window spec and the clock it was
+/// written under; version 3 stamps the `reorder` section's in-flight
+/// events with their arrival order; version 2 (no stamps: its readers fall
+/// back to the order of event ids) gave that section one shape at every
+/// worker count and made the `config` section's `key_limit` and
+/// sharing-map fields unconditional.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The oldest snapshot format version this build still reads; version 1
 /// is retired, not migrated.
@@ -260,12 +264,30 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    version: u32,
 }
 
 impl<'a> Dec<'a> {
-    /// Decode from the start of `buf`.
+    /// Decode from the start of `buf`, bytes this build wrote
+    /// ([`FORMAT_VERSION`]).
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec::of_version(buf, FORMAT_VERSION)
+    }
+
+    /// Decode from the start of `buf`, a payload of a snapshot of format
+    /// `version` ([`SnapshotReader::version`]).
+    pub fn of_version(buf: &'a [u8], version: u32) -> Dec<'a> {
+        Dec {
+            buf,
+            pos: 0,
+            version,
+        }
+    }
+
+    /// The format version of the snapshot the payload is from — what a
+    /// state owner whose layout changed between formats branches on.
+    pub fn version(&self) -> u32 {
+        self.version
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {

@@ -27,26 +27,34 @@
 //! ## What a window holds
 //!
 //! The [`TypeGrainedWindow`], whose table has one row more than Algorithm 1
-//! needs: the finished-trend accumulator. The stored `Te` events with the
-//! state each is bound to, in arrival order, and beside them one growing
-//! row list with a row of `1 + k` words per stored event — the event's
-//! aggregates are computed in the row they are stored in, and the row is
-//! dropped again when no trend ends at the event. One [`NegClock`] per
-//! negated variable.
+//! needs: the finished-trend accumulator. The stored `Te` events, in
+//! arrival order, as one arena: of each, what the plan reads of it again
+//! — its time stamp, the state it is bound to, and the stored projection
+//! of its type ([`CompiledDisjunct::stored`], the `pred_attr`s of the
+//! predicates on adjacent events) appended to one shared value buffer —
+//! and beside them one growing row list with a row of `1 + k` words per
+//! stored event: the event's aggregates are computed in the row they are
+//! stored in, and the row is dropped again when no trend ends at the
+//! event. One [`NegClock`] per negated variable.
+//!
+//! [`CompiledDisjunct::stored`]: cogra_query::CompiledDisjunct::stored
 
 use crate::agg::{Cell, CellTable};
 use crate::runtime::{DisjunctRuntime, NegClock};
 use crate::type_grained::TypeGrainedWindow;
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
-use cogra_events::Event;
+use cogra_events::{Event, Timestamp, Value};
 use cogra_query::{NegId, StateId};
 
-/// A stored event of a `Te` state; its event-grained aggregates are the
-/// row of [`MixedWindow::rows`] at its position.
+/// A stored event of a `Te` state, minus its stored values: those end at
+/// `values_end` in [`MixedWindow::values`] (and start where the previous
+/// entry's end). Its event-grained aggregates are the row of
+/// [`MixedWindow::rows`] at its position.
 #[derive(Debug)]
-struct StoredEvent {
-    event: Event,
+struct Stored {
+    time: Timestamp,
     state: StateId,
+    values_end: u32,
 }
 
 /// Per-window mixed-grained aggregation state.
@@ -58,7 +66,9 @@ pub struct MixedWindow {
     /// line 14).
     tt: TypeGrainedWindow,
     /// Stored `Te` events, in arrival order.
-    stored: Vec<StoredEvent>,
+    stored: Vec<Stored>,
+    /// Their stored values ([`DisjunctRuntime::store`]), end to end.
+    values: Vec<Value>,
     /// The stored events' event-grained aggregates, a row each. Every one
     /// is live.
     rows: Vec<u64>,
@@ -94,6 +104,7 @@ impl MixedWindow {
         MixedWindow {
             tt,
             stored: Vec::new(),
+            values: Vec::new(),
             rows: Vec::new(),
             neg_clocks,
             bytes: Self::INLINE_BYTES,
@@ -105,15 +116,33 @@ impl MixedWindow {
     pub fn reset(&mut self, rt: &DisjunctRuntime) {
         self.tt.reset(rt);
         self.stored.clear();
+        self.values.clear();
         self.rows.clear();
         self.bytes = Self::INLINE_BYTES;
         self.neg_clocks.fill(NegClock::default());
     }
 
-    /// Footprint of one stored event beside its row: the entry and the
-    /// attribute values behind it.
-    fn stored_bytes(se: &StoredEvent) -> usize {
-        std::mem::size_of::<StoredEvent>() - std::mem::size_of::<Event>() + se.event.memory_bytes()
+    /// Store the event of `time`, bound to `state`, whose stored values
+    /// are the tail of `values` from `values_start` on and whose row is the
+    /// last of `rows`.
+    fn push_stored(
+        &mut self,
+        rt: &DisjunctRuntime,
+        time: Timestamp,
+        state: StateId,
+        values_start: usize,
+    ) {
+        let values_end = u32::try_from(self.values.len()).expect("a window stores < 2^32 values");
+        // The entry, its values and its row.
+        let values = self.values[values_start..].iter().map(Value::memory_bytes);
+        self.bytes += std::mem::size_of::<Stored>()
+            + values.sum::<usize>()
+            + rt.layout.stride() * std::mem::size_of::<u64>();
+        self.stored.push(Stored {
+            time,
+            state,
+            values_end,
+        });
     }
 
     /// Process an event bound to `binds`.
@@ -124,7 +153,7 @@ impl MixedWindow {
             // Fold into `row` what flows into `event` at `s` from the
             // events stored so far (`rows` are theirs) and from `tt`'s
             // committed table; whether any of it was live.
-            let (stored, neg_clocks) = (&self.stored, &self.neg_clocks);
+            let (stored, values, neg_clocks) = (&self.stored, &self.values, &self.neg_clocks);
             let fill = |table: &CellTable, rows: &[u64], row: &mut [u64]| {
                 let mut live = false;
                 for src in &rt.pred_sources[s.index()] {
@@ -134,17 +163,20 @@ impl MixedWindow {
                     }
                     // Event-grained source: scan stored events of that
                     // state, checking time, θ, and negation windows.
+                    let mut values_start = 0;
                     for (i, ep) in stored.iter().enumerate() {
+                        let ep_values = &values[values_start..ep.values_end as usize];
+                        values_start = ep.values_end as usize;
                         if ep.state != src.from
-                            || ep.event.time >= event.time
-                            || !d.adjacency_predicates_pass(src.from, s, &ep.event, event)
+                            || ep.time >= event.time
+                            || !src.adjacents_pass(ep_values, event)
                         {
                             continue;
                         }
                         let blocked = src
                             .negations
                             .iter()
-                            .any(|n| neg_clocks[n.index()].blocked(ep.event.time, event.time));
+                            .any(|n| neg_clocks[n.index()].blocked(ep.time, event.time));
                         if !blocked {
                             layout.merge_row(row, &rows[i * layout.stride()..][..layout.stride()]);
                             live = true;
@@ -172,12 +204,9 @@ impl MixedWindow {
             if s == rt.end() {
                 self.tt.table.merge_from(layout, Self::final_row(rt), row);
             }
-            let se = StoredEvent {
-                event: event.clone(),
-                state: s,
-            };
-            self.bytes += Self::stored_bytes(&se) + std::mem::size_of_val(&*row);
-            self.stored.push(se);
+            let values_start = self.values.len();
+            rt.store(event, &mut self.values);
+            self.push_stored(rt, event.time, s, values_start);
         }
     }
 
@@ -207,8 +236,11 @@ impl MixedWindow {
         self.tt.save_tables(rt, enc);
         enc.usize(self.stored.len());
         let rows = self.rows.chunks_exact(rt.layout.stride());
+        let mut values_start = 0;
         for (se, row) in self.stored.iter().zip(rows) {
-            se.event.save(enc);
+            enc.u64(se.time.ticks());
+            Value::save_slice(&self.values[values_start..se.values_end as usize], enc);
+            values_start = se.values_end as usize;
             enc.u32(se.state.0);
             rt.layout.save_row(row, true, enc);
         }
@@ -221,29 +253,39 @@ impl MixedWindow {
     }
 
     /// Rebuild a window from bytes produced by [`MixedWindow::save`]
-    /// against the same disjunct runtime.
+    /// against the same disjunct runtime — or by the `save` of formats
+    /// 2–3, which wrote a stored event whole: checked as it was then, and
+    /// projected here.
     pub fn load(rt: &DisjunctRuntime, dec: &mut Dec) -> Result<MixedWindow, CheckpointError> {
         let tt = TypeGrainedWindow::load_tables(rt, Self::final_row(rt) + 1, dec)?;
         let mut window = MixedWindow::over(tt, Vec::new());
-        for _ in 0..dec.usize()? {
-            let se = StoredEvent {
-                event: Event::load(dec)?,
-                state: StateId(dec.u32()?),
+        for position in 0..dec.usize()? {
+            let values_start = window.values.len();
+            let (time, state) = if dec.version() < 4 {
+                let event = Event::load(dec)?;
+                let state = StateId(dec.u32()?);
+                rt.check_bound(&event, state)?;
+                rt.store(&event, &mut window.values);
+                (event.time, state)
+            } else {
+                let time = Timestamp(dec.u64()?);
+                window.values.append(&mut Value::load_vec(dec)?);
+                let state = StateId(dec.u32()?);
+                rt.check_stored(&window.values[values_start..], state)?;
+                (time, state)
             };
             let at = window.rows.len();
             rt.layout.push_row(&mut window.rows);
             let live = rt.layout.load_row(dec, &mut window.rows[at..])?;
             // What `on_event` stores: an event bound to one of the plan's
-            // states that some trend ends at.
-            rt.check_bound(&se.event, se.state)?;
-            if !live {
+            // `Te` states that some trend ends at.
+            if !rt.disjunct.event_grained[state.index()] || !live {
                 return Err(CheckpointError::Corrupt(format!(
-                    "stored event {} with no trend ending at it",
-                    se.event.id
+                    "stored event number {position}, bound to state {}, is none the plan stores",
+                    state.0
                 )));
             }
-            window.bytes += Self::stored_bytes(&se) + std::mem::size_of_val(&window.rows[at..]);
-            window.stored.push(se);
+            window.push_stored(rt, time, state, values_start);
         }
         window
             .tt
@@ -276,7 +318,8 @@ impl MixedWindow {
     pub fn audit_bytes(&self) -> usize {
         self.tt.audit_bytes()
             + Self::INLINE_BYTES
-            + self.stored.iter().map(Self::stored_bytes).sum::<usize>()
+            + self.stored.len() * std::mem::size_of::<Stored>()
+            + self.values.iter().map(Value::memory_bytes).sum::<usize>()
             + std::mem::size_of_val(self.rows.as_slice())
     }
 

@@ -214,6 +214,39 @@ pub struct PoolState {
     pub clock: Timestamp,
 }
 
+impl PoolState {
+    /// Whether every engine state's clock ([`Frame::clock`]) is at or
+    /// before the admission floor. An engine cannot have been handed an
+    /// event the pool had not admitted; a state that says so is another
+    /// session's, and an event between the two clocks would probe a ring
+    /// [`Router::from_state`] never checked for it.
+    ///
+    /// [`Frame::clock`]: cogra_engine::Frame::clock
+    /// [`Router::from_state`]: cogra_engine::Router::from_state
+    fn check_clocks(&self) -> Result<(), CheckpointError> {
+        let floor = self.admission_floor();
+        for (q, state) in self.states.iter().enumerate() {
+            if state.frame.clock > floor {
+                return Err(CheckpointError::Corrupt(format!(
+                    "engine state {q} had reached {}, past the stream clock {floor}",
+                    state.frame.clock
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The time no event to come is earlier than, and no event an engine
+    /// was handed is later than: the gate's safe watermark — a shard
+    /// releases nothing past it — or without slack the stream clock.
+    pub(crate) fn admission_floor(&self) -> Timestamp {
+        match &self.gate {
+            Some(gate) => gate.safe_watermark(),
+            None => self.clock,
+        }
+    }
+}
+
 /// One event a shard's reorder buffer holds for one query, as a snapshot
 /// carries it.
 #[derive(Debug, Clone)]
@@ -733,6 +766,9 @@ impl StreamingPool {
             }));
         }
         let threads = Self::threads_for(&hosted, workers);
+        if let Some(resume) = &resume {
+            resume.check_clocks()?;
+        }
         let (states, buffered, gate, raw_watermark, arrivals) = match resume {
             Some(r) => (Some(r.states), r.buffered, r.gate, r.clock, r.arrivals),
             None => (
@@ -1621,6 +1657,8 @@ fn reshard(
             stats,
             drained_to,
             finalize_spike,
+            frame,
+            format,
             entries,
         } = state;
         let shardable = rt.query.group_prefix > 0;
@@ -1648,6 +1686,8 @@ fn reshard(
                 },
                 drained_to,
                 finalize_spike: if s == home { finalize_spike } else { 0 },
+                frame,
+                format,
                 entries,
             });
         }

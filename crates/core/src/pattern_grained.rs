@@ -33,13 +33,18 @@
 //! `el`'s partial trends by state (a row's live bit says whether `el` is
 //! bound there), the other the scratch the next matched event's are
 //! computed in, after which the halves trade places — and the final
-//! accumulator. Two event buffers that trade places the same way, and one
-//! [`NegClock`] per negated variable. The scratch half and the scratch
-//! buffer are capacity, not state: they are not counted.
+//! accumulator. Of `el` itself, what the plan reads of it again: its time
+//! stamp and the stored projection of its type
+//! ([`CompiledDisjunct::stored`] — the `pred_attr`s of the predicates on
+//! adjacent events; nothing but the time stamp for a plan without any).
+//! One [`NegClock`] per negated variable. The scratch half is capacity,
+//! not state: it is not counted.
+//!
+//! [`CompiledDisjunct::stored`]: cogra_query::CompiledDisjunct::stored
 
 use crate::agg::{Cell, CellTable};
 use crate::runtime::{DisjunctRuntime, NegClock};
-use cogra_events::{Event, TypeId};
+use cogra_events::{Event, Timestamp, Value};
 use cogra_query::{NegId, Semantics, StateId};
 
 /// Per-window pattern-grained aggregation state.
@@ -48,40 +53,40 @@ pub struct PatternWindow {
     /// `el`'s rows, the scratch rows and the final accumulator (see the
     /// module docs).
     table: CellTable,
-    /// The last matched event `el` — while `el_live`; otherwise a buffer
-    /// whose content means nothing.
-    el: Event,
+    /// The last matched event `el`, as far as the plan reads it again —
+    /// while `el_live`; otherwise content that means nothing. Its time
+    /// stamp…
+    el_time: Timestamp,
+    /// …and its stored projection ([`DisjunctRuntime::store`]): written in
+    /// place, so in steady state a matched event is kept without
+    /// allocating.
+    el_stored: Vec<Value>,
     el_live: bool,
     /// Whether `el`'s rows are the table's second half.
     el_high: bool,
     neg_clocks: Vec<NegClock>,
-    /// The buffer the next matched event is written into, then swapped
-    /// with `el`: in steady state a matched event is copied, attribute
-    /// vector included, without allocating.
-    spare: Event,
-    /// Footprint of `el` and its rows (0 while there is none), set where
-    /// `el` is — the only part of [`PatternWindow::memory_bytes`] that
-    /// moves.
+    /// Footprint of `el`'s stored values and its rows (0 while there is
+    /// none), set where `el` is — the only part of
+    /// [`PatternWindow::memory_bytes`] that moves.
     el_bytes: usize,
 }
 
 impl PatternWindow {
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> PatternWindow {
-        let blank = || Event::new(0, 0, TypeId(0), Vec::new());
         PatternWindow {
             table: CellTable::new(&rt.layout, 2 * rt.disjunct.automaton.num_states() + 1),
-            el: blank(),
+            el_time: Timestamp::ZERO,
+            el_stored: Vec::new(),
             el_live: false,
             el_high: false,
             neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
-            spare: blank(),
             el_bytes: 0,
         }
     }
 
-    /// Back to the state [`PatternWindow::new`] builds, in place: both
-    /// event buffers are kept.
+    /// Back to the state [`PatternWindow::new`] builds, in place: the
+    /// buffer of stored values is kept.
     pub fn reset(&mut self, rt: &DisjunctRuntime) {
         self.clear_el();
         self.table.reset(&rt.layout, self.final_row());
@@ -107,9 +112,10 @@ impl PatternWindow {
         }
     }
 
-    /// Footprint of `el`: the event and its half of the table.
+    /// Footprint of `el`: its stored values and its half of the table.
     fn el_bytes(&self) -> usize {
-        self.el.memory_bytes() + self.table.row_bytes(self.states())
+        let stored = self.el_stored.iter().map(Value::memory_bytes);
+        stored.sum::<usize>() + self.table.row_bytes(self.states())
     }
 
     /// Process an event bound to `binds`; `semantics` is NEXT or CONT.
@@ -120,7 +126,7 @@ impl PatternWindow {
         binds: &[StateId],
         semantics: Semantics,
     ) {
-        let (d, layout) = (&rt.disjunct, &rt.layout);
+        let layout = &rt.layout;
         if binds.is_empty() {
             // Fast path: the event is irrelevant to this disjunct. NEXT
             // skips it; CONT invalidates the open partial trends.
@@ -135,7 +141,7 @@ impl PatternWindow {
         // all of them dead now, and the ones this event may be bound at
         // back to the identity. A dead row's words are never read.
         self.table.clear_live(new_rows..new_rows + self.states());
-        let chains = self.el_live && self.el.time < event.time;
+        let chains = self.el_live && self.el_time < event.time;
         let mut matched = false;
         for &s in binds {
             let row = new_rows + s.index();
@@ -150,15 +156,13 @@ impl PatternWindow {
             };
             for src in sources {
                 let el_row = el_rows + src.from.index();
-                if !self.table.is_live(el_row)
-                    || !d.adjacency_predicates_pass(src.from, s, &self.el, event)
-                {
+                if !self.table.is_live(el_row) || !src.adjacents_pass(&self.el_stored, event) {
                     continue;
                 }
                 let blocked = src
                     .negations
                     .iter()
-                    .any(|n| self.neg_clocks[n.index()].blocked(self.el.time, event.time));
+                    .any(|n| self.neg_clocks[n.index()].blocked(self.el_time, event.time));
                 if !blocked {
                     self.table.merge(layout, row, el_row);
                 }
@@ -173,17 +177,14 @@ impl PatternWindow {
             matched = true;
         }
         if matched {
-            // Copy the event into the spare buffer (no allocation once the
-            // buffer has held an event of this width), then trade places
-            // with the previous `el`, buffer and rows: they are the next
-            // scratch.
-            let copy = &mut self.spare;
-            copy.id = event.id;
-            copy.time = event.time;
-            copy.type_id = event.type_id;
-            copy.attrs.clone_from(&event.attrs);
-            std::mem::swap(&mut self.el, &mut self.spare);
+            // The previous `el` was last read above: the event takes its
+            // place (no allocation once the buffer has held a tuple of
+            // this width), and the halves trade places — the previous
+            // `el`'s rows are the next scratch.
             self.el_high = !self.el_high;
+            self.el_time = event.time;
+            self.el_stored.clear();
+            rt.store(event, &mut self.el_stored);
             self.el_live = true;
             self.el_bytes = self.el_bytes();
         } else if semantics == Semantics::Cont {
@@ -215,12 +216,13 @@ impl PatternWindow {
     }
 
     /// Serialize the full window state (inverse of [`PatternWindow::load`]),
-    /// every bound row as the cell it stands for. The scratch half and the
-    /// `spare` buffer are transient and not serialized.
+    /// every bound row as the cell it stands for. The scratch half is
+    /// transient and not serialized.
     pub fn save(&self, rt: &DisjunctRuntime, enc: &mut cogra_checkpoint::Enc) {
         enc.bool(self.el_live);
         if self.el_live {
-            self.el.save(enc);
+            enc.u64(self.el_time.ticks());
+            Value::save_slice(&self.el_stored, enc);
             enc.usize(self.states());
             let (el_rows, _) = self.halves();
             for r in el_rows..el_rows + self.states() {
@@ -238,7 +240,9 @@ impl PatternWindow {
     }
 
     /// Rebuild a window from bytes produced by [`PatternWindow::save`]
-    /// against the same disjunct runtime.
+    /// against the same disjunct runtime — or by the `save` of formats
+    /// 2–3, which wrote `el` as the whole event: checked as it was then,
+    /// and projected here.
     pub fn load(
         rt: &DisjunctRuntime,
         dec: &mut cogra_checkpoint::Dec,
@@ -246,7 +250,16 @@ impl PatternWindow {
         use cogra_checkpoint::CheckpointError::Corrupt;
         let mut window = PatternWindow::new(rt);
         if dec.bool()? {
-            window.el = Event::load(dec)?;
+            // Formats 2–3: the whole event, projected once it is checked.
+            let whole = if dec.version() < 4 {
+                Some(Event::load(dec)?)
+            } else {
+                window.el_time = Timestamp(dec.u64()?);
+                window.el_stored = Value::load_vec(dec)?;
+                None
+            };
+            let automaton = &rt.disjunct.automaton;
+            let mut bound_type = None;
             let n = dec.usize()?;
             if n != window.states() {
                 return Err(Corrupt(format!(
@@ -259,7 +272,11 @@ impl PatternWindow {
                     continue;
                 }
                 window.table.load_row(&rt.layout, r, dec)?;
-                rt.check_bound(&window.el, StateId(r as u32))?;
+                let state = StateId(r as u32);
+                match &whole {
+                    Some(event) => rt.check_bound(event, state)?,
+                    None => rt.check_stored(&window.el_stored, state)?,
+                }
                 // A bound row is one some trend ends at — what `on_event`
                 // keeps, and what marks the row as bound.
                 if !window.table.is_live(r) {
@@ -267,6 +284,21 @@ impl PatternWindow {
                         "last matched event is bound to state {r} with no trend ending there"
                     )));
                 }
+                // One event, one type: what tells which projection the
+                // stored values are.
+                let type_id = automaton.state(state).type_id;
+                if *bound_type.get_or_insert(type_id) != type_id {
+                    return Err(Corrupt(format!(
+                        "last matched event is bound to states of two types, {r} among them"
+                    )));
+                }
+            }
+            if bound_type.is_none() {
+                return Err(Corrupt("last matched event is bound to no state".into()));
+            }
+            if let Some(event) = &whole {
+                window.el_time = event.time;
+                rt.store(event, &mut window.el_stored);
             }
             window.el_live = true;
             window.el_bytes = window.el_bytes();
@@ -286,11 +318,9 @@ impl PatternWindow {
         Ok(window)
     }
 
-    /// The window struct less its byte counter and the spare buffer's
-    /// handle — an instrument and a scratch buffer, not the state being
-    /// measured.
-    const INLINE_BYTES: usize =
-        std::mem::size_of::<Self>() - std::mem::size_of::<usize>() - std::mem::size_of::<Event>();
+    /// The window struct less its byte counter — an instrument, not the
+    /// state being measured.
+    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
 
     /// What the window always holds: the struct, the table's live bits
     /// and the accumulator's row.
@@ -299,8 +329,8 @@ impl PatternWindow {
     }
 
     /// Logical footprint: O(1) in the number of events — the final row,
-    /// the last matched event, and its O(l) rows. The read itself is
-    /// O(1): `el`'s share is cached where `el` is set.
+    /// what is kept of the last matched event, and its O(l) rows. The read
+    /// itself is O(1): `el`'s share is cached where `el` is set.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.fixed_bytes() + self.el_bytes

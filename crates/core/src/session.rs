@@ -61,7 +61,7 @@ use cogra_baselines::{
 };
 use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter};
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
-use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
+use cogra_engine::{Frame, Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
 use cogra_events::csv::{CsvError, EventReader};
 use cogra_events::{Event, LateGate, Timestamp, TypeId, TypeRegistry};
 use cogra_query::{canonical_signature, compile, parse, CompiledQuery, Query, QueryError};
@@ -393,7 +393,7 @@ fn save_reorder(state: &mut PoolState) -> Vec<u8> {
 /// carries no arrival stamps and lists its items by `(time, id, query)`:
 /// they are stamped in that order, which is arrival order wherever ids
 /// grew with arrival.
-fn load_reorder(dec: &mut Dec, version: u32) -> Result<PoolState, CheckpointError> {
+fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     let mut state = PoolState {
         states: Vec::new(),
         buffered: Vec::new(),
@@ -414,7 +414,7 @@ fn load_reorder(dec: &mut Dec, version: u32) -> Result<PoolState, CheckpointErro
     for _ in 0..n {
         pending.push(Timestamp(dec.u64()?));
     }
-    let stamped = version >= 3;
+    let stamped = dec.version() >= 3;
     if stamped {
         state.arrivals = dec.u64()?;
     }
@@ -839,8 +839,8 @@ impl SessionBuilder {
         dec.finish("config section")?;
 
         let bytes = r.expect("reorder")?;
-        let mut dec = Dec::new(&bytes);
-        let mut state = load_reorder(&mut dec, r.version())?;
+        let mut dec = Dec::of_version(&bytes, r.version());
+        let mut state = load_reorder(&mut dec)?;
         dec.finish("reorder section")?;
         if state.gate.as_ref().map(LateGate::slack) != slack {
             return Err(CheckpointError::Corrupt(
@@ -852,8 +852,12 @@ impl SessionBuilder {
         // is snapshotted once, however many queries it serves.
         for i in 0..shared.physical() {
             let bytes = r.expect(&format!("q{i}"))?;
-            let mut dec = Dec::new(&bytes);
-            state.states.push(RouterState::load(&mut dec)?);
+            let mut dec = Dec::of_version(&bytes, r.version());
+            let unframed = Frame {
+                window: queries[shared.representative(i)].window,
+                clock: state.admission_floor(),
+            };
+            state.states.push(RouterState::load(&mut dec, unframed)?);
             dec.finish("engine section")?;
         }
         r.finish()?;

@@ -252,19 +252,24 @@ fn window_bytes_follow_the_documented_formulas() {
     let rt = query("ANY", "WHERE A.v < NEXT(A).v");
     let drt = &rt.disjuncts[0];
     let mut w = MixedWindow::new(drt);
-    assert_eq!(w.memory_bytes(), 80 + 72 + words(l + s + 1));
+    assert_eq!(w.memory_bytes(), 80 + 96 + words(l + s + 1));
     let e = ev(&mut b, &reg, 2, "A", 1);
     w.on_event(drt, &e, &binds(&rt, &e));
-    let stored = 56 + 8 * (1 + k) + Value::Int(1).memory_bytes();
-    assert_eq!(w.memory_bytes(), 80 + 72 + words(l + s + 1) + stored);
+    // The stored projection is `A{v}`: one value.
+    let stored = 16 + 8 * (1 + k) + Value::Int(1).memory_bytes();
+    assert_eq!(w.memory_bytes(), 80 + 96 + words(l + s + 1) + stored);
 
-    let rt = query("NEXT", "");
-    let drt = &rt.disjuncts[0];
-    let mut w = PatternWindow::new(drt);
-    let fixed = 104 + 8 * ((1 + k) + (2 * l + 1usize).div_ceil(64));
-    assert_eq!(w.memory_bytes(), fixed);
-    let e = ev(&mut b, &reg, 3, "A", 1);
-    w.on_event(drt, &e, &binds(&rt, &e), Semantics::Next);
-    let held = 48 + 8 * l * (1 + k) + Value::Int(1).memory_bytes();
-    assert_eq!(w.memory_bytes(), fixed + held);
+    // Without a predicate on adjacent events the last matched event is
+    // its time stamp, which the window holds inline; with one, `A{v}`.
+    for (adjacent, values) in [("", 0), ("WHERE A.v < NEXT(A).v", 1)] {
+        let rt = query("NEXT", adjacent);
+        let drt = &rt.disjuncts[0];
+        let mut w = PatternWindow::new(drt);
+        let fixed = 88 + 8 * ((1 + k) + (2 * l + 1usize).div_ceil(64));
+        assert_eq!(w.memory_bytes(), fixed);
+        let e = ev(&mut b, &reg, 3, "A", 1);
+        w.on_event(drt, &e, &binds(&rt, &e), Semantics::Next);
+        let held = 8 * l * (1 + k) + values * Value::Int(1).memory_bytes();
+        assert_eq!(w.memory_bytes(), fixed + held, "{adjacent}");
+    }
 }

@@ -42,5 +42,5 @@ pub use agg::{AggLayout, AggValue, Cell, CellTable, Feed, Output, SlotFunc, Val}
 pub use engine::{run_to_completion, TrendEngine};
 pub use intern::{KeyInterner, KeyOverflow, PartitionId, RunStats};
 pub use output::{GroupKey, WindowResult};
-pub use router::{entry_group_hash, EventBinds, Router, RouterState, WindowAlgo};
+pub use router::{entry_group_hash, EventBinds, Frame, Router, RouterState, WindowAlgo};
 pub use runtime::{DisjunctRuntime, EngineConfig, QueryRuntime};

@@ -71,8 +71,8 @@ use crate::engine::TrendEngine;
 use crate::intern::{hash_values, KeyInterner, PartitionId, RunStats};
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
-use cogra_checkpoint::{CheckpointError, Dec, Enc};
-use cogra_events::{Event, Timestamp, Value, WindowId};
+use cogra_checkpoint::{CheckpointError, Dec, Enc, FORMAT_VERSION};
+use cogra_events::{Event, Timestamp, Value, WindowId, WindowSpec};
 use cogra_query::{NegId, StateId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -284,6 +284,10 @@ pub struct Router<W: WindowAlgo> {
     /// [`TrendEngine::memory_bytes`] never visits a partition.
     window_bytes: usize,
     watermark: Timestamp,
+    /// [`Frame::clock`] of the state this router was restored from
+    /// ([`Router::from_state`]): a restore resumes at the slowest shard's
+    /// watermark, and the windows it brings may be a faster one's.
+    restored_clock: Timestamp,
     drained_to: Option<WindowId>,
     binds: EventBinds,
     /// Largest window footprint observed during finalization — two-step
@@ -341,6 +345,7 @@ impl<W: WindowAlgo> Router<W> {
             resident: Vec::new(),
             window_bytes: 0,
             watermark: Timestamp::ZERO,
+            restored_clock: Timestamp::ZERO,
             drained_to: None,
             binds,
             finalize_spike: 0,
@@ -566,31 +571,72 @@ pub struct RouterState {
     pub drained_to: Option<WindowId>,
     /// Largest finalization footprint observed so far.
     pub finalize_spike: usize,
+    /// What the rings were built under.
+    pub frame: Frame,
+    /// The snapshot format the window payloads in `entries` are written
+    /// in.
+    pub format: u32,
     /// One blob per resident partition, in no particular order (nothing
     /// depends on which id a key restores to):
     /// `[key][n_windows][(wid, window bytes)...]`.
     pub entries: Vec<Vec<u8>>,
 }
 
+/// The window spec and the clock a [`RouterState`]'s rings were built
+/// under: what tells whether a ring's window ids can be theirs
+/// ([`Router::from_state`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    /// The query's `WITHIN/SLIDE` — window ids mean nothing under another.
+    pub window: WindowSpec,
+    /// The latest time a router that wrote part of the state had reached
+    /// (across shards of one query this merges as the *maximum*, where
+    /// [`RouterState::watermark`] takes the minimum). Every event in the
+    /// state came at or before it, so every open window starts at or
+    /// before it; and it is at or before the stream's admission floor, so
+    /// every event to come — in-flight ones aside, which are checked one
+    /// by one ([`TrendEngine::accepts`]) — comes at or after it.
+    pub clock: Timestamp,
+}
+
 impl RouterState {
     /// Serialize into an engine-section payload.
     pub fn save(&self, enc: &mut Enc) {
+        debug_assert_eq!(self.format, FORMAT_VERSION, "a state read off a router");
         enc.u64(self.watermark.ticks());
         self.stats.save(enc);
         enc.opt_u64(self.drained_to.map(|w| w.0));
         enc.usize(self.finalize_spike);
+        enc.u64(self.frame.window.within);
+        enc.u64(self.frame.window.slide);
+        enc.u64(self.frame.clock.ticks());
         enc.usize(self.entries.len());
         for e in &self.entries {
             enc.bytes(e);
         }
     }
 
-    /// Inverse of [`RouterState::save`].
-    pub fn load(dec: &mut Dec) -> Result<RouterState, CheckpointError> {
+    /// Inverse of [`RouterState::save`], or of the `save` of the format
+    /// `dec` is of: formats 2–3 record no frame, and a state of theirs is
+    /// `unframed`'s — the query's window spec, and for a clock the
+    /// stream's admission floor, which no event of the state came after
+    /// and none to come is before.
+    pub fn load(dec: &mut Dec, unframed: Frame) -> Result<RouterState, CheckpointError> {
         let watermark = Timestamp(dec.u64()?);
         let stats = RunStats::load(dec)?;
         let drained_to = dec.opt_u64()?.map(WindowId);
         let finalize_spike = dec.usize()?;
+        let frame = if dec.version() < 4 {
+            unframed
+        } else {
+            // Read as numbers, not through `WindowSpec::new`: all that is
+            // done with them is a comparison with the query's.
+            let (within, slide) = (dec.u64()?, dec.u64()?);
+            Frame {
+                window: WindowSpec { within, slide },
+                clock: Timestamp(dec.u64()?),
+            }
+        };
         let n = dec.usize()?;
         let mut entries = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
@@ -601,6 +647,8 @@ impl RouterState {
             stats,
             drained_to,
             finalize_spike,
+            frame,
+            format: dec.version(),
             entries,
         })
     }
@@ -612,8 +660,12 @@ impl RouterState {
     /// every contributing shard drained it), and so is the watermark (a
     /// lagging shard's buffered events sit behind a faster shard's clock;
     /// re-advancing a window that stayed open is free, skipping an event
-    /// is not).
+    /// is not) — while the frame's clock is the *maximum*, which bounds
+    /// every shard's windows.
     pub fn merge(&mut self, other: RouterState) {
+        debug_assert_eq!(self.format, other.format, "shards of one session");
+        debug_assert_eq!(self.frame.window, other.frame.window, "one query");
+        self.frame.clock = self.frame.clock.max(other.frame.clock);
         self.stats.merge(other.stats);
         self.drained_to = match (self.drained_to, other.drained_to) {
             (Some(a), Some(b)) => Some(WindowId(a.0.min(b.0))),
@@ -667,6 +719,11 @@ impl<W: WindowAlgo> Router<W> {
             stats: self.stats,
             drained_to: self.drained_to,
             finalize_spike: self.finalize_spike,
+            frame: Frame {
+                window: self.rt.query.window,
+                clock: self.restored_clock.max(self.watermark),
+            },
+            format: FORMAT_VERSION,
             entries,
         }
     }
@@ -677,19 +734,41 @@ impl<W: WindowAlgo> Router<W> {
     /// a restore at a narrower width may put more of them on one shard
     /// than the limit would have let in — and the limit then counts them
     /// as a fresh router counts its resident keys.
+    ///
+    /// A state whose [`Frame`] is another query's, or that holds a ring
+    /// the frame's clock could not have left behind — one an event at or
+    /// after that clock would find a hole in — is
+    /// [`CheckpointError::Corrupt`]: `Partition::window_mut` panics on such
+    /// a probe. (That the clock is no later than the events to come is the
+    /// caller's to check: it knows the stream.)
     pub fn from_state(
         rt: Arc<QueryRuntime>,
         name: &'static str,
         state: RouterState,
     ) -> Result<Router<W>, CheckpointError> {
+        let (window, frame) = (&rt.query.window, state.frame);
+        if frame.window != *window {
+            return Err(CheckpointError::Corrupt(format!(
+                "engine state was written under WITHIN {} SLIDE {}, the query says \
+                 WITHIN {} SLIDE {}",
+                frame.window.within, frame.window.slide, window.within, window.slide
+            )));
+        }
+        if state.watermark > frame.clock {
+            return Err(CheckpointError::Corrupt(format!(
+                "engine watermark {} is past the engine's clock {}",
+                state.watermark, frame.clock
+            )));
+        }
         let mut router = Router::new(Arc::clone(&rt), name);
+        router.restored_clock = frame.clock;
         router.watermark = state.watermark;
         router.drained_to = state.drained_to;
         router.finalize_spike = state.finalize_spike;
         router.stats = state.stats;
         router.interner.set_limit(u32::MAX);
         for blob in &state.entries {
-            let mut dec = Dec::new(blob);
+            let mut dec = Dec::of_version(blob, state.format);
             let key = Value::load_vec(&mut dec)?;
             // A key of another arity is a partition no event could ever
             // reach again (and would mis-stride the flat interner).
@@ -736,31 +815,35 @@ impl<W: WindowAlgo> Router<W> {
                     )));
                 }
                 last = Some(wid);
-                let mut wdec = Dec::new(dec.bytes()?);
+                let mut wdec = Dec::of_version(dec.bytes()?, state.format);
                 let w = W::load(&rt, &mut wdec)?;
                 wdec.finish("window")?;
                 router.window_bytes += Partition::<W>::SLOT_BYTES + w.memory_bytes();
                 partition.windows.push_back((wid, w));
             }
             dec.finish("partition")?;
-            // The ring's load-bearing invariant (see `Partition`), as far
-            // as the ring itself shows it. The event that opened the back
-            // window fell in no later window, so at the latest one tick
-            // before the next window starts; it opened all of its windows
-            // past the drain floor, and the first of them is
-            // non-decreasing in time. So whatever that latest tick would
-            // probe is in the ring, up to the back — whenever in its slide
-            // the event really came. `window_mut` panics on a ring
-            // without it.
-            let window = &rt.query.window;
+            // The ring's load-bearing invariant (see `Partition`). The
+            // event that opened the back window opened all of its windows
+            // past the drain floor, and the first of an event's windows is
+            // non-decreasing in time: whatever an event no earlier than
+            // that one probes is in the ring, up to the back. The events
+            // to come are no earlier than the frame's clock, and that one
+            // was no later — so the back window starts at or before the
+            // clock, and what the clock would probe is there.
+            // `window_mut` panics on a ring without it.
             let back = last.expect("a partition holds a window");
-            let start = back.checked_mul(window.slide).ok_or_else(|| {
-                CheckpointError::Corrupt(format!("window {back} starts past the end of time"))
-            })?;
-            let latest = start.saturating_add(window.slide - 1);
+            if back
+                .checked_mul(window.slide)
+                .is_none_or(|start| start > frame.clock.ticks())
+            {
+                return Err(CheckpointError::Corrupt(format!(
+                    "window {back} of partition {key:?} starts after the engine's clock {}",
+                    frame.clock
+                )));
+            }
             let floor = state.drained_to.map_or(0, |d| d.0.saturating_add(1));
             let probed = window
-                .windows_of(Timestamp(latest))
+                .windows_of(frame.clock)
                 .next()
                 .map_or(floor, |w| w.0.max(floor));
             let reachable = partition.windows.iter().filter(|(id, _)| *id >= probed);

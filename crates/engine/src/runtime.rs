@@ -2,8 +2,9 @@
 //! per-disjunct routing tables, state binding, and negation clocks.
 
 use crate::agg::{AggLayout, DisjunctFeeds};
-use cogra_events::{Event, Timestamp, TypeRegistry};
-use cogra_query::{CompiledDisjunct, CompiledQuery, NegId, StateId};
+use cogra_checkpoint::CheckpointError;
+use cogra_events::{Event, Timestamp, TypeRegistry, Value, ValueKind};
+use cogra_query::{CompiledAdjacent, CompiledDisjunct, CompiledQuery, NegId, StateId};
 
 /// One incoming contribution source of a state.
 #[derive(Debug, Clone)]
@@ -17,6 +18,22 @@ pub struct PredSource {
     pub row: usize,
     /// The negated variables on this transition.
     pub negations: Vec<NegId>,
+    /// The predicates on adjacent events attached to this transition,
+    /// resolved when the runtime is built: no per-event lookup by state
+    /// pair.
+    pub adjacents: Vec<CompiledAdjacent>,
+}
+
+impl PredSource {
+    /// Whether a predecessor bound to `from`, of which `stored` was kept
+    /// ([`DisjunctRuntime::store`]), and the arriving `event` satisfy every
+    /// predicate on this transition (Definition 7 condition 3).
+    #[inline]
+    pub fn adjacents_pass(&self, stored: &[Value], event: &Event) -> bool {
+        self.adjacents
+            .iter()
+            .all(|adj| adj.eval_value(&stored[adj.pred_slot], event))
+    }
 }
 
 /// A negation-tagged transition (for shadow-cell bookkeeping).
@@ -46,10 +63,16 @@ pub struct DisjunctRuntime {
     /// Identity cell template for the layout.
     zero: crate::agg::Cell,
     /// Attribute count of every registered type, by [`TypeId`] — what an
-    /// event read back from a snapshot is checked against.
+    /// event read back from a format-3 snapshot is checked against.
     ///
     /// [`TypeId`]: cogra_events::TypeId
     arities: Vec<usize>,
+    /// Value kinds of the disjunct's stored projection
+    /// ([`CompiledDisjunct::stored`]), by [`TypeId`] — what a stored tuple
+    /// read back from a snapshot is checked against.
+    ///
+    /// [`TypeId`]: cogra_events::TypeId
+    stored_kinds: Vec<Vec<ValueKind>>,
 }
 
 impl DisjunctRuntime {
@@ -79,10 +102,16 @@ impl DisjunctRuntime {
                     from: edge.from,
                     row,
                     negations: edge.negations.clone(),
+                    adjacents: disjunct.adjacents_of(edge.from, sid).copied().collect(),
                 });
             }
             pred_sources.push(sources);
         }
+        let stored_kinds = registry
+            .iter()
+            .zip(&disjunct.stored)
+            .map(|((_, schema), attrs)| attrs.iter().map(|a| schema.attr_kind(*a)).collect())
+            .collect();
         DisjunctRuntime {
             disjunct,
             feeds,
@@ -91,6 +120,7 @@ impl DisjunctRuntime {
             layout: layout.clone(),
             zero: layout.zero_cell(),
             arities: registry.iter().map(|(_, schema)| schema.arity()).collect(),
+            stored_kinds,
         }
     }
 
@@ -118,22 +148,46 @@ impl DisjunctRuntime {
         self.disjunct.automaton.num_states() + neg_edge
     }
 
-    /// Whether `event`, read back from a snapshot as bound to `state`, is
-    /// an event this disjunct could have bound there: of a registered type
-    /// that `state` matches, with that type's attribute count — what the
-    /// predicates and feeds evaluated on it index by.
-    pub fn check_bound(
-        &self,
-        event: &Event,
-        state: StateId,
-    ) -> Result<(), cogra_checkpoint::CheckpointError> {
+    /// Append to `out` what the aggregators keep of a matched `event`
+    /// beside its time stamp: the stored projection of its type
+    /// ([`CompiledDisjunct::stored`]) — what [`PredSource::adjacents_pass`]
+    /// reads. The event binds a state, so its type is a registered one.
+    #[inline]
+    pub fn store(&self, event: &Event, out: &mut Vec<Value>) {
+        let attrs = &self.disjunct.stored[event.type_id.index()];
+        out.extend(attrs.iter().map(|a| event.attr(*a).clone()));
+    }
+
+    /// Whether `stored`, read back from a snapshot as what was kept of an
+    /// event bound to `state`, is what [`DisjunctRuntime::store`] would
+    /// have kept of one: `state` is one of the plan's, and the tuple has
+    /// the width and value kinds of its type's stored projection — what the
+    /// predicates evaluated on it index by.
+    pub fn check_stored(&self, stored: &[Value], state: StateId) -> Result<(), CheckpointError> {
+        let automaton = &self.disjunct.automaton;
+        let kinds = (state.index() < automaton.num_states())
+            .then(|| &self.stored_kinds[automaton.state(state).type_id.index()]);
+        if kinds.is_some_and(|kinds| stored.iter().map(Value::kind).eq(kinds.iter().copied())) {
+            return Ok(());
+        }
+        Err(CheckpointError::Corrupt(format!(
+            "stored values {stored:?} are not what the plan keeps of an event bound to state {}",
+            state.0
+        )))
+    }
+
+    /// [`DisjunctRuntime::check_stored`] for the snapshots of formats 2–3,
+    /// which hold the whole `event`: whether it is one this disjunct could
+    /// have bound to `state` — of a registered type that `state` matches,
+    /// with that type's attribute count, so [`DisjunctRuntime::store`] can
+    /// project it.
+    pub fn check_bound(&self, event: &Event, state: StateId) -> Result<(), CheckpointError> {
         let states = self.disjunct.automaton.states_of_type(event.type_id);
         if states.contains(&state) && self.arities[event.type_id.index()] == event.attrs.len() {
             return Ok(());
         }
-        Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
-            "event {} of type {} with {} attributes cannot be bound to state {}",
-            event.id,
+        Err(CheckpointError::Corrupt(format!(
+            "an event of type {} with {} attributes cannot be bound to state {}",
             event.type_id.0,
             event.attrs.len(),
             state.0

@@ -78,6 +78,9 @@ pub struct CompiledAdjacent {
     pub pred: StateId,
     /// Attribute of the predecessor event.
     pub pred_attr: AttrId,
+    /// Where `pred_attr` sits in the stored projection of the predecessor
+    /// event's type ([`CompiledDisjunct::stored`]).
+    pub pred_slot: usize,
     /// State the successor event is bound to.
     pub succ: StateId,
     /// Attribute of the successor event.
@@ -87,11 +90,19 @@ pub struct CompiledAdjacent {
 }
 
 impl CompiledAdjacent {
-    /// Whether the adjacent pair `(ep, e)` satisfies this predicate.
+    /// Whether an adjacent pair satisfies this predicate, given the
+    /// predecessor's `pred_attr` value and the successor `e` — THE
+    /// evaluator: all an aggregator keeps of a predecessor is that value.
+    #[inline]
+    pub fn eval_value(&self, pred_value: &Value, e: &cogra_events::Event) -> bool {
+        self.op.eval(pred_value.compare(e.attr(self.succ_attr)))
+    }
+
+    /// Whether the adjacent pair `(ep, e)` satisfies this predicate — for
+    /// the engines that keep whole events.
     #[inline]
     pub fn eval(&self, ep: &cogra_events::Event, e: &cogra_events::Event) -> bool {
-        self.op
-            .eval(ep.attr(self.pred_attr).compare(e.attr(self.succ_attr)))
+        self.eval_value(ep.attr(self.pred_attr), e)
     }
 }
 
@@ -141,6 +152,15 @@ pub struct CompiledDisjunct {
     pub adjacents: Vec<CompiledAdjacent>,
     /// Indexes into `adjacents`, keyed by `(pred, succ)` state pair.
     pub adj_by_pair: HashMap<(StateId, StateId), Vec<usize>>,
+    /// The **stored projection**: per registered type (indexed by
+    /// `TypeId`), the ascending ids of the attributes this disjunct reads
+    /// off an event of that type *after* it was matched — the `pred_attr`s
+    /// of the predicates on adjacent events whose predecessor state has
+    /// the type. That, and its time stamp, is all an aggregator keeps of a
+    /// matched event; [`CompiledAdjacent::pred_slot`] indexes this list.
+    /// (The same walk as [`CompiledQuery::read_set`], predecessor side
+    /// only: the partition key is the partition's, not the event's.)
+    pub stored: Vec<Vec<AttrId>>,
     /// Per state: does it belong to `Te` (event-grained, Theorem 5.1)?
     pub event_grained: Vec<bool>,
     /// Selected granularity (Table 4).
@@ -162,9 +182,22 @@ impl CompiledDisjunct {
         self.neg_locals[neg.index()].iter().all(|f| f.eval(event))
     }
 
+    /// The predicates on adjacent events attached to the `(pred, succ)`
+    /// state pair.
+    pub fn adjacents_of(
+        &self,
+        pred: StateId,
+        succ: StateId,
+    ) -> impl Iterator<Item = &CompiledAdjacent> {
+        let ids = self.adj_by_pair.get(&(pred, succ));
+        ids.into_iter().flatten().map(|&i| &self.adjacents[i])
+    }
+
     /// Whether the adjacent pair `(ep@pred, e@succ)` satisfies every
     /// adjacent predicate attached to that state pair (Definition 7
-    /// condition 3).
+    /// condition 3) — for the engines that keep whole events and look the
+    /// pair up per call; the COGRA aggregators resolve it once, at build
+    /// time, from [`CompiledDisjunct::adjacents_of`].
     #[inline]
     pub fn adjacency_predicates_pass(
         &self,
@@ -173,10 +206,7 @@ impl CompiledDisjunct {
         ep: &cogra_events::Event,
         e: &cogra_events::Event,
     ) -> bool {
-        match self.adj_by_pair.get(&(pred, succ)) {
-            None => true,
-            Some(ids) => ids.iter().all(|&i| self.adjacents[i].eval(ep, e)),
-        }
+        self.adjacents_of(pred, succ).all(|adj| adj.eval(ep, e))
     }
 }
 
@@ -463,6 +493,7 @@ fn compile_disjunct(
                             adjacents.push(CompiledAdjacent {
                                 pred: ps,
                                 pred_attr: resolve_attr(&pred_ref.var, &pred_ref.attr, ps)?,
+                                pred_slot: 0, // resolved below, once the lists are known
                                 succ: ss,
                                 succ_attr: resolve_attr(&succ_ref.var, &succ_ref.attr, ss)?,
                                 op,
@@ -479,6 +510,7 @@ fn compile_disjunct(
                                 adjacents.push(CompiledAdjacent {
                                     pred: ss,
                                     pred_attr: resolve_attr(&succ_ref.var, &succ_ref.attr, ss)?,
+                                    pred_slot: 0,
                                     succ: ps,
                                     succ_attr: resolve_attr(&pred_ref.var, &pred_ref.attr, ps)?,
                                     op: op.flipped(),
@@ -496,6 +528,25 @@ fn compile_disjunct(
                 }
             }
         }
+    }
+
+    // -- The stored projection: what is read off a matched event later on,
+    // per type, and where in it each predicate finds its value.
+    let pred_type = |a: &CompiledAdjacent| automaton.state(a.pred).type_id.index();
+    let mut stored: Vec<Vec<AttrId>> = vec![Vec::new(); registry.len()];
+    for a in &adjacents {
+        stored[pred_type(a)].push(a.pred_attr);
+    }
+    for attrs in &mut stored {
+        attrs.sort_unstable_by_key(|a| a.0);
+        attrs.dedup();
+    }
+    for a in &mut adjacents {
+        let attrs = &stored[pred_type(a)];
+        a.pred_slot = attrs
+            .iter()
+            .position(|attr| *attr == a.pred_attr)
+            .expect("the list was built from these predicates");
     }
 
     let mut adj_by_pair: HashMap<(StateId, StateId), Vec<usize>> = HashMap::new();
@@ -570,6 +621,7 @@ fn compile_disjunct(
         neg_locals,
         adjacents,
         adj_by_pair,
+        stored,
         event_grained,
         granularity,
         aggs,
@@ -851,6 +903,46 @@ mod tests {
         // Now B is also... no: the pred side is A, so A stays in Te, B
         // still only appears as successor.
         assert!(d.event_grained[a.index()]);
+    }
+
+    #[test]
+    fn stored_projection_lists_what_predecessors_are_read_for() {
+        // Per type, ascending and without repeats: `A.price` is read twice
+        // (on the self-loop and on the A→B edge), `A.sector` once; `B` is
+        // a successor only, but shares the type. Nothing of a Measurement,
+        // and the partition attribute `company` is not there for being one.
+        let mut q = q3_query();
+        for (lhs, rhs) in [
+            (("A", "price"), ("B", "price")),
+            (("A", "sector"), ("B", "company")),
+        ] {
+            let side = |(var, attr): (&str, &str)| AttrRef {
+                var: var.into(),
+                attr: attr.into(),
+                next: false,
+            };
+            q.predicates.push(PredicateExpr::Adjacent {
+                lhs: side(lhs),
+                op: CmpOp::Le,
+                rhs: side(rhs),
+            });
+        }
+        let reg = registry();
+        let cq = compile(&q, &reg).unwrap();
+        let d = &cq.disjuncts[0];
+        let stock = reg.id_of("Stock").unwrap();
+        let attr = |name: &str| reg.schema(stock).attr(name).unwrap();
+        assert_eq!(d.stored[stock.index()], [attr("sector"), attr("price")]);
+        assert!(d.stored[reg.id_of("Measurement").unwrap().index()].is_empty());
+        for adj in &d.adjacents {
+            assert_eq!(d.stored[stock.index()][adj.pred_slot], adj.pred_attr);
+        }
+
+        // No predicate on adjacent events: nothing but the time is kept.
+        q.predicates
+            .retain(|p| matches!(p, PredicateExpr::Equivalence { .. }));
+        let cq = compile(&q, &reg).unwrap();
+        assert!(cq.disjuncts[0].stored.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::compile::{CompiledDisjunct, CompiledQuery, Granularity};
 use crate::QueryResult;
-use cogra_events::TypeRegistry;
+use cogra_events::{AttrId, TypeRegistry};
 use std::fmt::Write as _;
 
 /// Render a full plan report for a compiled query.
@@ -38,9 +38,28 @@ pub fn explain(query: &CompiledQuery, registry: &TypeRegistry) -> String {
 /// list: what of an event it reads at all — as `Type{attr, …}` per type
 /// that is read, in registry order.
 pub fn reads(query: &CompiledQuery, registry: &TypeRegistry) -> String {
+    per_type(registry, &query.read_set(registry))
+}
+
+/// What a disjunct keeps of a matched event: its stored projection
+/// ([`CompiledDisjunct::stored`]) in the shape of [`reads`], `time only`
+/// when no predicate on adjacent events reads a predecessor — and
+/// `nothing` at the type granularity, which keeps no event at all.
+pub fn stores(d: &CompiledDisjunct, registry: &TypeRegistry) -> String {
+    let attrs = per_type(registry, &d.stored);
+    match d.granularity {
+        Granularity::Type => "nothing".to_string(),
+        _ if attrs.is_empty() => "time only".to_string(),
+        _ => attrs,
+    }
+}
+
+/// Per-type attribute lists as `Type{attr, …}`, in registry order, a type
+/// with an empty list left out.
+fn per_type(registry: &TypeRegistry, lists: &[Vec<AttrId>]) -> String {
     let per_type: Vec<String> = registry
         .iter()
-        .zip(query.read_set(registry))
+        .zip(lists)
         .filter(|(_, attrs)| !attrs.is_empty())
         .map(|((_, schema), attrs)| {
             let names: Vec<&str> = attrs.iter().map(|a| schema.attr_name(*a)).collect();
@@ -101,6 +120,7 @@ fn explain_disjunct(out: &mut String, d: &CompiledDisjunct, registry: &TypeRegis
             d.neg_locals[nid.index()].len()
         );
     }
+    let _ = writeln!(out, "  stores: {}", stores(d, registry));
     if !d.adjacents.is_empty() {
         let _ = writeln!(out, "  predicates on adjacent events:");
         for adj in &d.adjacents {
@@ -240,6 +260,35 @@ mod tests {
             &registry(),
         );
         assert!(report.contains("reads: B{v}\n"), "{report}");
+    }
+
+    #[test]
+    fn explain_says_what_a_matched_event_is_kept_as() {
+        let stores = |text: &str| {
+            let report = explain(&compiled(text), &registry());
+            let lines = report.lines().filter(|l| l.starts_with("  stores: "));
+            lines.map(str::to_string).collect::<Vec<_>>()
+        };
+        let q = |semantics: &str, adjacent: &str| {
+            format!(
+                "RETURN company, COUNT(*) PATTERN SEQ(Stock A+, Stock B+) SEMANTICS {semantics} \
+                 WHERE [company]{adjacent} GROUP-BY company WITHIN 600 SLIDE 10"
+            )
+        };
+        let adjacent = " AND A.price > NEXT(A).price";
+        assert_eq!(stores(&q("ANY", adjacent)), ["  stores: Stock{price}"]);
+        assert_eq!(stores(&q("NEXT", adjacent)), ["  stores: Stock{price}"]);
+        assert_eq!(stores(&q("CONT", "")), ["  stores: time only"]);
+        assert_eq!(stores(&q("ANY", "")), ["  stores: nothing"]);
+        // The successor side is read off the arriving event, never stored;
+        // one line per disjunct.
+        assert_eq!(
+            stores(
+                "RETURN COUNT(*) PATTERN OR(SEQ(A+, B), C+) SEMANTICS NEXT \
+                 WHERE A.v < B.v WITHIN 10 SLIDE 5"
+            ),
+            ["  stores: A{v}", "  stores: time only"]
+        );
     }
 
     #[test]

@@ -3,9 +3,16 @@
 //! [`QueryError`] — it must not panic, hang, or exhaust memory. Random
 //! garbage exercises the lexer; mutated well-formed queries exercise the
 //! parser and the Static Query Analyzer behind a valid token stream.
+//!
+//! Whatever does compile is checked for **projection soundness**: of a
+//! matched event the aggregators keep the stored projection of its type
+//! and nothing else, and a predicate on adjacent events finds its
+//! predecessor's value there by slot — so every predicate's `pred_attr`
+//! must sit in its `pred` state's type list at the resolved slot, and the
+//! lists must hold nothing no predicate reads.
 
 use cogra_events::{TypeRegistry, ValueKind};
-use cogra_query::{compile, parse, QueryError};
+use cogra_query::{compile, parse, CompiledQuery, QueryError};
 use proptest::prelude::*;
 
 fn registry() -> TypeRegistry {
@@ -30,11 +37,42 @@ fn registry() -> TypeRegistry {
 /// The whole front-end: any panic here fails the proptest case.
 fn front_end(src: &str) -> Result<(), QueryError> {
     let q = parse(src)?;
-    compile(&q, &registry())?;
+    let registry = registry();
+    assert_projection_sound(&compile(&q, &registry)?, &registry, src);
     Ok(())
 }
 
-const SEEDS: [&str; 4] = [
+/// Projection soundness of a compiled plan (see the module docs).
+fn assert_projection_sound(plan: &CompiledQuery, registry: &TypeRegistry, src: &str) {
+    for d in &plan.disjuncts {
+        assert_eq!(d.stored.len(), registry.len(), "{src}");
+        let type_of = |adj: &cogra_query::CompiledAdjacent| d.automaton.state(adj.pred).type_id;
+        for adj in &d.adjacents {
+            assert_eq!(
+                d.stored[type_of(adj).index()].get(adj.pred_slot),
+                Some(&adj.pred_attr),
+                "{adj:?} of {src}"
+            );
+        }
+        for ((type_id, _), attrs) in registry.iter().zip(&d.stored) {
+            assert!(
+                attrs.windows(2).all(|w| w[0].0 < w[1].0),
+                "{attrs:?} of {src}"
+            );
+            for attr in attrs {
+                let mut preds = d.adjacents.iter().filter(|adj| type_of(adj) == type_id);
+                assert!(preds.any(|adj| adj.pred_attr == *attr), "{attr:?} of {src}");
+            }
+        }
+    }
+}
+
+const SEEDS: [&str; 5] = [
+    // One type at two states with predicates of their own, and one across.
+    "RETURN COUNT(*), MAX(B.rate) PATTERN SEQ(Stock A+, Stock B+, Measurement M) \
+     SEMANTICS skip-till-next-match WHERE A.price > NEXT(A).price AND B.v < NEXT(B).v \
+     AND A.rate <= B.rate AND B.company = M.company AND A.sector = NEXT(A).sector \
+     WITHIN 10 SLIDE 5",
     "RETURN patient, MIN(M.rate), MAX(M.rate) PATTERN Measurement M+ \
      SEMANTICS contiguous WHERE [patient] AND M.rate < NEXT(M).rate \
      AND M.activity = passive GROUP-BY patient WITHIN 10 minutes SLIDE 30 seconds",
@@ -152,6 +190,21 @@ proptest! {
         }
         let _ = front_end(&src);
     }
+}
+
+#[test]
+fn the_soundness_check_has_something_to_check() {
+    // The first seed compiles, unmutated, to one type bound at two states
+    // with a list of four attributes between them, and a second type's.
+    let registry = registry();
+    let plan = compile(&parse(SEEDS[0]).expect("parses"), &registry).expect("compiles");
+    assert_projection_sound(&plan, &registry, SEEDS[0]);
+    let d = &plan.disjuncts[0];
+    let lists: Vec<usize> = d.stored.iter().map(Vec::len).collect();
+    assert_eq!(d.adjacents.len(), 5, "{:?}", d.adjacents);
+    // Registry order: A, B, Stock, Measurement. `M` is only ever a
+    // successor: nothing of a Measurement is kept.
+    assert_eq!(lists, [0, 0, 5, 0], "{:?}", d.stored);
 }
 
 #[test]

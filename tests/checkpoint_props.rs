@@ -141,6 +141,19 @@ fn chained_checkpoints_round_trip() {
     }
     watchdog("chain-wide", || chain(STOCK_MIXED, &[4, 1, 8, 2], 0));
     watchdog("chain-slack", || chain(TRANSPORT, &[1, 4, 2], 8));
+    // Back to back, nothing drained between: a restore resumes every shard
+    // at the slowest one's watermark, so a shard snapshotted again before
+    // it is sent an event holds windows that start past its own — the
+    // clock its state came with is what they are judged by.
+    watchdog("chain-idle", || {
+        let case = workload(CHURN, 13, 240);
+        let hop = |workers| Op::Restore {
+            workers,
+            batch: 512,
+        };
+        let ops = |case: &Case| vec![Op::Ingest(case.events.len() / 2), hop(2), hop(4), hop(1)];
+        sweep(&case, [Config::workers(2)], ops);
+    });
 }
 
 proptest! {
@@ -371,12 +384,22 @@ fn rewrite_section(snapshot: &[u8], name: &str, edit: impl Fn(&[u8]) -> Vec<u8>)
     out
 }
 
+/// The engine section `payload`, written by this build.
+fn engine_section(payload: &[u8]) -> cogra::engine::RouterState {
+    use cogra::engine::{Frame, RouterState};
+    // Never read: a section of this build's format holds its own.
+    let unframed = Frame {
+        window: WindowSpec::tumbling(1),
+        clock: Timestamp::ZERO,
+    };
+    RouterState::load(&mut cogra_checkpoint::Dec::new(payload), unframed).expect("engine section")
+}
+
 /// A churn session's snapshot mid-stream (every partition resident), and
 /// the same with `damage` done to the partition entries of its engine
 /// section.
 fn damaged_entries(damage: impl Fn(&mut Vec<Vec<u8>>)) -> (TypeRegistry, Vec<u8>, Vec<u8>) {
-    use cogra::engine::RouterState;
-    use cogra_checkpoint::{Dec, Enc};
+    use cogra_checkpoint::Enc;
     let Case {
         registry,
         roster,
@@ -393,8 +416,7 @@ fn damaged_entries(damage: impl Fn(&mut Vec<Vec<u8>>)) -> (TypeRegistry, Vec<u8>
     let mut valid = Vec::new();
     session.checkpoint(&mut valid).expect("checkpoint");
     let damaged = rewrite_section(&valid, "q0", |payload| {
-        let mut dec = Dec::new(payload);
-        let mut state = RouterState::load(&mut dec).expect("engine section");
+        let mut state = engine_section(payload);
         damage(&mut state.entries);
         let mut enc = Enc::new();
         state.save(&mut enc);
@@ -485,16 +507,29 @@ fn a_partition_saved_twice_or_without_a_window_is_rejected_typed() {
 
 /// `SEQ(Stock A+, Stock B+)` per company over the stock stream, at the
 /// granularity `shape` selects — 0: type (ANY), 1: mixed (ANY with a
-/// predicate on adjacent events), 2: pattern (NEXT) — returning `returns`.
+/// predicate on adjacent events), 2: pattern (NEXT), 3: pattern with the
+/// predicate (its last matched event has a stored value) — returning
+/// `returns`.
 fn stock_query(returns: &str, shape: usize) -> String {
-    let (semantics, adjacent) = [
-        ("skip-till-any-match", ""),
-        ("skip-till-any-match", " AND A.price > NEXT(A).price"),
-        ("skip-till-next-match", ""),
-    ][shape];
+    stock_query_within(returns, shape, "WITHIN 1000 SLIDE 500")
+}
+
+/// [`stock_query`] over another `window`.
+fn stock_query_within(returns: &str, shape: usize, window: &str) -> String {
+    let semantics = ["any", "any", "next", "next"][shape];
+    let adjacent = ["", " AND A.price > NEXT(A).price"][shape % 2];
+    stock_query_over(returns, semantics, adjacent, window)
+}
+
+/// The shapes of [`stock_query`].
+const SHAPES: usize = 4;
+
+/// [`stock_query`] under `skip-till-<semantics>-match`, with `adjacent`
+/// appended to its `WHERE` clause, over `window`.
+fn stock_query_over(returns: &str, semantics: &str, adjacent: &str, window: &str) -> String {
     format!(
-        "RETURN company, {returns} PATTERN SEQ(Stock A+, Stock B+) SEMANTICS {semantics} \
-         WHERE [company]{adjacent} GROUP-BY company WITHIN 1000 SLIDE 500"
+        "RETURN company, {returns} PATTERN SEQ(Stock A+, Stock B+) \
+         SEMANTICS skip-till-{semantics}-match WHERE [company]{adjacent} GROUP-BY company {window}"
     )
 }
 
@@ -516,13 +551,18 @@ fn stock_stream() -> (TypeRegistry, Vec<Event>) {
 /// A snapshot of `query` over the first 200 stock events, every window
 /// still open.
 fn stock_snapshot(query: &str, slack: Option<u64>) -> Vec<u8> {
+    stock_snapshot_at(query, slack, 200)
+}
+
+/// A snapshot of `query` over the first `n` stock events.
+fn stock_snapshot_at(query: &str, slack: Option<u64>, n: usize) -> Vec<u8> {
     let (registry, events) = stock_stream();
     let mut builder = Session::builder().query(query);
     if let Some(slack) = slack {
         builder = builder.slack(slack);
     }
     let mut session = builder.build(&registry).expect("session builds");
-    for e in &events[..200] {
+    for e in &events[..n] {
         session.process(e);
     }
     let mut snap = Vec::new();
@@ -540,7 +580,7 @@ fn a_window_cell_of_another_layout_is_rejected_typed() {
         // merge met a slot of another kind. A row is loaded through the
         // layout now, at all three granularities.
         let (registry, _) = stock_stream();
-        for shape in 0..3 {
+        for shape in 0..SHAPES {
             let snaps = RETURNS.map(|returns| stock_snapshot(&stock_query(returns, shape), None));
             for (config, cells, why) in [
                 (1, 0, "cell has 0 slots where the layout has 2"),
@@ -557,19 +597,105 @@ fn a_window_cell_of_another_layout_is_rejected_typed() {
 }
 
 #[test]
+fn stored_values_of_another_plan_are_rejected_typed() {
+    watchdog("stored-values", || {
+        // What a window keeps of a matched event is the plan's stored
+        // projection, and a predicate indexes it by slot: a snapshot whose
+        // `q0` came from the same query with another predicate on adjacent
+        // events — one value of another kind, or one more — must not
+        // restore, in the mixed-grained store or as a pattern window's
+        // last matched event.
+        let (registry, _) = stock_stream();
+        for semantics in ["any", "next"] {
+            let snaps = [
+                " AND A.price > NEXT(A).price",
+                " AND A.volume > NEXT(A).volume",
+                " AND A.price > NEXT(A).price AND A.volume > NEXT(A).volume",
+            ]
+            .map(|adjacent| {
+                let window = "WITHIN 1000 SLIDE 500";
+                let query = stock_query_over("COUNT(*)", semantics, adjacent, window);
+                stock_snapshot(&query, None)
+            });
+            for (config, stored) in [(0, 1), (1, 0), (0, 2), (2, 0)] {
+                let q0 = section(&snaps[stored], "q0");
+                let crossed = rewrite_section(&snaps[config], "q0", |_| q0.clone());
+                let why = "are not what the plan keeps of an event bound to state 0";
+                assert_refused_as_corrupt(&registry, &snaps[config], &crossed, why);
+            }
+        }
+    });
+}
+
+#[test]
+fn a_ring_no_such_stream_leaves_behind_is_rejected_typed() {
+    watchdog("ring-clock", || {
+        // Regression: an engine section records neither the window spec
+        // nor the time it was written at up to format 3, so a window id
+        // changed with nothing in flight — or a `config` section under
+        // another `WITHIN/SLIDE` — restored, and a *later* live event that
+        // probed below the ring's back window panicked at width 1
+        // (`Partition::window_mut`'s assert) and failed a worker at width
+        // 2. Format 4 records both.
+        use cogra_checkpoint::{Dec, Enc};
+        let (registry, valid, future) = damaged_entries(|entries| {
+            // The back window of the first partition, moved far ahead.
+            let mut entry = Dec::new(&entries[0]);
+            let key = Value::load_vec(&mut entry).expect("leading key");
+            let n = entry.usize().expect("window count");
+            let mut enc = Enc::new();
+            Value::save_slice(&key, &mut enc);
+            enc.usize(n);
+            for i in 0..n {
+                let wid = entry.u64().expect("window id");
+                enc.u64(if i + 1 == n { wid + 1_000 } else { wid });
+                enc.bytes(entry.bytes().expect("window"));
+            }
+            entries[0] = enc.into_bytes();
+        });
+        let why = "starts after the engine's clock";
+        assert_refused_as_corrupt(&registry, &valid, &future, why);
+
+        // Another session's window spec, either way round.
+        let (registry, _) = stock_stream();
+        let snaps = ["WITHIN 1000 SLIDE 500", "WITHIN 600 SLIDE 200"]
+            .map(|window| stock_snapshot(&stock_query_within("COUNT(*)", 2, window), None));
+        for (config, rings) in [(0, 1), (1, 0)] {
+            let q0 = section(&snaps[rings], "q0");
+            let crossed = rewrite_section(&snaps[config], "q0", |_| q0.clone());
+            let why = "engine state was written under WITHIN";
+            assert_refused_as_corrupt(&registry, &snaps[config], &crossed, why);
+        }
+
+        // An engine ahead of the stream it is fed from: the `reorder`
+        // section of the same session, 100 events earlier.
+        for slack in [None, Some(4)] {
+            let query = stock_query("COUNT(*)", 2);
+            let early = section(&stock_snapshot_at(&query, slack, 100), "reorder");
+            let valid = stock_snapshot(&query, slack);
+            let crossed = rewrite_section(&valid, "reorder", |_| early.clone());
+            let why = "past the stream clock";
+            assert_refused_as_corrupt(&registry, &valid, &crossed, why);
+        }
+    });
+}
+
+#[test]
 fn window_bytes_are_the_ones_cells_wrote() {
     // A window's rows are saved as the cells they stand for, so the
     // partition entries of an engine section are, byte for byte, what the
-    // build before the flat tables wrote (and reads): the checksums below
-    // were taken there, over a layout with all of a count, a float sum
-    // and a MIN without a value yet.
-    use cogra::engine::RouterState;
-    let pinned = [0x237a_721a_u32, 0x83be_51d7, 0xc195_955a];
+    // build before the flat tables wrote (and reads): the first checksum
+    // below was taken there, over a layout with all of a count, a float
+    // sum and a MIN without a value yet. The other two are format 4's: a
+    // matched event is its time stamp and the stored projection (the
+    // mixed-grained query's `Stock{price}`, nothing for the NEXT one)
+    // where formats 2–3 wrote the whole event — taken where
+    // `format_3_snapshots_still_restore` showed the two agree.
+    let pinned = [0x237a_721a_u32, 0x31f1_6e43, 0xb92c_e505];
     for (shape, crc) in pinned.into_iter().enumerate() {
         let query = stock_query("COUNT(*), AVG(B.price), MIN(A.price)", shape);
         let q0 = section(&stock_snapshot(&query, None), "q0");
-        let state =
-            RouterState::load(&mut cogra_checkpoint::Dec::new(&q0)).expect("engine section");
+        let state = engine_section(&q0);
         assert_eq!(
             cogra_checkpoint::crc32(&state.entries.concat()),
             crc,
@@ -578,29 +704,35 @@ fn window_bytes_are_the_ones_cells_wrote() {
     }
 }
 
-/// Every valid snapshot the never-panic arm damages: three granularities ×
-/// four `RETURN` lists × without and with slack, all of one stream prefix.
+/// Every valid snapshot the never-panic arm damages: the four shapes ×
+/// four `RETURN` lists × without and with slack, and each shape once more
+/// under another window spec — all of one stream prefix.
 fn snapshot_pool() -> &'static Vec<Vec<u8>> {
     static POOL: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
     POOL.get_or_init(|| {
         let mut pool = Vec::new();
-        for shape in 0..3 {
+        for shape in 0..SHAPES {
             for returns in RETURNS {
                 for slack in [None, Some(4)] {
                     pool.push(stock_snapshot(&stock_query(returns, shape), slack));
                 }
             }
+            let query = stock_query_within(RETURNS[1], shape, "WITHIN 600 SLIDE 200");
+            pool.push(stock_snapshot(&query, None));
         }
+        assert_eq!(pool.len(), POOL_SIZE);
         pool
     })
 }
+
+const POOL_SIZE: usize = SHAPES * (RETURNS.len() * 2 + 1);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
     fn a_damaged_snapshot_is_a_typed_error_or_a_session_that_finishes(
-        (victim, donor) in (0usize..24, 0usize..24),
+        (victim, donor) in (0usize..POOL_SIZE, 0usize..POOL_SIZE),
         damage in 0usize..3,
         part in 0usize..3,
         at in any::<u64>(),
@@ -638,12 +770,11 @@ proptest! {
                 return;
             };
             let mut sink: Vec<TaggedResult> = Vec::new();
-            // Sections of one stream prefix agree on the time; a changed
-            // byte may have moved a clock past the events still to come.
-            if damage == 2 {
-                for e in &events[200..] {
-                    session.process(e);
-                }
+            // Whatever restores has clocks that agree — the engines' with
+            // their rings and with the stream's — so it takes the events
+            // still to come.
+            for e in &events[200..] {
+                session.process(e);
             }
             session.finish_into(&mut sink);
             assert!(session.worker_failure().is_none(), "{:?}", session.worker_failure());
@@ -790,100 +921,139 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
     }
 }
 
-#[test]
-fn format_2_snapshots_still_restore() {
-    watchdog("format 2", || {
-        // A format-2 file has no arrival stamps: its in-flight events are
-        // listed by `(time, id, query)` and come back in that order. Take a
-        // format-3 snapshot of a slack session whose ids do grow with
-        // arrival inside a time stamp (stock, jittered: one event per
-        // company and tick), rewrite it the way the previous build wrote
-        // it, and the resumed run must still print the uninterrupted rows.
-        use cogra_checkpoint::{Dec, Enc};
-        let case = disordered(STOCK_MIXED, 23, 260, 8);
-        let (registry, query) = (&case.registry, case.roster[0].0.as_str());
-        let build = || {
-            Session::builder()
-                .query(query)
-                .slack(8)
-                .build(registry)
-                .expect("session builds")
+/// The life behind `tests/fixtures/`: `OLD_QUERIES` — mixed-grained with
+/// a Kleene self-loop predicate; NEXT with predicates on adjacent events,
+/// one of them on a `Str`, at two states of one type; CONT with one;
+/// type-grained; a transition with a negation and a predicate at once,
+/// under ANY and under NEXT — under `.slack(8)` over 240 events (every
+/// 11th a `Halt`) that arrive up to 5 ticks out of order (every 53rd
+/// hopelessly late), ids growing with arrival.
+///
+/// The fixtures were written by the build of commit 6962a2d (format 3,
+/// the last to save a matched event whole): `format3.snap` is its
+/// `.workers(2)` session's checkpoint after `OLD_SPLIT` events and a
+/// drain, `format2.snap` the same with the `reorder` section rewritten the
+/// way format 2 had it (no arrival stamps, in-flight events by `(time,
+/// id, query)`), `parent_rows.txt` the rows of its uninterrupted run.
+fn old_format_life() -> (TypeRegistry, Vec<Event>) {
+    let mut registry = TypeRegistry::new();
+    let tick = registry.register_type(
+        "Tick",
+        vec![
+            ("sym", ValueKind::Str),
+            ("g", ValueKind::Int),
+            ("v", ValueKind::Float),
+            ("w", ValueKind::Int),
+        ],
+    );
+    let halt = registry.register_type("Halt", vec![("g", ValueKind::Int)]);
+    let mut builder = EventBuilder::new();
+    let events = (0..240u64)
+        .map(|i| {
+            let on_time = i / 2 + 1 + [3, 0, 5, 1, 0, 4, 2][(i % 7) as usize];
+            let time = if i % 53 == 52 {
+                on_time.saturating_sub(20).max(1)
+            } else {
+                on_time
+            };
+            if i % 11 == 10 {
+                return builder.event(time, halt, vec![Value::Int((i % 3) as i64)]);
+            }
+            let attrs = vec![
+                Value::str(["aa", "ab", "b", "c"][(i * 3 % 4) as usize]),
+                Value::Int((i % 3) as i64),
+                Value::Float(((i * 37) % 23) as f64 / 4.0),
+                Value::Int((i * 11 % 17) as i64),
+            ];
+            builder.event(time, tick, attrs)
+        })
+        .collect();
+    (registry, events)
+}
+
+const OLD_QUERIES: [&str; 6] = [
+    "RETURN g, COUNT(*), SUM(T.v) PATTERN Tick T+ SEMANTICS skip-till-any-match \
+     WHERE T.v < NEXT(T).v GROUP-BY g WITHIN 12 SLIDE 6",
+    "RETURN g, COUNT(*), MAX(B.v) PATTERN SEQ(Tick A+, Tick B+) SEMANTICS skip-till-next-match \
+     WHERE A.sym <= NEXT(A).sym AND B.w < NEXT(B).w GROUP-BY g WITHIN 12 SLIDE 6",
+    "RETURN g, COUNT(*), AVG(T.v) PATTERN Tick T+ SEMANTICS contiguous \
+     WHERE T.w <= NEXT(T).w GROUP-BY g WITHIN 12 SLIDE 6",
+    "RETURN g, COUNT(*), MIN(T.v) PATTERN Tick T+ SEMANTICS skip-till-any-match \
+     GROUP-BY g WITHIN 12 SLIDE 6",
+    "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(Tick A+, NOT Halt H, Tick B) \
+     SEMANTICS skip-till-any-match WHERE A.v < B.v GROUP-BY g WITHIN 12 SLIDE 6",
+    "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(Tick A+, NOT Halt H, Tick B) \
+     SEMANTICS skip-till-next-match WHERE A.v < B.v GROUP-BY g WITHIN 12 SLIDE 6",
+];
+const OLD_SPLIT: usize = 150;
+
+/// A snapshot an older build took of [`old_format_life`] restores at
+/// every width and finishes with that build's rows — which are this
+/// build's too, bit for bit.
+fn an_old_format_restores(file: &'static str, format: u32) {
+    watchdog(file, move || {
+        let fixture = |file: &str| {
+            let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+            std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
         };
         let rendered = |mut rows: Vec<TaggedResult>| {
-            rows.sort_by_key(|r| (r.result.window, format!("{:?}", r.result.group)));
-            format!("{rows:?}")
+            rows.sort_by_key(|r| (r.query, r.result.window, format!("{:?}", r.result.group)));
+            rows.iter().map(|r| format!("{r:?}\n")).collect::<String>()
         };
-        let mut uninterrupted = build();
-        let mut expected: Vec<TaggedResult> = Vec::new();
-        for e in &case.events {
-            uninterrupted.process(e);
-        }
-        uninterrupted.finish_into(&mut expected);
-        assert!(expected.len() > 8, "battery bug: nothing to compare");
-
+        let parent_rows = String::from_utf8(fixture("parent_rows.txt")).expect("text");
+        let (registry, events) = old_format_life();
+        let build = || {
+            let roster = OLD_QUERIES.into_iter();
+            let builder = roster.fold(Session::builder().slack(8), |b, query| b.query(query));
+            builder.build(&registry).expect("session builds")
+        };
         let mut session = build();
-        let mut results: Vec<TaggedResult> = Vec::new();
-        for e in &case.events[..150] {
-            session.process(e);
-        }
-        session.drain_into(&mut results);
-        let mut snap = Vec::new();
-        session.checkpoint(&mut snap).expect("checkpoint");
+        let mut whole = session_rows(&mut session, &events);
+        session.finish_into(&mut whole);
+        assert_eq!(rendered(whole), parent_rows, "uninterrupted");
+        assert!(session.late_events() > 0, "battery bug: nothing came late");
 
-        let in_flight = std::cell::Cell::new(0);
-        let mut old = rewrite_section(&snap, "reorder", |payload| {
-            let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
-            enc.bool(dec.bool().expect("slack flag"));
-            for _ in 0..4 {
-                enc.u64(dec.u64().expect("gate field"));
-            }
-            let pending = dec.usize().expect("pending count");
-            enc.usize(pending);
-            for _ in 0..pending {
-                enc.u64(dec.u64().expect("pending time"));
-            }
-            dec.u64().expect("arrival counter");
-            let mut items: Vec<(u32, Event)> = (0..dec.usize().expect("item count"))
-                .map(|_| {
-                    let query = dec.u32().expect("query");
-                    dec.u64().expect("stamp");
-                    (query, Event::load(&mut dec).expect("event"))
-                })
-                .collect();
-            dec.finish("reorder").expect("nothing else");
-            items.sort_by_key(|(q, e)| (e.time, e.id, *q));
-            in_flight.set(items.len());
-            enc.usize(items.len());
-            for (q, e) in &items {
-                enc.u32(*q);
-                e.save(&mut enc);
-            }
-            enc.into_bytes()
-        });
-        assert!(
-            in_flight.get() > 2,
-            "battery bug: {} in flight",
-            in_flight.get()
-        );
-        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        // What the old session had emitted before its snapshot.
+        let drained = session_rows(&mut build(), &events[..OLD_SPLIT]);
+        assert!(!drained.is_empty(), "battery bug: nothing drained");
 
-        for workers in [1usize, 2] {
+        let old = fixture(file);
+        assert_eq!(old[8..12], format.to_le_bytes());
+        for workers in [1usize, 2, 4] {
             let mut resumed = Session::builder()
                 .workers(workers)
-                .restore(registry, old.as_slice())
-                .expect("a format-2 snapshot restores");
-            let mut rows = results.clone();
-            for e in &case.events[150..] {
-                resumed.process(e);
-            }
+                .restore(&registry, old.as_slice())
+                .unwrap_or_else(|e| panic!("a format-{format} snapshot restores: {e}"));
+            let mut rows = drained.clone();
+            rows.extend(session_rows(&mut resumed, &events[OLD_SPLIT..]));
             resumed.finish_into(&mut rows);
-            assert_eq!(
-                rendered(rows),
-                rendered(expected.clone()),
-                "workers={workers}"
-            );
+            assert_eq!(rendered(rows), parent_rows, "workers={workers}");
+            assert_eq!(resumed.late_events(), session.late_events());
         }
     });
+}
+
+/// `events` through `session`, then a drain: the rows.
+fn session_rows(session: &mut Session, events: &[Event]) -> Vec<TaggedResult> {
+    let mut rows = Vec::new();
+    for e in events {
+        session.process(e);
+    }
+    session.drain_into(&mut rows);
+    rows
+}
+
+#[test]
+fn format_2_snapshots_still_restore() {
+    // No arrival stamps: in-flight events come back by `(time, id, query)`.
+    an_old_format_restores("format2.snap", 2);
+}
+
+#[test]
+fn format_3_snapshots_still_restore() {
+    // A matched event saved whole: checked as format 3 checked it, then
+    // projected to what this build keeps of it.
+    an_old_format_restores("format3.snap", 3);
 }
 
 #[test]
@@ -902,7 +1072,7 @@ fn version_1_snapshots_are_rejected_typed() {
         .checkpoint(&mut snap)
         .expect("checkpoint");
     assert_eq!(snap[8..12], cogra_checkpoint::FORMAT_VERSION.to_le_bytes());
-    assert_eq!(cogra_checkpoint::FORMAT_VERSION, 3);
+    assert_eq!(cogra_checkpoint::FORMAT_VERSION, 4);
     snap[8..12].copy_from_slice(&1u32.to_le_bytes());
     match Session::builder().restore(&registry, snap.as_slice()) {
         Err(CheckpointError::RetiredVersion { found, supported }) => {

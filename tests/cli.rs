@@ -86,6 +86,12 @@ fn explain_and_dot_render() {
     let (ok, _, stderr) = f.run(&["--slack", "3", "--explain"]);
     assert!(ok);
     assert!(stderr.contains("granularity: pattern"), "{stderr}");
+    // `M.rate < NEXT(M).rate`: of a matched measurement the window keeps
+    // its time stamp and its rate.
+    assert!(
+        stderr.contains("\n  stores: Measurement{rate}\n"),
+        "{stderr}"
+    );
     let (ok, stdout, _) = f.run(&["--dot"]);
     assert!(ok);
     assert!(stdout.starts_with("digraph pattern {"), "{stdout}");

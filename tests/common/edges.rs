@@ -36,8 +36,10 @@ fn shifted(kind: ValueKind, value: &Value, by: i64) -> Value {
     match kind {
         ValueKind::Int => Value::Int(value.as_f64().unwrap_or(1.0) as i64 + by),
         ValueKind::Float => Value::Float(value.as_f64().unwrap_or(1.0) + by as f64),
-        ValueKind::Str if by == 0 => value.clone(),
-        ValueKind::Str => Value::str(format!("{}~", value.as_str().unwrap_or("x"))),
+        ValueKind::Str => {
+            let value = value.as_str().unwrap_or("x");
+            Value::str(format!("{value}{}", if by == 0 { "" } else { "~" }))
+        }
         ValueKind::Bool => Value::Bool(value.as_bool().unwrap_or(true) ^ (by != 0)),
     }
 }

@@ -284,6 +284,44 @@ pub const MATRIX: [(&str, Granularity); 8] = [
     ),
 ];
 
+/// What the stored projection has to get right, under each semantics
+/// (ANY: the mixed-grained arena; NEXT, CONT: the last matched event): one
+/// type bound at two states whose predicates on adjacent events read
+/// different attributes of it — one of them a string, both on Kleene
+/// self-loops — and one across; and a transition carrying a negation and
+/// such a predicate at once. Over [`stored_registry`], without a stream:
+/// the edge populations are derived from the plans.
+pub fn stored_case() -> Case {
+    let queries = ["ANY", "NEXT", "CONT"].into_iter().flat_map(|semantics| {
+        [
+            format!(
+                "RETURN g, COUNT(*), SUM(X.v) PATTERN SEQ(A X+, A Y+, B) SEMANTICS {semantics} \
+                 WHERE X.v < NEXT(X).v AND Y.s < NEXT(Y).s AND X.v <= Y.v \
+                 GROUP-BY g WITHIN 10 SLIDE 5"
+            ),
+            format!(
+                "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, NOT C, B) SEMANTICS {semantics} \
+                 WHERE A.v < NEXT(A).v AND A.v < B.v GROUP-BY g WITHIN 10 SLIDE 5"
+            ),
+        ]
+    });
+    case("stored", stored_registry(), queries.collect(), Vec::new())
+}
+
+/// [`abc_registry`] with a string beside the integer: `(g, v, s)`.
+pub fn stored_registry() -> TypeRegistry {
+    let mut registry = TypeRegistry::new();
+    let attrs = [
+        ("g", ValueKind::Int),
+        ("v", ValueKind::Int),
+        ("s", ValueKind::Str),
+    ];
+    for t in ["A", "B", "C"] {
+        registry.register_type(t, attrs.to_vec());
+    }
+    registry
+}
+
 /// Types `A`, `B`, `C` over `(g, v)`: what sampled rows and the edge
 /// populations are made of.
 pub fn abc_registry() -> TypeRegistry {

@@ -2,13 +2,15 @@
 //! 2 — a predicate on adjacent events, an `AVG` so every row has slots) a
 //! bound event's aggregates are computed in the row they end up in — the
 //! next row of the window's store, or the next staged update — and dropped
-//! from there if no trend ends at the event. What is left per event is
-//! the clone of the `Event` itself into each of its two windows' stores
-//! (its attribute vector; ROADMAP direction 1(a) replaces it with a
-//! projection), plus amortised growth of the stores and the cell and two
-//! vectors of every emitted result. (Before the flat rows a bound state of
-//! a window of an event cost a `Vec<Val>` of its own: 6.11 allocations per
-//! event on this workload.)
+//! from there if no trend ends at the event — and what the window keeps of
+//! the event itself (its time stamp, its state, and the plan's stored
+//! projection: here its price) is appended to the window's arena, three
+//! `Vec` appends into retained capacity. What is left is amortised growth
+//! of the stores and the cell and two vectors of every emitted result.
+//! (Before the flat rows a bound state of a window of an event cost a
+//! `Vec<Val>` of its own: 6.11 allocations per event on this workload;
+//! while a stored event was a clone of the `Event`, its attribute vector
+//! in each of its two windows: 2.12.)
 //!
 //! One test, in a binary of its own: the counting allocator is
 //! process-wide.
@@ -29,7 +31,7 @@ const WARM_UP: usize = 4 * CHUNK;
 const COUNTED: usize = 50_000;
 
 #[test]
-fn a_stored_event_costs_its_clone_and_nothing_else() {
+fn a_stored_event_is_appended_to_the_arena_not_cloned() {
     let events = stock::generate(&StockConfig {
         events: WARM_UP + COUNTED,
         ..Default::default()
@@ -60,10 +62,11 @@ fn a_stored_event_costs_its_clone_and_nothing_else() {
     ingest(&events[WARM_UP..]);
     counting(false);
     let allocated = calls() - before;
+    // Measured: 6,132 — 0.123 per event, what the ~1,900 results cost.
     assert!(
-        allocated * 2 <= 5 * COUNTED as u64,
-        "{allocated} allocations for {COUNTED} events: more than 2.5 per event — a bound \
-         state builds a cell again, or a stored event costs more than its clone"
+        allocated * 20 <= 3 * COUNTED as u64,
+        "{allocated} allocations for {COUNTED} events: more than 0.15 per event — a bound \
+         state builds a cell again (6 per event), or a stored event is cloned (2 per event)"
     );
     assert!(results.len() > 1_000, "the stream emits: {}", results.len());
 }

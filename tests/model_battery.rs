@@ -16,8 +16,8 @@
 mod common;
 
 use cogra::prelude::*;
-use common::model::{self, Case, Config, Reference, Transport, BATCHES, WIDTHS};
-use common::workloads::{disordered, rows_case, workload, BURST, MATRIX, WORKLOADS};
+use common::model::{self, Case, Config, Op, Reference, Transport, BATCHES, WIDTHS};
+use common::workloads::{disordered, rows_case, stored_case, workload, BURST, MATRIX, WORKLOADS};
 use common::{edges, watchdog};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -90,12 +90,14 @@ const REPEATS: [(&str, &str); 3] = [
     ("SEQ(A*, A*)", "OR(SEQ(A+, A+), A+)"),
 ];
 
-/// Every query of the matrix and of the workload table alone, as cases
-/// of `n` events (the table's; the matrix's have no stream).
+/// Every query of the matrix, of the stored-projection roster and of the
+/// workload table alone, as cases of `n` events (the table's; the others
+/// have no stream).
 fn each_query_alone(n: usize) -> Vec<Case> {
     let alone = |case: Case| (0..case.roster.len()).map(move |q| case.clone().only(q));
     let matrix: Vec<&str> = MATRIX.iter().map(|(q, _)| *q).collect();
     let mut rosters: Vec<Case> = alone(rows_case(&matrix, &[], None)).collect();
+    rosters.extend(alone(stored_case()));
     rosters.extend((0..WORKLOADS).flat_map(|wl| alone(workload(wl, 1, n))));
     rosters
 }
@@ -228,7 +230,7 @@ fn edge_populations_match_the_oracle() {
         rosters.push(pair);
     }
 
-    let mut populations = 0;
+    let (mut populations, mut restored) = (0, 0);
     for roster in rosters {
         let streams = edge_streams(&roster);
         let edges = streams.iter().any(|(probe, _)| probe.contains('→'));
@@ -249,9 +251,23 @@ fn edge_populations_match_the_oracle() {
             );
             // Through the stream-transaction rule with a drain after every
             // event, on two shards.
-            let ops = model::chunked(&case, 1);
+            let mut ops = model::chunked(&case, 1);
             let run = model::hold(&case, &reference, &Config::workers(2), &ops);
             outcomes.insert(format!("{:?}", run.observation.per_query));
+            // What a window keeps of a matched event, through a snapshot
+            // taken before one of the events (which one moves along with
+            // the populations: for some the edge's predecessor is stored
+            // and its successor still to come) and restored at either
+            // width.
+            if roster.name.starts_with("stored") {
+                let restore = Op::Restore {
+                    workers: 1 + populations / 2 % 2,
+                    batch: 512,
+                };
+                ops.insert(2 * (populations % case.events.len()), restore);
+                model::hold(&case, &reference, &Config::workers(2), &ops);
+                restored += 1;
+            }
         }
         assert!(
             outcomes.len() > 1 || !edges,
@@ -260,4 +276,8 @@ fn edge_populations_match_the_oracle() {
         );
     }
     assert!(populations > 200, "only {populations} populations");
+    assert!(
+        restored > 60,
+        "only {restored} populations through a snapshot"
+    );
 }

@@ -620,8 +620,9 @@ const POLL_BUDGET: Duration = Duration::from_micros(50);
 const POLLS_PER_YIELD: u32 = 16;
 
 /// `rx.recv()` that polls before it parks — every blocking receive of the
-/// transport (a worker's next command, the coordinator's next reply).
-fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+/// transport (a worker's next command, the coordinator's next reply) and,
+/// in front of a served session, the server actor's next request.
+pub fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
     let mut polling_since = None;
     loop {
         for _ in 0..POLLS_PER_YIELD {

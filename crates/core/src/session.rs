@@ -1189,10 +1189,11 @@ impl Session {
         self.pool.route(event);
     }
 
-    /// Rows [`Session::ingest_csv`] has fed into this session since it was
+    /// Rows fed into this session through the checked ingest
+    /// ([`Session::ingest_csv`], [`Session::ingest_checked`]) since it was
     /// built or restored, including any the `.slack(n)` repair dropped as
-    /// late. CSV ingestion is not transactional, so this counts the rows
-    /// before the bad one of a failed call too: the engines did ingest
+    /// late. Checked ingestion is not transactional, so this counts the
+    /// rows before the bad one of a failed call too: the engines did ingest
     /// them.
     pub fn csv_rows(&self) -> u64 {
         self.csv_rows
@@ -1200,29 +1201,42 @@ impl Session {
 
     /// Ingest events straight off a `cogra_events::csv` stream — one
     /// decode pass, no intermediate `Vec<Event>`; THE decode path shared
-    /// by the `cogra-run` CLI, the server and the benchmark. Every row is
-    /// decoded into one reused event and handed to [`Session::process`] by
-    /// reference, so a row of numbers allocates nothing between the text
-    /// and the engines. Returns the number of events ingested. Without
-    /// `.slack(n)` a time-regressing row fails with
-    /// [`IngestError::OutOfOrder`] instead of corrupting engine state.
-    /// Results are *not* collected here: drain via
+    /// by the `cogra-run` CLI and the benchmark (the server decodes the
+    /// same rows with the same reader on its connection threads). Every row
+    /// is decoded into one reused event and handed to
+    /// [`Session::ingest_checked`] by reference, so a row of numbers
+    /// allocates nothing between the text and the engines. Returns the
+    /// number of events ingested. Without `.slack(n)` a time-regressing row
+    /// fails with [`IngestError::OutOfOrder`] instead of corrupting engine
+    /// state. Results are *not* collected here: drain via
     /// [`Session::drain_into`] / [`Session::finish_into`] as usual, or
     /// use [`Session::run_csv`] for the collect-everything convenience.
     pub fn ingest_csv(&mut self, text: &str, registry: &TypeRegistry) -> Result<u64, IngestError> {
-        let mut count = 0u64;
-        let outcome = self.each_csv_event(text, registry, |session, event| {
-            session.process(event);
-            count += 1;
-            session.check_ingest()
-        });
-        self.csv_rows += count;
-        outcome.map(|()| count)
+        let before = self.csv_rows;
+        each_csv_event(text, registry, |event| self.ingest_checked(event))?;
+        Ok(self.csv_rows - before)
     }
 
-    /// The typed per-event failures of the CSV surfaces: a `key_limit`
-    /// overflow, or a sticky worker failure.
-    fn check_ingest(&self) -> Result<(), IngestError> {
+    /// Ingest one decoded row under the contract of the CSV surfaces — THE
+    /// per-row step of [`Session::ingest_csv`], [`Session::run_csv`] and
+    /// the server's `INGEST`, so all three refuse the same rows with the
+    /// same [`IngestError`]: without `.slack(n)` a row that goes back in
+    /// time fails with [`IngestError::OutOfOrder`] before it reaches the
+    /// engines; any other row is handed to [`Session::process`] and
+    /// counted ([`Session::csv_rows`]), and then a `key_limit` overflow or
+    /// a sticky worker failure fails typed. Not transactional: the rows
+    /// before a refused one stay ingested.
+    pub fn ingest_checked(&mut self, event: &Event) -> Result<(), IngestError> {
+        let watermark = self.watermark();
+        if self.pool.gate().is_none() && event.time < watermark {
+            return Err(IngestError::OutOfOrder {
+                event: event.id,
+                time: event.time,
+                watermark,
+            });
+        }
+        self.process(event);
+        self.csv_rows += 1;
         if let Some(limit) = self.key_overflow() {
             return Err(IngestError::KeyOverflow { limit });
         }
@@ -1230,35 +1244,6 @@ impl Session {
             Some(failure) => Err(IngestError::WorkerFailed(failure.clone())),
             None => Ok(()),
         }
-    }
-
-    /// The decode + order-check loop shared by [`Session::ingest_csv`]
-    /// and [`Session::run_csv`] — one enforcement site for the no-slack
-    /// [`IngestError::OutOfOrder`] contract. `each` sees every row through
-    /// the one event the reader decodes into.
-    fn each_csv_event(
-        &mut self,
-        text: &str,
-        registry: &TypeRegistry,
-        mut each: impl FnMut(&mut Session, &Event) -> Result<(), IngestError>,
-    ) -> Result<(), IngestError> {
-        let has_slack = self.pool.gate().is_some();
-        let mut watermark = self.watermark();
-        let mut reader = EventReader::new(text, registry)?;
-        let mut event = Event::new(0, 0, TypeId(0), Vec::new());
-        while let Some(row) = reader.read_into(&mut event) {
-            row?;
-            if !has_slack && event.time < watermark {
-                return Err(IngestError::OutOfOrder {
-                    event: event.id,
-                    time: event.time,
-                    watermark,
-                });
-            }
-            watermark = watermark.max(event.time);
-            each(self, &event)?;
-        }
-        Ok(())
     }
 
     /// Emit every result final at the current watermark. Under
@@ -1494,9 +1479,25 @@ impl Session {
         registry: &TypeRegistry,
     ) -> Result<SessionRun, IngestError> {
         let mut run = Collect::new(&self, true);
-        self.each_csv_event(text, registry, |session, event| run.step(session, event))?;
+        each_csv_event(text, registry, |event| run.step(&mut self, event))?;
         run.finish(self)
     }
+}
+
+/// The decode loop of [`Session::ingest_csv`] and [`Session::run_csv`]:
+/// `each` sees every row through the one event the reader decodes into.
+fn each_csv_event(
+    text: &str,
+    registry: &TypeRegistry,
+    mut each: impl FnMut(&Event) -> Result<(), IngestError>,
+) -> Result<(), IngestError> {
+    let mut reader = EventReader::new(text, registry)?;
+    let mut event = Event::new(0, 0, TypeId(0), Vec::new());
+    while let Some(row) = reader.read_into(&mut event) {
+        row?;
+        each(&event)?;
+    }
+    Ok(())
 }
 
 /// The collect-everything loop shared by [`Session::run`],
@@ -1528,9 +1529,10 @@ impl Collect {
     }
 
     fn step(&mut self, session: &mut Session, event: &Event) -> Result<(), IngestError> {
-        session.process(event);
         if self.strict {
-            session.check_ingest()?;
+            session.ingest_checked(event)?;
+        } else {
+            session.process(event);
         }
         let i = self.count as usize;
         self.count += 1;

@@ -21,6 +21,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The `INGEST` block being sent, command line and payload; reused.
+    block: Vec<u8>,
 }
 
 /// Command outcome: transport error (outer) or server `ERR` (inner).
@@ -31,7 +33,11 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
         let reader = BufReader::new(writer.try_clone()?);
-        Ok(Client { reader, writer })
+        Ok(Client {
+            reader,
+            writer,
+            block: Vec::new(),
+        })
     }
 
     /// Read one reply line and split it into OK payload / ERR message.
@@ -75,15 +81,25 @@ impl Client {
     /// first — the `cogra_events::csv` format). The text goes out as it
     /// is, behind its physical line count, in one write.
     pub fn ingest(&mut self, csv: &str) -> Reply<StatsReport> {
-        let unterminated = !csv.is_empty() && !csv.ends_with('\n');
-        let lines = csv.bytes().filter(|&b| b == b'\n').count() + usize::from(unterminated);
-        let mut block = format!("INGEST {lines}\n");
-        block.reserve(csv.len() + 1);
-        block.push_str(csv);
+        self.ingest_parts(csv, "")
+    }
+
+    /// [`Client::ingest`] of the document `header` + `rows`, which is
+    /// assembled only in the send buffer — kept between blocks, and
+    /// written whole, so the command line never travels alone.
+    fn ingest_parts(&mut self, header: &str, rows: &str) -> Reply<StatsReport> {
+        let last = if rows.is_empty() { header } else { rows };
+        let unterminated = !last.is_empty() && !last.ends_with('\n');
+        let newlines = |text: &str| text.bytes().filter(|&b| b == b'\n').count();
+        let lines = newlines(header) + newlines(rows) + usize::from(unterminated);
+        self.block.clear();
+        writeln!(self.block, "INGEST {lines}")?;
+        self.block.extend_from_slice(header.as_bytes());
+        self.block.extend_from_slice(rows.as_bytes());
         if unterminated {
-            block.push('\n');
+            self.block.push(b'\n');
         }
-        self.writer.write_all(block.as_bytes())?;
+        self.writer.write_all(&self.block)?;
         self.decode_stats_reply()
     }
 
@@ -105,9 +121,9 @@ impl Client {
         let mut last = None;
         for block in rows.chunks(rows_per_block.max(1)) {
             let end = *block.last().expect("chunks are never empty");
-            let doc = [header, &csv[start..end]].concat();
+            let reply = self.ingest_parts(header, &csv[start..end])?;
             start = end;
-            match self.ingest(&doc)? {
+            match reply {
                 Ok(report) => last = Some(report),
                 Err(e) => return Ok(Err(e)),
             }

@@ -6,8 +6,10 @@
 //! all supported) behind a simple line-delimited TCP protocol:
 //!
 //! * clients `INGEST` CSV-framed events — decoded by the *same*
-//!   `cogra_events::csv::EventReader` path the CLI and harness ride, so
-//!   every surface reports the same `IngestError`;
+//!   `cogra_events::csv::EventReader` and ingested through the same
+//!   checked per-row step the CLI and harness ride, so every surface
+//!   reports the same `IngestError`; decode runs on the connection's
+//!   thread, a chunk of rows ahead of the session's window updates;
 //! * `SUBSCRIBE` turns a connection into a push stream: one `RESULT`
 //!   line per finalized window result, emitted as shard windows close
 //!   (COGRA's incremental maintenance pays off online, not
@@ -52,5 +54,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{Client, Reply, Subscription};
-pub use server::{ServeError, Server, ServerConfig};
+pub use server::{ServeError, Server, ServerConfig, INGEST_CHUNK_ROWS};
 pub use wire::StatsReport;

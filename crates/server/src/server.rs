@@ -6,24 +6,54 @@
 //! exact `Session` the CLI and the harness run in-process.
 //!
 //! Architecture: an **accept thread** takes connections and hands each to
-//! its own **connection thread**; connection threads never touch the
-//! session — they parse commands and forward them over one bounded
-//! request queue to the **session actor thread**, which owns the
-//! `Session`, the type registry, and every subscriber's write half.
-//! The bounded queue is the ingest backpressure: when the actor falls
-//! behind, connection threads block in `send` (each connection has at
-//! most one request in flight — commands are answered before the next is
-//! read), so a fast client cannot buffer unbounded event batches inside
-//! the server. Result emission is push-based end to end: the actor's
+//! its own **connection thread**; the **session actor thread** owns the
+//! `Session` and every subscriber's write half, and takes requests off one
+//! bounded queue in arrival order. Connection threads never touch the
+//! session, but they do the work that needs no session: they parse
+//! commands, take an `INGEST` payload off the socket in bulk (scanning the
+//! read buffer for the announced number of newlines, under a per-line and
+//! a per-block byte cap), check it is UTF-8 and **decode it** — the same
+//! `EventReader` the CLI runs — into chunks of [`INGEST_CHUNK_ROWS`] rows,
+//! each sent to the actor as soon as it is full. The actor hands every row
+//! of a chunk to [`Session::ingest_checked`], the per-row step of
+//! `Session::ingest_csv`, so the row a block is refused at and the `ERR`
+//! text are the CLI's; while it aggregates chunk *k* the connection decodes
+//! chunk *k + 1*. The last chunk of a block carries the reply handle (a
+//! block of at most one chunk is one message), and the actor then drains
+//! and answers. Chunks are arenas, and recycled, not allocated: the
+//! connection keeps a handle to each one it ships and fills it again once
+//! the actor has dropped its own, so a row's memory is written and freed
+//! on one thread and both sides touch it front to back.
+//!
+//! The bounded queue is the ingest backpressure, and it counts *requests*:
+//! a chunk or a control verb each take one slot, so at most
+//! `queue_depth × INGEST_CHUNK_ROWS` decoded rows wait inside the server
+//! however fast its clients are. When the actor falls behind, connection
+//! threads block in `send`; each connection has one command in flight
+//! (it is answered before the next is read). Both blocking receives —
+//! the actor's next request, a connection's reply — poll for a few tens of
+//! microseconds before they park ([`recv_polling`], the shard
+//! transport's): in the middle of a block the next chunk is one chunk's
+//! decode away and the reply one chunk's aggregation and a drain, and a
+//! futex sleep plus the sender's wake-up call cost more than either wait.
+//!
+//! Blocks of different connections do not interleave: a connection holds
+//! the server's **ingest turn** (a mutex) from a block's first chunk to
+//! its reply, so racing feeds are ingested block after block in the order
+//! they took the turn — exactly the outcomes a single `Session` fed whole
+//! documents can produce. Control verbs do not take the turn: a `DRAIN`,
+//! `SNAPSHOT` or `FINISH` from another connection may land between two
+//! chunks of a block, and sees the session as of that chunk boundary (after
+//! a `FINISH` the rest of the block is refused with `session finished`).
+//! A block whose connection dies half-way leaves the chunks it shipped
+//! ingested and counted (`STATS events`), like the rows before a bad row.
+//!
+//! Result emission is push-based end to end: the actor's
 //! drains hand each finalized [`WindowResult`] to a sink that appends its
 //! `RESULT` line to every matching subscriber's buffer, and each buffer
 //! is written to its socket once when the drain (or `FINISH`) ends —
 //! results stream out incrementally as shard windows close, one `write`
 //! per subscriber per drain, never buffer-and-reply.
-//!
-//! An `INGEST` payload is taken off the socket in bulk: the connection
-//! thread scans the read buffer for the announced number of newlines and
-//! moves whole chunks, under a per-line and a per-block byte cap.
 //!
 //! Safety guard: the server refuses to bind a non-loopback address
 //! unless [`ServerConfig::allow_nonlocal`] is set — there is no TLS and
@@ -33,10 +63,12 @@
 //! [`WindowResult`]: cogra_engine::WindowResult
 
 use crate::wire::{self, StatsReport, EOS};
-use cogra_core::session::{Session, SessionBuilder, SessionError};
+use cogra_core::parallel::recv_polling;
+use cogra_core::session::{IngestError, Session, SessionBuilder, SessionError};
 use cogra_core::CheckpointError;
 use cogra_core::Metrics;
-use cogra_events::TypeRegistry;
+use cogra_events::{Event, EventId, EventReader, Timestamp, TypeId, TypeRegistry, Value};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -45,6 +77,23 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// A fault-injection site. With the `faults` feature it records a hit at
+/// `$site` and, when the schedule fires it, yields the pinned message
+/// `injected fault at <site>`; without the feature it is `None` and costs
+/// nothing.
+#[cfg(feature = "faults")]
+macro_rules! probe {
+    ($site:literal) => {
+        cogra_faults::fired($site).then(|| concat!("injected fault at ", $site).to_string())
+    };
+}
+#[cfg(not(feature = "faults"))]
+macro_rules! probe {
+    ($site:literal) => {
+        None::<String>
+    };
+}
 
 /// Hard cap on the line count of one `INGEST` block — a malformed count
 /// must not make the connection thread buffer unbounded payload.
@@ -62,11 +111,26 @@ const MAX_INGEST_BYTES: usize = 64 << 20;
 /// (a few thousand rows) arrives in one or two reads.
 const READ_BUFFER_BYTES: usize = 64 << 10;
 
+/// Rows per chunk of a decoded `INGEST` block — the unit the connection
+/// thread hands to the session actor, and so how far decode runs ahead of
+/// aggregation. Small enough that the actor starts on a block while most
+/// of it is still text (a 256-row block is two chunks, so its second half
+/// decodes while the actor wakes up), large enough that a hand-off (~1 µs
+/// polled) is noise beside the ~15 µs a chunk takes to decode. A constant,
+/// not a knob: measured alike at 128 and 256 on throughput, and the right
+/// value follows the cost of a row, which no caller knows better.
+pub const INGEST_CHUNK_ROWS: usize = 128;
+
+/// Recycled chunks a connection keeps for its next blocks; more than this
+/// were only ever in flight while the actor was a queue behind, and go.
+const SPARE_CHUNKS: usize = 16;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Capacity of the bounded request queue feeding the session actor —
-    /// the ingest backpressure bound (in requests, i.e. INGEST blocks).
+    /// the ingest backpressure bound, in requests: a chunk of
+    /// [`INGEST_CHUNK_ROWS`] decoded rows or a control verb each take one.
     pub queue_depth: usize,
     /// Permit binding non-loopback addresses. Off by default: the
     /// protocol has no TLS/auth, so serving beyond localhost must be
@@ -140,33 +204,184 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// What the actor answers a request with: the counters after it, or the
+/// text of the `ERR` line.
+type Reply = Result<StatsReport, String>;
+
+/// The way back to whoever sent a request. A request is answered exactly
+/// once: by [`ReplyHandle::send`], or — when it is dropped unanswered,
+/// with the actor's queue at shutdown — by `server shutting down`. A
+/// connection can therefore keep one reply channel for its whole life and
+/// wait on it without a timeout.
+struct ReplyHandle(Option<Sender<Reply>>);
+
+impl ReplyHandle {
+    fn new(tx: &Sender<Reply>) -> ReplyHandle {
+        ReplyHandle(Some(tx.clone()))
+    }
+
+    fn send(mut self, reply: Reply) {
+        if let Some(tx) = self.0.take() {
+            let _ = tx.send(reply);
+        }
+    }
+}
+
+impl Drop for ReplyHandle {
+    fn drop(&mut self) {
+        if let Some(tx) = self.0.take() {
+            let _ = tx.send(Err(SHUTTING_DOWN.to_string()));
+        }
+    }
+}
+
+const SHUTTING_DOWN: &str = "server shutting down";
+
+/// One decoded row of a [`Chunk`]: the event without its attributes, which
+/// end at `attrs_end` in the chunk's value buffer.
+struct Row {
+    id: EventId,
+    time: Timestamp,
+    type_id: TypeId,
+    attrs_end: usize,
+}
+
+/// Decoded rows on their way to the actor, as an arena — the shard
+/// transport's `Batch` idiom: a header per row and every row's attribute
+/// values appended to one buffer. Filling a chunk is sequential stores into
+/// capacity it kept from its last trip and reading it is two sequential
+/// scans, which is what a hand-off between two cores wants: a chunk of
+/// `Event`s decoded in place — a heap block per row, read before it is
+/// overwritten — ran the decode at half its speed whenever the actor kept
+/// up, every line it touched having just moved to the actor's cache.
+#[derive(Default)]
+struct Chunk {
+    rows: Vec<Row>,
+    attrs: Vec<Value>,
+}
+
+impl Chunk {
+    /// Append `event`, whose attribute values move over (its vector keeps
+    /// its capacity for the next decode).
+    fn push(&mut self, event: &mut Event) {
+        self.attrs.append(&mut event.attrs);
+        self.rows.push(Row {
+            id: event.id,
+            time: event.time,
+            type_id: event.type_id,
+            attrs_end: self.attrs.len(),
+        });
+    }
+
+    /// Empty the chunk, keeping its capacity.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.attrs.clear();
+    }
+
+    /// Hand `each` every row in order, loaded into `scratch`, until one
+    /// fails.
+    fn try_for_each<E>(
+        &self,
+        scratch: &mut Event,
+        mut each: impl FnMut(&Event) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut start = 0;
+        for row in &self.rows {
+            (scratch.id, scratch.time, scratch.type_id) = (row.id, row.time, row.type_id);
+            scratch.attrs.clear();
+            scratch
+                .attrs
+                .extend_from_slice(&self.attrs[start..row.attrs_end]);
+            start = row.attrs_end;
+            each(scratch)?;
+        }
+        Ok(())
+    }
+}
+
+/// A connection's decode state — the shard transport's `Lane` idiom: a
+/// handle to every shipped chunk the actor may still be reading, oldest
+/// first, and the reclaimed ones ready to be filled again.
+struct Chunks {
+    shipped: VecDeque<Arc<Chunk>>,
+    spare: Vec<Chunk>,
+    /// The event every row is decoded into before it moves to a chunk.
+    row: Event,
+}
+
+impl Chunks {
+    fn new() -> Chunks {
+        Chunks {
+            shipped: VecDeque::new(),
+            spare: Vec::new(),
+            row: Event::new(0, 0, TypeId(0), Vec::new()),
+        }
+    }
+
+    /// An empty chunk to fill: one the actor is done with (it drops its
+    /// handle after the last row, and consumes in order), or a new one.
+    fn open(&mut self) -> Chunk {
+        while let Some(chunk) = self.shipped.pop_front() {
+            match Arc::try_unwrap(chunk) {
+                Ok(mut chunk) => {
+                    chunk.clear();
+                    if self.spare.len() < SPARE_CHUNKS {
+                        self.spare.push(chunk);
+                    }
+                }
+                Err(busy) => {
+                    self.shipped.push_front(busy);
+                    break;
+                }
+            }
+        }
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// The handle that travels; its twin stays behind for [`Chunks::open`].
+    fn ship(&mut self, chunk: Chunk) -> Arc<Chunk> {
+        let chunk = Arc::new(chunk);
+        self.shipped.push_back(Arc::clone(&chunk));
+        chunk
+    }
+}
+
+/// How an `INGEST` block ended on its connection thread.
+struct BlockEnd {
+    /// The row the decode stopped at, as the `ERR` text it earns — after
+    /// the rows before it, which travel in the same chunk.
+    stop: Option<String>,
+    reply: ReplyHandle,
+}
+
 /// Requests forwarded from connection threads to the session actor.
 enum Req {
-    /// One CSV document (header + rows) to decode and ingest.
-    Ingest {
-        csv: String,
-        reply: Sender<Result<StatsReport, String>>,
+    /// The next rows of the `INGEST` block whose connection holds the
+    /// ingest turn.
+    Chunk {
+        rows: Arc<Chunk>,
+        /// The block starts here: whatever an abandoned block left behind
+        /// is forgotten.
+        first: bool,
+        /// The block ends here, and is answered.
+        end: Option<BlockEnd>,
     },
     /// Emit everything final at the current watermark.
-    Drain { reply: Sender<StatsReport> },
+    Drain { reply: ReplyHandle },
     /// Report counters.
-    Stats { reply: Sender<StatsReport> },
+    Stats { reply: ReplyHandle },
     /// End of stream: close every window, end subscriptions.
-    Finish {
-        reply: Sender<Result<StatsReport, String>>,
-    },
+    Finish { reply: ReplyHandle },
     /// Checkpoint the live session to a server-side file (`SNAPSHOT`).
-    Snapshot {
-        path: String,
-        reply: Sender<Result<String, String>>,
-    },
+    Snapshot { path: String, reply: ReplyHandle },
     /// Register `stream` as a subscriber. The actor itself writes the
     /// `OK subscribed` line (and every later `RESULT`) so subscription
     /// output is totally ordered.
     Subscribe {
         query: Option<usize>,
         stream: TcpStream,
-        reply: Sender<Result<(), String>>,
+        reply: ReplyHandle,
     },
     /// Stop the actor (server shutdown).
     Shutdown,
@@ -177,15 +392,41 @@ enum Req {
 /// whichever it is handed.
 type SessionFactory = Box<dyn FnOnce(&TypeRegistry) -> Result<Session, ServeError> + Send>;
 
+/// What the connection threads share with each other and the [`Server`].
+struct Shared {
+    /// The bounded queue into the session actor.
+    requests: SyncSender<Req>,
+    /// Connection threads decode against it; the actor built the session
+    /// from it.
+    registry: TypeRegistry,
+    /// The ingest turn: held by a connection from the first chunk of an
+    /// `INGEST` block to its reply, so blocks reach the actor whole and
+    /// one after the other. It guards no data — a holder that panicked
+    /// left nothing half-written, and the next one recovers the guard.
+    turn: Mutex<()>,
+    /// Behind [`Server::wait_finished`].
+    finished: (Mutex<bool>, Condvar),
+    read_timeout: Option<Duration>,
+}
+
+impl Shared {
+    /// Send `req`, whose answer comes back on `replies`, and wait for it.
+    fn ask(&self, req: Req, replies: &Receiver<Reply>) -> Reply {
+        // Every request is answered (see `ReplyHandle`) — one the queue
+        // refuses too, dropped right here.
+        let _ = self.requests.send(req);
+        recv_polling(replies).unwrap_or_else(|_| Err(SHUTTING_DOWN.to_string()))
+    }
+}
+
 /// A running server: accept loop + session actor, live until
 /// [`Server::shutdown`].
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    requests: SyncSender<Req>,
+    shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     actor: Option<JoinHandle<()>>,
-    finished: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl Server {
@@ -247,16 +488,22 @@ impl Server {
         }
 
         let (requests, request_rx) = mpsc::sync_channel(config.queue_depth.max(1));
-        let finished = Arc::new((Mutex::new(false), Condvar::new()));
+        let shared = Arc::new(Shared {
+            requests,
+            registry,
+            turn: Mutex::new(()),
+            finished: (Mutex::new(false), Condvar::new()),
+            read_timeout: config.read_timeout,
+        });
         let shutdown = Arc::new(AtomicBool::new(false));
 
         // The session is built inside the actor thread (it owns it for
         // its whole life); a handshake channel surfaces build errors.
         let (built_tx, built_rx) = mpsc::channel();
         let actor = {
-            let config = config.clone();
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let session = match build(&registry) {
+                let session = match build(&shared.registry) {
                     Ok(session) => {
                         let _ = built_tx.send(Ok(()));
                         session
@@ -266,7 +513,9 @@ impl Server {
                         return;
                     }
                 };
-                session_actor(session, registry, request_rx, config);
+                // The actor must not keep its own queue's sender alive.
+                drop(shared);
+                session_actor(session, request_rx, config);
             })
         };
         if let Err(e) = built_rx.recv().expect("actor handshakes before serving") {
@@ -276,9 +525,7 @@ impl Server {
 
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let requests = requests.clone();
-            let finished = Arc::clone(&finished);
-            let read_timeout = config.read_timeout;
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if shutdown.load(Ordering::SeqCst) {
@@ -291,11 +538,10 @@ impl Server {
                         std::thread::sleep(Duration::from_millis(50));
                         continue;
                     };
-                    let requests = requests.clone();
-                    let finished = Arc::clone(&finished);
+                    let shared = Arc::clone(&shared);
                     std::thread::spawn(move || {
                         // Connection errors just end that connection.
-                        let _ = serve_connection(stream, requests, finished, read_timeout);
+                        let _ = serve_connection(stream, &shared);
                     });
                 }
             })
@@ -304,10 +550,9 @@ impl Server {
         Ok(Server {
             addr: local,
             shutdown,
-            requests,
+            shared,
             accept: Some(accept),
             actor: Some(actor),
-            finished,
         })
     }
 
@@ -319,7 +564,7 @@ impl Server {
     /// Block until a `FINISH` command has been processed, or `timeout`
     /// elapses. Returns whether the session finished.
     pub fn wait_finished(&self, timeout: Duration) -> bool {
-        wait_finished_flag(&self.finished, timeout)
+        wait_finished_flag(&self.shared.finished, timeout)
     }
 
     /// Drain the session in-process — flush and push everything final at
@@ -329,10 +574,8 @@ impl Server {
     /// the snapshot already accounts for.
     pub fn drain(&self) -> Result<StatsReport, String> {
         let (tx, rx) = mpsc::channel();
-        self.requests
-            .send(Req::Drain { reply: tx })
-            .map_err(|_| "server shutting down".to_string())?;
-        rx.recv().map_err(|_| "server shutting down".to_string())
+        let reply = ReplyHandle::new(&tx);
+        self.shared.ask(Req::Drain { reply }, &rx)
     }
 
     /// Checkpoint the live session to a server-side file in-process,
@@ -341,15 +584,10 @@ impl Server {
     /// `{path}: {error}` text the wire protocol reports.
     pub fn snapshot(&self, path: impl Into<String>) -> Result<(), String> {
         let (tx, rx) = mpsc::channel();
-        self.requests
-            .send(Req::Snapshot {
-                path: path.into(),
-                reply: tx,
-            })
-            .map_err(|_| "server shutting down".to_string())?;
-        rx.recv()
-            .map_err(|_| "server shutting down".to_string())?
-            .map(|_| ())
+        let (path, reply) = (path.into(), ReplyHandle::new(&tx));
+        self.shared
+            .ask(Req::Snapshot { path, reply }, &rx)
+            .map(drop)
     }
 
     /// Stop serving: close the accept loop and the session actor, then
@@ -367,7 +605,7 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let _ = self.requests.send(Req::Shutdown);
+        let _ = self.shared.requests.send(Req::Shutdown);
         if let Some(h) = self.actor.take() {
             let _ = h.join();
         }
@@ -450,17 +688,20 @@ impl Subscribers {
 }
 
 /// The session actor: single-threaded owner of the [`Session`] and every
-/// subscriber. Requests are processed strictly in arrival order, so a
-/// single-connection client observes the exact semantics of driving a
-/// `Session` in-process.
-fn session_actor(
-    mut session: Session,
-    registry: TypeRegistry,
-    requests: Receiver<Req>,
-    config: ServerConfig,
-) {
+/// subscriber. Requests are processed strictly in arrival order, and the
+/// chunks of an `INGEST` block arrive whole and in row order (the ingest
+/// turn), so a single-connection client observes the exact semantics of
+/// driving a `Session` in-process.
+fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerConfig) {
     let mut subscribers = Subscribers::default();
     let mut finished = false;
+    // The `INGEST` block in progress: `Session::csv_rows` at its first
+    // chunk, and what it failed with — the rest of a failed block is
+    // discarded, as `Session::ingest_csv` stops at its first bad row.
+    let mut block_start = 0;
+    let mut block_error: Option<String> = None;
+    // The event every row of every chunk is loaded into.
+    let mut row = Event::new(0, 0, TypeId(0), Vec::new());
 
     let stats = |session: &Session, results: u64, finished: bool| {
         // One read of the shard counters, so the totals and the per-shard
@@ -488,61 +729,77 @@ fn session_actor(
         }
     };
 
-    for req in requests {
+    // Polled before parked: mid-block the next chunk is microseconds away.
+    while let Ok(req) = recv_polling(&requests) {
         match req {
-            Req::Ingest { csv, reply } => {
-                let outcome = if finished {
-                    Err("session finished".to_string())
-                } else {
-                    // THE shared decode path: the same
-                    // `Session::ingest_csv` the CLI's `run_csv` rides, so
-                    // both surfaces report the same `IngestError`. Not
-                    // transactional: rows before a bad row are already
-                    // part of the stream.
-                    match session.ingest_csv(&csv, &registry) {
-                        Ok(count) => {
-                            if config.drain_on_ingest {
-                                subscribers.drain(&mut session);
-                            }
-                            let mut report = stats(&session, subscribers.results, finished);
-                            report.ingested = count;
-                            Ok(report)
-                        }
-                        Err(e) => Err(e.to_string()),
-                    }
+            Req::Chunk { rows, first, end } => {
+                if first {
+                    (block_start, block_error) = (session.csv_rows(), None);
+                }
+                if block_error.is_none() {
+                    block_error = if finished {
+                        Some("session finished".to_string())
+                    } else if let Some(fault) = probe!("server/actor/chunk") {
+                        Some(fault)
+                    } else {
+                        // THE checked step `Session::ingest_csv` runs per
+                        // row, so both surfaces report the same
+                        // `IngestError`. Not transactional: rows before a
+                        // bad row are already part of the stream.
+                        rows.try_for_each(&mut row, |row| session.ingest_checked(row))
+                            .err()
+                            .map(|e| e.to_string())
+                    };
+                }
+                // Hand the chunk back before anything slow — the connection
+                // fills it again once this handle is gone — and with it
+                // the last row's values, which are the connection's to free.
+                row.attrs.clear();
+                drop(rows);
+                let Some(BlockEnd { stop, reply }) = end else {
+                    continue;
                 };
-                let _ = reply.send(outcome);
+                reply.send(match block_error.take().or(stop) {
+                    Some(message) => Err(message),
+                    None => {
+                        if config.drain_on_ingest {
+                            subscribers.drain(&mut session);
+                        }
+                        let mut report = stats(&session, subscribers.results, finished);
+                        report.ingested = session.csv_rows() - block_start;
+                        Ok(report)
+                    }
+                });
             }
             Req::Drain { reply } => {
                 if !finished {
                     subscribers.drain(&mut session);
                 }
-                let _ = reply.send(stats(&session, subscribers.results, finished));
+                reply.send(Ok(stats(&session, subscribers.results, finished)));
             }
             Req::Stats { reply } => {
-                let _ = reply.send(stats(&session, subscribers.results, finished));
+                reply.send(Ok(stats(&session, subscribers.results, finished)));
             }
             Req::Finish { reply } => {
-                let outcome = if finished {
-                    Err("session finished".to_string())
-                } else {
-                    session.finish_into(&mut |query: usize, result: cogra_engine::WindowResult| {
-                        subscribers.push_result(query, &result)
-                    });
-                    finished = true;
-                    for sub in &mut subscribers.list {
-                        sub.push(EOS);
-                    }
-                    subscribers.flush();
-                    subscribers.list.clear();
-                    // The finished condvar is NOT signalled here: the
-                    // connection thread signals it only after the OK
-                    // reply reached the socket, so a `wait_finished` →
-                    // shutdown caller (the CLI's serve mode, which
-                    // exits) cannot kill the reply mid-write.
-                    Ok(stats(&session, subscribers.results, finished))
-                };
-                let _ = reply.send(outcome);
+                if finished {
+                    reply.send(Err("session finished".to_string()));
+                    continue;
+                }
+                session.finish_into(&mut |query: usize, result: cogra_engine::WindowResult| {
+                    subscribers.push_result(query, &result)
+                });
+                finished = true;
+                for sub in &mut subscribers.list {
+                    sub.push(EOS);
+                }
+                subscribers.flush();
+                subscribers.list.clear();
+                // The finished condvar is NOT signalled here: the
+                // connection thread signals it only after the OK
+                // reply reached the socket, so a `wait_finished` →
+                // shutdown caller (the CLI's serve mode, which
+                // exits) cannot kill the reply mid-write.
+                reply.send(Ok(stats(&session, subscribers.results, finished)));
             }
             Req::Snapshot { path, reply } => {
                 // Atomic write ({path}.tmp + fsync + rename): a crash
@@ -551,51 +808,50 @@ fn session_actor(
                 // `{path}: {CheckpointError}` — identical to what the
                 // CLI's `--restore`/`--checkpoint` prints after
                 // `error: `, so both surfaces pin the same messages.
-                let outcome = cogra_checkpoint::write_atomic(&path, |buf| session.checkpoint(buf))
-                    .map(|()| path.clone())
-                    .map_err(|e| format!("{path}: {e}"));
-                let _ = reply.send(outcome);
+                reply.send(
+                    cogra_checkpoint::write_atomic(&path, |buf| session.checkpoint(buf))
+                        .map(|()| stats(&session, subscribers.results, finished))
+                        .map_err(|e| format!("{path}: {e}")),
+                );
             }
             Req::Subscribe {
                 query,
                 stream,
                 reply,
             } => {
-                let outcome = match query {
-                    Some(q) if q >= session.queries() => Err(format!(
+                if let Some(q) = query.filter(|&q| q >= session.queries()) {
+                    reply.send(Err(format!(
                         "unknown query q{q} (session has {} queries)",
                         session.queries()
-                    )),
-                    _ => Ok(()),
-                };
-                if outcome.is_ok() {
-                    // A subscriber that stops reading must not wedge this
-                    // actor once the socket buffer fills: bound every
-                    // write, treat a timeout as a dead peer.
-                    let _ = stream.set_write_timeout(Some(config.subscriber_write_timeout));
-                    let mut sub = Subscriber {
-                        query,
-                        stream,
-                        pending: Vec::new(),
-                        dead: false,
-                    };
-                    let tag = match query {
-                        Some(q) => format!("q{q}"),
-                        None => "*".to_string(),
-                    };
-                    sub.push(&format!("{} subscribed {tag}", wire::OK));
-                    if finished {
-                        // Late subscription: nothing will ever be pushed
-                        // (results are push-only, not replayed) — say so
-                        // immediately.
-                        sub.push(EOS);
-                    }
-                    sub.flush();
-                    if !finished {
-                        subscribers.list.push(sub);
-                    }
+                    )));
+                    continue;
                 }
-                let _ = reply.send(outcome);
+                // A subscriber that stops reading must not wedge this
+                // actor once the socket buffer fills: bound every
+                // write, treat a timeout as a dead peer.
+                let _ = stream.set_write_timeout(Some(config.subscriber_write_timeout));
+                let mut sub = Subscriber {
+                    query,
+                    stream,
+                    pending: Vec::new(),
+                    dead: false,
+                };
+                let tag = match query {
+                    Some(q) => format!("q{q}"),
+                    None => "*".to_string(),
+                };
+                sub.push(&format!("{} subscribed {tag}", wire::OK));
+                if finished {
+                    // Late subscription: nothing will ever be pushed
+                    // (results are push-only, not replayed) — say so
+                    // immediately.
+                    sub.push(EOS);
+                }
+                sub.flush();
+                if !finished {
+                    subscribers.list.push(sub);
+                }
+                reply.send(Ok(stats(&session, subscribers.results, finished)));
             }
             Req::Shutdown => break,
         }
@@ -665,25 +921,24 @@ fn read_lines(
 
 /// Read commands off one connection and forward them to the actor. Every
 /// command is answered before the next is read, so the connection has at
-/// most one request in flight (see the module docs on backpressure).
-/// `finished` is the server-wide condvar behind [`Server::wait_finished`]
-/// — signalled here, after a successful `FINISH` reply hit the socket,
-/// never by the actor (a waiter that shuts the process down on it must
-/// not be able to kill the reply mid-write).
-fn serve_connection(
-    stream: TcpStream,
-    requests: SyncSender<Req>,
-    finished: Arc<(Mutex<bool>, Condvar)>,
-    read_timeout: Option<Duration>,
-) -> io::Result<()> {
+/// most one command in flight (see the module docs on backpressure), and
+/// one payload buffer, one reply channel and one set of chunks serve it
+/// for its whole life. The [`Shared::finished`] condvar is signalled here,
+/// after a successful `FINISH` reply hit the socket, never by the actor (a
+/// waiter that shuts the process down on it must not be able to kill the
+/// reply mid-write).
+fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // A silent client must not hold this thread (and its fd) forever:
     // with a timeout configured, a read that sits idle past it gets one
     // ERR line and the connection closes. Subscriber streams are exempt —
     // the actor owns their write half and this thread exits on SUBSCRIBE.
-    stream.set_read_timeout(read_timeout)?;
+    stream.set_read_timeout(shared.read_timeout)?;
     let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream.try_clone()?);
     let mut writer = stream;
     let mut line_buf: Vec<u8> = Vec::new();
+    let mut payload: Vec<u8> = Vec::new();
+    let mut chunks = Chunks::new();
+    let (reply_tx, replies) = mpsc::channel();
     loop {
         line_buf.clear();
         match read_lines(&mut reader, 1, &mut line_buf) {
@@ -705,7 +960,8 @@ fn serve_connection(
             Some((v, a)) => (v, a.trim()),
             None => (line, ""),
         };
-        match verb {
+        let reply = || ReplyHandle::new(&reply_tx);
+        let answer = match verb {
             "INGEST" => {
                 let Ok(n) = arg.parse::<usize>() else {
                     reply_err(&mut writer, "INGEST needs a line count")?;
@@ -718,68 +974,19 @@ fn serve_connection(
                     )?;
                     continue;
                 }
-                let mut payload: Vec<u8> = Vec::new();
+                payload.clear();
                 if let Err(stop) = read_lines(&mut reader, n, &mut payload) {
                     return refuse(&mut writer, stop);
                 }
-                match String::from_utf8(payload) {
-                    Err(_) => reply_err(&mut writer, "ingest payload is not valid UTF-8")?,
-                    Ok(csv) => {
-                        let (tx, rx) = mpsc::channel();
-                        if requests.send(Req::Ingest { csv, reply: tx }).is_err() {
-                            reply_err(&mut writer, "server shutting down")?;
-                            return Ok(());
-                        }
-                        match rx.recv() {
-                            Ok(Ok(report)) => reply_ok(&mut writer, &report.encode())?,
-                            Ok(Err(msg)) => reply_err(&mut writer, &msg)?,
-                            Err(_) => {
-                                reply_err(&mut writer, "server shutting down")?;
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-            }
-            "DRAIN" | "STATS" => {
-                let (tx, rx) = mpsc::channel();
-                let req = if verb == "DRAIN" {
-                    Req::Drain { reply: tx }
-                } else {
-                    Req::Stats { reply: tx }
+                let Ok(csv) = std::str::from_utf8(&payload) else {
+                    reply_err(&mut writer, "ingest payload is not valid UTF-8")?;
+                    continue;
                 };
-                if requests.send(req).is_err() {
-                    reply_err(&mut writer, "server shutting down")?;
-                    return Ok(());
-                }
-                match rx.recv() {
-                    Ok(report) => reply_ok(&mut writer, &report.encode())?,
-                    Err(_) => {
-                        reply_err(&mut writer, "server shutting down")?;
-                        return Ok(());
-                    }
-                }
+                ingest_block(csv, shared, &mut chunks, reply(), &replies)?
             }
-            "FINISH" => {
-                let (tx, rx) = mpsc::channel();
-                if requests.send(Req::Finish { reply: tx }).is_err() {
-                    reply_err(&mut writer, "server shutting down")?;
-                    return Ok(());
-                }
-                match rx.recv() {
-                    Ok(Ok(report)) => {
-                        reply_ok(&mut writer, &report.encode())?;
-                        // Reply delivered — only now may wait_finished
-                        // waiters proceed (and possibly exit the process).
-                        set_finished_flag(&finished);
-                    }
-                    Ok(Err(msg)) => reply_err(&mut writer, &msg)?,
-                    Err(_) => {
-                        reply_err(&mut writer, "server shutting down")?;
-                        return Ok(());
-                    }
-                }
-            }
+            "DRAIN" => shared.ask(Req::Drain { reply: reply() }, &replies),
+            "STATS" => shared.ask(Req::Stats { reply: reply() }, &replies),
+            "FINISH" => shared.ask(Req::Finish { reply: reply() }, &replies),
             "SUBSCRIBE" => {
                 let query = match wire::parse_subscription(arg) {
                     Ok(q) => q,
@@ -788,29 +995,18 @@ fn serve_connection(
                         continue;
                     }
                 };
-                let (tx, rx) = mpsc::channel();
-                let clone = writer.try_clone()?;
-                if requests
-                    .send(Req::Subscribe {
-                        query,
-                        stream: clone,
-                        reply: tx,
-                    })
-                    .is_err()
-                {
-                    reply_err(&mut writer, "server shutting down")?;
-                    return Ok(());
-                }
-                match rx.recv() {
+                let stream = writer.try_clone()?;
+                let subscribe = Req::Subscribe {
+                    query,
+                    stream,
+                    reply: reply(),
+                };
+                match shared.ask(subscribe, &replies) {
                     // The actor wrote `OK subscribed` itself and now owns
                     // the write half; this thread's job is done (its fds
                     // close, the actor's clone keeps the socket open).
-                    Ok(Ok(())) => return Ok(()),
-                    Ok(Err(msg)) => reply_err(&mut writer, &msg)?,
-                    Err(_) => {
-                        reply_err(&mut writer, "server shutting down")?;
-                        return Ok(());
-                    }
+                    Ok(_) => return Ok(()),
+                    Err(msg) => Err(msg),
                 }
             }
             "SNAPSHOT" => {
@@ -818,33 +1014,93 @@ fn serve_connection(
                     reply_err(&mut writer, "SNAPSHOT needs a file path")?;
                     continue;
                 }
-                let (tx, rx) = mpsc::channel();
-                if requests
-                    .send(Req::Snapshot {
-                        path: arg.to_string(),
-                        reply: tx,
-                    })
-                    .is_err()
-                {
-                    reply_err(&mut writer, "server shutting down")?;
-                    return Ok(());
-                }
-                match rx.recv() {
-                    Ok(Ok(path)) => reply_ok(&mut writer, &format!("snapshot {path}"))?,
-                    Ok(Err(msg)) => reply_err(&mut writer, &msg)?,
-                    Err(_) => {
-                        reply_err(&mut writer, "server shutting down")?;
-                        return Ok(());
+                let (path, reply) = (arg.to_string(), reply());
+                match shared.ask(Req::Snapshot { path, reply }, &replies) {
+                    Ok(_) => {
+                        reply_ok(&mut writer, &format!("snapshot {arg}"))?;
+                        continue;
                     }
+                    Err(msg) => Err(msg),
                 }
             }
             "QUIT" => {
                 reply_ok(&mut writer, "bye")?;
                 return Ok(());
             }
-            _ => reply_err(&mut writer, &format!("unknown command `{verb}`"))?,
+            _ => Err(format!("unknown command `{verb}`")),
+        };
+        match answer {
+            Ok(report) => {
+                reply_ok(&mut writer, &report.encode())?;
+                if verb == "FINISH" {
+                    // Reply delivered — only now may wait_finished
+                    // waiters proceed (and possibly exit the process).
+                    set_finished_flag(&shared.finished);
+                }
+            }
+            Err(msg) => {
+                reply_err(&mut writer, &msg)?;
+                if msg == SHUTTING_DOWN {
+                    return Ok(());
+                }
+            }
         }
     }
+}
+
+/// Decode one `INGEST` block and stream it to the actor, chunk by chunk,
+/// under the ingest turn; returns the actor's answer. The decode of a
+/// chunk runs while the actor aggregates the one before it.
+fn ingest_block(
+    csv: &str,
+    shared: &Shared,
+    chunks: &mut Chunks,
+    reply: ReplyHandle,
+    replies: &Receiver<Reply>,
+) -> io::Result<Reply> {
+    let _turn = shared.turn.lock().unwrap_or_else(|p| p.into_inner());
+    let mut chunk = chunks.open();
+    let mut first = true;
+    // Why the rows end: the document did, or a row (or the header) earned
+    // an error — the same `IngestError` text `Session::ingest_csv` gives.
+    let mut stop = None;
+    match EventReader::new(csv, &shared.registry) {
+        Err(e) => stop = Some(e),
+        Ok(mut rows) => loop {
+            match rows.read_into(&mut chunks.row) {
+                None => break,
+                Some(Err(e)) => {
+                    stop = Some(e);
+                    break;
+                }
+                Some(Ok(())) => {}
+            }
+            if chunk.rows.len() == INGEST_CHUNK_ROWS {
+                // Full, and the block goes on: this chunk is not its last.
+                let next = chunks.open();
+                let rows = chunks.ship(std::mem::replace(&mut chunk, next));
+                let sent = shared.requests.send(Req::Chunk {
+                    rows,
+                    first,
+                    end: None,
+                });
+                if sent.is_err() {
+                    return Ok(Err(SHUTTING_DOWN.to_string()));
+                }
+                first = false;
+                if let Some(fault) = probe!("server/conn/chunk") {
+                    return Err(io::Error::other(fault));
+                }
+            }
+            chunk.push(&mut chunks.row);
+        },
+    }
+    let end = Some(BlockEnd {
+        stop: stop.map(|e| IngestError::from(e).to_string()),
+        reply,
+    });
+    let rows = chunks.ship(chunk);
+    Ok(shared.ask(Req::Chunk { rows, first, end }, replies))
 }
 
 /// Answer a read that stopped short with its one `ERR` line; the caller

@@ -22,6 +22,12 @@
 //! * **Fail is sticky and typed** — `ingest_csv` returns
 //!   `IngestError::WorkerFailed`, further input is refused, a failed or
 //!   degraded session refuses to checkpoint.
+//! * **A block that dies between two chunks is resumed, not repeated** —
+//!   the server's own sites (`server/conn/chunk`: the connection dies
+//!   between two chunk sends; `server/actor/chunk`: the actor loses a
+//!   chunk), as lives of the model over a socket: the rows shipped before
+//!   the fault are ingested and counted, the ingest turn is free again,
+//!   and a client that resumes from `STATS events` observes the reference.
 //! * **A crash mid-snapshot never yields a readable-but-wrong file** —
 //!   `write_atomic` killed during the write or the rename leaves the
 //!   previous snapshot byte-intact (and the leftover `.tmp` of a
@@ -40,9 +46,9 @@ use cogra::core::{PoolConfig, QueryRuntime, StreamingPool};
 use cogra::prelude::*;
 use cogra_checkpoint::write_atomic;
 use cogra_faults::{SeedSequence, Trigger};
-use common::model::{self, chunked, Case, Config, Op, Reference};
+use common::model::{self, chunked, Case, Config, Op, Reference, Transport};
 use common::workloads::{abc_registry, rows_case};
-use common::Fixture;
+use common::{watchdog, Fixture};
 use proptest::prelude::*;
 
 /// One grouped Kleene query — shardable, so every worker-count knob and
@@ -249,6 +255,53 @@ fn snapshot_interrupted_by_a_worker_death_is_retried_under_restart() {
         cogra_faults::hits(site) >= 1,
         "failpoint {site} never reached"
     );
+}
+
+// ---------------------------------------------------------------------
+// The server's sites: a block dies between two chunks
+// ---------------------------------------------------------------------
+
+/// An `INGEST` block travels from its connection thread to the session
+/// actor in chunks. Kill the connection between two chunk sends, or lose a
+/// chunk at the actor: the rows that got through are ingested and counted
+/// in `STATS events`, the rest of the block is not, the ingest turn is
+/// released — the model's driver resumes from that count on a new
+/// connection, which would hang on a held turn — and the life observes
+/// the reference.
+#[test]
+fn a_block_cut_between_two_chunks_is_resumed_from_stats_events() {
+    use cogra::server::INGEST_CHUNK_ROWS as CHUNK;
+    let _g = guard();
+    let block = 3 * CHUNK + 7;
+    for (site, hit, workers) in [
+        ("server/conn/chunk", 1, 1),
+        ("server/conn/chunk", 3, 2),
+        ("server/actor/chunk", 1, 1),
+        ("server/actor/chunk", 6, 2),
+    ] {
+        cogra_faults::reset();
+        let case = stream(&[QUERY], 2 * block + 60);
+        let reference = Reference::of(&case).expect("COGRA takes the query");
+        assert!(reference.results() > 0);
+        let config = Config {
+            transport: Transport::Socket(block),
+            ..Config::workers(workers)
+        };
+        let ops = [
+            Op::Ingest(50),
+            Op::Drain,
+            Op::Fault {
+                site: site.to_string(),
+                hit,
+            },
+        ];
+        watchdog(site, move || model::hold(&case, &reference, &config, &ops));
+        assert!(
+            cogra_faults::hits(site) >= hit,
+            "failpoint {site} was never reached (hits={})",
+            cogra_faults::hits(site)
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

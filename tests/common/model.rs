@@ -691,15 +691,28 @@ mod socket {
         ))?;
         let snapshots =
             super::super::Fixture::dir(&format!("model-{:?}", std::thread::current().id()));
-        let send = |feed: &mut Client, events: &[Event]| -> Result<(), String> {
-            if events.is_empty() {
-                return Ok(());
+        // The stream's rows `rows` as `INGEST` blocks — no rows at all as a
+        // header-only block. On a faulted life a block may die with its
+        // connection, or lose a chunk: what the server ingested of it is in
+        // `STATS events` (`before` counts earlier servers' rows), and a new
+        // connection resumes from there, a few times over.
+        let send = |feed: &mut Client,
+                    server: &Server,
+                    mut rows: std::ops::Range<usize>,
+                    (before, faulted): (u64, bool)|
+         -> Result<(), String> {
+            for attempt in 0.. {
+                let csv = write_events(&case.events[rows.clone()], registry);
+                let Err(e) = said(feed.replay_csv(&csv, block), "INGEST") else {
+                    break;
+                };
+                if !faulted || attempt == 3 {
+                    return Err(e);
+                }
+                *feed = Client::connect(server.local_addr()).map_err(|e| format!("feed: {e}"))?;
+                rows.start = (before + said(feed.stats(), "STATS")?.events) as usize;
             }
-            said(
-                feed.replay_csv(&write_events(events, registry), block),
-                "INGEST",
-            )
-            .map(drop)
+            Ok(())
         };
         let mut pushed: Vec<(usize, String)> = Vec::new();
         // `STATS` counts per server; the stream-wide totals are summed over
@@ -711,7 +724,7 @@ mod socket {
             match op {
                 Op::Ingest(n) => {
                     let end = (fed + n).min(case.events.len());
-                    send(&mut feed, &case.events[fed..end])?;
+                    send(&mut feed, &server, fed..end, (events, faulted))?;
                     fed = end;
                 }
                 Op::Drain => {
@@ -751,7 +764,12 @@ mod socket {
                 }
             }
         }
-        send(&mut feed, &case.events[fed..])?;
+        send(
+            &mut feed,
+            &server,
+            fed..case.events.len(),
+            (events, faulted),
+        )?;
         let finish = said(feed.finish(), "FINISH")?;
         pushed.extend(rows.join().expect("subscriber joins"));
         server.shutdown();

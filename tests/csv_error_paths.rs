@@ -7,9 +7,11 @@
 //! and the server's `ERR` reply against it, byte for byte.
 //!
 //! Covered: a truncated row (field-count mismatch), a time-regressing
-//! row without `.slack(n)`, and non-UTF-8 input (which each surface
-//! rejects *before* the decode path — with its own transport's wording,
-//! since `EventReader` itself only ever sees `&str`).
+//! row without `.slack(n)` — each also in the first, a middle and the last
+//! of the chunks a long `INGEST` block reaches the session in —, and
+//! non-UTF-8 input (which each surface rejects *before* the decode path —
+//! with its own transport's wording, since `EventReader` itself only ever
+//! sees `&str`).
 
 mod common;
 
@@ -164,6 +166,75 @@ fn rows_before_a_bad_row_are_counted_by_every_surface() {
         .expect("ingest ok");
     assert_eq!((report.ingested, report.events), (1, 4));
     server.shutdown();
+}
+
+/// The server decodes an `INGEST` block on the connection's thread and
+/// hands it to the session in chunks: wherever in the block the bad row
+/// sits, the reply is the text `Session::ingest_csv` (and so the CLI)
+/// gives, exactly the rows before it are ingested, and the rest of the
+/// block — the chunks already on their way included — is discarded.
+#[test]
+fn a_bad_row_in_any_chunk_of_a_block_is_the_shared_paths_error() {
+    use cogra::server::INGEST_CHUNK_ROWS as CHUNK;
+    const ROWS: usize = 3 * CHUNK + 7;
+    let block = |bad: usize, row: &str| {
+        let mut csv = String::from("type,time,patient,rate\n");
+        for i in 0..ROWS {
+            if i == bad {
+                csv.push_str(row);
+            } else {
+                csv.push_str(&format!("Measurement,{},{},60\n", i + 10, i % 5));
+            }
+        }
+        csv
+    };
+    // First chunk, a middle one, the last one; and both sides of a seam.
+    for bad in [5, CHUNK - 1, CHUNK, CHUNK + 40, 3 * CHUNK + 3, ROWS - 1] {
+        for row in ["Measurement,2\n", "Measurement,3,7,61\n"] {
+            let csv = block(bad, row);
+            let mut session = Session::builder()
+                .query(QUERY)
+                .build(&registry())
+                .expect("query builds");
+            let expected = session
+                .ingest_csv(&csv, &registry())
+                .expect_err("one row is bad")
+                .to_string();
+            assert_eq!(session.csv_rows(), bad as u64);
+
+            let server = Server::spawn(
+                Session::builder().query(QUERY),
+                registry(),
+                "127.0.0.1:0",
+                ServerConfig::default(),
+            )
+            .expect("server starts");
+            let mut client = Client::connect(server.local_addr()).expect("connects");
+            let err = client
+                .ingest(&csv)
+                .expect("io")
+                .expect_err("one row is bad");
+            assert_eq!(err, expected, "row {bad}: server vs shared decode path");
+            let stats = client.stats().expect("io").expect("stats ok");
+            assert_eq!(
+                stats.events, bad as u64,
+                "row {bad}: rows before it, no more"
+            );
+            // The next block starts clean, after the rows that made it in.
+            let next = format!("type,time,patient,rate\nMeasurement,{},1,60\n", ROWS + 10);
+            let report = client.ingest(&next).expect("io").expect("ingest ok");
+            assert_eq!((report.ingested, report.events), (1, bad as u64 + 1));
+            server.shutdown();
+
+            if bad == CHUNK + 40 {
+                let (ok, stderr) = run_cli("bad-row-mid-block", csv.as_bytes(), &[]);
+                assert!(
+                    !ok && stderr.contains(&expected),
+                    "cli: {stderr}\nwant: {expected}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

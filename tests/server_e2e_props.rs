@@ -3,12 +3,15 @@
 //! `INGEST` blocks with `DRAIN`s in between, observes the reference —
 //! pushed rows, late drops, run stats, `STATS` event and result counters —
 //! across workloads {stock, rideshare, transport} × workers {1, 4} × slack
-//! {0, 8}; so do records whose cells span lines, in any block size.
+//! {0, 8}; so do records whose cells span lines, in any block size, and
+//! blocks cut around the chunks an `INGEST` travels in (a block of one
+//! chunk less a row, exactly one, one and a row, several, none).
 //!
 //! Beside the arms, the protocol: one shared run fanned out to duplicate
 //! subscriptions, reconnect-after-`FINISH`, error replies and caps,
-//! subscriber back-pressure, hostile connections, and the loopback-only
-//! bind guard.
+//! subscriber back-pressure, hostile connections, racing feeds and control
+//! verbs landing between the chunks of a block, and the loopback-only bind
+//! guard.
 //!
 //! Every test body runs under a watchdog so a hung accept loop or a
 //! deadlocked actor fails fast instead of stalling CI.
@@ -16,11 +19,13 @@
 mod common;
 
 use cogra::prelude::*;
+use cogra::server::INGEST_CHUNK_ROWS as CHUNK;
 use cogra::workloads::{stock, StockConfig};
-use common::model::{chunked, sweep, Case, Config, Transport};
-use common::workloads::{disordered, workload, RIDESHARE, STOCK_MIXED, TRANSPORT};
-use common::{watchdog, Raw};
+use common::model::{chunked, sweep, Case, Config, Op, Reference, Transport};
+use common::workloads::{disordered, rows_case, workload, RIDESHARE, STOCK_MIXED, TRANSPORT};
+use common::{watchdog, Fixture, Raw};
 use proptest::prelude::*;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const SERVED: [usize; 3] = [STOCK_MIXED, RIDESHARE, TRANSPORT];
@@ -125,6 +130,233 @@ fn records_spanning_lines_survive_the_socket_in_any_chunking() {
         });
         let (reference, _) = sweep(&case, blocks, |_| Vec::new());
         assert!(reference.results() > 0);
+    });
+}
+
+#[test]
+fn blocks_cut_around_the_chunk_seam_observe_the_reference() {
+    // An `INGEST` block reaches the session in chunks of `CHUNK` rows: a
+    // block that is one short of a chunk, exactly one, one over, several
+    // and a bit, a single row — and no row at all, which the driver sends
+    // whenever an ingest op has nothing left to send (here: the first op,
+    // and the end of the stream).
+    let blocks = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
+    for slack in [0, 8] {
+        watchdog("blocks around the chunk seam", move || {
+            let case = disordered(RIDESHARE, 11, 2 * (3 * CHUNK + 7) + 40, slack);
+            let configs = blocks.map(|block| Config {
+                transport: Transport::Socket(block),
+                ..Config::default()
+            });
+            let ops = |_: &Case| vec![Op::Ingest(0), Op::Ingest(3 * CHUNK + 7), Op::Drain];
+            let (reference, runs) = sweep(&case, configs, ops);
+            assert!(reference.results() > 0 && runs.iter().all(|run| run.live > 0));
+        });
+    }
+}
+
+/// `n` rows one tick apart — row `i` is at time `i + 2` — over seven
+/// groups, every third a `B`, for [`SEAM_QUERY`].
+fn seam_case(n: usize) -> Case {
+    let rows: Vec<_> = (0..n)
+        .map(|i| (1, usize::from(i % 3 == 2), (i % 7) as i64, (i % 5) as i64))
+        .collect();
+    rows_case(&[SEAM_QUERY], &rows, None)
+}
+
+const SEAM_QUERY: &str = "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+                          GROUP-BY g WITHIN 10 SLIDE 5";
+
+/// A server for [`SEAM_QUERY`] with a `*` subscriber, whose rows come back
+/// sorted once the server finished or shut down.
+fn seam_server(config: ServerConfig) -> (Server, std::thread::JoinHandle<Vec<String>>) {
+    let registry = seam_case(0).registry;
+    let server = Server::spawn(
+        Session::builder().query(SEAM_QUERY),
+        registry,
+        "127.0.0.1:0",
+        config,
+    )
+    .expect("server starts");
+    let subscription = Client::connect(server.local_addr())
+        .expect("subscriber connects")
+        .subscribe(None)
+        .expect("subscribe io")
+        .expect("subscribe accepted");
+    let rows = std::thread::spawn(move || {
+        let mut rows: Vec<String> = subscription.map_while(Result::ok).map(|r| r.1).collect();
+        rows.sort();
+        rows
+    });
+    (server, rows)
+}
+
+/// What [`SEAM_QUERY`] emits for `events`, as the wire's rows, sorted.
+fn seam_rows(case: &Case, events: &[Event]) -> Vec<String> {
+    let case = Case {
+        events: events.to_vec(),
+        ..case.clone()
+    };
+    let reference = Reference::of(&case).expect("COGRA takes the query");
+    let mut rows: Vec<String> = (reference.query(0).iter().map(|r| r.to_string())).collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn racing_feeds_are_ingested_block_after_block() {
+    watchdog("racing feeds", || {
+        // Two feeds, one block each — rows [0, N) and [N, 2N) of one
+        // ordered stream, several chunks long — sent at the same moment to
+        // a session without slack. Whole blocks in either order have two
+        // outcomes: first then second (everything ingested), or second then
+        // first (the first block's first row is late: refused whole). Any
+        // interleaving of their chunks would ingest part of the late block.
+        const N: usize = 3 * CHUNK + 7;
+        let case = seam_case(2 * N);
+        let blocks = [0, N].map(|from| write_events(&case.events[from..from + N], &case.registry));
+        let late = {
+            let mut session = (Session::builder().query(SEAM_QUERY))
+                .build(&case.registry)
+                .expect("query builds");
+            session
+                .ingest_csv(&blocks[1], &case.registry)
+                .expect("in order");
+            let refusal = session.ingest_csv(&blocks[0], &case.registry);
+            refusal.expect_err("late").to_string()
+        };
+        for _ in 0..12 {
+            let (server, rows) = seam_server(ServerConfig::default());
+            let start = Arc::new(Barrier::new(2));
+            let feeds = blocks.clone().map(|block| {
+                let (addr, start) = (server.local_addr(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let mut feed = Client::connect(addr).expect("feed connects");
+                    start.wait();
+                    feed.ingest(&block).expect("ingest io")
+                })
+            });
+            let [first, second] = feeds.map(|feed| feed.join().expect("feed joins"));
+            let mut control = Client::connect(server.local_addr()).expect("connects");
+            let finish = control.finish().expect("finish io").expect("finish ok");
+            let pushed = rows.join().expect("subscriber joins");
+            assert_eq!(second.expect("never late").ingested, N as u64);
+            match first {
+                Ok(report) => {
+                    assert_eq!((report.ingested, finish.events), (N as u64, 2 * N as u64));
+                    assert_eq!(pushed, seam_rows(&case, &case.events));
+                }
+                Err(refusal) => {
+                    assert_eq!((refusal, finish.events), (late.clone(), N as u64));
+                    assert_eq!(pushed, seam_rows(&case, &case.events[N..]));
+                }
+            }
+            server.shutdown();
+        }
+    });
+}
+
+#[test]
+fn control_verbs_between_the_chunks_of_a_block_see_a_chunk_boundary() {
+    watchdog("verbs between chunks", || {
+        // One feed sends one long block; a second connection waits for its
+        // first rows to show in `STATS` and then asks for a verb, which the
+        // actor takes between two chunks of the block (or, should the race
+        // go that way, after it — the same assertions hold). A queue of
+        // one request keeps the feed's connection a chunk ahead of the
+        // actor, so the block is still arriving when the verb does.
+        const N: usize = 150 * CHUNK + 5;
+        let case = seam_case(N);
+        let block = write_events(&case.events, &case.registry);
+        // Rows at or before `watermark`: row `i` is at time `i + 2`.
+        let rows_until = |watermark: u64| (watermark as usize).saturating_sub(1).min(N);
+        let at_a_boundary = |rows: usize| rows.is_multiple_of(CHUNK) || rows == N;
+        let race = |verb: &(dyn Fn(&mut Client) + Sync), config: ServerConfig| {
+            let (server, rows) = seam_server(config);
+            let mut feed = Client::connect(server.local_addr()).expect("feed connects");
+            let mut control = Client::connect(server.local_addr()).expect("control connects");
+            let fed = std::thread::scope(|scope| {
+                let fed = scope.spawn(|| feed.ingest(&block).expect("ingest io"));
+                while control.stats().expect("stats io").expect("stats ok").events == 0 {}
+                verb(&mut control);
+                fed.join().expect("feed joins")
+            });
+            (server, rows, fed, control)
+        };
+        let tight = ServerConfig {
+            queue_depth: 1,
+            ..ServerConfig::default()
+        };
+        let mut between = 0;
+        for _ in 0..3 {
+            // DRAIN: what it pushes is final, and nothing is pushed twice.
+            let drain = |control: &mut Client| drop(control.drain().expect("drain io"));
+            let (server, rows, fed, mut control) = race(&drain, tight.clone());
+            assert_eq!(fed.expect("ingest ok").ingested, N as u64);
+            control.finish().expect("finish io").expect("finish ok");
+            assert_eq!(
+                rows.join().expect("subscriber joins"),
+                seam_rows(&case, &case.events)
+            );
+            server.shutdown();
+
+            // FINISH: the rows before it are in, the rest of the block is
+            // refused, and what was pushed is what those rows make.
+            let finish = |control: &mut Client| drop(control.finish().expect("finish io"));
+            let (server, rows, fed, mut control) = race(&finish, tight.clone());
+            let events = control.stats().expect("stats io").expect("stats ok").events as usize;
+            assert!(
+                at_a_boundary(events),
+                "FINISH landed inside a chunk, at row {events}"
+            );
+            match fed {
+                Ok(report) => assert_eq!((report.ingested as usize, events), (N, N)),
+                Err(refusal) => assert_eq!(refusal, "session finished"),
+            }
+            between += usize::from(events < N);
+            let pushed = rows.join().expect("subscriber joins");
+            assert_eq!(pushed, seam_rows(&case, &case.events[..events]));
+            server.shutdown();
+
+            // SNAPSHOT (nothing drained before it, so the snapshot holds
+            // every window): restored and fed the rows after its
+            // watermark, it finishes to the whole stream's results.
+            let snapshots = Fixture::dir("verbs-between-chunks");
+            let path = snapshots.path("mid-block.snap");
+            let snapshot = |control: &mut Client| {
+                control
+                    .snapshot(&path)
+                    .expect("snapshot io")
+                    .expect("snapshot ok");
+            };
+            let quiet = ServerConfig {
+                drain_on_ingest: false,
+                ..tight.clone()
+            };
+            let (server, _, fed, _) = race(&snapshot, quiet);
+            assert_eq!(fed.expect("ingest ok").ingested, N as u64);
+            server.shutdown();
+            let file = std::fs::File::open(&path).expect("snapshot written");
+            let mut restored = (Session::builder())
+                .restore(&case.registry, std::io::BufReader::new(file))
+                .expect("snapshot restores");
+            let held = rows_until(restored.watermark().ticks());
+            assert!(
+                at_a_boundary(held),
+                "SNAPSHOT landed inside a chunk, at row {held}"
+            );
+            between += usize::from(held < N);
+            case.events[held..].iter().for_each(|e| restored.process(e));
+            let mut rows: Vec<String> = (restored.finish().iter())
+                .map(|t| t.result.to_string())
+                .collect();
+            rows.sort();
+            assert_eq!(rows, seam_rows(&case, &case.events));
+        }
+        assert!(
+            between > 0,
+            "no FINISH or SNAPSHOT of six landed inside its block"
+        );
     });
 }
 

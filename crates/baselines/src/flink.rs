@@ -106,7 +106,7 @@ impl WindowAlgo for FlinkWindow {
     }
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
+    fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         Self::INLINE_BYTES
             + self.events.iter().map(Event::memory_bytes).sum::<usize>()
             + self

@@ -120,7 +120,7 @@ impl WindowAlgo for GretaWindow {
     }
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
+    fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .graphs

@@ -345,7 +345,7 @@ impl WindowAlgo for OracleWindow {
     }
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
+    fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         Self::INLINE_BYTES + self.events.iter().map(Event::memory_bytes).sum::<usize>()
     }
 

@@ -107,7 +107,7 @@ impl WindowAlgo for SaseWindow {
     }
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
+    fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .disjuncts

@@ -9,64 +9,102 @@ use crate::mixed_grained::MixedWindow;
 use crate::output::WindowResult;
 use crate::pattern_grained::PatternWindow;
 use crate::router::{EventBinds, Router, WindowAlgo};
-use crate::runtime::QueryRuntime;
+use crate::runtime::{DisjunctRuntime, QueryRuntime};
 use crate::type_grained::TypeGrainedWindow;
 use cogra_events::{Event, Timestamp, TypeRegistry};
 use cogra_query::{compile, Granularity, Query, QueryResult};
 use std::sync::Arc;
 
 /// Per-window aggregation state of one disjunct, at its selected
-/// granularity.
+/// granularity. A type-grained window is one slab handle and sits inline;
+/// the other two are boxed, so the handle of every disjunct is as small.
 #[derive(Debug)]
 enum GranWindow {
     Type(TypeGrainedWindow),
-    Mixed(MixedWindow),
-    Pattern(PatternWindow),
+    Mixed(Box<MixedWindow>),
+    Pattern(Box<PatternWindow>),
 }
 
 impl GranWindow {
+    fn new(drt: &DisjunctRuntime) -> GranWindow {
+        match drt.disjunct.granularity {
+            Granularity::Type => GranWindow::Type(TypeGrainedWindow::new(drt)),
+            Granularity::Mixed => GranWindow::Mixed(Box::new(MixedWindow::new(drt))),
+            Granularity::Pattern => GranWindow::Pattern(Box::new(PatternWindow::new(drt))),
+        }
+    }
+
+    /// What the window holds beyond its handle: a boxed window's struct,
+    /// and whatever the aggregator holds outside it.
     fn memory_bytes(&self) -> usize {
         match self {
             GranWindow::Type(w) => w.memory_bytes(),
-            GranWindow::Mixed(w) => w.memory_bytes(),
-            GranWindow::Pattern(w) => w.memory_bytes(),
+            GranWindow::Mixed(w) => MixedWindow::INLINE_BYTES + w.memory_bytes(),
+            GranWindow::Pattern(w) => PatternWindow::INLINE_BYTES + w.memory_bytes(),
         }
     }
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
+    fn audit_bytes(&self, drt: &DisjunctRuntime) -> usize {
         match self {
-            GranWindow::Type(w) => w.audit_bytes(),
-            GranWindow::Mixed(w) => w.audit_bytes(),
-            GranWindow::Pattern(w) => w.audit_bytes(),
+            GranWindow::Type(w) => w.audit_bytes(drt),
+            GranWindow::Mixed(w) => MixedWindow::INLINE_BYTES + w.audit_bytes(drt),
+            GranWindow::Pattern(w) => PatternWindow::INLINE_BYTES + w.audit_bytes(drt),
         }
     }
 }
 
 /// COGRA's per-window state: one granularity-specific aggregator per
-/// disjunct.
+/// disjunct — inline in the router's ring slot when the query has one
+/// disjunct, so a type-grained step touches the slot and one slab.
 #[derive(Debug)]
-pub struct CograWindow {
-    disjuncts: Vec<GranWindow>,
+pub struct CograWindow(Disjuncts);
+
+/// A window's aggregators: one inline, or one per disjunct in a box.
+#[derive(Debug)]
+enum Disjuncts {
+    One(GranWindow),
+    Many(Box<[GranWindow]>),
+}
+
+impl CograWindow {
+    fn grans(&self) -> &[GranWindow] {
+        match &self.0 {
+            Disjuncts::One(gran) => std::slice::from_ref(gran),
+            Disjuncts::Many(grans) => grans,
+        }
+    }
+
+    fn grans_mut(&mut self) -> &mut [GranWindow] {
+        match &mut self.0 {
+            Disjuncts::One(gran) => std::slice::from_mut(gran),
+            Disjuncts::Many(grans) => grans,
+        }
+    }
+
+    fn of(mut grans: Vec<GranWindow>) -> CograWindow {
+        CograWindow(match grans.len() {
+            1 => Disjuncts::One(grans.pop().expect("one")),
+            _ => Disjuncts::Many(grans.into_boxed_slice()),
+        })
+    }
+
+    /// The boxed handles of a many-disjunct window.
+    fn spilled_bytes(&self) -> usize {
+        match &self.0 {
+            Disjuncts::One(_) => 0,
+            Disjuncts::Many(grans) => std::mem::size_of_val(&**grans),
+        }
+    }
 }
 
 impl WindowAlgo for CograWindow {
     fn new(rt: &QueryRuntime) -> CograWindow {
-        CograWindow {
-            disjuncts: rt
-                .disjuncts
-                .iter()
-                .map(|d| match d.disjunct.granularity {
-                    Granularity::Type => GranWindow::Type(TypeGrainedWindow::new(d)),
-                    Granularity::Mixed => GranWindow::Mixed(MixedWindow::new(d)),
-                    Granularity::Pattern => GranWindow::Pattern(PatternWindow::new(d)),
-                })
-                .collect(),
-        }
+        CograWindow::of(rt.disjuncts.iter().map(GranWindow::new).collect())
     }
 
     fn reset(&mut self, rt: &QueryRuntime) {
-        for (gran, drt) in self.disjuncts.iter_mut().zip(&rt.disjuncts) {
+        for (gran, drt) in self.grans_mut().iter_mut().zip(&rt.disjuncts) {
             match gran {
                 GranWindow::Type(w) => w.reset(drt),
                 GranWindow::Mixed(w) => w.reset(drt),
@@ -79,40 +117,23 @@ impl WindowAlgo for CograWindow {
         let semantics = rt.query.semantics;
         let mut delta = 0;
         for ((gran, drt), (states, negs)) in self
-            .disjuncts
+            .grans_mut()
             .iter_mut()
             .zip(&rt.disjuncts)
             .zip(&binds.per_disjunct)
         {
-            let before = gran.memory_bytes();
-            match gran {
-                GranWindow::Type(w) => {
-                    if !negs.is_empty() {
-                        w.on_negation(drt, event, negs);
-                    }
-                    w.on_event(drt, event, states);
-                }
-                GranWindow::Mixed(w) => {
-                    if !negs.is_empty() {
-                        w.on_negation(drt, event, negs);
-                    }
-                    w.on_event(drt, event, states);
-                }
-                GranWindow::Pattern(w) => {
-                    if !negs.is_empty() {
-                        w.on_negation(drt, event, negs);
-                    }
-                    w.on_event(drt, event, states, semantics);
-                }
-            }
-            delta += gran.memory_bytes() as isize - before as isize;
+            delta += match gran {
+                GranWindow::Type(w) => w.step(drt, event, states, negs),
+                GranWindow::Mixed(w) => w.step(drt, event, states, negs),
+                GranWindow::Pattern(w) => w.step(drt, event, states, negs, semantics),
+            };
         }
         delta
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
         let mut cell: Option<Cell> = None;
-        for (gran, drt) in self.disjuncts.iter_mut().zip(&rt.disjuncts) {
+        for (gran, drt) in self.grans_mut().iter_mut().zip(&rt.disjuncts) {
             let c = match gran {
                 GranWindow::Type(w) => w.final_cell(drt),
                 GranWindow::Mixed(w) => w.final_cell(drt),
@@ -127,17 +148,27 @@ impl WindowAlgo for CograWindow {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.disjuncts.iter().map(GranWindow::memory_bytes).sum()
+        self.spilled_bytes()
+            + self
+                .grans()
+                .iter()
+                .map(GranWindow::memory_bytes)
+                .sum::<usize>()
     }
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
-        self.disjuncts.iter().map(GranWindow::audit_bytes).sum()
+    fn audit_bytes(&self, rt: &QueryRuntime) -> usize {
+        let grans = self.grans().iter().zip(&rt.disjuncts);
+        self.spilled_bytes()
+            + grans
+                .map(|(gran, drt)| gran.audit_bytes(drt))
+                .sum::<usize>()
     }
 
     fn save(&self, rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
-        enc.usize(self.disjuncts.len());
-        for (gran, drt) in self.disjuncts.iter().zip(&rt.disjuncts) {
+        let grans = self.grans();
+        enc.usize(grans.len());
+        for (gran, drt) in grans.iter().zip(&rt.disjuncts) {
             // Tag each disjunct with its granularity: the restored runtime
             // re-selects the same one, but a mismatched snapshot must fail
             // typed instead of misparsing.
@@ -184,11 +215,11 @@ impl WindowAlgo for CograWindow {
             }
             disjuncts.push(match d.disjunct.granularity {
                 Granularity::Type => GranWindow::Type(TypeGrainedWindow::load(d, dec)?),
-                Granularity::Mixed => GranWindow::Mixed(MixedWindow::load(d, dec)?),
-                Granularity::Pattern => GranWindow::Pattern(PatternWindow::load(d, dec)?),
+                Granularity::Mixed => GranWindow::Mixed(Box::new(MixedWindow::load(d, dec)?)),
+                Granularity::Pattern => GranWindow::Pattern(Box::new(PatternWindow::load(d, dec)?)),
             });
         }
-        Ok(CograWindow { disjuncts })
+        Ok(CograWindow::of(disjuncts))
     }
 }
 

@@ -27,35 +27,24 @@
 //! ## What a window holds
 //!
 //! The [`TypeGrainedWindow`], whose table has one row more than Algorithm 1
-//! needs: the finished-trend accumulator. The stored `Te` events, in
-//! arrival order, as one arena: of each, what the plan reads of it again
-//! — its time stamp, the state it is bound to, and the stored projection
-//! of its type ([`CompiledDisjunct::stored`], the `pred_attr`s of the
-//! predicates on adjacent events) appended to one shared value buffer —
-//! and beside them one growing row list with a row of `1 + k` words per
-//! stored event: the event's aggregates are computed in the row they are
-//! stored in, and the row is dropped again when no trend ends at the
-//! event. One [`NegClock`] per negated variable.
+//! needs ([`DisjunctRuntime::table`]): the finished-trend accumulator. The
+//! stored `Te` events, in arrival order, as one `u64` slab of entries of
+//! `2 + stride` words: of each, what the plan reads of it again — its time
+//! stamp, then the state it is bound to and where its stored values end —
+//! and its event-grained aggregates, a row computed where it is stored and
+//! dropped again when no trend ends at the event. The stored values are
+//! the stored projection of each event's type ([`CompiledDisjunct::stored`],
+//! the `pred_attr`s of the predicates on adjacent events), end to end in
+//! one shared value buffer. One [`NegClock`] per negated variable.
 //!
 //! [`CompiledDisjunct::stored`]: cogra_query::CompiledDisjunct::stored
 
-use crate::agg::{Cell, CellTable};
+use crate::agg::Cell;
 use crate::runtime::{DisjunctRuntime, NegClock};
 use crate::type_grained::TypeGrainedWindow;
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{Event, Timestamp, Value};
 use cogra_query::{NegId, StateId};
-
-/// A stored event of a `Te` state, minus its stored values: those end at
-/// `values_end` in [`MixedWindow::values`] (and start where the previous
-/// entry's end). Its event-grained aggregates are the row of
-/// [`MixedWindow::rows`] at its position.
-#[derive(Debug)]
-struct Stored {
-    time: Timestamp,
-    state: StateId,
-    values_end: u32,
-}
 
 /// Per-window mixed-grained aggregation state.
 #[derive(Debug)]
@@ -65,32 +54,57 @@ pub struct MixedWindow {
     /// accumulator, used when the end state is in `Te` (Algorithm 2
     /// line 14).
     tt: TypeGrainedWindow,
-    /// Stored `Te` events, in arrival order.
-    stored: Vec<Stored>,
+    /// Stored `Te` events, in arrival order: per event its time stamp,
+    /// its state with the end of its values in the high half, its row.
+    /// Every row is live.
+    stored: Vec<u64>,
     /// Their stored values ([`DisjunctRuntime::store`]), end to end.
     values: Vec<Value>,
-    /// The stored events' event-grained aggregates, a row each. Every one
-    /// is live.
-    rows: Vec<u64>,
     /// Per-negation match clocks.
-    neg_clocks: Vec<NegClock>,
-    /// What the window holds beyond `tt`, kept current where `stored`
-    /// grows.
-    bytes: usize,
+    neg_clocks: Box<[NegClock]>,
+    /// Bytes of `values`, kept where they are stored.
+    values_bytes: usize,
+}
+
+/// A stored event's entry, read.
+struct Stored<'a> {
+    time: Timestamp,
+    state: StateId,
+    values_end: usize,
+    row: &'a [u64],
+}
+
+/// The words of a stored event's entry before its row: it came at `time`,
+/// is bound to `state`, and its stored values end at `values_end`.
+fn head(time: Timestamp, state: StateId, values_end: usize) -> [u64; 2] {
+    let values_end = u32::try_from(values_end).expect("a window stores < 2^32 values");
+    [
+        time.ticks(),
+        u64::from(state.0) | u64::from(values_end) << 32,
+    ]
+}
+
+/// The entries of a stored-event slab of rows of `stride` words.
+fn entries(stored: &[u64], stride: usize) -> impl Iterator<Item = Stored<'_>> {
+    stored.chunks_exact(2 + stride).map(|entry| Stored {
+        time: Timestamp(entry[0]),
+        state: StateId(entry[1] as u32),
+        values_end: (entry[1] >> 32) as usize,
+        row: &entry[2..],
+    })
 }
 
 impl MixedWindow {
-    /// The window struct less `tt` (which counts itself) and the byte
-    /// counter — the instrument is not part of the state it measures.
-    const INLINE_BYTES: usize = std::mem::size_of::<Self>()
-        - std::mem::size_of::<TypeGrainedWindow>()
-        - std::mem::size_of::<usize>();
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures. Counted by whoever holds the window.
+    pub(crate) const INLINE_BYTES: usize =
+        std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
 
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> MixedWindow {
         MixedWindow::over(
-            TypeGrainedWindow::with_rows(rt, Self::final_row(rt) + 1),
-            vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
+            TypeGrainedWindow::new(rt),
+            vec![NegClock::default(); rt.disjunct.automaton.num_negated()].into(),
         )
     }
 
@@ -100,73 +114,60 @@ impl MixedWindow {
     }
 
     /// A window over the given type-grained half, with nothing stored.
-    fn over(tt: TypeGrainedWindow, neg_clocks: Vec<NegClock>) -> MixedWindow {
+    fn over(tt: TypeGrainedWindow, neg_clocks: Box<[NegClock]>) -> MixedWindow {
         MixedWindow {
             tt,
             stored: Vec::new(),
             values: Vec::new(),
-            rows: Vec::new(),
             neg_clocks,
-            bytes: Self::INLINE_BYTES,
+            values_bytes: 0,
         }
     }
 
-    /// Back to the state [`MixedWindow::new`] builds, in place: the table,
-    /// the event store and the staging vectors keep their buffers.
+    /// Back to the state [`MixedWindow::new`] builds, in place: the slabs
+    /// and the value buffer keep their capacity.
     pub fn reset(&mut self, rt: &DisjunctRuntime) {
         self.tt.reset(rt);
         self.stored.clear();
         self.values.clear();
-        self.rows.clear();
-        self.bytes = Self::INLINE_BYTES;
+        self.values_bytes = 0;
         self.neg_clocks.fill(NegClock::default());
     }
 
-    /// Store the event of `time`, bound to `state`, whose stored values
-    /// are the tail of `values` from `values_start` on and whose row is the
-    /// last of `rows`.
-    fn push_stored(
+    /// One event of the window: the negations it matches and the states it
+    /// binds (Algorithm 2's step at each). Returns the bytes it added.
+    pub fn step(
         &mut self,
         rt: &DisjunctRuntime,
-        time: Timestamp,
-        state: StateId,
-        values_start: usize,
-    ) {
-        let values_end = u32::try_from(self.values.len()).expect("a window stores < 2^32 values");
-        // The entry, its values and its row.
-        let values = self.values[values_start..].iter().map(Value::memory_bytes);
-        self.bytes += std::mem::size_of::<Stored>()
-            + values.sum::<usize>()
-            + rt.layout.stride() * std::mem::size_of::<u64>();
-        self.stored.push(Stored {
-            time,
-            state,
-            values_end,
-        });
-    }
-
-    /// Process an event bound to `binds`.
-    pub fn on_event(&mut self, rt: &DisjunctRuntime, event: &Event, binds: &[StateId]) {
+        event: &Event,
+        binds: &[StateId],
+        negs: &[NegId],
+    ) -> isize {
+        let before = self.memory_bytes();
         self.tt.commit_if_past(rt, event.time);
-        let (d, layout) = (&rt.disjunct, &rt.layout);
+        self.tt.stage_negations(negs);
+        for &n in negs {
+            self.neg_clocks[n.index()].record(event.time);
+        }
+        let (d, layout, stride) = (&rt.disjunct, &rt.layout, rt.table.stride());
         for &s in binds {
             // Fold into `row` what flows into `event` at `s` from the
-            // events stored so far (`rows` are theirs) and from `tt`'s
-            // committed table; whether any of it was live.
-            let (stored, values, neg_clocks) = (&self.stored, &self.values, &self.neg_clocks);
-            let fill = |table: &CellTable, rows: &[u64], row: &mut [u64]| {
+            // events stored so far and from `tt`'s committed table;
+            // whether any of it was live.
+            let (values, neg_clocks) = (&self.values, &self.neg_clocks);
+            let fill = |table: &[u64], stored: &[u64], row: &mut [u64]| {
                 let mut live = false;
                 for src in &rt.pred_sources[s.index()] {
                     if !d.event_grained[src.from.index()] {
-                        live |= table.merge_into(layout, src.row, row);
+                        live |= rt.table.merge_into(layout, table, src.row, row);
                         continue;
                     }
                     // Event-grained source: scan stored events of that
                     // state, checking time, θ, and negation windows.
                     let mut values_start = 0;
-                    for (i, ep) in stored.iter().enumerate() {
-                        let ep_values = &values[values_start..ep.values_end as usize];
-                        values_start = ep.values_end as usize;
+                    for ep in entries(stored, stride) {
+                        let ep_values = &values[values_start..ep.values_end];
+                        values_start = ep.values_end;
                         if ep.state != src.from
                             || ep.time >= event.time
                             || !src.adjacents_pass(ep_values, event)
@@ -178,7 +179,7 @@ impl MixedWindow {
                             .iter()
                             .any(|n| neg_clocks[n.index()].blocked(ep.time, event.time));
                         if !blocked {
-                            layout.merge_row(row, &rows[i * layout.stride()..][..layout.stride()]);
+                            layout.merge_row(row, ep.row);
                             live = true;
                         }
                     }
@@ -186,36 +187,32 @@ impl MixedWindow {
                 live
             };
             if !d.event_grained[s.index()] {
-                let rows = &self.rows;
+                let stored = &self.stored;
                 self.tt
-                    .stage(rt, s, event, |table, row| fill(table, rows, row));
+                    .stage(rt, s, event, |table, row| fill(table, stored, row));
                 continue;
             }
             // A `Te` state: the event's aggregates are computed in the row
-            // they are stored in.
-            let at = self.rows.len();
-            layout.push_row(&mut self.rows);
-            let (rows, row) = self.rows.split_at_mut(at);
-            let table = &self.tt.table;
-            if !rt.bind_row(s, event, row, |row| fill(table, rows, row)) {
-                self.rows.truncate(at);
+            // its entry ends with, and the entry dropped again if no trend
+            // ends at the event.
+            let at = self.stored.len();
+            self.stored.extend([0, 0]);
+            layout.push_row(&mut self.stored);
+            let (stored, entry) = self.stored.split_at_mut(at);
+            let table = self.tt.table();
+            if !rt.bind_row(s, event, &mut entry[2..], |row| fill(table, stored, row)) {
+                self.stored.truncate(at);
                 continue;
             }
             if s == rt.end() {
-                self.tt.table.merge_from(layout, Self::final_row(rt), row);
+                let table = self.tt.table_mut(rt);
+                rt.table
+                    .merge_from(layout, table, Self::final_row(rt), &entry[2..]);
             }
-            let values_start = self.values.len();
-            rt.store(event, &mut self.values);
-            self.push_stored(rt, event.time, s, values_start);
+            self.values_bytes += rt.store(event, &mut self.values);
+            entry[..2].copy_from_slice(&head(event.time, s, self.values.len()));
         }
-    }
-
-    /// Record negation matches at the event's time.
-    pub fn on_negation(&mut self, rt: &DisjunctRuntime, event: &Event, negs: &[NegId]) {
-        self.tt.on_negation(rt, event, negs);
-        for &n in negs {
-            self.neg_clocks[n.index()].record(event.time);
-        }
+        self.memory_bytes() as isize - before as isize
     }
 
     /// Final aggregate: end-state type row, or the event-grained
@@ -223,7 +220,8 @@ impl MixedWindow {
     pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
         if rt.disjunct.event_grained[rt.end().index()] {
             self.tt.commit(rt);
-            self.tt.table.cell(&rt.layout, Self::final_row(rt))
+            rt.table
+                .cell(&rt.layout, self.tt.table(), Self::final_row(rt))
         } else {
             self.tt.final_cell(rt)
         }
@@ -234,17 +232,18 @@ impl MixedWindow {
     /// for — and the `Tt` transaction.
     pub fn save(&self, rt: &DisjunctRuntime, enc: &mut Enc) {
         self.tt.save_tables(rt, enc);
-        enc.usize(self.stored.len());
-        let rows = self.rows.chunks_exact(rt.layout.stride());
+        let stride = rt.table.stride();
+        enc.usize(self.stored.len() / (2 + stride));
         let mut values_start = 0;
-        for (se, row) in self.stored.iter().zip(rows) {
+        for se in entries(&self.stored, stride) {
             enc.u64(se.time.ticks());
-            Value::save_slice(&self.values[values_start..se.values_end as usize], enc);
-            values_start = se.values_end as usize;
+            Value::save_slice(&self.values[values_start..se.values_end], enc);
+            values_start = se.values_end;
             enc.u32(se.state.0);
-            rt.layout.save_row(row, true, enc);
+            rt.layout.save_row(se.row, true, enc);
         }
-        self.tt.table.save_row(&rt.layout, Self::final_row(rt), enc);
+        rt.table
+            .save_row(&rt.layout, self.tt.table(), Self::final_row(rt), enc);
         enc.usize(self.neg_clocks.len());
         for c in &self.neg_clocks {
             c.save(enc);
@@ -257,8 +256,9 @@ impl MixedWindow {
     /// 2–3, which wrote a stored event whole: checked as it was then, and
     /// projected here.
     pub fn load(rt: &DisjunctRuntime, dec: &mut Dec) -> Result<MixedWindow, CheckpointError> {
-        let tt = TypeGrainedWindow::load_tables(rt, Self::final_row(rt) + 1, dec)?;
-        let mut window = MixedWindow::over(tt, Vec::new());
+        let tt = TypeGrainedWindow::load_tables(rt, dec)?;
+        let mut window = MixedWindow::over(tt, Box::default());
+        let mut row = vec![0; rt.table.stride()];
         for position in 0..dec.usize()? {
             let values_start = window.values.len();
             let (time, state) = if dec.version() < 4 {
@@ -274,23 +274,22 @@ impl MixedWindow {
                 rt.check_stored(&window.values[values_start..], state)?;
                 (time, state)
             };
-            let at = window.rows.len();
-            rt.layout.push_row(&mut window.rows);
-            let live = rt.layout.load_row(dec, &mut window.rows[at..])?;
-            // What `on_event` stores: an event bound to one of the plan's
-            // `Te` states that some trend ends at.
+            let live = rt.layout.load_row(dec, &mut row)?;
+            // What `step` stores: an event bound to one of the plan's `Te`
+            // states that some trend ends at.
             if !rt.disjunct.event_grained[state.index()] || !live {
                 return Err(CheckpointError::Corrupt(format!(
                     "stored event number {position}, bound to state {}, is none the plan stores",
                     state.0
                 )));
             }
-            window.push_stored(rt, time, state, values_start);
+            window.stored.extend(head(time, state, window.values.len()));
+            window.stored.extend_from_slice(&row);
         }
-        window
-            .tt
-            .table
-            .load_row(&rt.layout, Self::final_row(rt), dec)?;
+        window.values_bytes = window.values.iter().map(Value::memory_bytes).sum();
+        let table = window.tt.table_mut(rt);
+        rt.table
+            .load_row(&rt.layout, table, Self::final_row(rt), dec)?;
         let n_clocks = dec.usize()?;
         if n_clocks != rt.disjunct.automaton.num_negated() {
             return Err(CheckpointError::Corrupt(format!(
@@ -298,34 +297,33 @@ impl MixedWindow {
                 rt.disjunct.automaton.num_negated()
             )));
         }
-        for _ in 0..n_clocks {
-            window.neg_clocks.push(NegClock::load(dec)?);
-        }
+        window.neg_clocks = (0..n_clocks)
+            .map(|_| NegClock::load(dec))
+            .collect::<Result<_, _>>()?;
         window.tt.load_transaction(rt, dec)?;
         Ok(window)
     }
 
-    /// Logical footprint: Θ(t + nₑ) — type rows plus stored events.
-    /// O(1) — maintained as events are stored and updates staged.
+    /// Logical footprint outside the struct: Θ(t + nₑ) — type rows plus
+    /// stored events. O(1) — a slab length and a kept sum.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.tt.memory_bytes() + self.bytes
+        self.tt.memory_bytes() + std::mem::size_of_val(self.stored.as_slice()) + self.values_bytes
     }
 
-    /// [`MixedWindow::memory_bytes`] by definition: a walk over the table,
-    /// the stored events and their rows, and the staged updates.
+    /// [`MixedWindow::memory_bytes`] by definition: the type-grained half's
+    /// walk, the stored entries and every stored value, measured.
     #[cfg(debug_assertions)]
-    pub fn audit_bytes(&self) -> usize {
-        self.tt.audit_bytes()
-            + Self::INLINE_BYTES
-            + self.stored.len() * std::mem::size_of::<Stored>()
+    pub fn audit_bytes(&self, rt: &DisjunctRuntime) -> usize {
+        let entries = entries(&self.stored, rt.table.stride());
+        self.tt.audit_bytes(rt)
+            + entries.map(|se| 8 * (2 + se.row.len())).sum::<usize>()
             + self.values.iter().map(Value::memory_bytes).sum::<usize>()
-            + std::mem::size_of_val(self.rows.as_slice())
     }
 
     /// Number of stored events (the `nₑ` of Theorem 5.2) — exposed for
     /// tests and the experiment harness.
-    pub fn stored_events(&self) -> usize {
-        self.stored.len()
+    pub fn stored_events(&self, rt: &DisjunctRuntime) -> usize {
+        self.stored.len() / (2 + rt.table.stride())
     }
 }

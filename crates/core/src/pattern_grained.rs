@@ -29,20 +29,21 @@
 //!
 //! ## What a window holds
 //!
-//! One [`CellTable`] of `2l + 1` rows: two halves of `l` rows — one is
-//! `el`'s partial trends by state (a row's live bit says whether `el` is
-//! bound there), the other the scratch the next matched event's are
-//! computed in, after which the halves trade places — and the final
-//! accumulator. Of `el` itself, what the plan reads of it again: its time
-//! stamp and the stored projection of its type
+//! One `u64` slab, the table of `2l + 1` rows ([`DisjunctRuntime::table`]):
+//! two halves of `l` rows — one is `el`'s partial trends by state (a row's
+//! live bit says whether `el` is bound there), the other the scratch the
+//! next matched event's are computed in, after which the halves trade
+//! places — and the final accumulator. Of `el` itself, what the plan reads
+//! of it again: its time stamp and the stored projection of its type
 //! ([`CompiledDisjunct::stored`] — the `pred_attr`s of the predicates on
 //! adjacent events; nothing but the time stamp for a plan without any).
 //! One [`NegClock`] per negated variable. The scratch half is capacity,
-//! not state: it is not counted.
+//! not state: it is not counted, and neither is `el`'s while there is no
+//! `el`.
 //!
 //! [`CompiledDisjunct::stored`]: cogra_query::CompiledDisjunct::stored
 
-use crate::agg::{Cell, CellTable};
+use crate::agg::Cell;
 use crate::runtime::{DisjunctRuntime, NegClock};
 use cogra_events::{Event, Timestamp, Value};
 use cogra_query::{NegId, Semantics, StateId};
@@ -52,7 +53,7 @@ use cogra_query::{NegId, Semantics, StateId};
 pub struct PatternWindow {
     /// `el`'s rows, the scratch rows and the final accumulator (see the
     /// module docs).
-    table: CellTable,
+    slab: Box<[u64]>,
     /// The last matched event `el`, as far as the plan reads it again —
     /// while `el_live`; otherwise content that means nothing. Its time
     /// stamp…
@@ -61,93 +62,113 @@ pub struct PatternWindow {
     /// place, so in steady state a matched event is kept without
     /// allocating.
     el_stored: Vec<Value>,
+    neg_clocks: Box<[NegClock]>,
+    /// [`PatternWindow::memory_bytes`], set where `el` is.
+    bytes: usize,
     el_live: bool,
     /// Whether `el`'s rows are the table's second half.
     el_high: bool,
-    neg_clocks: Vec<NegClock>,
-    /// Footprint of `el`'s stored values and its rows (0 while there is
-    /// none), set where `el` is — the only part of
-    /// [`PatternWindow::memory_bytes`] that moves.
-    el_bytes: usize,
 }
 
 impl PatternWindow {
+    /// The window struct less its byte counter — the instrument is not
+    /// part of the state it measures. Counted by whoever holds the window.
+    pub(crate) const INLINE_BYTES: usize =
+        std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
+
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> PatternWindow {
+        let mut slab = Vec::with_capacity(rt.table.words());
+        rt.table.append(&rt.layout, &mut slab);
         PatternWindow {
-            table: CellTable::new(&rt.layout, 2 * rt.disjunct.automaton.num_states() + 1),
+            slab: slab.into_boxed_slice(),
             el_time: Timestamp::ZERO,
             el_stored: Vec::new(),
+            neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()].into(),
+            bytes: Self::fixed_bytes(rt),
             el_live: false,
             el_high: false,
-            neg_clocks: vec![NegClock::default(); rt.disjunct.automaton.num_negated()],
-            el_bytes: 0,
         }
     }
 
     /// Back to the state [`PatternWindow::new`] builds, in place: the
     /// buffer of stored values is kept.
     pub fn reset(&mut self, rt: &DisjunctRuntime) {
-        self.clear_el();
-        self.table.reset(&rt.layout, self.final_row());
+        self.clear_el(rt);
+        rt.table
+            .reset(&rt.layout, &mut self.slab, Self::final_row(rt));
         self.neg_clocks.fill(NegClock::default());
     }
 
     /// States of the automaton: rows per half of the table.
-    fn states(&self) -> usize {
-        self.table.rows() / 2
+    fn states(rt: &DisjunctRuntime) -> usize {
+        rt.disjunct.automaton.num_states()
     }
 
     /// The accumulator's row.
-    fn final_row(&self) -> usize {
-        self.table.rows() - 1
+    fn final_row(rt: &DisjunctRuntime) -> usize {
+        2 * Self::states(rt)
     }
 
     /// First rows of `el`'s half and of the scratch half.
-    fn halves(&self) -> (usize, usize) {
+    fn halves(&self, rt: &DisjunctRuntime) -> (usize, usize) {
         if self.el_high {
-            (self.states(), 0)
+            (Self::states(rt), 0)
         } else {
-            (0, self.states())
+            (0, Self::states(rt))
         }
     }
 
-    /// Footprint of `el`: its stored values and its half of the table.
-    fn el_bytes(&self) -> usize {
-        let stored = self.el_stored.iter().map(Value::memory_bytes);
-        stored.sum::<usize>() + self.table.row_bytes(self.states())
+    /// What the window always holds outside its struct: the accumulator's
+    /// row and the table's live bits.
+    fn fixed_bytes(rt: &DisjunctRuntime) -> usize {
+        8 * rt.table.words() - rt.table.row_bytes(2 * Self::states(rt))
     }
 
-    /// Process an event bound to `binds`; `semantics` is NEXT or CONT.
-    pub fn on_event(
+    /// What it holds while there is an `el`: its half of the table, and
+    /// `stored` bytes of stored values.
+    fn el_bytes(rt: &DisjunctRuntime, stored: usize) -> usize {
+        rt.table.row_bytes(Self::states(rt)) + stored
+    }
+
+    /// One event of the window: the negations it matches, then the states
+    /// it binds; `semantics` is NEXT or CONT. Returns the bytes it added.
+    pub fn step(
         &mut self,
         rt: &DisjunctRuntime,
         event: &Event,
         binds: &[StateId],
+        negs: &[NegId],
         semantics: Semantics,
-    ) {
-        let layout = &rt.layout;
-        if binds.is_empty() {
-            // Fast path: the event is irrelevant to this disjunct. NEXT
-            // skips it; CONT invalidates the open partial trends.
-            if semantics == Semantics::Cont {
-                self.clear_el();
-            }
-            return;
+    ) -> isize {
+        let before = self.bytes;
+        // Negations only move the clocks. Under CONT an event that binds
+        // no positive state resets `el` below.
+        for &n in negs {
+            self.neg_clocks[n.index()].record(event.time);
         }
-        let (el_rows, new_rows) = self.halves();
-        let final_row = self.final_row();
+        if binds.is_empty() {
+            // The event is irrelevant to this disjunct. NEXT skips it;
+            // CONT invalidates the open partial trends.
+            if semantics == Semantics::Cont {
+                self.clear_el(rt);
+            }
+            return self.bytes as isize - before as isize;
+        }
+        let (layout, table) = (&rt.layout, rt.table);
+        let (el_rows, new_rows) = self.halves(rt);
+        let final_row = Self::final_row(rt);
         // The scratch half still holds the rows of the event before `el`:
         // all of them dead now, and the ones this event may be bound at
         // back to the identity. A dead row's words are never read.
-        self.table.clear_live(new_rows..new_rows + self.states());
+        table.clear_live(&mut self.slab, new_rows..new_rows + Self::states(rt));
         let chains = self.el_live && self.el_time < event.time;
         let mut matched = false;
         for &s in binds {
             let row = new_rows + s.index();
-            self.table.reset(layout, row);
+            table.reset(layout, &mut self.slab, row);
             if rt.is_start(s) {
-                self.table.start_trend(row);
+                table.start_trend(&mut self.slab, row);
             }
             let sources = if chains {
                 rt.pred_sources[s.index()].as_slice()
@@ -156,7 +177,8 @@ impl PatternWindow {
             };
             for src in sources {
                 let el_row = el_rows + src.from.index();
-                if !self.table.is_live(el_row) || !src.adjacents_pass(&self.el_stored, event) {
+                if !table.is_live(&self.slab, el_row) || !src.adjacents_pass(&self.el_stored, event)
+                {
                     continue;
                 }
                 let blocked = src
@@ -164,15 +186,15 @@ impl PatternWindow {
                     .iter()
                     .any(|n| self.neg_clocks[n.index()].blocked(self.el_time, event.time));
                 if !blocked {
-                    self.table.merge(layout, row, el_row);
+                    table.merge(layout, &mut self.slab, row, el_row);
                 }
             }
-            if !self.table.is_live(row) {
+            if !table.is_live(&self.slab, row) {
                 continue; // not matched at this state
             }
-            self.table.contribute(layout, row, rt.feeds.of(s), event);
+            table.contribute(layout, &mut self.slab, row, rt.feeds.of(s), event);
             if s == rt.end() {
-                self.table.merge(layout, final_row, row);
+                table.merge(layout, &mut self.slab, final_row, row);
             }
             matched = true;
         }
@@ -184,55 +206,48 @@ impl PatternWindow {
             self.el_high = !self.el_high;
             self.el_time = event.time;
             self.el_stored.clear();
-            rt.store(event, &mut self.el_stored);
+            let stored = rt.store(event, &mut self.el_stored);
             self.el_live = true;
-            self.el_bytes = self.el_bytes();
+            self.bytes = Self::fixed_bytes(rt) + Self::el_bytes(rt, stored);
         } else if semantics == Semantics::Cont {
             // An unmatched event invalidates the partial trends that end
             // at the last matched event; the final count is preserved
             // (Algorithm 3 lines 8-9).
-            self.clear_el();
+            self.clear_el(rt);
         }
+        self.bytes as isize - before as isize
     }
 
     /// Forget the last matched event (its buffer and rows stay).
-    fn clear_el(&mut self) {
+    fn clear_el(&mut self, rt: &DisjunctRuntime) {
         self.el_live = false;
-        self.el_bytes = 0;
-    }
-
-    /// Record negation matches. Under CONT the router also routes the
-    /// event through [`PatternWindow::on_event`], where it resets `el` if
-    /// it binds no positive state.
-    pub fn on_negation(&mut self, _rt: &DisjunctRuntime, event: &Event, negs: &[NegId]) {
-        for &n in negs {
-            self.neg_clocks[n.index()].record(event.time);
-        }
+        self.bytes = Self::fixed_bytes(rt);
     }
 
     /// Final aggregate of the window.
     pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
-        self.table.cell(&rt.layout, self.final_row())
+        rt.table.cell(&rt.layout, &self.slab, Self::final_row(rt))
     }
 
     /// Serialize the full window state (inverse of [`PatternWindow::load`]),
     /// every bound row as the cell it stands for. The scratch half is
     /// transient and not serialized.
     pub fn save(&self, rt: &DisjunctRuntime, enc: &mut cogra_checkpoint::Enc) {
+        let (layout, table) = (&rt.layout, rt.table);
         enc.bool(self.el_live);
         if self.el_live {
             enc.u64(self.el_time.ticks());
             Value::save_slice(&self.el_stored, enc);
-            enc.usize(self.states());
-            let (el_rows, _) = self.halves();
-            for r in el_rows..el_rows + self.states() {
-                enc.bool(self.table.is_live(r));
-                if self.table.is_live(r) {
-                    self.table.save_row(&rt.layout, r, enc);
+            enc.usize(Self::states(rt));
+            let (el_rows, _) = self.halves(rt);
+            for r in el_rows..el_rows + Self::states(rt) {
+                enc.bool(table.is_live(&self.slab, r));
+                if table.is_live(&self.slab, r) {
+                    table.save_row(layout, &self.slab, r, enc);
                 }
             }
         }
-        self.table.save_row(&rt.layout, self.final_row(), enc);
+        table.save_row(layout, &self.slab, Self::final_row(rt), enc);
         enc.usize(self.neg_clocks.len());
         for c in &self.neg_clocks {
             c.save(enc);
@@ -248,6 +263,7 @@ impl PatternWindow {
         dec: &mut cogra_checkpoint::Dec,
     ) -> Result<PatternWindow, cogra_checkpoint::CheckpointError> {
         use cogra_checkpoint::CheckpointError::Corrupt;
+        let (layout, table) = (&rt.layout, rt.table);
         let mut window = PatternWindow::new(rt);
         if dec.bool()? {
             // Formats 2–3: the whole event, projected once it is checked.
@@ -261,25 +277,25 @@ impl PatternWindow {
             let automaton = &rt.disjunct.automaton;
             let mut bound_type = None;
             let n = dec.usize()?;
-            if n != window.states() {
+            if n != Self::states(rt) {
                 return Err(Corrupt(format!(
                     "pattern window has {n} last-event cells for a {}-state automaton",
-                    window.states()
+                    Self::states(rt)
                 )));
             }
             for r in 0..n {
                 if !dec.bool()? {
                     continue;
                 }
-                window.table.load_row(&rt.layout, r, dec)?;
+                table.load_row(layout, &mut window.slab, r, dec)?;
                 let state = StateId(r as u32);
                 match &whole {
                     Some(event) => rt.check_bound(event, state)?,
                     None => rt.check_stored(&window.el_stored, state)?,
                 }
-                // A bound row is one some trend ends at — what `on_event`
+                // A bound row is one some trend ends at — what `step`
                 // keeps, and what marks the row as bound.
-                if !window.table.is_live(r) {
+                if !table.is_live(&window.slab, r) {
                     return Err(Corrupt(format!(
                         "last matched event is bound to state {r} with no trend ending there"
                     )));
@@ -301,10 +317,10 @@ impl PatternWindow {
                 rt.store(event, &mut window.el_stored);
             }
             window.el_live = true;
-            window.el_bytes = window.el_bytes();
+            let stored = window.el_stored.iter().map(Value::memory_bytes).sum();
+            window.bytes = Self::fixed_bytes(rt) + Self::el_bytes(rt, stored);
         }
-        let final_row = window.final_row();
-        window.table.load_row(&rt.layout, final_row, dec)?;
+        table.load_row(layout, &mut window.slab, Self::final_row(rt), dec)?;
         let n_clocks = dec.usize()?;
         if n_clocks != window.neg_clocks.len() {
             return Err(Corrupt(format!(
@@ -318,28 +334,24 @@ impl PatternWindow {
         Ok(window)
     }
 
-    /// The window struct less its byte counter — an instrument, not the
-    /// state being measured.
-    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
-
-    /// What the window always holds: the struct, the table's live bits
-    /// and the accumulator's row.
-    fn fixed_bytes(&self) -> usize {
-        Self::INLINE_BYTES + self.table.memory_bytes() - self.table.row_bytes(2 * self.states())
-    }
-
-    /// Logical footprint: O(1) in the number of events — the final row,
-    /// what is kept of the last matched event, and its O(l) rows. The read
-    /// itself is O(1): `el`'s share is cached where `el` is set.
+    /// Logical footprint outside the struct: O(1) in the number of events —
+    /// the final row, what is kept of the last matched event, and its O(l)
+    /// rows. The read itself is O(1): the figure is set where `el` is.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.fixed_bytes() + self.el_bytes
+        self.bytes
     }
 
     /// [`PatternWindow::memory_bytes`] by definition: `el` is measured
-    /// afresh instead of read from the cache.
+    /// afresh instead of read from the figure.
     #[cfg(debug_assertions)]
-    pub fn audit_bytes(&self) -> usize {
-        self.fixed_bytes() + if self.el_live { self.el_bytes() } else { 0 }
+    pub fn audit_bytes(&self, rt: &DisjunctRuntime) -> usize {
+        let stored = self.el_stored.iter().map(Value::memory_bytes).sum();
+        Self::fixed_bytes(rt)
+            + if self.el_live {
+                Self::el_bytes(rt, stored)
+            } else {
+                0
+            }
     }
 }

@@ -1185,6 +1185,14 @@ impl Session {
     /// dropped as late). At width 1 without slack the engines read it in
     /// place; under `.workers(n)` it is hashed to its shard and staged for
     /// the next batch send. A finished session ignores the event.
+    ///
+    /// The event's attribute values must be of its schema's kinds (the
+    /// [`Event`] contract; the CSV surfaces decode them so). That is not
+    /// checked here: an `Int` where the schema says `Float` is aggregated
+    /// and compared numerically all the same, but a checkpoint that stores
+    /// it — a mixed-grained window's stored values, a pattern-grained
+    /// window's last matched event — refuses to restore
+    /// ([`CheckpointError::Corrupt`]).
     pub fn process(&mut self, event: &Event) {
         self.pool.route(event);
     }
@@ -1442,9 +1450,10 @@ impl Session {
     }
 
     /// Run the whole stream through the session and collect everything:
-    /// results (sorted per query), peak memory (sampled every 64 events,
-    /// like the harness), workers used, routing stats, plans, and
-    /// late-event drops.
+    /// results (sorted per query), peak memory (sampled every 64 events at
+    /// one worker — the benchmark harness samples every 64 *chunks* of
+    /// events; at `n` workers each shard samples its own), workers used,
+    /// routing stats, plans, and late-event drops.
     /// With `EngineConfig::key_limit` set, events past the limit are
     /// silently dropped here (the overflow stays observable through
     /// [`Session::key_overflow`] — it is [`Session::run_csv`] and

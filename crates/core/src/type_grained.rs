@@ -27,167 +27,233 @@
 //!
 //! ## What a window holds
 //!
-//! One [`CellTable`] of `l + |tagged transitions|` rows — a state's
-//! committed aggregates at the state's index, the shadows after them
-//! ([`DisjunctRuntime::shadow_row`]) — and the open transaction: a row list
-//! of `(state, row)` entries in arrival order, `2 + k` words each, plus the
-//! negations matched at its time stamp. A new event's aggregates are
-//! computed in the entry they are staged in; an entry no trend ends at is
-//! dropped again. Entries are kept apart until the commit, not pre-merged
-//! per state, so float sums add up in arrival order.
+//! One `u64` slab, and nothing else:
+//!
+//! ```text
+//! [ table: rows, live bits | time stamp | journal of the open transaction … ]
+//! ```
+//!
+//! The table ([`DisjunctRuntime::table`]) has a row per state — its
+//! committed aggregates — then a shadow row per tagged transition
+//! ([`DisjunctRuntime::shadow_row`]). After it, the open stream
+//! transaction: its time stamp, then what it staged, in arrival order —
+//! an update is `1 + stride` words (the state, then its row), a negation
+//! matched at the time stamp one word (its id, tagged). A bound state's
+//! new aggregates are computed in a scratch row — a register when the
+//! layout is `COUNT(*)` alone, the slab's spare tail otherwise — and
+//! appended only if some trend ends there. Updates are kept apart until
+//! the commit, not pre-merged per state, so float sums add up in arrival
+//! order.
+//!
+//! The window's footprint is the slab's length: a step returns what it
+//! added, and the commit that empties the journal is part of a step.
 
-use crate::agg::{Cell, CellTable};
+use crate::agg::Cell;
 use crate::runtime::DisjunctRuntime;
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{Event, Timestamp};
 use cogra_query::{NegId, StateId};
+
+/// The tag of a journal word that is a negation, not an update's state.
+const NEGATION: u64 = 1 << 63;
+
+/// One entry of a window's journal.
+enum Staged<'a> {
+    /// An update of the state of this index, and its row.
+    Update(usize, &'a [u64]),
+    /// A negation matched at the transaction's time stamp.
+    Negation(NegId),
+}
+
+/// The entries of a journal of rows of `stride` words, in arrival order.
+fn entries(journal: &[u64], stride: usize) -> impl Iterator<Item = Staged<'_>> {
+    let mut rest = journal;
+    std::iter::from_fn(move || {
+        let (&word, after) = rest.split_first()?;
+        if word & NEGATION != 0 {
+            rest = after;
+            return Some(Staged::Negation(NegId(word as u32)));
+        }
+        let (row, after) = after.split_at(stride);
+        rest = after;
+        Some(Staged::Update(word as usize, row))
+    })
+}
 
 /// Per-window type-grained aggregation state. Also the `Tt` half of a
 /// [`MixedWindow`](crate::mixed_grained::MixedWindow): Algorithm 2 with
 /// `Te = ∅` is Algorithm 1.
 #[derive(Debug)]
 pub struct TypeGrainedWindow {
-    /// Committed aggregates (`E.count` etc. of Theorem 4.1): a row per
-    /// state, a shadow row per negation-tagged transition, then whatever
-    /// rows an embedding aggregator asked for.
-    pub(crate) table: CellTable,
-    /// Updates of the open stream transaction, in arrival order: per
-    /// update the state's index, then its row. Every one is live.
-    pending: Vec<u64>,
-    /// Negations matched in the open transaction.
-    pending_negs: Vec<NegId>,
-    /// Time stamp of the open transaction.
-    pending_time: Timestamp,
-    /// [`TypeGrainedWindow::memory_bytes`], kept current where `pending`
-    /// grows and drains.
-    bytes: usize,
+    /// The table, the open transaction's time stamp and its journal (see
+    /// the module docs).
+    slab: Vec<u64>,
 }
 
 impl TypeGrainedWindow {
-    /// The window struct less its byte counter — the instrument is not
-    /// part of the state it measures.
-    const INLINE_BYTES: usize = std::mem::size_of::<Self>() - std::mem::size_of::<usize>();
-
     /// Fresh window state.
     pub fn new(rt: &DisjunctRuntime) -> TypeGrainedWindow {
-        TypeGrainedWindow::with_rows(rt, rt.type_rows())
+        let mut slab = Vec::with_capacity(Self::journal_at(rt));
+        rt.table.append(&rt.layout, &mut slab);
+        slab.push(Timestamp::ZERO.ticks());
+        TypeGrainedWindow { slab }
     }
 
-    /// A fresh window whose table has `rows ≥ rt.type_rows()` rows; the
-    /// ones past Algorithm 1's are the caller's.
-    pub(crate) fn with_rows(rt: &DisjunctRuntime, rows: usize) -> TypeGrainedWindow {
-        let table = CellTable::new(&rt.layout, rows);
-        TypeGrainedWindow {
-            bytes: Self::INLINE_BYTES + table.memory_bytes(),
-            table,
-            pending: Vec::new(),
-            pending_negs: Vec::new(),
-            pending_time: Timestamp::ZERO,
-        }
+    /// Where the open transaction's time stamp is.
+    #[inline]
+    fn time_at(rt: &DisjunctRuntime) -> usize {
+        rt.table.words()
+    }
+
+    /// Where its journal starts.
+    #[inline]
+    fn journal_at(rt: &DisjunctRuntime) -> usize {
+        Self::time_at(rt) + 1
+    }
+
+    /// The slab, read for the committed rows at its front.
+    #[inline]
+    pub(crate) fn table(&self) -> &[u64] {
+        &self.slab
+    }
+
+    /// The committed table, mutably — for the rows an embedding
+    /// aggregator keeps past Algorithm 1's.
+    #[inline]
+    pub(crate) fn table_mut(&mut self, rt: &DisjunctRuntime) -> &mut [u64] {
+        &mut self.slab[..rt.table.words()]
     }
 
     /// Back to the state [`TypeGrainedWindow::new`] builds, in place: the
-    /// table and the staging vectors keep their buffers.
+    /// slab keeps its buffer.
     pub fn reset(&mut self, rt: &DisjunctRuntime) {
-        self.table.reset_all(&rt.layout);
-        self.clear_pending();
-        self.pending_negs.clear();
-        self.pending_time = Timestamp::ZERO;
+        self.slab.truncate(Self::journal_at(rt));
+        rt.table.reset_all(&rt.layout, &mut self.slab);
+        self.slab[Self::time_at(rt)] = Timestamp::ZERO.ticks();
     }
 
-    fn clear_pending(&mut self) {
-        self.bytes -= std::mem::size_of_val(self.pending.as_slice());
-        self.pending.clear();
+    /// One event of the window: the negations it matches and the states it
+    /// binds (Algorithm 1's step at each). Returns the bytes it added.
+    pub fn step(
+        &mut self,
+        rt: &DisjunctRuntime,
+        event: &Event,
+        binds: &[StateId],
+        negs: &[NegId],
+    ) -> isize {
+        let before = self.memory_bytes();
+        self.commit_if_past(rt, event.time);
+        self.stage_negations(negs);
+        for &s in binds {
+            self.stage(rt, s, event, |table, row| {
+                let mut live = false;
+                for src in &rt.pred_sources[s.index()] {
+                    live |= rt.table.merge_into(&rt.layout, table, src.row, row);
+                }
+                live
+            });
+        }
+        self.memory_bytes() as isize - before as isize
     }
 
-    /// Stage `event`'s update of `state` in the open transaction. The new
-    /// aggregates are computed where they are staged
-    /// ([`DisjunctRuntime::bind_row`]; `fill` is handed the committed
-    /// table beside the row), and an update no trend ends at is dropped
-    /// again.
+    /// Record negation matches at the open transaction's time stamp.
+    pub(crate) fn stage_negations(&mut self, negs: &[NegId]) {
+        self.slab
+            .extend(negs.iter().map(|n| NEGATION | u64::from(n.0)));
+    }
+
+    /// Stage `event`'s update of `state` in the open transaction: `fill`
+    /// folds the predecessors into the scratch row, handed the committed
+    /// table beside it ([`DisjunctRuntime::bind_row`]), and the row is
+    /// appended only if some trend ends at the event.
     pub(crate) fn stage(
         &mut self,
         rt: &DisjunctRuntime,
         state: StateId,
         event: &Event,
-        fill: impl FnOnce(&CellTable, &mut [u64]) -> bool,
+        fill: impl FnOnce(&[u64], &mut [u64]) -> bool,
     ) {
-        let at = self.pending.len();
-        self.pending.push(u64::from(state.0));
-        rt.layout.push_row(&mut self.pending);
-        let table = &self.table;
-        if rt.bind_row(state, event, &mut self.pending[at + 1..], |row| {
-            fill(table, row)
-        }) {
-            self.bytes += std::mem::size_of_val(&self.pending[at..]);
-        } else {
-            self.pending.truncate(at);
+        if rt.table.stride() == 1 {
+            // `COUNT(*)` alone: the row is its trend count, kept in a
+            // register, and there is no contribution to add.
+            let start = rt.is_start(state);
+            let mut row = [u64::from(start)];
+            if fill(&self.slab, &mut row) | start {
+                self.slab.extend_from_slice(&[u64::from(state.0), row[0]]);
+            }
+            return;
+        }
+        // Otherwise the scratch row is the slab's tail, kept if live.
+        let at = self.slab.len();
+        self.slab.push(u64::from(state.0));
+        rt.layout.push_row(&mut self.slab);
+        let (table, row) = self.slab.split_at_mut(at + 1);
+        if !rt.bind_row(state, event, row, |row| fill(table, row)) {
+            self.slab.truncate(at);
         }
     }
 
+    #[inline]
     pub(crate) fn commit(&mut self, rt: &DisjunctRuntime) {
-        let layout = &rt.layout;
-        // 1. Shadow resets first: a negation match at time t invalidates
-        // contributions committed strictly before t; the transaction's own
-        // events (same t) are merged afterwards and stay valid.
-        if !self.pending_negs.is_empty() {
-            for (i, edge) in rt.neg_edges.iter().enumerate() {
-                if edge.negations.iter().any(|n| self.pending_negs.contains(n)) {
-                    self.table.reset(layout, rt.shadow_row(i));
-                }
-            }
-            self.pending_negs.clear();
+        let journal_at = Self::journal_at(rt);
+        if self.slab.len() == journal_at {
+            return;
         }
-        // 2. Merge the transaction's updates, in arrival order (walked by
-        // hand: `chunks_exact` divides by the width, once per event and
-        // window).
-        let width = 1 + layout.stride();
-        let mut rest = self.pending.as_slice();
-        while !rest.is_empty() {
-            let (update, after) = rest.split_at(width);
-            let (state, row) = (update[0] as usize, &update[1..]);
-            self.table.merge_from(layout, state, row);
-            for (i, edge) in rt.neg_edges.iter().enumerate() {
-                if edge.from.index() == state {
-                    self.table.merge_from(layout, rt.shadow_row(i), row);
-                }
+        let (layout, table) = (&rt.layout, rt.table);
+        let (slab, journal) = self.slab.split_at_mut(journal_at);
+        // The transaction's updates, in arrival order, into their states'
+        // rows…
+        for staged in entries(journal, table.stride()) {
+            if let Staged::Update(state, row) = staged {
+                table.merge_from(layout, slab, state, row);
             }
-            rest = after;
         }
-        self.clear_pending();
+        // …and into the shadows of the tagged transitions out of them.
+        if !rt.neg_edges.is_empty() {
+            Self::commit_shadows(rt, slab, journal);
+        }
+        self.slab.truncate(journal_at);
     }
 
+    /// The shadow rows' part of a commit. Resets first: a negation match at
+    /// time t invalidates contributions committed strictly before t; the
+    /// transaction's own updates (same t) are merged afterwards and stay
+    /// valid.
+    fn commit_shadows(rt: &DisjunctRuntime, slab: &mut [u64], journal: &[u64]) {
+        let (layout, table) = (&rt.layout, rt.table);
+        for staged in entries(journal, table.stride()) {
+            if let Staged::Negation(n) = staged {
+                for (i, edge) in rt.neg_edges.iter().enumerate() {
+                    if edge.negations.contains(&n) {
+                        table.reset(layout, slab, rt.shadow_row(i));
+                    }
+                }
+            }
+        }
+        for staged in entries(journal, table.stride()) {
+            if let Staged::Update(state, row) = staged {
+                for (i, edge) in rt.neg_edges.iter().enumerate() {
+                    if edge.from.index() == state {
+                        table.merge_from(layout, slab, rt.shadow_row(i), row);
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline]
     pub(crate) fn commit_if_past(&mut self, rt: &DisjunctRuntime, t: Timestamp) {
-        if t > self.pending_time {
+        let time_at = Self::time_at(rt);
+        if t.ticks() > self.slab[time_at] {
             self.commit(rt);
-            self.pending_time = t;
+            self.slab[time_at] = t.ticks();
         }
-    }
-
-    /// Process an event bound to `binds` (type matched, locals passed).
-    pub fn on_event(&mut self, rt: &DisjunctRuntime, event: &Event, binds: &[StateId]) {
-        self.commit_if_past(rt, event.time);
-        for &s in binds {
-            self.stage(rt, s, event, |table, row| {
-                let mut live = false;
-                for src in &rt.pred_sources[s.index()] {
-                    live |= table.merge_into(&rt.layout, src.row, row);
-                }
-                live
-            });
-        }
-    }
-
-    /// Record negation matches at the event's time.
-    pub fn on_negation(&mut self, rt: &DisjunctRuntime, event: &Event, negs: &[NegId]) {
-        self.commit_if_past(rt, event.time);
-        self.pending_negs.extend_from_slice(negs);
     }
 
     /// Final aggregate of the window: the end state's row (Theorem 4.1).
     pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
         self.commit(rt);
-        self.table.cell(&rt.layout, rt.end().index())
+        rt.table.cell(&rt.layout, &self.slab, rt.end().index())
     }
 
     /// Serialize the full window state (inverse of
@@ -203,42 +269,55 @@ impl TypeGrainedWindow {
         for rows in [0..states, states..rt.type_rows()] {
             enc.usize(rows.len());
             for r in rows {
-                self.table.save_row(&rt.layout, r, enc);
+                rt.table.save_row(&rt.layout, &self.slab, r, enc);
             }
         }
     }
 
+    /// The open transaction: its updates in arrival order, then its
+    /// negations in arrival order, then its time stamp.
     pub(crate) fn save_transaction(&self, rt: &DisjunctRuntime, enc: &mut Enc) {
-        let updates = self.pending.chunks_exact(1 + rt.layout.stride());
-        enc.usize(updates.len());
-        for update in updates {
-            enc.u32(update[0] as u32);
-            rt.layout.save_row(&update[1..], true, enc);
+        let journal = || entries(&self.slab[Self::journal_at(rt)..], rt.table.stride());
+        let updates = || {
+            journal().filter_map(|staged| match staged {
+                Staged::Update(state, row) => Some((state, row)),
+                Staged::Negation(_) => None,
+            })
+        };
+        let negations = || {
+            journal().filter_map(|staged| match staged {
+                Staged::Negation(n) => Some(n),
+                Staged::Update(..) => None,
+            })
+        };
+        enc.usize(updates().count());
+        for (state, row) in updates() {
+            enc.u32(state as u32);
+            rt.layout.save_row(row, true, enc);
         }
-        enc.usize(self.pending_negs.len());
-        for n in &self.pending_negs {
+        enc.usize(negations().count());
+        for n in negations() {
             enc.u32(n.0);
         }
-        enc.u64(self.pending_time.ticks());
+        enc.u64(self.slab[Self::time_at(rt)]);
     }
 
     /// Rebuild a window from bytes produced by [`TypeGrainedWindow::save`]
     /// against the same disjunct runtime.
     pub fn load(rt: &DisjunctRuntime, dec: &mut Dec) -> Result<TypeGrainedWindow, CheckpointError> {
-        let mut window = TypeGrainedWindow::load_tables(rt, rt.type_rows(), dec)?;
+        let mut window = TypeGrainedWindow::load_tables(rt, dec)?;
         window.load_transaction(rt, dec)?;
         Ok(window)
     }
 
-    /// [`TypeGrainedWindow::with_rows`], its state and shadow rows read
-    /// back — each through the layout, so a saved cell of another shape is
-    /// an error, not a row.
+    /// [`TypeGrainedWindow::new`], its state and shadow rows read back —
+    /// each through the layout, so a saved cell of another shape is an
+    /// error, not a row.
     pub(crate) fn load_tables(
         rt: &DisjunctRuntime,
-        rows: usize,
         dec: &mut Dec,
     ) -> Result<TypeGrainedWindow, CheckpointError> {
-        let mut window = TypeGrainedWindow::with_rows(rt, rows);
+        let mut window = TypeGrainedWindow::new(rt);
         let states = rt.disjunct.automaton.num_states();
         for (what, rows) in [("state", 0..states), ("shadow", states..rt.type_rows())] {
             let n = dec.usize()?;
@@ -249,7 +328,7 @@ impl TypeGrainedWindow {
                 )));
             }
             for r in rows {
-                window.table.load_row(&rt.layout, r, dec)?;
+                rt.table.load_row(&rt.layout, &mut window.slab, r, dec)?;
             }
         }
         Ok(window)
@@ -263,10 +342,10 @@ impl TypeGrainedWindow {
         let states = rt.disjunct.automaton.num_states();
         for _ in 0..dec.usize()? {
             let state = dec.u32()?;
-            let at = self.pending.len();
-            self.pending.push(u64::from(state));
-            rt.layout.push_row(&mut self.pending);
-            let live = rt.layout.load_row(dec, &mut self.pending[at + 1..])?;
+            let at = self.slab.len();
+            self.slab.push(u64::from(state));
+            rt.layout.push_row(&mut self.slab);
+            let live = rt.layout.load_row(dec, &mut self.slab[at + 1..])?;
             // What `stage` keeps: an update of one of the plan's states
             // that some trend ends at.
             if state as usize >= states || !live {
@@ -275,29 +354,31 @@ impl TypeGrainedWindow {
                 )));
             }
         }
-        self.bytes += std::mem::size_of_val(self.pending.as_slice());
-        let n_negs = dec.usize()?;
-        self.pending_negs.reserve(n_negs.min(1024));
-        for _ in 0..n_negs {
-            self.pending_negs.push(NegId(dec.u32()?));
+        for _ in 0..dec.usize()? {
+            self.stage_negations(&[NegId(dec.u32()?)]);
         }
-        self.pending_time = Timestamp(dec.u64()?);
+        self.slab[Self::time_at(rt)] = dec.u64()?;
         Ok(())
     }
 
-    /// Logical footprint: Θ(l) rows plus the open transaction.
-    /// O(1) — maintained as the transaction is staged and committed.
+    /// Logical footprint: the slab — Θ(l) rows plus the open transaction.
+    /// The struct itself lives inline wherever the window does (a ring
+    /// slot, a mixed-grained window) and is counted there.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.bytes
+        std::mem::size_of_val(self.slab.as_slice())
     }
 
-    /// [`TypeGrainedWindow::memory_bytes`] by definition: the struct, the
-    /// table's slab and the staged updates.
+    /// [`TypeGrainedWindow::memory_bytes`] by definition: the table, the
+    /// time stamp and every entry of the journal, walked.
     #[cfg(debug_assertions)]
-    pub fn audit_bytes(&self) -> usize {
-        Self::INLINE_BYTES
-            + self.table.memory_bytes()
-            + std::mem::size_of_val(self.pending.as_slice())
+    pub fn audit_bytes(&self, rt: &DisjunctRuntime) -> usize {
+        let stride = rt.table.stride();
+        let journal =
+            entries(&self.slab[Self::journal_at(rt)..], stride).map(|staged| match staged {
+                Staged::Update(..) => 1 + stride,
+                Staged::Negation(_) => 1,
+            });
+        8 * (Self::journal_at(rt) + journal.sum::<usize>())
     }
 }

@@ -7,6 +7,7 @@ use cogra_core::mixed_grained::MixedWindow;
 use cogra_core::pattern_grained::PatternWindow;
 use cogra_core::runtime::QueryRuntime;
 use cogra_core::type_grained::TypeGrainedWindow;
+use cogra_core::{CograWindow, WindowAlgo};
 use cogra_events::{Event, EventBuilder, TypeRegistry, Value, ValueKind};
 use cogra_query::{compile, parse, Semantics, StateId};
 
@@ -44,16 +45,16 @@ fn type_grained_simultaneous_events_do_not_chain() {
     let mut b = EventBuilder::new();
     let e1 = ev(&mut b, &reg, 1, "A", 0);
     let e2 = ev(&mut b, &reg, 1, "A", 0); // same time stamp
-    w.on_event(drt, &e1, &binds(&rt, &e1));
-    w.on_event(drt, &e2, &binds(&rt, &e2));
+    w.step(drt, &e1, &binds(&rt, &e1), &[]);
+    w.step(drt, &e2, &binds(&rt, &e2), &[]);
     // Two singleton trends, no {e1,e2} pair.
     assert_eq!(w.final_cell(drt).count, 2);
 
     // Control: distinct times chain — {e1}, {e2}, {e1,e2}.
     let mut w = TypeGrainedWindow::new(drt);
     let e3 = ev(&mut b, &reg, 2, "A", 0);
-    w.on_event(drt, &e1, &binds(&rt, &e1));
-    w.on_event(drt, &e3, &binds(&rt, &e3));
+    w.step(drt, &e1, &binds(&rt, &e1), &[]);
+    w.step(drt, &e3, &binds(&rt, &e3), &[]);
     assert_eq!(w.final_cell(drt).count, 3);
 }
 
@@ -71,13 +72,13 @@ fn type_grained_negation_shadow_blocks_old_contributions_only() {
     let c2 = ev(&mut b, &reg, 2, "C", 0);
     let a3 = ev(&mut b, &reg, 3, "A", 0);
     let b4 = ev(&mut b, &reg, 4, "B", 0);
-    w.on_event(drt, &a1, &binds(&rt, &a1));
+    w.step(drt, &a1, &binds(&rt, &a1), &[]);
     let mut negs = Vec::new();
     drt.negation_matches(&c2, &mut negs);
     assert_eq!(negs.len(), 1);
-    w.on_negation(drt, &c2, &negs);
-    w.on_event(drt, &a3, &binds(&rt, &a3));
-    w.on_event(drt, &b4, &binds(&rt, &b4));
+    w.step(drt, &c2, &[], &negs);
+    w.step(drt, &a3, &binds(&rt, &a3), &[]);
+    w.step(drt, &b4, &binds(&rt, &b4), &[]);
     // Valid trends ending at b4: {a3, b4} and {a1, a3, b4} (their last A
     // is after the C); {a1, b4} is blocked. Count = 2.
     assert_eq!(w.final_cell(drt).count, 2);
@@ -99,7 +100,7 @@ fn pattern_grained_cont_reset_preserves_final_count() {
         ev(&mut b, &reg, 4, "B", 0), // cannot match: no el, not a start
     ];
     for e in &stream {
-        w.on_event(drt, e, &binds(&rt, e), Semantics::Cont);
+        w.step(drt, e, &binds(&rt, e), &[], Semantics::Cont);
     }
     assert_eq!(w.final_cell(drt).count, 1);
 }
@@ -121,7 +122,7 @@ fn pattern_grained_next_skips_where_cont_resets() {
         let drt = &rt.disjuncts[0];
         let mut w = PatternWindow::new(drt);
         for e in &stream {
-            w.on_event(drt, e, &binds(&rt, e), sem);
+            w.step(drt, e, &binds(&rt, e), &[], sem);
         }
         assert_eq!(w.final_cell(drt).count, expected, "{sem:?}");
     }
@@ -138,7 +139,7 @@ fn pattern_grained_shared_type_tracks_multiple_bindings() {
     let mut w = PatternWindow::new(drt);
     for t in 1..=3 {
         let e = ev(&mut b, &reg, t, "S", 0);
-        w.on_event(drt, &e, &binds(&rt, &e), Semantics::Next);
+        w.step(drt, &e, &binds(&rt, &e), &[], Semantics::Next);
     }
     // Chains over 3 s-events: trends are the X/Y splits of contiguous
     // chain suffixes. s1s2s3 with every split point, plus shorter chains
@@ -168,12 +169,12 @@ fn mixed_grained_stores_only_te_events() {
     let mut w = MixedWindow::new(drt);
     for t in 1..=5 {
         let e = ev(&mut b, &reg, t, "A", t as i64);
-        w.on_event(drt, &e, &binds(&rt, &e));
+        w.step(drt, &e, &binds(&rt, &e), &[]);
     }
     let e = ev(&mut b, &reg, 6, "B", 0);
-    w.on_event(drt, &e, &binds(&rt, &e));
+    w.step(drt, &e, &binds(&rt, &e), &[]);
     assert_eq!(
-        w.stored_events(),
+        w.stored_events(drt),
         5,
         "five a's stored, b aggregated per type"
     );
@@ -196,10 +197,10 @@ fn mixed_grained_adjacency_predicate_prunes_contributions() {
     // prefixes survive → trends {a}·b per a = 3.
     for t in 1..=3 {
         let e = ev(&mut b, &reg, t, "A", -(t as i64));
-        w.on_event(drt, &e, &binds(&rt, &e));
+        w.step(drt, &e, &binds(&rt, &e), &[]);
     }
     let e = ev(&mut b, &reg, 4, "B", 0);
-    w.on_event(drt, &e, &binds(&rt, &e));
+    w.step(drt, &e, &binds(&rt, &e), &[]);
     assert_eq!(w.final_cell(drt).count, 3);
 }
 
@@ -213,7 +214,7 @@ fn type_grained_window_memory_is_constant() {
     let mut sizes = Vec::new();
     for t in 1..=200 {
         let e = ev(&mut b, &reg, t, "A", 1);
-        w.on_event(drt, &e, &binds(&rt, &e));
+        w.step(drt, &e, &binds(&rt, &e), &[]);
         if t % 100 == 0 {
             sizes.push(w.memory_bytes());
         }
@@ -225,51 +226,92 @@ fn type_grained_window_memory_is_constant() {
 #[cfg(target_pointer_width = "64")]
 fn window_bytes_follow_the_documented_formulas() {
     // README "Bytes per window": l states, s negation-tagged transitions,
-    // k slots (AVG is two). SEQ(A+, NOT C, B+) has l = 2 and s = 1.
-    let (l, s, k) = (2, 1, 3);
-    let words = |rows: usize| 8 * (rows * (1 + k) + rows.div_ceil(64));
-    let query = |semantics: &str, adjacent: &str| {
-        runtime(&format!(
-            "RETURN COUNT(*), AVG(A.v), MIN(B.v) PATTERN SEQ(A+, NOT C, B+) \
-             SEMANTICS {semantics} {adjacent} WITHIN 100 SLIDE 100"
-        ))
-    };
+    // k slots (AVG is two), ⌈n/64⌉ words of live bits for n rows; what a
+    // window holds beside its ring slot — a type-grained window its slab,
+    // a mixed- or pattern-grained one its box and what the box points to.
+    let l = 2;
+    let returns = [
+        (0, "COUNT(*)"),
+        (1, "COUNT(*), MAX(B.v)"),
+        (3, "COUNT(*), AVG(A.v), MIN(B.v)"),
+    ];
+    let patterns = [(0, "SEQ(A+, B+)"), (1, "SEQ(A+, NOT C, B+)")];
     let reg = registry();
     let mut b = EventBuilder::new();
+    for ((k, returns), (s, pattern)) in returns.into_iter().flat_map(|r| patterns.map(|p| (r, p))) {
+        let query = |semantics: &str, adjacent: &str| {
+            runtime(&format!(
+                "RETURN {returns} PATTERN {pattern} SEMANTICS {semantics} {adjacent} \
+                 WITHIN 100 SLIDE 100"
+            ))
+        };
+        let table = |rows: usize| 8 * (rows * (1 + k) + rows.div_ceil(64));
+        let update = 8 * (2 + k);
+        let fresh = |rt: &QueryRuntime| <CograWindow as WindowAlgo>::new(rt).memory_bytes();
+        let case = format!("k = {k}, s = {s}");
 
-    let rt = query("ANY", "");
-    let drt = &rt.disjuncts[0];
-    let mut w = TypeGrainedWindow::new(drt);
-    assert_eq!(w.memory_bytes(), 80 + words(l + s));
-    let e = ev(&mut b, &reg, 1, "A", 1);
-    w.on_event(drt, &e, &binds(&rt, &e));
-    assert_eq!(
-        w.memory_bytes(),
-        80 + words(l + s) + 8 * (2 + k),
-        "one staged update"
-    );
-
-    let rt = query("ANY", "WHERE A.v < NEXT(A).v");
-    let drt = &rt.disjuncts[0];
-    let mut w = MixedWindow::new(drt);
-    assert_eq!(w.memory_bytes(), 80 + 96 + words(l + s + 1));
-    let e = ev(&mut b, &reg, 2, "A", 1);
-    w.on_event(drt, &e, &binds(&rt, &e));
-    // The stored projection is `A{v}`: one value.
-    let stored = 16 + 8 * (1 + k) + Value::Int(1).memory_bytes();
-    assert_eq!(w.memory_bytes(), 80 + 96 + words(l + s + 1) + stored);
-
-    // Without a predicate on adjacent events the last matched event is
-    // its time stamp, which the window holds inline; with one, `A{v}`.
-    for (adjacent, values) in [("", 0), ("WHERE A.v < NEXT(A).v", 1)] {
-        let rt = query("NEXT", adjacent);
+        // Type-grained: the table and the transaction's time stamp, then
+        // a word per negation and `2 + k` per update staged.
+        let rt = query("ANY", "");
         let drt = &rt.disjuncts[0];
-        let mut w = PatternWindow::new(drt);
-        let fixed = 88 + 8 * ((1 + k) + (2 * l + 1usize).div_ceil(64));
-        assert_eq!(w.memory_bytes(), fixed);
-        let e = ev(&mut b, &reg, 3, "A", 1);
-        w.on_event(drt, &e, &binds(&rt, &e), Semantics::Next);
-        let held = 8 * l * (1 + k) + values * Value::Int(1).memory_bytes();
-        assert_eq!(w.memory_bytes(), fixed + held, "{adjacent}");
+        let mut w = TypeGrainedWindow::new(drt);
+        let empty = table(l + s) + 8;
+        assert_eq!(fresh(&rt), empty, "{case}");
+        for staged in 0..=2 {
+            if staged > 0 {
+                let e = ev(&mut b, &reg, 1, "A", 1);
+                w.step(drt, &e, &binds(&rt, &e), &[]);
+            }
+            assert_eq!(w.memory_bytes(), empty + staged * update, "{case}");
+        }
+        let c = ev(&mut b, &reg, 1, "C", 0);
+        let mut negs = Vec::new();
+        drt.negation_matches(&c, &mut negs);
+        assert_eq!(negs.len(), s, "{case}");
+        w.step(drt, &c, &[], &negs);
+        assert_eq!(w.memory_bytes(), empty + 2 * update + 8 * s, "{case}");
+        let e = ev(&mut b, &reg, 2, "A", 1);
+        w.step(drt, &e, &binds(&rt, &e), &[]);
+        assert_eq!(w.memory_bytes(), empty + update, "{case}: committed");
+
+        // Mixed-grained: a 88-byte box, the type-grained slab with one row
+        // more, and `16 + 8·(1 + k)` bytes per stored event plus its stored
+        // values — here `A{v}`, one value.
+        let rt = query("ANY", "WHERE A.v < NEXT(A).v");
+        let drt = &rt.disjuncts[0];
+        let mut w = MixedWindow::new(drt);
+        let empty = table(l + s + 1) + 8;
+        assert_eq!(w.memory_bytes(), empty, "{case}");
+        assert_eq!(fresh(&rt), 88 + empty, "{case}");
+        let e = ev(&mut b, &reg, 1, "A", 1);
+        w.step(drt, &e, &binds(&rt, &e), &[]);
+        let stored = 16 + 8 * (1 + k) + Value::Int(1).memory_bytes();
+        assert_eq!(w.memory_bytes(), empty + stored, "{case}");
+        for staged in 1..=2 {
+            let e = ev(&mut b, &reg, 2, "B", 0);
+            w.step(drt, &e, &binds(&rt, &e), &[]);
+            assert_eq!(w.memory_bytes(), empty + stored + staged * update, "{case}");
+        }
+        assert_eq!(w.stored_events(drt), 1, "{case}");
+
+        // Pattern-grained: a 72-byte box and the accumulator's row; while
+        // a last matched event is held, its `l` rows and its stored values
+        // — none without a predicate on adjacent events, `A{v}` with one.
+        for (adjacent, values) in [("", 0), ("WHERE A.v < NEXT(A).v", 1)] {
+            let rt = query("NEXT", adjacent);
+            let drt = &rt.disjuncts[0];
+            let mut w = PatternWindow::new(drt);
+            let fixed = 8 * ((1 + k) + (2 * l + 1usize).div_ceil(64));
+            assert_eq!(fresh(&rt), 72 + fixed, "{case}");
+            for matched in 0..=2 {
+                if matched > 0 {
+                    let e = ev(&mut b, &reg, matched as u64, "A", 1);
+                    w.step(drt, &e, &binds(&rt, &e), &[], Semantics::Next);
+                }
+                let held = 8 * l * (1 + k) + values * Value::Int(1).memory_bytes();
+                let held = if matched > 0 { held } else { 0 };
+                assert_eq!(w.memory_bytes(), fixed + held, "{case} {adjacent}");
+            }
+        }
     }
 }

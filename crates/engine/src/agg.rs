@@ -29,13 +29,14 @@
 //! trend at all — its *live* bit, see [`Cell`] — is kept by whoever owns
 //! the row:
 //!
-//! * a [`CellTable`] is a window's fixed set of rows in one slab, `rows ×
-//!   (1 + k)` words followed by one live bit per row, with the row
-//!   operations done in place by row index — Θ(l) words for a Θ(l)
-//!   algorithm, literally;
-//! * a *row list* is a plain `Vec<u64>` of rows that exist only while live
-//!   (a window's staged updates, its stored events' aggregates), driven by
-//!   the same kernels ([`AggLayout::merge_row`] and friends).
+//! * a [`CellTable`] is the shape of a window's fixed set of rows at the
+//!   front of the window's one `u64` slab, `rows × (1 + k)` words followed
+//!   by one live bit per row, with the row operations done in place by row
+//!   index — Θ(l) words for a Θ(l) algorithm, literally;
+//! * rows that exist only while live — a type-grained window's staged
+//!   updates, a mixed-grained window's stored events' aggregates — are
+//!   appended to a slab behind whatever precedes them, and driven by the
+//!   same kernels ([`AggLayout::merge_row`] and friends).
 //!
 //! A [`Cell`] is the same state as an owned value — count, live bit and a
 //! tagged [`Val`] per slot. It is what crosses [`WindowAlgo::final_cell`]
@@ -448,186 +449,202 @@ impl AggLayout {
     }
 }
 
-/// A window's fixed set of rows in one slab: `rows × stride` words, then
-/// one live bit per row (a word per 64 rows). Rows are addressed by index
-/// and updated in place; which row means what — a state's aggregates, a
+/// A window's fixed set of rows at the front of its slab: `rows × stride`
+/// words, then one live bit per row (a word per 64 rows). The table is the
+/// shape only — the words are the window's, one `u64` slab that may go on
+/// past the table (the type-grained window's open transaction follows it),
+/// and every operation takes that slab. Rows are addressed by index and
+/// updated in place; which row means what — a state's aggregates, a
 /// negation shadow, the final accumulator — is the owning aggregator's
 /// business. Every operation that reads slot kinds takes the layout the
-/// table was built over.
-#[derive(Debug)]
+/// table was shaped by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellTable {
-    words: Box<[u64]>,
-    rows: u32,
-    stride: u32,
+    rows: usize,
+    stride: usize,
 }
 
 impl CellTable {
-    /// A table of `rows` identity rows, none live.
+    /// The shape of a table of `rows` rows of `layout`.
     pub fn new(layout: &AggLayout, rows: usize) -> CellTable {
-        let stride = layout.stride();
-        let mut table = CellTable {
-            words: vec![0; rows * stride + rows.div_ceil(64)].into_boxed_slice(),
-            rows: u32::try_from(rows).expect("a cell table counts its rows with 32 bits"),
-            stride: u32::try_from(stride).expect("a row counts its words with 32 bits"),
-        };
-        table.reset_all(layout);
-        table
+        CellTable {
+            rows,
+            stride: layout.stride(),
+        }
     }
 
-    /// Number of rows.
+    /// Words per row ([`AggLayout::stride`]).
     #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows as usize
+    pub fn stride(&self) -> usize {
+        self.stride
     }
 
     /// Where the live bits start.
     #[inline]
     fn live_at(&self) -> usize {
-        self.rows as usize * self.stride as usize
+        self.rows * self.stride
     }
 
-    /// Bytes of the slab.
+    /// Words of the table: its rows and their live bits.
     #[inline]
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.words)
+    pub fn words(&self) -> usize {
+        self.live_at() + self.rows.div_ceil(64)
     }
 
     /// Bytes of `rows` rows of this table.
     #[inline]
     pub fn row_bytes(&self, rows: usize) -> usize {
-        rows * self.stride as usize * std::mem::size_of::<u64>()
+        rows * self.stride * std::mem::size_of::<u64>()
+    }
+
+    /// Append the table to `slab`: every row the identity, none live.
+    pub fn append(&self, layout: &AggLayout, slab: &mut Vec<u64>) {
+        let at = slab.len();
+        slab.resize(at + self.words(), 0);
+        self.reset_all(layout, &mut slab[at..]);
     }
 
     #[inline]
     fn span(&self, r: usize) -> std::ops::Range<usize> {
-        let stride = self.stride as usize;
-        debug_assert!(r < self.rows(), "row {r} out of range");
-        r * stride..(r + 1) * stride
+        debug_assert!(r < self.rows, "row {r} out of range");
+        r * self.stride..(r + 1) * self.stride
     }
 
     /// The words of row `r`.
     #[inline]
-    pub fn row(&self, r: usize) -> &[u64] {
-        &self.words[self.span(r)]
+    pub fn row<'s>(&self, slab: &'s [u64], r: usize) -> &'s [u64] {
+        &slab[self.span(r)]
     }
 
     #[inline]
-    fn row_mut(&mut self, r: usize) -> &mut [u64] {
-        let span = self.span(r);
-        &mut self.words[span]
+    fn row_mut<'s>(&self, slab: &'s mut [u64], r: usize) -> &'s mut [u64] {
+        &mut slab[self.span(r)]
     }
 
     /// Whether row `r` accounts for any trend ([`Cell::live`]).
     #[inline]
-    pub fn is_live(&self, r: usize) -> bool {
-        self.words[self.live_at() + r / 64] >> (r % 64) & 1 == 1
+    pub fn is_live(&self, slab: &[u64], r: usize) -> bool {
+        slab[self.live_at() + r / 64] >> (r % 64) & 1 == 1
     }
 
     #[inline]
-    fn set_live(&mut self, r: usize, live: bool) {
-        let word = &mut self.words[self.live_at() + r / 64];
+    fn set_live(&self, slab: &mut [u64], r: usize, live: bool) {
+        let word = &mut slab[self.live_at() + r / 64];
         *word = *word & !(1 << (r % 64)) | u64::from(live) << (r % 64);
     }
 
     /// Begin one new trend at row `r` ([`Cell::start_trend`]).
     #[inline]
-    pub fn start_trend(&mut self, r: usize) {
-        let row = self.row_mut(r);
+    pub fn start_trend(&self, slab: &mut [u64], r: usize) {
+        let row = self.row_mut(slab, r);
         row[0] = row[0].wrapping_add(1);
-        self.set_live(r, true);
+        self.set_live(slab, r, true);
     }
 
     /// Row `r` back to the identity, dead ([`Cell::reset`]).
     #[inline]
-    pub fn reset(&mut self, layout: &AggLayout, r: usize) {
-        layout.reset_row(self.row_mut(r));
-        self.set_live(r, false);
+    pub fn reset(&self, layout: &AggLayout, slab: &mut [u64], r: usize) {
+        layout.reset_row(self.row_mut(slab, r));
+        self.set_live(slab, r, false);
     }
 
     /// Rows `rows` dead, their words left as they are — for rows that are
     /// [`reset`](CellTable::reset) before they are read again.
     #[inline]
-    pub fn clear_live(&mut self, rows: std::ops::Range<usize>) {
+    pub fn clear_live(&self, slab: &mut [u64], rows: std::ops::Range<usize>) {
         let live_at = self.live_at();
         let mut r = rows.start;
         while r < rows.end {
             let upto = rows.end.min((r / 64 + 1) * 64);
             let bits = !0u64 >> (64 - (upto - r)) << (r % 64);
-            self.words[live_at + r / 64] &= !bits;
+            slab[live_at + r / 64] &= !bits;
             r = upto;
         }
     }
 
     /// Every row back to the identity, dead.
-    pub fn reset_all(&mut self, layout: &AggLayout) {
-        for r in 0..self.rows() {
-            layout.reset_row(self.row_mut(r));
+    pub fn reset_all(&self, layout: &AggLayout, slab: &mut [u64]) {
+        for r in 0..self.rows {
+            layout.reset_row(self.row_mut(slab, r));
         }
-        let live_at = self.live_at();
-        self.words[live_at..].fill(0);
+        slab[self.live_at()..self.words()].fill(0);
     }
 
     /// Fold row `src` into row `dst` of the same table ([`Cell::merge`]).
     #[inline]
-    pub fn merge(&mut self, layout: &AggLayout, dst: usize, src: usize) {
+    pub fn merge(&self, layout: &AggLayout, slab: &mut [u64], dst: usize, src: usize) {
         debug_assert_ne!(dst, src, "a row does not merge into itself");
         let (d, s) = (self.span(dst), self.span(src));
         let (dst_row, src_row) = if d.start < s.start {
-            let (low, high) = self.words.split_at_mut(s.start);
+            let (low, high) = slab.split_at_mut(s.start);
             (&mut low[d], &high[..s.len()])
         } else {
-            let (low, high) = self.words.split_at_mut(d.start);
+            let (low, high) = slab.split_at_mut(d.start);
             (&mut high[..d.len()], &low[s])
         };
         layout.merge_row(dst_row, src_row);
-        let live = self.is_live(dst) | self.is_live(src);
-        self.set_live(dst, live);
+        let live = self.is_live(slab, dst) | self.is_live(slab, src);
+        self.set_live(slab, dst, live);
     }
 
-    /// Fold a live row from outside the table — a row list's, another
-    /// table's — into row `dst`.
+    /// Fold a live row from outside the table — a staged update's, a
+    /// stored event's — into row `dst`.
     #[inline]
-    pub fn merge_from(&mut self, layout: &AggLayout, dst: usize, src: &[u64]) {
-        layout.merge_row(self.row_mut(dst), src);
-        self.set_live(dst, true);
+    pub fn merge_from(&self, layout: &AggLayout, slab: &mut [u64], dst: usize, src: &[u64]) {
+        layout.merge_row(self.row_mut(slab, dst), src);
+        self.set_live(slab, dst, true);
     }
 
     /// Fold row `src` into a row outside the table; returns `src`'s live
     /// bit for the caller to fold into the one it keeps for `dst`.
     #[inline]
-    pub fn merge_into(&self, layout: &AggLayout, src: usize, dst: &mut [u64]) -> bool {
-        layout.merge_row(dst, self.row(src));
-        self.is_live(src)
+    pub fn merge_into(
+        &self,
+        layout: &AggLayout,
+        slab: &[u64],
+        src: usize,
+        dst: &mut [u64],
+    ) -> bool {
+        layout.merge_row(dst, self.row(slab, src));
+        self.is_live(slab, src)
     }
 
     /// Add `event`'s own contribution to row `r` ([`Cell::contribute`]:
     /// nothing, while the row is dead).
     #[inline]
-    pub fn contribute(&mut self, layout: &AggLayout, r: usize, feeds: &[Feed], event: &Event) {
-        if self.is_live(r) {
-            layout.contribute_row(self.row_mut(r), feeds, event);
+    pub fn contribute(
+        &self,
+        layout: &AggLayout,
+        slab: &mut [u64],
+        r: usize,
+        feeds: &[Feed],
+        event: &Event,
+    ) {
+        if self.is_live(slab, r) {
+            layout.contribute_row(self.row_mut(slab, r), feeds, event);
         }
     }
 
     /// Row `r` as an owned [`Cell`].
-    pub fn cell(&self, layout: &AggLayout, r: usize) -> Cell {
-        layout.row_cell(self.row(r), self.is_live(r))
+    pub fn cell(&self, layout: &AggLayout, slab: &[u64], r: usize) -> Cell {
+        layout.row_cell(self.row(slab, r), self.is_live(slab, r))
     }
 
     /// Serialize row `r` as the [`Cell`] it stands for.
-    pub fn save_row(&self, layout: &AggLayout, r: usize, enc: &mut Enc) {
-        layout.save_row(self.row(r), self.is_live(r), enc);
+    pub fn save_row(&self, layout: &AggLayout, slab: &[u64], r: usize, enc: &mut Enc) {
+        layout.save_row(self.row(slab, r), self.is_live(slab, r), enc);
     }
 
     /// Inverse of [`CellTable::save_row`], through the layout.
     pub fn load_row(
-        &mut self,
+        &self,
         layout: &AggLayout,
+        slab: &mut [u64],
         r: usize,
         dec: &mut Dec,
     ) -> Result<(), CheckpointError> {
-        let live = layout.load_row(dec, self.row_mut(r))?;
-        self.set_live(r, live);
+        let live = layout.load_row(dec, self.row_mut(slab, r))?;
+        self.set_live(slab, r, live);
         Ok(())
     }
 }
@@ -1079,7 +1096,12 @@ mod tests {
         for round in 0..400 {
             let (layout, feeds) = random_layout(&mut rng, round % 5);
             let rows = rng.random_range(1..71); // past one word of live bits, too
-            let mut table = CellTable::new(&layout, rows);
+            let table = CellTable::new(&layout, rows);
+            // The table somewhere inside a slab, as a window holds it.
+            let mut slab = vec![7; 3];
+            table.append(&layout, &mut slab);
+            slab.extend([7; 3]);
+            let slab = &mut slab[3..];
             let mut cells = vec![layout.zero_cell(); rows];
             let mut list: Vec<u64> = Vec::new();
             for _ in 0..60 {
@@ -1092,81 +1114,87 @@ mod tests {
                 );
                 match rng.random_range(0..9) {
                     0 => {
-                        table.start_trend(r);
+                        table.start_trend(slab, r);
                         cells[r].start_trend();
                     }
                     1 if r != other => {
-                        table.merge(&layout, r, other);
+                        table.merge(&layout, slab, r, other);
                         let src = cells[other].clone();
                         cells[r].merge(&src);
                     }
                     2 => {
-                        table.contribute(&layout, r, &feeds, &event);
+                        table.contribute(&layout, slab, r, &feeds, &event);
                         cells[r].contribute(&feeds, &event);
                     }
                     3 => {
-                        table.reset(&layout, r);
+                        table.reset(&layout, slab, r);
                         cells[r].reset();
                     }
                     4 => {
                         let cell = random_cell(&mut rng, &layout);
                         let saved = bytes(&cell);
                         table
-                            .load_row(&layout, r, &mut Dec::new(&saved))
+                            .load_row(&layout, slab, r, &mut Dec::new(&saved))
                             .expect("same layout");
                         cells[r] = cell;
                     }
                     5 => {
-                        // Across tables, through a row list: a fresh row
-                        // takes `other`, contributes, and lands in `r` —
-                        // what staging an update and committing it does.
+                        // Out of the table and back: a fresh row takes
+                        // `other`, contributes, and lands in `r` — what
+                        // staging an update and committing it does.
                         list.clear();
                         layout.push_row(&mut list);
                         let mut staged = layout.zero_cell();
-                        let live = table.merge_into(&layout, other, &mut list);
+                        let live = table.merge_into(&layout, slab, other, &mut list);
                         staged.merge(&cells[other]);
                         assert_eq!(live, staged.live);
                         if live {
                             layout.contribute_row(&mut list, &feeds, &event);
                             staged.contribute(&feeds, &event);
                             assert_eq!(bytes(&layout.row_cell(&list, true)), bytes(&staged));
-                            table.merge_from(&layout, r, &list);
+                            table.merge_from(&layout, slab, r, &list);
                             cells[r].merge(&staged);
                         }
                     }
                     6 => {
                         let mut enc = Enc::new();
-                        table.save_row(&layout, r, &mut enc);
+                        table.save_row(&layout, slab, r, &mut enc);
                         assert_eq!(enc.as_slice(), bytes(&cells[r]), "a row saves as its cell");
                         let mut dec = Dec::new(enc.as_slice());
                         table
-                            .load_row(&layout, other, &mut dec)
+                            .load_row(&layout, slab, other, &mut dec)
                             .expect("same layout");
                         cells[other] = cells[r].clone();
                     }
                     7 => {
                         // Dead now, reset before it is read again.
                         let (from, to) = (r.min(other), r.max(other) + 1);
-                        table.clear_live(from..to);
+                        table.clear_live(slab, from..to);
                         for (r, cell) in cells.iter_mut().enumerate().take(to).skip(from) {
-                            assert!(!table.is_live(r));
-                            table.reset(&layout, r);
+                            assert!(!table.is_live(slab, r));
+                            table.reset(&layout, slab, r);
                             cell.reset();
                         }
                     }
                     _ => {
-                        table.reset_all(&layout);
+                        table.reset_all(&layout, slab);
                         cells.iter_mut().for_each(Cell::reset);
                     }
                 }
                 for (r, cell) in cells.iter().enumerate() {
-                    assert_eq!(table.is_live(r), cell.live, "round {round} row {r}");
+                    assert_eq!(table.is_live(slab, r), cell.live, "round {round} row {r}");
                     assert_eq!(
-                        bytes(&table.cell(&layout, r)),
+                        bytes(&table.cell(&layout, slab, r)),
                         bytes(cell),
                         "round {round} row {r}"
                     );
                 }
+                let outside = slab.len() - table.words();
+                assert_eq!(
+                    slab[table.words()..],
+                    vec![7; outside],
+                    "the table stays inside"
+                );
             }
         }
     }
@@ -1198,9 +1226,11 @@ mod tests {
                 outputs: vec![Output::Slot(0)],
             };
             let event = Event::new(0, 1, TypeId(0), vec![Value::Float(reserved)]);
-            let mut table = CellTable::new(&layout, 1);
-            table.start_trend(0);
-            table.contribute(&layout, 0, &[Feed::Attr(AttrId(0))], &event);
+            let table = CellTable::new(&layout, 1);
+            let mut slab = Vec::new();
+            table.append(&layout, &mut slab);
+            table.start_trend(&mut slab, 0);
+            table.contribute(&layout, &mut slab, 0, &[Feed::Attr(AttrId(0))], &event);
             let mut saved = layout.zero_cell();
             saved.live = true;
             saved.vals[0] = match func {
@@ -1209,7 +1239,7 @@ mod tests {
             };
             let mut row = vec![0; layout.stride()];
             layout.cell_row(&saved, &mut row).expect("same layout");
-            for cell in [table.cell(&layout, 0), layout.row_cell(&row, true)] {
+            for cell in [table.cell(&layout, &slab, 0), layout.row_cell(&row, true)] {
                 match cell.vals[0] {
                     Val::Min(Some(x)) | Val::Max(Some(x)) => assert!(x.is_nan()),
                     ref other => panic!("the value was lost: {other:?}"),

@@ -137,12 +137,13 @@ pub trait WindowAlgo {
     fn memory_bytes(&self) -> usize;
 
     /// The definition [`WindowAlgo::memory_bytes`] must equal, computed by
-    /// walking the window's state — the reference the debug build asserts
-    /// the running figure against. (`debug_assertions` alone, not `test`:
-    /// implementations live in other crates, and `cfg(test)` does not
-    /// cross a crate boundary.)
+    /// walking the window's state — read through the plan it was built
+    /// by — the reference the debug build asserts the running figure
+    /// against. (`debug_assertions` alone, not `test`: implementations
+    /// live in other crates, and `cfg(test)` does not cross a crate
+    /// boundary.)
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize;
+    fn audit_bytes(&self, rt: &QueryRuntime) -> usize;
 
     /// Serialize this window's full mutable state for a checkpoint.
     /// Inverse of [`WindowAlgo::load`].
@@ -257,10 +258,10 @@ impl<W: WindowAlgo> Partition<W> {
     const SLOT_BYTES: usize = std::mem::size_of::<(u64, W)>() - W::INSTRUMENT_BYTES;
 
     #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
+    fn audit_bytes(&self, rt: &QueryRuntime) -> usize {
         self.windows
             .iter()
-            .map(|(_, w)| w.audit_bytes())
+            .map(|(_, w)| w.audit_bytes(rt))
             .sum::<usize>()
             + self.windows.len() * Self::SLOT_BYTES
     }
@@ -489,14 +490,14 @@ impl<W: WindowAlgo> Router<W> {
                     // their constructed trends until the window is reset.
                     spike = spike.max(state.memory_bytes());
                     #[cfg(debug_assertions)]
-                    assert_eq!(state.memory_bytes(), state.audit_bytes());
+                    assert_eq!(state.memory_bytes(), state.audit_bytes(rt));
                     if !cell.is_zero() {
                         closing.push((wid, PartitionId(pid), cell));
                     }
                 }
                 state.reset(rt);
                 #[cfg(debug_assertions)]
-                assert_eq!(state.memory_bytes(), state.audit_bytes());
+                assert_eq!(state.memory_bytes(), state.audit_bytes(rt));
                 spare.push(state);
             });
         }
@@ -902,7 +903,7 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
             + self
                 .resident
                 .iter()
-                .map(|&pid| self.partitions[pid as usize].audit_bytes())
+                .map(|&pid| self.partitions[pid as usize].audit_bytes(&self.rt))
                 .sum::<usize>()
     }
 

@@ -1,10 +1,10 @@
 //! Shared runtime plumbing for the COGRA aggregators: precomputed
 //! per-disjunct routing tables, state binding, and negation clocks.
 
-use crate::agg::{AggLayout, DisjunctFeeds};
+use crate::agg::{AggLayout, CellTable, DisjunctFeeds};
 use cogra_checkpoint::CheckpointError;
 use cogra_events::{Event, Timestamp, TypeRegistry, Value, ValueKind};
-use cogra_query::{CompiledAdjacent, CompiledDisjunct, CompiledQuery, NegId, StateId};
+use cogra_query::{CompiledAdjacent, CompiledDisjunct, CompiledQuery, Granularity, NegId, StateId};
 
 /// One incoming contribution source of a state.
 #[derive(Debug, Clone)]
@@ -60,6 +60,12 @@ pub struct DisjunctRuntime {
     /// The query's aggregation layout (every disjunct holds the same one):
     /// what the rows of this disjunct's windows are read through.
     pub layout: AggLayout,
+    /// The table at the front of a window's slab at this disjunct's
+    /// granularity: [`DisjunctRuntime::type_rows`] rows for Algorithm 1,
+    /// one more — the finished-trend accumulator — for Algorithm 2, and
+    /// `2l + 1` for Algorithm 3 (two halves of a row per state, and the
+    /// accumulator).
+    pub table: CellTable,
     /// Identity cell template for the layout.
     zero: crate::agg::Cell,
     /// Attribute count of every registered type, by [`TypeId`] — what an
@@ -112,11 +118,17 @@ impl DisjunctRuntime {
             .zip(&disjunct.stored)
             .map(|((_, schema), attrs)| attrs.iter().map(|a| schema.attr_kind(*a)).collect())
             .collect();
+        let rows = match disjunct.granularity {
+            Granularity::Type => n + neg_edges.len(),
+            Granularity::Mixed => n + neg_edges.len() + 1,
+            Granularity::Pattern => 2 * n + 1,
+        };
         DisjunctRuntime {
             disjunct,
             feeds,
             pred_sources,
             neg_edges,
+            table: CellTable::new(layout, rows),
             layout: layout.clone(),
             zero: layout.zero_cell(),
             arities: registry.iter().map(|(_, schema)| schema.arity()).collect(),
@@ -126,8 +138,8 @@ impl DisjunctRuntime {
 
     /// A fresh identity [`Cell`] for the query's aggregation layout — an
     /// owned value, for the engines that compute with cells. The COGRA
-    /// aggregators do not: their aggregates are rows of a
-    /// [`CellTable`](crate::agg::CellTable), opened in place.
+    /// aggregators do not: their aggregates are rows of a window's slab,
+    /// computed in place.
     ///
     /// [`Cell`]: crate::agg::Cell
     #[inline]
@@ -152,10 +164,17 @@ impl DisjunctRuntime {
     /// beside its time stamp: the stored projection of its type
     /// ([`CompiledDisjunct::stored`]) — what [`PredSource::adjacents_pass`]
     /// reads. The event binds a state, so its type is a registered one.
+    /// Returns the bytes appended ([`Value::memory_bytes`]).
     #[inline]
-    pub fn store(&self, event: &Event, out: &mut Vec<Value>) {
+    pub fn store(&self, event: &Event, out: &mut Vec<Value>) -> usize {
         let attrs = &self.disjunct.stored[event.type_id.index()];
-        out.extend(attrs.iter().map(|a| event.attr(*a).clone()));
+        let mut bytes = 0;
+        out.extend(attrs.iter().map(|a| {
+            let value = event.attr(*a).clone();
+            bytes += value.memory_bytes();
+            value
+        }));
+        bytes
     }
 
     /// Whether `stored`, read back from a snapshot as what was kept of an
@@ -194,11 +213,12 @@ impl DisjunctRuntime {
         )))
     }
 
-    /// Algorithms 1–3's step at one state `event` binds to, on the
-    /// identity row its new aggregates are computed in: the start-of-trend
-    /// `+1`, then `fill`, which folds the predecessors in and says whether
-    /// any of them was live, then — if any trend ends at the event — its
-    /// own contribution. Returns whether one does; a row none does is the
+    /// Algorithms 1–2's step at one state `event` binds to, on the scratch
+    /// row its new aggregates are computed in (its slots the identity, its
+    /// count any word): the start-of-trend `+1`, then `fill`,
+    /// which folds the predecessors into the row and says whether any of
+    /// them was live, then — if any trend ends at the event — its own
+    /// contribution. Returns whether one does; a row none does is the
     /// caller's to drop (see the `agg` module docs on liveness).
     #[inline]
     pub fn bind_row(

@@ -67,6 +67,15 @@ impl fmt::Display for EventId {
 }
 
 /// A primitive event: typed, time-stamped tuple of attribute values.
+///
+/// **Contract:** `attrs` has its type's arity, and every value is of the
+/// kind its schema declares ([`ValueKind`]). The decoders keep it; an
+/// event built by hand must. It is not re-checked on ingestion: a value of
+/// another kind is read as it comes — an `Int` where the schema says
+/// `Float` is aggregated and compared numerically — but a snapshot that
+/// stores it is refused on restore as not what the plan keeps.
+///
+/// [`ValueKind`]: crate::value::ValueKind
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Stable identity within its stream.

@@ -900,7 +900,7 @@ fn read_lines(
         }
         let mut taken = 0;
         while remaining > 0 && taken < chunk.len() {
-            let newline = chunk[taken..].iter().position(|&b| b == b'\n');
+            let newline = find_newline(&chunk[taken..]);
             let step = newline.map_or(chunk.len() - taken, |at| at + 1);
             taken += step;
             line_len += step;
@@ -917,6 +917,29 @@ fn read_lines(
         budget -= taken;
     }
     Ok(())
+}
+
+/// The index of the first `\n` in `bytes`, searched eight bytes at a time:
+/// a `\n` is a zero byte of the word XOR `0x0a…0a`, and the zero-byte
+/// test `(v - 0x01…01) & !v & 0x80…80` flags the lowest zero byte exactly
+/// (its borrow can only flag bytes *above* a zero byte), so reading the
+/// word little-endian, the first flagged byte is the first newline.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let v = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
+        let newlines = v.wrapping_sub(ONES) & !v & HIGHS;
+        if newlines != 0 {
+            return Some(at + newlines.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| at + i)
 }
 
 /// Read commands off one connection and forward them to the actor. Every
@@ -1164,6 +1187,38 @@ fn wait_finished_flag(finished: &(Mutex<bool>, Condvar), timeout: Duration) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_word_at_a_time_newline_search_is_the_bytewise_one() {
+        // Every length to past two words, a newline at every position or
+        // none, over fill bytes that stress the zero-byte test: 0x0b and
+        // 0x09 (one bit from `\n`), 0x8a (`\n` with the high bit), 0x00.
+        for fill in [b'a', 0x0b, 0x09, 0x8a, 0x00, 0xff] {
+            for len in 0..20 {
+                for newline in (0..len).map(Some).chain([None]) {
+                    let mut bytes = vec![fill; len];
+                    if let Some(at) = newline {
+                        bytes[at] = b'\n';
+                        // A second one after the first must not win.
+                        if at + 3 < len {
+                            bytes[at + 3] = b'\n';
+                        }
+                    }
+                    let bytewise = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(
+                        find_newline(&bytes),
+                        bytewise,
+                        "{fill:#x} {len} {newline:?}"
+                    );
+                    // And from every offset into the buffer.
+                    for from in 0..len {
+                        let bytewise = bytes[from..].iter().position(|&b| b == b'\n');
+                        assert_eq!(find_newline(&bytes[from..]), bytewise);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn finished_flag_survives_a_poisoned_lock() {

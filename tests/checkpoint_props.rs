@@ -628,6 +628,53 @@ fn stored_values_of_another_plan_are_rejected_typed() {
 }
 
 #[test]
+fn a_value_off_its_schemas_kind_is_aggregated_but_not_restored() {
+    watchdog("off-kind values", || {
+        // The `Event` contract: values of the schema's kinds. An `Int`
+        // where the schema says `Float` is read numerically — the rows are
+        // those of the same stream with the value as a `Float` — but a
+        // mixed-grained window that stores it (its stored projection is
+        // `T{v}`) writes a snapshot no restore takes back.
+        let mut registry = TypeRegistry::new();
+        let t = registry.register_type("T", vec![("g", ValueKind::Int), ("v", ValueKind::Float)]);
+        let query = "RETURN g, COUNT(*), SUM(X.v) PATTERN T X+ SEMANTICS skip-till-any-match \
+                     WHERE X.v < NEXT(X).v GROUP-BY g WITHIN 20 SLIDE 10";
+        let stream = |v: fn(i64) -> Value| {
+            let mut builder = EventBuilder::new();
+            (0..120u64)
+                .map(|i| {
+                    let attrs = vec![Value::Int((i % 3) as i64), v((i * 7 % 11) as i64)];
+                    builder.event(i / 2 + 1, t, attrs)
+                })
+                .collect::<Vec<Event>>()
+        };
+        let (on_kind, off_kind) = (stream(|x| Value::Float(x as f64)), stream(Value::Int));
+        let session = || {
+            let session = Session::builder().query(query).build(&registry);
+            session.expect("session builds")
+        };
+        let run = |events: &[Event]| {
+            let mut rows = session_rows(&mut session(), events);
+            rows.sort_by_key(|r| (r.result.window, format!("{:?}", r.result.group)));
+            rows
+        };
+        let rows = run(&on_kind);
+        assert!(rows.len() > 10, "battery bug: nothing emitted");
+        assert_eq!(run(&off_kind), rows, "aggregated as the same numbers");
+
+        let snapshot = |events: &[Event]| {
+            let mut session = session();
+            events[..75].iter().for_each(|e| session.process(e));
+            let mut snapshot = Vec::new();
+            session.checkpoint(&mut snapshot).expect("checkpoint");
+            snapshot
+        };
+        let why = "are not what the plan keeps of an event bound to state 0";
+        assert_refused_as_corrupt(&registry, &snapshot(&on_kind), &snapshot(&off_kind), why);
+    });
+}
+
+#[test]
 fn a_ring_no_such_stream_leaves_behind_is_rejected_typed() {
     watchdog("ring-clock", || {
         // Regression: an engine section records neither the window spec
@@ -932,9 +979,12 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
 /// The fixtures were written by the build of commit 6962a2d (format 3,
 /// the last to save a matched event whole): `format3.snap` is its
 /// `.workers(2)` session's checkpoint after `OLD_SPLIT` events and a
-/// drain, `format2.snap` the same with the `reorder` section rewritten the
-/// way format 2 had it (no arrival stamps, in-flight events by `(time,
-/// id, query)`), `parent_rows.txt` the rows of its uninterrupted run.
+/// drain ([`old_life_checkpoint`]), `format2.snap` the same with the
+/// `reorder` section rewritten the way format 2 had it (no arrival stamps,
+/// in-flight events by `(time, id, query)`), `parent_rows.txt` the rows of
+/// its uninterrupted run. `format4.snap` is the same checkpoint taken by
+/// the build of commit da5b066, the last whose windows kept their tables,
+/// staged updates and counters in separate blocks.
 fn old_format_life() -> (TypeRegistry, Vec<Event>) {
     let mut registry = TypeRegistry::new();
     let tick = registry.register_type(
@@ -1033,6 +1083,20 @@ fn an_old_format_restores(file: &'static str, format: u32) {
     });
 }
 
+/// This build's checkpoint of [`old_format_life`], taken the way the
+/// fixtures were: a `.workers(2)` session after `OLD_SPLIT` events and a
+/// drain.
+fn old_life_checkpoint() -> Vec<u8> {
+    let (registry, events) = old_format_life();
+    let roster = OLD_QUERIES.into_iter();
+    let builder = roster.fold(Session::builder().workers(2).slack(8), |b, q| b.query(q));
+    let mut session = builder.build(&registry).expect("session builds");
+    session_rows(&mut session, &events[..OLD_SPLIT]);
+    let mut snapshot = Vec::new();
+    session.checkpoint(&mut snapshot).expect("checkpoint");
+    snapshot
+}
+
 /// `events` through `session`, then a drain: the rows.
 fn session_rows(session: &mut Session, events: &[Event]) -> Vec<TaggedResult> {
     let mut rows = Vec::new();
@@ -1054,6 +1118,54 @@ fn format_3_snapshots_still_restore() {
     // A matched event saved whole: checked as format 3 checked it, then
     // projected to what this build keeps of it.
     an_old_format_restores("format3.snap", 3);
+}
+
+#[test]
+fn format_4_snapshots_still_restore() {
+    // The format this build writes, by the build before its windows became
+    // one slab each: restored, and written again to the byte — a window
+    // saves what it saved when its rows, staged updates and negations
+    // lived apart. The one byte *count* a snapshot records, an engine's
+    // largest window footprint at finalization, follows the accounting:
+    // it is compared apart, and may only have shrunk.
+    an_old_format_restores("format4.snap", 4);
+    let path = format!("{}/tests/fixtures/format4.snap", env!("CARGO_MANIFEST_DIR"));
+    let fixture = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    watchdog("format 4 rewritten", move || {
+        let (ours, our_spikes) = spikes_apart(&old_life_checkpoint());
+        let (theirs, their_spikes) = spikes_apart(&fixture);
+        assert!(ours == theirs, "this build's checkpoint of the life moved");
+        assert_eq!(our_spikes.len(), OLD_QUERIES.len());
+        for (q, (ours, theirs)) in our_spikes.iter().zip(&their_spikes).enumerate() {
+            assert!(
+                ours <= theirs,
+                "q{q}: finalization footprint {theirs} → {ours}"
+            );
+        }
+    });
+}
+
+/// `snapshot` with every engine section's `finalize_spike` zeroed, and the
+/// figures that were there, in section order.
+fn spikes_apart(snapshot: &[u8]) -> (Vec<u8>, Vec<usize>) {
+    let mut reader = cogra_checkpoint::SnapshotReader::new(snapshot).expect("snapshot header");
+    let (mut out, mut spikes) = (Vec::new(), Vec::new());
+    let mut writer = cogra_checkpoint::SnapshotWriter::new(&mut out).expect("header");
+    while let Some((name, mut payload)) = reader.next_section().expect("intact section") {
+        if name
+            .strip_prefix('q')
+            .is_some_and(|i| i.parse::<usize>().is_ok())
+        {
+            let mut state = engine_section(&payload);
+            spikes.push(std::mem::take(&mut state.finalize_spike));
+            let mut enc = cogra_checkpoint::Enc::new();
+            state.save(&mut enc);
+            payload = enc.into_bytes();
+        }
+        writer.section(&name, &payload).expect("section");
+    }
+    writer.finish().expect("trailer");
+    (out, spikes)
 }
 
 #[test]

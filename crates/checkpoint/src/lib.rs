@@ -59,20 +59,14 @@ macro_rules! probe {
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
-/// The snapshot format version this build writes. Version 4 keeps of a
-/// matched event, in the pattern- and mixed-grained windows, its time
-/// stamp and the plan's stored projection instead of the event, and
-/// records in every engine section the window spec and the clock it was
-/// written under; version 3 stamps the `reorder` section's in-flight
-/// events with their arrival order; version 2 (no stamps: its readers fall
-/// back to the order of event ids) gave that section one shape at every
-/// worker count and made the `config` section's `key_limit` and
-/// sharing-map fields unconditional.
+/// The snapshot format version this build writes, and the only one it
+/// reads: an older header is [`CheckpointError::RetiredVersion`], a newer
+/// one [`CheckpointError::FutureVersion`]. In version 4 a pattern- or
+/// mixed-grained window keeps of a matched event its time stamp and the
+/// plan's stored projection, every engine section records the window spec
+/// and the clock it was written under, and the `reorder` section stamps
+/// its in-flight events with their arrival order.
 pub const FORMAT_VERSION: u32 = 4;
-
-/// The oldest snapshot format version this build still reads; version 1
-/// is retired, not migrated.
-pub const OLDEST_READABLE_VERSION: u32 = 2;
 
 /// Typed failure of writing or reading a snapshot. Every corruption class
 /// maps to its own variant — restore never panics on bad bytes.
@@ -89,7 +83,7 @@ pub enum CheckpointError {
     FutureVersion {
         /// Version found in the snapshot header.
         found: u32,
-        /// Newest version this build supports ([`FORMAT_VERSION`]).
+        /// The version this build reads ([`FORMAT_VERSION`]).
         supported: u32,
     },
     /// The snapshot was written by an older format this build no longer
@@ -97,8 +91,7 @@ pub enum CheckpointError {
     RetiredVersion {
         /// Version found in the snapshot header.
         found: u32,
-        /// The oldest version this build reads
-        /// ([`OLDEST_READABLE_VERSION`]).
+        /// The version this build reads ([`FORMAT_VERSION`]).
         supported: u32,
     },
     /// A section's payload does not match its stored checksum.
@@ -264,30 +257,12 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> Dec<'a> {
-    /// Decode from the start of `buf`, bytes this build wrote
-    /// ([`FORMAT_VERSION`]).
+    /// Decode from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec::of_version(buf, FORMAT_VERSION)
-    }
-
-    /// Decode from the start of `buf`, a payload of a snapshot of format
-    /// `version` ([`SnapshotReader::version`]).
-    pub fn of_version(buf: &'a [u8], version: u32) -> Dec<'a> {
-        Dec {
-            buf,
-            pos: 0,
-            version,
-        }
-    }
-
-    /// The format version of the snapshot the payload is from — what a
-    /// state owner whose layout changed between formats branches on.
-    pub fn version(&self) -> u32 {
-        self.version
+        Dec { buf, pos: 0 }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
@@ -468,7 +443,6 @@ pub struct SnapshotReader {
     data: Vec<u8>,
     pos: usize,
     done: bool,
-    version: u32,
 }
 
 impl SnapshotReader {
@@ -492,24 +466,17 @@ impl SnapshotReader {
                 supported: FORMAT_VERSION,
             });
         }
-        if version < OLDEST_READABLE_VERSION {
+        if version < FORMAT_VERSION {
             return Err(CheckpointError::RetiredVersion {
                 found: version,
-                supported: OLDEST_READABLE_VERSION,
+                supported: FORMAT_VERSION,
             });
         }
         Ok(SnapshotReader {
             data,
             pos: MAGIC.len() + 4,
             done: false,
-            version,
         })
-    }
-
-    /// The format version the snapshot was written in: between
-    /// [`OLDEST_READABLE_VERSION`] and [`FORMAT_VERSION`].
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
@@ -703,11 +670,11 @@ mod tests {
     #[test]
     fn retired_version_is_typed() {
         let mut bytes = snapshot(&[]);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
         match SnapshotReader::new(&bytes[..]) {
             Err(CheckpointError::RetiredVersion { found, supported }) => {
-                assert_eq!(found, 1);
-                assert_eq!(supported, OLDEST_READABLE_VERSION);
+                assert_eq!(found, FORMAT_VERSION - 1);
+                assert_eq!(supported, FORMAT_VERSION);
             }
             other => panic!("expected RetiredVersion, got {other:?}"),
         }
@@ -749,11 +716,11 @@ mod tests {
         );
         assert_eq!(
             CheckpointError::RetiredVersion {
-                found: 1,
-                supported: 2
+                found: 3,
+                supported: 4
             }
             .to_string(),
-            "snapshot format version 1 is older than supported version 2"
+            "snapshot format version 3 is older than supported version 4"
         );
         assert_eq!(
             CheckpointError::Checksum {

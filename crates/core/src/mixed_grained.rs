@@ -252,28 +252,17 @@ impl MixedWindow {
     }
 
     /// Rebuild a window from bytes produced by [`MixedWindow::save`]
-    /// against the same disjunct runtime — or by the `save` of formats
-    /// 2–3, which wrote a stored event whole: checked as it was then, and
-    /// projected here.
+    /// against the same disjunct runtime.
     pub fn load(rt: &DisjunctRuntime, dec: &mut Dec) -> Result<MixedWindow, CheckpointError> {
         let tt = TypeGrainedWindow::load_tables(rt, dec)?;
         let mut window = MixedWindow::over(tt, Box::default());
         let mut row = vec![0; rt.table.stride()];
         for position in 0..dec.usize()? {
             let values_start = window.values.len();
-            let (time, state) = if dec.version() < 4 {
-                let event = Event::load(dec)?;
-                let state = StateId(dec.u32()?);
-                rt.check_bound(&event, state)?;
-                rt.store(&event, &mut window.values);
-                (event.time, state)
-            } else {
-                let time = Timestamp(dec.u64()?);
-                window.values.append(&mut Value::load_vec(dec)?);
-                let state = StateId(dec.u32()?);
-                rt.check_stored(&window.values[values_start..], state)?;
-                (time, state)
-            };
+            let time = Timestamp(dec.u64()?);
+            window.values.append(&mut Value::load_vec(dec)?);
+            let state = StateId(dec.u32()?);
+            rt.check_stored(&window.values[values_start..], state)?;
             let live = rt.layout.load_row(dec, &mut row)?;
             // What `step` stores: an event bound to one of the plan's `Te`
             // states that some trend ends at.

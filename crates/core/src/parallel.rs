@@ -239,7 +239,7 @@ impl PoolState {
     /// The time no event to come is earlier than, and no event an engine
     /// was handed is later than: the gate's safe watermark — a shard
     /// releases nothing past it — or without slack the stream clock.
-    pub(crate) fn admission_floor(&self) -> Timestamp {
+    fn admission_floor(&self) -> Timestamp {
         match &self.gate {
             Some(gate) => gate.safe_watermark(),
             None => self.clock,
@@ -1659,7 +1659,6 @@ fn reshard(
             drained_to,
             finalize_spike,
             frame,
-            format,
             entries,
         } = state;
         let shardable = rt.query.group_prefix > 0;
@@ -1688,7 +1687,6 @@ fn reshard(
                 drained_to,
                 finalize_spike: if s == home { finalize_spike } else { 0 },
                 frame,
-                format,
                 entries,
             });
         }

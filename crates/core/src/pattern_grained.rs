@@ -255,9 +255,7 @@ impl PatternWindow {
     }
 
     /// Rebuild a window from bytes produced by [`PatternWindow::save`]
-    /// against the same disjunct runtime — or by the `save` of formats
-    /// 2–3, which wrote `el` as the whole event: checked as it was then,
-    /// and projected here.
+    /// against the same disjunct runtime.
     pub fn load(
         rt: &DisjunctRuntime,
         dec: &mut cogra_checkpoint::Dec,
@@ -266,14 +264,8 @@ impl PatternWindow {
         let (layout, table) = (&rt.layout, rt.table);
         let mut window = PatternWindow::new(rt);
         if dec.bool()? {
-            // Formats 2–3: the whole event, projected once it is checked.
-            let whole = if dec.version() < 4 {
-                Some(Event::load(dec)?)
-            } else {
-                window.el_time = Timestamp(dec.u64()?);
-                window.el_stored = Value::load_vec(dec)?;
-                None
-            };
+            window.el_time = Timestamp(dec.u64()?);
+            window.el_stored = Value::load_vec(dec)?;
             let automaton = &rt.disjunct.automaton;
             let mut bound_type = None;
             let n = dec.usize()?;
@@ -289,10 +281,7 @@ impl PatternWindow {
                 }
                 table.load_row(layout, &mut window.slab, r, dec)?;
                 let state = StateId(r as u32);
-                match &whole {
-                    Some(event) => rt.check_bound(event, state)?,
-                    None => rt.check_stored(&window.el_stored, state)?,
-                }
+                rt.check_stored(&window.el_stored, state)?;
                 // A bound row is one some trend ends at — what `step`
                 // keeps, and what marks the row as bound.
                 if !table.is_live(&window.slab, r) {
@@ -311,10 +300,6 @@ impl PatternWindow {
             }
             if bound_type.is_none() {
                 return Err(Corrupt("last matched event is bound to no state".into()));
-            }
-            if let Some(event) = &whole {
-                window.el_time = event.time;
-                rt.store(event, &mut window.el_stored);
             }
             window.el_live = true;
             let stored = window.el_stored.iter().map(Value::memory_bytes).sum();

@@ -61,7 +61,7 @@ use cogra_baselines::{
 };
 use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter};
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
-use cogra_engine::{Frame, Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
+use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
 use cogra_events::csv::{CsvError, EventReader};
 use cogra_events::{Event, LateGate, Timestamp, TypeId, TypeRegistry};
 use cogra_query::{canonical_signature, compile, parse, CompiledQuery, Query, QueryError};
@@ -389,10 +389,7 @@ fn save_reorder(state: &mut PoolState) -> Vec<u8> {
 }
 
 /// Inverse of [`save_reorder`]: everything of a [`PoolState`] but the
-/// engine states, which have sections of their own. A format-2 section
-/// carries no arrival stamps and lists its items by `(time, id, query)`:
-/// they are stamped in that order, which is arrival order wherever ids
-/// grew with arrival.
+/// engine states, which have sections of their own.
 fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     let mut state = PoolState {
         states: Vec::new(),
@@ -414,18 +411,15 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     for _ in 0..n {
         pending.push(Timestamp(dec.u64()?));
     }
-    let stamped = dec.version() >= 3;
-    if stamped {
-        state.arrivals = dec.u64()?;
-    }
+    state.arrivals = dec.u64()?;
     let n = dec.usize()?;
     state.buffered.reserve(n.min(1 << 16));
-    for i in 0..n {
+    for _ in 0..n {
         let query = dec.u32()?;
-        let stamp = if stamped { dec.u64()? } else { i as u64 + 1 };
+        let stamp = dec.u64()?;
         // Stamps count admitted events from 1; one past the counter would
         // be handed out again to an event yet to arrive.
-        if stamped && !(1..=state.arrivals).contains(&stamp) {
+        if !(1..=state.arrivals).contains(&stamp) {
             return Err(CheckpointError::Corrupt(format!(
                 "in-flight event stamped {stamp} of {} arrivals",
                 state.arrivals
@@ -436,9 +430,6 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
             stamp,
             event: Event::load(dec)?,
         });
-    }
-    if !stamped {
-        state.arrivals = n as u64;
     }
     state.gate = Some(LateGate::from_parts(
         slack,
@@ -839,7 +830,7 @@ impl SessionBuilder {
         dec.finish("config section")?;
 
         let bytes = r.expect("reorder")?;
-        let mut dec = Dec::of_version(&bytes, r.version());
+        let mut dec = Dec::new(&bytes);
         let mut state = load_reorder(&mut dec)?;
         dec.finish("reorder section")?;
         if state.gate.as_ref().map(LateGate::slack) != slack {
@@ -852,12 +843,8 @@ impl SessionBuilder {
         // is snapshotted once, however many queries it serves.
         for i in 0..shared.physical() {
             let bytes = r.expect(&format!("q{i}"))?;
-            let mut dec = Dec::of_version(&bytes, r.version());
-            let unframed = Frame {
-                window: queries[shared.representative(i)].window,
-                clock: state.admission_floor(),
-            };
-            state.states.push(RouterState::load(&mut dec, unframed)?);
+            let mut dec = Dec::new(&bytes);
+            state.states.push(RouterState::load(&mut dec)?);
             dec.finish("engine section")?;
         }
         r.finish()?;

@@ -71,7 +71,7 @@ use crate::engine::TrendEngine;
 use crate::intern::{hash_values, KeyInterner, PartitionId, RunStats};
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
-use cogra_checkpoint::{CheckpointError, Dec, Enc, FORMAT_VERSION};
+use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{Event, Timestamp, Value, WindowId, WindowSpec};
 use cogra_query::{NegId, StateId};
 use std::collections::VecDeque;
@@ -574,9 +574,6 @@ pub struct RouterState {
     pub finalize_spike: usize,
     /// What the rings were built under.
     pub frame: Frame,
-    /// The snapshot format the window payloads in `entries` are written
-    /// in.
-    pub format: u32,
     /// One blob per resident partition, in no particular order (nothing
     /// depends on which id a key restores to):
     /// `[key][n_windows][(wid, window bytes)...]`.
@@ -603,7 +600,6 @@ pub struct Frame {
 impl RouterState {
     /// Serialize into an engine-section payload.
     pub fn save(&self, enc: &mut Enc) {
-        debug_assert_eq!(self.format, FORMAT_VERSION, "a state read off a router");
         enc.u64(self.watermark.ticks());
         self.stats.save(enc);
         enc.opt_u64(self.drained_to.map(|w| w.0));
@@ -617,26 +613,18 @@ impl RouterState {
         }
     }
 
-    /// Inverse of [`RouterState::save`], or of the `save` of the format
-    /// `dec` is of: formats 2–3 record no frame, and a state of theirs is
-    /// `unframed`'s — the query's window spec, and for a clock the
-    /// stream's admission floor, which no event of the state came after
-    /// and none to come is before.
-    pub fn load(dec: &mut Dec, unframed: Frame) -> Result<RouterState, CheckpointError> {
+    /// Inverse of [`RouterState::save`].
+    pub fn load(dec: &mut Dec) -> Result<RouterState, CheckpointError> {
         let watermark = Timestamp(dec.u64()?);
         let stats = RunStats::load(dec)?;
         let drained_to = dec.opt_u64()?.map(WindowId);
         let finalize_spike = dec.usize()?;
-        let frame = if dec.version() < 4 {
-            unframed
-        } else {
-            // Read as numbers, not through `WindowSpec::new`: all that is
-            // done with them is a comparison with the query's.
-            let (within, slide) = (dec.u64()?, dec.u64()?);
-            Frame {
-                window: WindowSpec { within, slide },
-                clock: Timestamp(dec.u64()?),
-            }
+        // Read as numbers, not through `WindowSpec::new`: all that is done
+        // with them is a comparison with the query's.
+        let (within, slide) = (dec.u64()?, dec.u64()?);
+        let frame = Frame {
+            window: WindowSpec { within, slide },
+            clock: Timestamp(dec.u64()?),
         };
         let n = dec.usize()?;
         let mut entries = Vec::with_capacity(n.min(1024));
@@ -649,7 +637,6 @@ impl RouterState {
             drained_to,
             finalize_spike,
             frame,
-            format: dec.version(),
             entries,
         })
     }
@@ -664,7 +651,6 @@ impl RouterState {
     /// is not) — while the frame's clock is the *maximum*, which bounds
     /// every shard's windows.
     pub fn merge(&mut self, other: RouterState) {
-        debug_assert_eq!(self.format, other.format, "shards of one session");
         debug_assert_eq!(self.frame.window, other.frame.window, "one query");
         self.frame.clock = self.frame.clock.max(other.frame.clock);
         self.stats.merge(other.stats);
@@ -724,7 +710,6 @@ impl<W: WindowAlgo> Router<W> {
                 window: self.rt.query.window,
                 clock: self.restored_clock.max(self.watermark),
             },
-            format: FORMAT_VERSION,
             entries,
         }
     }
@@ -769,7 +754,7 @@ impl<W: WindowAlgo> Router<W> {
         router.stats = state.stats;
         router.interner.set_limit(u32::MAX);
         for blob in &state.entries {
-            let mut dec = Dec::of_version(blob, state.format);
+            let mut dec = Dec::new(blob);
             let key = Value::load_vec(&mut dec)?;
             // A key of another arity is a partition no event could ever
             // reach again (and would mis-stride the flat interner).
@@ -816,7 +801,7 @@ impl<W: WindowAlgo> Router<W> {
                     )));
                 }
                 last = Some(wid);
-                let mut wdec = Dec::of_version(dec.bytes()?, state.format);
+                let mut wdec = Dec::new(dec.bytes()?);
                 let w = W::load(&rt, &mut wdec)?;
                 wdec.finish("window")?;
                 router.window_bytes += Partition::<W>::SLOT_BYTES + w.memory_bytes();

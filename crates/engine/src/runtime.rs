@@ -68,11 +68,6 @@ pub struct DisjunctRuntime {
     pub table: CellTable,
     /// Identity cell template for the layout.
     zero: crate::agg::Cell,
-    /// Attribute count of every registered type, by [`TypeId`] — what an
-    /// event read back from a format-3 snapshot is checked against.
-    ///
-    /// [`TypeId`]: cogra_events::TypeId
-    arities: Vec<usize>,
     /// Value kinds of the disjunct's stored projection
     /// ([`CompiledDisjunct::stored`]), by [`TypeId`] — what a stored tuple
     /// read back from a snapshot is checked against.
@@ -131,7 +126,6 @@ impl DisjunctRuntime {
             table: CellTable::new(layout, rows),
             layout: layout.clone(),
             zero: layout.zero_cell(),
-            arities: registry.iter().map(|(_, schema)| schema.arity()).collect(),
             stored_kinds,
         }
     }
@@ -191,24 +185,6 @@ impl DisjunctRuntime {
         }
         Err(CheckpointError::Corrupt(format!(
             "stored values {stored:?} are not what the plan keeps of an event bound to state {}",
-            state.0
-        )))
-    }
-
-    /// [`DisjunctRuntime::check_stored`] for the snapshots of formats 2–3,
-    /// which hold the whole `event`: whether it is one this disjunct could
-    /// have bound to `state` — of a registered type that `state` matches,
-    /// with that type's attribute count, so [`DisjunctRuntime::store`] can
-    /// project it.
-    pub fn check_bound(&self, event: &Event, state: StateId) -> Result<(), CheckpointError> {
-        let states = self.disjunct.automaton.states_of_type(event.type_id);
-        if states.contains(&state) && self.arities[event.type_id.index()] == event.attrs.len() {
-            return Ok(());
-        }
-        Err(CheckpointError::Corrupt(format!(
-            "an event of type {} with {} attributes cannot be bound to state {}",
-            event.type_id.0,
-            event.attrs.len(),
             state.0
         )))
     }

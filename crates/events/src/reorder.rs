@@ -108,11 +108,6 @@ impl<T> ReorderBuffer<T> {
         }
     }
 
-    /// Smallest time still buffered.
-    pub fn min_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|Reverse(p)| p.time)
-    }
-
     /// Number of items currently buffered.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -310,57 +305,6 @@ impl Reorderer {
     pub fn buffered(&self) -> usize {
         self.buffer.len()
     }
-
-    /// The configured disorder tolerance in ticks.
-    pub fn slack(&self) -> u64 {
-        self.slack
-    }
-
-    /// The raw stream watermark (largest admitted time).
-    pub fn watermark(&self) -> Timestamp {
-        self.watermark
-    }
-
-    /// The largest time already released — events behind it are late.
-    pub fn released_to(&self) -> Timestamp {
-        self.released_to
-    }
-
-    /// Non-consuming ordered view of the buffered events, in release
-    /// order — what a checkpoint serializes.
-    pub fn buffered_events(&self) -> Vec<&Event> {
-        self.buffer.ordered().into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Rebuild a reorderer from checkpointed counters; buffered events
-    /// are re-staged separately via [`Reorderer::restore_buffered`].
-    pub fn from_parts(
-        slack: u64,
-        watermark: Timestamp,
-        released_to: Timestamp,
-        late: u64,
-    ) -> Reorderer {
-        Reorderer {
-            slack,
-            watermark,
-            released_to,
-            buffer: ReorderBuffer::new(),
-            late,
-        }
-    }
-
-    /// Re-stage checkpointed buffered events, bypassing admission and
-    /// release (a checkpoint only holds events above `released_to`, so
-    /// nothing could release anyway; going around [`Reorderer::push`]
-    /// keeps the watermark exactly as restored). Events must arrive in
-    /// the order [`Reorderer::buffered_events`] produced them so arrival
-    /// sequence numbers keep equal-time events in their original order.
-    pub fn restore_buffered(&mut self, events: impl IntoIterator<Item = Event>) {
-        for event in events {
-            debug_assert!(event.time >= self.released_to, "buffered event is late");
-            self.buffer.push(event.time, event);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -512,7 +456,6 @@ mod tests {
         b.push(Timestamp(3), "b");
         b.push(Timestamp(5), "c");
         b.push(Timestamp(8), "d");
-        assert_eq!(b.min_time(), Some(Timestamp(3)));
         let mut out = Vec::new();
         b.release_up_to(Timestamp(5), &mut out);
         assert_eq!(out, vec!["b", "a", "c"]);

@@ -386,13 +386,8 @@ fn rewrite_section(snapshot: &[u8], name: &str, edit: impl Fn(&[u8]) -> Vec<u8>)
 
 /// The engine section `payload`, written by this build.
 fn engine_section(payload: &[u8]) -> cogra::engine::RouterState {
-    use cogra::engine::{Frame, RouterState};
-    // Never read: a section of this build's format holds its own.
-    let unframed = Frame {
-        window: WindowSpec::tumbling(1),
-        clock: Timestamp::ZERO,
-    };
-    RouterState::load(&mut cogra_checkpoint::Dec::new(payload), unframed).expect("engine section")
+    cogra::engine::RouterState::load(&mut cogra_checkpoint::Dec::new(payload))
+        .expect("engine section")
 }
 
 /// A churn session's snapshot mid-stream (every partition resident), and
@@ -677,13 +672,14 @@ fn a_value_off_its_schemas_kind_is_aggregated_but_not_restored() {
 #[test]
 fn a_ring_no_such_stream_leaves_behind_is_rejected_typed() {
     watchdog("ring-clock", || {
-        // Regression: an engine section records neither the window spec
-        // nor the time it was written at up to format 3, so a window id
-        // changed with nothing in flight — or a `config` section under
-        // another `WITHIN/SLIDE` — restored, and a *later* live event that
-        // probed below the ring's back window panicked at width 1
+        // Regression: an engine section once recorded neither the window
+        // spec nor the time it was written at, so a window id changed with
+        // nothing in flight — or a `config` section under another
+        // `WITHIN/SLIDE` — restored, and a *later* live event that probed
+        // below the ring's back window panicked at width 1
         // (`Partition::window_mut`'s assert) and failed a worker at width
-        // 2. Format 4 records both.
+        // 2. Every engine section records both, and `Router::from_state`
+        // checks the ring against them.
         use cogra_checkpoint::{Dec, Enc};
         let (registry, valid, future) = damaged_entries(|entries| {
             // The back window of the first partition, moved far ahead.
@@ -735,9 +731,8 @@ fn window_bytes_are_the_ones_cells_wrote() {
     // below was taken there, over a layout with all of a count, a float
     // sum and a MIN without a value yet. The other two are format 4's: a
     // matched event is its time stamp and the stored projection (the
-    // mixed-grained query's `Stock{price}`, nothing for the NEXT one)
-    // where formats 2–3 wrote the whole event — taken where
-    // `format_3_snapshots_still_restore` showed the two agree.
+    // mixed-grained query's `Stock{price}`, nothing for the NEXT one),
+    // taken by the build that introduced that layout.
     let pinned = [0x237a_721a_u32, 0x31f1_6e43, 0xb92c_e505];
     for (shape, crc) in pinned.into_iter().enumerate() {
         let query = stock_query("COUNT(*), AVG(B.price), MIN(A.price)", shape);
@@ -956,7 +951,7 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
     // two events of one partition inside a time stamp decides the result,
     // and jittered its ids no longer grow with arrival — so a restore
     // taken while two such events were buffered resumed to other rows.
-    // Format 3 stamps every buffered event with its arrival.
+    // The section stamps every buffered event with its arrival.
     for seed in 0..4u64 {
         watchdog("arrival order", move || {
             let (case, reference) = prepared(COMEBACK, seed, 240, 8);
@@ -976,15 +971,14 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
 /// 11th a `Halt`) that arrive up to 5 ticks out of order (every 53rd
 /// hopelessly late), ids growing with arrival.
 ///
-/// The fixtures were written by the build of commit 6962a2d (format 3,
-/// the last to save a matched event whole): `format3.snap` is its
-/// `.workers(2)` session's checkpoint after `OLD_SPLIT` events and a
-/// drain ([`old_life_checkpoint`]), `format2.snap` the same with the
-/// `reorder` section rewritten the way format 2 had it (no arrival stamps,
-/// in-flight events by `(time, id, query)`), `parent_rows.txt` the rows of
-/// its uninterrupted run. `format4.snap` is the same checkpoint taken by
-/// the build of commit da5b066, the last whose windows kept their tables,
-/// staged updates and counters in separate blocks.
+/// `format4.snap` is the `.workers(2)` session's checkpoint after
+/// `OLD_SPLIT` events and a drain ([`old_life_checkpoint`]), taken by the
+/// build of commit da5b066, the last whose windows kept their tables,
+/// staged updates and counters in separate blocks; `parent_rows.txt` holds
+/// the rows of the uninterrupted run. A build reads only the format it
+/// writes: a format bump regenerates `format4.snap` with
+/// [`old_life_checkpoint`] (under the new format's name) rather than
+/// keeping a reader for the old one.
 fn old_format_life() -> (TypeRegistry, Vec<Event>) {
     let mut registry = TypeRegistry::new();
     let tick = registry.register_type(
@@ -1037,15 +1031,18 @@ const OLD_QUERIES: [&str; 6] = [
 ];
 const OLD_SPLIT: usize = 150;
 
-/// A snapshot an older build took of [`old_format_life`] restores at
-/// every width and finishes with that build's rows — which are this
-/// build's too, bit for bit.
-fn an_old_format_restores(file: &'static str, format: u32) {
-    watchdog(file, move || {
-        let fixture = |file: &str| {
-            let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
-            std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-        };
+/// A file under `tests/fixtures/`.
+fn fixture(file: &str) -> Vec<u8> {
+    let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn format_4_snapshots_still_restore() {
+    // An older build's snapshot of the format this build writes restores
+    // at every width and finishes with that build's rows — which are this
+    // build's too, bit for bit.
+    watchdog("format4.snap", || {
         let rendered = |mut rows: Vec<TaggedResult>| {
             rows.sort_by_key(|r| (r.query, r.result.window, format!("{:?}", r.result.group)));
             rows.iter().map(|r| format!("{r:?}\n")).collect::<String>()
@@ -1067,13 +1064,13 @@ fn an_old_format_restores(file: &'static str, format: u32) {
         let drained = session_rows(&mut build(), &events[..OLD_SPLIT]);
         assert!(!drained.is_empty(), "battery bug: nothing drained");
 
-        let old = fixture(file);
-        assert_eq!(old[8..12], format.to_le_bytes());
+        let old = fixture("format4.snap");
+        assert_eq!(old[8..12], 4u32.to_le_bytes());
         for workers in [1usize, 2, 4] {
             let mut resumed = Session::builder()
                 .workers(workers)
                 .restore(&registry, old.as_slice())
-                .unwrap_or_else(|e| panic!("a format-{format} snapshot restores: {e}"));
+                .unwrap_or_else(|e| panic!("a format-4 snapshot restores: {e}"));
             let mut rows = drained.clone();
             rows.extend(session_rows(&mut resumed, &events[OLD_SPLIT..]));
             resumed.finish_into(&mut rows);
@@ -1081,11 +1078,29 @@ fn an_old_format_restores(file: &'static str, format: u32) {
             assert_eq!(resumed.late_events(), session.late_events());
         }
     });
+    // The same build was the last before windows became one slab each:
+    // its checkpoint is written again to the byte — a window saves what it
+    // saved when its rows, staged updates and negations lived apart. The
+    // one byte *count* a snapshot records, an engine's largest window
+    // footprint at finalization, follows the accounting: it is compared
+    // apart, and may only have shrunk.
+    watchdog("format 4 rewritten", || {
+        let (ours, our_spikes) = spikes_apart(&old_life_checkpoint());
+        let (theirs, their_spikes) = spikes_apart(&fixture("format4.snap"));
+        assert!(ours == theirs, "this build's checkpoint of the life moved");
+        assert_eq!(our_spikes.len(), OLD_QUERIES.len());
+        for (q, (ours, theirs)) in our_spikes.iter().zip(&their_spikes).enumerate() {
+            assert!(
+                ours <= theirs,
+                "q{q}: finalization footprint {theirs} → {ours}"
+            );
+        }
+    });
 }
 
-/// This build's checkpoint of [`old_format_life`], taken the way the
-/// fixtures were: a `.workers(2)` session after `OLD_SPLIT` events and a
-/// drain.
+/// This build's checkpoint of [`old_format_life`], taken the way
+/// `format4.snap` was: a `.workers(2)` session after `OLD_SPLIT` events
+/// and a drain.
 fn old_life_checkpoint() -> Vec<u8> {
     let (registry, events) = old_format_life();
     let roster = OLD_QUERIES.into_iter();
@@ -1105,44 +1120,6 @@ fn session_rows(session: &mut Session, events: &[Event]) -> Vec<TaggedResult> {
     }
     session.drain_into(&mut rows);
     rows
-}
-
-#[test]
-fn format_2_snapshots_still_restore() {
-    // No arrival stamps: in-flight events come back by `(time, id, query)`.
-    an_old_format_restores("format2.snap", 2);
-}
-
-#[test]
-fn format_3_snapshots_still_restore() {
-    // A matched event saved whole: checked as format 3 checked it, then
-    // projected to what this build keeps of it.
-    an_old_format_restores("format3.snap", 3);
-}
-
-#[test]
-fn format_4_snapshots_still_restore() {
-    // The format this build writes, by the build before its windows became
-    // one slab each: restored, and written again to the byte — a window
-    // saves what it saved when its rows, staged updates and negations
-    // lived apart. The one byte *count* a snapshot records, an engine's
-    // largest window footprint at finalization, follows the accounting:
-    // it is compared apart, and may only have shrunk.
-    an_old_format_restores("format4.snap", 4);
-    let path = format!("{}/tests/fixtures/format4.snap", env!("CARGO_MANIFEST_DIR"));
-    let fixture = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    watchdog("format 4 rewritten", move || {
-        let (ours, our_spikes) = spikes_apart(&old_life_checkpoint());
-        let (theirs, their_spikes) = spikes_apart(&fixture);
-        assert!(ours == theirs, "this build's checkpoint of the life moved");
-        assert_eq!(our_spikes.len(), OLD_QUERIES.len());
-        for (q, (ours, theirs)) in our_spikes.iter().zip(&their_spikes).enumerate() {
-            assert!(
-                ours <= theirs,
-                "q{q}: finalization footprint {theirs} → {ours}"
-            );
-        }
-    });
 }
 
 /// `snapshot` with every engine section's `finalize_spike` zeroed, and the
@@ -1170,9 +1147,10 @@ fn spikes_apart(snapshot: &[u8]) -> (Vec<u8>, Vec<usize>) {
 
 #[test]
 fn version_1_snapshots_are_rejected_typed() {
-    // Format 2 retired the style-tagged reorder section and the guarded
-    // config tail: a v1 file must fail on its header with the version
-    // error, not somewhere inside a section as `Corrupt`.
+    // A build reads only the format it writes: a file of any older format
+    // must fail on its header with the version error, not somewhere inside
+    // a section as `Corrupt` — and so must one of a newer format.
+    use cogra_checkpoint::FORMAT_VERSION;
     let case = workload(STOCK_MIXED, 3, 1);
     let registry = case.registry;
     let mut snap = Vec::new();
@@ -1183,14 +1161,30 @@ fn version_1_snapshots_are_rejected_typed() {
         .expect("session builds")
         .checkpoint(&mut snap)
         .expect("checkpoint");
-    assert_eq!(snap[8..12], cogra_checkpoint::FORMAT_VERSION.to_le_bytes());
-    assert_eq!(cogra_checkpoint::FORMAT_VERSION, 4);
-    snap[8..12].copy_from_slice(&1u32.to_le_bytes());
-    match Session::builder().restore(&registry, snap.as_slice()) {
-        Err(CheckpointError::RetiredVersion { found, supported }) => {
-            assert_eq!((found, supported), (1, 2));
+    assert_eq!(snap[8..12], FORMAT_VERSION.to_le_bytes());
+    assert_eq!(FORMAT_VERSION, 4);
+    let restore = |version: u32| {
+        let mut snap = snap.clone();
+        snap[8..12].copy_from_slice(&version.to_le_bytes());
+        Session::builder().restore(&registry, snap.as_slice())
+    };
+    assert!(
+        restore(FORMAT_VERSION).is_ok(),
+        "only the header was edited"
+    );
+    for version in 1..FORMAT_VERSION {
+        match restore(version) {
+            Err(CheckpointError::RetiredVersion { found, supported }) => {
+                assert_eq!((found, supported), (version, 4));
+            }
+            other => panic!("version {version}: expected RetiredVersion, got {other:?}"),
         }
-        other => panic!("expected RetiredVersion, got {other:?}"),
+    }
+    match restore(FORMAT_VERSION + 1) {
+        Err(CheckpointError::FutureVersion { found, supported }) => {
+            assert_eq!((found, supported), (FORMAT_VERSION + 1, 4));
+        }
+        other => panic!("expected FutureVersion, got {other:?}"),
     }
 }
 

@@ -21,7 +21,7 @@
 //! adjacent events, negation.
 
 use cogra_engine::runtime::EngineConfig;
-use cogra_engine::{Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
+use cogra_engine::{AggLayout, Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
 use cogra_events::{Event, Timestamp, TypeRegistry};
 use cogra_query::{compile, CompiledQuery, Query, QueryError, QueryResult, Semantics, StateId};
 use std::sync::Arc;
@@ -69,30 +69,30 @@ impl WindowAlgo for ASeqWindow {
                 continue;
             }
             let before = pc.bytes;
-            pc.commit_if_past(event.time);
+            pc.commit_if_past(&rt.layout, event.time);
             let n_states = drt.disjunct.automaton.num_states();
             // A longer match than any seen so far may now exist.
             if pc.counts.len() < cap {
-                pc.push_row(vec![drt.zero_cell(); n_states]);
+                pc.push_row(vec![drt.layout.zero_cell(); n_states]);
             }
             for &s in states {
                 // Length 1: this event alone, if it is the start type.
                 if drt.is_start(s) {
-                    let mut cell = drt.zero_cell();
+                    let mut cell = drt.layout.zero_cell();
                     cell.start_trend();
-                    cell.contribute(drt.feeds.of(s), event);
+                    cell.contribute(&drt.layout, drt.feeds.of(s), event);
                     pc.stage(0, s, cell);
                 }
                 // Length k+1: extend every (k)-prefix of a predecessor.
                 for k in 1..pc.counts.len() {
-                    let mut cell = drt.zero_cell();
+                    let mut cell = drt.layout.zero_cell();
                     for src in &drt.pred_sources[s.index()] {
-                        cell.merge(&pc.counts[k - 1][src.from.index()]);
+                        cell.merge(&drt.layout, &pc.counts[k - 1][src.from.index()]);
                     }
                     if cell.is_zero() {
                         continue;
                     }
-                    cell.contribute(drt.feeds.of(s), event);
+                    cell.contribute(&drt.layout, drt.feeds.of(s), event);
                     pc.stage(k, s, cell);
                 }
             }
@@ -104,16 +104,16 @@ impl WindowAlgo for ASeqWindow {
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
         let mut total: Option<Cell> = None;
         for (pc, drt) in self.disjuncts.iter_mut().zip(&rt.disjuncts) {
-            pc.commit();
+            pc.commit(&rt.layout);
             // The flattened workload's result: Σ over lengths of the
             // end-state aggregate.
-            let mut acc = drt.zero_cell();
+            let mut acc = drt.layout.zero_cell();
             for row in &pc.counts {
-                acc.merge(&row[drt.end().index()]);
+                acc.merge(&rt.layout, &row[drt.end().index()]);
             }
             match &mut total {
                 None => total = Some(acc),
-                Some(t) => t.merge(&acc),
+                Some(t) => t.merge(&rt.layout, &acc),
             }
         }
         total.expect("at least one disjunct")
@@ -142,18 +142,21 @@ impl WindowAlgo for ASeqWindow {
                 .sum::<usize>()
     }
 
-    fn save(&self, _rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
+    fn save(&self, rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
         enc.usize(self.disjuncts.len());
         for pc in &self.disjuncts {
             enc.usize(pc.counts.len());
             for row in &pc.counts {
-                Cell::save_slice(row, enc);
+                enc.usize(row.len());
+                for c in row {
+                    c.save(&rt.layout, enc);
+                }
             }
             enc.usize(pc.pending.len());
             for (k, s, c) in &pc.pending {
                 enc.usize(*k);
                 enc.u32(s.0);
-                c.save(enc);
+                c.save(&rt.layout, enc);
             }
             enc.u64(pc.pending_time.ticks());
         }
@@ -178,14 +181,14 @@ impl WindowAlgo for ASeqWindow {
             let n_rows = dec.usize()?;
             pc.counts.reserve(n_rows.min(1024));
             for _ in 0..n_rows {
-                let row = Cell::load_vec(dec)?;
-                if row.len() != n_states {
+                let n_cells = dec.usize()?;
+                if n_cells != n_states {
                     return Err(CheckpointError::Corrupt(format!(
-                        "A-Seq counter row has {} cells for a {n_states}-state automaton",
-                        row.len()
+                        "A-Seq counter row has {n_cells} cells for a {n_states}-state automaton"
                     )));
                 }
-                pc.push_row(row);
+                let row = (0..n_cells).map(|_| Cell::load(&rt.layout, dec));
+                pc.push_row(row.collect::<Result<_, _>>()?);
             }
             let n_pending = dec.usize()?;
             pc.pending.reserve(n_pending.min(1024));
@@ -197,7 +200,7 @@ impl WindowAlgo for ASeqWindow {
                     )));
                 }
                 let s = StateId(dec.u32()?);
-                pc.stage(k, s, Cell::load(dec)?);
+                pc.stage(k, s, Cell::load(&rt.layout, dec)?);
             }
             pc.pending_time = Timestamp(dec.u64()?);
             disjuncts.push(pc);
@@ -217,16 +220,16 @@ impl PrefixCounters {
         self.pending.push((k, s, cell));
     }
 
-    fn commit(&mut self) {
+    fn commit(&mut self, layout: &AggLayout) {
         for (k, s, cell) in self.pending.drain(..) {
             self.bytes -= cell.memory_bytes();
-            self.counts[k][s.index()].merge(&cell);
+            self.counts[k][s.index()].merge(layout, &cell);
         }
     }
 
-    fn commit_if_past(&mut self, t: Timestamp) {
+    fn commit_if_past(&mut self, layout: &AggLayout, t: Timestamp) {
         if t > self.pending_time {
-            self.commit();
+            self.commit(layout);
             self.pending_time = t;
         }
     }

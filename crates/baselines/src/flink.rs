@@ -87,15 +87,15 @@ impl WindowAlgo for FlinkWindow {
                 Semantics::Next => unreachable!("rejected at construction"),
             }
             // Step 2: aggregate the constructed sequences.
-            let mut acc = drt.zero_cell();
+            let mut acc = drt.layout.zero_cell();
             for seq in &self.constructed[first..] {
                 let trend: Vec<(usize, StateId)> =
                     seq.iter().map(|&(i, s)| (i as usize, s)).collect();
-                acc.merge(&trend_cell(drt, &self.events, &trend));
+                acc.merge(&rt.layout, &trend_cell(drt, &self.events, &trend));
             }
             match &mut total {
                 None => total = Some(acc),
-                Some(t) => t.merge(&acc),
+                Some(t) => t.merge(&rt.layout, &acc),
             }
         }
         total.expect("at least one disjunct")

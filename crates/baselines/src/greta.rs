@@ -66,7 +66,7 @@ impl WindowAlgo for GretaWindow {
                 .iter()
                 .map(|d| {
                     Graph::new(
-                        d.zero_cell(),
+                        d.layout.zero_cell(),
                         vec![Default::default(); d.disjunct.automaton.num_negated()],
                     )
                 })
@@ -90,7 +90,7 @@ impl WindowAlgo for GretaWindow {
                 let cell = compute_cell(graph, drt, event, s);
                 let Some(cell) = cell else { continue };
                 if s == drt.end() {
-                    graph.final_acc.merge(&cell);
+                    graph.final_acc.merge(&rt.layout, &cell);
                 }
                 graph.push(Node {
                     event: event.clone(),
@@ -108,10 +108,9 @@ impl WindowAlgo for GretaWindow {
         for graph in &self.graphs {
             match &mut total {
                 None => total = Some(graph.final_acc.clone()),
-                Some(t) => t.merge(&graph.final_acc),
+                Some(t) => t.merge(&rt.layout, &graph.final_acc),
             }
         }
-        let _ = rt;
         total.expect("at least one disjunct")
     }
 
@@ -135,16 +134,16 @@ impl WindowAlgo for GretaWindow {
                 .sum::<usize>()
     }
 
-    fn save(&self, _rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
+    fn save(&self, rt: &QueryRuntime, enc: &mut cogra_checkpoint::Enc) {
         enc.usize(self.graphs.len());
         for g in &self.graphs {
             enc.usize(g.nodes.len());
             for n in &g.nodes {
                 n.event.save(enc);
                 enc.u32(n.state.0);
-                n.cell.save(enc);
+                n.cell.save(&rt.layout, enc);
             }
-            g.final_acc.save(enc);
+            g.final_acc.save(&rt.layout, enc);
             enc.usize(g.neg_clocks.len());
             for c in &g.neg_clocks {
                 c.save(enc);
@@ -174,10 +173,10 @@ impl WindowAlgo for GretaWindow {
                 nodes.push(Node {
                     event,
                     state,
-                    cell: Cell::load(dec)?,
+                    cell: Cell::load(&rt.layout, dec)?,
                 });
             }
-            let final_acc = Cell::load(dec)?;
+            let final_acc = Cell::load(&rt.layout, dec)?;
             let n_clocks = dec.usize()?;
             if n_clocks != drt.disjunct.automaton.num_negated() {
                 return Err(CheckpointError::Corrupt(format!(
@@ -202,7 +201,7 @@ impl WindowAlgo for GretaWindow {
 /// GRETA's per-event aggregate: scan all stored predecessor events
 /// (Definition 7 adjacency, evaluated per pair).
 fn compute_cell(graph: &Graph, drt: &DisjunctRuntime, event: &Event, s: StateId) -> Option<Cell> {
-    let mut cell = drt.zero_cell();
+    let mut cell = drt.layout.zero_cell();
     if drt.is_start(s) {
         cell.start_trend();
     }
@@ -221,14 +220,14 @@ fn compute_cell(graph: &Graph, drt: &DisjunctRuntime, event: &Event, s: StateId)
                 .iter()
                 .any(|n| graph.neg_clocks[n.index()].blocked(node.event.time, event.time));
             if !blocked {
-                cell.merge(&node.cell);
+                cell.merge(&drt.layout, &node.cell);
             }
         }
     }
     if cell.is_zero() {
         return None;
     }
-    cell.contribute(drt.feeds.of(s), event);
+    cell.contribute(&drt.layout, drt.feeds.of(s), event);
     Some(cell)
 }
 

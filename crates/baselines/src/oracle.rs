@@ -266,10 +266,10 @@ fn bind_table(rt: &DisjunctRuntime, events: &[Event]) -> Vec<Vec<StateId>> {
 /// Aggregate one trend into a cell (count 1, per-occurrence slot
 /// contributions).
 pub fn trend_cell(rt: &DisjunctRuntime, events: &[Event], trend: &[(usize, StateId)]) -> Cell {
-    let mut cell = rt.zero_cell();
+    let mut cell = rt.layout.zero_cell();
     cell.start_trend();
     for &(i, s) in trend {
-        cell.contribute(rt.feeds.of(s), &events[i]);
+        cell.contribute(&rt.layout, rt.feeds.of(s), &events[i]);
     }
     cell
 }
@@ -324,9 +324,9 @@ impl WindowAlgo for OracleWindow {
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {
         let mut total: Option<Cell> = None;
         for drt in &rt.disjuncts {
-            let mut acc = drt.zero_cell();
+            let mut acc = drt.layout.zero_cell();
             let visit = |tr: &[(usize, StateId)]| {
-                acc.merge(&trend_cell(drt, &self.events, tr));
+                acc.merge(&rt.layout, &trend_cell(drt, &self.events, tr));
             };
             match rt.query.semantics {
                 Semantics::Any => visit_any(drt, &self.events, visit),
@@ -334,7 +334,7 @@ impl WindowAlgo for OracleWindow {
             }
             match &mut total {
                 None => total = Some(acc),
-                Some(t) => t.merge(&acc),
+                Some(t) => t.merge(&rt.layout, &acc),
             }
         }
         total.expect("at least one disjunct")

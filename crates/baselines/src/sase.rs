@@ -96,7 +96,7 @@ impl WindowAlgo for SaseWindow {
             let acc = stacks.aggregate_by_dfs(drt);
             match &mut total {
                 None => total = Some(acc),
-                Some(t) => t.merge(&acc),
+                Some(t) => t.merge(&rt.layout, &acc),
             }
         }
         total.expect("at least one disjunct")
@@ -330,8 +330,8 @@ impl Stacks {
     /// Step 2: backward DFS from end-state entries, aggregating each
     /// trend when it terminates at a trend-starting entry.
     fn aggregate_by_dfs(&self, drt: &DisjunctRuntime) -> Cell {
-        let mut acc = drt.zero_cell();
-        let mut seed = drt.zero_cell();
+        let mut acc = drt.layout.zero_cell();
+        let mut seed = drt.layout.zero_cell();
         seed.start_trend();
         for entry in &self.entries {
             if entry.state == drt.end() {
@@ -343,9 +343,9 @@ impl Stacks {
 
     fn dfs(&self, drt: &DisjunctRuntime, entry: &Entry, path_cell: &Cell, acc: &mut Cell) {
         let mut cell = path_cell.clone();
-        cell.contribute(drt.feeds.of(entry.state), &entry.event);
+        cell.contribute(&drt.layout, drt.feeds.of(entry.state), &entry.event);
         if entry.starts {
-            acc.merge(&cell); // one finished trend
+            acc.merge(&drt.layout, &cell); // one finished trend
         }
         for &p in &entry.preds {
             self.dfs(drt, &self.entries[p as usize], &cell, acc);

@@ -141,7 +141,7 @@ impl WindowAlgo for CograWindow {
             };
             match &mut cell {
                 None => cell = Some(c),
-                Some(acc) => acc.merge(&c),
+                Some(acc) => acc.merge(&rt.layout, &c),
             }
         }
         cell.expect("a compiled query has at least one disjunct")

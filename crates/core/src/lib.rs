@@ -45,7 +45,7 @@ pub use cogra_checkpoint::CheckpointError;
 pub use cogra_engine::{
     run_to_completion, AggLayout, AggValue, Cell, CellTable, DisjunctRuntime, EngineConfig,
     EventBinds, Feed, GroupKey, KeyInterner, Output, PartitionId, QueryRuntime, Router, RunStats,
-    SlotFunc, TrendEngine, Val, WindowAlgo, WindowResult,
+    SlotFunc, TrendEngine, WindowAlgo, WindowResult,
 };
 pub use parallel::{
     FailurePolicy, Metrics, PoolConfig, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE,

@@ -220,8 +220,7 @@ impl MixedWindow {
     pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
         if rt.disjunct.event_grained[rt.end().index()] {
             self.tt.commit(rt);
-            rt.table
-                .cell(&rt.layout, self.tt.table(), Self::final_row(rt))
+            rt.table.cell(self.tt.table(), Self::final_row(rt))
         } else {
             self.tt.final_cell(rt)
         }

@@ -226,7 +226,7 @@ impl PatternWindow {
 
     /// Final aggregate of the window.
     pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
-        rt.table.cell(&rt.layout, &self.slab, Self::final_row(rt))
+        rt.table.cell(&self.slab, Self::final_row(rt))
     }
 
     /// Serialize the full window state (inverse of [`PatternWindow::load`]),

@@ -253,7 +253,7 @@ impl TypeGrainedWindow {
     /// Final aggregate of the window: the end state's row (Theorem 4.1).
     pub fn final_cell(&mut self, rt: &DisjunctRuntime) -> Cell {
         self.commit(rt);
-        rt.table.cell(&rt.layout, &self.slab, rt.end().index())
+        rt.table.cell(&self.slab, rt.end().index())
     }
 
     /// Serialize the full window state (inverse of

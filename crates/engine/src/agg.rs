@@ -17,10 +17,10 @@
 //!
 //! ## Rows, tables, cells
 //!
-//! The COGRA aggregators keep their aggregates as **rows**: `1 + k` words
-//! (`u64`) for a layout of `k` slots — the trend count, then one word per
-//! slot (a wrapping count, or the bits of an `f64`). Which kind of value a
-//! word holds is a fact about the compiled query, so it lives once, in
+//! Every engine keeps its aggregates as **rows**: `1 + k` words (`u64`)
+//! for a layout of `k` slots — the trend count, then one word per slot (a
+//! wrapping count, or the bits of an `f64`). Which kind of value a word
+//! holds is a fact about the compiled query, so it lives once, in
 //! [`AggLayout::slots`], not in a tag per value; a MIN/MAX slot no event
 //! has fed yet holds [`NO_VALUE`], one reserved signalling-NaN bit pattern
 //! that neither arithmetic nor a parser produces (an attribute or a saved
@@ -36,14 +36,16 @@
 //! * rows that exist only while live — a type-grained window's staged
 //!   updates, a mixed-grained window's stored events' aggregates — are
 //!   appended to a slab behind whatever precedes them, and driven by the
-//!   same kernels ([`AggLayout::merge_row`] and friends).
+//!   same kernels ([`AggLayout::merge_row`] and friends);
+//! * a [`Cell`] is one row as an owned value: the count and the live bit
+//!   inline, the `k` slot words out of line, so a `COUNT(*)` cell
+//!   allocates nothing. It is what crosses [`WindowAlgo::final_cell`] into
+//!   the router's cross-partition merge, and what the baseline engines
+//!   compute with — through the same kernels, each taking the layout.
 //!
-//! A [`Cell`] is the same state as an owned value — count, live bit and a
-//! tagged [`Val`] per slot. It is what crosses [`WindowAlgo::final_cell`]
-//! into the router's cross-partition merge, what a snapshot spells a row as
-//! ([`AggLayout::save_row`] writes the bytes [`Cell::save`] would, and a
-//! row can only be loaded *through* the layout, so a saved cell of another
-//! shape is a typed error), and what the baseline engines compute with.
+//! A row and a cell are saved alike, as a tag and a payload per slot
+//! ([`AggLayout::save_row`], [`Cell::save`]), and either is loaded only
+//! *through* the layout, so a saved cell of another shape is a typed error.
 //!
 //! Trend counts use wrapping `u64` arithmetic: under skip-till-any-match
 //! the count is exponential in the number of events, so any fixed-width
@@ -58,16 +60,17 @@ use cogra_events::{AttrId, Event};
 use cogra_query::{AggFunc, CompiledDisjunct, StateId};
 
 /// Internal aggregation slot function (AVG is expanded before this level).
+/// The discriminant is the tag a saved slot carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotFunc {
     /// COUNT(E): number of occurrences of a variable across trends.
-    CountVar,
+    CountVar = 0,
     /// SUM(E.attr).
-    Sum,
+    Sum = 1,
     /// MIN(E.attr).
-    Min,
+    Min = 2,
     /// MAX(E.attr).
-    Max,
+    Max = 3,
 }
 
 /// The word a MIN/MAX slot of a row holds until an event feeds it: a
@@ -108,90 +111,44 @@ impl SlotFunc {
         }
     }
 
-    /// [`Val::merge`] on row words of this kind.
+    /// Fold word `b` into word `a`: counts and sums add (counts wrapping),
+    /// MIN/MAX keep the extreme of the values either holds.
     #[inline]
     fn merge_word(self, a: u64, b: u64) -> u64 {
         match self {
             SlotFunc::CountVar => a.wrapping_add(b),
             SlotFunc::Sum => (f64::from_bits(a) + f64::from_bits(b)).to_bits(),
-            SlotFunc::Min => word_of(opt_min(opt_of(a), opt_of(b))),
-            SlotFunc::Max => word_of(opt_max(opt_of(a), opt_of(b))),
+            SlotFunc::Min => word_of(opt_extreme(opt_of(a), opt_of(b), f64::min)),
+            SlotFunc::Max => word_of(opt_extreme(opt_of(a), opt_of(b), f64::max)),
         }
     }
 
-    /// The tagged value a row word of this kind stands for.
-    #[inline]
-    fn val(self, word: u64) -> Val {
+    /// The slot kind a saved slot's tag names.
+    fn of_tag(tag: u8) -> Option<SlotFunc> {
+        const TAGGED: [SlotFunc; 4] = [
+            SlotFunc::CountVar,
+            SlotFunc::Sum,
+            SlotFunc::Min,
+            SlotFunc::Max,
+        ];
+        TAGGED.get(usize::from(tag)).copied()
+    }
+
+    /// The result a word of this kind renders as.
+    fn render(self, word: u64) -> AggValue {
         match self {
-            SlotFunc::CountVar => Val::Cnt(word),
-            SlotFunc::Sum => Val::Sum(f64::from_bits(word)),
-            SlotFunc::Min => Val::Min(opt_of(word)),
-            SlotFunc::Max => Val::Max(opt_of(word)),
-        }
-    }
-
-    /// The row word of a tagged value — `None` when it is of another kind.
-    #[inline]
-    fn word(self, val: &Val) -> Option<u64> {
-        match (self, val) {
-            (SlotFunc::CountVar, Val::Cnt(c)) => Some(*c),
-            (SlotFunc::Sum, Val::Sum(s)) => Some(s.to_bits()),
-            (SlotFunc::Min, Val::Min(m)) | (SlotFunc::Max, Val::Max(m)) => Some(word_of(*m)),
-            _ => None,
+            SlotFunc::CountVar => AggValue::Count(word),
+            SlotFunc::Sum => AggValue::Float(f64::from_bits(word)),
+            SlotFunc::Min | SlotFunc::Max => opt_of(word).map_or(AggValue::Null, AggValue::Float),
         }
     }
 }
 
-/// A slot value in a [`Cell`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Val {
-    /// Occurrence count (wrapping, see module docs).
-    Cnt(u64),
-    /// Running sum (counts-weighted).
-    Sum(f64),
-    /// Running minimum; `None` until a target event contributes.
-    Min(Option<f64>),
-    /// Running maximum.
-    Max(Option<f64>),
-}
-
-impl Val {
-    /// The aggregation identity for a slot function.
-    pub fn zero(func: SlotFunc) -> Val {
-        match func {
-            SlotFunc::CountVar => Val::Cnt(0),
-            SlotFunc::Sum => Val::Sum(0.0),
-            SlotFunc::Min => Val::Min(None),
-            SlotFunc::Max => Val::Max(None),
-        }
-    }
-
-    /// Fold another value of the same slot into this one.
-    #[inline]
-    pub fn merge(&mut self, other: &Val) {
-        match (self, other) {
-            (Val::Cnt(a), Val::Cnt(b)) => *a = a.wrapping_add(*b),
-            (Val::Sum(a), Val::Sum(b)) => *a += *b,
-            (Val::Min(a), Val::Min(b)) => *a = opt_min(*a, *b),
-            (Val::Max(a), Val::Max(b)) => *a = opt_max(*a, *b),
-            _ => unreachable!("mismatched slot kinds"),
-        }
-    }
-}
-
+/// The MIN or MAX (`pick`) of the values either side holds.
 #[inline]
-fn opt_min(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+fn opt_extreme(a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64) -> Option<f64> {
     match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-#[inline]
-fn opt_max(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
+        (Some(x), Some(y)) => Some(pick(x, y)),
         (x, None) => x,
         (None, y) => y,
     }
@@ -326,14 +283,15 @@ impl AggLayout {
         Cell {
             count: 0,
             live: false,
-            vals: self.slots.iter().map(|f| Val::zero(*f)).collect(),
+            slots: self.slots.iter().map(|func| func.zero_word()).collect(),
         }
     }
 }
 
-/// The row kernels: Table 8 on `1 + k` words (see the module docs). A row
-/// is a slice of exactly [`AggLayout::stride`] words; its live bit is the
-/// owner's to keep.
+/// The kernels: Table 8 on the `k` slot words of a row or a [`Cell`], its
+/// trend count beside them (see the module docs). A row is a slice of
+/// exactly [`AggLayout::stride`] words, the count first; its live bit is
+/// the owner's to keep.
 impl AggLayout {
     /// Words per row: the trend count and one per slot.
     #[inline]
@@ -341,39 +299,29 @@ impl AggLayout {
         1 + self.slots.len()
     }
 
-    /// Set `row` to the aggregation identity.
-    #[inline]
-    pub fn reset_row(&self, row: &mut [u64]) {
-        row[0] = 0;
-        for (word, func) in row[1..].iter_mut().zip(&self.slots) {
+    // The slot kernels are the row kernels' loops on the per-event path,
+    // so they are always inlined into them.
+    #[inline(always)]
+    fn reset_slots(&self, slots: &mut [u64]) {
+        for (word, func) in slots.iter_mut().zip(&self.slots) {
             *word = func.zero_word();
         }
     }
 
-    /// Append an identity row to a row list.
-    #[inline]
-    pub fn push_row(&self, rows: &mut Vec<u64>) {
-        rows.push(0);
-        rows.extend(self.slots.iter().map(|func| func.zero_word()));
-    }
-
-    /// Fold row `src` into row `dst` ([`Cell::merge`] less the live bit).
-    #[inline]
-    pub fn merge_row(&self, dst: &mut [u64], src: &[u64]) {
-        dst[0] = dst[0].wrapping_add(src[0]);
-        for ((a, b), func) in dst[1..].iter_mut().zip(&src[1..]).zip(&self.slots) {
+    #[inline(always)]
+    fn merge_slots(&self, dst: &mut [u64], src: &[u64]) {
+        debug_assert_eq!(dst.len(), src.len(), "slots of one layout");
+        for ((a, b), func) in dst.iter_mut().zip(src).zip(&self.slots) {
             *a = func.merge_word(*a, *b);
         }
     }
 
-    /// Add the event's own contribution to a **live** row, after its
-    /// predecessors were merged and the start-of-trend `+1` applied
-    /// ([`Cell::contribute`]; a dead row takes no contribution, which is
-    /// the caller's check to make).
-    #[inline]
-    pub fn contribute_row(&self, row: &mut [u64], feeds: &[Feed], event: &Event) {
-        let count = row[0];
-        for ((word, func), feed) in row[1..].iter_mut().zip(&self.slots).zip(feeds) {
+    /// Table 8's own contribution of `event`, ending `count` trends: COUNT
+    /// slots gain `count`, SUM slots gain `attr · count`, MIN/MAX slots
+    /// include `attr`.
+    #[inline(always)]
+    fn contribute_slots(&self, slots: &mut [u64], count: u64, feeds: &[Feed], event: &Event) {
+        for ((word, func), feed) in slots.iter_mut().zip(&self.slots).zip(feeds) {
             match (func, feed) {
                 (_, Feed::No) => {}
                 (SlotFunc::CountVar, Feed::Unit) => *word = word.wrapping_add(count),
@@ -389,63 +337,107 @@ impl AggLayout {
         }
     }
 
-    /// The [`Cell`] a row and its live bit stand for.
-    pub fn row_cell(&self, row: &[u64], live: bool) -> Cell {
-        Cell {
-            count: row[0],
-            live,
-            vals: self
-                .slots
-                .iter()
-                .zip(&row[1..])
-                .map(|(func, word)| func.val(*word))
-                .collect(),
+    /// Write a count, a live bit and slot words as a saved cell: a tag and
+    /// a payload per slot, floats by bit pattern.
+    fn save_words(&self, count: u64, live: bool, slots: &[u64], enc: &mut Enc) {
+        enc.u64(count);
+        enc.bool(live);
+        enc.usize(self.slots.len());
+        for (func, word) in self.slots.iter().zip(slots) {
+            enc.u8(*func as u8);
+            match func {
+                SlotFunc::CountVar | SlotFunc::Sum => enc.u64(*word),
+                SlotFunc::Min | SlotFunc::Max if *word == NO_VALUE => enc.u8(0),
+                SlotFunc::Min | SlotFunc::Max => {
+                    enc.u8(1);
+                    enc.u64(*word);
+                }
+            }
         }
     }
 
-    /// Write `cell` into `row`; its live bit is the caller's to keep.
-    /// `Err` names the first slot at which the cell is not of this layout.
-    pub fn cell_row(&self, cell: &Cell, row: &mut [u64]) -> Result<(), String> {
-        if cell.vals.len() != self.slots.len() {
-            return Err(format!(
-                "cell has {} slots where the layout has {}",
-                cell.vals.len(),
+    /// Inverse of [`AggLayout::save_words`]: read a saved cell's slots into
+    /// `slots` and return its count and live bit. A cell that does not have
+    /// this layout's slots, in number or in kind, is
+    /// [`CheckpointError::Corrupt`].
+    fn load_words(&self, dec: &mut Dec, slots: &mut [u64]) -> Result<(u64, bool), CheckpointError> {
+        let corrupt = |why: String| Err(CheckpointError::Corrupt(why));
+        let count = dec.u64()?;
+        let live = dec.bool()?;
+        let n = dec.usize()?;
+        if n != self.slots.len() {
+            return corrupt(format!(
+                "cell has {n} slots where the layout has {}",
                 self.slots.len()
             ));
         }
-        row[0] = cell.count;
-        for (i, ((word, func), val)) in row[1..]
-            .iter_mut()
-            .zip(&self.slots)
-            .zip(&cell.vals)
-            .enumerate()
-        {
-            *word = func
-                .word(val)
-                .ok_or_else(|| format!("slot {i} holds {val:?} where the layout has {func:?}"))?;
+        for (i, (word, func)) in slots.iter_mut().zip(&self.slots).enumerate() {
+            let tag = dec.u8()?;
+            match SlotFunc::of_tag(tag) {
+                None => return corrupt(format!("bad slot tag {tag}")),
+                Some(found) if found != *func => {
+                    return corrupt(format!(
+                        "slot {i} holds {found:?} where the layout has {func:?}"
+                    ))
+                }
+                Some(_) => {}
+            }
+            *word = match func {
+                SlotFunc::CountVar | SlotFunc::Sum => dec.u64()?,
+                SlotFunc::Min | SlotFunc::Max => match dec.u8()? {
+                    0 => NO_VALUE,
+                    1 => word_of(Some(dec.f64()?)),
+                    t => return corrupt(format!("bad option tag {t}")),
+                },
+            };
         }
-        Ok(())
+        Ok((count, live))
     }
 
-    /// Serialize a row as the [`Cell`] it stands for — byte for byte what
-    /// [`Cell::save`] writes.
+    /// Set `row` to the aggregation identity.
+    #[inline]
+    pub fn reset_row(&self, row: &mut [u64]) {
+        row[0] = 0;
+        self.reset_slots(&mut row[1..]);
+    }
+
+    /// Append an identity row to a row list.
+    #[inline]
+    pub fn push_row(&self, rows: &mut Vec<u64>) {
+        rows.push(0);
+        rows.extend(self.slots.iter().map(|func| func.zero_word()));
+    }
+
+    /// Fold row `src` into row `dst` ([`Cell::merge`] less the live bit).
+    #[inline]
+    pub fn merge_row(&self, dst: &mut [u64], src: &[u64]) {
+        dst[0] = dst[0].wrapping_add(src[0]);
+        self.merge_slots(&mut dst[1..], &src[1..]);
+    }
+
+    /// Add the event's own contribution to a **live** row, after its
+    /// predecessors were merged and the start-of-trend `+1` applied
+    /// ([`Cell::contribute`]; a dead row takes no contribution, which is
+    /// the caller's check to make).
+    #[inline]
+    pub fn contribute_row(&self, row: &mut [u64], feeds: &[Feed], event: &Event) {
+        let count = row[0];
+        self.contribute_slots(&mut row[1..], count, feeds, event);
+    }
+
+    /// Serialize a row and its live bit — byte for byte what [`Cell::save`]
+    /// writes of the same aggregates.
     pub fn save_row(&self, row: &[u64], live: bool, enc: &mut Enc) {
-        enc.u64(row[0]);
-        enc.bool(live);
-        enc.usize(self.slots.len());
-        for (func, word) in self.slots.iter().zip(&row[1..]) {
-            func.val(*word).save(enc);
-        }
+        self.save_words(row[0], live, &row[1..], enc);
     }
 
     /// Inverse of [`AggLayout::save_row`]: read a saved cell into `row` and
     /// return its live bit. A cell that does not have this layout's slots,
     /// in number or in kind, is [`CheckpointError::Corrupt`] — never a row.
     pub fn load_row(&self, dec: &mut Dec, row: &mut [u64]) -> Result<bool, CheckpointError> {
-        let cell = Cell::load(dec)?;
-        self.cell_row(&cell, row)
-            .map_err(CheckpointError::Corrupt)?;
-        Ok(cell.live)
+        let (count, live) = self.load_words(dec, &mut row[1..])?;
+        row[0] = count;
+        Ok(live)
     }
 }
 
@@ -625,9 +617,14 @@ impl CellTable {
         }
     }
 
-    /// Row `r` as an owned [`Cell`].
-    pub fn cell(&self, layout: &AggLayout, slab: &[u64], r: usize) -> Cell {
-        layout.row_cell(self.row(slab, r), self.is_live(slab, r))
+    /// Row `r` as an owned [`Cell`]: its words, copied.
+    pub fn cell(&self, slab: &[u64], r: usize) -> Cell {
+        let row = self.row(slab, r);
+        Cell {
+            count: row[0],
+            live: self.is_live(slab, r),
+            slots: row[1..].into(),
+        }
     }
 
     /// Serialize row `r` as the [`Cell`] it stands for.
@@ -649,7 +646,10 @@ impl CellTable {
     }
 }
 
-/// Propagated aggregation state: the trend count plus one value per slot.
+/// One row as an owned value: the trend count and the live bit inline,
+/// one word per slot out of line (none under `COUNT(*)` alone, so such a
+/// cell allocates nothing). Every operation that reads a slot takes the
+/// layout the cell was made by and runs the row kernels' code.
 ///
 /// `live` tracks *logical* emptiness separately from the wrapping `count`:
 /// under skip-till-any-match the exact count is a power of two per event
@@ -658,14 +658,14 @@ impl CellTable {
 /// decision — storing a GRETA node, keeping a pending type-cell update,
 /// emitting a window result — must use [`Cell::is_zero`], never
 /// `count == 0`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// Number of (partial) trends this cell accounts for (wrapping u64).
     pub count: u64,
     /// Whether any trend at all is accounted for (exact, wrap-proof).
     pub live: bool,
-    /// Slot values, aligned with [`AggLayout::slots`].
-    pub vals: Vec<Val>,
+    /// Slot words, aligned with [`AggLayout::slots`].
+    slots: Box<[u64]>,
 }
 
 impl Cell {
@@ -685,62 +685,34 @@ impl Cell {
 
     /// Reset to the aggregation identity in place (negation shadow resets,
     /// contiguous-semantics invalidation).
-    pub fn reset(&mut self) {
+    pub fn reset(&mut self, layout: &AggLayout) {
         self.count = 0;
         self.live = false;
-        for v in &mut self.vals {
-            *v = match v {
-                Val::Cnt(_) => Val::Cnt(0),
-                Val::Sum(_) => Val::Sum(0.0),
-                Val::Min(_) => Val::Min(None),
-                Val::Max(_) => Val::Max(None),
-            };
-        }
+        layout.reset_slots(&mut self.slots);
     }
 
     /// Fold `other` into `self` (predecessor propagation / cross-partition
     /// combination — both are the same monoid operation).
-    pub fn merge(&mut self, other: &Cell) {
+    pub fn merge(&mut self, layout: &AggLayout, other: &Cell) {
         self.count = self.count.wrapping_add(other.count);
         self.live |= other.live;
-        for (a, b) in self.vals.iter_mut().zip(&other.vals) {
-            a.merge(b);
-        }
+        layout.merge_slots(&mut self.slots, &other.slots);
     }
 
     /// Add the event's own contribution, after its predecessors were
-    /// merged and the start-of-trend `+1` applied to `count` (Table 8):
-    /// COUNT slots gain `e.count`, SUM slots gain `attr · e.count`,
-    /// MIN/MAX slots include `attr`.
-    pub fn contribute(&mut self, feeds: &[Feed], event: &Event) {
-        if !self.live {
-            // No partial trend ends at this event, so no finished trend
-            // will ever contain it: its attribute values must not leak
-            // into MIN/MAX (COUNT/SUM contributions would be zero anyway).
-            return;
-        }
-        for (val, feed) in self.vals.iter_mut().zip(feeds) {
-            match (val, feed) {
-                (_, Feed::No) => {}
-                (Val::Cnt(c), Feed::Unit) => *c = c.wrapping_add(self.count),
-                (Val::Sum(s), Feed::Attr(a)) => {
-                    let x = event.attr(*a).as_f64().unwrap_or(0.0);
-                    *s += x * self.count as f64;
-                }
-                (Val::Min(m), Feed::Attr(a)) => {
-                    *m = opt_min(*m, event.attr(*a).as_f64());
-                }
-                (Val::Max(m), Feed::Attr(a)) => {
-                    *m = opt_max(*m, event.attr(*a).as_f64());
-                }
-                (v, f) => unreachable!("feed {f:?} incompatible with slot {v:?}"),
-            }
+    /// merged and the start-of-trend `+1` applied to `count` (Table 8).
+    pub fn contribute(&mut self, layout: &AggLayout, feeds: &[Feed], event: &Event) {
+        // While dead, no partial trend ends at this event, so no finished
+        // trend will ever contain it: its attribute values must not leak
+        // into MIN/MAX (COUNT/SUM contributions would be zero anyway).
+        if self.live {
+            layout.contribute_slots(&mut self.slots, self.count, feeds, event);
         }
     }
 
     /// Logical size for memory accounting.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Cell>() + self.vals.len() * std::mem::size_of::<Val>()
+        std::mem::size_of::<Cell>() + std::mem::size_of_val(&*self.slots)
     }
 
     /// Render the outputs of this cell.
@@ -748,133 +720,29 @@ impl Cell {
         layout
             .outputs
             .iter()
-            .map(|o| match o {
+            .map(|o| match *o {
                 Output::CountStar => AggValue::Count(self.count),
-                Output::Slot(i) => match self.vals[*i] {
-                    Val::Cnt(c) => AggValue::Count(c),
-                    Val::Sum(s) => AggValue::Float(s),
-                    Val::Min(m) | Val::Max(m) => m.map_or(AggValue::Null, AggValue::Float),
+                Output::Slot(i) => layout.slots[i].render(self.slots[i]),
+                Output::Ratio { sum, cnt } => match self.slots[cnt] {
+                    0 => AggValue::Null,
+                    c => AggValue::Float(f64::from_bits(self.slots[sum]) / c as f64),
                 },
-                Output::Ratio { sum, cnt } => {
-                    let (Val::Sum(s), Val::Cnt(c)) = (self.vals[*sum], self.vals[*cnt]) else {
-                        unreachable!("ratio over non sum/cnt slots")
-                    };
-                    if c == 0 {
-                        AggValue::Null
-                    } else {
-                        AggValue::Float(s / c as f64)
-                    }
-                }
             })
             .collect()
     }
-}
 
-fn save_opt_f64(v: Option<f64>, enc: &mut cogra_checkpoint::Enc) {
-    match v {
-        Some(x) => {
-            enc.u8(1);
-            enc.f64(x);
-        }
-        None => enc.u8(0),
-    }
-}
-
-fn load_opt_f64(
-    dec: &mut cogra_checkpoint::Dec,
-) -> Result<Option<f64>, cogra_checkpoint::CheckpointError> {
-    match dec.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec.f64()?)),
-        t => Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
-            "bad option tag {t}"
-        ))),
-    }
-}
-
-impl Val {
-    /// Serialize as a tag byte + payload; floats are stored by bit
-    /// pattern, so restored slots are bit-identical.
-    pub fn save(&self, enc: &mut cogra_checkpoint::Enc) {
-        match self {
-            Val::Cnt(c) => {
-                enc.u8(0);
-                enc.u64(*c);
-            }
-            Val::Sum(s) => {
-                enc.u8(1);
-                enc.f64(*s);
-            }
-            Val::Min(m) => {
-                enc.u8(2);
-                save_opt_f64(*m, enc);
-            }
-            Val::Max(m) => {
-                enc.u8(3);
-                save_opt_f64(*m, enc);
-            }
-        }
+    /// Serialize the cell: count, liveness, and a tag and a payload per
+    /// slot ([`AggLayout::save_row`]'s bytes).
+    pub fn save(&self, layout: &AggLayout, enc: &mut Enc) {
+        layout.save_words(self.count, self.live, &self.slots, enc);
     }
 
-    /// Inverse of [`Val::save`].
-    pub fn load(dec: &mut cogra_checkpoint::Dec) -> Result<Val, cogra_checkpoint::CheckpointError> {
-        Ok(match dec.u8()? {
-            0 => Val::Cnt(dec.u64()?),
-            1 => Val::Sum(dec.f64()?),
-            2 => Val::Min(load_opt_f64(dec)?),
-            3 => Val::Max(load_opt_f64(dec)?),
-            t => {
-                return Err(cogra_checkpoint::CheckpointError::Corrupt(format!(
-                    "bad slot tag {t}"
-                )))
-            }
-        })
-    }
-}
-
-impl Cell {
-    /// Serialize the cell (count, liveness, slot values).
-    pub fn save(&self, enc: &mut cogra_checkpoint::Enc) {
-        enc.u64(self.count);
-        enc.bool(self.live);
-        enc.usize(self.vals.len());
-        for v in &self.vals {
-            v.save(enc);
-        }
-    }
-
-    /// Inverse of [`Cell::save`].
-    pub fn load(
-        dec: &mut cogra_checkpoint::Dec,
-    ) -> Result<Cell, cogra_checkpoint::CheckpointError> {
-        let count = dec.u64()?;
-        let live = dec.bool()?;
-        let n = dec.usize()?;
-        let mut vals = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            vals.push(Val::load(dec)?);
-        }
-        Ok(Cell { count, live, vals })
-    }
-
-    /// Serialize a cell list with a leading count.
-    pub fn save_slice(cells: &[Cell], enc: &mut cogra_checkpoint::Enc) {
-        enc.usize(cells.len());
-        for c in cells {
-            c.save(enc);
-        }
-    }
-
-    /// Inverse of [`Cell::save_slice`].
-    pub fn load_vec(
-        dec: &mut cogra_checkpoint::Dec,
-    ) -> Result<Vec<Cell>, cogra_checkpoint::CheckpointError> {
-        let n = dec.usize()?;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(Cell::load(dec)?);
-        }
-        Ok(out)
+    /// Inverse of [`Cell::save`], through the layout: a saved cell of
+    /// another layout is [`CheckpointError::Corrupt`].
+    pub fn load(layout: &AggLayout, dec: &mut Dec) -> Result<Cell, CheckpointError> {
+        let mut cell = layout.zero_cell();
+        (cell.count, cell.live) = layout.load_words(dec, &mut cell.slots)?;
+        Ok(cell)
     }
 }
 
@@ -917,54 +785,191 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    /// Table 8 on one tagged scalar per slot — what the kernels on words
+    /// are held to: a wrapping count, a Σ, and MIN/MAX over `Option<f64>`.
+    #[derive(Debug, Clone, Copy)]
+    enum Scalar {
+        Cnt(u64),
+        Sum(f64),
+        Min(Option<f64>),
+        Max(Option<f64>),
+    }
+
+    impl Scalar {
+        fn zero(func: SlotFunc) -> Scalar {
+            match func {
+                SlotFunc::CountVar => Scalar::Cnt(0),
+                SlotFunc::Sum => Scalar::Sum(0.0),
+                SlotFunc::Min => Scalar::Min(None),
+                SlotFunc::Max => Scalar::Max(None),
+            }
+        }
+
+        fn merge(&mut self, other: Scalar) {
+            let either = |a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64| match (a, b) {
+                (Some(x), Some(y)) => Some(pick(x, y)),
+                (x, y) => x.or(y),
+            };
+            *self = match (*self, other) {
+                (Scalar::Cnt(a), Scalar::Cnt(b)) => Scalar::Cnt(a.wrapping_add(b)),
+                (Scalar::Sum(a), Scalar::Sum(b)) => Scalar::Sum(a + b),
+                (Scalar::Min(a), Scalar::Min(b)) => Scalar::Min(either(a, b, f64::min)),
+                (Scalar::Max(a), Scalar::Max(b)) => Scalar::Max(either(a, b, f64::max)),
+                (a, b) => panic!("slots of two kinds: {a:?}, {b:?}"),
+            }
+        }
+
+        /// A tag, then a count or a Σ by bit pattern, or an option byte and
+        /// the value of a MIN/MAX.
+        fn save(self, enc: &mut Enc) {
+            let (tag, payload) = match self {
+                Scalar::Cnt(c) => (0, Err(c)),
+                Scalar::Sum(s) => (1, Err(s.to_bits())),
+                Scalar::Min(m) => (2, Ok(m)),
+                Scalar::Max(m) => (3, Ok(m)),
+            };
+            enc.u8(tag);
+            match payload {
+                Err(word) => enc.u64(word),
+                Ok(None) => enc.u8(0),
+                Ok(Some(x)) => {
+                    enc.u8(1);
+                    enc.f64(x);
+                }
+            }
+        }
+    }
+
+    /// A cell of [`Scalar`]s: the reference a row and a [`Cell`] stand for.
+    #[derive(Debug, Clone)]
+    struct Reference {
+        count: u64,
+        live: bool,
+        vals: Vec<Scalar>,
+    }
+
+    impl Reference {
+        fn zero(layout: &AggLayout) -> Reference {
+            Reference {
+                count: 0,
+                live: false,
+                vals: layout.slots.iter().map(|f| Scalar::zero(*f)).collect(),
+            }
+        }
+
+        fn start_trend(&mut self) {
+            self.count = self.count.wrapping_add(1);
+            self.live = true;
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            self.count = self.count.wrapping_add(other.count);
+            self.live |= other.live;
+            for (a, b) in self.vals.iter_mut().zip(&other.vals) {
+                a.merge(*b);
+            }
+        }
+
+        fn contribute(&mut self, feeds: &[Feed], event: &Event) {
+            if !self.live {
+                return;
+            }
+            let (count, x) = (self.count, |a| event.attr(a).as_f64());
+            for (val, feed) in self.vals.iter_mut().zip(feeds) {
+                let share = match (*val, *feed) {
+                    (_, Feed::No) => continue,
+                    (Scalar::Cnt(_), Feed::Unit) => Scalar::Cnt(count),
+                    (Scalar::Sum(_), Feed::Attr(a)) => {
+                        Scalar::Sum(x(a).unwrap_or(0.0) * count as f64)
+                    }
+                    (Scalar::Min(_), Feed::Attr(a)) => Scalar::Min(x(a)),
+                    (Scalar::Max(_), Feed::Attr(a)) => Scalar::Max(x(a)),
+                    (slot, feed) => panic!("feed {feed:?} of a {slot:?} slot"),
+                };
+                val.merge(share);
+            }
+        }
+
+        /// The snapshot bytes of a cell with these aggregates.
+        fn bytes(&self) -> Vec<u8> {
+            let mut enc = Enc::new();
+            enc.u64(self.count);
+            enc.bool(self.live);
+            enc.usize(self.vals.len());
+            for val in &self.vals {
+                val.save(&mut enc);
+            }
+            enc.into_bytes()
+        }
+    }
+
     fn event(v: i64) -> Event {
         Event::new(0, 1, TypeId(0), vec![Value::Int(v)])
     }
 
+    /// A cell as its snapshot bytes: equality to the bit, NaNs included.
+    fn bytes(layout: &AggLayout, cell: &Cell) -> Vec<u8> {
+        let mut enc = Enc::new();
+        cell.save(layout, &mut enc);
+        enc.into_bytes()
+    }
+
+    /// A cell of `layout` holding `count` live trends and these slot words.
+    fn cell(layout: &AggLayout, count: u64, slots: &[u64]) -> Cell {
+        let mut cell = layout.zero_cell();
+        (cell.count, cell.live) = (count, true);
+        cell.slots.copy_from_slice(slots);
+        cell
+    }
+
+    /// A layout of `slots`, each rendered as itself.
+    fn layout_of(slots: Vec<SlotFunc>) -> AggLayout {
+        let outputs = (0..slots.len()).map(Output::Slot).collect();
+        AggLayout { slots, outputs }
+    }
+
     #[test]
     fn val_merge_semantics() {
-        let mut c = Val::Cnt(3);
-        c.merge(&Val::Cnt(4));
-        assert_eq!(c, Val::Cnt(7));
-
-        let mut m = Val::Min(Some(5.0));
-        m.merge(&Val::Min(Some(3.0)));
-        assert_eq!(m, Val::Min(Some(3.0)));
-        m.merge(&Val::Min(None));
-        assert_eq!(m, Val::Min(Some(3.0)));
-
-        let mut x = Val::Max(None);
-        x.merge(&Val::Max(Some(9.0)));
-        assert_eq!(x, Val::Max(Some(9.0)));
-
-        let mut s = Val::Sum(1.5);
-        s.merge(&Val::Sum(2.5));
-        assert_eq!(s, Val::Sum(4.0));
+        use AggValue::{Count, Float};
+        use SlotFunc::*;
+        let layout = layout_of(vec![CountVar, Min, Min, Max, Sum]);
+        let [five, three, nine] = [5.0, 3.0, 9.0].map(|x| word_of(Some(x)));
+        let mut a = cell(&layout, 1, &[3, five, three, NO_VALUE, 1.5f64.to_bits()]);
+        let b = cell(&layout, 1, &[4, three, NO_VALUE, nine, 2.5f64.to_bits()]);
+        a.merge(&layout, &b);
+        let merged = [Count(7), Float(3.0), Float(3.0), Float(9.0), Float(4.0)];
+        assert_eq!(a.outputs(&layout), merged);
     }
 
     #[test]
     fn count_wraps_instead_of_panicking() {
-        let mut c = Val::Cnt(u64::MAX);
-        c.merge(&Val::Cnt(2));
-        assert_eq!(c, Val::Cnt(1));
+        let layout = layout_of(vec![SlotFunc::CountVar]);
+        let mut c = cell(&layout, u64::MAX, &[u64::MAX]);
+        c.merge(&layout, &cell(&layout, 2, &[2]));
+        assert_eq!(c.count, 1);
+        assert_eq!(c.outputs(&layout), [AggValue::Count(1)]);
     }
 
     #[test]
     fn cell_contribution_weights_by_count() {
         // An event ending 3 partial trends, feeding a SUM slot with
         // attribute value 10 → slot grows by 30 (Table 8: e.attr * e.count).
-        let layout = AggLayout {
-            slots: vec![SlotFunc::Sum, SlotFunc::CountVar, SlotFunc::Min],
-            outputs: vec![Output::Slot(0), Output::Slot(1), Output::Slot(2)],
-        };
+        let layout = layout_of(vec![SlotFunc::Sum, SlotFunc::CountVar, SlotFunc::Min]);
         let mut cell = layout.zero_cell();
         cell.count = 3;
         cell.live = true;
         let feeds = vec![Feed::Attr(AttrId(0)), Feed::Unit, Feed::Attr(AttrId(0))];
-        cell.contribute(&feeds, &event(10));
-        assert_eq!(cell.vals[0], Val::Sum(30.0));
-        assert_eq!(cell.vals[1], Val::Cnt(3));
-        assert_eq!(cell.vals[2], Val::Min(Some(10.0)));
+        cell.contribute(&layout, &feeds, &event(10));
+        let weighted = [
+            AggValue::Float(30.0),
+            AggValue::Count(3),
+            AggValue::Float(10.0),
+        ];
+        assert_eq!(cell.outputs(&layout), weighted);
+        // A dead cell takes nothing.
+        let mut dead = layout.zero_cell();
+        dead.contribute(&layout, &feeds, &event(10));
+        assert_eq!(bytes(&layout, &dead), bytes(&layout, &layout.zero_cell()));
     }
 
     #[test]
@@ -973,17 +978,12 @@ mod tests {
             slots: vec![SlotFunc::Sum, SlotFunc::CountVar],
             outputs: vec![Output::CountStar, Output::Ratio { sum: 0, cnt: 1 }],
         };
-        let mut cell = layout.zero_cell();
+        let zero = layout.zero_cell();
+        assert_eq!(zero.outputs(&layout), [AggValue::Count(0), AggValue::Null]);
+        let cell = cell(&layout, 2, &[10f64.to_bits(), 4]);
         assert_eq!(
             cell.outputs(&layout),
-            vec![AggValue::Count(0), AggValue::Null]
-        );
-        cell.count = 2;
-        cell.vals[0] = Val::Sum(10.0);
-        cell.vals[1] = Val::Cnt(4);
-        assert_eq!(
-            cell.outputs(&layout),
-            vec![AggValue::Count(2), AggValue::Float(2.5)]
+            [AggValue::Count(2), AggValue::Float(2.5)]
         );
     }
 
@@ -993,42 +993,32 @@ mod tests {
         // the wrapping count is exactly 0 while trends still exist. The
         // `live` flag must keep the cell logically non-empty (regression
         // test for the GRETA node-dropping bug).
-        let layout = AggLayout {
-            slots: vec![],
-            outputs: vec![Output::CountStar],
-        };
+        let layout = layout_of(vec![]);
         let mut cell = layout.zero_cell();
         cell.start_trend();
         cell.count = 0; // simulate 2^64 ≡ 0 wraparound
         assert!(!cell.is_zero(), "wrapped count must stay live");
         let mut other = layout.zero_cell();
-        other.merge(&cell);
+        other.merge(&layout, &cell);
         assert!(!other.is_zero(), "liveness propagates through merge");
-        other.reset();
+        other.reset(&layout);
         assert!(other.is_zero());
+        assert_eq!(cell.memory_bytes(), std::mem::size_of::<Cell>());
     }
 
     #[test]
     fn merge_is_pointwise() {
-        let layout = AggLayout {
-            slots: vec![SlotFunc::Min, SlotFunc::Sum],
-            outputs: vec![],
-        };
-        let mut a = layout.zero_cell();
-        a.count = 1;
-        a.live = true;
-        a.vals[0] = Val::Min(Some(4.0));
-        a.vals[1] = Val::Sum(2.0);
-        let mut b = layout.zero_cell();
-        b.count = 2;
-        b.live = true;
-        b.vals[0] = Val::Min(Some(7.0));
-        b.vals[1] = Val::Sum(5.0);
-        a.merge(&b);
+        let layout = layout_of(vec![SlotFunc::Min, SlotFunc::Sum]);
+        let mut a = cell(&layout, 1, &[4f64.to_bits(), 2f64.to_bits()]);
+        let b = cell(&layout, 2, &[7f64.to_bits(), 5f64.to_bits()]);
+        a.merge(&layout, &b);
         assert_eq!(a.count, 3);
-        assert_eq!(a.vals[0], Val::Min(Some(4.0)));
-        assert_eq!(a.vals[1], Val::Sum(7.0));
+        assert_eq!(
+            a.outputs(&layout),
+            [AggValue::Float(4.0), AggValue::Float(7.0)]
+        );
     }
+
     /// Counts that wrap: mostly small, sometimes within reach of 2^64.
     fn count(rng: &mut StdRng) -> u64 {
         match rng.random_range(0..4) {
@@ -1059,39 +1049,31 @@ mod tests {
                 _ => Feed::Attr(AttrId(rng.random_range(0..2))),
             })
             .collect();
-        let layout = AggLayout {
-            slots,
-            outputs: vec![Output::CountStar],
-        };
-        (layout, feeds)
+        (layout_of(slots), feeds)
     }
 
-    /// A random cell of `layout`: any count, MIN/MAX with and without a
-    /// value, and — one time in four — live with a count that wrapped to 0.
-    fn random_cell(rng: &mut StdRng, layout: &AggLayout) -> Cell {
-        let mut cell = layout.zero_cell();
+    /// A random reference of `layout`: any count, MIN/MAX with and without
+    /// a value, and — one time in four — live with a count that wrapped to 0.
+    fn random_reference(rng: &mut StdRng, layout: &AggLayout) -> Reference {
+        let mut cell = Reference::zero(layout);
         cell.count = count(rng);
         cell.live = cell.count != 0 || rng.random_range(0..4) == 0;
         for val in &mut cell.vals {
             *val = match val {
-                Val::Cnt(_) => Val::Cnt(count(rng)),
-                Val::Sum(_) => Val::Sum(float(rng)),
-                Val::Min(_) => Val::Min((rng.random_range(0..3) > 0).then(|| float(rng))),
-                Val::Max(_) => Val::Max((rng.random_range(0..3) > 0).then(|| float(rng))),
+                Scalar::Cnt(_) => Scalar::Cnt(count(rng)),
+                Scalar::Sum(_) => Scalar::Sum(float(rng)),
+                Scalar::Min(_) => Scalar::Min((rng.random_range(0..3) > 0).then(|| float(rng))),
+                Scalar::Max(_) => Scalar::Max((rng.random_range(0..3) > 0).then(|| float(rng))),
             };
         }
         cell
     }
 
-    /// A cell as its snapshot bytes: equality to the bit, NaNs included.
-    fn bytes(cell: &Cell) -> Vec<u8> {
-        let mut enc = Enc::new();
-        cell.save(&mut enc);
-        enc.into_bytes()
-    }
-
     #[test]
     fn every_row_operation_equals_the_cell_operation_it_replaces() {
+        // Three spellings of the same aggregates, one operation at a time:
+        // the rows of a table inside a slab, owned `Cell`s, and the scalar
+        // reference. All three save the same bytes after every operation.
         let mut rng = StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15);
         for round in 0..400 {
             let (layout, feeds) = random_layout(&mut rng, round % 5);
@@ -1103,6 +1085,7 @@ mod tests {
             slab.extend([7; 3]);
             let slab = &mut slab[3..];
             let mut cells = vec![layout.zero_cell(); rows];
+            let mut refs = vec![Reference::zero(&layout); rows];
             let mut list: Vec<u64> = Vec::new();
             for _ in 0..60 {
                 let (r, other) = (rng.random_range(0..rows), rng.random_range(0..rows));
@@ -1116,27 +1099,33 @@ mod tests {
                     0 => {
                         table.start_trend(slab, r);
                         cells[r].start_trend();
+                        refs[r].start_trend();
                     }
                     1 if r != other => {
                         table.merge(&layout, slab, r, other);
                         let src = cells[other].clone();
-                        cells[r].merge(&src);
+                        cells[r].merge(&layout, &src);
+                        let src = refs[other].clone();
+                        refs[r].merge(&src);
                     }
                     2 => {
                         table.contribute(&layout, slab, r, &feeds, &event);
-                        cells[r].contribute(&feeds, &event);
+                        cells[r].contribute(&layout, &feeds, &event);
+                        refs[r].contribute(&feeds, &event);
                     }
                     3 => {
                         table.reset(&layout, slab, r);
-                        cells[r].reset();
+                        cells[r].reset(&layout);
+                        refs[r] = Reference::zero(&layout);
                     }
                     4 => {
-                        let cell = random_cell(&mut rng, &layout);
-                        let saved = bytes(&cell);
+                        let loaded = random_reference(&mut rng, &layout);
+                        let saved = loaded.bytes();
                         table
                             .load_row(&layout, slab, r, &mut Dec::new(&saved))
                             .expect("same layout");
-                        cells[r] = cell;
+                        cells[r] = Cell::load(&layout, &mut Dec::new(&saved)).expect("same layout");
+                        refs[r] = loaded;
                     }
                     5 => {
                         // Out of the table and back: a fresh row takes
@@ -1145,49 +1134,66 @@ mod tests {
                         list.clear();
                         layout.push_row(&mut list);
                         let mut staged = layout.zero_cell();
+                        let mut staged_ref = Reference::zero(&layout);
                         let live = table.merge_into(&layout, slab, other, &mut list);
-                        staged.merge(&cells[other]);
-                        assert_eq!(live, staged.live);
+                        staged.merge(&layout, &cells[other]);
+                        staged_ref.merge(&refs[other]);
+                        assert_eq!(live, staged_ref.live);
                         if live {
                             layout.contribute_row(&mut list, &feeds, &event);
-                            staged.contribute(&feeds, &event);
-                            assert_eq!(bytes(&layout.row_cell(&list, true)), bytes(&staged));
+                            staged.contribute(&layout, &feeds, &event);
+                            staged_ref.contribute(&feeds, &event);
+                            let mut enc = Enc::new();
+                            layout.save_row(&list, true, &mut enc);
+                            assert_eq!(enc.as_slice(), staged_ref.bytes());
+                            assert_eq!(bytes(&layout, &staged), staged_ref.bytes());
                             table.merge_from(&layout, slab, r, &list);
-                            cells[r].merge(&staged);
+                            cells[r].merge(&layout, &staged);
+                            refs[r].merge(&staged_ref);
                         }
                     }
                     6 => {
                         let mut enc = Enc::new();
                         table.save_row(&layout, slab, r, &mut enc);
-                        assert_eq!(enc.as_slice(), bytes(&cells[r]), "a row saves as its cell");
                         let mut dec = Dec::new(enc.as_slice());
                         table
                             .load_row(&layout, slab, other, &mut dec)
                             .expect("same layout");
-                        cells[other] = cells[r].clone();
+                        let saved = bytes(&layout, &cells[r]);
+                        cells[other] =
+                            Cell::load(&layout, &mut Dec::new(&saved)).expect("same layout");
+                        refs[other] = refs[r].clone();
                     }
                     7 => {
                         // Dead now, reset before it is read again.
                         let (from, to) = (r.min(other), r.max(other) + 1);
                         table.clear_live(slab, from..to);
-                        for (r, cell) in cells.iter_mut().enumerate().take(to).skip(from) {
+                        for r in from..to {
                             assert!(!table.is_live(slab, r));
                             table.reset(&layout, slab, r);
-                            cell.reset();
+                            cells[r].reset(&layout);
+                            refs[r] = Reference::zero(&layout);
                         }
                     }
                     _ => {
                         table.reset_all(&layout, slab);
-                        cells.iter_mut().for_each(Cell::reset);
+                        cells.iter_mut().for_each(|cell| cell.reset(&layout));
+                        refs.fill(Reference::zero(&layout));
                     }
                 }
-                for (r, cell) in cells.iter().enumerate() {
-                    assert_eq!(table.is_live(slab, r), cell.live, "round {round} row {r}");
+                for (r, (cell, reference)) in cells.iter().zip(&refs).enumerate() {
+                    let expected = reference.bytes();
+                    let mut enc = Enc::new();
+                    table.save_row(&layout, slab, r, &mut enc);
+                    assert_eq!(enc.as_slice(), expected, "round {round} row {r}");
+                    assert_eq!(bytes(&layout, cell), expected, "round {round} cell {r}");
                     assert_eq!(
-                        bytes(&table.cell(&layout, slab, r)),
-                        bytes(cell),
-                        "round {round} row {r}"
+                        bytes(&layout, &table.cell(slab, r)),
+                        expected,
+                        "round {round} row {r} as a cell"
                     );
+                    assert_eq!(table.is_live(slab, r), reference.live);
+                    assert_eq!(cell.is_zero(), !reference.live);
                 }
                 let outside = slab.len() - table.words();
                 assert_eq!(
@@ -1200,77 +1206,52 @@ mod tests {
     }
 
     #[test]
-    fn row_to_cell_to_row_is_the_identity() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for round in 0..400 {
-            let (layout, _) = random_layout(&mut rng, round % 5);
-            let cell = random_cell(&mut rng, &layout);
-            let mut row = vec![0; layout.stride()];
-            layout.cell_row(&cell, &mut row).expect("same layout");
-            assert_eq!(bytes(&layout.row_cell(&row, cell.live)), bytes(&cell));
-            let mut again = vec![0; layout.stride()];
-            layout
-                .cell_row(&layout.row_cell(&row, cell.live), &mut again)
-                .expect("same layout");
-            assert_eq!(row, again);
-        }
-    }
-
-    #[test]
     fn a_value_with_the_reserved_bits_is_still_a_value() {
         // The wire and snapshot decoders take any eight bytes for a float.
         let reserved = f64::from_bits(NO_VALUE);
+        let is_a_value = |value: &[AggValue]| matches!(value, [AggValue::Float(x)] if x.is_nan());
         for func in [SlotFunc::Min, SlotFunc::Max] {
-            let layout = AggLayout {
-                slots: vec![func],
-                outputs: vec![Output::Slot(0)],
-            };
+            let layout = layout_of(vec![func]);
+            let feeds = [Feed::Attr(AttrId(0))];
             let event = Event::new(0, 1, TypeId(0), vec![Value::Float(reserved)]);
             let table = CellTable::new(&layout, 1);
             let mut slab = Vec::new();
             table.append(&layout, &mut slab);
             table.start_trend(&mut slab, 0);
-            table.contribute(&layout, &mut slab, 0, &[Feed::Attr(AttrId(0))], &event);
-            let mut saved = layout.zero_cell();
+            table.contribute(&layout, &mut slab, 0, &feeds, &event);
+            let mut fed = layout.zero_cell();
+            fed.start_trend();
+            fed.contribute(&layout, &feeds, &event);
+            let mut saved = Reference::zero(&layout);
             saved.live = true;
             saved.vals[0] = match func {
-                SlotFunc::Min => Val::Min(Some(reserved)),
-                _ => Val::Max(Some(reserved)),
+                SlotFunc::Min => Scalar::Min(Some(reserved)),
+                _ => Scalar::Max(Some(reserved)),
             };
-            let mut row = vec![0; layout.stride()];
-            layout.cell_row(&saved, &mut row).expect("same layout");
-            for cell in [table.cell(&layout, &slab, 0), layout.row_cell(&row, true)] {
-                match cell.vals[0] {
-                    Val::Min(Some(x)) | Val::Max(Some(x)) => assert!(x.is_nan()),
-                    ref other => panic!("the value was lost: {other:?}"),
-                }
+            let loaded = Cell::load(&layout, &mut Dec::new(&saved.bytes())).expect("same layout");
+            for cell in [table.cell(&slab, 0), fed, loaded] {
+                let outputs = cell.outputs(&layout);
+                assert!(is_a_value(&outputs), "the value was lost: {outputs:?}");
             }
         }
     }
 
     #[test]
     fn a_cell_of_another_layout_is_no_row() {
-        let narrow = AggLayout {
-            slots: vec![],
-            outputs: vec![Output::CountStar],
-        };
-        let sum = AggLayout {
-            slots: vec![SlotFunc::Sum],
-            outputs: vec![Output::Slot(0)],
-        };
-        let min = AggLayout {
-            slots: vec![SlotFunc::Min],
-            outputs: vec![Output::Slot(0)],
-        };
-        let mut enc = Enc::new();
-        sum.zero_cell().save(&mut enc);
-        for (layout, expected) in [(&narrow, "1 slots"), (&min, "slot 0")] {
+        let narrow = layout_of(vec![]);
+        let sum = layout_of(vec![SlotFunc::Sum]);
+        let min = layout_of(vec![SlotFunc::Min]);
+        let saved = bytes(&sum, &sum.zero_cell());
+        for (layout, expected) in [(&narrow, "1 slots"), (&min, "slot 0 holds Sum")] {
             let mut row = vec![0; layout.stride()];
-            match layout.load_row(&mut Dec::new(enc.as_slice()), &mut row) {
-                Err(CheckpointError::Corrupt(m)) => assert!(m.contains(expected), "{m}"),
-                other => panic!("expected Corrupt, got {other:?}"),
+            let as_row = layout.load_row(&mut Dec::new(&saved), &mut row).map(drop);
+            let as_cell = Cell::load(layout, &mut Dec::new(&saved)).map(drop);
+            for loaded in [as_row, as_cell] {
+                match loaded {
+                    Err(CheckpointError::Corrupt(m)) => assert!(m.contains(expected), "{m}"),
+                    other => panic!("expected Corrupt, got {other:?}"),
+                }
             }
-            assert!(layout.cell_row(&sum.zero_cell(), &mut row).is_err());
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The [`TrendEngine`] abstraction every aggregation engine implements —
-//! COGRA itself and all four baselines — so that the experiment harness and
-//! the correctness tests treat them uniformly.
+//! COGRA itself and the five baselines (SASE, GRETA, A-Seq, Flink and the
+//! trend oracle) — so that the experiment harness and the correctness tests
+//! treat them uniformly.
 
 use crate::intern::RunStats;
 use crate::output::WindowResult;

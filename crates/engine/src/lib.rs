@@ -4,9 +4,9 @@
 //! the baseline engines (`cogra-baselines`):
 //!
 //! * [`agg`] — the Table 8 recurrences for
-//!   COUNT(*)/COUNT(E)/MIN/MAX/SUM/AVG, on rows of words in a per-window
-//!   [`CellTable`] (the COGRA aggregators) and on owned [`Cell`]s (the
-//!   baselines, and results crossing partitions);
+//!   COUNT(*)/COUNT(E)/MIN/MAX/SUM/AVG, once, as kernels on rows of
+//!   words: in a per-window [`CellTable`] (the COGRA aggregators) and in
+//!   owned [`Cell`]s (the baselines, and results crossing partitions);
 //! * [`engine`] — the [`TrendEngine`] trait every aggregation engine
 //!   implements, with push-based ([`TrendEngine::drain_into`]) and
 //!   collecting ([`TrendEngine::drain`]) result emission;
@@ -38,7 +38,7 @@ pub mod output;
 pub mod router;
 pub mod runtime;
 
-pub use agg::{AggLayout, AggValue, Cell, CellTable, Feed, Output, SlotFunc, Val};
+pub use agg::{AggLayout, AggValue, Cell, CellTable, Feed, Output, SlotFunc};
 pub use engine::{run_to_completion, TrendEngine};
 pub use intern::{KeyInterner, KeyOverflow, PartitionId, RunStats};
 pub use output::{GroupKey, WindowResult};

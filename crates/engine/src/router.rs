@@ -527,7 +527,7 @@ impl<W: WindowAlgo> Router<W> {
             while let Some((_, _, more)) =
                 cells.next_if(|(w, p, _)| *w == window && group_of(*p) == group)
             {
-                cell.merge(&more);
+                cell.merge(&rt.layout, &more);
             }
             out(WindowResult {
                 window,

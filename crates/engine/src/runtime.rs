@@ -66,8 +66,6 @@ pub struct DisjunctRuntime {
     /// `2l + 1` for Algorithm 3 (two halves of a row per state, and the
     /// accumulator).
     pub table: CellTable,
-    /// Identity cell template for the layout.
-    zero: crate::agg::Cell,
     /// Value kinds of the disjunct's stored projection
     /// ([`CompiledDisjunct::stored`]), by [`TypeId`] — what a stored tuple
     /// read back from a snapshot is checked against.
@@ -125,20 +123,8 @@ impl DisjunctRuntime {
             neg_edges,
             table: CellTable::new(layout, rows),
             layout: layout.clone(),
-            zero: layout.zero_cell(),
             stored_kinds,
         }
-    }
-
-    /// A fresh identity [`Cell`] for the query's aggregation layout — an
-    /// owned value, for the engines that compute with cells. The COGRA
-    /// aggregators do not: their aggregates are rows of a window's slab,
-    /// computed in place.
-    ///
-    /// [`Cell`]: crate::agg::Cell
-    #[inline]
-    pub fn zero_cell(&self) -> crate::agg::Cell {
-        self.zero.clone()
     }
 
     /// Rows of a type-grained window's table: one per state, then one

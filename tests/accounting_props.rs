@@ -139,8 +139,8 @@ fn the_key_limit_counts_resident_keys() {
 /// third of a fraud row, and a tenth of a stock row (19 companies, of
 /// which a few are between windows at any time). No spike moved. When the
 /// COGRA windows became one flat table each, a window stopped paying, per
-/// state, a 40 B `Cell` (count, live byte, the header of its `Vec<Val>`)
-/// plus 16 B per slot for 8 B of count and 8 B per slot; per staged update
+/// state, a 40 B `Cell` (count, live byte, the header of its vector of
+/// tagged slot values) plus 16 B per slot for 8 B of count and 8 B per slot; per staged update
 /// 44 B for 16 B; and inline, the three vector headers of the cell, shadow
 /// and staging tables (72 B) for one 24 B table handle — 136 B of 304 B on
 /// the stock row's two-state windows, and the spike (a closed window after
@@ -159,25 +159,31 @@ fn the_key_limit_counts_resident_keys() {
 /// its slot and two staged updates, and the spike (a committed window)
 /// 104 B → 32 B; only the COGRA rows moved, all down. The Flink rows are
 /// dominated by the sequences it materializes inside `final_cell`: its
-/// stock peak *is* the spike.
+/// stock peak *is* the spike. When every engine came to aggregate on
+/// words, a baseline's `Cell` became an owned row — count, live byte and
+/// the header of its boxed slot words — and went from `40 + 16·k` B to
+/// `32 + 8·k` B for `k` slots. Only GRETA (its nodes and final accumulator)
+/// and A-Seq (its counters and staged cells) keep cells between events, so
+/// only their rows moved, all down; SASE, Flink and the oracle build cells
+/// inside `final_cell` alone, and no COGRA row moved.
 #[cfg(target_pointer_width = "64")]
 const PINNED: [(usize, EngineKind, usize, usize); 18] = [
     (0, EngineKind::Cogra, 2044, 24),
     (0, EngineKind::Sase, 4996, 752),
-    (0, EngineKind::Greta, 4852, 608),
-    (0, EngineKind::Aseq, 3244, 184),
+    (0, EngineKind::Greta, 4588, 568),
+    (0, EngineKind::Aseq, 2956, 152),
     (0, EngineKind::Flink, 4252, 1048),
     (0, EngineKind::Oracle, 3532, 408),
     (1, EngineKind::Cogra, 4356, 32),
     (1, EngineKind::Sase, 26364, 3788),
-    (1, EngineKind::Greta, 23672, 3080),
-    (1, EngineKind::Aseq, 11044, 504),
+    (1, EngineKind::Greta, 22776, 2968),
+    (1, EngineKind::Aseq, 9508, 408),
     (1, EngineKind::Flink, 19368, 19368),
     (1, EngineKind::Oracle, 14116, 1368),
     (4, EngineKind::Cogra, 5064, 32),
     (4, EngineKind::Sase, 11880, 2160),
-    (4, EngineKind::Greta, 11504, 1560),
-    (4, EngineKind::Aseq, 9336, 504),
+    (4, EngineKind::Greta, 10864, 1464),
+    (4, EngineKind::Aseq, 8304, 408),
     (4, EngineKind::Flink, 10080, 4192),
     (4, EngineKind::Oracle, 8304, 1080),
 ];

@@ -423,7 +423,18 @@ fn damaged_entries(damage: impl Fn(&mut Vec<Vec<u8>>)) -> (TypeRegistry, Vec<u8>
 /// Every width restores `valid` and refuses `damaged` as corrupt, saying
 /// `why` — never a panic, never a restore.
 fn assert_refused_as_corrupt(registry: &TypeRegistry, valid: &[u8], damaged: &[u8], why: &str) {
-    for workers in [1usize, 2, 4] {
+    assert_refused_as_corrupt_at(&[1, 2, 4], registry, valid, damaged, why);
+}
+
+/// [`assert_refused_as_corrupt`] at the `widths` given.
+fn assert_refused_as_corrupt_at(
+    widths: &[usize],
+    registry: &TypeRegistry,
+    valid: &[u8],
+    damaged: &[u8],
+    why: &str,
+) {
+    for &workers in widths {
         assert!(
             Session::builder()
                 .workers(workers)
@@ -546,13 +557,13 @@ fn stock_stream() -> (TypeRegistry, Vec<Event>) {
 /// A snapshot of `query` over the first 200 stock events, every window
 /// still open.
 fn stock_snapshot(query: &str, slack: Option<u64>) -> Vec<u8> {
-    stock_snapshot_at(query, slack, 200)
+    stock_snapshot_at(EngineKind::Cogra, query, slack, 200)
 }
 
-/// A snapshot of `query` over the first `n` stock events.
-fn stock_snapshot_at(query: &str, slack: Option<u64>, n: usize) -> Vec<u8> {
+/// A snapshot of `query` on `kind` over the first `n` stock events.
+fn stock_snapshot_at(kind: EngineKind, query: &str, slack: Option<u64>, n: usize) -> Vec<u8> {
     let (registry, events) = stock_stream();
-    let mut builder = Session::builder().query(query);
+    let mut builder = Session::builder().engine(kind).query(query);
     if let Some(slack) = slack {
         builder = builder.slack(slack);
     }
@@ -573,10 +584,16 @@ fn a_window_cell_of_another_layout_is_rejected_typed() {
         // came from the same query less its `AVG` restored, and `finish`
         // indexed a slot the cell did not have; with `MIN` for `SUM` a
         // merge met a slot of another kind. A row is loaded through the
-        // layout now, at all three granularities.
+        // layout now, at all three granularities — and so is a baseline's
+        // cell: GRETA's nodes and A-Seq's counters took any cells, then
+        // panicked at a merge or an output after the restore, or emitted
+        // rows. (Both baselines run at width 1 only.)
         let (registry, _) = stock_stream();
-        for shape in 0..SHAPES {
-            let snaps = RETURNS.map(|returns| stock_snapshot(&stock_query(returns, shape), None));
+        let cogra = (0..SHAPES).map(|shape| (EngineKind::Cogra, shape, &[1, 2, 4][..]));
+        let baselines = [EngineKind::Greta, EngineKind::Aseq].map(|kind| (kind, 0, &[1][..]));
+        for (kind, shape, widths) in cogra.chain(baselines) {
+            let snaps = RETURNS
+                .map(|returns| stock_snapshot_at(kind, &stock_query(returns, shape), None, 200));
             for (config, cells, why) in [
                 (1, 0, "cell has 0 slots where the layout has 2"),
                 (0, 1, "cell has 2 slots where the layout has 0"),
@@ -585,7 +602,7 @@ fn a_window_cell_of_another_layout_is_rejected_typed() {
             ] {
                 let q0 = section(&snaps[cells], "q0");
                 let crossed = rewrite_section(&snaps[config], "q0", |_| q0.clone());
-                assert_refused_as_corrupt(&registry, &snaps[config], &crossed, why);
+                assert_refused_as_corrupt_at(widths, &registry, &snaps[config], &crossed, why);
             }
         }
     });
@@ -714,7 +731,10 @@ fn a_ring_no_such_stream_leaves_behind_is_rejected_typed() {
         // section of the same session, 100 events earlier.
         for slack in [None, Some(4)] {
             let query = stock_query("COUNT(*)", 2);
-            let early = section(&stock_snapshot_at(&query, slack, 100), "reorder");
+            let early = section(
+                &stock_snapshot_at(EngineKind::Cogra, &query, slack, 100),
+                "reorder",
+            );
             let valid = stock_snapshot(&query, slack);
             let crossed = rewrite_section(&valid, "reorder", |_| early.clone());
             let why = "past the stream clock";

@@ -8,7 +8,8 @@
 //! `Vec` appends into retained capacity. What is left is amortised growth
 //! of the stores and the cell and two vectors of every emitted result.
 //! (Before the flat rows a bound state of a window of an event cost a
-//! `Vec<Val>` of its own: 6.11 allocations per event on this workload;
+//! vector of tagged slot values of its own: 6.11 allocations per event on
+//! this workload;
 //! while a stored event was a clone of the `Event`, its attribute vector
 //! in each of its two windows: 2.12.)
 //!

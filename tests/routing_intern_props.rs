@@ -98,7 +98,7 @@ impl RefEngine {
                 let group: GroupKey = key[..group_prefix].to_vec();
                 combined
                     .entry((wid, group))
-                    .and_modify(|acc| acc.merge(&cell))
+                    .and_modify(|acc| acc.merge(&rt.layout, &cell))
                     .or_insert(cell);
             }
         }

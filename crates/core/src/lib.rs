@@ -21,7 +21,9 @@
 //! * [`session`] — the [`Session`] pipeline in front of that pool: typed
 //!   [`EngineKind`] roster over COGRA and all baselines, builder-style
 //!   configuration (slack, workers, multi-query), checkpoint/restore,
-//!   push-based [`ResultSink`] emission.
+//!   push-based [`ResultSink`] emission;
+//! * [`Metrics`] — the session's counters in one struct with one encoder
+//!   (the server's `STATS` line).
 //!
 //! The engine substrate ([`agg`], [`engine`], [`output`], [`router`],
 //! [`runtime`]) lives in the `cogra-engine` crate and is re-exported here
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod cogra;
+mod metrics;
 pub mod mixed_grained;
 pub mod parallel;
 pub mod pattern_grained;
@@ -47,9 +50,9 @@ pub use cogra_engine::{
     EventBinds, Feed, GroupKey, KeyInterner, Output, PartitionId, QueryRuntime, Router, RunStats,
     SlotFunc, TrendEngine, WindowAlgo, WindowResult,
 };
+pub use metrics::Metrics;
 pub use parallel::{
-    FailurePolicy, Metrics, PoolConfig, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE,
-    MAX_WORKERS,
+    FailurePolicy, PoolConfig, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE, MAX_WORKERS,
 };
 pub use session::{
     EngineKind, IngestError, ResultSink, Session, SessionBuilder, SessionError, SessionRun,

@@ -22,9 +22,9 @@
 //!   caller's thread, by reference: no thread, no channel, no staging, no
 //!   event clone and no placement hash;
 //! * **width n ≥ 2** — one long-lived worker thread per shard, fed by a
-//!   bounded channel carrying **batch arenas** ([`Batch`]): per shard, the
+//!   bounded channel carrying **batch arenas** (`Batch`): per shard, the
 //!   coordinator copies of each routed event what the hosted plans read
-//!   ([`Projection`]: the union of their read-sets) once into the open
+//!   (`Projection`: the union of their read-sets) once into the open
 //!   batch — a row header plus those values appended to one contiguous
 //!   buffer — and appends one `(row, query, key hash)` route per query
 //!   that wants it there. The worker replays the routes through one
@@ -44,6 +44,7 @@
 //! for it.
 
 use crate::engine::TrendEngine;
+use crate::metrics::Metrics;
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
 use crate::session::{EngineKind, OpenError, SessionError};
@@ -148,7 +149,7 @@ impl std::fmt::Display for WorkerFailure {
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Routed items — `(event, query)` pairs — staged per shard before
-    /// its open [`Batch`] is shipped. Staged items also flush on every
+    /// its open batch is shipped. Staged items also flush on every
     /// drain/finish (and thus on every watermark broadcast), so the batch
     /// size bounds transport latency, never result completeness. 1
     /// degenerates to per-item sends. Unused at width 1 — there is no
@@ -198,8 +199,8 @@ pub(crate) type Hosted = (EngineKind, Arc<QueryRuntime>);
 pub(crate) type Engine = Box<dyn TrendEngine + Send>;
 
 /// A pool's live state, layout-independent: what
-/// [`StreamingPool::snapshot`] captures and [`StreamingPool::open`]
-/// resumes from — at any width.
+/// [`StreamingPool::snapshot`] captures and a pool opened over it resumes
+/// from — at any width.
 pub struct PoolState {
     /// Per-query engine states, merged across shards.
     pub states: Vec<RouterState>,
@@ -261,41 +262,26 @@ pub struct InFlight {
     pub event: Event,
 }
 
-/// One shard's counters, defined once: the `Shard` fills it, a worker's
-/// `Reply` carries it whole, the coordinator mirrors it whole, and
-/// [`StreamingPool::metrics`] sums it.
+/// One shard's counters: the `Shard` fills it, a worker's `Reply`
+/// carries it whole, the coordinator mirrors it whole, and
+/// [`StreamingPool::metrics`] folds every shard's into the pool's part of
+/// a [`Metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Metrics {
+struct ShardMetrics {
     /// Summed logical memory of the shard's engines.
-    pub memory: usize,
+    memory: usize,
     /// Largest memory sampled so far by whoever drives the shard (a
     /// worker thread: every 64 events and at every batch, drain and
     /// finish; the inline shard: its caller), plus the engines'
     /// finalization spikes once finished.
-    pub peak: usize,
+    peak: usize,
     /// Routing hot-path counters over the shard's engines.
-    pub stats: RunStats,
+    stats: RunStats,
     /// Sticky key-limit overflow across the shard's engines
     /// ([`TrendEngine::key_overflow`]).
-    pub key_overflow: Option<u32>,
+    key_overflow: Option<u32>,
     /// Events ingested into the shard's engines.
-    pub events: u64,
-}
-
-impl Metrics {
-    /// The sum over a pool's shards. Shards run concurrently, so memory
-    /// and peaks add; the overflow flag is any shard's.
-    pub fn total<'a>(shards: impl IntoIterator<Item = &'a Metrics>) -> Metrics {
-        let mut total = Metrics::default();
-        for m in shards {
-            total.memory += m.memory;
-            total.peak += m.peak;
-            total.stats.merge(m.stats);
-            total.key_overflow = total.key_overflow.or(m.key_overflow);
-            total.events += m.events;
-        }
-        total
-    }
+    events: u64,
 }
 
 /// One placed event a shard's [`ReorderBuffer`] holds under `.slack(n)`:
@@ -572,7 +558,7 @@ struct Reply {
     /// query index.
     results: Vec<(u32, WindowResult)>,
     /// The shard's counters as of this reply.
-    metrics: Metrics,
+    metrics: ShardMetrics,
     /// Engine + reorder-buffer state: in reply to [`Cmd::Snapshot`], and
     /// attached to every [`Cmd::Drain`] reply when the pool journals for
     /// [`FailurePolicy::Restart`] (the recovery baseline refresh).
@@ -592,7 +578,7 @@ struct Worker {
     quarantined: bool,
     /// The worker's last reported counters, so [`StreamingPool::metrics`]
     /// needs no synchronous round trip.
-    mirror: Metrics,
+    mirror: ShardMetrics,
 }
 
 /// A respawned shard that dies this many times is escalated to
@@ -650,7 +636,7 @@ pub fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
 ///   a `GROUP-BY` prefix cannot shard; it is pinned to the shard
 ///   `query % width`.
 /// * **Batch-arena transport** (width ≥ 2) — an event is copied once
-///   into the open [`Batch`] of each shard that wants it, with one route
+///   into the open batch of each shard that wants it, with one route
 ///   per wanting query; a batch ships once it holds
 ///   [`PoolConfig::batch_size`] routes and on every drain/finish, so
 ///   batching changes hand-off cost, never the result set. Consumed
@@ -959,12 +945,6 @@ impl StreamingPool {
         }
     }
 
-    /// Events refused as hopelessly late by the slack gate (0 without
-    /// slack — the stream is trusted ordered then).
-    pub fn late_events(&self) -> u64 {
-        self.gate.as_ref().map_or(0, LateGate::late_events)
-    }
-
     /// The pool-side admission gate, when slack is active.
     pub fn gate(&self) -> Option<&LateGate> {
         self.gate.as_ref()
@@ -973,27 +953,52 @@ impl StreamingPool {
     /// Every shard's counters, in shard order: read live off the inline
     /// shard, or as of each worker's last drain (the workers run
     /// concurrently; there is no synchronous round trip here) and final
-    /// once the pool has finished. The spread between the `events`
-    /// entries is the hot-key imbalance a skewed group distribution
-    /// produces.
-    pub fn shard_metrics(&self) -> Vec<Metrics> {
-        match &self.inline {
-            Some(shard) => vec![shard.metrics()],
-            None => self.workers.iter().map(|w| w.mirror).collect(),
-        }
+    /// once the pool has finished.
+    fn shards(&self) -> impl Iterator<Item = ShardMetrics> + '_ {
+        (self.inline.iter().map(|shard| shard.metrics()))
+            .chain(self.workers.iter().map(|w| w.mirror))
     }
 
-    /// The pool's counters: [`StreamingPool::shard_metrics`], summed — a
-    /// few integers per hosted engine (inline) or per worker mirror.
+    /// The pool's part of a session's [`Metrics`], in one pass over its
+    /// shards: late drops, watermark, width, memory, routing counters,
+    /// per-shard events and the shards' health. Shards run concurrently,
+    /// so their memory adds. The session's own counters (`events`,
+    /// `results`, `queries`, `physical`) and `ingested` stay 0.
     pub fn metrics(&self) -> Metrics {
-        match &self.inline {
-            Some(shard) => shard.metrics(),
-            None => Metrics::total(self.workers.iter().map(|w| &w.mirror)),
+        let mut m = Metrics {
+            late: self.gate.as_ref().map_or(0, LateGate::late_events),
+            watermark: self.watermark().ticks(),
+            workers: self.workers(),
+            degraded: (self.workers.iter().enumerate())
+                .filter(|(_, w)| w.quarantined)
+                .map(|(s, _)| s)
+                .collect(),
+            dropped: self.dropped,
+            finished: self.finished,
+            ..Metrics::default()
+        };
+        for shard in self.shards() {
+            m.memory += shard.memory;
+            m.key_probes += shard.stats.key_probes;
+            m.key_allocs += shard.stats.key_allocs;
+            m.shard_events.push(shard.events);
         }
+        m
     }
 
-    /// [`Metrics::key_overflow`] alone, for the per-row check of CSV
-    /// ingestion: one flag read per engine instead of the whole struct.
+    /// [`Metrics::memory`] alone, without the allocation of a whole
+    /// [`Metrics`]: what `Session::run` samples every 64 events.
+    pub(crate) fn memory(&self) -> usize {
+        self.shards().map(|m| m.memory).sum()
+    }
+
+    /// The shards' peaks, summed (they are live at once).
+    pub(crate) fn peak(&self) -> usize {
+        self.shards().map(|m| m.peak).sum()
+    }
+
+    /// The sticky key-limit overflow of any shard, for the per-row check
+    /// of CSV ingestion: one flag read per engine.
     pub fn key_overflow(&self) -> Option<u32> {
         match &self.inline {
             Some(shard) => shard.key_overflow(),
@@ -1015,39 +1020,12 @@ impl StreamingPool {
         self.failed.as_ref()
     }
 
-    /// Shards quarantined by [`FailurePolicy::Degrade`], in index order.
-    /// Empty on a healthy pool.
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.quarantined)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// Items lost to quarantined shards: everything delivered to a shard
-    /// before it died plus everything rerouted-to-nowhere after (pinned
-    /// queries whose home shard is gone). 0 on a healthy pool. Together
-    /// with the shards' `events` this conserves the routed total:
-    /// `routed_items == sum(events) + dropped_events` once the pool
-    /// finishes.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
-    }
-
     /// Every `(event, query)` item the coordinator has staged, including
     /// ones later dropped by quarantine — the left-hand side of the
-    /// conservation invariant chaos tests assert.
+    /// conservation invariant chaos tests assert: once the pool finishes,
+    /// `routed_items == Σ metrics().shard_events + metrics().dropped`.
     pub fn routed_items(&self) -> u64 {
         self.routed_items
-    }
-
-    /// Whether the pool has finished (it ignores further input, and
-    /// cannot checkpoint — its engines have emitted and discarded their
-    /// state).
-    pub fn finished(&self) -> bool {
-        self.finished
     }
 
     /// Snapshot the pool's live state without advancing it: flushes staged
@@ -1156,7 +1134,7 @@ impl StreamingPool {
     /// peak; the mirror keeps the larger).
     fn absorb_mirror(&mut self, shard: usize, reply: &Reply) {
         let mirror = &mut self.workers[shard].mirror;
-        *mirror = Metrics {
+        *mirror = ShardMetrics {
             peak: mirror.peak.max(reply.metrics.peak),
             ..reply.metrics
         };
@@ -1396,9 +1374,9 @@ impl StreamingPool {
     /// Ingest one event, by reference. At width 1 without slack the shard
     /// reads it in place: nothing is cloned, staged or hashed for
     /// placement. At width n ≥ 2 it is hashed per query and what the
-    /// hosted plans read of it is copied once into the open [`Batch`] of
+    /// hosted plans read of it is copied once into the open batch of
     /// every shard that wants it, with one route per wanting query; a
-    /// worker that is [`CHANNEL_CAPACITY`] batches behind blocks the
+    /// worker that is a bounded number of batches behind blocks the
     /// caller (backpressure, not unbounded buffering). Without slack,
     /// events must arrive in non-decreasing
     /// time order; with slack, disorder up to the slack is repaired on the
@@ -1748,9 +1726,9 @@ struct Shard {
     local_watermark: Timestamp,
     /// Scratch for released items (reused across batches).
     released: Vec<Item>,
-    /// [`Metrics::peak`].
+    /// [`ShardMetrics::peak`].
     peak: usize,
-    /// [`Metrics::events`].
+    /// [`ShardMetrics::events`].
     events: u64,
 }
 
@@ -1812,12 +1790,12 @@ impl Shard {
     }
 
     /// The shard's counters right now: O(engines), no state is visited.
-    fn metrics(&self) -> Metrics {
-        let mut m = Metrics {
+    fn metrics(&self) -> ShardMetrics {
+        let mut m = ShardMetrics {
             peak: self.peak,
             key_overflow: self.key_overflow(),
             events: self.events,
-            ..Metrics::default()
+            ..ShardMetrics::default()
         };
         for e in self.engines.iter().flatten() {
             m.memory += e.memory_bytes();

@@ -34,9 +34,9 @@
 //!   approaches. Multi-query sessions may mix kinds per query via
 //!   [`SessionBuilder::query_with_engine`].
 //! * `.slack(n)` fuses disorder repair into ingestion: a pool-side gate
-//!   drops (and counts, [`Session::late_events`]) exactly the events a
-//!   single front [`Reorderer`] would, and each shard sorts what was
-//!   admitted for it before its engines see it.
+//!   drops (and counts, [`Metrics::late`]) exactly the events a single
+//!   front [`Reorderer`] would, and each shard sorts what was admitted
+//!   for it before its engines see it.
 //! * `.workers(n)` widens the pool to `n` shards on worker threads (§8)
 //!   — COGRA only. Events are hashed to their shard at ingest time and
 //!   shipped in batches ([`SessionBuilder::batch_size`]);
@@ -47,13 +47,22 @@
 //!   granularity or automata without re-compiling.
 //! * Output is push-based: engines hand each [`WindowResult`] to a
 //!   [`ResultSink`] without materializing intermediate vectors.
+//! * Every counter — events, results, late drops, memory, routing
+//!   statistics, per-shard events, the shards' health — comes from one
+//!   read, [`Session::metrics`]. [`SessionRun`] and the server's `STATS`
+//!   reply are that struct; the few remaining per-counter accessors
+//!   project one field of it, except the allocation-free reads
+//!   ([`Session::memory_bytes`], [`Session::watermark`],
+//!   [`Session::key_overflow`], [`Session::worker_failure`]) that
+//!   ingestion itself checks.
 //!
 //! [`Reorderer`]: cogra_events::Reorderer
 
 use crate::cogra::CograWindow;
+use crate::metrics::Metrics;
 use crate::parallel::{
-    Engine, FailurePolicy, Hosted, InFlight, Metrics, PoolConfig, PoolState, StreamingPool,
-    WorkerFailure, MAX_WORKERS,
+    Engine, FailurePolicy, Hosted, InFlight, PoolConfig, PoolState, StreamingPool, WorkerFailure,
+    MAX_WORKERS,
 };
 use cogra_baselines::{
     aseq_runtime, flink_runtime, greta_runtime, oracle_runtime, sase_runtime, ASeqWindow,
@@ -482,8 +491,8 @@ impl From<&Query> for QuerySpec {
 /// physical run — one automaton, one set of partial aggregates — and the
 /// session fans every result of physical slot `j` out to all of
 /// `members[j]` through the [`TaggedResult`] path, so per-query output is
-/// byte-identical to unshared execution (the sharing axis of the model
-/// battery, `tests/common/model.rs`).
+/// byte-identical to each query run alone (the model's reference,
+/// `tests/common/model.rs`). Sharing is always on.
 ///
 /// [canonical signature]: cogra_query::canonical_signature
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -524,14 +533,6 @@ impl SharedPlan {
         }
     }
 
-    /// The no-sharing mapping: every query is its own physical run.
-    pub fn identity(n: usize) -> SharedPlan {
-        SharedPlan {
-            physical_of: (0..n).collect(),
-            members: (0..n).map(|q| vec![q]).collect(),
-        }
-    }
-
     /// Rebuild from a stored `physical_of` vector (checkpoint restore).
     /// Errors if the mapping is malformed: slots must be numbered densely
     /// in first-occurrence order, exactly as [`SharedPlan::factor`] emits.
@@ -565,11 +566,6 @@ impl SharedPlan {
         self.members.len()
     }
 
-    /// True when nothing factors (M == N).
-    pub fn is_identity(&self) -> bool {
-        self.physical() == self.queries()
-    }
-
     /// The representative query of physical slot `j` (its plan runs).
     fn representative(&self, j: usize) -> usize {
         self.members[j][0]
@@ -587,7 +583,6 @@ pub struct SessionBuilder {
     workers: usize,
     batch_size: Option<usize>,
     policy: FailurePolicy,
-    sharing: Option<bool>,
 }
 
 impl SessionBuilder {
@@ -687,21 +682,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Multi-query sharing (default on): roster entries whose
-    /// [canonical signature] and engine kind coincide execute as one
-    /// physical run, with results fanned out per query — N identical
-    /// subscriptions cost one query, not N. Per-query output is
-    /// byte-identical either way (the model battery's sharing axis,
-    /// `tests/common/model.rs`); disable to
-    /// benchmark the unshared baseline or to keep per-query engine state
-    /// separate for inspection via [`Session::engine`].
-    ///
-    /// [canonical signature]: cogra_query::canonical_signature
-    pub fn sharing(mut self, sharing: bool) -> SessionBuilder {
-        self.sharing = Some(sharing);
-        self
-    }
-
     /// Resolve queries and construct the engines.
     pub fn build(self, registry: &TypeRegistry) -> Result<Session, SessionError> {
         if self.queries.is_empty() {
@@ -719,20 +699,16 @@ impl SessionBuilder {
                 QuerySpec::Parsed(q) => q,
             });
         }
-        // Multi-query sharing (default on): queries with the same
-        // canonical signature AND engine kind are one physical run; the
-        // engine kind joins the key because a shared slot hosts exactly
-        // one runtime. Results fan out per query at drain/finish.
-        let shared = if self.sharing.unwrap_or(true) {
-            let keys: Vec<String> = queries
-                .iter()
-                .zip(&kinds)
-                .map(|(q, kind)| format!("{}\u{1f}{}", kind.name(), canonical_signature(q)))
-                .collect();
-            SharedPlan::factor(&keys)
-        } else {
-            SharedPlan::identity(queries.len())
-        };
+        // Multi-query sharing: queries with the same canonical signature
+        // AND engine kind are one physical run; the engine kind joins the
+        // key because a shared slot hosts exactly one runtime. Results fan
+        // out per query at drain/finish.
+        let keys: Vec<String> = queries
+            .iter()
+            .zip(&kinds)
+            .map(|(q, kind)| format!("{}\u{1f}{}", kind.name(), canonical_signature(q)))
+            .collect();
+        let shared = SharedPlan::factor(&keys);
         let pool_config = PoolConfig {
             batch_size: self
                 .batch_size
@@ -782,13 +758,9 @@ impl SessionBuilder {
         registry: &TypeRegistry,
         reader: impl io::Read,
     ) -> Result<Session, CheckpointError> {
-        if !self.queries.is_empty()
-            || self.engine.is_some()
-            || self.slack.is_some()
-            || self.sharing.is_some()
-        {
+        if !self.queries.is_empty() || self.engine.is_some() || self.slack.is_some() {
             return Err(CheckpointError::Unsupported(
-                "restore takes queries, engines, slack and sharing from the snapshot; \
+                "restore takes queries, engines and slack from the snapshot; \
                  only .workers(n), .batch_size(n) and .on_worker_failure(p) may be \
                  overridden"
                     .to_string(),
@@ -980,7 +952,8 @@ impl Roster {
             batch_size,
             shared: self.shared,
             pool,
-            csv_rows: 0,
+            events: 0,
+            results: 0,
         })
     }
 }
@@ -1014,12 +987,13 @@ impl ResultSink for Vec<TaggedResult> {
 }
 
 /// Fan one physical run's result out to every member query of its slot,
-/// in query-registration order; the last member takes the value by move
-/// (the unshared common case never clones).
-fn fan_out(members: &[usize], result: WindowResult, sink: &mut dyn ResultSink) {
+/// in query-registration order, counting each in `results`; the last
+/// member takes the value by move (the unshared common case never clones).
+fn fan_out(members: &[usize], result: WindowResult, sink: &mut dyn ResultSink, results: &mut u64) {
     let Some((&last, rest)) = members.split_last() else {
         return;
     };
+    *results += members.len() as u64;
     for &q in rest {
         sink.emit(q, result.clone());
     }
@@ -1055,8 +1029,9 @@ pub struct SessionRun {
     /// queries (1 unless `.workers(n)` applied; also 1 when no query has
     /// a `GROUP-BY` prefix to shard on).
     pub workers: usize,
-    /// Events fed into the session (including any the `.slack(n)`
-    /// repair later dropped as hopelessly late).
+    /// Events fed into the session since it was built or restored
+    /// (including any the `.slack(n)` repair later dropped as hopelessly
+    /// late).
     pub events: u64,
     /// Late events dropped by the `.slack(n)` repair (0 without slack).
     /// One stream-wide gate decides the drops, so this count is
@@ -1072,7 +1047,7 @@ pub struct SessionRun {
     /// between entries is the hot-key imbalance.
     pub shard_events: Vec<u64>,
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order
-    /// ([`Session::degraded_shards`]) — empty on a healthy run.
+    /// ([`Metrics::degraded`]) — empty on a healthy run.
     pub degraded: Vec<usize>,
     /// Events lost to quarantines ([`Session::dropped_events`]) — 0 on a
     /// healthy run.
@@ -1084,7 +1059,7 @@ pub struct SessionRun {
     /// Physical runs actually executed (M ≤ N queries): queries with the
     /// same [canonical signature] and engine kind shared one automaton
     /// run; results were fanned out per query. Equals `per_query.len()`
-    /// when nothing shared or `.sharing(false)` was set.
+    /// when nothing shared.
     ///
     /// [canonical signature]: cogra_query::canonical_signature
     pub physical: usize,
@@ -1130,8 +1105,10 @@ pub struct Session {
     shared: SharedPlan,
     /// The shards hosting every engine — one inline, or `n` on threads.
     pool: StreamingPool,
-    /// [`Session::csv_rows`].
-    csv_rows: u64,
+    /// [`Metrics::events`].
+    events: u64,
+    /// [`Metrics::results`].
+    results: u64,
 }
 
 impl Session {
@@ -1171,7 +1148,8 @@ impl Session {
     /// Ingest one event. With `.slack(n)` the event may be buffered (or
     /// dropped as late). At width 1 without slack the engines read it in
     /// place; under `.workers(n)` it is hashed to its shard and staged for
-    /// the next batch send. A finished session ignores the event.
+    /// the next batch send. Every call counts in [`Metrics::events`]; a
+    /// finished session ignores the event otherwise.
     ///
     /// The event's attribute values must be of its schema's kinds (the
     /// [`Event`] contract; the CSV surfaces decode them so). That is not
@@ -1181,17 +1159,8 @@ impl Session {
     /// window's last matched event — refuses to restore
     /// ([`CheckpointError::Corrupt`]).
     pub fn process(&mut self, event: &Event) {
+        self.events += 1;
         self.pool.route(event);
-    }
-
-    /// Rows fed into this session through the checked ingest
-    /// ([`Session::ingest_csv`], [`Session::ingest_checked`]) since it was
-    /// built or restored, including any the `.slack(n)` repair dropped as
-    /// late. Checked ingestion is not transactional, so this counts the
-    /// rows before the bad one of a failed call too: the engines did ingest
-    /// them.
-    pub fn csv_rows(&self) -> u64 {
-        self.csv_rows
     }
 
     /// Ingest events straight off a `cogra_events::csv` stream — one
@@ -1207,9 +1176,9 @@ impl Session {
     /// [`Session::drain_into`] / [`Session::finish_into`] as usual, or
     /// use [`Session::run_csv`] for the collect-everything convenience.
     pub fn ingest_csv(&mut self, text: &str, registry: &TypeRegistry) -> Result<u64, IngestError> {
-        let before = self.csv_rows;
+        let before = self.events;
         each_csv_event(text, registry, |event| self.ingest_checked(event))?;
-        Ok(self.csv_rows - before)
+        Ok(self.events - before)
     }
 
     /// Ingest one decoded row under the contract of the CSV surfaces — THE
@@ -1217,10 +1186,10 @@ impl Session {
     /// the server's `INGEST`, so all three refuse the same rows with the
     /// same [`IngestError`]: without `.slack(n)` a row that goes back in
     /// time fails with [`IngestError::OutOfOrder`] before it reaches the
-    /// engines; any other row is handed to [`Session::process`] and
-    /// counted ([`Session::csv_rows`]), and then a `key_limit` overflow or
+    /// engines; any other row is handed to [`Session::process`] (and so
+    /// counted in [`Metrics::events`]), and then a `key_limit` overflow or
     /// a sticky worker failure fails typed. Not transactional: the rows
-    /// before a refused one stay ingested.
+    /// before a refused one stay ingested and counted.
     pub fn ingest_checked(&mut self, event: &Event) -> Result<(), IngestError> {
         let watermark = self.watermark();
         if self.pool.gate().is_none() && event.time < watermark {
@@ -1231,7 +1200,6 @@ impl Session {
             });
         }
         self.process(event);
-        self.csv_rows += 1;
         if let Some(limit) = self.key_overflow() {
             return Err(IngestError::KeyOverflow { limit });
         }
@@ -1246,9 +1214,9 @@ impl Session {
     /// global watermark to the shards first, so results flow live even
     /// when some shard's sub-stream went quiet.
     pub fn drain_into(&mut self, sink: &mut dyn ResultSink) {
-        let shared = &self.shared;
+        let (shared, results) = (&self.shared, &mut self.results);
         self.pool
-            .drain_into(&mut |j, r| fan_out(&shared.members[j], r, sink));
+            .drain_into(&mut |j, r| fan_out(&shared.members[j], r, sink, results));
     }
 
     /// End of stream: flush the reorder buffers, close every open window,
@@ -1258,9 +1226,9 @@ impl Session {
     /// [`Session::process`] calls are ignored, further drains emit
     /// nothing, and it can no longer checkpoint.
     pub fn finish_into(&mut self, sink: &mut dyn ResultSink) {
-        let shared = &self.shared;
+        let (shared, results) = (&self.shared, &mut self.results);
         self.pool
-            .finish_into(&mut |j, r| fan_out(&shared.members[j], r, sink));
+            .finish_into(&mut |j, r| fan_out(&shared.members[j], r, sink, results));
     }
 
     /// Collecting wrapper over [`Session::drain_into`].
@@ -1277,9 +1245,26 @@ impl Session {
         out
     }
 
-    /// Events dropped as too late by the `.slack(n)` repair.
+    /// Every counter of the session in one read: the pool's (late drops,
+    /// watermark, width, memory, routing statistics, per-shard events, the
+    /// shards' health — live at width 1, as of each worker's last drain
+    /// under `.workers(n)`) and the session's own (events, results,
+    /// queries, physical runs). `ingested` is 0; the server sets it in an
+    /// `INGEST` reply, which is otherwise this struct, encoded.
+    pub fn metrics(&self) -> Metrics {
+        Metrics {
+            events: self.events,
+            results: self.results,
+            queries: self.queries(),
+            physical: self.shared.physical(),
+            ..self.pool.metrics()
+        }
+    }
+
+    /// Events dropped as too late by the `.slack(n)` repair
+    /// ([`Metrics::late`]).
     pub fn late_events(&self) -> u64 {
-        self.pool.late_events()
+        self.metrics().late
     }
 
     /// Logical memory footprint of the engines: exact and current at
@@ -1289,7 +1274,7 @@ impl Session {
     /// excluded — they are bounded by slack × rate and not an engine
     /// metric of §9.1.
     pub fn memory_bytes(&self) -> usize {
-        self.pool.metrics().memory
+        self.pool.memory()
     }
 
     /// Observable stream progress — results at or before it are final
@@ -1315,21 +1300,23 @@ impl Session {
     }
 
     /// The multi-query sharing factoring in effect: which physical run
-    /// serves each query. Identity when sharing is off or nothing shares.
+    /// serves each query. Identity when nothing shares.
     pub fn shared_plan(&self) -> &SharedPlan {
         &self.shared
     }
 
-    /// Number of physical runs actually executing (M ≤ N queries).
-    pub fn physical_runs(&self) -> usize {
-        self.shared.physical()
-    }
-
     /// Summed routing hot-path counters ([`RunStats`]) across the
-    /// session's engines — under `.workers(n)`, across every shard, as of
-    /// each worker's last drain (final once the session finished).
+    /// session's engines ([`Metrics::key_probes`], [`Metrics::key_allocs`]).
     pub fn run_stats(&self) -> RunStats {
-        self.pool.metrics().stats
+        let Metrics {
+            key_probes,
+            key_allocs,
+            ..
+        } = self.metrics();
+        RunStats {
+            key_probes,
+            key_allocs,
+        }
     }
 
     /// Sticky partition-key overflow: `Some(limit)` once any event was
@@ -1351,36 +1338,16 @@ impl Session {
         self.pool.failure()
     }
 
-    /// Shards quarantined by [`FailurePolicy::Degrade`], in index order —
-    /// empty on a healthy session (and always at width 1).
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        self.pool.degraded_shards()
-    }
-
-    /// Events lost to [`FailurePolicy::Degrade`] quarantines: what the
-    /// dead shard had absorbed plus later events whose pinned query
-    /// had no live fallback. 0 on a healthy session.
+    /// Events lost to [`FailurePolicy::Degrade`] quarantines
+    /// ([`Metrics::dropped`]).
     pub fn dropped_events(&self) -> u64 {
-        self.pool.dropped_events()
+        self.metrics().dropped
     }
 
-    /// Events ingested into the engines per shard, as of each worker's
-    /// last drain (final once the session finished; current at width 1)
-    /// — the observable for hot-key imbalance under skewed streams.
-    /// Indexed by shard; a session whose queries shard narrower than
-    /// `.workers(n)` leaves the unused slots at zero.
+    /// Events ingested into the engines per shard
+    /// ([`Metrics::shard_events`]).
     pub fn shard_events(&self) -> Vec<u64> {
-        self.shard_metrics().iter().map(|m| m.events).collect()
-    }
-
-    /// Every shard's counters in one read — what [`Session::memory_bytes`],
-    /// [`Session::run_stats`], [`Session::key_overflow`] and
-    /// [`Session::shard_events`] each project one field of
-    /// ([`Metrics::total`] sums them). A read is O(engines) at width 1
-    /// and a copy of each worker's mirror at width n; no engine state is
-    /// visited.
-    pub fn shard_metrics(&self) -> Vec<Metrics> {
-        self.pool.shard_metrics()
+        self.metrics().shard_events
     }
 
     /// Serialize the session's complete live state into a versioned
@@ -1510,7 +1477,6 @@ struct Collect {
     inline: bool,
     strict: bool,
     peak: usize,
-    count: u64,
 }
 
 impl Collect {
@@ -1520,7 +1486,6 @@ impl Collect {
             inline: session.pool.is_inline(),
             strict,
             peak: session.memory_bytes(),
-            count: 0,
         }
     }
 
@@ -1530,8 +1495,8 @@ impl Collect {
         } else {
             session.process(event);
         }
-        let i = self.count as usize;
-        self.count += 1;
+        // The event's position in the session's stream.
+        let i = session.events - 1;
         let per_query = &mut self.per_query;
         let mut sink = |query: usize, result: WindowResult| per_query[query].push(result);
         if self.inline {
@@ -1572,24 +1537,26 @@ impl Collect {
         for results in &mut self.per_query {
             WindowResult::sort(results);
         }
-        let shards = session.shard_metrics();
-        let total = Metrics::total(&shards);
+        let m = session.metrics();
         Ok(SessionRun {
             per_query: self.per_query,
             // The shards' own peaks: the samples above plus the engines'
             // finalization spikes inline; under `.workers(n)` what each
             // worker sampled over its hosted engines (the coordinator-side
             // samples above only mirror those with a lag).
-            peak_bytes: self.peak.max(total.peak),
-            workers: session.workers(),
-            events: self.count,
-            late_events: session.late_events(),
-            stats: total.stats,
-            shard_events: shards.iter().map(|m| m.events).collect(),
-            degraded: session.degraded_shards(),
-            dropped_events: session.dropped_events(),
+            peak_bytes: self.peak.max(session.pool.peak()),
+            workers: m.workers,
+            events: m.events,
+            late_events: m.late,
+            stats: RunStats {
+                key_probes: m.key_probes,
+                key_allocs: m.key_allocs,
+            },
+            shard_events: m.shard_events,
+            degraded: m.degraded,
+            dropped_events: m.dropped,
             plans: session.plans.clone(),
-            physical: session.shared.physical(),
+            physical: m.physical,
         })
     }
 }
@@ -1607,7 +1574,6 @@ impl fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cogra::CograEngine;
     use cogra_events::{EventBuilder, Value, ValueKind};
     use cogra_query::Granularity;
 
@@ -1817,21 +1783,8 @@ mod tests {
         session.checkpoint(&mut snap).unwrap();
         let restored = Session::builder().restore(&reg, snap.as_slice()).unwrap();
         assert_eq!(restored.queries(), 3);
-        assert_eq!(restored.physical_runs(), 2);
+        assert_eq!(restored.shared_plan().physical(), 2);
         assert_eq!(restored.shared_plan().members, vec![vec![0, 1], vec![2]]);
-    }
-
-    #[test]
-    fn restore_rejects_sharing_override() {
-        let reg = registry();
-        let mut session = Session::builder().query(Q_ANY).build(&reg).unwrap();
-        let mut snap = Vec::new();
-        session.checkpoint(&mut snap).unwrap();
-        let err = Session::builder()
-            .sharing(false)
-            .restore(&reg, snap.as_slice())
-            .unwrap_err();
-        assert!(matches!(err, CheckpointError::Unsupported(_)), "{err:?}");
     }
 
     #[test]
@@ -1958,39 +1911,28 @@ mod tests {
     fn memory_is_summed_and_watermark_is_min() {
         let reg = registry();
         let events = stream(&reg, 5);
-        let mut session = Session::builder()
-            .query(Q_ANY)
-            .query(Q_ANY)
-            .sharing(false)
-            .build(&reg)
-            .unwrap();
-        for e in &events {
-            session.process(e);
-        }
-        let single = {
-            let mut engine = CograEngine::from_text(Q_ANY, &reg).unwrap();
-            for e in &events {
-                engine.process(e);
+        let fed = |queries: &[&str]| {
+            let mut builder = Session::builder();
+            for &query in queries {
+                builder = builder.query(query);
             }
-            engine.memory_bytes()
+            let mut session = builder.build(&reg).unwrap();
+            events.iter().for_each(|e| session.process(e));
+            session
         };
-        assert_eq!(session.memory_bytes(), 2 * single);
+        let alone = |query: &str| fed(&[query]).memory_bytes();
+        let session = fed(&[Q_ANY, Q_NEXT]);
+        assert_eq!(session.memory_bytes(), alone(Q_ANY) + alone(Q_NEXT));
         assert_eq!(session.watermark(), Timestamp(5));
         assert_eq!(session.queries(), 2);
         assert_eq!(session.engine(0).unwrap().name(), "cogra");
 
-        // With sharing (the default) the duplicate roster runs ONE
-        // physical automaton: memory is the single-query footprint.
-        let mut shared = Session::builder()
-            .query(Q_ANY)
-            .query(Q_ANY)
-            .build(&reg)
-            .unwrap();
-        for e in &events {
-            shared.process(e);
-        }
-        assert_eq!(shared.physical_runs(), 1);
-        assert_eq!(shared.memory_bytes(), single);
+        // A duplicate roster runs ONE physical automaton: memory is the
+        // single-query footprint, and so are the routing counters.
+        let shared = fed(&[Q_ANY, Q_ANY]);
+        assert_eq!(shared.shared_plan().physical(), 1);
+        assert_eq!(shared.memory_bytes(), alone(Q_ANY));
+        assert_eq!(shared.run_stats(), fed(&[Q_ANY]).run_stats());
     }
 
     #[test]
@@ -2009,8 +1951,6 @@ mod tests {
         assert_eq!(plan.members, vec![vec![0, 2], vec![1, 4], vec![3]]);
         assert_eq!(plan.queries(), 5);
         assert_eq!(plan.physical(), 3);
-        assert!(!plan.is_identity());
-        assert!(SharedPlan::identity(4).is_identity());
     }
 
     #[test]
@@ -2021,7 +1961,11 @@ mod tests {
             .query_with_engine(Q_ANY, EngineKind::Greta)
             .build(&reg)
             .unwrap();
-        assert_eq!(session.physical_runs(), 2, "kinds differ → no sharing");
+        assert_eq!(
+            session.shared_plan().physical(),
+            2,
+            "kinds differ → no sharing"
+        );
         assert_eq!(session.engine(0).unwrap().name(), "cogra");
         assert_eq!(session.engine(1).unwrap().name(), "greta");
     }

@@ -11,7 +11,8 @@
 //! connection becomes a pure result stream ([`Subscription`]), yielding
 //! decoded `RESULT` lines until the server's `EOS`.
 
-use crate::wire::{self, StatsReport};
+use crate::wire;
+use cogra_core::Metrics;
 use cogra_events::record_ends;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -62,16 +63,16 @@ impl Client {
         }
     }
 
-    /// Issue a control verb and decode its `StatsReport` payload.
-    fn control(&mut self, verb: &str) -> Reply<StatsReport> {
+    /// Issue a control verb and decode its [`Metrics`] payload.
+    fn control(&mut self, verb: &str) -> Reply<Metrics> {
         self.writer.write_all(format!("{verb}\n").as_bytes())?;
         self.decode_stats_reply()
     }
 
-    fn decode_stats_reply(&mut self) -> Reply<StatsReport> {
+    fn decode_stats_reply(&mut self) -> Reply<Metrics> {
         match self.read_reply()? {
             Err(msg) => Ok(Err(msg)),
-            Ok(payload) => StatsReport::decode(&payload)
+            Ok(payload) => Metrics::decode(&payload)
                 .map(|s| Ok(Ok(s)))
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
         }
@@ -80,14 +81,14 @@ impl Client {
     /// Send one `INGEST` block: a self-contained CSV document (header
     /// first — the `cogra_events::csv` format). The text goes out as it
     /// is, behind its physical line count, in one write.
-    pub fn ingest(&mut self, csv: &str) -> Reply<StatsReport> {
+    pub fn ingest(&mut self, csv: &str) -> Reply<Metrics> {
         self.ingest_parts(csv, "")
     }
 
     /// [`Client::ingest`] of the document `header` + `rows`, which is
     /// assembled only in the send buffer — kept between blocks, and
     /// written whole, so the command line never travels alone.
-    fn ingest_parts(&mut self, header: &str, rows: &str) -> Reply<StatsReport> {
+    fn ingest_parts(&mut self, header: &str, rows: &str) -> Reply<Metrics> {
         let last = if rows.is_empty() { header } else { rows };
         let unterminated = !last.is_empty() && !last.ends_with('\n');
         let newlines = |text: &str| text.bytes().filter(|&b| b == b'\n').count();
@@ -108,7 +109,7 @@ impl Client {
     /// self-contained document for the shared decode path; blocks are cut
     /// at record ends, so a quoted cell spanning lines stays whole).
     /// Returns the last block's reply.
-    pub fn replay_csv(&mut self, csv: &str, rows_per_block: usize) -> Reply<StatsReport> {
+    pub fn replay_csv(&mut self, csv: &str, rows_per_block: usize) -> Reply<Metrics> {
         let ends = record_ends(csv);
         let Some((&header_end, rows)) = ends.split_first() else {
             return self.stats(); // empty document: nothing to send
@@ -135,18 +136,18 @@ impl Client {
 
     /// Force a drain: everything final at the watermark is pushed to
     /// subscribers now.
-    pub fn drain(&mut self) -> Reply<StatsReport> {
+    pub fn drain(&mut self) -> Reply<Metrics> {
         self.control("DRAIN")
     }
 
     /// Fetch the server's counters.
-    pub fn stats(&mut self) -> Reply<StatsReport> {
+    pub fn stats(&mut self) -> Reply<Metrics> {
         self.control("STATS")
     }
 
     /// End the stream: close every window, push the remaining results,
     /// end subscriptions.
-    pub fn finish(&mut self) -> Reply<StatsReport> {
+    pub fn finish(&mut self) -> Reply<Metrics> {
         self.control("FINISH")
     }
 

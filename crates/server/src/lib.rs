@@ -14,8 +14,10 @@
 //!   line per finalized window result, emitted as shard windows close
 //!   (COGRA's incremental maintenance pays off online, not
 //!   buffer-and-reply), the lines of one drain in one write;
-//! * `DRAIN` / `STATS` / `FINISH` surface watermarks, late-drop counts
-//!   and the routing [`RunStats`](cogra_engine::RunStats).
+//! * `INGEST` / `DRAIN` / `STATS` / `FINISH` answer with the session's
+//!   counters — [`Session::metrics`], encoded by
+//!   [`Metrics::encode`](cogra_core::Metrics::encode): watermark, late
+//!   drops, results, memory, routing statistics, per-shard events.
 //!
 //! The networked path is pinned **byte-identical** to in-process
 //! [`Session`] runs by the end-to-end differential battery
@@ -46,6 +48,7 @@
 //! ```
 //!
 //! [`Session`]: cogra_core::session::Session
+//! [`Session::metrics`]: cogra_core::session::Session::metrics
 
 #![warn(missing_docs)]
 
@@ -55,4 +58,3 @@ pub mod wire;
 
 pub use client::{Client, Reply, Subscription};
 pub use server::{ServeError, Server, ServerConfig, INGEST_CHUNK_ROWS};
-pub use wire::StatsReport;

@@ -62,11 +62,10 @@
 //!
 //! [`WindowResult`]: cogra_engine::WindowResult
 
-use crate::wire::{self, StatsReport, EOS};
+use crate::wire::{self, EOS};
 use cogra_core::parallel::recv_polling;
 use cogra_core::session::{IngestError, Session, SessionBuilder, SessionError};
-use cogra_core::CheckpointError;
-use cogra_core::Metrics;
+use cogra_core::{CheckpointError, Metrics};
 use cogra_events::{Event, EventId, EventReader, Timestamp, TypeId, TypeRegistry, Value};
 use std::collections::VecDeque;
 use std::fmt;
@@ -204,9 +203,9 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// What the actor answers a request with: the counters after it, or the
-/// text of the `ERR` line.
-type Reply = Result<StatsReport, String>;
+/// What the actor answers a request with: the session's counters after
+/// it ([`Session::metrics`]), or the text of the `ERR` line.
+type Reply = Result<Metrics, String>;
 
 /// The way back to whoever sent a request. A request is answered exactly
 /// once: by [`ReplyHandle::send`], or — when it is dropped unanswered,
@@ -572,7 +571,7 @@ impl Server {
     /// would. The graceful-shutdown path (`cogra-run serve` on SIGTERM)
     /// drains before snapshotting so subscribers receive every result
     /// the snapshot already accounts for.
-    pub fn drain(&self) -> Result<StatsReport, String> {
+    pub fn drain(&self) -> Result<Metrics, String> {
         let (tx, rx) = mpsc::channel();
         let reply = ReplyHandle::new(&tx);
         self.shared.ask(Req::Drain { reply }, &rx)
@@ -650,8 +649,6 @@ impl Subscriber {
 #[derive(Default)]
 struct Subscribers {
     list: Vec<Subscriber>,
-    /// Results pushed so far (`results=` in `STATS`).
-    results: u64,
     /// The result being encoded; reused.
     line: Vec<u8>,
 }
@@ -660,7 +657,6 @@ impl Subscribers {
     /// Queue one finalized result for every matching subscriber — the one
     /// sink body behind both `drain_into` and `finish_into`.
     fn push_result(&mut self, query: usize, result: &cogra_engine::WindowResult) {
-        self.results += 1;
         self.line.clear();
         wire::push_result_line(&mut self.line, query, result);
         for sub in &mut self.list {
@@ -691,50 +687,27 @@ impl Subscribers {
 /// subscriber. Requests are processed strictly in arrival order, and the
 /// chunks of an `INGEST` block arrive whole and in row order (the ingest
 /// turn), so a single-connection client observes the exact semantics of
-/// driving a `Session` in-process.
+/// driving a `Session` in-process — and every reply is what
+/// [`Session::metrics`] says after the request, with `ingested` set on an
+/// `INGEST` block's.
 fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerConfig) {
     let mut subscribers = Subscribers::default();
     let mut finished = false;
-    // The `INGEST` block in progress: `Session::csv_rows` at its first
-    // chunk, and what it failed with — the rest of a failed block is
-    // discarded, as `Session::ingest_csv` stops at its first bad row.
+    // The `INGEST` block in progress: the session's event count at its
+    // first chunk, and what it failed with — the rest of a failed block is
+    // discarded, as `Session::ingest_csv` stops at its first bad row. Rows
+    // ingested before a bad row are in the stream, and in that count.
     let mut block_start = 0;
     let mut block_error: Option<String> = None;
     // The event every row of every chunk is loaded into.
     let mut row = Event::new(0, 0, TypeId(0), Vec::new());
-
-    let stats = |session: &Session, results: u64, finished: bool| {
-        // One read of the shard counters, so the totals and the per-shard
-        // event counts describe the same instant.
-        let shards = session.shard_metrics();
-        let total = Metrics::total(&shards);
-        StatsReport {
-            ingested: 0,
-            // The session's own count: rows ingested before a bad row of
-            // a failed `INGEST` are in the stream, and in here.
-            events: session.csv_rows(),
-            late: session.late_events(),
-            results,
-            watermark: session.watermark().ticks(),
-            queries: session.queries(),
-            workers: session.workers(),
-            memory: total.memory,
-            key_probes: total.stats.key_probes,
-            key_allocs: total.stats.key_allocs,
-            shard_events: shards.iter().map(|m| m.events).collect(),
-            degraded: session.degraded_shards(),
-            dropped: session.dropped_events(),
-            physical: session.physical_runs(),
-            finished,
-        }
-    };
 
     // Polled before parked: mid-block the next chunk is microseconds away.
     while let Ok(req) = recv_polling(&requests) {
         match req {
             Req::Chunk { rows, first, end } => {
                 if first {
-                    (block_start, block_error) = (session.csv_rows(), None);
+                    (block_start, block_error) = (session.metrics().events, None);
                 }
                 if block_error.is_none() {
                     block_error = if finished {
@@ -765,9 +738,9 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                         if config.drain_on_ingest {
                             subscribers.drain(&mut session);
                         }
-                        let mut report = stats(&session, subscribers.results, finished);
-                        report.ingested = session.csv_rows() - block_start;
-                        Ok(report)
+                        let mut metrics = session.metrics();
+                        metrics.ingested = metrics.events - block_start;
+                        Ok(metrics)
                     }
                 });
             }
@@ -775,11 +748,9 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                 if !finished {
                     subscribers.drain(&mut session);
                 }
-                reply.send(Ok(stats(&session, subscribers.results, finished)));
+                reply.send(Ok(session.metrics()));
             }
-            Req::Stats { reply } => {
-                reply.send(Ok(stats(&session, subscribers.results, finished)));
-            }
+            Req::Stats { reply } => reply.send(Ok(session.metrics())),
             Req::Finish { reply } => {
                 if finished {
                     reply.send(Err("session finished".to_string()));
@@ -799,7 +770,7 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                 // reply reached the socket, so a `wait_finished` →
                 // shutdown caller (the CLI's serve mode, which
                 // exits) cannot kill the reply mid-write.
-                reply.send(Ok(stats(&session, subscribers.results, finished)));
+                reply.send(Ok(session.metrics()));
             }
             Req::Snapshot { path, reply } => {
                 // Atomic write ({path}.tmp + fsync + rename): a crash
@@ -810,7 +781,7 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                 // `error: `, so both surfaces pin the same messages.
                 reply.send(
                     cogra_checkpoint::write_atomic(&path, |buf| session.checkpoint(buf))
-                        .map(|()| stats(&session, subscribers.results, finished))
+                        .map(|()| session.metrics())
                         .map_err(|e| format!("{path}: {e}")),
                 );
             }
@@ -851,7 +822,7 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                 if !finished {
                     subscribers.list.push(sub);
                 }
-                reply.send(Ok(stats(&session, subscribers.results, finished)));
+                reply.send(Ok(session.metrics()));
             }
             Req::Shutdown => break,
         }

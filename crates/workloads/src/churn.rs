@@ -3,12 +3,10 @@
 //! Session-id-like group keys: a bounded set of sessions is live at any
 //! moment, but each session dies after a fixed lifetime and is replaced by
 //! a *fresh* id that has never been seen before. The distinct-key count
-//! grows linearly with stream length, so a [`KeyInterner`] that kept
-//! every key would grow without bound — exactly the stress partition
-//! retirement (a key leaves with its last window, its id and slot are
-//! reused) and the resident-key limit exist for.
-//!
-//! [`KeyInterner`]: cogra_engine::intern::KeyInterner
+//! grows linearly with stream length, so a key interner (`cogra-engine`'s
+//! `KeyInterner`) that kept every key would grow without bound — exactly
+//! the stress partition retirement (a key leaves with its last window, its
+//! id and slot are reused) and the resident-key limit exist for.
 
 use cogra_events::{Event, EventBuilder, TypeRegistry, Value, ValueKind};
 use rand::rngs::StdRng;

@@ -83,12 +83,12 @@ pub mod prelude {
     };
     pub use cogra_core::{
         run_to_completion, AggValue, CheckpointError, CograEngine, EngineConfig, FailurePolicy,
-        RunStats, TrendEngine, WindowResult, WorkerFailure,
+        Metrics, RunStats, TrendEngine, WindowResult, WorkerFailure,
     };
     pub use cogra_events::{
         read_events, write_events, Event, EventBuilder, EventReader, Timestamp, TypeRegistry,
         Value, ValueKind, WindowSpec,
     };
     pub use cogra_query::{compile, parse, Granularity, PatternExpr, Query, Semantics};
-    pub use cogra_server::{Client, ServeError, Server, ServerConfig, StatsReport, Subscription};
+    pub use cogra_server::{Client, ServeError, Server, ServerConfig, Subscription};
 }

@@ -341,20 +341,21 @@ fn degrade_conserves_event_accounting_at_the_pool() {
         }
     }
     pool.finish_into(&mut push);
-    assert_eq!(pool.degraded_shards(), vec![1]);
+    let metrics = pool.metrics();
+    assert_eq!(metrics.degraded, vec![1]);
     assert!(pool.failure().is_none(), "Degrade must not fail the pool");
     assert!(
-        pool.dropped_events() > 0,
+        metrics.dropped > 0,
         "a quarantine with no losses proves nothing"
     );
-    let live: u64 = pool.shard_metrics().iter().map(|m| m.events).sum();
+    let live: u64 = metrics.shard_events.iter().sum();
     assert_eq!(
         pool.routed_items(),
-        live + pool.dropped_events(),
+        live + metrics.dropped,
         "conservation violated: {} routed, {} live, {} dropped",
         pool.routed_items(),
         live,
-        pool.dropped_events()
+        metrics.dropped
     );
     assert!(!results.is_empty(), "live shards must keep emitting");
 }
@@ -433,7 +434,7 @@ fn degraded_session_refuses_to_checkpoint() {
         session.process(e);
     }
     let _ = session.drain();
-    assert_eq!(session.degraded_shards(), vec![1]);
+    assert_eq!(session.metrics().degraded, vec![1]);
     let refusal = session
         .checkpoint(&mut Vec::new())
         .expect_err("no checkpoint");

@@ -14,21 +14,24 @@
 //!   roster), from sampled rows ([`workloads::rows_case`]) or from a
 //!   compiled automaton's edges ([`edges::populations`]).
 //! * **configuration** ([`model::Config`]) — workers, transport batch
-//!   size, sharing, failure policy, and how events travel: in memory, as
-//!   CSV through `ingest_csv`, or over a loopback socket through
-//!   `cogra-server`.
+//!   size, failure policy, and how events travel: in memory, as CSV
+//!   through `ingest_csv`, or over a loopback socket through
+//!   `cogra-server`. Sharing is always on; the reference is unshared.
 //! * **ops** ([`model::Op`]) — ingest a chunk / drain / checkpoint →
 //!   restore at another width and batch size / arm a failpoint; the rest
 //!   of the stream and `finish` follow the last op. Generated ops shrink
 //!   under the vendored proptest.
 //! * **observation** ([`model::Observation`]) — per-query results in
 //!   (window, group) order, rendered so floats compare by their bits;
-//!   late drops; `RunStats`; Σ shard events + dropped; effective workers.
-//!   Along the way the driver also holds every mid-stream drain to the
-//!   reference (nothing from a window still open, everything of every
-//!   window that closed) and a finished session to being exhausted.
+//!   late drops; `RunStats`; Σ shard events + dropped; effective workers
+//!   — the counters read off one `Metrics`, `Session::metrics()` in
+//!   process or the `FINISH` reply over a socket. Along the way the
+//!   driver also holds every mid-stream drain to the reference (nothing
+//!   from a window still open, everything of every window that closed),
+//!   the `events` and `results` counters to the rows fed and emitted, and
+//!   a finished session to being exhausted.
 //! * **reference** ([`model::Reference`]) — each query alone on its own
-//!   engine kind, one inline shard, sharing off, finish-only, disorder
+//!   engine kind, one inline shard, nothing to share, finish-only, disorder
 //!   repaired by a front `Reorderer`. Its bits are what a session is held
 //!   to; COGRA and — where the windows are small enough to enumerate —
 //!   `EngineKind::Oracle` run the same query and must agree with it up to

@@ -84,11 +84,11 @@ impl Case {
             .all(|(_, kind)| *kind == EngineKind::Cogra)
     }
 
-    fn builder(&self, config: &Config) -> SessionBuilder {
+    /// The session `config` builds for the case.
+    pub fn builder(&self, config: &Config) -> SessionBuilder {
         let mut builder = Session::builder()
             .workers(config.workers)
             .batch_size(config.batch)
-            .sharing(config.sharing)
             .on_worker_failure(config.policy);
         for (query, kind) in &self.roster {
             builder = builder.query_with_engine(query.as_str(), *kind);
@@ -117,7 +117,6 @@ pub enum Transport {
 pub struct Config {
     pub workers: usize,
     pub batch: usize,
-    pub sharing: bool,
     pub policy: FailurePolicy,
     pub transport: Transport,
 }
@@ -127,7 +126,6 @@ impl Default for Config {
         Config {
             workers: 1,
             batch: 512,
-            sharing: true,
             policy: FailurePolicy::Fail,
             transport: Transport::Memory,
         }
@@ -208,6 +206,29 @@ pub struct Observation {
     pub workers: usize,
 }
 
+impl Observation {
+    /// What a session's counters say, on either transport: `metrics` is
+    /// `Session::metrics()` or the `FINISH` reply, `routed_before` the
+    /// routed items of the sessions a restore replaced.
+    fn of(per_query: Vec<Vec<String>>, metrics: &Metrics, routed_before: u64) -> Observation {
+        Observation {
+            per_query,
+            late: metrics.late,
+            stats: RunStats {
+                key_probes: metrics.key_probes,
+                key_allocs: metrics.key_allocs,
+            },
+            routed: routed_before + routed(metrics),
+            workers: metrics.workers,
+        }
+    }
+}
+
+/// Σ shard events + events lost to quarantines.
+fn routed(metrics: &Metrics) -> u64 {
+    metrics.shard_events.iter().sum::<u64>() + metrics.dropped
+}
+
 /// A checked run: what it observed (equal to the reference's) and what
 /// the sweeps need for their liveness assertions.
 #[derive(Debug)]
@@ -232,7 +253,7 @@ pub struct Reference {
     /// where it ran, the oracle confirmed up to rounding.
     per_query: Vec<Vec<WindowResult>>,
     /// Per query: the routing counters of its run alone.
-    stats: Vec<RunStats>,
+    pub stats: Vec<RunStats>,
     /// Whether any query has a `GROUP-BY` prefix to shard on.
     shards: bool,
     /// What a front `Reorderer` dropped.
@@ -298,7 +319,6 @@ impl Reference {
             let mut session = Session::builder()
                 .query(query)
                 .engine(kind)
-                .sharing(false)
                 .build(&case.registry)
                 .ok()?;
             for e in &repaired {
@@ -535,10 +555,9 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
         seen: 0,
         per_query: Vec::new(),
     };
-    let routed = |s: &Session| s.shard_events().iter().sum::<u64>() + s.dropped_events();
-    // Shard counters start over with every restore; the snapshot round
-    // trip before it leaves them current.
-    let mut routed_before = 0;
+    // A session's counters start over with every restore; the snapshot
+    // round trip before it leaves them current.
+    let (mut events_before, mut results_before, mut routed_before) = (0, 0, 0);
     let (mut fed, mut width, mut faulted) = (0, config.workers, false);
     for op in ops {
         match op {
@@ -556,7 +575,10 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
                 session
                     .checkpoint(&mut snapshot)
                     .map_err(|e| format!("checkpoint: {e}"))?;
-                routed_before += routed(&session);
+                let metrics = session.metrics();
+                events_before += metrics.events;
+                results_before += metrics.results;
+                routed_before += routed(&metrics);
                 session = Session::builder()
                     .workers(*workers)
                     .batch_size(*batch)
@@ -580,10 +602,21 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
     if let Some(failure) = session.worker_failure() {
         return Err(format!("the session failed: {failure}"));
     }
-    if !session.degraded_shards().is_empty() {
+    let metrics = session.metrics();
+    if !metrics.degraded.is_empty() {
+        return Err(format!("shards {:?} were quarantined", metrics.degraded));
+    }
+    // Every event fed was counted once, and every result emitted.
+    let counted = (
+        events_before + metrics.events,
+        results_before + metrics.results,
+    );
+    if counted != (case.events.len() as u64, sink.len() as u64) || !metrics.finished {
         return Err(format!(
-            "shards {:?} were quarantined",
-            session.degraded_shards()
+            "the counters say {counted:?} (events, results) and {metrics:?} of the last \
+             session; {} events were fed and {} results emitted",
+            case.events.len(),
+            sink.len()
         ));
     }
 
@@ -591,30 +624,27 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
     for t in &sink {
         per_query[t.query].push(t.result.clone());
     }
-    let observation = Observation {
-        per_query: per_query
-            .iter_mut()
-            .map(|results| {
-                WindowResult::sort(results);
-                results.iter().map(|r| format!("{r:?}")).collect()
-            })
-            .collect(),
-        late: session.late_events(),
-        stats: session.run_stats(),
-        routed: routed_before + routed(&session),
-        workers: session.workers(),
-    };
+    let per_query = (per_query.iter_mut())
+        .map(|results| {
+            WindowResult::sort(results);
+            results.iter().map(|r| format!("{r:?}")).collect()
+        })
+        .collect();
+    let observation = Observation::of(per_query, &metrics, routed_before);
 
     // A finished session is exhausted, identically at every width: further
-    // input is ignored, further drains and finishes emit nothing, and it
-    // refuses to checkpoint.
-    let before = (sink.len(), session.watermark(), session.shard_events());
+    // input is counted but ignored, further drains and finishes emit
+    // nothing, and it refuses to checkpoint.
     case.events.iter().take(8).for_each(|e| session.process(e));
     session.drain_into(&mut sink);
     session.finish_into(&mut sink);
-    let after = (sink.len(), session.watermark(), session.shard_events());
-    if before != after || session.run_stats() != observation.stats {
-        return Err(format!("a finished session moved: {before:?} → {after:?}"));
+    let after = session.metrics();
+    if (Metrics {
+        events: metrics.events,
+        ..after.clone()
+    }) != metrics
+    {
+        return Err(format!("a finished session moved: {metrics:?} → {after:?}"));
     }
     if session.checkpoint(Vec::new()).is_ok() {
         return Err("a finished session checkpointed".to_string());
@@ -717,7 +747,6 @@ mod socket {
         let mut pushed: Vec<(usize, String)> = Vec::new();
         // `STATS` counts per server; the stream-wide totals are summed over
         // the restarts (the snapshot round trip leaves the counters current).
-        let routed = |r: &StatsReport| r.shard_events.iter().sum::<u64>() + r.dropped;
         let (mut events, mut results_before, mut routed_before) = (0, 0, 0);
         let (mut fed, mut width, mut faulted, mut live) = (0, config.workers, false, 0);
         for op in ops {
@@ -790,18 +819,8 @@ mod socket {
             per_query[q].push(row);
         }
         per_query.iter_mut().for_each(|rows| rows.sort());
-        let observation = Observation {
-            per_query,
-            late: finish.late,
-            stats: RunStats {
-                key_probes: finish.key_probes,
-                key_allocs: finish.key_allocs,
-            },
-            routed: routed_before + routed(&finish),
-            workers: finish.workers,
-        };
         Ok(Run {
-            observation,
+            observation: Observation::of(per_query, &finish, routed_before),
             live: (results_before + live) as usize,
             // `STATS` carries the count only; the members come from the
             // same roster factored in process.

@@ -141,7 +141,8 @@ fn rows_before_a_bad_row_are_counted_by_every_surface() {
         .ingest_csv(BLOCK, &registry())
         .expect_err("the fourth row is truncated")
         .to_string();
-    assert_eq!((session.csv_rows(), session.late_events()), (3, 1));
+    let metrics = session.metrics();
+    assert_eq!((metrics.events, metrics.late), (3, 1));
 
     let server = Server::spawn(
         builder(),
@@ -200,7 +201,7 @@ fn a_bad_row_in_any_chunk_of_a_block_is_the_shared_paths_error() {
                 .ingest_csv(&csv, &registry())
                 .expect_err("one row is bad")
                 .to_string();
-            assert_eq!(session.csv_rows(), bad as u64);
+            assert_eq!(session.metrics().events, bad as u64);
 
             let server = Server::spawn(
                 Session::builder().query(QUERY),

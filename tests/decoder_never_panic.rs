@@ -93,7 +93,7 @@ fn documents() -> &'static Vec<String> {
 /// Valid lines of the wire protocol: `STATS` payloads, a `RESULT` payload,
 /// `SUBSCRIBE` arguments.
 fn lines() -> Vec<String> {
-    let report = StatsReport {
+    let report = Metrics {
         ingested: 4,
         events: 10,
         results: 7,
@@ -105,11 +105,11 @@ fn lines() -> Vec<String> {
         dropped: 5,
         physical: 2,
         finished: true,
-        ..StatsReport::default()
+        ..Metrics::default()
     };
     vec![
         report.encode(),
-        StatsReport::default().encode(),
+        Metrics::default().encode(),
         "q1 w0 [7, \"x y\"] → 9 1.5".to_string(),
         "q12".to_string(),
         "*".to_string(),
@@ -220,10 +220,10 @@ fn scan_csv(text: &str) {
 }
 
 fn decode_wire(text: &str) {
-    let report = bounded(text, || StatsReport::decode(text));
+    let report = bounded(text, || Metrics::decode(text));
     if let Ok(report) = report {
         assert!(report.shard_events.len() <= text.len());
-        StatsReport::decode(&report.encode()).expect("what was decoded encodes");
+        Metrics::decode(&report.encode()).expect("what was decoded encodes");
     }
     if let Ok((_, row)) = bounded(text, || decode_result(text)) {
         assert!(text.ends_with(row));

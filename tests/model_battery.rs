@@ -1,7 +1,7 @@
 //! The model battery proper: the arms no narrower battery file owns.
 //!
 //! * **random lives** — a generated case of the workload table, a
-//!   generated configuration (width, batch size, sharing, transport) and
+//!   generated configuration (width, batch size, transport) and
 //!   a generated op sequence (ingest / drain / restore elsewhere), held to
 //!   the reference by `model::check`; the vendored proptest shrinks all of
 //!   it. The narrower files (`streaming_parallel_props`, `session_parity`,
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 /// op sequence, all sampled, held to the reference.
 fn a_life(
     (wl, seed, n): (usize, u64, usize),
-    (width, batch, sharing, jitter): (usize, usize, bool, bool),
+    (width, batch, jitter): (usize, usize, bool),
     transport: Transport,
     raw: Vec<(usize, usize)>,
 ) -> Result<(), TestCaseError> {
@@ -40,7 +40,6 @@ fn a_life(
     let config = Config {
         workers: WIDTHS[width],
         batch: BATCHES[batch],
-        sharing,
         transport,
         ..Config::default()
     };
@@ -58,7 +57,7 @@ proptest! {
     #[test]
     fn any_life_of_any_workload_observes_the_reference(
         case in (0usize..WORKLOADS, 0u64..10_000, 100usize..360),
-        shape in (0usize..4, 0usize..4, any::<bool>(), any::<bool>()),
+        shape in (0usize..4, 0usize..4, any::<bool>()),
         csv in any::<bool>(),
         raw in vec((0usize..5, 0usize..48), 0..24),
     ) {
@@ -73,7 +72,7 @@ proptest! {
     #[test]
     fn any_served_life_of_any_workload_observes_the_reference(
         case in (0usize..WORKLOADS, 0u64..10_000, 100usize..360),
-        shape in (0usize..4, 0usize..4, any::<bool>(), any::<bool>()),
+        shape in (0usize..4, 0usize..4, any::<bool>()),
         block in 1usize..98,
         raw in vec((0usize..5, 0usize..48), 0..24),
     ) {

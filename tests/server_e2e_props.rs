@@ -7,8 +7,10 @@
 //! blocks cut around the chunks an `INGEST` travels in (a block of one
 //! chunk less a row, exactly one, one and a row, several, none).
 //!
-//! Beside the arms, the protocol: one shared run fanned out to duplicate
-//! subscriptions, reconnect-after-`FINISH`, error replies and caps,
+//! Beside the arms, the protocol: every counter reply is the session's
+//! `Metrics`, byte for byte, and one is pinned as a literal; one shared
+//! run fanned out to duplicate subscriptions, reconnect-after-`FINISH`,
+//! error replies and caps,
 //! subscriber back-pressure, hostile connections, racing feeds and control
 //! verbs landing between the chunks of a block, and the loopback-only bind
 //! guard.
@@ -22,7 +24,9 @@ use cogra::prelude::*;
 use cogra::server::INGEST_CHUNK_ROWS as CHUNK;
 use cogra::workloads::{stock, StockConfig};
 use common::model::{chunked, sweep, Case, Config, Op, Reference, Transport};
-use common::workloads::{disordered, rows_case, workload, RIDESHARE, STOCK_MIXED, TRANSPORT};
+use common::workloads::{
+    disordered, rows_case, workload, DUPLICATES, RIDESHARE, STOCK_MIXED, STOCK_TYPE, TRANSPORT,
+};
 use common::{watchdog, Fixture, Raw};
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -153,6 +157,82 @@ fn blocks_cut_around_the_chunk_seam_observe_the_reference() {
             assert!(reference.results() > 0 && runs.iter().all(|run| run.live > 0));
         });
     }
+}
+
+/// A server over `case` at `workers`, and the builder it was spawned from
+/// for an in-process twin.
+fn twin_server(case: &Case, workers: usize) -> (Server, SessionBuilder) {
+    let builder = case.builder(&Config::workers(workers));
+    let server = Server::spawn(
+        builder.clone(),
+        case.registry.clone(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("server starts");
+    (server, builder)
+}
+
+#[test]
+fn every_counter_reply_is_the_sessions_metrics_byte_for_byte() {
+    // The same CSV blocks to a server and to `Session::ingest_csv`, each
+    // drained after every block (the server drains on ingest): its
+    // `INGEST`, `STATS` and `FINISH` replies are the in-process session's
+    // `metrics()`, encoded — the stock roster (which shares, so
+    // `physical=` shows) at widths 1 and 2 with and without slack, and
+    // the duplicate roster.
+    let stock = [(1, 0), (1, 8), (2, 0), (2, 8)].map(|(w, slack)| (STOCK_TYPE, w, slack));
+    for (wl, workers, slack) in stock.into_iter().chain([(DUPLICATES, 1, 0)]) {
+        watchdog("counter replies", move || {
+            let case = disordered(wl, 7, 300, slack);
+            let (server, builder) = twin_server(&case, workers);
+            let mut session = builder.build(&case.registry).expect("builds");
+            let mut raw = Raw::connect(server.local_addr());
+            let ok = |metrics: Metrics| format!("OK {}\n", metrics.encode());
+            for events in case.events.chunks(90) {
+                let csv = write_events(events, &case.registry);
+                let ingested = session.ingest_csv(&csv, &case.registry).expect("ingests");
+                session.drain();
+                let lines = csv.split_inclusive('\n').count();
+                let expected = Metrics {
+                    ingested,
+                    ..session.metrics()
+                };
+                assert_eq!(raw.ask(format!("INGEST {lines}\n{csv}")), ok(expected));
+                assert_eq!(raw.ask("STATS\n"), ok(session.metrics()));
+            }
+            session.finish();
+            assert_eq!(raw.ask("FINISH\n"), ok(session.metrics()));
+            assert!(session.metrics().physical < session.queries());
+            server.shutdown();
+        });
+    }
+}
+
+#[test]
+fn a_counter_reply_is_pinned_byte_for_byte() {
+    // The `STATS` line as its `v1`: a slack session at two workers over a
+    // roster that shares, so `shards=` and `physical=` are in it.
+    watchdog("pinned reply", || {
+        let case = disordered(STOCK_TYPE, 7, 120, 8);
+        let (server, _) = twin_server(&case, 2);
+        let csv = write_events(&case.events, &case.registry);
+        let mut raw = Raw::connect(server.local_addr());
+        raw.ask(format!("INGEST {}\n{csv}", csv.lines().count()));
+        assert_eq!(
+            raw.ask("STATS\n"),
+            "OK ingested=0 events=120 late=8 results=120 watermark=112 queries=3 workers=2 \
+             memory=11280 key_probes=208 key_allocs=72 shards=116,92 physical=2 \
+             finished=false\n"
+        );
+        assert_eq!(
+            raw.ask("FINISH\n"),
+            "OK ingested=0 events=120 late=8 results=180 watermark=112 queries=3 workers=2 \
+             memory=1120 key_probes=224 key_allocs=72 shards=128,96 physical=2 \
+             finished=true\n"
+        );
+        server.shutdown();
+    });
 }
 
 /// `n` rows one tick apart — row `i` is at time `i + 2` — over seven

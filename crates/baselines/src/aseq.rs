@@ -20,11 +20,9 @@
 //! windows. Not supported (Table 9): other semantics, predicates on
 //! adjacent events, negation.
 
-use cogra_engine::runtime::EngineConfig;
-use cogra_engine::{AggLayout, Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
-use cogra_events::{Event, Timestamp, TypeRegistry};
-use cogra_query::{compile, CompiledQuery, Query, QueryError, QueryResult, Semantics, StateId};
-use std::sync::Arc;
+use cogra_engine::{AggLayout, Capabilities, Cell, EventBinds, QueryRuntime, WindowAlgo};
+use cogra_events::{Event, Timestamp};
+use cogra_query::StateId;
 
 /// Per-disjunct prefix counters.
 #[derive(Debug, Default)]
@@ -46,6 +44,9 @@ pub struct ASeqWindow {
 }
 
 impl WindowAlgo for ASeqWindow {
+    const NAME: &'static str = "aseq";
+    const TABLE9: Capabilities = Capabilities::ASEQ;
+
     fn new(rt: &QueryRuntime) -> ASeqWindow {
         ASeqWindow {
             disjuncts: rt
@@ -233,61 +234,4 @@ impl PrefixCounters {
             self.pending_time = t;
         }
     }
-}
-
-/// The A-Seq engine.
-pub type ASeqEngine = Router<ASeqWindow>;
-
-/// Runtime for an already-compiled plan. Fails for query features outside
-/// Table 9's A-Seq row (non-ANY semantics, adjacent predicates, negation).
-/// Shared by [`aseq_engine_from_plan`] and checkpoint restore.
-pub fn aseq_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-    config: EngineConfig,
-) -> QueryResult<Arc<QueryRuntime>> {
-    if compiled.semantics != Semantics::Any {
-        return Err(QueryError::compile(
-            "A-Seq supports only skip-till-any-match (Table 9)",
-        ));
-    }
-    if compiled.disjuncts.iter().any(|d| !d.adjacents.is_empty()) {
-        return Err(QueryError::compile(
-            "A-Seq does not support predicates on adjacent events (Table 9)",
-        ));
-    }
-    if compiled
-        .disjuncts
-        .iter()
-        .any(|d| d.automaton.num_negated() > 0)
-    {
-        return Err(QueryError::compile(
-            "A-Seq does not support negated sub-patterns",
-        ));
-    }
-    Ok(Arc::new(
-        QueryRuntime::new(compiled.clone(), registry).with_config(config),
-    ))
-}
-
-/// Build an A-Seq engine from an already-compiled plan.
-pub fn aseq_engine_from_plan(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-    config: EngineConfig,
-) -> QueryResult<ASeqEngine> {
-    Ok(Router::new(
-        aseq_runtime(compiled, registry, config)?,
-        "aseq",
-    ))
-}
-
-/// Build an A-Seq engine. Fails for query features outside Table 9's
-/// A-Seq row (non-ANY semantics, adjacent predicates, negation).
-pub fn aseq_engine(
-    query: &Query,
-    registry: &TypeRegistry,
-    config: EngineConfig,
-) -> QueryResult<ASeqEngine> {
-    aseq_engine_from_plan(&compile(query, registry)?, registry, config)
 }

@@ -12,17 +12,16 @@
 //! match of every flattened query — all trends up to the flattening cap —
 //! and only then (3) folds them into the aggregate. The materialized
 //! matches are the memory spike that makes Flink's footprint exponential
-//! under skip-till-any-match (Figure 7(b)); the [`Router`] measures it via
-//! its finalize-spike hook.
+//! under skip-till-any-match (Figure 7(b)); the
+//! [`Router`](cogra_engine::Router) measures it via its finalize-spike
+//! hook.
 //!
 //! Supported semantics (Table 9): skip-till-any-match and contiguous.
 
 use crate::oracle::{trend_cell, visit_any_capped, visit_cont_positional};
-use cogra_engine::runtime::EngineConfig;
-use cogra_engine::{Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
-use cogra_events::{Event, TypeRegistry};
-use cogra_query::{compile, CompiledQuery, Query, QueryError, QueryResult, Semantics, StateId};
-use std::sync::Arc;
+use cogra_engine::{Capabilities, Cell, EventBinds, QueryRuntime, WindowAlgo};
+use cogra_events::Event;
+use cogra_query::{Semantics, StateId};
 
 /// Per-window Flink state.
 #[derive(Debug)]
@@ -56,6 +55,8 @@ impl FlinkWindow {
 }
 
 impl WindowAlgo for FlinkWindow {
+    const NAME: &'static str = "flink";
+    const TABLE9: Capabilities = Capabilities::FLINK;
     const INSTRUMENT_BYTES: usize = std::mem::size_of::<usize>();
 
     fn new(_rt: &QueryRuntime) -> FlinkWindow {
@@ -129,45 +130,4 @@ impl WindowAlgo for FlinkWindow {
     ) -> Result<FlinkWindow, cogra_checkpoint::CheckpointError> {
         Ok(FlinkWindow::over(Event::load_vec(dec)?))
     }
-}
-
-/// The Flink engine.
-pub type FlinkEngine = Router<FlinkWindow>;
-
-/// Runtime for an already-compiled plan. Fails for skip-till-next-match
-/// (Table 9). Shared by [`flink_engine_from_plan`] and checkpoint restore.
-pub fn flink_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-    config: EngineConfig,
-) -> QueryResult<Arc<QueryRuntime>> {
-    if compiled.semantics == Semantics::Next {
-        return Err(QueryError::compile(
-            "Flink does not support skip-till-next-match (Table 9)",
-        ));
-    }
-    Ok(Arc::new(
-        QueryRuntime::new(compiled.clone(), registry).with_config(config),
-    ))
-}
-
-/// Build a Flink engine from an already-compiled plan.
-pub fn flink_engine_from_plan(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-    config: EngineConfig,
-) -> QueryResult<FlinkEngine> {
-    Ok(Router::new(
-        flink_runtime(compiled, registry, config)?,
-        "flink",
-    ))
-}
-
-/// Build a Flink engine. Fails for skip-till-next-match (Table 9).
-pub fn flink_engine(
-    query: &Query,
-    registry: &TypeRegistry,
-    config: EngineConfig,
-) -> QueryResult<FlinkEngine> {
-    flink_engine_from_plan(&compile(query, registry)?, registry, config)
 }

@@ -12,10 +12,9 @@
 //! O(n·l)/Θ(l) is exactly what Figures 7–10 measure.
 
 use cogra_engine::runtime::DisjunctRuntime;
-use cogra_engine::{Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
-use cogra_events::{Event, TypeRegistry};
-use cogra_query::{compile, CompiledQuery, Query, QueryResult, Semantics, StateId};
-use std::sync::Arc;
+use cogra_engine::{Capabilities, Cell, EventBinds, QueryRuntime, WindowAlgo};
+use cogra_events::Event;
+use cogra_query::StateId;
 
 /// A graph node: a matched event with its per-binding aggregate.
 #[derive(Debug)]
@@ -59,6 +58,9 @@ pub struct GretaWindow {
 }
 
 impl WindowAlgo for GretaWindow {
+    const NAME: &'static str = "greta";
+    const TABLE9: Capabilities = Capabilities::GRETA;
+
     fn new(rt: &QueryRuntime) -> GretaWindow {
         GretaWindow {
             graphs: rt
@@ -229,36 +231,4 @@ fn compute_cell(graph: &Graph, drt: &DisjunctRuntime, event: &Event, s: StateId)
     }
     cell.contribute(&drt.layout, drt.feeds.of(s), event);
     Some(cell)
-}
-
-/// The GRETA engine.
-pub type GretaEngine = Router<GretaWindow>;
-
-/// Runtime for an already-compiled plan; fails if the query needs more
-/// than skip-till-any-match (Table 9). Shared by
-/// [`greta_engine_from_plan`] and checkpoint restore.
-pub fn greta_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-) -> QueryResult<Arc<QueryRuntime>> {
-    if compiled.semantics != Semantics::Any {
-        return Err(cogra_query::QueryError::compile(
-            "GRETA supports only skip-till-any-match (Table 9)",
-        ));
-    }
-    Ok(Arc::new(QueryRuntime::new(compiled.clone(), registry)))
-}
-
-/// Build a GRETA engine from an already-compiled plan.
-pub fn greta_engine_from_plan(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-) -> QueryResult<GretaEngine> {
-    Ok(Router::new(greta_runtime(compiled, registry)?, "greta"))
-}
-
-/// Build a GRETA engine; fails if the query needs more than
-/// skip-till-any-match (Table 9).
-pub fn greta_engine(query: &Query, registry: &TypeRegistry) -> QueryResult<GretaEngine> {
-    greta_engine_from_plan(&compile(query, registry)?, registry)
 }

@@ -5,10 +5,9 @@
 //! Table 3 trend-count experiment.
 
 use cogra_engine::runtime::DisjunctRuntime;
-use cogra_engine::{Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
-use cogra_events::{Event, Timestamp, TypeRegistry};
-use cogra_query::{compile, CompiledQuery, Query, QueryResult, Semantics, StateId};
-use std::sync::Arc;
+use cogra_engine::{Capabilities, Cell, EventBinds, QueryRuntime, WindowAlgo};
+use cogra_events::{Event, Timestamp};
+use cogra_query::{Semantics, StateId};
 
 /// A finished trend: `(index into the window's event list, bound state)`
 /// per element.
@@ -308,6 +307,8 @@ impl OracleWindow {
 }
 
 impl WindowAlgo for OracleWindow {
+    const NAME: &'static str = "oracle";
+    const TABLE9: Capabilities = Capabilities::ORACLE;
     const INSTRUMENT_BYTES: usize = std::mem::size_of::<usize>();
 
     fn new(_rt: &QueryRuntime) -> OracleWindow {
@@ -359,29 +360,4 @@ impl WindowAlgo for OracleWindow {
     ) -> Result<OracleWindow, cogra_checkpoint::CheckpointError> {
         Ok(OracleWindow::over(Event::load_vec(dec)?))
     }
-}
-
-/// The oracle engine.
-pub type OracleEngine = Router<OracleWindow>;
-
-/// Runtime for an already-compiled plan (the oracle supports everything).
-/// Shared by [`oracle_engine_from_plan`] and checkpoint restore.
-pub fn oracle_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-) -> QueryResult<Arc<QueryRuntime>> {
-    Ok(Arc::new(QueryRuntime::new(compiled.clone(), registry)))
-}
-
-/// Build an oracle engine from an already-compiled plan.
-pub fn oracle_engine_from_plan(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-) -> QueryResult<OracleEngine> {
-    Ok(Router::new(oracle_runtime(compiled, registry)?, "oracle"))
-}
-
-/// Build an oracle engine for a parsed query.
-pub fn oracle_engine(query: &Query, registry: &TypeRegistry) -> QueryResult<OracleEngine> {
-    oracle_engine_from_plan(&compile(query, registry)?, registry)
 }

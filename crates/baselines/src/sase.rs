@@ -18,10 +18,9 @@
 //!   is exponential.
 
 use cogra_engine::runtime::{DisjunctRuntime, NegClock};
-use cogra_engine::{Cell, EventBinds, QueryRuntime, Router, WindowAlgo};
-use cogra_events::{Event, TypeRegistry};
-use cogra_query::{compile, CompiledQuery, Query, QueryResult, Semantics, StateId};
-use std::sync::Arc;
+use cogra_engine::{Capabilities, Cell, EventBinds, QueryRuntime, WindowAlgo};
+use cogra_events::Event;
+use cogra_query::{Semantics, StateId};
 
 /// One stored matched event with predecessor pointers.
 #[derive(Debug)]
@@ -52,6 +51,9 @@ pub struct SaseWindow {
 }
 
 impl WindowAlgo for SaseWindow {
+    const NAME: &'static str = "sase";
+    const TABLE9: Capabilities = Capabilities::SASE;
+
     fn new(rt: &QueryRuntime) -> SaseWindow {
         SaseWindow {
             disjuncts: rt
@@ -351,30 +353,4 @@ impl Stacks {
             self.dfs(drt, &self.entries[p as usize], &cell, acc);
         }
     }
-}
-
-/// The SASE engine.
-pub type SaseEngine = Router<SaseWindow>;
-
-/// Runtime for an already-compiled plan (SASE supports every semantics,
-/// Table 9 — nothing to reject). Shared by [`sase_engine_from_plan`] and
-/// checkpoint restore.
-pub fn sase_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-) -> QueryResult<Arc<QueryRuntime>> {
-    Ok(Arc::new(QueryRuntime::new(compiled.clone(), registry)))
-}
-
-/// Build a SASE engine from an already-compiled plan.
-pub fn sase_engine_from_plan(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-) -> QueryResult<SaseEngine> {
-    Ok(Router::new(sase_runtime(compiled, registry)?, "sase"))
-}
-
-/// Build a SASE engine (supports every semantics, Table 9).
-pub fn sase_engine(query: &Query, registry: &TypeRegistry) -> QueryResult<SaseEngine> {
-    sase_engine_from_plan(&compile(query, registry)?, registry)
 }

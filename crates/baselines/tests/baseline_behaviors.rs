@@ -3,9 +3,9 @@
 //! how the flattening cap trades coverage for feasibility.
 
 use cogra_baselines::oracle::{visit_any, visit_chain, Trend};
-use cogra_baselines::{aseq_engine, flink_engine, greta_engine, oracle_engine, sase_engine};
 use cogra_core::runtime::{EngineConfig, QueryRuntime};
-use cogra_core::{run_to_completion, AggValue, TrendEngine};
+use cogra_core::session::EngineKind;
+use cogra_core::{run_to_completion, AggValue};
 use cogra_events::{Event, EventBuilder, TypeRegistry, Value, ValueKind};
 use cogra_query::{compile, parse, Semantics};
 
@@ -124,7 +124,9 @@ fn sase_memory_holds_events_and_pointers() {
     .unwrap();
     let mut mems = Vec::new();
     for events in [&dec, &inc] {
-        let mut engine = sase_engine(&q, &reg).unwrap();
+        let mut engine = EngineKind::Sase
+            .build(&q, &reg, &EngineConfig::default())
+            .unwrap();
         for e in events.iter() {
             engine.process(e);
         }
@@ -145,11 +147,12 @@ fn flink_materialization_spike_is_measured() {
     let events = figure2_stream(&reg);
     let q =
         parse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS ANY WITHIN 100 SLIDE 100").unwrap();
-    let mut flink = flink_engine(&q, &reg, EngineConfig::default()).unwrap();
-    let (results, peak) = run_to_completion(&mut flink, &events, 1);
+    let cfg = EngineConfig::default();
+    let mut flink = EngineKind::Flink.build(&q, &reg, &cfg).unwrap();
+    let (results, peak) = run_to_completion(flink.as_mut(), &events, 1);
     assert_eq!(results[0].values[0], AggValue::Count(43));
-    let mut greta = greta_engine(&q, &reg).unwrap();
-    let (_, greta_peak) = run_to_completion(&mut greta, &events, 1);
+    let mut greta = EngineKind::Greta.build(&q, &reg, &cfg).unwrap();
+    let (_, greta_peak) = run_to_completion(greta.as_mut(), &events, 1);
     assert!(
         peak > greta_peak,
         "43 materialized sequences must outweigh GRETA's 8-node graph: {peak} vs {greta_peak}"
@@ -169,8 +172,8 @@ fn flatten_cap_trades_coverage_for_feasibility() {
         flatten_cap: Some(2),
         ..EngineConfig::default()
     };
-    let mut flink = flink_engine(&q, &reg, capped.clone()).unwrap();
-    let (results, _) = run_to_completion(&mut flink, &events, 1);
+    let mut flink = EngineKind::Flink.build(&q, &reg, &capped).unwrap();
+    let (results, _) = run_to_completion(flink.as_mut(), &events, 1);
     // Length-2 trends are exactly the adjacent (a, b) pairs: (a1,b2),
     // (a3,b6), (a4,b6), (a1,b6)? — no: (a1,b6) has length 2 as well
     // (skip-till-any-match may skip a3, a4). Pairs: every a before b2
@@ -178,8 +181,8 @@ fn flatten_cap_trades_coverage_for_feasibility() {
     // 1 + 3 + 4 = 8.
     assert_eq!(results[0].values[0], AggValue::Count(8));
 
-    let mut aseq = aseq_engine(&q, &reg, capped).unwrap();
-    let (aseq_results, _) = run_to_completion(&mut aseq, &events, 1);
+    let mut aseq = EngineKind::Aseq.build(&q, &reg, &capped).unwrap();
+    let (aseq_results, _) = run_to_completion(aseq.as_mut(), &events, 1);
     assert_eq!(
         aseq_results[0].values[0],
         AggValue::Count(8),
@@ -198,7 +201,9 @@ fn aseq_memory_grows_with_window_content() {
     let mut mems = Vec::new();
     for n in [100u64, 400] {
         let mut builder = EventBuilder::new();
-        let mut engine = aseq_engine(&q, &reg, EngineConfig::default()).unwrap();
+        let mut engine = EngineKind::Aseq
+            .build(&q, &reg, &EngineConfig::default())
+            .unwrap();
         for i in 0..n {
             engine.process(&builder.event(i + 1, a, vec![Value::Int(0)]));
         }
@@ -216,8 +221,10 @@ fn oracle_engine_runs_end_to_end() {
     let events = figure2_stream(&reg);
     let q =
         parse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS CONT WITHIN 100 SLIDE 100").unwrap();
-    let mut oracle = oracle_engine(&q, &reg).unwrap();
-    let (results, peak) = run_to_completion(&mut oracle, &events, 1);
+    let mut oracle = EngineKind::Oracle
+        .build(&q, &reg, &EngineConfig::default())
+        .unwrap();
+    let (results, peak) = run_to_completion(oracle.as_mut(), &events, 1);
     assert_eq!(results[0].values[0], AggValue::Count(2));
     // A two-step engine retains the window's events.
     assert!(peak >= events.iter().map(Event::memory_bytes).sum::<usize>());
@@ -225,22 +232,15 @@ fn oracle_engine_runs_end_to_end() {
 
 #[test]
 fn engine_names_are_stable() {
-    // The experiment harness's report tables key on these.
+    // The experiment harness's report tables and the snapshot's roster key
+    // on these.
     let reg = registry();
     let q = parse("RETURN COUNT(*) PATTERN A+ SEMANTICS ANY WITHIN 10 SLIDE 10").unwrap();
-    assert_eq!(sase_engine(&q, &reg).unwrap().name(), "sase");
-    assert_eq!(greta_engine(&q, &reg).unwrap().name(), "greta");
-    assert_eq!(
-        aseq_engine(&q, &reg, EngineConfig::default())
-            .unwrap()
-            .name(),
-        "aseq"
-    );
-    assert_eq!(
-        flink_engine(&q, &reg, EngineConfig::default())
-            .unwrap()
-            .name(),
-        "flink"
-    );
-    assert_eq!(oracle_engine(&q, &reg).unwrap().name(), "oracle");
+    let cfg = EngineConfig::default();
+    let names = EngineKind::ALL.map(|kind| {
+        let built = kind.build(&q, &reg, &cfg).unwrap().name();
+        assert_eq!(built, kind.name(), "{kind:?}");
+        built
+    });
+    assert_eq!(names, ["cogra", "sase", "greta", "aseq", "flink", "oracle"]);
 }

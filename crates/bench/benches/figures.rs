@@ -31,7 +31,7 @@ fn bench_engines(c: &mut Criterion, group: &str, s: &Scenario, engines: &[Engine
     g.sample_size(10);
     for &engine in engines {
         let cfg = EngineConfig::default();
-        if !engine.supports(&s.query, &s.registry, &cfg) {
+        if !engine.supports(&s.query, &s.registry) {
             assert!(
                 !matches!(engine, EngineKind::Cogra | EngineKind::Sase),
                 "{engine} must support every bench query (Table 9)"

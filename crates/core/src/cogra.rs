@@ -1,19 +1,19 @@
 //! The COGRA runtime executor (§3, Figure 3): the [`Router`] combined with
 //! the per-window aggregator each disjunct's granularity selector chose —
 //! type-grained (Algorithm 1), mixed-grained (Algorithm 2) or
-//! pattern-grained (Algorithm 3).
+//! pattern-grained (Algorithm 3). [`CograWindow`] is that per-window
+//! algorithm, with every cell of Table 9; [`CograEngine`] is no more than
+//! the router over it.
 
 use crate::agg::Cell;
-use crate::engine::TrendEngine;
 use crate::mixed_grained::MixedWindow;
-use crate::output::WindowResult;
 use crate::pattern_grained::PatternWindow;
 use crate::router::{EventBinds, Router, WindowAlgo};
 use crate::runtime::{DisjunctRuntime, QueryRuntime};
 use crate::type_grained::TypeGrainedWindow;
-use cogra_events::{Event, Timestamp, TypeRegistry};
-use cogra_query::{compile, Granularity, Query, QueryResult};
-use std::sync::Arc;
+use cogra_engine::Capabilities;
+use cogra_events::Event;
+use cogra_query::Granularity;
 
 /// Per-window aggregation state of one disjunct, at its selected
 /// granularity. A type-grained window is one slab handle and sits inline;
@@ -99,6 +99,9 @@ impl CograWindow {
 }
 
 impl WindowAlgo for CograWindow {
+    const NAME: &'static str = "cogra";
+    const TABLE9: Capabilities = Capabilities::COGRA;
+
     fn new(rt: &QueryRuntime) -> CograWindow {
         CograWindow::of(rt.disjuncts.iter().map(GranWindow::new).collect())
     }
@@ -224,100 +227,6 @@ impl WindowAlgo for CograWindow {
 }
 
 /// The COGRA engine: coarse-grained online event trend aggregation — the
-/// generic [`Router`] instantiated with [`CograWindow`].
-pub struct CograEngine(Router<CograWindow>);
-
-impl CograEngine {
-    /// Build an engine from an already-compiled query runtime.
-    pub fn from_runtime(rt: Arc<QueryRuntime>) -> CograEngine {
-        CograEngine(Router::new(rt, "cogra"))
-    }
-
-    /// Compile `query` against `registry` and build an engine.
-    pub fn build(query: &Query, registry: &TypeRegistry) -> QueryResult<CograEngine> {
-        let compiled = compile(query, registry)?;
-        let rt = QueryRuntime::new(compiled, registry);
-        Ok(CograEngine::from_runtime(Arc::new(rt)))
-    }
-
-    /// Parse, compile and build in one step.
-    pub fn from_text(query: &str, registry: &TypeRegistry) -> QueryResult<CograEngine> {
-        let q = cogra_query::parse(query)?;
-        CograEngine::build(&q, registry)
-    }
-
-    /// The query runtime (for introspection).
-    pub fn runtime(&self) -> &QueryRuntime {
-        self.0.runtime()
-    }
-
-    /// Rebuild an engine from a saved state against the same compiled
-    /// runtime (see [`Router::from_state`]).
-    ///
-    /// [`Router::from_state`]: crate::router::Router::from_state
-    pub fn from_state(
-        rt: Arc<QueryRuntime>,
-        state: cogra_engine::RouterState,
-    ) -> Result<CograEngine, cogra_checkpoint::CheckpointError> {
-        Ok(CograEngine(Router::from_state(rt, "cogra", state)?))
-    }
-}
-
-impl TrendEngine for CograEngine {
-    fn process(&mut self, event: &Event) {
-        self.0.process(event)
-    }
-
-    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
-        self.0.process_prehashed(event, key_hash)
-    }
-
-    fn drain_into(&mut self, out: &mut dyn FnMut(WindowResult)) {
-        self.0.drain_into(out)
-    }
-
-    fn finish_into(&mut self, out: &mut dyn FnMut(WindowResult)) {
-        self.0.finish_into(out)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.0.memory_bytes()
-    }
-
-    #[cfg(debug_assertions)]
-    fn audit_bytes(&self) -> usize {
-        self.0.audit_bytes()
-    }
-
-    fn peak_hint(&self) -> usize {
-        self.0.peak_hint()
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn watermark(&self) -> Timestamp {
-        self.0.watermark()
-    }
-
-    fn advance_watermark(&mut self, to: Timestamp) {
-        self.0.advance_watermark(to)
-    }
-
-    fn run_stats(&self) -> cogra_engine::RunStats {
-        self.0.run_stats()
-    }
-
-    fn key_overflow(&self) -> Option<u32> {
-        self.0.key_overflow()
-    }
-
-    fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
-        self.0.accepts(event, key_hash)
-    }
-
-    fn save_state(&self) -> Result<cogra_engine::RouterState, cogra_checkpoint::CheckpointError> {
-        self.0.save_state()
-    }
-}
+/// generic [`Router`] instantiated with [`CograWindow`], built like every
+/// other engine ([`Router::from_text`], or a session's `EngineKind`).
+pub type CograEngine = Router<CograWindow>;

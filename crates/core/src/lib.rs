@@ -13,8 +13,9 @@
 //!   aggregates per type for `Tt`, per stored event for `Te`;
 //! * [`pattern_grained`] — Algorithm 3 (NEXT/CONT): only the last matched
 //!   event and the final aggregate, O(n) time, O(1) space;
-//! * [`cogra`] — the [`CograEngine`] router: partitioning (§7), sliding
-//!   windows, per-disjunct dispatch, result finalization;
+//! * [`cogra`] — [`CograWindow`], the per-disjunct dispatch inside one
+//!   window; [`CograEngine`] is the shared router (partitioning §7,
+//!   sliding windows, result finalization) over it, like every baseline;
 //! * [`parallel`] — per-partition execution (§8): the [`StreamingPool`]
 //!   whose shards host every engine (one inline shard, or worker threads
 //!   behind bounded channels and watermark broadcasts);

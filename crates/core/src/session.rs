@@ -28,11 +28,13 @@
 //! assert!(!run.results().is_empty());
 //! ```
 //!
-//! * [`EngineKind`] is the typed roster of Table 1 / Table 9: building an
-//!   engine that does not support the query's features fails with the
-//!   constructor's `QueryError`, exactly as §9.2 charts omit unsupported
-//!   approaches. Multi-query sessions may mix kinds per query via
-//!   [`SessionBuilder::query_with_engine`].
+//! * [`EngineKind`] is the typed roster of Table 1 / Table 9: each kind is
+//!   a [`Router`] over one [`WindowAlgo`], admitted by the Table 9 row that
+//!   algorithm states ([`Router::admit`]) and built under the session's
+//!   [`EngineConfig`] — a query with a feature the row lacks fails with a
+//!   `QueryError` naming the engine and the feature, exactly as §9.2
+//!   charts omit unsupported approaches. Multi-query sessions may mix
+//!   kinds per query via [`SessionBuilder::query_with_engine`].
 //! * `.slack(n)` fuses disorder repair into ingestion: a pool-side gate
 //!   drops (and counts, [`Metrics::late`]) exactly the events a single
 //!   front [`Reorderer`] would, and each shard sorts what was admitted
@@ -64,10 +66,7 @@ use crate::parallel::{
     Engine, FailurePolicy, Hosted, InFlight, PoolConfig, PoolState, StreamingPool, WorkerFailure,
     MAX_WORKERS,
 };
-use cogra_baselines::{
-    aseq_runtime, flink_runtime, greta_runtime, oracle_runtime, sase_runtime, ASeqWindow,
-    FlinkWindow, GretaWindow, OracleWindow, SaseWindow,
-};
+use cogra_baselines::{ASeqWindow, FlinkWindow, GretaWindow, OracleWindow, SaseWindow};
 use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter};
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
 use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
@@ -80,7 +79,41 @@ use std::io;
 use std::str::FromStr;
 use std::sync::Arc;
 
-/// The engines of Table 1 / Table 9, as a typed roster.
+/// `$body` with `$W` naming `$kind`'s window algorithm — the one place a
+/// kind meets the [`WindowAlgo`] that holds its name and Table 9 row.
+macro_rules! per_kind {
+    ($kind:expr, $W:ident => $body:expr) => {
+        match $kind {
+            EngineKind::Cogra => {
+                type $W = CograWindow;
+                $body
+            }
+            EngineKind::Sase => {
+                type $W = SaseWindow;
+                $body
+            }
+            EngineKind::Greta => {
+                type $W = GretaWindow;
+                $body
+            }
+            EngineKind::Aseq => {
+                type $W = ASeqWindow;
+                $body
+            }
+            EngineKind::Flink => {
+                type $W = FlinkWindow;
+                $body
+            }
+            EngineKind::Oracle => {
+                type $W = OracleWindow;
+                $body
+            }
+        }
+    };
+}
+
+/// The engines of Table 1 / Table 9, as a typed roster: a kind is a name
+/// for one [`WindowAlgo`], which holds the engine's name and Table 9 row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// COGRA — this paper's coarse-grained online aggregator.
@@ -118,64 +151,37 @@ impl EngineKind {
         EngineKind::Cogra,
     ];
 
-    /// Lower-case engine name, as reported by [`TrendEngine::name`].
+    /// Lower-case engine name, as reported by [`TrendEngine::name`] — the
+    /// kind's [`WindowAlgo::NAME`].
     pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Cogra => "cogra",
-            EngineKind::Sase => "sase",
-            EngineKind::Greta => "greta",
-            EngineKind::Aseq => "aseq",
-            EngineKind::Flink => "flink",
-            EngineKind::Oracle => "oracle",
-        }
+        per_kind!(self, W => W::NAME)
     }
 
-    /// Build this engine for `query`. Fails with the constructor's
-    /// [`QueryError`] when the engine does not support the query's
-    /// features (Table 9) or the query does not compile.
+    /// Build this engine for `query`. Fails with the [`QueryError`] of
+    /// [`Router::admit`] when the engine's Table 9 row lacks a feature of
+    /// the query, or with the compiler's when the query does not compile.
     pub fn build(
         self,
         query: &Query,
         registry: &TypeRegistry,
         config: &EngineConfig,
     ) -> Result<Box<dyn TrendEngine>, QueryError> {
-        self.build_plan(&compile(query, registry)?, registry, config)
-    }
-
-    /// Build this engine from an already-compiled plan. Fails with the
-    /// constructor's [`QueryError`] when the engine does not support the
-    /// plan's features (Table 9).
-    pub fn build_plan(
-        self,
-        compiled: &CompiledQuery,
-        registry: &TypeRegistry,
-        config: &EngineConfig,
-    ) -> Result<Box<dyn TrendEngine>, QueryError> {
-        let rt = self.runtime(compiled, registry, config)?;
+        let rt = self.runtime(&compile(query, registry)?, registry, config)?;
         Ok(self
             .engine(rt, None)
             .expect("a fresh engine has no state to reject"))
     }
 
-    /// This kind's runtime for a compiled plan, or the [`QueryError`]
-    /// naming the plan feature the kind does not support (Table 9) — the
-    /// one admission check every construction path goes through.
+    /// This kind's runtime for a compiled plan: [`Router::admit`] for the
+    /// kind's window algorithm — the one admission check every
+    /// construction path goes through.
     fn runtime(
         self,
-        compiled: &CompiledQuery,
+        plan: &CompiledQuery,
         registry: &TypeRegistry,
         config: &EngineConfig,
     ) -> Result<Arc<QueryRuntime>, QueryError> {
-        match self {
-            EngineKind::Cogra => Ok(Arc::new(
-                QueryRuntime::new(compiled.clone(), registry).with_config(config.clone()),
-            )),
-            EngineKind::Sase => sase_runtime(compiled, registry),
-            EngineKind::Greta => greta_runtime(compiled, registry),
-            EngineKind::Aseq => aseq_runtime(compiled, registry, config.clone()),
-            EngineKind::Flink => flink_runtime(compiled, registry, config.clone()),
-            EngineKind::Oracle => oracle_runtime(compiled, registry),
-        }
+        per_kind!(self, W => Router::<W>::admit(plan, registry, config))
     }
 
     /// THE engine constructor every kind and every path shares: a router
@@ -187,31 +193,17 @@ impl EngineKind {
         rt: Arc<QueryRuntime>,
         state: Option<RouterState>,
     ) -> Result<Engine, CheckpointError> {
-        fn router<W: WindowAlgo + Send + 'static>(
-            rt: Arc<QueryRuntime>,
-            name: &'static str,
-            state: Option<RouterState>,
-        ) -> Result<Engine, CheckpointError> {
-            Ok(Box::new(match state {
-                Some(state) => Router::<W>::from_state(rt, name, state)?,
-                None => Router::<W>::new(rt, name),
-            }))
-        }
-        let name = self.name();
-        match self {
-            EngineKind::Cogra => router::<CograWindow>(rt, name, state),
-            EngineKind::Sase => router::<SaseWindow>(rt, name, state),
-            EngineKind::Greta => router::<GretaWindow>(rt, name, state),
-            EngineKind::Aseq => router::<ASeqWindow>(rt, name, state),
-            EngineKind::Flink => router::<FlinkWindow>(rt, name, state),
-            EngineKind::Oracle => router::<OracleWindow>(rt, name, state),
-        }
+        per_kind!(self, W => Ok(match state {
+            Some(state) => Box::new(Router::<W>::from_state(rt, state)?),
+            None => Box::new(Router::<W>::new(rt)),
+        }))
     }
 
-    /// Whether this engine supports `query` (Table 9), without keeping the
-    /// built engine.
-    pub fn supports(self, query: &Query, registry: &TypeRegistry, config: &EngineConfig) -> bool {
-        self.build(query, registry, config).is_ok()
+    /// Whether this engine's Table 9 row covers `query` — false as well
+    /// when the query does not compile.
+    pub fn supports(self, query: &Query, registry: &TypeRegistry) -> bool {
+        compile(query, registry)
+            .is_ok_and(|plan| per_kind!(self, W => W::TABLE9.supports(&plan).is_ok()))
     }
 }
 
@@ -229,7 +221,8 @@ impl FromStr for EngineKind {
             .into_iter()
             .find(|k| k.name() == s)
             .ok_or_else(|| {
-                format!("unknown engine `{s}` (expected cogra|sase|greta|aseq|flink|oracle)")
+                let names = EngineKind::ALL.map(EngineKind::name);
+                format!("unknown engine `{s}` (expected {})", names.join("|"))
             })
     }
 }
@@ -1622,7 +1615,7 @@ mod tests {
         }
         for kind in [EngineKind::Greta, EngineKind::Aseq, EngineKind::Flink] {
             assert!(kind.build(&next, &reg, &cfg).is_err(), "{kind} on NEXT");
-            assert!(!kind.supports(&next, &reg, &cfg));
+            assert!(!kind.supports(&next, &reg));
         }
     }
 

@@ -1,15 +1,21 @@
 //! Expressive power of the event aggregation approaches (Table 9).
 //!
-//! | Approach | Kleene | ANY | NEXT | CONT | adjacent θ | online |
-//! |----------|--------|-----|------|------|------------|--------|
-//! | Flink    | –¹     | +   | –    | +    | +          | –      |
-//! | SASE     | +      | +   | +    | +    | +          | –      |
-//! | GRETA    | +      | +   | –    | –    | +          | +      |
-//! | A-Seq    | –¹     | +   | –    | –    | –          | +      |
-//! | COGRA    | +      | +   | +    | +    | +          | +      |
+//! | Approach | Kleene | ANY | NEXT | CONT | adjacent θ | negation | online |
+//! |----------|--------|-----|------|------|------------|----------|--------|
+//! | Flink    | –¹     | +   | –    | +    | +          | +        | –      |
+//! | SASE     | +      | +   | +    | +    | +          | +        | –      |
+//! | GRETA    | +      | +   | –    | –    | +          | +        | +      |
+//! | A-Seq    | –¹     | +   | –    | –    | –          | –²       | +      |
+//! | COGRA    | +      | +   | +    | +    | +          | +        | +      |
 //!
 //! ¹ Kleene closure simulated by flattening into fixed-length sequence
 //! queries (§9.1).
+//! ² Not a Table 9 column: A-Seq's prefix counters have no place for a
+//! negated sub-pattern, so this re-implementation refuses one.
+//!
+//! A row lives on the window algorithm that has it
+//! ([`WindowAlgo::TABLE9`](crate::WindowAlgo::TABLE9)), and one step
+//! enforces it for every engine: [`Router::admit`](crate::Router::admit).
 
 use cogra_query::{CompiledQuery, Semantics};
 
@@ -26,6 +32,8 @@ pub struct Capabilities {
     pub cont: bool,
     /// Predicates on adjacent events beyond equivalence predicates.
     pub adjacent_predicates: bool,
+    /// Negated sub-patterns.
+    pub negation: bool,
     /// Online trend aggregation (no trend construction step).
     pub online: bool,
 }
@@ -38,6 +46,7 @@ impl Capabilities {
         next: true,
         cont: true,
         adjacent_predicates: true,
+        negation: true,
         online: true,
     };
 
@@ -48,6 +57,7 @@ impl Capabilities {
         next: true,
         cont: true,
         adjacent_predicates: true,
+        negation: true,
         online: false,
     };
 
@@ -58,6 +68,7 @@ impl Capabilities {
         next: false,
         cont: false,
         adjacent_predicates: true,
+        negation: true,
         online: true,
     };
 
@@ -68,6 +79,7 @@ impl Capabilities {
         next: false,
         cont: false,
         adjacent_predicates: false,
+        negation: false,
         online: true,
     };
 
@@ -78,6 +90,7 @@ impl Capabilities {
         next: false,
         cont: true,
         adjacent_predicates: true,
+        negation: true,
         online: false,
     };
 
@@ -89,6 +102,7 @@ impl Capabilities {
         next: true,
         cont: true,
         adjacent_predicates: true,
+        negation: true,
         online: false,
     };
 
@@ -104,7 +118,28 @@ impl Capabilities {
         if !self.adjacent_predicates && query.disjuncts.iter().any(|d| !d.adjacents.is_empty()) {
             return Err(Unsupported("predicates on adjacent events"));
         }
+        if !self.negation
+            && query
+                .disjuncts
+                .iter()
+                .any(|d| d.automaton.num_negated() > 0)
+        {
+            return Err(Unsupported("negated sub-patterns"));
+        }
         Ok(())
+    }
+
+    /// The event matching semantics this row supports, as the errors name
+    /// them.
+    pub(crate) fn semantics(&self) -> Vec<&'static str> {
+        [
+            (self.any, "skip-till-any-match"),
+            (self.next, "skip-till-next-match"),
+            (self.cont, "contiguous semantics"),
+        ]
+        .into_iter()
+        .filter_map(|(on, name)| on.then_some(name))
+        .collect()
     }
 }
 
@@ -114,7 +149,7 @@ pub struct Unsupported(pub &'static str);
 
 impl std::fmt::Display for Unsupported {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "engine does not support {}", self.0)
+        write!(f, "does not support {}", self.0)
     }
 }
 

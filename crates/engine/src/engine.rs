@@ -1,7 +1,10 @@
 //! The [`TrendEngine`] abstraction every aggregation engine implements —
 //! COGRA itself and the five baselines (SASE, GRETA, A-Seq, Flink and the
 //! trend oracle) — so that the experiment harness and the correctness tests
-//! treat them uniformly.
+//! treat them uniformly. Each of the six is one
+//! [`Router`](crate::Router) over its [`WindowAlgo`](crate::WindowAlgo),
+//! admitted by the Table 9 row that algorithm states
+//! ([`Router::admit`](crate::Router::admit)) and built one way.
 
 use crate::intern::RunStats;
 use crate::output::WindowResult;

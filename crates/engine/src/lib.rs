@@ -7,6 +7,9 @@
 //!   COUNT(*)/COUNT(E)/MIN/MAX/SUM/AVG, once, as kernels on rows of
 //!   words: in a per-window [`CellTable`] (the COGRA aggregators) and in
 //!   owned [`Cell`]s (the baselines, and results crossing partitions);
+//! * [`capabilities`] — Table 9, the expressive power of each approach:
+//!   the [`Capabilities`] rows the window algorithms state
+//!   ([`WindowAlgo::TABLE9`]) and [`Router::admit`] enforces;
 //! * [`engine`] — the [`TrendEngine`] trait every aggregation engine
 //!   implements, with push-based ([`TrendEngine::drain_into`]) and
 //!   collecting ([`TrendEngine::drain`]) result emission;
@@ -32,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod agg;
+pub mod capabilities;
 pub mod engine;
 pub mod intern;
 pub mod output;
@@ -39,6 +43,7 @@ pub mod router;
 pub mod runtime;
 
 pub use agg::{AggLayout, AggValue, Cell, CellTable, Feed, Output, SlotFunc};
+pub use capabilities::{Capabilities, Unsupported};
 pub use engine::{run_to_completion, TrendEngine};
 pub use intern::{KeyInterner, KeyOverflow, PartitionId, RunStats};
 pub use output::{GroupKey, WindowResult};

@@ -67,13 +67,14 @@
 //! first-seen keys.
 
 use crate::agg::Cell;
+use crate::capabilities::Capabilities;
 use crate::engine::TrendEngine;
 use crate::intern::{hash_values, KeyInterner, PartitionId, RunStats};
 use crate::output::WindowResult;
-use crate::runtime::QueryRuntime;
+use crate::runtime::{EngineConfig, QueryRuntime};
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
-use cogra_events::{Event, Timestamp, Value, WindowId, WindowSpec};
-use cogra_query::{NegId, StateId};
+use cogra_events::{Event, Timestamp, TypeRegistry, Value, WindowId, WindowSpec};
+use cogra_query::{CompiledQuery, NegId, QueryError, QueryResult, StateId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -97,8 +98,17 @@ impl EventBinds {
     }
 }
 
-/// A per-window algorithm plugged into the [`Router`].
+/// A per-window algorithm plugged into the [`Router`]: what one approach
+/// of the evaluation does inside a window, its name and its Table 9 row.
 pub trait WindowAlgo {
+    /// The engine's lower-case name, as [`TrendEngine::name`] reports it
+    /// and a snapshot records it.
+    const NAME: &'static str;
+
+    /// The engine's row of Table 9: the query features it supports, which
+    /// [`Router::admit`] enforces.
+    const TABLE9: Capabilities;
+
     /// Inline bytes of `Self` that are accounting instruments — a running
     /// byte counter kept in the window struct — rather than state. The
     /// router leaves them out of a ring slot's size, as the window leaves
@@ -271,7 +281,6 @@ impl<W: WindowAlgo> Partition<W> {
 /// [`TrendEngine`].
 pub struct Router<W: WindowAlgo> {
     rt: Arc<QueryRuntime>,
-    name: &'static str,
     /// Full partition key → dense id, for the resident partitions.
     interner: KeyInterner,
     /// Partition slots, indexed by [`PartitionId`]: one per id the
@@ -329,8 +338,35 @@ impl<W: WindowAlgo> Router<W> {
         );
     }
 
+    /// THE admission step of every engine: the runtime `W` runs `plan`
+    /// under, or the [`QueryError`] naming the feature of `plan` that
+    /// `W`'s Table 9 row lacks.
+    pub fn admit(
+        plan: &CompiledQuery,
+        registry: &TypeRegistry,
+        config: &EngineConfig,
+    ) -> QueryResult<Arc<QueryRuntime>> {
+        W::TABLE9.supports(plan).map_err(|unsupported| {
+            QueryError::compile(format!(
+                "engine `{}` {unsupported} (its Table 9 semantics: {})",
+                W::NAME,
+                W::TABLE9.semantics().join(", ")
+            ))
+        })?;
+        let rt = QueryRuntime::new(plan.clone(), registry).with_config(config.clone());
+        Ok(Arc::new(rt))
+    }
+
+    /// Parse, compile and [`Router::admit`] `text` under the default
+    /// [`EngineConfig`], and build a router over it.
+    pub fn from_text(text: &str, registry: &TypeRegistry) -> QueryResult<Router<W>> {
+        let plan = cogra_query::compile(&cogra_query::parse(text)?, registry)?;
+        let rt = Router::<W>::admit(&plan, registry, &EngineConfig::default())?;
+        Ok(Router::new(rt))
+    }
+
     /// Build a router over a compiled query runtime.
-    pub fn new(rt: Arc<QueryRuntime>, name: &'static str) -> Router<W> {
+    pub fn new(rt: Arc<QueryRuntime>) -> Router<W> {
         let binds = EventBinds {
             per_disjunct: rt.disjuncts.iter().map(|_| Default::default()).collect(),
         };
@@ -340,7 +376,6 @@ impl<W: WindowAlgo> Router<W> {
         }
         Router {
             rt,
-            name,
             interner,
             partitions: Vec::new(),
             resident: Vec::new(),
@@ -729,7 +764,6 @@ impl<W: WindowAlgo> Router<W> {
     /// caller's to check: it knows the stream.)
     pub fn from_state(
         rt: Arc<QueryRuntime>,
-        name: &'static str,
         state: RouterState,
     ) -> Result<Router<W>, CheckpointError> {
         let (window, frame) = (&rt.query.window, state.frame);
@@ -746,7 +780,7 @@ impl<W: WindowAlgo> Router<W> {
                 state.watermark, frame.clock
             )));
         }
-        let mut router = Router::new(Arc::clone(&rt), name);
+        let mut router = Router::new(Arc::clone(&rt));
         router.restored_clock = frame.clock;
         router.watermark = state.watermark;
         router.drained_to = state.drained_to;
@@ -897,7 +931,7 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
     }
 
     fn name(&self) -> &'static str {
-        self.name
+        W::NAME
     }
 
     fn watermark(&self) -> Timestamp {

@@ -11,7 +11,8 @@
 //! of the chunks a long `INGEST` block reaches the session in —, and
 //! non-UTF-8 input (which each surface rejects *before* the decode path —
 //! with its own transport's wording, since `EventReader` itself only ever
-//! sees `&str`).
+//! sees `&str`). A key-limit overflow is the same error on every surface
+//! and under every engine kind, built or restored.
 
 mod common;
 
@@ -341,6 +342,54 @@ fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
         outcome.is_err() || pooled.key_overflow() == Some(2),
         "pool mode reports the overflow by finish: {outcome:?}"
     );
+}
+
+#[test]
+fn every_engine_kind_refuses_keys_past_the_limit_at_build_and_restore() {
+    // `EngineConfig::key_limit` is part of the one admission step every
+    // kind goes through, so each refuses the third patient with the same
+    // typed error, in-process and through the CLI.
+    let config = EngineConfig {
+        key_limit: Some(2),
+        ..EngineConfig::default()
+    };
+    let capped = |kind: EngineKind| {
+        Session::builder()
+            .query(QUERY)
+            .engine(kind)
+            .config(config.clone())
+            .build(&registry())
+            .expect("every kind runs the query")
+    };
+    let expected = IngestError::KeyOverflow { limit: 2 }.to_string();
+    for kind in EngineKind::ALL {
+        let err = capped(kind)
+            .ingest_csv(THREE_PATIENTS, &registry())
+            .expect_err("third distinct key overflows");
+        assert_eq!(err.to_string(), expected, "{kind}");
+        let flags = ["--engine", kind.name(), "--key-limit", "2"];
+        let (ok, stderr) = run_cli(
+            &format!("keylimit-{kind}"),
+            THREE_PATIENTS.as_bytes(),
+            &flags,
+        );
+        assert!(!ok && stderr.contains(&expected), "{kind} cli: {stderr}");
+    }
+
+    // A restored baseline keeps the limit its snapshot was taken under.
+    let (first_two, third) = THREE_PATIENTS.split_at(THREE_PATIENTS.rfind("Measurement").unwrap());
+    let mut session = capped(EngineKind::Sase);
+    assert_eq!(session.ingest_csv(first_two, &registry()), Ok(2));
+    let mut snapshot = Vec::new();
+    session.checkpoint(&mut snapshot).expect("checkpoints");
+    let mut restored = Session::builder()
+        .restore(&registry(), &snapshot[..])
+        .expect("restores");
+    assert_eq!(restored.kind(), EngineKind::Sase);
+    let err = restored
+        .ingest_csv(&format!("type,time,patient,rate\n{third}"), &registry())
+        .expect_err("the restored session still holds two keys");
+    assert_eq!(err.to_string(), expected);
 }
 
 #[test]

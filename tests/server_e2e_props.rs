@@ -222,13 +222,13 @@ fn a_counter_reply_is_pinned_byte_for_byte() {
         assert_eq!(
             raw.ask("STATS\n"),
             "OK ingested=0 events=120 late=8 results=120 watermark=112 queries=3 workers=2 \
-             memory=11280 key_probes=208 key_allocs=72 shards=116,92 physical=2 \
+             memory=11216 key_probes=208 key_allocs=72 shards=116,92 physical=2 \
              finished=false\n"
         );
         assert_eq!(
             raw.ask("FINISH\n"),
             "OK ingested=0 events=120 late=8 results=180 watermark=112 queries=3 workers=2 \
-             memory=1120 key_probes=224 key_allocs=72 shards=128,96 physical=2 \
+             memory=1056 key_probes=224 key_allocs=72 shards=128,96 physical=2 \
              finished=true\n"
         );
         server.shutdown();

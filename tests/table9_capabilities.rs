@@ -1,10 +1,10 @@
-//! Table 9: the expressive-power matrix, enforced by the engine
-//! constructors — an engine must refuse exactly the query features its
-//! Table 9 row lacks.
+//! Table 9: the expressive-power matrix, enforced by the one admission
+//! step every engine kind goes through — an engine must refuse exactly
+//! the query features its Table 9 row lacks.
 #![allow(clippy::assertions_on_constants)] // the constants ARE the matrix under test
 
-use cogra::baselines::{aseq_engine, flink_engine, greta_engine, sase_engine, Capabilities};
 use cogra::core::runtime::EngineConfig;
+use cogra::engine::Capabilities;
 use cogra::prelude::*;
 
 fn registry() -> TypeRegistry {
@@ -23,13 +23,21 @@ fn query(semantics: &str, theta: bool) -> Query {
     .unwrap()
 }
 
+/// Whether `kind` builds for `query`; a build and [`EngineKind::supports`]
+/// must say the same.
+fn builds(kind: EngineKind, query: &Query) -> bool {
+    let reg = registry();
+    let built = kind.build(query, &reg, &EngineConfig::default()).is_ok();
+    assert_eq!(built, kind.supports(query, &reg), "{kind} on `{query}`");
+    built
+}
+
 #[test]
 fn cogra_supports_every_cell_of_table9() {
-    let reg = registry();
     for sem in ["ANY", "NEXT", "CONT"] {
         for theta in [false, true] {
             assert!(
-                CograEngine::build(&query(sem, theta), &reg).is_ok(),
+                builds(EngineKind::Cogra, &query(sem, theta)),
                 "{sem} theta={theta}"
             );
         }
@@ -38,40 +46,39 @@ fn cogra_supports_every_cell_of_table9() {
 
 #[test]
 fn sase_supports_all_semantics_two_step() {
-    let reg = registry();
     for sem in ["ANY", "NEXT", "CONT"] {
-        assert!(sase_engine(&query(sem, true), &reg).is_ok(), "{sem}");
+        assert!(builds(EngineKind::Sase, &query(sem, true)), "{sem}");
     }
     assert!(!Capabilities::SASE.online);
 }
 
 #[test]
 fn greta_is_any_only() {
-    let reg = registry();
-    assert!(greta_engine(&query("ANY", true), &reg).is_ok());
-    assert!(greta_engine(&query("NEXT", false), &reg).is_err());
-    assert!(greta_engine(&query("CONT", false), &reg).is_err());
+    assert!(builds(EngineKind::Greta, &query("ANY", true)));
+    assert!(!builds(EngineKind::Greta, &query("NEXT", false)));
+    assert!(!builds(EngineKind::Greta, &query("CONT", false)));
     assert!(Capabilities::GRETA.online);
 }
 
 #[test]
 fn aseq_rejects_next_cont_and_adjacent_predicates() {
-    let reg = registry();
-    let cfg = EngineConfig::default();
-    assert!(aseq_engine(&query("ANY", false), &reg, cfg.clone()).is_ok());
-    assert!(aseq_engine(&query("ANY", true), &reg, cfg.clone()).is_err());
-    assert!(aseq_engine(&query("NEXT", false), &reg, cfg.clone()).is_err());
-    assert!(aseq_engine(&query("CONT", false), &reg, cfg).is_err());
+    assert!(builds(EngineKind::Aseq, &query("ANY", false)));
+    assert!(!builds(EngineKind::Aseq, &query("ANY", true)));
+    assert!(!builds(EngineKind::Aseq, &query("NEXT", false)));
+    assert!(!builds(EngineKind::Aseq, &query("CONT", false)));
+    let negated =
+        parse("RETURN COUNT(*) PATTERN SEQ(A+, NOT B, A) SEMANTICS ANY WITHIN 10 SLIDE 5").unwrap();
+    assert!(!builds(EngineKind::Aseq, &negated));
+    assert!(builds(EngineKind::Greta, &negated));
     assert!(!Capabilities::ASEQ.native_kleene);
+    assert!(!Capabilities::ASEQ.negation);
 }
 
 #[test]
 fn flink_rejects_next_only() {
-    let reg = registry();
-    let cfg = EngineConfig::default();
-    assert!(flink_engine(&query("ANY", true), &reg, cfg.clone()).is_ok());
-    assert!(flink_engine(&query("CONT", true), &reg, cfg.clone()).is_ok());
-    assert!(flink_engine(&query("NEXT", false), &reg, cfg).is_err());
+    assert!(builds(EngineKind::Flink, &query("ANY", true)));
+    assert!(builds(EngineKind::Flink, &query("CONT", true)));
+    assert!(!builds(EngineKind::Flink, &query("NEXT", false)));
     assert!(!Capabilities::FLINK.native_kleene);
 }
 
@@ -84,4 +91,14 @@ fn capabilities_matrix_matches_paper_rows() {
     assert!(Capabilities::FLINK.cont && !Capabilities::GRETA.cont);
     assert!(!Capabilities::ASEQ.adjacent_predicates);
     assert!(Capabilities::GRETA.adjacent_predicates);
+    // A refusal names the engine, the missing feature and the row.
+    let err = EngineKind::Greta
+        .build(&query("CONT", false), &registry(), &EngineConfig::default())
+        .err()
+        .expect("GRETA refuses CONT");
+    assert_eq!(
+        err.to_string(),
+        "compile error: engine `greta` does not support contiguous semantics \
+         (its Table 9 semantics: skip-till-any-match)"
+    );
 }

@@ -71,16 +71,18 @@ use crate::capabilities::Capabilities;
 use crate::engine::TrendEngine;
 use crate::intern::{hash_values, KeyInterner, PartitionId, RunStats};
 use crate::output::WindowResult;
-use crate::runtime::{EngineConfig, QueryRuntime};
+use crate::runtime::{EngineConfig, EventRoute, QueryRuntime};
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
-use cogra_events::{Event, Timestamp, TypeRegistry, Value, WindowId, WindowSpec};
+use cogra_events::{Event, Timestamp, TypeRegistry, Value, WindowId, WindowSpan, WindowSpec};
 use cogra_query::{CompiledQuery, NegId, QueryError, QueryResult, StateId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Per-disjunct bindings of the current event: the states it can bind to
 /// (type matched, local predicates passed) and the negated variables it
-/// matches. Computed once per event by the router.
+/// matches. Compiled once per type where no local filter decides them
+/// ([`EventRoute::Static`]), evaluated per event by the router where one
+/// does.
 #[derive(Debug, Default)]
 pub struct EventBinds {
     /// `(positive states, matched negations)` per disjunct.
@@ -313,17 +315,24 @@ pub struct Router<W: WindowAlgo> {
     /// its partition — because a life is a fact about windows.
     stats: RunStats,
     recycled: Recycled<W>,
+    /// The windows of the last routed event's time and the stretch of
+    /// time they cover ([`WindowSpec::span_at`]): re-derived only when an
+    /// event falls outside it, once per window boundary. A cache, not
+    /// state.
+    span: WindowSpan,
 }
 
 impl<W: WindowAlgo> Router<W> {
     /// The router struct itself, less its byte counters (`window_bytes`
     /// and the one inside the interner) and less the handles of its
-    /// pools and scratch: the first are the instrument, the second
-    /// capacity, and neither is the state being measured.
+    /// pools and scratch (`recycled`, `span`): the first are the
+    /// instrument, the second capacity or cache, and neither is the state
+    /// being measured.
     const INLINE_BYTES: usize = std::mem::size_of::<Self>()
         - std::mem::size_of::<usize>()
         - KeyInterner::INSTRUMENT_BYTES
-        - std::mem::size_of::<Recycled<W>>();
+        - std::mem::size_of::<Recycled<W>>()
+        - std::mem::size_of::<WindowSpan>();
 
     /// Debug builds re-derive the footprint by walking the state wherever
     /// windows close and at snapshot/restore, and require the running
@@ -392,6 +401,7 @@ impl<W: WindowAlgo> Router<W> {
                 rings: Vec::new(),
                 closing: Vec::new(),
             },
+            span: WindowSpan::EMPTY,
         }
     }
 
@@ -406,46 +416,59 @@ impl<W: WindowAlgo> Router<W> {
     /// This is [`TrendEngine::process`] minus the key extraction, used by
     /// the §8 shard router so the key is hashed exactly once per event.
     pub fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
-        debug_assert!(
-            event.time >= self.watermark,
-            "events must arrive in time order"
-        );
         debug_assert_eq!(
             key_hash,
             self.rt.key_hash(event),
             "caller-provided key hash must match the runtime's"
         );
+        self.ingest(event, |_| key_hash);
+    }
+
+    /// Route one event: move the watermark, read its type's compiled route,
+    /// and only if it binds something — or the semantics is CONT — hash its
+    /// key (`key_hash`) and update its open windows.
+    #[inline(always)]
+    fn ingest(&mut self, event: &Event, key_hash: impl FnOnce(&QueryRuntime) -> Option<u64>) {
+        debug_assert!(
+            event.time >= self.watermark,
+            "events must arrive in time order"
+        );
         self.watermark = self.watermark.max(event.time);
-        let Some(hash) = key_hash else {
+        let rt: &QueryRuntime = &self.rt;
+        // Events that bind nothing and negate nothing are no-ops for every
+        // per-window algorithm except under the contiguous semantics,
+        // where they invalidate partial trends — skip the window fan-out
+        // (and partition/window-state creation) early.
+        let binds = match rt.route(event) {
+            EventRoute::Skip => return,
+            EventRoute::Static(binds) => binds,
+            EventRoute::Filtered => {
+                let per_disjunct = self.binds.per_disjunct.iter_mut();
+                for ((binds, negs), drt) in per_disjunct.zip(&rt.disjuncts) {
+                    drt.binds(event, binds);
+                    drt.negation_matches(event, negs);
+                }
+                if self.binds.is_irrelevant() && rt.query.semantics != cogra_query::Semantics::Cont
+                {
+                    return;
+                }
+                &self.binds
+            }
+        };
+        let Some(hash) = key_hash(rt) else {
             // The type lacks a partition attribute (a `GROUP-BY` or
             // equivalence attribute its schema does not declare): the event
             // belongs to no sub-stream, so every engine drops it — after it
             // moved the watermark.
             return;
         };
-        let rt: &QueryRuntime = &self.rt;
-        for ((binds, negs), drt) in self.binds.per_disjunct.iter_mut().zip(&rt.disjuncts) {
-            drt.binds(event, binds);
-            drt.negation_matches(event, negs);
-        }
-        // Events that bind nothing and negate nothing are no-ops for every
-        // per-window algorithm except under the contiguous semantics,
-        // where they invalidate partial trends — skip the window fan-out
-        // (and partition/window-state creation) early.
-        if self.binds.is_irrelevant() && rt.query.semantics != cogra_query::Semantics::Cont {
-            return;
-        }
         // The event's windows that have not been drained. None (the
         // router was finished) means nothing to update — and nothing to
         // make resident.
-        let drained_to = self.drained_to;
-        let mut open = rt
-            .query
-            .window
-            .windows_of(event.time)
-            .skip_while(|&wid| drained_to.is_some_and(|d| wid <= d))
-            .peekable();
-        let Some(&first) = open.peek() else {
+        if !self.span.holds(event.time) {
+            self.span = rt.query.window.span_at(event.time);
+        }
+        let Some((first, last)) = self.span.above(self.drained_to) else {
             return;
         };
         self.stats.key_probes += 1;
@@ -484,13 +507,13 @@ impl<W: WindowAlgo> Router<W> {
         }
         let Recycled { windows, rings, .. } = &mut self.recycled;
         let mut window_bytes = self.window_bytes;
-        for wid in open {
-            let window = partition.window_mut(wid, rings, || {
+        for wid in first.0..=last.0 {
+            let window = partition.window_mut(WindowId(wid), rings, || {
                 let fresh = windows.pop().unwrap_or_else(|| W::new(rt));
                 window_bytes += Partition::<W>::SLOT_BYTES + fresh.memory_bytes();
                 fresh
             });
-            let delta = window.on_event(rt, event, &self.binds);
+            let delta = window.on_event(rt, event, binds);
             window_bytes = window_bytes.wrapping_add_signed(delta);
         }
         self.window_bytes = window_bytes;
@@ -885,8 +908,9 @@ impl<W: WindowAlgo> Router<W> {
 
 impl<W: WindowAlgo> TrendEngine for Router<W> {
     fn process(&mut self, event: &Event) {
-        let key_hash = self.rt.key_hash(event);
-        self.process_prehashed(event, key_hash);
+        // The key is hashed only once the route says the event reaches a
+        // window.
+        self.ingest(event, |rt| rt.key_hash(event));
     }
 
     fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
@@ -971,14 +995,14 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
         let Some((ring, back)) = partition.and_then(|ring| Some((ring, ring.back()?.0))) else {
             return true;
         };
-        rt.query
-            .window
-            .windows_of(event.time)
-            .filter(|wid| self.drained_to.is_none_or(|d| *wid > d) && wid.0 <= back)
-            .all(|wid| {
-                let offset = (back - wid.0) as usize;
-                offset < ring.len() && ring[ring.len() - 1 - offset].0 == wid.0
-            })
+        let span = rt.query.window.span_at(event.time);
+        let Some((first, last)) = span.above(self.drained_to) else {
+            return true;
+        };
+        (first.0..=last.0.min(back)).all(|wid| {
+            let offset = (back - wid) as usize;
+            offset < ring.len() && ring[ring.len() - 1 - offset].0 == wid
+        })
     }
 
     fn save_state(&self) -> Result<RouterState, CheckpointError> {

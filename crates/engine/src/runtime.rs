@@ -2,9 +2,13 @@
 //! per-disjunct routing tables, state binding, and negation clocks.
 
 use crate::agg::{AggLayout, CellTable, DisjunctFeeds};
+use crate::router::EventBinds;
 use cogra_checkpoint::CheckpointError;
 use cogra_events::{Event, Timestamp, TypeRegistry, Value, ValueKind};
-use cogra_query::{CompiledAdjacent, CompiledDisjunct, CompiledQuery, Granularity, NegId, StateId};
+use cogra_query::{
+    CompiledAdjacent, CompiledDisjunct, CompiledQuery, Granularity, NegId, Semantics, StateId,
+    TypeRoute,
+};
 
 /// One incoming contribution source of a state.
 #[derive(Debug, Clone)]
@@ -234,6 +238,42 @@ impl DisjunctRuntime {
     }
 }
 
+/// What the router does with an event of one registered type: the plan's
+/// [`TypeRoute`]s across the disjuncts, compiled once per runtime
+/// ([`QueryRuntime::routes`]).
+#[derive(Debug)]
+pub enum EventRoute {
+    /// It binds nothing in any disjunct, and the semantics is not CONT:
+    /// it changes no window, so it is dropped after it moves the
+    /// watermark — before its key is hashed.
+    Skip,
+    /// It binds the same in every event of the type: these binds, which
+    /// every window it reaches reads.
+    Static(EventBinds),
+    /// A local filter decides what it binds in some disjunct: the router
+    /// evaluates its binds per event.
+    Filtered,
+}
+
+impl EventRoute {
+    fn compile(query: &CompiledQuery, type_id: cogra_events::TypeId) -> EventRoute {
+        let mut per_disjunct = Vec::with_capacity(query.disjuncts.len());
+        for d in &query.disjuncts {
+            per_disjunct.push(match d.route(type_id) {
+                TypeRoute::Filtered => return EventRoute::Filtered,
+                TypeRoute::Nothing => Default::default(),
+                TypeRoute::Static { binds, negations } => (binds, negations),
+            });
+        }
+        let binds = EventBinds { per_disjunct };
+        if binds.is_irrelevant() && query.semantics != Semantics::Cont {
+            EventRoute::Skip
+        } else {
+            EventRoute::Static(binds)
+        }
+    }
+}
+
 /// Engine-level configuration knobs read by some [`WindowAlgo`]
 /// implementations.
 ///
@@ -283,6 +323,9 @@ pub struct QueryRuntime {
     /// Per registered type: the attributes the plan reads, ascending
     /// ([`CompiledQuery::read_set`]) — all of an event its engines need.
     pub read_set: Vec<Vec<cogra_events::AttrId>>,
+    /// Per registered type: its [`EventRoute`] — what the router does
+    /// with an event of the type before it looks at its attributes.
+    pub routes: Vec<EventRoute>,
     /// Per registered type: a row of the type's arity and kinds holding
     /// blanks ([`ValueKind::blank`]) — what a transport that carries only
     /// the read-set fills the other attributes with.
@@ -304,6 +347,10 @@ impl QueryRuntime {
             .iter()
             .map(|(_, schema)| schema.iter().map(|(_, kind)| kind.blank()).collect())
             .collect();
+        let routes = registry
+            .iter()
+            .map(|(type_id, _)| EventRoute::compile(&query, type_id))
+            .collect();
         let (layout, first_feeds) = AggLayout::build(&query.disjuncts[0]);
         let mut disjuncts = Vec::with_capacity(query.disjuncts.len());
         for (i, d) in query.disjuncts.iter().enumerate() {
@@ -321,6 +368,7 @@ impl QueryRuntime {
             disjuncts,
             partition_attr_ids,
             read_set,
+            routes,
             blank_rows,
         }
     }
@@ -329,6 +377,12 @@ impl QueryRuntime {
     pub fn with_config(mut self, config: EngineConfig) -> QueryRuntime {
         self.config = config;
         self
+    }
+
+    /// The route of the event's type.
+    #[inline]
+    pub fn route(&self, event: &Event) -> &EventRoute {
+        &self.routes[event.type_id.index()]
     }
 
     /// Extract the partition key of an event; `None` drops the event.

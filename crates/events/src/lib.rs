@@ -28,4 +28,4 @@ pub use reorder::{LateGate, ReorderBuffer, Reorderer};
 pub use schema::{AttrId, Schema, TypeId, TypeRegistry};
 pub use stream::{transactions, validate_ordered, EventBuilder, OutOfOrderError};
 pub use value::{Value, ValueKind};
-pub use window::{WindowId, WindowSpec};
+pub use window::{WindowId, WindowSpan, WindowSpec};

@@ -58,20 +58,38 @@ impl WindowSpec {
         (self.within.div_ceil(self.slide)) as usize
     }
 
-    /// The window ids containing time `t`, in increasing order.
+    /// The window ids containing time `t`, in increasing order — the
+    /// range of [`WindowSpec::span_at`].
+    pub fn windows_of(&self, t: Timestamp) -> impl Iterator<Item = WindowId> {
+        let span = self.span_at(t);
+        (span.first..=span.last).map(WindowId)
+    }
+
+    /// The windows containing `t`, and the stretch of time around `t`
+    /// that every one of them, and no other, contains.
     ///
     /// `k·s <= t < k·s + w  ⇔  (t − w)/s < k <= t/s` intersected with
-    /// `k >= 0`.
-    pub fn windows_of(&self, t: Timestamp) -> impl Iterator<Item = WindowId> {
-        let t = t.ticks();
-        let last = t / self.slide;
-        let first = if t < self.within {
-            0
-        } else {
-            // first k with k*s > t - w, i.e. floor((t - w)/s) + 1
-            (t - self.within) / self.slide + 1
-        };
-        (first..=last).map(WindowId)
+    /// `k >= 0`. The set changes only where a window starts (the last id
+    /// grows) or ends (the first id grows), so the span runs from the
+    /// latest such boundary at or before `t` to the next one after it.
+    pub fn span_at(&self, t: Timestamp) -> WindowSpan {
+        let (t, w, s) = (t.ticks(), self.within, self.slide);
+        let last = t / s;
+        // first k with k*s > t - w, i.e. floor((t - w)/s) + 1
+        let first = if t < w { 0 } else { (t - w) / s + 1 };
+        // Window `first - 1` ended at or before `t`, window `last` started
+        // at or before it; window `first` ends after it, window `last + 1`
+        // starts after it. (Saturating: near `u64::MAX` a span may end at
+        // `t` itself, and is then re-derived at every time.)
+        let previous_end = first.checked_sub(1).map_or(0, |k| k * s + w);
+        WindowSpan {
+            from: (last * s).max(previous_end),
+            until: (last + 1)
+                .saturating_mul(s)
+                .min(first.saturating_mul(s).saturating_add(w)),
+            first,
+            last,
+        }
     }
 
     /// Start time of window `wid`.
@@ -94,6 +112,52 @@ impl WindowSpec {
         }
         // window k closed ⇔ k*s + w <= t ⇔ k <= (t - w)/s
         Some(WindowId((t - self.within) / self.slide))
+    }
+}
+
+/// The windows containing every time in `[from, until)` — from one
+/// window boundary to the next ([`WindowSpec::span_at`]). An engine that
+/// sees time only grow keeps the span of its last event and re-derives it
+/// only when an event falls outside, so the range of an event's windows
+/// costs two compares instead of two divisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowSpan {
+    /// First time of the span.
+    pub from: u64,
+    /// First time past the span: the next window start or end after it.
+    pub until: u64,
+    /// First window id containing the span's times.
+    pub first: u64,
+    /// Last window id containing them (below `first` when there is none:
+    /// a `SLIDE` longer than `WITHIN` leaves gaps).
+    pub last: u64,
+}
+
+impl WindowSpan {
+    /// The span of no time: whatever is looked up first re-derives it.
+    pub const EMPTY: WindowSpan = WindowSpan {
+        from: 0,
+        until: 0,
+        first: 1,
+        last: 0,
+    };
+
+    /// Whether `t` lies in the span.
+    #[inline]
+    pub fn holds(&self, t: Timestamp) -> bool {
+        (self.from..self.until).contains(&t.ticks())
+    }
+
+    /// The first and the last of the span's windows above the drain floor
+    /// `drained` (the last window already closed; `None` when none is) —
+    /// `None` when the floor is past them all.
+    #[inline]
+    pub fn above(&self, drained: Option<WindowId>) -> Option<(WindowId, WindowId)> {
+        let first = match drained {
+            None => self.first,
+            Some(d) => self.first.max(d.0.checked_add(1)?),
+        };
+        (first <= self.last).then_some((WindowId(first), WindowId(self.last)))
     }
 }
 
@@ -181,6 +245,52 @@ mod tests {
                 assert!(w > closed.0);
             }
         }
+    }
+
+    #[test]
+    fn a_span_is_the_stretch_between_window_boundaries() {
+        for (w, s) in [(10, 3), (7, 2), (5, 5), (12, 4), (3, 5)] {
+            let spec = WindowSpec::new(w, s);
+            for t in 0..80u64 {
+                let span = spec.span_at(Timestamp(t));
+                assert!(span.holds(Timestamp(t)), "w={w} s={s} t={t}");
+                let listed: Vec<u64> = (span.first..=span.last).collect();
+                // Every time of the span has the same windows, and the
+                // times just outside it do not.
+                for u in span.from..span.until {
+                    assert_eq!(ids(&spec, u), listed, "w={w} s={s} t={t} u={u}");
+                }
+                assert_ne!(ids(&spec, span.until), listed, "w={w} s={s} t={t}");
+                if let Some(before) = span.from.checked_sub(1) {
+                    assert_ne!(ids(&spec, before), listed, "w={w} s={s} t={t}");
+                }
+            }
+        }
+        assert!(!WindowSpan::EMPTY.holds(Timestamp(0)));
+        let far = WindowSpec::new(10, 3).span_at(Timestamp(u64::MAX));
+        assert_eq!(far.last, u64::MAX / 3);
+    }
+
+    #[test]
+    fn the_open_range_starts_above_the_drain_floor() {
+        let spec = WindowSpec::new(10, 3);
+        let span = spec.span_at(Timestamp(12)); // windows 1..=4
+        assert_eq!(span.above(None), Some((WindowId(1), WindowId(4))));
+        assert_eq!(
+            span.above(Some(WindowId(0))),
+            Some((WindowId(1), WindowId(4)))
+        );
+        assert_eq!(
+            span.above(Some(WindowId(2))),
+            Some((WindowId(3), WindowId(4)))
+        );
+        assert_eq!(span.above(Some(WindowId(4))), None);
+        assert_eq!(span.above(Some(WindowId(u64::MAX))), None);
+        // A gap between windows holds none, whatever the floor.
+        assert_eq!(
+            WindowSpec::new(3, 5).span_at(Timestamp(4)).above(None),
+            None
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::ast::{AggCall, CmpOp, PatternExpr, PredicateExpr, Query, ReturnItem, 
 use crate::automaton::{Automaton, NegId, StateId};
 use crate::error::{QueryError, QueryResult};
 use crate::rewrite;
-use cogra_events::{AttrId, TypeRegistry, Value, ValueKind, WindowSpec};
+use cogra_events::{AttrId, TypeId, TypeRegistry, Value, ValueKind, WindowSpec};
 use std::collections::HashMap;
 
 /// The granularity at which trend aggregates are maintained (Figure 1,
@@ -182,6 +182,32 @@ impl CompiledDisjunct {
         self.neg_locals[neg.index()].iter().all(|f| f.eval(event))
     }
 
+    /// The **route** of an event of `type_id` through this disjunct: what
+    /// it binds and negates, as far as the plan decides it. Only a local
+    /// filter on one of the type's states or negated variables leaves the
+    /// answer to the event; otherwise every event of the type binds the
+    /// same states and matches the same negated variables — what
+    /// [`Automaton::states_of_type`] and [`Automaton::negations_of_type`]
+    /// list.
+    pub fn route(&self, type_id: TypeId) -> TypeRoute {
+        let a = &self.automaton;
+        let (binds, negations) = (a.states_of_type(type_id), a.negations_of_type(type_id));
+        let filtered = binds.iter().any(|s| !self.locals[s.index()].is_empty())
+            || negations
+                .iter()
+                .any(|n| !self.neg_locals[n.index()].is_empty());
+        if filtered {
+            TypeRoute::Filtered
+        } else if binds.is_empty() && negations.is_empty() {
+            TypeRoute::Nothing
+        } else {
+            TypeRoute::Static {
+                binds: binds.to_vec(),
+                negations: negations.to_vec(),
+            }
+        }
+    }
+
     /// The predicates on adjacent events attached to the `(pred, succ)`
     /// state pair.
     pub fn adjacents_of(
@@ -208,6 +234,26 @@ impl CompiledDisjunct {
     ) -> bool {
         self.adjacents_of(pred, succ).all(|adj| adj.eval(ep, e))
     }
+}
+
+/// What an event of one type does in one disjunct
+/// ([`CompiledDisjunct::route`]) — decided once per plan, so an engine
+/// reads it instead of evaluating it per event.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TypeRoute {
+    /// It binds no state and matches no negated variable.
+    Nothing,
+    /// It binds these states and matches these negated variables whatever
+    /// its attributes: none of them carries a local filter.
+    Static {
+        /// The states it binds.
+        binds: Vec<StateId>,
+        /// The negated variables it matches.
+        negations: Vec<NegId>,
+    },
+    /// A state or negated variable of its type carries a local filter:
+    /// what it binds is decided per event.
+    Filtered,
 }
 
 /// A fully compiled event trend aggregation query.

@@ -3,7 +3,8 @@
 //! (§3.2), the granularity and `Te`/`Tt` split (§3.3/Theorem 5.1) — plus a
 //! Graphviz DOT rendering of the FSA for documentation and debugging.
 
-use crate::compile::{CompiledDisjunct, CompiledQuery, Granularity};
+use crate::ast::Semantics;
+use crate::compile::{CompiledDisjunct, CompiledQuery, Granularity, TypeRoute};
 use crate::QueryResult;
 use cogra_events::{AttrId, TypeRegistry};
 use std::fmt::Write as _;
@@ -26,6 +27,13 @@ pub fn explain(query: &CompiledQuery, registry: &TypeRegistry) -> String {
         query.group_prefix
     );
     let _ = writeln!(out, "reads: {}", reads(query, registry));
+    let dropped = drops(query, registry);
+    if !dropped.is_empty() {
+        let _ = writeln!(
+            out,
+            "drops: {dropped} (binds nothing: dropped before its key is hashed)"
+        );
+    }
     let _ = writeln!(out, "granularity: {}", query.granularity());
     for (i, d) in query.disjuncts.iter().enumerate() {
         let _ = writeln!(out, "disjunct {i}:");
@@ -52,6 +60,51 @@ pub fn stores(d: &CompiledDisjunct, registry: &TypeRegistry) -> String {
         _ if attrs.is_empty() => "time only".to_string(),
         _ => attrs,
     }
+}
+
+/// The disjunct's compiled route ([`CompiledDisjunct::route`]) as
+/// `Type → bound states, NOT matched negations` per type that routes to
+/// anything, in registry order — `Type → filtered` where a local filter
+/// decides it per event.
+pub fn route(d: &CompiledDisjunct, registry: &TypeRegistry) -> String {
+    let a = &d.automaton;
+    let per_type: Vec<String> = registry
+        .iter()
+        .filter_map(|(type_id, schema)| {
+            let to = match d.route(type_id) {
+                TypeRoute::Nothing => return None,
+                TypeRoute::Filtered => "filtered".to_string(),
+                TypeRoute::Static { binds, negations } => {
+                    let states = binds.iter().map(|s| a.state(*s).name.clone());
+                    let negated = negations
+                        .iter()
+                        .map(|n| format!("NOT {}", a.negated_var(*n).name));
+                    states.chain(negated).collect::<Vec<_>>().join(", ")
+                }
+            };
+            Some(format!("{} → {to}", schema.name()))
+        })
+        .collect();
+    per_type.join("; ")
+}
+
+/// The types whose events the plan drops before hashing their key: they
+/// bind nothing in any disjunct, and outside the contiguous semantics an
+/// event that binds nothing changes no window. Comma-separated, in
+/// registry order; empty when there is none.
+pub fn drops(query: &CompiledQuery, registry: &TypeRegistry) -> String {
+    if query.semantics == Semantics::Cont {
+        return String::new();
+    }
+    let names: Vec<&str> = registry
+        .iter()
+        .filter(|(type_id, _)| {
+            let mut disjuncts = query.disjuncts.iter();
+            disjuncts.all(|d| d.route(*type_id) == TypeRoute::Nothing)
+        })
+        .map(|(_, schema)| schema.name())
+        .collect();
+    names.join(", ")
 }
 
 /// Per-type attribute lists as `Type{attr, …}`, in registry order, a type
@@ -121,6 +174,7 @@ fn explain_disjunct(out: &mut String, d: &CompiledDisjunct, registry: &TypeRegis
         );
     }
     let _ = writeln!(out, "  stores: {}", stores(d, registry));
+    let _ = writeln!(out, "  route: {}", route(d, registry));
     if !d.adjacents.is_empty() {
         let _ = writeln!(out, "  predicates on adjacent events:");
         for adj in &d.adjacents {
@@ -289,6 +343,52 @@ mod tests {
             ),
             ["  stores: A{v}", "  stores: time only"]
         );
+    }
+
+    #[test]
+    fn explain_prints_each_types_compiled_route() {
+        let lines = |text: &str, prefix: &str| {
+            let report = explain(&compiled(text), &registry());
+            let lines = report.lines().filter(|l| l.starts_with(prefix));
+            lines.map(str::to_string).collect::<Vec<_>>()
+        };
+        let routes = |text: &str| lines(text, "  route: ");
+        let drops = |text: &str| lines(text, "drops: ");
+        let stock = "RETURN company, COUNT(*) PATTERN SEQ(Stock A+, Stock B+) SEMANTICS ANY \
+                     WHERE [company] GROUP-BY company WITHIN 600 SLIDE 10";
+        assert_eq!(routes(stock), ["  route: Stock → A, B"]);
+        // A and B are the only types the plan binds: the rest are dropped
+        // before their key is hashed.
+        assert_eq!(
+            drops("RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY WITHIN 10 SLIDE 5"),
+            ["drops: Stock, C (binds nothing: dropped before its key is hashed)"]
+        );
+        // A negated variable routes too; a local filter on a type's state or
+        // negated variable leaves its route to the event.
+        let negated = |filter: &str| {
+            format!(
+                "RETURN COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY{filter} \
+                 WITHIN 10 SLIDE 5"
+            )
+        };
+        assert_eq!(routes(&negated("")), ["  route: A → A; B → B; C → NOT C"]);
+        assert_eq!(
+            routes(&negated(" WHERE C.v < 5")),
+            ["  route: A → A; B → B; C → filtered"]
+        );
+        assert_eq!(
+            routes(&negated(" WHERE A.v > 2")),
+            ["  route: A → filtered; B → B; C → NOT C"]
+        );
+        assert_eq!(
+            drops(&negated("")),
+            ["drops: Stock (binds nothing: dropped before its key is hashed)"]
+        );
+        // Under CONT an event that binds nothing still breaks trends: it is
+        // routed, and nothing is dropped. One route line per disjunct.
+        let cont = "RETURN COUNT(*) PATTERN OR(SEQ(A+, B), C+) SEMANTICS CONT WITHIN 10 SLIDE 5";
+        assert_eq!(routes(cont), ["  route: A → A; B → B", "  route: C → C"]);
+        assert!(drops(cont).is_empty());
     }
 
     #[test]

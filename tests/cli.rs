@@ -92,6 +92,13 @@ fn explain_and_dot_render() {
         stderr.contains("\n  stores: Measurement{rate}\n"),
         "{stderr}"
     );
+    // `M.activity = passive` is a local filter: what a measurement binds
+    // is decided per event. Under CONT no type is dropped unhashed.
+    assert!(
+        stderr.contains("\n  route: Measurement → filtered\n"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("drops:"), "{stderr}");
     let (ok, stdout, _) = f.run(&["--dot"]);
     assert!(ok);
     assert!(stdout.starts_with("digraph pattern {"), "{stdout}");

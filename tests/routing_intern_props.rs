@@ -25,11 +25,15 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// The semantics × grouping matrix the battery cycles through. CONT is
-/// included deliberately: it is the one case where *irrelevant* events
-/// still create partition/window state, exercising the interner on the
-/// no-binds path.
-const QUERIES: [&str; 4] = [
+/// The semantics × grouping × route matrix the battery cycles through.
+/// CONT is included deliberately: it is the one case where *irrelevant*
+/// events still create partition/window state, exercising the interner on
+/// the no-binds path. `C` events bind nothing in the first four rows —
+/// the route drops them before their key is hashed, except under CONT.
+/// The last three put a local filter on a state or a negated variable,
+/// so the router evaluates those types' binds per event while the
+/// reference does so for every type.
+const QUERIES: [&str; 7] = [
     "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
      GROUP-BY g WITHIN 10 SLIDE 5",
     "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT \
@@ -37,6 +41,12 @@ const QUERIES: [&str; 4] = [
     "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS CONT \
      GROUP-BY g WITHIN 8 SLIDE 4",
     "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY WITHIN 10 SLIDE 5",
+    "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+     WHERE A.v > 2 GROUP-BY g WITHIN 10 SLIDE 5",
+    "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS ANY \
+     WHERE C.v < 5 GROUP-BY g WITHIN 10 SLIDE 5",
+    "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS CONT \
+     WHERE A.v > 2 GROUP-BY g WITHIN 8 SLIDE 4",
 ];
 
 use common::model::WIDTHS as WORKER_COUNTS;
@@ -206,14 +216,14 @@ fn reference(query: &str, reg: &TypeRegistry, events: &[Event], chunk: usize) ->
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn interned_routing_is_byte_identical_to_the_reference(
-        rows in vec((0u64..3, 0usize..2, 0i64..5, -4i64..5), 1..160),
+        rows in vec((0u64..3, 0usize..3, 0i64..5, -4i64..8), 1..160),
         worker_idx in 0usize..4,
         chunk in 1usize..40,
-        query_idx in 0usize..4,
+        query_idx in 0usize..QUERIES.len(),
     ) {
         let reg = registry();
         let events = rows_case(&[], &rows, None).events;

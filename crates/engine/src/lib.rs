@@ -48,4 +48,4 @@ pub use engine::{run_to_completion, TrendEngine};
 pub use intern::{KeyInterner, KeyOverflow, PartitionId, RunStats};
 pub use output::{GroupKey, WindowResult};
 pub use router::{entry_group_hash, EventBinds, Frame, Router, RouterState, WindowAlgo};
-pub use runtime::{DisjunctRuntime, EngineConfig, EventRoute, QueryRuntime};
+pub use runtime::{DisjunctRuntime, EngineConfig, QueryRuntime};

@@ -71,18 +71,18 @@ use crate::capabilities::Capabilities;
 use crate::engine::TrendEngine;
 use crate::intern::{hash_values, KeyInterner, PartitionId, RunStats};
 use crate::output::WindowResult;
-use crate::runtime::{EngineConfig, EventRoute, QueryRuntime};
+use crate::runtime::{EngineConfig, QueryRuntime};
 use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_events::{Event, Timestamp, TypeRegistry, Value, WindowId, WindowSpan, WindowSpec};
-use cogra_query::{CompiledQuery, NegId, QueryError, QueryResult, StateId};
+use cogra_query::{CompiledQuery, NegId, QueryError, QueryResult, Route, StateId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Per-disjunct bindings of the current event: the states it can bind to
 /// (type matched, local predicates passed) and the negated variables it
 /// matches. Compiled once per type where no local filter decides them
-/// ([`EventRoute::Static`]), evaluated per event by the router where one
-/// does.
+/// ([`Route::Static`] in [`QueryRuntime::routes`]), evaluated per event by
+/// the router where one does.
 #[derive(Debug, Default)]
 pub struct EventBinds {
     /// `(positive states, matched negations)` per disjunct.
@@ -425,8 +425,9 @@ impl<W: WindowAlgo> Router<W> {
     }
 
     /// Route one event: move the watermark, read its type's compiled route,
-    /// and only if it binds something — or the semantics is CONT — hash its
-    /// key (`key_hash`) and update its open windows.
+    /// and only if the event is not dropped there
+    /// ([`CompiledQuery::drops_unbound`]) hash its key (`key_hash`) and
+    /// update its open windows.
     #[inline(always)]
     fn ingest(&mut self, event: &Event, key_hash: impl FnOnce(&QueryRuntime) -> Option<u64>) {
         debug_assert!(
@@ -435,21 +436,18 @@ impl<W: WindowAlgo> Router<W> {
         );
         self.watermark = self.watermark.max(event.time);
         let rt: &QueryRuntime = &self.rt;
-        // Events that bind nothing and negate nothing are no-ops for every
-        // per-window algorithm except under the contiguous semantics,
-        // where they invalidate partial trends — skip the window fan-out
-        // (and partition/window-state creation) early.
+        // An event the plan drops changes no window: skip the window
+        // fan-out (and partition/window-state creation) early.
         let binds = match rt.route(event) {
-            EventRoute::Skip => return,
-            EventRoute::Static(binds) => binds,
-            EventRoute::Filtered => {
+            Route::Nothing => return,
+            Route::Static(binds) => binds,
+            Route::Filtered => {
                 let per_disjunct = self.binds.per_disjunct.iter_mut();
                 for ((binds, negs), drt) in per_disjunct.zip(&rt.disjuncts) {
                     drt.binds(event, binds);
                     drt.negation_matches(event, negs);
                 }
-                if self.binds.is_irrelevant() && rt.query.semantics != cogra_query::Semantics::Cont
-                {
+                if self.binds.is_irrelevant() && rt.query.drops_unbound() {
                     return;
                 }
                 &self.binds

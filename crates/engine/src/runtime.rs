@@ -6,8 +6,7 @@ use crate::router::EventBinds;
 use cogra_checkpoint::CheckpointError;
 use cogra_events::{Event, Timestamp, TypeRegistry, Value, ValueKind};
 use cogra_query::{
-    CompiledAdjacent, CompiledDisjunct, CompiledQuery, Granularity, NegId, Semantics, StateId,
-    TypeRoute,
+    CompiledAdjacent, CompiledDisjunct, CompiledQuery, Granularity, NegId, Route, StateId,
 };
 
 /// One incoming contribution source of a state.
@@ -238,42 +237,6 @@ impl DisjunctRuntime {
     }
 }
 
-/// What the router does with an event of one registered type: the plan's
-/// [`TypeRoute`]s across the disjuncts, compiled once per runtime
-/// ([`QueryRuntime::routes`]).
-#[derive(Debug)]
-pub enum EventRoute {
-    /// It binds nothing in any disjunct, and the semantics is not CONT:
-    /// it changes no window, so it is dropped after it moves the
-    /// watermark — before its key is hashed.
-    Skip,
-    /// It binds the same in every event of the type: these binds, which
-    /// every window it reaches reads.
-    Static(EventBinds),
-    /// A local filter decides what it binds in some disjunct: the router
-    /// evaluates its binds per event.
-    Filtered,
-}
-
-impl EventRoute {
-    fn compile(query: &CompiledQuery, type_id: cogra_events::TypeId) -> EventRoute {
-        let mut per_disjunct = Vec::with_capacity(query.disjuncts.len());
-        for d in &query.disjuncts {
-            per_disjunct.push(match d.route(type_id) {
-                TypeRoute::Filtered => return EventRoute::Filtered,
-                TypeRoute::Nothing => Default::default(),
-                TypeRoute::Static { binds, negations } => (binds, negations),
-            });
-        }
-        let binds = EventBinds { per_disjunct };
-        if binds.is_irrelevant() && query.semantics != Semantics::Cont {
-            EventRoute::Skip
-        } else {
-            EventRoute::Static(binds)
-        }
-    }
-}
-
 /// Engine-level configuration knobs read by some [`WindowAlgo`]
 /// implementations.
 ///
@@ -323,9 +286,11 @@ pub struct QueryRuntime {
     /// Per registered type: the attributes the plan reads, ascending
     /// ([`CompiledQuery::read_set`]) — all of an event its engines need.
     pub read_set: Vec<Vec<cogra_events::AttrId>>,
-    /// Per registered type: its [`EventRoute`] — what the router does
-    /// with an event of the type before it looks at its attributes.
-    pub routes: Vec<EventRoute>,
+    /// Per registered type: its [`CompiledQuery::route`] — what the router
+    /// does with an event of the type before it looks at its attributes —
+    /// with a static route's binds prebuilt as the [`EventBinds`] every
+    /// window it reaches reads.
+    pub routes: Vec<Route<EventBinds>>,
     /// Per registered type: a row of the type's arity and kinds holding
     /// blanks ([`ValueKind::blank`]) — what a transport that carries only
     /// the read-set fills the other attributes with.
@@ -349,7 +314,10 @@ impl QueryRuntime {
             .collect();
         let routes = registry
             .iter()
-            .map(|(type_id, _)| EventRoute::compile(&query, type_id))
+            .map(|(type_id, _)| {
+                let route = query.route(type_id);
+                route.map(|per_disjunct| EventBinds { per_disjunct })
+            })
             .collect();
         let (layout, first_feeds) = AggLayout::build(&query.disjuncts[0]);
         let mut disjuncts = Vec::with_capacity(query.disjuncts.len());
@@ -381,7 +349,7 @@ impl QueryRuntime {
 
     /// The route of the event's type.
     #[inline]
-    pub fn route(&self, event: &Event) -> &EventRoute {
+    pub fn route(&self, event: &Event) -> &Route<EventBinds> {
         &self.routes[event.type_id.index()]
     }
 

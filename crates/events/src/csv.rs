@@ -237,8 +237,6 @@ fn push_cell(out: &mut String, s: &str) {
 /// cells of columns outside the schema are ignored.
 pub struct EventReader<'a> {
     registry: &'a TypeRegistry,
-    /// The registry's type names, as each row's `type` cell is resolved.
-    types: TypeNames,
     records: Records<'a>,
     columns: Vec<String>,
     type_col: usize,
@@ -278,7 +276,6 @@ impl<'a> EventReader<'a> {
         };
         Ok(EventReader {
             registry,
-            types: TypeNames::new(registry),
             records,
             columns,
             type_col,
@@ -323,8 +320,8 @@ impl<'a> EventReader<'a> {
         }
         let type_name = row.field(self.type_col);
         let type_id = self
-            .types
-            .id_of(type_name, self.registry)
+            .registry
+            .id_of(type_name)
             .ok_or_else(|| err(line_no, format!("unknown event type `{type_name}`")))?;
         let time = row.field(self.time_col);
         let time: u64 = time
@@ -357,60 +354,6 @@ impl<'a> EventReader<'a> {
         event.type_id = type_id;
         Ok(())
     }
-}
-
-/// A registry's type names as a row's `type` cell is looked up: a scan
-/// over `(length, first 8 bytes)` words, the whole name compared only when
-/// it is longer — for the handful of types a registry holds, cheaper than
-/// hashing the cell (the registry's own map, which a large registry still
-/// goes through). Held inline: a reader is made per `INGEST` block, and
-/// making one allocates no more for it.
-struct TypeNames {
-    /// `(name length, name prefix)` of the first `len` type ids.
-    words: [(usize, u64); TypeNames::MAX_SCANNED],
-    /// The registry's size, or 0 when it is larger than
-    /// [`TypeNames::MAX_SCANNED`].
-    len: usize,
-}
-
-impl TypeNames {
-    /// Registries with more types than this are looked up by hash.
-    const MAX_SCANNED: usize = 16;
-
-    fn new(registry: &TypeRegistry) -> TypeNames {
-        let mut names = TypeNames {
-            words: [(0, 0); Self::MAX_SCANNED],
-            len: 0,
-        };
-        if registry.len() <= Self::MAX_SCANNED {
-            for (id, schema) in registry.iter() {
-                names.words[id.index()] = (schema.name().len(), name_prefix(schema.name()));
-            }
-            names.len = registry.len();
-        }
-        names
-    }
-
-    #[inline]
-    fn id_of(&self, name: &str, registry: &TypeRegistry) -> Option<TypeId> {
-        if self.len == 0 {
-            return registry.id_of(name);
-        }
-        let word = (name.len(), name_prefix(name));
-        (0..self.len as u32).map(TypeId).find(|id| {
-            self.words[id.index()] == word && (word.0 <= 8 || registry.schema(*id).name() == name)
-        })
-    }
-}
-
-/// The first 8 bytes of `name`, zero-padded, as one word.
-#[inline]
-fn name_prefix(name: &str) -> u64 {
-    let bytes = name.as_bytes();
-    let n = bytes.len().min(8);
-    let mut word = [0u8; 8];
-    word[..n].copy_from_slice(&bytes[..n]);
-    u64::from_le_bytes(word)
 }
 
 /// Field indices of a type's schema attributes, resolved into `slot` on
@@ -736,38 +679,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("empty cell"));
-    }
-
-    #[test]
-    fn type_names_resolve_exactly_past_their_first_eight_bytes() {
-        // Names alike in length and in their first 8 bytes, a short one, a
-        // prefix of another — in a registry scanned by words, and in one
-        // large enough to be looked up by hash.
-        let names = ["Measurement", "Measurements", "MeasurementZ", "A", "Ab", ""];
-        for filler in [0, TypeNames::MAX_SCANNED] {
-            let mut reg = TypeRegistry::new();
-            for name in names {
-                reg.register_type(name, vec![("v", ValueKind::Int)]);
-            }
-            for i in 0..filler {
-                reg.register_type(&format!("Filler{i}"), vec![("v", ValueKind::Int)]);
-            }
-            let types = TypeNames::new(&reg);
-            assert_eq!(types.len == 0, filler > 0);
-            for name in names {
-                assert_eq!(types.id_of(name, &reg), reg.id_of(name), "{name:?}");
-            }
-            for ghost in [
-                "Measuremen",
-                "MeasurementY",
-                "Measurement ",
-                "B",
-                "a",
-                "Measurementss",
-            ] {
-                assert_eq!(types.id_of(ghost, &reg), None, "{ghost:?}");
-            }
-        }
     }
 
     #[test]

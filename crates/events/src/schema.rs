@@ -114,7 +114,11 @@ impl Schema {
 #[derive(Debug, Default, Clone)]
 pub struct TypeRegistry {
     schemas: Vec<Schema>,
-    by_name: HashMap<Arc<str>, TypeId>,
+    /// `(length, first 8 bytes)` of each type's name, by id: what
+    /// [`TypeRegistry::id_of`] scans — for the handful of types a registry
+    /// holds, cheaper than hashing the name (a CSV reader resolves every
+    /// row's `type` cell here).
+    words: Vec<(usize, u64)>,
 }
 
 impl TypeRegistry {
@@ -127,7 +131,7 @@ impl TypeRegistry {
     /// name returns the existing id if the schema arity matches and panics
     /// otherwise (static misconfiguration).
     pub fn register(&mut self, schema: Schema) -> TypeId {
-        if let Some(&id) = self.by_name.get(schema.name()) {
+        if let Some(id) = self.id_of(schema.name()) {
             assert_eq!(
                 self.schemas[id.index()].arity(),
                 schema.arity(),
@@ -137,7 +141,7 @@ impl TypeRegistry {
             return id;
         }
         let id = TypeId(self.schemas.len() as u32);
-        self.by_name.insert(Arc::from(schema.name()), id);
+        self.words.push(name_word(schema.name()));
         self.schemas.push(schema);
         id
     }
@@ -147,9 +151,17 @@ impl TypeRegistry {
         self.register(Schema::new(name, attrs))
     }
 
-    /// Resolve a type name.
+    /// Resolve a type name: the first type whose length and first 8 bytes
+    /// match, the whole name compared only when it is longer.
+    #[inline]
     pub fn id_of(&self, name: &str) -> Option<TypeId> {
-        self.by_name.get(name).copied()
+        let word = name_word(name);
+        let id = self
+            .words
+            .iter()
+            .zip(&self.schemas)
+            .position(|(w, schema)| *w == word && (word.0 <= 8 || schema.name() == name))?;
+        Some(TypeId(id as u32))
     }
 
     /// Schema of a type.
@@ -174,6 +186,16 @@ impl TypeRegistry {
             .enumerate()
             .map(|(i, s)| (TypeId(i as u32), s))
     }
+}
+
+/// A name's length and its first 8 bytes, zero-padded, as one word.
+#[inline]
+fn name_word(name: &str) -> (usize, u64) {
+    let bytes = name.as_bytes();
+    let n = bytes.len().min(8);
+    let mut word = [0u8; 8];
+    word[..n].copy_from_slice(&bytes[..n]);
+    (bytes.len(), u64::from_le_bytes(word))
 }
 
 #[cfg(test)]
@@ -218,6 +240,31 @@ mod tests {
         assert_eq!(reg.id_of("A"), Some(a));
         assert_eq!(reg.id_of("C"), None);
         assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn names_resolve_exactly_past_their_first_eight_bytes() {
+        // Names alike in length and in their first 8 bytes, a short one, a
+        // prefix of another, the empty name.
+        let names = ["Measurement", "Measurements", "MeasurementZ", "A", "Ab", ""];
+        let mut reg = TypeRegistry::new();
+        for name in names {
+            reg.register_type(name, vec![("v", ValueKind::Int)]);
+        }
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(reg.id_of(name), Some(TypeId(i as u32)), "{name:?}");
+        }
+        let ghosts = [
+            "Measuremen",
+            "MeasurementY",
+            "Measurement ",
+            "B",
+            "a",
+            "Measurementss",
+        ];
+        for ghost in ghosts {
+            assert_eq!(reg.id_of(ghost), None, "{ghost:?}");
+        }
     }
 
     #[test]

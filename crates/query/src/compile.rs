@@ -182,14 +182,13 @@ impl CompiledDisjunct {
         self.neg_locals[neg.index()].iter().all(|f| f.eval(event))
     }
 
-    /// The **route** of an event of `type_id` through this disjunct: what
-    /// it binds and negates, as far as the plan decides it. Only a local
-    /// filter on one of the type's states or negated variables leaves the
-    /// answer to the event; otherwise every event of the type binds the
-    /// same states and matches the same negated variables — what
-    /// [`Automaton::states_of_type`] and [`Automaton::negations_of_type`]
-    /// list.
-    pub fn route(&self, type_id: TypeId) -> TypeRoute {
+    /// The **route** of an event of `type_id` through this disjunct: the
+    /// states it binds and the negated variables it matches, as far as the
+    /// plan decides them. Only a local filter on one of the type's states
+    /// or negated variables leaves the answer to the event; otherwise every
+    /// event of the type binds what [`Automaton::states_of_type`] and
+    /// [`Automaton::negations_of_type`] list.
+    pub fn route(&self, type_id: TypeId) -> Route<(Vec<StateId>, Vec<NegId>)> {
         let a = &self.automaton;
         let (binds, negations) = (a.states_of_type(type_id), a.negations_of_type(type_id));
         let filtered = binds.iter().any(|s| !self.locals[s.index()].is_empty())
@@ -197,14 +196,11 @@ impl CompiledDisjunct {
                 .iter()
                 .any(|n| !self.neg_locals[n.index()].is_empty());
         if filtered {
-            TypeRoute::Filtered
+            Route::Filtered
         } else if binds.is_empty() && negations.is_empty() {
-            TypeRoute::Nothing
+            Route::Nothing
         } else {
-            TypeRoute::Static {
-                binds: binds.to_vec(),
-                negations: negations.to_vec(),
-            }
+            Route::Static((binds.to_vec(), negations.to_vec()))
         }
     }
 
@@ -236,24 +232,33 @@ impl CompiledDisjunct {
     }
 }
 
-/// What an event of one type does in one disjunct
-/// ([`CompiledDisjunct::route`]) — decided once per plan, so an engine
-/// reads it instead of evaluating it per event.
+/// What an event of one type does, decided once per plan so an engine
+/// reads it instead of evaluating it per event: in one disjunct
+/// ([`CompiledDisjunct::route`]) or across the query
+/// ([`CompiledQuery::route`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TypeRoute {
-    /// It binds no state and matches no negated variable.
+pub enum Route<B> {
+    /// It does nothing: in a disjunct, it binds no state and matches no
+    /// negated variable; in a query, that holds in every disjunct and the
+    /// semantics drops such an event ([`CompiledQuery::drops_unbound`]).
     Nothing,
-    /// It binds these states and matches these negated variables whatever
-    /// its attributes: none of them carries a local filter.
-    Static {
-        /// The states it binds.
-        binds: Vec<StateId>,
-        /// The negated variables it matches.
-        negations: Vec<NegId>,
-    },
+    /// It binds `B` whatever its attributes: no state or negated variable
+    /// of its type carries a local filter.
+    Static(B),
     /// A state or negated variable of its type carries a local filter:
     /// what it binds is decided per event.
     Filtered,
+}
+
+impl<B> Route<B> {
+    /// The route with its static binds mapped by `f`.
+    pub fn map<C>(self, f: impl FnOnce(B) -> C) -> Route<C> {
+        match self {
+            Route::Nothing => Route::Nothing,
+            Route::Static(binds) => Route::Static(f(binds)),
+            Route::Filtered => Route::Filtered,
+        }
+    }
 }
 
 /// A fully compiled event trend aggregation query.
@@ -278,6 +283,39 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
+    /// Whether an event that binds nothing in any disjunct is dropped
+    /// before it reaches a window. It changes no window's aggregates —
+    /// except under the contiguous semantics, where it breaks the partial
+    /// trends it falls between.
+    #[inline]
+    pub fn drops_unbound(&self) -> bool {
+        self.semantics != Semantics::Cont
+    }
+
+    /// The **route** of an event of `type_id` through the query: its
+    /// [`CompiledDisjunct::route`] in every disjunct, one bind list per
+    /// disjunct when all are static; [`Route::Filtered`] when a filter
+    /// decides any of them; [`Route::Nothing`] when it binds nothing
+    /// anywhere and [`drops_unbound`](Self::drops_unbound) holds.
+    pub fn route(&self, type_id: TypeId) -> Route<Vec<(Vec<StateId>, Vec<NegId>)>> {
+        let mut per_disjunct = Vec::with_capacity(self.disjuncts.len());
+        for d in &self.disjuncts {
+            per_disjunct.push(match d.route(type_id) {
+                Route::Filtered => return Route::Filtered,
+                Route::Nothing => Default::default(),
+                Route::Static(binds) => binds,
+            });
+        }
+        let unbound = per_disjunct
+            .iter()
+            .all(|(binds, negations)| binds.is_empty() && negations.is_empty());
+        if unbound && self.drops_unbound() {
+            Route::Nothing
+        } else {
+            Route::Static(per_disjunct)
+        }
+    }
+
     /// The coarsest granularity across disjuncts (for reporting).
     pub fn granularity(&self) -> Granularity {
         let mut g = Granularity::Pattern;

@@ -3,8 +3,7 @@
 //! (§3.2), the granularity and `Te`/`Tt` split (§3.3/Theorem 5.1) — plus a
 //! Graphviz DOT rendering of the FSA for documentation and debugging.
 
-use crate::ast::Semantics;
-use crate::compile::{CompiledDisjunct, CompiledQuery, Granularity, TypeRoute};
+use crate::compile::{CompiledDisjunct, CompiledQuery, Granularity, Route};
 use crate::QueryResult;
 use cogra_events::{AttrId, TypeRegistry};
 use std::fmt::Write as _;
@@ -31,7 +30,7 @@ pub fn explain(query: &CompiledQuery, registry: &TypeRegistry) -> String {
     if !dropped.is_empty() {
         let _ = writeln!(
             out,
-            "drops: {dropped} (binds nothing: dropped before its key is hashed)"
+            "drops: {dropped} (binds nothing: dropped before any window)"
         );
     }
     let _ = writeln!(out, "granularity: {}", query.granularity());
@@ -72,9 +71,9 @@ pub fn route(d: &CompiledDisjunct, registry: &TypeRegistry) -> String {
         .iter()
         .filter_map(|(type_id, schema)| {
             let to = match d.route(type_id) {
-                TypeRoute::Nothing => return None,
-                TypeRoute::Filtered => "filtered".to_string(),
-                TypeRoute::Static { binds, negations } => {
+                Route::Nothing => return None,
+                Route::Filtered => "filtered".to_string(),
+                Route::Static((binds, negations)) => {
                     let states = binds.iter().map(|s| a.state(*s).name.clone());
                     let negated = negations
                         .iter()
@@ -88,20 +87,13 @@ pub fn route(d: &CompiledDisjunct, registry: &TypeRegistry) -> String {
     per_type.join("; ")
 }
 
-/// The types whose events the plan drops before hashing their key: they
-/// bind nothing in any disjunct, and outside the contiguous semantics an
-/// event that binds nothing changes no window. Comma-separated, in
+/// The types whose events the plan drops before any window: those whose
+/// [`CompiledQuery::route`] is [`Route::Nothing`]. Comma-separated, in
 /// registry order; empty when there is none.
 pub fn drops(query: &CompiledQuery, registry: &TypeRegistry) -> String {
-    if query.semantics == Semantics::Cont {
-        return String::new();
-    }
     let names: Vec<&str> = registry
         .iter()
-        .filter(|(type_id, _)| {
-            let mut disjuncts = query.disjuncts.iter();
-            disjuncts.all(|d| d.route(*type_id) == TypeRoute::Nothing)
-        })
+        .filter(|(type_id, _)| query.route(*type_id) == Route::Nothing)
         .map(|(_, schema)| schema.name())
         .collect();
     names.join(", ")
@@ -358,10 +350,10 @@ mod tests {
                      WHERE [company] GROUP-BY company WITHIN 600 SLIDE 10";
         assert_eq!(routes(stock), ["  route: Stock → A, B"]);
         // A and B are the only types the plan binds: the rest are dropped
-        // before their key is hashed.
+        // before any window.
         assert_eq!(
             drops("RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY WITHIN 10 SLIDE 5"),
-            ["drops: Stock, C (binds nothing: dropped before its key is hashed)"]
+            ["drops: Stock, C (binds nothing: dropped before any window)"]
         );
         // A negated variable routes too; a local filter on a type's state or
         // negated variable leaves its route to the event.
@@ -382,7 +374,7 @@ mod tests {
         );
         assert_eq!(
             drops(&negated("")),
-            ["drops: Stock (binds nothing: dropped before its key is hashed)"]
+            ["drops: Stock (binds nothing: dropped before any window)"]
         );
         // Under CONT an event that binds nothing still breaks trends: it is
         // routed, and nothing is dropped. One route line per disjunct.

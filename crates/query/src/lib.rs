@@ -34,7 +34,7 @@ pub use ast::{
 pub use automaton::{Automaton, NegId, PredEdge, StateId, VarInfo};
 pub use compile::{
     compile, select_granularity, AggFunc, CompiledAdjacent, CompiledAgg, CompiledDisjunct,
-    CompiledQuery, Granularity, LocalFilter, TypeRoute,
+    CompiledQuery, Granularity, LocalFilter, Route,
 };
 pub use error::{QueryError, QueryResult};
 pub use explain::{explain, explain_text, to_dot};

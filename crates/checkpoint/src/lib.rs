@@ -39,23 +39,6 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::OnceLock;
 
-/// A fault-injection site. With the `faults` feature it records a hit at
-/// `$site` and, when the schedule fires it, yields the pinned
-/// `injected fault at <site>` I/O error; without the feature it is `None`
-/// and costs nothing.
-#[cfg(feature = "faults")]
-macro_rules! probe {
-    ($site:literal) => {
-        cogra_faults::io_error($site)
-    };
-}
-#[cfg(not(feature = "faults"))]
-macro_rules! probe {
-    ($site:literal) => {
-        None::<io::Error>
-    };
-}
-
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
@@ -381,7 +364,7 @@ pub fn write_atomic(
     emit(&mut bytes)?;
     let tmp = format!("{path}.tmp");
     let mut file = std::fs::File::create(&tmp)?;
-    if let Some(crash) = probe!("checkpoint/write") {
+    if let Some(crash) = cogra_faults::io_error(format_args!("checkpoint/write")) {
         // A crash mid-write: a prefix of the bytes lands in the tmp file
         // and nobody cleans up — the final path must survive this.
         let _ = file.write_all(&bytes[..bytes.len() / 2]);
@@ -390,7 +373,7 @@ pub fn write_atomic(
     file.write_all(&bytes)?;
     file.sync_all()?;
     drop(file);
-    if let Some(crash) = probe!("checkpoint/rename") {
+    if let Some(crash) = cogra_faults::io_error(format_args!("checkpoint/rename")) {
         return Err(CheckpointError::Io(crash));
     }
     std::fs::rename(&tmp, path)?;

@@ -25,15 +25,16 @@
 //!   bounded channel carrying **batch arenas** (`Batch`): per shard, the
 //!   coordinator copies of each routed event what the hosted plans read
 //!   (`Projection`: the union of their read-sets) once into the open
-//!   batch — a row header plus those values appended to one contiguous
-//!   buffer — and appends one `(row, query, key hash)` route per query
-//!   that wants it there. The worker replays the routes through one
-//!   scratch `Event` per type, blank outside the read-set, and the
-//!   coordinator, which keeps a handle to every shipped batch, reopens a
-//!   batch as soon as the worker has dropped its own. Steady state
-//!   allocates nothing per routed event on either thread, no memory
-//!   allocated on one thread is freed on another, and both ends of a
-//!   hand-off poll before they park ([`recv_polling`]).
+//!   batch — a row of its [`Rows`] arena — and appends one `(row, query,
+//!   key hash)` route per query that wants it there. The worker replays
+//!   the routes through one scratch `Event` per type, blank outside the
+//!   read-set, and the coordinator, which keeps a handle to every shipped
+//!   batch ([`Recycler`]), reopens a batch as soon as the worker has
+//!   dropped its own. Steady state allocates nothing per routed event on
+//!   either thread, no memory allocated on one thread is freed on another,
+//!   and both ends of a hand-off poll before they park ([`recv_polling`]).
+//!   The arena, the recycler and the receive are [`handoff`]'s; the
+//!   server's ingest chunks travel the same way.
 //!   Watermark broadcasts make a drain emit every result that is globally
 //!   final — even on shards whose sub-stream went quiet — and the workers
 //!   are supervised per [`FailurePolicy`].
@@ -51,31 +52,12 @@ use crate::session::{EngineKind, OpenError, SessionError};
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
 use cogra_events::{AttrId, Event, EventId, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
-use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvError, Sender, SyncSender, TryRecvError};
+use handoff::{recv_polling, Recycler, Reusable, Rows};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-/// A fault-injection site, named by a format string. With the `faults`
-/// feature it records a hit at the site and, when the schedule fires it,
-/// yields the pinned message `injected fault at <site>`; without the
-/// feature it is `None` and costs nothing (the arguments only count as
-/// used).
-#[cfg(feature = "faults")]
-macro_rules! probe {
-    ($($site:tt)+) => {{
-        let site = format!($($site)+);
-        cogra_faults::fired(&site).then(|| format!("injected fault at {site}"))
-    }};
-}
-#[cfg(not(feature = "faults"))]
-macro_rules! probe {
-    ($($site:tt)+) => {{
-        let _ = format_args!($($site)+);
-        None::<String>
-    }};
-}
+pub mod handoff;
 
 /// Shard index of a group-prefix hash — THE placement rule, shared by live
 /// routing ([`StreamingPool::place`]) and the re-sharding of a restored
@@ -375,18 +357,6 @@ impl Projection {
     }
 }
 
-/// One event of a [`Batch`]: an [`Event`] minus its attribute values; the
-/// ones that are read ([`Projection::read`]) end at `attrs_end` in the
-/// batch's shared buffer (and start where the previous row's end).
-struct Row {
-    id: EventId,
-    time: Timestamp,
-    type_id: TypeId,
-    attrs_end: usize,
-    /// [`InFlight::stamp`].
-    stamp: u64,
-}
-
 /// One routed item of a [`Batch`]: row `row` is for query `query`, whose
 /// full partition-key hash of it is `key_hash` (see [`Item`]).
 struct Route {
@@ -395,39 +365,35 @@ struct Route {
     key_hash: Option<u64>,
 }
 
-/// The unit of shard transport: a slice of one shard's sub-stream as an
-/// arena. Every event is stored once — a [`Row`] plus the attribute
-/// values the pool reads appended to the one `attrs` buffer — however
-/// many of the shard's queries want it; `routes` lists the `(row, query)`
-/// items in global routing order, and is what a worker replays. Staging
-/// an event is therefore three `Vec` appends into retained capacity: no
-/// `Event` is cloned and nothing is allocated once a batch has been
-/// through one fill.
+/// The unit of shard transport: a slice of one shard's sub-stream. Every
+/// event is stored once — a row of the [`Rows`] arena carrying the values
+/// the pool reads ([`Projection::read`]) — however many of the shard's
+/// queries want it; `routes` lists the `(row, query)` items in global
+/// routing order, and is what a worker replays. Staging an event is
+/// therefore a few `Vec` appends into retained capacity: no `Event` is
+/// cloned and nothing is allocated once a batch has been through one fill.
 #[derive(Default)]
 struct Batch {
-    rows: Vec<Row>,
-    attrs: Vec<Value>,
+    rows: Rows,
+    /// Per row: its event's [`InFlight::stamp`].
+    stamps: Vec<u64>,
     routes: Vec<Route>,
 }
 
-impl Batch {
-    /// Empty the batch, keeping its capacity.
+impl Reusable for Batch {
     fn clear(&mut self) {
         self.rows.clear();
-        self.attrs.clear();
+        self.stamps.clear();
         self.routes.clear();
     }
+}
 
+impl Batch {
     /// Append `event`, admitted as number `stamp`, as the batch's last row.
     fn push_row(&mut self, event: &Event, stamp: u64, projection: &Projection) {
-        self.attrs.extend(projection.read(event).cloned());
-        self.rows.push(Row {
-            id: event.id,
-            time: event.time,
-            type_id: event.type_id,
-            attrs_end: self.attrs.len(),
-            stamp,
-        });
+        let read = |values: &mut Vec<_>| values.extend(projection.read(event).cloned());
+        self.rows.push(event.id, event.time, event.type_id, read);
+        self.stamps.push(stamp);
     }
 
     /// Route the last row to `query`.
@@ -440,34 +406,22 @@ impl Batch {
         });
     }
 
-    fn attrs_of(&self, row: usize) -> &[Value] {
-        let start = row
-            .checked_sub(1)
-            .map_or(0, |prev| self.rows[prev].attrs_end);
-        &self.attrs[start..self.rows[row].attrs_end]
-    }
-
     /// Load row `row` into its type's scratch event ([`Projection::scratch`]),
     /// which is returned: only the read slots are written, the others
     /// stay blank.
     fn load<'s>(&self, row: usize, projection: &Projection, scratch: &'s mut [Event]) -> &'s Event {
-        let header = &self.rows[row];
-        let event = &mut scratch[header.type_id.index()];
-        event.id = header.id;
-        event.time = header.time;
-        projection.scatter(header.type_id, self.attrs_of(row).iter(), &mut event.attrs);
+        let row = self.rows.row(row);
+        let event = &mut scratch[row.type_id.index()];
+        event.id = row.id;
+        event.time = row.time;
+        projection.scatter(row.type_id, row.values.iter(), &mut event.attrs);
         event
     }
 
     /// Row `row` as an owned event, for a shard's reorder buffer.
     fn event(&self, row: usize, projection: &Projection) -> Event {
-        let header = &self.rows[row];
-        projection.event(
-            header.id,
-            header.time,
-            header.type_id,
-            self.attrs_of(row).iter(),
-        )
+        let row = self.rows.row(row);
+        projection.event(row.id, row.time, row.type_id, row.values.iter())
     }
 }
 
@@ -475,7 +429,7 @@ impl Batch {
 #[derive(Clone)]
 enum Cmd {
     /// The next slice of this shard's sub-stream. The coordinator keeps a
-    /// second handle (see [`Lane::shipped`]); the worker only reads.
+    /// second handle (see [`Lane::batches`]); the worker only reads.
     Batch(Arc<Batch>),
     /// Advance to the given safe watermark and emit everything now final.
     Drain(Timestamp),
@@ -496,44 +450,21 @@ struct Lane {
     /// none), so an event several queries want on this shard is stored
     /// once.
     last_seq: u64,
-    /// A handle to every shipped batch not yet reclaimed, oldest first:
-    /// the ones the worker has not finished, and — under
-    /// [`FailurePolicy::Restart`] — the journal of everything delivered
-    /// since the shard's recovery baseline, whose replay reproduces the
-    /// dead shard exactly (nothing was emitted since the baseline: results
-    /// only leave a shard at drains, and every drain refreshes it).
-    shipped: VecDeque<Arc<Batch>>,
-    /// Reclaimed batches, cleared but capacitated, for `ship` to reopen.
-    spare: Vec<Batch>,
+    /// The shipped batches: the ones the worker has not finished, and —
+    /// under [`FailurePolicy::Restart`] — the journal of everything
+    /// delivered since the shard's recovery baseline, whose replay
+    /// reproduces the dead shard exactly (nothing was emitted since the
+    /// baseline: results only leave a shard at drains, and every drain
+    /// refreshes it).
+    batches: Recycler<Batch>,
 }
 
 impl Lane {
-    /// Move every shipped batch the worker is done with — it drops its
-    /// handle after the last route, and consumes in order — to `spare`.
-    fn reclaim(&mut self) {
-        while let Some(batch) = self.shipped.pop_front() {
-            match Arc::try_unwrap(batch) {
-                Ok(mut batch) => {
-                    batch.clear();
-                    // More than a full channel of spares is a journal's
-                    // worth retired at once; let the surplus go.
-                    if self.spare.len() <= CHANNEL_CAPACITY {
-                        self.spare.push(batch);
-                    }
-                }
-                Err(busy) => {
-                    self.shipped.push_front(busy);
-                    return;
-                }
-            }
-        }
-    }
-
     /// Forget everything staged and shipped (the shard is gone).
     fn clear(&mut self) {
         self.open.clear();
         self.last_seq = 0;
-        self.shipped.clear();
+        self.batches.forget();
     }
 }
 
@@ -590,41 +521,6 @@ const MAX_RESTARTS: u32 = 8;
 /// behind blocks ingestion instead of buffering without limit.
 const CHANNEL_CAPACITY: usize = 16;
 
-/// How long a receive polls its channel before it parks the thread. A
-/// saturated pool hands a batch over every few tens of microseconds, and
-/// parking for that long costs more than the wait: a futex sleep, the
-/// sender's wake-up call, and a halted vCPU coming back. Long enough to
-/// bridge the gap between two batches or a drain's round trip, short
-/// enough that an idle pool burns nothing a scheduler tick would notice.
-/// A constant, not a knob: the right value follows the cost of a
-/// sleep/wake pair on the host, which no caller knows better.
-const POLL_BUDGET: Duration = Duration::from_micros(50);
-
-/// Polls between two `yield_now`s while [`POLL_BUDGET`] lasts — on a host
-/// with fewer cores than threads the sender may be the thread waiting for
-/// this core.
-const POLLS_PER_YIELD: u32 = 16;
-
-/// `rx.recv()` that polls before it parks — every blocking receive of the
-/// transport (a worker's next command, the coordinator's next reply) and,
-/// in front of a served session, the server actor's next request.
-pub fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
-    let mut polling_since = None;
-    loop {
-        for _ in 0..POLLS_PER_YIELD {
-            match rx.try_recv() {
-                Ok(message) => return Ok(message),
-                Err(TryRecvError::Disconnected) => return Err(RecvError),
-                Err(TryRecvError::Empty) => std::hint::spin_loop(),
-            }
-        }
-        if polling_since.get_or_insert_with(Instant::now).elapsed() >= POLL_BUDGET {
-            return rx.recv();
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// Live §8 sharded execution, shared across a whole session's queries:
 /// every `Shard` hosts one engine per query it serves, and the pool
 /// drives either the one inline shard or `n ≥ 2` worker threads (see the
@@ -673,7 +569,7 @@ pub struct StreamingPool {
     policy: FailurePolicy,
     /// Per-shard recovery baselines ([`FailurePolicy::Restart`] only): the
     /// state captured at the last drain/snapshot. The journal since is the
-    /// shard's [`Lane::shipped`].
+    /// shard's [`Lane::batches`].
     recovery: Option<Vec<ShardSnapshot>>,
     /// Restarts performed per shard, for the [`MAX_RESTARTS`] escalation.
     restarts: Vec<u32>,
@@ -1125,8 +1021,8 @@ impl StreamingPool {
         if let Some(recovery) = &mut self.recovery {
             recovery[shard] = snap;
             let lane = &mut self.lanes[shard];
-            lane.reclaim();
-            lane.shipped.clear();
+            lane.batches.reclaim();
+            lane.batches.forget();
         }
     }
 
@@ -1297,11 +1193,12 @@ impl StreamingPool {
                 buffered.push_route(item.query, key_hash);
             }
         }
-        let mut replay = Vec::with_capacity(self.lanes[shard].shipped.len() + 1);
+        let journal = &self.lanes[shard].batches.shipped;
+        let mut replay = Vec::with_capacity(journal.len() + 1);
         if !buffered.routes.is_empty() {
             replay.push(Arc::new(buffered));
         }
-        replay.extend(self.lanes[shard].shipped.iter().cloned());
+        replay.extend(journal.iter().cloned());
         for batch in replay {
             let Some(tx) = self.workers[shard].tx.as_ref() else {
                 return;
@@ -1480,13 +1377,14 @@ impl StreamingPool {
         if self.recovery.is_none() {
             // Not a journal: a shipped batch is free once the worker is
             // done with it. (A journal is retired whole, at the baseline.)
-            lane.reclaim();
+            lane.batches.reclaim();
         }
-        let reopened = lane.spare.pop().unwrap_or_default();
-        let batch = Arc::new(std::mem::replace(&mut lane.open, reopened));
+        let reopened = lane.batches.reopen();
+        let batch = lane
+            .batches
+            .ship(std::mem::replace(&mut lane.open, reopened));
         lane.last_seq = 0;
-        lane.shipped.push_back(Arc::clone(&batch));
-        if let Some(fault) = probe!("pool/ship/{shard}") {
+        if let Some(fault) = cogra_faults::message(format_args!("pool/ship/{shard}")) {
             // Simulated transport failure: drop our end of the channel (the
             // worker exits cleanly when it drains) and run recovery.
             self.workers[shard].tx = None;
@@ -1953,11 +1851,11 @@ fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scrat
                     event: batch.event(route.row, projection),
                     query: route.query,
                     key_hash: route.key_hash,
-                    stamp: batch.rows[route.row].stamp,
+                    stamp: batch.stamps[route.row],
                 });
             } else {
                 let event = if loaded == route.row {
-                    &scratch[batch.rows[route.row].type_id.index()]
+                    &scratch[batch.rows.row(route.row).type_id.index()]
                 } else {
                     loaded = route.row;
                     batch.load(route.row, projection, scratch)
@@ -2004,23 +1902,25 @@ fn shard_loop(
                 ingest_batch(&mut shard, &batch, projection, &mut scratch);
                 // Fire *after* the batch mutated the engines: recovery
                 // must discard the partial work, not resume over it.
-                kill(probe!("worker/batch/{index}"));
+                kill(cogra_faults::message(format_args!("worker/batch/{index}")));
                 continue;
             }
             Cmd::Drain(wm) => {
-                kill(probe!("worker/drain/{index}"));
+                kill(cogra_faults::message(format_args!("worker/drain/{index}")));
                 shard.advance_to(wm);
                 shard.sample_peak();
                 shard.drain_into(&mut |q, r| results.push((q, r)));
                 attach_snapshots.then(|| snapshot(&shard))
             }
             Cmd::Snapshot => {
-                kill(probe!("worker/snapshot/{index}"));
+                kill(cogra_faults::message(format_args!(
+                    "worker/snapshot/{index}"
+                )));
                 shard.sample_peak();
                 Some(snapshot(&shard))
             }
             Cmd::Finish => {
-                kill(probe!("worker/finish/{index}"));
+                kill(cogra_faults::message(format_args!("worker/finish/{index}")));
                 shard.flush();
                 shard.sample_peak();
                 shard.finish_into(&mut |q, r| results.push((q, r)));
@@ -2167,7 +2067,7 @@ mod tests {
                 let event = &events[row.id.0 as usize];
                 let read: &[usize] = if row.type_id == a { &[0, 2] } else { &[0, 4] };
                 let expected: Vec<Value> = read.iter().map(|&i| event.attrs[i].clone()).collect();
-                assert_eq!(batch.attrs_of(r), expected, "row of {event:?}");
+                assert_eq!(row.values, expected, "row of {event:?}");
                 // What a worker hands its engines: blanks around the row.
                 let loaded = batch.load(r, &pool.projection, &mut scratch);
                 assert_eq!(*loaded, pool.projection.owned(event));
@@ -2238,11 +2138,14 @@ mod tests {
         for lane in &recycling.lanes {
             let reopened = &lane.open;
             assert!(
-                reopened.rows.capacity() > 0,
+                reopened.rows.heads.capacity() > 0,
                 "the open batch is a recycled one"
             );
             assert!(reopened.rows.is_empty() && reopened.routes.is_empty());
-            assert!(reopened.attrs.is_empty(), "no value outlives its batch");
+            assert!(
+                reopened.rows.values.is_empty(),
+                "no value outlives its batch"
+            );
         }
     }
 
@@ -2267,12 +2170,12 @@ mod tests {
             let delivered = delivered as usize;
             assert!(delivered > batch_size, "both shards see traffic");
             assert_eq!(
-                lane.shipped.len(),
+                lane.batches.shipped.len(),
                 delivered / batch_size,
                 "one handle per batch"
             );
             assert_eq!(lane.open.routes.len(), delivered % batch_size);
-            let journaled: usize = lane.shipped.iter().map(|b| b.routes.len()).sum();
+            let journaled: usize = lane.batches.shipped.iter().map(|b| b.routes.len()).sum();
             assert_eq!(journaled + lane.open.routes.len(), delivered);
         }
         // A drain refreshes every baseline: the journal is retired into
@@ -2280,11 +2183,11 @@ mod tests {
         pool.drain_into(&mut |_q, _r| {});
         for lane in &pool.lanes {
             assert!(
-                lane.shipped.is_empty(),
+                lane.batches.shipped.is_empty(),
                 "the baseline supersedes the journal"
             );
-            assert!(!lane.spare.is_empty());
-            assert!(lane.spare.iter().all(|b| b.routes.is_empty()));
+            assert!(!lane.batches.spare.is_empty());
+            assert!(lane.batches.spare.iter().all(|b| b.routes.is_empty()));
         }
     }
 

@@ -21,6 +21,11 @@ use cogra_events::{Event, Timestamp};
 ///   all results final at the current watermark;
 /// * [`TrendEngine::finish_into`] closes every remaining window.
 ///
+/// Every engine a session builds is a [`Router`](crate::Router), which
+/// overrides each provided method below that stands in for machinery; the
+/// defaults serve only an engine written outside the router, today the
+/// test reference `RefEngine` (`tests/routing_intern_props.rs`).
+///
 /// The push-based `*_into` methods are the primitives — implementations
 /// hand each result to the sink as it is finalized, without building an
 /// intermediate `Vec` on the per-event hot path. The collecting
@@ -35,7 +40,7 @@ pub trait TrendEngine {
     /// `None` when the event's type lacks the partition attributes). The
     /// §8 shard router hashes at ingest time to place the event and hands
     /// the hash down, so the key is extracted once per event. The default
-    /// ignores the hash, for engines without an interned routing path.
+    /// ignores the hash.
     fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
         let _ = key_hash;
         self.process(event);
@@ -74,8 +79,8 @@ pub trait TrendEngine {
     /// The definition [`TrendEngine::memory_bytes`] must equal, computed
     /// by walking every interned key, open window and stored event — the
     /// reference the debug build and the test batteries hold the running
-    /// counters to. The default serves engines that keep no counters:
-    /// their `memory_bytes` already is the definition.
+    /// counters to. The default is `memory_bytes`, for an engine that
+    /// keeps no counters and so already computes the definition.
     #[cfg(debug_assertions)]
     fn audit_bytes(&self) -> usize {
         self.memory_bytes()
@@ -97,25 +102,23 @@ pub trait TrendEngine {
     /// still to come has time `>= to`. Used by sharded execution: a
     /// coordinator broadcasts global stream progress so a shard whose
     /// sub-stream went quiet can still finalize windows that closed
-    /// globally. Times already passed are ignored; the default is a no-op
-    /// for engines that only ever see the whole stream.
+    /// globally. Times already passed are ignored; the default is a no-op,
+    /// for an engine that only ever sees the whole stream.
     fn advance_watermark(&mut self, to: Timestamp) {
         let _ = to;
     }
 
     /// Routing hot-path statistics: interner probes vs. key lives begun
-    /// ([`RunStats`]). Engines built on the router
-    /// report real counters; the default is all-zero for engines without
-    /// an interned routing path.
+    /// ([`RunStats`]). The router reports real counters; the default is
+    /// all-zero.
     fn run_stats(&self) -> RunStats {
         RunStats::default()
     }
 
     /// Sticky partition-key overflow: `Some(limit)` once any event was
     /// dropped because materializing its first-seen key would exceed the
-    /// configured `EngineConfig::key_limit`. Engines built on the router
-    /// report the real flag; the default is `None` for engines without an
-    /// interned routing path.
+    /// configured `EngineConfig::key_limit`. The router reports the real
+    /// flag; the default is `None`.
     fn key_overflow(&self) -> Option<u32> {
         None
     }
@@ -125,7 +128,7 @@ pub trait TrendEngine {
     /// behind the engine's clock, and its partition's open windows are
     /// where the event will look for them. A restore asks before it
     /// re-delivers; `false` means the snapshot's sections contradict each
-    /// other. The default accepts, for engines that check nothing on
+    /// other. The default accepts, for an engine that checks nothing on
     /// ingest.
     fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
         let _ = (event, key_hash);
@@ -133,9 +136,9 @@ pub trait TrendEngine {
     }
 
     /// Snapshot the engine's full mutable state — what one checkpoint
-    /// engine section carries. Engines built on the router override this;
-    /// the default refuses, so an engine without a restore path can never
-    /// produce a snapshot it cannot honor.
+    /// engine section carries. The router writes it; the default refuses,
+    /// so an engine outside the router, which has no restore path, can
+    /// never produce a snapshot it cannot honor.
     fn save_state(&self) -> Result<RouterState, CheckpointError> {
         Err(CheckpointError::Unsupported(format!(
             "engine `{}` does not support checkpointing",

@@ -1,15 +1,18 @@
 //! # cogra-faults — deterministic fault injection
 //!
-//! A tiny failpoint library for chaos testing the runtime. Production
-//! crates depend on it **optionally** behind a `faults` cargo feature, so
-//! the instrumented call sites compile to nothing in normal builds.
+//! A tiny failpoint library for chaos testing the runtime. The runtime
+//! crates (`cogra-checkpoint`, `cogra-core`, `cogra-server`) call its two
+//! site functions, [`message`] and [`io_error`], at every injection site;
+//! unless the `armed` feature is on — each of those crates' `faults`
+//! feature turns it on — both are `None`, the site's name is never
+//! formatted, and the call compiles to nothing.
 //!
 //! Three pieces:
 //!
 //! * a global **failpoint registry** keyed by site name (`"worker/batch/0"`,
 //!   `"checkpoint/write"`, ...). Each site carries a [`Trigger`] deciding
-//!   on which hit it fires. Call sites ask [`fired`] (or the conveniences
-//!   [`maybe_panic`] / [`io_error`]) and act only when it returns true.
+//!   on which hit it fires. An armed site asks [`fired`] and yields its
+//!   fault only when that returns true.
 //! * **seed-driven schedules**: [`SeedSequence`] is a splitmix64 stream so
 //!   a test can derive arbitrary-but-reproducible `Trigger::OnHit` counts
 //!   from one `u64` seed and shrink over it.
@@ -23,6 +26,7 @@
 //! `site=never`, parsed once on first registry access.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::{Mutex, Once, OnceLock};
 
@@ -123,21 +127,22 @@ pub fn hits(site: &str) -> u64 {
     map.get(site).map_or(0, |s| s.hits)
 }
 
-/// Panic with a pinned message if the failpoint at `site` fires.
-pub fn maybe_panic(site: &str) {
-    if fired(site) {
-        panic!("injected fault at {site}");
+/// The fault-injection site `site`, named by `format_args!`. Armed, it
+/// records a hit there and, when the schedule fires it, yields the pinned
+/// message `injected fault at <site>`; disarmed it is `None`.
+#[inline(always)]
+pub fn message(site: fmt::Arguments<'_>) -> Option<String> {
+    if !cfg!(feature = "armed") {
+        return None;
     }
+    let site = site.to_string();
+    fired(&site).then(|| format!("injected fault at {site}"))
 }
 
-/// An `io::Error` carrying the pinned injected-fault message if the
-/// failpoint at `site` fires, `None` otherwise.
-pub fn io_error(site: &str) -> Option<io::Error> {
-    if fired(site) {
-        Some(io::Error::other(format!("injected fault at {site}")))
-    } else {
-        None
-    }
+/// [`message`] as the `io::Error` an I/O path fails with.
+#[inline(always)]
+pub fn io_error(site: fmt::Arguments<'_>) -> Option<io::Error> {
+    message(site).map(io::Error::other)
 }
 
 /// A splitmix64 stream: arbitrary-but-reproducible values from one seed,

@@ -20,10 +20,12 @@
 //! text are the CLI's; while it aggregates chunk *k* the connection decodes
 //! chunk *k + 1*. The last chunk of a block carries the reply handle (a
 //! block of at most one chunk is one message), and the actor then drains
-//! and answers. Chunks are arenas, and recycled, not allocated: the
-//! connection keeps a handle to each one it ships and fills it again once
-//! the actor has dropped its own, so a row's memory is written and freed
-//! on one thread and both sides touch it front to back.
+//! and answers. A chunk is a [`Rows`] arena, recycled, not allocated, by
+//! a [`Recycler`] — the hand-off of `cogra_core::parallel::handoff`, which
+//! the shard transport's batches travel by too: the connection keeps a
+//! handle to each chunk it ships and fills it again once the actor has
+//! dropped its own, so a row's memory is written and freed on one thread
+//! and both sides touch it front to back.
 //!
 //! The bounded queue is the ingest backpressure, and it counts *requests*:
 //! a chunk or a control verb each take one slot, so at most
@@ -63,11 +65,10 @@
 //! [`WindowResult`]: cogra_engine::WindowResult
 
 use crate::wire::{self, EOS};
-use cogra_core::parallel::recv_polling;
+use cogra_core::parallel::handoff::{recv_polling, Recycler, Rows};
 use cogra_core::session::{IngestError, Session, SessionBuilder, SessionError};
 use cogra_core::{CheckpointError, Metrics};
-use cogra_events::{Event, EventId, EventReader, Timestamp, TypeId, TypeRegistry, Value};
-use std::collections::VecDeque;
+use cogra_events::{Event, EventReader, TypeId, TypeRegistry};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -76,23 +77,6 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// A fault-injection site. With the `faults` feature it records a hit at
-/// `$site` and, when the schedule fires it, yields the pinned message
-/// `injected fault at <site>`; without the feature it is `None` and costs
-/// nothing.
-#[cfg(feature = "faults")]
-macro_rules! probe {
-    ($site:literal) => {
-        cogra_faults::fired($site).then(|| concat!("injected fault at ", $site).to_string())
-    };
-}
-#[cfg(not(feature = "faults"))]
-macro_rules! probe {
-    ($site:literal) => {
-        None::<String>
-    };
-}
 
 /// Hard cap on the line count of one `INGEST` block — a malformed count
 /// must not make the connection thread buffer unbounded payload.
@@ -119,10 +103,6 @@ const READ_BUFFER_BYTES: usize = 64 << 10;
 /// not a knob: measured alike at 128 and 256 on throughput, and the right
 /// value follows the cost of a row, which no caller knows better.
 pub const INGEST_CHUNK_ROWS: usize = 128;
-
-/// Recycled chunks a connection keeps for its next blocks; more than this
-/// were only ever in flight while the actor was a queue behind, and go.
-const SPARE_CHUNKS: usize = 16;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -236,116 +216,6 @@ impl Drop for ReplyHandle {
 
 const SHUTTING_DOWN: &str = "server shutting down";
 
-/// One decoded row of a [`Chunk`]: the event without its attributes, which
-/// end at `attrs_end` in the chunk's value buffer.
-struct Row {
-    id: EventId,
-    time: Timestamp,
-    type_id: TypeId,
-    attrs_end: usize,
-}
-
-/// Decoded rows on their way to the actor, as an arena — the shard
-/// transport's `Batch` idiom: a header per row and every row's attribute
-/// values appended to one buffer. Filling a chunk is sequential stores into
-/// capacity it kept from its last trip and reading it is two sequential
-/// scans, which is what a hand-off between two cores wants: a chunk of
-/// `Event`s decoded in place — a heap block per row, read before it is
-/// overwritten — ran the decode at half its speed whenever the actor kept
-/// up, every line it touched having just moved to the actor's cache.
-#[derive(Default)]
-struct Chunk {
-    rows: Vec<Row>,
-    attrs: Vec<Value>,
-}
-
-impl Chunk {
-    /// Append `event`, whose attribute values move over (its vector keeps
-    /// its capacity for the next decode).
-    fn push(&mut self, event: &mut Event) {
-        self.attrs.append(&mut event.attrs);
-        self.rows.push(Row {
-            id: event.id,
-            time: event.time,
-            type_id: event.type_id,
-            attrs_end: self.attrs.len(),
-        });
-    }
-
-    /// Empty the chunk, keeping its capacity.
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.attrs.clear();
-    }
-
-    /// Hand `each` every row in order, loaded into `scratch`, until one
-    /// fails.
-    fn try_for_each<E>(
-        &self,
-        scratch: &mut Event,
-        mut each: impl FnMut(&Event) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut start = 0;
-        for row in &self.rows {
-            (scratch.id, scratch.time, scratch.type_id) = (row.id, row.time, row.type_id);
-            scratch.attrs.clear();
-            scratch
-                .attrs
-                .extend_from_slice(&self.attrs[start..row.attrs_end]);
-            start = row.attrs_end;
-            each(scratch)?;
-        }
-        Ok(())
-    }
-}
-
-/// A connection's decode state — the shard transport's `Lane` idiom: a
-/// handle to every shipped chunk the actor may still be reading, oldest
-/// first, and the reclaimed ones ready to be filled again.
-struct Chunks {
-    shipped: VecDeque<Arc<Chunk>>,
-    spare: Vec<Chunk>,
-    /// The event every row is decoded into before it moves to a chunk.
-    row: Event,
-}
-
-impl Chunks {
-    fn new() -> Chunks {
-        Chunks {
-            shipped: VecDeque::new(),
-            spare: Vec::new(),
-            row: Event::new(0, 0, TypeId(0), Vec::new()),
-        }
-    }
-
-    /// An empty chunk to fill: one the actor is done with (it drops its
-    /// handle after the last row, and consumes in order), or a new one.
-    fn open(&mut self) -> Chunk {
-        while let Some(chunk) = self.shipped.pop_front() {
-            match Arc::try_unwrap(chunk) {
-                Ok(mut chunk) => {
-                    chunk.clear();
-                    if self.spare.len() < SPARE_CHUNKS {
-                        self.spare.push(chunk);
-                    }
-                }
-                Err(busy) => {
-                    self.shipped.push_front(busy);
-                    break;
-                }
-            }
-        }
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// The handle that travels; its twin stays behind for [`Chunks::open`].
-    fn ship(&mut self, chunk: Chunk) -> Arc<Chunk> {
-        let chunk = Arc::new(chunk);
-        self.shipped.push_back(Arc::clone(&chunk));
-        chunk
-    }
-}
-
 /// How an `INGEST` block ended on its connection thread.
 struct BlockEnd {
     /// The row the decode stopped at, as the `ERR` text it earns — after
@@ -359,7 +229,7 @@ enum Req {
     /// The next rows of the `INGEST` block whose connection holds the
     /// ingest turn.
     Chunk {
-        rows: Arc<Chunk>,
+        rows: Arc<Rows>,
         /// The block starts here: whatever an abandoned block left behind
         /// is forgotten.
         first: bool,
@@ -699,8 +569,8 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
     // ingested before a bad row are in the stream, and in that count.
     let mut block_start = 0;
     let mut block_error: Option<String> = None;
-    // The event every row of every chunk is loaded into.
-    let mut row = Event::new(0, 0, TypeId(0), Vec::new());
+    // The event every row of every chunk is copied into.
+    let mut event = Event::new(0, 0, TypeId(0), Vec::new());
 
     // Polled before parked: mid-block the next chunk is microseconds away.
     while let Ok(req) = recv_polling(&requests) {
@@ -712,14 +582,23 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                 if block_error.is_none() {
                     block_error = if finished {
                         Some("session finished".to_string())
-                    } else if let Some(fault) = probe!("server/actor/chunk") {
+                    } else if let Some(fault) =
+                        cogra_faults::message(format_args!("server/actor/chunk"))
+                    {
                         Some(fault)
                     } else {
                         // THE checked step `Session::ingest_csv` runs per
                         // row, so both surfaces report the same
                         // `IngestError`. Not transactional: rows before a
                         // bad row are already part of the stream.
-                        rows.try_for_each(&mut row, |row| session.ingest_checked(row))
+                        rows.iter()
+                            .try_for_each(|row| {
+                                (event.id, event.time, event.type_id) =
+                                    (row.id, row.time, row.type_id);
+                                event.attrs.clear();
+                                event.attrs.extend_from_slice(row.values);
+                                session.ingest_checked(&event)
+                            })
                             .err()
                             .map(|e| e.to_string())
                     };
@@ -727,7 +606,7 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                 // Hand the chunk back before anything slow — the connection
                 // fills it again once this handle is gone — and with it
                 // the last row's values, which are the connection's to free.
-                row.attrs.clear();
+                event.attrs.clear();
                 drop(rows);
                 let Some(BlockEnd { stop, reply }) = end else {
                     continue;
@@ -916,11 +795,11 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
 /// Read commands off one connection and forward them to the actor. Every
 /// command is answered before the next is read, so the connection has at
 /// most one command in flight (see the module docs on backpressure), and
-/// one payload buffer, one reply channel and one set of chunks serve it
-/// for its whole life. The [`Shared::finished`] condvar is signalled here,
-/// after a successful `FINISH` reply hit the socket, never by the actor (a
-/// waiter that shuts the process down on it must not be able to kill the
-/// reply mid-write).
+/// one payload buffer, one reply channel, one recycler of chunks and one
+/// decoded row serve it for its whole life. The [`Shared::finished`]
+/// condvar is signalled here, after a successful `FINISH` reply hit the
+/// socket, never by the actor (a waiter that shuts the process down on it
+/// must not be able to kill the reply mid-write).
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // A silent client must not hold this thread (and its fd) forever:
     // with a timeout configured, a read that sits idle past it gets one
@@ -931,7 +810,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut writer = stream;
     let mut line_buf: Vec<u8> = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
-    let mut chunks = Chunks::new();
+    let mut chunks = Recycler::default();
+    let mut decoded = Event::new(0, 0, TypeId(0), Vec::new());
     let (reply_tx, replies) = mpsc::channel();
     loop {
         line_buf.clear();
@@ -976,7 +856,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     reply_err(&mut writer, "ingest payload is not valid UTF-8")?;
                     continue;
                 };
-                ingest_block(csv, shared, &mut chunks, reply(), &replies)?
+                ingest_block(csv, shared, &mut chunks, &mut decoded, reply(), &replies)?
             }
             "DRAIN" => shared.ask(Req::Drain { reply: reply() }, &replies),
             "STATS" => shared.ask(Req::Stats { reply: reply() }, &replies),
@@ -1048,12 +928,16 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
 fn ingest_block(
     csv: &str,
     shared: &Shared,
-    chunks: &mut Chunks,
+    chunks: &mut Recycler<Rows>,
+    decoded: &mut Event,
     reply: ReplyHandle,
     replies: &Receiver<Reply>,
 ) -> io::Result<Reply> {
     let _turn = shared.turn.lock().unwrap_or_else(|p| p.into_inner());
-    let mut chunk = chunks.open();
+    // Every chunk is one the actor is done with (it drops its handle after
+    // the last row), or a new one.
+    chunks.reclaim();
+    let mut chunk = chunks.reopen();
     let mut first = true;
     // Why the rows end: the document did, or a row (or the header) earned
     // an error — the same `IngestError` text `Session::ingest_csv` gives.
@@ -1061,7 +945,7 @@ fn ingest_block(
     match EventReader::new(csv, &shared.registry) {
         Err(e) => stop = Some(e),
         Ok(mut rows) => loop {
-            match rows.read_into(&mut chunks.row) {
+            match rows.read_into(decoded) {
                 None => break,
                 Some(Err(e)) => {
                     stop = Some(e);
@@ -1069,9 +953,10 @@ fn ingest_block(
                 }
                 Some(Ok(())) => {}
             }
-            if chunk.rows.len() == INGEST_CHUNK_ROWS {
+            if chunk.len() == INGEST_CHUNK_ROWS {
                 // Full, and the block goes on: this chunk is not its last.
-                let next = chunks.open();
+                chunks.reclaim();
+                let next = chunks.reopen();
                 let rows = chunks.ship(std::mem::replace(&mut chunk, next));
                 let sent = shared.requests.send(Req::Chunk {
                     rows,
@@ -1082,11 +967,13 @@ fn ingest_block(
                     return Ok(Err(SHUTTING_DOWN.to_string()));
                 }
                 first = false;
-                if let Some(fault) = probe!("server/conn/chunk") {
+                if let Some(fault) = cogra_faults::message(format_args!("server/conn/chunk")) {
                     return Err(io::Error::other(fault));
                 }
             }
-            chunk.push(&mut chunks.row);
+            // The values move over; `decoded` keeps its capacity.
+            let values = |buffer: &mut Vec<_>| buffer.append(&mut decoded.attrs);
+            chunk.push(decoded.id, decoded.time, decoded.type_id, values);
         },
     }
     let end = Some(BlockEnd {

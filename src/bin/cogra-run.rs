@@ -307,9 +307,6 @@ fn run(argv: &[String]) -> Result<(), String> {
             other => other.to_string(),
         })?
     };
-    let multi = session.queries() > 1;
-    let engine = session.kind();
-
     if let Some(path) = &args.checkpoint {
         return checkpoint_run(session, &args, events, &stream, &registry, path);
     }
@@ -317,11 +314,40 @@ fn run(argv: &[String]) -> Result<(), String> {
     // One pass: CSV rows are decoded and ingested through the Session's
     // shared decode path (`run_csv`), never materializing the event
     // vector. Out-of-order rows fail here unless --slack repairs them.
+    let engine = session.kind();
     let run = session
         .run_csv(&stream, &registry)
         .map_err(|e| format!("{events}: {e}"))?;
 
-    for (i, results) in run.per_query.iter().enumerate() {
+    report(
+        &args,
+        &run.per_query,
+        engine,
+        run.workers,
+        run.events,
+        run.late_events,
+        || Ok(String::new()),
+    )?;
+    if args.memory {
+        eprintln!("peak memory: {} bytes", run.peak_bytes);
+    }
+    Ok(())
+}
+
+/// Print every query's results (`qN:`-prefixed when there are several),
+/// run `finish` (the `--checkpoint` snapshot), then the summary line with
+/// `finish`'s suffix and, under `--slack` or after a late drop, `reorder:`.
+fn report(
+    args: &Args,
+    per_query: &[Vec<WindowResult>],
+    engine: EngineKind,
+    workers: usize,
+    events: u64,
+    late: u64,
+    finish: impl FnOnce() -> Result<String, String>,
+) -> Result<(), String> {
+    let multi = per_query.len() > 1;
+    for (i, results) in per_query.iter().enumerate() {
         for r in results {
             if multi {
                 println!("q{i}: {r}");
@@ -330,19 +356,15 @@ fn run(argv: &[String]) -> Result<(), String> {
             }
         }
     }
-    let total: usize = run.per_query.iter().map(Vec::len).sum();
+    let suffix = finish()?;
+    let total: usize = per_query.iter().map(Vec::len).sum();
     // Count what the engines actually ingested: late drops are reported
     // on their own line, not in the headline.
-    let ingested = run.events - run.late_events;
-    // Report the shard count actually used, not the one requested: a
-    // query without a GROUP-BY prefix clamps to one worker.
-    let workers = format_workers(args.session.workers, run.workers);
-    eprintln!("{ingested} events → {total} results ({engine}{workers})");
-    if args.session.slack.is_some() || run.late_events > 0 {
-        eprintln!("reorder: {} late event(s) dropped", run.late_events);
-    }
-    if args.memory {
-        eprintln!("peak memory: {} bytes", run.peak_bytes);
+    let ingested = events - late;
+    let workers = format_workers(args.session.workers, workers);
+    eprintln!("{ingested} events → {total} results ({engine}{workers}){suffix}");
+    if args.session.slack.is_some() || late > 0 {
+        eprintln!("reorder: {late} late event(s) dropped");
     }
     Ok(())
 }
@@ -374,8 +396,6 @@ fn checkpoint_run(
     registry: &TypeRegistry,
     path: &str,
 ) -> Result<(), String> {
-    let multi = session.queries() > 1;
-    let engine = session.kind();
     let count = session
         .ingest_csv(stream, registry)
         .map_err(|e| format!("{events}: {e}"))?;
@@ -384,30 +404,16 @@ fn checkpoint_run(
     for results in &mut per_query {
         WindowResult::sort(results);
     }
-    for (i, results) in per_query.iter().enumerate() {
-        for r in results {
-            if multi {
-                println!("q{i}: {r}");
-            } else {
-                println!("{r}");
-            }
-        }
-    }
-
-    // Atomic write ({path}.tmp + fsync + rename): a crash mid-snapshot
-    // leaves any previous snapshot at PATH intact, never a truncated one.
-    // Same `{path}: {error}` text the server's SNAPSHOT verb reports.
-    cogra_checkpoint::write_atomic(path, |buf| session.checkpoint(buf))
-        .map_err(|e| format!("{path}: {e}"))?;
-
-    let total: usize = per_query.iter().map(Vec::len).sum();
-    let late = session.late_events();
-    let ingested = count - late;
-    let workers = format_workers(args.session.workers, session.workers());
-    eprintln!("{ingested} events → {total} results ({engine}{workers}); snapshot → {path}");
-    if args.session.slack.is_some() || late > 0 {
-        eprintln!("reorder: {late} late event(s) dropped");
-    }
+    let (engine, workers, late) = (session.kind(), session.workers(), session.late_events());
+    report(args, &per_query, engine, workers, count, late, || {
+        // Atomic write ({path}.tmp + fsync + rename): a crash mid-snapshot
+        // leaves any previous snapshot at PATH intact, never a truncated
+        // one. Same `{path}: {error}` text the server's SNAPSHOT verb
+        // reports.
+        cogra_checkpoint::write_atomic(path, |buf| session.checkpoint(buf))
+            .map_err(|e| format!("{path}: {e}"))?;
+        Ok(format!("; snapshot → {path}"))
+    })?;
     if args.memory {
         eprintln!("memory: {} bytes", session.memory_bytes());
     }

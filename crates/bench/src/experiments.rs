@@ -38,8 +38,7 @@ pub const SASE_ANY_LIMIT: usize = 24;
 /// Experiment options.
 #[derive(Debug, Clone, Default)]
 pub struct ExpOptions {
-    /// Reduced sizes for smoke runs (used by `--quick` and the Criterion
-    /// benches).
+    /// Reduced sizes for smoke runs (`--quick`).
     pub quick: bool,
 }
 

@@ -11,7 +11,6 @@
 //! * [`table`] — markdown/CSV report tables.
 //!
 //! Run everything: `cargo run -p cogra-bench --release --bin experiments`.
-//! Criterion micro-benches live in `benches/`.
 
 #![warn(missing_docs)]
 

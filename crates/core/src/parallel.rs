@@ -25,12 +25,14 @@
 //!   bounded channel carrying **batch arenas** (`Batch`): per shard, the
 //!   coordinator copies of each routed event what the hosted plans read
 //!   (`Projection`: the union of their read-sets) once into the open
-//!   batch — a row of its [`Rows`] arena — and appends one `(row, query,
-//!   key hash)` route per query that wants it there. The worker replays
-//!   the routes through one scratch `Event` per type, blank outside the
-//!   read-set, and the coordinator, which keeps a handle to every shipped
-//!   batch ([`Recycler`]), reopens a batch as soon as the worker has
-//!   dropped its own. Steady state allocates nothing per routed event on
+//!   batch — a row of its [`Rows`] arena — and appends one `(row, query)`
+//!   route per query that wants it there. The worker replays the routes
+//!   through one scratch `Event` per type, blank outside the read-set,
+//!   into each query's engine, which finds the event's partition itself
+//!   (the coordinator hashes only the `GROUP-BY` prefix that places it).
+//!   The coordinator, which keeps a handle to every shipped batch
+//!   ([`Recycler`]), reopens a batch as soon as the worker has dropped
+//!   its own. Steady state allocates nothing per routed event on
 //!   either thread, no memory allocated on one thread is freed on another,
 //!   and both ends of a hand-off poll before they park ([`recv_polling`]).
 //!   The arena, the recycler and the receive are [`handoff`]'s; the
@@ -230,8 +232,9 @@ impl PoolState {
     }
 }
 
-/// One event a shard's reorder buffer holds for one query, as a snapshot
-/// carries it.
+/// One event a shard's reorder buffer holds for one query under
+/// `.slack(n)`, as a snapshot carries it. Only the reorder buffer owns
+/// events; the transport carries `Batch`es.
 #[derive(Debug, Clone)]
 pub struct InFlight {
     /// Index of the physical run the event is for.
@@ -264,19 +267,6 @@ struct ShardMetrics {
     key_overflow: Option<u32>,
     /// Events ingested into the shard's engines.
     events: u64,
-}
-
-/// One placed event a shard's [`ReorderBuffer`] holds under `.slack(n)`:
-/// the event, the index of the query it is for, and its precomputed full
-/// partition-key hash (`None`: the event's type has no partition key; the
-/// engine drops it itself, exactly like a sequential run). Only the
-/// reorder buffer owns events; the transport carries [`Batch`]es.
-struct Item {
-    event: Event,
-    query: u32,
-    key_hash: Option<u64>,
-    /// [`InFlight::stamp`].
-    stamp: u64,
 }
 
 /// What a pool's engines read of an event, and what stands in for the
@@ -357,12 +347,10 @@ impl Projection {
     }
 }
 
-/// One routed item of a [`Batch`]: row `row` is for query `query`, whose
-/// full partition-key hash of it is `key_hash` (see [`Item`]).
+/// One routed item of a [`Batch`]: row `row` is for query `query`.
 struct Route {
     row: usize,
     query: u32,
-    key_hash: Option<u64>,
 }
 
 /// The unit of shard transport: a slice of one shard's sub-stream. Every
@@ -397,13 +385,9 @@ impl Batch {
     }
 
     /// Route the last row to `query`.
-    fn push_route(&mut self, query: u32, key_hash: Option<u64>) {
+    fn push_route(&mut self, query: u32) {
         let row = self.rows.len() - 1;
-        self.routes.push(Route {
-            row,
-            query,
-            key_hash,
-        });
+        self.routes.push(Route { row, query });
     }
 
     /// Load row `row` into its type's scratch event ([`Projection::scratch`]),
@@ -687,14 +671,12 @@ impl StreamingPool {
         // be re-delivered into — while the engines are still here to ask.
         for item in &buffered {
             let fits = hosted.get(item.query as usize).is_some_and(|(_, rt)| {
-                place(rt, item.query as usize, threads, &item.event).is_none_or(
-                    |(shard, key_hash)| {
-                        shards[shard].engines[item.query as usize]
-                            .as_ref()
-                            .expect("an event is placed on a shard that hosts its query")
-                            .accepts(&item.event, key_hash)
-                    },
-                )
+                place(rt, item.query as usize, threads, &item.event).is_none_or(|shard| {
+                    shards[shard].engines[item.query as usize]
+                        .as_ref()
+                        .expect("an event is placed on a shard that hosts its query")
+                        .accepts(&item.event)
+                })
             });
             if !fits {
                 return Err(OpenError::State(CheckpointError::Corrupt(format!(
@@ -1188,9 +1170,9 @@ impl StreamingPool {
         // shipped.
         let mut buffered = Batch::default();
         for item in &baseline.buffered {
-            if let Some((_, key_hash)) = self.place(item.query as usize, &item.event) {
+            if self.place(item.query as usize, &item.event).is_some() {
                 buffered.push_row(&item.event, item.stamp, &self.projection);
-                buffered.push_route(item.query, key_hash);
+                buffered.push_route(item.query);
             }
         }
         let journal = &self.lanes[shard].batches.shipped;
@@ -1229,14 +1211,13 @@ impl StreamingPool {
             .find(|&s| !self.workers[s].quarantined)
     }
 
-    /// Where query `query` wants `event`: `(shard, full-key hash)`.
-    /// Shardable: the group hash places the event and the full-key hash
-    /// rides along so the shard's router probes without re-extracting the
-    /// key; `None` drops the event for this query (no partition key),
-    /// consistently with every engine. Unshardable: pinned to one shard,
-    /// which sees the whole stream — including events without a partition
-    /// key (the engine drops them itself, exactly like a sequential run).
-    fn place(&self, query: usize, event: &Event) -> Option<(usize, Option<u64>)> {
+    /// The shard query `query` wants `event` on. Shardable: the hash of
+    /// the `GROUP-BY` prefix places the event; `None` drops the event for
+    /// this query (no partition key), consistently with every engine.
+    /// Unshardable: pinned to one shard, which sees the whole stream —
+    /// including events without a partition key (the engine drops them
+    /// itself, exactly like a sequential run) — and nothing is hashed.
+    fn place(&self, query: usize, event: &Event) -> Option<usize> {
         place(&self.hosted[query].1, query, self.width(), event)
     }
 
@@ -1246,31 +1227,24 @@ impl StreamingPool {
     /// early on the new shard: an admitted buffered event's release
     /// threshold never overtakes the gate's `released_to` floor.
     fn restage(&mut self, item: InFlight) {
-        let InFlight {
-            query,
-            stamp,
-            event,
-        } = item;
         // `None`: unroutable events are never staged.
-        if let Some((shard, key_hash)) = self.place(query as usize, &event) {
+        if let Some(shard) = self.place(item.query as usize, &item.event) {
             if self.inline.is_some() {
-                self.push_inline(Item {
-                    event: self.projection.owned(&event),
-                    query,
-                    key_hash,
-                    stamp,
+                self.push_inline(InFlight {
+                    event: self.projection.owned(&item.event),
+                    ..item
                 });
             } else {
                 // The event keeps the stamp it was admitted under.
-                self.seq = stamp;
-                self.stage(shard, &event, query, key_hash);
+                self.seq = item.stamp;
+                self.stage(shard, &item.event, item.query);
             }
         }
     }
 
     /// Ingest one event, by reference. At width 1 without slack the shard
     /// reads it in place: nothing is cloned, staged or hashed for
-    /// placement. At width n ≥ 2 it is hashed per query and what the
+    /// placement. At width n ≥ 2 it is placed per query and what the
     /// hosted plans read of it is copied once into the open batch of
     /// every shard that wants it, with one route per wanting query; a
     /// worker that is a bounded number of batches behind blocks the
@@ -1291,22 +1265,21 @@ impl StreamingPool {
             return self.buffer_inline(event);
         }
         for query in 0..self.hosted.len() {
-            if let Some((shard, key_hash)) = self.place(query, event) {
-                self.stage(shard, event, query as u32, key_hash);
+            if let Some(shard) = self.place(query, event) {
+                self.stage(shard, event, query as u32);
             }
         }
     }
 
     /// Width 1 under slack: the inline shard's reorder buffer owns one
-    /// [`Item`] — the event as [`Projection::owned`] makes it, like a
+    /// [`InFlight`] — the event as [`Projection::owned`] makes it, like a
     /// worker's — per query that wants it.
     fn buffer_inline(&mut self, event: &Event) {
         for query in 0..self.hosted.len() {
-            if let Some((_, key_hash)) = self.place(query, event) {
-                self.push_inline(Item {
+            if self.place(query, event).is_some() {
+                self.push_inline(InFlight {
                     event: self.projection.owned(event),
                     query: query as u32,
-                    key_hash,
                     stamp: self.seq,
                 });
             }
@@ -1314,7 +1287,7 @@ impl StreamingPool {
     }
 
     /// Hand the inline shard one item and let it release what is due.
-    fn push_inline(&mut self, item: Item) {
+    fn push_inline(&mut self, item: InFlight) {
         let shard = self.inline.as_mut().expect("width 1 is inline");
         shard.push(item);
         shard.release();
@@ -1344,7 +1317,7 @@ impl StreamingPool {
     /// (rerouted past quarantined shards): its row, unless an earlier
     /// query already put it there, and a route. Ships the batch once it
     /// holds the configured number of routes.
-    fn stage(&mut self, shard: usize, event: &Event, query: u32, key_hash: Option<u64>) {
+    fn stage(&mut self, shard: usize, event: &Event, query: u32) {
         self.routed_items += 1;
         let Some(shard) = self.live_target(shard, query) else {
             // A pinned query's home worker is quarantined — the item has
@@ -1358,7 +1331,7 @@ impl StreamingPool {
             lane.open.push_row(event, self.seq, &self.projection);
             lane.last_seq = self.seq;
         }
-        lane.open.push_route(query, key_hash);
+        lane.open.push_route(query);
         if lane.open.routes.len() >= self.batch_size {
             self.ship(shard);
         }
@@ -1594,17 +1567,11 @@ fn shard_engines(
 
 /// [`StreamingPool::place`] for a pool of `width` shards, where query
 /// number `query` runs on `rt`.
-fn place(
-    rt: &QueryRuntime,
-    query: usize,
-    width: usize,
-    event: &Event,
-) -> Option<(usize, Option<u64>)> {
+fn place(rt: &QueryRuntime, query: usize, width: usize, event: &Event) -> Option<usize> {
     if rt.query.group_prefix > 0 {
-        let (group_hash, key_hash) = rt.route_hashes(event)?;
-        Some((shard_index(group_hash, width), Some(key_hash)))
+        Some(shard_index(rt.group_hash(event)?, width))
     } else {
-        Some((query % width, rt.key_hash(event)))
+        Some(query % width)
     }
 }
 
@@ -1618,12 +1585,12 @@ struct Shard {
     engines: Vec<Option<Engine>>,
     /// Per-shard disorder repair ([`PoolConfig::slack`]); the admission
     /// decision already happened at the pool's [`LateGate`].
-    reorder: Option<ReorderBuffer<Item>>,
+    reorder: Option<ReorderBuffer<InFlight>>,
     slack: u64,
     /// The largest raw event time this shard has seen in its sub-stream.
     local_watermark: Timestamp,
     /// Scratch for released items (reused across batches).
-    released: Vec<Item>,
+    released: Vec<InFlight>,
     /// [`ShardMetrics::peak`].
     peak: usize,
     /// [`ShardMetrics::events`].
@@ -1660,11 +1627,7 @@ impl Shard {
             Some(buffer) => buffer
                 .ordered()
                 .into_iter()
-                .map(|(_, item)| InFlight {
-                    query: item.query,
-                    stamp: item.stamp,
-                    event: item.event.clone(),
-                })
+                .map(|(_, item)| item.clone())
                 .collect(),
             None => Vec::new(),
         };
@@ -1707,7 +1670,7 @@ impl Shard {
     }
 
     /// Ingest one trusted-ordered event, in place, into every engine — the
-    /// inline shard hosts them all and no placement hash was computed.
+    /// inline shard hosts them all and placed nothing.
     fn process(&mut self, event: &Event) {
         for engine in self.engines.iter_mut().flatten() {
             engine.process(event);
@@ -1715,23 +1678,21 @@ impl Shard {
         }
     }
 
-    /// Feed one placed event to its query's engine. The pool hashed the
-    /// key to place the event; reuse it so the key is extracted once per
-    /// event.
-    fn ingest(&mut self, event: &Event, query: u32, key_hash: Option<u64>) {
+    /// Feed one placed event to its query's engine.
+    fn ingest(&mut self, event: &Event, query: u32) {
         let engine = self.engines[query as usize]
             .as_mut()
             .expect("the pool only targets hosted queries");
-        engine.process_prehashed(event, key_hash);
+        engine.process(event);
         self.events += 1;
     }
 
     /// Take one delivered item: straight into its engine when the stream
     /// is trusted ordered, into the shard's reorder buffer otherwise
     /// (until the next [`Shard::release`]).
-    fn push(&mut self, item: Item) {
+    fn push(&mut self, item: InFlight) {
         match &mut self.reorder {
-            None => self.ingest(&item.event, item.query, item.key_hash),
+            None => self.ingest(&item.event, item.query),
             Some(buffer) => {
                 self.local_watermark = self.local_watermark.max(item.event.time);
                 buffer.push(item.event.time, item);
@@ -1745,7 +1706,7 @@ impl Shard {
             let mut released = std::mem::take(&mut self.released);
             buffer.release_up_to(safe, &mut released);
             for item in released.drain(..) {
-                self.ingest(&item.event, item.query, item.key_hash);
+                self.ingest(&item.event, item.query);
             }
             self.released = released;
         }
@@ -1839,7 +1800,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// would otherwise leave its peak invisible until the next drain. A
 /// trusted-ordered shard replays the routes through `scratch`
 /// ([`Projection::scratch`]), loading a row once for all its (adjacent)
-/// routes; under slack each route becomes an owned [`Item`] for the
+/// routes; under slack each route becomes an owned [`InFlight`] for the
 /// reorder buffer.
 fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scratch: &mut [Event]) {
     // `scratch` holds some other batch's rows on entry.
@@ -1847,10 +1808,9 @@ fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scrat
     for stride in batch.routes.chunks(64) {
         for route in stride {
             if shard.reorder.is_some() {
-                shard.push(Item {
+                shard.push(InFlight {
                     event: batch.event(route.row, projection),
                     query: route.query,
-                    key_hash: route.key_hash,
                     stamp: batch.stamps[route.row],
                 });
             } else {
@@ -1860,7 +1820,7 @@ fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scrat
                     loaded = route.row;
                     batch.load(route.row, projection, scratch)
                 };
-                shard.ingest(event, route.query, route.key_hash);
+                shard.ingest(event, route.query);
             }
         }
         shard.release();
@@ -2204,7 +2164,7 @@ mod tests {
         let mut batch = Batch::default();
         for (i, e) in events.iter().enumerate() {
             batch.push_row(e, i as u64 + 1, &projection);
-            batch.push_route(0, rt.key_hash(e));
+            batch.push_route(0);
         }
         ingest_batch(&mut shard, &batch, &projection, &mut projection.scratch());
         assert!(shard.memory() > 0);

@@ -249,7 +249,7 @@ mod tests {
                     v.extend(values)
                 });
             self.stamps.push(id);
-            self.push_route(type_id, Some(id));
+            self.push_route(type_id);
         }
         fn aligned(&self) -> bool {
             self.stamps.len() == self.rows.len() && self.routes.len() == self.rows.len()

@@ -571,7 +571,7 @@ pub struct SessionBuilder {
     /// Queries with an optional per-query engine override.
     queries: Vec<(QuerySpec, Option<EngineKind>)>,
     engine: Option<EngineKind>,
-    config: EngineConfig,
+    config: Option<EngineConfig>,
     slack: Option<u64>,
     workers: usize,
     batch_size: Option<usize>,
@@ -620,7 +620,7 @@ impl SessionBuilder {
 
     /// Engine-level configuration knobs (e.g. the Flink/A-Seq flatten cap).
     pub fn config(mut self, config: EngineConfig) -> SessionBuilder {
-        self.config = config;
+        self.config = Some(config);
         self
     }
 
@@ -714,7 +714,7 @@ impl SessionBuilder {
             kinds,
             queries,
             shared,
-            config: self.config,
+            config: self.config.unwrap_or_default(),
         };
         roster
             .open(registry, self.workers, pool_config, None)
@@ -728,7 +728,7 @@ impl SessionBuilder {
     ///
     /// The snapshot is authoritative for queries, engine kinds, engine
     /// configuration and slack — a builder with `.query(...)`,
-    /// `.engine(...)` or `.slack(...)` set is rejected
+    /// `.engine(...)`, `.config(...)` or `.slack(...)` set is rejected
     /// ([`CheckpointError::Unsupported`]). Three execution knobs may be
     /// overridden, because they do not change what the session computes:
     ///
@@ -751,11 +751,15 @@ impl SessionBuilder {
         registry: &TypeRegistry,
         reader: impl io::Read,
     ) -> Result<Session, CheckpointError> {
-        if !self.queries.is_empty() || self.engine.is_some() || self.slack.is_some() {
+        if !self.queries.is_empty()
+            || self.engine.is_some()
+            || self.config.is_some()
+            || self.slack.is_some()
+        {
             return Err(CheckpointError::Unsupported(
-                "restore takes queries, engines and slack from the snapshot; \
-                 only .workers(n), .batch_size(n) and .on_worker_failure(p) may be \
-                 overridden"
+                "restore takes queries, engines, engine configuration and slack \
+                 from the snapshot; only .workers(n), .batch_size(n) and \
+                 .on_worker_failure(p) may be overridden"
                     .to_string(),
             ));
         }
@@ -1803,6 +1807,10 @@ mod tests {
             Session::builder().query(Q_ANY),
             Session::builder().engine(EngineKind::Sase),
             Session::builder().slack(3),
+            Session::builder().config(EngineConfig {
+                key_limit: Some(1),
+                ..EngineConfig::default()
+            }),
         ] {
             let err = builder.restore(&reg, snap.as_slice()).unwrap_err();
             assert!(matches!(err, CheckpointError::Unsupported(_)), "{err}");

@@ -32,19 +32,11 @@ use cogra_events::{Event, Timestamp};
 /// [`TrendEngine::drain`] / [`TrendEngine::finish`] are thin compatibility
 /// wrappers for callers that want owned results.
 pub trait TrendEngine {
-    /// Ingest one event.
+    /// Ingest one event — the only way an event enters an engine, at
+    /// every width: a shard pool places an event by its `GROUP-BY` prefix
+    /// and hands it over, and the engine finds the event's partition
+    /// itself.
     fn process(&mut self, event: &Event);
-
-    /// Ingest one event whose full partition-key hash the caller already
-    /// computed (`QueryRuntime::key_hash` / `QueryRuntime::route_hashes` —
-    /// `None` when the event's type lacks the partition attributes). The
-    /// §8 shard router hashes at ingest time to place the event and hands
-    /// the hash down, so the key is extracted once per event. The default
-    /// ignores the hash.
-    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
-        let _ = key_hash;
-        self.process(event);
-    }
 
     /// Emit results for all windows closed at the current watermark,
     /// pushing each into `out`.
@@ -130,8 +122,8 @@ pub trait TrendEngine {
     /// re-delivers; `false` means the snapshot's sections contradict each
     /// other. The default accepts, for an engine that checks nothing on
     /// ingest.
-    fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
-        let _ = (event, key_hash);
+    fn accepts(&self, event: &Event) -> bool {
+        let _ = event;
         true
     }
 

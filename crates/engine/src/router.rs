@@ -16,7 +16,7 @@
 //! whether or not its key, its partition or its windows are new:
 //!
 //! * the partition key is hashed **in place** off the event's attributes
-//!   ([`QueryRuntime::route_hashes`]) and resolved to a dense
+//!   ([`QueryRuntime::key_hash`]) and resolved to a dense
 //!   [`PartitionId`] by the [`KeyInterner`] — a first-seen key is copied
 //!   straight into the interner's flat buffer;
 //! * partitions live in a `Vec` indexed by [`PartitionId`], not a
@@ -54,17 +54,20 @@
 //!   themselves (the `GROUP-BY` values are a prefix of the partition
 //!   key, so one sort by `(window, partition key)` yields both);
 //! * [`RunStats::key_allocs`] counts key *lives* by a rule on the stream
-//!   alone (see `Router::process_prehashed`), not interner insertions;
+//!   alone (see `Router::ingest`), not interner insertions;
 //! * a snapshot holds the resident partitions, which is all there is.
 //!
 //! The one exception is a configured `key_limit`: it bounds resident
 //! keys, so which keys are refused follows the drain cadence.
 //!
-//! Callers that already computed the key hash (the §8 shard router hashes
-//! at ingest time to place the event) hand it in via
-//! [`Router::process_prehashed`], so the key is extracted exactly once
-//! per event end to end. [`Router::run_stats`] counts probes vs.
-//! first-seen keys.
+//! ## One way in
+//!
+//! [`TrendEngine::process`] is the only way an event enters a router, at
+//! every width. The router reads the type's compiled route first and
+//! hashes the full partition key only for an event that reaches a window;
+//! nothing upstream hands it a hash. A §8 shard pool places an event by
+//! its `GROUP-BY` prefix alone, which is a different hash over fewer
+//! attributes. [`Router::run_stats`] counts probes vs. first-seen keys.
 
 use crate::agg::Cell;
 use crate::capabilities::Capabilities;
@@ -410,26 +413,12 @@ impl<W: WindowAlgo> Router<W> {
         &self.rt
     }
 
-    /// Ingest one event whose full-key hash was already computed by the
-    /// caller ([`QueryRuntime::key_hash`] / [`QueryRuntime::route_hashes`]
-    /// — `None` when the event's type lacks the partition attributes).
-    /// This is [`TrendEngine::process`] minus the key extraction, used by
-    /// the §8 shard router so the key is hashed exactly once per event.
-    pub fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
-        debug_assert_eq!(
-            key_hash,
-            self.rt.key_hash(event),
-            "caller-provided key hash must match the runtime's"
-        );
-        self.ingest(event, |_| key_hash);
-    }
-
     /// Route one event: move the watermark, read its type's compiled route,
     /// and only if the event is not dropped there
-    /// ([`CompiledQuery::drops_unbound`]) hash its key (`key_hash`) and
-    /// update its open windows.
+    /// ([`CompiledQuery::drops_unbound`]) hash its key
+    /// ([`QueryRuntime::key_hash`]) and update its open windows.
     #[inline(always)]
-    fn ingest(&mut self, event: &Event, key_hash: impl FnOnce(&QueryRuntime) -> Option<u64>) {
+    fn ingest(&mut self, event: &Event) {
         debug_assert!(
             event.time >= self.watermark,
             "events must arrive in time order"
@@ -453,7 +442,7 @@ impl<W: WindowAlgo> Router<W> {
                 &self.binds
             }
         };
-        let Some(hash) = key_hash(rt) else {
+        let Some(hash) = rt.key_hash(event) else {
             // The type lacks a partition attribute (a `GROUP-BY` or
             // equivalence attribute its schema does not declare): the event
             // belongs to no sub-stream, so every engine drops it — after it
@@ -906,13 +895,7 @@ impl<W: WindowAlgo> Router<W> {
 
 impl<W: WindowAlgo> TrendEngine for Router<W> {
     fn process(&mut self, event: &Event) {
-        // The key is hashed only once the route says the event reaches a
-        // window.
-        self.ingest(event, |rt| rt.key_hash(event));
-    }
-
-    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
-        Router::process_prehashed(self, event, key_hash)
+        self.ingest(event);
     }
 
     fn drain_into(&mut self, out: &mut dyn FnMut(WindowResult)) {
@@ -977,12 +960,13 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
         self.key_overflow
     }
 
-    fn accepts(&self, event: &Event, key_hash: Option<u64>) -> bool {
+    fn accepts(&self, event: &Event) -> bool {
         if event.time < self.watermark {
             return false;
         }
         let rt: &QueryRuntime = &self.rt;
-        let partition = key_hash
+        let partition = rt
+            .key_hash(event)
             .and_then(|hash| {
                 self.interner
                     .find(hash, |candidate| rt.key_matches(event, candidate))

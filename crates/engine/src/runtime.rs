@@ -392,10 +392,18 @@ impl QueryRuntime {
         Some((h, ids))
     }
 
+    /// Hash the event's `GROUP-BY` prefix of the partition attributes
+    /// **in place** — what places the event on a §8 shard. `None` when
+    /// the event's type lacks the partition attributes.
+    #[inline]
+    pub fn group_hash(&self, event: &Event) -> Option<u64> {
+        use std::hash::Hasher;
+        self.prefix_state(event).map(|(h, _)| h.finish())
+    }
+
     /// `(group hash, full key hash)` of the event, both computed in one
-    /// in-place pass: the group hash covers the `GROUP-BY` prefix of the
-    /// partition attributes (it decides §8 shard placement), the key hash
-    /// covers all of them (it drives the router's interner probe).
+    /// in-place pass: the group hash is [`QueryRuntime::group_hash`], the
+    /// key hash [`QueryRuntime::key_hash`].
     #[inline]
     pub fn route_hashes(&self, event: &Event) -> Option<(u64, u64)> {
         use std::hash::{Hash, Hasher};

@@ -113,12 +113,6 @@ impl Event {
         &self.attrs[id.index()]
     }
 
-    /// Attribute value by positional id, `None` if out of range.
-    #[inline]
-    pub fn attr_checked(&self, id: AttrId) -> Option<&Value> {
-        self.attrs.get(id.index())
-    }
-
     /// Approximate logical footprint in bytes (for peak-memory accounting).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Event>() + self.attrs.iter().map(Value::memory_bytes).sum::<usize>()
@@ -152,8 +146,6 @@ mod tests {
     fn event_attr_access() {
         let e = Event::new(0, 7, TypeId(0), vec![Value::Int(42), Value::str("x")]);
         assert_eq!(e.attr(AttrId(0)), &Value::Int(42));
-        assert_eq!(e.attr_checked(AttrId(1)), Some(&Value::str("x")));
-        assert_eq!(e.attr_checked(AttrId(2)), None);
         assert_eq!(e.time, Timestamp(7));
     }
 

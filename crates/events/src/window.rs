@@ -48,11 +48,6 @@ impl WindowSpec {
         WindowSpec { within, slide }
     }
 
-    /// A tumbling window of length `w` (slide == within).
-    pub fn tumbling(within: u64) -> Self {
-        WindowSpec::new(within, within)
-    }
-
     /// Maximum number of windows any single event can belong to.
     pub fn windows_per_event(&self) -> usize {
         (self.within.div_ceil(self.slide)) as usize
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn tumbling_window_single_membership() {
-        let spec = WindowSpec::tumbling(5);
+        let spec = WindowSpec::new(5, 5);
         for t in 0..50 {
             assert_eq!(ids(&spec, t).len(), 1, "t={t}");
             assert_eq!(ids(&spec, t)[0], t / 5);

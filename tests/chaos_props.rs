@@ -47,7 +47,7 @@ use cogra::prelude::*;
 use cogra_checkpoint::write_atomic;
 use cogra_faults::{SeedSequence, Trigger};
 use common::model::{self, chunked, Case, Config, Op, Reference, Transport};
-use common::workloads::{abc_registry, rows_case};
+use common::workloads::{abc_registry, disordered, rows_case, KEYLESS};
 use common::{watchdog, Fixture};
 use proptest::prelude::*;
 
@@ -172,6 +172,15 @@ fn restart_recovers_byte_identically_across_sites() {
     ];
     for hit in [1, 3] {
         killed_and_restarted(&stream(&roster, 240), "worker/batch/1", hit, 7, 31);
+    }
+    // The workload table's keyless arm: the pool places an event the
+    // shardable query has no key for on the pinned query's shard alone,
+    // and a restarted shard replays exactly that, ordered or under slack.
+    for slack in [0, 8] {
+        let case = disordered(KEYLESS, 11, 240, slack);
+        for site in ["worker/batch/1", "worker/drain/0"] {
+            killed_and_restarted(&case, site, 2, 7, 31);
+        }
     }
 }
 

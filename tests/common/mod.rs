@@ -11,8 +11,9 @@
 //!   disorder needs; drawn from the one workload table
 //!   ([`workloads::workload`]: churn, stock at all three granularities,
 //!   fraud, comeback, skew, burst, rideshare, transport, a duplicate
-//!   roster), from sampled rows ([`workloads::rows_case`]) or from a
-//!   compiled automaton's edges ([`edges::populations`]).
+//!   roster, keyless events), from sampled rows
+//!   ([`workloads::rows_case`]) or from a compiled automaton's edges
+//!   ([`edges::populations`]).
 //! * **configuration** ([`model::Config`]) — workers, transport batch
 //!   size, failure policy, and how events travel: in memory, as CSV
 //!   through `ingest_csv`, or over a loopback socket through

@@ -241,6 +241,9 @@ pub struct Run {
     pub factoring: SharedPlan,
     /// The width the session was last opened at.
     width: usize,
+    /// Per event of the stream, in arrival order: whether it was fed to a
+    /// session wider than one shard.
+    wide: Vec<bool>,
     /// Whether a failpoint was armed.
     faulted: bool,
 }
@@ -256,6 +259,12 @@ pub struct Reference {
     pub stats: Vec<RunStats>,
     /// Whether any query has a `GROUP-BY` prefix to shard on.
     shards: bool,
+    /// Per query, per type: whether a pool that places events per query
+    /// drops one of the type for the query before any engine sees it — a
+    /// shardable query, a type without its partition key.
+    unplaced: Vec<Vec<bool>>,
+    /// The types of the events a front `Reorderer` released, in order.
+    admitted: Vec<cogra::events::TypeId>,
     /// What a front `Reorderer` dropped.
     pub late: u64,
     /// How many queries the oracle judged too.
@@ -333,6 +342,8 @@ impl Reference {
             per_query: Vec::new(),
             stats: Vec::new(),
             shards: false,
+            unplaced: Vec::new(),
+            admitted: repaired.iter().map(|e| e.type_id).collect(),
             late,
             enumerated: 0,
         };
@@ -343,6 +354,11 @@ impl Reference {
             let (results, stats, session) = alone(query, *kind)?;
             let plan = session.plan(0).expect("one query");
             reference.shards |= plan.group_prefix > 0;
+            let keys = plan.partition_attr_ids(&case.registry);
+            let unplaced = keys
+                .iter()
+                .map(|key| plan.group_prefix > 0 && key.is_none());
+            reference.unplaced.push(unplaced.collect());
             let enumerable = densest_window(plan, case, &repaired) <= ENUMERABLE;
             reference.enumerated += usize::from(enumerable);
             let judges = [(EngineKind::Cogra, true), (EngineKind::Oracle, enumerable)];
@@ -405,13 +421,24 @@ impl Reference {
             }
             rows
         };
+        // An engine is handed every admitted event, but for one case: a
+        // pool places an event per query once it is wider than one shard
+        // or under slack, and then drops an event without a shardable
+        // query's partition key before it reaches the query's shard.
+        // Inline and without slack, every engine is handed every event
+        // and drops such an event itself.
+        let handed = |q: usize| {
+            let placed = |i: usize| case.slack.is_some() || run.wide[i];
+            let admitted = self.admitted.iter().enumerate();
+            admitted
+                .filter(|&(i, t)| !(self.unplaced[q][t.index()] && placed(i)))
+                .count() as u64
+        };
         Observation {
             per_query: self.per_query.iter().map(rendered).collect(),
             late: self.late,
             stats,
-            // Every engine is handed every admitted event (the workload
-            // table's types all carry their queries' partition attributes).
-            routed: (case.events.len() as u64 - self.late) * run.factoring.physical() as u64,
+            routed: run.factoring.members.iter().map(|m| handed(m[0])).sum(),
             workers: if self.shards { run.width } else { 1 },
         }
     }
@@ -559,11 +586,13 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
     // round trip before it leaves them current.
     let (mut events_before, mut results_before, mut routed_before) = (0, 0, 0);
     let (mut fed, mut width, mut faulted) = (0, config.workers, false);
+    let mut wide = Vec::with_capacity(case.events.len());
     for op in ops {
         match op {
             Op::Ingest(n) => {
                 let end = (fed + n).min(case.events.len());
                 feed(&mut session, &case.events[fed..end])?;
+                wide.resize(end, width > 1);
                 fed = end;
             }
             Op::Drain => {
@@ -597,6 +626,7 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
         }
     }
     feed(&mut session, &case.events[fed..])?;
+    wide.resize(case.events.len(), width > 1);
     let live = sink.len();
     session.finish_into(&mut sink);
     if let Some(failure) = session.worker_failure() {
@@ -671,6 +701,7 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
         live,
         factoring,
         width,
+        wide,
         faulted,
     })
 }
@@ -749,11 +780,13 @@ mod socket {
         // the restarts (the snapshot round trip leaves the counters current).
         let (mut events, mut results_before, mut routed_before) = (0, 0, 0);
         let (mut fed, mut width, mut faulted, mut live) = (0, config.workers, false, 0);
+        let mut wide = Vec::with_capacity(case.events.len());
         for op in ops {
             match op {
                 Op::Ingest(n) => {
                     let end = (fed + n).min(case.events.len());
                     send(&mut feed, &server, fed..end, (events, faulted))?;
+                    wide.resize(end, width > 1);
                     fed = end;
                 }
                 Op::Drain => {
@@ -799,6 +832,7 @@ mod socket {
             fed..case.events.len(),
             (events, faulted),
         )?;
+        wide.resize(case.events.len(), width > 1);
         let finish = said(feed.finish(), "FINISH")?;
         pushed.extend(rows.join().expect("subscriber joins"));
         server.shutdown();
@@ -833,6 +867,7 @@ mod socket {
             .shared_plan()
             .clone(),
             width,
+            wide,
             faulted,
         })
     }

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// Arms of [`workload`].
-pub const WORKLOADS: usize = 11;
+pub const WORKLOADS: usize = 12;
 
 /// The arms, by name.
 pub const CHURN: usize = 0;
@@ -29,6 +29,7 @@ pub const BURST: usize = 7;
 pub const RIDESHARE: usize = 8;
 pub const TRANSPORT: usize = 9;
 pub const DUPLICATES: usize = 10;
+pub const KEYLESS: usize = 11;
 
 fn case(name: &str, registry: TypeRegistry, queries: Vec<String>, events: Vec<Event>) -> Case {
     Case {
@@ -82,6 +83,46 @@ fn comeback(seed: u64, n: usize) -> Case {
         })
         .collect();
     case("comeback", registry, vec![query], events)
+}
+
+/// The stream of [`KEYLESS`]: `Reading(g, v)` over four groups, with a
+/// `Beacon(v)` — a type without `g` — about every third event. Under
+/// `GROUP-BY g` a beacon belongs to no sub-stream: the shardable query
+/// must drop it, whether its engine does (inline, without slack) or the
+/// pool that places events. The query is contiguous, so a beacon still
+/// reaches its engine, and one kept there would break a group's trends.
+/// The pinned query (no `GROUP-BY`: one shard sees the whole stream)
+/// pairs readings with beacons.
+fn keyless(seed: u64, n: usize) -> Case {
+    let mut registry = TypeRegistry::new();
+    let reading = registry.register_type(
+        "Reading",
+        vec![("g", ValueKind::Int), ("v", ValueKind::Int)],
+    );
+    let beacon = registry.register_type("Beacon", vec![("v", ValueKind::Int)]);
+    let queries = [
+        "RETURN g, COUNT(*), SUM(R.v) PATTERN Reading R+ SEMANTICS CONT \
+         GROUP-BY g WITHIN 10 SLIDE 5",
+        "RETURN COUNT(*), SUM(B.v) PATTERN SEQ(Reading R, Beacon B) SEMANTICS ANY \
+         WITHIN 10 SLIDE 5",
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next = move |bound: u64| rng.random_range(0..bound);
+    let mut builder = EventBuilder::new();
+    let mut t = 0;
+    let events = (0..n)
+        .map(|_| {
+            t += next(2);
+            let v = Value::Int(next(100) as i64);
+            if next(3) == 0 {
+                builder.event(t, beacon, vec![v])
+            } else {
+                builder.event(t, reading, vec![Value::Int(next(4) as i64), v])
+            }
+        })
+        .collect();
+    let queries = queries.map(str::to_string).to_vec();
+    case("keyless", registry, queries, events)
 }
 
 /// Workload `idx` of the table: `n` events under `seed`. The first roster
@@ -185,6 +226,7 @@ pub fn workload(idx: usize, seed: u64, n: usize) -> Case {
                 ..TransportConfig::default()
             }),
         ),
+        KEYLESS => keyless(seed, n),
         // The healthcare-style duplicate roster: q1, a renamed-variable
         // copy (textually different, same canonical signature), q1 again.
         _ => {

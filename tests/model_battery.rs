@@ -17,7 +17,9 @@ mod common;
 
 use cogra::prelude::*;
 use common::model::{self, Case, Config, Op, Reference, Transport, BATCHES, WIDTHS};
-use common::workloads::{disordered, rows_case, stored_case, workload, BURST, MATRIX, WORKLOADS};
+use common::workloads::{
+    disordered, rows_case, stored_case, workload, BURST, KEYLESS, MATRIX, WORKLOADS,
+};
 use common::{edges, watchdog};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -279,4 +281,48 @@ fn edge_populations_match_the_oracle() {
         restored > 60,
         "only {restored} populations through a snapshot"
     );
+}
+
+/// Events of a type without a shardable query's partition key: inline
+/// and without slack the query's engine drops them, at any other width
+/// or under slack the pool that places events does — alike, across
+/// restores from one width to another and under every failure policy.
+#[test]
+fn keyless_events_are_dropped_alike_at_every_width_slack_restore_and_policy() {
+    let policies = [
+        FailurePolicy::Fail,
+        FailurePolicy::Degrade,
+        FailurePolicy::Restart,
+    ];
+    for slack in [0, 8] {
+        let case = disordered(KEYLESS, 5, 300, slack);
+        let configs = WIDTHS.into_iter().flat_map(|workers| {
+            policies.map(|policy| Config {
+                policy,
+                ..Config::workers(workers)
+            })
+        });
+        let restores = |case: &Case| {
+            let mut ops = model::chunked(case, 40);
+            ops.insert(
+                4,
+                Op::Restore {
+                    workers: 1,
+                    batch: 7,
+                },
+            );
+            ops.insert(
+                8,
+                Op::Restore {
+                    workers: 4,
+                    batch: 256,
+                },
+            );
+            ops
+        };
+        let (reference, _) = model::sweep(&case, configs, restores);
+        for q in 0..2 {
+            assert!(!reference.query(q).is_empty(), "q{q} has no results");
+        }
+    }
 }

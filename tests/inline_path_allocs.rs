@@ -1,6 +1,6 @@
 //! The one-worker path reads events in place: between drains, a
 //! no-slack `.workers(1)` session fed by reference must not allocate per
-//! event (no `Item` staging, no `Event` clone — a clone alone is at least
+//! event (no batch staging, no `Event` clone — a clone alone is at least
 //! one allocation per event) and must not spawn a thread. What remains is
 //! the engines' own first-seen-key and window bookkeeping, ~0.19
 //! allocations per event on this workload (the benchmark's

@@ -39,10 +39,13 @@ pub struct Metrics {
     pub key_probes: u64,
     /// First-seen key materializations.
     pub key_allocs: u64,
-    /// Events ingested per shard worker slot, as of the last drain — the
-    /// spread between entries is the hot-key imbalance a skewed group
-    /// distribution produces. One entry in streaming mode; empty only in
-    /// replies from servers predating the field.
+    /// Events handed to engines per shard, as of the last drain: one per
+    /// `(event, query)` pair where the query wants the event's type — its
+    /// plan binds or keeps the type, which carries the query's partition
+    /// key. So the entries sum to the same at every width; the spread
+    /// between them is the hot-key imbalance a skewed group distribution
+    /// produces. One entry in streaming mode; empty only in replies from
+    /// servers predating the field.
     pub shard_events: Vec<u64>,
     /// Shards quarantined under `FailurePolicy::Degrade`, in index order
     /// — empty on a healthy session.

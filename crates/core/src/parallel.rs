@@ -17,7 +17,10 @@
 //! A `Shard` — one engine per hosted query, plus a private
 //! [`ReorderBuffer`] under `.slack(n)` — is the only thing that ever
 //! hosts engines, and the [`StreamingPool`] is the only thing that drives
-//! shards. Its effective width picks the transport, nothing else:
+//! shards. Which `(query, shard)` pairs an event goes to is decided per
+//! type when the pool opens (`SessionRoute`); an event no query wants
+//! only moves the stream clock. The effective width picks the transport,
+//! nothing else:
 //! * **width 1** — the one shard is held by value and driven on the
 //!   caller's thread, by reference: no thread, no channel, no staging, no
 //!   event clone and no placement hash;
@@ -29,7 +32,7 @@
 //!   route per query that wants it there. The worker replays the routes
 //!   through one scratch `Event` per type, blank outside the read-set,
 //!   into each query's engine, which finds the event's partition itself
-//!   (the coordinator hashes only the `GROUP-BY` prefix that places it).
+//!   (the coordinator hashes only the `GROUP-BY` prefixes that place it).
 //!   The coordinator, which keeps a handle to every shipped batch
 //!   ([`Recycler`]), reopens a batch as soon as the worker has dropped
 //!   its own. Steady state allocates nothing per routed event on
@@ -62,19 +65,81 @@ use std::thread::JoinHandle;
 pub mod handoff;
 
 /// Shard index of a group-prefix hash — THE placement rule, shared by live
-/// routing ([`StreamingPool::place`]) and the re-sharding of a restored
-/// snapshot ([`reshard`]), kept in one place so the two cannot disagree.
+/// routing ([`SessionRoute`]) and the re-sharding of a restored snapshot
+/// ([`reshard`]), kept in one place so the two cannot disagree.
 fn shard_index(group_hash: u64, shards: usize) -> usize {
     (group_hash % shards as u64) as usize
 }
 
-/// How many shards a query can use: the requested worker count, unless
-/// the query has no `GROUP-BY` prefix to shard on.
-fn effective_workers(rt: &QueryRuntime, requested: usize) -> usize {
-    if rt.query.group_prefix == 0 {
-        1
-    } else {
-        requested.max(1)
+/// Which engines see an event, decided per registered type when the pool
+/// opens: query `q` wants a type iff its compiled route keeps it (not
+/// `Route::Nothing` in [`QueryRuntime::routes`]) and the type carries its
+/// partition key. Any other event would only move `q`'s watermark, which
+/// drains broadcast anyway ([`Shard::advance_to`]).
+struct SessionRoute {
+    /// Pool width: what a group hash is reduced modulo.
+    width: usize,
+    types: Vec<TypeRoute>,
+}
+
+/// The queries that want one registered type.
+#[derive(Clone)]
+struct TypeRoute {
+    /// The shardable ones, by distinct `GROUP-BY` attribute list: one
+    /// hash, by the first runtime's, places the list.
+    hashed: Vec<(Arc<QueryRuntime>, Vec<u32>)>,
+    /// Per query, whether it is one of the others, whose shard is
+    /// `q % width`: a pinned query, or at width 1 any. A mask, not a list,
+    /// so that the inline shard's engine calls wait on no loaded index.
+    fixed: Vec<bool>,
+}
+
+impl SessionRoute {
+    fn of(hosted: &[Hosted], width: usize) -> SessionRoute {
+        fn group_by(rt: &QueryRuntime) -> &[String] {
+            &rt.query.partition_attrs[..rt.query.group_prefix]
+        }
+        let (hashed, fixed) = (Vec::new(), vec![false; hosted.len()]);
+        let mut types = vec![TypeRoute { hashed, fixed }; hosted[0].1.routes.len()];
+        for (t, route) in types.iter_mut().enumerate() {
+            for (q, (_, rt)) in hosted.iter().enumerate() {
+                let drops = matches!(rt.routes[t], cogra_query::Route::Nothing);
+                if drops || rt.partition_attr_ids[t].is_none() {
+                    continue;
+                } else if width == 1 || rt.query.group_prefix == 0 {
+                    route.fixed[q] = true;
+                    continue;
+                }
+                let hashed = &mut route.hashed;
+                match hashed.iter().position(|(f, _)| group_by(f) == group_by(rt)) {
+                    Some(list) => hashed[list].1.push(q as u32),
+                    None => hashed.push((Arc::clone(rt), vec![q as u32])),
+                }
+            }
+        }
+        SessionRoute { width, types }
+    }
+
+    /// THE routing decision: `to(query, shard)` for every query that wants
+    /// `event`, hashing one `GROUP-BY` prefix per distinct attribute list.
+    #[inline]
+    fn each(&self, event: &Event, mut to: impl FnMut(u32, usize)) {
+        let route = &self.types[event.type_id.index()];
+        for (first, queries) in &route.hashed {
+            let hash = first.group_hash(event).expect("a wanted type has the key");
+            let shard = shard_index(hash, self.width);
+            queries.iter().for_each(|&q| to(q, shard));
+        }
+        for (q, _) in route.fixed.iter().enumerate().filter(|(_, fixed)| **fixed) {
+            to(q as u32, q % self.width);
+        }
+    }
+
+    /// The shard `query` takes `event` on, if it wants the event.
+    fn shard_of(&self, query: u32, event: &Event) -> Option<usize> {
+        let mut at = None;
+        self.each(event, |q, shard| at = at.or((q == query).then_some(shard)));
+        at
     }
 }
 
@@ -511,10 +576,10 @@ const CHANNEL_CAPACITY: usize = 16;
 /// module docs).
 ///
 /// * **Shared pool** — one pool serves every query of a session: an
-///   event is hashed per query (the `GROUP-BY`-prefix hash) and staged
-///   once per target shard. A query without
-///   a `GROUP-BY` prefix cannot shard; it is pinned to the shard
-///   `query % width`.
+///   event goes only to the queries that want its type, is hashed once
+///   per distinct `GROUP-BY` attribute list among them and staged once
+///   per target shard. A query without a `GROUP-BY` prefix cannot shard;
+///   it is pinned to the shard `query % width`.
 /// * **Batch-arena transport** (width ≥ 2) — an event is copied once
 ///   into the open batch of each shard that wants it, with one route
 ///   per wanting query; a batch ships once it holds
@@ -537,6 +602,7 @@ const CHANNEL_CAPACITY: usize = 16;
 /// [`Reorderer`]: cogra_events::Reorderer
 pub struct StreamingPool {
     hosted: Vec<Hosted>,
+    session_route: SessionRoute,
     /// What of an event the hosted plans read: all a worker is sent, and
     /// all a reorder buffer keeps.
     projection: Arc<Projection>,
@@ -577,6 +643,8 @@ pub struct StreamingPool {
     /// the replies' results per query.
     sent: Vec<bool>,
     merged: Vec<Vec<WindowResult>>,
+    /// Reusable scratch: the `(query, shard)` pairs of the event staged.
+    targets: Vec<(u32, usize)>,
     finished: bool,
 }
 
@@ -669,15 +737,14 @@ impl StreamingPool {
         }
         // Every in-flight event must fit the engine state it is about to
         // be re-delivered into — while the engines are still here to ask.
+        let session_route = SessionRoute::of(&hosted, threads);
         for item in &buffered {
-            let fits = hosted.get(item.query as usize).is_some_and(|(_, rt)| {
-                place(rt, item.query as usize, threads, &item.event).is_none_or(|shard| {
-                    shards[shard].engines[item.query as usize]
-                        .as_ref()
-                        .expect("an event is placed on a shard that hosts its query")
-                        .accepts(&item.event)
-                })
-            });
+            let (event, q) = (&item.event, item.query as usize);
+            let fits = q < hosted.len()
+                && (session_route.shard_of(item.query, event)).is_none_or(|shard| {
+                    let engine = shards[shard].engines[q].as_ref();
+                    engine.expect("a wanting query is hosted").accepts(event)
+                });
             if !fits {
                 return Err(OpenError::State(CheckpointError::Corrupt(format!(
                     "in-flight event {} at {} does not fit the state of run {} of {}",
@@ -724,8 +791,10 @@ impl StreamingPool {
             seq: 0,
             sent: Vec::new(),
             merged: Vec::new(),
+            targets: Vec::new(),
             finished: false,
             hosted,
+            session_route,
             projection,
         };
         for item in buffered {
@@ -783,11 +852,6 @@ impl StreamingPool {
         }
     }
 
-    /// Number of shards (1: the inline shard).
-    fn width(&self) -> usize {
-        self.workers.len().max(1)
-    }
-
     /// Whether the pool drives its one shard on the caller's thread (no
     /// worker thread, no channel) — what `Session::run` picks its drain
     /// cadence from.
@@ -795,20 +859,14 @@ impl StreamingPool {
         self.inline.is_some()
     }
 
-    /// Number of queries the pool serves.
-    pub fn queries(&self) -> usize {
-        self.hosted.len()
-    }
-
     /// Widest effective shard count across the pool's queries (a query
     /// without `GROUP-BY` is pinned to one shard and counts as 1).
     pub fn workers(&self) -> usize {
-        let width = self.width();
-        self.hosted
-            .iter()
-            .map(|(_, rt)| effective_workers(rt, width))
-            .max()
-            .unwrap_or(1)
+        if self.hosted.iter().any(|(_, rt)| rt.query.group_prefix > 0) {
+            self.session_route.width
+        } else {
+            1
+        }
     }
 
     /// Observable stream progress: results for windows closing at or
@@ -1170,7 +1228,7 @@ impl StreamingPool {
         // shipped.
         let mut buffered = Batch::default();
         for item in &baseline.buffered {
-            if self.place(item.query as usize, &item.event).is_some() {
+            if (self.session_route.shard_of(item.query, &item.event)).is_some() {
                 buffered.push_row(&item.event, item.stamp, &self.projection);
                 buffered.push_route(item.query);
             }
@@ -1211,30 +1269,23 @@ impl StreamingPool {
             .find(|&s| !self.workers[s].quarantined)
     }
 
-    /// The shard query `query` wants `event` on. Shardable: the hash of
-    /// the `GROUP-BY` prefix places the event; `None` drops the event for
-    /// this query (no partition key), consistently with every engine.
-    /// Unshardable: pinned to one shard, which sees the whole stream —
-    /// including events without a partition key (the engine drops them
-    /// itself, exactly like a sequential run) — and nothing is hashed.
-    fn place(&self, query: usize, event: &Event) -> Option<usize> {
-        place(&self.hosted[query].1, query, self.width(), event)
-    }
-
     /// Re-deliver one checkpointed in-flight event for one query,
     /// bypassing the admission gate (the gate was restored verbatim; these
     /// events were already admitted before the snapshot). Safe to release
     /// early on the new shard: an admitted buffered event's release
-    /// threshold never overtakes the gate's `released_to` floor.
+    /// threshold never overtakes the gate's `released_to` floor. An event
+    /// its query does not want is skipped.
     fn restage(&mut self, item: InFlight) {
-        // `None`: unroutable events are never staged.
-        if let Some(shard) = self.place(item.query as usize, &item.event) {
-            if self.inline.is_some() {
-                self.push_inline(InFlight {
-                    event: self.projection.owned(&item.event),
-                    ..item
-                });
-            } else {
+        let Some(shard) = self.session_route.shard_of(item.query, &item.event) else {
+            return;
+        };
+        match &mut self.inline {
+            Some(inline) => {
+                let event = self.projection.owned(&item.event);
+                inline.push(InFlight { event, ..item });
+                inline.release();
+            }
+            None => {
                 // The event keeps the stamp it was admitted under.
                 self.seq = item.stamp;
                 self.stage(shard, &item.event, item.query);
@@ -1242,55 +1293,45 @@ impl StreamingPool {
         }
     }
 
-    /// Ingest one event, by reference. At width 1 without slack the shard
-    /// reads it in place: nothing is cloned, staged or hashed for
-    /// placement. At width n ≥ 2 it is placed per query and what the
-    /// hosted plans read of it is copied once into the open batch of
-    /// every shard that wants it, with one route per wanting query; a
-    /// worker that is a bounded number of batches behind blocks the
-    /// caller (backpressure, not unbounded buffering). Without slack,
-    /// events must arrive in non-decreasing
-    /// time order; with slack, disorder up to the slack is repaired on the
-    /// shards and anything later is dropped and counted. A finished or
-    /// failed pool ignores the event.
+    /// Ingest one event, by reference, for every `(query, shard)` pair the
+    /// `SessionRoute` names; one no query wants only moves the stream
+    /// clock and takes its stamp. At width 1 without slack the shard reads
+    /// it in place: nothing is cloned, staged or hashed. At width n ≥ 2
+    /// what the hosted plans read of it is copied once into the open batch
+    /// of each target shard, with one route per query; a worker a bounded
+    /// number of batches behind blocks the caller (backpressure). Without
+    /// slack, events must arrive in non-decreasing time order; with slack,
+    /// disorder up to the slack is repaired on the shards and anything
+    /// later is dropped and counted. A finished or failed pool ignores it.
     pub fn route(&mut self, event: &Event) {
         if !self.admit(event) {
             return;
         }
         self.seq += 1;
-        if let (Some(shard), None) = (&mut self.inline, &self.gate) {
-            return shard.process(event);
-        }
-        if self.inline.is_some() {
-            return self.buffer_inline(event);
-        }
-        for query in 0..self.hosted.len() {
-            if let Some(shard) = self.place(query, event) {
-                self.stage(shard, event, query as u32);
+        let route = &self.session_route;
+        if let Some(shard) = &mut self.inline {
+            if shard.reorder.is_none() {
+                return route.each(event, |q, _| shard.process(event, q));
             }
-        }
-    }
-
-    /// Width 1 under slack: the inline shard's reorder buffer owns one
-    /// [`InFlight`] — the event as [`Projection::owned`] makes it, like a
-    /// worker's — per query that wants it.
-    fn buffer_inline(&mut self, event: &Event) {
-        for query in 0..self.hosted.len() {
-            if self.place(query, event).is_some() {
-                self.push_inline(InFlight {
-                    event: self.projection.owned(event),
-                    query: query as u32,
-                    stamp: self.seq,
+            // A reorder buffer owns its events, as a worker's would.
+            let (projection, stamp) = (&self.projection, self.seq);
+            route.each(event, |query, _| {
+                let event = projection.owned(event);
+                shard.push(InFlight {
+                    event,
+                    query,
+                    stamp,
                 });
-            }
+            });
+            return shard.release();
         }
-    }
-
-    /// Hand the inline shard one item and let it release what is due.
-    fn push_inline(&mut self, item: InFlight) {
-        let shard = self.inline.as_mut().expect("width 1 is inline");
-        shard.push(item);
-        shard.release();
+        let targets = &mut self.targets;
+        targets.clear();
+        route.each(event, |q, s| targets.push((q, s)));
+        for i in 0..self.targets.len() {
+            let (query, shard) = self.targets[i];
+            self.stage(shard, event, query);
+        }
     }
 
     /// Watermark bookkeeping + the late-drop decision. `true` admits.
@@ -1565,16 +1606,6 @@ fn shard_engines(
         .collect()
 }
 
-/// [`StreamingPool::place`] for a pool of `width` shards, where query
-/// number `query` runs on `rt`.
-fn place(rt: &QueryRuntime, query: usize, width: usize, event: &Event) -> Option<usize> {
-    if rt.query.group_prefix > 0 {
-        Some(shard_index(rt.group_hash(event)?, width))
-    } else {
-        Some(query % width)
-    }
-}
-
 /// One shard: an engine per query it hosts ([`hosts`]), plus the shard's
 /// private reorder buffer under slack. Driven by exactly one caller — a
 /// worker thread's [`shard_loop`], or the pool itself at width 1 — and
@@ -1669,17 +1700,8 @@ impl Shard {
         self.peak = self.peak.max(self.memory());
     }
 
-    /// Ingest one trusted-ordered event, in place, into every engine — the
-    /// inline shard hosts them all and placed nothing.
-    fn process(&mut self, event: &Event) {
-        for engine in self.engines.iter_mut().flatten() {
-            engine.process(event);
-            self.events += 1;
-        }
-    }
-
-    /// Feed one placed event to its query's engine.
-    fn ingest(&mut self, event: &Event, query: u32) {
+    /// Feed `event` to query `query`'s engine — the one way into it.
+    fn process(&mut self, event: &Event, query: u32) {
         let engine = self.engines[query as usize]
             .as_mut()
             .expect("the pool only targets hosted queries");
@@ -1692,7 +1714,7 @@ impl Shard {
     /// (until the next [`Shard::release`]).
     fn push(&mut self, item: InFlight) {
         match &mut self.reorder {
-            None => self.ingest(&item.event, item.query),
+            None => self.process(&item.event, item.query),
             Some(buffer) => {
                 self.local_watermark = self.local_watermark.max(item.event.time);
                 buffer.push(item.event.time, item);
@@ -1706,7 +1728,7 @@ impl Shard {
             let mut released = std::mem::take(&mut self.released);
             buffer.release_up_to(safe, &mut released);
             for item in released.drain(..) {
-                self.ingest(&item.event, item.query);
+                self.process(&item.event, item.query);
             }
             self.released = released;
         }
@@ -1820,7 +1842,7 @@ fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scrat
                     loaded = route.row;
                     batch.load(route.row, projection, scratch)
                 };
-                shard.ingest(event, route.query);
+                shard.process(event, route.query);
             }
         }
         shard.release();
@@ -1966,7 +1988,7 @@ mod tests {
             PoolConfig::default(),
         )
         .unwrap();
-        assert_eq!(pool.queries(), 2);
+        assert_eq!(pool.hosted.len(), 2);
         for e in &events {
             pool.route(e);
         }
@@ -2041,7 +2063,7 @@ mod tests {
 
     /// Drive `pool` over `events`, draining after every `chunk` events.
     fn drive(pool: &mut StreamingPool, events: &[Event], chunk: usize) -> Vec<Vec<WindowResult>> {
-        let mut per_query = vec![Vec::new(); pool.queries()];
+        let mut per_query = vec![Vec::new(); pool.hosted.len()];
         for part in events.chunks(chunk) {
             for e in part {
                 pool.route(e);
@@ -2149,6 +2171,99 @@ mod tests {
             assert!(!lane.batches.spare.is_empty());
             assert!(lane.batches.spare.iter().all(|b| b.routes.is_empty()));
         }
+    }
+
+    /// The runtime of `query` over `registry`.
+    fn runtime(query: &str, registry: &TypeRegistry) -> Arc<QueryRuntime> {
+        let plan = cogra_query::compile(&cogra_query::parse(query).unwrap(), registry).unwrap();
+        Arc::new(QueryRuntime::new(plan, registry))
+    }
+
+    #[test]
+    fn queries_with_one_group_by_share_one_hash_per_type() {
+        let mut reg = TypeRegistry::new();
+        let attrs = || vec![("g", ValueKind::Int), ("h", ValueKind::Int)];
+        let a = reg.register_type("A", attrs());
+        let b = reg.register_type("B", attrs());
+        let c = reg.register_type("C", vec![("v", ValueKind::Int)]);
+        let hosted: Vec<Hosted> = [
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY GROUP-BY g WITHIN 16 SLIDE 8",
+            "RETURN g, COUNT(*) PATTERN A+ SEMANTICS NEXT GROUP-BY g WITHIN 16 SLIDE 8",
+            "RETURN h, COUNT(*) PATTERN SEQ(A, B+) SEMANTICS ANY GROUP-BY h WITHIN 16 SLIDE 8",
+            "RETURN COUNT(*) PATTERN SEQ(A, B) SEMANTICS ANY WITHIN 16 SLIDE 8",
+        ]
+        .iter()
+        .map(|q| (EngineKind::Cogra, runtime(q, &reg)))
+        .collect();
+        let entries = |route: &SessionRoute, t: TypeId| {
+            let (width, route) = (route.width, &route.types[t.index()]);
+            let hashed = route.hashed.iter().map(|(_, q)| q.clone()).collect();
+            let fixed = (route.fixed.iter().enumerate()).filter(|(_, fixed)| **fixed);
+            let fixed = fixed.map(|(q, _)| (q as u32, q % width)).collect();
+            (hashed, fixed)
+        };
+        let wide = SessionRoute::of(&hosted, 2);
+        // q0 and q1 group by `g`: one hash places both. q2 groups by `h`,
+        // q3 is pinned to shard 3 % 2.
+        assert_eq!(entries(&wide, a), (vec![vec![0, 1], vec![2]], vec![(3, 1)]));
+        // q1 binds no `B`: under NEXT it drops one before any window.
+        assert_eq!(entries(&wide, b), (vec![vec![0], vec![2]], vec![(3, 1)]));
+        // `C` carries no key and is bound by no one: nobody wants it.
+        assert_eq!(entries(&wide, c), (vec![], vec![]));
+        // Width 1 hashes nothing: every wanting query is on shard 0.
+        let inline = SessionRoute::of(&hosted, 1);
+        let all = vec![(0, 0), (1, 0), (2, 0), (3, 0)];
+        assert_eq!(entries(&inline, a), (vec![], all));
+        assert_eq!(entries(&inline, c), (vec![], vec![]));
+    }
+
+    #[test]
+    fn an_unwanted_event_is_never_staged_yet_closes_its_windows() {
+        let mut reg = TypeRegistry::new();
+        let a = reg.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+        let b = reg.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+        let t = reg.register_type("T", vec![("v", ValueKind::Int)]);
+        let rt = runtime(
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY GROUP-BY g WITHIN 16 SLIDE 8",
+            &reg,
+        );
+        let mut builder = EventBuilder::new();
+        let events: Vec<Event> = (0..12i64)
+            .map(|i| {
+                builder.event(
+                    i as u64 + 1,
+                    if i % 3 == 2 { b } else { a },
+                    vec![Value::Int(i % 2), Value::Int(i)],
+                )
+            })
+            .collect();
+        // What a drain at 40 emits after the same prefix and a wanted
+        // event at 40, which none of the windows it closes holds.
+        let closing = |last: Event| {
+            let mut pool = pool(&rt, 2, 1_000);
+            events.iter().for_each(|e| pool.route(e));
+            let staged = |pool: &StreamingPool| {
+                let rows: usize = pool.lanes.iter().map(|l| l.open.rows.len()).sum();
+                let routes: usize = pool.lanes.iter().map(|l| l.open.routes.len()).sum();
+                (rows, routes, pool.routed_items())
+            };
+            let before = staged(&pool);
+            pool.route(&last);
+            let after = staged(&pool);
+            let mut results = Vec::new();
+            pool.drain_into(&mut |_, r| results.push(r));
+            WindowResult::sort(&mut results);
+            (before, after, results, pool.watermark())
+        };
+        let tick = builder.event(40, t, vec![Value::Int(0)]);
+        let (before, after, results, watermark) = closing(tick);
+        assert_eq!(before, after, "no row, no route, no routed item");
+        assert_eq!(watermark, Timestamp(40), "it moved the clock");
+        assert!(!results.is_empty());
+        let wanted = builder.event(40, b, vec![Value::Int(0), Value::Int(0)]);
+        let (_, staged, same, _) = closing(wanted);
+        assert_ne!(staged, before, "a wanted event is staged");
+        assert_eq!(results, same, "the windows its time closed");
     }
 
     #[test]

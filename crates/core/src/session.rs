@@ -1039,9 +1039,10 @@ pub struct SessionRun {
     /// shard: `key_allocs` of the `key_probes` routed events began a
     /// new life of their key.
     pub stats: RunStats,
-    /// Events ingested per shard ([`Session::shard_events`]) — a single
-    /// entry at width 1. Under a skewed key distribution the spread
-    /// between entries is the hot-key imbalance.
+    /// Events handed to engines per shard ([`Metrics::shard_events`]) — a
+    /// single entry at width 1, the same sum at every width. Under a
+    /// skewed key distribution the spread between entries is the hot-key
+    /// imbalance.
     pub shard_events: Vec<u64>,
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order
     /// ([`Metrics::degraded`]) — empty on a healthy run.
@@ -1341,7 +1342,7 @@ impl Session {
         self.metrics().dropped
     }
 
-    /// Events ingested into the engines per shard
+    /// Events handed to the engines per shard
     /// ([`Metrics::shard_events`]).
     pub fn shard_events(&self) -> Vec<u64> {
         self.metrics().shard_events

@@ -38,5 +38,5 @@ pub use compile::{
 };
 pub use error::{QueryError, QueryResult};
 pub use explain::{explain, explain_text, to_dot};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use signature::canonical_signature;

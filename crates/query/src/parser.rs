@@ -21,6 +21,17 @@ use crate::error::{QueryError, QueryResult};
 use crate::lexer::{lex, Tok, Token};
 use cogra_events::WindowSpec;
 
+/// How deep a pattern may nest. A level is an opening `(`, `SEQ(`, `OR(`
+/// or `NOT`, or a postfix `+`, `*` or `?`, counted along the deepest path.
+/// A pattern nested deeper is a [`QueryError::Parse`] at the token that
+/// opens the first level past the limit. The parser itself does not
+/// recurse; the passes after it (rewrite, compile, `Display`) do, once per
+/// level, and at this depth they fit a 256 KiB thread stack in a release
+/// build and a default 2 MiB one in a debug build. Fixed, not
+/// configurable: the deepest query of the paper's workloads nests four
+/// levels.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a query text into its surface AST.
 ///
 /// ```
@@ -48,6 +59,21 @@ pub fn parse(src: &str) -> QueryResult<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+}
+
+/// A level of a pattern the parser is inside.
+enum Open {
+    /// `SEQ(` or `OR(`: the parts so far, and the most levels any of them
+    /// adds below its place.
+    List {
+        seq: bool,
+        parts: Vec<PatternExpr>,
+        levels: usize,
+    },
+    /// `NOT`, with parentheses of its own or directly before a primary.
+    Not { paren: bool },
+    /// `(`.
+    Paren,
 }
 
 impl Parser {
@@ -238,54 +264,132 @@ impl Parser {
 
     // ---- pattern --------------------------------------------------------
 
+    /// A pattern, parsed without recursion: the levels it is inside are an
+    /// explicit stack, so however deep the text nests, the parser's own
+    /// stack stays flat, and a level past [`MAX_NESTING`] is refused at
+    /// the token that opens it.
     fn pattern(&mut self) -> QueryResult<PatternExpr> {
-        let mut p = self.pattern_primary()?;
+        let mut open: Vec<Open> = Vec::new();
         loop {
-            if self.eat(&Tok::Plus) {
-                p = p.plus();
-            } else if self.eat(&Tok::Star) {
-                p = p.star();
-            } else if self.eat(&Tok::Question) {
-                p = p.opt();
+            // Descend: open every level in front of the next leaf.
+            let (offset, seq) = (self.offset(), self.peek_kw("SEQ"));
+            let level = if seq || self.peek_kw("OR") {
+                let parts = Vec::new();
+                Open::List {
+                    seq,
+                    parts,
+                    levels: 0,
+                }
+            } else if self.peek_kw("NOT") {
+                Open::Not { paren: false }
+            } else if self.peek().map(|t| &t.tok) == Some(&Tok::LParen) {
+                Open::Paren
             } else {
-                break;
+                let leaf = self.leaf()?;
+                match self.ascend(&mut open, leaf)? {
+                    Some(pattern) => return Ok(pattern),
+                    None => continue,
+                }
+            };
+            if open.len() == MAX_NESTING {
+                return Err(self.too_deep(offset));
             }
+            self.pos += 1;
+            open.push(match level {
+                Open::List { .. } => {
+                    self.expect(Tok::LParen)?;
+                    level
+                }
+                Open::Not { .. } => Open::Not {
+                    paren: self.eat(&Tok::LParen),
+                },
+                Open::Paren => level,
+            });
         }
-        Ok(p)
     }
 
-    fn pattern_primary(&mut self) -> QueryResult<PatternExpr> {
-        if self.peek_kw("SEQ") {
-            self.pos += 1;
-            self.expect(Tok::LParen)?;
-            let parts = self.pattern_list()?;
-            self.expect(Tok::RParen)?;
-            return Ok(PatternExpr::Seq(parts));
+    /// Close every level the primary `p` completes, innermost first,
+    /// applying postfix operators where the grammar puts them: `Some` when
+    /// that completes the whole pattern, `None` when a list awaits its next
+    /// part. `levels` counts what `p` adds below its place: one per level
+    /// closed and per postfix operator.
+    fn ascend(
+        &mut self,
+        open: &mut Vec<Open>,
+        mut p: PatternExpr,
+    ) -> QueryResult<Option<PatternExpr>> {
+        let mut levels = 0;
+        loop {
+            // A `NOT` without parentheses takes the primary, not its
+            // postfix operators.
+            while let Some(Open::Not { paren: false }) = open.last() {
+                open.pop();
+                p = p.not();
+                levels += 1;
+            }
+            loop {
+                let offset = self.offset();
+                let wrap = if self.eat(&Tok::Plus) {
+                    PatternExpr::plus
+                } else if self.eat(&Tok::Star) {
+                    PatternExpr::star
+                } else if self.eat(&Tok::Question) {
+                    PatternExpr::opt
+                } else {
+                    break;
+                };
+                levels += 1;
+                if open.len() + levels > MAX_NESTING {
+                    return Err(self.too_deep(offset));
+                }
+                p = wrap(p);
+            }
+            match open.pop() {
+                None => return Ok(Some(p)),
+                Some(Open::List {
+                    seq,
+                    mut parts,
+                    levels: most,
+                }) => {
+                    parts.push(p);
+                    let most = most.max(levels);
+                    if self.eat(&Tok::Comma) {
+                        open.push(Open::List {
+                            seq,
+                            parts,
+                            levels: most,
+                        });
+                        return Ok(None);
+                    }
+                    self.expect(Tok::RParen)?;
+                    p = if seq {
+                        PatternExpr::Seq(parts)
+                    } else {
+                        PatternExpr::Or(parts)
+                    };
+                    levels = most + 1;
+                }
+                Some(Open::Not { paren }) => {
+                    debug_assert!(paren, "a bare NOT closes with its primary");
+                    self.expect(Tok::RParen)?;
+                    p = p.not();
+                    levels += 1;
+                }
+                Some(Open::Paren) => {
+                    self.expect(Tok::RParen)?;
+                    levels += 1;
+                }
+            }
         }
-        if self.peek_kw("OR") {
-            self.pos += 1;
-            self.expect(Tok::LParen)?;
-            let parts = self.pattern_list()?;
-            self.expect(Tok::RParen)?;
-            return Ok(PatternExpr::Or(parts));
-        }
-        if self.peek_kw("NOT") {
-            self.pos += 1;
-            let inner = if self.eat(&Tok::LParen) {
-                let p = self.pattern()?;
-                self.expect(Tok::RParen)?;
-                p
-            } else {
-                self.pattern_primary()?
-            };
-            return Ok(inner.not());
-        }
-        if self.eat(&Tok::LParen) {
-            let p = self.pattern()?;
-            self.expect(Tok::RParen)?;
-            return Ok(p);
-        }
-        // Leaf: TypeName [Variable]
+    }
+
+    fn too_deep(&self, offset: usize) -> QueryError {
+        let message = format!("pattern nested more than {MAX_NESTING} levels deep");
+        self.err_at(offset, message)
+    }
+
+    /// Leaf: TypeName [Variable]
+    fn leaf(&mut self) -> QueryResult<PatternExpr> {
         let type_name = self.ident("event type")?;
         if let Some(Token {
             tok: Tok::Ident(v), ..
@@ -308,14 +412,6 @@ impl Parser {
             }
         }
         Ok(PatternExpr::leaf(&type_name))
-    }
-
-    fn pattern_list(&mut self) -> QueryResult<Vec<PatternExpr>> {
-        let mut parts = vec![self.pattern()?];
-        while self.eat(&Tok::Comma) {
-            parts.push(self.pattern()?);
-        }
-        Ok(parts)
     }
 
     // ---- predicates -----------------------------------------------------
@@ -662,5 +758,57 @@ mod tests {
             let q2 = parse(&printed).unwrap_or_else(|e| panic!("reparse of `{printed}`: {e}"));
             assert_eq!(q, q2);
         }
+    }
+
+    /// A query whose pattern is `A` inside `levels` copies of `open` (each
+    /// closed by one `)`), and the byte offset of the last opening.
+    fn nested(open: &str, levels: usize) -> (String, usize) {
+        let head = "RETURN COUNT(*) PATTERN ";
+        let pattern = format!("{}A{}", open.repeat(levels), ")".repeat(levels));
+        let last = head.len() + open.len() * levels.saturating_sub(1);
+        (format!("{head}{pattern} WITHIN 10 SLIDE 5"), last)
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error_at_its_opening_token() {
+        for open in ["(", "SEQ("] {
+            let (at_limit, _) = nested(open, MAX_NESTING);
+            assert!(parse(&at_limit).is_ok(), "{open} at the limit");
+            let (past, offset) = nested(open, MAX_NESTING + 1);
+            match parse(&past) {
+                Err(QueryError::Parse {
+                    offset: at,
+                    message,
+                }) => {
+                    assert_eq!(at, offset, "{open}: {message}");
+                    assert!(message.contains("nested"), "{message}");
+                }
+                other => panic!("{open} past the limit: {other:?}"),
+            }
+        }
+        // Postfix operators nest too: `A` under the limit's worth of `+`.
+        let plus = |n: usize| {
+            format!(
+                "RETURN COUNT(*) PATTERN A{} WITHIN 10 SLIDE 5",
+                "+".repeat(n)
+            )
+        };
+        assert!(parse(&plus(MAX_NESTING)).is_ok());
+        assert!(matches!(
+            parse(&plus(MAX_NESTING + 1)),
+            Err(QueryError::Parse { .. })
+        ));
+        // Parsing at the limit, and refusing past it, fit a small stack.
+        let small = std::thread::Builder::new().stack_size(256 << 10);
+        let parsed = small
+            .spawn(|| {
+                let (at_limit, _) = nested("SEQ(", MAX_NESTING);
+                let (past, _) = nested("(", MAX_NESTING + 1);
+                (parse(&at_limit).is_ok(), parse(&past).is_err())
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(parsed, (true, true));
     }
 }

@@ -173,9 +173,10 @@ fn restart_recovers_byte_identically_across_sites() {
     for hit in [1, 3] {
         killed_and_restarted(&stream(&roster, 240), "worker/batch/1", hit, 7, 31);
     }
-    // The workload table's keyless arm: the pool places an event the
-    // shardable query has no key for on the pinned query's shard alone,
-    // and a restarted shard replays exactly that, ordered or under slack.
+    // The workload table's keyless arm: the pool stages an event only for
+    // the queries that want it — a beacon for the pinned query alone, a
+    // tick for none — and a restarted shard replays exactly that, ordered
+    // or under slack.
     for slack in [0, 8] {
         let case = disordered(KEYLESS, 11, 240, slack);
         for site in ["worker/batch/1", "worker/drain/0"] {

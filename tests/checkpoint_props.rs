@@ -1103,10 +1103,13 @@ fn format_4_snapshots_still_restore() {
     // saved when its rows, staged updates and negations lived apart. The
     // one byte *count* a snapshot records, an engine's largest window
     // footprint at finalization, follows the accounting: it is compared
-    // apart, and may only have shrunk.
+    // apart, and may only have shrunk. And a reorder buffer holds an event
+    // only for the queries that want it, where that build held one for
+    // every query whose key it carried: its others are taken out first.
     watchdog("format 4 rewritten", || {
         let (ours, our_spikes) = spikes_apart(&old_life_checkpoint());
-        let (theirs, their_spikes) = spikes_apart(&fixture("format4.snap"));
+        let wanted = rewrite_section(&fixture("format4.snap"), "reorder", only_wanted_in_flight);
+        let (theirs, their_spikes) = spikes_apart(&wanted);
         assert!(ours == theirs, "this build's checkpoint of the life moved");
         assert_eq!(our_spikes.len(), OLD_QUERIES.len());
         for (q, (ours, theirs)) in our_spikes.iter().zip(&their_spikes).enumerate() {
@@ -1116,6 +1119,56 @@ fn format_4_snapshots_still_restore() {
             );
         }
     });
+}
+
+/// The reorder section `payload` of a snapshot of [`old_format_life`]
+/// without the in-flight events their query does not want: of a type its
+/// plan neither binds nor, being contiguous, keeps — a `Halt` for a query
+/// that does not negate it. Everything else is copied as it is.
+fn only_wanted_in_flight(payload: &[u8]) -> Vec<u8> {
+    use cogra_checkpoint::{Dec, Enc};
+    let (registry, _) = old_format_life();
+    let plans: Vec<_> = (OLD_QUERIES.iter())
+        .map(|q| compile(&parse(q).expect("parses"), &registry).expect("compiles"))
+        .collect();
+    let wants = |q: usize, event: &Event| {
+        let plan = &plans[q];
+        let mut relevant = plan
+            .disjuncts
+            .iter()
+            .flat_map(|d| d.automaton.relevant_types());
+        plan.semantics == Semantics::Cont || relevant.any(|t| t == event.type_id)
+    };
+    let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
+    assert!(dec.bool().unwrap(), "the life runs under slack");
+    enc.bool(true);
+    // Slack, watermark, safe watermark and late drops.
+    (0..4).for_each(|_| enc.u64(dec.u64().unwrap()));
+    let pending = dec.usize().unwrap();
+    enc.usize(pending);
+    (0..pending).for_each(|_| enc.u64(dec.u64().unwrap()));
+    enc.u64(dec.u64().unwrap()); // arrivals
+    let buffered = dec.usize().unwrap();
+    let mut kept = Vec::new();
+    for _ in 0..buffered {
+        let (query, stamp) = (dec.u32().unwrap(), dec.u64().unwrap());
+        let event = Event::load(&mut dec).unwrap();
+        if wants(query as usize, &event) {
+            kept.push((query, stamp, event));
+        }
+    }
+    dec.finish("reorder section").unwrap();
+    assert!(
+        kept.len() < buffered,
+        "battery bug: every in-flight event is wanted"
+    );
+    enc.usize(kept.len());
+    for (query, stamp, event) in kept {
+        enc.u32(query);
+        enc.u64(stamp);
+        event.save(&mut enc);
+    }
+    enc.into_bytes()
 }
 
 /// This build's checkpoint of [`old_format_life`], taken the way
@@ -1163,6 +1216,53 @@ fn spikes_apart(snapshot: &[u8]) -> (Vec<u8>, Vec<usize>) {
     }
     writer.finish().expect("trailer");
     (out, spikes)
+}
+
+#[test]
+fn a_snapshot_of_a_deeply_nested_query_is_a_typed_error() {
+    // A restore parses the query text the snapshot stores: one nested
+    // 30,000 levels deep is refused by the parser, not a stack overflow.
+    use cogra_checkpoint::{Dec, Enc};
+    let case = workload(STOCK_MIXED, 3, 40);
+    let (registry, query) = (&case.registry, case.roster[0].0.as_str());
+    let mut session = Session::builder().query(query).build(registry).unwrap();
+    case.events.iter().for_each(|e| session.process(e));
+    let mut snapshot = Vec::new();
+    session.checkpoint(&mut snapshot).expect("checkpoint");
+    let depth = 30_000;
+    let deep = format!(
+        "RETURN company, COUNT(*) PATTERN {}Stock S+{} GROUP-BY company WITHIN 40 SLIDE 20",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let damaged = rewrite_section(&snapshot, "config", |payload| {
+        // One query: its count and text, then the rest verbatim.
+        let mut dec = Dec::new(payload);
+        assert_eq!(dec.usize().unwrap(), 1);
+        let text = dec.str().unwrap();
+        let mut stored = Enc::new();
+        stored.usize(1);
+        stored.str(&text);
+        let mut enc = Enc::new();
+        enc.usize(1);
+        enc.str(&deep);
+        let mut out = enc.into_bytes();
+        out.extend_from_slice(&payload[stored.into_bytes().len()..]);
+        out
+    });
+    for workers in [1, 2] {
+        let restored = Session::builder()
+            .workers(workers)
+            .restore(registry, damaged.as_slice());
+        match restored {
+            Err(CheckpointError::Corrupt(message)) => {
+                assert!(message.contains("query 0 failed to parse"), "{message}");
+                assert!(message.contains("nested more than"), "{message}");
+            }
+            Err(other) => panic!("another error: {other}"),
+            Ok(_) => panic!("a 30,000-deep query restored"),
+        }
+    }
 }
 
 #[test]

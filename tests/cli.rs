@@ -153,6 +153,32 @@ fn absurd_worker_count_is_a_typed_error_not_an_abort() {
 }
 
 #[test]
+fn a_deeply_nested_query_is_a_parse_error_not_an_abort() {
+    // 30,000 parentheses used to overflow the main thread's stack in the
+    // recursive-descent parser: `fatal runtime error`, SIGABRT, exit 134.
+    let f = fixture("deep");
+    let depth = 30_000;
+    let query = format!(
+        "RETURN patient, COUNT(*) PATTERN {}Measurement M+{} WITHIN 100 SLIDE 100\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    std::fs::write(f.path("query.cep"), query).unwrap();
+    let out = f
+        .cogra_run(None)
+        .args(["--events", &f.path("stream.csv")])
+        .args(["--query", &f.path("query.cep")])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(134), "aborted: {stderr}");
+    assert!(!out.status.success(), "{stderr}");
+    assert!(out.status.code().is_some(), "killed by a signal: {stderr}");
+    assert!(stderr.contains("syntax error at byte"), "{stderr}");
+    assert!(stderr.contains("nested more than"), "{stderr}");
+}
+
+#[test]
 fn serve_and_connect_round_trip() {
     let f = fixture("serve");
     // The reference: the plain run mode over the same inputs.

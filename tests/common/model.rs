@@ -241,9 +241,6 @@ pub struct Run {
     pub factoring: SharedPlan,
     /// The width the session was last opened at.
     width: usize,
-    /// Per event of the stream, in arrival order: whether it was fed to a
-    /// session wider than one shard.
-    wide: Vec<bool>,
     /// Whether a failpoint was armed.
     faulted: bool,
 }
@@ -259,12 +256,9 @@ pub struct Reference {
     pub stats: Vec<RunStats>,
     /// Whether any query has a `GROUP-BY` prefix to shard on.
     shards: bool,
-    /// Per query, per type: whether a pool that places events per query
-    /// drops one of the type for the query before any engine sees it — a
-    /// shardable query, a type without its partition key.
-    unplaced: Vec<Vec<bool>>,
-    /// The types of the events a front `Reorderer` released, in order.
-    admitted: Vec<cogra::events::TypeId>,
+    /// Per query: the released events of a type it wants (one with its key
+    /// that it binds or, being CONT, keeps): what every width hands it.
+    handed: Vec<u64>,
     /// What a front `Reorderer` dropped.
     pub late: u64,
     /// How many queries the oracle judged too.
@@ -342,8 +336,7 @@ impl Reference {
             per_query: Vec::new(),
             stats: Vec::new(),
             shards: false,
-            unplaced: Vec::new(),
-            admitted: repaired.iter().map(|e| e.type_id).collect(),
+            handed: Vec::new(),
             late,
             enumerated: 0,
         };
@@ -355,10 +348,16 @@ impl Reference {
             let plan = session.plan(0).expect("one query");
             reference.shards |= plan.group_prefix > 0;
             let keys = plan.partition_attr_ids(&case.registry);
-            let unplaced = keys
-                .iter()
-                .map(|key| plan.group_prefix > 0 && key.is_none());
-            reference.unplaced.push(unplaced.collect());
+            let relevant: Vec<_> = (plan.disjuncts.iter())
+                .flat_map(|d| d.automaton.relevant_types())
+                .collect();
+            let cont = plan.semantics == Semantics::Cont;
+            let wants = |e: &&Event| {
+                keys[e.type_id.index()].is_some() && (cont || relevant.contains(&e.type_id))
+            };
+            reference
+                .handed
+                .push(repaired.iter().filter(wants).count() as u64);
             let enumerable = densest_window(plan, case, &repaired) <= ENUMERABLE;
             reference.enumerated += usize::from(enumerable);
             let judges = [(EngineKind::Cogra, true), (EngineKind::Oracle, enumerable)];
@@ -397,16 +396,15 @@ impl Reference {
         self.per_query.iter().map(Vec::len).sum()
     }
 
-    /// What `run`, a life of `case` under `config`, must have observed.
-    fn expected(&self, case: &Case, config: &Config, run: &Run) -> Observation {
+    /// What `run`, a life of the case under `config`, must have observed.
+    fn expected(&self, config: &Config, run: &Run) -> Observation {
         let socket = matches!(config.transport, Transport::Socket(_));
         // The routing counters are summed over the physical runs the
         // session factored the roster into (the arms that care pin the
         // factoring itself).
+        let runs = run.factoring.members.iter().map(|members| members[0]);
         let mut stats = RunStats::default();
-        for members in &run.factoring.members {
-            stats.merge(self.stats[members[0]]);
-        }
+        runs.clone().for_each(|q| stats.merge(self.stats[q]));
         let rendered = |results: &Vec<WindowResult>| {
             let render = |r: &WindowResult| {
                 if socket {
@@ -421,24 +419,11 @@ impl Reference {
             }
             rows
         };
-        // An engine is handed every admitted event, but for one case: a
-        // pool places an event per query once it is wider than one shard
-        // or under slack, and then drops an event without a shardable
-        // query's partition key before it reaches the query's shard.
-        // Inline and without slack, every engine is handed every event
-        // and drops such an event itself.
-        let handed = |q: usize| {
-            let placed = |i: usize| case.slack.is_some() || run.wide[i];
-            let admitted = self.admitted.iter().enumerate();
-            admitted
-                .filter(|&(i, t)| !(self.unplaced[q][t.index()] && placed(i)))
-                .count() as u64
-        };
         Observation {
             per_query: self.per_query.iter().map(rendered).collect(),
             late: self.late,
             stats,
-            routed: run.factoring.members.iter().map(|m| handed(m[0])).sum(),
+            routed: runs.map(|q| self.handed[q]).sum(),
             workers: if self.shards { run.width } else { 1 },
         }
     }
@@ -458,7 +443,7 @@ pub fn check(
         _ => drive(case, reference, config, ops),
     }
     .map_err(label)?;
-    let mut expected = reference.expected(case, config, &run);
+    let mut expected = reference.expected(config, &run);
     if run.faulted {
         // A restart replays its journal: the routing counters count the
         // replay too, and are not part of the recovery contract.
@@ -586,13 +571,11 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
     // round trip before it leaves them current.
     let (mut events_before, mut results_before, mut routed_before) = (0, 0, 0);
     let (mut fed, mut width, mut faulted) = (0, config.workers, false);
-    let mut wide = Vec::with_capacity(case.events.len());
     for op in ops {
         match op {
             Op::Ingest(n) => {
                 let end = (fed + n).min(case.events.len());
                 feed(&mut session, &case.events[fed..end])?;
-                wide.resize(end, width > 1);
                 fed = end;
             }
             Op::Drain => {
@@ -626,7 +609,6 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
         }
     }
     feed(&mut session, &case.events[fed..])?;
-    wide.resize(case.events.len(), width > 1);
     let live = sink.len();
     session.finish_into(&mut sink);
     if let Some(failure) = session.worker_failure() {
@@ -701,7 +683,6 @@ fn drive(case: &Case, reference: &Reference, config: &Config, ops: &[Op]) -> Res
         live,
         factoring,
         width,
-        wide,
         faulted,
     })
 }
@@ -780,13 +761,11 @@ mod socket {
         // the restarts (the snapshot round trip leaves the counters current).
         let (mut events, mut results_before, mut routed_before) = (0, 0, 0);
         let (mut fed, mut width, mut faulted, mut live) = (0, config.workers, false, 0);
-        let mut wide = Vec::with_capacity(case.events.len());
         for op in ops {
             match op {
                 Op::Ingest(n) => {
                     let end = (fed + n).min(case.events.len());
                     send(&mut feed, &server, fed..end, (events, faulted))?;
-                    wide.resize(end, width > 1);
                     fed = end;
                 }
                 Op::Drain => {
@@ -832,7 +811,6 @@ mod socket {
             fed..case.events.len(),
             (events, faulted),
         )?;
-        wide.resize(case.events.len(), width > 1);
         let finish = said(feed.finish(), "FINISH")?;
         pushed.extend(rows.join().expect("subscriber joins"));
         server.shutdown();
@@ -867,7 +845,6 @@ mod socket {
             .shared_plan()
             .clone(),
             width,
-            wide,
             faulted,
         })
     }

@@ -86,20 +86,19 @@ fn comeback(seed: u64, n: usize) -> Case {
 }
 
 /// The stream of [`KEYLESS`]: `Reading(g, v)` over four groups, with a
-/// `Beacon(v)` — a type without `g` — about every third event. Under
-/// `GROUP-BY g` a beacon belongs to no sub-stream: the shardable query
-/// must drop it, whether its engine does (inline, without slack) or the
-/// pool that places events. The query is contiguous, so a beacon still
-/// reaches its engine, and one kept there would break a group's trends.
-/// The pinned query (no `GROUP-BY`: one shard sees the whole stream)
-/// pairs readings with beacons.
+/// `Beacon(v)` — a type without `g` — about every fourth event, a
+/// `Noise(g, v)` and a `Tick(v)` about every eighth, and ticks to end on.
+/// Under `GROUP-BY g` a beacon belongs to no sub-stream; the contiguous
+/// query keeps noise, which breaks a group's trends. The pinned query (no
+/// `GROUP-BY`: one shard) pairs readings with beacons. No query wants a
+/// tick, yet the windows its time closes must be emitted.
 fn keyless(seed: u64, n: usize) -> Case {
     let mut registry = TypeRegistry::new();
-    let reading = registry.register_type(
-        "Reading",
-        vec![("g", ValueKind::Int), ("v", ValueKind::Int)],
-    );
+    let keyed = || vec![("g", ValueKind::Int), ("v", ValueKind::Int)];
+    let reading = registry.register_type("Reading", keyed());
     let beacon = registry.register_type("Beacon", vec![("v", ValueKind::Int)]);
+    let noise = registry.register_type("Noise", keyed());
+    let tick = registry.register_type("Tick", vec![("v", ValueKind::Int)]);
     let queries = [
         "RETURN g, COUNT(*), SUM(R.v) PATTERN Reading R+ SEMANTICS CONT \
          GROUP-BY g WITHIN 10 SLIDE 5",
@@ -111,13 +110,15 @@ fn keyless(seed: u64, n: usize) -> Case {
     let mut builder = EventBuilder::new();
     let mut t = 0;
     let events = (0..n)
-        .map(|_| {
+        .map(|i| {
             t += next(2);
             let v = Value::Int(next(100) as i64);
-            if next(3) == 0 {
-                builder.event(t, beacon, vec![v])
-            } else {
-                builder.event(t, reading, vec![Value::Int(next(4) as i64), v])
+            let g = Value::Int(next(4) as i64);
+            match next(8) {
+                k if k == 3 || i >= n - n / 8 => builder.event(t, tick, vec![v]),
+                0 | 1 => builder.event(t, beacon, vec![v]),
+                2 => builder.event(t, noise, vec![g, v]),
+                _ => builder.event(t, reading, vec![g, v]),
             }
         })
         .collect();

@@ -283,10 +283,13 @@ fn edge_populations_match_the_oracle() {
     );
 }
 
-/// Events of a type without a shardable query's partition key: inline
-/// and without slack the query's engine drops them, at any other width
-/// or under slack the pool that places events does — alike, across
-/// restores from one width to another and under every failure policy.
+/// Events a query does not want — of a type without its partition key,
+/// or one its plan neither binds nor keeps — never reach its engine, and
+/// events no query wants reach none: so the shard counters sum to the
+/// same at every width, with and without slack, across restores from one
+/// width to another (one of them after the stream's unwanted tail) and
+/// under every failure policy, and the windows the unwanted tail closes
+/// are emitted all the same.
 #[test]
 fn keyless_events_are_dropped_alike_at_every_width_slack_restore_and_policy() {
     let policies = [
@@ -316,6 +319,15 @@ fn keyless_events_are_dropped_alike_at_every_width_slack_restore_and_policy() {
                 Op::Restore {
                     workers: 4,
                     batch: 256,
+                },
+            );
+            // After the last chunk, all ticks, before its drain.
+            let last = ops.len() - 1;
+            ops.insert(
+                last,
+                Op::Restore {
+                    workers: 2,
+                    batch: 1,
                 },
             );
             ops

@@ -14,8 +14,7 @@
 //! needed. A query without `GROUP-BY` cannot shard (there is nothing to
 //! partition results by) and is pinned to one shard instead.
 //!
-//! A `Shard` — one engine per hosted query, plus a private
-//! [`ReorderBuffer`] under `.slack(n)` — is the only thing that ever
+//! A `Shard` — one engine per hosted query — is the only thing that ever
 //! hosts engines, and the [`StreamingPool`] is the only thing that drives
 //! shards. Which `(query, shard)` pairs an event goes to is decided per
 //! type when the pool opens (`SessionRoute`); an event no query wants
@@ -44,10 +43,13 @@
 //!   final — even on shards whose sub-stream went quiet — and the workers
 //!   are supervised per [`FailurePolicy`].
 //!
-//! Disorder repair has one design at every width: a pool-side [`LateGate`]
-//! decides admission from time stamps alone (exactly the drops a single
-//! front `Reorderer` would make) and each shard sorts what was admitted
-//! for it.
+//! Disorder repair happens once, in front of the session route, at every
+//! width: under `.slack(n)` the pool's [`LateGate`] decides admission from
+//! time stamps alone (exactly the drops a single front `Reorderer` would
+//! make) and the pool's one [`ReorderBuffer`] hands what it admitted to
+//! the shards in time-stamp order, ties in arrival order — the §8
+//! scheduler's stream transactions. A shard only ever sees its sub-stream
+//! in order, so it holds engines and nothing else.
 
 use crate::engine::TrendEngine;
 use crate::metrics::Metrics;
@@ -56,7 +58,7 @@ use crate::runtime::QueryRuntime;
 use crate::session::{EngineKind, OpenError, SessionError};
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
-use cogra_events::{AttrId, Event, EventId, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
+use cogra_events::{AttrId, Event, LateGate, ReorderBuffer, Timestamp, TypeId, Value};
 use handoff::{recv_polling, Recycler, Reusable, Rows};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -161,9 +163,10 @@ pub enum FailurePolicy {
     #[default]
     Fail,
     /// Quarantine the dead shard and keep serving: its accumulated state
-    /// and in-flight events are counted as dropped, future events for its
-    /// groups reroute to the next live shard (fresh state), and the run
-    /// reports which shards degraded. Availability over completeness —
+    /// and the events already handed to it are counted as dropped, the
+    /// events for its groups still in the pool's reorder buffer and all
+    /// future ones reroute to the next live shard (fresh state), and the
+    /// run reports which shards degraded. Availability over completeness —
     /// nothing is lost *silently*.
     Degrade,
     /// Respawn the shard from its last per-shard recovery baseline (the
@@ -204,10 +207,10 @@ pub struct PoolConfig {
     /// degenerates to per-item sends. Unused at width 1 — there is no
     /// transport.
     pub batch_size: usize,
-    /// Repair up to this many ticks of disorder *per shard*: each shard
-    /// owns a [`ReorderBuffer`] over its own sub-stream while the pool's
-    /// [`LateGate`] keeps late-drop decisions identical to one
-    /// stream-wide front reorderer.
+    /// Repair up to this many ticks of disorder before any shard sees an
+    /// event: the pool's [`LateGate`] drops exactly what one stream-wide
+    /// front reorderer would, and the pool's [`ReorderBuffer`] releases
+    /// the rest in order once the gate has passed it.
     pub slack: Option<u64>,
     /// Recovery behavior when a shard worker dies (width ≥ 2 only — the
     /// inline shard has no worker to supervise).
@@ -253,7 +256,7 @@ pub(crate) type Engine = Box<dyn TrendEngine + Send>;
 pub struct PoolState {
     /// Per-query engine states, merged across shards.
     pub states: Vec<RouterState>,
-    /// The in-flight items the shard reorder buffers hold.
+    /// The in-flight items the pool's reorder buffer holds.
     pub buffered: Vec<InFlight>,
     /// Events admitted so far: the arrival stamp of the latest one.
     pub arrivals: u64,
@@ -287,7 +290,7 @@ impl PoolState {
     }
 
     /// The time no event to come is earlier than, and no event an engine
-    /// was handed is later than: the gate's safe watermark — a shard
+    /// was handed is later than: the gate's safe watermark — the pool
     /// releases nothing past it — or without slack the stream clock.
     fn admission_floor(&self) -> Timestamp {
         match &self.gate {
@@ -297,7 +300,7 @@ impl PoolState {
     }
 }
 
-/// One event a shard's reorder buffer holds for one query under
+/// One event the pool's reorder buffer holds for one query under
 /// `.slack(n)`, as a snapshot carries it. Only the reorder buffer owns
 /// events; the transport carries `Batch`es.
 #[derive(Debug, Clone)]
@@ -337,10 +340,10 @@ struct ShardMetrics {
 /// What a pool's engines read of an event, and what stands in for the
 /// rest: per type, the union of the hosted plans' read-sets
 /// ([`QueryRuntime::read_set`]) and the type's blank row. Only the
-/// read-set travels to a worker, and every event a shard *owns* — a
-/// reorder buffer's, at any width — is the blank row with the read-set
-/// written over it, so a snapshot's in-flight events are the same bytes
-/// whichever width took it.
+/// read-set travels to a worker, and every event the pool *owns* — its
+/// reorder buffer's — is the blank row with the read-set written over
+/// it, so a snapshot's in-flight events are the same bytes whichever
+/// width took it.
 struct Projection {
     /// Per type: the attributes any hosted plan reads, ascending.
     reads: Vec<Vec<AttrId>>,
@@ -385,22 +388,12 @@ impl Projection {
         }
     }
 
-    /// An owned event of `read`: the type's blank row, projected onto.
-    fn event<'a>(
-        &self,
-        id: EventId,
-        time: Timestamp,
-        type_id: TypeId,
-        read: impl Iterator<Item = &'a Value>,
-    ) -> Event {
-        let mut attrs = self.blank[type_id.index()].clone();
-        self.scatter(type_id, read, &mut attrs);
-        Event::new(id, time, type_id, attrs)
-    }
-
-    /// `event` as a shard may own it.
+    /// `event` as the pool's reorder buffer owns it: the type's blank row,
+    /// projected onto.
     fn owned(&self, event: &Event) -> Event {
-        self.event(event.id, event.time, event.type_id, self.read(event))
+        let mut attrs = self.blank[event.type_id.index()].clone();
+        self.scatter(event.type_id, self.read(event), &mut attrs);
+        Event::new(event.id, event.time, event.type_id, attrs)
     }
 
     /// A worker's scratch events: per type, one blank event for
@@ -428,25 +421,21 @@ struct Route {
 #[derive(Default)]
 struct Batch {
     rows: Rows,
-    /// Per row: its event's [`InFlight::stamp`].
-    stamps: Vec<u64>,
     routes: Vec<Route>,
 }
 
 impl Reusable for Batch {
     fn clear(&mut self) {
         self.rows.clear();
-        self.stamps.clear();
         self.routes.clear();
     }
 }
 
 impl Batch {
-    /// Append `event`, admitted as number `stamp`, as the batch's last row.
-    fn push_row(&mut self, event: &Event, stamp: u64, projection: &Projection) {
+    /// Append `event` as the batch's last row.
+    fn push_row(&mut self, event: &Event, projection: &Projection) {
         let read = |values: &mut Vec<_>| values.extend(projection.read(event).cloned());
         self.rows.push(event.id, event.time, event.type_id, read);
-        self.stamps.push(stamp);
     }
 
     /// Route the last row to `query`.
@@ -466,12 +455,6 @@ impl Batch {
         projection.scatter(row.type_id, row.values.iter(), &mut event.attrs);
         event
     }
-
-    /// Row `row` as an owned event, for a shard's reorder buffer.
-    fn event(&self, row: usize, projection: &Projection) -> Event {
-        let row = self.rows.row(row);
-        projection.event(row.id, row.time, row.type_id, row.values.iter())
-    }
 }
 
 /// Commands the coordinator sends down a worker's bounded channel.
@@ -482,9 +465,8 @@ enum Cmd {
     Batch(Arc<Batch>),
     /// Advance to the given safe watermark and emit everything now final.
     Drain(Timestamp),
-    /// Serialize every hosted engine and the reorder buffer's in-flight
-    /// items, without advancing or emitting anything — the pool stays
-    /// live after a snapshot.
+    /// Serialize every hosted engine, without advancing or emitting
+    /// anything — the pool stays live after a snapshot.
     Snapshot,
     /// End of stream: close every open window, report, and exit.
     Finish,
@@ -495,10 +477,10 @@ enum Cmd {
 struct Lane {
     /// The open batch: what was staged for the shard since the last ship.
     open: Batch,
-    /// [`StreamingPool::seq`] of the event that is `open`'s last row (0:
-    /// none), so an event several queries want on this shard is stored
-    /// once.
-    last_seq: u64,
+    /// Arrival stamp ([`InFlight::stamp`]) of the event that is `open`'s
+    /// last row (0: none), so an event several queries want on this shard
+    /// is stored once.
+    last_stamp: u64,
     /// The shipped batches: the ones the worker has not finished, and —
     /// under [`FailurePolicy::Restart`] — the journal of everything
     /// delivered since the shard's recovery baseline, whose replay
@@ -512,7 +494,7 @@ impl Lane {
     /// Forget everything staged and shipped (the shard is gone).
     fn clear(&mut self) {
         self.open.clear();
-        self.last_seq = 0;
+        self.last_stamp = 0;
         self.batches.forget();
     }
 }
@@ -523,9 +505,6 @@ impl Lane {
 struct ShardSnapshot {
     /// Per query: the hosted engine's state (`None` where not hosted).
     states: Vec<Option<RouterState>>,
-    /// In-flight items still in the shard's reorder buffer, in release
-    /// order.
-    buffered: Vec<InFlight>,
     /// The shard's ingest counter at snapshot time, so a respawned shard
     /// resumes its accounting instead of restarting from zero.
     events: u64,
@@ -539,7 +518,7 @@ struct Reply {
     results: Vec<(u32, WindowResult)>,
     /// The shard's counters as of this reply.
     metrics: ShardMetrics,
-    /// Engine + reorder-buffer state: in reply to [`Cmd::Snapshot`], and
+    /// Engine state: in reply to [`Cmd::Snapshot`], and
     /// attached to every [`Cmd::Drain`] reply when the pool journals for
     /// [`FailurePolicy::Restart`] (the recovery baseline refresh).
     snapshot: Option<ShardSnapshot>,
@@ -586,11 +565,12 @@ const CHANNEL_CAPACITY: usize = 16;
 ///   [`PoolConfig::batch_size`] routes and on every drain/finish, so
 ///   batching changes hand-off cost, never the result set. Consumed
 ///   batches are reopened, not reallocated.
-/// * **Per-shard reorderers** — with [`PoolConfig::slack`], each shard
-///   repairs its own sub-stream through a private [`ReorderBuffer`]. The
-///   pool's [`LateGate`] makes the admission decision from time stamps
-///   alone, so late-drop counts equal a single front [`Reorderer`]'s
-///   exactly, at every width.
+/// * **One reorderer, in front of the route** — with
+///   [`PoolConfig::slack`], the pool's [`LateGate`] makes the admission
+///   decision from time stamps alone, so late-drop counts equal a single
+///   front [`Reorderer`]'s exactly, and the pool's [`ReorderBuffer`]
+///   releases each admitted event, once the gate's safe watermark has
+///   reached it, through the same dispatch an in-order stream takes.
 /// * **Watermark broadcasts** — [`StreamingPool::drain_into`] hands every
 ///   shard the safe watermark before collecting: every window that closed
 ///   globally is emitted, even on a shard whose sub-stream went quiet.
@@ -604,7 +584,7 @@ pub struct StreamingPool {
     hosted: Vec<Hosted>,
     session_route: SessionRoute,
     /// What of an event the hosted plans read: all a worker is sent, and
-    /// all a reorder buffer keeps.
+    /// all the reorder buffer keeps.
     projection: Arc<Projection>,
     /// Width 1: THE shard, driven on the caller's thread. Exactly one of
     /// `inline` and `workers` is populated.
@@ -634,10 +614,15 @@ pub struct StreamingPool {
     dropped: u64,
     /// Admission gate under slack (None: the stream is trusted ordered).
     gate: Option<LateGate>,
+    /// Under slack: the admitted items the gate has not passed yet, each
+    /// with the shard the session route placed it on. Empty otherwise.
+    reorder: ReorderBuffer<(usize, InFlight)>,
+    /// Scratch for released items (reused across events).
+    released: Vec<(usize, InFlight)>,
     /// Raw stream progress: the largest event time routed so far.
     raw_watermark: Timestamp,
     /// Events admitted so far — the latest one's arrival stamp
-    /// ([`InFlight::stamp`]); also stamps [`Lane::last_seq`].
+    /// ([`InFlight::stamp`]).
     seq: u64,
     /// Reusable round-trip scratch: which shards took the broadcast, and
     /// the replies' results per query.
@@ -682,8 +667,8 @@ impl StreamingPool {
     /// one: each query's partition entries are re-sharded by replaying the
     /// same `GROUP-BY`-prefix hash live routing uses, so the new layout is
     /// exactly what fresh shards fed the same stream would hold, and the
-    /// in-flight reorder-buffer items are re-delivered past the (verbatim
-    /// restored) admission gate.
+    /// in-flight items go back into the reorder buffer behind the
+    /// (verbatim restored) admission gate.
     ///
     /// More than [`MAX_WORKERS`] requested workers are refused before
     /// anything is built; a thread the OS refuses to start fails the open
@@ -723,7 +708,6 @@ impl StreamingPool {
                 .iter()
                 .map(|states| ShardSnapshot {
                     states: states.clone(),
-                    buffered: Vec::new(),
                     events: 0,
                 })
                 .collect()
@@ -733,15 +717,17 @@ impl StreamingPool {
         let mut shards = Vec::with_capacity(threads);
         for (index, states) in shard_states.into_iter().enumerate() {
             let engines = shard_engines(&hosted, threads, index, states)?;
-            shards.push(Shard::new(engines, config.slack, 0));
+            shards.push(Shard::new(engines, 0));
         }
         // Every in-flight event must fit the engine state it is about to
         // be re-delivered into — while the engines are still here to ask.
         let session_route = SessionRoute::of(&hosted, threads);
-        for item in &buffered {
+        let mut placed = Vec::with_capacity(buffered.len());
+        for item in buffered {
             let (event, q) = (&item.event, item.query as usize);
+            let shard = session_route.shard_of(item.query, event);
             let fits = q < hosted.len()
-                && (session_route.shard_of(item.query, event)).is_none_or(|shard| {
+                && shard.is_none_or(|shard| {
                     let engine = shards[shard].engines[q].as_ref();
                     engine.expect("a wanting query is hosted").accepts(event)
                 });
@@ -753,6 +739,10 @@ impl StreamingPool {
                     item.query,
                     hosted.len()
                 ))));
+            }
+            // An event its query does not want is skipped.
+            if let Some(shard) = shard {
+                placed.push((shard, item));
             }
         }
         let projection = Arc::new(Projection::of(&hosted));
@@ -787,8 +777,10 @@ impl StreamingPool {
             routed_items: 0,
             dropped: 0,
             gate,
+            reorder: ReorderBuffer::new(),
+            released: Vec::new(),
             raw_watermark,
-            seq: 0,
+            seq: arrivals,
             sent: Vec::new(),
             merged: Vec::new(),
             targets: Vec::new(),
@@ -797,10 +789,16 @@ impl StreamingPool {
             session_route,
             projection,
         };
-        for item in buffered {
-            pool.restage(item);
+        // The items were admitted before the snapshot: they go back into
+        // the buffer past the gate. Some may be at or before its safe
+        // watermark — an older build's shards could lag it — and leave
+        // again at once.
+        for (shard, item) in placed {
+            let event = pool.projection.owned(&item.event);
+            let time = event.time;
+            pool.reorder.push(time, (shard, InFlight { event, ..item }));
         }
-        pool.seq = arrivals;
+        pool.release();
         Ok(pool)
     }
 
@@ -966,8 +964,8 @@ impl StreamingPool {
 
     /// Snapshot the pool's live state without advancing it: flushes staged
     /// batches, then collects every shard's engine states (merged per
-    /// query in shard-index order) and in-flight reorder-buffer items.
-    /// The pool remains fully usable afterwards.
+    /// query in shard-index order) next to the reorder buffer's in-flight
+    /// items. The pool remains fully usable afterwards.
     ///
     /// A finished pool, a failed one ([`FailurePolicy::Fail`]) or a
     /// degraded one ([`FailurePolicy::Degrade`] after a quarantine) cannot
@@ -981,10 +979,9 @@ impl StreamingPool {
             ));
         }
         if let Some(shard) = &self.inline {
-            let snap = shard.snapshot()?;
             // The one shard hosts every query: no `None` slots to merge.
-            let states = snap.states.into_iter().flatten().collect();
-            return Ok(self.state_of(states, snap.buffered));
+            let states = shard.snapshot()?.states.into_iter().flatten().collect();
+            return Ok(self.state_of(states));
         }
         self.snapshot_guard()?;
         self.ship_all();
@@ -992,7 +989,6 @@ impl StreamingPool {
         let cmd = Cmd::Snapshot;
         self.broadcast(&cmd);
         let mut merged: Vec<Option<RouterState>> = (0..self.hosted.len()).map(|_| None).collect();
-        let mut buffered = Vec::new();
         for s in 0..self.workers.len() {
             if !self.sent[s] {
                 continue;
@@ -1017,21 +1013,22 @@ impl StreamingPool {
                     }
                 }
             }
-            buffered.extend(snap.buffered);
         }
         self.snapshot_guard()?;
         let states = merged
             .into_iter()
             .map(|m| m.expect("every query is hosted by at least one shard"))
             .collect();
-        Ok(self.state_of(states, buffered))
+        Ok(self.state_of(states))
     }
 
-    /// The shards' collected state plus the pool's own admission clock.
-    fn state_of(&self, states: Vec<RouterState>, buffered: Vec<InFlight>) -> PoolState {
+    /// The shards' collected state plus the pool's own: the reorder
+    /// buffer's items and the admission clock.
+    fn state_of(&self, states: Vec<RouterState>) -> PoolState {
+        let buffered = self.reorder.ordered().into_iter();
         PoolState {
             states,
-            buffered,
+            buffered: buffered.map(|(_, (_, item))| item.clone()).collect(),
             arrivals: self.seq,
             gate: self.gate.clone(),
             clock: self.raw_watermark,
@@ -1184,9 +1181,9 @@ impl StreamingPool {
     }
 
     /// [`FailurePolicy::Degrade`]: the shard stays dead. Everything ever
-    /// delivered to it (processed state and in-flight items alike) is
-    /// accounted as dropped; its groups reroute to the next live shard
-    /// from here on.
+    /// staged for it (processed state and shipped or open batches alike)
+    /// is accounted as dropped; its groups reroute to the next live shard
+    /// from here on, the pool's reorder buffer included.
     fn quarantine(&mut self, shard: usize) {
         let w = &mut self.workers[shard];
         w.quarantined = true;
@@ -1198,19 +1195,18 @@ impl StreamingPool {
     }
 
     /// [`FailurePolicy::Restart`]: rebuild the shard's engines from its
-    /// recovery baseline, respawn the worker, and redeliver the baseline's
-    /// in-flight items plus the journal of everything delivered since.
+    /// recovery baseline, respawn the worker, and redeliver the journal of
+    /// everything delivered since.
     /// Emission-safe: nothing has been emitted since the baseline (results
     /// only leave at drains, and every drain refreshes the baseline).
     fn restart_shard(&mut self, shard: usize) {
         self.restarts[shard] += 1;
         let threads = self.workers.len();
         let baseline = &self.recovery.as_ref().expect("Restart keeps baselines")[shard];
-        let slack = self.gate.as_ref().map(LateGate::slack);
         let respawned = shard_engines(&self.hosted, threads, shard, baseline.states.clone())
             .map_err(|e| format!("recovery baseline is unusable: {e}"))
             .and_then(|engines| {
-                let shard_state = Shard::new(engines, slack, baseline.events);
+                let shard_state = Shard::new(engines, baseline.events);
                 Self::spawn_one(shard_state, shard, true, Arc::clone(&self.projection))
                     .map_err(|e| format!("respawn failed: {e}"))
             });
@@ -1222,23 +1218,8 @@ impl StreamingPool {
                 return;
             }
         }
-        // Redeliver: first the baseline's reorder-buffered items (their
-        // release order is the order the checkpoint restage path uses) as
-        // one batch of their own, then the journal's batches as they were
-        // shipped.
-        let mut buffered = Batch::default();
-        for item in &baseline.buffered {
-            if (self.session_route.shard_of(item.query, &item.event)).is_some() {
-                buffered.push_row(&item.event, item.stamp, &self.projection);
-                buffered.push_route(item.query);
-            }
-        }
-        let journal = &self.lanes[shard].batches.shipped;
-        let mut replay = Vec::with_capacity(journal.len() + 1);
-        if !buffered.routes.is_empty() {
-            replay.push(Arc::new(buffered));
-        }
-        replay.extend(journal.iter().cloned());
+        // Redeliver the journal's batches as they were shipped.
+        let replay: Vec<_> = self.lanes[shard].batches.shipped.iter().cloned().collect();
         for batch in replay {
             let Some(tx) = self.workers[shard].tx.as_ref() else {
                 return;
@@ -1269,30 +1250,6 @@ impl StreamingPool {
             .find(|&s| !self.workers[s].quarantined)
     }
 
-    /// Re-deliver one checkpointed in-flight event for one query,
-    /// bypassing the admission gate (the gate was restored verbatim; these
-    /// events were already admitted before the snapshot). Safe to release
-    /// early on the new shard: an admitted buffered event's release
-    /// threshold never overtakes the gate's `released_to` floor. An event
-    /// its query does not want is skipped.
-    fn restage(&mut self, item: InFlight) {
-        let Some(shard) = self.session_route.shard_of(item.query, &item.event) else {
-            return;
-        };
-        match &mut self.inline {
-            Some(inline) => {
-                let event = self.projection.owned(&item.event);
-                inline.push(InFlight { event, ..item });
-                inline.release();
-            }
-            None => {
-                // The event keeps the stamp it was admitted under.
-                self.seq = item.stamp;
-                self.stage(shard, &item.event, item.query);
-            }
-        }
-    }
-
     /// Ingest one event, by reference, for every `(query, shard)` pair the
     /// `SessionRoute` names; one no query wants only moves the stream
     /// clock and takes its stamp. At width 1 without slack the shard reads
@@ -1301,37 +1258,63 @@ impl StreamingPool {
     /// of each target shard, with one route per query; a worker a bounded
     /// number of batches behind blocks the caller (backpressure). Without
     /// slack, events must arrive in non-decreasing time order; with slack,
-    /// disorder up to the slack is repaired on the shards and anything
-    /// later is dropped and counted. A finished or failed pool ignores it.
+    /// what the gate admits waits in the reorder buffer — one projected
+    /// [`InFlight`] per wanting query — until the gate's safe watermark
+    /// reaches it and is then dispatched like an in-order event, and
+    /// anything later than the slack allows is dropped and counted. A
+    /// finished or failed pool ignores it.
     pub fn route(&mut self, event: &Event) {
         if !self.admit(event) {
             return;
         }
         self.seq += 1;
         let route = &self.session_route;
-        if let Some(shard) = &mut self.inline {
-            if shard.reorder.is_none() {
-                return route.each(event, |q, _| shard.process(event, q));
-            }
-            // A reorder buffer owns its events, as a worker's would.
-            let (projection, stamp) = (&self.projection, self.seq);
-            route.each(event, |query, _| {
+        if self.gate.is_some() {
+            let (projection, stamp, reorder) = (&self.projection, self.seq, &mut self.reorder);
+            route.each(event, |query, shard| {
                 let event = projection.owned(event);
-                shard.push(InFlight {
-                    event,
+                let time = event.time;
+                let item = InFlight {
                     query,
                     stamp,
-                });
+                    event,
+                };
+                reorder.push(time, (shard, item));
             });
-            return shard.release();
+            return self.release();
+        }
+        if let Some(shard) = &mut self.inline {
+            return route.each(event, |q, _| shard.process(event, q));
         }
         let targets = &mut self.targets;
         targets.clear();
         route.each(event, |q, s| targets.push((q, s)));
         for i in 0..self.targets.len() {
             let (query, shard) = self.targets[i];
-            self.stage(shard, event, query);
+            self.stage(shard, event, query, self.seq);
         }
+    }
+
+    /// Dispatch every buffered item at or before the gate's safe
+    /// watermark, in time-stamp order and ties in arrival order.
+    fn release(&mut self) {
+        if let Some(gate) = &self.gate {
+            self.release_up_to(gate.safe_watermark());
+        }
+    }
+
+    /// Dispatch every buffered item at or before `safe`, in order: into
+    /// the inline shard's engine, or staged for its worker's.
+    fn release_up_to(&mut self, safe: Timestamp) {
+        let mut released = std::mem::take(&mut self.released);
+        self.reorder.release_up_to(safe, &mut released);
+        for (shard, item) in released.drain(..) {
+            match &mut self.inline {
+                Some(inline) => inline.process(&item.event, item.query),
+                None => self.stage(shard, &item.event, item.query, item.stamp),
+            }
+        }
+        self.released = released;
     }
 
     /// Watermark bookkeeping + the late-drop decision. `true` admits.
@@ -1354,11 +1337,11 @@ impl StreamingPool {
         }
     }
 
-    /// Stage event number `self.seq` for `query` on a shard's open batch
-    /// (rerouted past quarantined shards): its row, unless an earlier
-    /// query already put it there, and a route. Ships the batch once it
-    /// holds the configured number of routes.
-    fn stage(&mut self, shard: usize, event: &Event, query: u32) {
+    /// Stage `event`, admitted as number `stamp`, for `query` on a shard's
+    /// open batch (rerouted past quarantined shards): its row, unless an
+    /// earlier query already put it there, and a route. Ships the batch
+    /// once it holds the configured number of routes.
+    fn stage(&mut self, shard: usize, event: &Event, query: u32, stamp: u64) {
         self.routed_items += 1;
         let Some(shard) = self.live_target(shard, query) else {
             // A pinned query's home worker is quarantined — the item has
@@ -1368,9 +1351,9 @@ impl StreamingPool {
         };
         self.delivered[shard] += 1;
         let lane = &mut self.lanes[shard];
-        if lane.last_seq != self.seq {
-            lane.open.push_row(event, self.seq, &self.projection);
-            lane.last_seq = self.seq;
+        if lane.last_stamp != stamp {
+            lane.open.push_row(event, &self.projection);
+            lane.last_stamp = stamp;
         }
         lane.open.push_route(query);
         if lane.open.routes.len() >= self.batch_size {
@@ -1397,7 +1380,7 @@ impl StreamingPool {
         let batch = lane
             .batches
             .ship(std::mem::replace(&mut lane.open, reopened));
-        lane.last_seq = 0;
+        lane.last_stamp = 0;
         if let Some(fault) = cogra_faults::message(format_args!("pool/ship/{shard}")) {
             // Simulated transport failure: drop our end of the channel (the
             // worker exits cleanly when it drains) and run recovery.
@@ -1443,9 +1426,9 @@ impl StreamingPool {
         }
     }
 
-    /// End of stream: flush staged batches and shard reorder buffers,
-    /// close every open window on every shard, emit the merged remainder,
-    /// and join the worker threads. Further drains are no-ops and further
+    /// End of stream: flush the reorder buffer and staged batches, close
+    /// every open window on every shard, emit the merged remainder, and
+    /// join the worker threads. Further drains are no-ops and further
     /// routing is ignored. On a terminally failed pool this emits nothing
     /// — the caller sees [`StreamingPool::failure`].
     pub fn finish_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
@@ -1453,11 +1436,11 @@ impl StreamingPool {
             return;
         }
         self.finished = true;
+        if self.failed.is_none() {
+            self.release_up_to(Timestamp(u64::MAX));
+        }
         match &mut self.inline {
-            Some(shard) => {
-                shard.flush();
-                shard.finish_into(&mut |q, r| out(q as usize, r));
-            }
+            Some(shard) => shard.finish_into(&mut |q, r| out(q as usize, r)),
             None => {
                 if self.failed.is_none() {
                     self.ship_all();
@@ -1606,22 +1589,15 @@ fn shard_engines(
         .collect()
 }
 
-/// One shard: an engine per query it hosts ([`hosts`]), plus the shard's
-/// private reorder buffer under slack. Driven by exactly one caller — a
-/// worker thread's [`shard_loop`], or the pool itself at width 1 — and
-/// that driver, not the shard, decides when to sample the memory peak:
-/// a sample is a few adds per engine, and the sampling sites are part of
-/// what `peak` means, so they stay where the drivers put them.
+/// One shard: an engine per query it hosts ([`hosts`]), fed its
+/// sub-stream in time-stamp order (the pool repairs disorder before any
+/// shard sees an event). Driven by exactly one caller — a worker thread's
+/// [`shard_loop`], or the pool itself at width 1 — and that driver, not
+/// the shard, decides when to sample the memory peak: a sample is a few
+/// adds per engine, and the sampling sites are part of what `peak`
+/// means, so they stay where the drivers put them.
 struct Shard {
     engines: Vec<Option<Engine>>,
-    /// Per-shard disorder repair ([`PoolConfig::slack`]); the admission
-    /// decision already happened at the pool's [`LateGate`].
-    reorder: Option<ReorderBuffer<InFlight>>,
-    slack: u64,
-    /// The largest raw event time this shard has seen in its sub-stream.
-    local_watermark: Timestamp,
-    /// Scratch for released items (reused across batches).
-    released: Vec<InFlight>,
     /// [`ShardMetrics::peak`].
     peak: usize,
     /// [`ShardMetrics::events`].
@@ -1631,13 +1607,9 @@ struct Shard {
 impl Shard {
     /// A shard over pre-built engines; `events` seeds the ingest counter
     /// so a respawned shard resumes its accounting.
-    fn new(engines: Vec<Option<Engine>>, slack: Option<u64>, events: u64) -> Shard {
+    fn new(engines: Vec<Option<Engine>>, events: u64) -> Shard {
         let mut shard = Shard {
             engines,
-            reorder: slack.map(|_| ReorderBuffer::new()),
-            slack: slack.unwrap_or(0),
-            local_watermark: Timestamp::ZERO,
-            released: Vec::new(),
             peak: 0,
             events,
         };
@@ -1646,25 +1618,15 @@ impl Shard {
     }
 
     /// Serialize the shard for a pool snapshot or recovery baseline:
-    /// every hosted engine's state, the reorder buffer's in-flight items
-    /// in release order, and the ingest counter.
+    /// every hosted engine's state and the ingest counter.
     fn snapshot(&self) -> Result<ShardSnapshot, CheckpointError> {
         let states = self
             .engines
             .iter()
             .map(|e| e.as_ref().map(|e| e.save_state()).transpose())
             .collect::<Result<_, _>>()?;
-        let buffered = match &self.reorder {
-            Some(buffer) => buffer
-                .ordered()
-                .into_iter()
-                .map(|(_, item)| item.clone())
-                .collect(),
-            None => Vec::new(),
-        };
         Ok(ShardSnapshot {
             states,
-            buffered,
             events: self.events,
         })
     }
@@ -1709,51 +1671,13 @@ impl Shard {
         self.events += 1;
     }
 
-    /// Take one delivered item: straight into its engine when the stream
-    /// is trusted ordered, into the shard's reorder buffer otherwise
-    /// (until the next [`Shard::release`]).
-    fn push(&mut self, item: InFlight) {
-        match &mut self.reorder {
-            None => self.process(&item.event, item.query),
-            Some(buffer) => {
-                self.local_watermark = self.local_watermark.max(item.event.time);
-                buffer.push(item.event.time, item);
-            }
-        }
-    }
-
-    /// Ingest every buffered item at or before `safe`, in order.
-    fn release_up_to(&mut self, safe: Timestamp) {
-        if let Some(buffer) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buffer.release_up_to(safe, &mut released);
-            for item in released.drain(..) {
-                self.process(&item.event, item.query);
-            }
-            self.released = released;
-        }
-    }
-
-    /// Release everything slack ticks behind this shard's own watermark.
-    fn release(&mut self) {
-        self.release_up_to(self.local_watermark.saturating_sub(self.slack));
-    }
-
-    /// Catch the shard up to the pool's safe watermark: release every
-    /// buffered item at or before it (the gate guarantees anything still
-    /// buffered beyond it is not yet globally final), then advance every
-    /// hosted engine so globally-closed windows finalize even if this
-    /// shard's own sub-stream went quiet.
+    /// Catch the shard up to the pool's safe watermark — every event at
+    /// or before it was handed over already — so globally-closed windows
+    /// finalize even if this shard's own sub-stream went quiet.
     fn advance_to(&mut self, safe: Timestamp) {
-        self.release_up_to(safe);
         for e in self.engines.iter_mut().flatten() {
             e.advance_watermark(safe);
         }
-    }
-
-    /// End of stream: flush the reorder buffer into the engines.
-    fn flush(&mut self) {
-        self.release_up_to(Timestamp(u64::MAX));
     }
 
     /// Emit what is final at the engines' watermarks, tagged per query.
@@ -1819,33 +1743,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Ingest one transported batch, sampling the memory peak every 64 items
 /// and at the batch-flush boundary — a burst shorter than the stride
-/// would otherwise leave its peak invisible until the next drain. A
-/// trusted-ordered shard replays the routes through `scratch`
-/// ([`Projection::scratch`]), loading a row once for all its (adjacent)
-/// routes; under slack each route becomes an owned [`InFlight`] for the
-/// reorder buffer.
+/// would otherwise leave its peak invisible until the next drain. The
+/// routes replay through `scratch` ([`Projection::scratch`]), loading a
+/// row once for all its (adjacent) routes.
 fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scratch: &mut [Event]) {
     // `scratch` holds some other batch's rows on entry.
     let mut loaded = usize::MAX;
     for stride in batch.routes.chunks(64) {
         for route in stride {
-            if shard.reorder.is_some() {
-                shard.push(InFlight {
-                    event: batch.event(route.row, projection),
-                    query: route.query,
-                    stamp: batch.stamps[route.row],
-                });
+            let event = if loaded == route.row {
+                &scratch[batch.rows.row(route.row).type_id.index()]
             } else {
-                let event = if loaded == route.row {
-                    &scratch[batch.rows.row(route.row).type_id.index()]
-                } else {
-                    loaded = route.row;
-                    batch.load(route.row, projection, scratch)
-                };
-                shard.process(event, route.query);
-            }
+                loaded = route.row;
+                batch.load(route.row, projection, scratch)
+            };
+            shard.process(event, route.query);
         }
-        shard.release();
         shard.sample_peak();
     }
 }
@@ -1903,7 +1816,6 @@ fn shard_loop(
             }
             Cmd::Finish => {
                 kill(cogra_faults::message(format_args!("worker/finish/{index}")));
-                shard.flush();
                 shard.sample_peak();
                 shard.finish_into(&mut |q, r| results.push((q, r)));
                 None
@@ -2267,6 +2179,39 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_holds_only_what_the_gate_has_not_passed() {
+        // Disordered within the slack; the last stretch only for group 0,
+        // so the shard without it hears nothing newer. Whatever the gate
+        // has passed is in the engines at every width, quiet shard or not:
+        // a snapshot's in-flight items are all later than its safe
+        // watermark.
+        let (rt, events) = setup(240);
+        let mut events: Vec<Event> = (events.into_iter().enumerate())
+            .map(|(i, mut e)| {
+                if i >= 160 {
+                    e.attrs[0] = Value::Int(0);
+                }
+                e
+            })
+            .collect();
+        events.chunks_mut(4).for_each(<[Event]>::reverse);
+        let config = PoolConfig {
+            batch_size: 16,
+            slack: Some(6),
+            policy: FailurePolicy::Fail,
+        };
+        let mut pool = StreamingPool::new(vec![rt], 2, config).unwrap();
+        events.iter().for_each(|e| pool.route(e));
+        let safe = pool.gate().expect("slack").safe_watermark();
+        let state = pool.snapshot().unwrap();
+        assert!(safe > Timestamp(200), "the gate passed the quiet stretch");
+        assert!(!state.buffered.is_empty(), "the slack holds the tail");
+        for item in &state.buffered {
+            assert!(item.event.time > safe, "{item:?} at or before {safe:?}");
+        }
+    }
+
+    #[test]
     fn batch_flush_samples_peak_below_the_64_event_stride() {
         // A burst shorter than the 64-event sampling stride must still
         // register its peak at the batch-flush boundary — sampling only
@@ -2274,11 +2219,11 @@ mod tests {
         let (rt, events) = setup(10);
         let hosted = [(EngineKind::Cogra, Arc::clone(&rt))];
         let engines = shard_engines(&hosted, 1, 0, vec![None]).unwrap();
-        let mut shard = Shard::new(engines, None, 0);
+        let mut shard = Shard::new(engines, 0);
         let projection = Projection::of(&hosted);
         let mut batch = Batch::default();
-        for (i, e) in events.iter().enumerate() {
-            batch.push_row(e, i as u64 + 1, &projection);
+        for e in &events {
+            batch.push_row(e, &projection);
             batch.push_route(0);
         }
         ingest_batch(&mut shard, &batch, &projection, &mut projection.scratch());

@@ -209,7 +209,7 @@ pub fn recv_polling<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
 mod tests {
     //! Each property runs for both buffers a [`Recycler`] serves: the
     //! server's chunk (bare [`Rows`]) and the shard transport's batch
-    //! (rows, stamps and routes).
+    //! (rows and routes).
 
     use super::super::Batch;
     use super::*;
@@ -219,7 +219,7 @@ mod tests {
         fn rows(&self) -> &Rows;
         /// Push row `id` ([`row_of`]), as its producer does.
         fn fill(&mut self, id: u64);
-        /// One stamp and one route per row, if the buffer keeps them.
+        /// One route per row, if the buffer keeps them.
         fn aligned(&self) -> bool;
     }
 
@@ -248,11 +248,10 @@ mod tests {
                 .push(EventId(id), Timestamp(id), TypeId(type_id), |v| {
                     v.extend(values)
                 });
-            self.stamps.push(id);
             self.push_route(type_id);
         }
         fn aligned(&self) -> bool {
-            self.stamps.len() == self.rows.len() && self.routes.len() == self.rows.len()
+            self.routes.len() == self.rows.len()
         }
     }
 
@@ -308,7 +307,7 @@ mod tests {
         recycler.reclaim();
         let mut reopened = recycler.reopen();
         assert!(reopened.rows().is_empty() && reopened.rows().values.is_empty());
-        assert!(reopened.aligned(), "no stamp or route outlives its buffer");
+        assert!(reopened.aligned(), "no route outlives its buffer");
         // Shifted by one, so every row's arity differs from its slot's last
         // life.
         fill_mixed(&mut reopened, 1);

@@ -35,10 +35,11 @@
 //!   `QueryError` naming the engine and the feature, exactly as §9.2
 //!   charts omit unsupported approaches. Multi-query sessions may mix
 //!   kinds per query via [`SessionBuilder::query_with_engine`].
-//! * `.slack(n)` fuses disorder repair into ingestion: a pool-side gate
-//!   drops (and counts, [`Metrics::late`]) exactly the events a single
-//!   front [`Reorderer`] would, and each shard sorts what was admitted
-//!   for it before its engines see it.
+//! * `.slack(n)` fuses disorder repair into ingestion, once, in front of
+//!   the shards: the pool's gate drops (and counts, [`Metrics::late`])
+//!   exactly the events a single front [`Reorderer`] would, and the
+//!   pool's one reorder buffer hands the rest to the shards in time-stamp
+//!   order once the gate has passed them.
 //! * `.workers(n)` widens the pool to `n` shards on worker threads (§8)
 //!   — COGRA only. Events are hashed to their shard at ingest time and
 //!   shipped in batches ([`SessionBuilder::batch_size`]);
@@ -349,20 +350,17 @@ impl From<CsvError> for IngestError {
 /// count. Without slack: only the raw stream clock, so a restored pool's
 /// admission floor matches the original's. With slack: the gate verbatim
 /// (slack, raw and safe watermarks, late-drop count, pending times), the
-/// arrival counter, and the shards' in-flight items, sorted so the bytes
-/// do not depend on the shard layout they were collected from: by time,
-/// and within a time stamp by arrival — the order the shards would have
-/// released them in.
+/// arrival counter, and the reorder buffer's in-flight items, sorted so
+/// the bytes do not depend on the order they were collected in: by time,
+/// and within a time stamp by arrival — the order the pool releases them
+/// in.
 fn save_reorder(state: &mut PoolState) -> Vec<u8> {
     let mut enc = Enc::new();
     match &state.gate {
         None => {
             enc.bool(false);
             enc.u64(state.clock.ticks());
-            debug_assert!(
-                state.buffered.is_empty(),
-                "no reorder buffers without slack"
-            );
+            debug_assert!(state.buffered.is_empty(), "no reorder buffer without slack");
         }
         Some(gate) => {
             enc.bool(true);
@@ -627,9 +625,9 @@ impl SessionBuilder {
     /// Repair up to `slack` ticks of disorder before the engines see the
     /// events. Dropped late events are counted
     /// ([`Session::late_events`]). One stream-wide gate decides the drops
-    /// — exactly those of a single front reorderer — and every shard
-    /// repairs its own sub-stream, so results and drop counts do not
-    /// depend on `.workers(n)`.
+    /// — exactly those of a single front reorderer — and one reorder
+    /// buffer in front of the shards releases the rest in order, so
+    /// results and drop counts do not depend on `.workers(n)`.
     pub fn slack(mut self, slack: u64) -> SessionBuilder {
         self.slack = Some(slack);
         self
@@ -1217,7 +1215,7 @@ impl Session {
             .drain_into(&mut |j, r| fan_out(&shared.members[j], r, sink, results));
     }
 
-    /// End of stream: flush the reorder buffers, close every open window,
+    /// End of stream: flush the reorder buffer, close every open window,
     /// and — under `.workers(n)` — join the shard workers.
     ///
     /// The session is exhausted afterwards: further
@@ -1268,8 +1266,8 @@ impl Session {
     /// Logical memory footprint of the engines: exact and current at
     /// width 1; under `.workers(n)` the summed shard engines as of each
     /// worker's last drain (the shards run concurrently, so there is no
-    /// synchronous round trip here). The `.slack(n)` reorder buffers are
-    /// excluded — they are bounded by slack × rate and not an engine
+    /// synchronous round trip here). The `.slack(n)` reorder buffer is
+    /// excluded — it is bounded by slack × rate and not an engine
     /// metric of §9.1.
     pub fn memory_bytes(&self) -> usize {
         self.pool.memory()
@@ -1353,10 +1351,12 @@ impl Session {
     /// format): queries (canonical text) and engine kinds, engine
     /// configuration, slack/workers/batch-size, every engine's partition
     /// and window state with watermarks and drain floors, and the
-    /// `.slack(n)` reorder state — in-flight events, release points and
-    /// the late-drop count. The shards' states are merged per query, so
-    /// the snapshot is layout-independent: [`SessionBuilder::restore`]
-    /// may re-shard it onto a different `.workers(n)` (elastic rescale).
+    /// `.slack(n)` reorder state — the in-flight events the gate has not
+    /// passed yet (everything it has passed is in the engines), release
+    /// points and the late-drop count. The shards' states are merged per
+    /// query, so the snapshot is layout-independent:
+    /// [`SessionBuilder::restore`] may re-shard it onto a different
+    /// `.workers(n)` (elastic rescale).
     ///
     /// What is written is what the session holds: the partitions with a
     /// window still open (the others retired when their last window

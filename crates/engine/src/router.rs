@@ -607,9 +607,11 @@ impl<W: WindowAlgo> Router<W> {
 #[derive(Debug, Clone)]
 pub struct RouterState {
     /// The watermark to restore with. Across shards of one query this
-    /// merges as the *minimum*: a lagging shard's reorder buffer may hold
-    /// events older than a faster shard's watermark, and a restored
-    /// engine must never sit ahead of an event it has yet to ingest.
+    /// merges as the *minimum*: a shard whose sub-stream went quiet sits
+    /// behind a busier shard's clock until the next drain broadcast, and a
+    /// restored engine must never sit ahead of an event it has yet to
+    /// ingest — among them, in a snapshot of an older build whose shards
+    /// sorted their own sub-streams, events a lagging shard still held.
     pub watermark: Timestamp,
     /// Probe/key-life counters at snapshot time.
     pub stats: RunStats,
@@ -690,11 +692,10 @@ impl RouterState {
     /// counters sum, spikes max, entries concatenate (callers merge in
     /// shard-index order so entry order is deterministic), the merged
     /// drain floor is the *minimum* (a window is only globally drained if
-    /// every contributing shard drained it), and so is the watermark (a
-    /// lagging shard's buffered events sit behind a faster shard's clock;
-    /// re-advancing a window that stayed open is free, skipping an event
-    /// is not) — while the frame's clock is the *maximum*, which bounds
-    /// every shard's windows.
+    /// every contributing shard drained it), and so is the watermark (see
+    /// [`RouterState::watermark`]: re-advancing a window that stayed open
+    /// is free, skipping an event is not) — while the frame's clock is the
+    /// *maximum*, which bounds every shard's windows.
     pub fn merge(&mut self, other: RouterState) {
         debug_assert_eq!(self.frame.window, other.frame.window, "one query");
         self.frame.clock = self.frame.clock.max(other.frame.clock);

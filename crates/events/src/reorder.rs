@@ -12,16 +12,16 @@
 //! systems; this implementation drops only when emission would actually
 //! violate order, which is the laziest correct policy).
 //!
-//! Sharded execution splits the reorderer in two so repair is not
-//! serialized in front of the router:
-//! * [`LateGate`] — the coordinator-side admission decision. It tracks
-//!   only *time stamps* (a heap of `Timestamp`s, no event payloads) and
-//!   reproduces the exact drop rule a front [`Reorderer`] would apply, so
-//!   late-drop counts stay identical no matter how many shards repair
-//!   concurrently behind it.
-//! * [`ReorderBuffer`] — the payload-generic buffering half, one per
-//!   shard worker. It sorts whatever the gate admitted; it never drops
-//!   (the gate already decided admission).
+//! A session's shard pool splits the reorderer in two, so its buffer can
+//! hold what the pool owns of an event (one item per query that wants it)
+//! instead of the event itself:
+//! * [`LateGate`] — the admission decision. It tracks only *time stamps*
+//!   (a heap of `Timestamp`s, no event payloads) and reproduces the exact
+//!   drop rule a front [`Reorderer`] would apply; its safe watermark says
+//!   how far the buffer may release.
+//! * [`ReorderBuffer`] — the payload-generic buffering half. It sorts
+//!   whatever the gate admitted; it never drops (the gate already decided
+//!   admission).
 
 use crate::event::{Event, Timestamp};
 use std::cmp::Reverse;
@@ -130,12 +130,10 @@ impl<T> ReorderBuffer<T> {
 
 /// The admission half of a sharded reorder pipeline.
 ///
-/// A coordinator that fans events out to per-shard [`ReorderBuffer`]s
-/// still needs ONE stream-wide answer to "is this event hopelessly
-/// late?" — otherwise drop decisions would depend on how the stream
-/// shards (a shard whose sub-stream runs behind the global watermark
-/// would admit events a front [`Reorderer`] provably drops). The gate
-/// replays the front reorderer's bookkeeping on time stamps alone:
+/// A [`ReorderBuffer`] of payloads other than events still needs the
+/// stream-wide answer to "is this event hopelessly late?" and "how far
+/// may the buffer release?". The gate replays the front reorderer's
+/// bookkeeping on time stamps alone:
 /// `released_to` is the largest time already releasable anywhere
 /// (`max{t pushed : t <= watermark − slack}`), and an arriving event is
 /// late exactly when its time is behind that — byte-for-byte the rule
@@ -163,9 +161,8 @@ impl LateGate {
 
     /// Decide admission of an event at `time`: `false` means the event is
     /// late (dropped and counted) — a front [`Reorderer`] fed the same
-    /// stream would drop it too. Admitted events may be forwarded to
-    /// their shard immediately; the shard's [`ReorderBuffer`] repairs
-    /// local order.
+    /// stream would drop it too. An admitted event waits in a
+    /// [`ReorderBuffer`] until [`LateGate::safe_watermark`] reaches it.
     pub fn admit(&mut self, time: Timestamp) -> bool {
         if time < self.released_to {
             self.late += 1;
@@ -186,8 +183,8 @@ impl LateGate {
 
     /// The largest time stamp that is releasable stream-wide: every
     /// admitted event at or before it is deliverable in order, so results
-    /// up to here are final after the shards catch up. This is exactly
-    /// the `released_to` of an equivalent front [`Reorderer`].
+    /// up to here are final once it is delivered. This is exactly the
+    /// `released_to` of an equivalent front [`Reorderer`].
     pub fn safe_watermark(&self) -> Timestamp {
         self.released_to
     }

@@ -320,7 +320,10 @@ fn a_block_cut_between_two_chunks_is_resumed_from_stats_events() {
 
 /// The conservation invariant, at the pool: every routed item is either
 /// in a live shard's count or in `dropped_events` — nothing vanishes
-/// silently when a shard is quarantined.
+/// silently when a shard is quarantined. Under `.slack(n)`, on a
+/// disordered stream, an item is routed when the pool's reorder buffer
+/// releases it: one still buffered when its shard dies goes to the next
+/// live shard, like every later event of its group.
 #[test]
 fn degrade_conserves_event_accounting_at_the_pool() {
     let _g = guard();
@@ -330,44 +333,50 @@ fn degrade_conserves_event_accounting_at_the_pool() {
         cogra::query::compile(&q, &reg).unwrap(),
         &reg,
     ));
-    let events = build_events(240);
-    cogra_faults::configure("worker/batch/1", Trigger::OnHit(2));
-    let mut pool = StreamingPool::new(
-        vec![rt],
-        4,
-        PoolConfig {
-            batch_size: 5,
-            slack: None,
-            policy: FailurePolicy::Degrade,
-        },
-    )
-    .unwrap();
-    let mut results = Vec::new();
-    let mut push = |_q: usize, r: WindowResult| results.push(r);
-    for (i, e) in events.iter().enumerate() {
-        pool.route(e);
-        if i % 40 == 39 {
-            pool.drain_into(&mut push);
+    for slack in [None, Some(8)] {
+        let case = stream(&[QUERY], 240);
+        let events = match slack {
+            Some(slack) => case.jittered(slack, 11).events,
+            None => case.events,
+        };
+        cogra_faults::configure("worker/batch/1", Trigger::OnHit(2));
+        let mut pool = StreamingPool::new(
+            vec![Arc::clone(&rt)],
+            4,
+            PoolConfig {
+                batch_size: 5,
+                slack,
+                policy: FailurePolicy::Degrade,
+            },
+        )
+        .unwrap();
+        let mut results = Vec::new();
+        let mut push = |_q: usize, r: WindowResult| results.push(r);
+        for (i, e) in events.iter().enumerate() {
+            pool.route(e);
+            if i % 40 == 39 {
+                pool.drain_into(&mut push);
+            }
         }
+        pool.finish_into(&mut push);
+        let metrics = pool.metrics();
+        assert_eq!(metrics.degraded, vec![1], "slack {slack:?}");
+        assert!(pool.failure().is_none(), "Degrade must not fail the pool");
+        assert!(
+            metrics.dropped > 0,
+            "a quarantine with no losses proves nothing (slack {slack:?})"
+        );
+        let live: u64 = metrics.shard_events.iter().sum();
+        assert_eq!(
+            pool.routed_items(),
+            live + metrics.dropped,
+            "conservation violated (slack {slack:?}): {} routed, {} live, {} dropped",
+            pool.routed_items(),
+            live,
+            metrics.dropped
+        );
+        assert!(!results.is_empty(), "live shards must keep emitting");
     }
-    pool.finish_into(&mut push);
-    let metrics = pool.metrics();
-    assert_eq!(metrics.degraded, vec![1]);
-    assert!(pool.failure().is_none(), "Degrade must not fail the pool");
-    assert!(
-        metrics.dropped > 0,
-        "a quarantine with no losses proves nothing"
-    );
-    let live: u64 = metrics.shard_events.iter().sum();
-    assert_eq!(
-        pool.routed_items(),
-        live + metrics.dropped,
-        "conservation violated: {} routed, {} live, {} dropped",
-        pool.routed_items(),
-        live,
-        metrics.dropped
-    );
-    assert!(!results.is_empty(), "live shards must keep emitting");
 }
 
 /// The same quarantine, observed from the batch surface: `SessionRun`

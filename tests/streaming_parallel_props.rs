@@ -71,17 +71,18 @@ proptest! {
     }
 
     #[test]
-    fn per_shard_reorderers_match_the_front_reorderer(
+    fn the_pool_reorderer_matches_the_front_reorderer(
         rows in vec((0u64..40, 0usize..2, 0i64..5, -4i64..5), 1..160),
         slack in 0u64..9,
         width in 0usize..4,
         batch in 0usize..4,
         chunk in 1usize..40,
     ) {
-        // Every width repairs disorder with one ReorderBuffer per shard
-        // behind a pool-side LateGate; against arbitrarily disordered
-        // streams that must give the results and the late-drop count of
-        // the reference architecture — a single front Reorderer.
+        // Every width repairs disorder once, in the pool: its LateGate
+        // admits and its one ReorderBuffer releases what the gate passed,
+        // in order, to the shards. Against arbitrarily disordered streams
+        // that must give the results and the late-drop count of the
+        // reference architecture — a single front Reorderer.
         let case = rows_case(&[QUERIES[0]], &rows, Some(slack));
         let reference = Reference::of(&case).expect("COGRA takes every query");
         for (config, ops) in [

@@ -124,7 +124,6 @@ impl WindowAlgo for ASeqWindow {
         std::mem::size_of::<Self>() + self.disjuncts.iter().map(|pc| pc.bytes).sum::<usize>()
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         std::mem::size_of::<Self>()
             + self

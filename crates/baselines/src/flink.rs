@@ -106,7 +106,6 @@ impl WindowAlgo for FlinkWindow {
         self.bytes
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         Self::INLINE_BYTES
             + self.events.iter().map(Event::memory_bytes).sum::<usize>()

@@ -120,7 +120,6 @@ impl WindowAlgo for GretaWindow {
         std::mem::size_of::<Self>() + self.graphs.iter().map(|g| g.bytes).sum::<usize>()
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         std::mem::size_of::<Self>()
             + self

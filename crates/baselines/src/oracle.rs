@@ -345,7 +345,6 @@ impl WindowAlgo for OracleWindow {
         self.bytes
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         Self::INLINE_BYTES + self.events.iter().map(Event::memory_bytes).sum::<usize>()
     }

@@ -108,7 +108,6 @@ impl WindowAlgo for SaseWindow {
         std::mem::size_of::<Self>() + self.disjuncts.iter().map(|s| s.bytes).sum::<usize>()
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         std::mem::size_of::<Self>()
             + self

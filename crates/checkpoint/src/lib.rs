@@ -44,12 +44,13 @@ pub const MAGIC: [u8; 8] = *b"COGRASNP";
 
 /// The snapshot format version this build writes, and the only one it
 /// reads: an older header is [`CheckpointError::RetiredVersion`], a newer
-/// one [`CheckpointError::FutureVersion`]. In version 4 a pattern- or
+/// one [`CheckpointError::FutureVersion`]. In version 5 a pattern- or
 /// mixed-grained window keeps of a matched event its time stamp and the
 /// plan's stored projection, every engine section records the window spec
-/// and the clock it was written under, and the `reorder` section stamps
-/// its in-flight events with their arrival order.
-pub const FORMAT_VERSION: u32 = 4;
+/// and the clock it was written under, and the `reorder` section holds
+/// each in-flight event once, as its arrival stamp and the event, whichever
+/// queries want it.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Typed failure of writing or reading a snapshot. Every corruption class
 /// maps to its own variant — restore never panics on bad bytes.
@@ -699,11 +700,11 @@ mod tests {
         );
         assert_eq!(
             CheckpointError::RetiredVersion {
-                found: 3,
-                supported: 4
+                found: 4,
+                supported: 5
             }
             .to_string(),
-            "snapshot format version 3 is older than supported version 4"
+            "snapshot format version 4 is older than supported version 5"
         );
         assert_eq!(
             CheckpointError::Checksum {

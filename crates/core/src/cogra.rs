@@ -44,7 +44,6 @@ impl GranWindow {
         }
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, drt: &DisjunctRuntime) -> usize {
         match self {
             GranWindow::Type(w) => w.audit_bytes(drt),
@@ -159,7 +158,6 @@ impl WindowAlgo for CograWindow {
                 .sum::<usize>()
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, rt: &QueryRuntime) -> usize {
         let grans = self.grans().iter().zip(&rt.disjuncts);
         self.spilled_bytes()

@@ -301,7 +301,6 @@ impl MixedWindow {
 
     /// [`MixedWindow::memory_bytes`] by definition: the type-grained half's
     /// walk, the stored entries and every stored value, measured.
-    #[cfg(debug_assertions)]
     pub fn audit_bytes(&self, rt: &DisjunctRuntime) -> usize {
         let entries = entries(&self.stored, rt.table.stride());
         self.tt.audit_bytes(rt)

@@ -137,11 +137,11 @@ impl SessionRoute {
         }
     }
 
-    /// The shard `query` takes `event` on, if it wants the event.
-    fn shard_of(&self, query: u32, event: &Event) -> Option<usize> {
-        let mut at = None;
-        self.each(event, |q, shard| at = at.or((q == query).then_some(shard)));
-        at
+    /// Whether any query wants events of `event`'s type.
+    #[inline]
+    fn wants(&self, event: &Event) -> bool {
+        let route = &self.types[event.type_id.index()];
+        !route.hashed.is_empty() || route.fixed.contains(&true)
     }
 }
 
@@ -256,7 +256,8 @@ pub(crate) type Engine = Box<dyn TrendEngine + Send>;
 pub struct PoolState {
     /// Per-query engine states, merged across shards.
     pub states: Vec<RouterState>,
-    /// The in-flight items the pool's reorder buffer holds.
+    /// The admitted events the pool's reorder buffer holds, one item
+    /// each, not yet routed.
     pub buffered: Vec<InFlight>,
     /// Events admitted so far: the arrival stamp of the latest one.
     pub arrivals: u64,
@@ -300,16 +301,16 @@ impl PoolState {
     }
 }
 
-/// One event the pool's reorder buffer holds for one query under
-/// `.slack(n)`, as a snapshot carries it. Only the reorder buffer owns
+/// One admitted event the pool's reorder buffer holds under `.slack(n)`,
+/// as a snapshot carries it: held once, however many queries want it, and
+/// routed only when it leaves the buffer. Only the reorder buffer owns
 /// events; the transport carries `Batch`es.
 #[derive(Debug, Clone)]
 pub struct InFlight {
-    /// Index of the physical run the event is for.
-    pub query: u32,
     /// The event's arrival stamp: its position among the events the
-    /// session admitted. Events of one time stamp are released in stamp
-    /// order — arrival order, which NEXT/CONT make observable.
+    /// session admitted, so no two items share one. Events of one time
+    /// stamp are released in stamp order — arrival order, which NEXT/CONT
+    /// make observable.
     pub stamp: u64,
     /// The event.
     pub event: Event,
@@ -614,11 +615,11 @@ pub struct StreamingPool {
     dropped: u64,
     /// Admission gate under slack (None: the stream is trusted ordered).
     gate: Option<LateGate>,
-    /// Under slack: the admitted items the gate has not passed yet, each
-    /// with the shard the session route placed it on. Empty otherwise.
-    reorder: ReorderBuffer<(usize, InFlight)>,
+    /// Under slack: the admitted events some query wants that the gate
+    /// has not passed yet, unrouted. Empty otherwise.
+    reorder: ReorderBuffer<InFlight>,
     /// Scratch for released items (reused across events).
-    released: Vec<(usize, InFlight)>,
+    released: Vec<InFlight>,
     /// Raw stream progress: the largest event time routed so far.
     raw_watermark: Timestamp,
     /// Events admitted so far — the latest one's arrival stamp
@@ -719,31 +720,33 @@ impl StreamingPool {
             let engines = shard_engines(&hosted, threads, index, states)?;
             shards.push(Shard::new(engines, 0));
         }
-        // Every in-flight event must fit the engine state it is about to
-        // be re-delivered into — while the engines are still here to ask.
+        // Every in-flight event is of a registered type, shaped like it,
+        // that some query wants (no other is ever buffered), and fits the
+        // state of every engine it is about to be delivered into — checked
+        // while the engines are still here to ask.
         let session_route = SessionRoute::of(&hosted, threads);
-        let mut placed = Vec::with_capacity(buffered.len());
-        for item in buffered {
-            let (event, q) = (&item.event, item.query as usize);
-            let shard = session_route.shard_of(item.query, event);
-            let fits = q < hosted.len()
-                && shard.is_none_or(|shard| {
-                    let engine = shards[shard].engines[q].as_ref();
-                    engine.expect("a wanting query is hosted").accepts(event)
+        let blank = &hosted[0].1.blank_rows;
+        for InFlight { event, .. } in &buffered {
+            let row = blank.get(event.type_id.index());
+            let why = if row.is_none_or(|row| row.len() != event.attrs.len()) {
+                "is of no registered type"
+            } else if !session_route.wants(event) {
+                "is wanted by no query"
+            } else {
+                let mut fits = true;
+                session_route.each(event, |q, shard| {
+                    let engine = shards[shard].engines[q as usize].as_ref();
+                    fits &= engine.expect("a wanting query is hosted").accepts(event);
                 });
-            if !fits {
-                return Err(OpenError::State(CheckpointError::Corrupt(format!(
-                    "in-flight event {} at {} does not fit the state of run {} of {}",
-                    item.event.id,
-                    item.event.time,
-                    item.query,
-                    hosted.len()
-                ))));
-            }
-            // An event its query does not want is skipped.
-            if let Some(shard) = shard {
-                placed.push((shard, item));
-            }
+                if fits {
+                    continue;
+                }
+                "does not fit the state of a query that wants it"
+            };
+            return Err(OpenError::State(CheckpointError::Corrupt(format!(
+                "in-flight event {} at {} {why}",
+                event.id, event.time
+            ))));
         }
         let projection = Arc::new(Projection::of(&hosted));
         let mut workers = Vec::new();
@@ -790,13 +793,11 @@ impl StreamingPool {
             projection,
         };
         // The items were admitted before the snapshot: they go back into
-        // the buffer past the gate. Some may be at or before its safe
-        // watermark — an older build's shards could lag it — and leave
-        // again at once.
-        for (shard, item) in placed {
-            let event = pool.projection.owned(&item.event);
-            let time = event.time;
-            pool.reorder.push(time, (shard, InFlight { event, ..item }));
+        // the buffer past the gate, and any the gate has already passed
+        // leaves again at once.
+        for InFlight { stamp, event } in buffered {
+            let event = pool.projection.owned(&event);
+            pool.reorder.push(event.time, InFlight { stamp, event });
         }
         pool.release();
         Ok(pool)
@@ -1028,7 +1029,7 @@ impl StreamingPool {
         let buffered = self.reorder.ordered().into_iter();
         PoolState {
             states,
-            buffered: buffered.map(|(_, (_, item))| item.clone()).collect(),
+            buffered: buffered.map(|(_, item)| item.clone()).collect(),
             arrivals: self.seq,
             gate: self.gate.clone(),
             clock: self.raw_watermark,
@@ -1258,31 +1259,34 @@ impl StreamingPool {
     /// of each target shard, with one route per query; a worker a bounded
     /// number of batches behind blocks the caller (backpressure). Without
     /// slack, events must arrive in non-decreasing time order; with slack,
-    /// what the gate admits waits in the reorder buffer — one projected
-    /// [`InFlight`] per wanting query — until the gate's safe watermark
-    /// reaches it and is then dispatched like an in-order event, and
-    /// anything later than the slack allows is dropped and counted. A
-    /// finished or failed pool ignores it.
+    /// an admitted event some query wants waits in the reorder buffer —
+    /// one projected [`InFlight`], however many queries want it — until
+    /// the gate's safe watermark reaches it, and is then dispatched like an
+    /// in-order event; anything later than the slack allows is dropped and
+    /// counted. A finished or failed pool ignores it.
     pub fn route(&mut self, event: &Event) {
         if !self.admit(event) {
             return;
         }
         self.seq += 1;
-        let route = &self.session_route;
-        if self.gate.is_some() {
-            let (projection, stamp, reorder) = (&self.projection, self.seq, &mut self.reorder);
-            route.each(event, |query, shard| {
-                let event = projection.owned(event);
-                let time = event.time;
-                let item = InFlight {
-                    query,
-                    stamp,
-                    event,
-                };
-                reorder.push(time, (shard, item));
-            });
-            return self.release();
+        if self.gate.is_none() {
+            return self.dispatch(event, self.seq);
         }
+        if self.session_route.wants(event) {
+            let event = self.projection.owned(event);
+            let stamp = self.seq;
+            self.reorder.push(event.time, InFlight { stamp, event });
+        }
+        self.release();
+    }
+
+    /// THE dispatch of an admitted event, in order — as it arrives without
+    /// slack, or as the reorder buffer releases it — to every `(query,
+    /// shard)` pair the `SessionRoute` names: into the inline shard's
+    /// engines, or staged for the workers'.
+    #[inline]
+    fn dispatch(&mut self, event: &Event, stamp: u64) {
+        let route = &self.session_route;
         if let Some(shard) = &mut self.inline {
             return route.each(event, |q, _| shard.process(event, q));
         }
@@ -1291,7 +1295,7 @@ impl StreamingPool {
         route.each(event, |q, s| targets.push((q, s)));
         for i in 0..self.targets.len() {
             let (query, shard) = self.targets[i];
-            self.stage(shard, event, query, self.seq);
+            self.stage(shard, event, query, stamp);
         }
     }
 
@@ -1303,16 +1307,12 @@ impl StreamingPool {
         }
     }
 
-    /// Dispatch every buffered item at or before `safe`, in order: into
-    /// the inline shard's engine, or staged for its worker's.
+    /// Dispatch every buffered item at or before `safe`, in order.
     fn release_up_to(&mut self, safe: Timestamp) {
         let mut released = std::mem::take(&mut self.released);
         self.reorder.release_up_to(safe, &mut released);
-        for (shard, item) in released.drain(..) {
-            match &mut self.inline {
-                Some(inline) => inline.process(&item.event, item.query),
-                None => self.stage(shard, &item.event, item.query, item.stamp),
-            }
+        for item in released.drain(..) {
+            self.dispatch(&item.event, item.stamp);
         }
         self.released = released;
     }
@@ -2029,8 +2029,11 @@ mod tests {
         let got = drive(&mut recycling, &events, 30);
         assert!(!got[0].is_empty());
         assert_eq!(got, drive(&mut pool(&rt, 1, 8), &events, 30), "vs inline");
-        for lane in &recycling.lanes {
-            let reopened = &lane.open;
+        // The workers have joined, so every shipped batch is free: the one
+        // reopened is recycled whatever the threads' timing was.
+        for lane in &mut recycling.lanes {
+            lane.batches.reclaim();
+            let reopened = &lane.batches.reopen();
             assert!(
                 reopened.rows.heads.capacity() > 0,
                 "the open batch is a recycled one"

@@ -329,7 +329,6 @@ impl PatternWindow {
 
     /// [`PatternWindow::memory_bytes`] by definition: `el` is measured
     /// afresh instead of read from the figure.
-    #[cfg(debug_assertions)]
     pub fn audit_bytes(&self, rt: &DisjunctRuntime) -> usize {
         let stored = self.el_stored.iter().map(Value::memory_bytes).sum();
         Self::fixed_bytes(rt)

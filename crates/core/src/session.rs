@@ -350,10 +350,10 @@ impl From<CsvError> for IngestError {
 /// count. Without slack: only the raw stream clock, so a restored pool's
 /// admission floor matches the original's. With slack: the gate verbatim
 /// (slack, raw and safe watermarks, late-drop count, pending times), the
-/// arrival counter, and the reorder buffer's in-flight items, sorted so
-/// the bytes do not depend on the order they were collected in: by time,
-/// and within a time stamp by arrival — the order the pool releases them
-/// in.
+/// arrival counter, and the reorder buffer's in-flight events — each once,
+/// as `(stamp, event)`, whichever queries want it — sorted so the bytes do
+/// not depend on the order they were collected in: by time, and within a
+/// time stamp by arrival — the order the pool releases them in.
 fn save_reorder(state: &mut PoolState) -> Vec<u8> {
     let mut enc = Enc::new();
     match &state.gate {
@@ -376,10 +376,9 @@ fn save_reorder(state: &mut PoolState) -> Vec<u8> {
             enc.u64(state.arrivals);
             state
                 .buffered
-                .sort_by_key(|item| (item.event.time, item.stamp, item.query));
+                .sort_by_key(|item| (item.event.time, item.stamp));
             enc.usize(state.buffered.len());
             for item in &state.buffered {
-                enc.u32(item.query);
                 enc.u64(item.stamp);
                 item.event.save(&mut enc);
             }
@@ -415,7 +414,6 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     let n = dec.usize()?;
     state.buffered.reserve(n.min(1 << 16));
     for _ in 0..n {
-        let query = dec.u32()?;
         let stamp = dec.u64()?;
         // Stamps count admitted events from 1; one past the counter would
         // be handed out again to an event yet to arrive.
@@ -426,10 +424,19 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
             )));
         }
         state.buffered.push(InFlight {
-            query,
             stamp,
             event: Event::load(dec)?,
         });
+    }
+    // A stamp is one admitted event: a repeat would be staged as the row
+    // of the event before it.
+    let mut stamps: Vec<u64> = state.buffered.iter().map(|item| item.stamp).collect();
+    stamps.sort_unstable();
+    if let Some(pair) = stamps.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(CheckpointError::Corrupt(format!(
+            "two in-flight events stamped {}",
+            pair[0]
+        )));
     }
     state.gate = Some(LateGate::from_parts(
         slack,
@@ -815,22 +822,6 @@ impl SessionBuilder {
             dec.finish("engine section")?;
         }
         r.finish()?;
-        // An in-flight event is one of a registered type, shaped like it:
-        // what the engines index it by. (Whether it fits the state of the
-        // engine it is for is the pool's to check, once that is built.)
-        for InFlight { event, .. } in &state.buffered {
-            let known = event.type_id.index() < registry.len()
-                && registry.schema(event.type_id).arity() == event.attrs.len();
-            if !known {
-                return Err(CheckpointError::Corrupt(format!(
-                    "in-flight event {} is of no registered type ({}, {} attributes)",
-                    event.id,
-                    event.type_id.0,
-                    event.attrs.len()
-                )));
-            }
-        }
-
         // --- Resolve the execution shape and reopen the pool -----------
         let workers = if self.workers > 0 {
             self.workers

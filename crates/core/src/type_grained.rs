@@ -371,7 +371,6 @@ impl TypeGrainedWindow {
 
     /// [`TypeGrainedWindow::memory_bytes`] by definition: the table, the
     /// time stamp and every entry of the journal, walked.
-    #[cfg(debug_assertions)]
     pub fn audit_bytes(&self, rt: &DisjunctRuntime) -> usize {
         let stride = rt.table.stride();
         let journal =

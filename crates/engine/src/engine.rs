@@ -73,7 +73,6 @@ pub trait TrendEngine {
     /// reference the debug build and the test batteries hold the running
     /// counters to. The default is `memory_bytes`, for an engine that
     /// keeps no counters and so already computes the definition.
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self) -> usize {
         self.memory_bytes()
     }

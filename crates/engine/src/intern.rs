@@ -365,10 +365,9 @@ impl KeyInterner {
     }
 
     /// The definition [`KeyInterner::memory_bytes`] must equal, computed
-    /// by walking the flat buffer and the table — the test oracle, not
-    /// built into release code. Free slots are told apart by count, not
+    /// by walking the flat buffer and the table — the test oracle, never
+    /// called on a release hot path. Free slots are told apart by count, not
     /// by content: a retired key that kept a heap part fails the audit.
-    #[cfg(any(test, debug_assertions))]
     pub fn audit_bytes(&self) -> usize {
         self.values.iter().map(Value::memory_bytes).sum::<usize>()
             - self.free.len() * self.arity * std::mem::size_of::<Value>()

@@ -154,10 +154,9 @@ pub trait WindowAlgo {
     /// The definition [`WindowAlgo::memory_bytes`] must equal, computed by
     /// walking the window's state — read through the plan it was built
     /// by — the reference the debug build asserts the running figure
-    /// against. (`debug_assertions` alone, not `test`: implementations
-    /// live in other crates, and `cfg(test)` does not cross a crate
-    /// boundary.)
-    #[cfg(debug_assertions)]
+    /// against. Compiled in every build, so that a crate built with debug
+    /// assertions links against one built without (rustdoc's release
+    /// doc-tests); only the assertions are debug-only.
     fn audit_bytes(&self, rt: &QueryRuntime) -> usize;
 
     /// Serialize this window's full mutable state for a checkpoint.
@@ -272,7 +271,6 @@ impl<W: WindowAlgo> Partition<W> {
     /// One ring slot of an open window: its id and inline state.
     const SLOT_BYTES: usize = std::mem::size_of::<(u64, W)>() - W::INSTRUMENT_BYTES;
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, rt: &QueryRuntime) -> usize {
         self.windows
             .iter()
@@ -610,8 +608,7 @@ pub struct RouterState {
     /// merges as the *minimum*: a shard whose sub-stream went quiet sits
     /// behind a busier shard's clock until the next drain broadcast, and a
     /// restored engine must never sit ahead of an event it has yet to
-    /// ingest — among them, in a snapshot of an older build whose shards
-    /// sorted their own sub-streams, events a lagging shard still held.
+    /// ingest.
     pub watermark: Timestamp,
     /// Probe/key-life counters at snapshot time.
     pub stats: RunStats,
@@ -916,7 +913,6 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
             + self.window_bytes
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self) -> usize {
         // Every slot outside the resident list must be an empty one.
         let vacant = self.partitions.iter().filter(|p| p.windows.is_empty());

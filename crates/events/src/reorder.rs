@@ -12,9 +12,11 @@
 //! systems; this implementation drops only when emission would actually
 //! violate order, which is the laziest correct policy).
 //!
-//! A session's shard pool splits the reorderer in two, so its buffer can
-//! hold what the pool owns of an event (one item per query that wants it)
-//! instead of the event itself:
+//! A session's shard pool splits the reorderer in two, because admission
+//! and buffering see different streams: every event moves the clock and
+//! may be late, but the buffer holds only the events some query wants,
+//! each once, as the pool owns it (the attributes the plans read, and
+//! its arrival stamp) instead of the event itself:
 //! * [`LateGate`] — the admission decision. It tracks only *time stamps*
 //!   (a heap of `Timestamp`s, no event payloads) and reproduces the exact
 //!   drop rule a front [`Reorderer`] would apply; its safe watermark says

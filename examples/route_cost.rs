@@ -37,7 +37,6 @@ impl WindowAlgo for NoopWindow {
         0
     }
 
-    #[cfg(debug_assertions)]
     fn audit_bytes(&self, _rt: &QueryRuntime) -> usize {
         0
     }

@@ -262,9 +262,8 @@ mod recycling {
             .collect()
     }
 
-    /// The session's bytes — counter against walk, where the walk exists.
+    /// The session's bytes — counter against walk.
     fn audited(session: &Session) -> usize {
-        #[cfg(debug_assertions)]
         assert_eq!(
             session.memory_bytes(),
             session.engine(0).expect("inline engine").audit_bytes()
@@ -335,7 +334,6 @@ mod recycling {
 }
 
 /// Checkpoint `session` and bring it back on `workers` shards.
-#[cfg(debug_assertions)]
 fn restore(
     session: &mut Session,
     registry: &TypeRegistry,
@@ -387,8 +385,6 @@ mod cadence {
     }
 }
 
-/// `audit_bytes()` exists only where `debug_assertions` are on.
-#[cfg(debug_assertions)]
 mod audit {
     use super::*;
     use proptest::collection::vec;
@@ -396,8 +392,8 @@ mod audit {
 
     /// Counter vs. walk over every engine the session can reach. At width
     /// 1 the engines are inline and audited directly; worker threads own
-    /// theirs, audit themselves at every close/snapshot/restore, and a
-    /// failed audit there is a worker failure.
+    /// theirs and, in a debug build, audit themselves at every
+    /// close/snapshot/restore, where a failed audit is a worker failure.
     fn audit(session: &Session, label: &str) -> Result<(), TestCaseError> {
         prop_assert!(
             session.worker_failure().is_none(),

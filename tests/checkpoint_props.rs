@@ -983,6 +983,41 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
     }
 }
 
+#[test]
+fn an_in_flight_event_stamped_twice_is_rejected_typed() {
+    // Regression: only the range of a stamp was checked, and a worker
+    // stores an event several of its queries want as one row, keyed by the
+    // stamp — so two in-flight events of one stamp restored at width 2 as
+    // the first event twice and the others not at all.
+    use cogra_checkpoint::{Dec, Enc};
+    watchdog("in-flight stamps", || {
+        let (registry, _) = old_format_life();
+        let valid = old_life_checkpoint();
+        // Every in-flight event stamped as the first one.
+        let damaged = rewrite_section(&valid, "reorder", |payload| {
+            let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
+            // The slack flag; slack, watermark, safe watermark, late drops.
+            enc.bool(dec.bool().unwrap());
+            (0..4).for_each(|_| enc.u64(dec.u64().unwrap()));
+            let pending = dec.usize().unwrap();
+            enc.usize(pending);
+            // The pending times, then the arrivals.
+            (0..=pending).for_each(|_| enc.u64(dec.u64().unwrap()));
+            let in_flight = dec.usize().unwrap();
+            assert!(in_flight > 1, "battery bug: less than two in flight");
+            enc.usize(in_flight);
+            let mut first = None;
+            for _ in 0..in_flight {
+                enc.u64(*first.get_or_insert(dec.u64().unwrap()));
+                Event::load(&mut dec).unwrap().save(&mut enc);
+            }
+            enc.into_bytes()
+        });
+        let why = "two in-flight events stamped";
+        assert_refused_as_corrupt_at(&[1, 2], &registry, &valid, &damaged, why);
+    });
+}
+
 /// The life behind `tests/fixtures/`: `OLD_QUERIES` — mixed-grained with
 /// a Kleene self-loop predicate; NEXT with predicates on adjacent events,
 /// one of them on a `Str`, at two states of one type; CONT with one;
@@ -991,14 +1026,13 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
 /// 11th a `Halt`) that arrive up to 5 ticks out of order (every 53rd
 /// hopelessly late), ids growing with arrival.
 ///
-/// `format4.snap` is the `.workers(2)` session's checkpoint after
+/// `format5.snap` is the `.workers(2)` session's checkpoint after
 /// `OLD_SPLIT` events and a drain ([`old_life_checkpoint`]), taken by the
-/// build of commit da5b066, the last whose windows kept their tables,
-/// staged updates and counters in separate blocks; `parent_rows.txt` holds
-/// the rows of the uninterrupted run. A build reads only the format it
-/// writes: a format bump regenerates `format4.snap` with
-/// [`old_life_checkpoint`] (under the new format's name) rather than
-/// keeping a reader for the old one.
+/// first build to write format 5; `parent_rows.txt` holds the rows of the
+/// uninterrupted run, as the build of commit da5b066 printed them. A build
+/// reads only the format it writes: a format bump regenerates
+/// `format5.snap` with [`old_life_checkpoint`] (under the new format's
+/// name) rather than keeping a reader for the old one.
 fn old_format_life() -> (TypeRegistry, Vec<Event>) {
     let mut registry = TypeRegistry::new();
     let tick = registry.register_type(
@@ -1058,11 +1092,11 @@ fn fixture(file: &str) -> Vec<u8> {
 }
 
 #[test]
-fn format_4_snapshots_still_restore() {
+fn format_5_snapshots_still_restore() {
     // An older build's snapshot of the format this build writes restores
     // at every width and finishes with that build's rows — which are this
     // build's too, bit for bit.
-    watchdog("format4.snap", || {
+    watchdog("format5.snap", || {
         let rendered = |mut rows: Vec<TaggedResult>| {
             rows.sort_by_key(|r| (r.query, r.result.window, format!("{:?}", r.result.group)));
             rows.iter().map(|r| format!("{r:?}\n")).collect::<String>()
@@ -1084,13 +1118,13 @@ fn format_4_snapshots_still_restore() {
         let drained = session_rows(&mut build(), &events[..OLD_SPLIT]);
         assert!(!drained.is_empty(), "battery bug: nothing drained");
 
-        let old = fixture("format4.snap");
-        assert_eq!(old[8..12], 4u32.to_le_bytes());
+        let old = fixture("format5.snap");
+        assert_eq!(old[8..12], 5u32.to_le_bytes());
         for workers in [1usize, 2, 4] {
             let mut resumed = Session::builder()
                 .workers(workers)
                 .restore(&registry, old.as_slice())
-                .unwrap_or_else(|e| panic!("a format-4 snapshot restores: {e}"));
+                .unwrap_or_else(|e| panic!("a format-5 snapshot restores: {e}"));
             let mut rows = drained.clone();
             rows.extend(session_rows(&mut resumed, &events[OLD_SPLIT..]));
             resumed.finish_into(&mut rows);
@@ -1098,18 +1132,13 @@ fn format_4_snapshots_still_restore() {
             assert_eq!(resumed.late_events(), session.late_events());
         }
     });
-    // The same build was the last before windows became one slab each:
-    // its checkpoint is written again to the byte — a window saves what it
-    // saved when its rows, staged updates and negations lived apart. The
+    // That build's checkpoint is written again to the byte — but for the
     // one byte *count* a snapshot records, an engine's largest window
-    // footprint at finalization, follows the accounting: it is compared
-    // apart, and may only have shrunk. And a reorder buffer holds an event
-    // only for the queries that want it, where that build held one for
-    // every query whose key it carried: its others are taken out first.
-    watchdog("format 4 rewritten", || {
+    // footprint at finalization, which follows the accounting: it is
+    // compared apart, and may only have shrunk.
+    watchdog("format 5 rewritten", || {
         let (ours, our_spikes) = spikes_apart(&old_life_checkpoint());
-        let wanted = rewrite_section(&fixture("format4.snap"), "reorder", only_wanted_in_flight);
-        let (theirs, their_spikes) = spikes_apart(&wanted);
+        let (theirs, their_spikes) = spikes_apart(&fixture("format5.snap"));
         assert!(ours == theirs, "this build's checkpoint of the life moved");
         assert_eq!(our_spikes.len(), OLD_QUERIES.len());
         for (q, (ours, theirs)) in our_spikes.iter().zip(&their_spikes).enumerate() {
@@ -1121,58 +1150,8 @@ fn format_4_snapshots_still_restore() {
     });
 }
 
-/// The reorder section `payload` of a snapshot of [`old_format_life`]
-/// without the in-flight events their query does not want: of a type its
-/// plan neither binds nor, being contiguous, keeps — a `Halt` for a query
-/// that does not negate it. Everything else is copied as it is.
-fn only_wanted_in_flight(payload: &[u8]) -> Vec<u8> {
-    use cogra_checkpoint::{Dec, Enc};
-    let (registry, _) = old_format_life();
-    let plans: Vec<_> = (OLD_QUERIES.iter())
-        .map(|q| compile(&parse(q).expect("parses"), &registry).expect("compiles"))
-        .collect();
-    let wants = |q: usize, event: &Event| {
-        let plan = &plans[q];
-        let mut relevant = plan
-            .disjuncts
-            .iter()
-            .flat_map(|d| d.automaton.relevant_types());
-        plan.semantics == Semantics::Cont || relevant.any(|t| t == event.type_id)
-    };
-    let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
-    assert!(dec.bool().unwrap(), "the life runs under slack");
-    enc.bool(true);
-    // Slack, watermark, safe watermark and late drops.
-    (0..4).for_each(|_| enc.u64(dec.u64().unwrap()));
-    let pending = dec.usize().unwrap();
-    enc.usize(pending);
-    (0..pending).for_each(|_| enc.u64(dec.u64().unwrap()));
-    enc.u64(dec.u64().unwrap()); // arrivals
-    let buffered = dec.usize().unwrap();
-    let mut kept = Vec::new();
-    for _ in 0..buffered {
-        let (query, stamp) = (dec.u32().unwrap(), dec.u64().unwrap());
-        let event = Event::load(&mut dec).unwrap();
-        if wants(query as usize, &event) {
-            kept.push((query, stamp, event));
-        }
-    }
-    dec.finish("reorder section").unwrap();
-    assert!(
-        kept.len() < buffered,
-        "battery bug: every in-flight event is wanted"
-    );
-    enc.usize(kept.len());
-    for (query, stamp, event) in kept {
-        enc.u32(query);
-        enc.u64(stamp);
-        event.save(&mut enc);
-    }
-    enc.into_bytes()
-}
-
 /// This build's checkpoint of [`old_format_life`], taken the way
-/// `format4.snap` was: a `.workers(2)` session after `OLD_SPLIT` events
+/// `format5.snap` was: a `.workers(2)` session after `OLD_SPLIT` events
 /// and a drain.
 fn old_life_checkpoint() -> Vec<u8> {
     let (registry, events) = old_format_life();
@@ -1282,7 +1261,7 @@ fn version_1_snapshots_are_rejected_typed() {
         .checkpoint(&mut snap)
         .expect("checkpoint");
     assert_eq!(snap[8..12], FORMAT_VERSION.to_le_bytes());
-    assert_eq!(FORMAT_VERSION, 4);
+    assert_eq!(FORMAT_VERSION, 5);
     let restore = |version: u32| {
         let mut snap = snap.clone();
         snap[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1295,14 +1274,14 @@ fn version_1_snapshots_are_rejected_typed() {
     for version in 1..FORMAT_VERSION {
         match restore(version) {
             Err(CheckpointError::RetiredVersion { found, supported }) => {
-                assert_eq!((found, supported), (version, 4));
+                assert_eq!((found, supported), (version, 5));
             }
             other => panic!("version {version}: expected RetiredVersion, got {other:?}"),
         }
     }
     match restore(FORMAT_VERSION + 1) {
         Err(CheckpointError::FutureVersion { found, supported }) => {
-            assert_eq!((found, supported), (FORMAT_VERSION + 1, 4));
+            assert_eq!((found, supported), (FORMAT_VERSION + 1, 5));
         }
         other => panic!("expected FutureVersion, got {other:?}"),
     }

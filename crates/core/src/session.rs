@@ -36,10 +36,9 @@
 //!   charts omit unsupported approaches. Multi-query sessions may mix
 //!   kinds per query via [`SessionBuilder::query_with_engine`].
 //! * `.slack(n)` fuses disorder repair into ingestion, once, in front of
-//!   the shards: the pool's gate drops (and counts, [`Metrics::late`])
-//!   exactly the events a single front [`Reorderer`] would, and the
-//!   pool's one reorder buffer hands the rest to the shards in time-stamp
-//!   order once the gate has passed them.
+//!   the shards: the pool's one reorder buffer drops (and counts,
+//!   [`Metrics::late`]) exactly the events a single front [`Reorderer`]
+//!   would, and hands the rest to the shards in time-stamp order.
 //! * `.workers(n)` widens the pool to `n` shards on worker threads (§8)
 //!   — COGRA only. Events are hashed to their shard at ingest time and
 //!   shipped in batches ([`SessionBuilder::batch_size`]);
@@ -64,15 +63,14 @@
 use crate::cogra::CograWindow;
 use crate::metrics::Metrics;
 use crate::parallel::{
-    Engine, FailurePolicy, Hosted, InFlight, PoolConfig, PoolState, StreamingPool, WorkerFailure,
-    MAX_WORKERS,
+    Engine, FailurePolicy, Hosted, PoolConfig, PoolState, StreamingPool, WorkerFailure, MAX_WORKERS,
 };
 use cogra_baselines::{ASeqWindow, FlinkWindow, GretaWindow, OracleWindow, SaseWindow};
 use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter};
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
 use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
 use cogra_events::csv::{CsvError, EventReader};
-use cogra_events::{Event, LateGate, Timestamp, TypeId, TypeRegistry};
+use cogra_events::{Event, ReorderBuffer, Timestamp, TypeId, TypeRegistry};
 use cogra_query::{canonical_signature, compile, parse, CompiledQuery, Query, QueryError};
 use std::borrow::Borrow;
 use std::fmt;
@@ -347,54 +345,51 @@ impl From<CsvError> for IngestError {
 }
 
 /// Encode a snapshot's `reorder` section — one shape at every worker
-/// count. Without slack: only the raw stream clock, so a restored pool's
-/// admission floor matches the original's. With slack: the gate verbatim
-/// (slack, raw and safe watermarks, late-drop count, pending times), the
-/// arrival counter, and the reorder buffer's in-flight events — each once,
-/// as `(stamp, event)`, whichever queries want it — sorted so the bytes do
-/// not depend on the order they were collected in: by time, and within a
-/// time stamp by arrival — the order the pool releases them in.
-fn save_reorder(state: &mut PoolState) -> Vec<u8> {
+/// count. Without slack: only the stream clock, so a restored pool's
+/// admission floor matches the original's. With slack: the reorder
+/// buffer verbatim — slack, the stream clock, safe watermark, late-drop
+/// count, the time of every entry in ascending order — the arrival
+/// counter, and the entries that carry an event, as `(stamp, event)` in
+/// the order the buffer releases them: by time, and within a time stamp
+/// by arrival.
+fn save_reorder(state: &PoolState) -> Vec<u8> {
     let mut enc = Enc::new();
-    match &state.gate {
-        None => {
-            enc.bool(false);
-            enc.u64(state.clock.ticks());
-            debug_assert!(state.buffered.is_empty(), "no reorder buffer without slack");
-        }
-        Some(gate) => {
-            enc.bool(true);
-            enc.u64(gate.slack());
-            enc.u64(gate.watermark().ticks());
-            enc.u64(gate.safe_watermark().ticks());
-            enc.u64(gate.late_events());
-            let pending = gate.pending_times();
-            enc.usize(pending.len());
-            for t in &pending {
-                enc.u64(t.ticks());
-            }
-            enc.u64(state.arrivals);
-            state
-                .buffered
-                .sort_by_key(|item| (item.event.time, item.stamp));
-            enc.usize(state.buffered.len());
-            for item in &state.buffered {
-                enc.u64(item.stamp);
-                item.event.save(&mut enc);
-            }
-        }
+    let Some(reorder) = &state.reorder else {
+        enc.bool(false);
+        enc.u64(state.clock.ticks());
+        return enc.into_bytes();
+    };
+    enc.bool(true);
+    enc.u64(reorder.slack());
+    enc.u64(state.clock.ticks());
+    enc.u64(reorder.safe_watermark().ticks());
+    enc.u64(reorder.late_events());
+    let entries = reorder.ordered();
+    enc.usize(entries.len());
+    for (time, _, _) in &entries {
+        enc.u64(time.ticks());
+    }
+    enc.u64(state.arrivals);
+    let in_flight: Vec<_> = (entries.into_iter())
+        .filter_map(|(_, stamp, event)| Some((stamp, event?)))
+        .collect();
+    enc.usize(in_flight.len());
+    for (stamp, event) in in_flight {
+        enc.u64(stamp);
+        event.save(&mut enc);
     }
     enc.into_bytes()
 }
 
 /// Inverse of [`save_reorder`]: everything of a [`PoolState`] but the
-/// engine states, which have sections of their own.
+/// engine states, which have sections of their own. Each in-flight event
+/// takes the place of one entry of its time; an entry left over holds no
+/// event.
 fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     let mut state = PoolState {
         states: Vec::new(),
-        buffered: Vec::new(),
+        reorder: None,
         arrivals: 0,
-        gate: None,
         clock: Timestamp::ZERO,
     };
     if !dec.bool()? {
@@ -402,7 +397,7 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
         return Ok(state);
     }
     let slack = dec.u64()?;
-    let watermark = Timestamp(dec.u64()?);
+    state.clock = Timestamp(dec.u64()?);
     let released_to = Timestamp(dec.u64()?);
     let late = dec.u64()?;
     let n = dec.usize()?;
@@ -412,7 +407,7 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
     }
     state.arrivals = dec.u64()?;
     let n = dec.usize()?;
-    state.buffered.reserve(n.min(1 << 16));
+    let mut in_flight = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let stamp = dec.u64()?;
         // Stamps count admitted events from 1; one past the counter would
@@ -423,14 +418,11 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
                 state.arrivals
             )));
         }
-        state.buffered.push(InFlight {
-            stamp,
-            event: Event::load(dec)?,
-        });
+        in_flight.push((stamp, Event::load(dec)?));
     }
     // A stamp is one admitted event: a repeat would be staged as the row
     // of the event before it.
-    let mut stamps: Vec<u64> = state.buffered.iter().map(|item| item.stamp).collect();
+    let mut stamps: Vec<u64> = in_flight.iter().map(|(stamp, _)| *stamp).collect();
     stamps.sort_unstable();
     if let Some(pair) = stamps.windows(2).find(|pair| pair[0] == pair[1]) {
         return Err(CheckpointError::Corrupt(format!(
@@ -438,14 +430,25 @@ fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
             pair[0]
         )));
     }
-    state.gate = Some(LateGate::from_parts(
-        slack,
-        watermark,
-        released_to,
-        late,
-        pending,
-    ));
-    state.clock = watermark;
+    pending.sort_unstable();
+    in_flight.sort_by_key(|(stamp, event)| (event.time, *stamp));
+    let mut in_flight = in_flight.into_iter().peekable();
+    let mut entries = Vec::with_capacity(pending.len());
+    for time in pending {
+        match in_flight.next_if(|(_, event)| event.time == time) {
+            Some((stamp, event)) => entries.push((time, stamp, Some(event))),
+            // An entry without an event is released unseen; its stamp
+            // orders nothing.
+            None => entries.push((time, 0, None)),
+        }
+    }
+    if let Some((_, event)) = in_flight.next() {
+        return Err(CheckpointError::Corrupt(format!(
+            "in-flight event {} at {} is not among the pending times",
+            event.id, event.time
+        )));
+    }
+    state.reorder = Some(ReorderBuffer::from_parts(slack, released_to, late, entries));
     Ok(state)
 }
 
@@ -631,10 +634,10 @@ impl SessionBuilder {
 
     /// Repair up to `slack` ticks of disorder before the engines see the
     /// events. Dropped late events are counted
-    /// ([`Session::late_events`]). One stream-wide gate decides the drops
-    /// — exactly those of a single front reorderer — and one reorder
-    /// buffer in front of the shards releases the rest in order, so
-    /// results and drop counts do not depend on `.workers(n)`.
+    /// ([`Session::late_events`]). One reorder buffer in front of the
+    /// shards decides the drops — exactly those of a single front
+    /// reorderer — and releases the rest in order, so results and drop
+    /// counts do not depend on `.workers(n)`.
     pub fn slack(mut self, slack: u64) -> SessionBuilder {
         self.slack = Some(slack);
         self
@@ -807,7 +810,7 @@ impl SessionBuilder {
         let mut dec = Dec::new(&bytes);
         let mut state = load_reorder(&mut dec)?;
         dec.finish("reorder section")?;
-        if state.gate.as_ref().map(LateGate::slack) != slack {
+        if state.reorder.as_ref().map(ReorderBuffer::slack) != slack {
             return Err(CheckpointError::Corrupt(
                 "reorder state does not match the configured slack".to_string(),
             ));
@@ -1020,7 +1023,7 @@ pub struct SessionRun {
     /// late).
     pub events: u64,
     /// Late events dropped by the `.slack(n)` repair (0 without slack).
-    /// One stream-wide gate decides the drops, so this count is
+    /// One stream-wide reorder buffer decides the drops, so this count is
     /// independent of the worker count — the model battery compares it
     /// with a front `Reorderer`'s at every width.
     pub late_events: u64,
@@ -1179,7 +1182,7 @@ impl Session {
     /// before a refused one stay ingested and counted.
     pub fn ingest_checked(&mut self, event: &Event) -> Result<(), IngestError> {
         let watermark = self.watermark();
-        if self.pool.gate().is_none() && event.time < watermark {
+        if self.pool.slack().is_none() && event.time < watermark {
             return Err(IngestError::OutOfOrder {
                 event: event.id,
                 time: event.time,
@@ -1266,7 +1269,7 @@ impl Session {
 
     /// Observable stream progress — results at or before it are final
     /// after the next drain: the latest ingested event time, or the safe
-    /// watermark of the slack gate when disorder repair is active.
+    /// watermark of the reorder buffer when disorder repair is active.
     pub fn watermark(&self) -> Timestamp {
         self.pool.watermark()
     }
@@ -1342,9 +1345,9 @@ impl Session {
     /// format): queries (canonical text) and engine kinds, engine
     /// configuration, slack/workers/batch-size, every engine's partition
     /// and window state with watermarks and drain floors, and the
-    /// `.slack(n)` reorder state — the in-flight events the gate has not
-    /// passed yet (everything it has passed is in the engines), release
-    /// points and the late-drop count. The shards' states are merged per
+    /// `.slack(n)` reorder state — the events the reorder buffer has not
+    /// released yet (everything it has released is in the engines),
+    /// release points and the late-drop count. The shards' states are merged per
     /// query, so the snapshot is layout-independent:
     /// [`SessionBuilder::restore`] may re-shard it onto a different
     /// `.workers(n)` (elastic rescale).
@@ -1360,8 +1363,8 @@ impl Session {
         // Engine states + reorder payload first (one snapshot of the
         // pool), then the container is written in one pass: config,
         // reorder, one `q<i>` section per physical run.
-        let mut state = self.pool.snapshot()?;
-        let reorder = save_reorder(&mut state);
+        let state = self.pool.snapshot()?;
+        let reorder = save_reorder(&state);
 
         let mut w = SnapshotWriter::new(writer)?;
         let mut enc = Enc::new();
@@ -1372,7 +1375,7 @@ impl Session {
         }
         enc.str(self.kind.name());
         enc.opt_u64(self.config.flatten_cap.map(|c| c as u64));
-        enc.opt_u64(self.pool.gate().map(LateGate::slack));
+        enc.opt_u64(self.pool.slack());
         enc.u64(self.workers() as u64);
         enc.u64(self.batch_size as u64);
         enc.opt_u64(self.config.key_limit.map(u64::from));
@@ -1555,7 +1558,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("kind", &self.kind)
             .field("queries", &self.queries())
-            .field("slack", &self.pool.gate().map(LateGate::slack))
+            .field("slack", &self.pool.slack())
             .finish_non_exhaustive()
     }
 }

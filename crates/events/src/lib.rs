@@ -24,7 +24,7 @@ pub mod window;
 
 pub use csv::{read_events, record_ends, write_events, CsvError, EventReader};
 pub use event::{Event, EventId, Timestamp};
-pub use reorder::{LateGate, ReorderBuffer, Reorderer};
+pub use reorder::{ReorderBuffer, Reorderer};
 pub use schema::{AttrId, Schema, TypeId, TypeRegistry};
 pub use stream::{transactions, validate_ordered, EventBuilder, OutOfOrderError};
 pub use value::{Value, ValueKind};

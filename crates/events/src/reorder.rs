@@ -3,7 +3,7 @@
 //! The engines require time-ordered input (§2.1; the §8 time-driven
 //! scheduler "waits till the processing of all transactions with smaller
 //! time stamps is completed"). Real sources deliver events slightly
-//! disordered; [`Reorderer`] implements the waiting: it buffers events and
+//! disordered; a reorderer implements the waiting: it buffers events and
 //! releases them in time-stamp order once the watermark (maximum time
 //! seen) has advanced `slack` ticks past them, guaranteeing in-order
 //! delivery for any input whose disorder is bounded by `slack`. An event
@@ -12,18 +12,17 @@
 //! systems; this implementation drops only when emission would actually
 //! violate order, which is the laziest correct policy).
 //!
-//! A session's shard pool splits the reorderer in two, because admission
-//! and buffering see different streams: every event moves the clock and
-//! may be late, but the buffer holds only the events some query wants,
-//! each once, as the pool owns it (the attributes the plans read, and
-//! its arrival stamp) instead of the event itself:
-//! * [`LateGate`] — the admission decision. It tracks only *time stamps*
-//!   (a heap of `Timestamp`s, no event payloads) and reproduces the exact
-//!   drop rule a front [`Reorderer`] would apply; its safe watermark says
-//!   how far the buffer may release.
-//! * [`ReorderBuffer`] — the payload-generic buffering half. It sorts
-//!   whatever the gate admitted; it never drops (the gate already decided
-//!   admission).
+//! Two reorderers apply that contract, written apart on purpose so one
+//! can be held to the other:
+//! * [`Reorderer`] — the reference: a front buffer of whole events, each
+//!   released as it is.
+//! * [`ReorderBuffer`] — a session's one reorderer, in front of its route.
+//!   Every admitted event moves the clock and holds back what may be
+//!   released, but only the events some query wants carry a payload: an
+//!   entry is `Some(item)` for those and `None` for the rest, in one heap
+//!   of every admitted, unreleased event. The stream clock is the
+//!   caller's, and an entry is ordered by the arrival stamp the caller
+//!   gave it.
 
 use crate::event::{Event, Timestamp};
 use std::cmp::Reverse;
@@ -31,7 +30,7 @@ use std::collections::BinaryHeap;
 
 /// Heap entry ordered by (time, arrival sequence) so equal-time items
 /// keep their arrival order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Pending<T> {
     time: Timestamp,
     seq: u64,
@@ -55,145 +54,85 @@ impl<T> Ord for Pending<T> {
     }
 }
 
-/// Payload-generic time-ordering buffer: items go in tagged with a time
-/// stamp, and come out in (time, arrival) order whenever the caller
-/// declares a release point. Admission (late-drop) policy is *not* here —
-/// it belongs to whoever owns the stream-wide watermark ([`Reorderer`]
-/// for a single front buffer, [`LateGate`] for sharded execution).
-#[derive(Debug)]
-pub struct ReorderBuffer<T> {
-    heap: BinaryHeap<Reverse<Pending<T>>>,
-    seq: u64,
-}
-
-impl<T> Default for ReorderBuffer<T> {
-    fn default() -> ReorderBuffer<T> {
-        ReorderBuffer::new()
-    }
-}
-
-impl<T> ReorderBuffer<T> {
-    /// An empty buffer.
-    pub fn new() -> ReorderBuffer<T> {
-        ReorderBuffer {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Buffer one item stamped with `time`.
-    pub fn push(&mut self, time: Timestamp, item: T) {
-        self.heap.push(Reverse(Pending {
-            time,
-            seq: self.seq,
-            item,
-        }));
-        self.seq += 1;
-    }
-
-    /// Append every buffered item with time `<= safe` to `out`, in
-    /// (time, arrival) order.
-    pub fn release_up_to(&mut self, safe: Timestamp, out: &mut Vec<T>) {
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if top.time > safe {
-                break;
-            }
-            let Reverse(p) = self.heap.pop().expect("peeked");
-            out.push(p.item);
-        }
-    }
-
-    /// End of stream: append everything still buffered to `out`, in order.
-    pub fn flush(&mut self, out: &mut Vec<T>) {
-        while let Some(Reverse(p)) = self.heap.pop() {
-            out.push(p.item);
-        }
-    }
-
-    /// Number of items currently buffered.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Non-consuming ordered view of the buffered items, in the exact
-    /// (time, arrival) order [`ReorderBuffer::flush`] would emit them —
-    /// the checkpoint path serializes buffers without draining them.
-    pub fn ordered(&self) -> Vec<(Timestamp, &T)> {
-        let mut pending: Vec<&Pending<T>> = self.heap.iter().map(|Reverse(p)| p).collect();
-        pending.sort_by_key(|p| (p.time, p.seq));
-        pending.into_iter().map(|p| (p.time, &p.item)).collect()
-    }
-}
-
-/// The admission half of a sharded reorder pipeline.
+/// A session's reorderer: one heap of every admitted, unreleased event,
+/// ordered by (time, arrival stamp), holding a payload only for the
+/// events that want one.
 ///
-/// A [`ReorderBuffer`] of payloads other than events still needs the
-/// stream-wide answer to "is this event hopelessly late?" and "how far
-/// may the buffer release?". The gate replays the front reorderer's
-/// bookkeeping on time stamps alone:
-/// `released_to` is the largest time already releasable anywhere
-/// (`max{t pushed : t <= watermark − slack}`), and an arriving event is
-/// late exactly when its time is behind that — byte-for-byte the rule
-/// [`Reorderer::push`] applies, at a heap-of-`u64`s price.
+/// `released_to` is the largest time already released
+/// (`max{t admitted : t <= watermark − slack}`), and an arriving event is
+/// late exactly when its time is behind it — the rule [`Reorderer::push`]
+/// applies, so both drop the same events of any stream.
 #[derive(Debug, Clone)]
-pub struct LateGate {
+pub struct ReorderBuffer<T> {
     slack: u64,
-    watermark: Timestamp,
     released_to: Timestamp,
-    pending: BinaryHeap<Reverse<Timestamp>>,
+    heap: BinaryHeap<Reverse<Pending<Option<T>>>>,
     late: u64,
 }
 
-impl LateGate {
-    /// A gate tolerating up to `slack` ticks of disorder.
-    pub fn new(slack: u64) -> LateGate {
-        LateGate {
-            slack,
-            watermark: Timestamp::ZERO,
-            released_to: Timestamp::ZERO,
-            pending: BinaryHeap::new(),
-            late: 0,
-        }
+impl<T> ReorderBuffer<T> {
+    /// An empty buffer tolerating up to `slack` ticks of disorder.
+    pub fn new(slack: u64) -> ReorderBuffer<T> {
+        ReorderBuffer::from_parts(slack, Timestamp::ZERO, 0, Vec::new())
     }
 
-    /// Decide admission of an event at `time`: `false` means the event is
-    /// late (dropped and counted) — a front [`Reorderer`] fed the same
-    /// stream would drop it too. An admitted event waits in a
-    /// [`ReorderBuffer`] until [`LateGate::safe_watermark`] reaches it.
-    pub fn admit(&mut self, time: Timestamp) -> bool {
+    /// Offer an event at `time`, the `stamp`-th to arrive: `false` means
+    /// it is late, dropped and counted. An admitted event waits until
+    /// [`ReorderBuffer::release`] reaches it, holding `item()` — `None`
+    /// for an event nothing is to be released for, which still holds
+    /// back what may be released. `item` runs only for an admitted event.
+    pub fn push(&mut self, time: Timestamp, stamp: u64, item: impl FnOnce() -> Option<T>) -> bool {
         if time < self.released_to {
             self.late += 1;
             return false;
         }
-        self.watermark = self.watermark.max(time);
-        self.pending.push(Reverse(time));
-        let safe = self.watermark.saturating_sub(self.slack);
-        while let Some(&Reverse(top)) = self.pending.peek() {
-            if top > safe {
-                break;
-            }
-            self.pending.pop();
-            self.released_to = self.released_to.max(top);
-        }
+        let item = item();
+        self.heap.push(Reverse(Pending {
+            time,
+            seq: stamp,
+            item,
+        }));
         true
     }
 
-    /// The largest time stamp that is releasable stream-wide: every
-    /// admitted event at or before it is deliverable in order, so results
-    /// up to here are final once it is delivered. This is exactly the
-    /// `released_to` of an equivalent front [`Reorderer`].
-    pub fn safe_watermark(&self) -> Timestamp {
-        self.released_to
+    /// The next `(stamp, item)` at or before `watermark − slack`, in
+    /// (time, stamp) order; `None` once nothing more is due. Every entry
+    /// it passes, payload or not, raises the safe watermark.
+    pub fn release(&mut self, watermark: Timestamp) -> Option<(u64, T)> {
+        self.pop(watermark.saturating_sub(self.slack), true)
     }
 
-    /// The raw stream watermark (largest admitted time).
-    pub fn watermark(&self) -> Timestamp {
-        self.watermark
+    /// End of stream: the next `(stamp, item)` of all still buffered, in
+    /// order, whatever its time; `None` once the buffer is empty. The safe
+    /// watermark stays where the stream left it.
+    pub fn flush(&mut self) -> Option<(u64, T)> {
+        self.pop(Timestamp(u64::MAX), false)
+    }
+
+    /// Pop entries at or before `up_to` until one carries an item;
+    /// `raise`: each popped entry counts as released.
+    fn pop(&mut self, up_to: Timestamp, raise: bool) -> Option<(u64, T)> {
+        while self
+            .heap
+            .peek()
+            .is_some_and(|Reverse(top)| top.time <= up_to)
+        {
+            let Reverse(Pending { time, seq, item }) = self.heap.pop().expect("peeked");
+            if raise {
+                self.released_to = self.released_to.max(time);
+            }
+            if let Some(item) = item {
+                return Some((seq, item));
+            }
+        }
+        None
+    }
+
+    /// The largest time stamp released: every admitted event at or before
+    /// it has left the buffer, so results up to here are final once
+    /// delivered — exactly the released output of a front [`Reorderer`].
+    pub fn safe_watermark(&self) -> Timestamp {
+        self.released_to
     }
 
     /// Number of events refused as too late.
@@ -206,36 +145,41 @@ impl LateGate {
         self.slack
     }
 
-    /// The admitted-but-unreleased time stamps, sorted ascending — the
-    /// gate's exact pending state, serialized verbatim at checkpoint so a
-    /// restored gate reproduces every future drop decision bit-for-bit.
-    pub fn pending_times(&self) -> Vec<Timestamp> {
-        let mut times: Vec<Timestamp> = self.pending.iter().map(|Reverse(t)| *t).collect();
-        times.sort();
-        times
+    /// Every buffered entry as `(time, stamp, item)`, in the (time, stamp)
+    /// order the buffer releases them in — the checkpoint path serializes
+    /// the buffer without draining it.
+    pub fn ordered(&self) -> Vec<(Timestamp, u64, Option<&T>)> {
+        let mut pending: Vec<&Pending<Option<T>>> = self.heap.iter().map(|Reverse(p)| p).collect();
+        pending.sort_by_key(|p| (p.time, p.seq));
+        (pending.into_iter())
+            .map(|p| (p.time, p.seq, p.item.as_ref()))
+            .collect()
     }
 
-    /// Rebuild a gate from checkpointed state ([`LateGate::slack`],
-    /// [`LateGate::watermark`], [`LateGate::safe_watermark`],
-    /// [`LateGate::late_events`], [`LateGate::pending_times`]).
+    /// Rebuild a buffer from checkpointed state ([`ReorderBuffer::slack`],
+    /// [`ReorderBuffer::safe_watermark`], [`ReorderBuffer::late_events`],
+    /// [`ReorderBuffer::ordered`]).
     pub fn from_parts(
         slack: u64,
-        watermark: Timestamp,
         released_to: Timestamp,
         late: u64,
-        pending: Vec<Timestamp>,
-    ) -> LateGate {
-        LateGate {
+        entries: Vec<(Timestamp, u64, Option<T>)>,
+    ) -> ReorderBuffer<T> {
+        let heap = (entries.into_iter())
+            .map(|(time, seq, item)| Reverse(Pending { time, seq, item }))
+            .collect();
+        ReorderBuffer {
             slack,
-            watermark,
             released_to,
-            pending: pending.into_iter().map(Reverse).collect(),
+            heap,
             late,
         }
     }
 }
 
-/// Buffering reorderer with a fixed disorder bound.
+/// Buffering reorderer with a fixed disorder bound — the reference the
+/// session's [`ReorderBuffer`] is held to, with a drop rule and a heap of
+/// its own.
 ///
 /// ```
 /// use cogra_events::{Event, Reorderer, TypeId};
@@ -253,7 +197,8 @@ pub struct Reorderer {
     slack: u64,
     watermark: Timestamp,
     released_to: Timestamp,
-    buffer: ReorderBuffer<Event>,
+    heap: BinaryHeap<Reverse<Pending<Event>>>,
+    arrivals: u64,
     late: u64,
 }
 
@@ -264,7 +209,8 @@ impl Reorderer {
             slack,
             watermark: Timestamp::ZERO,
             released_to: Timestamp::ZERO,
-            buffer: ReorderBuffer::new(),
+            heap: BinaryHeap::new(),
+            arrivals: 0,
             late: 0,
         }
     }
@@ -277,21 +223,29 @@ impl Reorderer {
             return;
         }
         self.watermark = self.watermark.max(event.time);
-        self.buffer.push(event.time, event);
+        self.heap.push(Reverse(Pending {
+            time: event.time,
+            seq: self.arrivals,
+            item: event,
+        }));
+        self.arrivals += 1;
         let safe = self.watermark.saturating_sub(self.slack);
-        let from = out.len();
-        self.buffer.release_up_to(safe, out);
-        if let Some(last) = out[from..].last() {
-            self.released_to = self.released_to.max(last.time);
+        while self
+            .heap
+            .peek()
+            .is_some_and(|Reverse(top)| top.time <= safe)
+        {
+            let Reverse(p) = self.heap.pop().expect("peeked");
+            self.released_to = self.released_to.max(p.time);
+            out.push(p.item);
         }
     }
 
     /// End of stream: release everything still buffered, in order.
     pub fn flush(&mut self, out: &mut Vec<Event>) {
-        let from = out.len();
-        self.buffer.flush(out);
-        if let Some(last) = out[from..].last() {
-            self.released_to = self.released_to.max(last.time);
+        while let Some(Reverse(p)) = self.heap.pop() {
+            self.released_to = self.released_to.max(p.time);
+            out.push(p.item);
         }
     }
 
@@ -302,10 +256,9 @@ impl Reorderer {
 
     /// Number of events currently buffered.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.heap.len()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,8 +365,9 @@ mod tests {
 
     #[test]
     fn gate_drop_decisions_match_a_front_reorderer() {
-        // The LateGate must reproduce the Reorderer's admissions exactly —
-        // per event, not just in total — on adversarial time sequences.
+        // The session's buffer must reproduce the Reorderer's admissions
+        // and released output exactly — per event, not just in total — on
+        // adversarial time sequences, whichever events carry a payload.
         let sequences: &[&[u64]] = &[
             &[1, 2, 3, 4, 5],
             &[10, 12, 3],
@@ -423,44 +377,94 @@ mod tests {
             &[5, 5, 5, 1, 5, 9, 4, 9, 3],
             &[0, 0, 7, 0, 14, 7, 21, 0],
         ];
+        let markings: [fn(u64) -> bool; 3] = [|_| true, |i| i % 2 == 0, |i| i % 3 == 1];
         for slack in [0u64, 1, 2, 3, 7, 100] {
             for &times in sequences {
-                let mut reorderer = Reorderer::new(slack);
-                let mut gate = LateGate::new(slack);
-                let mut out = Vec::new();
-                for (i, &t) in times.iter().enumerate() {
-                    let before = reorderer.late_events();
-                    reorderer.push(ev(i as u64, t), &mut out);
-                    let dropped = reorderer.late_events() > before;
-                    let admitted = gate.admit(Timestamp(t));
-                    assert_eq!(
-                        admitted, !dropped,
-                        "slack={slack} times={times:?} event {i} (t={t})"
-                    );
-                    assert_eq!(
-                        gate.safe_watermark(),
-                        reorderer.released_to,
-                        "slack={slack} times={times:?} after event {i}"
-                    );
+                for wanted in markings {
+                    let mut reorderer = Reorderer::new(slack);
+                    let mut buffer = ReorderBuffer::new(slack);
+                    let (mut out, mut released) = (Vec::new(), Vec::new());
+                    let mut watermark = Timestamp::ZERO;
+                    for (i, &t) in times.iter().enumerate() {
+                        let i = i as u64;
+                        let before = reorderer.late_events();
+                        reorderer.push(ev(i, t), &mut out);
+                        let dropped = reorderer.late_events() > before;
+                        let admitted = buffer.push(Timestamp(t), i, || wanted(i).then_some(i));
+                        assert_eq!(
+                            admitted, !dropped,
+                            "slack={slack} times={times:?} event {i} (t={t})"
+                        );
+                        if admitted {
+                            watermark = watermark.max(Timestamp(t));
+                        }
+                        while let Some((stamp, item)) = buffer.release(watermark) {
+                            assert_eq!(stamp, item);
+                            released.push(item);
+                        }
+                        assert_eq!(
+                            buffer.safe_watermark(),
+                            reorderer.released_to,
+                            "slack={slack} times={times:?} after event {i}"
+                        );
+                    }
+                    assert_eq!(buffer.late_events(), reorderer.late_events());
+                    let safe = buffer.safe_watermark();
+                    reorderer.flush(&mut out);
+                    released.extend(std::iter::from_fn(|| buffer.flush()).map(|(_, i)| i));
+                    assert_eq!(buffer.safe_watermark(), safe, "a flush moves no watermark");
+                    let front: Vec<u64> = (out.iter().map(|e| e.id.0))
+                        .filter(|&i| wanted(i))
+                        .collect();
+                    assert_eq!(released, front, "slack={slack} times={times:?}");
                 }
-                assert_eq!(gate.late_events(), reorderer.late_events());
             }
         }
     }
 
     #[test]
     fn buffer_releases_in_time_then_arrival_order() {
-        let mut b: ReorderBuffer<&str> = ReorderBuffer::new();
-        b.push(Timestamp(5), "a");
-        b.push(Timestamp(3), "b");
-        b.push(Timestamp(5), "c");
-        b.push(Timestamp(8), "d");
-        let mut out = Vec::new();
-        b.release_up_to(Timestamp(5), &mut out);
+        let mut b: ReorderBuffer<&str> = ReorderBuffer::new(0);
+        for (stamp, (t, item)) in [
+            (5, Some("a")),
+            (3, Some("b")),
+            (5, None),
+            (5, Some("c")),
+            (8, Some("d")),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(b.push(Timestamp(t), stamp as u64, || item));
+        }
+        let ordered: Vec<_> = b
+            .ordered()
+            .into_iter()
+            .map(|(t, s, i)| (t.ticks(), s, i.copied()))
+            .collect();
+        assert_eq!(
+            ordered,
+            vec![
+                (3, 1, Some("b")),
+                (5, 0, Some("a")),
+                (5, 2, None),
+                (5, 3, Some("c")),
+                (8, 4, Some("d"))
+            ]
+        );
+        let mut out: Vec<&str> = std::iter::from_fn(|| b.release(Timestamp(5)))
+            .map(|(_, item)| item)
+            .collect();
         assert_eq!(out, vec!["b", "a", "c"]);
-        assert_eq!(b.len(), 1);
-        b.flush(&mut out);
+        assert_eq!(b.safe_watermark(), Timestamp(5));
+        assert_eq!(b.heap.len(), 1);
+        assert!(
+            !b.push(Timestamp(4), 5, || Some("late")),
+            "behind what was released"
+        );
+        out.extend(std::iter::from_fn(|| b.flush()).map(|(_, item)| item));
         assert_eq!(out, vec!["b", "a", "c", "d"]);
-        assert!(b.is_empty());
+        assert!(b.heap.is_empty());
+        assert_eq!((b.safe_watermark(), b.late_events()), (Timestamp(5), 1));
     }
 }

@@ -6,9 +6,10 @@
 //! time stamps scattered backwards by up to `disorder` ticks — far deeper
 //! than the shallow jitter the friendly workloads apply. The stream is
 //! returned in **arrival order**, not time order: it is input for
-//! `.slack(n)` sessions and stresses `ReorderBuffer` depth and the
-//! `LateGate` drop rule (events displaced beyond the configured slack are
-//! *supposed* to be dropped, identically on every worker count).
+//! `.slack(n)` sessions and stresses the depth of the session's one
+//! `ReorderBuffer` and its drop rule (events displaced beyond the
+//! configured slack are *supposed* to be dropped, identically on every
+//! worker count).
 
 use cogra_events::{Event, EventBuilder, TypeRegistry, Value, ValueKind};
 use rand::rngs::StdRng;

@@ -314,7 +314,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     // One pass: CSV rows are decoded and ingested through the Session's
     // shared decode path (`run_csv`), never materializing the event
     // vector. Out-of-order rows fail here unless --slack repairs them.
-    let engine = session.kind();
+    let (engine, restored_late) = (session.kind(), session.late_events());
     let run = session
         .run_csv(&stream, &registry)
         .map_err(|e| format!("{events}: {e}"))?;
@@ -325,7 +325,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         engine,
         run.workers,
         run.events,
-        run.late_events,
+        restored_late..run.late_events,
         || Ok(String::new()),
     )?;
     if args.memory {
@@ -337,13 +337,16 @@ fn run(argv: &[String]) -> Result<(), String> {
 /// Print every query's results (`qN:`-prefixed when there are several),
 /// run `finish` (the `--checkpoint` snapshot), then the summary line with
 /// `finish`'s suffix and, under `--slack` or after a late drop, `reorder:`.
+/// `events` are the rows this run read; `late` runs from the session's
+/// late-drop count before them (a restored session's earlier drops) to
+/// its count after.
 fn report(
     args: &Args,
     per_query: &[Vec<WindowResult>],
     engine: EngineKind,
     workers: usize,
     events: u64,
-    late: u64,
+    late: std::ops::Range<u64>,
     finish: impl FnOnce() -> Result<String, String>,
 ) -> Result<(), String> {
     let multi = per_query.len() > 1;
@@ -358,13 +361,13 @@ fn report(
     }
     let suffix = finish()?;
     let total: usize = per_query.iter().map(Vec::len).sum();
-    // Count what the engines actually ingested: late drops are reported
-    // on their own line, not in the headline.
-    let ingested = events - late;
+    // Count what the engines actually ingested of this run's rows: late
+    // drops are reported on their own line, as the session's total.
+    let ingested = events - (late.end - late.start);
     let workers = format_workers(args.session.workers, workers);
     eprintln!("{ingested} events → {total} results ({engine}{workers}){suffix}");
-    if args.session.slack.is_some() || late > 0 {
-        eprintln!("reorder: {late} late event(s) dropped");
+    if args.session.slack.is_some() || late.end > 0 {
+        eprintln!("reorder: {} late event(s) dropped", late.end);
     }
     Ok(())
 }
@@ -396,6 +399,7 @@ fn checkpoint_run(
     registry: &TypeRegistry,
     path: &str,
 ) -> Result<(), String> {
+    let restored_late = session.late_events();
     let count = session
         .ingest_csv(stream, registry)
         .map_err(|e| format!("{events}: {e}"))?;
@@ -404,7 +408,8 @@ fn checkpoint_run(
     for results in &mut per_query {
         WindowResult::sort(results);
     }
-    let (engine, workers, late) = (session.kind(), session.workers(), session.late_events());
+    let (engine, workers) = (session.kind(), session.workers());
+    let late = restored_late..session.late_events();
     report(args, &per_query, engine, workers, count, late, || {
         // Atomic write ({path}.tmp + fsync + rename): a crash mid-snapshot
         // leaves any previous snapshot at PATH intact, never a truncated

@@ -983,37 +983,71 @@ fn in_flight_events_of_one_time_stamp_come_back_in_arrival_order() {
     }
 }
 
+/// `valid` with `damage` done to its `reorder` section's pending times
+/// and in-flight `(stamp, event)`s, everything else as it was.
+fn damaged_reorder(
+    valid: &[u8],
+    damage: impl Fn(&mut Vec<u64>, &mut Vec<(u64, Event)>),
+) -> Vec<u8> {
+    use cogra_checkpoint::{Dec, Enc};
+    rewrite_section(valid, "reorder", |payload| {
+        let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
+        // The slack flag; slack, watermark, safe watermark, late drops.
+        enc.bool(dec.bool().unwrap());
+        (0..4).for_each(|_| enc.u64(dec.u64().unwrap()));
+        let mut pending: Vec<u64> = (0..dec.usize().unwrap())
+            .map(|_| dec.u64().unwrap())
+            .collect();
+        let arrivals = dec.u64().unwrap();
+        let mut in_flight: Vec<(u64, Event)> = (0..dec.usize().unwrap())
+            .map(|_| (dec.u64().unwrap(), Event::load(&mut dec).unwrap()))
+            .collect();
+        damage(&mut pending, &mut in_flight);
+        enc.usize(pending.len());
+        pending.iter().for_each(|&t| enc.u64(t));
+        enc.u64(arrivals);
+        enc.usize(in_flight.len());
+        for (stamp, event) in &in_flight {
+            enc.u64(*stamp);
+            event.save(&mut enc);
+        }
+        enc.into_bytes()
+    })
+}
+
 #[test]
 fn an_in_flight_event_stamped_twice_is_rejected_typed() {
     // Regression: only the range of a stamp was checked, and a worker
     // stores an event several of its queries want as one row, keyed by the
     // stamp — so two in-flight events of one stamp restored at width 2 as
     // the first event twice and the others not at all.
-    use cogra_checkpoint::{Dec, Enc};
     watchdog("in-flight stamps", || {
         let (registry, _) = old_format_life();
         let valid = old_life_checkpoint();
         // Every in-flight event stamped as the first one.
-        let damaged = rewrite_section(&valid, "reorder", |payload| {
-            let (mut dec, mut enc) = (Dec::new(payload), Enc::new());
-            // The slack flag; slack, watermark, safe watermark, late drops.
-            enc.bool(dec.bool().unwrap());
-            (0..4).for_each(|_| enc.u64(dec.u64().unwrap()));
-            let pending = dec.usize().unwrap();
-            enc.usize(pending);
-            // The pending times, then the arrivals.
-            (0..=pending).for_each(|_| enc.u64(dec.u64().unwrap()));
-            let in_flight = dec.usize().unwrap();
-            assert!(in_flight > 1, "battery bug: less than two in flight");
-            enc.usize(in_flight);
-            let mut first = None;
-            for _ in 0..in_flight {
-                enc.u64(*first.get_or_insert(dec.u64().unwrap()));
-                Event::load(&mut dec).unwrap().save(&mut enc);
-            }
-            enc.into_bytes()
+        let damaged = damaged_reorder(&valid, |_, in_flight| {
+            assert!(in_flight.len() > 1, "battery bug: less than two in flight");
+            let first = in_flight[0].0;
+            in_flight.iter_mut().for_each(|(stamp, _)| *stamp = first);
         });
         let why = "two in-flight events stamped";
+        assert_refused_as_corrupt_at(&[1, 2], &registry, &valid, &damaged, why);
+    });
+}
+
+#[test]
+fn an_in_flight_event_off_the_pending_times_is_rejected_typed() {
+    // An in-flight event is one of the reorder buffer's entries: its time
+    // is among the pending times, and a restore that finds it elsewhere
+    // holds a snapshot no buffer wrote.
+    watchdog("in-flight times", || {
+        let (registry, _) = old_format_life();
+        let valid = old_life_checkpoint();
+        let damaged = damaged_reorder(&valid, |pending, in_flight| {
+            assert!(!in_flight.is_empty(), "battery bug: nothing in flight");
+            pending.clear();
+        });
+        let why = "is not among the pending times";
         assert_refused_as_corrupt_at(&[1, 2], &registry, &valid, &damaged, why);
     });
 }

@@ -375,6 +375,49 @@ fn sigterm_drains_snapshots_and_exits_cleanly() {
     );
 }
 
+/// A restored session's headline counts the rows of its own run: the late
+/// drops before the snapshot stay on the `reorder:` line, which keeps the
+/// session's total, and are not taken off this run's rows (a restore over
+/// an empty tail used to print a wrapped count).
+#[test]
+fn a_restore_headline_counts_only_its_own_rows() {
+    let f = fixture("restore-late");
+    // Two stragglers behind what slack 3 has released by time 8.
+    let late = format!("{STREAM}Measurement,2,7,passive,50\nMeasurement,1,8,passive,40\n");
+    std::fs::write(f.dir.join("late.csv"), late).unwrap();
+    std::fs::write(f.dir.join("empty.csv"), "type,time,patient,activity,rate\n").unwrap();
+    let snap = f.path("late.cogra");
+    let run = |args: &[&str]| {
+        let out = f.cogra_run(None).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        stderr
+    };
+    let query = f.path("query.cep");
+    let events = f.path("late.csv");
+    let prefix = run(&[
+        "--events",
+        &events,
+        "--query",
+        &query,
+        "--slack",
+        "3",
+        "--checkpoint",
+        &snap,
+    ]);
+    assert!(prefix.starts_with("8 events →"), "{prefix}");
+    assert!(
+        prefix.contains("reorder: 2 late event(s) dropped"),
+        "{prefix}"
+    );
+    let restored = run(&["--events", &f.path("empty.csv"), "--restore", &snap]);
+    assert!(restored.starts_with("0 events →"), "{restored}");
+    assert!(
+        restored.contains("reorder: 2 late event(s) dropped"),
+        "{restored}"
+    );
+}
+
 /// One failure, one message: a snapshot aimed at a missing directory
 /// produces byte-identical error text from the CLI's `--checkpoint`
 /// (after its `error: ` prefix) and the server's `SNAPSHOT` verb (after

@@ -78,11 +78,11 @@ proptest! {
         batch in 0usize..4,
         chunk in 1usize..40,
     ) {
-        // Every width repairs disorder once, in the pool: its LateGate
-        // admits and its one ReorderBuffer releases what the gate passed,
-        // in order, to the shards. Against arbitrarily disordered streams
-        // that must give the results and the late-drop count of the
-        // reference architecture — a single front Reorderer.
+        // Every width repairs disorder once, in the pool: its one
+        // ReorderBuffer admits every event and releases the ones some
+        // query wants, in order, to the shards. Against arbitrarily
+        // disordered streams that must give the results and the late-drop
+        // count of the reference architecture — a single front Reorderer.
         let case = rows_case(&[QUERIES[0]], &rows, Some(slack));
         let reference = Reference::of(&case).expect("COGRA takes every query");
         for (config, ops) in [

@@ -12,18 +12,15 @@
 //! * **edge populations** — for every transition, negation edge and
 //!   predicate of a compiled plan, the smallest stream that takes the edge
 //!   and the smallest that just fails to, against the oracle.
-//! * **slack** — disordered transport streams under `.slack(n)`, one
-//!   table: the late drops and results of a front `Reorderer` at every
-//!   width the case names.
 
 mod common;
 
 use cogra::prelude::*;
-use common::model::{self, chunked, Case, Config, Op, Reference, Transport, BATCHES, WIDTHS};
+use common::model::{self, Case, Config, Op, Reference, Transport, BATCHES, WIDTHS};
 use common::workloads::{
-    disordered, rows_case, stored_case, workload, BURST, KEYLESS, MATRIX, TRANSPORT, WORKLOADS,
+    disordered, rows_case, stored_case, workload, BURST, KEYLESS, MATRIX, WORKLOADS,
 };
-use common::{disorder, edges, watchdog};
+use common::{edges, watchdog};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -339,53 +336,5 @@ fn keyless_events_are_dropped_alike_at_every_width_slack_restore_and_policy() {
         for q in 0..2 {
             assert!(!reference.query(q).is_empty(), "q{q} has no results");
         }
-    }
-}
-
-/// `.slack(n)` sessions over the transport stream under its grouping
-/// query, each held to the same stream repaired by a front `Reorderer`:
-/// `(stream, slack, widths, events per ingest-and-drain round — 0 for
-/// none, what the reference must show)`.
-#[test]
-fn slack_session_matches_manual_reorder_pipeline() {
-    let base = workload(TRANSPORT, 23, 600).only(0);
-    let reversed = |block| disorder(&base.events, block);
-    // The first 10 events re-appended at the end are far behind the
-    // watermark by then: each is a guaranteed drop.
-    let stragglers = [reversed(5), base.events[..10].to_vec()].concat();
-    type Row = (
-        Vec<Event>,
-        u64,
-        &'static [usize],
-        usize,
-        fn(&Reference) -> bool,
-    );
-    let table: [Row; 5] = [
-        // Blocks of five arrive reversed: slack 0 and 3 must drop.
-        (reversed(5), 0, &[1], 1, |r| r.results() > 0),
-        (reversed(5), 3, &[1], 1, |r| r.results() > 0),
-        (reversed(5), 50, &[1], 1, |r| r.results() > 0),
-        // One stream-wide buffer decides the drops in front of the
-        // shards: the same at every width.
-        (stragglers, 3, &WIDTHS, 0, |r| r.late >= 10),
-        // Slack deep enough to repair everything: nothing may drop at
-        // width 4.
-        (reversed(4), 10, &[4], 64, |r| r.late == 0),
-    ];
-    for (events, slack, widths, chunk, holds) in table {
-        let mut case = base.clone();
-        (case.events, case.slack) = (events, Some(slack));
-        let configs = widths.iter().map(|&w| Config::workers(w));
-        let rounds = |case: &Case| match chunk {
-            0 => Vec::new(),
-            chunk => chunked(case, chunk),
-        };
-        let (reference, _) = model::sweep(&case, configs, rounds);
-        assert!(
-            holds(&reference),
-            "slack {slack} at widths {widths:?}: {} late, {} results",
-            reference.late,
-            reference.results()
-        );
     }
 }

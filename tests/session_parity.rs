@@ -1,12 +1,13 @@
 //! Parity arms of the model (`tests/common/mod.rs`) on the evaluation's
 //! stock and transport workloads: in every configuration the builder
-//! offers — engine kind, multi-query, workers — a [`Session`] observes
-//! what each query observes alone on one inline shard. (The `.slack(n)`
-//! arms are a table in `model_battery.rs`.)
+//! offers — engine kind, multi-query, slack, workers — a [`Session`]
+//! observes what each query observes alone on one inline shard, fed in
+//! order by a front `Reorderer`.
 
 mod common;
 
 use cogra::prelude::*;
+use common::disorder;
 use common::model::{chunked, sweep, Case, Config, Op, WIDTHS};
 use common::workloads::{workload, STOCK_TYPE, TRANSPORT};
 
@@ -54,6 +55,17 @@ fn multi_query_session_matches_individual_runs() {
 }
 
 #[test]
+fn slack_session_matches_manual_reorder_pipeline() {
+    for slack in [0, 3, 50] {
+        // Blocks of five arrive reversed: slack 0 and 3 must drop.
+        let mut case = transport();
+        case.events = disorder(&case.events, 5);
+        case.slack = Some(slack);
+        run(&case, Config::default());
+    }
+}
+
+#[test]
 fn one_worker_equals_many_workers() {
     let widths = WIDTHS.map(Config::workers);
     sweep(&transport(), widths, |_| Vec::new());
@@ -70,6 +82,37 @@ fn workers_drains_are_prefix_consistent_and_complete() {
     for run in runs {
         assert!(run.live > 0, "results must flow live, not only at finish()");
     }
+}
+
+/// `.slack(n)` × `.workers(n)`: one stream-wide gate decides the drops in
+/// front of the shards, so late-drop counts must not depend on the worker
+/// count, and every admitted event must land on the shard its group
+/// hashes to.
+#[test]
+fn slack_late_drops_are_identical_across_worker_counts() {
+    let mut case = transport();
+    // Re-append the first 10 events at the end of the stream: their times
+    // are far behind the watermark by then, so each is a guaranteed drop.
+    let stragglers = case.events[..10].to_vec();
+    case.events = disorder(&case.events, 5);
+    case.events.extend(stragglers);
+    case.slack = Some(3);
+    let (reference, _) = sweep(&case, WIDTHS.map(Config::workers), |_| Vec::new());
+    assert!(
+        reference.late >= 10,
+        "the stragglers must actually be dropped (got {})",
+        reference.late
+    );
+}
+
+#[test]
+fn slack_composes_with_workers() {
+    // Slack deep enough to repair everything: nothing may drop at width 4.
+    let mut case = transport();
+    case.events = disorder(&case.events, 4);
+    case.slack = Some(10);
+    let (reference, _) = sweep(&case, [Config::workers(4)], |case| chunked(case, 64));
+    assert_eq!(reference.late, 0);
 }
 
 /// A finished session is exhausted, identically at every width: further

@@ -40,8 +40,10 @@
 //!   The arena, the recycler and the receive are [`handoff`]'s; the
 //!   server's ingest chunks travel the same way.
 //!   Watermark broadcasts make a drain emit every result that is globally
-//!   final — even on shards whose sub-stream went quiet — and the workers
-//!   are supervised per [`FailurePolicy`].
+//!   final — even on shards whose sub-stream went quiet — and each worker
+//!   supervises its own shard per [`FailurePolicy`]: under `Restart` it
+//!   revives the shard on its own thread (`shard_worker`), so the
+//!   coordinator only ever learns of a death it has to act on.
 //!
 //! Disorder repair happens once, in front of the session route, at every
 //! width: under `.slack(n)` every admitted event is pushed once onto the
@@ -170,12 +172,15 @@ pub enum FailurePolicy {
     /// state), and the run reports which shards degraded. Availability
     /// over completeness — nothing is lost *silently*.
     Degrade,
-    /// Respawn the shard from its last per-shard recovery baseline (the
-    /// state captured at the previous drain) and replay the journaled
-    /// events delivered since, then retry the interrupted command. The
-    /// merged output is byte-identical to a run without the failure
-    /// (asserted by `tests/chaos_props.rs`). Costs a per-shard state
-    /// snapshot on every drain and an event journal between drains.
+    /// Revive the shard on its worker thread: rebuild its engines from
+    /// the state the worker saved last (when it started, and at every
+    /// drain or snapshot it answered), replay the batches it received
+    /// since, then retry the interrupted command. The merged output is
+    /// byte-identical to a run without the failure (asserted by
+    /// `tests/chaos_props.rs`). Costs each worker a serialization of its
+    /// shard at every drain and a handle to every batch between drains.
+    /// A shard that dies a ninth time escalates to a sticky failure, as
+    /// under [`FailurePolicy::Fail`].
     Restart,
 }
 
@@ -371,9 +376,11 @@ impl Projection {
     }
 
     /// `event` as the pool's reorder buffer owns it: the type's blank row,
-    /// projected onto.
-    fn owned(&self, event: &Event) -> Event {
-        let mut attrs = self.blank[event.type_id.index()].clone();
+    /// projected onto — written into `reuse`, a row of the type the buffer
+    /// released, when there is one. Only read slots are ever written, so
+    /// that row is blank outside them too.
+    fn owned(&self, event: &Event, reuse: Option<Vec<Value>>) -> Event {
+        let mut attrs = reuse.unwrap_or_else(|| self.blank[event.type_id.index()].clone());
         self.scatter(event.type_id, self.read(event), &mut attrs);
         Event::new(event.id, event.time, event.type_id, attrs)
     }
@@ -443,7 +450,9 @@ impl Batch {
 #[derive(Clone)]
 enum Cmd {
     /// The next slice of this shard's sub-stream. The coordinator keeps a
-    /// second handle (see [`Lane::batches`]); the worker only reads.
+    /// second handle (see [`Lane::batches`]); the worker only reads, and
+    /// under [`FailurePolicy::Restart`] holds it until its next save
+    /// ([`Recovery`]).
     Batch(Arc<Batch>),
     /// Advance to the given safe watermark and emit everything now final.
     Drain(Timestamp),
@@ -454,24 +463,64 @@ enum Cmd {
     Finish,
 }
 
-/// The coordinator's side of one shard's transport.
-#[derive(Default)]
+/// The coordinator's side of one shard worker: its thread, the channels
+/// both ways, the shard's transport and what the coordinator knows of the
+/// shard without asking.
 struct Lane {
+    /// `None` once the pool has finished or the worker is gone (dropping
+    /// it closes the channel).
+    tx: Option<SyncSender<Cmd>>,
+    rx: Receiver<Reply>,
+    thread: Option<JoinHandle<()>>,
     /// The open batch: what was staged for the shard since the last ship.
     open: Batch,
     /// Arrival stamp of the event that is `open`'s last row (0: none), so
     /// an event several queries want on this shard is stored once.
     last_stamp: u64,
-    /// The shipped batches: the ones the worker has not finished, and —
-    /// under [`FailurePolicy::Restart`] — the journal of everything
-    /// delivered since the shard's recovery baseline, whose replay
-    /// reproduces the dead shard exactly (nothing was emitted since the
-    /// baseline: results only leave a shard at drains, and every drain
-    /// refreshes it).
+    /// The shipped batches the worker may still hold, and the spares.
     batches: Recycler<Batch>,
+    /// Items staged for the shard since the pool opened (delivered or in
+    /// flight); frozen at 0 once the shard is quarantined.
+    delivered: u64,
+    /// Quarantined by [`FailurePolicy::Degrade`]: the shard is dead and
+    /// stays dead; its groups reroute to the next live shard.
+    quarantined: bool,
+    /// The worker's last reported counters, so [`StreamingPool::metrics`]
+    /// needs no synchronous round trip.
+    mirror: ShardMetrics,
 }
 
 impl Lane {
+    /// Start shard `index`'s worker thread over `shard`, reviving it per
+    /// `recovery` ([`FailurePolicy::Restart`]). `Err`: the OS refused the
+    /// thread.
+    fn spawn(
+        shard: Shard,
+        index: usize,
+        recovery: Option<Recovery>,
+        projection: Arc<Projection>,
+    ) -> std::io::Result<Lane> {
+        let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        // Mirror the shard's counters immediately so a freshly restored
+        // pool reports its footprint before any drain.
+        let mirror = shard.metrics();
+        let thread = std::thread::Builder::new()
+            .name(format!("cogra-shard-{index}"))
+            .spawn(move || shard_worker(shard, index, recovery, &projection, cmd_rx, reply_tx))?;
+        Ok(Lane {
+            tx: Some(cmd_tx),
+            rx: reply_rx,
+            thread: Some(thread),
+            open: Batch::default(),
+            last_stamp: 0,
+            batches: Recycler::default(),
+            delivered: 0,
+            quarantined: false,
+            mirror,
+        })
+    }
+
     /// Forget everything staged and shipped (the shard is gone).
     fn clear(&mut self) {
         self.open.clear();
@@ -480,13 +529,14 @@ impl Lane {
     }
 }
 
-/// One shard's contribution to a pool snapshot — also the per-shard
-/// recovery baseline under [`FailurePolicy::Restart`].
-#[derive(Clone)]
+/// One shard's engine states and ingest counter: its contribution to a
+/// pool snapshot, and what a worker under [`FailurePolicy::Restart`]
+/// revives its shard from ([`Recovery`]).
+#[derive(Clone, Default)]
 struct ShardSnapshot {
     /// Per query: the hosted engine's state (`None` where not hosted).
     states: Vec<Option<RouterState>>,
-    /// The shard's ingest counter at snapshot time, so a respawned shard
+    /// The shard's ingest counter at snapshot time, so a revived shard
     /// resumes its accounting instead of restarting from zero.
     events: u64,
 }
@@ -499,31 +549,16 @@ struct Reply {
     results: Vec<(u32, WindowResult)>,
     /// The shard's counters as of this reply.
     metrics: ShardMetrics,
-    /// Engine state: in reply to [`Cmd::Snapshot`], and
-    /// attached to every [`Cmd::Drain`] reply when the pool journals for
-    /// [`FailurePolicy::Restart`] (the recovery baseline refresh).
+    /// Engine state, in reply to [`Cmd::Snapshot`].
     snapshot: Option<ShardSnapshot>,
-    /// Set when the worker body panicked: the supervisor wrapper caught
-    /// the unwind and reports the payload in-band instead of re-raising.
+    /// The worker's last word: its shard died and it will not revive it
+    /// (the policy is not [`FailurePolicy::Restart`], or revival gave up).
     failure: Option<String>,
 }
 
-struct Worker {
-    /// `None` once the pool has finished (dropping it closes the channel).
-    tx: Option<SyncSender<Cmd>>,
-    rx: Receiver<Reply>,
-    thread: Option<JoinHandle<()>>,
-    /// Quarantined by [`FailurePolicy::Degrade`]: the shard is dead and
-    /// stays dead; its groups reroute to the next live shard.
-    quarantined: bool,
-    /// The worker's last reported counters, so [`StreamingPool::metrics`]
-    /// needs no synchronous round trip.
-    mirror: ShardMetrics,
-}
-
-/// A respawned shard that dies this many times is escalated to
-/// [`FailurePolicy::Fail`] — a deterministic crash would otherwise
-/// restart-loop forever.
+/// A shard that dies this many times over its worker's life has its next
+/// death escalated to a sticky failure — a deterministic crash would
+/// otherwise revive and die forever.
 const MAX_RESTARTS: u32 = 8;
 
 /// Backpressure bound, in batches: a worker that falls this many batches
@@ -567,27 +602,18 @@ pub struct StreamingPool {
     /// all the reorder buffer keeps.
     projection: Arc<Projection>,
     /// Width 1: THE shard, driven on the caller's thread. Exactly one of
-    /// `inline` and `workers` is populated.
+    /// `inline` and `lanes` is populated.
     inline: Option<Box<Shard>>,
-    /// Width n ≥ 2: one worker thread per shard. Everything below down to
+    /// Width n ≥ 2: one lane per shard worker. Everything below down to
     /// `dropped` is their coordinator's bookkeeping, idle at width 1.
-    workers: Vec<Worker>,
-    /// Per-shard transport state: open batch, shipped handles, spares.
     lanes: Vec<Lane>,
     batch_size: usize,
-    /// Recovery behavior when a shard worker dies.
+    /// What the coordinator does with a worker that reports its shard
+    /// dead: quarantine it under [`FailurePolicy::Degrade`], fail the pool
+    /// otherwise (a worker under `Restart` reports only once it gave up).
     policy: FailurePolicy,
-    /// Per-shard recovery baselines ([`FailurePolicy::Restart`] only): the
-    /// state captured at the last drain/snapshot. The journal since is the
-    /// shard's [`Lane::batches`].
-    recovery: Option<Vec<ShardSnapshot>>,
-    /// Restarts performed per shard, for the [`MAX_RESTARTS`] escalation.
-    restarts: Vec<u32>,
     /// The sticky terminal failure ([`FailurePolicy::Fail`] or escalation).
     failed: Option<WorkerFailure>,
-    /// Items staged per shard since pool start (delivered or in flight);
-    /// frozen at 0 when a shard is quarantined.
-    delivered: Vec<u64>,
     /// Every item staged across the pool, including ones later dropped.
     routed_items: u64,
     /// Items lost to quarantined shards ([`FailurePolicy::Degrade`]).
@@ -596,6 +622,11 @@ pub struct StreamingPool {
     /// query wants with the event, unrouted (`None`: the stream is
     /// trusted ordered).
     reorder: Option<ReorderBuffer<Event>>,
+    /// Per type, the rows of events the reorder buffer has released, which
+    /// the next admitted events of the type are written into: in steady
+    /// state, admitting an event allocates nothing. At most as many as
+    /// the buffer has held at once.
+    released_rows: Vec<Vec<Vec<Value>>>,
     /// The stream clock: the largest admitted event time.
     clock: Timestamp,
     /// Events admitted so far — the latest one's arrival stamp, which
@@ -675,18 +706,6 @@ impl StreamingPool {
             ),
         };
         let shard_states = reshard(&hosted, threads, states)?;
-        // Under Restart, the opening layout is also the initial recovery
-        // baseline of every shard (cloned before the engines consume it).
-        let journal = threads > 1 && config.policy == FailurePolicy::Restart;
-        let recovery = journal.then(|| {
-            shard_states
-                .iter()
-                .map(|states| ShardSnapshot {
-                    states: states.clone(),
-                    events: 0,
-                })
-                .collect()
-        });
         // Build the engines here, not on the worker threads, so a corrupt
         // entry surfaces as a typed error instead of a worker panic.
         let mut shards = Vec::with_capacity(threads);
@@ -724,15 +743,17 @@ impl StreamingPool {
             ))));
         }
         let projection = Arc::new(Projection::of(&hosted));
-        let mut workers = Vec::new();
+        let mut lanes = Vec::new();
         let inline = if threads == 1 {
             shards.pop().map(Box::new)
         } else {
             for (index, shard) in shards.into_iter().enumerate() {
-                match Self::spawn_one(shard, index, journal, Arc::clone(&projection)) {
-                    Ok(worker) => workers.push(worker),
+                let recovery = (config.policy == FailurePolicy::Restart)
+                    .then(|| Recovery::new(hosted.clone(), threads, index));
+                match Lane::spawn(shard, index, recovery, Arc::clone(&projection)) {
+                    Ok(lane) => lanes.push(lane),
                     Err(e) => {
-                        join_workers(&mut workers);
+                        join_workers(&mut lanes);
                         return Err(OpenError::Session(SessionError::WorkerSpawn {
                             shard: index,
                             error: e.to_string(),
@@ -744,17 +765,14 @@ impl StreamingPool {
         };
         Ok(StreamingPool {
             inline,
-            workers,
-            lanes: (0..threads).map(|_| Lane::default()).collect(),
+            lanes,
             batch_size: config.batch_size.max(1),
             policy: config.policy,
-            recovery,
-            restarts: vec![0; threads],
             failed: None,
-            delivered: vec![0; threads],
             routed_items: 0,
             dropped: 0,
             reorder,
+            released_rows: vec![Vec::new(); projection.blank.len()],
             clock,
             seq: arrivals,
             sent: Vec::new(),
@@ -764,43 +782,6 @@ impl StreamingPool {
             hosted,
             session_route,
             projection,
-        })
-    }
-
-    /// Spawn a single shard worker — the unit both pool construction and
-    /// [`FailurePolicy::Restart`] respawns go through. `attach_snapshots`
-    /// makes every drain reply carry a [`ShardSnapshot`]: the coordinator
-    /// journals for Restart and refreshes its recovery baseline from them.
-    /// `Err`: the OS refused the thread.
-    fn spawn_one(
-        shard: Shard,
-        index: usize,
-        attach_snapshots: bool,
-        projection: Arc<Projection>,
-    ) -> std::io::Result<Worker> {
-        let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        // Mirror the shard's counters immediately so a freshly restored
-        // pool reports its footprint before any drain.
-        let mirror = shard.metrics();
-        let thread = std::thread::Builder::new()
-            .name(format!("cogra-shard-{index}"))
-            .spawn(move || {
-                shard_worker(
-                    shard,
-                    index,
-                    attach_snapshots,
-                    &projection,
-                    cmd_rx,
-                    reply_tx,
-                )
-            })?;
-        Ok(Worker {
-            tx: Some(cmd_tx),
-            rx: reply_rx,
-            thread: Some(thread),
-            quarantined: false,
-            mirror,
         })
     }
 
@@ -852,7 +833,7 @@ impl StreamingPool {
     /// once the pool has finished.
     fn shards(&self) -> impl Iterator<Item = ShardMetrics> + '_ {
         (self.inline.iter().map(|shard| shard.metrics()))
-            .chain(self.workers.iter().map(|w| w.mirror))
+            .chain(self.lanes.iter().map(|lane| lane.mirror))
     }
 
     /// The pool's part of a session's [`Metrics`], in one pass over its
@@ -865,8 +846,8 @@ impl StreamingPool {
             late: self.reorder.as_ref().map_or(0, ReorderBuffer::late_events),
             watermark: self.watermark().ticks(),
             workers: self.workers(),
-            degraded: (self.workers.iter().enumerate())
-                .filter(|(_, w)| w.quarantined)
+            degraded: (self.lanes.iter().enumerate())
+                .filter(|(_, lane)| lane.quarantined)
                 .map(|(s, _)| s)
                 .collect(),
             dropped: self.dropped,
@@ -898,7 +879,7 @@ impl StreamingPool {
     pub fn key_overflow(&self) -> Option<u32> {
         match &self.inline {
             Some(shard) => shard.key_overflow(),
-            None => self.workers.iter().find_map(|w| w.mirror.key_overflow),
+            None => self.lanes.iter().find_map(|lane| lane.mirror.key_overflow),
         }
     }
 
@@ -932,8 +913,8 @@ impl StreamingPool {
     /// A finished pool, a failed one ([`FailurePolicy::Fail`]) or a
     /// degraded one ([`FailurePolicy::Degrade`] after a quarantine) cannot
     /// checkpoint — part of its state is gone; the error is typed, never a
-    /// partial snapshot. A worker dying *during* the snapshot under
-    /// [`FailurePolicy::Restart`] is recovered and the shard re-asked.
+    /// partial snapshot. A worker whose shard dies *during* the snapshot
+    /// under [`FailurePolicy::Restart`] revives it and answers anyway.
     pub fn snapshot(&mut self) -> Result<PoolState, CheckpointError> {
         if self.finished {
             return Err(CheckpointError::Unsupported(
@@ -948,25 +929,20 @@ impl StreamingPool {
         self.snapshot_guard()?;
         self.ship_all();
         self.snapshot_guard()?;
-        let cmd = Cmd::Snapshot;
-        self.broadcast(&cmd);
+        self.broadcast(&Cmd::Snapshot);
         let mut merged: Vec<Option<RouterState>> = (0..self.hosted.len()).map(|_| None).collect();
-        for s in 0..self.workers.len() {
+        for s in 0..self.lanes.len() {
             if !self.sent[s] {
                 continue;
             }
-            let Some(mut reply) = self.recv_reply(s, &cmd) else {
+            let Some(mut reply) = self.recv_reply(s) else {
                 continue;
             };
             let snap = reply
                 .snapshot
                 .take()
                 .expect("snapshot round trip returns shard state");
-            self.absorb_mirror(s, &reply);
-            // This full-state reply doubles as a fresh recovery baseline.
-            if self.recovery.is_some() {
-                self.store_baseline(s, snap.clone());
-            }
+            self.absorb(s, &reply);
             for (q, st) in snap.states.into_iter().enumerate() {
                 if let Some(st) = st {
                     match &mut merged[q] {
@@ -1002,7 +978,7 @@ impl StreamingPool {
                 "cannot checkpoint a failed session ({f})"
             )));
         }
-        if self.workers.iter().any(|w| w.quarantined) {
+        if self.lanes.iter().any(|lane| lane.quarantined) {
             return Err(CheckpointError::Unsupported(
                 "cannot checkpoint a degraded session (a shard worker was quarantined)".into(),
             ));
@@ -1010,34 +986,20 @@ impl StreamingPool {
         Ok(())
     }
 
-    /// Refresh a shard's recovery baseline from a full-state reply and
-    /// retire the journal it supersedes (the worker consumed all of it
-    /// before replying, so every batch is reclaimed). No-op unless
-    /// journaling ([`FailurePolicy::Restart`]).
-    fn store_baseline(&mut self, shard: usize, snap: ShardSnapshot) {
-        if let Some(recovery) = &mut self.recovery {
-            recovery[shard] = snap;
-            let lane = &mut self.lanes[shard];
-            lane.batches.reclaim();
-            lane.batches.forget();
-        }
-    }
-
-    /// Mirror a live reply's counters (a respawned shard restarts its
-    /// peak; the mirror keeps the larger).
-    fn absorb_mirror(&mut self, shard: usize, reply: &Reply) {
-        let mirror = &mut self.workers[shard].mirror;
-        *mirror = ShardMetrics {
-            peak: mirror.peak.max(reply.metrics.peak),
-            ..reply.metrics
-        };
+    /// Take in a live reply: mirror the shard's counters, and reclaim the
+    /// batches it has let go — every one shipped before the command, since
+    /// the worker drops its handles before it answers.
+    fn absorb(&mut self, shard: usize, reply: &Reply) {
+        let lane = &mut self.lanes[shard];
+        lane.mirror = reply.metrics;
+        lane.batches.reclaim();
     }
 
     /// Send `cmd` to every shard before any reply is collected, so the
     /// shards work on it concurrently; `self.sent` records who took it.
     fn broadcast(&mut self, cmd: &Cmd) {
         self.sent.clear();
-        for shard in 0..self.workers.len() {
+        for shard in 0..self.lanes.len() {
             let sent = self.send_control(shard, cmd);
             self.sent.push(sent);
         }
@@ -1047,84 +1009,62 @@ impl StreamingPool {
     /// recovering per policy if its channel is dead. `false`: the shard is
     /// not participating (quarantined, or the pool failed).
     fn send_control(&mut self, shard: usize, cmd: &Cmd) -> bool {
-        loop {
-            if self.failed.is_some() {
-                return false;
-            }
-            let Some(tx) = self.workers[shard].tx.as_ref() else {
-                return false;
-            };
-            if tx.send(cmd.clone()).is_ok() {
-                return true;
-            }
-            self.recover(shard, None);
+        if self.failed.is_some() {
+            return false;
         }
+        let Some(tx) = self.lanes[shard].tx.as_ref() else {
+            return false;
+        };
+        if tx.send(cmd.clone()).is_ok() {
+            return true;
+        }
+        self.recover(shard, None);
+        false
     }
 
-    /// Receive a shard's reply to `cmd`, recovering per policy when the
-    /// worker died instead: under [`FailurePolicy::Restart`] the respawned
-    /// shard is re-sent `cmd` and the receive retried. `None`: the shard
-    /// dropped out of this round trip (quarantined or pool failed).
-    fn recv_reply(&mut self, shard: usize, cmd: &Cmd) -> Option<Reply> {
-        loop {
-            if self.failed.is_some() || self.workers[shard].tx.is_none() {
-                return None;
-            }
-            match recv_polling(&self.workers[shard].rx) {
-                Ok(reply) => match reply.failure {
-                    None => return Some(reply),
-                    Some(message) => self.recover(shard, Some(message)),
-                },
-                Err(_) => self.recover(shard, None),
-            }
-            // A restarted shard has replayed its journal but not seen the
-            // in-flight command yet — re-issue it and listen again.
-            if self.workers[shard].tx.is_some() && !self.send_control(shard, cmd) {
-                return None;
-            }
+    /// Receive a shard's reply to the command just broadcast, recovering
+    /// per policy when its worker reported the shard dead instead. `None`:
+    /// the shard dropped out of this round trip (quarantined or pool
+    /// failed).
+    fn recv_reply(&mut self, shard: usize) -> Option<Reply> {
+        if self.failed.is_some() || self.lanes[shard].tx.is_none() {
+            return None;
         }
+        match recv_polling(&self.lanes[shard].rx) {
+            Ok(reply) if reply.failure.is_none() => return Some(reply),
+            Ok(reply) => self.recover(shard, reply.failure),
+            Err(_) => self.recover(shard, None),
+        }
+        None
     }
 
-    /// The worker on `shard` is dead (send failed, receive disconnected,
-    /// or an in-band failure reply arrived — passed as `got`). Extract the
-    /// failure and recover per policy: quarantine, respawn-and-replay, or
-    /// fail the pool terminally.
+    /// The worker on `shard` is gone (send failed, receive disconnected,
+    /// or its failure reply arrived — passed as `got`): quarantine the
+    /// shard under [`FailurePolicy::Degrade`], fail the pool otherwise. A
+    /// worker under [`FailurePolicy::Restart`] revives its shard itself,
+    /// so it is gone only once it gave up.
     fn recover(&mut self, shard: usize, got: Option<String>) {
         let failure = self.failure_of(shard, got);
         match self.policy {
-            FailurePolicy::Fail => self.fail_all(failure),
             FailurePolicy::Degrade => self.quarantine(shard),
-            FailurePolicy::Restart => {
-                if self.restarts[shard] >= MAX_RESTARTS {
-                    let failure = WorkerFailure {
-                        shard,
-                        message: format!(
-                            "giving up after {MAX_RESTARTS} restarts: {}",
-                            failure.message
-                        ),
-                    };
-                    self.fail_all(failure);
-                } else {
-                    self.restart_shard(shard);
-                }
-            }
+            FailurePolicy::Fail | FailurePolicy::Restart => self.fail_all(failure),
         }
     }
 
     /// Reap a dead worker and name its failure: close our end, skim its
-    /// reply channel for the supervisor's in-band panic report (it races
-    /// the channel teardown), and join the thread.
+    /// reply channel for the failure reply (it races the channel
+    /// teardown), and join the thread.
     fn failure_of(&mut self, shard: usize, got: Option<String>) -> WorkerFailure {
-        let w = &mut self.workers[shard];
-        w.tx = None;
+        let lane = &mut self.lanes[shard];
+        lane.tx = None;
         let mut message = got;
         while message.is_none() {
-            match w.rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            match lane.rx.recv_timeout(std::time::Duration::from_secs(10)) {
                 Ok(reply) => message = reply.failure, // skim data replies
                 Err(_) => break,
             }
         }
-        if let Some(t) = w.thread.take() {
+        if let Some(t) = lane.thread.take() {
             let _ = t.join();
         }
         WorkerFailure {
@@ -1136,7 +1076,7 @@ impl StreamingPool {
     /// Terminal failure: record it, stop every worker, drop staged items.
     fn fail_all(&mut self, failure: WorkerFailure) {
         self.failed = Some(failure);
-        join_workers(&mut self.workers);
+        join_workers(&mut self.lanes);
         self.lanes.iter_mut().for_each(Lane::clear);
     }
 
@@ -1145,52 +1085,12 @@ impl StreamingPool {
     /// is accounted as dropped; its groups reroute to the next live shard
     /// from here on, the pool's reorder buffer included.
     fn quarantine(&mut self, shard: usize) {
-        let w = &mut self.workers[shard];
-        w.quarantined = true;
-        w.mirror.memory = 0;
-        w.mirror.events = 0;
-        self.dropped += self.delivered[shard];
-        self.delivered[shard] = 0;
-        self.lanes[shard].clear();
-    }
-
-    /// [`FailurePolicy::Restart`]: rebuild the shard's engines from its
-    /// recovery baseline, respawn the worker, and redeliver the journal of
-    /// everything delivered since.
-    /// Emission-safe: nothing has been emitted since the baseline (results
-    /// only leave at drains, and every drain refreshes the baseline).
-    fn restart_shard(&mut self, shard: usize) {
-        self.restarts[shard] += 1;
-        let threads = self.workers.len();
-        let baseline = &self.recovery.as_ref().expect("Restart keeps baselines")[shard];
-        let respawned = shard_engines(&self.hosted, threads, shard, baseline.states.clone())
-            .map_err(|e| format!("recovery baseline is unusable: {e}"))
-            .and_then(|engines| {
-                let shard_state = Shard::new(engines, baseline.events);
-                Self::spawn_one(shard_state, shard, true, Arc::clone(&self.projection))
-                    .map_err(|e| format!("respawn failed: {e}"))
-            });
-        match respawned {
-            Ok(worker) => self.workers[shard] = worker,
-            Err(message) => {
-                // The shard cannot be revived — escalate.
-                self.fail_all(WorkerFailure { shard, message });
-                return;
-            }
-        }
-        // Redeliver the journal's batches as they were shipped.
-        let replay: Vec<_> = self.lanes[shard].batches.shipped.iter().cloned().collect();
-        for batch in replay {
-            let Some(tx) = self.workers[shard].tx.as_ref() else {
-                return;
-            };
-            if tx.send(Cmd::Batch(batch)).is_err() {
-                // Died again during replay — recurse; MAX_RESTARTS bounds
-                // the depth.
-                self.recover(shard, None);
-                return;
-            }
-        }
+        let lane = &mut self.lanes[shard];
+        lane.quarantined = true;
+        lane.mirror.memory = 0;
+        lane.mirror.events = 0;
+        self.dropped += std::mem::take(&mut lane.delivered);
+        lane.clear();
     }
 
     /// Where an item bound for `shard` actually goes: the shard itself
@@ -1198,16 +1098,16 @@ impl StreamingPool {
     /// queries — every shard hosts them) or nowhere (pinned queries whose
     /// home worker is gone).
     fn live_target(&self, shard: usize, query: u32) -> Option<usize> {
-        if !self.workers[shard].quarantined {
+        if !self.lanes[shard].quarantined {
             return Some(shard);
         }
         if self.hosted[query as usize].1.query.group_prefix == 0 {
             return None;
         }
-        let n = self.workers.len();
+        let n = self.lanes.len();
         (1..n)
             .map(|k| (shard + k) % n)
-            .find(|&s| !self.workers[s].quarantined)
+            .find(|&s| !self.lanes[s].quarantined)
     }
 
     /// Ingest one event, by reference, for every `(query, shard)` pair the
@@ -1236,7 +1136,9 @@ impl StreamingPool {
             return self.dispatch(event, self.seq);
         };
         let (route, projection) = (&self.session_route, &self.projection);
-        let wanted = || route.wants(event).then(|| projection.owned(event));
+        let rows = &mut self.released_rows[event.type_id.index()];
+        let owned = || projection.owned(event, rows.pop());
+        let wanted = || route.wants(event).then(owned);
         if !reorder.push(event.time, self.seq + 1, wanted) {
             return;
         }
@@ -1245,6 +1147,7 @@ impl StreamingPool {
         let clock = self.clock;
         while let Some((stamp, event)) = self.reorder.as_mut().and_then(|r| r.release(clock)) {
             self.dispatch(&event, stamp);
+            self.released_rows[event.type_id.index()].push(event.attrs);
         }
     }
 
@@ -1279,8 +1182,8 @@ impl StreamingPool {
             self.dropped += 1;
             return;
         };
-        self.delivered[shard] += 1;
         let lane = &mut self.lanes[shard];
+        lane.delivered += 1;
         if lane.last_stamp != stamp {
             lane.open.push_row(event, &self.projection);
             lane.last_stamp = stamp;
@@ -1292,33 +1195,21 @@ impl StreamingPool {
     }
 
     /// Send a shard's open batch as one [`Cmd::Batch`], keeping a handle,
-    /// and reopen a spare in its place. A dead channel triggers policy
-    /// recovery; the batch itself is never re-sent here — under Restart
-    /// the journal replay already covers it, under Degrade it is part of
-    /// the quarantined shard's counted losses.
+    /// and reopen a spare in its place. A closed channel means the worker
+    /// is gone, and the coordinator acts per policy; the batch is part of
+    /// what that shard lost.
     fn ship(&mut self, shard: usize) {
         let lane = &mut self.lanes[shard];
         if lane.open.routes.is_empty() {
             return;
         }
-        if self.recovery.is_none() {
-            // Not a journal: a shipped batch is free once the worker is
-            // done with it. (A journal is retired whole, at the baseline.)
-            lane.batches.reclaim();
-        }
+        lane.batches.reclaim();
         let reopened = lane.batches.reopen();
         let batch = lane
             .batches
             .ship(std::mem::replace(&mut lane.open, reopened));
         lane.last_stamp = 0;
-        if let Some(fault) = cogra_faults::message(format_args!("pool/ship/{shard}")) {
-            // Simulated transport failure: drop our end of the channel (the
-            // worker exits cleanly when it drains) and run recovery.
-            self.workers[shard].tx = None;
-            self.recover(shard, Some(fault));
-            return;
-        }
-        let Some(tx) = self.workers[shard].tx.as_ref() else {
+        let Some(tx) = lane.tx.as_ref() else {
             return; // quarantined or failed since staging
         };
         if tx.send(Cmd::Batch(batch)).is_err() {
@@ -1329,7 +1220,7 @@ impl StreamingPool {
     /// Ship every shard's open batch — always precedes a broadcast, so a
     /// drain or finish never outruns staged events.
     fn ship_all(&mut self) {
-        for shard in 0..self.workers.len() {
+        for shard in 0..self.lanes.len() {
             self.ship(shard);
         }
     }
@@ -1378,7 +1269,7 @@ impl StreamingPool {
                     self.ship_all();
                     self.round_trip(Cmd::Finish, out);
                 }
-                join_workers(&mut self.workers);
+                join_workers(&mut self.lanes);
             }
         }
     }
@@ -1386,25 +1277,20 @@ impl StreamingPool {
     /// Broadcast one command to every live shard, then merge the replies
     /// per query. Command fan-out happens before any reply collection so
     /// the shards drain concurrently. Worker deaths along the way are
-    /// recovered per policy; a pool that fails terminally mid-trip emits
+    /// handled per policy; a pool that fails terminally mid-trip emits
     /// nothing (no partial result set masquerading as a complete one).
     fn round_trip(&mut self, cmd: Cmd, out: &mut dyn FnMut(usize, WindowResult)) {
         self.broadcast(&cmd);
         let mut merged = std::mem::take(&mut self.merged);
         merged.resize_with(self.hosted.len(), Vec::new);
-        for s in 0..self.workers.len() {
+        for s in 0..self.lanes.len() {
             if !self.sent[s] {
                 continue;
             }
-            let Some(mut reply) = self.recv_reply(s, &cmd) else {
+            let Some(reply) = self.recv_reply(s) else {
                 continue;
             };
-            self.absorb_mirror(s, &reply);
-            if let Some(snap) = reply.snapshot.take() {
-                // Journaling drain: the attached state is the shard's new
-                // recovery baseline and retires its journal.
-                self.store_baseline(s, snap);
-            }
+            self.absorb(s, &reply);
             for (q, r) in reply.results {
                 merged[q as usize].push(r);
             }
@@ -1425,10 +1311,10 @@ impl StreamingPool {
 
 /// Close every worker's channel (its loop exits) and reap the thread;
 /// panics arrived in-band, so the join result carries nothing.
-fn join_workers(workers: &mut [Worker]) {
-    for w in workers {
-        w.tx = None;
-        if let Some(t) = w.thread.take() {
+fn join_workers(lanes: &mut [Lane]) {
+    for lane in lanes {
+        lane.tx = None;
+        if let Some(t) = lane.thread.take() {
             let _ = t.join();
         }
     }
@@ -1436,7 +1322,7 @@ fn join_workers(workers: &mut [Worker]) {
 
 impl Drop for StreamingPool {
     fn drop(&mut self) {
-        join_workers(&mut self.workers);
+        join_workers(&mut self.lanes);
     }
 }
 
@@ -1538,7 +1424,7 @@ struct Shard {
 
 impl Shard {
     /// A shard over pre-built engines; `events` seeds the ingest counter
-    /// so a respawned shard resumes its accounting.
+    /// so a revived shard resumes its accounting.
     fn new(engines: Vec<Option<Engine>>, events: u64) -> Shard {
         let mut shard = Shard {
             engines,
@@ -1549,8 +1435,8 @@ impl Shard {
         shard
     }
 
-    /// Serialize the shard for a pool snapshot or recovery baseline:
-    /// every hosted engine's state and the ingest counter.
+    /// Serialize the shard for a pool snapshot or a worker's save
+    /// ([`Recovery`]): every hosted engine's state and the ingest counter.
     fn snapshot(&self) -> Result<ShardSnapshot, CheckpointError> {
         let states = self
             .engines
@@ -1635,29 +1521,144 @@ impl Shard {
     }
 }
 
-/// The supervisor wrapper around a shard's worker loop: a panic anywhere
-/// in the body is caught and reported in-band as a failure [`Reply`]
-/// instead of being re-raised into the coordinator — the coordinator
-/// recovers per its [`FailurePolicy`]. The shard's state is discarded on
-/// unwind (a replacement is rebuilt from the recovery baseline), so
-/// `AssertUnwindSafe` is sound here.
-fn shard_worker(
-    shard: Shard,
+/// What a worker under [`FailurePolicy::Restart`] revives its shard from:
+/// the shard as the worker last saved it — when it started, and at every
+/// drain or snapshot it answered — and every batch it received since.
+/// Nothing left the shard in between (results leave only at drains), so
+/// the saved engines fed the kept batches are the shard as it was.
+struct Recovery {
+    /// What [`shard_engines`] rebuilds the engines from.
+    hosted: Vec<Hosted>,
+    threads: usize,
     index: usize,
-    attach_snapshots: bool,
+    saved: ShardSnapshot,
+    kept: Vec<Arc<Batch>>,
+    /// Revivals over the worker's life, for the [`MAX_RESTARTS`] escalation.
+    restarts: u32,
+}
+
+impl Recovery {
+    fn new(hosted: Vec<Hosted>, threads: usize, index: usize) -> Recovery {
+        Recovery {
+            hosted,
+            threads,
+            index,
+            saved: ShardSnapshot::default(),
+            kept: Vec::new(),
+            restarts: 0,
+        }
+    }
+
+    /// Save the shard as it stands and let go of the batches it absorbed.
+    fn save(&mut self, shard: &Shard) {
+        // Worker threads only host COGRA engines, which always snapshot.
+        self.saved = shard.snapshot().expect("router-backed engines snapshot");
+        self.kept.clear();
+    }
+
+    /// Revive `shard`, which died with `message`: rebuild it from the saved
+    /// state and replay every kept batch, again if the replay dies too.
+    /// `Err`: the failure to report instead — the shard died a
+    /// [`MAX_RESTARTS`]-plus-first time, or the saved state does not
+    /// rebuild.
+    fn revive(
+        &mut self,
+        shard: &mut Shard,
+        mut message: String,
+        projection: &Projection,
+        scratch: &mut [Event],
+    ) -> Result<(), String> {
+        loop {
+            if self.restarts == MAX_RESTARTS {
+                return Err(format!(
+                    "giving up after {MAX_RESTARTS} restarts: {message}"
+                ));
+            }
+            self.restarts += 1;
+            let states = self.saved.states.clone();
+            let engines = shard_engines(&self.hosted, self.threads, self.index, states)
+                .map_err(|e| format!("recovery baseline is unusable: {e}"))?;
+            // The dead shard's peak was reached all the same.
+            let peak = shard.peak;
+            *shard = Shard::new(engines, self.saved.events);
+            shard.peak = shard.peak.max(peak);
+            let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for batch in &self.kept {
+                    ingest_batch(shard, batch, projection, scratch);
+                    kill(format_args!("worker/replay/{}", self.index));
+                }
+            }));
+            match replay {
+                Ok(()) => return Ok(()),
+                Err(payload) => message = panic_message(payload.as_ref()),
+            }
+        }
+    }
+}
+
+/// A shard's worker thread: drive the shard over its sub-stream, replying
+/// to drain/snapshot/finish round trips ([`shard_step`]), and supervise
+/// it. A panic in a step is caught, never re-raised into the coordinator.
+/// With `recovery` ([`FailurePolicy::Restart`]) the worker revives the
+/// shard here, replays the batch it was ingesting with the others it
+/// kept, and runs an interrupted control command again; otherwise, or once
+/// revival gives up, it sends the failure as its last [`Reply`] and exits,
+/// and the coordinator acts per policy. Of a dead shard only the memory
+/// peak is read again before it is replaced or dropped, so
+/// `AssertUnwindSafe` is sound.
+fn shard_worker(
+    mut shard: Shard,
+    index: usize,
+    mut recovery: Option<Recovery>,
     projection: &Projection,
     rx: Receiver<Cmd>,
     tx: Sender<Reply>,
 ) {
-    let failure_tx = tx.clone();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        shard_loop(shard, index, attach_snapshots, projection, rx, tx)
-    }));
-    if let Err(payload) = result {
-        let _ = failure_tx.send(Reply {
-            failure: Some(panic_message(payload.as_ref())),
-            ..Reply::default()
-        });
+    // The only events the engines ever see: each row is loaded into its
+    // type's.
+    let mut scratch = projection.scratch();
+    if let Some(recovery) = &mut recovery {
+        recovery.save(&shard);
+    }
+    let mut retry = None;
+    while let Some(cmd) = retry.take().or_else(|| recv_polling(&rx).ok()) {
+        if let (Some(recovery), Cmd::Batch(batch)) = (&mut recovery, &cmd) {
+            recovery.kept.push(Arc::clone(batch));
+        }
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shard_step(&mut shard, index, &cmd, projection, &mut scratch)
+        }));
+        let message = match step {
+            Ok(None) => continue,
+            Ok(Some(reply)) => {
+                let finish = matches!(cmd, Cmd::Finish);
+                if let Some(recovery) = recovery.as_mut().filter(|_| !finish) {
+                    recovery.save(&shard);
+                }
+                // A failed send means the coordinator dropped mid-round-trip.
+                if tx.send(reply).is_err() || finish {
+                    return;
+                }
+                continue;
+            }
+            Err(payload) => panic_message(payload.as_ref()),
+        };
+        let revived = match &mut recovery {
+            Some(recovery) => recovery.revive(&mut shard, message, projection, &mut scratch),
+            None => Err(message),
+        };
+        match revived {
+            // A batch was replayed with the kept ones.
+            Ok(()) => retry = (!matches!(cmd, Cmd::Batch(_))).then_some(cmd),
+            Err(message) => {
+                let failure = Some(message);
+                let _ = tx.send(Reply {
+                    failure,
+                    ..Reply::default()
+                });
+                return;
+            }
+        }
     }
 }
 
@@ -1670,6 +1671,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "shard worker panicked".to_string()
+    }
+}
+
+/// A scheduled kill of a worker's shard at fault site `site` (`--features
+/// faults`): the worker's supervisor catches the panic.
+fn kill(site: std::fmt::Arguments<'_>) {
+    if let Some(fault) = cogra_faults::message(site) {
+        panic!("{fault}");
     }
 }
 
@@ -1695,75 +1704,54 @@ fn ingest_batch(shard: &mut Shard, batch: &Batch, projection: &Projection, scrat
     }
 }
 
-/// One shard's worker loop: drive the shard over its sub-stream, replying
-/// to drain/snapshot/finish round trips. With the `faults` feature,
-/// per-shard failpoints (`worker/batch/{i}`, `worker/drain/{i}`,
-/// `worker/snapshot/{i}`, `worker/finish/{i}`) panic the loop on schedule
-/// — each shard's command stream is deterministic given the routing, so
-/// the hit counters are too.
-fn shard_loop(
-    mut shard: Shard,
+/// Run one command on the shard: ingest a batch (no reply), or answer a
+/// drain, snapshot or finish. With the `faults` feature, per-shard
+/// failpoints (`worker/batch/{i}`, `worker/drain/{i}`,
+/// `worker/snapshot/{i}`, `worker/finish/{i}`, and `worker/replay/{i}`
+/// while a revived shard replays a batch) panic the step on schedule —
+/// each shard's command stream is deterministic given the routing, so the
+/// hit counters are too.
+fn shard_step(
+    shard: &mut Shard,
     index: usize,
-    attach_snapshots: bool,
+    cmd: &Cmd,
     projection: &Projection,
-    rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
-) {
-    // A scheduled kill of this worker: the supervisor wrapper reports the
-    // panic in-band.
-    let kill = |fault: Option<String>| {
-        if let Some(fault) = fault {
-            panic!("{fault}");
+    scratch: &mut [Event],
+) -> Option<Reply> {
+    let mut results = Vec::new();
+    let snapshot = match cmd {
+        Cmd::Batch(batch) => {
+            ingest_batch(shard, batch, projection, scratch);
+            // Fire *after* the batch mutated the engines: recovery must
+            // discard the partial work, not resume over it.
+            kill(format_args!("worker/batch/{index}"));
+            return None;
+        }
+        Cmd::Drain(wm) => {
+            kill(format_args!("worker/drain/{index}"));
+            shard.advance_to(*wm);
+            shard.sample_peak();
+            shard.drain_into(&mut |q, r| results.push((q, r)));
+            None
+        }
+        Cmd::Snapshot => {
+            kill(format_args!("worker/snapshot/{index}"));
+            shard.sample_peak();
+            Some(shard.snapshot().expect("router-backed engines snapshot"))
+        }
+        Cmd::Finish => {
+            kill(format_args!("worker/finish/{index}"));
+            shard.sample_peak();
+            shard.finish_into(&mut |q, r| results.push((q, r)));
+            None
         }
     };
-    // Worker threads only host COGRA engines, which always snapshot.
-    let snapshot = |shard: &Shard| shard.snapshot().expect("router-backed engines snapshot");
-    // The only events the engines ever see: each row is loaded into its
-    // type's.
-    let mut scratch = projection.scratch();
-    while let Ok(cmd) = recv_polling(&rx) {
-        let mut results = Vec::new();
-        let finish = matches!(cmd, Cmd::Finish);
-        let snapshot = match cmd {
-            Cmd::Batch(batch) => {
-                ingest_batch(&mut shard, &batch, projection, &mut scratch);
-                // Fire *after* the batch mutated the engines: recovery
-                // must discard the partial work, not resume over it.
-                kill(cogra_faults::message(format_args!("worker/batch/{index}")));
-                continue;
-            }
-            Cmd::Drain(wm) => {
-                kill(cogra_faults::message(format_args!("worker/drain/{index}")));
-                shard.advance_to(wm);
-                shard.sample_peak();
-                shard.drain_into(&mut |q, r| results.push((q, r)));
-                attach_snapshots.then(|| snapshot(&shard))
-            }
-            Cmd::Snapshot => {
-                kill(cogra_faults::message(format_args!(
-                    "worker/snapshot/{index}"
-                )));
-                shard.sample_peak();
-                Some(snapshot(&shard))
-            }
-            Cmd::Finish => {
-                kill(cogra_faults::message(format_args!("worker/finish/{index}")));
-                shard.sample_peak();
-                shard.finish_into(&mut |q, r| results.push((q, r)));
-                None
-            }
-        };
-        let reply = Reply {
-            results,
-            metrics: shard.metrics(),
-            snapshot,
-            failure: None,
-        };
-        // A failed send means the coordinator dropped mid-round-trip.
-        if tx.send(reply).is_err() || finish {
-            return;
-        }
-    }
+    Some(Reply {
+        results,
+        metrics: shard.metrics(),
+        snapshot,
+        failure: None,
+    })
 }
 
 #[cfg(test)]
@@ -1896,7 +1884,7 @@ mod tests {
                 assert_eq!(row.values, expected, "row of {event:?}");
                 // What a worker hands its engines: blanks around the row.
                 let loaded = batch.load(r, &pool.projection, &mut scratch);
-                assert_eq!(*loaded, pool.projection.owned(event));
+                assert_eq!(*loaded, pool.projection.owned(event, None));
                 assert_eq!(loaded.attrs[1], Value::str(""), "unread: {loaded:?}");
                 assert_eq!(loaded.attrs[3], Value::Bool(false), "unread: {loaded:?}");
                 rows += 1;
@@ -1995,8 +1983,12 @@ mod tests {
         for e in &events {
             pool.route(e);
         }
-        for (lane, &delivered) in pool.lanes.iter().zip(&pool.delivered) {
-            let delivered = delivered as usize;
+        // Each worker keeps every batch it received since it started, so
+        // the coordinator reclaims none of them before the drain: one
+        // handle per shipped batch, every staged item in one of them or in
+        // the open batch.
+        for lane in &pool.lanes {
+            let delivered = lane.delivered as usize;
             assert!(delivered > batch_size, "both shards see traffic");
             assert_eq!(
                 lane.batches.shipped.len(),
@@ -2004,16 +1996,16 @@ mod tests {
                 "one handle per batch"
             );
             assert_eq!(lane.open.routes.len(), delivered % batch_size);
-            let journaled: usize = lane.batches.shipped.iter().map(|b| b.routes.len()).sum();
-            assert_eq!(journaled + lane.open.routes.len(), delivered);
+            let kept: usize = lane.batches.shipped.iter().map(|b| b.routes.len()).sum();
+            assert_eq!(kept + lane.open.routes.len(), delivered);
         }
-        // A drain refreshes every baseline: the journal is retired into
-        // spares, not dropped.
+        // A drain is a save: the workers let go of their batches before
+        // they answer, and the coordinator reclaims them as spares.
         pool.drain_into(&mut |_q, _r| {});
         for lane in &pool.lanes {
             assert!(
                 lane.batches.shipped.is_empty(),
-                "the baseline supersedes the journal"
+                "the save supersedes the kept batches"
             );
             assert!(!lane.batches.spare.is_empty());
             assert!(lane.batches.spare.iter().all(|b| b.routes.is_empty()));

@@ -118,8 +118,8 @@ pub trait Reusable: Default {
 
 /// Cleared buffers a [`Recycler`] keeps: as many as a full shard channel
 /// and the batch its worker reads. More were only in flight while a
-/// consumer was further behind, or retired at once as a restart journal;
-/// the surplus is dropped.
+/// consumer was further behind, or held by a worker under
+/// `FailurePolicy::Restart` until its next drain; the surplus is dropped.
 const SPARES: usize = super::CHANNEL_CAPACITY + 1;
 
 /// The producer's side of an `Arc` hand-off: a handle to every shipped

@@ -671,10 +671,11 @@ impl SessionBuilder {
     }
 
     /// What a `.workers(n)` session does when a shard worker panics
-    /// (default [`FailurePolicy::Fail`]). [`FailurePolicy::Restart`]
-    /// respawns the shard from its last in-memory snapshot and replays
-    /// the events staged since, so output stays byte-identical to an
-    /// undisturbed run; [`FailurePolicy::Degrade`] quarantines the shard
+    /// (default [`FailurePolicy::Fail`]). Under [`FailurePolicy::Restart`]
+    /// the worker revives its shard on its own thread — from the state it
+    /// saved at its last drain, replaying the batches it received since —
+    /// so output stays byte-identical to an undisturbed run;
+    /// [`FailurePolicy::Degrade`] quarantines the shard
     /// and keeps serving the remaining keys, counting what the dead
     /// shard had absorbed as [`Session::dropped_events`]. A session of
     /// width 1 ignores the policy — there is no worker to supervise.

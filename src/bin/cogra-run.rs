@@ -629,11 +629,12 @@ fn connect(argv: &[String]) -> Result<(), String> {
     } else {
         String::new()
     };
-    eprintln!(
-        "{} events → {} results (remote{workers})",
-        report.events - report.late,
-        printed
-    );
+    // This feed's rows less its late drops, both deltas over the feed of
+    // monotone counters: `events` counts from the server's restore, `late`
+    // from the session's start, so neither total belongs to this feed.
+    let fed = report.events - pre.events;
+    let ingested = fed - (report.late - pre.late);
+    eprintln!("{ingested} events → {printed} results (remote{workers})");
     if report.late > 0 {
         eprintln!("reorder: {} late event(s) dropped", report.late);
     }

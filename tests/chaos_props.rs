@@ -11,8 +11,10 @@
 //! * **Restart ≡ no-fault run** (arms of the model, `tests/common/mod.rs`:
 //!   `Op::Fault` arms a failpoint mid-life) — a shard worker killed at
 //!   any failpoint (batch / drain / finish / snapshot, any shard, any hit
-//!   count) under `FailurePolicy::Restart` is respawned from its last
-//!   drain baseline + journal, and the session observes the reference:
+//!   count) under `FailurePolicy::Restart` is revived on its worker
+//!   thread from the state the worker saved last plus the batches it kept
+//!   since — again if it dies during that replay — and the session
+//!   observes the reference:
 //!   results and late drops to the byte, no sticky failure, no quarantine
 //!   (stats/peak are explicitly NOT part of the contract — replay
 //!   re-probes).
@@ -164,8 +166,8 @@ fn restart_recovers_byte_identically_across_sites() {
         }
     }
     // Two queries with one GROUP-BY place every event on the same shard,
-    // so the journaled batches hold one row with two routes each: the
-    // replay must feed both engines from the shared rows.
+    // so the kept batches hold one row with two routes each: the replay
+    // must feed both engines from the shared rows.
     let roster = [
         QUERY,
         "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT GROUP-BY g WITHIN 10 SLIDE 5",
@@ -185,8 +187,9 @@ fn restart_recovers_byte_identically_across_sites() {
     }
 }
 
-/// The recovery baseline includes each shard's reorder buffer: a worker
-/// killed while `.slack(n)` holds events in flight replays them too.
+/// A worker killed while `.slack(n)` holds events in flight: the pool's
+/// reorder buffer stays with the coordinator, and the revived shard
+/// replays exactly what the buffer had released to it.
 #[test]
 fn restart_replays_the_reorder_buffer_under_slack() {
     let _g = guard();
@@ -199,6 +202,47 @@ fn restart_replays_the_reorder_buffer_under_slack() {
     case.slack = Some(3);
     for site in ["worker/batch/0", "worker/drain/1"] {
         killed_and_restarted(&case, site, 2, 5, 23);
+    }
+}
+
+/// A second death while the worker replays its kept batches after the
+/// first (`worker/replay/{i}` fires only inside a revival, on its first
+/// hit here): the worker starts the revival over from the same save, and
+/// the life still observes the reference.
+#[test]
+fn a_second_death_during_the_replay_is_revived_again() {
+    let _g = guard();
+    for (first, hit, shard) in [("batch", 3, 1), ("drain", 2, 0), ("batch", 1, 3)] {
+        cogra_faults::reset();
+        let case = stream(&[QUERY], 240);
+        let reference = Reference::of(&case).expect("COGRA takes the query");
+        let config = Config {
+            batch: 7,
+            policy: FailurePolicy::Restart,
+            ..Config::workers(4)
+        };
+        let first = format!("worker/{first}/{shard}");
+        let replay = format!("worker/replay/{shard}");
+        let mut ops = vec![
+            Op::Fault {
+                site: first.clone(),
+                hit,
+            },
+            Op::Fault {
+                site: replay.clone(),
+                hit: 1,
+            },
+        ];
+        ops.extend(chunked(&case, 31));
+        model::hold(&case, &reference, &config, &ops);
+        assert!(cogra_faults::hits(&first) >= hit, "{first} never fired");
+        // A first replay that reaches its site fires it; a second one
+        // revived the shard past it.
+        assert!(
+            cogra_faults::hits(&replay) >= 2,
+            "{replay} was reached {} time(s)",
+            cogra_faults::hits(&replay)
+        );
     }
 }
 
@@ -234,9 +278,9 @@ proptest! {
     }
 }
 
-/// A worker killed *during* `SNAPSHOT` under Restart is respawned and
-/// re-asked: the checkpoint still completes, and the snapshot resumes to
-/// the reference's rows.
+/// A shard killed *during* `SNAPSHOT` under Restart is revived and the
+/// snapshot taken again on its worker: the checkpoint still completes,
+/// and the snapshot resumes to the reference's rows.
 #[test]
 fn snapshot_interrupted_by_a_worker_death_is_retried_under_restart() {
     let _g = guard();

@@ -233,15 +233,20 @@ fn sort(s: &str) -> Vec<&str> {
     lines
 }
 
-/// Spawn `cogra-run serve` over the fixture's schema/query on `listen`,
-/// returning the child and the address it actually bound (parsed from
-/// the `listening on …` handshake line).
+/// Spawn `cogra-run serve --slack 3` over the fixture's schema/query on
+/// `listen` ([`listening`]).
 fn spawn_serve(f: &Fixture, listen: &str, extra: &[&str]) -> (std::process::Child, String) {
+    let mut serve = serve(f);
+    serve.args(["--slack", "3", "--listen", listen]).args(extra);
+    listening(serve)
+}
+
+/// Spawn a `cogra-run serve` command, returning the child and the address
+/// it bound (parsed from the `listening on …` handshake line).
+fn listening(mut serve: Command) -> (std::process::Child, String) {
     use std::io::BufRead;
     use std::process::Stdio;
-    let mut serve = serve(f)
-        .args(["--slack", "3", "--listen", listen])
-        .args(extra)
+    let mut serve = serve
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -416,6 +421,42 @@ fn a_restore_headline_counts_only_its_own_rows() {
         restored.contains("reorder: 2 late event(s) dropped"),
         "{restored}"
     );
+}
+
+/// The same headline from `connect`: a server resumed from a snapshot that
+/// holds two late drops, fed a header-only CSV, ingested none of this
+/// feed's rows — the late drops are the session's, on their own line.
+#[test]
+fn a_connect_headline_counts_only_its_own_rows() {
+    let f = fixture("connect-late");
+    let late = format!("{STREAM}Measurement,2,7,passive,50\nMeasurement,1,8,passive,40\n");
+    std::fs::write(f.dir.join("late.csv"), late).unwrap();
+    std::fs::write(f.dir.join("empty.csv"), "type,time,patient,activity,rate\n").unwrap();
+    let snap = f.path("late.cogra");
+    let events = f.path("late.csv");
+    let query = f.path("query.cep");
+    let mut prefix = f.cogra_run(None);
+    prefix.args(["--events", &events, "--query", &query, "--slack", "3"]);
+    let out = prefix.args(["--checkpoint", &snap]).output();
+    let out = out.expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+
+    let mut serve = f.cogra_run(Some("serve"));
+    serve.args(["--restore", &snap, "--listen", "127.0.0.1:0"]);
+    let (mut serve, addr) = listening(serve);
+    let connect = Command::new(env!("CARGO_BIN_EXE_cogra-run"))
+        .args(["connect", "--addr", &addr, "--events", &f.path("empty.csv")])
+        .output()
+        .expect("connect runs");
+    let stderr = String::from_utf8_lossy(&connect.stderr).into_owned();
+    assert!(connect.status.success(), "stderr: {stderr}");
+    assert!(stderr.starts_with("0 events →"), "{stderr}");
+    assert!(
+        stderr.contains("reorder: 2 late event(s) dropped"),
+        "{stderr}"
+    );
+    assert!(serve.wait().expect("serve exits after FINISH").success());
 }
 
 /// One failure, one message: a snapshot aimed at a missing directory

@@ -445,8 +445,9 @@ pub fn check(
     .map_err(label)?;
     let mut expected = reference.expected(config, &run);
     if run.faulted {
-        // A restart replays its journal: the routing counters count the
-        // replay too, and are not part of the recovery contract.
+        // A revived shard replays the batches since its worker's last
+        // save: the routing counters count the replay too, and are not
+        // part of the recovery contract.
         run.observation.stats = expected.stats;
         run.observation.routed = expected.routed;
     }

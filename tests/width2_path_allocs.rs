@@ -74,8 +74,8 @@ fn two_worker_ingest_allocates_nothing_per_routed_event() {
                 counted += chunk.len();
             }
             session.drain_into(&mut results);
-            // Batches shipped in this chunk are still held (reclaimed at
-            // the next ship), and so are the workers' scratch events.
+            // The drain reclaimed the batches shipped in this chunk; the
+            // workers' scratch events are still held.
             assert_eq!(
                 Arc::strong_count(&venue),
                 venues,

@@ -88,6 +88,28 @@ impl CograWindow {
         })
     }
 
+    /// [`WindowAlgo::on_event`] disjunct by disjunct, each at its own
+    /// granularity: out of line, so that the type-grained step the router
+    /// inlines stays small.
+    #[inline(never)]
+    fn on_event_each(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
+        let semantics = rt.query.semantics;
+        let mut delta = 0;
+        for ((gran, drt), (states, negs)) in self
+            .grans_mut()
+            .iter_mut()
+            .zip(&rt.disjuncts)
+            .zip(&binds.per_disjunct)
+        {
+            delta += match gran {
+                GranWindow::Type(w) => w.step(drt, event, states, negs),
+                GranWindow::Mixed(w) => w.step(drt, event, states, negs),
+                GranWindow::Pattern(w) => w.step(drt, event, states, negs, semantics),
+            };
+        }
+        delta
+    }
+
     /// The boxed handles of a many-disjunct window.
     fn spilled_bytes(&self) -> usize {
         match &self.0 {
@@ -115,22 +137,16 @@ impl WindowAlgo for CograWindow {
         }
     }
 
+    /// A window of one type-grained disjunct goes straight to
+    /// [`TypeGrainedWindow::step`], inlined into the router's window loop;
+    /// every other shape steps disjunct by disjunct, out of line.
+    #[inline]
     fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
-        let semantics = rt.query.semantics;
-        let mut delta = 0;
-        for ((gran, drt), (states, negs)) in self
-            .grans_mut()
-            .iter_mut()
-            .zip(&rt.disjuncts)
-            .zip(&binds.per_disjunct)
-        {
-            delta += match gran {
-                GranWindow::Type(w) => w.step(drt, event, states, negs),
-                GranWindow::Mixed(w) => w.step(drt, event, states, negs),
-                GranWindow::Pattern(w) => w.step(drt, event, states, negs, semantics),
-            };
+        if let Disjuncts::One(GranWindow::Type(w)) = &mut self.0 {
+            let (states, negs) = &binds.per_disjunct[0];
+            return w.step(&rt.disjuncts[0], event, states, negs);
         }
-        delta
+        self.on_event_each(rt, event, binds)
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {

@@ -61,7 +61,7 @@ use crate::runtime::QueryRuntime;
 use crate::session::{EngineKind, OpenError, SessionError};
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
-use cogra_events::{AttrId, Event, ReorderBuffer, Timestamp, TypeId, Value};
+use cogra_events::{AttrId, Event, ReorderBuffer, Timestamp, TypeId, TypeRegistry, Value};
 use handoff::{recv_polling, Recycler, Reusable, Rows};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -99,11 +99,13 @@ struct TypeRoute {
     fixed: Vec<bool>,
 }
 
+/// A query's `GROUP-BY` attributes: what places its events on a shard.
+fn group_by(rt: &QueryRuntime) -> &[String] {
+    &rt.query.partition_attrs[..rt.query.group_prefix]
+}
+
 impl SessionRoute {
     fn of(hosted: &[Hosted], width: usize) -> SessionRoute {
-        fn group_by(rt: &QueryRuntime) -> &[String] {
-            &rt.query.partition_attrs[..rt.query.group_prefix]
-        }
         let (hashed, fixed) = (Vec::new(), vec![false; hosted.len()]);
         let mut types = vec![TypeRoute { hashed, fixed }; hosted[0].1.routes.len()];
         for (t, route) in types.iter_mut().enumerate() {
@@ -178,7 +180,8 @@ pub enum FailurePolicy {
     /// since, then retry the interrupted command. The merged output is
     /// byte-identical to a run without the failure (asserted by
     /// `tests/chaos_props.rs`). Costs each worker a serialization of its
-    /// shard at every drain and a handle to every batch between drains.
+    /// shard at every drain and every 64 batches between drains, and a
+    /// handle to each batch since its last one.
     /// A shard that dies a ninth time escalates to a sticky failure, as
     /// under [`FailurePolicy::Fail`].
     Restart,
@@ -561,6 +564,11 @@ struct Reply {
 /// otherwise revive and die forever.
 const MAX_RESTARTS: u32 = 8;
 
+/// How many batches a worker under [`FailurePolicy::Restart`] keeps
+/// ([`Recovery`]) before it saves its shard on its own: without a drain,
+/// what it keeps would grow with the stream.
+const MAX_KEPT_BATCHES: usize = 64;
+
 /// Backpressure bound, in batches: a worker that falls this many batches
 /// behind blocks ingestion instead of buffering without limit.
 const CHANNEL_CAPACITY: usize = 16;
@@ -801,6 +809,47 @@ impl StreamingPool {
     /// cadence from.
     pub fn is_inline(&self) -> bool {
         self.inline.is_some()
+    }
+
+    /// The session's fan-out — what [`SessionRoute::each`] does with an
+    /// event of each type of `registry` (the one the pool was built for),
+    /// a line a type: the engines it reaches, `name` naming hosted engine
+    /// `q`, each hash group under its `GROUP-BY` list, then the engines on
+    /// a fixed shard; `none` when no engine wants the type. What
+    /// `cogra-run --explain` prints for a session.
+    pub(crate) fn describe_fan_out(
+        &self,
+        registry: &TypeRegistry,
+        name: &dyn Fn(u32) -> String,
+    ) -> String {
+        let SessionRoute { width, types } = &self.session_route;
+        let names = |queries: &mut dyn Iterator<Item = u32>| {
+            queries.map(name).collect::<Vec<_>>().join(" ")
+        };
+        let mut out = format!("fan-out over {width} shard(s):");
+        for ((_, schema), route) in registry.iter().zip(types) {
+            let mut parts: Vec<String> = (route.hashed.iter())
+                .map(|(first, queries)| {
+                    let group = group_by(first).join(", ");
+                    format!("by [{group}]: {}", names(&mut queries.iter().copied()))
+                })
+                .collect();
+            for shard in 0..*width {
+                let mut pinned = (0..route.fixed.len() as u32)
+                    .filter(|&q| route.fixed[q as usize] && q as usize % width == shard);
+                let pinned = names(&mut pinned);
+                if !pinned.is_empty() {
+                    parts.push(format!("shard {shard}: {pinned}"));
+                }
+            }
+            let parts = if parts.is_empty() {
+                "none".to_string()
+            } else {
+                parts.join("; ")
+            };
+            out.push_str(&format!("\n  {} → {parts}", schema.name()));
+        }
+        out
     }
 
     /// Widest effective shard count across the pool's queries (a query
@@ -1522,8 +1571,9 @@ impl Shard {
 }
 
 /// What a worker under [`FailurePolicy::Restart`] revives its shard from:
-/// the shard as the worker last saved it — when it started, and at every
-/// drain or snapshot it answered — and every batch it received since.
+/// the shard as the worker last saved it — when it started, at every
+/// drain or snapshot it answered, and after every [`MAX_KEPT_BATCHES`]
+/// batches it ingested in between — and every batch it received since.
 /// Nothing left the shard in between (results leave only at drains), so
 /// the saved engines fed the kept batches are the shard as it was.
 struct Recovery {
@@ -1629,7 +1679,14 @@ fn shard_worker(
             shard_step(&mut shard, index, &cmd, projection, &mut scratch)
         }));
         let message = match step {
-            Ok(None) => continue,
+            Ok(None) => {
+                if let Some(recovery) = recovery.as_mut() {
+                    if recovery.kept.len() >= MAX_KEPT_BATCHES {
+                        recovery.save(&shard);
+                    }
+                }
+                continue;
+            }
             Ok(Some(reply)) => {
                 let finish = matches!(cmd, Cmd::Finish);
                 if let Some(recovery) = recovery.as_mut().filter(|_| !finish) {
@@ -2010,6 +2067,50 @@ mod tests {
             assert!(!lane.batches.spare.is_empty());
             assert!(lane.batches.spare.iter().all(|b| b.routes.is_empty()));
         }
+    }
+
+    #[test]
+    fn a_restart_worker_keeps_a_bounded_number_of_batches_between_drains() {
+        let (rt, events) = setup(4_000);
+        let mut restart = StreamingPool::new(
+            vec![Arc::clone(&rt)],
+            2,
+            PoolConfig {
+                batch_size: 1,
+                slack: None,
+                policy: FailurePolicy::Restart,
+            },
+        )
+        .unwrap();
+        for e in &events {
+            restart.route(e);
+        }
+        // Far more batches than the bound went to each worker, and no
+        // drain came: once a worker has ingested them all, it holds no
+        // more than the ones since its last save on its own, and the
+        // coordinator reclaims the rest.
+        for lane in &mut restart.lanes {
+            assert!(lane.delivered as usize > 10 * MAX_KEPT_BATCHES);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            loop {
+                lane.batches.reclaim();
+                let held = lane.batches.shipped.len();
+                if held < MAX_KEPT_BATCHES || std::time::Instant::now() > deadline {
+                    assert!(held < MAX_KEPT_BATCHES, "{held} batches still held");
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        let mut got = Vec::new();
+        restart.finish_into(&mut |_q, r| got.push(r));
+        let mut inline = pool(&rt, 1, 1);
+        for e in &events {
+            inline.route(e);
+        }
+        let mut want = Vec::new();
+        inline.finish_into(&mut |_q, r| want.push(r));
+        assert_eq!(got, want, "saving on its own changes no result");
     }
 
     /// The runtime of `query` over `registry`.

@@ -1283,6 +1283,23 @@ impl Session {
         self.pool.workers()
     }
 
+    /// The session's fan-out, a line per registered type of `registry`
+    /// (the one the session was built for): which queries an event of the
+    /// type reaches, each hash group under its `GROUP-BY` list, then the
+    /// queries on a fixed shard — one shard at width 1, which hashes
+    /// nothing. Queries that share one physical run are listed together.
+    /// What `cogra-run --explain` prints for a multi-query session.
+    pub fn fan_out(&self, registry: &TypeRegistry) -> String {
+        let name = |j: u32| {
+            let members = self.shared.members[j as usize].iter();
+            members
+                .map(|q| format!("q{q}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        self.pool.describe_fan_out(registry, &name)
+    }
+
     /// Access one query's engine (width 1 only — worker threads own
     /// theirs). With sharing active the returned engine may serve other
     /// queries too — it is the query's physical run.

@@ -47,6 +47,32 @@
 //!
 //! The window's footprint is the slab's length: a step returns what it
 //! added, and the commit that empties the journal is part of a step.
+//!
+//! ## Which arm runs when
+//!
+//! [`TypeGrainedWindow::step`] is a small kernel, inlined into the
+//! router's window loop through [`CograWindow`]'s one-disjunct case. Its
+//! shape is the disjunct's [`StepKernel`], worked out once when the plan's
+//! runtime is built: whether the table is one of counts (stride 1, its
+//! live bits one word), where the time stamp sits, and each state's
+//! predecessor rows as one flat slice.
+//!
+//! * **Inline, the count arm** — the layout is `COUNT(*)` alone, the table
+//!   has at most 64 rows, and the event matches no negation: a commit adds
+//!   each staged count to its state's row and sets the live bits in one
+//!   word, and a bound state's count is summed in a register from its
+//!   predecessor rows and appended if live. Nothing else runs.
+//! * **Out of line** — rows wider than a count or more than 64 of them
+//!   (commit and staging both), an event that matches a negation (its
+//!   tags are staged), and the shadow rows' part of a commit whenever
+//!   some transition is tagged.
+//!
+//! Both arms stage through one `stage` and commit through one `commit` —
+//! the ones a mixed-grained window's `Tt` half calls — so Algorithm 1 is
+//! written once.
+//!
+//! [`CograWindow`]: crate::CograWindow
+//! [`StepKernel`]: crate::runtime::StepKernel
 
 use crate::agg::Cell;
 use crate::runtime::DisjunctRuntime;
@@ -102,7 +128,7 @@ impl TypeGrainedWindow {
     /// Where the open transaction's time stamp is.
     #[inline]
     fn time_at(rt: &DisjunctRuntime) -> usize {
-        rt.table.words()
+        rt.kernel.time_at
     }
 
     /// Where its journal starts.
@@ -134,6 +160,12 @@ impl TypeGrainedWindow {
 
     /// One event of the window: the negations it matches and the states it
     /// binds (Algorithm 1's step at each). Returns the bytes it added.
+    ///
+    /// Inlined where it is called: on a table of counts and with no
+    /// negation matched, all it runs is a compare, the commit's adds and
+    /// one register sum per bound state. The other arm is out of line (see
+    /// the module docs).
+    #[inline]
     pub fn step(
         &mut self,
         rt: &DisjunctRuntime,
@@ -143,17 +175,48 @@ impl TypeGrainedWindow {
     ) -> isize {
         let before = self.memory_bytes();
         self.commit_if_past(rt, event.time);
-        self.stage_negations(negs);
-        for &s in binds {
-            self.stage(rt, s, event, |table, row| {
-                let mut live = false;
-                for src in &rt.pred_sources[s.index()] {
-                    live |= rt.table.merge_into(&rt.layout, table, src.row, row);
-                }
-                live
-            });
+        if rt.kernel.counts.is_some() && negs.is_empty() {
+            self.stage_binds(rt, event, binds);
+        } else {
+            self.step_cold(rt, event, binds, negs);
         }
         self.memory_bytes() as isize - before as isize
+    }
+
+    /// The rest of a [`TypeGrainedWindow::step`] whose event matched a
+    /// negation or whose rows are more than counts.
+    #[inline(never)]
+    fn step_cold(
+        &mut self,
+        rt: &DisjunctRuntime,
+        event: &Event,
+        binds: &[StateId],
+        negs: &[NegId],
+    ) {
+        self.stage_negations(negs);
+        self.stage_binds(rt, event, binds);
+    }
+
+    /// Stage the event's update of each state it binds, its predecessors
+    /// the rows [`StepKernel::pred_rows`] names.
+    ///
+    /// [`StepKernel::pred_rows`]: crate::runtime::StepKernel::pred_rows
+    #[inline(always)]
+    fn stage_binds(&mut self, rt: &DisjunctRuntime, event: &Event, binds: &[StateId]) {
+        let (table, layout) = (rt.table, &rt.layout);
+        for &s in binds {
+            let preds = rt.kernel.pred_rows(s).iter().map(|&r| r as usize);
+            self.stage(rt, s, event, |slab, row| match rt.kernel.counts {
+                Some(counts) => {
+                    let live = counts.live_bits(slab);
+                    preds.fold(false, |any, r| {
+                        row[0] = row[0].wrapping_add(counts.count(slab, r));
+                        any | (live >> r & 1 == 1)
+                    })
+                }
+                None => preds.fold(false, |any, r| table.merge_into(layout, slab, r, row) | any),
+            });
+        }
     }
 
     /// Record negation matches at the open transaction's time stamp.
@@ -166,6 +229,7 @@ impl TypeGrainedWindow {
     /// folds the predecessors into the scratch row, handed the committed
     /// table beside it ([`DisjunctRuntime::bind_row`]), and the row is
     /// appended only if some trend ends at the event.
+    #[inline(always)]
     pub(crate) fn stage(
         &mut self,
         rt: &DisjunctRuntime,
@@ -173,7 +237,7 @@ impl TypeGrainedWindow {
         event: &Event,
         fill: impl FnOnce(&[u64], &mut [u64]) -> bool,
     ) {
-        if rt.table.stride() == 1 {
+        if rt.kernel.counts.is_some() {
             // `COUNT(*)` alone: the row is its trend count, kept in a
             // register, and there is no contribution to add.
             let start = rt.is_start(state);
@@ -193,20 +257,29 @@ impl TypeGrainedWindow {
         }
     }
 
+    /// Commit the open transaction: each staged update into its state's
+    /// row — one add when rows are counts, the rows' kernel out of line
+    /// otherwise — and, out of line, into the shadow rows.
     #[inline]
     pub(crate) fn commit(&mut self, rt: &DisjunctRuntime) {
         let journal_at = Self::journal_at(rt);
         if self.slab.len() == journal_at {
             return;
         }
-        let (layout, table) = (&rt.layout, rt.table);
         let (slab, journal) = self.slab.split_at_mut(journal_at);
         // The transaction's updates, in arrival order, into their states'
         // rows…
-        for staged in entries(journal, table.stride()) {
-            if let Staged::Update(state, row) = staged {
-                table.merge_from(layout, slab, state, row);
+        if let Some(counts) = rt.kernel.counts {
+            let mut live = 0;
+            for staged in entries(journal, 1) {
+                if let Staged::Update(state, row) = staged {
+                    counts.add(slab, state, row[0]);
+                    live |= 1 << state;
+                }
             }
+            counts.set_live(slab, live);
+        } else {
+            Self::commit_rows(rt, slab, journal);
         }
         // …and into the shadows of the tagged transitions out of them.
         if !rt.neg_edges.is_empty() {
@@ -215,10 +288,22 @@ impl TypeGrainedWindow {
         self.slab.truncate(journal_at);
     }
 
+    /// The states' part of a commit on a table that is not one of counts.
+    #[inline(never)]
+    fn commit_rows(rt: &DisjunctRuntime, slab: &mut [u64], journal: &[u64]) {
+        let (layout, table) = (&rt.layout, rt.table);
+        for staged in entries(journal, table.stride()) {
+            if let Staged::Update(state, row) = staged {
+                table.merge_from(layout, slab, state, row);
+            }
+        }
+    }
+
     /// The shadow rows' part of a commit. Resets first: a negation match at
     /// time t invalidates contributions committed strictly before t; the
     /// transaction's own updates (same t) are merged afterwards and stay
     /// valid.
+    #[inline(never)]
     fn commit_shadows(rt: &DisjunctRuntime, slab: &mut [u64], journal: &[u64]) {
         let (layout, table) = (&rt.layout, rt.table);
         for staged in entries(journal, table.stride()) {

@@ -37,25 +37,36 @@ fn ev(b: &mut EventBuilder, reg: &TypeRegistry, t: u64, ty: &str, v: i64) -> Eve
 #[test]
 fn type_grained_simultaneous_events_do_not_chain() {
     // Two a's in the same stream transaction must not count each other as
-    // predecessors (Definition 7 condition 2 / §8 transactions).
-    let rt = runtime("RETURN COUNT(*) PATTERN A+ SEMANTICS ANY WITHIN 100 SLIDE 100");
-    let drt = &rt.disjuncts[0];
-    let mut w = TypeGrainedWindow::new(drt);
-    let reg = registry();
-    let mut b = EventBuilder::new();
-    let e1 = ev(&mut b, &reg, 1, "A", 0);
-    let e2 = ev(&mut b, &reg, 1, "A", 0); // same time stamp
-    w.step(drt, &e1, &binds(&rt, &e1), &[]);
-    w.step(drt, &e2, &binds(&rt, &e2), &[]);
-    // Two singleton trends, no {e1,e2} pair.
-    assert_eq!(w.final_cell(drt).count, 2);
+    // predecessors (Definition 7 condition 2 / §8 transactions) — on both
+    // arms of the step: a `COUNT(*)` row (one word) and a wider one.
+    for query in [
+        "RETURN COUNT(*) PATTERN A+ SEMANTICS ANY WITHIN 100 SLIDE 100",
+        "RETURN COUNT(*), SUM(A.v) PATTERN A+ SEMANTICS ANY WITHIN 100 SLIDE 100",
+    ] {
+        let rt = runtime(query);
+        let drt = &rt.disjuncts[0];
+        assert_eq!(
+            drt.kernel.counts.is_some(),
+            !query.contains("SUM"),
+            "{query}"
+        );
+        let mut w = TypeGrainedWindow::new(drt);
+        let reg = registry();
+        let mut b = EventBuilder::new();
+        let e1 = ev(&mut b, &reg, 1, "A", 0);
+        let e2 = ev(&mut b, &reg, 1, "A", 0); // same time stamp
+        w.step(drt, &e1, &binds(&rt, &e1), &[]);
+        w.step(drt, &e2, &binds(&rt, &e2), &[]);
+        // Two singleton trends, no {e1,e2} pair.
+        assert_eq!(w.final_cell(drt).count, 2, "{query}");
 
-    // Control: distinct times chain — {e1}, {e2}, {e1,e2}.
-    let mut w = TypeGrainedWindow::new(drt);
-    let e3 = ev(&mut b, &reg, 2, "A", 0);
-    w.step(drt, &e1, &binds(&rt, &e1), &[]);
-    w.step(drt, &e3, &binds(&rt, &e3), &[]);
-    assert_eq!(w.final_cell(drt).count, 3);
+        // Control: distinct times chain — {e1}, {e2}, {e1,e2}.
+        let mut w = TypeGrainedWindow::new(drt);
+        let e3 = ev(&mut b, &reg, 2, "A", 0);
+        w.step(drt, &e1, &binds(&rt, &e1), &[]);
+        w.step(drt, &e3, &binds(&rt, &e3), &[]);
+        assert_eq!(w.final_cell(drt).count, 3, "{query}");
+    }
 }
 
 #[test]

@@ -601,6 +601,15 @@ impl CellTable {
         self.is_live(slab, src)
     }
 
+    /// The table as a [`CountTable`], when its rows hold a trend count
+    /// alone (`COUNT(*)`: stride 1) and their live bits fit one word (at
+    /// most 64 rows).
+    pub fn counts(&self) -> Option<CountTable> {
+        (self.stride == 1 && self.rows <= 64).then_some(CountTable {
+            live_at: self.live_at(),
+        })
+    }
+
     /// Add `event`'s own contribution to row `r` ([`Cell::contribute`]:
     /// nothing, while the row is dead).
     #[inline]
@@ -643,6 +652,41 @@ impl CellTable {
         let live = layout.load_row(dec, self.row_mut(slab, r))?;
         self.set_live(slab, r, live);
         Ok(())
+    }
+}
+
+/// A [`CellTable`] whose rows are trend counts alone and whose live bits
+/// are one word ([`CellTable::counts`]): row `r` is word `r` of the slab,
+/// its live bit bit `r` of that word. Folding one such row into another
+/// is one add — what Algorithm 1's step runs under `COUNT(*)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountTable {
+    live_at: usize,
+}
+
+impl CountTable {
+    /// Row `r`'s trend count.
+    #[inline]
+    pub fn count(&self, slab: &[u64], r: usize) -> u64 {
+        slab[r]
+    }
+
+    /// Every row's live bit, row `r`'s at bit `r`.
+    #[inline]
+    pub fn live_bits(&self, slab: &[u64]) -> u64 {
+        slab[self.live_at]
+    }
+
+    /// Add `count` trends to row `r`; its live bit is the caller's to set.
+    #[inline]
+    pub fn add(&self, slab: &mut [u64], r: usize, count: u64) {
+        slab[r] = slab[r].wrapping_add(count);
+    }
+
+    /// Mark the rows whose bits `bits` holds live.
+    #[inline]
+    pub fn set_live(&self, slab: &mut [u64], bits: u64) {
+        slab[self.live_at] |= bits;
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shared runtime plumbing for the COGRA aggregators: precomputed
 //! per-disjunct routing tables, state binding, and negation clocks.
 
-use crate::agg::{AggLayout, CellTable, DisjunctFeeds};
+use crate::agg::{AggLayout, CellTable, CountTable, DisjunctFeeds};
 use crate::router::EventBinds;
 use cogra_checkpoint::CheckpointError;
 use cogra_events::{Event, Timestamp, TypeRegistry, Value, ValueKind};
@@ -48,6 +48,52 @@ pub struct NegEdge {
     pub negations: Vec<NegId>,
 }
 
+/// Algorithm 1's step as one disjunct's plan shapes it, worked out once
+/// when the runtime is built: what a type-grained window — and the `Tt`
+/// half of a mixed-grained one — reads per event instead of the plan.
+#[derive(Debug, Clone)]
+pub struct StepKernel {
+    /// The table as rows of counts alone, when it is one
+    /// ([`CellTable::counts`]: `COUNT(*)`, at most 64 rows) — the step's
+    /// inline arm, where folding a row is one add.
+    pub counts: Option<CountTable>,
+    /// Where the open transaction's time stamp sits in a window's slab:
+    /// the table's length in words ([`CellTable::words`]). Its journal
+    /// starts one word later.
+    pub time_at: usize,
+    /// `pred_rows[from..to]` are state `s`'s, `(from, to)` its entry.
+    pred_spans: Box<[(u32, u32)]>,
+    /// The table rows that flow into each state, state after state: one
+    /// per incoming transition, its [`PredSource::row`].
+    pred_rows: Box<[u32]>,
+}
+
+impl StepKernel {
+    fn build(pred_sources: &[Vec<PredSource>], table: &CellTable) -> StepKernel {
+        let mut pred_spans = Vec::with_capacity(pred_sources.len());
+        let mut pred_rows = Vec::new();
+        for sources in pred_sources {
+            let from = pred_rows.len() as u32;
+            pred_rows.extend(sources.iter().map(|src| src.row as u32));
+            pred_spans.push((from, pred_rows.len() as u32));
+        }
+        StepKernel {
+            counts: table.counts(),
+            time_at: table.words(),
+            pred_spans: pred_spans.into(),
+            pred_rows: pred_rows.into(),
+        }
+    }
+
+    /// The table rows that flow into state `s`, one per incoming
+    /// transition.
+    #[inline]
+    pub fn pred_rows(&self, s: StateId) -> &[u32] {
+        let (from, to) = self.pred_spans[s.index()];
+        &self.pred_rows[from as usize..to as usize]
+    }
+}
+
 /// Precomputed routing tables for one compiled disjunct.
 #[derive(Debug)]
 pub struct DisjunctRuntime {
@@ -69,6 +115,9 @@ pub struct DisjunctRuntime {
     /// `2l + 1` for Algorithm 3 (two halves of a row per state, and the
     /// accumulator).
     pub table: CellTable,
+    /// Algorithm 1's step over [`DisjunctRuntime::table`], shaped for this
+    /// disjunct.
+    pub kernel: StepKernel,
     /// Value kinds of the disjunct's stored projection
     /// ([`CompiledDisjunct::stored`]), by [`TypeId`] — what a stored tuple
     /// read back from a snapshot is checked against.
@@ -119,12 +168,14 @@ impl DisjunctRuntime {
             Granularity::Mixed => n + neg_edges.len() + 1,
             Granularity::Pattern => 2 * n + 1,
         };
+        let table = CellTable::new(layout, rows);
         DisjunctRuntime {
+            kernel: StepKernel::build(&pred_sources, &table),
             disjunct,
             feeds,
             pred_sources,
             neg_edges,
-            table: CellTable::new(layout, rows),
+            table,
             layout: layout.clone(),
             stored_kinds,
         }

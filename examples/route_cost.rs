@@ -4,7 +4,9 @@
 //! inline [`Session`] — each drained every 1,024 events, best of several
 //! interleaved rounds, reported in ns per event. The first figure is the
 //! router alone: key hash, compiled route, window range, interner probe
-//! and ring indexing.
+//! and ring indexing. Every round asserts that the COGRA router and the
+//! session emit the same number of results, so a run checks the two paths
+//! it times against each other.
 //!
 //! Run: `cargo run --release --example route_cost [events] [rounds]`
 
@@ -50,8 +52,9 @@ impl WindowAlgo for NoopWindow {
 
 const DRAIN_EVERY: usize = 1024;
 
-/// Nanoseconds per event of one pass of `events` through `engine`.
-fn engine_pass(engine: &mut dyn TrendEngine, events: &[Event]) -> f64 {
+/// Nanoseconds per event of one pass of `events` through `engine`, and
+/// the number of results it emitted.
+fn engine_pass(engine: &mut dyn TrendEngine, events: &[Event]) -> (f64, usize) {
     let mut results = 0usize;
     let mut count = |_: WindowResult| results += 1;
     let start = Instant::now();
@@ -63,28 +66,30 @@ fn engine_pass(engine: &mut dyn TrendEngine, events: &[Event]) -> f64 {
     }
     engine.finish_into(&mut count);
     let ns = start.elapsed().as_nanos() as f64 / events.len() as f64;
-    std::hint::black_box(results);
-    ns
+    (ns, results)
 }
 
 /// Nanoseconds per event of one pass of `events` through a fresh inline
-/// session.
-fn session_pass(query: &str, registry: &TypeRegistry, events: &[Event]) -> f64 {
+/// session, and the number of results it emitted.
+fn session_pass(query: &str, registry: &TypeRegistry, events: &[Event]) -> (f64, usize) {
     let mut session = Session::builder()
         .query(query)
         .build(registry)
         .expect("the stock query builds");
     let mut sink: Vec<TaggedResult> = Vec::new();
+    let mut results = 0;
     let start = Instant::now();
     for chunk in events.chunks(DRAIN_EVERY) {
         for e in chunk {
             session.process(e);
         }
         session.drain_into(&mut sink);
+        results += sink.len();
         sink.clear();
     }
     session.finish_into(&mut sink);
-    start.elapsed().as_nanos() as f64 / events.len() as f64
+    let ns = start.elapsed().as_nanos() as f64 / events.len() as f64;
+    (ns, results + sink.len())
 }
 
 fn main() {
@@ -100,10 +105,16 @@ fn main() {
     let (mut noop, mut cogra, mut session) = (f64::MAX, f64::MAX, f64::MAX);
     for _ in 0..rounds {
         let mut router = Router::<NoopWindow>::from_text(&query, &registry).expect("compiles");
-        noop = noop.min(engine_pass(&mut router, &events));
+        noop = noop.min(engine_pass(&mut router, &events).0);
         let mut router = CograEngine::from_text(&query, &registry).expect("compiles");
-        cogra = cogra.min(engine_pass(&mut router, &events));
-        session = session.min(session_pass(&query, &registry, &events));
+        let (ns, routed) = engine_pass(&mut router, &events);
+        cogra = cogra.min(ns);
+        let (ns, sessioned) = session_pass(&query, &registry, &events);
+        session = session.min(ns);
+        assert_eq!(
+            routed, sessioned,
+            "the COGRA router and the inline session emit as many results"
+        );
     }
     println!("{events_n} stock-type events, best of {rounds} interleaved rounds:");
     println!("  router over a no-op window  {noop:6.1} ns/event");

@@ -33,6 +33,9 @@
 //!   that needs more at once fails ingestion with a typed error instead
 //!   of growing without bound;
 //! * `--explain` / `--dot` — print the compiled plan / Graphviz automaton;
+//!   with several queries, `--explain` also prints the session's fan-out:
+//!   per event type, the queries an event reaches and under which hash
+//!   group (`GROUP-BY` list) or on which fixed shard;
 //! * `--memory` — report peak memory after the run;
 //! * `--checkpoint SNAP` — ingest the stream, print what is final at the
 //!   watermark, then write the session's remaining live state to `SNAP`
@@ -307,6 +310,9 @@ fn run(argv: &[String]) -> Result<(), String> {
             other => other.to_string(),
         })?
     };
+    if args.explain && session.queries() > 1 {
+        eprintln!("{}", session.fan_out(&registry));
+    }
     if let Some(path) = &args.checkpoint {
         return checkpoint_run(session, &args, events, &stream, &registry, path);
     }

@@ -105,6 +105,37 @@ fn explain_and_dot_render() {
 }
 
 #[test]
+fn explain_prints_the_session_fan_out() {
+    // A second query over the same `GROUP-BY patient`: one hash of a
+    // measurement places it for both queries.
+    let f = fixture("fan-out");
+    std::fs::write(
+        f.dir.join("count.cep"),
+        "RETURN patient, COUNT(*) PATTERN Measurement M+ SEMANTICS skip-till-any-match \
+         WHERE [patient] GROUP-BY patient WITHIN 100 SLIDE 100\n",
+    )
+    .unwrap();
+    let two = ["--query", &f.path("count.cep"), "--slack", "3", "--explain"];
+    let (ok, _, stderr) = f.run(&[&two[..], &["--workers", "2"]].concat());
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stderr.contains("fan-out over 2 shard(s):\n  Measurement → by [patient]: q0 q1\n"),
+        "{stderr}"
+    );
+    // One shard hashes nothing: both queries are on it.
+    let (ok, _, stderr) = f.run(&two);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stderr.contains("fan-out over 1 shard(s):\n  Measurement → shard 0: q0 q1\n"),
+        "{stderr}"
+    );
+    // A single query's plan is all there is to explain.
+    let (ok, _, stderr) = f.run(&["--slack", "3", "--explain"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(!stderr.contains("fan-out"), "{stderr}");
+}
+
+#[test]
 fn workers_report_effective_shard_count() {
     // The fixture query groups by patient, so all requested shards are
     // usable — the summary reports the requested count.

@@ -89,8 +89,8 @@ impl CograWindow {
     }
 
     /// [`WindowAlgo::on_event`] disjunct by disjunct, each at its own
-    /// granularity: out of line, so that the type-grained step the router
-    /// inlines stays small.
+    /// granularity: out of line, so that the steps the router inlines stay
+    /// small.
     #[inline(never)]
     fn on_event_each(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
         let semantics = rt.query.semantics;
@@ -137,16 +137,20 @@ impl WindowAlgo for CograWindow {
         }
     }
 
-    /// A window of one type-grained disjunct goes straight to
-    /// [`TypeGrainedWindow::step`], inlined into the router's window loop;
-    /// every other shape steps disjunct by disjunct, out of line.
+    /// A window of one type-grained or one pattern-grained disjunct goes
+    /// straight to [`TypeGrainedWindow::step`] or [`PatternWindow::step`],
+    /// inlined into the router's window loop; every other shape steps
+    /// disjunct by disjunct, out of line.
     #[inline]
     fn on_event(&mut self, rt: &QueryRuntime, event: &Event, binds: &EventBinds) -> isize {
-        if let Disjuncts::One(GranWindow::Type(w)) = &mut self.0 {
-            let (states, negs) = &binds.per_disjunct[0];
-            return w.step(&rt.disjuncts[0], event, states, negs);
+        let (states, negs) = &binds.per_disjunct[0];
+        match &mut self.0 {
+            Disjuncts::One(GranWindow::Type(w)) => w.step(&rt.disjuncts[0], event, states, negs),
+            Disjuncts::One(GranWindow::Pattern(w)) => {
+                w.step(&rt.disjuncts[0], event, states, negs, rt.query.semantics)
+            }
+            _ => self.on_event_each(rt, event, binds),
         }
-        self.on_event_each(rt, event, binds)
     }
 
     fn final_cell(&mut self, rt: &QueryRuntime) -> Cell {

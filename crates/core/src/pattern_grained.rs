@@ -41,9 +41,40 @@
 //! not state: it is not counted, and neither is `el`'s while there is no
 //! `el`.
 //!
+//! ## Which arm runs when
+//!
+//! [`PatternWindow::step`] is a small kernel, inlined into the router's
+//! window loop through [`CograWindow`]'s one-disjunct case, as Algorithm
+//! 1's is. Its shape is the disjunct's [`StepKernel`], worked out once when
+//! the plan's runtime is built.
+//!
+//! * **Inline, the count arm** ([`StepKernel::bare_counts`]) — the layout
+//!   is `COUNT(*)` alone, the table has at most 64 rows (at most 31
+//!   states), and the disjunct negates no variable and has no predicate on
+//!   adjacent events, so nothing of `el` is stored but its time stamp. One
+//!   mask clears the scratch half's live bits; a bound state's count is
+//!   its `+1` if it starts the pattern plus the counts of its predecessors
+//!   that are live in `el`'s half, read through the kernel's flat
+//!   predecessor slice and summed in a register; the end state's count is
+//!   added into the accumulator; the live word is written once. Rideshare
+//!   q2 (`SEQ(Accept, (SEQ(Call, Cancel))+, Finish)`, 2·4 + 1 = 9 rows) runs
+//!   here.
+//! * **Out of line** — rows wider than a count or more than 64 of them, a
+//!   negated variable (its clocks), a predicate on adjacent events (the
+//!   stored values it reads): the table code above, row by row.
+//!
+//! Both arms leave the same window: the same rows live, the same counts in
+//! them, the same `el`, the same bytes — `save`, `load`, `memory_bytes`
+//! and `audit_bytes` do not know which arm ran. A bound state no trend ends
+//! at is dead either way; the count arm leaves its stale count in place
+//! where the other resets it, and a dead row's words are never read.
+//!
 //! [`CompiledDisjunct::stored`]: cogra_query::CompiledDisjunct::stored
+//! [`CograWindow`]: crate::CograWindow
+//! [`StepKernel`]: crate::runtime::StepKernel
+//! [`StepKernel::bare_counts`]: crate::runtime::StepKernel::bare_counts
 
-use crate::agg::Cell;
+use crate::agg::{Cell, CountTable};
 use crate::runtime::{DisjunctRuntime, NegClock};
 use cogra_events::{Event, Timestamp, Value};
 use cogra_query::{NegId, Semantics, StateId};
@@ -133,7 +164,99 @@ impl PatternWindow {
 
     /// One event of the window: the negations it matches, then the states
     /// it binds; `semantics` is NEXT or CONT. Returns the bytes it added.
+    ///
+    /// Inlined where it is called: under [`StepKernel::bare_counts`] all it
+    /// runs is the count arm — one mask, a register sum per bound state
+    /// and one write of the live word. The other arm is out of line (see
+    /// the module docs).
+    ///
+    /// [`StepKernel::bare_counts`]: crate::runtime::StepKernel::bare_counts
+    #[inline]
     pub fn step(
+        &mut self,
+        rt: &DisjunctRuntime,
+        event: &Event,
+        binds: &[StateId],
+        negs: &[NegId],
+        semantics: Semantics,
+    ) -> isize {
+        match rt.kernel.bare_counts {
+            Some(counts) => self.step_counts(rt, counts, event, binds, semantics),
+            None => self.step_cold(rt, event, binds, negs, semantics),
+        }
+    }
+
+    /// Algorithm 3's step on a table of counts, for a disjunct with no
+    /// negation and no predicate on adjacent events: the scratch half's
+    /// live bits cleared by one mask, each bound state's count its start
+    /// and its live predecessors' counts in `el`'s half summed in a
+    /// register, the end state's added into the accumulator, and the live
+    /// word written once. A bound state that no trend ends at keeps its
+    /// stale count: it is dead, and a dead row's words are never read.
+    #[inline(always)]
+    fn step_counts(
+        &mut self,
+        rt: &DisjunctRuntime,
+        counts: CountTable,
+        event: &Event,
+        binds: &[StateId],
+        semantics: Semantics,
+    ) -> isize {
+        let before = self.bytes;
+        if binds.is_empty() {
+            if semantics == Semantics::Cont {
+                self.clear_el(rt);
+            }
+            return self.bytes as isize - before as isize;
+        }
+        let states = Self::states(rt);
+        let (el_rows, new_rows) = self.halves(rt);
+        let half = !0 >> (64 - states);
+        let slab = &mut self.slab[..];
+        let mut live = counts.live_bits(slab) & !(half << new_rows);
+        // `el`'s live rows, as seen from this event: none unless it chains.
+        let el_live = if self.el_live && self.el_time < event.time {
+            live >> el_rows & half
+        } else {
+            0
+        };
+        let mut bound = 0u64;
+        for &s in binds {
+            let start = rt.is_start(s);
+            let (mut count, mut any) = (u64::from(start), start);
+            for &p in rt.kernel.pred_rows(s) {
+                let p = p as usize;
+                if el_live >> p & 1 == 1 {
+                    count = count.wrapping_add(counts.count(slab, el_rows + p));
+                    any = true;
+                }
+            }
+            if any {
+                counts.put(slab, new_rows + s.index(), count);
+                bound |= 1 << s.index();
+                if s == rt.end() {
+                    counts.add(slab, 2 * states, count);
+                    live |= 1 << (2 * states);
+                }
+            }
+        }
+        counts.put_live_bits(slab, live | bound << new_rows);
+        if bound != 0 {
+            // The event is the new `el`: the halves trade places.
+            self.el_high = !self.el_high;
+            self.el_time = event.time;
+            self.el_live = true;
+            self.bytes = Self::fixed_bytes(rt) + Self::el_bytes(rt, 0);
+        } else if semantics == Semantics::Cont {
+            self.clear_el(rt);
+        }
+        self.bytes as isize - before as isize
+    }
+
+    /// [`PatternWindow::step`] on any table: rows of any width, negation
+    /// clocks and predicates on adjacent events.
+    #[inline(never)]
+    fn step_cold(
         &mut self,
         rt: &DisjunctRuntime,
         event: &Event,

@@ -1535,6 +1535,12 @@ impl Collect {
         let per_query = &mut self.per_query;
         session
             .finish_into(&mut |query: usize, result: WindowResult| per_query[query].push(result));
+        // Under `.workers(n)` the per-row check reads the lanes' mirrors,
+        // which only a drain or this finish refreshes: an overflow a shard
+        // met since the last drain is seen here first.
+        if let Some(limit) = session.key_overflow().filter(|_| self.strict) {
+            return Err(IngestError::KeyOverflow { limit });
+        }
         if let Some(failure) = session.worker_failure() {
             if self.strict {
                 return Err(IngestError::WorkerFailed(failure.clone()));

@@ -95,25 +95,74 @@ fn type_grained_negation_shadow_blocks_old_contributions_only() {
     assert_eq!(w.final_cell(drt).count, 2);
 }
 
+/// `query` as written, whose rows are `COUNT(*)` alone, and a copy that
+/// also sums `sum`'s `v` — the two arms of Algorithm 3's step — each with
+/// the arm its runtime takes asserted.
+fn both_arms(query: &str, sum: &str) -> [QueryRuntime; 2] {
+    let wide = query.replace("COUNT(*)", &format!("COUNT(*), SUM({sum}.v)"));
+    [query.to_string(), wide].map(|query| {
+        let rt = runtime(&query);
+        let kernel = &rt.disjuncts[0].kernel;
+        assert_eq!(
+            kernel.bare_counts.is_some(),
+            !query.contains("SUM"),
+            "{query}"
+        );
+        rt
+    })
+}
+
+#[test]
+fn pattern_grained_simultaneous_events_do_not_chain() {
+    // Two a's sharing a time stamp are `el`-adjacent but must not chain
+    // (Definition 7 condition 2) — on both arms of the step.
+    for rt in both_arms(
+        "RETURN COUNT(*) PATTERN A+ SEMANTICS NEXT WITHIN 100 SLIDE 100",
+        "A",
+    ) {
+        let drt = &rt.disjuncts[0];
+        let reg = registry();
+        let mut b = EventBuilder::new();
+        let e1 = ev(&mut b, &reg, 1, "A", 0);
+        let e2 = ev(&mut b, &reg, 1, "A", 0); // same time stamp
+        let mut w = PatternWindow::new(drt);
+        w.step(drt, &e1, &binds(&rt, &e1), &[], Semantics::Next);
+        w.step(drt, &e2, &binds(&rt, &e2), &[], Semantics::Next);
+        // Two singleton trends, no {e1,e2} pair.
+        assert_eq!(w.final_cell(drt).count, 2);
+
+        // Control: distinct times chain — {e1}, {e2}, {e1,e2}.
+        let e3 = ev(&mut b, &reg, 2, "A", 0);
+        let mut w = PatternWindow::new(drt);
+        w.step(drt, &e1, &binds(&rt, &e1), &[], Semantics::Next);
+        w.step(drt, &e3, &binds(&rt, &e3), &[], Semantics::Next);
+        assert_eq!(w.final_cell(drt).count, 3);
+    }
+}
+
 #[test]
 fn pattern_grained_cont_reset_preserves_final_count() {
     // Algorithm 3 lines 8–9: an unmatched event under CONT nulls the last
     // event but never the final count.
-    let rt = runtime("RETURN COUNT(*) PATTERN SEQ(A, B) SEMANTICS CONT WITHIN 100 SLIDE 100");
-    let drt = &rt.disjuncts[0];
-    let reg = registry();
-    let mut b = EventBuilder::new();
-    let mut w = PatternWindow::new(drt);
-    let stream = [
-        ev(&mut b, &reg, 1, "A", 0),
-        ev(&mut b, &reg, 2, "B", 0), // finishes (a1, b2): final = 1
-        ev(&mut b, &reg, 3, "C", 0), // reset
-        ev(&mut b, &reg, 4, "B", 0), // cannot match: no el, not a start
-    ];
-    for e in &stream {
-        w.step(drt, e, &binds(&rt, e), &[], Semantics::Cont);
+    for rt in both_arms(
+        "RETURN COUNT(*) PATTERN SEQ(A, B) SEMANTICS CONT WITHIN 100 SLIDE 100",
+        "A",
+    ) {
+        let drt = &rt.disjuncts[0];
+        let reg = registry();
+        let mut b = EventBuilder::new();
+        let mut w = PatternWindow::new(drt);
+        let stream = [
+            ev(&mut b, &reg, 1, "A", 0),
+            ev(&mut b, &reg, 2, "B", 0), // finishes (a1, b2): final = 1
+            ev(&mut b, &reg, 3, "C", 0), // reset
+            ev(&mut b, &reg, 4, "B", 0), // cannot match: no el, not a start
+        ];
+        for e in &stream {
+            w.step(drt, e, &binds(&rt, e), &[], Semantics::Cont);
+        }
+        assert_eq!(w.final_cell(drt).count, 1);
     }
-    assert_eq!(w.final_cell(drt).count, 1);
 }
 
 #[test]
@@ -126,16 +175,18 @@ fn pattern_grained_next_skips_where_cont_resets() {
         ev(&mut b, &reg, 3, "B", 0),
     ];
     for (sem, expected) in [(Semantics::Next, 1), (Semantics::Cont, 0)] {
-        let rt = runtime(&format!(
+        let query = format!(
             "RETURN COUNT(*) PATTERN SEQ(A, B) SEMANTICS {} WITHIN 100 SLIDE 100",
             sem.keyword()
-        ));
-        let drt = &rt.disjuncts[0];
-        let mut w = PatternWindow::new(drt);
-        for e in &stream {
-            w.step(drt, e, &binds(&rt, e), &[], sem);
+        );
+        for rt in both_arms(&query, "A") {
+            let drt = &rt.disjuncts[0];
+            let mut w = PatternWindow::new(drt);
+            for e in &stream {
+                w.step(drt, e, &binds(&rt, e), &[], sem);
+            }
+            assert_eq!(w.final_cell(drt).count, expected, "{sem:?}");
         }
-        assert_eq!(w.final_cell(drt).count, expected, "{sem:?}");
     }
 }
 
@@ -143,27 +194,31 @@ fn pattern_grained_next_skips_where_cont_resets() {
 fn pattern_grained_shared_type_tracks_multiple_bindings() {
     // SEQ(S X+, S Y+) under NEXT: one S event may extend as X and as Y;
     // the last-event cell table carries both bindings.
-    let rt = runtime("RETURN COUNT(*) PATTERN SEQ(S X+, S Y+) SEMANTICS NEXT WITHIN 100 SLIDE 100");
-    let drt = &rt.disjuncts[0];
-    let reg = registry();
-    let mut b = EventBuilder::new();
-    let mut w = PatternWindow::new(drt);
-    for t in 1..=3 {
-        let e = ev(&mut b, &reg, t, "S", 0);
-        w.step(drt, &e, &binds(&rt, &e), &[], Semantics::Next);
-    }
-    // Chains over 3 s-events: trends are the X/Y splits of contiguous
-    // chain suffixes. s1s2s3 with every split point, plus shorter chains
-    // starting at s2 and s3: (x1|y2), (x1|y2 y3), (x1 x2|y3), (x2|y3) and
-    // the start-anchored singletons ending in Y... enumerate via oracle
-    // instead of hand-counting: compare against the chain oracle.
-    let events: Vec<Event> = {
+    for rt in both_arms(
+        "RETURN COUNT(*) PATTERN SEQ(S X+, S Y+) SEMANTICS NEXT WITHIN 100 SLIDE 100",
+        "X",
+    ) {
+        let drt = &rt.disjuncts[0];
+        let reg = registry();
         let mut b = EventBuilder::new();
-        (1..=3).map(|t| ev(&mut b, &reg, t, "S", 0)).collect()
-    };
-    let expected = cogra_baselines::oracle::count_trends(drt, &events, Semantics::Next);
-    assert_eq!(w.final_cell(drt).count, expected);
-    assert!(expected > 0);
+        let mut w = PatternWindow::new(drt);
+        for t in 1..=3 {
+            let e = ev(&mut b, &reg, t, "S", 0);
+            w.step(drt, &e, &binds(&rt, &e), &[], Semantics::Next);
+        }
+        // Chains over 3 s-events: trends are the X/Y splits of contiguous
+        // chain suffixes. s1s2s3 with every split point, plus shorter chains
+        // starting at s2 and s3: (x1|y2), (x1|y2 y3), (x1 x2|y3), (x2|y3) and
+        // the start-anchored singletons ending in Y... enumerate via oracle
+        // instead of hand-counting: compare against the chain oracle.
+        let events: Vec<Event> = {
+            let mut b = EventBuilder::new();
+            (1..=3).map(|t| ev(&mut b, &reg, t, "S", 0)).collect()
+        };
+        let expected = cogra_baselines::oracle::count_trends(drt, &events, Semantics::Next);
+        assert_eq!(w.final_cell(drt).count, expected);
+        assert!(expected > 0);
+    }
 }
 
 #[test]

@@ -683,10 +683,23 @@ impl CountTable {
         slab[r] = slab[r].wrapping_add(count);
     }
 
+    /// Row `r`'s trend count becomes `count`; its live bit is the caller's
+    /// to set.
+    #[inline]
+    pub fn put(&self, slab: &mut [u64], r: usize, count: u64) {
+        slab[r] = count;
+    }
+
     /// Mark the rows whose bits `bits` holds live.
     #[inline]
     pub fn set_live(&self, slab: &mut [u64], bits: u64) {
         slab[self.live_at] |= bits;
+    }
+
+    /// Every row's live bit at once: `bits`, row `r`'s at bit `r`.
+    #[inline]
+    pub fn put_live_bits(&self, slab: &mut [u64], bits: u64) {
+        slab[self.live_at] = bits;
     }
 }
 

@@ -50,13 +50,19 @@ pub struct NegEdge {
 
 /// Algorithm 1's step as one disjunct's plan shapes it, worked out once
 /// when the runtime is built: what a type-grained window — and the `Tt`
-/// half of a mixed-grained one — reads per event instead of the plan.
+/// half of a mixed-grained one — reads per event instead of the plan; and
+/// Algorithm 3's, for a pattern-grained window of counts.
 #[derive(Debug, Clone)]
 pub struct StepKernel {
     /// The table as rows of counts alone, when it is one
     /// ([`CellTable::counts`]: `COUNT(*)`, at most 64 rows) — the step's
     /// inline arm, where folding a row is one add.
     pub counts: Option<CountTable>,
+    /// [`StepKernel::counts`], when besides the disjunct negates no
+    /// variable and has no predicate on adjacent events — Algorithm 3's
+    /// inline arm, where a bound state's count is its start and its live
+    /// predecessors' counts summed, and nothing of an event is stored.
+    pub bare_counts: Option<CountTable>,
     /// Where the open transaction's time stamp sits in a window's slab:
     /// the table's length in words ([`CellTable::words`]). Its journal
     /// starts one word later.
@@ -64,12 +70,17 @@ pub struct StepKernel {
     /// `pred_rows[from..to]` are state `s`'s, `(from, to)` its entry.
     pred_spans: Box<[(u32, u32)]>,
     /// The table rows that flow into each state, state after state: one
-    /// per incoming transition, its [`PredSource::row`].
+    /// per incoming transition, its [`PredSource::row`] — under
+    /// [`StepKernel::bare_counts`], the predecessor state itself.
     pred_rows: Box<[u32]>,
 }
 
 impl StepKernel {
-    fn build(pred_sources: &[Vec<PredSource>], table: &CellTable) -> StepKernel {
+    fn build(
+        disjunct: &CompiledDisjunct,
+        pred_sources: &[Vec<PredSource>],
+        table: &CellTable,
+    ) -> StepKernel {
         let mut pred_spans = Vec::with_capacity(pred_sources.len());
         let mut pred_rows = Vec::new();
         for sources in pred_sources {
@@ -77,8 +88,10 @@ impl StepKernel {
             pred_rows.extend(sources.iter().map(|src| src.row as u32));
             pred_spans.push((from, pred_rows.len() as u32));
         }
+        let bare = disjunct.automaton.num_negated() == 0 && disjunct.adjacents.is_empty();
         StepKernel {
             counts: table.counts(),
+            bare_counts: table.counts().filter(|_| bare),
             time_at: table.words(),
             pred_spans: pred_spans.into(),
             pred_rows: pred_rows.into(),
@@ -115,8 +128,8 @@ pub struct DisjunctRuntime {
     /// `2l + 1` for Algorithm 3 (two halves of a row per state, and the
     /// accumulator).
     pub table: CellTable,
-    /// Algorithm 1's step over [`DisjunctRuntime::table`], shaped for this
-    /// disjunct.
+    /// Algorithms 1 and 3's step over [`DisjunctRuntime::table`], shaped
+    /// for this disjunct.
     pub kernel: StepKernel,
     /// Value kinds of the disjunct's stored projection
     /// ([`CompiledDisjunct::stored`]), by [`TypeId`] — what a stored tuple
@@ -170,7 +183,7 @@ impl DisjunctRuntime {
         };
         let table = CellTable::new(layout, rows);
         DisjunctRuntime {
-            kernel: StepKernel::build(&pred_sources, &table),
+            kernel: StepKernel::build(&disjunct, &pred_sources, &table),
             disjunct,
             feeds,
             pred_sources,

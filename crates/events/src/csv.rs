@@ -20,14 +20,28 @@
 //! Unquoted, a record ends at `\n` or `\r\n`. [`write_events`] quotes
 //! exactly the cells that need it, so any `Str` value round-trips.
 //!
-//! Decoding is one pass over the document's bytes (`Records`): fields
-//! are byte ranges of the text itself — only a cell containing `""` is
-//! copied, into a buffer reused from record to record — and
-//! [`EventReader::read_into`] parses them straight into a caller-owned
-//! [`Event`], so a row of numbers costs no allocation at all.
+//! Decoding is one pass per record, and a plain record — one without a
+//! `"`, which is nearly every record of a stream of numbers and labels —
+//! takes the kernel: its bytes are read eight at a time and its cell ends
+//! found by word arithmetic, one step per comma and one per record
+//! (`Records::advance_plain`); the `type` cell is resolved by one probe of
+//! the registry's name index ([`TypeRegistry::id_of`]); and each attribute
+//! is converted through its type's column plan — the column it is read
+//! from and its kind, resolved once per header on first sight of the
+//! type, the other columns skipped. Integers and times are parsed straight
+//! from the bytes, accepting exactly what `str::parse` accepts (a number
+//! too long to be sure of is handed to `str::parse` itself), and refused
+//! with the same text.
+//!
+//! A record with a `"` anywhere goes through `Records::advance`, the one
+//! scanner that handles quoting, into the same conversion step. Its fields
+//! are byte ranges of the text too — only a cell containing `""` is
+//! copied, into a buffer reused from record to record. Either way
+//! [`EventReader::read_into`] parses the cells straight into a
+//! caller-owned [`Event`], so a row of numbers costs no allocation at all.
 
 use crate::event::{Event, EventId, Timestamp};
-use crate::schema::{Schema, TypeId, TypeRegistry};
+use crate::schema::{AttrId, Schema, TypeId, TypeRegistry};
 use crate::value::{Value, ValueKind};
 use std::fmt::{self, Write as _};
 
@@ -102,12 +116,6 @@ impl<'a> Records<'a> {
         } else {
             &self.text[f.start..f.end]
         }
-    }
-
-    /// Whether the current record is a blank line: one unquoted cell of
-    /// nothing but white space.
-    fn is_blank(&self) -> bool {
-        self.fields.len() == 1 && !self.fields[0].quoted && self.field(0).trim().is_empty()
     }
 
     /// Scan the next record into `fields`; yields the line it starts on,
@@ -223,6 +231,165 @@ fn push_cell(out: &mut String, s: &str) {
     }
 }
 
+/// The cells of one scanned record, by column: what [`EventReader`]'s
+/// conversion step reads, whichever scanner cut the record.
+trait Cells {
+    /// Number of cells.
+    fn len(&self) -> usize;
+    /// Cell `i`'s text.
+    fn text(&self, i: usize) -> &str;
+    /// Whether cell `i` was quoted: present even when empty.
+    fn quoted(&self, i: usize) -> bool;
+
+    /// Whether the record is a blank line: one unquoted cell of nothing
+    /// but white space.
+    fn is_blank(&self) -> bool {
+        self.len() == 1 && !self.quoted(0) && self.text(0).trim().is_empty()
+    }
+}
+
+impl Cells for Records<'_> {
+    fn len(&self) -> usize {
+        self.fields.len()
+    }
+
+    fn text(&self, i: usize) -> &str {
+        self.field(i)
+    }
+
+    fn quoted(&self, i: usize) -> bool {
+        self.fields[i].quoted
+    }
+}
+
+/// A record without a `"`, cut by [`Records::advance_plain`]: `cells`
+/// cells, none quoted, cell `i` running from just past the end of cell
+/// `i - 1` (from `start` for the first) to `ends[i]`. Only the ends of the
+/// first `ends.len() - 1` cells are kept: a record with more cells than
+/// the header has columns is refused on its count alone.
+struct Plain<'t> {
+    text: &'t str,
+    start: usize,
+    cells: usize,
+    ends: &'t [usize],
+}
+
+impl Plain<'_> {
+    /// Where cell `i` starts.
+    #[inline]
+    fn start_of(&self, i: usize) -> usize {
+        match i {
+            0 => self.start,
+            i => self.ends[i - 1] + 1,
+        }
+    }
+}
+
+impl Cells for Plain<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.cells
+    }
+
+    #[inline]
+    fn text(&self, i: usize) -> &str {
+        &self.text[self.start_of(i)..self.ends[i]]
+    }
+
+    #[inline]
+    fn quoted(&self, _: usize) -> bool {
+        false
+    }
+}
+
+/// `0x80` in each byte of `word` that is `byte`, `0` in the others —
+/// exactly: no carry from one byte reaches the next.
+#[inline]
+fn bytes_equal(word: u64, byte: u8) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let x = word ^ (u64::from(byte) * 0x0101_0101_0101_0101);
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+impl Records<'_> {
+    /// Cut the next record at its cell ends into `ends`, in one pass over
+    /// its bytes — if it holds no `"`. Yields the line it starts on and its
+    /// number of cells; `Some(None)` for a record with a quote in it, which
+    /// is left unread for [`Records::advance`]; `None` at the end of the
+    /// document. The cells are the ones `advance` would give: `\n` or
+    /// `\r\n` ends the record, and the last one of the document needs
+    /// neither. `ends` must not be empty; past its last slot, every cell
+    /// ends in that one ([`Plain`]).
+    ///
+    /// The bytes are read eight at a time, and the commas and the first
+    /// `\n` or `"` of each eight found by word arithmetic, so what branches
+    /// is one step per comma and one per record, not one per byte.
+    #[inline]
+    fn advance_plain(&mut self, ends: &mut [usize]) -> Option<Option<(usize, usize)>> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        if start >= bytes.len() {
+            return None;
+        }
+        let last = ends.len() - 1;
+        let (mut i, mut cell) = (start, 0);
+        let mut stop = None;
+        while let Some(chunk) = bytes.get(i..i + 8) {
+            let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+            let stops = bytes_equal(word, b'\n') | bytes_equal(word, b'"');
+            // The commas before the first stop.
+            let mut commas =
+                bytes_equal(word, b',') & (stops & stops.wrapping_neg()).wrapping_sub(1);
+            while commas != 0 {
+                ends[cell.min(last)] = i + (commas.trailing_zeros() / 8) as usize;
+                cell += 1;
+                commas &= commas - 1;
+            }
+            if stops != 0 {
+                stop = Some(i + (stops.trailing_zeros() / 8) as usize);
+                break;
+            }
+            i += 8;
+        }
+        if stop.is_none() {
+            // The document's last few bytes, one at a time.
+            for (at, &b) in bytes.iter().enumerate().skip(i) {
+                match b {
+                    b'\n' | b'"' => {
+                        stop = Some(at);
+                        break;
+                    }
+                    b',' => {
+                        ends[cell.min(last)] = at;
+                        cell += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let line = self.line;
+        let end = match stop {
+            Some(at) if bytes[at] == b'"' => return Some(None),
+            Some(at) => {
+                self.pos = at + 1;
+                self.line += 1;
+                // An unquoted CRLF row end: the `\r` is not data.
+                let from = match cell {
+                    0 => start,
+                    c => ends[(c - 1).min(last)] + 1,
+                };
+                at - usize::from(at > from && bytes[at - 1] == b'\r')
+            }
+            None => {
+                self.pos = bytes.len();
+                bytes.len()
+            }
+        };
+        ends[cell.min(last)] = end;
+        Some(Some((line, cell + 1)))
+    }
+}
+
 /// Streaming CSV event decoder over the text, one row at a time — no
 /// intermediate `Vec<Event>`. This is THE decode path:
 /// [`EventReader::read_into`] is what `Session::ingest_csv` / `run_csv`
@@ -236,19 +403,32 @@ fn push_cell(out: &mut String, s: &str) {
 /// schema attribute must have a present cell (non-empty, or quoted);
 /// cells of columns outside the schema are ignored.
 pub struct EventReader<'a> {
-    registry: &'a TypeRegistry,
     records: Records<'a>,
-    columns: Vec<String>,
-    type_col: usize,
-    time_col: usize,
-    /// Per type id: field index of each schema attribute, resolved once
-    /// on first sight of the type instead of per row × attribute.
-    attr_cols: Vec<Option<Vec<usize>>>,
-    /// Id of the next decoded event (ids are per reader, from 0).
-    next_id: u64,
+    /// The cell ends of the plain record last scanned ([`Plain`]): one
+    /// slot per column, and one more.
+    ends: Box<[usize]>,
+    rows: RowDecoder<'a>,
     /// Set after the first error: a failed decode poisons the stream
     /// (column state may be unreliable past a malformed row).
     done: bool,
+}
+
+/// A type's column plan: for each attribute of its schema in order, the
+/// column it is read from and its kind. The other columns are skipped.
+type ColumnPlan = Box<[(usize, ValueKind)]>;
+
+/// What turns a record's cells into an event: the header's columns and,
+/// per type, its column plan.
+struct RowDecoder<'a> {
+    registry: &'a TypeRegistry,
+    columns: Vec<String>,
+    type_col: usize,
+    time_col: usize,
+    /// Per type id, its column plan — resolved on first sight of the type,
+    /// once per header.
+    plans: Vec<Option<ColumnPlan>>,
+    /// Id of the next decoded event (ids are per reader, from 0).
+    next_id: u64,
 }
 
 impl<'a> EventReader<'a> {
@@ -275,13 +455,16 @@ impl<'a> EventReader<'a> {
             }
         };
         Ok(EventReader {
-            registry,
+            ends: vec![0; columns.len() + 1].into(),
             records,
-            columns,
-            type_col,
-            time_col,
-            attr_cols: vec![None; registry.len()],
-            next_id: 0,
+            rows: RowDecoder {
+                registry,
+                columns,
+                type_col,
+                time_col,
+                plans: vec![None; registry.len()],
+                next_id: 0,
+            },
             done: false,
         })
     }
@@ -291,62 +474,95 @@ impl<'a> EventReader<'a> {
     /// kept): `None` at the end of the document, and after an error. On
     /// `Some(Err(_))` the event's contents are unspecified. The lending
     /// form of `Iterator::next` — same rows, same ids, same errors.
+    ///
+    /// A record without a `"` is cut in one pass of the kernel; one with a
+    /// quote goes through the quoting scanner. Both hand their cells to the
+    /// same conversion step (see the module docs).
     pub fn read_into(&mut self, event: &mut Event) -> Option<Result<(), CsvError>> {
         if self.done {
             return None;
         }
         let result = loop {
-            match self.records.advance()? {
-                Ok(_) if self.records.is_blank() => continue,
-                Ok(line_no) => break self.decode(line_no, event),
-                Err(e) => break Err(e),
+            let start = self.records.pos;
+            let (line_no, cells) = match self.records.advance_plain(&mut self.ends)? {
+                Some(record) => record,
+                None => match self.records.advance()? {
+                    Ok(_) if self.records.is_blank() => continue,
+                    Ok(line_no) => break self.rows.decode(&self.records, line_no, event),
+                    Err(e) => break Err(e),
+                },
+            };
+            let cells = Plain {
+                text: self.records.text,
+                start,
+                cells,
+                ends: &self.ends,
+            };
+            if !cells.is_blank() {
+                break self.rows.decode(&cells, line_no, event);
             }
         };
         self.done = result.is_err();
         Some(result)
     }
+}
 
-    fn decode(&mut self, line_no: usize, event: &mut Event) -> Result<(), CsvError> {
-        let row = &self.records;
-        if row.fields.len() != self.columns.len() {
+impl RowDecoder<'_> {
+    /// The conversion step: `cells` against the header, their type's
+    /// column plan, into `event`.
+    #[inline]
+    fn decode(
+        &mut self,
+        cells: &impl Cells,
+        line_no: usize,
+        event: &mut Event,
+    ) -> Result<(), CsvError> {
+        if cells.len() != self.columns.len() {
             return Err(err(
                 line_no,
                 format!(
                     "expected {} fields, found {}",
                     self.columns.len(),
-                    row.fields.len()
+                    cells.len()
                 ),
             ));
         }
-        let type_name = row.field(self.type_col);
+        let type_name = cells.text(self.type_col);
         let type_id = self
             .registry
             .id_of(type_name)
             .ok_or_else(|| err(line_no, format!("unknown event type `{type_name}`")))?;
-        let time = row.field(self.time_col);
-        let time: u64 = time
-            .parse()
-            .map_err(|_| err(line_no, format!("invalid time `{time}`")))?;
+        let time = cells.text(self.time_col);
+        let time = parse_u64(time).ok_or_else(|| err(line_no, format!("invalid time `{time}`")))?;
         let schema = self.registry.schema(type_id);
-        let cols = attr_cols_of(
-            &mut self.attr_cols[type_id.index()],
+        let plan = plan_of(
+            &mut self.plans[type_id.index()],
             schema,
             &self.columns,
             line_no,
         )?;
         event.attrs.clear();
-        event.attrs.reserve(cols.len());
-        for ((attr_name, kind), &col) in schema.iter().zip(cols) {
-            let raw = row.field(col);
-            if raw.is_empty() && !row.fields[col].quoted {
+        event.attrs.reserve(plan.len());
+        for (attr, &(col, kind)) in plan.iter().enumerate() {
+            let raw = cells.text(col);
+            let present = !raw.is_empty() || cells.quoted(col);
+            let value = if present {
+                parse_value(raw, kind)
+            } else {
+                None
+            };
+            let Some(value) = value else {
+                let attr_name = schema.attr_name(AttrId(attr as u32));
                 return Err(err(
                     line_no,
-                    format!("empty cell for attribute `{attr_name}` of `{type_name}`"),
+                    if present {
+                        format!("`{attr_name}`: invalid {kind} `{raw}`")
+                    } else {
+                        format!("empty cell for attribute `{attr_name}` of `{type_name}`")
+                    },
                 ));
-            }
-            event
-                .attrs
-                .push(parse_value(raw, kind, line_no, attr_name)?);
+            };
+            event.attrs.push(value);
         }
         event.id = EventId(self.next_id);
         self.next_id += 1;
@@ -356,28 +572,35 @@ impl<'a> EventReader<'a> {
     }
 }
 
-/// Field indices of a type's schema attributes, resolved into `slot` on
+/// A type's column plan ([`RowDecoder::plans`]), resolved into `slot` on
 /// first use.
-fn attr_cols_of<'s>(
-    slot: &'s mut Option<Vec<usize>>,
+#[inline]
+fn plan_of<'s>(
+    slot: &'s mut Option<ColumnPlan>,
     schema: &Schema,
     columns: &[String],
     line_no: usize,
-) -> Result<&'s [usize], CsvError> {
+) -> Result<&'s [(usize, ValueKind)], CsvError> {
     if slot.is_none() {
-        let mut cols = Vec::with_capacity(schema.arity());
-        for (attr_name, _) in schema.iter() {
-            let col = columns.iter().position(|c| c == attr_name).ok_or_else(|| {
-                err(
-                    line_no,
-                    format!("missing column for attribute `{attr_name}`"),
-                )
-            })?;
-            cols.push(col);
-        }
-        *slot = Some(cols);
+        *slot = Some(plan(schema, columns, line_no)?);
     }
     Ok(slot.as_deref().expect("filled above"))
+}
+
+/// The column plan of a type of `schema` under a header of `columns`.
+#[inline(never)]
+fn plan(schema: &Schema, columns: &[String], line_no: usize) -> Result<ColumnPlan, CsvError> {
+    let mut plan = Vec::with_capacity(schema.arity());
+    for (attr_name, kind) in schema.iter() {
+        let col = columns.iter().position(|c| c == attr_name).ok_or_else(|| {
+            err(
+                line_no,
+                format!("missing column for attribute `{attr_name}`"),
+            )
+        })?;
+        plan.push((col, kind));
+    }
+    Ok(plan.into_boxed_slice())
 }
 
 impl Iterator for EventReader<'_> {
@@ -395,23 +618,69 @@ pub fn read_events(text: &str, registry: &TypeRegistry) -> Result<Vec<Event>, Cs
     EventReader::new(text, registry)?.collect()
 }
 
-fn parse_value(raw: &str, kind: ValueKind, line_no: usize, attr: &str) -> Result<Value, CsvError> {
+/// A cell as a value of `kind`, `None` if it is not one. Integers are read
+/// straight from the bytes ([`parse_i64`]), inline; the other kinds out of
+/// line.
+#[inline]
+fn parse_value(raw: &str, kind: ValueKind) -> Option<Value> {
     match kind {
-        ValueKind::Int => raw
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| err(line_no, format!("`{attr}`: invalid int `{raw}`"))),
-        ValueKind::Float => raw
-            .parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| err(line_no, format!("`{attr}`: invalid float `{raw}`"))),
-        ValueKind::Bool => match raw {
-            "true" | "1" => Ok(Value::Bool(true)),
-            "false" | "0" => Ok(Value::Bool(false)),
-            _ => Err(err(line_no, format!("`{attr}`: invalid bool `{raw}`"))),
-        },
-        ValueKind::Str => Ok(Value::str(raw)),
+        ValueKind::Int => parse_i64(raw).map(Value::Int),
+        _ => parse_other(raw, kind),
     }
+}
+
+/// [`parse_value`] of a float, a bool or a string.
+#[inline(never)]
+fn parse_other(raw: &str, kind: ValueKind) -> Option<Value> {
+    match kind {
+        ValueKind::Int => parse_i64(raw).map(Value::Int),
+        ValueKind::Float => raw.parse::<f64>().ok().map(Value::Float),
+        ValueKind::Bool => match raw {
+            "true" | "1" => Some(Value::Bool(true)),
+            "false" | "0" => Some(Value::Bool(false)),
+            _ => None,
+        },
+        ValueKind::Str => Some(Value::str(raw)),
+    }
+}
+
+/// The value of a run of ASCII digits, `None` if a byte is not one. At
+/// most 19 digits: the value fits a `u64`.
+#[inline]
+fn digits(bytes: &[u8]) -> Option<u64> {
+    bytes.iter().try_fold(0u64, |value, &b| {
+        let digit = b.wrapping_sub(b'0');
+        (digit < 10).then(|| value * 10 + u64::from(digit))
+    })
+}
+
+/// `s.parse::<i64>().ok()`, read from the bytes: an optional `+` or `-`,
+/// then at least one digit. A number of more than 18 digits, which might
+/// overflow, and a sign with no digits after it are left to `str::parse`.
+#[inline]
+fn parse_i64(s: &str) -> Option<i64> {
+    let (negative, rest) = match s.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        [b'+', rest @ ..] => (false, rest),
+        rest => (false, rest),
+    };
+    if rest.is_empty() || rest.len() > 18 {
+        return s.parse().ok();
+    }
+    let value = digits(rest)? as i64;
+    Some(if negative { -value } else { value })
+}
+
+/// `s.parse::<u64>().ok()`, read from the bytes: an optional `+`, then at
+/// least one digit. A number of more than 19 digits and a lone `+` are
+/// left to `str::parse`.
+#[inline]
+fn parse_u64(s: &str) -> Option<u64> {
+    let rest = s.strip_prefix('+').unwrap_or(s).as_bytes();
+    if rest.is_empty() || rest.len() > 19 {
+        return s.parse().ok();
+    }
+    digits(rest)
 }
 
 /// Write events as CSV with the union-of-attributes header described in
@@ -486,6 +755,22 @@ mod tests {
         assert_eq!(events[0].time.ticks(), 1);
         assert_eq!(events[0].attrs[1], Value::str("passive"));
         assert_eq!(events[1].attrs[1], Value::Float(10.5));
+
+        // Columns in any order — `type` not the first — and one no schema
+        // declares.
+        let csv = "time,extra,rate,type,patient,activity\n\
+                   1,x,62,Measurement,7,passive\n\
+                   2,,63,Measurement,8,\"act,ive\"\n";
+        let events = read_events(csv, &registry()).unwrap();
+        let attrs: Vec<&[Value]> = events.iter().map(|e| &e.attrs[..]).collect();
+        assert_eq!(
+            attrs,
+            [
+                &[Value::Int(7), Value::str("passive"), Value::Int(62)][..],
+                &[Value::Int(8), Value::str("act,ive"), Value::Int(63)][..],
+            ]
+        );
+        assert_eq!(events[1].time.ticks(), 2);
     }
 
     #[test]
@@ -506,10 +791,45 @@ mod tests {
                 m,
                 vec![Value::Int(8), Value::str("a\"b"), Value::Int(70)],
             ),
+            // The extremes of both number kinds.
+            b.event(
+                u64::MAX,
+                m,
+                vec![Value::Int(i64::MIN), Value::str("x"), Value::Int(i64::MAX)],
+            ),
+            b.event(0, m, vec![Value::Int(0), Value::str("y"), Value::Int(-1)]),
         ];
         let text = write_events(&events, &reg);
         let back = read_events(&text, &reg).unwrap();
         assert_eq!(back, events);
+        // The last row needs no newline, and CRLF row ends read alike.
+        let trimmed = text.strip_suffix('\n').unwrap();
+        assert_eq!(read_events(trimmed, &reg).unwrap(), events);
+        let crlf = text.replace('\n', "\r\n");
+        assert_eq!(read_events(&crlf, &reg).unwrap(), events);
+        // Numbers written other ways read as `str::parse` reads them.
+        let max = u64::MAX;
+        let rows = format!(
+            "Measurement,2,+7,a,-0\n\
+             Measurement,{max},007,a,\"42\"\n\
+             Measurement,+3,-9,a,00000000000000000000000000001\n"
+        );
+        assert_eq!(
+            numbers(&rows).unwrap(),
+            vec![(2, 7, 0), (max, 7, 42), (3, -9, 1)]
+        );
+    }
+
+    /// The `patient` and `rate` of each row of `rows` under the header
+    /// `type,time,patient,activity,rate`, with the row's time.
+    fn numbers(rows: &str) -> Result<Vec<(u64, i64, i64)>, CsvError> {
+        let text = format!("type,time,patient,activity,rate\n{rows}");
+        let events = read_events(&text, &registry())?;
+        let number = |v: &Value| v.as_i64().expect("an int");
+        Ok(events
+            .iter()
+            .map(|e| (e.time.ticks(), number(&e.attrs[0]), number(&e.attrs[2])))
+            .collect())
     }
 
     /// Every record of `text` as owned cells, with its first line.
@@ -541,6 +861,19 @@ mod tests {
         let e = records("ab\"c").unwrap_err();
         assert_eq!(e.message, "unexpected quote inside unquoted field");
         assert!(records("\"a\" \"b\"").is_err());
+
+        // A quoted cell anywhere in a row sends the row through the quoting
+        // scanner: numeric cells quoted or not, the row reads alike, and the
+        // quote errors are the scanner's.
+        assert_eq!(
+            numbers("\"Measurement\",\"5\",\"7\",a,\"62\"\nMeasurement,6,7,\"b\",63\n").unwrap(),
+            vec![(5, 7, 62), (6, 7, 63)]
+        );
+        let e = numbers("Measurement,5,7,a,62\nMeasurement,6,7,b\"c,63\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (3, "unexpected quote inside unquoted field")
+        );
     }
 
     #[test]
@@ -662,6 +995,58 @@ mod tests {
         let e = read_events(csv, &registry()).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.to_string().contains("invalid time"));
+
+        // Each refused number is named with its text, on its own line —
+        // counted through CRLF row ends and a blank line.
+        let past_max = "18446744073709551616";
+        let twenty = "12345678901234567890";
+        // 19 digits, one past `i64::MAX` and one below `i64::MIN`.
+        let (above, below) = ("9223372036854775808", "-9223372036854775809");
+        for (row, message) in [
+            (
+                format!("Measurement,1,{above},a,2"),
+                format!("`patient`: invalid int `{above}`"),
+            ),
+            (
+                format!("Measurement,1,7,a,{below}"),
+                format!("`rate`: invalid int `{below}`"),
+            ),
+            (
+                format!("Measurement,{past_max},1,a,2"),
+                format!("invalid time `{past_max}`"),
+            ),
+            (
+                "Measurement,-1,1,a,2".to_string(),
+                "invalid time `-1`".to_string(),
+            ),
+            (
+                format!("Measurement,1,{twenty},a,2"),
+                format!("`patient`: invalid int `{twenty}`"),
+            ),
+            (
+                "Measurement,1,1e3,a,2".to_string(),
+                "`patient`: invalid int `1e3`".to_string(),
+            ),
+            (
+                "Measurement,1, 5,a,2".to_string(),
+                "`patient`: invalid int ` 5`".to_string(),
+            ),
+            (
+                "Measurement,1,7,a,+".to_string(),
+                "`rate`: invalid int `+`".to_string(),
+            ),
+            (
+                "Measurement,1,7,a,\"\"".to_string(),
+                "`rate`: invalid int ``".to_string(),
+            ),
+            (
+                "Measurement,1,7,a,".to_string(),
+                "empty cell for attribute `rate` of `Measurement`".to_string(),
+            ),
+        ] {
+            let e = numbers(&format!("Measurement,1,7,a,62\r\n\r\n{row}\r\n")).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (4, message.as_str()), "{row}");
+        }
     }
 
     #[test]
@@ -696,6 +1081,108 @@ mod tests {
         assert!(read_events("", &registry()).unwrap().is_empty());
         let csv = "type,time,patient,activity,rate,company,price\n\n  \n";
         assert!(read_events(csv, &registry()).unwrap().is_empty());
+        // Blank lines between rows, and a last row without a newline.
+        assert_eq!(
+            numbers("Measurement,1,7,a,1\n\n \r\nMeasurement,2,8,b,2\n\t\nMeasurement,3,9,c,3")
+                .unwrap(),
+            vec![(1, 7, 1), (2, 8, 2), (3, 9, 3)]
+        );
+    }
+
+    /// What a document is drawn from: every byte the scanners treat
+    /// specially, data around them, and a multi-byte character.
+    const DOCUMENT_CHARS: [char; 12] = [
+        'a', 'b', '7', '7', ',', ',', '"', '\n', '\n', '\r', ' ', 'é',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn plain_records_are_cut_as_the_quoting_scanner_cuts_them(
+            picks in proptest::collection::vec(0usize..DOCUMENT_CHARS.len(), 0..64),
+            columns in 1usize..6,
+        ) {
+            let text: String = picks.iter().map(|&i| DOCUMENT_CHARS[i]).collect();
+            let mut plain = Records::new(&text);
+            let mut quoting = Records::new(&text);
+            let mut ends = vec![0; columns + 1];
+            loop {
+                let start = plain.pos;
+                match plain.advance_plain(&mut ends) {
+                    None => {
+                        proptest::prop_assert!(quoting.advance().is_none());
+                        break;
+                    }
+                    // A quote: the record is the quoting scanner's on both.
+                    Some(None) => {
+                        let (a, b) = (plain.advance(), quoting.advance());
+                        proptest::prop_assert_eq!(&a, &b);
+                        if !matches!(a, Some(Ok(_))) {
+                            break;
+                        }
+                    }
+                    Some(Some((line, cells))) => {
+                        proptest::prop_assert_eq!(quoting.advance(), Some(Ok(line)));
+                        proptest::prop_assert_eq!(cells, quoting.fields.len());
+                        let plain_cells = Plain { text: &text, start, cells, ends: &ends };
+                        for i in 0..cells.min(columns) {
+                            proptest::prop_assert_eq!(plain_cells.text(i), quoting.field(i));
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!((plain.pos, plain.line), (quoting.pos, quoting.line));
+            }
+        }
+    }
+
+    /// What a number cell is drawn from: digits, signs and junk.
+    const NUMBER_PIECES: [&str; 16] = [
+        "0", "1", "2", "5", "7", "9", "3", "8", "+", "-", "e", " ", "x", ".", "é", "\t",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn number_cells_decode_to_what_str_parse_gives(
+            picks in proptest::collection::vec(0usize..NUMBER_PIECES.len(), 0..24),
+            digits_only in proptest::any::<bool>(),
+            sign in 0usize..3,
+            quoted in proptest::any::<bool>(),
+            last_newline in proptest::any::<bool>(),
+        ) {
+            // Half the cells are a sign and digits alone, of any length:
+            // around the 18 and 19 digits past which a value may overflow.
+            let piece = |i: usize| NUMBER_PIECES[if digits_only { i % 8 } else { i }];
+            let sign = if digits_only { ["", "+", "-"][sign] } else { "" };
+            let cell: String = std::iter::once(sign).chain(picks.iter().map(|&i| piece(i))).collect();
+            let text = if quoted { format!("\"{cell}\"") } else { cell.clone() };
+            let end = if last_newline { "\n" } else { "" };
+            let mut r = TypeRegistry::new();
+            r.register(Schema::new("N", vec![("n", ValueKind::Int)]));
+            // As a time…
+            let time = read_events(&format!("type,time,n\nN,{text},1{end}"), &r);
+            let want = cell
+                .parse::<u64>()
+                .map_err(|_| format!("invalid time `{cell}`"));
+            proptest::prop_assert_eq!(
+                time.map(|e| e[0].time.ticks()).map_err(|e| e.message),
+                want
+            );
+            // …and as an int, the row's last cell.
+            let int = read_events(&format!("type,time,n\nN,1,{text}{end}"), &r);
+            let want = if cell.is_empty() && !quoted {
+                Err("empty cell for attribute `n` of `N`".to_string())
+            } else {
+                cell.parse::<i64>()
+                    .map_err(|_| format!("`n`: invalid int `{cell}`"))
+            };
+            proptest::prop_assert_eq!(
+                int.map(|e| e[0].attrs[0].clone()).map_err(|e| e.message),
+                want.map(Value::Int)
+            );
+        }
     }
 
     #[test]

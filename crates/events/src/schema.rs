@@ -114,11 +114,14 @@ impl Schema {
 #[derive(Debug, Default, Clone)]
 pub struct TypeRegistry {
     schemas: Vec<Schema>,
-    /// `(length, first 8 bytes)` of each type's name, by id: what
-    /// [`TypeRegistry::id_of`] scans — for the handful of types a registry
-    /// holds, cheaper than hashing the name (a CSV reader resolves every
-    /// row's `type` cell here).
-    words: Vec<(usize, u64)>,
+    /// Each type's [`NameKey`], by id.
+    keys: Vec<NameKey>,
+    /// What [`TypeRegistry::id_of`] probes — cheaper than hashing the name
+    /// with a general hasher and cheaper than a scan of the names (a CSV
+    /// reader resolves every row's `type` cell here): an open-addressed
+    /// table of `id + 1` (0 for an empty slot) by [`NameKey::slot`], its
+    /// length a power of two and at least twice the number of types.
+    index: Vec<u32>,
 }
 
 impl TypeRegistry {
@@ -141,9 +144,28 @@ impl TypeRegistry {
             return id;
         }
         let id = TypeId(self.schemas.len() as u32);
-        self.words.push(name_word(schema.name()));
+        self.keys.push(NameKey::of(schema.name()));
         self.schemas.push(schema);
+        if self.index.len() < 2 * self.keys.len() {
+            // Grown: every type is placed again.
+            self.index = vec![0; (2 * self.keys.len()).next_power_of_two()];
+            for at in 0..self.keys.len() {
+                self.place(at);
+            }
+        } else {
+            self.place(id.index());
+        }
         id
+    }
+
+    /// Put type `id` into the first empty slot from its key's.
+    fn place(&mut self, id: usize) {
+        let mask = self.index.len() - 1;
+        let mut at = self.keys[id].slot() & mask;
+        while self.index[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.index[at] = id as u32 + 1;
     }
 
     /// Convenience: register `name` with the given attributes.
@@ -151,17 +173,21 @@ impl TypeRegistry {
         self.register(Schema::new(name, attrs))
     }
 
-    /// Resolve a type name: the first type whose length and first 8 bytes
-    /// match, the whole name compared only when it is longer.
+    /// Resolve a type name: one probe of an index keyed by the name's
+    /// length and its first and last 8 bytes in the common case, the whole
+    /// name compared only when it is longer than 16 bytes.
     #[inline]
     pub fn id_of(&self, name: &str) -> Option<TypeId> {
-        let word = name_word(name);
-        let id = self
-            .words
-            .iter()
-            .zip(&self.schemas)
-            .position(|(w, schema)| *w == word && (word.0 <= 8 || schema.name() == name))?;
-        Some(TypeId(id as u32))
+        let key = NameKey::of(name);
+        let mask = self.index.len().checked_sub(1)?;
+        let mut at = key.slot() & mask;
+        loop {
+            let id = self.index[at].checked_sub(1)? as usize;
+            if self.keys[id] == key && (name.len() <= 16 || self.schemas[id].name() == name) {
+                return Some(TypeId(id as u32));
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// Schema of a type.
@@ -188,14 +214,49 @@ impl TypeRegistry {
     }
 }
 
-/// A name's length and its first 8 bytes, zero-padded, as one word.
-#[inline]
-fn name_word(name: &str) -> (usize, u64) {
-    let bytes = name.as_bytes();
-    let n = bytes.len().min(8);
-    let mut word = [0u8; 8];
-    word[..n].copy_from_slice(&bytes[..n]);
-    (bytes.len(), u64::from_le_bytes(word))
+/// A name's length, its first 8 bytes and its last 8 — zero-padded, and
+/// the last word zero for a name of at most 8 bytes: the name itself, for
+/// one of at most 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NameKey {
+    len: usize,
+    first: u64,
+    last: u64,
+}
+
+impl NameKey {
+    #[inline]
+    fn of(name: &str) -> NameKey {
+        let bytes = name.as_bytes();
+        let len = bytes.len();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let (first, last) = match len {
+            9.. => (word(0), word(len - 8)),
+            // Two overlapping reads of 4 bytes, or three of 1: no copy of a
+            // length known only at run time.
+            4..=8 => {
+                let half = |at: usize| {
+                    u64::from(u32::from_le_bytes(
+                        bytes[at..at + 4].try_into().expect("4 bytes"),
+                    ))
+                };
+                (half(0) | half(len - 4) << (8 * (len - 4)), 0)
+            }
+            1..=3 => {
+                let byte = |at: usize| u64::from(bytes[at]) << (8 * at);
+                (byte(0) | byte(len / 2) | byte(len - 1), 0)
+            }
+            0 => (0, 0),
+        };
+        NameKey { len, first, last }
+    }
+
+    /// Where the key's probe starts (before masking).
+    #[inline]
+    fn slot(&self) -> usize {
+        let mixed = self.first ^ self.last.rotate_left(29) ^ self.len as u64;
+        (mixed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize
+    }
 }
 
 #[cfg(test)]
@@ -244,9 +305,22 @@ mod tests {
 
     #[test]
     fn names_resolve_exactly_past_their_first_eight_bytes() {
-        // Names alike in length and in their first 8 bytes, a short one, a
-        // prefix of another, the empty name.
-        let names = ["Measurement", "Measurements", "MeasurementZ", "A", "Ab", ""];
+        // Names alike in length and in their first 8 bytes, short ones, a
+        // prefix of another, the empty name, and two long names alike in
+        // length and in their first and last 8 bytes.
+        let names = [
+            "Measurement",
+            "Measurements",
+            "MeasurementZ",
+            "A",
+            "Ab",
+            "",
+            "Abcd",
+            "Abc",
+            "Abcdefgh",
+            "Measurement, first of a long name",
+            "Measurement, other of a long name",
+        ];
         let mut reg = TypeRegistry::new();
         for name in names {
             reg.register_type(name, vec![("v", ValueKind::Int)]);
@@ -261,6 +335,10 @@ mod tests {
             "B",
             "a",
             "Measurementss",
+            "Abce",
+            "Abd",
+            "Abcdefgi",
+            "Measurement, third of a long name",
         ];
         for ghost in ghosts {
             assert_eq!(reg.id_of(ghost), None, "{ghost:?}");

@@ -99,9 +99,10 @@ const READ_BUFFER_BYTES: usize = 64 << 10;
 /// aggregation. Small enough that the actor starts on a block while most
 /// of it is still text (a 256-row block is two chunks, so its second half
 /// decodes while the actor wakes up), large enough that a hand-off (~1 µs
-/// polled) is noise beside the ~15 µs a chunk takes to decode. A constant,
-/// not a knob: measured alike at 128 and 256 on throughput, and the right
-/// value follows the cost of a row, which no caller knows better.
+/// polled) is noise beside the ~8 µs a chunk takes to decode (rideshare
+/// rows, ~60 ns each on a 2-vCPU x86-64 host). A constant, not a knob:
+/// measured alike at 128 and 256 on throughput, and the right value
+/// follows the cost of a row, which no caller knows better.
 pub const INGEST_CHUNK_ROWS: usize = 128;
 
 /// Server tuning knobs.
@@ -617,9 +618,17 @@ fn session_actor(mut session: Session, requests: Receiver<Req>, config: ServerCo
                         if config.drain_on_ingest {
                             subscribers.drain(&mut session);
                         }
-                        let mut metrics = session.metrics();
-                        metrics.ingested = metrics.events - block_start;
-                        Ok(metrics)
+                        // Under `.workers(n)` the per-row check reads the
+                        // lanes' mirrors, which the drain refreshes: an
+                        // overflow a shard met in this block shows now.
+                        match session.key_overflow() {
+                            Some(limit) => Err(IngestError::KeyOverflow { limit }.to_string()),
+                            None => {
+                                let mut metrics = session.metrics();
+                                metrics.ingested = metrics.events - block_start;
+                                Ok(metrics)
+                            }
+                        }
                     }
                 });
             }

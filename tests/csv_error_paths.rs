@@ -342,6 +342,45 @@ fn key_limit_overflow_reports_the_same_error_on_cli_and_server() {
         outcome.is_err() || pooled.key_overflow() == Some(2),
         "pool mode reports the overflow by finish: {outcome:?}"
     );
+
+    // At width 2 the CLI and the server refuse a stream of 40 new patients
+    // under `--key-limit 3` as width 1 does, with the same text: a shard's
+    // overflow shows at the run's finish (CLI) and at the block's drain
+    // (server), where the lanes' mirrors are refreshed.
+    let mut fresh = String::from("type,time,patient,rate\n");
+    for patient in 1..=40 {
+        fresh.push_str(&format!("Measurement,{patient},{patient},60\n"));
+    }
+    let expected = IngestError::KeyOverflow { limit: 3 }.to_string();
+    for workers in ["1", "2"] {
+        let flags = ["--key-limit", "3", "--workers", workers];
+        let (ok, stderr) = run_cli("keylimit-wide", fresh.as_bytes(), &flags);
+        assert!(
+            !ok && stderr.contains(&expected),
+            "cli at {workers}: {stderr}"
+        );
+    }
+    let capped_wide = Session::builder()
+        .query(QUERY)
+        .config(EngineConfig {
+            key_limit: Some(3),
+            ..EngineConfig::default()
+        })
+        .workers(2);
+    let server = Server::spawn(
+        capped_wide,
+        registry(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let err = client
+        .ingest(&fresh)
+        .expect("io")
+        .expect_err("a shard's keys overflow");
+    assert_eq!(err, expected, "server at width 2");
+    server.shutdown();
 }
 
 #[test]

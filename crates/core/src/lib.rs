@@ -3,7 +3,7 @@
 //! The COGRA runtime executor (§3–§8 of the paper): coarse-grained online
 //! event trend aggregation, plus the unified [`Session`] facade over every
 //! engine in the workspace. There is one execution path: a session's
-//! engines live in the shards of one [`StreamingPool`], driven inline at
+//! engines live in the shards of the one pool it builds, driven inline at
 //! one worker and on worker threads at `n`.
 //!
 //! * [`type_grained`] — Algorithm 1 (ANY, no adjacent predicates): one
@@ -16,7 +16,7 @@
 //! * [`cogra`] — [`CograWindow`], the per-disjunct dispatch inside one
 //!   window; [`CograEngine`] is the shared router (partitioning §7,
 //!   sliding windows, result finalization) over it, like every baseline;
-//! * [`parallel`] — per-partition execution (§8): the [`StreamingPool`]
+//! * [`parallel`] — per-partition execution (§8): the session's pool,
 //!   whose shards host every engine (one inline shard, or worker threads
 //!   behind bounded channels and watermark broadcasts);
 //! * [`session`] — the [`Session`] pipeline in front of that pool: typed
@@ -52,9 +52,7 @@ pub use cogra_engine::{
     SlotFunc, TrendEngine, WindowAlgo, WindowResult,
 };
 pub use metrics::Metrics;
-pub use parallel::{
-    FailurePolicy, PoolConfig, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE, MAX_WORKERS,
-};
+pub use parallel::{FailurePolicy, WorkerFailure, DEFAULT_BATCH_SIZE, MAX_WORKERS};
 pub use session::{
     EngineKind, IngestError, ResultSink, Session, SessionBuilder, SessionError, SessionRun,
     SharedPlan, TaggedResult,

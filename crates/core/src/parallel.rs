@@ -12,14 +12,15 @@
 //! partition key), so every partition contributing to one result group
 //! lands on the same shard and no cross-shard aggregate merging is
 //! needed. A query without `GROUP-BY` cannot shard (there is nothing to
-//! partition results by) and is pinned to one shard instead.
+//! partition results by) and is pinned to one shard instead. That rule is
+//! written once (`Placement`), and everything that places reads it.
 //!
 //! A `Shard` — one engine per hosted query — is the only thing that ever
-//! hosts engines, and the [`StreamingPool`] is the only thing that drives
-//! shards. Which `(query, shard)` pairs an event goes to is decided per
-//! type when the pool opens (`SessionRoute`); an event no query wants
-//! only moves the stream clock. The effective width picks the transport,
-//! nothing else:
+//! hosts engines, and the pool (`StreamingPool`, which only a session
+//! builds) is the only thing that drives shards. Which `(query, shard)`
+//! pairs an event goes to is decided per type when the pool opens
+//! (`SessionRoute`); an event no query wants only moves the stream clock.
+//! The effective width picks the transport, nothing else:
 //! * **width 1** — the one shard is held by value and driven on the
 //!   caller's thread, by reference: no thread, no channel, no staging, no
 //!   event clone and no placement hash;
@@ -59,7 +60,7 @@ use crate::metrics::Metrics;
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
 use crate::session::{EngineKind, OpenError, SessionError};
-use cogra_checkpoint::CheckpointError;
+use cogra_checkpoint::{CheckpointError, Dec, Enc};
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
 use cogra_events::{AttrId, Event, ReorderBuffer, Timestamp, TypeId, TypeRegistry, Value};
 use handoff::{recv_polling, Recycler, Reusable, Rows};
@@ -69,11 +70,70 @@ use std::thread::JoinHandle;
 
 pub mod handoff;
 
-/// Shard index of a group-prefix hash — THE placement rule, shared by live
-/// routing ([`SessionRoute`]) and the re-sharding of a restored snapshot
-/// ([`reshard`]), kept in one place so the two cannot disagree.
-fn shard_index(group_hash: u64, shards: usize) -> usize {
-    (group_hash % shards as u64) as usize
+/// Where a pool's work goes — THE placement rule of §8, the one answer
+/// live routing ([`SessionRoute`]), the engines a shard hosts
+/// ([`shard_engines`]), the re-sharding of a restored snapshot
+/// ([`reshard`]), quarantine rerouting and the reported width all read,
+/// so none of them can disagree. A query with a `GROUP-BY` prefix is
+/// hosted on every shard, and its events go to the shard of their group
+/// hash; one without cannot shard and is *pinned* to shard `q % width`,
+/// so even a session of only such queries spreads across the pool.
+#[derive(Clone)]
+struct Placement {
+    /// The shard count: what a group hash is reduced modulo.
+    width: usize,
+    /// Per hosted query: whether it has no `GROUP-BY` prefix.
+    pinned: Vec<bool>,
+}
+
+impl Placement {
+    /// `hosted` over `requested` workers: that many shards when any query
+    /// can shard, otherwise at most one per (pinned) query.
+    fn of(hosted: &[Hosted], requested: usize) -> Placement {
+        let pinned: Vec<bool> = (hosted.iter())
+            .map(|(_, rt)| rt.query.group_prefix == 0)
+            .collect();
+        let mut width = requested.max(1);
+        if !pinned.contains(&false) {
+            width = width.min(hosted.len());
+        }
+        Placement { width, pinned }
+    }
+
+    /// The one shard every event of query `q` goes to unhashed, if there
+    /// is one: its home when pinned, and at width 1 shard 0 for any query.
+    /// `None`: `q`'s events go to [`Placement::by_hash`]'s shard.
+    fn fixed(&self, q: usize) -> Option<usize> {
+        (self.width == 1 || self.pinned[q]).then(|| self.home(q))
+    }
+
+    /// The shard of a query [`Placement::fixed`] to one.
+    #[inline]
+    fn home(&self, q: usize) -> usize {
+        q % self.width
+    }
+
+    /// The shard of a `GROUP-BY`-prefix hash.
+    #[inline]
+    fn by_hash(&self, group_hash: u64) -> usize {
+        (group_hash % self.width as u64) as usize
+    }
+
+    /// Whether shard `s` hosts query `q`: every shard hosts one placed by
+    /// hash.
+    fn hosts(&self, q: usize, s: usize) -> bool {
+        self.fixed(q).is_none_or(|home| home == s)
+    }
+
+    /// The width the session reports ([`Metrics::workers`], and what its
+    /// snapshot's config section stores): 1 when every query is pinned.
+    fn workers(&self) -> usize {
+        if self.pinned.contains(&false) {
+            self.width
+        } else {
+            1
+        }
+    }
 }
 
 /// Which engines see an event, decided per registered type when the pool
@@ -82,20 +142,19 @@ fn shard_index(group_hash: u64, shards: usize) -> usize {
 /// partition key. Any other event would only move `q`'s watermark, which
 /// drains broadcast anyway ([`Shard::advance_to`]).
 struct SessionRoute {
-    /// Pool width: what a group hash is reduced modulo.
-    width: usize,
+    placement: Placement,
     types: Vec<TypeRoute>,
 }
 
 /// The queries that want one registered type.
 #[derive(Clone)]
 struct TypeRoute {
-    /// The shardable ones, by distinct `GROUP-BY` attribute list: one
+    /// The ones placed by hash, by distinct `GROUP-BY` attribute list: one
     /// hash, by the first runtime's, places the list.
     hashed: Vec<(Arc<QueryRuntime>, Vec<u32>)>,
-    /// Per query, whether it is one of the others, whose shard is
-    /// `q % width`: a pinned query, or at width 1 any. A mask, not a list,
-    /// so that the inline shard's engine calls wait on no loaded index.
+    /// Per query, whether it is one of the others, each on its
+    /// [`Placement::fixed`] shard. A mask, not a list, so that the inline
+    /// shard's engine calls wait on no loaded index.
     fixed: Vec<bool>,
 }
 
@@ -105,7 +164,7 @@ fn group_by(rt: &QueryRuntime) -> &[String] {
 }
 
 impl SessionRoute {
-    fn of(hosted: &[Hosted], width: usize) -> SessionRoute {
+    fn of(hosted: &[Hosted], placement: Placement) -> SessionRoute {
         let (hashed, fixed) = (Vec::new(), vec![false; hosted.len()]);
         let mut types = vec![TypeRoute { hashed, fixed }; hosted[0].1.routes.len()];
         for (t, route) in types.iter_mut().enumerate() {
@@ -113,7 +172,7 @@ impl SessionRoute {
                 let drops = matches!(rt.routes[t], cogra_query::Route::Nothing);
                 if drops || rt.partition_attr_ids[t].is_none() {
                     continue;
-                } else if width == 1 || rt.query.group_prefix == 0 {
+                } else if placement.fixed(q).is_some() {
                     route.fixed[q] = true;
                     continue;
                 }
@@ -124,7 +183,7 @@ impl SessionRoute {
                 }
             }
         }
-        SessionRoute { width, types }
+        SessionRoute { placement, types }
     }
 
     /// THE routing decision: `to(query, shard)` for every query that wants
@@ -134,11 +193,11 @@ impl SessionRoute {
         let route = &self.types[event.type_id.index()];
         for (first, queries) in &route.hashed {
             let hash = first.group_hash(event).expect("a wanted type has the key");
-            let shard = shard_index(hash, self.width);
+            let shard = self.placement.by_hash(hash);
             queries.iter().for_each(|&q| to(q, shard));
         }
         for (q, _) in route.fixed.iter().enumerate().filter(|(_, fixed)| **fixed) {
-            to(q as u32, q % self.width);
+            to(q as u32, self.placement.home(q));
         }
     }
 
@@ -148,14 +207,6 @@ impl SessionRoute {
         let route = &self.types[event.type_id.index()];
         !route.hashed.is_empty() || route.fixed.contains(&true)
     }
-}
-
-/// Whether shard `index` of `threads` hosts query `q`: every shard hosts
-/// a shardable query; one without a `GROUP-BY` prefix is pinned to shard
-/// `q % threads`, so even a session of unshardable queries spreads across
-/// the pool.
-fn hosts(rt: &QueryRuntime, q: usize, threads: usize, index: usize) -> bool {
-    rt.query.group_prefix > 0 || q % threads == index
 }
 
 /// What the coordinator does when a shard worker dies (panics or exits
@@ -208,22 +259,22 @@ impl std::fmt::Display for WorkerFailure {
 
 /// Transport tuning of a [`StreamingPool`].
 #[derive(Debug, Clone)]
-pub struct PoolConfig {
+pub(crate) struct PoolConfig {
     /// Routed items — `(event, query)` pairs — staged per shard before
     /// its open batch is shipped. Staged items also flush on every
     /// drain/finish (and thus on every watermark broadcast), so the batch
     /// size bounds transport latency, never result completeness. 1
     /// degenerates to per-item sends. Unused at width 1 — there is no
     /// transport.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Repair up to this many ticks of disorder before any shard sees an
     /// event: the pool's one [`ReorderBuffer`] drops exactly what one
     /// stream-wide front reorderer would and releases the rest in order,
     /// once the stream clock is this many ticks past it.
-    pub slack: Option<u64>,
+    pub(crate) slack: Option<u64>,
     /// Recovery behavior when a shard worker dies (width ≥ 2 only — the
     /// inline shard has no worker to supervise).
-    pub policy: FailurePolicy,
+    pub(crate) policy: FailurePolicy,
 }
 
 /// The default shard-transport batch size: big enough to amortize a
@@ -241,16 +292,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 256;
 /// Fixed, not configurable.
 pub const MAX_WORKERS: usize = 1024;
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            batch_size: DEFAULT_BATCH_SIZE,
-            slack: None,
-            policy: FailurePolicy::Fail,
-        }
-    }
-}
-
 /// One physical run a pool hosts: its engine kind and the compiled
 /// runtime every shard's engine for it shares.
 pub(crate) type Hosted = (EngineKind, Arc<QueryRuntime>);
@@ -261,21 +302,136 @@ pub(crate) type Engine = Box<dyn TrendEngine + Send>;
 
 /// A pool's live state, layout-independent: what
 /// [`StreamingPool::snapshot`] captures and a pool opened over it resumes
-/// from — at any width.
-pub struct PoolState {
+/// from — at any width. A snapshot's engine states are its `q<i>`
+/// sections; the rest is its `reorder` section
+/// ([`PoolState::save_reorder`]).
+pub(crate) struct PoolState {
     /// Per-query engine states, merged across shards.
-    pub states: Vec<RouterState>,
+    pub(crate) states: Vec<RouterState>,
     /// The reorder buffer, verbatim (`None`: no slack): every admitted
     /// event it has not released, the ones some query wants with the
     /// event, unrouted.
-    pub reorder: Option<ReorderBuffer<Event>>,
+    pub(crate) reorder: Option<ReorderBuffer<Event>>,
     /// Events admitted so far: the arrival stamp of the latest one.
-    pub arrivals: u64,
+    arrivals: u64,
     /// The stream clock: the largest admitted event time.
-    pub clock: Timestamp,
+    clock: Timestamp,
 }
 
 impl PoolState {
+    /// Encode the `reorder` section — one shape at every worker count.
+    /// Without slack: only the stream clock, so a restored pool's
+    /// admission floor matches the original's. With slack: the reorder
+    /// buffer verbatim — slack, the stream clock, safe watermark, late-drop
+    /// count, the time of every entry in ascending order — the arrival
+    /// counter, and the entries that carry an event, as `(stamp, event)` in
+    /// the order the buffer releases them: by time, and within a time stamp
+    /// by arrival.
+    pub(crate) fn save_reorder(&self) -> Vec<u8> {
+        let mut enc = Enc::new();
+        let Some(reorder) = &self.reorder else {
+            enc.bool(false);
+            enc.u64(self.clock.ticks());
+            return enc.into_bytes();
+        };
+        enc.bool(true);
+        enc.u64(reorder.slack());
+        enc.u64(self.clock.ticks());
+        enc.u64(reorder.safe_watermark().ticks());
+        enc.u64(reorder.late_events());
+        let entries = reorder.ordered();
+        enc.usize(entries.len());
+        for (time, _, _) in &entries {
+            enc.u64(time.ticks());
+        }
+        enc.u64(self.arrivals);
+        let in_flight: Vec<_> = (entries.into_iter())
+            .filter_map(|(_, stamp, event)| Some((stamp, event?)))
+            .collect();
+        enc.usize(in_flight.len());
+        for (stamp, event) in in_flight {
+            enc.u64(stamp);
+            event.save(&mut enc);
+        }
+        enc.into_bytes()
+    }
+
+    /// Decode a `reorder` section ([`PoolState::save_reorder`]): everything
+    /// of a pool state but the engine states, which have sections of their
+    /// own. Each in-flight event takes the place of one entry of its time;
+    /// an entry left over holds no event. What a stamp or a time says of an
+    /// in-flight event is checked here, what its values say when the pool
+    /// opens ([`StreamingPool::open`]).
+    pub(crate) fn load_reorder(bytes: &[u8]) -> Result<PoolState, CheckpointError> {
+        let dec = &mut Dec::new(bytes);
+        let mut state = PoolState {
+            states: Vec::new(),
+            reorder: None,
+            arrivals: 0,
+            clock: Timestamp::ZERO,
+        };
+        if !dec.bool()? {
+            state.clock = Timestamp(dec.u64()?);
+            dec.finish("reorder section")?;
+            return Ok(state);
+        }
+        let slack = dec.u64()?;
+        state.clock = Timestamp(dec.u64()?);
+        let released_to = Timestamp(dec.u64()?);
+        let late = dec.u64()?;
+        let n = dec.usize()?;
+        let mut pending = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            pending.push(Timestamp(dec.u64()?));
+        }
+        state.arrivals = dec.u64()?;
+        let n = dec.usize()?;
+        let mut in_flight = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let stamp = dec.u64()?;
+            // Stamps count admitted events from 1; one past the counter
+            // would be handed out again to an event yet to arrive.
+            if !(1..=state.arrivals).contains(&stamp) {
+                return Err(CheckpointError::Corrupt(format!(
+                    "in-flight event stamped {stamp} of {} arrivals",
+                    state.arrivals
+                )));
+            }
+            in_flight.push((stamp, Event::load(dec)?));
+        }
+        // A stamp is one admitted event: a repeat would be staged as the
+        // row of the event before it.
+        let mut stamps: Vec<u64> = in_flight.iter().map(|(stamp, _)| *stamp).collect();
+        stamps.sort_unstable();
+        if let Some(pair) = stamps.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(CheckpointError::Corrupt(format!(
+                "two in-flight events stamped {}",
+                pair[0]
+            )));
+        }
+        pending.sort_unstable();
+        in_flight.sort_by_key(|(stamp, event)| (event.time, *stamp));
+        let mut in_flight = in_flight.into_iter().peekable();
+        let mut entries = Vec::with_capacity(pending.len());
+        for time in pending {
+            match in_flight.next_if(|(_, event)| event.time == time) {
+                Some((stamp, event)) => entries.push((time, stamp, Some(event))),
+                // An entry without an event is released unseen; its stamp
+                // orders nothing.
+                None => entries.push((time, 0, None)),
+            }
+        }
+        if let Some((_, event)) = in_flight.next() {
+            return Err(CheckpointError::Corrupt(format!(
+                "in-flight event {} at {} is not among the pending times",
+                event.id, event.time
+            )));
+        }
+        dec.finish("reorder section")?;
+        state.reorder = Some(ReorderBuffer::from_parts(slack, released_to, late, entries));
+        Ok(state)
+    }
+
     /// Whether every engine state's clock ([`Frame::clock`]) is at or
     /// before the admission floor. An engine cannot have been handed an
     /// event the pool had not admitted; a state that says so is another
@@ -285,7 +441,10 @@ impl PoolState {
     /// [`Frame::clock`]: cogra_engine::Frame::clock
     /// [`Router::from_state`]: cogra_engine::Router::from_state
     fn check_clocks(&self) -> Result<(), CheckpointError> {
-        let floor = self.admission_floor();
+        // No event to come is earlier than the floor, and no event an
+        // engine was handed is later: the reorder buffer's safe watermark
+        // (the pool releases nothing past it), or without slack the clock.
+        let floor = (self.reorder.as_ref()).map_or(self.clock, ReorderBuffer::safe_watermark);
         for (q, state) in self.states.iter().enumerate() {
             if state.frame.clock > floor {
                 return Err(CheckpointError::Corrupt(format!(
@@ -295,13 +454,6 @@ impl PoolState {
             }
         }
         Ok(())
-    }
-
-    /// The time no event to come is earlier than, and no event an engine
-    /// was handed is later than: the reorder buffer's safe watermark — the
-    /// pool releases nothing past it — or without slack the stream clock.
-    fn admission_floor(&self) -> Timestamp {
-        (self.reorder.as_ref()).map_or(self.clock, ReorderBuffer::safe_watermark)
     }
 }
 
@@ -603,7 +755,7 @@ const CHANNEL_CAPACITY: usize = 16;
 /// chunkings × batch sizes.
 ///
 /// [`Reorderer`]: cogra_events::Reorderer
-pub struct StreamingPool {
+pub(crate) struct StreamingPool {
     hosted: Vec<Hosted>,
     session_route: SessionRoute,
     /// What of an event the hosted plans read: all a worker is sent, and
@@ -615,15 +767,14 @@ pub struct StreamingPool {
     /// Width n ≥ 2: one lane per shard worker. Everything below down to
     /// `dropped` is their coordinator's bookkeeping, idle at width 1.
     lanes: Vec<Lane>,
-    batch_size: usize,
+    /// [`PoolConfig::batch_size`], at least 1: also what a snapshot stores.
+    pub(crate) batch_size: usize,
     /// What the coordinator does with a worker that reports its shard
     /// dead: quarantine it under [`FailurePolicy::Degrade`], fail the pool
     /// otherwise (a worker under `Restart` reports only once it gave up).
     policy: FailurePolicy,
     /// The sticky terminal failure ([`FailurePolicy::Fail`] or escalation).
     failed: Option<WorkerFailure>,
-    /// Every item staged across the pool, including ones later dropped.
-    routed_items: u64,
     /// Items lost to quarantined shards ([`FailurePolicy::Degrade`]).
     dropped: u64,
     /// Under slack, every admitted event not released yet, those some
@@ -650,40 +801,21 @@ pub struct StreamingPool {
 }
 
 impl StreamingPool {
-    /// A fresh COGRA pool for a session's compiled queries. The width is
-    /// `workers` when any query can shard, at most one shard per query
-    /// otherwise; width 1 is driven inline on the caller's thread. Fails
-    /// like [`crate::session::SessionBuilder::build`] does on a width the
-    /// pool refuses or the OS cannot staff.
-    pub fn new(
-        runtimes: Vec<Arc<QueryRuntime>>,
-        workers: usize,
-        config: PoolConfig,
-    ) -> Result<Self, SessionError> {
-        let hosted = runtimes
-            .into_iter()
-            .map(|rt| (EngineKind::Cogra, rt))
-            .collect();
-        Self::open(hosted, workers, config, None).map_err(|e| match e {
-            OpenError::Session(e) => e,
-            OpenError::State(e) => unreachable!("fresh engines have no state to reject: {e}"),
-        })
-    }
-
     /// Open a pool over `hosted`, fresh or — with `resume` — from
-    /// checkpointed state.
+    /// checkpointed state: the session's one way to build its pool.
     ///
     /// The width is `workers` when any query can shard; a session of only
     /// unshardable (no `GROUP-BY`) queries clamps to one shard per query
-    /// at most, since each such query is pinned anyway. Width 1 is driven
-    /// inline and hosts any [`EngineKind`]; wider pools spawn one thread
-    /// per shard (the session admits only COGRA there).
+    /// at most, since each such query is pinned anyway ([`Placement`]).
+    /// Width 1 is driven inline and hosts any [`EngineKind`]; wider pools
+    /// spawn one thread per shard (the session admits only COGRA there).
     ///
     /// A resumed pool may have a *different* width than the snapshotting
     /// one: each query's partition entries are re-sharded by replaying the
     /// same `GROUP-BY`-prefix hash live routing uses, so the new layout is
     /// exactly what fresh shards fed the same stream would hold, and the
-    /// reorder buffer is restored verbatim.
+    /// reorder buffer is restored verbatim — once each of its in-flight
+    /// events is found to be what the buffer could hold.
     ///
     /// More than [`MAX_WORKERS`] requested workers are refused before
     /// anything is built; a thread the OS refuses to start fails the open
@@ -700,7 +832,7 @@ impl StreamingPool {
                 requested: workers,
             }));
         }
-        let threads = Self::threads_for(&hosted, workers);
+        let placement = Placement::of(&hosted, workers);
         if let Some(resume) = &resume {
             resume.check_clocks()?;
         }
@@ -713,37 +845,46 @@ impl StreamingPool {
                 0,
             ),
         };
-        let shard_states = reshard(&hosted, threads, states)?;
+        let shard_states = reshard(&hosted, &placement, states)?;
         // Build the engines here, not on the worker threads, so a corrupt
         // entry surfaces as a typed error instead of a worker panic.
-        let mut shards = Vec::with_capacity(threads);
+        let mut shards = Vec::with_capacity(placement.width);
         for (index, states) in shard_states.into_iter().enumerate() {
-            let engines = shard_engines(&hosted, threads, index, states)?;
+            let engines = shard_engines(&hosted, &placement, index, states)?;
             shards.push(Shard::new(engines, 0));
         }
-        // Every in-flight event is of a registered type, shaped like it,
-        // that some query wants (no other is ever buffered), and fits the
-        // state of every engine it is about to be delivered into — checked
-        // while the engines are still here to ask.
-        let session_route = SessionRoute::of(&hosted, threads);
+        // Every in-flight event is of a registered type, shaped like it and
+        // of its schema's kinds (it is the type's blank row projected
+        // onto), some query wants it (no other is ever buffered), and it
+        // fits the state of every engine it is about to be delivered into —
+        // checked while the engines are still here to ask.
+        let session_route = SessionRoute::of(&hosted, placement.clone());
         let blank = &hosted[0].1.blank_rows;
         let in_flight = reorder.iter().flat_map(ReorderBuffer::ordered);
         for event in in_flight.filter_map(|(_, _, event)| event) {
             let row = blank.get(event.type_id.index());
-            let why = if row.is_none_or(|row| row.len() != event.attrs.len()) {
-                "is of no registered type"
-            } else if !session_route.wants(event) {
-                "is wanted by no query"
-            } else {
-                let mut fits = true;
-                session_route.each(event, |q, shard| {
-                    let engine = shards[shard].engines[q as usize].as_ref();
-                    fits &= engine.expect("a wanting query is hosted").accepts(event);
-                });
-                if fits {
-                    continue;
+            let why = match row.filter(|row| row.len() == event.attrs.len()) {
+                None => "is of no registered type",
+                Some(row)
+                    if row
+                        .iter()
+                        .zip(&event.attrs)
+                        .any(|(b, v)| b.kind() != v.kind()) =>
+                {
+                    "holds a value off its type's schema"
                 }
-                "does not fit the state of a query that wants it"
+                Some(_) if !session_route.wants(event) => "is wanted by no query",
+                Some(_) => {
+                    let mut fits = true;
+                    session_route.each(event, |q, shard| {
+                        let engine = shards[shard].engines[q as usize].as_ref();
+                        fits &= engine.expect("a wanting query is hosted").accepts(event);
+                    });
+                    if fits {
+                        continue;
+                    }
+                    "does not fit the state of a query that wants it"
+                }
             };
             return Err(OpenError::State(CheckpointError::Corrupt(format!(
                 "in-flight event {} at {} {why}",
@@ -752,12 +893,12 @@ impl StreamingPool {
         }
         let projection = Arc::new(Projection::of(&hosted));
         let mut lanes = Vec::new();
-        let inline = if threads == 1 {
+        let inline = if placement.width == 1 {
             shards.pop().map(Box::new)
         } else {
             for (index, shard) in shards.into_iter().enumerate() {
                 let recovery = (config.policy == FailurePolicy::Restart)
-                    .then(|| Recovery::new(hosted.clone(), threads, index));
+                    .then(|| Recovery::new(hosted.clone(), placement.clone(), index));
                 match Lane::spawn(shard, index, recovery, Arc::clone(&projection)) {
                     Ok(lane) => lanes.push(lane),
                     Err(e) => {
@@ -777,7 +918,6 @@ impl StreamingPool {
             batch_size: config.batch_size.max(1),
             policy: config.policy,
             failed: None,
-            routed_items: 0,
             dropped: 0,
             reorder,
             released_rows: vec![Vec::new(); projection.blank.len()],
@@ -793,21 +933,10 @@ impl StreamingPool {
         })
     }
 
-    /// Pool width: the requested workers when any query has a `GROUP-BY`
-    /// prefix to shard on; otherwise one shard per pinned query suffices.
-    fn threads_for(hosted: &[Hosted], requested: usize) -> usize {
-        let requested = requested.max(1);
-        if hosted.iter().any(|(_, rt)| rt.query.group_prefix > 0) {
-            requested
-        } else {
-            requested.min(hosted.len())
-        }
-    }
-
     /// Whether the pool drives its one shard on the caller's thread (no
     /// worker thread, no channel) — what `Session::run` picks its drain
     /// cadence from.
-    pub fn is_inline(&self) -> bool {
+    pub(crate) fn is_inline(&self) -> bool {
         self.inline.is_some()
     }
 
@@ -822,11 +951,11 @@ impl StreamingPool {
         registry: &TypeRegistry,
         name: &dyn Fn(u32) -> String,
     ) -> String {
-        let SessionRoute { width, types } = &self.session_route;
+        let SessionRoute { placement, types } = &self.session_route;
         let names = |queries: &mut dyn Iterator<Item = u32>| {
             queries.map(name).collect::<Vec<_>>().join(" ")
         };
-        let mut out = format!("fan-out over {width} shard(s):");
+        let mut out = format!("fan-out over {} shard(s):", placement.width);
         for ((_, schema), route) in registry.iter().zip(types) {
             let mut parts: Vec<String> = (route.hashed.iter())
                 .map(|(first, queries)| {
@@ -834,9 +963,10 @@ impl StreamingPool {
                     format!("by [{group}]: {}", names(&mut queries.iter().copied()))
                 })
                 .collect();
-            for shard in 0..*width {
-                let mut pinned = (0..route.fixed.len() as u32)
-                    .filter(|&q| route.fixed[q as usize] && q as usize % width == shard);
+            for shard in 0..placement.width {
+                let mut pinned = (0..route.fixed.len() as u32).filter(|&q| {
+                    route.fixed[q as usize] && placement.fixed(q as usize) == Some(shard)
+                });
                 let pinned = names(&mut pinned);
                 if !pinned.is_empty() {
                     parts.push(format!("shard {shard}: {pinned}"));
@@ -852,14 +982,9 @@ impl StreamingPool {
         out
     }
 
-    /// Widest effective shard count across the pool's queries (a query
-    /// without `GROUP-BY` is pinned to one shard and counts as 1).
-    pub fn workers(&self) -> usize {
-        if self.hosted.iter().any(|(_, rt)| rt.query.group_prefix > 0) {
-            self.session_route.width
-        } else {
-            1
-        }
+    /// The width the session reports ([`Placement::workers`]).
+    pub(crate) fn workers(&self) -> usize {
+        self.session_route.placement.workers()
     }
 
     /// Observable stream progress: results for windows closing at or
@@ -867,12 +992,12 @@ impl StreamingPool {
     /// Without slack this is the largest routed event time; with slack it
     /// is the [`ReorderBuffer`]'s safe watermark (the largest time it has
     /// released), exactly like a front reorderer's released output.
-    pub fn watermark(&self) -> Timestamp {
+    pub(crate) fn watermark(&self) -> Timestamp {
         (self.reorder.as_ref()).map_or(self.clock, ReorderBuffer::safe_watermark)
     }
 
     /// The disorder the pool repairs, in ticks (`None`: no slack).
-    pub fn slack(&self) -> Option<u64> {
+    pub(crate) fn slack(&self) -> Option<u64> {
         self.reorder.as_ref().map(ReorderBuffer::slack)
     }
 
@@ -890,7 +1015,7 @@ impl StreamingPool {
     /// per-shard events and the shards' health. Shards run concurrently,
     /// so their memory adds. The session's own counters (`events`,
     /// `results`, `queries`, `physical`) and `ingested` stay 0.
-    pub fn metrics(&self) -> Metrics {
+    pub(crate) fn metrics(&self) -> Metrics {
         let mut m = Metrics {
             late: self.reorder.as_ref().map_or(0, ReorderBuffer::late_events),
             watermark: self.watermark().ticks(),
@@ -925,7 +1050,7 @@ impl StreamingPool {
 
     /// The sticky key-limit overflow of any shard, for the per-row check
     /// of CSV ingestion: one flag read per engine.
-    pub fn key_overflow(&self) -> Option<u32> {
+    pub(crate) fn key_overflow(&self) -> Option<u32> {
         match &self.inline {
             Some(shard) => shard.key_overflow(),
             None => self.lanes.iter().find_map(|lane| lane.mirror.key_overflow),
@@ -934,7 +1059,7 @@ impl StreamingPool {
 
     /// Query `query`'s engine, while the pool is inline (worker threads
     /// own theirs).
-    pub fn engine(&self, query: usize) -> Option<&dyn TrendEngine> {
+    pub(crate) fn engine(&self, query: usize) -> Option<&dyn TrendEngine> {
         let engine = self.inline.as_ref()?.engines.get(query)?.as_deref()?;
         Some(engine)
     }
@@ -942,16 +1067,8 @@ impl StreamingPool {
     /// The sticky terminal failure, if a shard worker died under
     /// [`FailurePolicy::Fail`] (or a restart loop escalated). Once set,
     /// the pool accepts no more events and emits nothing further.
-    pub fn failure(&self) -> Option<&WorkerFailure> {
+    pub(crate) fn failure(&self) -> Option<&WorkerFailure> {
         self.failed.as_ref()
-    }
-
-    /// Every `(event, query)` item the coordinator has staged, including
-    /// ones later dropped by quarantine — the left-hand side of the
-    /// conservation invariant chaos tests assert: once the pool finishes,
-    /// `routed_items == Σ metrics().shard_events + metrics().dropped`.
-    pub fn routed_items(&self) -> u64 {
-        self.routed_items
     }
 
     /// Snapshot the pool's live state without advancing it: flushes staged
@@ -964,7 +1081,7 @@ impl StreamingPool {
     /// checkpoint — part of its state is gone; the error is typed, never a
     /// partial snapshot. A worker whose shard dies *during* the snapshot
     /// under [`FailurePolicy::Restart`] revives it and answers anyway.
-    pub fn snapshot(&mut self) -> Result<PoolState, CheckpointError> {
+    pub(crate) fn snapshot(&mut self) -> Result<PoolState, CheckpointError> {
         if self.finished {
             return Err(CheckpointError::Unsupported(
                 "cannot checkpoint a finished session".to_string(),
@@ -1150,7 +1267,7 @@ impl StreamingPool {
         if !self.lanes[shard].quarantined {
             return Some(shard);
         }
-        if self.hosted[query as usize].1.query.group_prefix == 0 {
+        if self.session_route.placement.fixed(query as usize).is_some() {
             return None;
         }
         let n = self.lanes.len();
@@ -1172,7 +1289,7 @@ impl StreamingPool {
     /// the slack past it, and is then dispatched like an in-order event;
     /// anything later than the slack allows is dropped and counted. A
     /// finished or failed pool ignores it.
-    pub fn route(&mut self, event: &Event) {
+    pub(crate) fn route(&mut self, event: &Event) {
         if self.finished || self.failed.is_some() {
             // Finished or terminally failed: ignore further input; the
             // caller sees `finished()` / the sticky `failure()`, never a
@@ -1224,7 +1341,6 @@ impl StreamingPool {
     /// earlier query already put it there, and a route. Ships the batch
     /// once it holds the configured number of routes.
     fn stage(&mut self, shard: usize, event: &Event, query: u32, stamp: u64) {
-        self.routed_items += 1;
         let Some(shard) = self.live_target(shard, query) else {
             // A pinned query's home worker is quarantined — the item has
             // nowhere correct to go; count it instead of losing it silently.
@@ -1279,7 +1395,7 @@ impl StreamingPool {
     /// to the watermark (workers: staged batches flush, then a broadcast),
     /// so shards whose sub-stream went quiet still close the windows that
     /// closed globally.
-    pub fn drain_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
+    pub(crate) fn drain_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
         if self.finished || self.failed.is_some() {
             return;
         }
@@ -1301,7 +1417,7 @@ impl StreamingPool {
     /// join the worker threads. Further drains are no-ops and further
     /// routing is ignored. On a terminally failed pool this emits nothing
     /// — the caller sees [`StreamingPool::failure`].
-    pub fn finish_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
+    pub(crate) fn finish_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
         if self.finished {
             return;
         }
@@ -1375,17 +1491,18 @@ impl Drop for StreamingPool {
     }
 }
 
-/// Split checkpointed per-query states into a `threads`-shard layout
+/// Split checkpointed per-query states into `placement`'s shard layout
 /// (`None` states: a fresh pool — every slot starts empty). Partition
 /// entries follow their `GROUP-BY` hash; counters and the finalize spike
 /// live once, on the query's first hosting shard; the watermark and drain
 /// floor are global and go to every hosting shard.
 fn reshard(
     hosted: &[Hosted],
-    threads: usize,
+    placement: &Placement,
     states: Option<Vec<RouterState>>,
 ) -> Result<Vec<Vec<Option<RouterState>>>, CheckpointError> {
-    let mut shard_states: Vec<Vec<Option<RouterState>>> = (0..threads)
+    let width = placement.width;
+    let mut shard_states: Vec<Vec<Option<RouterState>>> = (0..width)
         .map(|_| (0..hosted.len()).map(|_| None).collect())
         .collect();
     let Some(states) = states else {
@@ -1401,19 +1518,19 @@ fn reshard(
             frame,
             entries,
         } = state;
-        let shardable = rt.query.group_prefix > 0;
-        let home = if shardable { 0 } else { q % threads };
-        let mut split: Vec<Vec<Vec<u8>>> = (0..threads).map(|_| Vec::new()).collect();
-        if !shardable || threads == 1 {
+        let fixed = placement.fixed(q);
+        let home = fixed.unwrap_or(0);
+        let mut split: Vec<Vec<Vec<u8>>> = (0..width).map(|_| Vec::new()).collect();
+        if fixed.is_some() {
             split[home] = entries;
         } else {
             for entry in entries {
                 let h = entry_group_hash(&entry, rt.query.group_prefix)?;
-                split[shard_index(h, threads)].push(entry);
+                split[placement.by_hash(h)].push(entry);
             }
         }
         for (s, entries) in split.into_iter().enumerate() {
-            if !hosts(rt, q, threads, s) {
+            if !placement.hosts(q, s) {
                 debug_assert!(entries.is_empty());
                 continue;
             }
@@ -1435,10 +1552,11 @@ fn reshard(
 }
 
 /// Build shard `index`'s engine slice: one engine per query the shard
-/// hosts ([`hosts`]), revived from `states` where the layout carries one.
+/// hosts ([`Placement::hosts`]), revived from `states` where the layout
+/// carries one.
 fn shard_engines(
     hosted: &[Hosted],
-    threads: usize,
+    placement: &Placement,
     index: usize,
     states: Vec<Option<RouterState>>,
 ) -> Result<Vec<Option<Engine>>, CheckpointError> {
@@ -1447,7 +1565,7 @@ fn shard_engines(
         .zip(states)
         .enumerate()
         .map(|(q, ((kind, rt), state))| {
-            if state.is_some() || hosts(rt, q, threads, index) {
+            if state.is_some() || placement.hosts(q, index) {
                 kind.engine(Arc::clone(rt), state).map(Some)
             } else {
                 Ok(None)
@@ -1456,10 +1574,10 @@ fn shard_engines(
         .collect()
 }
 
-/// One shard: an engine per query it hosts ([`hosts`]), fed its
-/// sub-stream in time-stamp order (the pool repairs disorder before any
-/// shard sees an event). Driven by exactly one caller — a worker thread's
-/// [`shard_loop`], or the pool itself at width 1 — and that driver, not
+/// One shard: an engine per query it hosts ([`Placement::hosts`]), fed
+/// its sub-stream in time-stamp order (the pool repairs disorder before
+/// any shard sees an event). Driven by exactly one caller — a worker
+/// thread's [`shard_worker`], or the pool itself at width 1 — and that driver, not
 /// the shard, decides when to sample the memory peak: a sample is a few
 /// adds per engine, and the sampling sites are part of what `peak`
 /// means, so they stay where the drivers put them.
@@ -1579,7 +1697,7 @@ impl Shard {
 struct Recovery {
     /// What [`shard_engines`] rebuilds the engines from.
     hosted: Vec<Hosted>,
-    threads: usize,
+    placement: Placement,
     index: usize,
     saved: ShardSnapshot,
     kept: Vec<Arc<Batch>>,
@@ -1588,10 +1706,10 @@ struct Recovery {
 }
 
 impl Recovery {
-    fn new(hosted: Vec<Hosted>, threads: usize, index: usize) -> Recovery {
+    fn new(hosted: Vec<Hosted>, placement: Placement, index: usize) -> Recovery {
         Recovery {
             hosted,
-            threads,
+            placement,
             index,
             saved: ShardSnapshot::default(),
             kept: Vec::new(),
@@ -1626,7 +1744,7 @@ impl Recovery {
             }
             self.restarts += 1;
             let states = self.saved.states.clone();
-            let engines = shard_engines(&self.hosted, self.threads, self.index, states)
+            let engines = shard_engines(&self.hosted, &self.placement, self.index, states)
                 .map_err(|e| format!("recovery baseline is unusable: {e}"))?;
             // The dead shard's peak was reached all the same.
             let peak = shard.peak;
@@ -1843,17 +1961,24 @@ mod tests {
         (rt, events)
     }
 
+    /// Transport tuning: `batch_size`, no slack, `Fail`.
+    fn config(batch_size: usize) -> PoolConfig {
+        PoolConfig {
+            batch_size,
+            slack: None,
+            policy: FailurePolicy::Fail,
+        }
+    }
+
+    /// A fresh pool of COGRA engines over `runtimes`, as a session opens it.
+    fn open(runtimes: Vec<Arc<QueryRuntime>>, workers: usize, config: PoolConfig) -> StreamingPool {
+        let hosted = (runtimes.into_iter()).map(|rt| (EngineKind::Cogra, rt));
+        let pool = StreamingPool::open(hosted.collect(), workers, config, None);
+        pool.unwrap_or_else(|_| panic!("a fresh pool opens"))
+    }
+
     fn pool(rt: &Arc<QueryRuntime>, workers: usize, batch: usize) -> StreamingPool {
-        StreamingPool::new(
-            vec![Arc::clone(rt)],
-            workers,
-            PoolConfig {
-                batch_size: batch,
-                slack: None,
-                policy: FailurePolicy::Fail,
-            },
-        )
-        .unwrap()
+        open(vec![Arc::clone(rt)], workers, config(batch))
     }
 
     #[test]
@@ -1871,12 +1996,8 @@ mod tests {
             cogra_query::compile(&q2, &reg).unwrap(),
             &reg,
         ));
-        let mut pool = StreamingPool::new(
-            vec![Arc::clone(&rt), Arc::clone(&rt2)],
-            4,
-            PoolConfig::default(),
-        )
-        .unwrap();
+        let runtimes = vec![Arc::clone(&rt), Arc::clone(&rt2)];
+        let mut pool = open(runtimes, 4, config(DEFAULT_BATCH_SIZE));
         assert_eq!(pool.hosted.len(), 2);
         for e in &events {
             pool.route(e);
@@ -1888,7 +2009,6 @@ mod tests {
         let routes: usize = pool.lanes.iter().map(|l| l.open.routes.len()).sum();
         assert_eq!(rows, events.len(), "one row per event");
         assert_eq!(routes, 2 * events.len(), "one route per (event, query)");
-        assert_eq!(pool.routed_items(), routes as u64);
     }
 
     #[test]
@@ -1915,7 +2035,7 @@ mod tests {
             "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT WHERE B.w > 1.5 \
              GROUP-BY g WITHIN 16 SLIDE 8",
         );
-        let mut pool = StreamingPool::new(vec![sums, peaks], 2, PoolConfig::default()).unwrap();
+        let mut pool = open(vec![sums, peaks], 2, config(DEFAULT_BATCH_SIZE));
         let mut builder = EventBuilder::new();
         let events: Vec<Event> = (0..40i64)
             .map(|i| {
@@ -2027,16 +2147,11 @@ mod tests {
     fn restart_journals_batch_handles_not_items() {
         let (rt, events) = setup(300);
         let batch_size = 7;
-        let mut pool = StreamingPool::new(
-            vec![Arc::clone(&rt)],
-            2,
-            PoolConfig {
-                batch_size,
-                slack: None,
-                policy: FailurePolicy::Restart,
-            },
-        )
-        .unwrap();
+        let restart = PoolConfig {
+            policy: FailurePolicy::Restart,
+            ..config(batch_size)
+        };
+        let mut pool = open(vec![Arc::clone(&rt)], 2, restart);
         for e in &events {
             pool.route(e);
         }
@@ -2072,16 +2187,11 @@ mod tests {
     #[test]
     fn a_restart_worker_keeps_a_bounded_number_of_batches_between_drains() {
         let (rt, events) = setup(4_000);
-        let mut restart = StreamingPool::new(
-            vec![Arc::clone(&rt)],
-            2,
-            PoolConfig {
-                batch_size: 1,
-                slack: None,
-                policy: FailurePolicy::Restart,
-            },
-        )
-        .unwrap();
+        let config = PoolConfig {
+            policy: FailurePolicy::Restart,
+            ..config(1)
+        };
+        let mut restart = open(vec![Arc::clone(&rt)], 2, config);
         for e in &events {
             restart.route(e);
         }
@@ -2136,13 +2246,15 @@ mod tests {
         .map(|q| (EngineKind::Cogra, runtime(q, &reg)))
         .collect();
         let entries = |route: &SessionRoute, t: TypeId| {
-            let (width, route) = (route.width, &route.types[t.index()]);
+            let (placement, route) = (&route.placement, &route.types[t.index()]);
             let hashed = route.hashed.iter().map(|(_, q)| q.clone()).collect();
             let fixed = (route.fixed.iter().enumerate()).filter(|(_, fixed)| **fixed);
-            let fixed = fixed.map(|(q, _)| (q as u32, q % width)).collect();
+            let fixed = fixed
+                .map(|(q, _)| (q as u32, placement.fixed(q).unwrap()))
+                .collect();
             (hashed, fixed)
         };
-        let wide = SessionRoute::of(&hosted, 2);
+        let wide = SessionRoute::of(&hosted, Placement::of(&hosted, 2));
         // q0 and q1 group by `g`: one hash places both. q2 groups by `h`,
         // q3 is pinned to shard 3 % 2.
         assert_eq!(entries(&wide, a), (vec![vec![0, 1], vec![2]], vec![(3, 1)]));
@@ -2151,10 +2263,106 @@ mod tests {
         // `C` carries no key and is bound by no one: nobody wants it.
         assert_eq!(entries(&wide, c), (vec![], vec![]));
         // Width 1 hashes nothing: every wanting query is on shard 0.
-        let inline = SessionRoute::of(&hosted, 1);
+        let inline = SessionRoute::of(&hosted, Placement::of(&hosted, 1));
         let all = vec![(0, 0), (1, 0), (2, 0), (3, 0)];
         assert_eq!(entries(&inline, a), (vec![], all));
         assert_eq!(entries(&inline, c), (vec![], vec![]));
+    }
+
+    #[test]
+    fn every_placement_answer_is_the_one_rule() {
+        // Two `GROUP-BY` lists and two group-free queries: the shards the
+        // route names, the engines a shard hosts, where a restored
+        // snapshot's entries land and what `--explain` prints must be the
+        // answers of one rule at every width.
+        let mut reg = TypeRegistry::new();
+        let attrs = || vec![("g", ValueKind::Int), ("h", ValueKind::Int)];
+        let a = reg.register_type("A", attrs());
+        let b = reg.register_type("B", attrs());
+        let hosted: Vec<Hosted> = [
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY GROUP-BY g WITHIN 16 SLIDE 8",
+            "RETURN h, COUNT(*) PATTERN SEQ(A, B+) SEMANTICS ANY GROUP-BY h WITHIN 16 SLIDE 8",
+            "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY WITHIN 16 SLIDE 8",
+            "RETURN COUNT(*) PATTERN A+ SEMANTICS NEXT WITHIN 16 SLIDE 8",
+        ]
+        .iter()
+        .map(|q| (EngineKind::Cogra, runtime(q, &reg)))
+        .collect();
+        let mut builder = EventBuilder::new();
+        let events: Vec<Event> = (0..120i64)
+            .map(|i| {
+                let attrs = vec![Value::Int(i % 5), Value::Int(i % 7)];
+                builder.event(i as u64 + 1, if i % 3 == 2 { b } else { a }, attrs)
+            })
+            .collect();
+        // Every query's partitions mid-stream: what a snapshot holds.
+        let open_at = |width| {
+            let pool = StreamingPool::open(hosted.clone(), width, config(4), None);
+            pool.unwrap_or_else(|_| panic!("a fresh pool opens"))
+        };
+        let mut inline = open_at(1);
+        events.iter().for_each(|e| inline.route(e));
+        let states = inline.snapshot().unwrap().states;
+        for width in 1..=4 {
+            let pool = open_at(width);
+            let placement = &pool.session_route.placement;
+            assert_eq!(pool.metrics().workers, width);
+            let fresh = || (0..hosted.len()).map(|_| None).collect();
+            let engines: Vec<Vec<Option<Engine>>> = (0..width)
+                .map(|s| shard_engines(&hosted, placement, s, fresh()).unwrap())
+                .collect();
+            // The route names only shards that host the query.
+            let mut routed = std::collections::BTreeSet::new();
+            for e in &events {
+                pool.session_route.each(e, |q, s| {
+                    let q = q as usize;
+                    assert!(engines[s][q].is_some(), "width {width}: q{q} to shard {s}");
+                    routed.insert((e.type_id.index(), q, s));
+                });
+            }
+            // A restored snapshot's entries sit on hosting shards, each on
+            // one the route named for its query.
+            let split = reshard(&hosted, placement, Some(states.clone())).unwrap();
+            for (s, shard) in split.iter().enumerate() {
+                for (q, state) in shard.iter().enumerate() {
+                    assert_eq!(state.is_some(), placement.hosts(q, s), "q{q} on {s}");
+                    if state
+                        .as_ref()
+                        .is_some_and(|state| !state.entries.is_empty())
+                    {
+                        assert!(routed.iter().any(|&(_, rq, rs)| (rq, rs) == (q, s)));
+                    }
+                }
+            }
+            let entries = |q: usize| split.iter().flat_map(move |shard| &shard[q]);
+            for (q, state) in states.iter().enumerate() {
+                let count: usize = entries(q).map(|state| state.entries.len()).sum();
+                assert_eq!(count, state.entries.len(), "width {width}: q{q}'s entries");
+            }
+            // `--explain` lists every pair the route names, and beyond them
+            // only queries placed by hash (on every shard).
+            let text = pool.describe_fan_out(&reg, &|q| format!("q{q}"));
+            for (t, line) in text.lines().skip(1).enumerate() {
+                let mut listed = std::collections::BTreeSet::new();
+                for part in line.split_once(" → ").unwrap().1.split("; ") {
+                    let (head, names) = part.split_once(": ").unwrap();
+                    let shards: Vec<usize> = match head.strip_prefix("shard ") {
+                        Some(shard) => vec![shard.parse().unwrap()],
+                        None => (0..width).collect(),
+                    };
+                    for name in names.split(' ') {
+                        let q: usize = name[1..].parse().unwrap();
+                        listed.extend(shards.iter().map(|&s| (t, q, s)));
+                    }
+                }
+                let of_t = routed.iter().filter(|(rt, _, _)| *rt == t).copied();
+                let of_t: std::collections::BTreeSet<_> = of_t.collect();
+                assert!(of_t.is_subset(&listed), "width {width}: {line}");
+                for (_, q, s) in listed.difference(&of_t) {
+                    assert!(placement.fixed(*q).is_none(), "width {width}: q{q} on {s}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2185,7 +2393,7 @@ mod tests {
             let staged = |pool: &StreamingPool| {
                 let rows: usize = pool.lanes.iter().map(|l| l.open.rows.len()).sum();
                 let routes: usize = pool.lanes.iter().map(|l| l.open.routes.len()).sum();
-                (rows, routes, pool.routed_items())
+                (rows, routes)
             };
             let before = staged(&pool);
             pool.route(&last);
@@ -2197,7 +2405,7 @@ mod tests {
         };
         let tick = builder.event(40, t, vec![Value::Int(0)]);
         let (before, after, results, watermark) = closing(tick);
-        assert_eq!(before, after, "no row, no route, no routed item");
+        assert_eq!(before, after, "no row, no route");
         assert_eq!(watermark, Timestamp(40), "it moved the clock");
         assert!(!results.is_empty());
         let wanted = builder.event(40, b, vec![Value::Int(0), Value::Int(0)]);
@@ -2224,11 +2432,10 @@ mod tests {
             .collect();
         events.chunks_mut(4).for_each(<[Event]>::reverse);
         let config = PoolConfig {
-            batch_size: 16,
             slack: Some(6),
-            policy: FailurePolicy::Fail,
+            ..config(16)
         };
-        let mut pool = StreamingPool::new(vec![rt], 2, config).unwrap();
+        let mut pool = open(vec![rt], 2, config);
         events.iter().for_each(|e| pool.route(e));
         let safe = pool.watermark();
         let state = pool.snapshot().unwrap();
@@ -2251,7 +2458,7 @@ mod tests {
         // every 64 events under-reported sub-interval bursts.
         let (rt, events) = setup(10);
         let hosted = [(EngineKind::Cogra, Arc::clone(&rt))];
-        let engines = shard_engines(&hosted, 1, 0, vec![None]).unwrap();
+        let engines = shard_engines(&hosted, &Placement::of(&hosted, 1), 0, vec![None]).unwrap();
         let mut shard = Shard::new(engines, 0);
         let projection = Projection::of(&hosted);
         let mut batch = Batch::default();

@@ -1,8 +1,8 @@
 //! The unified `Session` pipeline: one ingestion API for every consumer,
 //! over one execution path.
 //!
-//! A [`Session`] is a roster of queries in front of ONE
-//! [`StreamingPool`]: the pool's shards host every engine, and
+//! A [`Session`] is a roster of queries in front of ONE pool of shards,
+//! which only a session builds: its shards host every engine, and
 //! `process` / `drain` / `finish` / `checkpoint` / `restore` each have a
 //! single implementation whatever the worker count — `.workers(1)` is the
 //! pool's one shard driven inline on the caller's thread, `.workers(n)` is
@@ -344,114 +344,6 @@ impl From<CsvError> for IngestError {
     }
 }
 
-/// Encode a snapshot's `reorder` section — one shape at every worker
-/// count. Without slack: only the stream clock, so a restored pool's
-/// admission floor matches the original's. With slack: the reorder
-/// buffer verbatim — slack, the stream clock, safe watermark, late-drop
-/// count, the time of every entry in ascending order — the arrival
-/// counter, and the entries that carry an event, as `(stamp, event)` in
-/// the order the buffer releases them: by time, and within a time stamp
-/// by arrival.
-fn save_reorder(state: &PoolState) -> Vec<u8> {
-    let mut enc = Enc::new();
-    let Some(reorder) = &state.reorder else {
-        enc.bool(false);
-        enc.u64(state.clock.ticks());
-        return enc.into_bytes();
-    };
-    enc.bool(true);
-    enc.u64(reorder.slack());
-    enc.u64(state.clock.ticks());
-    enc.u64(reorder.safe_watermark().ticks());
-    enc.u64(reorder.late_events());
-    let entries = reorder.ordered();
-    enc.usize(entries.len());
-    for (time, _, _) in &entries {
-        enc.u64(time.ticks());
-    }
-    enc.u64(state.arrivals);
-    let in_flight: Vec<_> = (entries.into_iter())
-        .filter_map(|(_, stamp, event)| Some((stamp, event?)))
-        .collect();
-    enc.usize(in_flight.len());
-    for (stamp, event) in in_flight {
-        enc.u64(stamp);
-        event.save(&mut enc);
-    }
-    enc.into_bytes()
-}
-
-/// Inverse of [`save_reorder`]: everything of a [`PoolState`] but the
-/// engine states, which have sections of their own. Each in-flight event
-/// takes the place of one entry of its time; an entry left over holds no
-/// event.
-fn load_reorder(dec: &mut Dec) -> Result<PoolState, CheckpointError> {
-    let mut state = PoolState {
-        states: Vec::new(),
-        reorder: None,
-        arrivals: 0,
-        clock: Timestamp::ZERO,
-    };
-    if !dec.bool()? {
-        state.clock = Timestamp(dec.u64()?);
-        return Ok(state);
-    }
-    let slack = dec.u64()?;
-    state.clock = Timestamp(dec.u64()?);
-    let released_to = Timestamp(dec.u64()?);
-    let late = dec.u64()?;
-    let n = dec.usize()?;
-    let mut pending = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        pending.push(Timestamp(dec.u64()?));
-    }
-    state.arrivals = dec.u64()?;
-    let n = dec.usize()?;
-    let mut in_flight = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let stamp = dec.u64()?;
-        // Stamps count admitted events from 1; one past the counter would
-        // be handed out again to an event yet to arrive.
-        if !(1..=state.arrivals).contains(&stamp) {
-            return Err(CheckpointError::Corrupt(format!(
-                "in-flight event stamped {stamp} of {} arrivals",
-                state.arrivals
-            )));
-        }
-        in_flight.push((stamp, Event::load(dec)?));
-    }
-    // A stamp is one admitted event: a repeat would be staged as the row
-    // of the event before it.
-    let mut stamps: Vec<u64> = in_flight.iter().map(|(stamp, _)| *stamp).collect();
-    stamps.sort_unstable();
-    if let Some(pair) = stamps.windows(2).find(|pair| pair[0] == pair[1]) {
-        return Err(CheckpointError::Corrupt(format!(
-            "two in-flight events stamped {}",
-            pair[0]
-        )));
-    }
-    pending.sort_unstable();
-    in_flight.sort_by_key(|(stamp, event)| (event.time, *stamp));
-    let mut in_flight = in_flight.into_iter().peekable();
-    let mut entries = Vec::with_capacity(pending.len());
-    for time in pending {
-        match in_flight.next_if(|(_, event)| event.time == time) {
-            Some((stamp, event)) => entries.push((time, stamp, Some(event))),
-            // An entry without an event is released unseen; its stamp
-            // orders nothing.
-            None => entries.push((time, 0, None)),
-        }
-    }
-    if let Some((_, event)) = in_flight.next() {
-        return Err(CheckpointError::Corrupt(format!(
-            "in-flight event {} at {} is not among the pending times",
-            event.id, event.time
-        )));
-    }
-    state.reorder = Some(ReorderBuffer::from_parts(slack, released_to, late, entries));
-    Ok(state)
-}
-
 /// A query handed to the builder: raw text (parsed at
 /// [`SessionBuilder::build`]) or an already-parsed [`Query`].
 #[derive(Debug, Clone)]
@@ -644,10 +536,11 @@ impl SessionBuilder {
     }
 
     /// Execute with `workers` parallel per-partition shards (§8) — COGRA
-    /// only beyond 1. ONE [`StreamingPool`] serves every query of the
-    /// session (each shard hosts one engine per query it serves); from
-    /// width 2 up each shard runs on a long-lived worker thread, events
-    /// are hashed to their shard at ingest time and shipped in batches.
+    /// only beyond 1. ONE pool of shards ([`crate::parallel`]) serves
+    /// every query of the session (each shard hosts one engine per query
+    /// it serves); from width 2 up each shard runs on a long-lived worker
+    /// thread, events are hashed to their shard at ingest time and
+    /// shipped in batches.
     /// Queries without a `GROUP-BY` prefix are pinned to a single shard
     /// each; a session that cannot use more than one shard runs inline on
     /// the caller's thread, exactly like `.workers(1)`. More than
@@ -807,10 +700,7 @@ impl SessionBuilder {
         let shared = SharedPlan::from_physical_of(physical_of).map_err(CheckpointError::Corrupt)?;
         dec.finish("config section")?;
 
-        let bytes = r.expect("reorder")?;
-        let mut dec = Dec::new(&bytes);
-        let mut state = load_reorder(&mut dec)?;
-        dec.finish("reorder section")?;
+        let mut state = PoolState::load_reorder(&r.expect("reorder")?)?;
         if state.reorder.as_ref().map(ReorderBuffer::slack) != slack {
             return Err(CheckpointError::Corrupt(
                 "reorder state does not match the configured slack".to_string(),
@@ -929,7 +819,6 @@ impl Roster {
                 Ok((kind, rt.map_err(attribute(i))?))
             })
             .collect::<Result<Vec<Hosted>, OpenError>>()?;
-        let batch_size = pool_config.batch_size;
         let pool = StreamingPool::open(hosted, workers, pool_config, resume)?;
         Ok(Session {
             kind: self.kind,
@@ -939,7 +828,6 @@ impl Roster {
             // stores, so a restore can re-compile the identical plans.
             texts: self.queries.iter().map(|q| q.to_string()).collect(),
             config: self.config,
-            batch_size,
             shared: self.shared,
             pool,
             events: 0,
@@ -1089,8 +977,6 @@ pub struct Session {
     texts: Vec<String>,
     /// Engine configuration, kept for checkpointing.
     config: EngineConfig,
-    /// Resolved shard-transport batch size, kept for checkpointing.
-    batch_size: usize,
     /// The multi-query sharing factoring: which physical run serves each
     /// query, and which queries each physical run fans out to.
     shared: SharedPlan,
@@ -1147,7 +1033,8 @@ impl Session {
     /// checked here: an `Int` where the schema says `Float` is aggregated
     /// and compared numerically all the same, but a checkpoint that stores
     /// it — a mixed-grained window's stored values, a pattern-grained
-    /// window's last matched event — refuses to restore
+    /// window's last matched event, or under `.slack(n)` the event itself
+    /// while the reorder buffer holds it in flight — refuses to restore
     /// ([`CheckpointError::Corrupt`]).
     pub fn process(&mut self, event: &Event) {
         self.events += 1;
@@ -1382,7 +1269,6 @@ impl Session {
         // pool), then the container is written in one pass: config,
         // reorder, one `q<i>` section per physical run.
         let state = self.pool.snapshot()?;
-        let reorder = save_reorder(&state);
 
         let mut w = SnapshotWriter::new(writer)?;
         let mut enc = Enc::new();
@@ -1395,7 +1281,7 @@ impl Session {
         enc.opt_u64(self.config.flatten_cap.map(|c| c as u64));
         enc.opt_u64(self.pool.slack());
         enc.u64(self.workers() as u64);
-        enc.u64(self.batch_size as u64);
+        enc.u64(self.pool.batch_size as u64);
         enc.opt_u64(self.config.key_limit.map(u64::from));
         // Sharing map: physical slot per query. The `q<i>` sections below
         // are per PHYSICAL run.
@@ -1404,7 +1290,7 @@ impl Session {
             enc.usize(j);
         }
         w.section("config", enc.as_slice())?;
-        w.section("reorder", &reorder)?;
+        w.section("reorder", &state.save_reorder())?;
         for (i, engine) in state.states.iter().enumerate() {
             let mut enc = Enc::new();
             engine.save(&mut enc);
@@ -1422,17 +1308,11 @@ impl Session {
     /// silently dropped here (the overflow stays observable through
     /// [`Session::key_overflow`] — it is [`Session::run_csv`] and
     /// [`Session::ingest_csv`] that fail typed).
-    pub fn run(self, events: &[Event]) -> SessionRun {
-        self.run_events(events)
-    }
-
-    /// Like [`Session::run`], consuming an event stream — pairs with lazy
-    /// sources (generators, decoders) without materializing a `Vec`.
-    pub fn run_stream(self, events: impl IntoIterator<Item = Event>) -> SessionRun {
-        self.run_events(events)
-    }
-
-    fn run_events<E: Borrow<Event>>(mut self, events: impl IntoIterator<Item = E>) -> SessionRun {
+    ///
+    /// `events` is any stream of events or of references to them — a
+    /// slice, a `Vec`, or a lazy source (a generator, a decoder) that is
+    /// never materialized.
+    pub fn run<E: Borrow<Event>>(mut self, events: impl IntoIterator<Item = E>) -> SessionRun {
         let mut run = Collect::new(&self, false);
         events
             .into_iter()
@@ -1473,11 +1353,11 @@ fn each_csv_event(
     Ok(())
 }
 
-/// The collect-everything loop shared by [`Session::run`],
-/// [`Session::run_stream`] and [`Session::run_csv`]: [`Collect::step`] per
-/// event, then [`Collect::finish`]. `strict` makes a `key_limit` overflow
+/// The collect-everything loop shared by [`Session::run`] and
+/// [`Session::run_csv`]: [`Collect::step`] per event, then
+/// [`Collect::finish`]. `strict` makes a `key_limit` overflow
 /// or a sticky worker failure fail typed (the CSV surface); the in-memory
-/// surfaces pass `false` and stay infallible — the overflow remains
+/// surface passes `false` and stays infallible — the overflow remains
 /// observable via [`Session::key_overflow`], while a worker failure panics
 /// at the end of the run (a controlled diagnostic: the alternative is
 /// silently returning empty results for a stream that was never
@@ -1545,7 +1425,7 @@ impl Collect {
             if self.strict {
                 return Err(IngestError::WorkerFailed(failure.clone()));
             }
-            // The infallible surfaces (`run`/`run_stream`) have no error
+            // The infallible surface (`run`) has no error
             // channel; a controlled panic with the typed message beats
             // silently handing back empty results.
             panic!("{failure}");
@@ -1694,7 +1574,7 @@ mod tests {
         assert_eq!(session.plan(1).unwrap().group_prefix, 0);
         assert_eq!(session.plan(0).unwrap().granularity(), Granularity::Type);
         assert!(session.plan(2).is_none());
-        let run = session.run(&stream(&reg, 20));
+        let run = session.run(stream(&reg, 20));
         assert_eq!(run.plans.len(), 2);
         assert_eq!(run.plans[1].granularity(), Granularity::Pattern);
     }

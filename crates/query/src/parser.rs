@@ -388,7 +388,7 @@ impl Parser {
         self.err_at(offset, message)
     }
 
-    /// Leaf: TypeName [Variable]
+    /// Leaf: `TypeName [Variable]`
     fn leaf(&mut self) -> QueryResult<PatternExpr> {
         let type_name = self.ident("event type")?;
         if let Some(Token {

@@ -127,7 +127,7 @@ fn peak_state_is_flat_in_the_stream_and_finish_returns_it() {
         })
     });
     let short = session().run(&lap);
-    let long = session().run_stream(laps);
+    let long = session().run(laps);
     assert_eq!(long.events, 2_000_000);
     assert!(long.stats.key_allocs >= 10 * short.stats.key_allocs);
     assert!(

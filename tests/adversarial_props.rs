@@ -56,7 +56,7 @@ fn skewed_keys_surface_as_shard_imbalance() {
             .workers(4)
             .build(&registry)
             .expect("session builds")
-            .run(&skew::generate(&cfg));
+            .run(skew::generate(&cfg));
         let counts = &run.shard_events;
         assert_eq!(counts.len(), 4, "one counter per shard: {counts:?}");
         assert_eq!(counts.iter().sum::<u64>(), cfg.events as u64);

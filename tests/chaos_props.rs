@@ -18,9 +18,10 @@
 //!   results and late drops to the byte, no sticky failure, no quarantine
 //!   (stats/peak are explicitly NOT part of the contract — replay
 //!   re-probes).
-//! * **Degrade conserves the event accounting** — after a quarantine,
-//!   `routed_items == Σ live shard_events + dropped_events`, and the
-//!   losses surface through `SessionRun`.
+//! * **Degrade conserves the event accounting** — after a quarantine, a
+//!   one-query roster over events its query wants keeps
+//!   `Σ shard_events + dropped == events − late` in `Session::metrics()`,
+//!   and the losses surface through `SessionRun`.
 //! * **Fail is sticky and typed** — `ingest_csv` returns
 //!   `IngestError::WorkerFailed`, further input is refused, a failed or
 //!   degraded session refuses to checkpoint.
@@ -42,9 +43,8 @@
 
 mod common;
 
-use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 
-use cogra::core::{PoolConfig, QueryRuntime, StreamingPool};
 use cogra::prelude::*;
 use cogra_checkpoint::write_atomic;
 use cogra_faults::{SeedSequence, Trigger};
@@ -362,21 +362,17 @@ fn a_block_cut_between_two_chunks_is_resumed_from_stats_events() {
 // Degrade: quarantine + conservation
 // ---------------------------------------------------------------------
 
-/// The conservation invariant, at the pool: every routed item is either
-/// in a live shard's count or in `dropped_events` — nothing vanishes
-/// silently when a shard is quarantined. Under `.slack(n)`, on a
-/// disordered stream, an item is routed when the pool's reorder buffer
-/// releases it: one still buffered when its shard dies goes to the next
-/// live shard, like every later event of its group.
+/// The conservation invariant, read where every counter is read
+/// (`Session::metrics()`): every event the session took is late, in a
+/// live shard's count or in `dropped` — nothing vanishes silently when a
+/// shard is quarantined. One query wants every event of the stream (each
+/// is an `A` or a `B` carrying `g`), so an event is one routed item.
+/// Under `.slack(n)`, on a disordered stream, an event is routed when the
+/// pool's reorder buffer releases it: one still buffered when its shard
+/// dies goes to the next live shard, like every later event of its group.
 #[test]
 fn degrade_conserves_event_accounting_at_the_pool() {
     let _g = guard();
-    let reg = registry();
-    let q = cogra::query::parse(QUERY).unwrap();
-    let rt = Arc::new(QueryRuntime::new(
-        cogra::query::compile(&q, &reg).unwrap(),
-        &reg,
-    ));
     for slack in [None, Some(8)] {
         let case = stream(&[QUERY], 240);
         let events = match slack {
@@ -384,38 +380,40 @@ fn degrade_conserves_event_accounting_at_the_pool() {
             None => case.events,
         };
         cogra_faults::configure("worker/batch/1", Trigger::OnHit(2));
-        let mut pool = StreamingPool::new(
-            vec![Arc::clone(&rt)],
-            4,
-            PoolConfig {
-                batch_size: 5,
-                slack,
-                policy: FailurePolicy::Degrade,
-            },
-        )
-        .unwrap();
-        let mut results = Vec::new();
-        let mut push = |_q: usize, r: WindowResult| results.push(r);
+        let mut builder = Session::builder()
+            .query(QUERY)
+            .workers(4)
+            .batch_size(5)
+            .on_worker_failure(FailurePolicy::Degrade);
+        if let Some(slack) = slack {
+            builder = builder.slack(slack);
+        }
+        let mut session = builder.build(&registry()).expect("query builds");
+        let mut results: Vec<WindowResult> = Vec::new();
         for (i, e) in events.iter().enumerate() {
-            pool.route(e);
+            session.process(e);
             if i % 40 == 39 {
-                pool.drain_into(&mut push);
+                session.drain_into(&mut results);
             }
         }
-        pool.finish_into(&mut push);
-        let metrics = pool.metrics();
+        session.finish_into(&mut results);
+        let metrics = session.metrics();
         assert_eq!(metrics.degraded, vec![1], "slack {slack:?}");
-        assert!(pool.failure().is_none(), "Degrade must not fail the pool");
+        assert!(
+            session.worker_failure().is_none(),
+            "Degrade must not fail the session"
+        );
         assert!(
             metrics.dropped > 0,
             "a quarantine with no losses proves nothing (slack {slack:?})"
         );
         let live: u64 = metrics.shard_events.iter().sum();
         assert_eq!(
-            pool.routed_items(),
             live + metrics.dropped,
-            "conservation violated (slack {slack:?}): {} routed, {} live, {} dropped",
-            pool.routed_items(),
+            metrics.events - metrics.late,
+            "conservation violated (slack {slack:?}): {} events, {} late, {} live, {} dropped",
+            metrics.events,
+            metrics.late,
             live,
             metrics.dropped
         );

@@ -1052,6 +1052,27 @@ fn an_in_flight_event_off_the_pending_times_is_rejected_typed() {
     });
 }
 
+#[test]
+fn an_in_flight_event_off_its_schemas_kind_is_rejected_typed() {
+    // Regression: an in-flight event's type and arity were checked, not
+    // its values' kinds, so a `Str` in an `Int` key slot restored and
+    // was aggregated — while a stored window value of the wrong kind was
+    // already refused (`a_value_off_its_schemas_kind_is_aggregated_but_not_restored`).
+    watchdog("in-flight kinds", || {
+        let (registry, _) = old_format_life();
+        let valid = old_life_checkpoint();
+        let damaged = damaged_reorder(&valid, |_, in_flight| {
+            let (_, event) = in_flight
+                .first_mut()
+                .expect("battery bug: nothing in flight");
+            let key = (event.attrs.iter()).position(|v| matches!(v, Value::Int(_)));
+            event.attrs[key.expect("every type of the life has an `Int` key")] = Value::str("g");
+        });
+        let why = "holds a value off its type's schema";
+        assert_refused_as_corrupt_at(&[1, 2], &registry, &valid, &damaged, why);
+    });
+}
+
 /// The life behind `tests/fixtures/`: `OLD_QUERIES` — mixed-grained with
 /// a Kleene self-loop predicate; NEXT with predicates on adjacent events,
 /// one of them on a `Str`, at two states of one type; CONT with one;

@@ -33,11 +33,12 @@
 //!   through one scratch `Event` per type, blank outside the read-set,
 //!   into each query's engine, which finds the event's partition itself
 //!   (the coordinator hashes only the `GROUP-BY` prefixes that place it).
-//!   The coordinator, which keeps a handle to every shipped batch
-//!   ([`Recycler`]), reopens a batch as soon as the worker has dropped
-//!   its own. Steady state allocates nothing per routed event on
-//!   either thread, no memory allocated on one thread is freed on another,
-//!   and both ends of a hand-off poll before they park ([`recv_polling`]).
+//!   The open batch never leaves the coordinator's thread: a full one is
+//!   moved into a batch the worker has dropped ([`Recycler::ship`], which
+//!   keeps a handle to each), or a new one. Steady state allocates nothing
+//!   per routed event on either thread, no memory allocated on one thread
+//!   is freed on another, and both ends of a hand-off poll before they park
+//!   ([`recv_polling`]).
 //!   The arena, the recycler and the receive are [`handoff`]'s; the
 //!   server's ingest chunks travel the same way.
 //!   Watermark broadcasts make a drain emit every result that is globally
@@ -560,8 +561,9 @@ struct Route {
 /// the pool reads ([`Projection::read`]) — however many of the shard's
 /// queries want it; `routes` lists the `(row, query)` items in global
 /// routing order, and is what a worker replays. Staging an event is
-/// therefore a few `Vec` appends into retained capacity: no `Event` is
-/// cloned and nothing is allocated once a batch has been through one fill.
+/// therefore a few `Vec` appends into the lane's [`Lane::open`], shipping
+/// one `Vec::append` a vector into a recycled batch: no `Event` is cloned
+/// and nothing is allocated once the buffers have been through one fill.
 #[derive(Default)]
 struct Batch {
     rows: Rows,
@@ -572,6 +574,11 @@ impl Reusable for Batch {
     fn clear(&mut self) {
         self.rows.clear();
         self.routes.clear();
+    }
+
+    fn take_from(&mut self, staged: &mut Batch) {
+        self.rows.take_from(&mut staged.rows);
+        self.routes.append(&mut staged.routes);
     }
 }
 
@@ -740,7 +747,7 @@ const CHANNEL_CAPACITY: usize = 16;
 ///   per wanting query; a batch ships once it holds
 ///   [`PoolConfig::batch_size`] routes and on every drain/finish, so
 ///   batching changes hand-off cost, never the result set. Consumed
-///   batches are reopened, not reallocated.
+///   batches are shipped again, not reallocated.
 /// * **One reorderer, in front of the route** — with
 ///   [`PoolConfig::slack`], every admitted event is pushed once onto the
 ///   pool's [`ReorderBuffer`], whose drop rule is a single front
@@ -1359,8 +1366,8 @@ impl StreamingPool {
         }
     }
 
-    /// Send a shard's open batch as one [`Cmd::Batch`], keeping a handle,
-    /// and reopen a spare in its place. A closed channel means the worker
+    /// Send a shard's open batch as one [`Cmd::Batch`], keeping a handle;
+    /// the open batch stays, emptied. A closed channel means the worker
     /// is gone, and the coordinator acts per policy; the batch is part of
     /// what that shard lost.
     fn ship(&mut self, shard: usize) {
@@ -1368,11 +1375,7 @@ impl StreamingPool {
         if lane.open.routes.is_empty() {
             return;
         }
-        lane.batches.reclaim();
-        let reopened = lane.batches.reopen();
-        let batch = lane
-            .batches
-            .ship(std::mem::replace(&mut lane.open, reopened));
+        let batch = lane.batches.ship(&mut lane.open);
         lane.last_stamp = 0;
         let Some(tx) = lane.tx.as_ref() else {
             return; // quarantined or failed since staging
@@ -2126,20 +2129,17 @@ mod tests {
         let got = drive(&mut recycling, &events, 30);
         assert!(!got[0].is_empty());
         assert_eq!(got, drive(&mut pool(&rt, 1, 8), &events, 30), "vs inline");
-        // The workers have joined, so every shipped batch is free: the one
-        // reopened is recycled whatever the threads' timing was.
+        // The workers have joined, so every shipped batch is free: each
+        // comes back a spare, whatever the threads' timing was.
         for lane in &mut recycling.lanes {
             lane.batches.reclaim();
-            let reopened = &lane.batches.reopen();
-            assert!(
-                reopened.rows.heads.capacity() > 0,
-                "the open batch is a recycled one"
-            );
-            assert!(reopened.rows.is_empty() && reopened.routes.is_empty());
-            assert!(
-                reopened.rows.values.is_empty(),
-                "no value outlives its batch"
-            );
+            assert!(lane.batches.shipped.is_empty());
+            assert!(!lane.batches.spare.is_empty(), "shipped batches recycle");
+            for spare in &lane.batches.spare {
+                assert!(spare.rows.heads.capacity() > 0, "a filled batch");
+                assert!(spare.rows.is_empty() && spare.routes.is_empty());
+                assert!(spare.rows.values.is_empty(), "no value outlives its batch");
+            }
         }
     }
 

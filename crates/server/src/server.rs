@@ -20,12 +20,13 @@
 //! text are the CLI's; while it aggregates chunk *k* the connection decodes
 //! chunk *k + 1*. The last chunk of a block carries the reply handle (a
 //! block of at most one chunk is one message), and the actor then drains
-//! and answers. A chunk is a [`Rows`] arena, recycled, not allocated, by
-//! a [`Recycler`] — the hand-off of `cogra_core::parallel::handoff`, which
-//! the shard transport's batches travel by too: the connection keeps a
-//! handle to each chunk it ships and fills it again once the actor has
-//! dropped its own, so a row's memory is written and freed on one thread
-//! and both sides touch it front to back.
+//! and answers. Rows are decoded into the connection's stage, a [`Rows`]
+//! arena that never leaves its thread, and a full stage is moved (one
+//! `Vec::append` a vector) into a chunk recycled, not allocated, by a
+//! [`Recycler`] — the hand-off of `cogra_core::parallel::handoff`, which
+//! the shard transport's batches travel by too — so the decode never
+//! stores into lines the actor's core has just read, and a row's memory
+//! is written and freed on one thread.
 //!
 //! The bounded queue is the ingest backpressure, and it counts *requests*:
 //! a chunk or a control verb each take one slot, so at most
@@ -98,11 +99,12 @@ const READ_BUFFER_BYTES: usize = 64 << 10;
 /// thread hands to the session actor, and so how far decode runs ahead of
 /// aggregation. Small enough that the actor starts on a block while most
 /// of it is still text (a 256-row block is two chunks, so its second half
-/// decodes while the actor wakes up), large enough that a hand-off (~1 µs
-/// polled) is noise beside the ~8 µs a chunk takes to decode (rideshare
-/// rows, ~60 ns each on a 2-vCPU x86-64 host). A constant, not a knob:
-/// measured alike at 128 and 256 on throughput, and the right value
-/// follows the cost of a row, which no caller knows better.
+/// decodes while the actor wakes up), large enough that a hand-off (a
+/// move of the stage, ~1 µs polled) is noise beside the ~8 µs a chunk
+/// takes to decode (rideshare rows, ~60 ns each on a 2-vCPU x86-64 host).
+/// A constant, not a knob: measured alike at 128 and 256 on throughput,
+/// and the right value follows the cost of a row, which no caller knows
+/// better.
 pub const INGEST_CHUNK_ROWS: usize = 128;
 
 /// Server tuning knobs.
@@ -804,11 +806,11 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
 /// Read commands off one connection and forward them to the actor. Every
 /// command is answered before the next is read, so the connection has at
 /// most one command in flight (see the module docs on backpressure), and
-/// one payload buffer, one reply channel, one recycler of chunks and one
-/// decoded row serve it for its whole life. The [`Shared::finished`]
-/// condvar is signalled here, after a successful `FINISH` reply hit the
-/// socket, never by the actor (a waiter that shuts the process down on it
-/// must not be able to kill the reply mid-write).
+/// one payload buffer, one reply channel, one stage, one recycler of
+/// chunks and one decoded row serve it for its whole life. The
+/// [`Shared::finished`] condvar is signalled here, after a successful
+/// `FINISH` reply hit the socket, never by the actor (a waiter that shuts
+/// the process down on it must not be able to kill the reply mid-write).
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // A silent client must not hold this thread (and its fd) forever:
     // with a timeout configured, a read that sits idle past it gets one
@@ -819,7 +821,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut writer = stream;
     let mut line_buf: Vec<u8> = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
-    let mut chunks = Recycler::default();
+    let (mut chunks, mut stage) = (Recycler::default(), Rows::default());
     let mut decoded = Event::new(0, 0, TypeId(0), Vec::new());
     let (reply_tx, replies) = mpsc::channel();
     loop {
@@ -865,7 +867,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     reply_err(&mut writer, "ingest payload is not valid UTF-8")?;
                     continue;
                 };
-                ingest_block(csv, shared, &mut chunks, &mut decoded, reply(), &replies)?
+                let (stage, decoded) = (&mut stage, &mut decoded);
+                ingest_block(csv, shared, &mut chunks, stage, decoded, reply(), &replies)?
             }
             "DRAIN" => shared.ask(Req::Drain { reply: reply() }, &replies),
             "STATS" => shared.ask(Req::Stats { reply: reply() }, &replies),
@@ -931,22 +934,20 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     }
 }
 
-/// Decode one `INGEST` block and stream it to the actor, chunk by chunk,
-/// under the ingest turn; returns the actor's answer. The decode of a
-/// chunk runs while the actor aggregates the one before it.
+/// Decode one `INGEST` block into `stage` and stream it to the actor,
+/// chunk by chunk, under the ingest turn; returns the actor's answer, and
+/// leaves `stage` empty. The decode of a chunk runs while the actor
+/// aggregates the one before it.
 fn ingest_block(
     csv: &str,
     shared: &Shared,
     chunks: &mut Recycler<Rows>,
+    stage: &mut Rows,
     decoded: &mut Event,
     reply: ReplyHandle,
     replies: &Receiver<Reply>,
 ) -> io::Result<Reply> {
     let _turn = shared.turn.lock().unwrap_or_else(|p| p.into_inner());
-    // Every chunk is one the actor is done with (it drops its handle after
-    // the last row), or a new one.
-    chunks.reclaim();
-    let mut chunk = chunks.reopen();
     let mut first = true;
     // Why the rows end: the document did, or a row (or the header) earned
     // an error — the same `IngestError` text `Session::ingest_csv` gives.
@@ -962,11 +963,9 @@ fn ingest_block(
                 }
                 Some(Ok(())) => {}
             }
-            if chunk.len() == INGEST_CHUNK_ROWS {
+            if stage.len() == INGEST_CHUNK_ROWS {
                 // Full, and the block goes on: this chunk is not its last.
-                chunks.reclaim();
-                let next = chunks.reopen();
-                let rows = chunks.ship(std::mem::replace(&mut chunk, next));
+                let rows = chunks.ship(stage);
                 let sent = shared.requests.send(Req::Chunk {
                     rows,
                     first,
@@ -982,14 +981,14 @@ fn ingest_block(
             }
             // The values move over; `decoded` keeps its capacity.
             let values = |buffer: &mut Vec<_>| buffer.append(&mut decoded.attrs);
-            chunk.push(decoded.id, decoded.time, decoded.type_id, values);
+            stage.push(decoded.id, decoded.time, decoded.type_id, values);
         },
     }
     let end = Some(BlockEnd {
         stop: stop.map(|e| IngestError::from(e).to_string()),
         reply,
     });
-    let rows = chunks.ship(chunk);
+    let rows = chunks.ship(stage);
     Ok(shared.ask(Req::Chunk { rows, first, end }, replies))
 }
 

@@ -1,7 +1,7 @@
-//! A process-wide counting allocator for the allocation pins
+//! A process-wide counting allocator for the seven allocation pins
 //! (`inline_path_allocs.rs`, `width2_path_allocs.rs`, `csv_path_allocs.rs`,
-//! `churn_path_allocs.rs`, `mixed_path_allocs.rs`, `slack_path_allocs.rs`)
-//! and the decoders' size bound
+//! `churn_path_allocs.rs`, `mixed_path_allocs.rs`, `slack_path_allocs.rs`,
+//! `server_path_allocs.rs`) and the decoders' size bound
 //! (`decoder_never_panic.rs`). Each is a test
 //! binary of its own and installs it with
 //! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`,
